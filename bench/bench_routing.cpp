@@ -14,8 +14,7 @@
 // fail/repair events, eps swept in decades). BM_GreedyConnect vs
 // BM_ExchangeCall isolates the facade's handle + classification overhead
 // over the raw router. The locality plane gets its own A/B series: the
-// relabel pair (builder-order vs finalize(kLocality) ids, same churn) and
-// the affinity sweep (drain pool pinned none/spread/compact with homed
+// affinity sweep (drain pool pinned none/spread/compact with homed
 // sessions). --grow records the hitless-growth series: churn calls/sec
 // before/during/after doubling the exchange live, with the merge's quiesce
 // pause and a measured (must-be-zero) kill count. --repeat=K records the
@@ -1038,57 +1037,6 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
                       static_cast<double>(st.hard_rejects())
                 : 1.0)
         << "},\n";
-  }
-
-  // Locality-relabel A/B: the same churn on the builder-order network and
-  // on its finalize(kLocality) image. Visits/connect must be IDENTICAL
-  // (routing is the exact image under the permutation — pinned by
-  // tests/test_relabel.cpp); the calls/sec delta is purely the stage-major
-  // id layout paying off in cache lines.
-  {
-    struct RelabelRow {
-      const char* network;
-      const char* mode;
-      ChurnMeasure m;
-    };
-    std::vector<RelabelRow> rl;
-    const auto pair_for = [&](const char* nm, const networks::CantorParams& cp,
-                              std::size_t ops) {
-      const auto base = networks::build_cantor(cp);
-      const auto hot = graph::relabel_locality(base);
-      rl.push_back({nm, "none", median_of(repeats, [&] {
-                      return churn_workload(nm, base, ops);
-                    })});
-      rl.push_back({nm, "locality", median_of(repeats, [&] {
-                      return churn_workload(nm, hot, ops);
-                    })});
-    };
-    pair_for("cantor-k5", {5, 0}, bench::scaled(100'000));
-    pair_for("cantor-k7", {7, 0}, bench::scaled(20'000));
-
-    out << "  \"relabel\": {\"points\": [\n";
-    for (std::size_t i = 0; i < rl.size(); ++i) {
-      const auto& r = rl[i];
-      out << "    {\"network\": \"" << r.network << "\", \"mode\": \""
-          << r.mode << "\", \"connects\": " << r.m.connects
-          << ", \"calls_per_sec\": "
-          << static_cast<std::uint64_t>(r.m.calls_per_sec())
-          << ", \"visits_per_connect\": " << r.m.visits_per_connect()
-          << ", \"mean_path_vertices\": " << r.m.mean_path_vertices() << "}"
-          << (i + 1 < rl.size() ? "," : "") << "\n";
-    }
-    out << "  ]},\n";
-    for (std::size_t i = 0; i + 1 < rl.size(); i += 2)
-      std::cout << "relabel churn " << rl[i].network << ": none "
-                << static_cast<std::uint64_t>(rl[i].m.calls_per_sec())
-                << " -> locality "
-                << static_cast<std::uint64_t>(rl[i + 1].m.calls_per_sec())
-                << " calls/sec (x"
-                << (rl[i].m.calls_per_sec() > 0
-                        ? rl[i + 1].m.calls_per_sec() / rl[i].m.calls_per_sec()
-                        : 0.0)
-                << ", visits/connect " << rl[i].m.visits_per_connect()
-                << " vs " << rl[i + 1].m.visits_per_connect() << ")\n";
   }
 
   // Affinity A/B: the batched wave churn with the drain pool pinned under

@@ -206,20 +206,13 @@ WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
 
   for (unsigned attempt = 0;; ++attempt) {
     // 2. Search on a dirty busy snapshot (relaxed reads, private scratch).
-    graph::VertexId meet;
-    if (r.dir_opt_) {
-      detail::DirStats dir;
-      meet = detail::bidir_shortest_idle_path_diropt(
-          r.net_->g, src, dst, scratch_, stats_.vertices_visited, dir,
-          is_busy, edge_blocked, edge_contracted, contraction);
-      stats_.bottom_up_levels += dir.bottom_up_levels;
-      stats_.visits_forward += dir.visits_forward;
-      stats_.visits_backward += dir.visits_backward;
-    } else {
-      meet = detail::bidir_shortest_idle_path(
-          r.net_->g, src, dst, scratch_, stats_.vertices_visited, is_busy,
-          edge_blocked, edge_contracted, contraction);
-    }
+    detail::DirStats dir;
+    const graph::VertexId meet = detail::bidir_shortest_idle_path(
+        r.net_->g, src, dst, scratch_, stats_.vertices_visited, dir, is_busy,
+        edge_blocked, edge_contracted, contraction);
+    stats_.bottom_up_levels += dir.bottom_up_levels;
+    stats_.visits_forward += dir.visits_forward;
+    stats_.visits_backward += dir.visits_backward;
     if (meet == graph::kNoVertex) {
       r.out_busy_.reset(out);
       r.in_busy_.reset(in);
@@ -446,7 +439,7 @@ void ConcurrentRouter::Worker::connect_wave(WaveItem* items, std::size_t n) {
     detail::wave_search(r.net_->g, wave_src_.data(), wave_dst_.data(), m,
                         scratch_, wave_meet_.data(), wave_total_.data(),
                         stats_.vertices_visited, dir, is_busy, edge_blocked,
-                        edge_contracted, contraction, r.dir_opt_);
+                        edge_contracted, contraction);
     stats_.bottom_up_levels += dir.bottom_up_levels;
     stats_.visits_forward += dir.visits_forward;
     stats_.visits_backward += dir.visits_backward;

@@ -12,10 +12,10 @@
 //   1. TERMINAL ACQUIRE — CAS the input slot, then the output slot, in the
 //      shared AtomicBitsets. Failure → rejected_terminal (slot released in
 //      reverse order on partial acquire).
-//   2. SEARCH — the shared epoch-stamped bidirectional BFS (ftcs/search.hpp)
-//      runs on the worker's PRIVATE scratch, reading the shared busy bitset
-//      with RELAXED loads: a dirty snapshot, deliberately unvalidated. No
-//      idle path → rejected_no_path.
+//   2. SEARCH — the shared epoch-stamped, direction-optimizing bidirectional
+//      BFS (ftcs/search.hpp) runs on the worker's PRIVATE scratch, reading
+//      the shared busy bitset with RELAXED loads: a dirty snapshot,
+//      deliberately unvalidated. No idle path → rejected_no_path.
 //   3. CLAIM — the settled path's vertices are claimed one-by-one with
 //      word-level CAS (AtomicBitset::try_set, acq_rel) in CANONICAL order
 //      (ascending vertex id). Canonical order makes two overlapping claims
@@ -240,12 +240,6 @@ class ConcurrentRouter {
     return busy_.test(v, std::memory_order_acquire);
   }
 
-  /// A/B switch for the direction-optimizing frontier (ftcs/search.hpp).
-  /// Plain bool read by every worker's searches — set it BEFORE concurrent
-  /// routing starts (same quiescence contract as kill_vertex). Default on.
-  void set_direction_optimize(bool on) noexcept { dir_opt_ = on; }
-  [[nodiscard]] bool direction_optimize() const noexcept { return dir_opt_; }
-
   // ------------------------------------------------------ liveness overlay
   // See the header comment for the memory-ordering and quiescence contract.
 
@@ -333,7 +327,6 @@ class ConcurrentRouter {
   // Shared successor array threading every active path; entry v is owned by
   // the holder of busy bit v (see the memory-ordering contract above).
   std::vector<graph::VertexId> path_next_;
-  bool dir_opt_ = true;         // direction-optimizing frontier A/B switch
   std::deque<Worker> workers_;  // deque: stable addresses for worker(w) refs
 };
 

@@ -195,12 +195,8 @@ graph::VertexId GreedyRouter::search_one(graph::VertexId src,
   const auto edge_contracted = [this](graph::EdgeId e) {
     return contracted_edges_.test(e);
   };
-  if (!dir_opt_)
-    return detail::bidir_shortest_idle_path(
-        net_->g, src, dst, scratch_, stats_.vertices_visited, is_busy,
-        edge_blocked, edge_contracted, contraction);
   detail::DirStats dir;
-  const graph::VertexId meet = detail::bidir_shortest_idle_path_diropt(
+  const graph::VertexId meet = detail::bidir_shortest_idle_path(
       net_->g, src, dst, scratch_, stats_.vertices_visited, dir, is_busy,
       edge_blocked, edge_contracted, contraction);
   stats_.bottom_up_levels += dir.bottom_up_levels;
@@ -415,7 +411,7 @@ void GreedyRouter::connect_wave(WaveItem* items, std::size_t n) {
             return edge_faults && blocked_edges_.test(e);
           },
           [this](graph::EdgeId e) { return contracted_edges_.test(e); },
-          contraction, dir_opt_);
+          contraction);
       stats_.bottom_up_levels += dir.bottom_up_levels;
       stats_.visits_forward += dir.visits_forward;
       stats_.visits_backward += dir.visits_backward;

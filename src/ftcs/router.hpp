@@ -13,7 +13,9 @@
 //     always expanding the smaller frontier) — still returns a shortest idle
 //     path, but explores O(f^(d/2)) instead of O(f^d) vertices on the
 //     layered networks of §6, and detects "no idle path" as soon as either
-//     frontier dies;
+//     frontier dies. A level whose frontier outgrows the unvisited set is
+//     expanded by a bottom-up sweep instead (direction optimization, see
+//     ftcs/search.hpp);
 //   - visited state is epoch-stamped (one bulk clear per 2^32 calls instead
 //     of one per call) with parent arrays per direction for path recovery;
 //   - frontiers are preallocated ring buffers of vertex_count slots (each
@@ -67,9 +69,8 @@ struct RouterStats {
   std::uint64_t bottom_up_levels = 0; // BFS levels expanded by bottom-up sweep
   std::uint64_t visits_forward = 0;   // stamps by the forward frontier
   std::uint64_t visits_backward = 0;  // stamps by the backward frontier
-                                      // (per-direction split only recorded by
-                                      // the dir-opt/wave searches; the
-                                      // baseline search leaves both at 0)
+                                      // (forward + backward always equals
+                                      // vertices_visited)
 
   RouterStats& operator+=(const RouterStats& o) noexcept {
     connect_calls += o.connect_calls;
@@ -166,11 +167,6 @@ class GreedyRouter {
   ///     is final (kNoPath on a dead search, like connect()).
   /// Counts one wave_epochs per wave. Allocation-free after construction.
   void connect_wave(WaveItem* items, std::size_t n);
-
-  /// Toggles the direction-optimizing frontier (default ON). The OFF path
-  /// dispatches to the unmodified PR 2 search body for A/B comparison.
-  void set_direction_optimize(bool on) noexcept { dir_opt_ = on; }
-  [[nodiscard]] bool direction_optimize() const noexcept { return dir_opt_; }
 
   /// Releases a call and frees its path. Allocation-free.
   void disconnect(CallId call);
@@ -275,7 +271,7 @@ class GreedyRouter {
 
   /// Sizes the overlay bitsets on the first fault event (off the hot path).
   void ensure_overlay();
-  /// Runs the single-pair search (dir-opt dispatched) and merges DirStats.
+  /// Runs the single-pair search and merges its DirStats.
   [[nodiscard]] graph::VertexId search_one(graph::VertexId src,
                                            graph::VertexId dst);
   /// Threads `path` (src..dst order, already all-idle) through the
@@ -309,7 +305,6 @@ class GreedyRouter {
   std::vector<CallId> free_slots_; // capacity reserved likewise
   std::size_t active_ = 0;
   std::size_t busy_count_ = 0;
-  bool dir_opt_ = true;  // direction-optimizing frontier (A/B dispatch)
   RouterStats stats_;
 
   // connect_wave scratch, reserved at construction (window <= call bound):

@@ -39,18 +39,15 @@
 // first stamped at level d+1 through a normal switch is not re-stamped when
 // a later free hop would have reached it at level d (the epoch stamps admit
 // one discovery per vertex). Reachability — the property the offline
-// contraction equivalence pins — is exact; on contraction-free networks the
-// search is bit-identical to the PR 1/PR 2 behaviour.
+// contraction equivalence pins — is exact.
 //
-// DIRECTION-OPTIMIZING VARIANT (bidir_shortest_idle_path_diropt): the
-// leveled Cantor/Beneš topologies explode the mid-search frontier, and a
-// top-down level pass then scans every edge hanging off the frontier. The
-// direction-optimizing variant keeps the exact control flow of the baseline
-// search but decides per level, per direction, whether to expand TOP-DOWN
-// (scan the frontier's out-edges, the baseline) or BOTTOM-UP (mark the
-// frontier in a util::Bitset and sweep every still-unstamped vertex,
-// probing its in-edges for a frontier source with early exit — the GAPBS
-// trick).
+// DIRECTION OPTIMIZATION: the leveled Cantor/Beneš topologies explode the
+// mid-search frontier, and a top-down level pass then scans every edge
+// hanging off the frontier. So the search decides per level, per direction,
+// whether to expand TOP-DOWN (scan the frontier's out-edges) or BOTTOM-UP
+// (mark the frontier in a util::Bitset and sweep every still-unstamped
+// vertex, probing its in-edges for a frontier source with early exit — the
+// GAPBS trick).
 //   Heuristic: expand level bottom-up when
 //       frontier_edges * kBottomUpAlpha > unvisited_vertices * avg_degree,
 //   evaluated LAZILY at each level's start: a frontier_size * max_degree
@@ -58,7 +55,7 @@
 //   trigger is the exact degree sum taken over the level's queue segment
 //   (the bound is conservative, so the decision is identical to tracking
 //   frontier edges per push — without the per-push degree load that made
-//   the hot visit loop ~20% slower than the baseline). The test
+//   the hot visit loop ~20% slower). The test
 //   re-evaluates every level, so the search falls back to top-down as soon
 //   as the frontier thins (the classic top-down -> bottom-up -> top-down
 //   trajectory).
@@ -67,7 +64,7 @@
 //   overlay reads remain exactly as re-validatable as top-down ones, and
 //   both sweep directions stamp the SAME vertex set per level (every
 //   frontier-adjacent vertex), so busy/overlay races cost retries, never
-//   correctness, identically in either mode.
+//   correctness, identically in either sweep direction.
 //   Interaction with 0-1 weld levels: bottom-up discoveries over a
 //   contracted switch (probed forward along in-edges AND against the edge
 //   direction via contracted out-edges) are still free hops — they go to
@@ -75,10 +72,10 @@
 //   the sweep, preserving the 0-1 discipline. One caveat: when a vertex is
 //   reachable in the same level both through a normal and a contracted
 //   switch, the two sweep orders may assign it a different cost label
-//   (first-discovery-wins differs), so under live welds the variants can
-//   return different — but equally valid — paths; with no welds the
-//   admitted/rejected verdicts and path lengths are provably identical
-//   (same stamp sets, same per-level meet candidates).
+//   (first-discovery-wins differs), so under live welds the path returned
+//   depends on which sweep ran — it is always a valid idle path. With no
+//   welds both sweeps stamp the same vertex set per level, so verdicts and
+//   path lengths are those of plain bidirectional BFS over idle vertices.
 //
 // WAVE SEARCH (wave_search): routes a whole admission window as ONE
 // level-synchronized multi-source sweep. Every request seeds its input into
@@ -96,7 +93,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -115,7 +111,7 @@ struct SearchScratch {
   std::vector<graph::VertexId> queue_f, queue_b;  // frontier rings
   std::vector<graph::VertexId> zero_f, zero_b;  // free-hop (contracted) stacks
   std::vector<std::uint32_t> label_f, label_b;  // wave: request per stamp
-  util::Bitset front_f, front_b;  // dir-opt: current-level frontier bitmaps
+  util::Bitset front_f, front_b;  // bottom-up: current-level frontier bitmaps
   std::uint32_t epoch = 0;
 
   void init(std::size_t v_count) {
@@ -139,7 +135,7 @@ struct SearchScratch {
 
 /// Per-search counters of the direction-optimizing machinery, merged by the
 /// routers into RouterStats (kept separate so search.hpp needs no router
-/// include). The baseline bidir_shortest_idle_path never touches these.
+/// include). visits_forward + visits_backward equals the `visited` delta.
 struct DirStats {
   std::uint64_t bottom_up_levels = 0;  // levels expanded by bottom-up sweep
   std::uint64_t visits_forward = 0;    // stamps by the forward frontier
@@ -151,230 +147,10 @@ struct DirStats {
 inline constexpr std::uint64_t kBottomUpAlpha = 4;
 
 /// The search body; kContraction selects the stuck-on machinery at compile
-/// time. Use the bidir_shortest_idle_path dispatchers below.
+/// time. Use the bidir_shortest_idle_path dispatcher below.
 template <bool kContraction, class BusyFn, class EdgeBlockedFn,
           class EdgeContractedFn>
 [[nodiscard]] graph::VertexId bidir_shortest_idle_path_impl(
-    const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
-    SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
-    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted) {
-  if (++s.epoch == 0) {  // epoch wrap: one bulk clear per 2^32 searches
-    std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
-    std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
-    s.epoch = 1;
-  }
-  if (src == dst) {
-    s.epoch_f[src] = s.epoch;
-    s.parent_f[src] = graph::kNoVertex;
-    s.dist_f[src] = 0;
-    return dst;
-  }
-
-  graph::VertexId best_meet = graph::kNoVertex;
-  std::uint32_t best_total = graph::kNoVertex;  // path length in edges
-  s.epoch_f[src] = s.epoch;
-  s.parent_f[src] = graph::kNoVertex;
-  s.dist_f[src] = 0;
-  s.epoch_b[dst] = s.epoch;
-  s.parent_b[dst] = graph::kNoVertex;
-  s.dist_b[dst] = 0;
-  std::size_t fh = 0, ft = 0, bh = 0, bt = 0;
-  s.queue_f[ft++] = src;
-  s.queue_b[bt++] = dst;
-  std::size_t flevel = 1, blevel = 1;  // vertices in the current frontier
-  std::uint32_t df = 0, db = 0;        // distance of those frontiers
-
-  while (flevel > 0 && blevel > 0 && best_total > df + db + 1) {
-    if (flevel <= blevel) {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;  // top of the free-hop stack (current level)
-      // Discovery of v from u at cost `free ? 0 : 1`.
-      const auto visit_f = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_f[v] == s.epoch) return;
-        s.epoch_f[v] = s.epoch;
-        ++visited;
-        if (is_busy(v)) {
-          // Record "no parent this epoch" EXPLICITLY. Parent arrays
-          // persist across searches, and under a concurrent (dirty) busy
-          // view the other side may probe v again after it went idle: a
-          // stale parent from an earlier search would then chain a meet
-          // through garbage (broken or even cyclic paths).
-          s.parent_f[v] = graph::kNoVertex;
-          return;
-        }
-        s.parent_f[v] = u;
-        const std::uint32_t dv = free ? df : df + 1;
-        s.dist_f[v] = dv;
-        if (s.epoch_b[v] == s.epoch && s.parent_b[v] != graph::kNoVertex) {
-          const std::uint32_t total = dv + s.dist_b[v];
-          if (total < best_total) {
-            best_total = total;
-            best_meet = v;
-          }
-          return;  // expanding a meet can never improve on it
-        }
-        if (v == dst) {  // dst seeded backward with parent kNoVertex
-          if (dv < best_total) {
-            best_total = dv;
-            best_meet = v;
-          }
-          return;
-        }
-        if (kContraction && free) {
-          s.zero_f[zt++] = v;  // same level: expand before the level ends
-        } else {
-          s.queue_f[ft++] = v;
-          ++next_level;
-        }
-      };
-      std::size_t n = 0;
-      for (;;) {
-        graph::VertexId u;
-        if (n < flevel) {
-          u = s.queue_f[fh++];
-          ++n;
-        } else if (kContraction && zt > 0) {
-          u = s.zero_f[--zt];
-        } else {
-          break;
-        }
-        const auto eids = g.out_edges(u);
-        const auto tgts = g.out_targets(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_f(tgts[i], u, kContraction && edge_contracted(eids[i]));
-        }
-        if constexpr (kContraction) {
-          // A stuck-on switch conducts both ways: a contracted in-edge
-          // w->u is a free hop u->w (traversed against the edge direction).
-          const auto reids = g.in_edges(u);
-          const auto rsrcs = g.in_sources(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_f(rsrcs[i], u, true);
-          }
-        }
-      }
-      flevel = next_level;
-      ++df;
-    } else {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;
-      const auto visit_b = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_b[v] == s.epoch) return;
-        s.epoch_b[v] = s.epoch;
-        ++visited;
-        if (is_busy(v)) {  // src/dst rejected upfront if busy
-          s.parent_b[v] = graph::kNoVertex;  // see the forward-side note
-          return;
-        }
-        s.parent_b[v] = u;
-        const std::uint32_t dv = free ? db : db + 1;
-        s.dist_b[v] = dv;
-        if (s.epoch_f[v] == s.epoch &&
-            (s.parent_f[v] != graph::kNoVertex || v == src)) {
-          const std::uint32_t total = s.dist_f[v] + dv;
-          if (total < best_total) {
-            best_total = total;
-            best_meet = v;
-          }
-          return;
-        }
-        if (kContraction && free) {
-          s.zero_b[zt++] = v;
-        } else {
-          s.queue_b[bt++] = v;
-          ++next_level;
-        }
-      };
-      std::size_t n = 0;
-      for (;;) {
-        graph::VertexId u;
-        if (n < blevel) {
-          u = s.queue_b[bh++];
-          ++n;
-        } else if (kContraction && zt > 0) {
-          u = s.zero_b[--zt];
-        } else {
-          break;
-        }
-        const auto eids = g.in_edges(u);
-        const auto srcs = g.in_sources(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_b(srcs[i], u, kContraction && edge_contracted(eids[i]));
-        }
-        if constexpr (kContraction) {
-          // Reverse conduction: a contracted out-edge u->w means the path
-          // segment w -> u is carried by the welded switch for free.
-          const auto reids = g.out_edges(u);
-          const auto rtgts = g.out_targets(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_b(rtgts[i], u, true);
-          }
-        }
-      }
-      blevel = next_level;
-      ++db;
-    }
-  }
-  return best_meet;
-}
-
-/// Finds a shortest idle src->dst path; returns the meeting vertex (parents
-/// in `s` recover the two halves) or graph::kNoVertex if no idle path
-/// exists. `is_busy(v)` and `edge_blocked(e)` gate expansion;
-/// `edge_contracted(e)` marks stuck-on switches crossed as free hops (both
-/// directions). `contraction_live` selects the instantiation: false runs
-/// the exact pre-contraction hot path. `visited` accumulates stamped
-/// vertices for RouterStats. Allocation-free.
-template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
-[[nodiscard]] graph::VertexId bidir_shortest_idle_path(
-    const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
-    SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
-    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
-    bool contraction_live) {
-  if (contraction_live)
-    return bidir_shortest_idle_path_impl<true>(
-        g, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
-        static_cast<EdgeBlockedFn&&>(edge_blocked),
-        static_cast<EdgeContractedFn&&>(edge_contracted));
-  return bidir_shortest_idle_path_impl<false>(
-      g, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
-      static_cast<EdgeBlockedFn&&>(edge_blocked),
-      static_cast<EdgeContractedFn&&>(edge_contracted));
-}
-
-/// Contraction-free convenience overload (the PR 2 signature): used by
-/// callers that never see a stuck-on event.
-template <class BusyFn, class EdgeBlockedFn>
-[[nodiscard]] graph::VertexId bidir_shortest_idle_path(
-    const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
-    SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
-    EdgeBlockedFn&& edge_blocked) {
-  return bidir_shortest_idle_path_impl<false>(
-      g, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
-      static_cast<EdgeBlockedFn&&>(edge_blocked),
-      [](graph::EdgeId) { return false; });
-}
-
-// ---------------------------------------------------------------------------
-// Direction-optimizing single-pair search. Same control flow as
-// bidir_shortest_idle_path_impl — same level loop, same termination, same
-// smaller-frontier-first — but each level picks top-down or bottom-up
-// expansion per the header heuristic. Kept as a SEPARATE body so the
-// baseline stays instruction-comparable with PR 2 when the dir-opt dispatch
-// is off.
-// ---------------------------------------------------------------------------
-
-template <bool kContraction, class BusyFn, class EdgeBlockedFn,
-          class EdgeContractedFn>
-[[nodiscard]] graph::VertexId bidir_shortest_idle_path_diropt_impl(
     const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
     SearchScratch& s, std::uint64_t& visited, DirStats& dir, BusyFn&& is_busy,
     EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted) {
@@ -408,8 +184,8 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
   // Direction-switch bookkeeping: stamps per side (the unvisited estimate).
   // Frontier edge counts are NOT tracked per push — the level test below
   // screens with flevel * max_degree first and only then sums degrees, so
-  // the top-down visit loop stays instruction-identical to the baseline
-  // (a per-push degree load alone cost ~20% on the greedy churn).
+  // the top-down visit loop carries no degree loads (a per-push degree load
+  // alone cost ~20% on the greedy churn).
   std::uint64_t stamped_f = 1, stamped_b = 1;
   const auto max_out = static_cast<std::uint64_t>(g.max_out_degree());
   const auto max_in = static_cast<std::uint64_t>(g.max_in_degree());
@@ -424,7 +200,12 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
         s.epoch_f[v] = s.epoch;
         ++stamped_f;
         if (is_busy(v)) {
-          s.parent_f[v] = graph::kNoVertex;  // see the baseline's note
+          // Record "no parent this epoch" EXPLICITLY. Parent arrays
+          // persist across searches, and under a concurrent (dirty) busy
+          // view the other side may probe v again after it went idle: a
+          // stale parent from an earlier search would then chain a meet
+          // through garbage (broken or even cyclic paths).
+          s.parent_f[v] = graph::kNoVertex;
           return;
         }
         s.parent_f[v] = u;
@@ -563,7 +344,7 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
         s.epoch_b[v] = s.epoch;
         ++stamped_b;
         if (is_busy(v)) {  // src/dst rejected upfront if busy
-          s.parent_b[v] = graph::kNoVertex;
+          s.parent_b[v] = graph::kNoVertex;  // see the forward-side note
           return;
         }
         s.parent_b[v] = u;
@@ -683,29 +464,35 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
       ++db;
     }
   }
-  // Visit counters are derived from the stamp counts AFTER the search (one
-  // seed per side never counts, matching the baseline) so the visit loops
-  // carry no per-stamp counter traffic.
+  // Visit counters are derived from the stamp counts AFTER the search (the
+  // seed of each side never counts) so the visit loops carry no per-stamp
+  // counter traffic.
   visited += (stamped_f - 1) + (stamped_b - 1);
   dir.visits_forward += stamped_f - 1;
   dir.visits_backward += stamped_b - 1;
   return best_meet;
 }
 
-/// Direction-optimizing dispatcher: same contract as
-/// bidir_shortest_idle_path, plus DirStats accumulation.
+/// Finds a shortest idle src->dst path; returns the meeting vertex (parents
+/// in `s` recover the two halves) or graph::kNoVertex if no idle path
+/// exists. `is_busy(v)` and `edge_blocked(e)` gate expansion;
+/// `edge_contracted(e)` marks stuck-on switches crossed as free hops (both
+/// directions). `contraction_live` selects the instantiation: false runs
+/// the contraction-free hot path. `visited` accumulates stamped vertices for
+/// RouterStats, `dir` the per-direction split and bottom-up levels.
+/// Allocation-free.
 template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
-[[nodiscard]] graph::VertexId bidir_shortest_idle_path_diropt(
+[[nodiscard]] graph::VertexId bidir_shortest_idle_path(
     const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
     SearchScratch& s, std::uint64_t& visited, DirStats& dir, BusyFn&& is_busy,
     EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
     bool contraction_live) {
   if (contraction_live)
-    return bidir_shortest_idle_path_diropt_impl<true>(
+    return bidir_shortest_idle_path_impl<true>(
         g, src, dst, s, visited, dir, static_cast<BusyFn&&>(is_busy),
         static_cast<EdgeBlockedFn&&>(edge_blocked),
         static_cast<EdgeContractedFn&&>(edge_contracted));
-  return bidir_shortest_idle_path_diropt_impl<false>(
+  return bidir_shortest_idle_path_impl<false>(
       g, src, dst, s, visited, dir, static_cast<BusyFn&&>(is_busy),
       static_cast<EdgeBlockedFn&&>(edge_blocked),
       static_cast<EdgeContractedFn&&>(edge_contracted));
@@ -718,7 +505,7 @@ template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
 // each request's chains stay inside its own tree.
 // ---------------------------------------------------------------------------
 
-template <bool kContraction, bool kDirOpt, class BusyFn, class EdgeBlockedFn,
+template <bool kContraction, class BusyFn, class EdgeBlockedFn,
           class EdgeContractedFn>
 void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
                       const graph::VertexId* dsts, std::size_t n,
@@ -734,10 +521,8 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
   }
   const std::size_t v_count = g.vertex_count();
   const auto e_count = static_cast<std::uint64_t>(g.edge_count());
-  [[maybe_unused]] const auto max_out =
-      static_cast<std::uint64_t>(g.max_out_degree());
-  [[maybe_unused]] const auto max_in =
-      static_cast<std::uint64_t>(g.max_in_degree());
+  const auto max_out = static_cast<std::uint64_t>(g.max_out_degree());
+  const auto max_in = static_cast<std::uint64_t>(g.max_in_degree());
   std::size_t fh = 0, ft = 0, bh = 0, bt = 0;
   std::uint64_t stamped_f = 0, stamped_b = 0;
   std::size_t resolved = 0;  // requests whose best meet can no longer improve
@@ -840,23 +625,21 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
           }
         }
       };
+      // Same lazy header test as the single-pair body: screen with the
+      // flevel * max_out bound, sum exact degrees only when it could
+      // trigger.
+      const std::uint64_t unvisited_scaled =
+          (static_cast<std::uint64_t>(v_count) - stamped_f) * e_count;
       bool bottom_up = false;
-      if constexpr (kDirOpt) {
-        // Same lazy header test as the single-pair body: screen with the
-        // flevel * max_out bound, sum exact degrees only when it could
-        // trigger.
-        const std::uint64_t unvisited_scaled =
-            (static_cast<std::uint64_t>(v_count) - stamped_f) * e_count;
-        if (static_cast<std::uint64_t>(flevel) * max_out * kBottomUpAlpha *
-                static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled) {
-          std::uint64_t fedges = 0;
-          for (std::size_t i = 0; i < flevel; ++i)
-            fedges += g.out_degree(s.queue_f[fh + i]);
-          bottom_up =
-              fedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-              unvisited_scaled;
-        }
+      if (static_cast<std::uint64_t>(flevel) * max_out * kBottomUpAlpha *
+              static_cast<std::uint64_t>(v_count) >
+          unvisited_scaled) {
+        std::uint64_t fedges = 0;
+        for (std::size_t i = 0; i < flevel; ++i)
+          fedges += g.out_degree(s.queue_f[fh + i]);
+        bottom_up =
+            fedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
+            unvisited_scaled;
       }
       if (!bottom_up) {
         std::size_t cnt = 0;
@@ -965,21 +748,19 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
           }
         }
       };
+      // Backward mirror of the lazy header test, over in-degrees.
+      const std::uint64_t unvisited_scaled =
+          (static_cast<std::uint64_t>(v_count) - stamped_b) * e_count;
       bool bottom_up = false;
-      if constexpr (kDirOpt) {
-        // Backward mirror of the lazy header test, over in-degrees.
-        const std::uint64_t unvisited_scaled =
-            (static_cast<std::uint64_t>(v_count) - stamped_b) * e_count;
-        if (static_cast<std::uint64_t>(blevel) * max_in * kBottomUpAlpha *
-                static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled) {
-          std::uint64_t bedges = 0;
-          for (std::size_t i = 0; i < blevel; ++i)
-            bedges += g.in_degree(s.queue_b[bh + i]);
-          bottom_up =
-              bedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-              unvisited_scaled;
-        }
+      if (static_cast<std::uint64_t>(blevel) * max_in * kBottomUpAlpha *
+              static_cast<std::uint64_t>(v_count) >
+          unvisited_scaled) {
+        std::uint64_t bedges = 0;
+        for (std::size_t i = 0; i < blevel; ++i)
+          bedges += g.in_degree(s.queue_b[bh + i]);
+        bottom_up =
+            bedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
+            unvisited_scaled;
       }
       if (!bottom_up) {
         std::size_t cnt = 0;
@@ -1061,23 +842,17 @@ void wave_search(const graph::CsrGraph& g, const graph::VertexId* srcs,
                  graph::VertexId* meets, std::uint32_t* totals,
                  std::uint64_t& visited, DirStats& dir, BusyFn&& is_busy,
                  EdgeBlockedFn&& edge_blocked,
-                 EdgeContractedFn&& edge_contracted, bool contraction_live,
-                 bool dir_opt) {
-  const auto run = [&](auto contraction_tag, auto diropt_tag) {
-    wave_search_impl<decltype(contraction_tag)::value,
-                     decltype(diropt_tag)::value>(
+                 EdgeContractedFn&& edge_contracted, bool contraction_live) {
+  if (contraction_live)
+    return wave_search_impl<true>(
         g, srcs, dsts, n, s, meets, totals, visited, dir,
         static_cast<BusyFn&&>(is_busy),
         static_cast<EdgeBlockedFn&&>(edge_blocked),
         static_cast<EdgeContractedFn&&>(edge_contracted));
-  };
-  using T = std::true_type;
-  using F = std::false_type;
-  if (contraction_live) {
-    dir_opt ? run(T{}, T{}) : run(T{}, F{});
-  } else {
-    dir_opt ? run(F{}, T{}) : run(F{}, F{});
-  }
+  wave_search_impl<false>(g, srcs, dsts, n, s, meets, totals, visited, dir,
+                          static_cast<BusyFn&&>(is_busy),
+                          static_cast<EdgeBlockedFn&&>(edge_blocked),
+                          static_cast<EdgeContractedFn&&>(edge_contracted));
 }
 
 }  // namespace ftcs::core::detail

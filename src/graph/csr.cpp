@@ -9,11 +9,42 @@
 
 namespace ftcs::graph {
 
-CsrGraph::CsrGraph(const GraphBuilder& b) { build(b, nullptr); }
+CsrGraph::CsrGraph(const GraphBuilder& b) {
+  vertex_count_ = b.vertex_count();
+  const std::size_t e = b.edge_count();
 
-CsrGraph::CsrGraph(const GraphBuilder& b, std::span<const VertexId> perm) {
-  assert(perm.size() == b.vertex_count());
-  build(b, perm.data());
+  edges_.reserve(e);
+  for (EdgeId id = 0; id < e; ++id) edges_.push_back(b.edge(id));
+
+  out_offsets_.assign(vertex_count_ + 1, 0);
+  in_offsets_.assign(vertex_count_ + 1, 0);
+  out_edge_ids_.resize(e);
+  in_edge_ids_.resize(e);
+  out_targets_.resize(e);
+  in_sources_.resize(e);
+
+  for (VertexId v = 0; v < vertex_count_; ++v) {
+    out_offsets_[v + 1] =
+        out_offsets_[v] + static_cast<std::uint32_t>(b.out_degree(v));
+    in_offsets_[v + 1] =
+        in_offsets_[v] + static_cast<std::uint32_t>(b.in_degree(v));
+    max_out_degree_ = std::max(max_out_degree_, b.out_degree(v));
+    max_in_degree_ = std::max(max_in_degree_, b.in_degree(v));
+  }
+  for (VertexId v = 0; v < vertex_count_; ++v) {
+    std::uint32_t o = out_offsets_[v];
+    for (EdgeId id : b.out_edges(v)) {
+      out_edge_ids_[o] = id;
+      out_targets_[o] = edges_[id].to;
+      ++o;
+    }
+    std::uint32_t i = in_offsets_[v];
+    for (EdgeId id : b.in_edges(v)) {
+      in_edge_ids_[i] = id;
+      in_sources_[i] = edges_[id].from;
+      ++i;
+    }
+  }
 }
 
 CsrGraph::CsrGraph(const CsrGraph& base, const CsrDelta& delta) {
@@ -82,109 +113,6 @@ CsrGraph::CsrGraph(const CsrGraph& base, const CsrDelta& delta) {
     out_targets_[out_cur[ed.from]++] = ed.to;
     in_edge_ids_[in_cur[ed.to]] = id;
     in_sources_[in_cur[ed.to]++] = ed.from;
-  }
-}
-
-CsrGraph::CsrGraph(const CsrGraph& src, std::span<const VertexId> perm) {
-  assert(perm.size() == src.vertex_count());
-  build_relabeled(src, perm.data());
-}
-
-void CsrGraph::build_relabeled(const CsrGraph& src, const VertexId* perm) {
-  vertex_count_ = src.vertex_count();
-  const std::size_t e = src.edge_count();
-
-  edges_.reserve(e);
-  for (EdgeId id = 0; id < e; ++id) {
-    const Edge& ed = src.edges_[id];
-    edges_.push_back({perm[ed.from], perm[ed.to]});
-  }
-
-  std::vector<VertexId> old_of(vertex_count_);
-  for (VertexId v = 0; v < vertex_count_; ++v) old_of[perm[v]] = v;
-
-  out_offsets_.assign(vertex_count_ + 1, 0);
-  in_offsets_.assign(vertex_count_ + 1, 0);
-  out_edge_ids_.resize(e);
-  in_edge_ids_.resize(e);
-  out_targets_.resize(e);
-  in_sources_.resize(e);
-
-  for (VertexId v = 0; v < vertex_count_; ++v) {
-    const VertexId ov = old_of[v];
-    out_offsets_[v + 1] =
-        out_offsets_[v] + static_cast<std::uint32_t>(src.out_degree(ov));
-    in_offsets_[v + 1] =
-        in_offsets_[v] + static_cast<std::uint32_t>(src.in_degree(ov));
-  }
-  max_out_degree_ = src.max_out_degree_;
-  max_in_degree_ = src.max_in_degree_;
-  for (VertexId v = 0; v < vertex_count_; ++v) {
-    const VertexId ov = old_of[v];
-    std::uint32_t o = out_offsets_[v];
-    for (EdgeId id : src.out_edges(ov)) {
-      out_edge_ids_[o] = id;
-      out_targets_[o] = edges_[id].to;  // already relabeled above
-      ++o;
-    }
-    std::uint32_t i = in_offsets_[v];
-    for (EdgeId id : src.in_edges(ov)) {
-      in_edge_ids_[i] = id;
-      in_sources_[i] = edges_[id].from;
-      ++i;
-    }
-  }
-}
-
-void CsrGraph::build(const GraphBuilder& b, const VertexId* perm) {
-  vertex_count_ = b.vertex_count();
-  const std::size_t e = b.edge_count();
-
-  edges_.reserve(e);
-  for (EdgeId id = 0; id < e; ++id) {
-    Edge ed = b.edge(id);
-    if (perm != nullptr) ed = {perm[ed.from], perm[ed.to]};
-    edges_.push_back(ed);
-  }
-
-  // old_of[new] = old: walk new ids in order so offsets come out packed in
-  // the relabeled order; identity when no permutation is given.
-  std::vector<VertexId> old_of;
-  if (perm != nullptr) {
-    old_of.resize(vertex_count_);
-    for (VertexId v = 0; v < vertex_count_; ++v) old_of[perm[v]] = v;
-  }
-
-  out_offsets_.assign(vertex_count_ + 1, 0);
-  in_offsets_.assign(vertex_count_ + 1, 0);
-  out_edge_ids_.resize(e);
-  in_edge_ids_.resize(e);
-  out_targets_.resize(e);
-  in_sources_.resize(e);
-
-  for (VertexId v = 0; v < vertex_count_; ++v) {
-    const VertexId ov = perm != nullptr ? old_of[v] : v;
-    out_offsets_[v + 1] =
-        out_offsets_[v] + static_cast<std::uint32_t>(b.out_degree(ov));
-    in_offsets_[v + 1] =
-        in_offsets_[v] + static_cast<std::uint32_t>(b.in_degree(ov));
-    max_out_degree_ = std::max(max_out_degree_, b.out_degree(ov));
-    max_in_degree_ = std::max(max_in_degree_, b.in_degree(ov));
-  }
-  for (VertexId v = 0; v < vertex_count_; ++v) {
-    const VertexId ov = perm != nullptr ? old_of[v] : v;
-    std::uint32_t o = out_offsets_[v];
-    for (EdgeId id : b.out_edges(ov)) {
-      out_edge_ids_[o] = id;
-      out_targets_[o] = edges_[id].to;  // already relabeled above
-      ++o;
-    }
-    std::uint32_t i = in_offsets_[v];
-    for (EdgeId id : b.in_edges(ov)) {
-      in_edge_ids_[i] = id;
-      in_sources_[i] = edges_[id].from;
-      ++i;
-    }
   }
 }
 

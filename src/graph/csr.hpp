@@ -7,14 +7,6 @@
 // edge table. Edge ids and per-vertex incidence order are exactly those of
 // the builder, so finalizing preserves iteration order — and therefore the
 // deterministic behaviour of every BFS tie-break — bit for bit.
-//
-// The permuted constructor applies a vertex relabeling (perm[old] = new) to
-// BOTH direction arrays while keeping edge ids and per-vertex incidence
-// order untouched: the relabeled graph is the exact image of the original
-// under the permutation, so any deterministic traversal visits the same
-// edges in the same order with only the vertex names changed. Used by the
-// locality relabel pass (graph/digraph.hpp) to pack traversal frontiers
-// into contiguous ids.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +24,6 @@ class CsrGraph {
  public:
   CsrGraph() = default;
   explicit CsrGraph(const GraphBuilder& b);
-  /// Relabeled finalize: vertex old-id v becomes perm[v] (a bijection over
-  /// [0, vertex_count)). Edge ids and incidence order are preserved.
-  CsrGraph(const GraphBuilder& b, std::span<const VertexId> perm);
   /// Merge finalize for hitless growth: rebuilds the CSR arrays with the
   /// delta's appended vertices and edges folded in, in one O(V + E + Δ)
   /// pass. Base vertex ids and edge ids are preserved verbatim; every base
@@ -42,10 +31,6 @@ class CsrGraph {
   /// appended edges following in ascending edge-id order — exactly the
   /// layout a GraphBuilder replay of base-then-delta insertions produces.
   CsrGraph(const CsrGraph& base, const CsrDelta& delta);
-  /// Relabeled copy: vertex old-id v becomes perm[v] (a bijection over
-  /// [0, vertex_count)). Edge ids and incidence order are preserved — the
-  /// post-merge analogue of the relabeled builder finalize.
-  CsrGraph(const CsrGraph& src, std::span<const VertexId> perm);
 
   [[nodiscard]] std::size_t vertex_count() const noexcept { return vertex_count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
@@ -94,9 +79,6 @@ class CsrGraph {
   [[nodiscard]] std::size_t max_in_degree() const noexcept { return max_in_degree_; }
 
  private:
-  void build(const GraphBuilder& b, const VertexId* perm);
-  void build_relabeled(const CsrGraph& src, const VertexId* perm);
-
   std::size_t vertex_count_ = 0;
   std::vector<Edge> edges_;                          // dense, builder order
   std::vector<std::uint32_t> out_offsets_;           // size V+1

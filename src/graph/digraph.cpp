@@ -25,96 +25,12 @@ void GraphBuilder::reserve(std::size_t vertices, std::size_t edges) {
   edges_.reserve(edges);
 }
 
-const char* to_string(RelabelMode m) noexcept {
-  return m == RelabelMode::kLocality ? "locality" : "none";
+Network NetworkBuilder::finalize() const {
+  return Network{g.finalize(), inputs, outputs, stage, name};
 }
 
-std::vector<VertexId> locality_permutation(const GraphBuilder& g,
-                                           std::span<const VertexId> sources) {
-  const std::size_t n = g.vertex_count();
-  constexpr VertexId kUnassigned = static_cast<VertexId>(-1);
-  std::vector<VertexId> perm(n, kUnassigned);
-  std::vector<VertexId> queue;
-  queue.reserve(n);
-  VertexId next = 0;
-  for (VertexId s : sources)
-    if (perm[s] == kUnassigned) {
-      perm[s] = next++;
-      queue.push_back(s);
-    }
-  // Level-synchronized by construction: the queue is processed in discovery
-  // order, so all of level L is numbered before any of level L+1 — each BFS
-  // frontier becomes one contiguous id range.
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const VertexId v = queue[head];
-    for (EdgeId e : g.out_edges(v)) {
-      const VertexId to = g.edge(e).to;
-      if (perm[to] == kUnassigned) {
-        perm[to] = next++;
-        queue.push_back(to);
-      }
-    }
-  }
-  // Unreached vertices (backward-only components, isolated spares) keep
-  // their relative builder order at the tail.
-  for (VertexId v = 0; v < n; ++v)
-    if (perm[v] == kUnassigned) perm[v] = next++;
-  return perm;
-}
-
-std::vector<VertexId> locality_permutation(const CsrGraph& g,
-                                           std::span<const VertexId> sources) {
-  const std::size_t n = g.vertex_count();
-  constexpr VertexId kUnassigned = static_cast<VertexId>(-1);
-  std::vector<VertexId> perm(n, kUnassigned);
-  std::vector<VertexId> queue;
-  queue.reserve(n);
-  VertexId next = 0;
-  for (VertexId s : sources)
-    if (perm[s] == kUnassigned) {
-      perm[s] = next++;
-      queue.push_back(s);
-    }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const VertexId v = queue[head];
-    for (const VertexId to : g.out_targets(v)) {
-      if (perm[to] == kUnassigned) {
-        perm[to] = next++;
-        queue.push_back(to);
-      }
-    }
-  }
-  for (VertexId v = 0; v < n; ++v)
-    if (perm[v] == kUnassigned) perm[v] = next++;
-  return perm;
-}
-
-Network NetworkBuilder::finalize(FinalizeOptions opts) const {
-  if (opts.relabel == RelabelMode::kNone)
-    return Network{g.finalize(), inputs, outputs, stage, name, {}, {}};
-
-  std::vector<VertexId> perm = locality_permutation(g, inputs);
-  const std::size_t n = g.vertex_count();
-  Network net;
-  net.g = CsrGraph(g, perm);
-  net.name = name;
-  net.inputs.reserve(inputs.size());
-  for (VertexId v : inputs) net.inputs.push_back(perm[v]);
-  net.outputs.reserve(outputs.size());
-  for (VertexId v : outputs) net.outputs.push_back(perm[v]);
-  if (!stage.empty()) {
-    net.stage.resize(n);
-    for (VertexId v = 0; v < n; ++v) net.stage[perm[v]] = stage[v];
-  }
-  net.cold_of.resize(n);
-  for (VertexId v = 0; v < n; ++v) net.cold_of[perm[v]] = v;
-  net.hot_of = std::move(perm);
-  return net;
-}
-
-GrownNetwork NetworkDelta::finalize_grown(FinalizeOptions opts) const {
+GrownNetwork NetworkDelta::finalize_grown() const {
   const std::size_t old_v = base_->g.vertex_count();
-  const std::size_t n = delta_.vertex_count();
 
   CsrGraph merged(base_->g, delta_);
 
@@ -133,51 +49,11 @@ GrownNetwork NetworkDelta::finalize_grown(FinalizeOptions opts) const {
   }
 
   GrownNetwork out;
-  if (opts.relabel == RelabelMode::kNone) {
-    out.net = Network{std::move(merged), std::move(inputs), std::move(outputs),
-                      std::move(stage), name_, {}, {}};
-    out.vmap.resize(old_v);
-    for (VertexId v = 0; v < old_v; ++v) out.vmap[v] = v;
-    return out;
-  }
-
-  // Locality growth: relabel the MERGED graph stage-major. The permutation
-  // restricted to old ids is the vmap; hot_of/cold_of translate merged
-  // (pre-relabel) ids, the grown analogue of builder-id traces.
-  std::vector<VertexId> perm = locality_permutation(merged, inputs);
-  out.net.g = CsrGraph(merged, perm);
-  out.net.name = name_;
-  out.net.inputs.reserve(inputs.size());
-  for (VertexId v : inputs) out.net.inputs.push_back(perm[v]);
-  out.net.outputs.reserve(outputs.size());
-  for (VertexId v : outputs) out.net.outputs.push_back(perm[v]);
-  if (!stage.empty()) {
-    out.net.stage.resize(n);
-    for (VertexId v = 0; v < n; ++v) out.net.stage[perm[v]] = stage[v];
-  }
-  out.net.cold_of.resize(n);
-  for (VertexId v = 0; v < n; ++v) out.net.cold_of[perm[v]] = v;
-  out.vmap.assign(perm.begin(), perm.begin() + static_cast<std::ptrdiff_t>(old_v));
-  out.net.hot_of = std::move(perm);
+  out.net = Network{std::move(merged), std::move(inputs), std::move(outputs),
+                    std::move(stage), name_};
+  out.vmap.resize(old_v);
+  for (VertexId v = 0; v < old_v; ++v) out.vmap[v] = v;
   return out;
-}
-
-Network relabel_locality(const Network& net) {
-  NetworkBuilder nb;
-  nb.g.reserve(net.g.vertex_count(), net.g.edge_count());
-  nb.g.add_vertices(net.g.vertex_count());
-  // Re-inserting edges in id order reproduces the original builder exactly:
-  // per-vertex incidence lists are ascending-edge-id order both there and
-  // in the CSR.
-  for (EdgeId e = 0; e < net.g.edge_count(); ++e) {
-    const Edge& ed = net.g.edge(e);
-    nb.g.add_edge(ed.from, ed.to);
-  }
-  nb.inputs = net.inputs;
-  nb.outputs = net.outputs;
-  nb.stage = net.stage;
-  nb.name = net.name;
-  return nb.finalize(RelabelMode::kLocality);
 }
 
 bool Network::is_input(VertexId v) const {

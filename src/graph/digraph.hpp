@@ -69,25 +69,6 @@ class GraphBuilder {
   std::vector<std::vector<EdgeId>> in_;
 };
 
-/// Vertex-id layout chosen at finalize time.
-///  kNone     — ids are builder-insertion order, preserved bit for bit.
-///  kLocality — stage-major BFS relabel: a level-synchronized BFS from the
-///              inputs assigns new ids in discovery order, so every search
-///              frontier occupies a contiguous id range (contiguous cache
-///              lines in SearchScratch, the busy bitsets and the successor
-///              array). Edge ids and incidence order are preserved, so
-///              routing on the relabeled graph is the exact image of
-///              routing on the original under the permutation.
-enum class RelabelMode : std::uint8_t { kNone, kLocality };
-
-[[nodiscard]] const char* to_string(RelabelMode m) noexcept;
-
-/// Finalize-time knobs, gathered in one options struct so new flags compose
-/// without another positional overload (the growth/relabel API redesign).
-struct FinalizeOptions {
-  RelabelMode relabel = RelabelMode::kNone;
-};
-
 /// A finalized circuit-switching network: an immutable CSR graph plus
 /// distinguished terminal vertices. `stage[v]` is the construction stage of
 /// v (or -1 when the construction is not staged); all §6 networks are
@@ -98,15 +79,6 @@ struct Network {
   std::vector<VertexId> outputs;
   std::vector<std::int32_t> stage;  // may be empty if unstaged
   std::string name;
-  // Locality relabel bookkeeping (empty when finalized with kNone). The
-  // terminal lists above are already remapped, so callers addressing
-  // terminals by index — the whole svc/ API surface — see stable ids; these
-  // arrays exist for diagnostics and for translating externally recorded
-  // builder-id traces.
-  std::vector<VertexId> hot_of;   ///< hot_of[builder id] = relabeled id
-  std::vector<VertexId> cold_of;  ///< cold_of[relabeled id] = builder id
-
-  [[nodiscard]] bool relabeled() const noexcept { return !hot_of.empty(); }
 
   [[nodiscard]] std::size_t size() const noexcept { return g.edge_count(); }
   [[nodiscard]] bool is_input(VertexId v) const;
@@ -129,17 +101,9 @@ struct NetworkBuilder {
   std::vector<std::int32_t> stage;  // may be empty if unstaged
   std::string name;
 
-  /// Finalizes into an immutable Network. The builder stays valid. With
-  /// FinalizeOptions::relabel == kLocality the vertex ids are permuted
-  /// stage-major (see RelabelMode); terminal lists and stage labels are
-  /// remapped so the terminal-index API surface is unchanged, and the
-  /// old↔new permutation is retained on the Network.
-  [[nodiscard]] Network finalize(FinalizeOptions opts = {}) const;
-  /// Deprecated positional form, kept one PR for callers that pass the
-  /// relabel mode directly; prefer finalize(FinalizeOptions{...}).
-  [[nodiscard]] Network finalize(RelabelMode mode) const {
-    return finalize(FinalizeOptions{mode});
-  }
+  /// Finalizes into an immutable Network; vertex ids are builder-insertion
+  /// order. The builder stays valid.
+  [[nodiscard]] Network finalize() const;
 };
 
 /// Result of growing a finalized network: the merged network plus the
@@ -147,7 +111,7 @@ struct NetworkBuilder {
 /// vertex-indexed engine state through. Contracts (what the routers'
 /// grow() verbs and svc::Exchange::grow validate):
 ///   - vmap.size() == old vertex count; vmap is injective into the grown
-///     id space (identity when finalized with RelabelMode::kNone);
+///     id space (finalize_grown() builds the identity);
 ///   - edge ids are stable: grown edge e < old edge count connects exactly
 ///     {vmap[old from], vmap[old to]};
 ///   - terminal indices are prefix-stable: grown inputs[i] ==
@@ -160,7 +124,7 @@ struct GrownNetwork {
 
 /// Re-opens a finalized Network for append-only growth — the network-level
 /// wrapper over graph::CsrDelta that also tracks new terminals and stage
-/// labels. All ids are the BASE network's current (possibly relabeled) ids;
+/// labels. All ids are the BASE network's ids;
 /// new vertices continue densely after them. finalize_grown() merges in one
 /// O(V + E + Δ) pass and never touches the base.
 class NetworkDelta {
@@ -200,11 +164,9 @@ class NetworkDelta {
     return delta_.vertex_count();
   }
 
-  /// Merges base + delta into a GrownNetwork. With relabel == kNone the
-  /// vmap is the identity over old ids; with kLocality the merged graph is
-  /// relabeled stage-major and vmap is the permutation restricted to old
-  /// ids. Both uphold the GrownNetwork contracts above.
-  [[nodiscard]] GrownNetwork finalize_grown(FinalizeOptions opts = {}) const;
+  /// Merges base + delta into a GrownNetwork. Old ids keep their values
+  /// (vmap is the identity), which upholds the GrownNetwork contracts above.
+  [[nodiscard]] GrownNetwork finalize_grown() const;
 
  private:
   const Network* base_;
@@ -214,27 +176,5 @@ class NetworkDelta {
   std::optional<std::vector<std::int32_t>> restage_;
   std::string name_;
 };
-
-/// Relabels an already-finalized (unrelabeled) network with the locality
-/// permutation — the post-hoc form of finalize(kLocality) for networks
-/// produced by the networks/ constructors. Exact: CSR preserves the
-/// builder's incidence order (per-vertex lists are ascending edge-id
-/// order), so the reconstructed builder reproduces it bit for bit.
-/// Precondition: !net.relabeled().
-[[nodiscard]] Network relabel_locality(const Network& net);
-
-/// The stage-major BFS permutation finalize(kLocality) applies: perm[old] =
-/// new, assigned in level-synchronized discovery order of a multi-source BFS
-/// from `sources` (incidence order within a level, so the order is
-/// deterministic). Vertices unreachable from the sources keep their relative
-/// builder order after all reached ones. Exposed for tests.
-[[nodiscard]] std::vector<VertexId> locality_permutation(
-    const GraphBuilder& g, std::span<const VertexId> sources);
-
-/// CSR overload — identical BFS over the finalized incidence arrays (same
-/// deterministic order: CSR preserves builder incidence order). Used by
-/// finalize_grown(), where no builder exists.
-[[nodiscard]] std::vector<VertexId> locality_permutation(
-    const CsrGraph& g, std::span<const VertexId> sources);
 
 }  // namespace ftcs::graph

@@ -53,8 +53,7 @@ graph::Network build_cantor(const CantorParams& params) {
 }
 
 graph::GrownNetwork grow_cantor(const graph::Network& base,
-                                const CantorParams& base_params,
-                                graph::FinalizeOptions opts) {
+                                const CantorParams& base_params) {
   const std::uint32_t k = base_params.k;
   if (k == 0 || k > 15)
     throw std::invalid_argument("grow_cantor: need 1 <= k <= 15");
@@ -69,7 +68,7 @@ graph::GrownNetwork grow_cantor(const graph::Network& base,
       "cantor-" + std::to_string(n) + "-m" + std::to_string(m);
 
   // Structural gate: growth arithmetic below addresses the canonical
-  // build_cantor layout (through hot_of when relabeled). A grown network
+  // build_cantor layout. A grown network
   // carries extra shortcut switches and fails the edge count — growing
   // twice is a typed error, never silent corruption.
   if (base.name != want_name || base.g.vertex_count() != want_v ||
@@ -82,14 +81,10 @@ graph::GrownNetwork grow_cantor(const graph::Network& base,
         std::to_string(want_v) + "v/" + std::to_string(want_e) +
         "e); regrowing a grown exchange is not supported");
 
-  // Canonical (builder) id -> current id, for relabeled bases.
-  const auto hot = [&](graph::VertexId v) {
-    return base.relabeled() ? base.hot_of[v] : v;
-  };
   // Canonical layout: [inputs n][outputs n][m Beneš(k) planes].
   const auto plane_vertex = [&](std::uint32_t c, std::uint32_t s,
                                 std::uint32_t i) {
-    return hot(2 * n + c * plane_v + s * n + i);
+    return 2 * n + c * plane_v + s * n + i;
   };
 
   graph::NetworkDelta nd(base);
@@ -142,10 +137,10 @@ graph::GrownNetwork grow_cantor(const graph::Network& base,
     return p < n ? plane_vertex(c, sp - 1, p) : sib[c] + (sp - 1) * n + (p - n);
   };
   const auto input_vertex = [&](std::uint32_t i) {
-    return i < n ? hot(i) : new_in + (i - n);
+    return i < n ? i : new_in + (i - n);
   };
   const auto output_vertex = [&](std::uint32_t i) {
-    return i < n ? hot(n + i) : new_out + (i - n);
+    return i < n ? n + i : new_out + (i - n);
   };
 
   for (std::uint32_t c = 0; c < m; ++c) {
@@ -189,7 +184,7 @@ graph::GrownNetwork grow_cantor(const graph::Network& base,
   }
 
   nd.restage(std::move(stages));
-  return nd.finalize_grown(opts);
+  return nd.finalize_grown();
 }
 
 }  // namespace ftcs::networks

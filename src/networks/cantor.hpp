@@ -23,7 +23,7 @@ struct CantorParams {
 [[nodiscard]] graph::Network build_cantor(const CantorParams& params);
 
 /// Hitless growth step: doubles a canonical Cantor network (built by
-/// build_cantor(base_params), possibly relabeled) from n = 2^k to 2n
+/// build_cantor(base_params)) from n = 2^k to 2n
 /// terminals by APPEND-ONLY construction — the live-capacity analogue of
 /// the containment observation that the depth-(k+1) network contains the
 /// depth-k network.
@@ -46,7 +46,6 @@ struct CantorParams {
 /// shortcut switches fail the edge-count check — re-growing a grown
 /// exchange is ROADMAP follow-up, not silent corruption).
 [[nodiscard]] graph::GrownNetwork grow_cantor(const graph::Network& base,
-                                              const CantorParams& base_params,
-                                              graph::FinalizeOptions opts = {});
+                                              const CantorParams& base_params);
 
 }  // namespace ftcs::networks

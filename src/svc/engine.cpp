@@ -43,10 +43,8 @@ RejectReason to_reject(core::WaveReject r) noexcept {
 class GreedyEngine final : public Engine {
  public:
   GreedyEngine(const graph::Network& net, std::vector<std::uint8_t> blocked,
-               std::vector<std::uint8_t> blocked_edges, bool direction_optimize)
-      : router_(net, std::move(blocked), std::move(blocked_edges)) {
-    router_.set_direction_optimize(direction_optimize);
-  }
+               std::vector<std::uint8_t> blocked_edges)
+      : router_(net, std::move(blocked), std::move(blocked_edges)) {}
 
   [[nodiscard]] unsigned sessions() const noexcept override { return 1; }
 
@@ -131,12 +129,9 @@ class ConcurrentEngine final : public Engine {
  public:
   ConcurrentEngine(const graph::Network& net, unsigned sessions,
                    std::vector<std::uint8_t> blocked,
-                   std::vector<std::uint8_t> blocked_edges,
-                   bool direction_optimize)
+                   std::vector<std::uint8_t> blocked_edges)
       : router_(net, sessions, std::move(blocked), std::move(blocked_edges)),
-        wave_buf_(router_.worker_count()) {
-    router_.set_direction_optimize(direction_optimize);
-  }
+        wave_buf_(router_.worker_count()) {}
 
   [[nodiscard]] unsigned sessions() const noexcept override {
     return router_.worker_count();
@@ -241,11 +236,10 @@ std::unique_ptr<Engine> make_engine(const graph::Network& net,
                                     EngineOptions opts) {
   if (opts.backend == Backend::kGreedy)
     return std::make_unique<GreedyEngine>(net, std::move(opts.blocked),
-                                          std::move(opts.blocked_edges),
-                                          opts.direction_optimize);
+                                          std::move(opts.blocked_edges));
   return std::make_unique<ConcurrentEngine>(
       net, opts.sessions == 0 ? 1 : opts.sessions, std::move(opts.blocked),
-      std::move(opts.blocked_edges), opts.direction_optimize);
+      std::move(opts.blocked_edges));
 }
 
 }  // namespace ftcs::svc

@@ -105,10 +105,9 @@ class Engine {
                     std::span<const graph::VertexId> vmap) = 0;
 };
 
-/// Backend construction knobs, gathered in one options struct so growth /
-/// relabel / direction-optimize flags compose without another positional
-/// overload (the topology-mutation API redesign). Defaults reproduce
-/// make_engine's historical behaviour.
+/// Backend construction knobs, gathered in one options struct so new knobs
+/// compose without a positional overload. Defaults build a one-session
+/// greedy backend with no static faults.
 struct EngineOptions {
   Backend backend = Backend::kGreedy;
   /// Session count; clamped to 1 for the greedy backend, and 0 means 1.
@@ -116,25 +115,10 @@ struct EngineOptions {
   /// Static fault masks, consumed by the backend (as in the routers).
   std::vector<std::uint8_t> blocked;
   std::vector<std::uint8_t> blocked_edges;
-  /// A/B switch for the direction-optimizing frontier (ftcs/search.hpp);
-  /// off reproduces the classic top-down search instruction-for-instruction.
-  bool direction_optimize = true;
 };
 
 /// Builds the backend over `net` (which must outlive the engine).
 [[nodiscard]] std::unique_ptr<Engine> make_engine(const graph::Network& net,
                                                   EngineOptions opts);
-
-/// Deprecated positional form, kept one PR; prefer
-/// make_engine(net, EngineOptions{...}).
-[[nodiscard]] inline std::unique_ptr<Engine> make_engine(
-    Backend backend, const graph::Network& net, unsigned sessions,
-    std::vector<std::uint8_t> blocked = {},
-    std::vector<std::uint8_t> blocked_edges = {},
-    bool direction_optimize = true) {
-  return make_engine(net, EngineOptions{backend, sessions, std::move(blocked),
-                                        std::move(blocked_edges),
-                                        direction_optimize});
-}
 
 }  // namespace ftcs::svc

@@ -28,11 +28,9 @@ Exchange::Exchange(const graph::Network* net,
       net_(owned_net_ ? owned_net_.get() : net),
       engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions,
                                                std::move(cfg.blocked),
-                                               std::move(cfg.blocked_edges),
-                                               cfg.direction_optimize})),
+                                               std::move(cfg.blocked_edges)})),
       admission_(cfg.admission ? std::move(cfg.admission)
                                : std::make_unique<UnboundedAdmission>()),
-      wave_drain_(cfg.wave_drain),
       home_sessions_(cfg.home_sessions),
       qos_immediate_(cfg.qos_immediate),
       class_deadlines_(cfg.class_deadlines),
@@ -328,7 +326,7 @@ std::size_t Exchange::drain() {
   const auto route_chunk = [&](unsigned s) {
     const std::size_t lo = start[s];
     const std::size_t hi = start[s + 1];
-    if (wave_drain_ && hi - lo > 1) {
+    if (hi - lo > 1) {
       // Wave plane: the whole chunk rides ONE search wave; callbacks fire
       // after the wave settles (still from the task that owns the session,
       // in window order).
@@ -353,6 +351,7 @@ std::size_t Exchange::drain() {
       }
       return;
     }
+    // A chunk of one request takes the immediate-plane path.
     for (std::size_t k = lo; k < hi; ++k) {
       const std::size_t i = order[k];
       outs[i] = route_one(batch[i].req, s, batch[i].deferrals);

@@ -22,10 +22,10 @@
 //     pollable Ticket. Requests beyond the window stay queued (Deferred,
 //     counted per epoch and surfaced in Outcome::deferrals); submissions
 //     beyond the policy's queue cap bounce immediately (Refused).
-//     With ExchangeConfig::wave_drain (default on) each session routes its
-//     chunk of the window as ONE search wave (Engine::connect_wave) instead
-//     of per-request connects — see src/svc/README.md for the wave-epoch
-//     semantics and the claim-demotion contract.
+//     Each session routes its chunk of the window as ONE search wave
+//     (Engine::connect_wave) instead of per-request connects — see
+//     src/svc/README.md for the wave-epoch semantics and the
+//     claim-demotion contract.
 //
 // Threading rules (full contract in svc/README.md):
 //   - submit() and poll() are thread-safe from any thread.
@@ -239,12 +239,6 @@ struct ExchangeConfig {
   std::vector<std::uint8_t> blocked_edges;
   /// Batched-plane policy; null = UnboundedAdmission.
   std::unique_ptr<AdmissionPolicy> admission;
-  /// Batched plane: route each session's drain() chunk as one search wave
-  /// (Engine::connect_wave). Off reproduces per-request drain routing.
-  bool wave_drain = true;
-  /// A/B switch for the direction-optimizing frontier (see make_engine);
-  /// off reproduces the classic top-down search.
-  bool direction_optimize = true;
   /// Worker-pinning policy applied to util::ThreadPool::global() at
   /// construction (the pool that drain() routes on). kNone leaves the pool
   /// untouched; kSpread/kCompact pin its workers (see util/cpu_topology.hpp)
@@ -501,7 +495,6 @@ class Exchange {
   const graph::Network* net_;
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<AdmissionPolicy> admission_;
-  bool wave_drain_ = true;
   bool home_sessions_ = false;
   bool qos_immediate_ = false;
   std::array<double, ops::kQosClasses> class_deadlines_{};

@@ -31,8 +31,6 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
     ExchangeConfig ec;
     ec.backend = cfg.backend;
     ec.sessions = cfg.sessions;
-    ec.wave_drain = cfg.wave_drain;
-    ec.direction_optimize = cfg.direction_optimize;
     if (cfg.member_admission) ec.admission = cfg.member_admission();
     members_.push_back(std::make_unique<Exchange>(member_net, std::move(ec)));
   }

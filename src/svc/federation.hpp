@@ -241,8 +241,6 @@ struct FederationConfig {
   /// Member engine selection, forwarded to every member's ExchangeConfig.
   Backend backend = Backend::kGreedy;
   unsigned sessions = 1;
-  bool wave_drain = true;
-  bool direction_optimize = true;
   /// Subscriber terminals per member: locals [0, subscribers) of both the
   /// input and output lists; the remaining ports are the trunk pool. 0 =
   /// every port is a subscriber for a 1-shard federation, else 3/4 of the

@@ -221,6 +221,7 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
   std::vector<std::uint32_t> probe_epoch(g.vertex_count(), 0);
   std::uint32_t search_id = 0;
   std::uint64_t visited = 0;
+  core::detail::DirStats dir;
 
   const auto has_edge = [&g](graph::VertexId from, graph::VertexId to) {
     for (const graph::VertexId t : g.out_targets(from))
@@ -247,9 +248,10 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
       probe_epoch[v] = search_id;
       return true;  // first probe: busy
     };
+    const auto no_edge = [](graph::EdgeId) { return false; };
     const graph::VertexId meet = core::detail::bidir_shortest_idle_path(
-        g, src, dst, scratch, visited, flaky_busy,
-        [](graph::EdgeId) { return false; });
+        g, src, dst, scratch, visited, dir, flaky_busy, no_edge, no_edge,
+        /*contraction_live=*/false);
     if (meet == graph::kNoVertex) continue;
 
     // Recover both halves exactly as Worker::connect does, bounded: a

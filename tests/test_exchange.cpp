@@ -1,8 +1,10 @@
 // svc::Exchange — the session-oriented call service facade: typed
 // rejections, generation-tagged handle safety, engine equivalence through
-// the facade, batched admission (defer/refuse), and async completion.
+// the facade, batched admission (defer/refuse), async completion, and the
+// locality knobs (homed drain sessions, drain-pool affinity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -14,7 +16,9 @@
 #include "networks/crossbar.hpp"
 #include "svc/admission.hpp"
 #include "svc/exchange.hpp"
+#include "util/cpu_topology.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ftcs::svc {
 namespace {
@@ -479,6 +483,64 @@ TEST(Exchange, ConcurrentChurnWithHandleMisuseStaysSound) {
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
   EXPECT_EQ(other.hangup(foreign.id), RejectReason::kNone);
+}
+
+TEST(Exchange, HomedDrainRoutesByInputRange) {
+  const auto net = networks::build_cantor({4, 0});
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  constexpr unsigned kSessions = 4;
+
+  ExchangeConfig cfg = concurrent_cfg(kSessions);
+  cfg.home_sessions = true;
+  Exchange ex(net, std::move(cfg));
+  ASSERT_EQ(ex.sessions(), kSessions);
+
+  std::vector<std::pair<std::uint32_t, Ticket>> tickets;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    CallRequest req;
+    req.input = i;
+    req.output = i;
+    tickets.emplace_back(i, ex.submit(req));
+  }
+  ASSERT_GT(ex.drain_all(), 0u);
+  for (const auto& [input, ticket] : tickets) {
+    const auto o = ex.poll(ticket);
+    ASSERT_TRUE(o.has_value());
+    // Every outcome — served or rejected — is produced by the session that
+    // owns the request's input-terminal range.
+    const auto home = std::min<std::uint32_t>(
+        input * kSessions / n, kSessions - 1);
+    EXPECT_EQ(o->session, home) << "input " << input;
+  }
+}
+
+TEST(Exchange, ExchangeAffinityMatchesPlanOutcome) {
+  const auto net = networks::build_cantor({3, 0});
+  ExchangeConfig cfg = concurrent_cfg(2);
+  cfg.affinity = util::AffinityPolicy::kSpread;
+  Exchange ex(net, std::move(cfg));
+
+  // The Exchange must report exactly what plan_affinity decided for this
+  // host's real topology — degrade to kNone on small boxes, kSpread where
+  // the plan fits.
+  const auto topo = util::CpuTopology::discover();
+  const auto plan =
+      util::plan_affinity(topo, util::ThreadPool::global().thread_count(),
+                          util::AffinityPolicy::kSpread);
+  const auto expected = plan.empty() ? util::AffinityPolicy::kNone
+                                     : util::AffinityPolicy::kSpread;
+  EXPECT_EQ(ex.affinity(), expected);
+  EXPECT_EQ(util::ThreadPool::global().affinity(), expected);
+
+  // The pool still drains correctly under the applied policy.
+  CallRequest req;
+  (void)ex.submit(req);
+  EXPECT_EQ(ex.drain_all(), 1u);
+
+  // Restore the process-wide pool for the rest of the test binary.
+  util::ThreadPool::global().apply_affinity(util::AffinityPolicy::kNone);
+  EXPECT_EQ(util::ThreadPool::global().affinity(),
+            util::AffinityPolicy::kNone);
 }
 
 }  // namespace

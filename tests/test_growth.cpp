@@ -1,7 +1,7 @@
 // Hitless capacity growth: the GrownNetwork contract (NetworkDelta /
 // finalize_grown merge invariants), grow_cantor's doubled topology,
-// Exchange::grow's live-call remap on both engines (identity and locality
-// finalize), overlay/fault-bookkeeping survival, the TopologyEvent
+// Exchange::grow's live-call remap on both engines (identity and permuted
+// vmaps), overlay/fault-bookkeeping survival, the TopologyEvent
 // dispatch seam, the ops::ControlPlane kGrow ack, and the batched wave
 // plane serving the new terminals the epoch after the merge.
 #include <gtest/gtest.h>
@@ -34,11 +34,32 @@ graph::EdgeId edge_between(const graph::CsrGraph& g, graph::VertexId u,
 }
 
 svc::GrowthPlan doubling_plan(const svc::Exchange& ex,
-                              const networks::CantorParams& base_params,
-                              graph::FinalizeOptions opts = {}) {
+                              const networks::CantorParams& base_params) {
   svc::GrowthPlan plan;
-  plan.grown = networks::grow_cantor(ex.network(), base_params, opts);
+  plan.grown = networks::grow_cantor(ex.network(), base_params);
   return plan;
+}
+
+/// The same grown network with every vertex id reversed (v -> V-1-v) and
+/// vmap composed to match: a GrownNetwork whose vmap is NOT the identity,
+/// so the engines' live-call remap runs through a real permutation.
+/// Re-inserting the edges in id order keeps edge ids and incidence order.
+graph::GrownNetwork reversed_ids(const graph::GrownNetwork& g) {
+  const auto n = static_cast<graph::VertexId>(g.net.g.vertex_count());
+  const auto rev = [n](graph::VertexId v) { return n - 1 - v; };
+  graph::NetworkBuilder nb;
+  nb.g.add_vertices(n);
+  for (graph::EdgeId e = 0; e < g.net.g.edge_count(); ++e)
+    nb.g.add_edge(rev(g.net.g.edge(e).from), rev(g.net.g.edge(e).to));
+  for (const auto v : g.net.inputs) nb.inputs.push_back(rev(v));
+  for (const auto v : g.net.outputs) nb.outputs.push_back(rev(v));
+  nb.stage.resize(g.net.stage.size());
+  for (graph::VertexId v = 0; v < g.net.stage.size(); ++v)
+    nb.stage[rev(v)] = g.net.stage[v];
+  nb.name = g.net.name;
+  graph::GrownNetwork out{nb.finalize(), {}};
+  for (const auto v : g.vmap) out.vmap.push_back(rev(v));
+  return out;
 }
 
 // ------------------------------------------------------- merge unit layer
@@ -102,37 +123,6 @@ TEST(NetworkDelta, MergeKeepsBasePrefixAndAppendsInEdgeIdOrder) {
   EXPECT_EQ(g.net.outputs.back(), b);
 }
 
-TEST(NetworkDelta, LocalityFinalizeUpholdsTheSameContractThroughVmap) {
-  const auto base = networks::build_cantor({2, 0});
-  const auto old_e = base.g.edge_count();
-  graph::NetworkDelta d(base);
-  const auto a = d.add_vertex(0);
-  const auto e0 = d.add_edge(base.inputs[1], a);
-  const auto e1 = d.add_edge(a, base.outputs[1]);
-  d.add_input(a);
-  const graph::GrownNetwork g =
-      d.finalize_grown({graph::RelabelMode::kLocality});
-
-  // vmap is injective and the stable edge ids connect the vmap images.
-  std::vector<bool> seen(g.net.g.vertex_count(), false);
-  for (const auto nv : g.vmap) {
-    ASSERT_LT(nv, g.net.g.vertex_count());
-    EXPECT_FALSE(seen[nv]);
-    seen[nv] = true;
-  }
-  for (graph::EdgeId e = 0; e < old_e; ++e) {
-    EXPECT_EQ(g.net.g.edge(e).from, g.vmap[base.g.edge(e).from]);
-    EXPECT_EQ(g.net.g.edge(e).to, g.vmap[base.g.edge(e).to]);
-  }
-  EXPECT_EQ(g.net.g.edge(e0).from, g.vmap[base.g.edge(0).from == 0
-                                              ? base.inputs[1]
-                                              : base.inputs[1]]);
-  EXPECT_EQ(g.net.g.edge(e1).to, g.vmap[base.outputs[1]]);
-  // Terminal indices keep their meaning through the relabel.
-  for (std::size_t i = 0; i < base.inputs.size(); ++i)
-    EXPECT_EQ(g.net.inputs[i], g.vmap[base.inputs[i]]);
-}
-
 // --------------------------------------------------- growth equivalence
 
 // The grown network serves exactly the terminal pairs a from-scratch
@@ -178,8 +168,7 @@ TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
 // ------------------------------------------------------ live-call remap
 
 TEST(ExchangeGrowth, LiveCallsSurviveWithVmapImagePaths) {
-  for (const auto relabel :
-       {graph::RelabelMode::kNone, graph::RelabelMode::kLocality}) {
+  for (const bool permuted : {false, true}) {
     for (const auto backend :
          {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
       const auto base = networks::build_cantor({3, 0});
@@ -196,8 +185,8 @@ TEST(ExchangeGrowth, LiveCallsSurviveWithVmapImagePaths) {
         pre.emplace_back(o.id, ex.path_of(o.id));
       }
 
-      graph::GrownNetwork grown =
-          networks::grow_cantor(ex.network(), {3, 0}, {relabel});
+      graph::GrownNetwork grown = networks::grow_cantor(ex.network(), {3, 0});
+      if (permuted) grown = reversed_ids(grown);
       const std::vector<graph::VertexId> vmap = grown.vmap;
       svc::GrowthPlan plan;
       plan.grown = std::move(grown);

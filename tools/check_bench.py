@@ -18,7 +18,6 @@ Series keyed so runs with different sweeps still match up:
   - the batched-admission series    (batched_admission.points[].batch)
   - the deep-network wave point     (batched_admission_k7.points[].batch)
   - the degraded-mode series        (degraded_mode.points[].eps)
-  - the locality-relabel pairs      (relabel.points[].network + .mode)
   - the affinity sweep              (affinity_scaling.points[].policy —
                                      keyed by the REQUESTED policy, so
                                      baselines from hosts that degraded to
@@ -104,8 +103,6 @@ def series_points(doc: dict, metric: str) -> dict[str, float]:
           "batched_admission_k7", lambda p: f"batch_k7/{p['batch']}")
     keyed(doc.get("degraded_mode", {}).get("points", []), "degraded_mode",
           lambda p: f"faults/eps={p['eps']:g}")
-    keyed(doc.get("relabel", {}).get("points", []), "relabel",
-          lambda p: f"relabel/{p['network']}/{p['mode']}")
     keyed(doc.get("affinity_scaling", {}).get("points", []),
           "affinity_scaling", lambda p: f"affinity/{p['policy']}")
     keyed(doc.get("admission_policy", {}).get("points", []),
@@ -276,12 +273,6 @@ def self_test() -> int:
         "thread_scaling": {"points": [
             {"threads": 2, "calls_per_sec": 150, "visits_per_connect": 9.0},
         ]},
-        "relabel": {"points": [
-            {"network": "n1", "mode": "none", "calls_per_sec": 100,
-             "visits_per_connect": 10.0},
-            {"network": "n1", "mode": "locality", "calls_per_sec": 140,
-             "visits_per_connect": 10.0},
-        ]},
         "affinity_scaling": {"points": [
             {"policy": "spread", "effective": "none", "calls_per_sec": 120,
              "visits_per_connect": 8.0},
@@ -316,7 +307,6 @@ def self_test() -> int:
     }
     pts = series_points(doc, "calls_per_sec")
     expect = {"aggregate": 1000.0, "churn/n1": 100.0, "threads/2": 150.0,
-              "relabel/n1/none": 100.0, "relabel/n1/locality": 140.0,
               "affinity/spread": 120.0, "policy/static": 90.0,
               "policy/overlay": 95.0,
               "growth/before": 200.0, "growth/during": 110.0,
