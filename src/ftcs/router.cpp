@@ -26,18 +26,6 @@ GreedyRouter::GreedyRouter(const graph::Network& net,
       std::min(net.inputs.size(), net.outputs.size()) + 1;
   calls_.reserve(max_calls);
   free_slots_.reserve(max_calls);
-
-  // Wave scratch: a wave holds at most one request per terminal slot, so
-  // max_calls bounds the ACTIVE set (the window itself may be larger; the
-  // surplus defers). Reserved here so steady-state waves do not allocate.
-  wave_src_.reserve(max_calls);
-  wave_dst_.reserve(max_calls);
-  wave_meet_.reserve(max_calls);
-  wave_total_.reserve(max_calls);
-  wave_slot_.reserve(max_calls);
-  wave_path_.reserve(v_count);
-  in_hold_.assign(net.inputs.size(), 0);
-  out_hold_.assign(net.outputs.size(), 0);
 }
 
 void GreedyRouter::grow(const graph::Network& net,
@@ -88,8 +76,6 @@ void GreedyRouter::grow(const graph::Network& net,
   // lists), appended slots start idle.
   in_busy_.resize(net.inputs.size(), 0);
   out_busy_.resize(net.outputs.size(), 0);
-  in_hold_.assign(net.inputs.size(), 0);
-  out_hold_.assign(net.outputs.size(), 0);
 
   // Re-establish the allocation-free reserves at the grown bounds.
   scratch_.init(v_count);
@@ -97,12 +83,6 @@ void GreedyRouter::grow(const graph::Network& net,
       std::min(net.inputs.size(), net.outputs.size()) + 1;
   calls_.reserve(max_calls);
   free_slots_.reserve(max_calls);
-  wave_src_.reserve(max_calls);
-  wave_dst_.reserve(max_calls);
-  wave_meet_.reserve(max_calls);
-  wave_total_.reserve(max_calls);
-  wave_slot_.reserve(max_calls);
-  wave_path_.reserve(v_count);
 
   net_ = &net;
 }
@@ -264,223 +244,6 @@ GreedyRouter::CallId GreedyRouter::connect(std::uint32_t in, std::uint32_t out) 
   }
   calls_[id] = {in, out, src, length};
   return id;
-}
-
-GreedyRouter::CallId GreedyRouter::settle_path(
-    std::uint32_t in, std::uint32_t out,
-    const std::vector<graph::VertexId>& path) {
-  const auto length = static_cast<std::uint32_t>(path.size());
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    path_next_[path[i]] = path[i + 1];
-    busy_.set(path[i]);
-  }
-  path_next_[path.back()] = graph::kNoVertex;
-  busy_.set(path.back());
-  busy_count_ += length;
-  in_busy_[in] = 1;
-  out_busy_[out] = 1;
-  ++active_;
-  ++stats_.accepted;
-  stats_.path_vertices += length;
-
-  CallId id;
-  if (!free_slots_.empty()) {
-    id = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    id = static_cast<CallId>(calls_.size());
-    calls_.emplace_back();
-  }
-  calls_[id] = {in, out, path.front(), length};
-  return id;
-}
-
-void GreedyRouter::connect_wave(WaveItem* items, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    ++stats_.connect_calls;
-    items[i].call = kNoCall;
-    items[i].path_length = 0;
-    items[i].reject = WaveReject::kNone;
-  }
-  wave_admitted_.assign(n, 0);
-  std::size_t unresolved = n;
-
-  const auto is_resolved = [](const WaveItem& it) {
-    return it.call != kNoCall || it.reject != WaveReject::kNone;
-  };
-  const auto release_holds = [&](const WaveItem& it) {
-    in_busy_[it.in] = 0;
-    in_hold_[it.in] = 0;
-    out_busy_[it.out] = 0;
-    out_hold_[it.out] = 0;
-  };
-  // Rebuilds src..dst into wave_path_ from the scratch parent chains (valid
-  // immediately after the search that produced `meet`).
-  const auto materialize = [&](graph::VertexId meet, graph::VertexId dst) {
-    wave_path_.clear();
-    for (graph::VertexId v = meet; v != graph::kNoVertex;
-         v = scratch_.parent_f[v])
-      wave_path_.push_back(v);
-    std::reverse(wave_path_.begin(), wave_path_.end());
-    for (graph::VertexId v = meet; v != dst;) {
-      v = scratch_.parent_b[v];
-      wave_path_.push_back(v);
-    }
-  };
-
-  // Round loop. Every round resolves at least one item (a settle, a reject,
-  // or the solo fallback below), so it runs at most n times.
-  while (unresolved > 0) {
-    // Phase 0 — admission. A first-time item atomically acquires tentative
-    // holds on both its terminal slots; if a slot is held by an unresolved
-    // window-mate the item DEFERS (waits for the mate's verdict, exactly as
-    // sequential window-order routing would), otherwise a busy slot is a
-    // final kTerminal. Terminal VERTICES occupied as intermediate hops of
-    // settled calls are re-checked every round: the successor array stores
-    // one call per vertex, so such an item can never settle (kNoPath).
-    wave_src_.clear();
-    wave_dst_.clear();
-    wave_slot_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      WaveItem& it = items[i];
-      if (is_resolved(it)) continue;
-      if (!wave_admitted_[i]) {
-        const bool in_free = input_idle(it.in);
-        const bool out_free = output_idle(it.out);
-        if (!in_free || !out_free) {
-          if ((!in_free && in_hold_[it.in]) ||
-              (!out_free && out_hold_[it.out]))
-            continue;  // defer behind an unresolved window-mate
-          it.reject = WaveReject::kTerminal;
-          ++stats_.rejected_terminal;
-          --unresolved;
-          continue;
-        }
-      }
-      const graph::VertexId src = net_->inputs[it.in];
-      const graph::VertexId dst = net_->outputs[it.out];
-      if (busy_.test(src) || busy_.test(dst)) {
-        if (wave_admitted_[i]) release_holds(it);
-        it.reject = WaveReject::kNoPath;
-        ++stats_.rejected_no_path;
-        --unresolved;
-        continue;
-      }
-      if (!wave_admitted_[i]) {
-        in_busy_[it.in] = 1;
-        in_hold_[it.in] = 1;
-        out_busy_[it.out] = 1;
-        out_hold_[it.out] = 1;
-        wave_admitted_[i] = 1;
-      }
-      wave_src_.push_back(src);
-      wave_dst_.push_back(dst);
-      wave_slot_.push_back(static_cast<std::uint32_t>(i));
-    }
-    if (wave_slot_.empty()) {
-      // Unreachable while the defer discipline holds (a deferred item's
-      // holder is admitted and therefore in the wave); resolve defensively
-      // rather than spin.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (is_resolved(items[i])) continue;
-        items[i].reject = WaveReject::kContention;
-        ++stats_.rejected_contention;
-        --unresolved;
-      }
-      break;
-    }
-
-    // Phase 1 — one shared search wave over every admitted request.
-    const std::size_t m = wave_slot_.size();
-    const bool solo = m == 1;
-    ++stats_.wave_epochs;
-    graph::VertexId solo_meet = graph::kNoVertex;
-    if (solo) {
-      solo_meet = search_one(wave_src_[0], wave_dst_[0]);
-    } else {
-      wave_meet_.resize(m);
-      wave_total_.resize(m);
-      const bool edge_faults = !blocked_edges_.empty();
-      const bool contraction = contracted_count_ > 0;
-      detail::DirStats dir;
-      detail::wave_search(
-          net_->g, wave_src_.data(), wave_dst_.data(), m, scratch_,
-          wave_meet_.data(), wave_total_.data(), stats_.vertices_visited, dir,
-          [this](graph::VertexId v) { return busy_.test(v); },
-          [this, edge_faults](graph::EdgeId e) {
-            return edge_faults && blocked_edges_.test(e);
-          },
-          [this](graph::EdgeId e) { return contracted_edges_.test(e); },
-          contraction);
-      stats_.bottom_up_levels += dir.bottom_up_levels;
-      stats_.visits_forward += dir.visits_forward;
-      stats_.visits_backward += dir.visits_backward;
-    }
-
-    // Phase 2 — settle in window order. A meetless wave entry is demoted
-    // into the next round (labels compete in the shared sweep, so a miss is
-    // NOT proof of unreachability); a solo search's verdict IS final. A
-    // settled path is re-walked against busy_ first: label trees from one
-    // shared sweep may interleave, so an earlier settle this round can own
-    // part of the chain — that clash also just demotes.
-    bool progressed = false;
-    for (std::size_t w = 0; w < m; ++w) {
-      const std::size_t i = wave_slot_[w];
-      WaveItem& it = items[i];
-      const graph::VertexId meet = solo ? solo_meet : wave_meet_[w];
-      if (meet == graph::kNoVertex) {
-        if (solo) {
-          release_holds(it);
-          it.reject = WaveReject::kNoPath;
-          ++stats_.rejected_no_path;
-          --unresolved;
-          progressed = true;
-        }
-        continue;
-      }
-      materialize(meet, net_->outputs[it.out]);
-      bool clash = false;
-      for (const graph::VertexId v : wave_path_) {
-        if (busy_.test(v)) {
-          clash = true;
-          break;
-        }
-      }
-      if (clash) {
-        ++stats_.search_retries;
-        continue;
-      }
-      it.call = settle_path(it.in, it.out, wave_path_);
-      it.path_length = static_cast<std::uint32_t>(wave_path_.size());
-      in_hold_[it.in] = 0;  // tentative hold became real occupancy
-      out_hold_[it.out] = 0;
-      --unresolved;
-      progressed = true;
-    }
-
-    // Phase 3 — progress guarantee: a wave that settled nothing (every
-    // entry demoted) routes its head solo, whose verdict is final either
-    // way. This bounds the round count at n without a demotion cap.
-    if (!progressed && !solo) {
-      const std::size_t i = wave_slot_[0];
-      WaveItem& it = items[i];
-      const graph::VertexId src = net_->inputs[it.in];
-      const graph::VertexId dst = net_->outputs[it.out];
-      const graph::VertexId meet = search_one(src, dst);
-      if (meet == graph::kNoVertex) {
-        release_holds(it);
-        it.reject = WaveReject::kNoPath;
-        ++stats_.rejected_no_path;
-      } else {
-        materialize(meet, dst);
-        it.call = settle_path(it.in, it.out, wave_path_);
-        it.path_length = static_cast<std::uint32_t>(wave_path_.size());
-        in_hold_[it.in] = 0;
-        out_hold_[it.out] = 0;
-      }
-      --unresolved;
-    }
-  }
 }
 
 void GreedyRouter::disconnect(CallId call) {

@@ -31,7 +31,9 @@
 // core::ConcurrentRouter (concurrent_router.hpp), which runs N of these
 // searches in parallel over one network with CAS-claimed busy state; this
 // single-owner router remains the fastest option for one thread and the
-// reference semantics the concurrent engine is tested against.
+// reference semantics the concurrent engine is tested against. connect() is
+// the router's ONE connect path: the Exchange's batched plane routes its
+// windows through it too, one request at a time in window order.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +65,12 @@ struct RouterStats {
   std::uint64_t overlay_conflicts = 0;    // settled path crossed a switch that
                                           // failed during the search (released
                                           // and re-searched, like a claim loss)
-  // Wave / direction-optimizing counters (attribute the machinery's wins
-  // directly instead of inferring them from visit totals):
-  std::uint64_t wave_epochs = 0;      // multi-source waves run (connect_wave)
+  // RETIRED, always 0: the multi-source wave search it counted is gone
+  // (batched windows route per request). Kept because the exchange
+  // benchmark still reports it.
+  std::uint64_t wave_epochs = 0;
+  // Direction-optimizing counters (attribute the machinery's wins directly
+  // instead of inferring them from visit totals):
   std::uint64_t bottom_up_levels = 0; // BFS levels expanded by bottom-up sweep
   std::uint64_t visits_forward = 0;   // stamps by the forward frontier
   std::uint64_t visits_backward = 0;  // stamps by the backward frontier
@@ -84,7 +89,6 @@ struct RouterStats {
     search_retries += o.search_retries;
     rejected_contention += o.rejected_contention;
     overlay_conflicts += o.overlay_conflicts;
-    wave_epochs += o.wave_epochs;
     bottom_up_levels += o.bottom_up_levels;
     visits_forward += o.visits_forward;
     visits_backward += o.visits_backward;
@@ -104,32 +108,11 @@ struct RouterStats {
     search_retries -= o.search_retries;
     rejected_contention -= o.rejected_contention;
     overlay_conflicts -= o.overlay_conflicts;
-    wave_epochs -= o.wave_epochs;
     bottom_up_levels -= o.bottom_up_levels;
     visits_forward -= o.visits_forward;
     visits_backward -= o.visits_backward;
     return *this;
   }
-};
-
-/// Per-request verdict of a wave-routed window (connect_wave). Mapped 1:1
-/// onto svc::RejectReason by the engines — a batch cannot be classified by
-/// counter-diffing (several requests share one stats block).
-enum class WaveReject : std::uint8_t {
-  kNone = 0,     // routed; WaveItem::call is live
-  kTerminal,     // input/output slot busy or blocked
-  kNoPath,       // no idle path exists (final verdict from a solo search)
-  kContention,   // concurrent claim/overlay retry budget exhausted
-};
-
-/// One request of an admission window handed to connect_wave(); resolved in
-/// place. `in`/`out` are terminal indices exactly as for connect().
-struct WaveItem {
-  std::uint32_t in = 0;
-  std::uint32_t out = 0;
-  std::uint32_t call = static_cast<std::uint32_t>(-1);  // router CallId
-  std::uint32_t path_length = 0;                        // vertices, if routed
-  WaveReject reject = WaveReject::kNone;
 };
 
 class GreedyRouter {
@@ -149,24 +132,6 @@ class GreedyRouter {
   /// network's terminal lists). Returns kNoCall if either terminal is busy/
   /// blocked or no idle path exists. Allocation-free.
   CallId connect(std::uint32_t in, std::uint32_t out);
-
-  /// Routes a whole admission window as multi-source search WAVES instead
-  /// of n independent searches (ftcs/search.hpp wave_search). Items resolve
-  /// in place; the admitted/rejected books match routing the window
-  /// per-request in window order:
-  ///   - terminals are tentatively HELD from the round a request enters its
-  ///     first wave; a window-mate wanting the same slot waits (defers)
-  ///     until the holder settles (-> kTerminal) or rejects (-> slot free),
-  ///     exactly the verdict sequential routing would give it;
-  ///   - settles commit in window order; a settle that clashes with an
-  ///     earlier settle's vertices (labels raced on the shared sweep) is
-  ///     DEMOTED into the next wave — only that request re-runs;
-  ///   - a wave that settles nothing routes its head request with the
-  ///     plain single-pair search (progress guarantee: >= 1 resolution per
-  ///     round, so a window of n needs at most n rounds); that solo verdict
-  ///     is final (kNoPath on a dead search, like connect()).
-  /// Counts one wave_epochs per wave. Allocation-free after construction.
-  void connect_wave(WaveItem* items, std::size_t n);
 
   /// Releases a call and frees its path. Allocation-free.
   void disconnect(CallId call);
@@ -274,10 +239,6 @@ class GreedyRouter {
   /// Runs the single-pair search and merges its DirStats.
   [[nodiscard]] graph::VertexId search_one(graph::VertexId src,
                                            graph::VertexId dst);
-  /// Threads `path` (src..dst order, already all-idle) through the
-  /// successor array, marks it busy and allocates the call slot.
-  CallId settle_path(std::uint32_t in, std::uint32_t out,
-                     const std::vector<graph::VertexId>& path);
 
   const graph::Network* net_;
   util::Bitset blocked_;        // static vertex faults
@@ -306,17 +267,6 @@ class GreedyRouter {
   std::size_t active_ = 0;
   std::size_t busy_count_ = 0;
   RouterStats stats_;
-
-  // connect_wave scratch, reserved at construction (window <= call bound):
-  std::vector<graph::VertexId> wave_src_, wave_dst_;  // active wave pairs
-  std::vector<graph::VertexId> wave_meet_;            // per-request meets
-  std::vector<std::uint32_t> wave_total_;             // per-request lengths
-  std::vector<std::uint32_t> wave_slot_;   // wave slot -> window item index
-  std::vector<graph::VertexId> wave_path_; // settle walk buffer
-  std::vector<std::uint8_t> wave_admitted_;  // item holds its terminals
-  std::vector<std::uint8_t> in_hold_, out_hold_;  // tentative terminal holds
-                                                  // (live only inside
-                                                  // connect_wave rounds)
 };
 
 }  // namespace ftcs::core

@@ -33,7 +33,8 @@
 //   - a stamped-but-busy vertex gets no parent and never counts as a
 //     meeting point, so every recorded meet lies on a fully idle path;
 //   - termination: once best_total <= df + db + 1, every strictly shorter
-//     path would already have produced a meet, so the best one is final.
+//     path would already have produced a meet, so the best one is final
+//     (with no live welds, already the first meet: see FIRST MEET below).
 // With contracted edges the returned path is always a REAL idle path, but
 // not necessarily a globally shortest one under the 0-1 metric: a vertex
 // first stamped at level d+1 through a normal switch is not re-stamped when
@@ -62,9 +63,9 @@
 //   Interaction with dirty snapshots: a bottom-up level calls the SAME
 //   is_busy/edge_blocked/edge_contracted predicates — relaxed (dirty)
 //   overlay reads remain exactly as re-validatable as top-down ones, and
-//   both sweep directions stamp the SAME vertex set per level (every
-//   frontier-adjacent vertex), so busy/overlay races cost retries, never
-//   correctness, identically in either sweep direction.
+//   both sweep directions stamp the SAME vertex set per completed level
+//   (every frontier-adjacent vertex), so busy/overlay races cost retries,
+//   never correctness, identically in either sweep direction.
 //   Interaction with 0-1 weld levels: bottom-up discoveries over a
 //   contracted switch (probed forward along in-edges AND against the edge
 //   direction via contracted out-edges) are still free hops — they go to
@@ -77,18 +78,14 @@
 //   welds both sweeps stamp the same vertex set per level, so verdicts and
 //   path lengths are those of plain bidirectional BFS over idle vertices.
 //
-// WAVE SEARCH (wave_search): routes a whole admission window as ONE
-// level-synchronized multi-source sweep. Every request seeds its input into
-// the forward frontier and its output into the backward frontier, stamped
-// with a per-request LABEL (SearchScratch::label_f/label_b); discoveries
-// propagate the discoverer's label, and a meet only counts when both sides
-// carry the SAME label, so each recovered parent chain stays inside one
-// request's tree. The per-request termination rule is the single search's
-// (totals[r] <= df + db + 1 finalizes r); the wave ends when every request
-// is final or both frontiers die. Because labels compete for vertices, a
-// request without a meet is NOT proven unroutable — the caller demotes it
-// into the next wave (see GreedyRouter::connect_wave). Shared scratch means
-// the whole window pays ONE sweep of the graph instead of N.
+// FIRST MEET: without live welds (kContraction == false) every meet found
+// while a level expands has the same total, df + db + 1 — a shorter one
+// would have ended the previous level — so the first meet is final and the
+// level stops there, top-down and bottom-up alike (the `total < best_total`
+// rule could never replace it). Verdicts and paths are those of running
+// the level to its end; only the tail of the level's visits is saved. Under
+// welds, free hops make meet totals differ within a level, so the
+// contraction variant keeps scanning for the best one.
 #pragma once
 
 #include <algorithm>
@@ -110,7 +107,6 @@ struct SearchScratch {
   std::vector<graph::VertexId> parent_b;        // toward the output
   std::vector<graph::VertexId> queue_f, queue_b;  // frontier rings
   std::vector<graph::VertexId> zero_f, zero_b;  // free-hop (contracted) stacks
-  std::vector<std::uint32_t> label_f, label_b;  // wave: request per stamp
   util::Bitset front_f, front_b;  // bottom-up: current-level frontier bitmaps
   std::uint32_t epoch = 0;
 
@@ -125,8 +121,6 @@ struct SearchScratch {
     queue_b.resize(v_count);
     zero_f.resize(v_count);
     zero_b.resize(v_count);
-    label_f.resize(v_count);
-    label_b.resize(v_count);
     front_f.resize(v_count);
     front_b.resize(v_count);
     epoch = 0;
@@ -283,6 +277,7 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
             break;
           }
           expand_f(u);
+          if (!kContraction && best_meet != graph::kNoVertex) break;
         }
       } else {
         ++dir.bottom_up_levels;
@@ -321,7 +316,9 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
               }
             }
           }
-          if (from != graph::kNoVertex) visit_f(v, from, free);
+          if (from == graph::kNoVertex) continue;
+          visit_f(v, from, free);
+          if (!kContraction && best_meet != graph::kNoVertex) break;
         }
         for (std::size_t i = 0; i < flevel; ++i)
           s.front_f.reset(s.queue_f[fh + i]);
@@ -412,6 +409,7 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
             break;
           }
           expand_b(u);
+          if (!kContraction && best_meet != graph::kNoVertex) break;
         }
       } else {
         ++dir.bottom_up_levels;
@@ -451,7 +449,9 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
               }
             }
           }
-          if (from != graph::kNoVertex) visit_b(v, from, free);
+          if (from == graph::kNoVertex) continue;
+          visit_b(v, from, free);
+          if (!kContraction && best_meet != graph::kNoVertex) break;
         }
         for (std::size_t i = 0; i < blevel; ++i)
           s.front_b.reset(s.queue_b[bh + i]);
@@ -496,363 +496,6 @@ template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
       g, src, dst, s, visited, dir, static_cast<BusyFn&&>(is_busy),
       static_cast<EdgeBlockedFn&&>(edge_blocked),
       static_cast<EdgeContractedFn&&>(edge_contracted));
-}
-
-// ---------------------------------------------------------------------------
-// Multi-source wave search (see the header comment). One call explores the
-// graph ONCE for a whole window of requests; per-request results come back
-// in meets[] / totals[] and the parent chains in the scratch, labelled so
-// each request's chains stay inside its own tree.
-// ---------------------------------------------------------------------------
-
-template <bool kContraction, class BusyFn, class EdgeBlockedFn,
-          class EdgeContractedFn>
-void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
-                      const graph::VertexId* dsts, std::size_t n,
-                      SearchScratch& s, graph::VertexId* meets,
-                      std::uint32_t* totals, std::uint64_t& visited,
-                      DirStats& dir, BusyFn&& is_busy,
-                      EdgeBlockedFn&& edge_blocked,
-                      EdgeContractedFn&& edge_contracted) {
-  if (++s.epoch == 0) {
-    std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
-    std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
-    s.epoch = 1;
-  }
-  const std::size_t v_count = g.vertex_count();
-  const auto e_count = static_cast<std::uint64_t>(g.edge_count());
-  const auto max_out = static_cast<std::uint64_t>(g.max_out_degree());
-  const auto max_in = static_cast<std::uint64_t>(g.max_in_degree());
-  std::size_t fh = 0, ft = 0, bh = 0, bt = 0;
-  std::uint64_t stamped_f = 0, stamped_b = 0;
-  std::size_t resolved = 0;  // requests whose best meet can no longer improve
-
-  for (std::size_t r = 0; r < n; ++r) {
-    meets[r] = graph::kNoVertex;
-    totals[r] = graph::kNoVertex;  // "infinite"
-    const graph::VertexId src = srcs[r], dst = dsts[r];
-    if (src == dst) {  // degenerate pair: trivial path, final immediately
-      if (s.epoch_f[src] != s.epoch) {
-        s.epoch_f[src] = s.epoch;
-        s.parent_f[src] = graph::kNoVertex;
-        s.dist_f[src] = 0;
-        s.label_f[src] = static_cast<std::uint32_t>(r);
-        meets[r] = dst;
-        totals[r] = 0;
-      }
-      ++resolved;  // (a seed clash leaves it meetless -> caller demotes)
-      continue;
-    }
-    // Routers admit at most one request per terminal slot into a wave, so
-    // same-side seed clashes need two slots sharing a vertex — tolerated
-    // defensively: the loser stays unseeded and the caller demotes it.
-    if (s.epoch_f[src] != s.epoch) {
-      s.epoch_f[src] = s.epoch;
-      s.parent_f[src] = graph::kNoVertex;
-      s.dist_f[src] = 0;
-      s.label_f[src] = static_cast<std::uint32_t>(r);
-      s.queue_f[ft++] = src;
-      ++stamped_f;
-    }
-    if (s.epoch_b[dst] != s.epoch) {
-      s.epoch_b[dst] = s.epoch;
-      s.parent_b[dst] = graph::kNoVertex;
-      s.dist_b[dst] = 0;
-      s.label_b[dst] = static_cast<std::uint32_t>(r);
-      s.queue_b[bt++] = dst;
-      ++stamped_b;
-    }
-  }
-  // Seeds never count as visits (matching the single search); the visit
-  // counters are derived from the stamp counts at the end of the wave.
-  const std::uint64_t seeded_f = stamped_f, seeded_b = stamped_b;
-
-  std::size_t flevel = ft, blevel = bt;
-  std::uint32_t df = 0, db = 0;
-  // Per-request termination is the single search's rule; the WAVE ends when
-  // every request is final or both frontiers die. Either side dying alone
-  // proves nothing per request (labels compete for vertices), so leftover
-  // requests are demoted by the caller, not rejected.
-  while (resolved < n && (flevel > 0 || blevel > 0)) {
-    const bool forward = blevel == 0 || (flevel > 0 && flevel <= blevel);
-    if (forward) {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;
-      const auto visit_f = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_f[v] == s.epoch) return;
-        s.epoch_f[v] = s.epoch;
-        ++stamped_f;
-        if (is_busy(v)) {
-          s.parent_f[v] = graph::kNoVertex;
-          return;
-        }
-        const std::uint32_t rq = s.label_f[u];
-        s.parent_f[v] = u;
-        s.label_f[v] = rq;
-        const std::uint32_t dv = free ? df : df + 1;
-        s.dist_f[v] = dv;
-        if (s.epoch_b[v] == s.epoch && s.label_b[v] == rq &&
-            (s.parent_b[v] != graph::kNoVertex || v == dsts[rq])) {
-          const std::uint32_t total = dv + s.dist_b[v];
-          if (total < totals[rq]) {
-            totals[rq] = total;
-            meets[rq] = v;
-          }
-          return;  // expanding a meet can never improve on it
-        }
-        if (kContraction && free) {
-          s.zero_f[zt++] = v;
-        } else {
-          s.queue_f[ft++] = v;
-          ++next_level;
-        }
-      };
-      const auto expand_f = [&](graph::VertexId u) {
-        const auto eids = g.out_edges(u);
-        const auto tgts = g.out_targets(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_f(tgts[i], u, kContraction && edge_contracted(eids[i]));
-        }
-        if constexpr (kContraction) {
-          const auto reids = g.in_edges(u);
-          const auto rsrcs = g.in_sources(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_f(rsrcs[i], u, true);
-          }
-        }
-      };
-      // Same lazy header test as the single-pair body: screen with the
-      // flevel * max_out bound, sum exact degrees only when it could
-      // trigger.
-      const std::uint64_t unvisited_scaled =
-          (static_cast<std::uint64_t>(v_count) - stamped_f) * e_count;
-      bool bottom_up = false;
-      if (static_cast<std::uint64_t>(flevel) * max_out * kBottomUpAlpha *
-              static_cast<std::uint64_t>(v_count) >
-          unvisited_scaled) {
-        std::uint64_t fedges = 0;
-        for (std::size_t i = 0; i < flevel; ++i)
-          fedges += g.out_degree(s.queue_f[fh + i]);
-        bottom_up =
-            fedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled;
-      }
-      if (!bottom_up) {
-        std::size_t cnt = 0;
-        for (;;) {
-          graph::VertexId u;
-          if (cnt < flevel) {
-            u = s.queue_f[fh++];
-            ++cnt;
-          } else if (kContraction && zt > 0) {
-            u = s.zero_f[--zt];
-          } else {
-            break;
-          }
-          expand_f(u);
-        }
-      } else {
-        ++dir.bottom_up_levels;
-        for (std::size_t i = 0; i < flevel; ++i)
-          s.front_f.set(s.queue_f[fh + i]);
-        for (std::size_t vi = 0; vi < v_count; ++vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          if (s.epoch_f[v] == s.epoch) continue;
-          const auto eids = g.in_edges(v);
-          const auto vsrcs = g.in_sources(v);
-          graph::VertexId from = graph::kNoVertex;
-          bool free = false;
-          for (std::size_t k = 0; k < eids.size(); ++k) {
-            if (!s.front_f.test(vsrcs[k])) continue;
-            if (edge_blocked(eids[k])) continue;
-            from = vsrcs[k];
-            free = kContraction && edge_contracted(eids[k]);
-            break;
-          }
-          if constexpr (kContraction) {
-            if (from == graph::kNoVertex) {
-              const auto oids = g.out_edges(v);
-              const auto otgts = g.out_targets(v);
-              for (std::size_t k = 0; k < oids.size(); ++k) {
-                if (!s.front_f.test(otgts[k])) continue;
-                if (!edge_contracted(oids[k]) || edge_blocked(oids[k]))
-                  continue;
-                from = otgts[k];
-                free = true;
-                break;
-              }
-            }
-          }
-          if (from != graph::kNoVertex) visit_f(v, from, free);
-        }
-        for (std::size_t i = 0; i < flevel; ++i)
-          s.front_f.reset(s.queue_f[fh + i]);
-        fh += flevel;
-        if constexpr (kContraction) {
-          while (zt > 0) expand_f(s.zero_f[--zt]);
-        }
-      }
-      flevel = next_level;
-      ++df;
-    } else {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;
-      const auto visit_b = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_b[v] == s.epoch) return;
-        s.epoch_b[v] = s.epoch;
-        ++stamped_b;
-        if (is_busy(v)) {
-          s.parent_b[v] = graph::kNoVertex;
-          return;
-        }
-        const std::uint32_t rq = s.label_b[u];
-        s.parent_b[v] = u;
-        s.label_b[v] = rq;
-        const std::uint32_t dv = free ? db : db + 1;
-        s.dist_b[v] = dv;
-        if (s.epoch_f[v] == s.epoch && s.label_f[v] == rq &&
-            (s.parent_f[v] != graph::kNoVertex || v == srcs[rq])) {
-          const std::uint32_t total = s.dist_f[v] + dv;
-          if (total < totals[rq]) {
-            totals[rq] = total;
-            meets[rq] = v;
-          }
-          return;
-        }
-        if (kContraction && free) {
-          s.zero_b[zt++] = v;
-        } else {
-          s.queue_b[bt++] = v;
-          ++next_level;
-        }
-      };
-      const auto expand_b = [&](graph::VertexId u) {
-        const auto eids = g.in_edges(u);
-        const auto usrcs = g.in_sources(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_b(usrcs[i], u, kContraction && edge_contracted(eids[i]));
-        }
-        if constexpr (kContraction) {
-          const auto reids = g.out_edges(u);
-          const auto rtgts = g.out_targets(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_b(rtgts[i], u, true);
-          }
-        }
-      };
-      // Backward mirror of the lazy header test, over in-degrees.
-      const std::uint64_t unvisited_scaled =
-          (static_cast<std::uint64_t>(v_count) - stamped_b) * e_count;
-      bool bottom_up = false;
-      if (static_cast<std::uint64_t>(blevel) * max_in * kBottomUpAlpha *
-              static_cast<std::uint64_t>(v_count) >
-          unvisited_scaled) {
-        std::uint64_t bedges = 0;
-        for (std::size_t i = 0; i < blevel; ++i)
-          bedges += g.in_degree(s.queue_b[bh + i]);
-        bottom_up =
-            bedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled;
-      }
-      if (!bottom_up) {
-        std::size_t cnt = 0;
-        for (;;) {
-          graph::VertexId u;
-          if (cnt < blevel) {
-            u = s.queue_b[bh++];
-            ++cnt;
-          } else if (kContraction && zt > 0) {
-            u = s.zero_b[--zt];
-          } else {
-            break;
-          }
-          expand_b(u);
-        }
-      } else {
-        ++dir.bottom_up_levels;
-        for (std::size_t i = 0; i < blevel; ++i)
-          s.front_b.set(s.queue_b[bh + i]);
-        for (std::size_t vi = 0; vi < v_count; ++vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          if (s.epoch_b[v] == s.epoch) continue;
-          const auto eids = g.out_edges(v);
-          const auto vtgts = g.out_targets(v);
-          graph::VertexId from = graph::kNoVertex;
-          bool free = false;
-          for (std::size_t k = 0; k < eids.size(); ++k) {
-            if (!s.front_b.test(vtgts[k])) continue;
-            if (edge_blocked(eids[k])) continue;
-            from = vtgts[k];
-            free = kContraction && edge_contracted(eids[k]);
-            break;
-          }
-          if constexpr (kContraction) {
-            if (from == graph::kNoVertex) {
-              const auto iids = g.in_edges(v);
-              const auto isrcs = g.in_sources(v);
-              for (std::size_t k = 0; k < iids.size(); ++k) {
-                if (!s.front_b.test(isrcs[k])) continue;
-                if (!edge_contracted(iids[k]) || edge_blocked(iids[k]))
-                  continue;
-                from = isrcs[k];
-                free = true;
-                break;
-              }
-            }
-          }
-          if (from != graph::kNoVertex) visit_b(v, from, free);
-        }
-        for (std::size_t i = 0; i < blevel; ++i)
-          s.front_b.reset(s.queue_b[bh + i]);
-        bh += blevel;
-        if constexpr (kContraction) {
-          while (zt > 0) expand_b(s.zero_b[--zt]);
-        }
-      }
-      blevel = next_level;
-      ++db;
-    }
-    // Re-count finals (n is a window, not a graph: an O(n) pass per level).
-    resolved = 0;
-    for (std::size_t r = 0; r < n; ++r)
-      if (totals[r] != graph::kNoVertex && totals[r] <= df + db + 1)
-        ++resolved;
-  }
-  visited += (stamped_f - seeded_f) + (stamped_b - seeded_b);
-  dir.visits_forward += stamped_f - seeded_f;
-  dir.visits_backward += stamped_b - seeded_b;
-}
-
-/// Wave dispatcher: fills meets[r] with each request's best meeting vertex
-/// (kNoVertex = no meet THIS wave — demote, do not reject) and totals[r]
-/// with its path length in edges. Parent chains are recovered from the
-/// scratch exactly as for the single search; a request's chains only cross
-/// vertices carrying its label. Allocation-free.
-template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
-void wave_search(const graph::CsrGraph& g, const graph::VertexId* srcs,
-                 const graph::VertexId* dsts, std::size_t n, SearchScratch& s,
-                 graph::VertexId* meets, std::uint32_t* totals,
-                 std::uint64_t& visited, DirStats& dir, BusyFn&& is_busy,
-                 EdgeBlockedFn&& edge_blocked,
-                 EdgeContractedFn&& edge_contracted, bool contraction_live) {
-  if (contraction_live)
-    return wave_search_impl<true>(
-        g, srcs, dsts, n, s, meets, totals, visited, dir,
-        static_cast<BusyFn&&>(is_busy),
-        static_cast<EdgeBlockedFn&&>(edge_blocked),
-        static_cast<EdgeContractedFn&&>(edge_contracted));
-  wave_search_impl<false>(g, srcs, dsts, n, s, meets, totals, visited, dir,
-                          static_cast<BusyFn&&>(is_busy),
-                          static_cast<EdgeBlockedFn&&>(edge_blocked),
-                          static_cast<EdgeContractedFn&&>(edge_contracted));
 }
 
 }  // namespace ftcs::core::detail

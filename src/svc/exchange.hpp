@@ -22,10 +22,9 @@
 //     pollable Ticket. Requests beyond the window stay queued (Deferred,
 //     counted per epoch and surfaced in Outcome::deferrals); submissions
 //     beyond the policy's queue cap bounce immediately (Refused).
-//     Each session routes its chunk of the window as ONE search wave
-//     (Engine::connect_wave) instead of per-request connects — see
-//     src/svc/README.md for the wave-epoch semantics and the
-//     claim-demotion contract.
+//     Each session routes its chunk of the window one request at a time,
+//     in window order, through the same Engine::connect as call() — see
+//     src/svc/README.md ("Batched drain").
 //
 // Threading rules (full contract in svc/README.md):
 //   - submit() and poll() are thread-safe from any thread.

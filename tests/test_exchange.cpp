@@ -485,6 +485,69 @@ TEST(Exchange, ConcurrentChurnWithHandleMisuseStaysSound) {
   EXPECT_EQ(other.hangup(foreign.id), RejectReason::kNone);
 }
 
+// Multi-session drain churn (the TSan job runs this file): four sessions
+// route 200 windows of 64 requests with repeated terminals, so each chunk
+// races its mates' claims on the shared busy state; hangups run between
+// windows. At quiescence the books balance and a full hangup leaves the
+// network idle.
+TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
+  const auto net = networks::build_cantor({5, 0});
+  constexpr unsigned kSessions = 4;
+  constexpr std::size_t kWindows = 200;
+  constexpr std::size_t kWindow = 64;
+  Exchange ex(net, concurrent_cfg(kSessions));
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  util::Xoshiro256 rng(2718);
+
+  // Completions land in the serving session's list; each list is written
+  // only by the task that owns that session during a drain.
+  std::vector<std::vector<Outcome>> served(kSessions);
+  std::vector<Outcome> live;
+  std::uint64_t hangups = 0;
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t k = 0; k < kWindow; ++k) {
+      CallRequest req;
+      req.input = static_cast<std::uint32_t>(rng.below(n));
+      req.output = static_cast<std::uint32_t>(rng.below(n));
+      ex.submit(req, [&served](const Outcome& o) {
+        if (o.connected()) served[o.session].push_back(o);
+      });
+    }
+    ASSERT_EQ(ex.drain_all(), kWindow);
+    for (auto& list : served) {
+      live.insert(live.end(), list.begin(), list.end());
+      list.clear();
+    }
+    for (std::size_t k = 0; k < live.size();) {
+      if (rng.below(2) == 0) {
+        ASSERT_EQ(ex.hangup(live[k].id), RejectReason::kNone);
+        ++hangups;
+        live[k] = live.back();
+        live.pop_back();
+      } else {
+        ++k;
+      }
+    }
+  }
+
+  std::size_t live_path_vertices = 0;
+  for (const Outcome& o : live) live_path_vertices += o.path_length;
+  EXPECT_EQ(ex.active_calls(), live.size());
+  EXPECT_EQ(ex.busy_vertices(), live_path_vertices);
+  const ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.completed, kWindows * kWindow);
+  EXPECT_EQ(st.router.connect_calls, kWindows * kWindow);
+  EXPECT_EQ(st.router.connect_calls,
+            st.router.accepted + st.router.rejected_terminal +
+                st.router.rejected_no_path + st.router.rejected_contention);
+  EXPECT_GT(st.router.rejected_terminal, 0u);  // windows did repeat terminals
+  EXPECT_EQ(st.router.accepted, hangups + live.size());
+  EXPECT_EQ(st.hangups, hangups);
+  for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
+  EXPECT_EQ(ex.active_calls(), 0u);
+  EXPECT_EQ(ex.busy_vertices(), 0u);
+}
+
 TEST(Exchange, HomedDrainRoutesByInputRange) {
   const auto net = networks::build_cantor({4, 0});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());

@@ -1229,6 +1229,10 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
   std::vector<std::uint8_t> stuck_now(net.g.edge_count(), 0);   // rwlock'd
   std::vector<svc::Outcome> strays;  // rerouted survivors (injector-owned)
   std::atomic<bool> done{false};
+  // Sessions start only once the first fault event has landed: the shared
+  // lock prefers readers, so four sessions that start first can finish
+  // their whole churn before the injector ever gets the plane.
+  std::atomic<bool> injecting{false};
 
   std::vector<std::thread> threads;
   threads.reserve(kSessions + 1);
@@ -1237,6 +1241,8 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
     threads.emplace_back([&, s] {
       util::Xoshiro256 rng(util::derive_seed(613, s));
       std::vector<svc::Outcome> mine;
+      while (!injecting.load(std::memory_order_acquire))
+        std::this_thread::yield();
       for (int op = 0; op < 2500; ++op) {
         std::shared_lock<std::shared_mutex> lk(plane);
         if (!mine.empty() && (rng() & 3u) == 0) {
@@ -1298,6 +1304,7 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
       stuck_now[ev.edge] = ev.kind == fault::FaultEvent::Kind::kStuckOn;
       for (const auto& re : impact.reroutes)
         if (re.connected()) strays.push_back(re);
+      injecting.store(true, std::memory_order_release);
       std::this_thread::yield();
     }
   });

@@ -2,7 +2,7 @@
 // finalize_grown merge invariants), grow_cantor's doubled topology,
 // Exchange::grow's live-call remap on both engines (identity and permuted
 // vmaps), overlay/fault-bookkeeping survival, the TopologyEvent
-// dispatch seam, the ops::ControlPlane kGrow ack, and the batched wave
+// dispatch seam, the ops::ControlPlane kGrow ack, and the batched drain
 // plane serving the new terminals the epoch after the merge.
 #include <gtest/gtest.h>
 
@@ -390,7 +390,7 @@ TEST(ControlPlaneGrowth, KGrowAcksRealEffectsAndDeclinesARegrow) {
 
 // ------------------------------------------------ batched plane + growth
 
-TEST(ExchangeGrowth, WaveDrainServesNewTerminalsTheEpochAfterTheMerge) {
+TEST(ExchangeGrowth, BatchedDrainServesNewTerminalsTheEpochAfterTheMerge) {
   const auto base = networks::build_cantor({3, 0});
   svc::ExchangeConfig cfg;
   cfg.backend = svc::Backend::kConcurrent;
@@ -401,7 +401,7 @@ TEST(ExchangeGrowth, WaveDrainServesNewTerminalsTheEpochAfterTheMerge) {
   std::vector<svc::Outcome> done;
   const auto on_done = [&done](const svc::Outcome& o) { done.push_back(o); };
 
-  // Epoch 1: old terminals through the wave plane.
+  // Epoch 1: old terminals through the batched plane.
   for (std::uint32_t i = 0; i < n; ++i)
     ex.submit({i, static_cast<std::uint32_t>((i + 1) % n), 0, i + 1}, on_done);
   EXPECT_EQ(ex.drain_all(), static_cast<std::size_t>(n));
@@ -414,7 +414,7 @@ TEST(ExchangeGrowth, WaveDrainServesNewTerminalsTheEpochAfterTheMerge) {
   // The merge lands at the epoch boundary (the drain contract's quiesce).
   ASSERT_TRUE(ex.grow(doubling_plan(ex, {3, 0})).applied);
 
-  // Epoch 2: every NEW terminal pair routes through the grown waves.
+  // Epoch 2: every NEW terminal pair routes on the grown topology.
   const auto n2 = static_cast<std::uint32_t>(ex.input_count());
   for (std::uint32_t i = n; i < n2; ++i)
     ex.submit({i, static_cast<std::uint32_t>(n2 - 1 - (i - n)), 0, 100 + i},

@@ -1,4 +1,4 @@
-// Single-pair and wave search (ftcs/search.hpp) against an independent
+// The single-pair search (ftcs/search.hpp) against an independent
 // reference.
 //
 // The routers' search is a direction-optimizing bidirectional BFS: each
@@ -16,11 +16,14 @@
 //  - a fan-out network that deterministically trips the bottom-up
 //    heuristic (bottom_up_levels > 0), healthy, degraded and welded, both
 //    engines — including the sweep's reverse-conduction probe;
-//  - the per-direction visit split adds up to vertices_visited on both the
-//    single-pair and the wave paths.
+//  - the per-direction visit split adds up to vertices_visited;
+//  - the weld-free first-meet stop keeps every routed path of a seeded
+//    churn (a digest recorded from the search that ran every level to its
+//    end) while visiting fewer vertices.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_instance.hpp"
@@ -237,29 +240,58 @@ TEST(Search, WeldedCantorVerdictsMatchOfflineContraction) {
   run_welded_trace(c, c.worker(0), net, welds, 99, 400);
 }
 
-TEST(Search, WaveVisitSplitAddsUp) {
-  const auto net = networks::build_cantor({4, 0});
+/// FNV-1a digest of a seeded connect/disconnect churn: every routed path's
+/// vertices in order, and a marker per connect (so rejects count too).
+/// Returns {digest, vertices_visited}.
+template <class Router, class Session>
+std::pair<std::uint64_t, std::uint64_t> churn_path_digest(
+    const Router& router, Session& session, const graph::Network& net,
+    std::uint64_t seed, std::size_t ops) {
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  util::Xoshiro256 rng(31337);
-  std::vector<core::WaveItem> window(32);
-  for (auto& it : window) {
-    it.in = static_cast<std::uint32_t>(rng.below(n));
-    it.out = static_cast<std::uint32_t>(rng.below(n));
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint32_t> active;
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ull; };
+  for (std::size_t op = 0; op < ops; ++op) {
+    if (!active.empty() && rng.below(2) == 0) {
+      const auto idx = rng.below(active.size());
+      session.disconnect(active[idx]);
+      active[idx] = active.back();
+      active.pop_back();
+      continue;
+    }
+    const auto in = static_cast<std::uint32_t>(rng.below(n));
+    const auto out = static_cast<std::uint32_t>(rng.below(n));
+    const auto call = session.connect(in, out);
+    if (call != kNone) {
+      for (const auto v : session.path_of(call)) mix(v);
+      active.push_back(call);
+    }
+    mix(kNone);
   }
+  for (const auto c : active) session.disconnect(c);
+  EXPECT_EQ(router.busy_vertices(), 0u);
+  expect_visit_split(router.stats());
+  return {h, router.stats().vertices_visited};
+}
 
+// First-meet stop: with no live weld the search ends a level at its first
+// meet. Both constants were recorded from the search that ran every level
+// to its end: the digest must match (same paths, same verdicts) and the
+// visit total must drop.
+TEST(Search, FirstMeetStopKeepsEveryPathAndVisitsLess) {
+  constexpr std::uint64_t kPathDigest = 11446843375804875499ull;
+  constexpr std::uint64_t kFullLevelVisits = 4180240;
+  const auto net = networks::build_cantor({6, 0});
   core::GreedyRouter g(net);
-  auto wg = window;
-  g.connect_wave(wg.data(), wg.size());
-  EXPECT_GT(g.stats().wave_epochs, 0u);
-  EXPECT_GT(g.stats().accepted, 0u);
-  expect_visit_split(g.stats());
-
+  const auto [g_digest, g_visits] = churn_path_digest(g, g, net, 401, 6000);
   core::ConcurrentRouter c(net, 1);
-  auto wc = window;
-  c.worker(0).connect_wave(wc.data(), wc.size());
-  EXPECT_GT(c.stats().wave_epochs, 0u);
-  EXPECT_GT(c.stats().accepted, 0u);
-  expect_visit_split(c.stats());
+  const auto [c_digest, c_visits] =
+      churn_path_digest(c, c.worker(0), net, 401, 6000);
+  EXPECT_EQ(g_digest, kPathDigest);
+  EXPECT_EQ(c_digest, kPathDigest);
+  EXPECT_EQ(g_visits, c_visits);
+  EXPECT_LT(g_visits, kFullLevelVisits);
 }
 
 // ---------------------------------------------------------------------------

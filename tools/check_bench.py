@@ -7,8 +7,8 @@ Compares a fresh smoke run against the committed baseline file and fails
 
 Two metric families are gated independently:
   - calls/sec (throughput, higher is better)
-  - visits/connect (search work per request, LOWER is better — the wave /
-    direction-optimizing machinery's win; a silent visit blow-up precedes a
+  - visits/connect (search work per request, LOWER is better — the
+    direction-optimizing search's win; a silent visit blow-up precedes a
     throughput loss on bigger networks)
 
 Series keyed so runs with different sweeps still match up:
@@ -16,7 +16,7 @@ Series keyed so runs with different sweeps still match up:
   - per-network churn points        (networks[].name)
   - the thread-scaling curve        (thread_scaling.points[].threads)
   - the batched-admission series    (batched_admission.points[].batch)
-  - the deep-network wave point     (batched_admission_k7.points[].batch)
+  - the deep-network batched point  (batched_admission_k7.points[].batch)
   - the degraded-mode series        (degraded_mode.points[].eps)
   - the affinity sweep              (affinity_scaling.points[].policy —
                                      keyed by the REQUESTED policy, so
@@ -129,7 +129,7 @@ def gate(label: str, base: dict[str, float], cur: dict[str, float],
             print(f"check_bench: no comparable {label} points between the "
                   "baseline and current files", file=sys.stderr)
             return False
-        # visits/connect is absent from pre-wave baselines: skipping the
+        # visits/connect is absent from older baselines: skipping the
         # whole family keeps old baselines comparable.
         print(f"check_bench: no comparable {label} points; family skipped")
         return True
