@@ -3,7 +3,7 @@
 //
 // The paper's §4 observations: (1) repair = discard faulty vertices (no
 // search), (2) routing on the surviving strictly-nonblocking network =
-// greedy BFS. We time both primitives and report the success rate of
+// greedy path search (any idle path will do). We time both primitives and report the success rate of
 // routing full random permutations on damaged instances.
 //
 // The churn workloads are served through svc::Exchange — the service facade
@@ -131,7 +131,7 @@ BENCHMARK(BM_Theorem2Trial)->Arg(1)->Arg(2);
 
 void print_success_table() {
   std::cout << "\n==== E13 (greedy routing on damaged instances) ====\n"
-               "Full random permutation, greedy BFS, restart budget 20.\n\n";
+               "Full random permutation, greedy path search, restart budget 20.\n\n";
   util::Table t({"nu", "n", "eps", "routed", "attempts"});
   for (std::uint32_t nu : {1u, 2u}) {
     const auto& ft = shared_ft(nu);

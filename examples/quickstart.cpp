@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
   }
 
   // Route a full random permutation over the damaged network, avoiding the
-  // discarded (faulty) vertices — greedy BFS per the paper's §4 remark.
+  // discarded (faulty) vertices — one greedy path search per call, per the
+  // paper's §4 remark (any idle path will do).
   const auto faulty = instance.faulty_non_terminal_mask();
   util::Xoshiro256 rng(3);
   std::vector<std::uint32_t> perm(ft.n());

@@ -10,8 +10,8 @@
 //     overlay reaches exactly the terminal pairs the repair_by_discard
 //     network reaches — pinned by tests.
 //   - kContractStuck (the §2-faithful split): open failures die as above,
-//     but closed (stuck-on) failures become CONTRACTED edges — zero-cost
-//     forced hops conducting both ways — and only open failures contribute
+//     but closed (stuck-on) failures become CONTRACTED edges — welds
+//     conducting both ways — and only open failures contribute
 //     to vertex death. Routing under this overlay reaches exactly the
 //     terminal pairs the repair_by_contraction rebuilt network reaches —
 //     the live analogue of contraction, likewise pinned by tests.

@@ -7,7 +7,7 @@ namespace ftcs::core {
 ConcurrentRouter::ConcurrentRouter(const graph::Network& net, unsigned workers,
                                    std::vector<std::uint8_t> blocked,
                                    std::vector<std::uint8_t> blocked_edges)
-    : net_(&net) {
+    : net_(&net), reach_(net) {
   const std::size_t v_count = net.g.vertex_count();
   blocked_.resize(v_count);
   if (!blocked.empty()) blocked_.assign_bytes(blocked.data(), blocked.size());
@@ -104,6 +104,7 @@ void ConcurrentRouter::grow(const graph::Network& net,
   for (std::size_t v = 0; v < old_v; ++v)
     if (path_next_[v] != graph::kNoVertex) next[vmap[v]] = vmap[path_next_[v]];
   path_next_ = std::move(next);
+  reach_ = ReachIndex(net);
 
   // Per-worker session state: remap live call heads in place; invalidate
   // the scratch so each session rebuilds it lazily at the grown size on its
@@ -194,30 +195,22 @@ ConcurrentRouter::CallId ConcurrentRouter::Worker::connect_held(
 
   for (unsigned attempt = 0;; ++attempt) {
     // 2. Search on a dirty busy snapshot (relaxed reads, private scratch).
-    detail::DirStats dir;
-    const graph::VertexId meet = detail::bidir_shortest_idle_path(
-        r.net_->g, src, dst, scratch_, stats_.vertices_visited, dir, is_busy,
-        edge_blocked, edge_contracted, contraction);
-    stats_.bottom_up_levels += dir.bottom_up_levels;
-    stats_.visits_forward += dir.visits_forward;
-    stats_.visits_backward += dir.visits_backward;
-    if (meet == graph::kNoVertex) {
+    if (detail::find_idle_path(r.net_->g, r.reach_.probe(out), src, dst,
+                               scratch_, stats_.vertices_visited, is_busy,
+                               edge_blocked, edge_contracted,
+                               contraction) == graph::kNoVertex) {
       r.out_busy_.reset(out);
       r.in_busy_.reset(in);
       ++stats_.rejected_no_path;
       return kNoCall;
     }
 
-    // Materialize src..dst into path_buf_ from the two parent chains.
+    // Materialize src..dst into path_buf_ from the parent chain.
     path_buf_.clear();
-    for (graph::VertexId v = meet; v != graph::kNoVertex;
+    for (graph::VertexId v = dst; v != graph::kNoVertex;
          v = scratch_.parent_f[v])
       path_buf_.push_back(v);
     std::reverse(path_buf_.begin(), path_buf_.end());
-    for (graph::VertexId v = meet; v != dst;) {
-      v = scratch_.parent_b[v];
-      path_buf_.push_back(v);
-    }
 
     // 3. Claim in canonical (ascending vertex id) order.
     claim_buf_.assign(path_buf_.begin(), path_buf_.end());

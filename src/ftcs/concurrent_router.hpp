@@ -12,10 +12,12 @@
 //   1. TERMINAL ACQUIRE — CAS the input slot, then the output slot, in the
 //      shared AtomicBitsets. Failure → rejected_terminal (slot released in
 //      reverse order on partial acquire).
-//   2. SEARCH — the shared epoch-stamped, direction-optimizing bidirectional
-//      BFS (ftcs/search.hpp) runs on the worker's PRIVATE scratch, reading
-//      the shared busy bitset with RELAXED loads: a dirty snapshot,
-//      deliberately unvalidated. No idle path → rejected_no_path.
+//   2. SEARCH — the shared reach-guided depth-first search
+//      (ftcs/search.hpp) runs on the worker's PRIVATE scratch, guided by the
+//      router's one ReachIndex (built at construction and on grow(), read-
+//      only and shared by every worker) and reading the shared busy bitset
+//      with RELAXED loads: a dirty snapshot, deliberately unvalidated. No
+//      idle path → rejected_no_path.
 //   3. CLAIM — the settled path's vertices are claimed one-by-one with
 //      word-level CAS (AtomicBitset::try_set, acq_rel) in CANONICAL order
 //      (ascending vertex id). Canonical order makes two overlapping claims
@@ -40,12 +42,12 @@
 //   - path_next_[v] is plain (non-atomic) data OWNED by whoever holds busy
 //     bit v: written only between a successful try_set(v) and the matching
 //     reset(v). disconnect() reads the successor BEFORE releasing the bit.
-//   - BFS busy reads are relaxed; every positive routing decision is
+//   - search busy reads are relaxed; every positive routing decision is
 //     re-validated by the claim CAS, so stale reads cost retries, not
 //     correctness.
 //
 // Liveness overlay (runtime fault plane): dead_edges_ is an AtomicBitset the
-// BFS consults alongside the busy state (relaxed loads — the same dirty-
+// search consults alongside the busy state (relaxed loads — the same dirty-
 // snapshot discipline as busy reads). fail_edge()/repair_edge() MAY race
 // in-flight connects: after a worker claims a settled path it RE-VALIDATES
 // every hop against the overlay with acquire loads, releasing the claim and
@@ -62,12 +64,12 @@
 // down first — the same contract as Exchange::drain().
 //
 // CLOSED failures (stuck-on switches, §2 contraction): contracted_edges_ is
-// a second AtomicBitset under the same dirty-snapshot discipline — the BFS
-// reads it relaxed and treats a contracted switch as a zero-cost hop that
+// a second AtomicBitset under the same dirty-snapshot discipline — the
+// search reads it relaxed and treats a contracted switch as a hop that
 // conducts in BOTH directions (see ftcs/search.hpp). contract_edge()/
 // uncontract_edge() may race in-flight connects exactly like fail_edge():
-// a stuck flip observed mid-search costs at most a suboptimal-but-valid
-// path (the hop is conducting either way), and the post-claim re-validation
+// a stuck flip observed mid-search changes at most which valid path is
+// found (the hop is conducting either way), and the post-claim re-validation
 // accepts a hop carried by a live parallel switch OR by a contracted one in
 // either direction. The one genuine hazard is stuck -> repaired: a settled
 // path that crossed the weld AGAINST the edge direction is electrically
@@ -222,9 +224,8 @@ class ConcurrentRouter {
   /// Clears a runtime switch failure (statically blocked edges stay
   /// blocked). Safe under the same racing contract as fail_edge().
   void repair_edge(graph::EdgeId e);
-  /// Marks switch `e` stuck on (closed failure): the search crosses it as
-  /// a zero-cost forced hop in both directions instead of claiming it as a
-  /// switching element. Safe while connects are in flight (atomic flip +
+  /// Marks switch `e` stuck on (closed failure): the search may cross it in
+  /// both directions. Safe while connects are in flight (atomic flip +
   /// claim-phase re-validation). Idempotent.
   void contract_edge(graph::EdgeId e);
   /// Clears a stuck-on state. Calls that crossed the weld against the edge
@@ -290,7 +291,7 @@ class ConcurrentRouter {
   util::AtomicBitset dead_edges_;
   // Stuck-on switches (closed failures): read relaxed by searches alongside
   // dead_edges_, gated by its own sticky flag so open-failure-only runs do
-  // not pay the reverse-conduction scans in the shared BFS.
+  // not pay the reverse-conduction scans in the shared search.
   util::AtomicBitset contracted_edges_;
   std::atomic<bool> overlay_active_{false};
   std::atomic<bool> contraction_active_{false};
@@ -300,6 +301,7 @@ class ConcurrentRouter {
   // Shared successor array threading every active path; entry v is owned by
   // the holder of busy bit v (see the memory-ordering contract above).
   std::vector<graph::VertexId> path_next_;
+  ReachIndex reach_;  // search guide, read-only and shared by every worker
   std::deque<Worker> workers_;  // deque: stable addresses for worker(w) refs
 };
 

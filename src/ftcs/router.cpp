@@ -7,7 +7,7 @@ namespace ftcs::core {
 GreedyRouter::GreedyRouter(const graph::Network& net,
                            std::vector<std::uint8_t> blocked,
                            std::vector<std::uint8_t> blocked_edges)
-    : net_(&net) {
+    : net_(&net), reach_(net) {
   const std::size_t v_count = net.g.vertex_count();
   blocked_.resize(v_count);
   if (!blocked.empty()) blocked_.assign_bytes(blocked.data(), blocked.size());
@@ -77,7 +77,9 @@ void GreedyRouter::grow(const graph::Network& net,
   in_busy_.resize(net.inputs.size(), 0);
   out_busy_.resize(net.outputs.size(), 0);
 
-  // Re-establish the allocation-free reserves at the grown bounds.
+  // Re-index the grown network; re-establish the allocation-free reserves
+  // at the grown bounds.
+  reach_ = ReachIndex(net);
   scratch_.init(v_count);
   const std::size_t max_calls =
       std::min(net.inputs.size(), net.outputs.size()) + 1;
@@ -103,7 +105,7 @@ void GreedyRouter::fail_edge(graph::EdgeId e) {
   ensure_overlay();
   if (dead_edges_.test(e)) return;
   dead_edges_.set(e);
-  blocked_edges_.set(e);  // folded into the hot-path mask the BFS reads
+  blocked_edges_.set(e);  // folded into the hot-path mask the search reads
 }
 
 void GreedyRouter::repair_edge(graph::EdgeId e) {
@@ -115,8 +117,8 @@ void GreedyRouter::repair_edge(graph::EdgeId e) {
 void GreedyRouter::contract_edge(graph::EdgeId e) {
   ensure_overlay();
   if (contracted_edges_.test(e)) return;
-  // The blocked mask wins: the BFS tests edge_blocked before the contracted
-  // predicate, so contracting a dead or statically blocked switch changes
+  // The blocked mask wins: the search never crosses a blocked switch, welded
+  // or not, so contracting a dead or statically blocked switch changes
   // nothing until it is repaired/never.
   contracted_edges_.set(e);
   ++contracted_count_;
@@ -133,8 +135,8 @@ void GreedyRouter::kill_vertex(graph::VertexId v) {
   if (dead_.test(v)) return;
   dead_.set(v);
   // A dead vertex holds its own busy bit, exactly like a statically blocked
-  // one — the BFS then avoids it with zero extra hot-path state. If the bit
-  // is already set the vertex was statically blocked (an active call is
+  // one — the search then avoids it with zero extra hot-path state. If the
+  // bit is already set the vertex was statically blocked (an active call is
   // excluded by precondition), and the claim is not ours to release.
   if (!busy_.test(v)) {
     busy_.set(v);
@@ -160,13 +162,13 @@ bool GreedyRouter::output_idle(std::uint32_t out) const {
 }
 
 graph::VertexId GreedyRouter::search_one(graph::VertexId src,
-                                         graph::VertexId dst) {
-  // Shared level-synchronized bidirectional BFS (ftcs/search.hpp); the busy
-  // test is a plain bitset read — this router is the sole owner of busy_.
+                                         std::uint32_t out) {
+  // Shared reach-guided depth-first search (ftcs/search.hpp); the busy test
+  // is a plain bitset read — this router is the sole owner of busy_.
   const bool edge_faults = !blocked_edges_.empty();
   // Gated on OUTSTANDING welds (not the bitset's size — ensure_overlay
   // allocates it for any fault event): with none, the search instantiates
-  // the exact pre-contraction hot path.
+  // the contraction-free hot path.
   const bool contraction = contracted_count_ > 0;
   const auto is_busy = [this](graph::VertexId v) { return busy_.test(v); };
   const auto edge_blocked = [this, edge_faults](graph::EdgeId e) {
@@ -175,14 +177,10 @@ graph::VertexId GreedyRouter::search_one(graph::VertexId src,
   const auto edge_contracted = [this](graph::EdgeId e) {
     return contracted_edges_.test(e);
   };
-  detail::DirStats dir;
-  const graph::VertexId meet = detail::bidir_shortest_idle_path(
-      net_->g, src, dst, scratch_, stats_.vertices_visited, dir, is_busy,
-      edge_blocked, edge_contracted, contraction);
-  stats_.bottom_up_levels += dir.bottom_up_levels;
-  stats_.visits_forward += dir.visits_forward;
-  stats_.visits_backward += dir.visits_backward;
-  return meet;
+  return detail::find_idle_path(net_->g, reach_.probe(out), src,
+                                net_->outputs[out], scratch_,
+                                stats_.vertices_visited, is_busy, edge_blocked,
+                                edge_contracted, contraction);
 }
 
 GreedyRouter::CallId GreedyRouter::connect(std::uint32_t in, std::uint32_t out) {
@@ -201,32 +199,22 @@ GreedyRouter::CallId GreedyRouter::connect(std::uint32_t in, std::uint32_t out) 
     ++stats_.rejected_no_path;
     return kNoCall;
   }
-  const graph::VertexId best_meet = search_one(src, dst);
-  if (best_meet == graph::kNoVertex) {
+  if (search_one(src, out) == graph::kNoVertex) {
     ++stats_.rejected_no_path;
     return kNoCall;
   }
 
-  // Settle: thread the path through the successor array and mark it busy.
-  // Forward half: src .. best_meet via parent_f.
+  // Settle: thread the path dst..src (parent_f) through the successor array
+  // and mark it busy.
   std::uint32_t length = 0;
   graph::VertexId next = graph::kNoVertex;
-  for (graph::VertexId v = best_meet; v != graph::kNoVertex;
+  for (graph::VertexId v = dst; v != graph::kNoVertex;
        v = scratch_.parent_f[v]) {
     path_next_[v] = next;
     busy_.set(v);
     next = v;
     ++length;
   }
-  // Backward half: best_meet .. dst via parent_b.
-  for (graph::VertexId v = best_meet; v != dst;) {
-    const graph::VertexId w = scratch_.parent_b[v];
-    path_next_[v] = w;
-    busy_.set(w);
-    v = w;
-    ++length;
-  }
-  path_next_[dst] = graph::kNoVertex;
   busy_count_ += length;
   in_busy_[in] = 1;
   out_busy_[out] = 1;
@@ -249,8 +237,8 @@ GreedyRouter::CallId GreedyRouter::connect(std::uint32_t in, std::uint32_t out) 
 void GreedyRouter::disconnect(CallId call) {
   Call& c = calls_[call];
   ++stats_.disconnects;
-  // Path vertices are never statically blocked (BFS cannot enter them), so
-  // freeing is a plain bit reset.
+  // Path vertices are never statically blocked (the search cannot enter
+  // them), so freeing is a plain bit reset.
   for (graph::VertexId v = c.head; v != graph::kNoVertex;) {
     const graph::VertexId nxt = path_next_[v];
     busy_.reset(v);

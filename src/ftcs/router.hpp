@@ -4,22 +4,21 @@
 //
 // The router owns the busy-state of a network (plus a static blocked mask
 // for faulty vertices) and serves connect/disconnect requests. connect()
-// finds a shortest idle path by BFS; on a strictly nonblocking (surviving)
-// network this never fails for a request between idle terminals.
+// settles the first idle path a depth-first search finds; on a strictly
+// nonblocking (surviving) network this never fails for a request between
+// idle terminals. The path is shortest wherever every input->output path
+// has the same length (Cantor, crossbar, the §6 FT network), not in general.
 //
 // Hot-path design: connect() performs NO heap allocation after construction.
-//   - the search is a level-synchronized BIDIRECTIONAL BFS (forward along
-//     out-edges from the input, backward along in-edges from the output,
-//     always expanding the smaller frontier) — still returns a shortest idle
-//     path, but explores O(f^(d/2)) instead of O(f^d) vertices on the
-//     layered networks of §6, and detects "no idle path" as soon as either
-//     frontier dies. A level whose frontier outgrows the unvisited set is
-//     expanded by a bottom-up sweep instead (direction optimization, see
-//     ftcs/search.hpp);
+//   - the search is an iterative depth-first search guided by a static
+//     ReachIndex (ftcs/reach_index.hpp): with no weld it only enters
+//     vertices that can still reach the requested output, so on the
+//     layered networks of §6 it stamps little more than the path it
+//     returns (see ftcs/search.hpp);
 //   - visited state is epoch-stamped (one bulk clear per 2^32 calls instead
-//     of one per call) with parent arrays per direction for path recovery;
-//   - frontiers are preallocated ring buffers of vertex_count slots (each
-//     vertex enters a queue at most once per search);
+//     of one per call) with a parent array for path recovery;
+//   - the search stack is preallocated at vertex_count frames (each vertex
+//     is pushed at most once per search);
 //   - busy / blocked vertex and edge state live in packed bitsets
 //     (util::Bitset), 64 vertices per cache word;
 //   - settled paths are threaded through a per-vertex successor array
@@ -41,6 +40,7 @@
 #include <span>
 #include <vector>
 
+#include "ftcs/reach_index.hpp"
 #include "ftcs/search.hpp"
 #include "graph/digraph.hpp"
 #include "util/bitset.hpp"
@@ -54,9 +54,9 @@ struct RouterStats {
   std::uint64_t connect_calls = 0;     // connect() invocations
   std::uint64_t accepted = 0;          // calls that settled a path
   std::uint64_t rejected_terminal = 0; // busy/blocked endpoint, no search run
-  std::uint64_t rejected_no_path = 0;  // BFS exhausted without reaching dst
+  std::uint64_t rejected_no_path = 0;  // search exhausted without reaching dst
   std::uint64_t disconnects = 0;
-  std::uint64_t vertices_visited = 0;  // BFS visits across all searches
+  std::uint64_t vertices_visited = 0;  // vertices stamped across all searches
   std::uint64_t path_vertices = 0;     // total length of settled paths
   // Concurrent-engine counters (always 0 for GreedyRouter):
   std::uint64_t claim_conflicts = 0;      // CAS lost a vertex to another worker
@@ -69,13 +69,10 @@ struct RouterStats {
   // (batched windows route per request). Kept because the exchange
   // benchmark still reports it.
   std::uint64_t wave_epochs = 0;
-  // Direction-optimizing counters (attribute the machinery's wins directly
-  // instead of inferring them from visit totals):
-  std::uint64_t bottom_up_levels = 0; // BFS levels expanded by bottom-up sweep
-  std::uint64_t visits_forward = 0;   // stamps by the forward frontier
-  std::uint64_t visits_backward = 0;  // stamps by the backward frontier
-                                      // (forward + backward always equals
-                                      // vertices_visited)
+  // RETIRED, always 0: the bottom-up BFS sweep it counted is gone (calls
+  // route by depth-first search). Kept because the exchange benchmark
+  // still reports it.
+  std::uint64_t bottom_up_levels = 0;
 
   RouterStats& operator+=(const RouterStats& o) noexcept {
     connect_calls += o.connect_calls;
@@ -89,9 +86,6 @@ struct RouterStats {
     search_retries += o.search_retries;
     rejected_contention += o.rejected_contention;
     overlay_conflicts += o.overlay_conflicts;
-    bottom_up_levels += o.bottom_up_levels;
-    visits_forward += o.visits_forward;
-    visits_backward += o.visits_backward;
     return *this;
   }
 
@@ -108,9 +102,6 @@ struct RouterStats {
     search_retries -= o.search_retries;
     rejected_contention -= o.rejected_contention;
     overlay_conflicts -= o.overlay_conflicts;
-    bottom_up_levels -= o.bottom_up_levels;
-    visits_forward -= o.visits_forward;
-    visits_backward -= o.visits_backward;
     return *this;
   }
 };
@@ -183,9 +174,9 @@ class GreedyRouter {
   /// blocked. Idempotent.
   void repair_edge(graph::EdgeId e);
   /// Marks switch `e` STUCK ON (closed failure, §2): the contact is welded
-  /// conducting, so the search crosses it as a zero-cost forced hop — in
-  /// both directions — instead of claiming it as a switching element. The
-  /// runtime analogue of contraction; the CSR graph is never mutated.
+  /// conducting, so the search may cross it in BOTH directions (and stops
+  /// pruning by the reach index while any weld exists). The runtime
+  /// analogue of contraction; the CSR graph is never mutated.
   /// Occupancy still applies to the hop's endpoints (the merged electrical
   /// node carries at most one call). An open-failed or statically blocked
   /// switch cannot be contracted into service: the blocked mask wins.
@@ -236,9 +227,10 @@ class GreedyRouter {
 
   /// Sizes the overlay bitsets on the first fault event (off the hot path).
   void ensure_overlay();
-  /// Runs the single-pair search and merges its DirStats.
+  /// Runs the single-pair search from `src` to output `out`; returns the
+  /// output's vertex, or kNoVertex when no idle path exists.
   [[nodiscard]] graph::VertexId search_one(graph::VertexId src,
-                                           graph::VertexId dst);
+                                           std::uint32_t out);
 
   const graph::Network* net_;
   util::Bitset blocked_;        // static vertex faults
@@ -249,14 +241,15 @@ class GreedyRouter {
   util::Bitset fault_claimed_;  // dead vertices whose busy bit WE set (vs
                                 // vertices that were already statically busy)
   util::Bitset dead_edges_;     // runtime switch failures (repairable)
-  util::Bitset contracted_edges_;  // stuck-on switches: free forced hops
+  util::Bitset contracted_edges_;  // stuck-on switches: two-way hops
   std::size_t contracted_count_ = 0;  // outstanding welds: gates the
                                       // contraction search variant
   util::Bitset static_edges_;   // construction-time mask, guards repair_edge
   std::vector<std::uint8_t> in_busy_, out_busy_;
 
-  // Bidirectional BFS scratch, sized to vertex_count at construction
-  // (shared search implementation: ftcs/search.hpp).
+  // Search guide and scratch, built for the network at construction and
+  // again on grow() (shared search implementation: ftcs/search.hpp).
+  ReachIndex reach_;
   detail::SearchScratch scratch_;
 
   // Active-path storage: path_next_[v] = successor of v on its call's path.

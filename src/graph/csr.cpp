@@ -1,8 +1,6 @@
 #include "graph/csr.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <numeric>
 
 #include "graph/delta.hpp"
 #include "graph/digraph.hpp"
@@ -11,39 +9,37 @@ namespace ftcs::graph {
 
 CsrGraph::CsrGraph(const GraphBuilder& b) {
   vertex_count_ = b.vertex_count();
-  const std::size_t e = b.edge_count();
+  const auto edges = b.edges();
+  const std::size_t e = edges.size();
+  edges_.assign(edges.begin(), edges.end());
 
-  edges_.reserve(e);
-  for (EdgeId id = 0; id < e; ++id) edges_.push_back(b.edge(id));
-
+  // Counting sort of the edge list by endpoint, stable by edge id: count
+  // degrees, prefix-sum them into offsets, then place every edge in id
+  // order, so each incidence list comes out in insertion order.
   out_offsets_.assign(vertex_count_ + 1, 0);
   in_offsets_.assign(vertex_count_ + 1, 0);
+  for (const Edge& ed : edges) {
+    ++out_offsets_[ed.from + 1];
+    ++in_offsets_[ed.to + 1];
+  }
+  for (std::size_t v = 0; v < vertex_count_; ++v) {
+    out_offsets_[v + 1] += out_offsets_[v];
+    in_offsets_[v + 1] += in_offsets_[v];
+  }
   out_edge_ids_.resize(e);
   in_edge_ids_.resize(e);
   out_targets_.resize(e);
   in_sources_.resize(e);
-
-  for (VertexId v = 0; v < vertex_count_; ++v) {
-    out_offsets_[v + 1] =
-        out_offsets_[v] + static_cast<std::uint32_t>(b.out_degree(v));
-    in_offsets_[v + 1] =
-        in_offsets_[v] + static_cast<std::uint32_t>(b.in_degree(v));
-    max_out_degree_ = std::max(max_out_degree_, b.out_degree(v));
-    max_in_degree_ = std::max(max_in_degree_, b.in_degree(v));
-  }
-  for (VertexId v = 0; v < vertex_count_; ++v) {
-    std::uint32_t o = out_offsets_[v];
-    for (EdgeId id : b.out_edges(v)) {
-      out_edge_ids_[o] = id;
-      out_targets_[o] = edges_[id].to;
-      ++o;
-    }
-    std::uint32_t i = in_offsets_[v];
-    for (EdgeId id : b.in_edges(v)) {
-      in_edge_ids_[i] = id;
-      in_sources_[i] = edges_[id].from;
-      ++i;
-    }
+  std::vector<std::uint32_t> out_cur(out_offsets_.begin(), out_offsets_.end() - 1);
+  std::vector<std::uint32_t> in_cur(in_offsets_.begin(), in_offsets_.end() - 1);
+  for (EdgeId id = 0; id < e; ++id) {
+    const Edge& ed = edges[id];
+    const std::uint32_t o = out_cur[ed.from]++;
+    out_edge_ids_[o] = id;
+    out_targets_[o] = ed.to;
+    const std::uint32_t i = in_cur[ed.to]++;
+    in_edge_ids_[i] = id;
+    in_sources_[i] = ed.from;
   }
 }
 
@@ -76,8 +72,6 @@ CsrGraph::CsrGraph(const CsrGraph& base, const CsrDelta& delta) {
         out_offsets_[v] + static_cast<std::uint32_t>(base_out + add_out[v]);
     in_offsets_[v + 1] =
         in_offsets_[v] + static_cast<std::uint32_t>(base_in + add_in[v]);
-    max_out_degree_ = std::max(max_out_degree_, base_out + add_out[v]);
-    max_in_degree_ = std::max(max_in_degree_, base_in + add_in[v]);
   }
 
   out_edge_ids_.resize(e);

@@ -4,9 +4,9 @@
 // Both adjacency directions are stored as flat offset/edge-id arrays, with
 // edge endpoints duplicated alongside the edge ids (out_targets / in_sources)
 // so traversals touch one contiguous array instead of chasing through the
-// edge table. Edge ids and per-vertex incidence order are exactly those of
-// the builder, so finalizing preserves iteration order — and therefore the
-// deterministic behaviour of every BFS tie-break — bit for bit.
+// edge table. Edge ids are exactly those of the builder and every incidence
+// list runs in ascending edge-id (insertion) order, so finalizing fixes the
+// iteration order — and therefore every search tie-break — bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -37,12 +37,12 @@ class CsrGraph {
 
   [[nodiscard]] const Edge& edge(EdgeId e) const noexcept { return edges_[e]; }
 
-  /// Out-edge ids of v, in builder insertion order.
+  /// Out-edge ids of v, in ascending id (builder insertion) order.
   [[nodiscard]] std::span<const EdgeId> out_edges(VertexId v) const noexcept {
     return {out_edge_ids_.data() + out_offsets_[v],
             out_edge_ids_.data() + out_offsets_[v + 1]};
   }
-  /// In-edge ids of v, in builder insertion order.
+  /// In-edge ids of v, in ascending id (builder insertion) order.
   [[nodiscard]] std::span<const EdgeId> in_edges(VertexId v) const noexcept {
     return {in_edge_ids_.data() + in_offsets_[v],
             in_edge_ids_.data() + in_offsets_[v + 1]};
@@ -71,13 +71,6 @@ class CsrGraph {
     return out_degree(v) + in_degree(v);
   }
 
-  /// Largest single-vertex degree per direction, fixed at finalize time.
-  /// `frontier_size * max_degree` bounds a frontier's edge count from
-  /// above, so the direction-optimizing search can screen its bottom-up
-  /// test without summing degrees on every level.
-  [[nodiscard]] std::size_t max_out_degree() const noexcept { return max_out_degree_; }
-  [[nodiscard]] std::size_t max_in_degree() const noexcept { return max_in_degree_; }
-
  private:
   std::size_t vertex_count_ = 0;
   std::vector<Edge> edges_;                          // dense, builder order
@@ -85,7 +78,6 @@ class CsrGraph {
   std::vector<std::uint32_t> in_offsets_;            // size V+1
   std::vector<EdgeId> out_edge_ids_, in_edge_ids_;   // size E each
   std::vector<VertexId> out_targets_, in_sources_;   // size E, id-aligned
-  std::size_t max_out_degree_ = 0, max_in_degree_ = 0;
 };
 
 }  // namespace ftcs::graph

@@ -4,27 +4,6 @@
 
 namespace ftcs::graph {
 
-VertexId GraphBuilder::add_vertices(std::size_t count) {
-  const auto first = static_cast<VertexId>(out_.size());
-  out_.resize(out_.size() + count);
-  in_.resize(in_.size() + count);
-  return first;
-}
-
-EdgeId GraphBuilder::add_edge(VertexId from, VertexId to) {
-  const auto id = static_cast<EdgeId>(edges_.size());
-  edges_.push_back({from, to});
-  out_[from].push_back(id);
-  in_[to].push_back(id);
-  return id;
-}
-
-void GraphBuilder::reserve(std::size_t vertices, std::size_t edges) {
-  out_.reserve(vertices);
-  in_.reserve(vertices);
-  edges_.reserve(edges);
-}
-
 Network NetworkBuilder::finalize() const {
   return Network{g.finalize(), inputs, outputs, stage, name};
 }

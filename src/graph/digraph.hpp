@@ -10,6 +10,7 @@
 // (graph + terminal lists + stage labels).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -22,51 +23,45 @@
 
 namespace ftcs::graph {
 
-/// Mutable directed multigraph with O(1) edge insertion and per-vertex
-/// incidence lists in both directions. Vertex/edge ids are dense and stable;
-/// finalize() preserves them (and incidence order) in the CSR output.
+/// Mutable directed multigraph under construction: an edge list plus a
+/// vertex count, with O(1) edge insertion. Vertex/edge ids are dense and
+/// stable; finalize() preserves them in the CSR output, with every vertex's
+/// incidence lists in ascending edge-id (insertion) order.
 class GraphBuilder {
  public:
   GraphBuilder() = default;
   explicit GraphBuilder(std::size_t vertex_count) { add_vertices(vertex_count); }
 
-  VertexId add_vertex() {
-    out_.emplace_back();
-    in_.emplace_back();
-    return static_cast<VertexId>(out_.size() - 1);
-  }
+  VertexId add_vertex() { return static_cast<VertexId>(vertex_count_++); }
 
   /// Adds `count` vertices, returns the id of the first.
-  VertexId add_vertices(std::size_t count);
+  VertexId add_vertices(std::size_t count) {
+    const auto first = static_cast<VertexId>(vertex_count_);
+    vertex_count_ += count;
+    return first;
+  }
 
-  EdgeId add_edge(VertexId from, VertexId to);
+  EdgeId add_edge(VertexId from, VertexId to) {
+    assert(from < vertex_count_ && to < vertex_count_);
+    edges_.push_back({from, to});
+    return static_cast<EdgeId>(edges_.size() - 1);
+  }
 
-  [[nodiscard]] std::size_t vertex_count() const noexcept { return out_.size(); }
+  [[nodiscard]] std::size_t vertex_count() const noexcept { return vertex_count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
 
   [[nodiscard]] const Edge& edge(EdgeId e) const noexcept { return edges_[e]; }
-  [[nodiscard]] std::span<const EdgeId> out_edges(VertexId v) const noexcept {
-    return out_[v];
-  }
-  [[nodiscard]] std::span<const EdgeId> in_edges(VertexId v) const noexcept {
-    return in_[v];
-  }
-  [[nodiscard]] std::size_t out_degree(VertexId v) const noexcept { return out_[v].size(); }
-  [[nodiscard]] std::size_t in_degree(VertexId v) const noexcept { return in_[v].size(); }
-  [[nodiscard]] std::size_t degree(VertexId v) const noexcept {
-    return out_[v].size() + in_[v].size();
-  }
+  [[nodiscard]] std::span<const Edge> edges() const noexcept { return edges_; }
 
-  void reserve(std::size_t vertices, std::size_t edges);
+  void reserve(std::size_t edges) { edges_.reserve(edges); }
 
   /// Packs the current state into an immutable CSR graph. The builder stays
   /// valid (construction may continue, e.g. to finalize snapshots in tests).
   [[nodiscard]] CsrGraph finalize() const { return CsrGraph(*this); }
 
  private:
+  std::size_t vertex_count_ = 0;
   std::vector<Edge> edges_;
-  std::vector<std::vector<EdgeId>> out_;
-  std::vector<std::vector<EdgeId>> in_;
 };
 
 /// A finalized circuit-switching network: an immutable CSR graph plus

@@ -80,7 +80,7 @@ Network read_network(std::istream& is) {
   if (token != "edges") fail("expected 'edges'");
   std::size_t edges = 0;
   if (!(is >> edges)) fail("bad edge count");
-  net.g.reserve(vertices, edges);
+  net.g.reserve(edges);
   for (std::size_t e = 0; e < edges; ++e) {
     VertexId from = 0, to = 0;
     if (!(is >> from >> to)) fail("truncated edge list");

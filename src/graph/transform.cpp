@@ -9,7 +9,7 @@ namespace ftcs::graph {
 Network mirror(const Network& net) {
   NetworkBuilder m;
   m.name = net.name + "-mirror";
-  m.g.reserve(net.g.vertex_count(), net.g.edge_count());
+  m.g.reserve(net.g.edge_count());
   m.g.add_vertices(net.g.vertex_count());
   for (EdgeId e = 0; e < net.g.edge_count(); ++e) {
     const auto& ed = net.g.edge(e);
@@ -40,8 +40,7 @@ Network substitute_edges(const Network& base, const Network& gadget) {
 
   NetworkBuilder out;
   out.name = base.name + "*" + gadget.name;
-  out.g.reserve(base.g.vertex_count() + base.g.edge_count() * internal,
-                base.g.edge_count() * gadget.g.edge_count());
+  out.g.reserve(base.g.edge_count() * gadget.g.edge_count());
   out.g.add_vertices(base.g.vertex_count());
   out.inputs = base.inputs;
   out.outputs = base.outputs;

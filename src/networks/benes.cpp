@@ -11,8 +11,7 @@ Benes::Benes(std::uint32_t k) : k_(k) {
   const std::uint32_t stages = 2 * k + 1;
   graph::NetworkBuilder b;
   b.name = "benes-" + std::to_string(n);
-  b.g.reserve(static_cast<std::size_t>(stages) * n,
-                 static_cast<std::size_t>(2 * k) * 2 * n);
+  b.g.reserve(static_cast<std::size_t>(2 * k) * 2 * n);
   b.g.add_vertices(static_cast<std::size_t>(stages) * n);
   b.stage.resize(b.g.vertex_count());
   for (std::uint32_t s = 0; s < stages; ++s)

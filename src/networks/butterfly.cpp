@@ -10,7 +10,7 @@ graph::Network build_butterfly(std::uint32_t k) {
   graph::NetworkBuilder net;
   net.name = "butterfly-" + std::to_string(n);
   auto vertex = [n](std::uint32_t s, std::uint32_t i) { return s * n + i; };
-  net.g.reserve(static_cast<std::size_t>(k + 1) * n, static_cast<std::size_t>(k) * 2 * n);
+  net.g.reserve(static_cast<std::size_t>(k) * 2 * n);
   net.g.add_vertices(static_cast<std::size_t>(k + 1) * n);
   net.stage.resize(net.g.vertex_count());
   for (std::uint32_t s = 0; s <= k; ++s)

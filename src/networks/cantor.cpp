@@ -18,8 +18,7 @@ graph::Network build_cantor(const CantorParams& params) {
 
   graph::NetworkBuilder net;
   net.name = "cantor-" + std::to_string(n) + "-m" + std::to_string(m);
-  net.g.reserve(2ul * n + m * plane_vertices,
-                2ul * n * m + m * pg.g.edge_count());
+  net.g.reserve(2ul * n * m + m * pg.g.edge_count());
   // Layout: [inputs n][outputs n][m Benes copies].
   net.g.add_vertices(2ul * n);
   net.stage.assign(2ul * n, 0);

@@ -14,7 +14,7 @@ graph::Network build_clos(const ClosParams& p) {
   const graph::VertexId l0 = n;
   const graph::VertexId r0 = l0 + p.r * p.m;
   const graph::VertexId output0 = r0 + p.m * p.r;
-  net.g.reserve(output0 + n, p.size());
+  net.g.reserve(p.size());
   net.g.add_vertices(output0 + n);
   net.stage.assign(net.g.vertex_count(), 0);
 

@@ -5,7 +5,7 @@ namespace ftcs::networks {
 graph::Network build_crossbar(std::uint32_t n) {
   graph::NetworkBuilder net;
   net.name = "crossbar-" + std::to_string(n);
-  net.g.reserve(2ul * n, static_cast<std::size_t>(n) * n);
+  net.g.reserve(static_cast<std::size_t>(n) * n);
   net.g.add_vertices(2ul * n);
   net.inputs.resize(n);
   net.outputs.resize(n);

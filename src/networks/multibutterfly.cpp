@@ -16,8 +16,7 @@ graph::Network build_multibutterfly(const MultibutterflyParams& p) {
   graph::NetworkBuilder net;
   net.name = "multibutterfly-" + std::to_string(n) + "-d" + std::to_string(p.degree);
   auto vertex = [n](std::uint32_t s, std::uint32_t i) { return s * n + i; };
-  net.g.reserve(static_cast<std::size_t>(p.k + 1) * n,
-                static_cast<std::size_t>(p.k) * 2 * p.degree * n);
+  net.g.reserve(static_cast<std::size_t>(p.k) * 2 * p.degree * n);
   net.g.add_vertices(static_cast<std::size_t>(p.k + 1) * n);
   net.stage.resize(net.g.vertex_count());
   for (std::uint32_t s = 0; s <= p.k; ++s)

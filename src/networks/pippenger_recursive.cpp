@@ -88,8 +88,7 @@ RecursiveCore build_recursive_core(const RecursiveCoreParams& params) {
   const std::size_t width = params.stage_width();
   const std::size_t stages = params.stage_count();
   core.net.name = "recursive-core";
-  core.net.g.reserve(width * stages,
-                     2ul * params.levels * width * params.degree);
+  core.net.g.reserve(2ul * params.levels * width * params.degree);
   core.net.g.add_vertices(width * stages);
   core.net.stage.resize(width * stages);
   for (std::uint32_t s = 0; s < stages; ++s)

@@ -16,7 +16,7 @@ namespace {
 graph::NetworkBuilder grid_builder(const GridSpec& spec) {
   graph::NetworkBuilder net;
   net.name = "grid-" + std::to_string(spec.rows) + "x" + std::to_string(spec.stages);
-  net.g.reserve(spec.vertex_count(), grid_edge_count(spec));
+  net.g.reserve(grid_edge_count(spec));
   net.g.add_vertices(spec.vertex_count());
   net.stage.resize(spec.vertex_count());
   for (std::uint32_t j = 0; j < spec.stages; ++j)

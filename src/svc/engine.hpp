@@ -67,8 +67,8 @@ class Engine {
   // session, like drain()).
   virtual void fail_edge(graph::EdgeId e) = 0;
   virtual void repair_edge(graph::EdgeId e) = 0;
-  /// Stuck-on (closed failure): the switch becomes a zero-cost forced hop
-  /// conducting both ways; uncontract restores it to a normal switch.
+  /// Stuck-on (closed failure): the switch becomes a weld conducting both
+  /// ways; uncontract restores it to a normal switch.
   virtual void contract_edge(graph::EdgeId e) = 0;
   virtual void uncontract_edge(graph::EdgeId e) = 0;
   virtual void kill_vertex(graph::VertexId v) = 0;

@@ -525,11 +525,11 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
 
   if (ev.kind == fault::FaultEvent::Kind::kStuckOn) {
     // Closed failure: the contact welds CONDUCTING. No call dies — a path
-    // over the switch is still carried, its hop merely becomes free — and
-    // no vertex dies (§6 death is about unusable switches; this one
-    // conducts, both ways). Only the feasibility bookkeeping moves: the
-    // switch is down until repaired, and the engines route through it as a
-    // zero-cost forced hop (runtime contraction).
+    // over the switch is still carried by the weld — and no vertex dies
+    // (§6 death is about unusable switches; this one conducts, both ways).
+    // Only the feasibility bookkeeping moves: the switch is down until
+    // repaired, and the engines route across it in both directions
+    // (runtime contraction).
     stuck_switches_.set(ev.edge);
     ++failed_switch_count_;
     ++stuck_switch_count_;

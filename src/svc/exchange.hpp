@@ -327,10 +327,9 @@ class Exchange {
   //     (typed kFaulted outcomes), then immediately re-admits the victims'
   //     original requests through the batched plane (anything already
   //     queued rides along in those epochs).
-  //   - kStuckOn (closed): the switch welds conducting — the engines treat
-  //     it as a zero-cost forced hop (runtime contraction). NO call dies
-  //     (a path over the weld is still carried; the hop merely becomes
-  //     free) and NO vertex dies (§6 death is about unusable switches; this
+  //   - kStuckOn (closed): the switch welds conducting — the engines route
+  //     across it in both directions (runtime contraction). NO call dies
+  //     (a path over the weld is still carried) and NO vertex dies (§6 death is about unusable switches; this
   //     one conducts). Only the feasibility bookkeeping moves: the switch
   //     counts as down until repaired.
   // repair() reverses either failure. Repairing an OPEN switch revives a

@@ -67,10 +67,9 @@ graph::Network build_line_with_spur() {
   return nb.finalize();
 }
 
-/// Two arms between the terminals: a short one (3 switches) and a long one
-/// (4 switches). Contracting two of the long arm's switches makes it the
-/// cheaper route (cost 2 < 3), so the stuck-on free-hop accounting is
-/// observable in which path settles.
+/// Two arms between the terminals: a short one (3 switches, tried first)
+/// and a long one (4 switches). With the short arm failed and two of the
+/// long arm's switches welded, the call must settle across the welds.
 graph::Network build_two_arm_net() {
   graph::NetworkBuilder nb;
   const auto in = nb.g.add_vertex();   // 0
@@ -206,7 +205,7 @@ TEST(ConcurrentOverlay, FailRepairAndKillReviveMirrorGreedy) {
 
 // ---------------------------------------- stuck-on (contracted) switches
 
-TEST(StuckOverlay, ContractedSwitchesMakeTheLongArmCheaper) {
+TEST(StuckOverlay, ContractedSwitchesCarryTheLongArm) {
   const auto net = build_two_arm_net();
   core::GreedyRouter greedy(net);
   core::ConcurrentRouter concurrent(net, 1);
@@ -214,7 +213,7 @@ TEST(StuckOverlay, ContractedSwitchesMakeTheLongArmCheaper) {
   const std::vector<graph::VertexId> short_arm{0, 1, 2, 6};
   const std::vector<graph::VertexId> long_arm{0, 3, 4, 5, 6};
 
-  // Baseline: the 3-switch arm wins.
+  // Baseline: the search takes the first arm it tries, the short one.
   auto gc = greedy.connect(0, 0);
   ASSERT_NE(gc, core::GreedyRouter::kNoCall);
   EXPECT_EQ(greedy.path_of(gc), short_arm);
@@ -224,8 +223,11 @@ TEST(StuckOverlay, ContractedSwitchesMakeTheLongArmCheaper) {
   EXPECT_EQ(w.path_of(cc), short_arm);
   w.disconnect(cc);
 
-  // Weld two of the long arm's switches: its cost drops to 2 and it wins.
-  // The welded hops are FREE but still claimed (one call per junction).
+  // Fail the short arm and weld two of the long arm's switches: the call
+  // must cross the welds. The welded hops conduct without switching, but
+  // every junction they join is still claimed (one call per junction).
+  greedy.fail_edge(1);
+  concurrent.fail_edge(1);
   for (const graph::EdgeId e : {4u, 5u}) {
     greedy.contract_edge(e);
     concurrent.contract_edge(e);
@@ -236,14 +238,20 @@ TEST(StuckOverlay, ContractedSwitchesMakeTheLongArmCheaper) {
   ASSERT_NE(gc, core::GreedyRouter::kNoCall);
   EXPECT_EQ(greedy.path_of(gc), long_arm);
   EXPECT_EQ(greedy.busy_vertices(), long_arm.size());
+  for (const auto v : long_arm) EXPECT_TRUE(greedy.is_busy(v)) << v;
   greedy.disconnect(gc);
   EXPECT_EQ(greedy.busy_vertices(), 0u);
   cc = w.connect(0, 0);
   ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
   EXPECT_EQ(w.path_of(cc), long_arm);
+  EXPECT_EQ(concurrent.busy_vertices(), long_arm.size());
+  for (const auto v : long_arm) EXPECT_TRUE(concurrent.is_busy(v)) << v;
   w.disconnect(cc);
+  EXPECT_EQ(concurrent.busy_vertices(), 0u);
 
-  // Repairing the welds restores the original economics.
+  // Repairing the welds and the short arm restores the original route.
+  greedy.repair_edge(1);
+  concurrent.repair_edge(1);
   for (const graph::EdgeId e : {4u, 5u}) {
     greedy.uncontract_edge(e);
     concurrent.uncontract_edge(e);

@@ -23,9 +23,10 @@ TEST(GraphBuilder, BasicConstruction) {
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_EQ(g.edge(e).from, a);
   EXPECT_EQ(g.edge(e).to, b);
-  EXPECT_EQ(g.out_degree(a), 1u);
-  EXPECT_EQ(g.in_degree(b), 1u);
-  EXPECT_EQ(g.degree(a), 1u);
+  const CsrGraph c = g.finalize();
+  EXPECT_EQ(c.out_degree(a), 1u);
+  EXPECT_EQ(c.in_degree(b), 1u);
+  EXPECT_EQ(c.degree(a), 1u);
 }
 
 TEST(GraphBuilder, AddVerticesReturnsFirstId) {
@@ -40,7 +41,7 @@ TEST(GraphBuilder, MultiEdgesAllowed) {
   g.add_edge(0, 1);
   g.add_edge(0, 1);
   EXPECT_EQ(g.edge_count(), 2u);
-  EXPECT_EQ(g.out_degree(0), 2u);
+  EXPECT_EQ(g.finalize().out_degree(0), 2u);
 }
 
 TEST(CsrGraph, MirrorsBuilderAfterFinalize) {

@@ -2,17 +2,20 @@
 // finalize_grown merge invariants), grow_cantor's doubled topology,
 // Exchange::grow's live-call remap on both engines (identity and permuted
 // vmaps), overlay/fault-bookkeeping survival, the TopologyEvent
-// dispatch seam, the ops::ControlPlane kGrow ack, and the batched drain
-// plane serving the new terminals the epoch after the merge.
+// dispatch seam, the ops::ControlPlane kGrow ack, the batched drain plane
+// serving the new terminals the epoch after the merge, and a report of the
+// mean settled path length on a grown network against the shortest one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fault/schedule.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
 #include "networks/cantor.hpp"
 #include "ops/command_queue.hpp"
@@ -461,6 +464,52 @@ TEST(ExchangeGrowth, StaleAndFaultedHandlesStayTypedAcrossGrowth) {
       << to_string(dead_ack);
   EXPECT_EQ(ex.hangup(finished.id), svc::RejectReason::kStaleHandle);
   EXPECT_EQ(ex.stats().calls_killed_by_growth, 0u);
+}
+
+// ------------------------------------------------------ path length report
+
+// The grown Cantor keeps the base's direct input->plane switches as
+// shortcuts, so its input->output paths no longer share one length, and
+// the routers' depth-first search (which settles AN idle path) can take a
+// longer one than the shortest. Every pair is routed on the idle grown
+// network; the mean settled length is reported next to the mean shortest
+// length and bounded loosely, so a search that starts to wander shows up.
+TEST(GrowthPathLength, GrownCantorMeanPathLengthReport) {
+  for (const auto backend : {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+    const auto base = networks::build_cantor({5, 0});
+    svc::ExchangeConfig cfg;
+    cfg.backend = backend;
+    svc::Exchange ex(base, std::move(cfg));
+    ASSERT_TRUE(ex.grow(doubling_plan(ex, {5, 0})).applied);
+    const graph::Network& net = ex.network();
+    const auto n = static_cast<std::uint32_t>(ex.input_count());
+    std::size_t settled = 0, shortest = 0;
+    for (std::uint32_t in = 0; in < n; ++in)
+      for (std::uint32_t out = 0; out < n; ++out) {
+        const svc::Outcome o = ex.call({in, out, 0, 1});
+        ASSERT_TRUE(o.connected()) << in << "->" << out;
+        const std::size_t len = ex.path_of(o.id).size();
+        ASSERT_EQ(ex.hangup(o.id), svc::RejectReason::kNone);
+        const graph::VertexId src[] = {net.inputs[in]};
+        std::vector<std::uint8_t> target(net.g.vertex_count(), 0);
+        target[net.outputs[out]] = 1;
+        const auto ref = graph::shortest_path(net.g, src, target);
+        ASSERT_TRUE(ref.has_value());
+        EXPECT_GE(len, ref->size());
+        settled += len;
+        shortest += ref->size();
+      }
+    const double pairs = static_cast<double>(n) * n;
+    const double mean = static_cast<double>(settled) / pairs;
+    const double mean_shortest = static_cast<double>(shortest) / pairs;
+    std::printf("grown cantor-k6 (%s): mean path %.3f vertices, shortest %.3f "
+                "(+%.2f%%)\n",
+                backend == svc::Backend::kGreedy ? "greedy" : "concurrent",
+                mean, mean_shortest, (mean / mean_shortest - 1.0) * 100.0);
+    RecordProperty("mean_path_vertices", std::to_string(mean));
+    RecordProperty("mean_shortest_path_vertices", std::to_string(mean_shortest));
+    EXPECT_LT(mean, 1.10 * mean_shortest);
+  }
 }
 
 }  // namespace

@@ -91,7 +91,8 @@ TEST(MengerPaths, ExtractedPathsAreValidAndDisjoint) {
   for (VertexId m = 3; m < 6; ++m)
     for (VertexId o = 6; o < 8; ++o) g.add_edge(m, o);
   const VertexId s[3] = {0, 1, 2}, t[2] = {6, 7};
-  const auto paths = vertex_disjoint_paths(g.finalize(), s, t);
+  const CsrGraph csr = g.finalize();
+  const auto paths = vertex_disjoint_paths(csr, s, t);
   EXPECT_EQ(paths.size(), 2u);
   std::vector<int> used(8, 0);
   for (const auto& p : paths) {
@@ -104,8 +105,8 @@ TEST(MengerPaths, ExtractedPathsAreValidAndDisjoint) {
     }
     for (std::size_t i = 0; i + 1 < p.size(); ++i) {
       bool edge_found = false;
-      for (EdgeId e : g.out_edges(p[i]))
-        edge_found |= g.edge(e).to == p[i + 1];
+      for (EdgeId e : csr.out_edges(p[i]))
+        edge_found |= csr.edge(e).to == p[i + 1];
       EXPECT_TRUE(edge_found);
     }
   }

@@ -31,15 +31,16 @@ TEST(RecursiveCore, StageWidthsAndVertexCount) {
 TEST(RecursiveCore, ExactDegrees) {
   const auto core = build_recursive_core(small_params());
   const auto& p = core.params;
+  const graph::CsrGraph g = core.net.g.finalize();
   // Every vertex not in the last stage has out-degree = degree; every vertex
   // not in the first stage has in-degree = degree.
   for (std::uint32_t s = 0; s < p.stage_count(); ++s) {
     for (std::size_t i = 0; i < p.stage_width(); ++i) {
       const auto v = core.vertex(s, i);
-      if (s + 1 < p.stage_count()) EXPECT_EQ(core.net.g.out_degree(v), p.degree);
-      else EXPECT_EQ(core.net.g.out_degree(v), 0u);
-      if (s > 0) EXPECT_EQ(core.net.g.in_degree(v), p.degree);
-      else EXPECT_EQ(core.net.g.in_degree(v), 0u);
+      if (s + 1 < p.stage_count()) EXPECT_EQ(g.out_degree(v), p.degree);
+      else EXPECT_EQ(g.out_degree(v), 0u);
+      if (s > 0) EXPECT_EQ(g.in_degree(v), p.degree);
+      else EXPECT_EQ(g.in_degree(v), 0u);
     }
   }
 }
@@ -125,10 +126,11 @@ TEST(ExpanderColumn, DegreeSplitRotates) {
   for (std::size_t i = 0; i < 4 * bs; ++i)
     parents[0][i] = static_cast<graph::VertexId>(4 * bs + i);
   connect_expander_column(net, children, parents, 4, 10, false, 77);
+  const graph::CsrGraph g = net.g.finalize();
   for (std::size_t v = 0; v < 4 * bs; ++v)
-    EXPECT_EQ(net.g.out_degree(static_cast<graph::VertexId>(v)), 10u);
+    EXPECT_EQ(g.out_degree(static_cast<graph::VertexId>(v)), 10u);
   for (std::size_t v = 4 * bs; v < 8 * bs; ++v)
-    EXPECT_EQ(net.g.in_degree(static_cast<graph::VertexId>(v)), 10u);
+    EXPECT_EQ(g.in_degree(static_cast<graph::VertexId>(v)), 10u);
 }
 
 TEST(ExpanderColumn, RejectsMismatchedBlocks) {

@@ -1,25 +1,26 @@
-// The single-pair search (ftcs/search.hpp) against an independent
-// reference.
+// The single-pair search (ftcs/search.hpp) against independent references.
 //
-// The routers' search is a direction-optimizing bidirectional BFS: each
-// level expands top-down or, once a frontier outgrows the unvisited set, by
-// a bottom-up bitmap sweep. Every connect of a contraction-free trace is
-// checked against graph::shortest_path — a plain BFS over the router's busy
-// and failed-switch state captured just before the connect — so the verdict
-// and the path length must match. Under welds (runtime contraction) the 0-1
-// cost labels depend on discovery order, so the welded pins check every
-// settled path hop by hop and compare verdicts with plain-BFS reachability
-// on the offline contracted network (fault::repair_by_contraction).
+// The routers' search is a reach-guided depth-first search: it settles AN
+// idle path (the paper's §4 greedy routing needs no more), which is a
+// shortest one wherever every input->output path has the same length.
 //
-//  - churn traces on cantor, both engines (GreedyRouter and a one-worker
-//    ConcurrentRouter), healthy and degraded (failed switches);
-//  - a fan-out network that deterministically trips the bottom-up
-//    heuristic (bottom_up_levels > 0), healthy, degraded and welded, both
-//    engines — including the sweep's reverse-conduction probe;
-//  - the per-direction visit split adds up to vertices_visited;
-//  - the weld-free first-meet stop keeps every routed path of a seeded
-//    churn (a digest recorded from the search that ran every level to its
-//    end) while visiting fewer vertices.
+//  - churn traces on cantor (one input->output length), both engines
+//    (GreedyRouter and a one-worker ConcurrentRouter), healthy and degraded
+//    (failed switches): every connect's verdict and path length match
+//    graph::shortest_path, a plain BFS over the router's busy and
+//    failed-switch state captured just before the connect;
+//  - welded overlays (runtime contraction), where the search stops pruning:
+//    verdicts match plain-BFS reachability on the offline contracted
+//    network (fault::repair_by_contraction) and every settled path is
+//    checked hop by hop;
+//  - a seeded cantor-k6 churn: both engines settle the same paths, every
+//    path is valid, every verdict matches plain BFS and every path has the
+//    network's uniform length;
+//  - the §4 oracle: on fault-free strictly nonblocking networks (cantor
+//    k5-k7, the §6 FT network at nu = 1 and 2, crossbar) no call between
+//    idle terminals is ever refused, and every path has the uniform length;
+//  - a fan-out net that forces the search to backtrack, healthy, degraded
+//    and welded.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,7 +32,9 @@
 #include "ftcs/concurrent_router.hpp"
 #include "ftcs/router.hpp"
 #include "graph/algorithms.hpp"
+#include "ftcs/ft_network.hpp"
 #include "networks/cantor.hpp"
+#include "networks/crossbar.hpp"
 #include "util/prng.hpp"
 
 namespace ftcs {
@@ -103,21 +106,29 @@ std::uint32_t connect_checked(const Router& router, Session& session,
   return call;
 }
 
-void expect_visit_split(const core::RouterStats& s) {
-  EXPECT_EQ(s.visits_forward + s.visits_backward, s.vertices_visited);
-  EXPECT_GT(s.vertices_visited, 0u);
+/// Vertices on an input->output path of `net` while it is idle; the
+/// networks the uniform-length checks run on have exactly one such length.
+std::size_t idle_path_length(const graph::Network& net) {
+  const graph::VertexId src[] = {net.inputs[0]};
+  std::vector<std::uint8_t> target(net.g.vertex_count(), 0);
+  target[net.outputs[0]] = 1;
+  const auto ref = graph::shortest_path(net.g, src, target);
+  EXPECT_TRUE(ref.has_value());
+  return ref ? ref->size() : 0;
 }
 
-/// Random connect/disconnect churn, every connect checked by
-/// connect_checked() and every settled path hop by hop.
+/// Random connect/disconnect churn on a network with one input->output
+/// length: every connect checked by connect_checked(), every settled path
+/// hop by hop and against that length. Returns the settled paths in order.
 template <class Router, class Session>
-void run_reference_trace(const Router& router, Session& session,
-                         const graph::Network& net, std::uint64_t seed,
-                         std::size_t ops) {
+std::vector<std::vector<graph::VertexId>> run_reference_trace(
+    const Router& router, Session& session, const graph::Network& net,
+    std::uint64_t seed, std::size_t ops) {
+  const std::size_t length = idle_path_length(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(seed);
   std::vector<std::uint32_t> active;
-  std::size_t accepted = 0;
+  std::vector<std::vector<graph::VertexId>> paths;
   for (std::size_t op = 0; op < ops; ++op) {
     if (!active.empty() && rng.below(4) == 0) {
       const auto idx = rng.below(active.size());
@@ -130,14 +141,16 @@ void run_reference_trace(const Router& router, Session& session,
     const auto out = static_cast<std::uint32_t>(rng.below(n));
     const auto call = connect_checked(router, session, net, in, out);
     if (call == kNone) continue;
-    expect_valid_path(router, net.g, session.path_of(call));
+    paths.push_back(session.path_of(call));
+    expect_valid_path(router, net.g, paths.back());
+    EXPECT_EQ(paths.back().size(), length);
     active.push_back(call);
-    ++accepted;
   }
-  ASSERT_GT(accepted, 0u);
+  EXPECT_GT(paths.size(), 0u);
   for (const auto c : active) session.disconnect(c);
   EXPECT_EQ(router.busy_vertices(), 0u);
-  expect_visit_split(router.stats());
+  EXPECT_GT(router.stats().vertices_visited, 0u);
+  return paths;
 }
 
 /// Verdict oracle for welded routing between idle terminals: plain-BFS
@@ -193,7 +206,7 @@ void run_welded_trace(Router& router, Session& session,
   }
   ASSERT_GT(routed, 0u);
   EXPECT_EQ(router.busy_vertices(), 0u);
-  expect_visit_split(router.stats());
+  EXPECT_GT(router.stats().vertices_visited, 0u);
 }
 
 std::vector<graph::EdgeId> every_nth_edge(const graph::Network& net,
@@ -240,20 +253,34 @@ TEST(Search, WeldedCantorVerdictsMatchOfflineContraction) {
   run_welded_trace(c, c.worker(0), net, welds, 99, 400);
 }
 
-/// FNV-1a digest of a seeded connect/disconnect churn: every routed path's
-/// vertices in order, and a marker per connect (so rejects count too).
-/// Returns {digest, vertices_visited}.
+// The search may settle any of several equally long paths, so the pin is
+// on what any correct search must deliver, plus path-for-path agreement of
+// the two engines.
+TEST(Search, CantorChurnPathsAreValidUniformAndMatchPlainBfs) {
+  const auto net = networks::build_cantor({6, 0});
+  core::GreedyRouter g(net);
+  const auto g_paths = run_reference_trace(g, g, net, 401, 6000);
+  core::ConcurrentRouter c(net, 1);
+  const auto c_paths = run_reference_trace(c, c.worker(0), net, 401, 6000);
+  ASSERT_GT(g_paths.size(), 0u);
+  EXPECT_EQ(g_paths, c_paths);
+  EXPECT_EQ(g.stats().vertices_visited, c.stats().vertices_visited);
+}
+
+/// The §4 oracle as a churn: on a fault-free strictly nonblocking network a
+/// call between idle terminals must always connect, over a path of the
+/// network's uniform length.
 template <class Router, class Session>
-std::pair<std::uint64_t, std::uint64_t> churn_path_digest(
-    const Router& router, Session& session, const graph::Network& net,
-    std::uint64_t seed, std::size_t ops) {
+void run_oracle_churn(const Router& router, Session& session,
+                      const graph::Network& net, std::uint64_t seed,
+                      std::size_t ops) {
+  const std::size_t length = idle_path_length(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(seed);
   std::vector<std::uint32_t> active;
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ull; };
+  std::size_t routed = 0;
   for (std::size_t op = 0; op < ops; ++op) {
-    if (!active.empty() && rng.below(2) == 0) {
+    if (!active.empty() && rng.below(3) == 0) {
       const auto idx = rng.below(active.size());
       session.disconnect(active[idx]);
       active[idx] = active.back();
@@ -262,55 +289,65 @@ std::pair<std::uint64_t, std::uint64_t> churn_path_digest(
     }
     const auto in = static_cast<std::uint32_t>(rng.below(n));
     const auto out = static_cast<std::uint32_t>(rng.below(n));
+    const bool idle = router.input_idle(in) && router.output_idle(out);
     const auto call = session.connect(in, out);
-    if (call != kNone) {
-      for (const auto v : session.path_of(call)) mix(v);
-      active.push_back(call);
+    if (!idle) {
+      ASSERT_EQ(call, kNone) << "busy terminal admitted";
+      continue;
     }
-    mix(kNone);
+    ASSERT_NE(call, kNone) << net.name << ": no path between idle terminals ("
+                           << in << "," << out << ") at op " << op;
+    ASSERT_EQ(session.path_length(call), length) << net.name;
+    active.push_back(call);
+    ++routed;
   }
+  EXPECT_GT(routed, 0u);
+  EXPECT_EQ(router.stats().rejected_no_path, 0u);
   for (const auto c : active) session.disconnect(c);
   EXPECT_EQ(router.busy_vertices(), 0u);
-  expect_visit_split(router.stats());
-  return {h, router.stats().vertices_visited};
 }
 
-// First-meet stop: with no live weld the search ends a level at its first
-// meet. Both constants were recorded from the search that ran every level
-// to its end: the digest must match (same paths, same verdicts) and the
-// visit total must drop.
-TEST(Search, FirstMeetStopKeepsEveryPathAndVisitsLess) {
-  constexpr std::uint64_t kPathDigest = 11446843375804875499ull;
-  constexpr std::uint64_t kFullLevelVisits = 4180240;
-  const auto net = networks::build_cantor({6, 0});
+void expect_oracle_on_both_engines(const graph::Network& net,
+                                   std::uint64_t seed, std::size_t ops) {
   core::GreedyRouter g(net);
-  const auto [g_digest, g_visits] = churn_path_digest(g, g, net, 401, 6000);
+  run_oracle_churn(g, g, net, seed, ops);
   core::ConcurrentRouter c(net, 1);
-  const auto [c_digest, c_visits] =
-      churn_path_digest(c, c.worker(0), net, 401, 6000);
-  EXPECT_EQ(g_digest, kPathDigest);
-  EXPECT_EQ(c_digest, kPathDigest);
-  EXPECT_EQ(g_visits, c_visits);
-  EXPECT_LT(g_visits, kFullLevelVisits);
+  run_oracle_churn(c, c.worker(0), net, seed, ops);
+}
+
+TEST(Search, NoIdleTerminalRefusedOnFaultFreeCantor) {
+  for (const std::uint32_t k : {5u, 6u, 7u})
+    expect_oracle_on_both_engines(networks::build_cantor({k, 0}), 100 + k,
+                                  4000);
+}
+
+TEST(Search, NoIdleTerminalRefusedOnFaultFreeFtNetwork) {
+  for (const std::uint32_t nu : {1u, 2u})
+    expect_oracle_on_both_engines(
+        core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
+            .net,
+        200 + nu, 2000);
+}
+
+TEST(Search, NoIdleTerminalRefusedOnCrossbar) {
+  expect_oracle_on_both_engines(networks::build_crossbar(32), 300, 4000);
 }
 
 // ---------------------------------------------------------------------------
-// Bottom-up trigger coverage. Bidirectional frontiers on the layered nets
-// stay near-balanced, so the heuristic rarely fires there; this fan-out net
-// makes it fire deterministically: after one hop the forward frontier {hub}
-// carries `mids` edges while almost every vertex is still unvisited, so
-//   fedges * alpha * V > (V - stamped) * E
-// holds at the second forward level.
+// Backtracking. The layered nets rarely send the reach-guided search into a
+// dead end; this fan-out net does so deterministically once the mids' exits
+// fail, so the search must pop back to the hub again and again.
 //
 //   in -> hub -> mid[0..mids) -> join -> out      (+ optionally back -> hub
-//   and back -> join, giving the sweep a reverse-conduction probe target
-//   when back->hub is welded shut).
+//   and back -> join: a reverse conductor when back->hub is welded shut).
 // ---------------------------------------------------------------------------
 
 struct Star {
   graph::Network net;
   graph::VertexId in, hub, join, out, back;
-  graph::EdgeId back_to_hub;  // the weldable reverse conductor
+  std::vector<graph::VertexId> mid;
+  std::vector<graph::EdgeId> mid_exit;  // mid[i] -> join
+  graph::EdgeId back_to_hub;            // the weldable reverse conductor
 };
 
 Star build_star(std::size_t mids, bool with_back) {
@@ -318,15 +355,15 @@ Star build_star(std::size_t mids, bool with_back) {
   Star s;
   s.in = nb.g.add_vertex();
   s.hub = nb.g.add_vertex();
-  std::vector<graph::VertexId> mid(mids);
-  for (auto& m : mid) m = nb.g.add_vertex();
+  s.mid.resize(mids);
+  for (auto& m : s.mid) m = nb.g.add_vertex();
   s.join = nb.g.add_vertex();
   s.out = nb.g.add_vertex();
   s.back = graph::kNoVertex;
   s.back_to_hub = static_cast<graph::EdgeId>(-1);
   nb.g.add_edge(s.in, s.hub);
-  for (const auto m : mid) nb.g.add_edge(s.hub, m);
-  for (const auto m : mid) nb.g.add_edge(m, s.join);
+  for (const auto m : s.mid) nb.g.add_edge(s.hub, m);
+  for (const auto m : s.mid) s.mid_exit.push_back(nb.g.add_edge(m, s.join));
   nb.g.add_edge(s.join, s.out);
   if (with_back) {
     s.back = nb.g.add_vertex();
@@ -340,53 +377,62 @@ Star build_star(std::size_t mids, bool with_back) {
   return s;
 }
 
-/// One healthy and one degraded connect on the star, both checked against
-/// plain BFS; the healthy one must have run a bottom-up level.
+/// A healthy connect takes the first mid and stamps nothing else; with the
+/// first `dead` mids' exits failed, the search stamps and abandons each of
+/// them before it settles through mid[dead]. Both checked against plain BFS.
 template <class Router, class Session>
-void expect_star_matches_plain_bfs(Router& router, Session& session,
-                                   const graph::Network& net) {
-  const auto c = connect_checked(router, session, net, 0, 0);
+void expect_star_backtracks(Router& router, Session& session,
+                            const Star& star, std::size_t dead) {
+  const auto c = connect_checked(router, session, star.net, 0, 0);
   ASSERT_NE(c, kNone);
-  EXPECT_EQ(session.path_length(c), 5u);  // in, hub, mid, join, out
-  expect_valid_path(router, net.g, session.path_of(c));
-  EXPECT_GT(router.stats().bottom_up_levels, 0u)
-      << "the fan-out level should have tripped the bottom-up heuristic";
+  EXPECT_EQ(session.path_of(c), (std::vector<graph::VertexId>{
+                                    star.in, star.hub, star.mid[0], star.join,
+                                    star.out}));
+  EXPECT_EQ(router.stats().vertices_visited, 4u);  // hub, mid[0], join, out
   session.disconnect(c);
 
-  // Degraded: fail most of the fan; the search must still route through a
-  // surviving mid.
-  for (graph::EdgeId e = 1; e <= 256; e += 2)  // hub->mid edges are 1..256
-    router.fail_edge(e);
-  const auto d = connect_checked(router, session, net, 0, 0);
+  for (std::size_t i = 0; i < dead; ++i) router.fail_edge(star.mid_exit[i]);
+  const auto d = connect_checked(router, session, star.net, 0, 0);
   ASSERT_NE(d, kNone);
-  expect_valid_path(router, net.g, session.path_of(d));
+  EXPECT_EQ(session.path_of(d), (std::vector<graph::VertexId>{
+                                    star.in, star.hub, star.mid[dead],
+                                    star.join, star.out}));
+  // hub, the dead mids, mid[dead], join, out.
+  EXPECT_EQ(router.stats().vertices_visited, 4u + dead + 4u);
   session.disconnect(d);
   EXPECT_EQ(router.busy_vertices(), 0u);
-  expect_visit_split(router.stats());
 }
 
-TEST(Search, BottomUpSweepMatchesPlainBfsOnBothEngines) {
+TEST(Search, FanOutNetBacktracksOnBothEngines) {
   const auto star = build_star(256, false);
   core::GreedyRouter g(star.net);
-  expect_star_matches_plain_bfs(g, g, star.net);
+  expect_star_backtracks(g, g, star, 200);
   core::ConcurrentRouter c(star.net, 1);
-  expect_star_matches_plain_bfs(c, c.worker(0), star.net);
+  expect_star_backtracks(c, c.worker(0), star, 200);
 }
 
-TEST(Search, BottomUpWeldedOverlayMatchesOfflineContraction) {
-  // Weld back->hub shut: it conducts both ways for free, so the cheapest
-  // route is in, hub, back, join, out (2 unit hops + the weld + join->out)
-  // and the forward sweep can only discover `back` through its
-  // reverse-conduction probe (back has no in-edges; its out-edge points
-  // INTO the frontier).
+TEST(Search, FanOutNetWeldedReverseHopAfterEveryMidDies) {
+  // Every mid's exit fails and back->hub is welded shut: the search must
+  // exhaust the hub's children, then leave it backwards over the weld:
+  // in, hub, back, join, out.
   const auto star = build_star(256, true);
-  const std::vector<graph::EdgeId> welds{star.back_to_hub};
+  const std::vector<graph::VertexId> through_weld{star.in, star.hub,
+                                                  star.back, star.join,
+                                                  star.out};
+  const auto route = [&](auto& router, auto& session) {
+    for (const auto e : star.mid_exit) router.fail_edge(e);
+    router.contract_edge(star.back_to_hub);
+    const auto c = session.connect(0, 0);
+    ASSERT_NE(c, kNone);
+    EXPECT_EQ(session.path_of(c), through_weld);
+    expect_valid_path(router, star.net.g, session.path_of(c));
+    session.disconnect(c);
+    EXPECT_EQ(router.busy_vertices(), 0u);
+  };
   core::GreedyRouter g(star.net);
-  run_welded_trace(g, g, star.net, welds, 7, 1);
-  EXPECT_GT(g.stats().bottom_up_levels, 0u);
+  route(g, g);
   core::ConcurrentRouter c(star.net, 1);
-  run_welded_trace(c, c.worker(0), star.net, welds, 7, 1);
-  EXPECT_GT(c.stats().bottom_up_levels, 0u);
+  route(c, c.worker(0));
 }
 
 }  // namespace

@@ -7,9 +7,8 @@ Compares a fresh smoke run against the committed baseline file and fails
 
 Two metric families are gated independently:
   - calls/sec (throughput, higher is better)
-  - visits/connect (search work per request, LOWER is better — the
-    direction-optimizing search's win; a silent visit blow-up precedes a
-    throughput loss on bigger networks)
+  - visits/connect (search work per request, LOWER is better; a silent
+    visit blow-up precedes a throughput loss on bigger networks)
 
 Series keyed so runs with different sweeps still match up:
   - the aggregate "calls_per_sec"
