@@ -1,151 +1,355 @@
 #include "ftcs/router.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace ftcs::core {
+namespace {
 
-GreedyRouter::GreedyRouter(const graph::Network& net,
-                           std::vector<std::uint8_t> blocked,
-                           std::vector<std::uint8_t> blocked_edges)
-    : net_(&net), reach_(net) {
-  const std::size_t v_count = net.g.vertex_count();
-  blocked_.resize(v_count);
-  if (!blocked.empty()) blocked_.assign_bytes(blocked.data(), blocked.size());
-  busy_ = blocked_;
-  if (!blocked_edges.empty())
-    blocked_edges_.assign_bytes(blocked_edges.data(), blocked_edges.size());
-  in_busy_.assign(net.inputs.size(), 0);
-  out_busy_.assign(net.outputs.size(), 0);
+/// A byte mask as a bitset of exactly `n` bits (any nonzero byte sets the
+/// bit; bytes past `n` are ignored).
+util::Bitset mask_bits(const std::vector<std::uint8_t>& bytes, std::size_t n) {
+  util::Bitset bits(n);
+  for (std::size_t i = 0; i < std::min(n, bytes.size()); ++i)
+    if (bytes[i]) bits.set(i);
+  return bits;
+}
 
-  scratch_.init(v_count);
+/// Shared store's re-validation: true iff every hop of `path` is still
+/// carried, by a usable forward switch or by a usable welded switch
+/// traversed against its direction. Acquire loads on the overlay.
+bool path_carried(const graph::CsrGraph& g, const util::Bitset& static_edges,
+                  const util::AtomicBitset& dead_edges,
+                  const util::AtomicBitset& contracted_edges,
+                  std::span<const graph::VertexId> path) {
+  constexpr auto kAcquire = std::memory_order_acquire;
+  const auto usable = [&](graph::EdgeId e) {
+    return (static_edges.empty() || !static_edges.test(e)) &&
+           !dead_edges.test(e, kAcquire);
+  };
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const graph::VertexId u = path[i], v = path[i + 1];
+    bool carried = false;
+    const auto eids = g.out_edges(u);
+    const auto tgts = g.out_targets(u);
+    for (std::size_t k = 0; k < eids.size() && !carried; ++k)
+      carried = tgts[k] == v && usable(eids[k]);
+    const auto reids = g.in_edges(u);
+    const auto rsrcs = g.in_sources(u);
+    for (std::size_t k = 0; k < reids.size() && !carried; ++k)
+      carried = rsrcs[k] == v && usable(reids[k]) &&
+                contracted_edges.test(reids[k], kAcquire);
+    if (!carried) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+// ------------------------------------------------------ the stores' claims
+
+template <>
+std::uint32_t Router<SoloStore>::claim(Session& s, graph::VertexId dst, bool) {
+  // Sole owner: the search's verdict is final. Thread the path dst..src
+  // (parent_f) through the successor array and mark it busy.
+  std::uint32_t length = 0;
+  graph::VertexId next = graph::kNoVertex;
+  for (graph::VertexId v = dst; v != graph::kNoVertex;
+       v = s.scratch_.parent_f[v]) {
+    path_next_[v] = next;
+    busy_.set(v);
+    next = v;
+    ++length;
+  }
+  return length;
+}
+
+template <>
+std::uint32_t Router<SharedStore>::claim(Session& s, graph::VertexId dst,
+                                         bool revalidate) {
+  std::vector<graph::VertexId>& path = s.path_buf_;
+  std::vector<graph::VertexId>& order = s.claim_buf_;
+  path.clear();
+  for (graph::VertexId v = dst; v != graph::kNoVertex;
+       v = s.scratch_.parent_f[v])
+    path.push_back(v);
+  std::reverse(path.begin(), path.end());
+  order.assign(path.begin(), path.end());
+  std::sort(order.begin(), order.end());
+  std::size_t claimed = 0;
+  while (claimed < order.size() && busy_.try_set(order[claimed])) ++claimed;
+  const bool owned = claimed == order.size();
+  if (owned && (!revalidate || path_carried(net_->g, static_edges_,
+                                            dead_edges_, contracted_edges_,
+                                            path))) {
+    // Every vertex is ours, so the successor writes are exclusive; the
+    // release/acquire pairing on each busy bit publishes them.
+    for (std::size_t i = 0; i < path.size(); ++i)
+      path_next_[path[i]] =
+          i + 1 < path.size() ? path[i + 1] : graph::kNoVertex;
+    return static_cast<std::uint32_t>(path.size());
+  }
+  ++(owned ? s.stats_.overlay_conflicts : s.stats_.claim_conflicts);
+  while (claimed > 0) busy_.reset(order[--claimed]);
+  return 0;
+}
+
+// ------------------------------------------------------------ construction
+
+template <class Store>
+void Router<Store>::init(unsigned sessions,
+                         const std::vector<std::uint8_t>& blocked,
+                         const std::vector<std::uint8_t>& blocked_edges) {
+  const std::size_t v_count = net_->g.vertex_count();
+  const std::size_t e_count = net_->g.edge_count();
+  sessions = std::max(sessions, 1u);
+  blocked_ = mask_bits(blocked, v_count);
+  busy_.resize(v_count);
+  for (std::size_t v = 0; v < v_count; ++v)
+    if (blocked_.test(v)) busy_.set(v);  // blocked bits are never released
+  if (!blocked_edges.empty()) static_edges_ = mask_bits(blocked_edges, e_count);
+  dead_edges_.resize(e_count);
+  contracted_edges_.resize(e_count);
+  dead_.resize(v_count);
+  fault_claimed_.resize(v_count);
+  in_busy_ = typename Store::Slots(net_->inputs.size());
+  out_busy_ = typename Store::Slots(net_->outputs.size());
   path_next_.assign(v_count, graph::kNoVertex);
+  sessions_.reserve(sessions);
+  for (unsigned s = 0; s < sessions; ++s) sessions_.push_back(Session(*this));
+  if constexpr (!Store::kShared) sessions_[0].prepare();
+}
 
-  // Each active call consumes one input and one output, so slot count is
-  // bounded; reserving here keeps connect()/disconnect() allocation-free.
+template <class Store>
+void Router<Store>::Session::prepare() {
+  if (ready_) return;
+  ready_ = true;
+  const graph::Network& net = *r_->net_;
+  const std::size_t v_count = net.g.vertex_count();
+  scratch_.init(v_count);
+  if constexpr (Store::kShared) {
+    path_buf_.reserve(v_count);
+    claim_buf_.reserve(v_count);
+  }
+  // Each active call holds one input and one output, and one session may
+  // carry every call: reserving that bound keeps connect()/disconnect()
+  // allocation-free.
   const std::size_t max_calls =
       std::min(net.inputs.size(), net.outputs.size()) + 1;
   calls_.reserve(max_calls);
   free_slots_.reserve(max_calls);
 }
 
-void GreedyRouter::grow(const graph::Network& net,
-                        std::span<const graph::VertexId> vmap) {
-  const std::size_t old_v = net_->g.vertex_count();
-  const std::size_t old_e = net_->g.edge_count();
+template <class Store>
+void Router<Store>::grow(const graph::Network& net,
+                         std::span<const graph::VertexId> vmap) {
+  // Every bitset is rebuilt at its grown size (an AtomicBitset cannot
+  // resize in place): vertex-indexed state as its exact image under vmap,
+  // edge-indexed state and terminal slots at their stable ids (appended
+  // ids start clear: idle, alive, healthy). Exact under quiescence.
+  const auto image = [&vmap](const auto& bits, std::size_t n, bool remap) {
+    std::remove_cvref_t<decltype(bits)> grown(n);
+    for (std::size_t i = 0; i < bits.size(); ++i)
+      if (bits.test(i)) grown.set(remap ? vmap[i] : i);
+    return grown;
+  };
   const std::size_t v_count = net.g.vertex_count();
   const std::size_t e_count = net.g.edge_count();
-
-  // Vertex-indexed bitsets become their exact image under vmap (new ids
-  // start clear: appended vertices are idle and unblocked). Lazily-sized
-  // overlay registries that never materialized stay empty.
-  const auto remap_vertex_bits = [&](util::Bitset& b) {
-    if (b.empty()) return;
-    util::Bitset grown(v_count);
-    for (std::size_t v = 0; v < old_v; ++v)
-      if (b.test(v)) grown.set(vmap[v]);
-    b = std::move(grown);
-  };
-  remap_vertex_bits(blocked_);
-  remap_vertex_bits(busy_);
-  remap_vertex_bits(dead_);
-  remap_vertex_bits(fault_claimed_);
-  // Edge-indexed bitsets extend in place: edge ids are stable, appended
-  // switches are healthy.
-  const auto extend_edge_bits = [&](util::Bitset& b) {
-    if (b.empty()) return;
-    util::Bitset grown(e_count);
-    const std::size_t lim = std::min(old_e, b.size());
-    for (std::size_t e = 0; e < lim; ++e)
-      if (b.test(e)) grown.set(e);
-    b = std::move(grown);
-  };
-  extend_edge_bits(blocked_edges_);
-  extend_edge_bits(dead_edges_);
-  extend_edge_bits(contracted_edges_);
-  extend_edge_bits(static_edges_);
+  blocked_ = image(blocked_, v_count, true);
+  busy_ = image(busy_, v_count, true);
+  dead_ = image(dead_, v_count, true);
+  fault_claimed_ = image(fault_claimed_, v_count, true);
+  if (!static_edges_.empty())
+    static_edges_ = image(static_edges_, e_count, false);
+  dead_edges_ = image(dead_edges_, e_count, false);
+  contracted_edges_ = image(contracted_edges_, e_count, false);
+  in_busy_ = image(in_busy_, net.inputs.size(), false);
+  out_busy_ = image(out_busy_, net.outputs.size(), false);
 
   // Successor array and call heads: the active paths' exact image.
   std::vector<graph::VertexId> next(v_count, graph::kNoVertex);
-  for (std::size_t v = 0; v < old_v; ++v)
+  for (std::size_t v = 0; v < path_next_.size(); ++v)
     if (path_next_[v] != graph::kNoVertex) next[vmap[v]] = vmap[path_next_[v]];
   path_next_ = std::move(next);
-  for (Call& c : calls_)
-    if (c.head != graph::kNoVertex) c.head = vmap[c.head];
-
-  // Terminal slots: old indices keep their meaning (prefix-stable terminal
-  // lists), appended slots start idle.
-  in_busy_.resize(net.inputs.size(), 0);
-  out_busy_.resize(net.outputs.size(), 0);
-
-  // Re-index the grown network; re-establish the allocation-free reserves
-  // at the grown bounds.
   reach_ = ReachIndex(net);
-  scratch_.init(v_count);
-  const std::size_t max_calls =
-      std::min(net.inputs.size(), net.outputs.size()) + 1;
-  calls_.reserve(max_calls);
-  free_slots_.reserve(max_calls);
-
   net_ = &net;
-}
-
-void GreedyRouter::ensure_overlay() {
-  if (!dead_.empty()) return;
-  const std::size_t v_count = net_->g.vertex_count();
-  const std::size_t e_count = net_->g.edge_count();
-  dead_.resize(v_count);
-  fault_claimed_.resize(v_count);
-  dead_edges_.resize(e_count);
-  contracted_edges_.resize(e_count);
-  static_edges_ = blocked_edges_;  // snapshot of the construction-time mask
-  if (blocked_edges_.empty()) blocked_edges_.resize(e_count);
-}
-
-void GreedyRouter::fail_edge(graph::EdgeId e) {
-  ensure_overlay();
-  if (dead_edges_.test(e)) return;
-  dead_edges_.set(e);
-  blocked_edges_.set(e);  // folded into the hot-path mask the search reads
-}
-
-void GreedyRouter::repair_edge(graph::EdgeId e) {
-  if (dead_edges_.empty() || !dead_edges_.test(e)) return;
-  dead_edges_.reset(e);
-  if (static_edges_.empty() || !static_edges_.test(e)) blocked_edges_.reset(e);
-}
-
-void GreedyRouter::contract_edge(graph::EdgeId e) {
-  ensure_overlay();
-  if (contracted_edges_.test(e)) return;
-  // The blocked mask wins: the search never crosses a blocked switch, welded
-  // or not, so contracting a dead or statically blocked switch changes
-  // nothing until it is repaired/never.
-  contracted_edges_.set(e);
-  ++contracted_count_;
-}
-
-void GreedyRouter::uncontract_edge(graph::EdgeId e) {
-  if (contracted_edges_.empty() || !contracted_edges_.test(e)) return;
-  contracted_edges_.reset(e);
-  --contracted_count_;
-}
-
-void GreedyRouter::kill_vertex(graph::VertexId v) {
-  ensure_overlay();
-  if (dead_.test(v)) return;
-  dead_.set(v);
-  // A dead vertex holds its own busy bit, exactly like a statically blocked
-  // one — the search then avoids it with zero extra hot-path state. If the
-  // bit is already set the vertex was statically blocked (an active call is
-  // excluded by precondition), and the claim is not ours to release.
-  if (!busy_.test(v)) {
-    busy_.set(v);
-    fault_claimed_.set(v);
+  for (Session& s : sessions_) {
+    for (typename Session::Call& c : s.calls_)
+      if (c.head != graph::kNoVertex) c.head = vmap[c.head];
+    s.ready_ = false;
+    if constexpr (!Store::kShared) s.prepare();
   }
 }
 
-void GreedyRouter::revive_vertex(graph::VertexId v) {
-  if (dead_.empty() || !dead_.test(v)) return;
+// ------------------------------------------------------- connect/disconnect
+
+template <class Store>
+auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
+    -> CallId {
+  Router& r = *r_;
+  if constexpr (Store::kShared) prepare();
+  ++stats_.connect_calls;
+  const graph::VertexId src = r.net_->inputs[in];
+  const graph::VertexId dst = r.net_->outputs[out];
+
+  // 1. Terminal acquire: input slot, then output slot.
+  if (r.blocked_.test(src) || r.blocked_.test(dst) || !r.in_busy_.try_set(in)) {
+    ++stats_.rejected_terminal;
+    return kNoCall;
+  }
+  if (!r.out_busy_.try_set(out)) {
+    r.in_busy_.reset(in);
+    ++stats_.rejected_terminal;
+    return kNoCall;
+  }
+  const auto reject = [&](std::uint64_t& reason) {
+    r.out_busy_.reset(out);
+    r.in_busy_.reset(in);
+    ++reason;
+    return kNoCall;
+  };
+  // An endpoint busy as another call's hop cannot anchor a path. On the
+  // shared store this read is a snapshot: a stale positive costs one
+  // rejected request, never a corrupted chain.
+  if (r.busy_.test(src) || r.busy_.test(dst))
+    return reject(stats_.rejected_no_path);
+
+  // The overlay gates, one load each: with no outstanding fault or weld the
+  // search runs the overlay-free, weld-free hot path.
+  const bool statics = !r.static_edges_.empty();
+  const bool overlay = r.failed_ > 0;
+  const bool contraction = r.welded_ > 0;
+  const auto is_busy = [&r](graph::VertexId v) { return r.busy_.test(v); };
+  const auto edge_blocked = [&r, statics, overlay](graph::EdgeId e) {
+    return (statics && r.static_edges_.test(e)) ||
+           (overlay && r.dead_edges_.test(e));
+  };
+  const auto edge_contracted = [&r](graph::EdgeId e) {
+    return r.contracted_edges_.test(e);
+  };
+  std::uint32_t length = 0;
+  for (unsigned attempt = 0;; ++attempt) {
+    // 2. Search; 3. claim (the store's step).
+    if (detail::find_idle_path(r.net_->g, r.reach_.probe(out), src, dst,
+                               scratch_, stats_.vertices_visited, is_busy,
+                               edge_blocked, edge_contracted,
+                               contraction) == graph::kNoVertex)
+      return reject(stats_.rejected_no_path);
+    length = r.claim(*this, dst, overlay || contraction);
+    if (length != 0) break;
+    // 4. Conflict: the claim released its prefix; retry within the budget.
+    if (attempt + 1 >= kMaxClaimRetries)
+      return reject(stats_.rejected_contention);
+    ++stats_.search_retries;
+  }
+
+  // 5. Settle into the session's call table.
+  busy_count_ += length;
+  ++active_;
+  ++stats_.accepted;
+  stats_.path_vertices += length;
+  CallId id;
+  if (!free_slots_.empty()) {
+    id = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    id = static_cast<CallId>(calls_.size());
+    calls_.emplace_back();  // within the capacity prepare() reserved
+  }
+  calls_[id] = {in, out, src, length};
+  return id;
+}
+
+template <class Store>
+void Router<Store>::Session::disconnect(CallId call) {
+  Router& r = *r_;
+  Call& c = calls_[call];
+  ++stats_.disconnects;
+  // Read each successor BEFORE releasing its vertex: on the shared store
+  // reset(v) publishes path_next_[v] to the next claimer, after which v is
+  // no longer ours. Path vertices are never statically blocked (the search
+  // cannot enter them), so freeing is a plain bit reset.
+  for (graph::VertexId v = c.head; v != graph::kNoVertex;) {
+    const graph::VertexId nxt = r.path_next_[v];
+    r.path_next_[v] = graph::kNoVertex;
+    r.busy_.reset(v);
+    v = nxt;
+  }
+  busy_count_ -= c.length;
+  r.out_busy_.reset(c.out);
+  r.in_busy_.reset(c.in);
+  c.head = graph::kNoVertex;
+  c.length = 0;
+  --active_;
+  free_slots_.push_back(call);
+}
+
+template <class Store>
+std::vector<graph::VertexId> Router<Store>::Session::path_of(
+    CallId call) const {
+  const Call& c = calls_[call];
+  std::vector<graph::VertexId> path;
+  path.reserve(c.length);
+  for (graph::VertexId v = c.head; v != graph::kNoVertex;
+       v = r_->path_next_[v])
+    path.push_back(v);
+  return path;
+}
+
+template <class Store>
+auto Router<Store>::Session::active_call_ids() const -> std::vector<CallId> {
+  std::vector<CallId> ids;
+  ids.reserve(active_);
+  for (CallId id = 0; id < calls_.size(); ++id)
+    if (calls_[id].head != graph::kNoVertex) ids.push_back(id);
+  return ids;
+}
+
+// --------------------------------------------------------- liveness overlay
+
+template <class Store>
+void Router<Store>::fail_edge(graph::EdgeId e) {
+  if (dead_edges_.test(e)) return;
+  ++failed_;  // gate before bit
+  (void)dead_edges_.try_set(e);
+}
+
+template <class Store>
+void Router<Store>::repair_edge(graph::EdgeId e) {
+  if (!dead_edges_.test(e)) return;
+  dead_edges_.reset(e);  // bit before gate; static_edges_ stays as it is
+  --failed_;
+}
+
+template <class Store>
+void Router<Store>::contract_edge(graph::EdgeId e) {
+  // The blocked mask wins: the search never crosses a blocked switch,
+  // welded or not.
+  if (contracted_edges_.test(e)) return;
+  ++welded_;  // gate before bit
+  (void)contracted_edges_.try_set(e);
+}
+
+template <class Store>
+void Router<Store>::uncontract_edge(graph::EdgeId e) {
+  if (!contracted_edges_.test(e)) return;
+  contracted_edges_.reset(e);  // bit before gate
+  --welded_;
+}
+
+template <class Store>
+void Router<Store>::kill_vertex(graph::VertexId v) {
+  if (dead_.test(v)) return;
+  dead_.set(v);
+  // If the busy bit is already set the vertex is statically blocked (an
+  // active call is excluded by precondition), and the claim is not ours to
+  // release on revive.
+  if (busy_.try_set(v)) fault_claimed_.set(v);
+}
+
+template <class Store>
+void Router<Store>::revive_vertex(graph::VertexId v) {
+  if (!dead_.test(v)) return;
   dead_.reset(v);
   if (fault_claimed_.test(v)) {
     fault_claimed_.reset(v);
@@ -153,114 +357,35 @@ void GreedyRouter::revive_vertex(graph::VertexId v) {
   }
 }
 
-bool GreedyRouter::input_idle(std::uint32_t in) const {
-  return !in_busy_[in] && !blocked_.test(net_->inputs[in]);
+// ------------------------------------------------------ quiescent aggregates
+
+template <class Store>
+RouterStats Router<Store>::stats() const {
+  RouterStats total;
+  for (const Session& s : sessions_) total += s.stats();
+  return total;
 }
 
-bool GreedyRouter::output_idle(std::uint32_t out) const {
-  return !out_busy_[out] && !blocked_.test(net_->outputs[out]);
+template <class Store>
+void Router<Store>::reset_stats() noexcept {
+  for (Session& s : sessions_) s.reset_stats();
 }
 
-graph::VertexId GreedyRouter::search_one(graph::VertexId src,
-                                         std::uint32_t out) {
-  // Shared reach-guided depth-first search (ftcs/search.hpp); the busy test
-  // is a plain bitset read — this router is the sole owner of busy_.
-  const bool edge_faults = !blocked_edges_.empty();
-  // Gated on OUTSTANDING welds (not the bitset's size — ensure_overlay
-  // allocates it for any fault event): with none, the search instantiates
-  // the contraction-free hot path.
-  const bool contraction = contracted_count_ > 0;
-  const auto is_busy = [this](graph::VertexId v) { return busy_.test(v); };
-  const auto edge_blocked = [this, edge_faults](graph::EdgeId e) {
-    return edge_faults && blocked_edges_.test(e);
-  };
-  const auto edge_contracted = [this](graph::EdgeId e) {
-    return contracted_edges_.test(e);
-  };
-  return detail::find_idle_path(net_->g, reach_.probe(out), src,
-                                net_->outputs[out], scratch_,
-                                stats_.vertices_visited, is_busy, edge_blocked,
-                                edge_contracted, contraction);
+template <class Store>
+std::size_t Router<Store>::active_calls() const {
+  std::size_t total = 0;
+  for (const Session& s : sessions_) total += s.active_calls();
+  return total;
 }
 
-GreedyRouter::CallId GreedyRouter::connect(std::uint32_t in, std::uint32_t out) {
-  ++stats_.connect_calls;
-  if (!input_idle(in) || !output_idle(out)) {
-    ++stats_.rejected_terminal;
-    return kNoCall;
-  }
-  const graph::VertexId src = net_->inputs[in];
-  const graph::VertexId dst = net_->outputs[out];
-
-  // A terminal vertex occupied as an intermediate hop of another call cannot
-  // anchor a new path: the per-vertex successor array stores at most one
-  // call per vertex, so admitting it would corrupt both calls' chains.
-  if (busy_.test(src) || busy_.test(dst)) {
-    ++stats_.rejected_no_path;
-    return kNoCall;
-  }
-  if (search_one(src, out) == graph::kNoVertex) {
-    ++stats_.rejected_no_path;
-    return kNoCall;
-  }
-
-  // Settle: thread the path dst..src (parent_f) through the successor array
-  // and mark it busy.
-  std::uint32_t length = 0;
-  graph::VertexId next = graph::kNoVertex;
-  for (graph::VertexId v = dst; v != graph::kNoVertex;
-       v = scratch_.parent_f[v]) {
-    path_next_[v] = next;
-    busy_.set(v);
-    next = v;
-    ++length;
-  }
-  busy_count_ += length;
-  in_busy_[in] = 1;
-  out_busy_[out] = 1;
-  ++active_;
-  ++stats_.accepted;
-  stats_.path_vertices += length;
-
-  CallId id;
-  if (!free_slots_.empty()) {
-    id = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    id = static_cast<CallId>(calls_.size());
-    calls_.emplace_back();  // within capacity reserved at construction
-  }
-  calls_[id] = {in, out, src, length};
-  return id;
+template <class Store>
+std::size_t Router<Store>::busy_vertices() const {
+  std::size_t total = 0;
+  for (const Session& s : sessions_) total += s.busy_vertices();
+  return total;
 }
 
-void GreedyRouter::disconnect(CallId call) {
-  Call& c = calls_[call];
-  ++stats_.disconnects;
-  // Path vertices are never statically blocked (the search cannot enter
-  // them), so freeing is a plain bit reset.
-  for (graph::VertexId v = c.head; v != graph::kNoVertex;) {
-    const graph::VertexId nxt = path_next_[v];
-    busy_.reset(v);
-    path_next_[v] = graph::kNoVertex;
-    v = nxt;
-  }
-  busy_count_ -= c.length;
-  in_busy_[c.in] = 0;
-  out_busy_[c.out] = 0;
-  c.head = graph::kNoVertex;
-  c.length = 0;
-  --active_;
-  free_slots_.push_back(call);
-}
-
-std::vector<graph::VertexId> GreedyRouter::path_of(CallId call) const {
-  const Call& c = calls_[call];
-  std::vector<graph::VertexId> path;
-  path.reserve(c.length);
-  for (graph::VertexId v = c.head; v != graph::kNoVertex; v = path_next_[v])
-    path.push_back(v);
-  return path;
-}
+template class Router<SoloStore>;
+template class Router<SharedStore>;
 
 }  // namespace ftcs::core

@@ -2,17 +2,17 @@
 //
 // §4: "because the contained network is strictly nonblocking, routing can
 // be performed by a greedy application of a standard path-finding
-// algorithm" — any idle path will do, so the routers take the first one a
-// depth-first search finds. The search lives here so the single-thread and
-// concurrent routers run the SAME search (same expansion order, same
-// tie-breaks — the 1-worker ConcurrentRouter is path-for-path identical to
-// GreedyRouter by construction). The busy test is a template parameter:
-// GreedyRouter plugs in a plain util::Bitset read, ConcurrentRouter a
-// relaxed AtomicBitset read (optimistic dirty snapshot, re-validated later
-// by CAS claiming). The edge_blocked test likewise carries the routers'
-// liveness overlay (runtime switch failures) alongside any static fault
-// mask, so the search routes around open-failed switches with no state of
-// its own.
+// algorithm" — any idle path will do, so the router takes the first one a
+// depth-first search finds. core::Router (ftcs/router.hpp) calls it from
+// one site for both of its busy stores, so a one-session shared router is
+// path-for-path identical to the solo router by construction (same
+// expansion order, same tie-breaks). The busy test is a template
+// parameter: the solo store plugs in a plain util::Bitset read, the shared
+// store a relaxed AtomicBitset read (optimistic dirty snapshot, re-validated
+// later by CAS claiming). The edge_blocked test likewise carries the
+// router's liveness overlay (runtime switch failures) alongside any static
+// fault mask, so the search routes around open-failed switches with no
+// state of its own.
 //
 // The walk: an explicit stack of (vertex, cursor) frames starting at src.
 // The top frame advances its cursor over the vertex's out-edges to the

@@ -1,12 +1,13 @@
 // Pluggable routing backend behind the Exchange facade.
 //
-// Both low-level routers stay public (GreedyRouter for one thread,
-// ConcurrentRouter for sharded sessions); Engine is the narrow seam the
-// Exchange serves calls through, selected at construction. An Engine speaks
+// The low-level router, core::Router<Store> (ftcs/router.hpp), stays public;
+// Engine is the narrow seam the Exchange serves calls through: a virtual
+// base over one templated adapter, instantiated for the router's two busy
+// stores and selected at construction by Backend. An Engine speaks
 // sessions: connect/disconnect on session s must be externally serialized
 // per session, distinct sessions may run concurrently (the greedy backend
 // has exactly one session). Rejections come back as the shared
-// svc::RejectReason — the adapters classify them from the routers'
+// svc::RejectReason — the adapter classifies them from the router's
 // RouterStats counters, so there is exactly one source of truth for what a
 // rejection was.
 #pragma once
@@ -23,8 +24,8 @@
 namespace ftcs::svc {
 
 enum class Backend : std::uint8_t {
-  kGreedy,      // single GreedyRouter session (fastest for one thread)
-  kConcurrent,  // N ConcurrentRouter::Worker sessions, CAS-claimed paths
+  kGreedy,      // one session on the solo store (fastest for one thread)
+  kConcurrent,  // N sessions on the shared store, CAS-claimed paths
 };
 
 class Engine {
@@ -61,10 +62,10 @@ class Engine {
   [[nodiscard]] virtual bool input_idle(std::uint32_t in) const = 0;
   [[nodiscard]] virtual bool output_idle(std::uint32_t out) const = 0;
 
-  // Liveness overlay (runtime fault plane) — forwarded to the backing
-  // router's overlay primitives; see their headers for the mutation
-  // contracts (Exchange::inject/repair uphold them by holding every
-  // session, like drain()).
+  // Liveness overlay (runtime fault plane) — forwarded to the router's
+  // overlay primitives; see ftcs/router.hpp for the mutation contracts
+  // (Exchange::inject/repair uphold them by holding every session, like
+  // drain()).
   virtual void fail_edge(graph::EdgeId e) = 0;
   virtual void repair_edge(graph::EdgeId e) = 0;
   /// Stuck-on (closed failure): the switch becomes a weld conducting both
@@ -79,7 +80,7 @@ class Engine {
 
   /// Hitless growth: rebinds the backend to the grown network, remapping
   /// every live call and all vertex/edge-indexed state through `vmap` (see
-  /// the routers' grow() contracts — raw call ids survive). QUIESCENT ONLY:
+  /// core::Router::grow — raw call ids survive). QUIESCENT ONLY:
   /// the caller holds every session, as for drain()/kill_vertex. The new
   /// network must outlive the engine.
   virtual void grow(const graph::Network& net,
@@ -93,7 +94,7 @@ struct EngineOptions {
   Backend backend = Backend::kGreedy;
   /// Session count; clamped to 1 for the greedy backend, and 0 means 1.
   unsigned sessions = 1;
-  /// Static fault masks, consumed by the backend (as in the routers).
+  /// Static fault masks, consumed by the backend (as in core::Router).
   std::vector<std::uint8_t> blocked;
   std::vector<std::uint8_t> blocked_edges;
 };

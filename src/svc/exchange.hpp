@@ -1,12 +1,12 @@
-// ftcs::svc::Exchange — session-oriented call service over both routing
-// engines.
+// ftcs::svc::Exchange — session-oriented call service over the router's
+// two backends.
 //
 // The paper's networks are telephone exchanges (Clos [Cl]): an exchange
 // serves calls, it does not expose raw connect(in, out) pokes at a router.
 // Exchange is that service facade. It owns the fault mask (and optionally
 // the network), serves typed CallRequests through a pluggable Engine
-// backend (GreedyRouter or sharded ConcurrentRouter sessions, selected at
-// construction), and hands back generation-tagged CallId handles whose
+// backend (one core::Router session on the solo store, or N sessions on the
+// shared store, selected at construction), and hands back generation-tagged CallId handles whose
 // misuse — stale handle, double hangup, handle from another Exchange — is a
 // typed error, never corrupted busy state.
 //

@@ -1,0 +1,141 @@
+// The typed router suite's shared machinery. Every TYPED_TEST of the
+// `RouterStores` suite runs once per busy store of core::Router:
+// `RouterStores/Solo.*` on the one-session store (GreedyRouter) and
+// `RouterStores/Shared.*` on a one-session router over the shared atomic
+// store (ConcurrentRouter), so each router feature is written and tested
+// once. Path-for-path agreement of the two stores is pinned separately
+// (ConcurrentRouter.OneWorkerEquivalentToGreedyRouter, the Exchange trace
+// identity, Traffic.BothBackendsProduceIdenticalReports).
+//
+// audit() is the structural safety net: the typed tests route through
+// AuditedRouter, which runs it after every operation. It reads only the
+// router's public accessors.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "ftcs/router.hpp"
+#include "graph/digraph.hpp"
+
+namespace ftcs::test {
+
+using StoreTypes = ::testing::Types<core::SoloStore, core::SharedStore>;
+
+struct StoreNames {
+  template <class Store>
+  static std::string GetName(int) {
+    return Store::kShared ? "Shared" : "Solo";
+  }
+};
+
+template <class Store>
+class RouterStores : public ::testing::Test {};
+TYPED_TEST_SUITE(RouterStores, StoreTypes, StoreNames);
+
+/// Both stores' kNoCall value.
+inline constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+/// A plain one-session router over `net` on `Store` (for tests that must
+/// not pay for the audit); masks as in core::Router.
+template <class Store>
+std::unique_ptr<core::Router<Store>> make_router(
+    const graph::Network& net, const std::vector<std::uint8_t>& blocked = {},
+    const std::vector<std::uint8_t>& blocked_edges = {}) {
+  if constexpr (Store::kShared)
+    return std::make_unique<core::Router<Store>>(net, 1u, blocked,
+                                                 blocked_edges);
+  else
+    return std::make_unique<core::Router<Store>>(net, blocked, blocked_edges);
+}
+
+/// Structural audit of `r` over `net` (`blocked` = the static vertex mask
+/// the router was built with, if any):
+///  - busy bits are exactly the union of every live path's vertices, the
+///    dead vertices and the blocked vertices, and no vertex lies on two
+///    live paths;
+///  - each live path runs from an input terminal to an output terminal,
+///    and neither terminal reads idle;
+///  - busy_vertices() is the sum of path_length(), and active_calls() the
+///    number of live calls.
+template <class Store>
+void audit(const core::Router<Store>& r, const graph::Network& net,
+           const std::vector<std::uint8_t>& blocked = {}) {
+  const auto terminal = [](const std::vector<graph::VertexId>& list,
+                           graph::VertexId v) {
+    return static_cast<std::uint32_t>(
+        std::find(list.begin(), list.end(), v) - list.begin());
+  };
+  std::vector<std::uint8_t> expect(net.g.vertex_count(), 0);
+  std::size_t lengths = 0, calls = 0;
+  for (unsigned s = 0; s < r.session_count(); ++s) {
+    const auto& session = r.session(s);
+    for (const auto id : session.active_call_ids()) {
+      const auto path = session.path_of(id);
+      ASSERT_FALSE(path.empty());
+      ASSERT_EQ(path.size(), session.path_length(id));
+      const std::uint32_t in = terminal(net.inputs, path.front());
+      const std::uint32_t out = terminal(net.outputs, path.back());
+      ASSERT_LT(in, net.inputs.size()) << "call " << id << " starts off-input";
+      ASSERT_LT(out, net.outputs.size()) << "call " << id << " ends off-output";
+      EXPECT_FALSE(r.input_idle(in)) << "live call on an idle input " << in;
+      EXPECT_FALSE(r.output_idle(out)) << "live call on an idle output " << out;
+      for (const graph::VertexId v : path) {
+        EXPECT_EQ(expect[v], 0) << "vertex " << v << " on two live paths";
+        expect[v] = 1;
+      }
+      lengths += session.path_length(id);
+      ++calls;
+    }
+  }
+  for (graph::VertexId v = 0; v < expect.size(); ++v) {
+    if (r.vertex_dead(v) || (v < blocked.size() && blocked[v])) expect[v] = 1;
+    ASSERT_EQ(r.is_busy(v), expect[v] != 0) << "busy bit of vertex " << v;
+  }
+  EXPECT_EQ(r.busy_vertices(), lengths);
+  EXPECT_EQ(r.active_calls(), calls);
+}
+
+/// A one-session router on `Store` that runs audit() after every connect,
+/// disconnect and overlay flip: the typed suite's router.
+template <class Store>
+class AuditedRouter : public core::Router<Store> {
+  using Base = core::Router<Store>;
+  using Bytes = std::vector<std::uint8_t>;
+
+ public:
+  explicit AuditedRouter(const graph::Network& net, const Bytes& blocked = {},
+                         const Bytes& blocked_edges = {})
+    requires(!Store::kShared)
+      : Base(net, blocked, blocked_edges), net_(net), blocked_(blocked) {}
+  explicit AuditedRouter(const graph::Network& net, const Bytes& blocked = {},
+                         const Bytes& blocked_edges = {})
+    requires(Store::kShared)
+      : Base(net, 1u, blocked, blocked_edges), net_(net), blocked_(blocked) {}
+
+  std::uint32_t connect(std::uint32_t in, std::uint32_t out) {
+    const std::uint32_t call = Base::connect(in, out);
+    check();
+    return call;
+  }
+  void disconnect(std::uint32_t call) { Base::disconnect(call); check(); }
+  void fail_edge(graph::EdgeId e) { Base::fail_edge(e); check(); }
+  void repair_edge(graph::EdgeId e) { Base::repair_edge(e); check(); }
+  void contract_edge(graph::EdgeId e) { Base::contract_edge(e); check(); }
+  void uncontract_edge(graph::EdgeId e) { Base::uncontract_edge(e); check(); }
+  void kill_vertex(graph::VertexId v) { Base::kill_vertex(v); check(); }
+  void revive_vertex(graph::VertexId v) { Base::revive_vertex(v); check(); }
+
+ private:
+  void check() const { audit<Store>(*this, net_, blocked_); }
+
+  const graph::Network& net_;
+  Bytes blocked_;
+};
+
+}  // namespace ftcs::test

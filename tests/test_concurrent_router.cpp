@@ -1,29 +1,31 @@
-// ConcurrentRouter correctness: the claim protocol under real contention and
-// exact equivalence with GreedyRouter when contention is impossible.
+// The shared store's claim protocol (core::Router<SharedStore>, alias
+// ConcurrentRouter) under real contention, and exact equivalence with the
+// solo store when contention is impossible.
 //
 //  - Churn stress: 8 threads connect/disconnect randomly over one shared
-//    cantor network, then the claim invariants are checked at quiescence —
-//    no vertex on two paths, busy_vertices() equals the sum of active path
-//    lengths (and the busy bitset popcount), every disconnect releases its
-//    claims down to an all-idle network. Run under TSan in CI, this is also
-//    the data-race proof of the claim path.
-//  - 1-worker equivalence: ConcurrentRouter shares GreedyRouter's search
-//    (ftcs/search.hpp) and an uncontended claim always succeeds first try,
-//    so a fixed request trace must produce identical decisions, call ids,
-//    paths, and counters.
+//    cantor network, then the structural audit (router_stores.hpp) checks
+//    the claim invariants at quiescence — no vertex on two paths, busy bits
+//    exactly the live paths, busy_vertices() the sum of path lengths — and
+//    every disconnect releases its claims down to an all-idle network. Run
+//    under TSan in CI, this is also the data-race proof of the claim path.
+//  - 1-session equivalence: both stores run one search (ftcs/search.hpp)
+//    and an uncontended claim always succeeds first try, so a fixed request
+//    trace must produce identical decisions, call ids, paths, and counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/router.hpp"
 #include "networks/cantor.hpp"
 #include "util/prng.hpp"
+#include "router_stores.hpp"
 
 namespace ftcs {
 namespace {
+
+using namespace test;
 
 TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   const auto net = networks::build_cantor({5, 0});
@@ -36,20 +38,20 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   threads.reserve(kThreads);
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto& worker = router.worker(t);
+      auto& session = router.session(t);
       util::Xoshiro256 rng(util::derive_seed(777, t));
       std::vector<core::ConcurrentRouter::CallId> active;
       active.reserve(n);
       for (std::size_t op = 0; op < kOpsPerThread; ++op) {
         if (!active.empty() && rng.below(4) == 0) {
           const auto idx = rng.below(active.size());
-          worker.disconnect(active[idx]);
+          session.disconnect(active[idx]);
           active[idx] = active.back();
           active.pop_back();
         } else {
           const auto in = static_cast<std::uint32_t>(rng.below(n));
           const auto out = static_cast<std::uint32_t>(rng.below(n));
-          const auto call = worker.connect(in, out);
+          const auto call = session.connect(in, out);
           if (call != core::ConcurrentRouter::kNoCall) active.push_back(call);
         }
       }
@@ -58,37 +60,15 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   for (auto& th : threads) th.join();
 
   // Quiescent invariants. No vertex may lie on two active paths: ownership
-  // transfers only through the busy-bit CAS, so a double-claim here would
-  // mean the claim protocol leaked a vertex.
-  std::vector<int> owner(net.g.vertex_count(), -1);
-  std::size_t total_path_vertices = 0;
+  // transfers only through the busy-bit CAS, so a double-claim would mean
+  // the claim protocol leaked a vertex; a busy bit no live path explains
+  // would mean a conflicting claim's back-off leaked it.
+  audit(router, net);
   std::size_t total_active = 0;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    auto& worker = router.worker(t);
-    for (const auto id : worker.active_call_ids()) {
-      const auto path = worker.path_of(id);
-      ASSERT_EQ(path.size(), worker.path_length(id));
-      ASSERT_FALSE(path.empty());
-      total_path_vertices += path.size();
-      ++total_active;
-      for (const auto v : path) {
-        EXPECT_EQ(owner[v], -1)
-            << "vertex " << v << " claimed by workers " << owner[v] << " and "
-            << t;
-        owner[v] = static_cast<int>(t);
-        EXPECT_TRUE(router.is_busy(v));
-      }
-    }
-  }
-  EXPECT_EQ(router.active_calls(), total_active);
-  EXPECT_EQ(router.busy_vertices(), total_path_vertices);
-  std::size_t busy_popcount = 0;
-  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
-    if (router.is_busy(v)) ++busy_popcount;
-  EXPECT_EQ(busy_popcount, total_path_vertices)
-      << "busy bits leaked by a conflicting claim's back-off";
+  for (unsigned t = 0; t < kThreads; ++t)
+    total_active += router.session(t).active_call_ids().size();
 
-  // Counter bookkeeping across all workers.
+  // Counter bookkeeping across all sessions.
   const auto stats = router.stats();
   EXPECT_EQ(stats.connect_calls, stats.accepted + stats.rejected_terminal +
                                      stats.rejected_no_path +
@@ -97,8 +77,8 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
 
   // Every disconnect must release its claims: drain to an all-idle network.
   for (unsigned t = 0; t < kThreads; ++t) {
-    auto& worker = router.worker(t);
-    for (const auto id : worker.active_call_ids()) worker.disconnect(id);
+    auto& session = router.session(t);
+    for (const auto id : session.active_call_ids()) session.disconnect(id);
   }
   EXPECT_EQ(router.active_calls(), 0u);
   EXPECT_EQ(router.busy_vertices(), 0u);
@@ -110,12 +90,12 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   }
 }
 
-// Fixed request trace applied to both engines; every observable must match.
+// Fixed request trace applied to both stores; every observable must match.
 TEST(ConcurrentRouter, OneWorkerEquivalentToGreedyRouter) {
   const auto net = networks::build_cantor({4, 0});
   core::GreedyRouter greedy(net);
   core::ConcurrentRouter concurrent(net, 1);
-  auto& worker = concurrent.worker(0);
+  auto& session = concurrent.session(0);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   util::Xoshiro256 rng(2024);
@@ -126,7 +106,7 @@ TEST(ConcurrentRouter, OneWorkerEquivalentToGreedyRouter) {
     if (!active_g.empty() && rng.below(4) == 0) {
       const auto idx = rng.below(active_g.size());
       greedy.disconnect(active_g[idx]);
-      worker.disconnect(active_c[idx]);
+      session.disconnect(active_c[idx]);
       active_g[idx] = active_g.back();
       active_g.pop_back();
       active_c[idx] = active_c.back();
@@ -136,13 +116,13 @@ TEST(ConcurrentRouter, OneWorkerEquivalentToGreedyRouter) {
     const auto in = static_cast<std::uint32_t>(rng.below(n));
     const auto out = static_cast<std::uint32_t>(rng.below(n));
     const auto cg = greedy.connect(in, out);
-    const auto cc = worker.connect(in, out);
+    const auto cc = session.connect(in, out);
     ASSERT_EQ(cg == core::GreedyRouter::kNoCall,
               cc == core::ConcurrentRouter::kNoCall)
         << "accept/reject divergence at op " << op;
     if (cg == core::GreedyRouter::kNoCall) continue;
     ASSERT_EQ(cg, cc) << "slot allocation divergence at op " << op;
-    EXPECT_EQ(greedy.path_of(cg), worker.path_of(cc));
+    EXPECT_EQ(greedy.path_of(cg), session.path_of(cc));
     active_g.push_back(cg);
     active_c.push_back(cc);
     ++accepted;
@@ -188,26 +168,11 @@ TEST(ConcurrentRouter, StatsMergeWithOperatorPlusEquals) {
   EXPECT_EQ(sum.path_vertices, 100u);
 }
 
-TEST(ConcurrentRouter, BlockedVerticesNeverClaimed) {
-  const auto net = networks::build_cantor({4, 0});
-  // Block everything except terminals: every connect must fail cleanly.
-  std::vector<std::uint8_t> blocked(net.g.vertex_count(), 1);
-  for (const auto v : net.inputs) blocked[v] = 0;
-  for (const auto v : net.outputs) blocked[v] = 0;
-  core::ConcurrentRouter router(net, 2, blocked);
-  auto& worker = router.worker(0);
-  EXPECT_EQ(worker.connect(0, 1), core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(worker.stats().rejected_no_path, 1u);
-  EXPECT_EQ(router.busy_vertices(), 0u);
-  EXPECT_TRUE(router.input_idle(0));
-  EXPECT_TRUE(router.output_idle(1));
-}
-
-// Regression: under the concurrent engine's DIRTY busy snapshot a vertex
+// Regression: under the shared store's DIRTY busy snapshot a vertex
 // can probe busy once and idle later in the same search (another worker
 // released it in between). The search must never chain a path through a
 // parent left over from an EARLIER search — that would settle broken or
-// cyclic "paths" (a SEGV in Worker::connect). Simulated deterministically with an adversarial busy
+// cyclic "paths" (a SEGV in Session::connect). Simulated deterministically with an adversarial busy
 // view: a random quarter of the vertices reads busy on its first probe of
 // a search and idle afterwards, so the depth-first search meets them again
 // from other parents after backtracking. Every returned path must recover
@@ -255,7 +220,7 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
     ASSERT_EQ(end, dst);
     ++found;
 
-    // Recover the path exactly as Worker::connect does, bounded: a sound
+    // Recover the path exactly as the shared claim does, bounded: a sound
     // chain reaches src within vertex_count hops and every hop is a real
     // edge of the graph.
     graph::VertexId v = dst;

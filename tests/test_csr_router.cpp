@@ -4,7 +4,8 @@
 //    and verdict equivalence against graph::shortest_path, the reference
 //    implementation the pre-CSR router was built on (with exact path
 //    lengths where every input->output path has the same length);
-//  - connect()/disconnect() perform no heap allocation after construction,
+//  - connect()/disconnect() perform no heap allocation once the session's
+//    scratch exists, on both stores (the typed RouterStores suite),
 //    verified by a counting global operator new.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "networks/cantor.hpp"
 #include "networks/superconcentrator.hpp"
 #include "util/prng.hpp"
+#include "router_stores.hpp"
 
 namespace {
 
@@ -54,12 +56,20 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
 namespace ftcs {
 namespace {
+
+using namespace test;
 
 graph::GraphBuilder random_multigraph(std::size_t vertices, std::size_t edges,
                                       std::uint64_t seed) {
@@ -254,17 +264,21 @@ TEST(RouterDeterminism, RejectsTerminalBusyAsIntermediateHop) {
   EXPECT_EQ(router.path_of(c2), (std::vector<graph::VertexId>{1, 3}));
 }
 
-TEST(RouterHotPath, ConnectPerformsNoHeapAllocation) {
+// Pinned on both stores: the solo store from construction on, the shared
+// store once the session's first connect (in the warmup) has built its
+// scratch on the owning thread.
+TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocation) {
   const auto net = networks::build_cantor({5, 0});
-  core::GreedyRouter router(net);
+  const auto r = make_router<TypeParam>(net);
+  auto& router = *r;
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(42);
-  std::vector<core::GreedyRouter::CallId> active;
+  std::vector<std::uint32_t> active;
   active.reserve(n);
   // Warmup: touch every slot-bookkeeping path once.
   for (std::uint32_t i = 0; i < n / 2; ++i) {
     const auto c = router.connect(i, (i * 5 + 2) % n);
-    if (c != core::GreedyRouter::kNoCall) active.push_back(c);
+    if (c != kNone) active.push_back(c);
   }
   for (auto c : active) router.disconnect(c);
   active.clear();
@@ -279,7 +293,7 @@ TEST(RouterHotPath, ConnectPerformsNoHeapAllocation) {
     } else {
       const auto c = router.connect(static_cast<std::uint32_t>(rng.below(n)),
                                     static_cast<std::uint32_t>(rng.below(n)));
-      if (c != core::GreedyRouter::kNoCall) active.push_back(c);
+      if (c != kNone) active.push_back(c);
     }
   }
   EXPECT_EQ(g_alloc_count.load(), allocs_before)

@@ -1,5 +1,5 @@
-// The live fault plane: liveness overlay on both routing engines for BOTH
-// §2 failure modes — open (routed around) and closed/stuck-on (runtime
+// The live fault plane: liveness overlay on both router stores (the typed
+// RouterStores suite, router_stores.hpp) for BOTH §2 failure modes — open (routed around) and closed/stuck-on (runtime
 // contraction: the welded switch is a free forced hop conducting both
 // ways) — the overlay-vs-repair_by_discard and live-contraction-vs-
 // repair_by_contraction equivalences, the runtime mixed-mode FaultSchedule,
@@ -22,7 +22,6 @@
 #include "fault/overlay.hpp"
 #include "fault/repair.hpp"
 #include "fault/schedule.hpp"
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/ft_network.hpp"
 #include "ftcs/router.hpp"
 #include "ftcs/traffic.hpp"
@@ -31,9 +30,12 @@
 #include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
+#include "router_stores.hpp"
 
 namespace ftcs {
 namespace {
+
+using namespace test;
 
 /// First edge id from u to v (kNoEdge-style sentinel: edge_count).
 graph::EdgeId edge_between(const graph::CsrGraph& g, graph::VertexId u,
@@ -129,326 +131,301 @@ graph::Network build_parallel_hop() {
 }
 
 // ------------------------------------------------------- router overlays
+// The typed RouterStores suite (router_stores.hpp): each test runs on both
+// stores, with the structural audit after every operation.
 
-TEST(GreedyOverlay, FailAndRepairEdge) {
+TYPED_TEST(RouterStores, FailAndRepairEdge) {
   const auto net = networks::build_crossbar(3);
-  core::GreedyRouter router(net);
+  AuditedRouter<TypeParam> router(net);
   const auto e00 = edge_between(net.g, net.inputs[0], net.outputs[0]);
   ASSERT_LT(e00, net.g.edge_count());
 
-  ASSERT_NE(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  ASSERT_NE(router.connect(0, 0), kNone);
   router.disconnect(0);
   router.fail_edge(e00);
   EXPECT_TRUE(router.edge_failed(e00));
   EXPECT_FALSE(router.edge_usable(e00));
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  EXPECT_EQ(router.connect(0, 0), kNone);
   const auto detour = router.connect(0, 1);  // other switches unaffected
-  ASSERT_NE(detour, core::GreedyRouter::kNoCall);
+  ASSERT_NE(detour, kNone);
   router.disconnect(detour);
   router.repair_edge(e00);
   EXPECT_FALSE(router.edge_failed(e00));
-  EXPECT_NE(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  EXPECT_NE(router.connect(0, 0), kNone);
 }
 
-TEST(GreedyOverlay, RepairNeverReleasesStaticBlockedEdges) {
+TYPED_TEST(RouterStores, RepairNeverReleasesStaticBlockedEdges) {
   const auto net = networks::build_crossbar(3);
   const auto e00 = edge_between(net.g, net.inputs[0], net.outputs[0]);
   std::vector<std::uint8_t> blocked_edges(net.g.edge_count(), 0);
   blocked_edges[e00] = 1;
-  core::GreedyRouter router(net, {}, blocked_edges);
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  AuditedRouter<TypeParam> router(net, {}, blocked_edges);
+  EXPECT_EQ(router.connect(0, 0), kNone);
   // A runtime fail + repair cycle over the statically blocked switch must
   // not resurrect it.
   router.fail_edge(e00);
   router.repair_edge(e00);
   EXPECT_FALSE(router.edge_usable(e00));
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  EXPECT_EQ(router.connect(0, 0), kNone);
 }
 
-TEST(GreedyOverlay, KillAndReviveVertex) {
+TYPED_TEST(RouterStores, KillAndReviveVertex) {
   const auto net = build_line_with_spur();
-  core::GreedyRouter router(net);
+  AuditedRouter<TypeParam> router(net);
   const graph::VertexId m = 2;
   router.kill_vertex(m);
   EXPECT_TRUE(router.vertex_dead(m));
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  EXPECT_EQ(router.connect(0, 0), kNone);
   router.kill_vertex(m);  // idempotent
   router.revive_vertex(m);
   EXPECT_FALSE(router.vertex_dead(m));
   const auto call = router.connect(0, 0);
-  ASSERT_NE(call, core::GreedyRouter::kNoCall);
+  ASSERT_NE(call, kNone);
   router.disconnect(call);
   EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TEST(ConcurrentOverlay, FailRepairAndKillReviveMirrorGreedy) {
+TYPED_TEST(RouterStores, FailRepairAndKillReviveOnALine) {
   const auto net = build_line_with_spur();
-  core::ConcurrentRouter router(net, 1);
-  auto& w = router.worker(0);
+  AuditedRouter<TypeParam> router(net);
   const auto e1 = edge_between(net.g, 1, 2);  // a -> m
   router.fail_edge(e1);
   EXPECT_TRUE(router.edge_failed(e1));
   EXPECT_FALSE(router.edge_usable(e1));
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_EQ(router.connect(0, 0), kNone);
   router.repair_edge(e1);
-  const auto call = w.connect(0, 0);
-  ASSERT_NE(call, core::ConcurrentRouter::kNoCall);
-  w.disconnect(call);
+  const auto call = router.connect(0, 0);
+  ASSERT_NE(call, kNone);
+  router.disconnect(call);
 
   router.kill_vertex(2);
   EXPECT_TRUE(router.vertex_dead(2));
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_EQ(router.connect(0, 0), kNone);
   router.revive_vertex(2);
   EXPECT_FALSE(router.vertex_dead(2));
-  EXPECT_NE(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_NE(router.connect(0, 0), kNone);
+}
+
+// The overlay gates count OUTSTANDING faults and welds: once every weld and
+// fault is repaired, a router searches exactly like one that never saw
+// them (the weld-free, reach-pruned body; no overlay reads).
+TYPED_TEST(RouterStores, RepairedOverlaySearchesLikeANeverFaultedRouter) {
+  const auto net = networks::build_cantor({5, 0});
+  const auto churn = [&net](AuditedRouter<TypeParam>& router) {
+    const auto n = static_cast<std::uint32_t>(net.inputs.size());
+    util::Xoshiro256 rng(515);
+    std::vector<std::uint32_t> active;
+    for (int op = 0; op < 3000; ++op) {
+      if (!active.empty() && rng.below(4) == 0) {
+        const auto idx = rng.below(active.size());
+        router.disconnect(active[idx]);
+        active[idx] = active.back();
+        active.pop_back();
+      } else {
+        const auto call = router.connect(static_cast<std::uint32_t>(rng.below(n)),
+                                         static_cast<std::uint32_t>(rng.below(n)));
+        if (call != kNone) active.push_back(call);
+      }
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "after op " << op;
+    }
+  };
+  AuditedRouter<TypeParam> fresh(net), welded(net), faulted(net);
+  welded.contract_edge(7);
+  welded.uncontract_edge(7);
+  faulted.fail_edge(7);
+  faulted.repair_edge(7);
+  churn(fresh);
+  churn(welded);
+  churn(faulted);
+  const core::RouterStats a = fresh.stats();
+  const core::RouterStats b = welded.stats();
+  const core::RouterStats c = faulted.stats();
+  ASSERT_GT(a.accepted, 0u);
+  EXPECT_EQ(b.vertices_visited, a.vertices_visited);
+  EXPECT_EQ(b.path_vertices, a.path_vertices);
+  EXPECT_EQ(b.accepted, a.accepted);
+  EXPECT_EQ(c.vertices_visited, a.vertices_visited);
+  EXPECT_EQ(c.accepted, a.accepted);
+  EXPECT_EQ(b.overlay_conflicts + c.overlay_conflicts, 0u);
 }
 
 // ---------------------------------------- stuck-on (contracted) switches
 
-TEST(StuckOverlay, ContractedSwitchesCarryTheLongArm) {
+TYPED_TEST(RouterStores, ContractedSwitchesCarryTheLongArm) {
   const auto net = build_two_arm_net();
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  auto& w = concurrent.worker(0);
+  AuditedRouter<TypeParam> router(net);
   const std::vector<graph::VertexId> short_arm{0, 1, 2, 6};
   const std::vector<graph::VertexId> long_arm{0, 3, 4, 5, 6};
 
   // Baseline: the search takes the first arm it tries, the short one.
-  auto gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), short_arm);
-  greedy.disconnect(gc);
-  auto cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(w.path_of(cc), short_arm);
-  w.disconnect(cc);
+  auto c = router.connect(0, 0);
+  ASSERT_NE(c, kNone);
+  EXPECT_EQ(router.path_of(c), short_arm);
+  router.disconnect(c);
 
   // Fail the short arm and weld two of the long arm's switches: the call
   // must cross the welds. The welded hops conduct without switching, but
   // every junction they join is still claimed (one call per junction).
-  greedy.fail_edge(1);
-  concurrent.fail_edge(1);
+  router.fail_edge(1);
   for (const graph::EdgeId e : {4u, 5u}) {
-    greedy.contract_edge(e);
-    concurrent.contract_edge(e);
-    EXPECT_TRUE(greedy.edge_contracted(e));
-    EXPECT_TRUE(concurrent.edge_contracted(e));
+    router.contract_edge(e);
+    EXPECT_TRUE(router.edge_contracted(e));
   }
-  gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), long_arm);
-  EXPECT_EQ(greedy.busy_vertices(), long_arm.size());
-  for (const auto v : long_arm) EXPECT_TRUE(greedy.is_busy(v)) << v;
-  greedy.disconnect(gc);
-  EXPECT_EQ(greedy.busy_vertices(), 0u);
-  cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(w.path_of(cc), long_arm);
-  EXPECT_EQ(concurrent.busy_vertices(), long_arm.size());
-  for (const auto v : long_arm) EXPECT_TRUE(concurrent.is_busy(v)) << v;
-  w.disconnect(cc);
-  EXPECT_EQ(concurrent.busy_vertices(), 0u);
+  c = router.connect(0, 0);
+  ASSERT_NE(c, kNone);
+  EXPECT_EQ(router.path_of(c), long_arm);
+  EXPECT_EQ(router.busy_vertices(), long_arm.size());
+  router.disconnect(c);
+  EXPECT_EQ(router.busy_vertices(), 0u);
 
   // Repairing the welds and the short arm restores the original route.
-  greedy.repair_edge(1);
-  concurrent.repair_edge(1);
-  for (const graph::EdgeId e : {4u, 5u}) {
-    greedy.uncontract_edge(e);
-    concurrent.uncontract_edge(e);
-  }
-  gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), short_arm);
-  greedy.disconnect(gc);
-  cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(w.path_of(cc), short_arm);
-  w.disconnect(cc);
+  router.repair_edge(1);
+  for (const graph::EdgeId e : {4u, 5u}) router.uncontract_edge(e);
+  c = router.connect(0, 0);
+  ASSERT_NE(c, kNone);
+  EXPECT_EQ(router.path_of(c), short_arm);
+  router.disconnect(c);
 }
 
-TEST(StuckOverlay, WeldedSwitchConductsAgainstItsDirection) {
+TYPED_TEST(RouterStores, WeldedSwitchConductsAgainstItsDirection) {
   const auto net = build_reversed_line();
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  auto& w = concurrent.worker(0);
+  AuditedRouter<TypeParam> router(net);
   // No directed path exists: edge 1 points b -> a.
-  EXPECT_EQ(greedy.connect(0, 0), core::GreedyRouter::kNoCall);
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_EQ(router.connect(0, 0), kNone);
 
-  greedy.contract_edge(1);
-  concurrent.contract_edge(1);
-  const std::vector<graph::VertexId> through_weld{0, 1, 2, 3};
-  const auto gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), through_weld);
-  greedy.disconnect(gc);
-  const auto cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(w.path_of(cc), through_weld);
-  w.disconnect(cc);
+  router.contract_edge(1);
+  const auto c = router.connect(0, 0);
+  ASSERT_NE(c, kNone);
+  EXPECT_EQ(router.path_of(c), (std::vector<graph::VertexId>{0, 1, 2, 3}));
+  router.disconnect(c);
 
   // Un-welding severs the only conductor again.
-  greedy.uncontract_edge(1);
-  concurrent.uncontract_edge(1);
-  EXPECT_EQ(greedy.connect(0, 0), core::GreedyRouter::kNoCall);
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(greedy.busy_vertices(), 0u);
-  EXPECT_EQ(concurrent.busy_vertices(), 0u);
+  router.uncontract_edge(1);
+  EXPECT_EQ(router.connect(0, 0), kNone);
+  EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-// Satellite pin: stuck-on and open failures coexisting on PARALLEL switches
-// of the same hop. The forced-hop fast path must never mask an open-failed
-// sibling: the weld carries the hop while it lasts, but the open switch
-// stays dead, and once the weld is repaired the hop lives or dies on the
-// remaining siblings alone.
-TEST(StuckOverlay, StuckAndOpenSiblingsOnOneHop) {
-  for (const bool use_concurrent : {false, true}) {
-    const auto net = build_parallel_hop();
-    core::GreedyRouter greedy(net);
-    core::ConcurrentRouter concurrent(net, 1);
-    auto& w = concurrent.worker(0);
-    const auto connect_ok = [&]() -> bool {
-      if (use_concurrent) {
-        const auto c = w.connect(0, 0);
-        if (c == core::ConcurrentRouter::kNoCall) return false;
-        w.disconnect(c);
-        return true;
-      }
-      const auto c = greedy.connect(0, 0);
-      if (c == core::GreedyRouter::kNoCall) return false;
-      greedy.disconnect(c);
-      return true;
-    };
-    const auto fail = [&](graph::EdgeId e) {
-      greedy.fail_edge(e);
-      concurrent.fail_edge(e);
-    };
-    const auto repair = [&](graph::EdgeId e) {
-      greedy.repair_edge(e);
-      concurrent.repair_edge(e);
-    };
-    const auto weld = [&](graph::EdgeId e) {
-      greedy.contract_edge(e);
-      concurrent.contract_edge(e);
-    };
-    const auto unweld = [&](graph::EdgeId e) {
-      greedy.uncontract_edge(e);
-      concurrent.uncontract_edge(e);
-    };
+// Stuck-on and open failures coexisting on PARALLEL switches of the same
+// hop. The weld must never mask an open-failed sibling: the weld carries
+// the hop while it lasts, but the open switch stays dead, and once the weld
+// is repaired the hop lives or dies on the remaining siblings alone.
+TYPED_TEST(RouterStores, StuckAndOpenSiblingsOnOneHop) {
+  const auto net = build_parallel_hop();
+  AuditedRouter<TypeParam> router(net);
+  const auto connect_ok = [&]() -> bool {
+    const auto c = router.connect(0, 0);
+    if (c == kNone) return false;
+    router.disconnect(c);
+    return true;
+  };
 
-    EXPECT_TRUE(connect_ok());
-    fail(1);  // sibling A opens: B still switches the hop
-    EXPECT_TRUE(connect_ok());
-    weld(2);  // sibling B welds shut: the hop is a forced free ride
-    EXPECT_TRUE(connect_ok());
-    // The weld must not have masked A's open failure...
-    EXPECT_TRUE(greedy.edge_failed(1));
-    EXPECT_TRUE(concurrent.edge_failed(1));
-    EXPECT_FALSE(greedy.edge_usable(1));
-    EXPECT_FALSE(concurrent.edge_usable(1));
-    // ...so repairing ONLY the weld leaves the hop dead (A is still open).
-    unweld(2);
-    fail(2);  // B now fails open too
-    EXPECT_FALSE(connect_ok());
-    repair(1);  // A heals: the hop switches normally again
-    EXPECT_TRUE(connect_ok());
-    repair(2);
-    EXPECT_TRUE(connect_ok());
+  EXPECT_TRUE(connect_ok());
+  router.fail_edge(1);  // sibling A opens: B still switches the hop
+  EXPECT_TRUE(connect_ok());
+  router.contract_edge(2);  // sibling B welds shut: the hop is forced
+  EXPECT_TRUE(connect_ok());
+  // The weld must not have masked A's open failure...
+  EXPECT_TRUE(router.edge_failed(1));
+  EXPECT_FALSE(router.edge_usable(1));
+  // ...so repairing ONLY the weld leaves the hop dead (A is still open).
+  router.uncontract_edge(2);
+  router.fail_edge(2);  // B now fails open too
+  EXPECT_FALSE(connect_ok());
+  router.repair_edge(1);  // A heals: the hop switches normally again
+  EXPECT_TRUE(connect_ok());
+  router.repair_edge(2);
+  EXPECT_TRUE(connect_ok());
+}
+
+// ------------------------------ overlay == offline discard / contraction
+
+/// Routing on the FULL network under a liveness overlay, applied through
+/// the runtime primitives, reaches exactly the terminal pairs `reference`
+/// (the offline rebuilt network) reaches. `in_map`/`out_map` carry terminal
+/// indices into the rebuild (-1: discarded).
+template <class Store>
+void expect_overlay_matches_rebuild(const graph::Network& net,
+                                    const fault::LivenessOverlay& overlay,
+                                    const graph::Network& reference,
+                                    const std::vector<std::uint32_t>& in_map,
+                                    const std::vector<std::uint32_t>& out_map,
+                                    const std::string& what) {
+  AuditedRouter<Store> router(net);
+  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
+    if (overlay.dead_vertices[v]) router.kill_vertex(v);
+  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e) {
+    if (overlay.dead_edges[e]) router.fail_edge(e);
+    if (!overlay.contracted_edges.empty() && overlay.contracted_edges[e])
+      router.contract_edge(e);
+  }
+
+  core::GreedyRouter rebuilt(reference);
+  constexpr auto kDiscarded = static_cast<std::uint32_t>(-1);
+  for (std::uint32_t i = 0; i < net.inputs.size(); ++i) {
+    for (std::uint32_t o = 0; o < net.outputs.size(); ++o) {
+      bool reference_reaches = false;
+      if (in_map[i] != kDiscarded && out_map[o] != kDiscarded) {
+        const auto c = rebuilt.connect(in_map[i], out_map[o]);
+        if (c != kNone) {
+          reference_reaches = true;
+          rebuilt.disconnect(c);
+        }
+      }
+      const auto c = router.connect(i, o);
+      EXPECT_EQ(c != kNone, reference_reaches)
+          << what << " pair (" << i << "," << o << ")";
+      if (c != kNone) router.disconnect(c);
+    }
   }
 }
 
-// ---------------------------------------- overlay == repair_by_discard
-
-// Satellite pin: routing on the FULL network under the liveness overlay
-// built from a sampled FaultInstance reaches exactly the terminal pairs the
-// repair_by_discard rebuilt network reaches — on both engines. Overlay
-// semantics: spare_terminals = false, i.e. the §6 faulty mask verbatim.
+// Overlay built from a sampled FaultInstance == repair_by_discard's rebuilt
+// network. Overlay semantics: spare_terminals = false, i.e. the §6 faulty
+// mask verbatim.
+template <class Store>
 void expect_overlay_matches_discard(const graph::Network& net, double eps,
                                     std::uint64_t seed) {
   const fault::FaultInstance inst(net, fault::FaultModel::symmetric(eps),
                                   seed);
   const auto overlay = fault::overlay_from_instance(inst, false);
   const auto repaired = fault::repair_by_discard(inst);
-
-  // Apply the overlay through the runtime primitives on both engines.
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
-    if (overlay.dead_vertices[v]) {
-      greedy.kill_vertex(v);
-      concurrent.kill_vertex(v);
-    }
-  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e)
-    if (overlay.dead_edges[e]) {
-      greedy.fail_edge(e);
-      concurrent.fail_edge(e);
-    }
-
   // Terminal-index mapping into the rebuilt network.
-  std::vector<std::uint32_t> in_map(net.inputs.size(),
-                                    static_cast<std::uint32_t>(-1));
-  std::vector<std::uint32_t> out_map(net.outputs.size(),
-                                     static_cast<std::uint32_t>(-1));
-  for (std::size_t i = 0; i < net.inputs.size(); ++i) {
-    const auto nv = repaired.old_to_new[net.inputs[i]];
-    if (nv == graph::kNoVertex) continue;
-    for (std::size_t k = 0; k < repaired.net.inputs.size(); ++k)
-      if (repaired.net.inputs[k] == nv) in_map[i] = static_cast<std::uint32_t>(k);
-  }
-  for (std::size_t o = 0; o < net.outputs.size(); ++o) {
-    const auto nv = repaired.old_to_new[net.outputs[o]];
-    if (nv == graph::kNoVertex) continue;
-    for (std::size_t k = 0; k < repaired.net.outputs.size(); ++k)
-      if (repaired.net.outputs[k] == nv)
-        out_map[o] = static_cast<std::uint32_t>(k);
-  }
-
-  core::GreedyRouter reference(repaired.net);
-  auto& worker = concurrent.worker(0);
-  for (std::uint32_t i = 0; i < net.inputs.size(); ++i) {
-    for (std::uint32_t o = 0; o < net.outputs.size(); ++o) {
-      bool reference_reaches = false;
-      if (in_map[i] != static_cast<std::uint32_t>(-1) &&
-          out_map[o] != static_cast<std::uint32_t>(-1)) {
-        const auto c = reference.connect(in_map[i], out_map[o]);
-        if (c != core::GreedyRouter::kNoCall) {
-          reference_reaches = true;
-          reference.disconnect(c);
-        }
-      }
-      const auto gc = greedy.connect(i, o);
-      EXPECT_EQ(gc != core::GreedyRouter::kNoCall, reference_reaches)
-          << "greedy overlay pair (" << i << "," << o << ") eps " << eps
-          << " seed " << seed;
-      if (gc != core::GreedyRouter::kNoCall) greedy.disconnect(gc);
-      const auto cc = worker.connect(i, o);
-      EXPECT_EQ(cc != core::ConcurrentRouter::kNoCall, reference_reaches)
-          << "concurrent overlay pair (" << i << "," << o << ") eps " << eps
-          << " seed " << seed;
-      if (cc != core::ConcurrentRouter::kNoCall) worker.disconnect(cc);
+  const auto index_map = [&](const std::vector<graph::VertexId>& old_list,
+                             const std::vector<graph::VertexId>& new_list) {
+    std::vector<std::uint32_t> map(old_list.size(),
+                                   static_cast<std::uint32_t>(-1));
+    for (std::size_t i = 0; i < old_list.size(); ++i) {
+      const auto nv = repaired.old_to_new[old_list[i]];
+      if (nv == graph::kNoVertex) continue;
+      for (std::size_t k = 0; k < new_list.size(); ++k)
+        if (new_list[k] == nv) map[i] = static_cast<std::uint32_t>(k);
     }
-  }
+    return map;
+  };
+  expect_overlay_matches_rebuild<Store>(
+      net, overlay, repaired.net, index_map(net.inputs, repaired.net.inputs),
+      index_map(net.outputs, repaired.net.outputs),
+      "discard eps " + std::to_string(eps) + " seed " + std::to_string(seed));
 }
 
-TEST(OverlayEquivalence, MatchesRepairByDiscardOnBothEngines) {
+TYPED_TEST(RouterStores, OverlayMatchesRepairByDiscard) {
   const auto& ft = core::build_ft_network(core::FtParams::sim(1, 8, 6, 1, 3));
   for (const std::uint64_t seed : {11u, 12u, 13u})
-    expect_overlay_matches_discard(ft.net, 0.02, seed);
+    expect_overlay_matches_discard<TypeParam>(ft.net, 0.02, seed);
   const auto cantor = networks::build_cantor({4, 0});
   for (const std::uint64_t seed : {21u, 22u})
-    expect_overlay_matches_discard(cantor, 0.01, seed);
+    expect_overlay_matches_discard<TypeParam>(cantor, 0.01, seed);
   // Heavier damage: discard tears real holes, the overlay must follow.
-  expect_overlay_matches_discard(networks::build_crossbar(6), 0.15, 31);
+  expect_overlay_matches_discard<TypeParam>(networks::build_crossbar(6), 0.15,
+                                            31);
 }
 
-// ------------------------------------ overlay == repair_by_contraction
-
-// The tentpole pin, mirroring the discard equivalence above: routing on the
-// FULL network under the kContractStuck liveness overlay (open failures
-// kill, stuck-on switches become free forced hops via the runtime
-// contract_edge primitive) reaches exactly the terminal pairs the OFFLINE
-// contracted-and-rebuilt network (repair_by_contraction) reaches — on both
-// engines.
+// The live-contraction pin, mirroring the discard equivalence above: under
+// the kContractStuck overlay (open failures kill, stuck-on switches become
+// welds via the runtime contract_edge primitive) the router reaches exactly
+// the terminal pairs the OFFLINE contracted-and-rebuilt network
+// (repair_by_contraction) reaches.
+template <class Store>
 void expect_contraction_matches_offline(const graph::Network& net,
                                         const fault::FaultModel& model,
                                         std::uint64_t seed) {
@@ -456,99 +433,53 @@ void expect_contraction_matches_offline(const graph::Network& net,
   const auto overlay = fault::overlay_from_instance(
       inst, false, fault::OverlayMode::kContractStuck);
   const auto rebuilt = fault::repair_by_contraction(inst, false);
-
-  // Apply the overlay through the runtime primitives on both engines.
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
-    if (overlay.dead_vertices[v]) {
-      greedy.kill_vertex(v);
-      concurrent.kill_vertex(v);
-    }
-  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e) {
-    if (overlay.dead_edges[e]) {
-      greedy.fail_edge(e);
-      concurrent.fail_edge(e);
-    }
-    if (overlay.contracted_edges[e]) {
-      greedy.contract_edge(e);
-      concurrent.contract_edge(e);
-    }
-  }
-
-  // Terminal-index mapping: rebuilt terminal lists keep the original order,
-  // skipping discarded terminals (merged terminals share a vertex but keep
-  // distinct indices).
-  std::vector<std::uint32_t> in_map(net.inputs.size(),
-                                    static_cast<std::uint32_t>(-1));
-  std::vector<std::uint32_t> out_map(net.outputs.size(),
-                                     static_cast<std::uint32_t>(-1));
-  std::uint32_t next_in = 0;
-  for (std::size_t i = 0; i < net.inputs.size(); ++i)
-    if (rebuilt.old_to_new[net.inputs[i]] != graph::kNoVertex)
-      in_map[i] = next_in++;
-  std::uint32_t next_out = 0;
-  for (std::size_t o = 0; o < net.outputs.size(); ++o)
-    if (rebuilt.old_to_new[net.outputs[o]] != graph::kNoVertex)
-      out_map[o] = next_out++;
-  ASSERT_EQ(next_in, rebuilt.net.inputs.size());
-  ASSERT_EQ(next_out, rebuilt.net.outputs.size());
-
-  core::GreedyRouter reference(rebuilt.net);
-  auto& worker = concurrent.worker(0);
-  for (std::uint32_t i = 0; i < net.inputs.size(); ++i) {
-    for (std::uint32_t o = 0; o < net.outputs.size(); ++o) {
-      bool reference_reaches = false;
-      if (in_map[i] != static_cast<std::uint32_t>(-1) &&
-          out_map[o] != static_cast<std::uint32_t>(-1)) {
-        const auto c = reference.connect(in_map[i], out_map[o]);
-        if (c != core::GreedyRouter::kNoCall) {
-          reference_reaches = true;
-          reference.disconnect(c);
-        }
-      }
-      const auto gc = greedy.connect(i, o);
-      EXPECT_EQ(gc != core::GreedyRouter::kNoCall, reference_reaches)
-          << "greedy contraction pair (" << i << "," << o << ") on "
-          << net.name << " seed " << seed;
-      if (gc != core::GreedyRouter::kNoCall) greedy.disconnect(gc);
-      const auto cc = worker.connect(i, o);
-      EXPECT_EQ(cc != core::ConcurrentRouter::kNoCall, reference_reaches)
-          << "concurrent contraction pair (" << i << "," << o << ") on "
-          << net.name << " seed " << seed;
-      if (cc != core::ConcurrentRouter::kNoCall) worker.disconnect(cc);
-    }
-  }
+  // Rebuilt terminal lists keep the original order, skipping discarded
+  // terminals (merged terminals share a vertex but keep distinct indices).
+  const auto index_map = [&](const std::vector<graph::VertexId>& old_list,
+                             std::size_t rebuilt_count) {
+    std::vector<std::uint32_t> map(old_list.size(),
+                                   static_cast<std::uint32_t>(-1));
+    std::uint32_t next = 0;
+    for (std::size_t i = 0; i < old_list.size(); ++i)
+      if (rebuilt.old_to_new[old_list[i]] != graph::kNoVertex) map[i] = next++;
+    EXPECT_EQ(next, rebuilt_count);
+    return map;
+  };
+  expect_overlay_matches_rebuild<Store>(
+      net, overlay, rebuilt.net,
+      index_map(net.inputs, rebuilt.net.inputs.size()),
+      index_map(net.outputs, rebuilt.net.outputs.size()),
+      "contraction on " + net.name + " seed " + std::to_string(seed));
 }
 
-TEST(OverlayEquivalence, LiveStuckOnMatchesOfflineContraction) {
+TYPED_TEST(RouterStores, LiveStuckOnMatchesOfflineContraction) {
   // Pure closed failures: every fault is a weld, nothing dies.
   const auto& ft = core::build_ft_network(core::FtParams::sim(1, 8, 6, 1, 3));
   for (const std::uint64_t seed : {51u, 52u, 53u})
-    expect_contraction_matches_offline(ft.net, {0.0, 0.02}, seed);
+    expect_contraction_matches_offline<TypeParam>(ft.net, {0.0, 0.02}, seed);
   const auto cantor = networks::build_cantor({4, 0});
   for (const std::uint64_t seed : {61u, 62u})
-    expect_contraction_matches_offline(cantor, {0.0, 0.01}, seed);
+    expect_contraction_matches_offline<TypeParam>(cantor, {0.0, 0.01}, seed);
   // Heavy pure-closed damage on a dense net: long weld chains, terminal
   // shorts (Lemma 7's catastrophe is a legal, reachable state here).
-  expect_contraction_matches_offline(networks::build_crossbar(6), {0.0, 0.2},
-                                     71);
+  expect_contraction_matches_offline<TypeParam>(networks::build_crossbar(6),
+                                                {0.0, 0.2}, 71);
 }
 
-TEST(OverlayEquivalence, MixedOpenAndStuckMatchesOfflineContraction) {
+TYPED_TEST(RouterStores, MixedOpenAndStuckMatchesOfflineContraction) {
   // Both failure modes at once: open failures discard, welds contract, and
   // the interactions (a weld severed by a dead endpoint, a hop carried only
   // by a weld) must agree with the offline rebuild.
   const auto& ft = core::build_ft_network(core::FtParams::sim(1, 8, 6, 1, 3));
   for (const std::uint64_t seed : {81u, 82u, 83u})
-    expect_contraction_matches_offline(
+    expect_contraction_matches_offline<TypeParam>(
         ft.net, fault::FaultModel::symmetric(0.02), seed);
   const auto cantor = networks::build_cantor({4, 0});
   for (const std::uint64_t seed : {91u, 92u})
-    expect_contraction_matches_offline(
+    expect_contraction_matches_offline<TypeParam>(
         cantor, fault::FaultModel::symmetric(0.01), seed);
-  expect_contraction_matches_offline(networks::build_crossbar(6),
-                                     fault::FaultModel::symmetric(0.12), 99);
+  expect_contraction_matches_offline<TypeParam>(
+      networks::build_crossbar(6), fault::FaultModel::symmetric(0.12), 99);
 }
 
 // ------------------------------------------------------- fault schedule
@@ -1065,7 +996,7 @@ TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
   threads.reserve(kWorkers + 1);
   for (unsigned t = 0; t < kWorkers; ++t) {
     threads.emplace_back([&, t] {
-      auto& w = router.worker(t);
+      auto& w = router.session(t);
       util::Xoshiro256 rng(util::derive_seed(311, t));
       std::vector<core::ConcurrentRouter::CallId> mine;
       for (int op = 0; op < 3000; ++op) {
@@ -1151,7 +1082,7 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
   threads.reserve(kWorkers + 1);
   for (unsigned t = 0; t < kWorkers; ++t) {
     threads.emplace_back([&, t] {
-      auto& w = router.worker(t);
+      auto& w = router.session(t);
       util::Xoshiro256 rng(util::derive_seed(977, t));
       std::vector<core::ConcurrentRouter::CallId> mine;
       for (int op = 0; op < 3000; ++op) {

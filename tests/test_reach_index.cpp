@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/ft_network.hpp"
 #include "ftcs/reach_index.hpp"
 #include "ftcs/router.hpp"
@@ -93,7 +92,7 @@ TEST(ReachIndex, CyclicNetFallsBackToNoPruning) {
     for (std::uint32_t o = 0; o < net.outputs.size(); ++o)
       EXPECT_TRUE(reach.reaches(v, o)) << v << " " << o;
 
-  // The search stays exact without the filter, on both engines.
+  // The search stays exact without the filter, on both stores.
   const std::vector<graph::VertexId> path{in, a, b, out};
   core::GreedyRouter g(net);
   EXPECT_EQ(g.connect(0, 1), core::GreedyRouter::kNoCall);
@@ -101,10 +100,10 @@ TEST(ReachIndex, CyclicNetFallsBackToNoPruning) {
   ASSERT_NE(gc, core::GreedyRouter::kNoCall);
   EXPECT_EQ(g.path_of(gc), path);
   core::ConcurrentRouter c(net, 1);
-  EXPECT_EQ(c.worker(0).connect(0, 1), core::ConcurrentRouter::kNoCall);
-  const auto cc = c.worker(0).connect(0, 0);
+  EXPECT_EQ(c.session(0).connect(0, 1), core::ConcurrentRouter::kNoCall);
+  const auto cc = c.session(0).connect(0, 0);
   ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(c.worker(0).path_of(cc), path);
+  EXPECT_EQ(c.session(0).path_of(cc), path);
 }
 
 }  // namespace

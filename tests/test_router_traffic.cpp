@@ -2,19 +2,26 @@
 
 #include "ftcs/router.hpp"
 #include "ftcs/traffic.hpp"
+#include "networks/cantor.hpp"
 #include "networks/clos.hpp"
 #include "networks/crossbar.hpp"
 #include "svc/exchange.hpp"
+#include "router_stores.hpp"
 
 namespace ftcs::core {
 namespace {
 
-TEST(Router, ConnectDisconnectLifecycle) {
+using namespace test;
+
+// The call lifecycle on both stores (the typed RouterStores suite,
+// router_stores.hpp), audited after every operation.
+
+TYPED_TEST(RouterStores, ConnectDisconnectLifecycle) {
   const auto net = networks::build_crossbar(4);
-  GreedyRouter router(net);
+  AuditedRouter<TypeParam> router(net);
   EXPECT_TRUE(router.input_idle(0));
   const auto call = router.connect(0, 2);
-  ASSERT_NE(call, GreedyRouter::kNoCall);
+  ASSERT_NE(call, kNone);
   EXPECT_FALSE(router.input_idle(0));
   EXPECT_FALSE(router.output_idle(2));
   EXPECT_EQ(router.active_calls(), 1u);
@@ -26,29 +33,44 @@ TEST(Router, ConnectDisconnectLifecycle) {
   EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TEST(Router, RejectsBusyTerminals) {
+TYPED_TEST(RouterStores, RejectsBusyTerminals) {
   const auto net = networks::build_crossbar(3);
-  GreedyRouter router(net);
-  const auto c1 = router.connect(0, 0);
-  ASSERT_NE(c1, GreedyRouter::kNoCall);
-  EXPECT_EQ(router.connect(0, 1), GreedyRouter::kNoCall);
-  EXPECT_EQ(router.connect(1, 0), GreedyRouter::kNoCall);
-  EXPECT_NE(router.connect(1, 1), GreedyRouter::kNoCall);
+  AuditedRouter<TypeParam> router(net);
+  ASSERT_NE(router.connect(0, 0), kNone);
+  EXPECT_EQ(router.connect(0, 1), kNone);
+  EXPECT_EQ(router.connect(1, 0), kNone);
+  EXPECT_NE(router.connect(1, 1), kNone);
+  EXPECT_EQ(router.stats().rejected_terminal, 2u);
 }
 
-TEST(Router, BlockedVerticesNeverUsed) {
-  const auto net = networks::build_crossbar(3);
-  std::vector<std::uint8_t> blocked(net.g.vertex_count(), 0);
-  blocked[net.inputs[1]] = 1;
-  GreedyRouter router(net, blocked);
-  EXPECT_FALSE(router.input_idle(1));
-  EXPECT_EQ(router.connect(1, 0), GreedyRouter::kNoCall);
-  EXPECT_NE(router.connect(0, 0), GreedyRouter::kNoCall);
+// Statically blocked vertices are never routed through or claimed: a
+// blocked input reads busy and is refused at admission, and with every
+// non-terminal blocked no path exists and nothing is left claimed.
+TYPED_TEST(RouterStores, BlockedVerticesNeverUsed) {
+  {
+    const auto net = networks::build_crossbar(3);
+    std::vector<std::uint8_t> blocked(net.g.vertex_count(), 0);
+    blocked[net.inputs[1]] = 1;
+    AuditedRouter<TypeParam> router(net, blocked);
+    EXPECT_FALSE(router.input_idle(1));
+    EXPECT_EQ(router.connect(1, 0), kNone);
+    EXPECT_NE(router.connect(0, 0), kNone);
+  }
+  const auto net = networks::build_cantor({4, 0});
+  std::vector<std::uint8_t> blocked(net.g.vertex_count(), 1);
+  for (const auto v : net.inputs) blocked[v] = 0;
+  for (const auto v : net.outputs) blocked[v] = 0;
+  AuditedRouter<TypeParam> router(net, blocked);
+  EXPECT_EQ(router.connect(0, 1), kNone);
+  EXPECT_EQ(router.stats().rejected_no_path, 1u);
+  EXPECT_EQ(router.busy_vertices(), 0u);
+  EXPECT_TRUE(router.input_idle(0));
+  EXPECT_TRUE(router.output_idle(1));
 }
 
-TEST(Router, SlotReuseAfterDisconnect) {
+TYPED_TEST(RouterStores, SlotReuseAfterDisconnect) {
   const auto net = networks::build_crossbar(4);
-  GreedyRouter router(net);
+  AuditedRouter<TypeParam> router(net);
   const auto c1 = router.connect(0, 0);
   router.disconnect(c1);
   const auto c2 = router.connect(1, 1);
@@ -56,11 +78,11 @@ TEST(Router, SlotReuseAfterDisconnect) {
   router.disconnect(c2);
 }
 
-TEST(Router, FullLoadOnCrossbar) {
+TYPED_TEST(RouterStores, FullLoadOnCrossbar) {
   const auto net = networks::build_crossbar(5);
-  GreedyRouter router(net);
+  AuditedRouter<TypeParam> router(net);
   for (std::uint32_t i = 0; i < 5; ++i)
-    ASSERT_NE(router.connect(i, (i + 2) % 5), GreedyRouter::kNoCall);
+    ASSERT_NE(router.connect(i, (i + 2) % 5), kNone);
   EXPECT_EQ(router.active_calls(), 5u);
 }
 

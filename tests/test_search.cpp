@@ -4,23 +4,24 @@
 // idle path (the paper's §4 greedy routing needs no more), which is a
 // shortest one wherever every input->output path has the same length.
 //
-//  - churn traces on cantor (one input->output length), both engines
-//    (GreedyRouter and a one-worker ConcurrentRouter), healthy and degraded
-//    (failed switches): every connect's verdict and path length match
-//    graph::shortest_path, a plain BFS over the router's busy and
+//  - churn traces on cantor (one input->output length), on both stores
+//    (the typed RouterStores suite, tests/router_stores.hpp), healthy and
+//    degraded (failed switches): every connect's verdict and path length
+//    match graph::shortest_path, a plain BFS over the router's busy and
 //    failed-switch state captured just before the connect;
 //  - welded overlays (runtime contraction), where the search stops pruning:
 //    verdicts match plain-BFS reachability on the offline contracted
 //    network (fault::repair_by_contraction) and every settled path is
 //    checked hop by hop;
-//  - a seeded cantor-k6 churn: both engines settle the same paths, every
-//    path is valid, every verdict matches plain BFS and every path has the
-//    network's uniform length;
+//  - a seeded cantor-k6 churn: every path is valid, every verdict matches
+//    plain BFS and every path has the network's uniform length;
 //  - the §4 oracle: on fault-free strictly nonblocking networks (cantor
 //    k5-k7, the §6 FT network at nu = 1 and 2, crossbar) no call between
 //    idle terminals is ever refused, and every path has the uniform length;
 //  - a fan-out net that forces the search to backtrack, healthy, degraded
 //    and welded.
+// Every test routes through AuditedRouter (router_stores.hpp), so the
+// structural audit runs after every operation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,19 +30,18 @@
 
 #include "fault/fault_instance.hpp"
 #include "fault/repair.hpp"
-#include "ftcs/concurrent_router.hpp"
+#include "ftcs/ft_network.hpp"
 #include "ftcs/router.hpp"
 #include "graph/algorithms.hpp"
-#include "ftcs/ft_network.hpp"
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
 #include "util/prng.hpp"
+#include "router_stores.hpp"
 
 namespace ftcs {
 namespace {
 
-constexpr auto kNone = static_cast<std::uint32_t>(-1);  // both routers'
-                                                        // kNoCall value
+using namespace test;
 
 /// Is u -> v traversable for a settled path: a usable forward switch, or a
 /// usable stuck-on (welded) switch v -> u conducting in reverse.
@@ -71,14 +71,13 @@ void expect_valid_path(const Router& r, const graph::CsrGraph& g,
         << "hop " << path[i] << " -> " << path[i + 1] << " is not an edge";
 }
 
-/// Routes in -> out on `session` and checks the verdict and the path length
-/// against graph::shortest_path over `router`'s busy vertices and unusable
-/// switches as they were just before the connect. Works for GreedyRouter
-/// (router == session) and ConcurrentRouter::Worker. Returns the call.
-template <class Router, class Session>
-std::uint32_t connect_checked(const Router& router, Session& session,
-                              const graph::Network& net, std::uint32_t in,
-                              std::uint32_t out) {
+/// Routes in -> out on `router`'s session 0 and checks the verdict and the
+/// path length against graph::shortest_path over the router's busy vertices
+/// and unusable switches as they were just before the connect. Returns the
+/// call.
+template <class Router>
+std::uint32_t connect_checked(Router& router, const graph::Network& net,
+                              std::uint32_t in, std::uint32_t out) {
   const graph::CsrGraph& g = net.g;
   const bool idle = router.input_idle(in) && router.output_idle(out);
   std::vector<std::uint8_t> busy(g.vertex_count());
@@ -88,7 +87,7 @@ std::uint32_t connect_checked(const Router& router, Session& session,
   for (graph::EdgeId e = 0; e < g.edge_count(); ++e)
     unusable[e] = router.edge_usable(e) ? 0 : 1;
 
-  const std::uint32_t call = session.connect(in, out);
+  const std::uint32_t call = router.connect(in, out);
   if (!idle) {
     EXPECT_EQ(call, kNone) << "busy terminal admitted";
     return call;
@@ -100,7 +99,7 @@ std::uint32_t connect_checked(const Router& router, Session& session,
   EXPECT_EQ(call != kNone, ref.has_value())
       << "verdict differs from plain BFS for (" << in << "," << out << ")";
   if (call != kNone && ref) {
-    EXPECT_EQ(session.path_length(call), ref->size())
+    EXPECT_EQ(router.path_length(call), ref->size())
         << "not a shortest idle path for (" << in << "," << out << ")";
   }
   return call;
@@ -119,38 +118,39 @@ std::size_t idle_path_length(const graph::Network& net) {
 
 /// Random connect/disconnect churn on a network with one input->output
 /// length: every connect checked by connect_checked(), every settled path
-/// hop by hop and against that length. Returns the settled paths in order.
-template <class Router, class Session>
-std::vector<std::vector<graph::VertexId>> run_reference_trace(
-    const Router& router, Session& session, const graph::Network& net,
-    std::uint64_t seed, std::size_t ops) {
+/// hop by hop and against that length.
+template <class Router>
+void run_reference_trace(Router& router, const graph::Network& net,
+                         std::uint64_t seed, std::size_t ops) {
   const std::size_t length = idle_path_length(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(seed);
   std::vector<std::uint32_t> active;
-  std::vector<std::vector<graph::VertexId>> paths;
+  std::size_t settled = 0;
   for (std::size_t op = 0; op < ops; ++op) {
     if (!active.empty() && rng.below(4) == 0) {
       const auto idx = rng.below(active.size());
-      session.disconnect(active[idx]);
+      router.disconnect(active[idx]);
       active[idx] = active.back();
       active.pop_back();
-      continue;
+    } else {
+      const auto in = static_cast<std::uint32_t>(rng.below(n));
+      const auto out = static_cast<std::uint32_t>(rng.below(n));
+      const auto call = connect_checked(router, net, in, out);
+      if (call != kNone) {
+        const auto path = router.path_of(call);
+        expect_valid_path(router, net.g, path);
+        EXPECT_EQ(path.size(), length);
+        active.push_back(call);
+        ++settled;
+      }
     }
-    const auto in = static_cast<std::uint32_t>(rng.below(n));
-    const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto call = connect_checked(router, session, net, in, out);
-    if (call == kNone) continue;
-    paths.push_back(session.path_of(call));
-    expect_valid_path(router, net.g, paths.back());
-    EXPECT_EQ(paths.back().size(), length);
-    active.push_back(call);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "after op " << op;
   }
-  EXPECT_GT(paths.size(), 0u);
-  for (const auto c : active) session.disconnect(c);
+  EXPECT_GT(settled, 0u);
+  for (const auto c : active) router.disconnect(c);
   EXPECT_EQ(router.busy_vertices(), 0u);
   EXPECT_GT(router.stats().vertices_visited, 0u);
-  return paths;
 }
 
 /// Verdict oracle for welded routing between idle terminals: plain-BFS
@@ -182,9 +182,8 @@ std::vector<std::vector<bool>> contracted_reachability(
 /// Stateless welded trace: route one pair at a time (connect, check,
 /// disconnect) so every connect sees an idle network; verdicts must match
 /// the offline contraction and every path must be electrically sound.
-template <class Router, class Session>
-void run_welded_trace(Router& router, Session& session,
-                      const graph::Network& net,
+template <class Router>
+void run_welded_trace(Router& router, const graph::Network& net,
                       const std::vector<graph::EdgeId>& welds,
                       std::uint64_t seed, int trials) {
   for (const auto e : welds) router.contract_edge(e);
@@ -195,13 +194,13 @@ void run_welded_trace(Router& router, Session& session,
   for (int trial = 0; trial < trials; ++trial) {
     const auto in = static_cast<std::uint32_t>(rng.below(n));
     const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto call = session.connect(in, out);
+    const auto call = router.connect(in, out);
     ASSERT_EQ(call != kNone, reach[in][out])
         << "welded verdict differs from the offline contraction at trial "
         << trial;
     if (call == kNone) continue;
-    expect_valid_path(router, net.g, session.path_of(call));
-    session.disconnect(call);
+    expect_valid_path(router, net.g, router.path_of(call));
+    router.disconnect(call);
     ++routed;
   }
   ASSERT_GT(routed, 0u);
@@ -218,62 +217,42 @@ std::vector<graph::EdgeId> every_nth_edge(const graph::Network& net,
   return out;
 }
 
-TEST(Search, GreedyChurnMatchesPlainBfs) {
+TYPED_TEST(RouterStores, ChurnMatchesPlainBfs) {
   const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter r(net);
-  run_reference_trace(r, r, net, 2024, 800);
+  AuditedRouter<TypeParam> router(net);
+  run_reference_trace(router, net, 2024, 800);
 }
 
-TEST(Search, ConcurrentWorkerChurnMatchesPlainBfs) {
-  const auto net = networks::build_cantor({4, 0});
-  core::ConcurrentRouter r(net, 1);
-  run_reference_trace(r, r.worker(0), net, 2024, 800);
-}
-
-TEST(Search, DegradedOverlayChurnMatchesPlainBfs) {
+TYPED_TEST(RouterStores, DegradedOverlayChurnMatchesPlainBfs) {
   // A deterministic spread of failed switches; contraction stays off, so
   // costs stay unit and plain BFS around the failures is exact.
   const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter g(net);
-  core::ConcurrentRouter c(net, 1);
-  for (const auto e : every_nth_edge(net, 3, 17)) {
-    g.fail_edge(e);
-    c.fail_edge(e);
-  }
-  run_reference_trace(g, g, net, 4711, 800);
-  run_reference_trace(c, c.worker(0), net, 4711, 800);
+  AuditedRouter<TypeParam> router(net);
+  for (const auto e : every_nth_edge(net, 3, 17)) router.fail_edge(e);
+  run_reference_trace(router, net, 4711, 800);
 }
 
-TEST(Search, WeldedCantorVerdictsMatchOfflineContraction) {
+TYPED_TEST(RouterStores, WeldedCantorVerdictsMatchOfflineContraction) {
   const auto net = networks::build_cantor({4, 0});
-  const auto welds = every_nth_edge(net, 5, 29);
-  core::GreedyRouter g(net);
-  run_welded_trace(g, g, net, welds, 99, 400);
-  core::ConcurrentRouter c(net, 1);
-  run_welded_trace(c, c.worker(0), net, welds, 99, 400);
+  AuditedRouter<TypeParam> router(net);
+  run_welded_trace(router, net, every_nth_edge(net, 5, 29), 99, 400);
 }
 
 // The search may settle any of several equally long paths, so the pin is
-// on what any correct search must deliver, plus path-for-path agreement of
-// the two engines.
-TEST(Search, CantorChurnPathsAreValidUniformAndMatchPlainBfs) {
+// on what any correct search must deliver.
+TYPED_TEST(RouterStores, CantorChurnPathsAreValidUniformAndMatchPlainBfs) {
   const auto net = networks::build_cantor({6, 0});
-  core::GreedyRouter g(net);
-  const auto g_paths = run_reference_trace(g, g, net, 401, 6000);
-  core::ConcurrentRouter c(net, 1);
-  const auto c_paths = run_reference_trace(c, c.worker(0), net, 401, 6000);
-  ASSERT_GT(g_paths.size(), 0u);
-  EXPECT_EQ(g_paths, c_paths);
-  EXPECT_EQ(g.stats().vertices_visited, c.stats().vertices_visited);
+  AuditedRouter<TypeParam> router(net);
+  run_reference_trace(router, net, 401, 6000);
 }
 
 /// The §4 oracle as a churn: on a fault-free strictly nonblocking network a
 /// call between idle terminals must always connect, over a path of the
 /// network's uniform length.
-template <class Router, class Session>
-void run_oracle_churn(const Router& router, Session& session,
-                      const graph::Network& net, std::uint64_t seed,
+template <class Store>
+void run_oracle_churn(const graph::Network& net, std::uint64_t seed,
                       std::size_t ops) {
+  AuditedRouter<Store> router(net);
   const std::size_t length = idle_path_length(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(seed);
@@ -282,55 +261,48 @@ void run_oracle_churn(const Router& router, Session& session,
   for (std::size_t op = 0; op < ops; ++op) {
     if (!active.empty() && rng.below(3) == 0) {
       const auto idx = rng.below(active.size());
-      session.disconnect(active[idx]);
+      router.disconnect(active[idx]);
       active[idx] = active.back();
       active.pop_back();
-      continue;
+    } else {
+      const auto in = static_cast<std::uint32_t>(rng.below(n));
+      const auto out = static_cast<std::uint32_t>(rng.below(n));
+      const bool idle = router.input_idle(in) && router.output_idle(out);
+      const auto call = router.connect(in, out);
+      if (!idle) {
+        ASSERT_EQ(call, kNone) << "busy terminal admitted";
+      } else {
+        ASSERT_NE(call, kNone) << net.name << ": no path between idle "
+                               << "terminals (" << in << "," << out
+                               << ") at op " << op;
+        ASSERT_EQ(router.path_length(call), length) << net.name;
+        active.push_back(call);
+        ++routed;
+      }
     }
-    const auto in = static_cast<std::uint32_t>(rng.below(n));
-    const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const bool idle = router.input_idle(in) && router.output_idle(out);
-    const auto call = session.connect(in, out);
-    if (!idle) {
-      ASSERT_EQ(call, kNone) << "busy terminal admitted";
-      continue;
-    }
-    ASSERT_NE(call, kNone) << net.name << ": no path between idle terminals ("
-                           << in << "," << out << ") at op " << op;
-    ASSERT_EQ(session.path_length(call), length) << net.name;
-    active.push_back(call);
-    ++routed;
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "after op " << op;
   }
   EXPECT_GT(routed, 0u);
   EXPECT_EQ(router.stats().rejected_no_path, 0u);
-  for (const auto c : active) session.disconnect(c);
+  for (const auto c : active) router.disconnect(c);
   EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-void expect_oracle_on_both_engines(const graph::Network& net,
-                                   std::uint64_t seed, std::size_t ops) {
-  core::GreedyRouter g(net);
-  run_oracle_churn(g, g, net, seed, ops);
-  core::ConcurrentRouter c(net, 1);
-  run_oracle_churn(c, c.worker(0), net, seed, ops);
-}
-
-TEST(Search, NoIdleTerminalRefusedOnFaultFreeCantor) {
+TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeCantor) {
   for (const std::uint32_t k : {5u, 6u, 7u})
-    expect_oracle_on_both_engines(networks::build_cantor({k, 0}), 100 + k,
-                                  4000);
+    run_oracle_churn<TypeParam>(networks::build_cantor({k, 0}), 100 + k, 4000);
 }
 
-TEST(Search, NoIdleTerminalRefusedOnFaultFreeFtNetwork) {
+TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeFtNetwork) {
   for (const std::uint32_t nu : {1u, 2u})
-    expect_oracle_on_both_engines(
+    run_oracle_churn<TypeParam>(
         core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
             .net,
         200 + nu, 2000);
 }
 
-TEST(Search, NoIdleTerminalRefusedOnCrossbar) {
-  expect_oracle_on_both_engines(networks::build_crossbar(32), 300, 4000);
+TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnCrossbar) {
+  run_oracle_churn<TypeParam>(networks::build_crossbar(32), 300, 4000);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,59 +352,46 @@ Star build_star(std::size_t mids, bool with_back) {
 /// A healthy connect takes the first mid and stamps nothing else; with the
 /// first `dead` mids' exits failed, the search stamps and abandons each of
 /// them before it settles through mid[dead]. Both checked against plain BFS.
-template <class Router, class Session>
-void expect_star_backtracks(Router& router, Session& session,
-                            const Star& star, std::size_t dead) {
-  const auto c = connect_checked(router, session, star.net, 0, 0);
+TYPED_TEST(RouterStores, FanOutNetBacktracks) {
+  const auto star = build_star(256, false);
+  constexpr std::size_t kDead = 200;
+  AuditedRouter<TypeParam> router(star.net);
+  const auto c = connect_checked(router, star.net, 0, 0);
   ASSERT_NE(c, kNone);
-  EXPECT_EQ(session.path_of(c), (std::vector<graph::VertexId>{
-                                    star.in, star.hub, star.mid[0], star.join,
-                                    star.out}));
+  EXPECT_EQ(router.path_of(c), (std::vector<graph::VertexId>{
+                                   star.in, star.hub, star.mid[0], star.join,
+                                   star.out}));
   EXPECT_EQ(router.stats().vertices_visited, 4u);  // hub, mid[0], join, out
-  session.disconnect(c);
+  router.disconnect(c);
 
-  for (std::size_t i = 0; i < dead; ++i) router.fail_edge(star.mid_exit[i]);
-  const auto d = connect_checked(router, session, star.net, 0, 0);
+  for (std::size_t i = 0; i < kDead; ++i) router.fail_edge(star.mid_exit[i]);
+  const auto d = connect_checked(router, star.net, 0, 0);
   ASSERT_NE(d, kNone);
-  EXPECT_EQ(session.path_of(d), (std::vector<graph::VertexId>{
-                                    star.in, star.hub, star.mid[dead],
-                                    star.join, star.out}));
-  // hub, the dead mids, mid[dead], join, out.
-  EXPECT_EQ(router.stats().vertices_visited, 4u + dead + 4u);
-  session.disconnect(d);
+  EXPECT_EQ(router.path_of(d), (std::vector<graph::VertexId>{
+                                   star.in, star.hub, star.mid[kDead],
+                                   star.join, star.out}));
+  // hub, the dead mids, mid[kDead], join, out.
+  EXPECT_EQ(router.stats().vertices_visited, 4u + kDead + 4u);
+  router.disconnect(d);
   EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TEST(Search, FanOutNetBacktracksOnBothEngines) {
-  const auto star = build_star(256, false);
-  core::GreedyRouter g(star.net);
-  expect_star_backtracks(g, g, star, 200);
-  core::ConcurrentRouter c(star.net, 1);
-  expect_star_backtracks(c, c.worker(0), star, 200);
-}
-
-TEST(Search, FanOutNetWeldedReverseHopAfterEveryMidDies) {
+TYPED_TEST(RouterStores, FanOutNetWeldedReverseHopAfterEveryMidDies) {
   // Every mid's exit fails and back->hub is welded shut: the search must
   // exhaust the hub's children, then leave it backwards over the weld:
   // in, hub, back, join, out.
   const auto star = build_star(256, true);
-  const std::vector<graph::VertexId> through_weld{star.in, star.hub,
-                                                  star.back, star.join,
-                                                  star.out};
-  const auto route = [&](auto& router, auto& session) {
-    for (const auto e : star.mid_exit) router.fail_edge(e);
-    router.contract_edge(star.back_to_hub);
-    const auto c = session.connect(0, 0);
-    ASSERT_NE(c, kNone);
-    EXPECT_EQ(session.path_of(c), through_weld);
-    expect_valid_path(router, star.net.g, session.path_of(c));
-    session.disconnect(c);
-    EXPECT_EQ(router.busy_vertices(), 0u);
-  };
-  core::GreedyRouter g(star.net);
-  route(g, g);
-  core::ConcurrentRouter c(star.net, 1);
-  route(c, c.worker(0));
+  AuditedRouter<TypeParam> router(star.net);
+  for (const auto e : star.mid_exit) router.fail_edge(e);
+  router.contract_edge(star.back_to_hub);
+  const auto c = router.connect(0, 0);
+  ASSERT_NE(c, kNone);
+  EXPECT_EQ(router.path_of(c),
+            (std::vector<graph::VertexId>{star.in, star.hub, star.back,
+                                          star.join, star.out}));
+  expect_valid_path(router, star.net.g, router.path_of(c));
+  router.disconnect(c);
+  EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
 }  // namespace
