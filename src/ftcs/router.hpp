@@ -121,6 +121,7 @@
 // order.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -133,12 +134,14 @@
 #include "util/atomic_bitset.hpp"
 #include "util/bitset.hpp"
 #include "util/cpu_topology.hpp"
+#include "util/stat_fields.hpp"
 
 namespace ftcs::core {
 
 /// Counter block filled by the router sessions; reset with reset_stats().
 /// Mergeable: operator+= aggregates per-session blocks and per-network
-/// blocks (bench_routing) into one summary.
+/// blocks (bench_routing) into one summary; operator-= takes before/after
+/// deltas. Every counter is a row of fields() (util/stat_fields.hpp).
 struct RouterStats {
   std::uint64_t connect_calls = 0;     // connect() invocations
   std::uint64_t accepted = 0;          // calls that settled a path
@@ -154,46 +157,38 @@ struct RouterStats {
   std::uint64_t overlay_conflicts = 0;    // settled path crossed a switch that
                                           // failed during the search (released
                                           // and re-searched, like a claim loss)
-  // RETIRED, always 0: the multi-source wave search it counted is gone
-  // (batched windows route per request). Kept because the exchange
-  // benchmark still reports it.
+  // RETIRED, always 0 and outside the table (never merged or exported): the
+  // multi-source wave search and the bottom-up BFS sweep they counted are
+  // gone. Kept because the exchange benchmark still reads them.
   std::uint64_t wave_epochs = 0;
-  // RETIRED, always 0: the bottom-up BFS sweep it counted is gone (calls
-  // route by depth-first search). Kept because the exchange benchmark
-  // still reports it.
   std::uint64_t bottom_up_levels = 0;
 
-  RouterStats& operator+=(const RouterStats& o) noexcept {
-    connect_calls += o.connect_calls;
-    accepted += o.accepted;
-    rejected_terminal += o.rejected_terminal;
-    rejected_no_path += o.rejected_no_path;
-    disconnects += o.disconnects;
-    vertices_visited += o.vertices_visited;
-    path_vertices += o.path_vertices;
-    claim_conflicts += o.claim_conflicts;
-    search_retries += o.search_retries;
-    rejected_contention += o.rejected_contention;
-    overlay_conflicts += o.overlay_conflicts;
-    return *this;
+  /// The field table. The rejected_* rows export only as reject reasons.
+  static constexpr auto fields() noexcept {
+    return std::to_array<util::StatField<RouterStats>>({
+        {&RouterStats::connect_calls, "router_connect_calls_total"},
+        {&RouterStats::accepted, "router_accepted_total"},
+        {&RouterStats::rejected_terminal, nullptr, "rejected_terminal"},
+        {&RouterStats::rejected_no_path, nullptr, "rejected_no_path"},
+        {&RouterStats::disconnects, "router_disconnects_total"},
+        {&RouterStats::vertices_visited, "router_vertices_visited_total"},
+        {&RouterStats::path_vertices, "router_path_vertices_total"},
+        {&RouterStats::claim_conflicts, "router_claim_conflicts_total"},
+        {&RouterStats::search_retries, "router_search_retries_total"},
+        {&RouterStats::rejected_contention, nullptr, "rejected_contention"},
+        {&RouterStats::overlay_conflicts, "router_overlay_conflicts_total"},
+    });
   }
-
-  /// Counter delta (all fields are monotone), for before/after snapshots.
+  RouterStats& operator+=(const RouterStats& o) noexcept {
+    return util::merge_fields(*this, o);
+  }
   RouterStats& operator-=(const RouterStats& o) noexcept {
-    connect_calls -= o.connect_calls;
-    accepted -= o.accepted;
-    rejected_terminal -= o.rejected_terminal;
-    rejected_no_path -= o.rejected_no_path;
-    disconnects -= o.disconnects;
-    vertices_visited -= o.vertices_visited;
-    path_vertices -= o.path_vertices;
-    claim_conflicts -= o.claim_conflicts;
-    search_retries -= o.search_retries;
-    rejected_contention -= o.rejected_contention;
-    overlay_conflicts -= o.overlay_conflicts;
-    return *this;
+    return util::subtract_fields(*this, o);
   }
 };
+static_assert(sizeof(RouterStats) ==
+                  (RouterStats::fields().size() + 2) * sizeof(std::uint64_t),
+              "every RouterStats counter is a fields() row (2 retired)");
 
 /// One session over plain state (see the header comment).
 struct SoloStore {

@@ -18,98 +18,74 @@ void appendf(std::string& out, const char* fmt, ...) {
   if (n > 0) out.append(buf, static_cast<std::size_t>(n));
 }
 
-/// The flat (unlabeled) counters both formats iterate. Keys are the
-/// Prometheus metric names minus the ftcs_ prefix; JSON reuses them.
+/// One field-table row with its sampled values; both formats iterate
+/// these. `name` is the Prometheus family minus the ftcs_ prefix and the
+/// JSON key; `reject` books the row into ftcs_rejects_total{reason}.
 struct NamedCounter {
   const char* name;
+  util::StatKind kind;
+  const char* reject;
   std::uint64_t total;
   std::uint64_t delta;
 };
 
-std::vector<NamedCounter> flat_counters(const MetricsRegistry::Sample& s) {
-  const svc::ExchangeStats& t = s.total;
-  const svc::ExchangeStats& d = s.delta;
-  return {
-      {"calls_submitted_total", t.submitted, d.submitted},
-      {"calls_admitted_total", t.admitted, d.admitted},
-      {"calls_completed_total", t.completed, d.completed},
-      {"calls_deferred_total", t.deferred, d.deferred},
-      {"calls_refused_total", t.refused, d.refused},
-      {"epochs_total", t.epochs, d.epochs},
-      {"hangups_total", t.hangups, d.hangups},
-      {"handle_errors_total", t.handle_errors, d.handle_errors},
-      {"faults_injected_total", t.faults_injected, d.faults_injected},
-      {"faults_stuck_total", t.faults_stuck, d.faults_stuck},
-      {"faults_repaired_total", t.faults_repaired, d.faults_repaired},
-      {"calls_killed_by_fault_total", t.calls_killed_by_fault,
-       d.calls_killed_by_fault},
-      {"reroute_succeeded_total", t.reroute_succeeded, d.reroute_succeeded},
-      {"reroute_failed_total", t.reroute_failed, d.reroute_failed},
-      {"shorts_raised_total", t.shorts_raised, d.shorts_raised},
-      {"shorts_cleared_total", t.shorts_cleared, d.shorts_cleared},
-      {"growths_total", t.growths, d.growths},
-      {"growth_calls_remapped_total", t.calls_remapped_by_growth,
-       d.calls_remapped_by_growth},
-      {"growth_calls_killed_total", t.calls_killed_by_growth,
-       d.calls_killed_by_growth},
-      {"router_connect_calls_total", t.router.connect_calls,
-       d.router.connect_calls},
-      {"router_accepted_total", t.router.accepted, d.router.accepted},
-      {"router_vertices_visited_total", t.router.vertices_visited,
-       d.router.vertices_visited},
-      {"router_claim_conflicts_total", t.router.claim_conflicts,
-       d.router.claim_conflicts},
-      {"router_overlay_conflicts_total", t.router.overlay_conflicts,
-       d.router.overlay_conflicts},
-  };
+template <class Block>
+void append_rows(std::vector<NamedCounter>& out, const Block& t,
+                 const Block& d) {
+  for (const util::StatField<Block>& f : Block::fields())
+    out.push_back({f.name, f.kind, f.reject, t.*f.member, d.*f.member});
 }
 
-/// The reject book, spelled with the canonical RejectReason strings.
-struct NamedReject {
-  const char* reason;
-  std::uint64_t total;
-  std::uint64_t delta;
-};
-
-std::vector<NamedReject> reject_book(const MetricsRegistry::Sample& s) {
-  const core::RouterStats& t = s.total.router;
-  const core::RouterStats& d = s.delta.router;
-  using svc::RejectReason;
-  return {
-      {to_string(RejectReason::kTerminalBusy), t.rejected_terminal,
-       d.rejected_terminal},
-      {to_string(RejectReason::kNoPath), t.rejected_no_path,
-       d.rejected_no_path},
-      {to_string(RejectReason::kContention), t.rejected_contention,
-       d.rejected_contention},
-      {to_string(RejectReason::kRefused), s.total.refused, s.delta.refused},
-  };
+/// Every row of the exchange-level blocks in table order: the RouterStats
+/// rows first, so the reject book reads in RejectReason order.
+std::vector<NamedCounter> exchange_counters(const MetricsRegistry::Sample& s) {
+  std::vector<NamedCounter> out;
+  append_rows(out, s.total.router, s.delta.router);
+  append_rows(out, s.total, s.delta);
+  return out;
 }
 
-/// Federation-wide flat counters (front-end books + merged trunk stats);
-/// emitted only on federated samples.
+/// Federation-wide rows (front-end books + merged trunk stats); emitted
+/// only on federated samples.
 std::vector<NamedCounter> fed_counters(const MetricsRegistry::Sample& s) {
-  const svc::FederationStats& t = s.fed_total;
-  const svc::FederationStats& d = s.fed_delta;
-  return {
-      {"intra_calls_total", t.intra_calls, d.intra_calls},
-      {"inter_calls_total", t.inter_calls, d.inter_calls},
-      {"inter_connected_total", t.inter_connected, d.inter_connected},
-      {"half_calls_routed_total", t.half_calls_routed, d.half_calls_routed},
-      {"inter_hangups_total", t.inter_hangups, d.inter_hangups},
-      {"trunk_claims_total", t.trunks.claims, d.trunks.claims},
-      {"trunk_releases_total", t.trunks.releases, d.trunks.releases},
-      {"trunk_rejects_total", t.trunks.rejects, d.trunks.rejects},
-      {"trunk_faults_total", t.trunks.faults, d.trunks.faults},
-      {"trunk_repairs_total", t.trunks.repairs, d.trunks.repairs},
-      {"trunk_setup_rejects_total", t.trunk_rejects, d.trunk_rejects},
-      {"ingress_aborts_total", t.ingress_aborts, d.ingress_aborts},
-      {"egress_aborts_total", t.egress_aborts, d.egress_aborts},
-      {"calls_killed_by_trunk_fault_total", t.calls_killed_by_trunk_fault,
-       d.calls_killed_by_trunk_fault},
-      {"mates_adopted_total", t.mates_adopted, d.mates_adopted},
-      {"mates_torn_down_total", t.mates_torn_down, d.mates_torn_down},
-  };
+  std::vector<NamedCounter> out;
+  append_rows(out, s.fed_total, s.fed_delta);
+  append_rows(out, s.fed_total.trunks, s.fed_delta.trunks);
+  return out;
+}
+
+/// `ftcs_<name>` family per named row: TYPE line plus the total.
+void append_prom_rows(std::string& out, const std::vector<NamedCounter>& rows,
+                      const char* inst) {
+  for (const NamedCounter& c : rows) {
+    if (!c.name) continue;
+    appendf(out, "# TYPE ftcs_%s %s\n", c.name,
+            c.kind == util::StatKind::kMax ? "gauge" : "counter");
+    appendf(out, "ftcs_%s{exchange=\"%s\"} %" PRIu64 "\n", c.name, inst,
+            c.total);
+  }
+}
+
+/// The JSON "total" and "delta" objects of the rows: name keys, then
+/// rejects_<reason> keys.
+void append_json_rows(std::string& out, const std::vector<NamedCounter>& rows) {
+  for (const bool total : {true, false}) {
+    appendf(out, "\"%s\":{", total ? "total" : "delta");
+    const char* sep = "";
+    for (const NamedCounter& c : rows) {
+      if (!c.name) continue;
+      appendf(out, "%s\"%s\":%" PRIu64, sep, c.name,
+              total ? c.total : c.delta);
+      sep = ",";
+    }
+    for (const NamedCounter& c : rows) {
+      if (!c.reject) continue;
+      appendf(out, "%s\"rejects_%s\":%" PRIu64, sep, c.reject,
+              total ? c.total : c.delta);
+      sep = ",";
+    }
+    out += "},";
+  }
 }
 
 }  // namespace
@@ -160,22 +136,21 @@ std::string MetricsRegistry::prometheus(const Sample& s) const {
   out.reserve(16 * 1024);
   const char* inst = instance_.c_str();
 
-  for (const NamedCounter& c : flat_counters(s)) {
-    appendf(out, "# TYPE ftcs_%s counter\n", c.name);
-    appendf(out, "ftcs_%s{exchange=\"%s\"} %" PRIu64 "\n", c.name, inst,
-            c.total);
-  }
+  const std::vector<NamedCounter> rows = exchange_counters(s);
+  append_prom_rows(out, rows, inst);
 
   appendf(out, "# TYPE ftcs_rejects_total counter\n");
-  for (const NamedReject& r : reject_book(s)) {
+  for (const NamedCounter& c : rows) {
+    if (!c.reject) continue;
     appendf(out, "ftcs_rejects_total{exchange=\"%s\",reason=\"%s\"} %" PRIu64
                  "\n",
-            inst, r.reason, r.total);
+            inst, c.reject, c.total);
   }
 
   // Per-interval deltas, pre-computed for scrapers that do not rate().
   appendf(out, "# TYPE ftcs_scrape_delta gauge\n");
-  for (const NamedCounter& c : flat_counters(s)) {
+  for (const NamedCounter& c : rows) {
+    if (!c.name) continue;
     appendf(out, "ftcs_scrape_delta{exchange=\"%s\",counter=\"%s\"} %" PRIu64
                  "\n",
             inst, c.name, c.delta);
@@ -261,11 +236,7 @@ std::string MetricsRegistry::prometheus(const Sample& s) const {
   // the group identity matters (occupancy/health) and flat where a
   // federation-wide tally is the useful shape.
   if (s.federated) {
-    for (const NamedCounter& c : fed_counters(s)) {
-      appendf(out, "# TYPE ftcs_%s counter\n", c.name);
-      appendf(out, "ftcs_%s{exchange=\"%s\"} %" PRIu64 "\n", c.name, inst,
-              c.total);
-    }
+    append_prom_rows(out, fed_counters(s), inst);
     appendf(out, "# TYPE ftcs_shards gauge\n");
     appendf(out, "ftcs_shards{exchange=\"%s\"} %zu\n", inst, s.shards);
     appendf(out, "# TYPE ftcs_half_calls_active gauge\n");
@@ -315,20 +286,7 @@ std::string MetricsRegistry::json(const Sample& s) const {
           "\"failed_switches\":%zu,\"stuck_switches\":%zu,\"shorted\":%s},",
           s.active_calls, s.pending, s.failed_switches, s.stuck_switches,
           s.shorted ? "true" : "false");
-  for (const char* section : {"total", "delta"}) {
-    appendf(out, "\"%s\":{", section);
-    bool first = true;
-    for (const NamedCounter& c : flat_counters(s)) {
-      appendf(out, "%s\"%s\":%" PRIu64, first ? "" : ",", c.name,
-              section[0] == 't' ? c.total : c.delta);
-      first = false;
-    }
-    for (const NamedReject& r : reject_book(s)) {
-      appendf(out, ",\"rejects_%s\":%" PRIu64, r.reason,
-              section[0] == 't' ? r.total : r.delta);
-    }
-    appendf(out, "},");
-  }
+  append_json_rows(out, exchange_counters(s));
   out += "\"classes\":[";
   for (std::size_t c = 0; c < kQosClasses; ++c) {
     const ClassStats& cs = s.total.classes[c];
@@ -346,16 +304,7 @@ std::string MetricsRegistry::json(const Sample& s) const {
     appendf(out,
             ",\"federation\":{\"shards\":%zu,\"half_calls_active\":%zu,",
             s.shards, s.half_calls);
-    for (const char* section : {"total", "delta"}) {
-      appendf(out, "\"%s\":{", section);
-      bool first = true;
-      for (const NamedCounter& c : fed_counters(s)) {
-        appendf(out, "%s\"%s\":%" PRIu64, first ? "" : ",", c.name,
-                section[0] == 't' ? c.total : c.delta);
-        first = false;
-      }
-      appendf(out, "},");
-    }
+    append_json_rows(out, fed_counters(s));
     out += "\"trunk_groups\":[";
     bool first = true;
     for (const svc::TrunkGauge& g : s.trunks) {

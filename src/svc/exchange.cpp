@@ -186,13 +186,13 @@ Ticket Exchange::submit_impl(const CallRequest& req, CompletionFn done) {
   {
     std::lock_guard<std::mutex> lk(front_mu_);
     ticket = next_ticket_++;
-    ++submitted_;
+    ++stats_.submitted;
     const std::size_t cap = admission_->max_queue_depth();
     if (cap > 0 && queue_.size() >= cap) {
       refused = true;
-      ++refused_;
-      ++completed_count_;
-      ++batched_classes_[ops::qos_class(req.priority)].rejected;
+      ++stats_.refused;
+      ++stats_.completed;
+      ++stats_.classes[ops::qos_class(req.priority)].rejected;
       if (!done) {
         Outcome o;
         o.reject = RejectReason::kRefused;
@@ -202,8 +202,8 @@ Ticket Exchange::submit_impl(const CallRequest& req, CompletionFn done) {
     } else {
       queue_.push_back(Pending{req, ticket, std::move(done), 0,
                                std::chrono::steady_clock::now()});
-      queue_high_water_ = std::max<std::uint64_t>(queue_high_water_,
-                                                  queue_.size());
+      stats_.queue_high_water =
+          std::max<std::uint64_t>(stats_.queue_high_water, queue_.size());
     }
   }
   if (refused && done) {
@@ -266,7 +266,7 @@ std::size_t Exchange::drain() {
     std::lock_guard<std::mutex> lk(front_mu_);
     if (queue_.empty()) return 0;
     EpochFeedback fb;
-    fb.epoch = epochs_;
+    fb.epoch = stats_.epochs;
     fb.queued = queue_.size();
     fb.sessions = engine_->sessions();
     fb.admitted_last = last_admitted_;
@@ -282,10 +282,10 @@ std::size_t Exchange::drain() {
     const std::size_t window = admission_->epoch_window(fb);
     if (window == 0) return 0;
     batch = take_window(window);
-    ++epochs_;
-    admitted_ += batch.size();
+    ++stats_.epochs;
+    stats_.admitted += batch.size();
     // Everyone still queued waits (at least) one more epoch: Deferred.
-    deferred_ += queue_.size();
+    stats_.deferred += queue_.size();
     for (auto& p : queue_) ++p.deferrals;
   }
 
@@ -353,10 +353,10 @@ std::size_t Exchange::drain() {
       // Setup latency = submit -> epoch settle: every outcome of this epoch
       // shares the settle stamp (one clock read), the queue wait dominates.
       record_class(
-          batched_classes_, batch[i].req.priority, outs[i],
+          stats_.classes, batch[i].req.priority, outs[i],
           std::chrono::duration<double>(t1 - batch[i].submitted_at).count());
     }
-    completed_count_ += m;
+    stats_.completed += m;
     last_admitted_ = m;
     last_conflicts_ = after.claim_conflicts - before.claim_conflicts;
     last_contention_ = after.rejected_contention - before.rejected_contention;
@@ -466,7 +466,7 @@ void Exchange::reap_victims(FaultImpact& impact,
       slot.retired_by_fault = true;
       ++slot.gen;
       sess.free.push_back(slot_idx);
-      ++calls_killed_by_fault_;
+      ++stats_.calls_killed_by_fault;
     }
   }
 }
@@ -512,8 +512,8 @@ void Exchange::reroute_victims(FaultImpact& impact) {
     else
       ++impact.reroute_failed;
   }
-  reroute_succeeded_ += impact.reroute_succeeded;
-  reroute_failed_ += impact.reroute_failed;
+  stats_.reroute_succeeded += impact.reroute_succeeded;
+  stats_.reroute_failed += impact.reroute_failed;
 }
 
 FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
@@ -533,7 +533,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
     stuck_switches_.set(ev.edge);
     ++failed_switch_count_;
     ++stuck_switch_count_;
-    ++faults_stuck_;
+    ++stats_.faults_stuck;
     engine_->contract_edge(ev.edge);
     if (welds_->add_weld(ev.edge)) {
       // This weld bridged two terminals into one electrical node: the
@@ -545,7 +545,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
       al.trigger = ev.edge;
       al.raised = true;
       al.seq = ++alarm_seq_;
-      ++shorts_raised_;
+      ++stats_.shorts_raised;
       last_alarm_ = al;
       impact.alarm = al;
     }
@@ -554,7 +554,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
 
   failed_switches_.set(ev.edge);
   ++failed_switch_count_;
-  ++faults_injected_;
+  ++stats_.faults_injected;
   engine_->fail_edge(ev.edge);
 
   // §6 vertex death: a non-terminal vertex is faulty while ANY incident
@@ -591,7 +591,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
     stuck_switches_.reset(ev.edge);
     --failed_switch_count_;
     --stuck_switch_count_;
-    ++faults_repaired_;
+    ++stats_.faults_repaired;
     engine_->uncontract_edge(ev.edge);
     if (welds_->remove_weld(ev.edge)) {
       // The clearing repair: the last terminal bridge dissolved. Echo the
@@ -602,7 +602,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
       al.trigger = ev.edge;
       al.raised = false;
       al.seq = ++alarm_seq_;
-      ++shorts_cleared_;
+      ++stats_.shorts_cleared;
       last_alarm_ = al;
       impact.alarm = al;
     }
@@ -614,7 +614,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
   if (!failed_switches_.test(ev.edge)) return impact;  // not down
   failed_switches_.reset(ev.edge);
   --failed_switch_count_;
-  ++faults_repaired_;
+  ++stats_.faults_repaired;
   const auto& edge = net_->g.edge(ev.edge);
   for (const graph::VertexId v : {edge.from, edge.to}) {
     if (!is_terminal_[v] && vertex_fault_degree_[v] > 0 &&
@@ -724,8 +724,8 @@ GrowthReport Exchange::grow(GrowthPlan plan) {
 
   owned_net_ = std::move(grown);
   net_ = owned_net_.get();
-  ++growths_;
-  calls_remapped_by_growth_ += rep.calls_remapped;
+  ++stats_.growths;
+  stats_.calls_remapped_by_growth += rep.calls_remapped;
   rep.applied = true;
   rep.quiesce_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -753,57 +753,32 @@ TopologyOutcome Exchange::apply(const TopologyEvent& ev) {
 
 ExchangeStats Exchange::stats() const {
   ExchangeStats st;
-  st.router = engine_->stats();
   {
     std::lock_guard<std::mutex> lk(front_mu_);
-    st.submitted = submitted_;
-    st.admitted = admitted_;
-    st.completed = completed_count_;
-    st.deferred = deferred_;
-    st.refused = refused_;
-    st.epochs = epochs_;
-    st.queue_high_water = queue_high_water_;
-    for (std::size_t c = 0; c < ops::kQosClasses; ++c)
-      st.classes[c] += batched_classes_[c];
+    st = stats_;
   }
+  st.router = engine_->stats();
   for (const Session& s : sessions_) {
     st.hangups += s.hangups;
     for (std::size_t c = 0; c < ops::kQosClasses; ++c)
       st.classes[c] += s.classes[c];
   }
   st.handle_errors = handle_errors_.load(std::memory_order_relaxed);
-  st.faults_injected = faults_injected_;
-  st.faults_stuck = faults_stuck_;
-  st.faults_repaired = faults_repaired_;
-  st.calls_killed_by_fault = calls_killed_by_fault_;
-  st.reroute_succeeded = reroute_succeeded_;
-  st.reroute_failed = reroute_failed_;
-  st.shorts_raised = shorts_raised_;
-  st.shorts_cleared = shorts_cleared_;
-  st.growths = growths_;
-  st.calls_remapped_by_growth = calls_remapped_by_growth_;
-  st.calls_killed_by_growth = calls_killed_by_growth_;
   return st;
 }
 
 void Exchange::reset_stats() {
   engine_->reset_stats();
   std::lock_guard<std::mutex> lk(front_mu_);
-  submitted_ = admitted_ = completed_count_ = deferred_ = refused_ = 0;
-  epochs_ = queue_high_water_ = 0;
+  stats_ = {};
   last_admitted_ = 0;
   last_conflicts_ = last_contention_ = last_overlay_ = 0;
   last_epoch_seconds_ = 0.0;
-  batched_classes_ = {};
   for (Session& s : sessions_) {
     s.hangups = 0;
     s.classes = {};
   }
   handle_errors_.store(0, std::memory_order_relaxed);
-  faults_injected_ = faults_stuck_ = faults_repaired_ = 0;
-  calls_killed_by_fault_ = reroute_succeeded_ = reroute_failed_ = 0;
-  shorts_raised_ = shorts_cleared_ = 0;
-  growths_ = calls_remapped_by_growth_ = calls_killed_by_growth_ = 0;
   // The weld tracker and last_alarm_ are live state, not counters: the
   // short condition does not vanish because the books were reset.
 }

@@ -57,13 +57,14 @@
 #include "svc/engine.hpp"
 #include "util/bitset.hpp"
 #include "util/cpu_topology.hpp"
+#include "util/stat_fields.hpp"
 
 namespace ftcs::svc {
 
 /// Mergeable service-level counter block: the engines' RouterStats plus the
 /// admission front-end's queue/defer/epoch counters. operator+= aggregates
 /// across exchanges (bench summaries); operator-= takes before/after deltas
-/// (traffic reports).
+/// (traffic reports). Every counter is a row of fields().
 struct ExchangeStats {
   core::RouterStats router;           // merged engine counters
   std::uint64_t submitted = 0;        // batch-plane requests enqueued
@@ -97,59 +98,51 @@ struct ExchangeStats {
   // immediate-plane calls opt in via ExchangeConfig::qos_immediate.
   ops::ClassBook classes{};
 
+  /// The field table (util/stat_fields.hpp). `router` and `classes` are
+  /// blocks of their own and merge through their own operators.
+  static constexpr auto fields() noexcept {
+    return std::to_array<util::StatField<ExchangeStats>>({
+        {&ExchangeStats::submitted, "calls_submitted_total"},
+        {&ExchangeStats::admitted, "calls_admitted_total"},
+        {&ExchangeStats::completed, "calls_completed_total"},
+        {&ExchangeStats::deferred, "calls_deferred_total"},
+        {&ExchangeStats::refused, "calls_refused_total",
+         to_string(RejectReason::kRefused)},
+        {&ExchangeStats::epochs, "epochs_total"},
+        {&ExchangeStats::queue_high_water, "queue_high_water", nullptr,
+         util::StatKind::kMax},
+        {&ExchangeStats::hangups, "hangups_total"},
+        {&ExchangeStats::handle_errors, "handle_errors_total"},
+        {&ExchangeStats::faults_injected, "faults_injected_total"},
+        {&ExchangeStats::faults_stuck, "faults_stuck_total"},
+        {&ExchangeStats::faults_repaired, "faults_repaired_total"},
+        {&ExchangeStats::calls_killed_by_fault, "calls_killed_by_fault_total"},
+        {&ExchangeStats::reroute_succeeded, "reroute_succeeded_total"},
+        {&ExchangeStats::reroute_failed, "reroute_failed_total"},
+        {&ExchangeStats::shorts_raised, "shorts_raised_total"},
+        {&ExchangeStats::shorts_cleared, "shorts_cleared_total"},
+        {&ExchangeStats::growths, "growths_total"},
+        {&ExchangeStats::calls_remapped_by_growth,
+         "growth_calls_remapped_total"},
+        {&ExchangeStats::calls_killed_by_growth, "growth_calls_killed_total"},
+    });
+  }
   ExchangeStats& operator+=(const ExchangeStats& o) noexcept {
     router += o.router;
-    submitted += o.submitted;
-    admitted += o.admitted;
-    completed += o.completed;
-    deferred += o.deferred;
-    refused += o.refused;
-    epochs += o.epochs;
-    queue_high_water = queue_high_water > o.queue_high_water
-                           ? queue_high_water
-                           : o.queue_high_water;
-    hangups += o.hangups;
-    handle_errors += o.handle_errors;
-    faults_injected += o.faults_injected;
-    faults_stuck += o.faults_stuck;
-    faults_repaired += o.faults_repaired;
-    calls_killed_by_fault += o.calls_killed_by_fault;
-    reroute_succeeded += o.reroute_succeeded;
-    reroute_failed += o.reroute_failed;
-    shorts_raised += o.shorts_raised;
-    shorts_cleared += o.shorts_cleared;
-    growths += o.growths;
-    calls_remapped_by_growth += o.calls_remapped_by_growth;
-    calls_killed_by_growth += o.calls_killed_by_growth;
     for (std::size_t c = 0; c < ops::kQosClasses; ++c) classes[c] += o.classes[c];
-    return *this;
+    return util::merge_fields(*this, o);
   }
   /// Delta of monotone counters (queue_high_water is kept, not subtracted).
   ExchangeStats& operator-=(const ExchangeStats& o) noexcept {
     router -= o.router;
-    submitted -= o.submitted;
-    admitted -= o.admitted;
-    completed -= o.completed;
-    deferred -= o.deferred;
-    refused -= o.refused;
-    epochs -= o.epochs;
-    hangups -= o.hangups;
-    handle_errors -= o.handle_errors;
-    faults_injected -= o.faults_injected;
-    faults_stuck -= o.faults_stuck;
-    faults_repaired -= o.faults_repaired;
-    calls_killed_by_fault -= o.calls_killed_by_fault;
-    reroute_succeeded -= o.reroute_succeeded;
-    reroute_failed -= o.reroute_failed;
-    shorts_raised -= o.shorts_raised;
-    shorts_cleared -= o.shorts_cleared;
-    growths -= o.growths;
-    calls_remapped_by_growth -= o.calls_remapped_by_growth;
-    calls_killed_by_growth -= o.calls_killed_by_growth;
     for (std::size_t c = 0; c < ops::kQosClasses; ++c) classes[c] -= o.classes[c];
-    return *this;
+    return util::subtract_fields(*this, o);
   }
 };
+static_assert(sizeof(ExchangeStats) ==
+                  ExchangeStats::fields().size() * sizeof(std::uint64_t) +
+                      sizeof(core::RouterStats) + sizeof(ops::ClassBook),
+              "every ExchangeStats counter is a fields() row");
 
 /// What one fault-plane operation did: which calls died (typed kFaulted
 /// outcomes echoing the original request's tag, with the now-dead handle)
@@ -506,14 +499,16 @@ class Exchange {
   std::deque<Pending> queue_;
   std::unordered_map<Ticket, Outcome> completed_;
   Ticket next_ticket_ = 1;
-  std::uint64_t submitted_ = 0, admitted_ = 0, completed_count_ = 0,
-                deferred_ = 0, refused_ = 0, epochs_ = 0, queue_high_water_ = 0;
+  // The exchange's own counters. The front-end rows and the batched-plane
+  // class book (stats_.classes) are guarded by front_mu_; the fault-plane
+  // and growth rows follow the drain contract. stats_.router, hangups and
+  // handle_errors stay 0 here: stats() fills them in from the engine, the
+  // sessions and handle_errors_.
+  ExchangeStats stats_;
   // Previous epoch's engine feedback for the admission policy.
   std::size_t last_admitted_ = 0;
   std::uint64_t last_conflicts_ = 0, last_contention_ = 0, last_overlay_ = 0;
   double last_epoch_seconds_ = 0.0;
-  // Batched-plane QoS book (guarded by front_mu_, like the queue counters).
-  ops::ClassBook batched_classes_{};
   // Fault-plane bookkeeping (same single-owner contract as the sessions;
   // sized lazily by the first event). A vertex is §6-faulty while any
   // incident switch is OPEN-failed — vertex_fault_degree_ counts those
@@ -524,19 +519,12 @@ class Exchange {
   std::vector<std::uint8_t> is_terminal_;
   std::size_t failed_switch_count_ = 0;  // down switches, either mode
   std::size_t stuck_switch_count_ = 0;
-  std::uint64_t faults_injected_ = 0, faults_stuck_ = 0, faults_repaired_ = 0,
-                calls_killed_by_fault_ = 0, reroute_succeeded_ = 0,
-                reroute_failed_ = 0;
-  // Growth counters (same single-owner contract as the fault plane).
-  std::uint64_t growths_ = 0, calls_remapped_by_growth_ = 0,
-                calls_killed_by_growth_ = 0;
   // Live Lemma 7 tracking (same single-owner contract; sized with the rest
   // of the fault bookkeeping). last_alarm_ is state, not a counter: it
   // survives reset_stats().
   std::optional<fault::WeldComponents> welds_;
   std::optional<fault::ShortAlarm> last_alarm_;
   std::uint64_t alarm_seq_ = 0;
-  std::uint64_t shorts_raised_ = 0, shorts_cleared_ = 0;
   // Null-handle and foreign-handle checks touch only immutable fields
   // (id_, sessions_.size()), so THOSE misuses are detected safely from any
   // thread and the counter is atomic. Stale-handle detection reads the

@@ -199,7 +199,7 @@ FedOutcome Federation::call(const CallRequest& req) {
   if (req.input >= total || req.output >= total) {
     // A global terminal outside the shard map has no home member.
     out.reject = RejectReason::kBadSession;
-    ++handle_errors_;
+    ++stats_.handle_errors;
     return out;
   }
   const std::uint32_t sa = shard_of(req.input), sb = shard_of(req.output);
@@ -207,17 +207,17 @@ FedOutcome Federation::call(const CallRequest& req) {
   out.shard_out = sb;
   if (sa == sb) {
     // Intra-shard fast path: delegate verbatim; no federation state moves.
-    ++intra_calls_;
+    ++stats_.intra_calls;
     return wrap_intra(
         sa, members_[sa]->call(
                 {local_of(req.input), local_of(req.output), req.priority,
                  req.tag}));
   }
   // Two-phase inter-shard setup: trunk, ingress half, egress half.
-  ++inter_calls_;
+  ++stats_.inter_calls;
   const auto claimed = claim_trunk(sa, sb);
   if (!claimed) {
-    ++trunk_rejects_;
+    ++stats_.trunk_rejects;
     out.reject = RejectReason::kTrunkBusy;
     out.stage = FedStage::kTrunk;
     return out;
@@ -228,37 +228,37 @@ FedOutcome Federation::call(const CallRequest& req) {
       {local_of(req.input), line.egress_port, req.priority, req.tag});
   if (!ingress.connected()) {
     groups_[g].release(l);
-    ++ingress_aborts_;
+    ++stats_.ingress_aborts;
     out.reject = ingress.reject;
     out.stage = FedStage::kIngress;
     return out;
   }
-  ++half_calls_routed_;
+  ++stats_.half_calls_routed;
   const Outcome egress = members_[sb]->call(
       {line.ingress_port, local_of(req.output), req.priority, req.tag});
   if (!egress.connected()) {
     members_[sa]->hangup(ingress.id);
     groups_[g].release(l);
-    ++egress_aborts_;
+    ++stats_.egress_aborts;
     out.reject = egress.reject;
     out.stage = FedStage::kEgress;
     return out;
   }
-  ++half_calls_routed_;
+  ++stats_.half_calls_routed;
   out.id = commit_inter(req, sa, sb, g, l, ingress.id, egress.id);
   out.trunk_group = g;
   out.path_length = ingress.path_length + egress.path_length;
-  ++inter_connected_;
+  ++stats_.inter_connected;
   return out;
 }
 
 RejectReason Federation::hangup(FedCallId id) {
   if (id.kind_ == 0 || id.federation_ == 0) {
-    ++handle_errors_;
+    ++stats_.handle_errors;
     return RejectReason::kStaleHandle;
   }
   if (id.federation_ != id_) {
-    ++handle_errors_;
+    ++stats_.handle_errors;
     return RejectReason::kForeignHandle;
   }
   if (id.kind_ == 1) {
@@ -268,11 +268,11 @@ RejectReason Federation::hangup(FedCallId id) {
   const RejectReason chk = check_inter_handle(id);
   if (chk == RejectReason::kFaulted) return chk;  // informative, not misuse
   if (chk != RejectReason::kNone) {
-    ++handle_errors_;
+    ++stats_.handle_errors;
     return chk;
   }
   teardown_inter(id.slot_, /*by_fault=*/false);
-  ++inter_hangups_;
+  ++stats_.inter_hangups;
   return RejectReason::kNone;
 }
 
@@ -325,7 +325,7 @@ std::size_t Federation::drain() {
     r.pending = std::move(p);
     const CallRequest& req = r.pending.req;
     if (req.input >= total || req.output >= total) {
-      ++handle_errors_;
+      ++stats_.handle_errors;
       FedOutcome o;
       o.tag = req.tag;
       o.reject = RejectReason::kBadSession;
@@ -340,7 +340,7 @@ std::size_t Federation::drain() {
     if (r.sa == r.sb) {
       // Intra fast path: the member callback wraps and delivers directly
       // (on a pool thread, like Exchange's own completion contract).
-      ++intra_calls_;
+      ++stats_.intra_calls;
       touched[r.sa] = 1;
       members_[r.sa]->submit(
           {r.la, r.lb, req.priority, req.tag}, [this, rec](const Outcome& o) {
@@ -349,11 +349,11 @@ std::size_t Federation::drain() {
       recs.push_back(std::move(rec));
       continue;
     }
-    ++inter_calls_;
+    ++stats_.inter_calls;
     r.inter = true;
     const auto claimed = claim_trunk(r.sa, r.sb);
     if (!claimed) {
-      ++trunk_rejects_;
+      ++stats_.trunk_rejects;
       FedOutcome o;
       o.tag = req.tag;
       o.reject = RejectReason::kTrunkBusy;
@@ -396,27 +396,27 @@ std::size_t Federation::drain() {
     o.shard_in = r.sa;
     o.shard_out = r.sb;
     if (r.ingress.connected() && r.egress.connected()) {
-      half_calls_routed_ += 2;
+      stats_.half_calls_routed += 2;
       o.id = commit_inter(r.pending.req, r.sa, r.sb, r.group, r.line,
                           r.ingress.id, r.egress.id);
       o.trunk_group = r.group;
       o.path_length = r.ingress.path_length + r.egress.path_length;
       o.deferrals = std::max(r.ingress.deferrals, r.egress.deferrals);
-      ++inter_connected_;
+      ++stats_.inter_connected;
     } else if (r.ingress.connected()) {
-      ++half_calls_routed_;
+      ++stats_.half_calls_routed;
       members_[r.sa]->hangup(r.ingress.id);
       groups_[r.group].release(r.line);
-      ++egress_aborts_;
+      ++stats_.egress_aborts;
       o.reject = r.egress.reject;
       o.stage = FedStage::kEgress;
     } else {
       if (r.egress.connected()) {
-        ++half_calls_routed_;
+        ++stats_.half_calls_routed;
         members_[r.sb]->hangup(r.egress.id);
       }
       groups_[r.group].release(r.line);
-      ++ingress_aborts_;
+      ++stats_.ingress_aborts;
       o.reject = r.ingress.reject;
       o.stage = FedStage::kIngress;
     }
@@ -465,10 +465,10 @@ FedOutcome Federation::readmit(const CallRequest& req, std::uint64_t& succeeded,
   drain_all();
   if (box->o.connected()) {
     ++succeeded;
-    ++reroute_succeeded_;
+    ++stats_.reroute_succeeded;
   } else {
     ++failed;
-    ++reroute_failed_;
+    ++stats_.reroute_failed;
   }
   return box->o;
 }
@@ -499,7 +499,7 @@ TrunkFaultImpact Federation::fail_trunk(std::uint32_t group,
   dead.tag = s.req.tag;
   const CallRequest orig = s.req;
   teardown_inter(idx, /*by_fault=*/true);
-  ++calls_killed_by_trunk_fault_;
+  ++stats_.calls_killed_by_trunk_fault;
   imp.killed.push_back(dead);
   imp.reroutes.push_back(
       readmit(orig, imp.reroute_succeeded, imp.reroute_failed));
@@ -557,7 +557,7 @@ void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
       // same terminal pair: re-bind the slot and the inter call survives.
       (is_ingress ? s.ingress : s.egress) = rr.id;
       ++out.mates_adopted;
-      ++mates_adopted_;
+      ++stats_.mates_adopted;
       continue;
     }
     torn.push_back(found);
@@ -580,7 +580,7 @@ void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
     const CallRequest orig = s.req;
     teardown_inter(idx, /*by_fault=*/true);
     ++out.mates_torn_down;
-    ++mates_torn_down_;
+    ++stats_.mates_torn_down;
     out.killed.push_back(dead);
     out.reroutes.push_back(
         readmit(orig, out.reroute_succeeded, out.reroute_failed));
@@ -634,33 +634,16 @@ std::size_t Federation::busy_vertices() const {
 }
 
 FederationStats Federation::stats() const {
-  FederationStats s;
+  FederationStats s = stats_;
   for (const auto& m : members_) s.members += m->stats();
   for (const TrunkGroup& g : groups_) s.trunks += g.stats();
-  s.intra_calls = intra_calls_;
-  s.inter_calls = inter_calls_;
-  s.inter_connected = inter_connected_;
-  s.trunk_rejects = trunk_rejects_;
-  s.ingress_aborts = ingress_aborts_;
-  s.egress_aborts = egress_aborts_;
-  s.half_calls_routed = half_calls_routed_;
-  s.inter_hangups = inter_hangups_;
-  s.calls_killed_by_trunk_fault = calls_killed_by_trunk_fault_;
-  s.mates_adopted = mates_adopted_;
-  s.mates_torn_down = mates_torn_down_;
-  s.reroute_succeeded = reroute_succeeded_;
-  s.reroute_failed = reroute_failed_;
-  s.handle_errors = handle_errors_;
   return s;
 }
 
 void Federation::reset_stats() {
   for (const auto& m : members_) m->reset_stats();
   for (TrunkGroup& g : groups_) g.reset_stats();
-  intra_calls_ = inter_calls_ = inter_connected_ = trunk_rejects_ =
-      ingress_aborts_ = egress_aborts_ = half_calls_routed_ = inter_hangups_ =
-          calls_killed_by_trunk_fault_ = mates_adopted_ = mates_torn_down_ =
-              reroute_succeeded_ = reroute_failed_ = handle_errors_ = 0;
+  stats_ = {};
 }
 
 }  // namespace ftcs::svc

@@ -61,6 +61,7 @@
 // immediate-plane serialization is global, not per-session).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -91,7 +92,8 @@ enum class FedStage : std::uint8_t { kNone = 0, kTrunk, kIngress, kEgress };
 
 /// Federation-level counter block: the merged member ExchangeStats plus the
 /// trunk books and the two-phase setup/teardown tallies. Mergeable and
-/// delta-able like ExchangeStats, so metrics scrapes stay exact.
+/// delta-able like ExchangeStats, so metrics scrapes stay exact. Every
+/// counter is a row of fields().
 struct FederationStats {
   ExchangeStats members;   // merged across every member exchange
   TrunkGroupStats trunks;  // merged across every trunk group
@@ -117,47 +119,45 @@ struct FederationStats {
   std::uint64_t handle_errors = 0;  // federation-level misuse (null/foreign/
                                     // stale federation handles)
 
+  /// The field table (util/stat_fields.hpp). `members` and `trunks` merge
+  /// through their own operators. The fed_ names keep the reroute and
+  /// handle-error rows apart from the member exchanges' rows.
+  static constexpr auto fields() noexcept {
+    return std::to_array<util::StatField<FederationStats>>({
+        {&FederationStats::intra_calls, "intra_calls_total"},
+        {&FederationStats::inter_calls, "inter_calls_total"},
+        {&FederationStats::inter_connected, "inter_connected_total"},
+        {&FederationStats::trunk_rejects, "trunk_setup_rejects_total"},
+        {&FederationStats::ingress_aborts, "ingress_aborts_total"},
+        {&FederationStats::egress_aborts, "egress_aborts_total"},
+        {&FederationStats::half_calls_routed, "half_calls_routed_total"},
+        {&FederationStats::inter_hangups, "inter_hangups_total"},
+        {&FederationStats::calls_killed_by_trunk_fault,
+         "calls_killed_by_trunk_fault_total"},
+        {&FederationStats::mates_adopted, "mates_adopted_total"},
+        {&FederationStats::mates_torn_down, "mates_torn_down_total"},
+        {&FederationStats::reroute_succeeded, "fed_reroute_succeeded_total"},
+        {&FederationStats::reroute_failed, "fed_reroute_failed_total"},
+        {&FederationStats::handle_errors, "fed_handle_errors_total"},
+    });
+  }
   FederationStats& operator+=(const FederationStats& o) noexcept {
     members += o.members;
     trunks += o.trunks;
-    intra_calls += o.intra_calls;
-    inter_calls += o.inter_calls;
-    inter_connected += o.inter_connected;
-    trunk_rejects += o.trunk_rejects;
-    ingress_aborts += o.ingress_aborts;
-    egress_aborts += o.egress_aborts;
-    half_calls_routed += o.half_calls_routed;
-    inter_hangups += o.inter_hangups;
-    calls_killed_by_trunk_fault += o.calls_killed_by_trunk_fault;
-    mates_adopted += o.mates_adopted;
-    mates_torn_down += o.mates_torn_down;
-    reroute_succeeded += o.reroute_succeeded;
-    reroute_failed += o.reroute_failed;
-    handle_errors += o.handle_errors;
-    return *this;
+    return util::merge_fields(*this, o);
   }
   /// Delta of monotone counters (ExchangeStats::queue_high_water keeps the
   /// high-water-mark semantics of its own operator-=).
   FederationStats& operator-=(const FederationStats& o) noexcept {
     members -= o.members;
     trunks -= o.trunks;
-    intra_calls -= o.intra_calls;
-    inter_calls -= o.inter_calls;
-    inter_connected -= o.inter_connected;
-    trunk_rejects -= o.trunk_rejects;
-    ingress_aborts -= o.ingress_aborts;
-    egress_aborts -= o.egress_aborts;
-    half_calls_routed -= o.half_calls_routed;
-    inter_hangups -= o.inter_hangups;
-    calls_killed_by_trunk_fault -= o.calls_killed_by_trunk_fault;
-    mates_adopted -= o.mates_adopted;
-    mates_torn_down -= o.mates_torn_down;
-    reroute_succeeded -= o.reroute_succeeded;
-    reroute_failed -= o.reroute_failed;
-    handle_errors -= o.handle_errors;
-    return *this;
+    return util::subtract_fields(*this, o);
   }
 };
+static_assert(sizeof(FederationStats) ==
+                  FederationStats::fields().size() * sizeof(std::uint64_t) +
+                      sizeof(ExchangeStats) + sizeof(TrunkGroupStats),
+              "every FederationStats counter is a fields() row");
 
 class Federation;
 
@@ -444,13 +444,10 @@ class Federation {
   std::unordered_map<Ticket, FedOutcome> completed_;
   Ticket next_ticket_ = 1;
 
-  // Front-end counters (drain-contract thread only, except where noted).
-  std::uint64_t intra_calls_ = 0, inter_calls_ = 0, inter_connected_ = 0,
-                trunk_rejects_ = 0, ingress_aborts_ = 0, egress_aborts_ = 0,
-                half_calls_routed_ = 0, inter_hangups_ = 0,
-                calls_killed_by_trunk_fault_ = 0, mates_adopted_ = 0,
-                mates_torn_down_ = 0, reroute_succeeded_ = 0,
-                reroute_failed_ = 0, handle_errors_ = 0;
+  // Front-end counters (drain-contract thread only). stats_.members and
+  // stats_.trunks stay 0 here: stats() merges them from the members and
+  // the groups.
+  FederationStats stats_;
 };
 
 }  // namespace ftcs::svc

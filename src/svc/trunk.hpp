@@ -24,11 +24,13 @@
 // discipline. repair() restores the line to the claimable pool.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "util/bitset.hpp"
+#include "util/stat_fields.hpp"
 
 namespace ftcs::svc {
 
@@ -48,23 +50,27 @@ struct TrunkGroupStats {
   std::uint64_t faults = 0;    // lines failed
   std::uint64_t repairs = 0;   // lines repaired
 
+  /// The field table (util/stat_fields.hpp); export names are those of the
+  /// federation-wide merge.
+  static constexpr auto fields() noexcept {
+    return std::to_array<util::StatField<TrunkGroupStats>>({
+        {&TrunkGroupStats::claims, "trunk_claims_total"},
+        {&TrunkGroupStats::releases, "trunk_releases_total"},
+        {&TrunkGroupStats::rejects, "trunk_rejects_total"},
+        {&TrunkGroupStats::faults, "trunk_faults_total"},
+        {&TrunkGroupStats::repairs, "trunk_repairs_total"},
+    });
+  }
   TrunkGroupStats& operator+=(const TrunkGroupStats& o) noexcept {
-    claims += o.claims;
-    releases += o.releases;
-    rejects += o.rejects;
-    faults += o.faults;
-    repairs += o.repairs;
-    return *this;
+    return util::merge_fields(*this, o);
   }
   TrunkGroupStats& operator-=(const TrunkGroupStats& o) noexcept {
-    claims -= o.claims;
-    releases -= o.releases;
-    rejects -= o.rejects;
-    faults -= o.faults;
-    repairs -= o.repairs;
-    return *this;
+    return util::subtract_fields(*this, o);
   }
 };
+static_assert(sizeof(TrunkGroupStats) ==
+                  TrunkGroupStats::fields().size() * sizeof(std::uint64_t),
+              "every TrunkGroupStats counter is a fields() row");
 
 class TrunkGroup {
  public:

@@ -392,27 +392,6 @@ TEST(ConflictAdaptiveAdmission, AimdWindowTracksConflictRate) {
   EXPECT_EQ(policy.current_window(), 256u);
 }
 
-TEST(ExchangeStats, MergeAndDelta) {
-  ExchangeStats a, b;
-  a.router.accepted = 5;
-  a.submitted = 10;
-  a.deferred = 2;
-  a.queue_high_water = 7;
-  b.router.accepted = 3;
-  b.submitted = 4;
-  b.refused = 1;
-  b.queue_high_water = 9;
-  ExchangeStats sum = a;
-  sum += b;
-  EXPECT_EQ(sum.router.accepted, 8u);
-  EXPECT_EQ(sum.submitted, 14u);
-  EXPECT_EQ(sum.refused, 1u);
-  EXPECT_EQ(sum.queue_high_water, 9u);  // high-water merges by max
-  sum -= a;
-  EXPECT_EQ(sum.router.accepted, 3u);
-  EXPECT_EQ(sum.submitted, 4u);
-}
-
 // Churn stress (the TSan job runs this file): each thread drives its own
 // session through the facade, deliberately misusing handles as it goes —
 // stale double-hangups, null handles, handles from a different Exchange.

@@ -821,30 +821,6 @@ TEST(ExchangeFaultPlane, ZeroWindowPolicyLeavesVictimsQueuedAsRefused) {
   EXPECT_EQ(ex.pending(), 0u);  // cancelled, not left to a later drain
 }
 
-TEST(ExchangeFaultPlane, StatsDeltaCarriesFaultCounters) {
-  svc::ExchangeStats a, b;
-  a.calls_killed_by_fault = 5;
-  a.reroute_succeeded = 3;
-  a.faults_injected = 2;
-  a.faults_stuck = 6;
-  b.calls_killed_by_fault = 2;
-  b.reroute_failed = 1;
-  b.faults_repaired = 4;
-  b.faults_stuck = 1;
-  svc::ExchangeStats sum = a;
-  sum += b;
-  EXPECT_EQ(sum.calls_killed_by_fault, 7u);
-  EXPECT_EQ(sum.reroute_succeeded, 3u);
-  EXPECT_EQ(sum.reroute_failed, 1u);
-  EXPECT_EQ(sum.faults_injected, 2u);
-  EXPECT_EQ(sum.faults_stuck, 7u);
-  EXPECT_EQ(sum.faults_repaired, 4u);
-  sum -= a;
-  EXPECT_EQ(sum.calls_killed_by_fault, 2u);
-  EXPECT_EQ(sum.faults_stuck, 1u);
-  EXPECT_EQ(sum.faults_repaired, 4u);
-}
-
 // -------------------------------------------------- latency-aware policy
 
 TEST(DeadlineAdmission, WindowTracksEpochDuration) {

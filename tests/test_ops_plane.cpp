@@ -7,11 +7,14 @@
 // `tsan` ctest label.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/schedule.hpp"
@@ -262,6 +265,406 @@ TEST(MetricsRegistry, DeltasBetweenScrapesAndBothFormats) {
   EXPECT_NE(js.find("\"delta\""), std::string::npos);
   EXPECT_NE(js.find("\"classes\""), std::string::npos);
   EXPECT_NE(js.find("\"scrape_seq\":2"), std::string::npos);
+}
+
+// ------------------------------------------------------------ field tables
+//
+// Every counter of the four stats blocks is a row of its block's fields()
+// table; merge, delta, reset and both metric exports iterate those tables.
+// These tests walk every row, so a counter added to a table is covered
+// without touching them.
+
+/// One table row of a (possibly nested) block, flattened for comparison.
+struct FlatRow {
+  std::string label;  // "<block>/<export name or reject reason>"
+  util::StatKind kind;
+  std::uint64_t value;
+};
+
+template <class Block>
+void flatten_rows(std::vector<FlatRow>& out, const Block& b,
+                  const std::string& block) {
+  for (const auto& f : Block::fields())
+    out.push_back({block + "/" + (f.name ? f.name : f.reject), f.kind,
+                   b.*f.member});
+}
+std::vector<FlatRow> flatten(const core::RouterStats& r) {
+  std::vector<FlatRow> out;
+  flatten_rows(out, r, "router");
+  return out;
+}
+std::vector<FlatRow> flatten(const svc::TrunkGroupStats& t) {
+  std::vector<FlatRow> out;
+  flatten_rows(out, t, "trunk");
+  return out;
+}
+std::vector<FlatRow> flatten(const svc::ExchangeStats& e) {
+  std::vector<FlatRow> out = flatten(e.router);
+  flatten_rows(out, e, "exchange");
+  return out;
+}
+std::vector<FlatRow> flatten(const svc::FederationStats& f) {
+  std::vector<FlatRow> out = flatten(f.members);
+  for (const FlatRow& r : flatten(f.trunks)) out.push_back(r);
+  flatten_rows(out, f, "federation");
+  return out;
+}
+
+/// Gives row i of `b`'s table the value seed + 3*i; nested tables get
+/// their own seeds, so every row of a block holds a distinct value.
+template <class Block>
+void fill_rows(Block& b, std::uint64_t seed) {
+  std::uint64_t i = 0;
+  for (const auto& f : Block::fields()) b.*f.member = seed + 3 * i++;
+}
+void fill(core::RouterStats& r, std::uint64_t seed) { fill_rows(r, seed); }
+void fill(svc::TrunkGroupStats& t, std::uint64_t seed) { fill_rows(t, seed); }
+void fill(svc::ExchangeStats& e, std::uint64_t seed) {
+  fill_rows(e, seed);
+  fill(e.router, seed + 100);
+}
+void fill(svc::FederationStats& f, std::uint64_t seed) {
+  fill_rows(f, seed);
+  fill(f.members, seed + 200);
+  fill(f.trunks, seed + 400);
+}
+
+template <class Block>
+void check_merge_delta_reset() {
+  Block a, b;
+  fill(a, 1);
+  fill(b, 1000);  // every row of b exceeds a's
+  const std::vector<FlatRow> ra = flatten(a), rb = flatten(b);
+  ASSERT_EQ(ra.size(), rb.size());
+  const auto is_max = [&](std::size_t i) {
+    return ra[i].kind == util::StatKind::kMax;
+  };
+
+  Block twice = a;
+  twice += a;
+  const std::vector<FlatRow> r2 = flatten(twice);
+  for (std::size_t i = 0; i < ra.size(); ++i)
+    EXPECT_EQ(r2[i].value, is_max(i) ? ra[i].value : 2 * ra[i].value)
+        << ra[i].label;  // += doubles a counter; a max row stays
+  twice -= a;
+  const std::vector<FlatRow> r1 = flatten(twice);
+  for (std::size_t i = 0; i < ra.size(); ++i)
+    EXPECT_EQ(r1[i].value, ra[i].value) << ra[i].label;  // -= restores
+
+  // Distinct operands, in both orders: counters add; max rows take the max
+  // (not the last write) and survive the delta.
+  Block ab = a, ba = b;
+  ab += b;
+  ba += a;
+  const std::vector<FlatRow> rab = flatten(ab), rba = flatten(ba);
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    const std::uint64_t want =
+        is_max(i) ? rb[i].value : ra[i].value + rb[i].value;
+    EXPECT_EQ(rab[i].value, want) << ra[i].label;
+    EXPECT_EQ(rba[i].value, want) << ra[i].label;
+  }
+  ab -= b;
+  ba -= a;
+  const std::vector<FlatRow> da = flatten(ab), db = flatten(ba);
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(da[i].value, is_max(i) ? rb[i].value : ra[i].value)
+        << ra[i].label;
+    EXPECT_EQ(db[i].value, rb[i].value) << ra[i].label;
+  }
+
+  ab = {};
+  for (const FlatRow& r : flatten(ab)) EXPECT_EQ(r.value, 0u) << r.label;
+}
+
+TEST(StatsTable, MergeDeltaAndResetFollowTheTable) {
+  check_merge_delta_reset<core::RouterStats>();
+  check_merge_delta_reset<svc::TrunkGroupStats>();
+  check_merge_delta_reset<svc::ExchangeStats>();
+  check_merge_delta_reset<svc::FederationStats>();
+  // The only high-water row, and the merge its dashboards rely on.
+  svc::ExchangeStats a, b;
+  a.queue_high_water = 7;
+  b.queue_high_water = 9;
+  a += b;
+  EXPECT_EQ(a.queue_high_water, 9u);
+  a -= b;
+  EXPECT_EQ(a.queue_high_water, 9u);
+}
+
+TEST(StatsTable, TableRowsAreNamedOnceAndRejectsUseCanonicalSpellings) {
+  std::set<std::string> names;
+  std::vector<FlatRow> rows = flatten(svc::FederationStats{});
+  for (const FlatRow& r : rows)
+    EXPECT_TRUE(names.insert(r.label.substr(r.label.find('/') + 1)).second)
+        << "duplicate export name " << r.label;
+  for (const auto& f : core::RouterStats::fields()) {
+    if (f.reject) {
+      EXPECT_TRUE(svc::reject_reason_from_string(f.reject));
+    }
+  }
+  for (const auto& f : svc::ExchangeStats::fields()) {
+    if (f.reject) {
+      EXPECT_TRUE(svc::reject_reason_from_string(f.reject));
+    }
+  }
+}
+
+/// Occurrences of `needle` in `hay`.
+std::size_t count_of(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + 1))
+    ++n;
+  return n;
+}
+
+/// The flat `"key":number` object that follows `"section":{` at or after
+/// `from`, as (key, value) pairs in document order.
+std::vector<std::pair<std::string, std::uint64_t>> json_section(
+    const std::string& js, const std::string& section, std::size_t from = 0) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  std::size_t at = js.find("\"" + section + "\":{", from);
+  if (at == std::string::npos) return out;
+  at += section.size() + 4;
+  while (at < js.size() && js[at] == '"') {
+    const std::size_t close = js.find('"', at + 1);
+    const std::string key = js.substr(at + 1, close - at - 1);
+    std::size_t end = close + 2;  // past `":`
+    std::uint64_t v = 0;
+    while (end < js.size() && std::isdigit(static_cast<unsigned char>(js[end])))
+      v = v * 10 + static_cast<std::uint64_t>(js[end++] - '0');
+    out.emplace_back(key, v);
+    at = js[end] == ',' ? end + 1 : js.size();
+  }
+  return out;
+}
+
+/// Every row of `Block`'s table appears exactly once in each format, with
+/// its total and delta values.
+template <class Block>
+void expect_rows_exported(const Block& total, const Block& delta,
+                          const std::string& prom, const std::string& js,
+                          std::size_t json_from, bool scrape_delta) {
+  const auto jt = json_section(js, "total", json_from);
+  const auto jd = json_section(js, "delta", json_from);
+  const auto json_count = [](const auto& sec, const std::string& key,
+                             std::uint64_t v) {
+    std::size_t n = 0;
+    for (const auto& [k, val] : sec) n += k == key && val == v;
+    return n;
+  };
+  for (const auto& f : Block::fields()) {
+    const std::uint64_t t = total.*f.member, d = delta.*f.member;
+    ASSERT_TRUE(f.name || f.reject);
+    if (f.name) {
+      const std::string n = f.name;
+      const char* type = f.kind == util::StatKind::kMax ? "gauge" : "counter";
+      EXPECT_EQ(count_of(prom, "# TYPE ftcs_" + n + " " + type + "\n"), 1u)
+          << n;
+      EXPECT_EQ(count_of(prom, "\nftcs_" + n + "{"), 1u) << n;
+      EXPECT_EQ(count_of(prom, "\nftcs_" + n + "{exchange=\"t\"} " +
+                                   std::to_string(t) + "\n"),
+                1u)
+          << n;
+      if (scrape_delta) {
+        EXPECT_EQ(count_of(prom, "counter=\"" + n + "\"} " +
+                                     std::to_string(d) + "\n"),
+                  1u)
+            << n;
+      }
+      EXPECT_EQ(json_count(jt, n, t), 1u) << n;
+      EXPECT_EQ(json_count(jd, n, d), 1u) << n;
+    }
+    if (f.reject) {
+      const std::string r = f.reject;
+      EXPECT_EQ(count_of(prom, "reason=\"" + r + "\"} " + std::to_string(t) +
+                                   "\n"),
+                1u)
+          << r;
+      EXPECT_EQ(json_count(jt, "rejects_" + r, t), 1u) << r;
+      EXPECT_EQ(json_count(jd, "rejects_" + r, d), 1u) << r;
+    }
+  }
+}
+
+TEST(StatsTable, EveryRowReachesBothFormatsOnce) {
+  ops::MetricsRegistry reg("t");
+  ops::MetricsRegistry::Sample s;
+  fill(s.total, 10);
+  fill(s.delta, 5000);
+  s.federated = true;
+  fill(s.fed_total, 20000);
+  fill(s.fed_delta, 30000);
+  const std::string prom = reg.prometheus(s);
+  const std::string js = reg.json(s);
+
+  expect_rows_exported(s.total.router, s.delta.router, prom, js, 0, true);
+  expect_rows_exported(s.total, s.delta, prom, js, 0, true);
+  const std::size_t fed_at = js.find("\"federation\":{");
+  ASSERT_NE(fed_at, std::string::npos);
+  expect_rows_exported(s.fed_total, s.fed_delta, prom, js, fed_at, false);
+  expect_rows_exported(s.fed_total.trunks, s.fed_delta.trunks, prom, js,
+                       fed_at, false);
+
+  // Nothing but table rows in the JSON sections, and delta keys == totals.
+  std::size_t exchange_keys = 0;
+  for (const auto& f : core::RouterStats::fields())
+    exchange_keys += (f.name != nullptr) + (f.reject != nullptr);
+  for (const auto& f : svc::ExchangeStats::fields())
+    exchange_keys += (f.name != nullptr) + (f.reject != nullptr);
+  const std::size_t fed_keys = svc::FederationStats::fields().size() +
+                               svc::TrunkGroupStats::fields().size();
+  EXPECT_EQ(json_section(js, "total").size(), exchange_keys);
+  EXPECT_EQ(json_section(js, "delta").size(), exchange_keys);
+  EXPECT_EQ(json_section(js, "total", fed_at).size(), fed_keys);
+  EXPECT_EQ(json_section(js, "delta", fed_at).size(), fed_keys);
+}
+
+// Pins the export names of the router, high-water and federation-level
+// counters: each is found in both formats, with its value. The member
+// exchanges' reroute family stays apart from the federation's.
+TEST(MetricsRegistry, FederatedSampleExportsRouterHighWaterAndFederationRows) {
+  ops::MetricsRegistry reg("f");
+  ops::MetricsRegistry::Sample s;
+  s.federated = true;
+  s.total.router.disconnects = 51;
+  s.total.router.path_vertices = 52;
+  s.total.router.search_retries = 53;
+  s.total.queue_high_water = 61;
+  s.delta.queue_high_water = 61;
+  s.fed_total.reroute_succeeded = 41;
+  s.fed_total.reroute_failed = 42;
+  s.fed_total.handle_errors = 43;
+  s.total.reroute_succeeded = 71;
+  const std::string prom = reg.prometheus(s);
+  const std::string js = reg.json(s);
+  const std::size_t fed_at = js.find("\"federation\":{");
+  ASSERT_NE(fed_at, std::string::npos);
+
+  const std::pair<const char*, std::uint64_t> exchange_rows[] = {
+      {"router_disconnects_total", 51},
+      {"router_path_vertices_total", 52},
+      {"router_search_retries_total", 53},
+      {"queue_high_water", 61},
+      {"reroute_succeeded_total", 71},
+  };
+  for (const auto& [name, v] : exchange_rows) {
+    const std::string n = name;
+    EXPECT_EQ(count_of(prom, "\nftcs_" + n + "{exchange=\"f\"} " +
+                                 std::to_string(v) + "\n"),
+              1u)
+        << n;
+    const auto total = json_section(js, "total");
+    EXPECT_NE(std::find(total.begin(), total.end(), std::pair{n, v}),
+              total.end())
+        << n;
+  }
+  EXPECT_NE(prom.find("# TYPE ftcs_queue_high_water gauge\n"),
+            std::string::npos);
+  const auto delta = json_section(js, "delta");
+  EXPECT_NE(std::find(delta.begin(), delta.end(),
+                      std::pair<std::string, std::uint64_t>{
+                          "queue_high_water", 61}),
+            delta.end());
+
+  const std::pair<const char*, std::uint64_t> fed_rows[] = {
+      {"fed_reroute_succeeded_total", 41},
+      {"fed_reroute_failed_total", 42},
+      {"fed_handle_errors_total", 43},
+  };
+  const auto fed_total = json_section(js, "total", fed_at);
+  for (const auto& [name, v] : fed_rows) {
+    const std::string n = name;
+    EXPECT_NE(prom.find("# TYPE ftcs_" + n + " counter\n"), std::string::npos)
+        << n;
+    EXPECT_EQ(count_of(prom, "\nftcs_" + n + "{exchange=\"f\"} " +
+                                 std::to_string(v) + "\n"),
+              1u)
+        << n;
+    EXPECT_NE(std::find(fed_total.begin(), fed_total.end(), std::pair{n, v}),
+              fed_total.end())
+        << n;
+  }
+}
+
+// reset_stats() zeroes every table row and leaves the live state alone:
+// calls up, switches down, the Lemma 7 short, trunk lines out of the pool.
+TEST(StatsTable, ResetStatsZeroesEveryRowAndKeepsLiveState) {
+  {
+    const auto net = networks::build_crossbar(4);
+    svc::Exchange ex(net);
+    const auto c0 = ex.call({0, 0, 0, 1});
+    const auto c1 = ex.call({1, 1, 0, 2});
+    const auto c2 = ex.call({2, 2, 0, 3});
+    ASSERT_TRUE(c0.connected() && c1.connected() && c2.connected());
+    EXPECT_EQ(ex.hangup(c2.id), svc::RejectReason::kNone);
+    EXPECT_EQ(ex.hangup(svc::CallId{}), svc::RejectReason::kStaleHandle);
+    ex.submit({3, 3, 1, 4});
+    ex.drain_all();
+    // Open-fail switch (0,0): kills c0, whose reroute has no other path.
+    const auto killed =
+        ex.inject({0.0, net.g.out_edges(net.inputs[0])[0],
+                   FaultEvent::Kind::kFail});
+    EXPECT_EQ(killed.calls_killed(), 1u);
+    // A crossbar weld contracts an input with an output: Lemma 7 short.
+    ex.inject({0.0, net.g.out_edges(net.inputs[1])[2],
+               FaultEvent::Kind::kStuckOn});
+    ASSERT_TRUE(ex.shorted());
+    const std::size_t active = ex.active_calls();
+    const std::size_t failed = ex.failed_switch_count();
+    EXPECT_EQ(active, 2u);
+    EXPECT_EQ(failed, 2u);
+    std::uint64_t before = 0;
+    for (const FlatRow& r : flatten(ex.stats())) before += r.value;
+    EXPECT_GT(before, 0u);
+
+    ex.reset_stats();
+    for (const FlatRow& r : flatten(ex.stats()))
+      EXPECT_EQ(r.value, 0u) << r.label;
+    for (const ops::ClassStats& c : ex.stats().classes)
+      EXPECT_EQ(c.served + c.rejected + c.setup.count(), 0u);
+    EXPECT_EQ(ex.active_calls(), active);
+    EXPECT_EQ(ex.failed_switch_count(), failed);
+    EXPECT_EQ(ex.stuck_switch_count(), 1u);
+    EXPECT_TRUE(ex.shorted());
+    EXPECT_TRUE(ex.last_short_alarm().has_value());
+  }
+  {
+    const auto net = networks::build_cantor({4, 0});
+    svc::Federation fed(net, 2);
+    const auto intra = fed.call({fed.global_of(0, 0), fed.global_of(0, 1)});
+    const auto inter =
+        fed.call({fed.global_of(0, 2), fed.global_of(1, 2), 0, 9});
+    ASSERT_TRUE(intra.connected() && inter.connected());
+    EXPECT_EQ(fed.hangup(svc::FedCallId{}), svc::RejectReason::kStaleHandle);
+    // Trunk fault under the inter call: torn down, re-admitted end-to-end.
+    const svc::TrunkGroup& tg = fed.trunk_group(inter.trunk_group);
+    std::uint32_t line = 0;
+    while (!tg.line_busy(line)) ++line;
+    EXPECT_EQ(fed.fail_trunk(inter.trunk_group, line).killed.size(), 1u);
+    // A member switch fault.
+    fed.inject(1, {0.0, net.g.out_edges(net.inputs[5])[0],
+                   FaultEvent::Kind::kFail});
+    const std::size_t active = fed.active_calls();
+    const std::size_t inter_up = fed.active_inter_calls();
+    const std::uint32_t usable = tg.usable();
+    const std::size_t failed = fed.member(1).failed_switch_count();
+    const bool shorted = fed.member(1).shorted();
+    EXPECT_EQ(failed, 1u);
+    EXPECT_LT(usable, tg.capacity());
+    std::uint64_t before = 0;
+    for (const FlatRow& r : flatten(fed.stats())) before += r.value;
+    EXPECT_GT(before, 0u);
+
+    fed.reset_stats();
+    for (const FlatRow& r : flatten(fed.stats()))
+      EXPECT_EQ(r.value, 0u) << r.label;
+    EXPECT_EQ(fed.active_calls(), active);
+    EXPECT_EQ(fed.active_inter_calls(), inter_up);
+    EXPECT_EQ(tg.usable(), usable);
+    EXPECT_EQ(fed.member(1).failed_switch_count(), failed);
+    EXPECT_EQ(fed.member(1).shorted(), shorted);
+  }
 }
 
 // Acceptance criteria: 4 sessions of churn while a separate operator thread

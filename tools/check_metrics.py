@@ -20,6 +20,13 @@ JSON snapshot:
   - parses, carries instance/scrape_seq/gauges/total/delta/classes, and the
     per-class book has one entry per QoS class with consistent quantiles
 
+Across the two formats (both blocks present):
+  - every key of the JSON `total` has a `# TYPE ftcs_<key>` family in the
+    Prometheus block; a `rejects_<reason>` key maps to a
+    ftcs_rejects_total{reason="<reason>"} sample instead
+  - the `delta` keys equal the `total` keys, in the top-level sections and
+    in the `federation` section alike
+
 Usage:
   tools/check_metrics.py SESSION_LOG [--require-json]
   tools/check_metrics.py --self-test
@@ -219,9 +226,47 @@ def check_json(text: str) -> list[str]:
                 cls.get("p50_seconds", 0) > cls.get("p99_seconds", 0):
             errors.append(f"class {cls.get('class')}: p50 > p99")
     gauges = doc.get("gauges", {})
-    for g in ("active_calls", "pending", "failed_switches", "shorted"):
+    for g in ("active_calls", "pending", "failed_switches", "stuck_switches",
+              "shorted"):
         if g not in gauges:
             errors.append(f"JSON gauges missing '{g}'")
+    return errors
+
+
+def check_cross(prom: str, text: str) -> list[str]:
+    """Checks that the JSON counter sections and the Prometheus block export
+    the same counters (the library generates both from one field table)."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return []  # check_json reports it
+    families = {line.split()[2] for line in prom.splitlines()
+                if line.startswith("# TYPE ") and len(line.split()) == 4}
+    reasons = set()
+    for line in prom.splitlines():
+        m = SAMPLE_RE.match(line.strip())
+        if m and m.group("name") == "ftcs_rejects_total":
+            reasons.update(v for k, v in LABEL_RE.findall(
+                m.group("labels") or "") if k == "reason")
+    errors: list[str] = []
+    sections = [("", doc)]
+    if isinstance(doc.get("federation"), dict):
+        sections.append(("federation.", doc["federation"]))
+    for where, sec in sections:
+        total = sec.get("total", {})
+        delta = sec.get("delta", {})
+        for key in total:
+            if key.startswith("rejects_"):
+                if key[len("rejects_"):] not in reasons:
+                    errors.append(f"JSON {where}total key '{key}' has no "
+                                  "ftcs_rejects_total{reason} sample")
+            elif f"ftcs_{key}" not in families:
+                errors.append(f"JSON {where}total key '{key}' has no "
+                              f"'# TYPE ftcs_{key}' family")
+        if set(delta) != set(total):
+            diff = sorted(set(delta) ^ set(total))
+            errors.append(f"JSON {where}delta keys differ from {where}total "
+                          f"keys: {diff}")
     return errors
 
 
@@ -301,6 +346,38 @@ def self_test() -> int:
     assert check_json(good_json) == [], check_json(good_json)
     assert any("missing 'classes'" in e for e in check_json("{}"))
     assert any("does not parse" in e for e in check_json("nope"))
+    no_stuck = json.loads(good_json)
+    del no_stuck["gauges"]["stuck_switches"]
+    assert any("'stuck_switches'" in e
+               for e in check_json(json.dumps(no_stuck)))
+
+    # Cross-format: JSON counter keys must name Prometheus families (or
+    # reject reasons), and every delta section mirrors its total.
+    counters = {"calls_submitted_total": 1, "rejects_rejected_no_path": 3}
+    fed_counters = {"intra_calls_total": 2}
+    cross = {"total": dict(counters), "delta": dict(counters),
+             "federation": {"total": dict(fed_counters),
+                            "delta": dict(fed_counters)}}
+    assert check_cross(good, json.dumps(cross)) == [], \
+        check_cross(good, json.dumps(cross))
+    rogue = json.loads(json.dumps(cross))
+    rogue["total"]["rogue_total"] = rogue["delta"]["rogue_total"] = 1
+    assert any("'rogue_total'" in e
+               for e in check_cross(good, json.dumps(rogue)))
+    bad_reason = json.loads(json.dumps(cross))
+    bad_reason["total"]["rejects_bogus"] = 1
+    bad_reason["delta"]["rejects_bogus"] = 1
+    assert any("'rejects_bogus'" in e
+               for e in check_cross(good, json.dumps(bad_reason)))
+    short_delta = json.loads(json.dumps(cross))
+    del short_delta["delta"]["calls_submitted_total"]
+    assert any("delta keys differ" in e
+               for e in check_cross(good, json.dumps(short_delta)))
+    fed_rogue = json.loads(json.dumps(cross))
+    fed_rogue["federation"]["total"]["fed_rogue_total"] = 1
+    errs = check_cross(good, json.dumps(fed_rogue))
+    assert any("federation.total key 'fed_rogue_total'" in e for e in errs)
+    assert any("federation.delta keys differ" in e for e in errs)
 
     # Marker extraction returns the LAST block.
     log = (f"noise\n{PROM_BEGIN}\nold\n{PROM_END}\n"
@@ -341,6 +418,7 @@ def main() -> int:
     js = extract_block(text, JSON_BEGIN, JSON_END)
     if js is not None:
         errors += check_json(js)
+        errors += check_cross(prom, js)
     elif args.require_json:
         errors.append("no JSON snapshot block found in the session log")
 
