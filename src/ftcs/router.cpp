@@ -15,35 +15,6 @@ util::Bitset mask_bits(const std::vector<std::uint8_t>& bytes, std::size_t n) {
   return bits;
 }
 
-/// Shared store's re-validation: true iff every hop of `path` is still
-/// carried, by a usable forward switch or by a usable welded switch
-/// traversed against its direction. Acquire loads on the overlay.
-bool path_carried(const graph::CsrGraph& g, const util::Bitset& static_edges,
-                  const util::AtomicBitset& dead_edges,
-                  const util::AtomicBitset& contracted_edges,
-                  std::span<const graph::VertexId> path) {
-  constexpr auto kAcquire = std::memory_order_acquire;
-  const auto usable = [&](graph::EdgeId e) {
-    return (static_edges.empty() || !static_edges.test(e)) &&
-           !dead_edges.test(e, kAcquire);
-  };
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const graph::VertexId u = path[i], v = path[i + 1];
-    bool carried = false;
-    const auto eids = g.out_edges(u);
-    const auto tgts = g.out_targets(u);
-    for (std::size_t k = 0; k < eids.size() && !carried; ++k)
-      carried = tgts[k] == v && usable(eids[k]);
-    const auto reids = g.in_edges(u);
-    const auto rsrcs = g.in_sources(u);
-    for (std::size_t k = 0; k < reids.size() && !carried; ++k)
-      carried = rsrcs[k] == v && usable(reids[k]) &&
-                contracted_edges.test(reids[k], kAcquire);
-    if (!carried) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 // ------------------------------------------------------ the stores' claims
@@ -79,9 +50,7 @@ std::uint32_t Router<SharedStore>::claim(Session& s, graph::VertexId dst,
   std::size_t claimed = 0;
   while (claimed < order.size() && busy_.try_set(order[claimed])) ++claimed;
   const bool owned = claimed == order.size();
-  if (owned && (!revalidate || path_carried(net_->g, static_edges_,
-                                            dead_edges_, contracted_edges_,
-                                            path))) {
+  if (owned && (!revalidate || path_carried(path))) {
     // Every vertex is ours, so the successor writes are exclusive; the
     // release/acquire pairing on each busy bit publishes them.
     for (std::size_t i = 0; i < path.size(); ++i)
@@ -92,6 +61,38 @@ std::uint32_t Router<SharedStore>::claim(Session& s, graph::VertexId dst,
   ++(owned ? s.stats_.overlay_conflicts : s.stats_.claim_conflicts);
   while (claimed > 0) busy_.reset(order[--claimed]);
   return 0;
+}
+
+// ------------------------------------------------------- liveness overlay
+
+template <class Store>
+bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
+  const auto bit = [](const Bits& bits, graph::EdgeId e) {
+    if constexpr (Store::kShared)
+      return bits.test(e, std::memory_order_acquire);
+    else
+      return bits.test(e);
+  };
+  const auto usable = [&](graph::EdgeId e) {
+    return (static_edges_.empty() || !static_edges_.test(e)) &&
+           !bit(dead_edges_, e);
+  };
+  const auto& g = net_->g;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const graph::VertexId u = path[i], v = path[i + 1];
+    bool carried = false;
+    const auto eids = g.out_edges(u);
+    const auto tgts = g.out_targets(u);
+    for (std::size_t k = 0; k < eids.size() && !carried; ++k)
+      carried = tgts[k] == v && usable(eids[k]);
+    const auto reids = g.in_edges(u);
+    const auto rsrcs = g.in_sources(u);
+    for (std::size_t k = 0; k < reids.size() && !carried; ++k)
+      carried = rsrcs[k] == v && usable(reids[k]) &&
+                bit(contracted_edges_, reids[k]);
+    if (!carried) return false;
+  }
+  return true;
 }
 
 // ------------------------------------------------------------ construction

@@ -385,6 +385,11 @@ class Router {
     return (static_edges_.empty() || !static_edges_.test(e)) &&
            !dead_edges_.test(e);
   }
+  /// The hop rule: true iff every hop of `path` is carried by a usable
+  /// forward switch or by a usable weld crossed against its direction.
+  /// The shared store reads the overlay with acquire loads — the claim's
+  /// re-validation (step 3) and the fault plane's victim sweep both ask it.
+  [[nodiscard]] bool path_carried(std::span<const graph::VertexId> path) const;
 
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
     return !in_busy_.test(in) && !blocked_.test(net_->inputs[in]);

@@ -90,7 +90,11 @@ struct Ack {
   // kInject / kRepair: the full FaultImpact, so the operator learns which
   // calls died (typed kFaulted outcomes) and where the victims landed —
   // reroutes[i] answers killed[i], and a connected reroute's id is the NEW
-  // live handle (the operator now owns it, hangup-wise).
+  // live handle (the operator now owns it, hangup-wise). Every fault ack
+  // keeps calls_killed == reroute_succeeded + reroute_failed. On a
+  // federated plane the three counters are the federation's (member faults
+  // and trunk verbs alike) and the outcome lists stay empty: a member's
+  // handles are not the operator's to hang up.
   std::size_t calls_killed = 0;
   std::uint64_t reroute_succeeded = 0;
   std::uint64_t reroute_failed = 0;

@@ -57,25 +57,21 @@ Ack ControlPlane::execute(const Command& cmd) {
     case CommandKind::kInject:
     case CommandKind::kRepair: {
       if (fed_) {
-        // Federated fault op: Command::arg names the target shard; the
-        // ack carries the member-level impact plus the reconciliation
-        // counters (adopted/torn-down halves ride the reroute tallies).
+        // Federated fault op: Command::arg names the target shard, and the
+        // ack counts the federation's calls (see Ack): a half the member
+        // rerouted in place was never lost.
         const unsigned shard =
             cmd.arg < fed_->shards() ? static_cast<unsigned>(cmd.arg) : 0;
         svc::Exchange& m = fed_->member(shard);
         const std::size_t down_before = m.failed_switch_count();
-        svc::FedFaultImpact impact = cmd.kind == CommandKind::kInject
-                                         ? fed_->inject(shard, cmd.event)
-                                         : fed_->repair(shard, cmd.event);
+        const svc::FedFaultImpact impact =
+            cmd.kind == CommandKind::kInject ? fed_->inject(shard, cmd.event)
+                                             : fed_->repair(shard, cmd.event);
         if (m.failed_switch_count() == down_before)
           a.status = AckStatus::kNoop;
-        a.calls_killed = impact.member.calls_killed();
-        a.reroute_succeeded =
-            impact.member.reroute_succeeded + impact.reroute_succeeded;
-        a.reroute_failed =
-            impact.member.reroute_failed + impact.reroute_failed;
-        a.killed = std::move(impact.member.killed);
-        a.reroutes = std::move(impact.member.reroutes);
+        a.calls_killed = impact.killed.size();
+        a.reroute_succeeded = impact.reroute_succeeded;
+        a.reroute_failed = impact.reroute_failed;
         a.alarm = impact.member.alarm;
         break;
       }

@@ -11,7 +11,7 @@
 // right fidelity for an SLA book, at 8 bytes per bucket.
 //
 // This header is a leaf on purpose: svc/exchange.hpp embeds these types in
-// ExchangeStats, so nothing here may include svc/.
+// ExchangeStats, so nothing here may include svc/ (util/ is fine).
 #pragma once
 
 #include <array>
@@ -19,6 +19,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/stat_fields.hpp"
 
 namespace ftcs::ops {
 
@@ -104,28 +106,38 @@ class LatencyHistogram {
 };
 
 /// One service class's SLA book: setup-latency histogram plus the served /
-/// rejected / deadline-violation tallies the reject books surface.
+/// rejected / deadline-violation tallies the reject books surface. Every
+/// tally is a row of fields(); a row exports per class as the Prometheus
+/// family ftcs_class_<name>_total and the JSON key <name> of the class's
+/// "classes" entry.
 struct ClassStats {
   LatencyHistogram setup;             // latency of served calls only
   std::uint64_t served = 0;           // connected on this class
   std::uint64_t rejected = 0;         // any typed rejection on this class
   std::uint64_t sla_violations = 0;   // served, but past the class deadline
 
+  /// The field table (util/stat_fields.hpp). `setup` merges through its
+  /// own operators.
+  static constexpr auto fields() noexcept {
+    return std::to_array<util::StatField<ClassStats>>({
+        {&ClassStats::served, "served"},
+        {&ClassStats::rejected, "rejected"},
+        {&ClassStats::sla_violations, "sla_violations"},
+    });
+  }
   ClassStats& operator+=(const ClassStats& o) noexcept {
     setup += o.setup;
-    served += o.served;
-    rejected += o.rejected;
-    sla_violations += o.sla_violations;
-    return *this;
+    return util::merge_fields(*this, o);
   }
   ClassStats& operator-=(const ClassStats& o) noexcept {
     setup -= o.setup;
-    served -= o.served;
-    rejected -= o.rejected;
-    sla_violations -= o.sla_violations;
-    return *this;
+    return util::subtract_fields(*this, o);
   }
 };
+static_assert(sizeof(ClassStats) ==
+                  ClassStats::fields().size() * sizeof(std::uint64_t) +
+                      sizeof(LatencyHistogram),
+              "every ClassStats tally is a fields() row");
 
 using ClassBook = std::array<ClassStats, kQosClasses>;
 

@@ -173,25 +173,17 @@ std::string MetricsRegistry::prometheus(const Sample& s) const {
   appendf(out, "ftcs_scrape_seq{exchange=\"%s\"} %" PRIu64 "\n", inst,
           s.scrape_seq);
 
-  // Per-class SLA books: served/rejected/violations + the setup-latency
-  // histogram in native Prometheus shape (cumulative buckets, le ascending,
-  // +Inf last, _sum/_count trailers).
-  appendf(out, "# TYPE ftcs_class_served_total counter\n");
-  for (std::size_t c = 0; c < kQosClasses; ++c)
-    appendf(out, "ftcs_class_served_total{exchange=\"%s\",class=\"%zu\"} %"
-                 PRIu64 "\n",
-            inst, c, s.total.classes[c].served);
-  appendf(out, "# TYPE ftcs_class_rejected_total counter\n");
-  for (std::size_t c = 0; c < kQosClasses; ++c)
-    appendf(out, "ftcs_class_rejected_total{exchange=\"%s\",class=\"%zu\"} %"
-                 PRIu64 "\n",
-            inst, c, s.total.classes[c].rejected);
-  appendf(out, "# TYPE ftcs_class_sla_violations_total counter\n");
-  for (std::size_t c = 0; c < kQosClasses; ++c)
-    appendf(out,
-            "ftcs_class_sla_violations_total{exchange=\"%s\",class=\"%zu\"} %"
-            PRIu64 "\n",
-            inst, c, s.total.classes[c].sla_violations);
+  // Per-class SLA books: one family per ClassStats row, then the
+  // setup-latency histogram in native Prometheus shape (cumulative buckets,
+  // le ascending, +Inf last, _sum/_count trailers).
+  for (const util::StatField<ClassStats>& f : ClassStats::fields()) {
+    appendf(out, "# TYPE ftcs_class_%s_total counter\n", f.name);
+    for (std::size_t c = 0; c < kQosClasses; ++c)
+      appendf(out,
+              "ftcs_class_%s_total{exchange=\"%s\",class=\"%zu\"} %" PRIu64
+              "\n",
+              f.name, inst, c, s.total.classes[c].*f.member);
+  }
 
   appendf(out, "# TYPE ftcs_setup_latency_seconds histogram\n");
   for (std::size_t c = 0; c < kQosClasses; ++c) {
@@ -290,12 +282,12 @@ std::string MetricsRegistry::json(const Sample& s) const {
   out += "\"classes\":[";
   for (std::size_t c = 0; c < kQosClasses; ++c) {
     const ClassStats& cs = s.total.classes[c];
+    appendf(out, "%s{\"class\":%zu", c == 0 ? "" : ",", c);
+    for (const util::StatField<ClassStats>& f : ClassStats::fields())
+      appendf(out, ",\"%s\":%" PRIu64, f.name, cs.*f.member);
     appendf(out,
-            "%s{\"class\":%zu,\"served\":%" PRIu64 ",\"rejected\":%" PRIu64
-            ",\"sla_violations\":%" PRIu64
             ",\"count\":%" PRIu64
             ",\"sum_seconds\":%.9g,\"p50_seconds\":%.9g,\"p99_seconds\":%.9g}",
-            c == 0 ? "" : ",", c, cs.served, cs.rejected, cs.sla_violations,
             cs.setup.count(), cs.setup.sum_seconds(), cs.setup.quantile(0.50),
             cs.setup.quantile(0.99));
   }

@@ -82,14 +82,9 @@ class RouterEngine final : public Engine {
   }
   void kill_vertex(graph::VertexId v) override { router_.kill_vertex(v); }
   void revive_vertex(graph::VertexId v) override { router_.revive_vertex(v); }
-  [[nodiscard]] bool vertex_dead(graph::VertexId v) const override {
-    return router_.vertex_dead(v);
-  }
-  [[nodiscard]] bool edge_usable(graph::EdgeId e) const override {
-    return router_.edge_usable(e);
-  }
-  [[nodiscard]] bool edge_contracted(graph::EdgeId e) const override {
-    return router_.edge_contracted(e);
+  [[nodiscard]] bool path_carried(
+      std::span<const graph::VertexId> path) const override {
+    return router_.path_carried(path);
   }
 
   void grow(const graph::Network& net,

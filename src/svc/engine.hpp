@@ -74,9 +74,10 @@ class Engine {
   virtual void uncontract_edge(graph::EdgeId e) = 0;
   virtual void kill_vertex(graph::VertexId v) = 0;
   virtual void revive_vertex(graph::VertexId v) = 0;
-  [[nodiscard]] virtual bool vertex_dead(graph::VertexId v) const = 0;
-  [[nodiscard]] virtual bool edge_usable(graph::EdgeId e) const = 0;
-  [[nodiscard]] virtual bool edge_contracted(graph::EdgeId e) const = 0;
+  /// True iff the overlay still carries every hop of `path` (the router's
+  /// one hop rule, core::Router::path_carried).
+  [[nodiscard]] virtual bool path_carried(
+      std::span<const graph::VertexId> path) const = 0;
 
   /// Hitless growth: rebinds the backend to the grown network, remapping
   /// every live call and all vertex/edge-indexed state through `vmap` (see

@@ -265,21 +265,10 @@ std::size_t Exchange::drain() {
   {
     std::lock_guard<std::mutex> lk(front_mu_);
     if (queue_.empty()) return 0;
-    EpochFeedback fb;
-    fb.epoch = stats_.epochs;
-    fb.queued = queue_.size();
-    fb.sessions = engine_->sessions();
-    fb.admitted_last = last_admitted_;
-    fb.claim_conflicts_last = last_conflicts_;
-    fb.rejected_contention_last = last_contention_;
-    fb.last_epoch_seconds = last_epoch_seconds_;
-    // Fault-plane health for overlay-aware policies. Same threading domain
-    // as inject()/repair() (both live in drain()'s contract), so the plain
-    // reads are safe.
-    fb.failed_switches = failed_switch_count_;
-    fb.stuck_switches = stuck_switch_count_;
-    fb.overlay_conflicts_last = last_overlay_;
-    const std::size_t window = admission_->epoch_window(fb);
+    // failed_switch_count_ lives in drain()'s threading domain (inject()
+    // and repair() share its contract), so the plain read is safe.
+    const std::size_t window =
+        admission_->epoch_window({queue_.size(), failed_switch_count_});
     if (window == 0) return 0;
     batch = take_window(window);
     ++stats_.epochs;
@@ -289,8 +278,6 @@ std::size_t Exchange::drain() {
     for (auto& p : queue_) ++p.deferrals;
   }
 
-  const core::RouterStats before = engine_->stats();
-  const auto t0 = std::chrono::steady_clock::now();
   const std::size_t m = batch.size();
   const unsigned s_count = engine_->sessions();
   std::vector<Outcome> outs(m);
@@ -342,9 +329,7 @@ std::size_t Exchange::drain() {
           route_chunk(static_cast<unsigned>(s));
         });
   }
-  const core::RouterStats after = engine_->stats();
   const auto t1 = std::chrono::steady_clock::now();
-  const double epoch_seconds = std::chrono::duration<double>(t1 - t0).count();
 
   {
     std::lock_guard<std::mutex> lk(front_mu_);
@@ -357,11 +342,6 @@ std::size_t Exchange::drain() {
           std::chrono::duration<double>(t1 - batch[i].submitted_at).count());
     }
     stats_.completed += m;
-    last_admitted_ = m;
-    last_conflicts_ = after.claim_conflicts - before.claim_conflicts;
-    last_contention_ = after.rejected_contention - before.rejected_contention;
-    last_overlay_ = after.overlay_conflicts - before.overlay_conflicts;
-    last_epoch_seconds_ = epoch_seconds;
   }
   return m;
 }
@@ -405,36 +385,10 @@ void Exchange::ensure_fault_state() {
 bool Exchange::path_alive(const std::vector<graph::VertexId>& path,
                           const std::vector<graph::VertexId>& newly_dead)
     const {
-  for (const graph::VertexId v : path) {
-    if (engine_->vertex_dead(v)) return false;
-    for (const graph::VertexId d : newly_dead)
-      if (v == d) return false;
-  }
-  const auto& g = net_->g;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto eids = g.out_edges(path[i]);
-    const auto tgts = g.out_targets(path[i]);
-    bool hop_alive = false;
-    for (std::size_t k = 0; k < eids.size(); ++k)
-      if (tgts[k] == path[i + 1] && engine_->edge_usable(eids[k])) {
-        hop_alive = true;  // some parallel switch still carries this hop
-        break;
-      }
-    if (!hop_alive && stuck_switch_count_ > 0) {
-      // A stuck-on switch conducts both ways: the hop may ride a welded
-      // switch whose edge points path[i+1] -> path[i].
-      const auto reids = g.in_edges(path[i]);
-      const auto rsrcs = g.in_sources(path[i]);
-      for (std::size_t k = 0; k < reids.size(); ++k)
-        if (rsrcs[k] == path[i + 1] && engine_->edge_contracted(reids[k]) &&
-            engine_->edge_usable(reids[k])) {
-          hop_alive = true;
-          break;
-        }
-    }
-    if (!hop_alive) return false;
-  }
-  return true;
+  for (const graph::VertexId v : path)
+    if (std::find(newly_dead.begin(), newly_dead.end(), v) != newly_dead.end())
+      return false;
+  return engine_->path_carried(path);
 }
 
 void Exchange::reap_victims(FaultImpact& impact,
@@ -771,9 +725,6 @@ void Exchange::reset_stats() {
   engine_->reset_stats();
   std::lock_guard<std::mutex> lk(front_mu_);
   stats_ = {};
-  last_admitted_ = 0;
-  last_conflicts_ = last_contention_ = last_overlay_ = 0;
-  last_epoch_seconds_ = 0.0;
   for (Session& s : sessions_) {
     s.hangups = 0;
     s.classes = {};

@@ -461,9 +461,8 @@ class Exchange {
   Ticket submit_impl(const CallRequest& req, CompletionFn done);
   /// Sizes the fault-plane bookkeeping on the first event (off hot paths).
   void ensure_fault_state();
-  /// True iff every component of `path` is still alive (vertices against
-  /// the engine overlay + `newly_dead`, hops against usable switches — a
-  /// hop is also carried by a stuck-on switch welded in EITHER direction).
+  /// True iff `path` avoids `newly_dead` and the engine still carries
+  /// every hop. A live path never crosses a vertex that was already dead.
   [[nodiscard]] bool path_alive(const std::vector<graph::VertexId>& path,
                                 const std::vector<graph::VertexId>& newly_dead)
       const;
@@ -505,10 +504,6 @@ class Exchange {
   // handle_errors stay 0 here: stats() fills them in from the engine, the
   // sessions and handle_errors_.
   ExchangeStats stats_;
-  // Previous epoch's engine feedback for the admission policy.
-  std::size_t last_admitted_ = 0;
-  std::uint64_t last_conflicts_ = 0, last_contention_ = 0, last_overlay_ = 0;
-  double last_epoch_seconds_ = 0.0;
   // Fault-plane bookkeeping (same single-owner contract as the sessions;
   // sized lazily by the first event). A vertex is §6-faulty while any
   // incident switch is OPEN-failed — vertex_fault_degree_ counts those

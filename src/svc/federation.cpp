@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -31,7 +30,6 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
     ExchangeConfig ec;
     ec.backend = cfg.backend;
     ec.sessions = cfg.sessions;
-    if (cfg.member_admission) ec.admission = cfg.member_admission();
     members_.push_back(std::make_unique<Exchange>(member_net, std::move(ec)));
   }
   out_peers_.resize(shards);
@@ -52,8 +50,6 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
       peers[a].push_back((a + shards - 1) % shards);
     }
   }
-  const std::uint32_t groups_per_peer =
-      std::clamp<std::uint32_t>(cfg.groups_per_peer, 1, 64);
   std::vector<std::uint32_t> egress_cursor(shards, subs_);
   std::vector<std::uint32_t> ingress_cursor(shards, subs_);
   for (std::uint32_t a = 0; a < shards; ++a) {
@@ -62,58 +58,25 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
       const std::uint32_t b = peers[a][j];
       const std::uint32_t quota = pool / degree + (j < pool % degree ? 1 : 0);
       if (quota == 0) continue;
-      PeerGroups pg;
-      pg.to = b;
-      for (std::uint32_t c = 0; c < groups_per_peer; ++c) {
-        const std::uint32_t chunk =
-            quota / groups_per_peer + (c < quota % groups_per_peer ? 1 : 0);
-        if (chunk == 0) continue;
-        std::vector<TrunkLine> lines;
-        lines.reserve(chunk);
-        for (std::uint32_t t = 0; t < chunk; ++t)
-          lines.push_back({egress_cursor[a]++, ingress_cursor[b]++});
-        const auto gid = static_cast<std::uint32_t>(groups_.size());
-        groups_.emplace_back(gid, a, b, std::move(lines));
-        line_owner_.emplace_back(chunk, kNoOwner);
-        pg.groups.push_back(gid);
-      }
-      if (!pg.groups.empty()) out_peers_[a].push_back(std::move(pg));
+      std::vector<TrunkLine> lines;
+      lines.reserve(quota);
+      for (std::uint32_t t = 0; t < quota; ++t)
+        lines.push_back({egress_cursor[a]++, ingress_cursor[b]++});
+      const auto gid = static_cast<std::uint32_t>(groups_.size());
+      groups_.emplace_back(gid, a, b, std::move(lines));
+      line_owner_.emplace_back(quota, kNoOwner);
+      out_peers_[a].push_back({b, gid});
     }
   }
 }
 
 std::optional<std::pair<std::uint32_t, std::uint32_t>> Federation::claim_trunk(
     std::uint32_t from, std::uint32_t to) {
-  const std::vector<std::uint32_t>* gs = nullptr;
-  for (const auto& pg : out_peers_[from]) {
-    if (pg.to == to) {
-      gs = &pg.groups;
-      break;
-    }
-  }
-  if (!gs) return std::nullopt;  // topology has no direct trunks
-  // Least-loaded first: probe the peer's groups in ascending score order
-  // (occupancy + AIMD penalty). Group fan-out per peer is tiny (<= 64, the
-  // groups_per_peer clamp), so a selection scan beats sorting; the `tried`
-  // bitmask retires groups whose claim came up empty.
-  std::uint64_t tried = 0;
-  for (std::size_t round = 0; round < gs->size(); ++round) {
-    std::size_t best = gs->size();
-    std::uint64_t best_score = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t j = 0; j < gs->size(); ++j) {
-      if (tried >> j & 1) continue;
-      const std::uint64_t sc = groups_[(*gs)[j]].score();
-      if (sc < best_score) {
-        best_score = sc;
-        best = j;
-      }
-    }
-    if (best == gs->size()) break;
-    tried |= std::uint64_t{1} << best;
-    if (auto line = groups_[(*gs)[best]].claim())
-      return std::make_pair((*gs)[best], *line);
-  }
-  return std::nullopt;
+  const auto group = group_between(from, to);
+  if (!group) return std::nullopt;  // topology has no direct trunks
+  const auto line = groups_[*group].claim();
+  if (!line) return std::nullopt;
+  return std::make_pair(*group, *line);
 }
 
 FedCallId Federation::commit_inter(const CallRequest& req, std::uint32_t sa,
@@ -603,12 +566,12 @@ FedFaultImpact Federation::repair(unsigned shard, const fault::FaultEvent& ev) {
   return out;
 }
 
-std::vector<std::uint32_t> Federation::groups_between(std::uint32_t from,
-                                                      std::uint32_t to) const {
-  if (from >= out_peers_.size()) return {};
-  for (const auto& pg : out_peers_[from])
-    if (pg.to == to) return pg.groups;
-  return {};
+std::optional<std::uint32_t> Federation::group_between(
+    std::uint32_t from, std::uint32_t to) const {
+  if (from >= out_peers_.size()) return std::nullopt;
+  for (const Peer& p : out_peers_[from])
+    if (p.to == to) return p.group;
+  return std::nullopt;
 }
 
 std::vector<TrunkGauge> Federation::trunk_gauges() const {

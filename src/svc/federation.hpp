@@ -18,9 +18,9 @@
 //
 //   - INTER-SHARD: a TWO-PHASE setup of two half-calls plus a trunk claim,
 //     in a fixed order with reverse-order release on any failure:
-//       1. claim a trunk line toward the callee's shard (least-loaded group
-//          first — TrunkGroup::score() —, rotating first-free line scan);
-//          no line anywhere -> RejectReason::kTrunkBusy, stage kTrunk.
+//       1. claim a trunk line of the group toward the callee's shard
+//          (rotating first-free line scan); no free line ->
+//          RejectReason::kTrunkBusy, stage kTrunk.
 //       2. route the INGRESS half in the caller's member: local input ->
 //          the line's egress port. Failure releases the line (stage
 //          kIngress, the member's own typed reject).
@@ -252,18 +252,14 @@ struct FederationConfig {
   /// of shards without N^2 groups; offered traffic must match).
   enum class Topology : std::uint8_t { kFullMesh, kRing };
   Topology topology = Topology::kFullMesh;
-  /// Parallel trunk groups per ordered peer pair (>1 exercises the
-  /// least-loaded group tiebreak; capacity is dealt round-robin).
-  std::uint32_t groups_per_peer = 1;
-  /// Factory for each member's admission policy; null = UnboundedAdmission.
-  std::function<std::unique_ptr<AdmissionPolicy>()> member_admission;
 };
 
 class Federation {
  public:
   /// Builds `shards` member exchanges over the SHARED member network (one
   /// immutable CSR serves every member — each member owns only its busy
-  /// state) and deals the trunk ports into groups per the config topology.
+  /// state) and deals the trunk ports into one group per ordered pair of
+  /// trunked peers, per the config topology.
   /// `member_net` must outlive the federation.
   Federation(const graph::Network& member_net, unsigned shards,
              FederationConfig cfg = {});
@@ -346,9 +342,9 @@ class Federation {
   [[nodiscard]] const TrunkGroup& trunk_group(std::uint32_t g) const {
     return groups_[g];
   }
-  /// Group ids serving the ordered pair (from, to); empty when the
+  /// The group serving the ordered pair (from, to); nullopt when the
   /// topology has no direct trunks between them.
-  [[nodiscard]] std::vector<std::uint32_t> groups_between(
+  [[nodiscard]] std::optional<std::uint32_t> group_between(
       std::uint32_t from, std::uint32_t to) const;
   /// Operator-facing per-group book (ops control plane / metrics).
   [[nodiscard]] std::vector<TrunkGauge> trunk_gauges() const;
@@ -395,8 +391,8 @@ class Federation {
     Outcome ingress{}, egress{};  // written by member completion callbacks
   };
 
-  /// Claims a line toward `to` from `from`'s groups, least-loaded first.
-  /// Returns {group, line} or nullopt.
+  /// Claims a line of the group from `from` toward `to`. Returns
+  /// {group, line} or nullopt.
   std::optional<std::pair<std::uint32_t, std::uint32_t>> claim_trunk(
       std::uint32_t from, std::uint32_t to);
   /// The committed-call bookkeeping shared by both planes.
@@ -424,12 +420,12 @@ class Federation {
   std::uint32_t id_;  // process-unique, tagged into every FedCallId
   std::vector<std::unique_ptr<Exchange>> members_;
   std::vector<TrunkGroup> groups_;
-  /// out_peers_[a] = {(b, group ids a->b)}, in topology order.
-  struct PeerGroups {
+  /// out_peers_[a] = {(b, group id a->b)}, in topology order.
+  struct Peer {
     std::uint32_t to = 0;
-    std::vector<std::uint32_t> groups;
+    std::uint32_t group = 0;
   };
-  std::vector<std::vector<PeerGroups>> out_peers_;
+  std::vector<std::vector<Peer>> out_peers_;
   /// line_owner_[g][l] = inter slot riding the line, or kNoOwner.
   std::vector<std::vector<std::uint32_t>> line_owner_;
   static constexpr std::uint32_t kNoOwner = static_cast<std::uint32_t>(-1);

@@ -10,13 +10,9 @@ std::optional<std::uint32_t> TrunkGroup::claim() {
     busy_.set(i);
     ++occupancy_;
     cursor_ = (i + 1) % n;
-    if (penalty_ > 0) --penalty_;  // additive decrease on success
     ++stats_.claims;
     return i;
   }
-  // Multiplicative increase on congestion, capped: the group re-enters the
-  // front of the selection order only after draining for a while.
-  penalty_ = penalty_ >= kPenaltyCap / 2 ? kPenaltyCap : penalty_ * 2 + 1;
   ++stats_.rejects;
   return std::nullopt;
 }

@@ -11,11 +11,8 @@
 // admission planes.
 //
 // Hot-path design mirrors the routers: line state is a packed busy bitset
-// plus an occupancy counter, claim() is a rotating first-free scan (no
-// allocation), and the group keeps an AIMD-style congestion penalty the
-// federation's least-loaded selection uses as a tiebreak — a full group
-// multiplicatively inflates its own score so the scan stops re-probing it
-// first, and each successful claim decays the penalty additively.
+// plus an occupancy counter, and claim() is a rotating first-free scan (no
+// allocation).
 //
 // Faults: a trunk line is an EDGE of the federation graph. fault() marks it
 // unusable (capacity drops) without touching the busy bit — the federation
@@ -95,14 +92,6 @@ class TrunkGroup {
   [[nodiscard]] std::uint32_t usable() const noexcept { return usable_; }
   /// Lines currently claimed by a call.
   [[nodiscard]] std::uint32_t occupancy() const noexcept { return occupancy_; }
-  /// AIMD congestion penalty (selection tiebreak; see score()).
-  [[nodiscard]] std::uint32_t penalty() const noexcept { return penalty_; }
-  /// Least-loaded selection key: lower is more attractive. Occupancy plus
-  /// the congestion penalty, so a recently-full group yields to its
-  /// parallel siblings even at equal occupancy.
-  [[nodiscard]] std::uint64_t score() const noexcept {
-    return std::uint64_t{occupancy_} + penalty_;
-  }
 
   [[nodiscard]] const TrunkLine& line(std::uint32_t i) const {
     return lines_[i];
@@ -113,9 +102,7 @@ class TrunkGroup {
   }
 
   /// Claims the first usable free line scanning from a rotating cursor;
-  /// nullopt when the group is exhausted. Success decays the AIMD penalty
-  /// (additive); a miss inflates it (multiplicative), so the federation's
-  /// least-loaded tiebreak deprioritizes congested groups for a while.
+  /// nullopt when the group is exhausted.
   std::optional<std::uint32_t> claim();
 
   /// Returns a claimed line to the pool. Idempotent on a free line.
@@ -130,12 +117,10 @@ class TrunkGroup {
   void repair(std::uint32_t i);
 
   [[nodiscard]] const TrunkGroupStats& stats() const noexcept { return stats_; }
-  /// Zeroes the counter block; line/occupancy/penalty state is untouched.
+  /// Zeroes the counter block; line and occupancy state is untouched.
   void reset_stats() noexcept { stats_ = TrunkGroupStats{}; }
 
  private:
-  static constexpr std::uint32_t kPenaltyCap = 64;
-
   std::uint32_t id_;
   std::uint32_t from_, to_;
   std::vector<TrunkLine> lines_;
@@ -143,8 +128,7 @@ class TrunkGroup {
   util::Bitset faulted_;  // failed lines (out of the pool, capacity intact)
   std::uint32_t usable_ = 0;
   std::uint32_t occupancy_ = 0;
-  std::uint32_t cursor_ = 0;   // rotating scan start
-  std::uint32_t penalty_ = 0;  // AIMD congestion penalty
+  std::uint32_t cursor_ = 0;  // rotating scan start
   TrunkGroupStats stats_;
 };
 

@@ -362,36 +362,6 @@ TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
   EXPECT_EQ(ex.stats().completed, 64u);
 }
 
-TEST(ConflictAdaptiveAdmission, AimdWindowTracksConflictRate) {
-  ConflictAdaptiveAdmission policy(64, 8, 256, 0.10, 0.02);
-  EpochFeedback fb;
-  fb.queued = 10'000;
-  // First epoch: no feedback yet, initial window.
-  EXPECT_EQ(policy.epoch_window(fb), 64u);
-  // Clean epoch (no conflicts): additive growth.
-  fb.admitted_last = 64;
-  fb.claim_conflicts_last = 0;
-  EXPECT_EQ(policy.epoch_window(fb), 80u);
-  // Contended epoch (25% conflict rate): halve.
-  fb.admitted_last = 80;
-  fb.claim_conflicts_last = 20;
-  EXPECT_EQ(policy.epoch_window(fb), 40u);
-  // A retry-budget rejection always halves, whatever the rate.
-  fb.admitted_last = 40;
-  fb.claim_conflicts_last = 0;
-  fb.rejected_contention_last = 1;
-  EXPECT_EQ(policy.epoch_window(fb), 20u);
-  // Bounds hold.
-  fb.rejected_contention_last = 100;
-  for (int i = 0; i < 10; ++i) (void)policy.epoch_window(fb);
-  EXPECT_EQ(policy.current_window(), 8u);
-  fb.rejected_contention_last = 0;
-  fb.claim_conflicts_last = 0;
-  fb.admitted_last = 8;
-  for (int i = 0; i < 40; ++i) (void)policy.epoch_window(fb);
-  EXPECT_EQ(policy.current_window(), 256u);
-}
-
 // Churn stress (the TSan job runs this file): each thread drives its own
 // session through the facade, deliberately misusing handles as it goes —
 // stale double-hangups, null handles, handles from a different Exchange.

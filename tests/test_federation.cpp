@@ -1,13 +1,14 @@
 // svc::Federation — shard map, intra fast path, two-phase inter-shard setup
-// with reverse-order abort, trunk-group selection (least-loaded + AIMD
-// penalty), the composed fault planes (trunk edge faults, member faults with
-// half-call reconciliation), the batched plane, and exact book balance after
-// abort/fault storms on both engines.
+// with reverse-order abort, trunk-line claims, the composed fault planes
+// (trunk edge faults, member faults with half-call reconciliation), the
+// batched plane, and exact book balance after abort/fault storms on both
+// engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -80,7 +81,7 @@ TEST(FederationShardMap, PortDealingBalancesMeshQuotas) {
   for (unsigned a = 0; a < kShards; ++a) {
     for (unsigned b = 0; b < kShards; ++b) {
       if (a != b) {
-        EXPECT_FALSE(fed.groups_between(a, b).empty());
+        EXPECT_TRUE(fed.group_between(a, b).has_value());
       }
     }
   }
@@ -95,7 +96,7 @@ TEST(FederationShardMap, RingTopologyTrunksOnlyNeighbours) {
     for (unsigned b = 0; b < 6; ++b) {
       if (a == b) continue;
       const bool neighbour = b == (a + 1) % 6 || b == (a + 5) % 6;
-      EXPECT_EQ(!fed.groups_between(a, b).empty(), neighbour)
+      EXPECT_EQ(fed.group_between(a, b).has_value(), neighbour)
           << a << " -> " << b;
     }
   }
@@ -304,10 +305,10 @@ TEST(FederationTwoPhase, AbortStormBooksBalanceConcurrent) {
   run_abort_storm(Backend::kConcurrent);
 }
 
-TEST(TrunkGroupUnit, RotatingClaimAndAimdPenalty) {
+TEST(TrunkGroupUnit, RotatingClaimFaultAndRepair) {
   TrunkGroup g(0, 0, 1, {{12, 12}, {13, 13}, {14, 14}});
   EXPECT_EQ(g.capacity(), 3u);
-  EXPECT_EQ(g.score(), 0u);
+  EXPECT_EQ(g.occupancy(), 0u);
   // Rotating first-free scan: consecutive claims walk the lines.
   const auto a = g.claim(), b = g.claim(), c = g.claim();
   ASSERT_TRUE(a && b && c);
@@ -315,19 +316,14 @@ TEST(TrunkGroupUnit, RotatingClaimAndAimdPenalty) {
   EXPECT_EQ(*b, 1u);
   EXPECT_EQ(*c, 2u);
   EXPECT_EQ(g.occupancy(), 3u);
-  // Full group: claim fails, penalty inflates multiplicatively.
+  // Full group: every claim fails and is booked.
   EXPECT_FALSE(g.claim().has_value());
-  const std::uint32_t p1 = g.penalty();
-  EXPECT_GT(p1, 0u);
   EXPECT_FALSE(g.claim().has_value());
-  EXPECT_GT(g.penalty(), p1);
   EXPECT_EQ(g.stats().rejects, 2u);
-  // Release + successful claim decays the penalty additively.
+  // A released line is the next one claimed.
   g.release(1);
   EXPECT_EQ(g.occupancy(), 2u);
-  const std::uint32_t p2 = g.penalty();
-  ASSERT_TRUE(g.claim().has_value());
-  EXPECT_EQ(g.penalty(), p2 - 1);
+  EXPECT_EQ(g.claim(), std::optional<std::uint32_t>{1});
   // Fault keeps the busy bit (kill-then-release discipline).
   EXPECT_TRUE(g.fault(0));       // line 0 carries a call
   EXPECT_FALSE(g.fault(0));      // idempotent
@@ -345,27 +341,6 @@ TEST(TrunkGroupUnit, RotatingClaimAndAimdPenalty) {
   g.repair(0);
   EXPECT_EQ(g.usable(), 3u);
   ASSERT_TRUE(g.claim().has_value());
-}
-
-TEST(TrunkSelection, LeastLoadedTiebreakSpreadsAcrossParallelGroups) {
-  const auto net = networks::build_cantor({4, 0});
-  FederationConfig cfg = fed_cfg(Backend::kGreedy);
-  cfg.groups_per_peer = 2;  // split each peer quota into two parallel groups
-  Federation fed(net, 2, cfg);
-  const auto gids = fed.groups_between(0, 1);
-  ASSERT_EQ(gids.size(), 2u);
-  std::vector<FedCallId> held;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    const FedOutcome o = fed.call(
-        {fed.global_of(0, i), fed.global_of(1, i), 0, 0});
-    ASSERT_TRUE(o.connected());
-    held.push_back(o.id);
-    // After each claim the two parallel groups differ by at most one line.
-    const auto occ0 = fed.trunk_group(gids[0]).occupancy();
-    const auto occ1 = fed.trunk_group(gids[1]).occupancy();
-    EXPECT_LE(occ0 > occ1 ? occ0 - occ1 : occ1 - occ0, 1u);
-  }
-  for (const FedCallId id : held) EXPECT_EQ(fed.hangup(id), RejectReason::kNone);
 }
 
 TEST(FederationFaults, TrunkFaultTearsDownTypedAndReadmits) {
@@ -613,9 +588,9 @@ TEST(FederationBatched, MixedTrafficDrainsAndPolls) {
 TEST(FederationBatched, TrunkExhaustionBouncesTypedWithinEpoch) {
   const auto net = networks::build_cantor({4, 0});
   Federation fed(net, 2, fed_cfg(Backend::kGreedy));
-  std::uint32_t lines_01 = 0;
-  for (const auto g : fed.groups_between(0, 1))
-    lines_01 += fed.trunk_group(g).capacity();
+  const auto group_01 = fed.group_between(0, 1);
+  ASSERT_TRUE(group_01.has_value());
+  const std::uint32_t lines_01 = fed.trunk_group(*group_01).capacity();
   ASSERT_GT(lines_01, 0u);
   // Submit more 0->1 inter calls than there are trunk lines.
   const std::uint32_t want = lines_01 + 3;

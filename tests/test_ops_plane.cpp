@@ -230,6 +230,53 @@ TEST(ControlPlane, ExecutesEveryCommandKindWithTypedAcks) {
             std::string::npos);
 }
 
+// A federated fault ack counts the federation's calls, each once: an intra
+// call the member killed and rerouted is one kill and one reroute, and an
+// inter call whose half the member rerouted in place was never lost.
+TEST(ControlPlane, FederatedFaultAckCountsEachLostCallOnce) {
+  const auto net = networks::build_cantor({4, 0});
+  // Fails each switch of member 0 in turn through the plane, repairing the
+  // misses, until one hits the federation's one call; returns that ack.
+  const auto first_hit = [&net](svc::Federation& fed) -> ops::Ack {
+    ops::ControlPlane control(fed, "f");
+    auto& q = control.queue();
+    for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e) {
+      const auto t = q.post(
+          {ops::CommandKind::kInject, {0.0, e, FaultEvent::Kind::kFail}, 0});
+      control.pump();
+      ops::Ack a = q.wait(t);
+      if (fed.member(0).stats().calls_killed_by_fault > 0) return a;
+      q.post({ops::CommandKind::kRepair, {0.0, e, FaultEvent::Kind::kRepair},
+              0});
+      control.pump();
+    }
+    ADD_FAILURE() << "no switch of member 0 carries the call";
+    return {};
+  };
+
+  svc::Federation intra_fed(net, 2);
+  ASSERT_TRUE(intra_fed
+                  .call({intra_fed.global_of(0, 0), intra_fed.global_of(0, 1),
+                         0, 7})
+                  .connected());
+  const ops::Ack intra = first_hit(intra_fed);
+  EXPECT_EQ(intra.calls_killed, 1u);
+  EXPECT_EQ(intra.reroute_succeeded + intra.reroute_failed, 1u);
+  EXPECT_TRUE(intra.killed.empty());
+  EXPECT_TRUE(intra.reroutes.empty());
+
+  svc::Federation inter_fed(net, 2);
+  ASSERT_TRUE(inter_fed
+                  .call({inter_fed.global_of(0, 2), inter_fed.global_of(1, 2),
+                         0, 9})
+                  .connected());
+  const ops::Ack inter = first_hit(inter_fed);
+  ASSERT_EQ(inter_fed.stats().mates_adopted, 1u);  // half rerouted in place
+  EXPECT_EQ(inter.calls_killed, 0u);
+  EXPECT_EQ(inter.reroute_succeeded + inter.reroute_failed, 0u);
+  EXPECT_EQ(inter_fed.active_inter_calls(), 1u);
+}
+
 TEST(MetricsRegistry, DeltasBetweenScrapesAndBothFormats) {
   const auto net = networks::build_crossbar(4);
   svc::Exchange ex(net);
@@ -269,7 +316,7 @@ TEST(MetricsRegistry, DeltasBetweenScrapesAndBothFormats) {
 
 // ------------------------------------------------------------ field tables
 //
-// Every counter of the four stats blocks is a row of its block's fields()
+// Every counter of the five stats blocks is a row of its block's fields()
 // table; merge, delta, reset and both metric exports iterate those tables.
 // These tests walk every row, so a counter added to a table is covered
 // without touching them.
@@ -291,6 +338,11 @@ void flatten_rows(std::vector<FlatRow>& out, const Block& b,
 std::vector<FlatRow> flatten(const core::RouterStats& r) {
   std::vector<FlatRow> out;
   flatten_rows(out, r, "router");
+  return out;
+}
+std::vector<FlatRow> flatten(const ops::ClassStats& c) {
+  std::vector<FlatRow> out;
+  flatten_rows(out, c, "class");
   return out;
 }
 std::vector<FlatRow> flatten(const svc::TrunkGroupStats& t) {
@@ -318,6 +370,7 @@ void fill_rows(Block& b, std::uint64_t seed) {
   for (const auto& f : Block::fields()) b.*f.member = seed + 3 * i++;
 }
 void fill(core::RouterStats& r, std::uint64_t seed) { fill_rows(r, seed); }
+void fill(ops::ClassStats& c, std::uint64_t seed) { fill_rows(c, seed); }
 void fill(svc::TrunkGroupStats& t, std::uint64_t seed) { fill_rows(t, seed); }
 void fill(svc::ExchangeStats& e, std::uint64_t seed) {
   fill_rows(e, seed);
@@ -378,6 +431,7 @@ void check_merge_delta_reset() {
 
 TEST(StatsTable, MergeDeltaAndResetFollowTheTable) {
   check_merge_delta_reset<core::RouterStats>();
+  check_merge_delta_reset<ops::ClassStats>();
   check_merge_delta_reset<svc::TrunkGroupStats>();
   check_merge_delta_reset<svc::ExchangeStats>();
   check_merge_delta_reset<svc::FederationStats>();
@@ -523,6 +577,43 @@ TEST(StatsTable, EveryRowReachesBothFormatsOnce) {
 // Pins the export names of the router, high-water and federation-level
 // counters: each is found in both formats, with its value. The member
 // exchanges' reroute family stays apart from the federation's.
+// Every ClassStats row exports once per class in both formats, under the
+// names the dashboards read.
+TEST(StatsTable, ClassRowsReachBothFormatsPerClass) {
+  ops::MetricsRegistry reg("t");
+  ops::MetricsRegistry::Sample s;
+  for (std::size_t c = 0; c < ops::kQosClasses; ++c)
+    fill(s.total.classes[c], 10 * (c + 1));
+  const std::string prom = reg.prometheus(s), js = reg.json(s);
+  const char* const names[] = {"served", "rejected", "sla_violations"};
+  const auto rows = ops::ClassStats::fields();
+  ASSERT_EQ(rows.size(), std::size(names));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_STREQ(rows[i].name, names[i]);
+    const std::string family = std::string("ftcs_class_") + names[i] + "_total";
+    EXPECT_EQ(count_of(prom, "# TYPE " + family + " counter\n"), 1u) << family;
+    for (std::size_t c = 0; c < ops::kQosClasses; ++c) {
+      EXPECT_EQ(count_of(prom, "\n" + family + "{exchange=\"t\",class=\"" +
+                                   std::to_string(c) + "\"} " +
+                                   std::to_string(s.total.classes[c].*
+                                                  rows[i].member) +
+                                   "\n"),
+                1u)
+          << family << " class " << c;
+    }
+  }
+  for (std::size_t c = 0; c < ops::kQosClasses; ++c) {
+    const ops::ClassStats& cs = s.total.classes[c];
+    const std::string entry =
+        "{\"class\":" + std::to_string(c) +
+        ",\"served\":" + std::to_string(cs.served) +
+        ",\"rejected\":" + std::to_string(cs.rejected) +
+        ",\"sla_violations\":" + std::to_string(cs.sla_violations) +
+        ",\"count\":";
+    EXPECT_EQ(count_of(js, entry), 1u) << entry;
+  }
+}
+
 TEST(MetricsRegistry, FederatedSampleExportsRouterHighWaterAndFederationRows) {
   ops::MetricsRegistry reg("f");
   ops::MetricsRegistry::Sample s;

@@ -27,6 +27,11 @@ Across the two formats (both blocks present):
   - the `delta` keys equal the `total` keys, in the top-level sections and
     in the `federation` section alike
 
+Fault acks (every `ack inject|repair|trunk_fault|trunk_repair` line of the
+transcript):
+  - killed == rerouted + dropped: each call a fault event killed was
+    re-admitted exactly once, carried or dropped
+
 Usage:
   tools/check_metrics.py SESSION_LOG [--require-json]
   tools/check_metrics.py --self-test
@@ -94,6 +99,10 @@ SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^}]*)\})?\s+(?P<value>\S+)$")
 LABEL_RE = re.compile(r'(?P<k>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<v>[^"]*)"')
+FAULT_ACK_RE = re.compile(
+    r"^ack (?P<verb>inject|repair|trunk_fault|trunk_repair)\b.*?"
+    r" killed=(?P<killed>\d+) rerouted=(?P<rerouted>\d+)"
+    r" dropped=(?P<dropped>\d+)")
 
 
 def extract_block(text: str, begin: str, end: str) -> str | None:
@@ -270,6 +279,22 @@ def check_cross(prom: str, text: str) -> list[str]:
     return errors
 
 
+def check_acks(text: str) -> list[str]:
+    """Checks every fault ack of a transcript books each killed call once."""
+    errors: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        m = FAULT_ACK_RE.match(line.strip())
+        if not m:
+            continue
+        killed, rerouted, dropped = (int(m.group(k)) for k in
+                                     ("killed", "rerouted", "dropped"))
+        if killed != rerouted + dropped:
+            errors.append(f"line {lineno}: ack {m.group('verb')} killed="
+                          f"{killed} != rerouted={rerouted} + dropped="
+                          f"{dropped}")
+    return errors
+
+
 def self_test() -> int:
     # A minimal exposition carrying every required family, plus one
     # histogram with a well-formed bucket ladder.
@@ -379,6 +404,22 @@ def self_test() -> int:
     assert any("federation.total key 'fed_rogue_total'" in e for e in errs)
     assert any("federation.delta keys differ" in e for e in errs)
 
+    # Fault acks: each killed call is rerouted or dropped, once. The
+    # double-counted federated ack (an intra victim booked as a member
+    # reroute and again as a federation reroute) is caught.
+    acks = ("ack inject killed=1 rerouted=1 dropped=0 | active=3\n"
+            "ack repair noop killed=0 rerouted=0 dropped=0 | active=3\n"
+            "ack trunk_fault killed=2 rerouted=1 dropped=1 | active=2\n"
+            "ack query submitted=4 admitted=4 hangups=1 killed=1 shorts=0\n")
+    assert check_acks(acks) == [], check_acks(acks)
+    double = acks.replace("ack inject killed=1 rerouted=1",
+                          "ack inject killed=1 rerouted=2")
+    assert any("ack inject killed=1 != rerouted=2" in e
+               for e in check_acks(double)), check_acks(double)
+    lost = acks.replace("trunk_fault killed=2 rerouted=1 dropped=1",
+                        "trunk_fault killed=2 rerouted=1 dropped=0")
+    assert any("ack trunk_fault" in e for e in check_acks(lost))
+
     # Marker extraction returns the LAST block.
     log = (f"noise\n{PROM_BEGIN}\nold\n{PROM_END}\n"
            f"{PROM_BEGIN}\n{good}\n{PROM_END}\ntrailing")
@@ -414,6 +455,7 @@ def main() -> int:
                 if f not in FEDERATION_FAMILIES] if args.solo \
         else REQUIRED_FAMILIES
     errors = check_prometheus(prom, required)
+    errors += check_acks(text)
 
     js = extract_block(text, JSON_BEGIN, JSON_END)
     if js is not None:
