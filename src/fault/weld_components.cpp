@@ -10,7 +10,17 @@ WeldComponents::WeldComponents(const graph::Network& net) : net_(&net) {
   is_terminal_.assign(n, 0);
   for (graph::VertexId v : net.inputs) is_terminal_[v] = 1;
   for (graph::VertexId v : net.outputs) is_terminal_[v] = 1;
-  rebuild();
+  dsu_.reset(n);
+  terminal_count_.resize(n);
+  terminal_rep_.resize(n);
+  terminal_rep2_.resize(n);
+  for (graph::VertexId v = 0; v < n; ++v) reset_census(v);
+}
+
+void WeldComponents::reset_census(graph::VertexId v) {
+  terminal_count_[v] = is_terminal_[v];
+  terminal_rep_[v] = is_terminal_[v] ? v : graph::kNoVertex;
+  terminal_rep2_[v] = graph::kNoVertex;
 }
 
 void WeldComponents::contract(graph::EdgeId e) {
@@ -50,22 +60,6 @@ void WeldComponents::contract(graph::EdgeId e) {
                          static_cast<std::size_t>(was_b);
 }
 
-void WeldComponents::rebuild() {
-  const std::size_t n = net_->g.vertex_count();
-  dsu_.reset(n);
-  terminal_count_.assign(n, 0);
-  terminal_rep_.assign(n, graph::kNoVertex);
-  terminal_rep2_.assign(n, graph::kNoVertex);
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (is_terminal_[v]) {
-      terminal_count_[v] = 1;
-      terminal_rep_[v] = v;
-    }
-  }
-  shorted_components_ = 0;
-  for (graph::EdgeId e : welds_) contract(e);
-}
-
 bool WeldComponents::add_weld(graph::EdgeId e) {
   if (is_welded_[e]) return false;
   is_welded_[e] = 1;
@@ -78,23 +72,35 @@ bool WeldComponents::add_weld(graph::EdgeId e) {
 bool WeldComponents::remove_weld(graph::EdgeId e) {
   if (!is_welded_[e]) return false;
   is_welded_[e] = 0;
-  welds_.erase(std::find(welds_.begin(), welds_.end(), e));
   const bool was = shorted();
-  rebuild();
+  // Every node the old weld set merged is made of its welds' endpoints:
+  // return exactly those to pristine, then replay the survivors.
+  std::vector<graph::VertexId> touched;
+  touched.reserve(2 * welds_.size());
+  for (const graph::EdgeId w : welds_) {
+    touched.push_back(net_->g.edge(w).from);
+    touched.push_back(net_->g.edge(w).to);
+  }
+  welds_.erase(std::find(welds_.begin(), welds_.end(), e));
+  dsu_.split(touched);
+  for (const graph::VertexId v : touched) reset_census(v);
+  shorted_components_ = 0;
+  for (const graph::EdgeId w : welds_) contract(w);
   return was && !shorted();
 }
 
 std::optional<std::pair<graph::VertexId, graph::VertexId>>
 WeldComponents::shorted_pair() const {
   if (!shorted()) return std::nullopt;
-  for (std::size_t v = 0; v < terminal_count_.size(); ++v) {
-    // Roots only: a non-root's census is stale by construction.
-    if (terminal_count_[v] >= 2 &&
-        dsu_.find(static_cast<std::uint32_t>(v)) == v) {
-      return std::make_pair(terminal_rep_[v], terminal_rep2_[v]);
-    }
+  // A shorted node holds two terminals, so it is no singleton: its root is
+  // the root of some weld's endpoint. Roots only — a non-root's census is
+  // stale by construction.
+  graph::VertexId root = graph::kNoVertex;
+  for (const graph::EdgeId w : welds_) {
+    const graph::VertexId r = dsu_.find(net_->g.edge(w).from);
+    if (terminal_count_[r] >= 2) root = std::min(root, r);
   }
-  return std::nullopt;
+  return std::make_pair(terminal_rep_[root], terminal_rep2_[root]);
 }
 
 }  // namespace ftcs::fault

@@ -8,10 +8,13 @@
 // catastrophe is two distinct terminals landing in the same node — from that
 // moment the exchange is electrically compromised no matter what the router
 // does. WeldComponents maintains the contraction union-find incrementally:
-//   add_weld(e)    unites e's endpoints            — O(α) amortized
-//   remove_weld(e) rebuilds from the surviving set — O(V + welds·α)
-// (union-find does not un-union; welds are rare and repairs rarer, so the
-// rebuild is the right trade — inject() stays O(α) on the hot path).
+//   add_weld(e)     unites e's endpoints             — O(α) amortized
+//   remove_weld(e)  re-contracts the surviving welds  — O(welds·α)
+//   shorted_pair()  the shorted node of lowest root   — O(welds·α)
+// Union-find does not un-union, so a repair resets and replays. Only weld
+// endpoints ever leave their pristine state (every non-singleton node is
+// made of weld endpoints, and the census is written at roots only), so the
+// reset touches those entries alone, never all V vertices.
 //
 // Open failures never enter: an open switch ceases to exist and contracts
 // nothing (exactly FaultInstance::contraction(), which unites kClosedFail
@@ -57,9 +60,11 @@ class WeldComponents {
   /// shorted (the Lemma 7 raise edge). Idempotent per edge.
   bool add_weld(graph::EdgeId e);
 
-  /// Records switch `e` repaired and rebuilds the contraction from the
-  /// surviving welds. Returns true iff the repair flipped the exchange from
-  /// shorted back to un-shorted (the clear edge). Idempotent per edge.
+  /// Records switch `e` repaired and re-contracts the surviving welds in
+  /// the order they were added, so the state equals a fresh tracker's
+  /// after add_weld() of the survivors. Returns true iff the repair flipped
+  /// the exchange from shorted back to un-shorted (the clear edge).
+  /// Idempotent per edge.
   bool remove_weld(graph::EdgeId e);
 
   /// True iff some electrical node currently holds >= 2 distinct terminals
@@ -70,7 +75,7 @@ class WeldComponents {
   }
 
   /// A currently-shorted terminal pair (representatives of the offending
-  /// electrical node); nullopt while healthy.
+  /// electrical node with the lowest root id); nullopt while healthy.
   [[nodiscard]] std::optional<std::pair<graph::VertexId, graph::VertexId>>
   shorted_pair() const;
 
@@ -79,13 +84,16 @@ class WeldComponents {
   }
 
  private:
-  void rebuild();
+  /// Returns vertex `v` to its pristine census: its own node, holding
+  /// itself iff it is a terminal.
+  void reset_census(graph::VertexId v);
   /// Unites a weld's endpoints and maintains the per-node terminal census.
   void contract(graph::EdgeId e);
 
   const graph::Network* net_ = nullptr;
   mutable graph::Dsu dsu_;  // find() path-halves; logically const
-  std::vector<graph::EdgeId> welds_;        // current stuck-on set
+  std::vector<graph::EdgeId> welds_;        // current stuck-on set, in
+                                            // the order added
   std::vector<std::uint8_t> is_welded_;     // by edge id
   std::vector<std::uint8_t> is_terminal_;   // by vertex id (inputs ∪ outputs)
   // Distinct-terminal census per electrical node, valid at DSU roots. An

@@ -115,9 +115,11 @@ void Router<Store>::init(unsigned sessions,
   fault_claimed_.resize(v_count);
   in_busy_ = typename Store::Slots(net_->inputs.size());
   out_busy_ = typename Store::Slots(net_->outputs.size());
+  out_holder_.resize(net_->outputs.size());
   path_next_.assign(v_count, graph::kNoVertex);
   sessions_.reserve(sessions);
-  for (unsigned s = 0; s < sessions; ++s) sessions_.push_back(Session(*this));
+  for (unsigned s = 0; s < sessions; ++s)
+    sessions_.push_back(Session(*this, s));
   if constexpr (!Store::kShared) sessions_[0].prepare();
 }
 
@@ -166,6 +168,8 @@ void Router<Store>::grow(const graph::Network& net,
   contracted_edges_ = image(contracted_edges_, e_count, false);
   in_busy_ = image(in_busy_, net.inputs.size(), false);
   out_busy_ = image(out_busy_, net.outputs.size(), false);
+  out_holder_.resize(net.outputs.size());  // output indices are prefix-stable
+  output_of_.clear();                      // rebuilt by the next call_at()
 
   // Successor array and call heads: the active paths' exact image.
   std::vector<graph::VertexId> next(v_count, graph::kNoVertex);
@@ -258,6 +262,7 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
     calls_.emplace_back();  // within the capacity prepare() reserved
   }
   calls_[id] = {in, out, src, length};
+  r.out_holder_[out] = {index_, id};
   return id;
 }
 
@@ -356,6 +361,22 @@ void Router<Store>::revive_vertex(graph::VertexId v) {
     fault_claimed_.reset(v);
     busy_.reset(v);
   }
+}
+
+template <class Store>
+CallRef Router<Store>::call_at(graph::VertexId v) {
+  if (output_of_.empty()) {
+    output_of_.assign(net_->g.vertex_count(), kNoCall);
+    for (std::uint32_t o = 0; o < net_->outputs.size(); ++o)
+      output_of_[net_->outputs[o]] = o;
+  }
+  // Every path ends at its output, and at quiescence a held output slot
+  // means a settled call whose path ends there. An idle vertex is its own
+  // walk's end: no output, or an output nobody holds.
+  while (path_next_[v] != graph::kNoVertex) v = path_next_[v];
+  const std::uint32_t o = output_of_[v];
+  if (o == kNoCall || !out_busy_.test(o)) return {};
+  return out_holder_[o];
 }
 
 // ------------------------------------------------------ quiescent aggregates

@@ -87,11 +87,12 @@
 //     never settle a path through e. A connect already past validation when
 //     the flip lands keeps its path; a weld's repair likewise severs calls
 //     that crossed it against its direction. Reconciling those stragglers
-//     is the fault plane's job (svc::Exchange::inject/repair sweep victims
-//     while holding every session).
+//     is the fault plane's job: svc::Exchange flips a switch only while
+//     holding every session, then asks call_at() for the calls through the
+//     switch's two endpoints and tears down those path_carried() rejects.
 //   - The overlay mutators are serialized with one another, and
-//     kill_vertex/revive_vertex/grow are QUIESCENT ONLY: no connect or
-//     disconnect in flight on any session, victims torn down first — the
+//     kill_vertex/revive_vertex/call_at/grow are QUIESCENT ONLY: no connect
+//     or disconnect in flight on any session, victims torn down first — the
 //     same contract as Exchange::drain().
 //   - A statically blocked switch or vertex is never released by a repair
 //     or revive, and the blocked mask beats a weld.
@@ -112,7 +113,9 @@
 //     vertices per cache word;
 //   - settled paths are threaded through a per-vertex successor array
 //     (path_next_): a vertex carries at most one call, so one VertexId per
-//     vertex stores every active path with zero per-call storage.
+//     vertex stores every active path with zero per-call storage. The
+//     settle's one extra store records the call as its output's holder, so
+//     call_at(v) finds v's call by walking to the path's output.
 //
 // One search, one claim per store: a 1-session shared router is
 // path-for-path identical to the solo router (with no contention its claim
@@ -221,6 +224,12 @@ struct SharedStore {
   };
 };
 
+/// A session's call, as call_at() names it; call == kNoCall means none.
+struct CallRef {
+  std::uint32_t session = 0;
+  std::uint32_t call = static_cast<std::uint32_t>(-1);
+};
+
 template <class Store>
 class Router {
  public:
@@ -296,13 +305,14 @@ class Router {
       std::uint32_t length = 0;                 // vertices on the path
     };
 
-    explicit Session(Router& r) : r_(&r) {}
+    Session(Router& r, std::uint32_t index) : r_(&r), index_(index) {}
     /// Builds the scratch (search arrays, call table reserves) at the
     /// current network size, once: the first-touch point for every page
     /// the hot path walks.
     void prepare();
 
     Router* r_;
+    std::uint32_t index_;  // this session's number, for out_holder_
     detail::SearchScratch scratch_;
     // Shared store's claim: the settled path src..dst, and the same
     // vertices in ascending id order.
@@ -362,7 +372,7 @@ class Router {
   /// contracted into service. Idempotent.
   void contract_edge(graph::EdgeId e);
   /// Clears a stuck-on state. Calls that crossed the weld AGAINST the edge
-  /// direction are now severed — the fault plane sweeps them. Idempotent.
+  /// direction are now severed — the fault plane reaps them. Idempotent.
   void uncontract_edge(graph::EdgeId e);
   /// Marks `v` dead and claims its busy bit (unless already held by the
   /// static blocked mask). QUIESCENT ONLY, no active call through v.
@@ -370,6 +380,12 @@ class Router {
   /// Revives a dead vertex, releasing the busy bit iff the fault plane
   /// claimed it. QUIESCENT ONLY.
   void revive_vertex(graph::VertexId v);
+  /// The call whose path holds `v` (a vertex carries at most one), or
+  /// call == kNoCall. Walks the successor array to the path's output and
+  /// reads its holder: O(path length). The first query builds the
+  /// vertex -> output table, so a router never asked allocates nothing for
+  /// it. QUIESCENT ONLY.
+  [[nodiscard]] CallRef call_at(graph::VertexId v);
 
   [[nodiscard]] bool vertex_dead(graph::VertexId v) const {
     return dead_.test(v);
@@ -388,7 +404,7 @@ class Router {
   /// The hop rule: true iff every hop of `path` is carried by a usable
   /// forward switch or by a usable weld crossed against its direction.
   /// The shared store reads the overlay with acquire loads — the claim's
-  /// re-validation (step 3) and the fault plane's victim sweep both ask it.
+  /// re-validation (step 3) and the fault plane's victim check both ask it.
   [[nodiscard]] bool path_carried(std::span<const graph::VertexId> path) const;
 
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
@@ -432,6 +448,11 @@ class Router {
   util::Bitset fault_claimed_;  // dead vertices whose busy bit WE set (vs
                                 // vertices that were statically blocked)
   typename Store::Slots in_busy_, out_busy_;  // terminal slots
+  // out_holder_[o]: the call settled to output o, valid while out_busy_[o]
+  // is held (written by the session holding the slot). output_of_[v]: the
+  // output index of vertex v, or kNoCall; built by the first call_at().
+  std::vector<CallRef> out_holder_;
+  std::vector<std::uint32_t> output_of_;
   // Successor array threading every active path; on the shared store entry
   // v is owned by the holder of busy bit v.
   std::vector<graph::VertexId> path_next_;

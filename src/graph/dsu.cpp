@@ -19,6 +19,20 @@ std::uint32_t Dsu::find(std::uint32_t x) noexcept {
   return x;
 }
 
+void Dsu::split(std::span<const std::uint32_t> members) noexcept {
+  // Roots first: each class of size s had cost s - 1 components. A root's
+  // size drops to 1 once counted, so a repeated root counts once.
+  for (const std::uint32_t x : members)
+    if (parent_[x] == x) {
+      components_ += size_[x] - 1;
+      size_[x] = 1;
+    }
+  for (const std::uint32_t x : members) {
+    parent_[x] = x;
+    size_[x] = 1;
+  }
+}
+
 bool Dsu::unite(std::uint32_t a, std::uint32_t b) noexcept {
   a = find(a);
   b = find(b);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ftcs::graph {
@@ -21,6 +22,11 @@ class Dsu {
 
   /// Merge the classes of a and b; returns false if already merged.
   bool unite(std::uint32_t a, std::uint32_t b) noexcept;
+
+  /// Makes every listed element a singleton again, in O(list). The list
+  /// must cover whole classes (every member of each class it touches);
+  /// repeats are fine. The undo for unions whose endpoints are all known.
+  void split(std::span<const std::uint32_t> members) noexcept;
 
   [[nodiscard]] bool same(std::uint32_t a, std::uint32_t b) noexcept {
     return find(a) == find(b);

@@ -107,6 +107,9 @@ class CallId {
   [[nodiscard]] constexpr std::uint32_t session() const noexcept {
     return session_;
   }
+  /// The call's slot in its session's handle table: unique among the
+  /// session's live calls, reused once the call ends.
+  [[nodiscard]] constexpr std::uint32_t slot() const noexcept { return slot_; }
   friend constexpr bool operator==(CallId, CallId) noexcept = default;
 
  private:

@@ -82,6 +82,9 @@ class RouterEngine final : public Engine {
   }
   void kill_vertex(graph::VertexId v) override { router_.kill_vertex(v); }
   void revive_vertex(graph::VertexId v) override { router_.revive_vertex(v); }
+  [[nodiscard]] core::CallRef call_at(graph::VertexId v) override {
+    return router_.call_at(v);
+  }
   [[nodiscard]] bool path_carried(
       std::span<const graph::VertexId> path) const override {
     return router_.path_carried(path);

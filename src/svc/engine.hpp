@@ -74,6 +74,10 @@ class Engine {
   virtual void uncontract_edge(graph::EdgeId e) = 0;
   virtual void kill_vertex(graph::VertexId v) = 0;
   virtual void revive_vertex(graph::VertexId v) = 0;
+  /// The call whose path holds vertex `v`, as {session, raw}; raw ==
+  /// kNoRawCall when `v` carries none (core::Router::call_at). QUIESCENT
+  /// ONLY, like kill_vertex: the fault plane's candidate lookup.
+  [[nodiscard]] virtual core::CallRef call_at(graph::VertexId v) = 0;
   /// True iff the overlay still carries every hop of `path` (the router's
   /// one hop rule, core::Router::path_carried).
   [[nodiscard]] virtual bool path_carried(

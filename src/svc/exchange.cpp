@@ -49,22 +49,14 @@ Exchange::Exchange(const graph::Network* net,
 CallId Exchange::issue_handle(unsigned session, Engine::RawCall raw,
                               const CallRequest& req) {
   Session& s = sessions_[session];
-  std::uint32_t slot;
-  if (!s.free.empty()) {
-    slot = s.free.back();
-    s.free.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(s.slots.size());
-    s.slots.emplace_back();
-  }
-  Slot& sl = s.slots[slot];
-  sl.raw = raw;
+  if (raw >= s.slots.size()) s.slots.resize(raw + 1);
+  Slot& sl = s.slots[raw];
   sl.live = true;
   sl.req = req;
   CallId id;
   id.exchange_ = id_;
   id.session_ = session;
-  id.slot_ = slot;
+  id.slot_ = raw;
   id.gen_ = sl.gen;
   return id;
 }
@@ -152,22 +144,20 @@ RejectReason Exchange::hangup(CallId id) {
   }
   Session& s = sessions_[id.session_];
   Slot& slot = s.slots[id.slot_];
-  engine_->disconnect(id.session_, slot.raw);
+  engine_->disconnect(id.session_, id.slot_);
   // Retire the slot: bumping the generation invalidates every outstanding
   // copy of this handle, so double hangups and stale copies are caught by
   // check_handle() forever after.
   slot.live = false;
-  slot.raw = Engine::kNoRawCall;
   slot.retired_by_fault = false;
   ++slot.gen;
-  s.free.push_back(id.slot_);
   ++s.hangups;
   return RejectReason::kNone;
 }
 
 std::vector<graph::VertexId> Exchange::path_of(CallId id) {
   if (check_handle(id) != RejectReason::kNone) return {};
-  return engine_->path_of(id.session_, sessions_[id.session_].slots[id.slot_].raw);
+  return engine_->path_of(id.session_, id.slot_);
 }
 
 // ------------------------------------------------------------ batched plane
@@ -391,37 +381,43 @@ bool Exchange::path_alive(const std::vector<graph::VertexId>& path,
   return engine_->path_carried(path);
 }
 
-void Exchange::reap_victims(FaultImpact& impact,
+void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
                             const std::vector<graph::VertexId>& newly_dead) {
-  // Tear down every call whose path lost a component. The victims' busy
-  // state must be released BEFORE any dead vertices are fault-claimed.
-  for (std::uint32_t s = 0; s < sessions_.size(); ++s) {
-    Session& sess = sessions_[s];
-    for (std::uint32_t slot_idx = 0; slot_idx < sess.slots.size();
-         ++slot_idx) {
-      Slot& slot = sess.slots[slot_idx];
-      if (!slot.live) continue;
-      const auto path = engine_->path_of(s, slot.raw);
-      if (path_alive(path, newly_dead)) continue;
-      Outcome dead;
-      dead.reject = RejectReason::kFaulted;
-      dead.session = s;
-      dead.path_length = static_cast<std::uint32_t>(path.size());
-      dead.tag = slot.req.tag;
-      // The (now stale) handle is echoed so owners can reconcile their maps.
-      dead.id.exchange_ = id_;
-      dead.id.session_ = s;
-      dead.id.slot_ = slot_idx;
-      dead.id.gen_ = slot.gen;
-      impact.killed.push_back(dead);
-      engine_->disconnect(s, slot.raw);
-      slot.live = false;
-      slot.raw = Engine::kNoRawCall;
-      slot.retired_by_fault = true;
-      ++slot.gen;
-      sess.free.push_back(slot_idx);
-      ++stats_.calls_killed_by_fault;
-    }
+  // A switch event can only break a hop between the switch's endpoints,
+  // and only they can die with it. A vertex carries at most one call, so
+  // the candidates are the (at most two) calls through the endpoints; each
+  // is judged by the one hop rule, in (session, slot) order. The victims'
+  // busy state must be released BEFORE any dead vertices are fault-claimed.
+  std::array<core::CallRef, 2> cand{engine_->call_at(edge.from),
+                                    engine_->call_at(edge.to)};
+  const auto key = [](const core::CallRef& c) {
+    return std::pair(c.session, c.call);
+  };
+  if (key(cand[1]) < key(cand[0])) std::swap(cand[0], cand[1]);
+  if (key(cand[1]) == key(cand[0])) cand[1] = {};  // one call through both
+  for (const core::CallRef& c : cand) {
+    const std::uint32_t s = c.session;
+    const std::uint32_t slot_idx = c.call;
+    if (slot_idx == Engine::kNoRawCall) continue;
+    Slot& slot = sessions_[s].slots[slot_idx];
+    const auto path = engine_->path_of(s, slot_idx);
+    if (path_alive(path, newly_dead)) continue;
+    Outcome dead;
+    dead.reject = RejectReason::kFaulted;
+    dead.session = s;
+    dead.path_length = static_cast<std::uint32_t>(path.size());
+    dead.tag = slot.req.tag;
+    // The (now stale) handle is echoed so owners can reconcile their maps.
+    dead.id.exchange_ = id_;
+    dead.id.session_ = s;
+    dead.id.slot_ = slot_idx;
+    dead.id.gen_ = slot.gen;
+    impact.killed.push_back(dead);
+    engine_->disconnect(s, slot_idx);
+    slot.live = false;
+    slot.retired_by_fault = true;
+    ++slot.gen;
+    ++stats_.calls_killed_by_fault;
   }
 }
 
@@ -523,7 +519,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
     if (edge.from == edge.to) break;  // self-loop: one endpoint, one count
   }
 
-  reap_victims(impact, newly_dead);
+  reap_victims(impact, edge, newly_dead);
   for (const graph::VertexId v : newly_dead) engine_->kill_vertex(v);
   reroute_victims(impact);
   return impact;
@@ -560,7 +556,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
       last_alarm_ = al;
       impact.alarm = al;
     }
-    reap_victims(impact, {});
+    reap_victims(impact, net_->g.edge(ev.edge), {});
     reroute_victims(impact);
     return impact;
   }

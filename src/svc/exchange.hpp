@@ -419,9 +419,11 @@ class Exchange {
 
  private:
   /// One handle-table shard per engine session: single-threaded by the
-  /// session contract, so handle issue/retire is lock-free.
+  /// session contract, so handle issue/retire is lock-free. A handle's slot
+  /// IS its engine call's raw id: the engine hands each raw id to one live
+  /// call at a time, and the fault plane maps Engine::call_at's answer to
+  /// its slot without a search.
   struct Slot {
-    Engine::RawCall raw = Engine::kNoRawCall;
     std::uint32_t gen = 1;  // bumped on retire; a handle is live iff its
                             // gen matches AND live is set
     bool live = false;
@@ -432,8 +434,7 @@ class Exchange {
     CallRequest req;  // original request, kept for fault-plane re-admission
   };
   struct Session {
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> free;
+    std::vector<Slot> slots;  // indexed by raw call id
     std::uint64_t hangups = 0;
     // Immediate-plane QoS book (filled only with cfg.qos_immediate);
     // single-threaded by the session contract, merged by stats().
@@ -466,10 +467,11 @@ class Exchange {
   [[nodiscard]] bool path_alive(const std::vector<graph::VertexId>& path,
                                 const std::vector<graph::VertexId>& newly_dead)
       const;
-  /// Tears down every live call whose path is no longer alive (typed
-  /// kFaulted outcomes into `impact.killed`); busy state is released so the
-  /// caller may fault-claim `newly_dead` afterwards.
-  void reap_victims(FaultImpact& impact,
+  /// Tears down the calls through `edge`'s endpoints whose paths are no
+  /// longer alive (typed kFaulted outcomes into `impact.killed`, in
+  /// (session, slot) order); busy state is released so the caller may
+  /// fault-claim `newly_dead` (a subset of the endpoints) afterwards.
+  void reap_victims(FaultImpact& impact, const graph::Edge& edge,
                     const std::vector<graph::VertexId>& newly_dead);
   /// Re-admits impact.killed through the batched plane; fills
   /// impact.reroutes (index-aligned) and the reroute counters.

@@ -32,6 +32,7 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
     ec.sessions = cfg.sessions;
     members_.push_back(std::make_unique<Exchange>(member_net, std::move(ec)));
   }
+  half_owner_.resize(shards);
   out_peers_.resize(shards);
   if (shards < 2 || pool == 0) return;
 
@@ -101,6 +102,8 @@ FedCallId Federation::commit_inter(const CallRequest& req, std::uint32_t sa,
   s.egress = egress;
   s.req = req;
   line_owner_[group][line] = idx;
+  half_owner(sa, ingress) = idx;
+  half_owner(sb, egress) = idx;
   ++live_inter_;
   FedCallId id;
   id.kind_ = 2;
@@ -119,6 +122,10 @@ void Federation::teardown_inter(std::uint32_t idx, bool by_fault) {
   members_[s.sa]->hangup(s.ingress);
   groups_[s.group].release(s.line);
   line_owner_[s.group][s.line] = kNoOwner;
+  // A half the member fault plane reaped may already name another call's
+  // slot: clear only the entries still pointing here.
+  if (std::uint32_t& o = half_owner(s.sa, s.ingress); o == idx) o = kNoOwner;
+  if (std::uint32_t& o = half_owner(s.sb, s.egress); o == idx) o = kNoOwner;
   s.live = false;
   ++s.gen;
   s.retired_by_fault = by_fault;
@@ -480,26 +487,28 @@ TrunkFaultImpact Federation::repair_trunk(std::uint32_t group,
   return imp;
 }
 
+std::uint32_t& Federation::half_owner(std::uint32_t shard, CallId half) {
+  std::vector<std::uint32_t>& owners = half_owner_[shard];
+  const std::size_t key =
+      std::size_t{half.slot()} * members_[shard]->sessions() + half.session();
+  if (key >= owners.size()) owners.resize(key + 1, kNoOwner);
+  return owners[key];
+}
+
 void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
   const FaultImpact& mi = out.member;
+  // Map every victim to its inter slot BEFORE any re-bind: a reroute may
+  // reuse a later victim's member slot.
+  std::vector<std::uint32_t> owner(mi.killed.size(), kNoOwner);
+  for (std::size_t i = 0; i < mi.killed.size(); ++i) {
+    std::uint32_t& entry = half_owner(shard, mi.killed[i].id);
+    if (entry == kNoOwner) continue;
+    owner[i] = std::exchange(entry, kNoOwner);
+  }
   std::vector<std::uint32_t> torn;
   for (std::size_t i = 0; i < mi.killed.size(); ++i) {
     const CallId dead = mi.killed[i].id;
-    std::uint32_t found = kNoOwner;
-    bool is_ingress = false;
-    for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
-      const InterSlot& s = slots_[idx];
-      if (!s.live) continue;
-      if (s.sa == shard && s.ingress == dead) {
-        found = idx;
-        is_ingress = true;
-        break;
-      }
-      if (s.sb == shard && s.egress == dead) {
-        found = idx;
-        break;
-      }
-    }
+    const std::uint32_t found = owner[i];
     if (found == kNoOwner) {
       // Intra-shard victim: the member already killed AND re-admitted it;
       // surface both wrapped so the operator can re-learn handles.
@@ -513,12 +522,14 @@ void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
     }
     ++out.halves_hit;
     InterSlot& s = slots_[found];
+    const bool is_ingress = s.sa == shard && s.ingress == dead;
     const Outcome& rr = mi.reroutes[i];
     if (rr.connected()) {
       // The member rerouted the half in place. The trunk line (and with it
       // the half's far port) stayed reserved, so the reroute landed on the
       // same terminal pair: re-bind the slot and the inter call survives.
       (is_ingress ? s.ingress : s.egress) = rr.id;
+      half_owner(shard, rr.id) = found;
       ++out.mates_adopted;
       ++stats_.mates_adopted;
       continue;

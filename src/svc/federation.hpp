@@ -413,6 +413,8 @@ class Federation {
                      std::uint64_t& failed);
   /// Shared half-call reconciliation behind inject()/repair().
   void reconcile_member_impact(unsigned shard, FedFaultImpact& out);
+  /// half_owner_ entry for member `shard`'s handle `half` (grown on demand).
+  std::uint32_t& half_owner(std::uint32_t shard, CallId half);
   void deliver(FedPending&& p, const FedOutcome& o);
 
   const graph::Network* net_;
@@ -432,6 +434,10 @@ class Federation {
 
   std::vector<InterSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  /// half_owner_[m][slot * sessions + session] = the inter slot one of whose
+  /// halves is member m's call at that handle slot, or kNoOwner: the member
+  /// fault plane's victims map to their inter calls without a search.
+  std::vector<std::vector<std::uint32_t>> half_owner_;
   std::size_t live_inter_ = 0;
 
   // Batched front-end (guarded by front_mu_, never held while routing).

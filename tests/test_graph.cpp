@@ -119,6 +119,26 @@ TEST(Dsu, TransitiveUnions) {
   EXPECT_EQ(d.component_count(), 3u);
 }
 
+TEST(Dsu, SplitReturnsWholeClassesToSingletons) {
+  Dsu d(7);
+  d.unite(0, 1);
+  d.unite(2, 3);
+  d.unite(1, 2);
+  d.unite(4, 5);
+  ASSERT_EQ(d.component_count(), 3u);
+  // {0,1,2,3} listed with repeats and out of order; {4,5} and 6 untouched.
+  const std::uint32_t members[] = {3, 1, 1, 0, 2, 3};
+  d.split(members);
+  EXPECT_EQ(d.component_count(), 6u);
+  for (std::uint32_t v = 0; v < 4; ++v) EXPECT_EQ(d.class_size(v), 1u);
+  EXPECT_TRUE(d.same(4, 5));
+  EXPECT_FALSE(d.same(0, 1));
+  // The split elements unite again like fresh ones.
+  EXPECT_TRUE(d.unite(3, 0));
+  EXPECT_EQ(d.class_size(0), 2u);
+  EXPECT_EQ(d.component_count(), 5u);
+}
+
 TEST(Bfs, DirectedDistancesOnPath) {
   const auto g = path_graph(5);
   const VertexId src[1] = {0};

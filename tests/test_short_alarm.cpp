@@ -5,6 +5,7 @@
 // raised at the triggering inject() and cleared at the clearing repair().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
 #include "svc/exchange.hpp"
+#include "util/prng.hpp"
 
 namespace ftcs {
 namespace {
@@ -86,6 +88,59 @@ TEST(WeldComponents, CrossbarSingleWeldShortsItsTerminalPair) {
   EXPECT_TRUE(wc.shorted());
   EXPECT_TRUE(wc.remove_weld(6));
   EXPECT_FALSE(wc.shorted());
+}
+
+// The endpoint-only repair against a rebuild: over random add/remove
+// sequences the tracker must agree after every step with a fresh tracker
+// that re-adds the surviving welds in their original order — shorted(), the
+// raise/clear edge each call returns, and shorted_pair().
+TEST(WeldComponents, RandomAddRemoveMatchesAFreshTrackerOverSurvivors) {
+  std::vector<graph::Network> nets;
+  nets.push_back(networks::build_crossbar(6));
+  nets.push_back(networks::build_cantor({3, 0}));
+  nets.push_back(build_line_net());
+  std::size_t raises = 0, clears = 0;
+  for (const graph::Network& net : nets) {
+    for (const std::uint64_t seed : {3u, 29u, 71u}) {
+      util::Xoshiro256 rng(seed);
+      fault::WeldComponents live(net);
+      std::vector<graph::EdgeId> welds;  // survivors, in the order added
+      bool was = false;
+      for (int step = 0; step < 400; ++step) {
+        // Keep the weld set small (up to ~8 welds) so shorts come and go.
+        graph::EdgeId e;
+        if (!welds.empty() && rng.below(10) < welds.size())
+          e = welds[rng.below(welds.size())];
+        else
+          e = static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
+        const auto it = std::find(welds.begin(), welds.end(), e);
+        const bool removing = it != welds.end();
+        bool edge;
+        if (removing) {
+          welds.erase(it);
+          edge = live.remove_weld(e);
+        } else {
+          welds.push_back(e);
+          edge = live.add_weld(e);
+        }
+        fault::WeldComponents fresh(net);
+        for (const graph::EdgeId w : welds) (void)fresh.add_weld(w);
+        ASSERT_EQ(live.shorted(), fresh.shorted())
+            << net.name << " seed " << seed << " step " << step;
+        const bool expect_edge =
+            removing ? was && !fresh.shorted() : !was && fresh.shorted();
+        ASSERT_EQ(edge, expect_edge)
+            << net.name << " seed " << seed << " step " << step;
+        ASSERT_EQ(live.shorted_pair(), fresh.shorted_pair())
+            << net.name << " seed " << seed << " step " << step;
+        EXPECT_EQ(live.weld_count(), welds.size());
+        if (edge) ++(removing ? clears : raises);
+        was = fresh.shorted();
+      }
+    }
+  }
+  EXPECT_GT(raises, 0u);
+  EXPECT_GT(clears, 0u);
 }
 
 TEST(ExchangeShortAlarm, InjectRaisesRepairClearsWithTypedAlarm) {
