@@ -40,6 +40,7 @@
 
 #include "bench_common.hpp"
 #include "fault/fault_instance.hpp"
+#include "fault/fault_model.hpp"
 #include "fault/repair.hpp"
 #include "fault/schedule.hpp"
 #include "ftcs/monte_carlo.hpp"
@@ -117,6 +118,80 @@ void BM_ExchangeCall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExchangeCall)->Arg(1)->Arg(2)->Arg(3);
+
+// The §6 network under live switch failures: N-hat (sim profile, nu = 4)
+// held at half load on the greedy router, with a seeded share of its
+// switches down before the run: open-failed (fail_edge) or stuck-on
+// (contract_edge). Each iteration hangs up one random call and routes one
+// random idle pair. Arg: 0 no failures; 1 1e-3 of the switches, 75% open
+// and 25% stuck-on; 2 the same mix at 1e-2; 3 1e-2, stuck-on only. The
+// counters are the search's vertices stamped per connect and the connects
+// refused for want of an idle path. A developer probe with no gate:
+//   ./build/bench_routing --benchmark_filter=BM_ConnectFtMixedFaults
+void BM_ConnectFtMixedFaults(benchmark::State& state) {
+  static constexpr fault::FaultModel kMixes[] = {
+      {0.0, 0.0}, {0.75e-3, 0.25e-3}, {0.75e-2, 0.25e-2}, {0.0, 1e-2}};
+  const auto arg = static_cast<std::size_t>(state.range(0));
+  const auto& ft = shared_ft(4);
+  core::GreedyRouter router(ft.net);
+  for (const fault::Failure& f : fault::sample_failures(
+           kMixes[arg], ft.net.g.edge_count(), util::derive_seed(22, arg))) {
+    if (f.state == fault::SwitchState::kClosedFail)
+      router.contract_edge(f.edge);
+    else
+      router.fail_edge(f.edge);
+  }
+
+  // Idle terminals, and the live calls with theirs.
+  const auto n = static_cast<std::uint32_t>(ft.n());
+  std::vector<std::uint32_t> idle_in(n), idle_out(n);
+  std::iota(idle_in.begin(), idle_in.end(), 0u);
+  std::iota(idle_out.begin(), idle_out.end(), 0u);
+  struct Live {
+    core::GreedyRouter::CallId call;
+    std::uint32_t in, out;
+  };
+  std::vector<Live> live;
+  util::Xoshiro256 rng(util::derive_seed(23, arg));
+  const auto take = [&rng](std::vector<std::uint32_t>& pool) {
+    const auto i = rng.below(pool.size());
+    const std::uint32_t t = pool[i];
+    pool[i] = pool.back();
+    pool.pop_back();
+    return t;
+  };
+  const auto dial = [&] {
+    const std::uint32_t in = take(idle_in), out = take(idle_out);
+    const auto call = router.connect(in, out);
+    if (call == core::GreedyRouter::kNoCall) {
+      idle_in.push_back(in);
+      idle_out.push_back(out);
+    } else {
+      live.push_back({call, in, out});
+    }
+  };
+  for (std::uint32_t i = 0; i < n / 2; ++i) dial();
+  router.reset_stats();
+
+  for (auto _ : state) {
+    if (!live.empty()) {
+      const auto i = rng.below(live.size());
+      router.disconnect(live[i].call);
+      idle_in.push_back(live[i].in);
+      idle_out.push_back(live[i].out);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    dial();
+  }
+  const core::RouterStats st = router.stats();
+  state.counters["visits_per_call"] =
+      st.connect_calls == 0 ? 0.0
+                            : static_cast<double>(st.vertices_visited) /
+                                  static_cast<double>(st.connect_calls);
+  state.counters["no_path"] = static_cast<double>(st.rejected_no_path);
+}
+BENCHMARK(BM_ConnectFtMixedFaults)->DenseRange(0, 3);
 
 void BM_Theorem2Trial(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));

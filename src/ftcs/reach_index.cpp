@@ -1,6 +1,7 @@
 #include "ftcs/reach_index.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace ftcs::core {
 namespace {
@@ -161,6 +162,15 @@ ReachIndex::ReachIndex(const graph::Network& net) {
     set_of_[v] = acc;
   }
   sets_.shrink_to_fit();
+  // Sets are distinct by content, so at most one holds every output.
+  full_set_ = static_cast<std::uint32_t>(set_count());
+  for (std::size_t id = 0; id < set_count(); ++id) {
+    const std::uint64_t* s = sets_.data() + id * words_;
+    std::size_t bits = 0;
+    for (std::size_t w = 0; w < words_; ++w)
+      bits += static_cast<std::size_t>(std::popcount(s[w]));
+    if (bits == outs) full_set_ = static_cast<std::uint32_t>(id);
+  }
 }
 
 }  // namespace ftcs::core

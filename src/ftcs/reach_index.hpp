@@ -7,8 +7,11 @@
 // search walks straight down the output's cone instead of flooding the
 // graph. Runtime state only ever REMOVES paths (busy vertices, open-failed
 // switches, dead vertices), so an index built once over the full network is
-// a sound filter for as long as no stuck-on weld adds a reverse conductor;
-// the search stops pruning while welds exist.
+// a sound filter for as long as no stuck-on weld adds a reverse conductor.
+// While welds exist the search also admits the children that reach a live
+// weld's head (the router's per-vertex weld-ancestor counts), so it keeps
+// pruning every child that cannot reach the output either way. The router
+// keeps those counts only for vertices outside some cone (reaches_all()).
 //
 // Layout: each vertex holds one uint32 set id into a deduplicated table of
 // ceil(outputs/64)-word bitsets. Staged networks share few distinct sets
@@ -62,6 +65,11 @@ class ReachIndex {
   [[nodiscard]] bool reaches(graph::VertexId v, std::uint32_t out) const {
     return probe(out)(v);
   }
+  /// True iff `v` reaches every output, i.e. lies in every output's cone
+  /// (always, on the fallback). Every ancestor of such a vertex does too.
+  [[nodiscard]] bool reaches_all(graph::VertexId v) const noexcept {
+    return set_of_[v] == full_set_;
+  }
 
   /// False iff the network has a directed cycle (every set is then full).
   [[nodiscard]] bool exact() const noexcept { return exact_; }
@@ -74,6 +82,8 @@ class ReachIndex {
   std::size_t words_ = 0;              // words per set
   std::vector<std::uint32_t> set_of_;  // vertex -> set id
   std::vector<std::uint64_t> sets_;    // set id * words_ .. + words_
+  std::uint32_t full_set_ = 0;         // the all-outputs set (set_count()
+                                       // when no set holds every output)
   bool exact_ = true;
 };
 

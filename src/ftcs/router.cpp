@@ -1,6 +1,7 @@
 #include "ftcs/router.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <type_traits>
 
 namespace ftcs::core {
@@ -178,6 +179,12 @@ void Router<Store>::grow(const graph::Network& net,
   path_next_ = std::move(next);
   reach_ = ReachIndex(net);
   net_ = &net;
+  // New switches can add ancestors to any weld head: recount from scratch.
+  if (!weld_reach_.empty()) {
+    clear_weld_counts();
+    for (graph::EdgeId e = 0; e < e_count; ++e)
+      if (contracted_edges_.test(e)) count_weld(net.g.edge(e).to, 1);
+  }
   for (Session& s : sessions_) {
     for (typename Session::Call& c : s.calls_)
       if (c.head != graph::kNoVertex) c.head = vmap[c.head];
@@ -232,12 +239,19 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
   const auto edge_contracted = [&r](graph::EdgeId e) {
     return r.contracted_edges_.test(e);
   };
+  const auto reaches_weld = [&r](graph::VertexId v) {
+    if constexpr (Store::kShared)
+      return std::atomic_ref(r.weld_reach_[v]).load(
+                 std::memory_order_relaxed) != 0;
+    else
+      return r.weld_reach_[v] != 0;
+  };
   std::uint32_t length = 0;
   for (unsigned attempt = 0;; ++attempt) {
     // 2. Search; 3. claim (the store's step).
     if (detail::find_idle_path(r.net_->g, r.reach_.probe(out), src, dst,
                                scratch_, stats_.vertices_visited, is_busy,
-                               edge_blocked, edge_contracted,
+                               edge_blocked, edge_contracted, reaches_weld,
                                contraction) == graph::kNoVertex)
       return reject(stats_.rejected_no_path);
     length = r.claim(*this, dst, overlay || contraction);
@@ -293,13 +307,20 @@ void Router<Store>::Session::disconnect(CallId call) {
 template <class Store>
 std::vector<graph::VertexId> Router<Store>::Session::path_of(
     CallId call) const {
-  const Call& c = calls_[call];
   std::vector<graph::VertexId> path;
+  path_of(call, path);
+  return path;
+}
+
+template <class Store>
+void Router<Store>::Session::path_of(CallId call,
+                                     std::vector<graph::VertexId>& path) const {
+  const Call& c = calls_[call];
+  path.clear();
   path.reserve(c.length);
   for (graph::VertexId v = c.head; v != graph::kNoVertex;
        v = r_->path_next_[v])
     path.push_back(v);
-  return path;
 }
 
 template <class Store>
@@ -332,7 +353,9 @@ void Router<Store>::contract_edge(graph::EdgeId e) {
   // The blocked mask wins: the search never crosses a blocked switch,
   // welded or not.
   if (contracted_edges_.test(e)) return;
-  ++welded_;  // gate before bit
+  if (weld_reach_.empty()) clear_weld_counts();
+  count_weld(net_->g.edge(e).to, 1);  // counts before gate
+  ++welded_;                          // gate before bit
   (void)contracted_edges_.try_set(e);
 }
 
@@ -341,6 +364,39 @@ void Router<Store>::uncontract_edge(graph::EdgeId e) {
   if (!contracted_edges_.test(e)) return;
   contracted_edges_.reset(e);  // bit before gate
   --welded_;
+  count_weld(net_->g.edge(e).to, -1);  // gate before counts
+}
+
+template <class Store>
+void Router<Store>::clear_weld_counts() {
+  weld_reach_.assign(net_->g.vertex_count(), 0);
+  walk_seen_.assign(net_->g.vertex_count(), 0);
+}
+
+template <class Store>
+void Router<Store>::count_weld(graph::VertexId head, int delta) {
+  // A vertex that reaches every output is in every cone, so the search
+  // never reads its count; its ancestors reach every output too, so the
+  // walk stops there.
+  if (reach_.reaches_all(head)) return;
+  const graph::CsrGraph& g = net_->g;
+  walk_queue_.assign(1, head);
+  walk_seen_[head] = 1;
+  for (std::size_t i = 0; i < walk_queue_.size(); ++i) {
+    const graph::VertexId v = walk_queue_[i];
+    if constexpr (Store::kShared)
+      std::atomic_ref(weld_reach_[v])
+          .fetch_add(static_cast<std::uint32_t>(delta),
+                     std::memory_order_relaxed);
+    else
+      weld_reach_[v] += static_cast<std::uint32_t>(delta);
+    for (const graph::VertexId u : g.in_sources(v))
+      if (!walk_seen_[u] && !reach_.reaches_all(u)) {
+        walk_seen_[u] = 1;
+        walk_queue_.push_back(u);
+      }
+  }
+  for (const graph::VertexId v : walk_queue_) walk_seen_[v] = 0;
 }
 
 template <class Store>

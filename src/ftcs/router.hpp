@@ -80,6 +80,20 @@
 // failed and repaired again costs nothing afterwards. A count is raised
 // BEFORE its bit is set and lowered AFTER its bit is cleared, so a connect
 // that starts after a flip completes reads a nonzero gate.
+//   - Weld-ancestor counts keep the search pruning under welds:
+//     weld_reach(v) is the number of live welds whose head (the edge's
+//     `to`, where the reverse hop starts) v reaches forward in the static
+//     graph, and the weld body admits an out-of-cone child only while its
+//     count is nonzero (ftcs/search.hpp). contract_edge walks the head's
+//     static ancestors and raises their counts BEFORE raising the gate;
+//     uncontract_edge lowers them AFTER lowering it, so a connect racing a
+//     flip reads at worst a stale positive, which only over-approximates.
+//     A vertex that reaches every output is in every cone, so its count is
+//     never read and never kept; its ancestors reach every output too, so
+//     the walk stops there and covers only the output side of the head's
+//     ancestors. The counts and the walk's scratch are sized by the first
+//     contract_edge (a router that never welds allocates none) and
+//     recounted by grow().
 //   - fail/repair/contract/uncontract_edge may race in-flight connects on
 //     the shared store. The guarantee is the usual happens-before one: a
 //     connect that starts after fail_edge(e) completes (ordering set up by
@@ -282,6 +296,8 @@ class Router {
     /// Vertices of a call's path, input first (cold path: materializes
     /// from the successor array).
     [[nodiscard]] std::vector<graph::VertexId> path_of(CallId call) const;
+    /// The same, overwriting `path` (no allocation once it has the room).
+    void path_of(CallId call, std::vector<graph::VertexId>& path) const;
     /// Path length in vertices, O(1).
     [[nodiscard]] std::size_t path_length(CallId call) const {
       return calls_[call].length;
@@ -367,12 +383,14 @@ class Router {
   /// blocked). Idempotent.
   void repair_edge(graph::EdgeId e);
   /// Marks switch `e` STUCK ON (closed failure): the search may cross it in
-  /// both directions (and stops pruning by the reach index while any weld
-  /// is outstanding). A failed or statically blocked switch cannot be
-  /// contracted into service. Idempotent.
+  /// both directions, and out-of-cone children that reach its head stay in
+  /// the search (one walk over the head's static ancestors). A failed or
+  /// statically blocked switch cannot be contracted into service.
+  /// Idempotent.
   void contract_edge(graph::EdgeId e);
-  /// Clears a stuck-on state. Calls that crossed the weld AGAINST the edge
-  /// direction are now severed — the fault plane reaps them. Idempotent.
+  /// Clears a stuck-on state (and walks the head's ancestors back down).
+  /// Calls that crossed the weld AGAINST the edge direction are now severed
+  /// — the fault plane reaps them. Idempotent.
   void uncontract_edge(graph::EdgeId e);
   /// Marks `v` dead and claims its busy bit (unless already held by the
   /// static blocked mask). QUIESCENT ONLY, no active call through v.
@@ -395,6 +413,13 @@ class Router {
   }
   [[nodiscard]] bool edge_contracted(graph::EdgeId e) const {
     return contracted_edges_.test(e);
+  }
+  /// Live welds whose head `v` reaches forward in the static graph, `v`
+  /// included (the search's weld filter). 0 when `v` reaches every output
+  /// (the search never asks) and on a router that never welded.
+  /// QUIESCENT ONLY.
+  [[nodiscard]] std::uint32_t weld_reach(graph::VertexId v) const {
+    return weld_reach_.empty() ? 0 : weld_reach_[v];
   }
   /// Usable = neither statically blocked nor runtime-failed.
   [[nodiscard]] bool edge_usable(graph::EdgeId e) const {
@@ -432,6 +457,13 @@ class Router {
   /// session's search just found: the store's claim. Returns the path
   /// length, or 0 when the claim was lost (shared store only).
   std::uint32_t claim(Session& s, graph::VertexId dst, bool revalidate);
+  /// Sizes the weld-ancestor counts and the walk's flags at the network's
+  /// vertex count, all zero.
+  void clear_weld_counts();
+  /// Adds `delta` to the weld-ancestor count of `head` and of every vertex
+  /// that reaches it in the static graph, skipping the vertices that reach
+  /// every output: one backward walk over in-edges.
+  void count_weld(graph::VertexId head, int delta);
 
   using Bits = typename Store::Bits;
   const graph::Network* net_;
@@ -457,6 +489,12 @@ class Router {
   // v is owned by the holder of busy bit v.
   std::vector<graph::VertexId> path_next_;
   ReachIndex reach_;  // search guide, read-only and shared by every session
+  // Weld-ancestor counts (weld_reach()), and the walk's visited flags and
+  // queue; all empty until the first contract_edge. The shared store writes
+  // and searches read the counts through relaxed std::atomic_ref.
+  std::vector<std::uint32_t> weld_reach_;
+  std::vector<std::uint8_t> walk_seen_;
+  std::vector<graph::VertexId> walk_queue_;
   std::vector<Session> sessions_;
 };
 

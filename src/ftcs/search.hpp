@@ -41,13 +41,23 @@
 // enforced on the hop's target (the merged electrical node carries at most
 // one call) and the settled path claims every vertex it crosses as usual.
 // Reverse conductors can reach outputs the static index does not know
-// about, so under welds the search prunes nothing: each frame tries the
-// in-cone children first, then the others, then the reverse hops over
+// about, so under welds a second filter joins it: `reaches_weld(v)` is true
+// iff v reaches the head (the edge's `to`, where the reverse hop starts)
+// of some live weld forward in the static graph — the router keeps one
+// count per vertex (core::Router::weld_reach), read only for out-of-cone
+// vertices. Each frame tries the in-cone children first, then the
+// out-of-cone children that reach a weld head, then the reverse hops over
 // contracted in-edges (the cursor runs through the three ranges in turn).
-// Reachability — the property the offline contraction equivalence pins —
-// is exact. The machinery is a COMPILE-TIME branch (`kContraction`): the
-// dispatcher instantiates the contraction-free variant until a stuck-on
-// event exists.
+// Sound: a vertex that reaches dst over forward hops and reverse weld hops
+// either reaches it forward (in cone) or first reaches some weld head
+// forward. Reverse hops need no filter, since a weld's tail always reaches
+// its head. Only vertices that cannot reach dst at all are skipped, and
+// nothing reachable from them can reach dst, so the search stamps the same
+// dst-reaching vertices in the same order and returns the same path as
+// with `reaches_weld` always true; only the visits fall. Reachability —
+// the property the offline contraction equivalence pins — is exact. The
+// machinery is a COMPILE-TIME branch (`kContraction`): the dispatcher
+// instantiates the contraction-free variant until a stuck-on event exists.
 //
 // Dirty snapshots: every parent_f entry is written on the single stamp of
 // its vertex, to the frame below it on the stack, so the chain from dst is
@@ -88,12 +98,12 @@ struct SearchScratch {
 /// The search body; kContraction selects the stuck-on machinery at compile
 /// time. Use the find_idle_path dispatcher below.
 template <bool kContraction, class BusyFn, class EdgeBlockedFn,
-          class EdgeContractedFn>
+          class EdgeContractedFn, class ReachesWeldFn>
 [[nodiscard]] graph::VertexId find_idle_path_impl(
     const graph::CsrGraph& g, const ReachIndex::Probe in_cone,
     graph::VertexId src, graph::VertexId dst, SearchScratch& s,
     std::uint64_t& visited, BusyFn&& is_busy, EdgeBlockedFn&& edge_blocked,
-    EdgeContractedFn&& edge_contracted) {
+    EdgeContractedFn&& edge_contracted, ReachesWeldFn&& reaches_weld) {
   if (++s.epoch == 0) {  // epoch wrap: one bulk clear per 2^32 searches
     std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
     s.epoch = 1;
@@ -127,13 +137,14 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
       }
     } else {
       // Cursor ranges: [0, deg) in-cone children, [deg, 2 deg) the other
-      // children, then [2 deg, 2 deg + in-degree) reverse hops over
-      // contracted in-edges.
+      // children that reach a weld head, then [2 deg, 2 deg + in-degree)
+      // reverse hops over contracted in-edges.
       while (f.cursor < 2 * deg) {
         const std::uint32_t c = f.cursor++;
         const std::uint32_t i = c < deg ? c : c - deg;
         const graph::VertexId v = tgts[i];
-        if (in_cone(v) == (c < deg) && usable(v) && !edge_blocked(eids[i])) {
+        if ((c < deg ? in_cone(v) : !in_cone(v) && reaches_weld(v)) &&
+            usable(v) && !edge_blocked(eids[i])) {
           next = v;
           break;
         }
@@ -173,24 +184,31 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
 /// (ReachIndex::probe). Returns dst (parent_f in `s` walks the path back to
 /// src) or graph::kNoVertex if no idle path exists. `is_busy(v)` and
 /// `edge_blocked(e)` gate expansion; `edge_contracted(e)` marks stuck-on
-/// switches that also conduct against their direction. `contraction_live`
-/// selects the instantiation: false runs the contraction-free hot path.
-/// `visited` accumulates stamped vertices for RouterStats. Allocation-free.
-template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
+/// switches that also conduct against their direction, and
+/// `reaches_weld(v)` admits out-of-cone children while they do (true iff v
+/// reaches a live weld's head forward; always true reproduces the unpruned
+/// walk, path for path). `contraction_live` selects the instantiation:
+/// false runs the contraction-free hot path. `visited` accumulates stamped
+/// vertices for RouterStats. Allocation-free.
+template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn,
+          class ReachesWeldFn>
 [[nodiscard]] graph::VertexId find_idle_path(
     const graph::CsrGraph& g, const ReachIndex::Probe in_cone,
     graph::VertexId src, graph::VertexId dst, SearchScratch& s,
     std::uint64_t& visited, BusyFn&& is_busy, EdgeBlockedFn&& edge_blocked,
-    EdgeContractedFn&& edge_contracted, bool contraction_live) {
+    EdgeContractedFn&& edge_contracted, ReachesWeldFn&& reaches_weld,
+    bool contraction_live) {
   if (contraction_live)
     return find_idle_path_impl<true>(
         g, in_cone, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
         static_cast<EdgeBlockedFn&&>(edge_blocked),
-        static_cast<EdgeContractedFn&&>(edge_contracted));
+        static_cast<EdgeContractedFn&&>(edge_contracted),
+        static_cast<ReachesWeldFn&&>(reaches_weld));
   return find_idle_path_impl<false>(
       g, in_cone, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
       static_cast<EdgeBlockedFn&&>(edge_blocked),
-      static_cast<EdgeContractedFn&&>(edge_contracted));
+      static_cast<EdgeContractedFn&&>(edge_contracted),
+      static_cast<ReachesWeldFn&&>(reaches_weld));
 }
 
 }  // namespace ftcs::core::detail

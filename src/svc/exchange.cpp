@@ -157,7 +157,9 @@ RejectReason Exchange::hangup(CallId id) {
 
 std::vector<graph::VertexId> Exchange::path_of(CallId id) {
   if (check_handle(id) != RejectReason::kNone) return {};
-  return engine_->path_of(id.session_, id.slot_);
+  std::vector<graph::VertexId> path;
+  engine_->path_of(id.session_, id.slot_, path);
+  return path;
 }
 
 // ------------------------------------------------------------ batched plane
@@ -400,12 +402,12 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
     const std::uint32_t slot_idx = c.call;
     if (slot_idx == Engine::kNoRawCall) continue;
     Slot& slot = sessions_[s].slots[slot_idx];
-    const auto path = engine_->path_of(s, slot_idx);
-    if (path_alive(path, newly_dead)) continue;
+    engine_->path_of(s, slot_idx, victim_path_);
+    if (path_alive(victim_path_, newly_dead)) continue;
     Outcome dead;
     dead.reject = RejectReason::kFaulted;
     dead.session = s;
-    dead.path_length = static_cast<std::uint32_t>(path.size());
+    dead.path_length = static_cast<std::uint32_t>(victim_path_.size());
     dead.tag = slot.req.tag;
     // The (now stale) handle is echoed so owners can reconcile their maps.
     dead.id.exchange_ = id_;

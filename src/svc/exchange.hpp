@@ -514,6 +514,7 @@ class Exchange {
   util::Bitset stuck_switches_;   // closed (stuck-on) failures
   std::vector<std::uint32_t> vertex_fault_degree_;
   std::vector<std::uint8_t> is_terminal_;
+  std::vector<graph::VertexId> victim_path_;  // reap_victims' path buffer
   std::size_t failed_switch_count_ = 0;  // down switches, either mode
   std::size_t stuck_switch_count_ = 0;
   // Live Lemma 7 tracking (same single-owner contract; sized with the rest

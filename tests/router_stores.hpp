@@ -17,9 +17,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ftcs/reach_index.hpp"
 #include "ftcs/router.hpp"
 #include "graph/digraph.hpp"
 
@@ -54,6 +57,39 @@ std::unique_ptr<core::Router<Store>> make_router(
     return std::make_unique<core::Router<Store>>(net, blocked, blocked_edges);
 }
 
+/// Weld-ancestor counts recounted from scratch: entry v is the number of
+/// contracted switches of `r` whose head (`edge.to`) v reaches forward in
+/// the static graph of `net` (v itself included), or 0 if v reaches every
+/// output (such a vertex is in every cone, and the router keeps no count).
+template <class Store>
+std::vector<std::uint32_t> recount_weld_reach(const core::Router<Store>& r,
+                                              const graph::Network& net) {
+  const graph::CsrGraph& g = net.g;
+  std::vector<std::uint32_t> count(g.vertex_count(), 0);
+  bool welded = false;
+  for (graph::EdgeId e = 0; e < g.edge_count() && !welded; ++e)
+    welded = r.edge_contracted(e);
+  if (!welded) return count;
+  const core::ReachIndex reach(net);
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (!r.edge_contracted(e)) continue;
+    std::vector<std::uint8_t> seen(g.vertex_count(), 0);
+    std::vector<graph::VertexId> stack{g.edge(e).to};
+    seen[g.edge(e).to] = 1;
+    while (!stack.empty()) {
+      const graph::VertexId v = stack.back();
+      stack.pop_back();
+      if (!reach.reaches_all(v)) ++count[v];
+      for (const graph::VertexId u : g.in_sources(v))
+        if (!seen[u]) {
+          seen[u] = 1;
+          stack.push_back(u);
+        }
+    }
+  }
+  return count;
+}
+
 /// Structural audit of `r` over `net` (`blocked` = the static vertex mask
 /// the router was built with, if any):
 ///  - busy bits are exactly the union of every live path's vertices, the
@@ -62,7 +98,8 @@ std::unique_ptr<core::Router<Store>> make_router(
 ///  - each live path runs from an input terminal to an output terminal,
 ///    and neither terminal reads idle;
 ///  - busy_vertices() is the sum of path_length(), and active_calls() the
-///    number of live calls.
+///    number of live calls;
+///  - every weld-ancestor count (weld_reach()) equals recount_weld_reach().
 template <class Store>
 void audit(const core::Router<Store>& r, const graph::Network& net,
            const std::vector<std::uint8_t>& blocked = {}) {
@@ -99,10 +136,13 @@ void audit(const core::Router<Store>& r, const graph::Network& net,
   }
   EXPECT_EQ(r.busy_vertices(), lengths);
   EXPECT_EQ(r.active_calls(), calls);
+  const auto welds = recount_weld_reach(r, net);
+  for (graph::VertexId v = 0; v < welds.size(); ++v)
+    ASSERT_EQ(r.weld_reach(v), welds[v]) << "weld-ancestor count of " << v;
 }
 
 /// A one-session router on `Store` that runs audit() after every connect,
-/// disconnect and overlay flip: the typed suite's router.
+/// disconnect, overlay flip and grow(): the typed suite's router.
 template <class Store>
 class AuditedRouter : public core::Router<Store> {
   using Base = core::Router<Store>;
@@ -112,11 +152,11 @@ class AuditedRouter : public core::Router<Store> {
   explicit AuditedRouter(const graph::Network& net, const Bytes& blocked = {},
                          const Bytes& blocked_edges = {})
     requires(!Store::kShared)
-      : Base(net, blocked, blocked_edges), net_(net), blocked_(blocked) {}
+      : Base(net, blocked, blocked_edges), net_(&net), blocked_(blocked) {}
   explicit AuditedRouter(const graph::Network& net, const Bytes& blocked = {},
                          const Bytes& blocked_edges = {})
     requires(Store::kShared)
-      : Base(net, 1u, blocked, blocked_edges), net_(net), blocked_(blocked) {}
+      : Base(net, 1u, blocked, blocked_edges), net_(&net), blocked_(blocked) {}
 
   std::uint32_t connect(std::uint32_t in, std::uint32_t out) {
     const std::uint32_t call = Base::connect(in, out);
@@ -130,11 +170,24 @@ class AuditedRouter : public core::Router<Store> {
   void uncontract_edge(graph::EdgeId e) { Base::uncontract_edge(e); check(); }
   void kill_vertex(graph::VertexId v) { Base::kill_vertex(v); check(); }
   void revive_vertex(graph::VertexId v) { Base::revive_vertex(v); check(); }
+  /// Grows onto `net` (which must outlive the router); the static vertex
+  /// mask follows vmap.
+  void grow(const graph::Network& net, std::span<const graph::VertexId> vmap) {
+    Base::grow(net, vmap);
+    net_ = &net;
+    if (!blocked_.empty()) {
+      Bytes grown(net.g.vertex_count(), 0);
+      for (std::size_t v = 0; v < blocked_.size(); ++v)
+        if (blocked_[v]) grown[vmap[v]] = 1;
+      blocked_ = std::move(grown);
+    }
+    check();
+  }
 
  private:
-  void check() const { audit<Store>(*this, net_, blocked_); }
+  void check() const { audit<Store>(*this, *net_, blocked_); }
 
-  const graph::Network& net_;
+  const graph::Network* net_;
   Bytes blocked_;
 };
 

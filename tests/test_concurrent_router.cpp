@@ -213,9 +213,10 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
       return true;  // first probe: busy
     };
     const auto no_edge = [](graph::EdgeId) { return false; };
+    const auto no_weld = [](graph::VertexId) { return false; };
     const graph::VertexId end = core::detail::find_idle_path(
         g, reach.probe(out), src, dst, scratch, visited, flaky_busy, no_edge,
-        no_edge, /*contraction_live=*/false);
+        no_edge, no_weld, /*contraction_live=*/false);
     if (end == graph::kNoVertex) continue;
     ASSERT_EQ(end, dst);
     ++found;

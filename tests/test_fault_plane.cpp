@@ -997,38 +997,55 @@ TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
 }
 
 // Mixed-mode router-level race: while 4 workers churn, a flipper thread
-// open-fails one switch set and WELDS another (stuck-on) mid-flight. Both
-// flips are monotone (never undone), so once a thread observes the flip
-// every later settled path must be carried hop by hop: by a non-failed
-// forward switch (normal or welded) or by a welded switch conducting
-// against its direction. Exercises the contraction branches of the shared
-// search and the extended claim-phase re-validation under TSan.
+// open-fails one switch set and WELDS another (stuck-on) for good, then
+// unwelds and re-welds a third set round after round, so the weld-ancestor
+// counts' increments AND decrements race the searches' relaxed reads. A
+// sequence counter brackets every flip (odd while one is in progress).
+// Every connect that starts after the first flip completed must settle a
+// path carried hop by hop: by a non-failed forward switch, by a permanent
+// weld crossed against its direction, or by a transient weld crossed
+// against its direction — judged exactly when no flip overlapped the
+// connect (it must then have been live), allowed otherwise. Exercises the
+// contraction branches of the shared search and the claim-phase
+// re-validation under TSan.
 TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kWorkers = 4;
+  constexpr unsigned kRounds = 16;  // transient unweld/re-weld pairs
   core::ConcurrentRouter router(net, kWorkers);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   // Disjoint flip sets off a probe's paths: first hops open-fail, second
-  // hops weld shut.
-  std::vector<graph::EdgeId> doomed, welded;
+  // hops weld for good, and the hops into the last stage before the output
+  // weld and unweld. Those heads' ancestors include the output side's
+  // vertices, whose counts the searches read when they leave the cone.
+  std::vector<graph::EdgeId> doomed, welded, transient;
   {
     core::GreedyRouter probe(net);
     for (std::uint32_t i = 0; i + 1 < n; i += 2) {
       const auto c = probe.connect(i, i + 1);
       if (c == core::GreedyRouter::kNoCall) continue;
       const auto path = probe.path_of(c);
-      if (path.size() >= 3) {
+      const std::size_t len = path.size();
+      if (len >= 5) {
         doomed.push_back(edge_between(net.g, path[0], path[1]));
         welded.push_back(edge_between(net.g, path[1], path[2]));
+        transient.push_back(edge_between(net.g, path[len - 3], path[len - 2]));
       }
       probe.disconnect(c);
     }
   }
   ASSERT_FALSE(doomed.empty());
-  ASSERT_FALSE(welded.empty());
+  std::vector<std::uint8_t> is_welded(net.g.edge_count(), 0);
+  std::vector<std::uint8_t> is_transient(net.g.edge_count(), 0);
+  for (const auto e : welded) is_welded[e] = 1;
+  for (const auto e : transient) is_transient[e] = 1;
 
-  std::atomic<bool> flipped{false};
+  // seq = 2k: k flips done; odd: flip k + 1 in progress. Flip 1 fails the
+  // doomed set and welds both weld sets; after flip k >= 1 the transient
+  // set is welded iff k is odd.
+  std::atomic<unsigned> seq{0};
+  std::atomic<bool> flips_done{false};
   std::vector<std::thread> threads;
   threads.reserve(kWorkers + 1);
   for (unsigned t = 0; t < kWorkers; ++t) {
@@ -1036,51 +1053,68 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
       auto& w = router.session(t);
       util::Xoshiro256 rng(util::derive_seed(977, t));
       std::vector<core::ConcurrentRouter::CallId> mine;
-      for (int op = 0; op < 3000; ++op) {
-        const bool after_flip = flipped.load(std::memory_order_acquire);
+      // Churn until every flip has landed, and for at least 3000 ops.
+      for (int op = 0;
+           op < 3000 || !flips_done.load(std::memory_order_acquire); ++op) {
         if (!mine.empty() && (rng() & 3u) == 0) {
           const auto idx = rng() % mine.size();
           w.disconnect(mine[idx]);
           mine[idx] = mine.back();
           mine.pop_back();
-        } else {
-          const auto in = static_cast<std::uint32_t>(rng() % n);
-          const auto out = static_cast<std::uint32_t>(rng() % n);
-          const auto call = w.connect(in, out);
-          if (call == core::ConcurrentRouter::kNoCall) continue;
-          if (after_flip) {
-            const auto path = w.path_of(call);
-            for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-              bool hop_alive = false;
-              const auto eids = net.g.out_edges(path[i]);
-              const auto tgts = net.g.out_targets(path[i]);
-              for (std::size_t k = 0; k < eids.size(); ++k)
-                if (tgts[k] == path[i + 1] && router.edge_usable(eids[k]))
-                  hop_alive = true;
-              if (!hop_alive) {
-                const auto reids = net.g.in_edges(path[i]);
-                const auto rsrcs = net.g.in_sources(path[i]);
-                for (std::size_t k = 0; k < reids.size(); ++k)
-                  if (rsrcs[k] == path[i + 1] &&
-                      router.edge_contracted(reids[k]) &&
-                      router.edge_usable(reids[k]))
-                    hop_alive = true;
-              }
-              EXPECT_TRUE(hop_alive)
-                  << "worker " << t << " settled an uncarried hop";
-            }
-          }
-          mine.push_back(call);
+          continue;
+        }
+        const auto in = static_cast<std::uint32_t>(rng() % n);
+        const auto out = static_cast<std::uint32_t>(rng() % n);
+        const unsigned before = seq.load(std::memory_order_acquire);
+        const auto call = w.connect(in, out);
+        const unsigned after = seq.load(std::memory_order_acquire);
+        if (call == core::ConcurrentRouter::kNoCall) continue;
+        mine.push_back(call);
+        if (before < 2) continue;  // flip 1 had not completed
+        const bool exact = before == after && before % 2 == 0;
+        const bool transient_ok = !exact || (before / 2) % 2 == 1;
+        const auto path = w.path_of(call);
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+          bool hop_alive = false;
+          const auto eids = net.g.out_edges(path[i]);
+          const auto tgts = net.g.out_targets(path[i]);
+          for (std::size_t k = 0; k < eids.size(); ++k)
+            if (tgts[k] == path[i + 1] && router.edge_usable(eids[k]))
+              hop_alive = true;
+          const auto reids = net.g.in_edges(path[i]);
+          const auto rsrcs = net.g.in_sources(path[i]);
+          for (std::size_t k = 0; k < reids.size() && !hop_alive; ++k)
+            if (rsrcs[k] == path[i + 1] &&
+                (is_welded[reids[k]] ||
+                 (is_transient[reids[k]] && transient_ok)))
+              hop_alive = true;
+          EXPECT_TRUE(hop_alive)
+              << "worker " << t << " settled an uncarried hop at seq "
+              << before << ".." << after;
         }
       }
       for (const auto c : mine) w.disconnect(c);
     });
   }
   threads.emplace_back([&] {
+    const auto flip = [&](auto&& body) {
+      seq.fetch_add(1, std::memory_order_acq_rel);
+      body();
+      seq.fetch_add(1, std::memory_order_release);
+      for (int spin = 0; spin < 200; ++spin) std::this_thread::yield();
+    };
     for (int spin = 0; spin < 1000; ++spin) std::this_thread::yield();
-    for (const auto e : doomed) router.fail_edge(e);
-    for (const auto e : welded) router.contract_edge(e);
-    flipped.store(true, std::memory_order_release);
+    flip([&] {
+      for (const auto e : doomed) router.fail_edge(e);
+      for (const auto e : welded) router.contract_edge(e);
+      for (const auto e : transient) router.contract_edge(e);
+    });
+    for (unsigned round = 0; round < kRounds; ++round) {
+      flip([&] { for (const auto e : transient) router.uncontract_edge(e); });
+      flip([&] { for (const auto e : transient) router.contract_edge(e); });
+    }
+    flip([&] { for (const auto e : transient) router.uncontract_edge(e); });
+    flips_done.store(true, std::memory_order_release);
   });
   for (auto& th : threads) th.join();
 
@@ -1088,6 +1122,7 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
   EXPECT_EQ(router.busy_vertices(), 0u);
   for (const auto e : doomed) EXPECT_TRUE(router.edge_failed(e));
   for (const auto e : welded) EXPECT_TRUE(router.edge_contracted(e));
+  for (const auto e : transient) EXPECT_FALSE(router.edge_contracted(e));
 }
 
 // The acceptance-criteria churn: N concurrent sessions serve calls while a

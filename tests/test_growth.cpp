@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -401,8 +402,13 @@ TEST(ExchangeGrowth, BatchedDrainServesNewTerminalsTheEpochAfterTheMerge) {
   svc::Exchange ex(base, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(ex.input_count());
 
+  // Both sessions' pool tasks fire callbacks concurrently.
+  std::mutex mu;
   std::vector<svc::Outcome> done;
-  const auto on_done = [&done](const svc::Outcome& o) { done.push_back(o); };
+  const auto on_done = [&](const svc::Outcome& o) {
+    std::lock_guard<std::mutex> lk(mu);
+    done.push_back(o);
+  };
 
   // Epoch 1: old terminals through the batched plane.
   for (std::uint32_t i = 0; i < n; ++i)

@@ -1,6 +1,7 @@
 // core::ReachIndex (ftcs/reach_index.hpp) against reverse BFS: for every
 // vertex and every output, the index must say "reaches" exactly when a plain
-// BFS from the output backwards over in-edges arrives at the vertex. Runs
+// BFS from the output backwards over in-edges arrives at the vertex, and
+// reaches_all() exactly when that holds for every output. Runs
 // on the staged networks the routers serve (including a grown one) and on
 // a cyclic net, which must take the no-prune fallback and still route.
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@ void expect_matches_reverse_bfs(const graph::Network& net) {
   EXPECT_TRUE(reach.exact()) << net.name;
   const graph::CsrGraph& g = net.g;
   std::vector<std::uint8_t> seen(g.vertex_count());
+  std::vector<std::uint32_t> outputs_reached(g.vertex_count(), 0);
   std::vector<graph::VertexId> queue;
   std::size_t mismatches = 0;
   for (std::uint32_t o = 0; o < net.outputs.size(); ++o) {
@@ -36,9 +38,14 @@ void expect_matches_reverse_bfs(const graph::Network& net) {
           seen[u] = 1;
           queue.push_back(u);
         }
-    for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
+    for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
       mismatches += reach.reaches(v, o) != (seen[v] != 0);
+      outputs_reached[v] += seen[v];
+    }
   }
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
+    mismatches +=
+        reach.reaches_all(v) != (outputs_reached[v] == net.outputs.size());
   EXPECT_EQ(mismatches, 0u) << net.name;
 }
 
@@ -88,9 +95,11 @@ TEST(ReachIndex, CyclicNetFallsBackToNoPruning) {
 
   const core::ReachIndex reach(net);
   EXPECT_FALSE(reach.exact());
-  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
+  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v) {
+    EXPECT_TRUE(reach.reaches_all(v)) << v;
     for (std::uint32_t o = 0; o < net.outputs.size(); ++o)
       EXPECT_TRUE(reach.reaches(v, o)) << v << " " << o;
+  }
 
   // The search stays exact without the filter, on both stores.
   const std::vector<graph::VertexId> path{in, a, b, out};

@@ -9,10 +9,16 @@
 //    degraded (failed switches): every connect's verdict and path length
 //    match graph::shortest_path, a plain BFS over the router's busy and
 //    failed-switch state captured just before the connect;
-//  - welded overlays (runtime contraction), where the search stops pruning:
-//    verdicts match plain-BFS reachability on the offline contracted
-//    network (fault::repair_by_contraction) and every settled path is
-//    checked hop by hop;
+//  - welded overlays (runtime contraction), where the search prunes by the
+//    reach index and the router's weld-ancestor counts together: verdicts
+//    match plain-BFS reachability on the offline contracted network
+//    (fault::repair_by_contraction) and every settled path is checked hop
+//    by hop;
+//  - the weld pruning against its oracle: on seeded mixed fail/weld/repair
+//    storms (cantor-k5, the §6 FT network at nu = 2, and one storm that
+//    crosses grow() with welds outstanding) every connect gives the same
+//    verdict and path as the unpruned weld body (the weld filter always
+//    true), in no more visits;
 //  - a seeded cantor-k6 churn: every path is valid, every verdict matches
 //    plain BFS and every path has the network's uniform length;
 //  - the §4 oracle: on fault-free strictly nonblocking networks (cantor
@@ -24,6 +30,7 @@
 // structural audit runs after every operation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -31,7 +38,9 @@
 #include "fault/fault_instance.hpp"
 #include "fault/repair.hpp"
 #include "ftcs/ft_network.hpp"
+#include "ftcs/reach_index.hpp"
 #include "ftcs/router.hpp"
+#include "ftcs/search.hpp"
 #include "graph/algorithms.hpp"
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
@@ -303,6 +312,215 @@ TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeFtNetwork) {
 
 TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnCrossbar) {
   run_oracle_churn<TypeParam>(networks::build_crossbar(32), 300, 4000);
+}
+
+// ---------------------------------------------------------------------------
+// Weld pruning against its oracle. With the weld filter always true the weld
+// body is the unpruned walk; the router's weld-ancestor counts may only skip
+// children that cannot reach the output, so the pruned search must return
+// the same verdict and the same path in no more visits.
+// ---------------------------------------------------------------------------
+
+/// A seeded storm of connects, disconnects, open failures, welds and their
+/// repairs on an AuditedRouter. Before each connect between idle terminals
+/// the storm runs the router's search itself twice on its own scratch —
+/// once with the router's weld filter (weld_reach() > 0), once with the
+/// oracle filter (always true) — then connects: the router must settle the
+/// pruned search's path in its visits, and the two searches must agree.
+template <class Store>
+class WeldStorm {
+ public:
+  /// Outstanding open failures and welds hover around `per_open` and
+  /// `per_weld` switches in 1000.
+  WeldStorm(AuditedRouter<Store>& router, const graph::Network& net,
+            std::uint64_t seed, std::size_t per_open, std::size_t per_weld)
+      : router_(router), rng_(seed), per_open_(per_open), per_weld_(per_weld) {
+    rebind(net);
+  }
+
+  /// Grows the router onto `grown` (which must outlive it) and follows.
+  void grow(const graph::GrownNetwork& grown) {
+    router_.grow(grown.net, grown.vmap);
+    rebind(grown.net);
+  }
+
+  void run(std::size_t ops) {
+    const auto n = static_cast<std::uint32_t>(net_->inputs.size());
+    const auto edges = static_cast<graph::EdgeId>(net_->g.edge_count());
+    const std::size_t open_target =
+        std::max<std::size_t>(edges * per_open_ / 1000, 2);
+    const std::size_t weld_target =
+        std::max<std::size_t>(edges * per_weld_ / 1000, 2);
+    // Start at the targets, then let the storm wander around them.
+    while (failed_.size() < open_target) flip(failed_, open_target, edges, false);
+    while (welded_.size() < weld_target) flip(welded_, weld_target, edges, true);
+    for (std::size_t op = 0; op < ops; ++op) {
+      const auto roll = rng_.below(16);
+      if (roll == 0) {
+        flip(failed_, open_target, edges, false);
+      } else if (roll == 1) {
+        flip(welded_, weld_target, edges, true);
+      } else if (roll < 6 && !active_.empty()) {
+        const auto idx = rng_.below(active_.size());
+        router_.disconnect(active_[idx]);
+        active_[idx] = active_.back();
+        active_.pop_back();
+      } else {
+        connect(static_cast<std::uint32_t>(rng_.below(n)),
+                static_cast<std::uint32_t>(rng_.below(n)));
+      }
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "after op " << op;
+    }
+  }
+
+  [[nodiscard]] std::size_t outstanding_welds() const {
+    return welded_.size();
+  }
+
+  /// Connects searched while a weld was live, and their summed visits.
+  std::size_t welded_connects = 0;
+  std::uint64_t pruned_total = 0, oracle_total = 0;
+
+ private:
+  void rebind(const graph::Network& net) {
+    net_ = &net;
+    reach_ = core::ReachIndex(net);
+    pruned_.init(net.g.vertex_count());
+    oracle_.init(net.g.vertex_count());
+  }
+
+  /// Moves `set` (open failures or welds) one event toward `target`:
+  /// repairs a random member with probability size / (2 target), else
+  /// fails or welds a random switch not already down.
+  void flip(std::vector<graph::EdgeId>& set, std::size_t target,
+            graph::EdgeId edges, bool weld) {
+    if (rng_.below(2 * target) < set.size()) {
+      const auto idx = rng_.below(set.size());
+      if (weld)
+        router_.uncontract_edge(set[idx]);
+      else
+        router_.repair_edge(set[idx]);
+      set[idx] = set.back();
+      set.pop_back();
+      return;
+    }
+    const auto e = static_cast<graph::EdgeId>(rng_.below(edges));
+    if (router_.edge_failed(e) || router_.edge_contracted(e)) return;
+    if (weld)
+      router_.contract_edge(e);
+    else
+      router_.fail_edge(e);
+    set.push_back(e);
+  }
+
+  /// One search as the router runs it, on `scratch`, with `reaches_weld` as
+  /// the weld filter: the path src..dst (empty if none) and its visits.
+  template <class ReachesWeldFn>
+  std::pair<std::vector<graph::VertexId>, std::uint64_t> search(
+      core::detail::SearchScratch& scratch, std::uint32_t in,
+      std::uint32_t out, ReachesWeldFn&& reaches_weld) const {
+    const graph::VertexId src = net_->inputs[in];
+    const graph::VertexId dst = net_->outputs[out];
+    std::uint64_t visits = 0;
+    const auto& r = router_;
+    const graph::VertexId end = core::detail::find_idle_path(
+        net_->g, reach_.probe(out), src, dst, scratch, visits,
+        [&r](graph::VertexId v) { return r.is_busy(v); },
+        [&r](graph::EdgeId e) { return !r.edge_usable(e); },
+        [&r](graph::EdgeId e) { return r.edge_contracted(e); }, reaches_weld,
+        !welded_.empty());
+    std::vector<graph::VertexId> path;
+    if (end != graph::kNoVertex)
+      for (graph::VertexId v = dst; v != graph::kNoVertex;
+           v = scratch.parent_f[v])
+        path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    return {std::move(path), visits};
+  }
+
+  void connect(std::uint32_t in, std::uint32_t out) {
+    const bool searched = router_.input_idle(in) && router_.output_idle(out) &&
+                          !router_.is_busy(net_->inputs[in]) &&
+                          !router_.is_busy(net_->outputs[out]);
+    if (!searched) {
+      EXPECT_EQ(router_.connect(in, out), kNone) << "busy terminal admitted";
+      return;
+    }
+    const auto& r = router_;
+    const auto [pruned, pruned_visits] = search(
+        pruned_, in, out,
+        [&r](graph::VertexId v) { return r.weld_reach(v) != 0; });
+    const auto [oracle, oracle_visits] =
+        search(oracle_, in, out, [](graph::VertexId) { return true; });
+    ASSERT_EQ(pruned, oracle) << "pruned search left the oracle's path for ("
+                              << in << "," << out << ")";
+    ASSERT_LE(pruned_visits, oracle_visits);
+    if (!welded_.empty()) {
+      ++welded_connects;
+      pruned_total += pruned_visits;
+      oracle_total += oracle_visits;
+    }
+
+    const std::uint64_t before = router_.stats().vertices_visited;
+    const std::uint32_t call = router_.connect(in, out);
+    ASSERT_EQ(call != kNone, !pruned.empty())
+        << "router verdict differs from its own search for (" << in << ","
+        << out << ")";
+    EXPECT_EQ(router_.stats().vertices_visited - before, pruned_visits);
+    if (call == kNone) return;
+    ASSERT_EQ(router_.path_of(call), pruned);
+    expect_valid_path(router_, net_->g, pruned);
+    active_.push_back(call);
+  }
+
+  AuditedRouter<Store>& router_;
+  const graph::Network* net_ = nullptr;
+  core::ReachIndex reach_;
+  core::detail::SearchScratch pruned_, oracle_;
+  util::Xoshiro256 rng_;
+  std::size_t per_open_, per_weld_;
+  std::vector<std::uint32_t> active_;
+  std::vector<graph::EdgeId> failed_, welded_;
+};
+
+/// The storm's pruning must have bitten: welded connects ran, and the
+/// pruned searches stamped strictly fewer vertices than the oracle's.
+template <class Store>
+void expect_pruned(const WeldStorm<Store>& storm) {
+  EXPECT_GT(storm.welded_connects, 0u);
+  EXPECT_LT(storm.pruned_total, storm.oracle_total);
+}
+
+TYPED_TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleOnCantor) {
+  const auto net = networks::build_cantor({5, 0});
+  AuditedRouter<TypeParam> router(net);
+  WeldStorm<TypeParam> storm(router, net, 2201, 10, 1);
+  storm.run(3000);
+  expect_pruned(storm);
+}
+
+TYPED_TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleOnFtNetwork) {
+  const auto ft =
+      core::build_ft_network(core::FtParams::sim(2, 8, 6, 1, 1002));
+  AuditedRouter<TypeParam> router(ft.net);
+  WeldStorm<TypeParam> storm(router, ft.net, 2202, 50, 1);
+  storm.run(1500);
+  expect_pruned(storm);
+}
+
+TYPED_TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleAcrossGrow) {
+  // Welds stay outstanding across the merge: the grown network adds
+  // ancestors to their heads, which the router must recount.
+  const auto net = networks::build_cantor({4, 0});
+  AuditedRouter<TypeParam> router(net);
+  WeldStorm<TypeParam> storm(router, net, 2203, 10, 1);
+  storm.run(1500);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_GT(storm.outstanding_welds(), 0u);
+  const auto grown = networks::grow_cantor(net, {4, 0});
+  storm.grow(grown);
+  storm.run(1500);
+  expect_pruned(storm);
 }
 
 // ---------------------------------------------------------------------------
