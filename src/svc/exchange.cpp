@@ -313,14 +313,9 @@ std::size_t Exchange::drain() {
       if (batch[i].done) batch[i].done(outs[i]);
     }
   };
-  if (s_count == 1) {
-    route_chunk(0);
-  } else {
-    util::ThreadPool::global().run(
-        s_count, [&route_chunk](std::size_t s) {
-          route_chunk(static_cast<unsigned>(s));
-        });
-  }
+  util::ThreadPool::global().run(s_count, [&route_chunk](std::size_t s) {
+    route_chunk(static_cast<unsigned>(s));
+  });
   const auto t1 = std::chrono::steady_clock::now();
 
   {

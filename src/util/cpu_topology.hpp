@@ -1,8 +1,8 @@
 // CPU topology discovery and affinity planning.
 //
 // Reads the Linux sysfs CPU tree (cores, SMT siblings, NUMA nodes) so the
-// serving plane can pin pool workers to explicit CPUs and home per-worker
-// state to the right cache domain. Discovery takes the sysfs root as a
+// serving plane can pin pool workers to explicit CPUs (a pinned worker's
+// allocations first-touch near it). Discovery takes the sysfs root as a
 // parameter so tests can point it at a fake tree; every parse failure
 // degrades to a flat single-node topology built from hardware_concurrency —
 // never an error. Planning is separated from pinning: plan_affinity() turns

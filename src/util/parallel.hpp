@@ -1,8 +1,7 @@
 // Thread-parallel building blocks for Monte Carlo experiments.
 //
-// All three helpers dispatch onto the persistent work-stealing
-// util::ThreadPool (thread_pool.hpp) — batches no longer pay a
-// thread-spawn per call. The chunk partition is a pure function of
+// All three helpers dispatch onto the persistent util::ThreadPool
+// (thread_pool.hpp) — batches no longer pay a thread-spawn per call. The chunk partition is a pure function of
 // (total, threads), so per-chunk accumulators merged in chunk order are
 // bit-identical across runs and pool sizes; bodies must key any randomness
 // on the global trial index, never on the executing thread.

@@ -1,8 +1,8 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -21,249 +21,153 @@ thread_local bool t_inside_pool_worker = false;
 }  // namespace
 
 struct ThreadPool::Impl {
-  // One batch per run() call. Tasks hold a shared_ptr to their batch so the
-  // batch outlives every in-flight reference: the last finisher's notify
-  // races only against memory that is still alive.
+  // One batch per run() call, on the submitter's stack. The submitter
+  // returns only once `remaining` is 0 and the batch is off `open`, so an
+  // executor may touch a batch while it holds the mutex or an unfinished
+  // index of it, never otherwise.
   struct Batch {
     const std::function<void(std::size_t)>* fn;
-    std::atomic<std::size_t> remaining;
-    std::mutex m;
-    std::condition_variable done;
-  };
-  struct Task {
-    std::shared_ptr<Batch> batch;
-    std::size_t index;
-  };
-  // Cache-line aligned: adjacent deque heads otherwise share a line and the
-  // owner-pop / thief-steal mutex traffic false-shares across workers.
-  struct alignas(kCacheLineBytes) WorkerQueue {
-    std::mutex m;
-    std::deque<Task> q;
-  };
-  // Hot cross-thread counters each get their own line for the same reason.
-  struct alignas(kCacheLineBytes) PaddedCounter {
-    std::atomic<std::size_t> v{0};
+    std::size_t count;
+    std::atomic<std::size_t> next{0};  // next unclaimed index
+    std::atomic<std::size_t> remaining;  // indices not yet finished
   };
 
-  std::vector<WorkerQueue> queues;
-  std::vector<std::thread> workers;
-  std::mutex park_m;
-  std::condition_variable park_cv;
-  PaddedCounter pending;  // tasks sitting in some deque
-  std::atomic<bool> stop{false};
-  PaddedCounter spray;  // round-robin cursor for submissions
+  const unsigned threads;
+  std::mutex m;
+  std::condition_variable work_cv;  // parked workers
+  std::condition_variable done_cv;  // submitters and appliers
+  std::vector<Batch*> open;  // batches with indices left to claim, oldest first
+  bool stop = false;
 
-  // Affinity plan. pin_plan/home_node/policy are guarded by park_m;
-  // pin_epoch bumps publish a new plan and wake parked workers, each worker
-  // self-pins at the top of its loop and acks, and the applier blocks until
-  // every worker has acked — so when apply_affinity() returns, all workers
-  // run on their planned cpus and later allocations first-touch there.
+  // Affinity plan, guarded by m. A pin_epoch bump publishes a new plan; each
+  // worker pins itself at the top of its loop and acks, and the applier
+  // blocks until every worker has acked the current epoch — so when
+  // apply_affinity() returns, all workers run on their planned cpus and
+  // later allocations first-touch there.
   std::vector<unsigned> pin_plan;  // cpu per worker; empty = unpinned
-  std::vector<int> home_node;     // node per worker; -1 = unpinned
   AffinityPolicy policy{AffinityPolicy::kNone};
-  std::atomic<std::uint64_t> pin_epoch{0};
-  std::atomic<std::size_t> pin_acks{0};
-  std::mutex ack_m;
-  std::condition_variable ack_cv;
+  std::uint64_t pin_epoch = 0;
+  unsigned pin_acks = 0;
 
-  explicit Impl(unsigned threads)
-      : queues(threads == 0 ? 1 : threads),
-        home_node(threads, -1) {
+  std::vector<std::thread> workers;  // last: the members above outlive them
+
+  explicit Impl(unsigned n) : threads(n) {
     workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-      workers.emplace_back([this, t] { worker_loop(t); });
+    for (unsigned w = 0; w < threads; ++w)
+      workers.emplace_back([this, w] { worker_loop(w); });
   }
 
   ~Impl() {
-    stop.store(true, std::memory_order_release);
     {
-      std::lock_guard<std::mutex> lk(park_m);  // pairs with the parked wait
+      std::lock_guard<std::mutex> lk(m);
+      stop = true;
     }
-    park_cv.notify_all();
+    work_cv.notify_all();
     for (auto& w : workers) w.join();
   }
 
-  static void execute(const Task& task) {
-    (*task.batch->fn)(task.index);
-    if (task.batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task: wake the submitting thread. The lock pairs with the
-      // waiter's predicate check so the notify cannot slip between its
-      // predicate evaluation and its sleep.
-      std::lock_guard<std::mutex> lk(task.batch->m);
-      task.batch->done.notify_all();
+  /// Claims an index of the oldest open batch; m must be held. A batch
+  /// leaves `open` once its last index is claimed.
+  Batch* claim(std::size_t& i) {
+    while (!open.empty()) {
+      Batch* b = open.front();
+      i = b->next.fetch_add(1, std::memory_order_relaxed);
+      if (i + 1 >= b->count) open.erase(open.begin());
+      if (i < b->count) return b;
     }
+    return nullptr;
   }
 
-  /// Pops one task from the back of queue `w` (owner side). Returns false if
-  /// empty.
-  bool pop_own(unsigned w, Task& out) {
-    auto& wq = queues[w];
-    std::lock_guard<std::mutex> lk(wq.m);
-    if (wq.q.empty()) return false;
-    out = std::move(wq.q.back());
-    wq.q.pop_back();
-    pending.v.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Steals HALF of victim `v`'s queue from the front; the first stolen task
-  /// is returned in `out`, the rest (if any) are appended to queue `w`.
-  bool steal_half(unsigned v, unsigned w, Task& out) {
-    auto& vq = queues[v];
-    std::deque<Task> loot;
-    {
-      std::lock_guard<std::mutex> lk(vq.m);
-      if (vq.q.empty()) return false;
-      const std::size_t take = (vq.q.size() + 1) / 2;
-      for (std::size_t i = 0; i < take; ++i) {
-        loot.push_back(std::move(vq.q.front()));
-        vq.q.pop_front();
+  /// Runs index `i` of `b`, then claims and runs b's further indices until
+  /// none is left. Each claim happens before the previous index counts as
+  /// finished, so the batch is alive for it.
+  void execute(Batch& b, std::size_t i) {
+    for (;;) {
+      (*b.fn)(i);
+      const std::size_t j = b.next.fetch_add(1, std::memory_order_relaxed);
+      const bool more = j < b.count;  // read b before finishing i
+      if (b.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Last index: b may be gone now, so touch only pool state. The lock
+        // pairs with the submitter's predicate check, so the notify cannot
+        // slip between that check and its sleep.
+        { std::lock_guard<std::mutex> lk(m); }
+        done_cv.notify_all();
+        return;
       }
+      if (!more) return;
+      i = j;
     }
-    out = std::move(loot.front());
-    loot.pop_front();
-    pending.v.fetch_sub(1, std::memory_order_relaxed);
-    if (!loot.empty() && v != w) {
-      auto& wq = queues[w];
-      std::lock_guard<std::mutex> lk(wq.m);
-      for (auto& t : loot) wq.q.push_back(std::move(t));
-    } else {
-      // Degenerate single-queue pool: put the remainder back where it was.
-      std::lock_guard<std::mutex> lk(vq.m);
-      for (auto& t : loot) vq.q.push_back(std::move(t));
-    }
-    return true;
-  }
-
-  /// Finds any runnable task, own queue first, then round-robin victims.
-  bool find_task(unsigned w, Task& out) {
-    if (pop_own(w, out)) return true;
-    const unsigned n = static_cast<unsigned>(queues.size());
-    for (unsigned d = 1; d <= n; ++d)
-      if (steal_half((w + d) % n, w, out)) return true;
-    return false;
-  }
-
-  /// Self-pins worker `w` when a new plan has been published. Runs on the
-  /// worker thread so anything the worker allocates afterwards first-touch
-  /// lands on the pinned cpu's node.
-  void maybe_repin(unsigned w, std::uint64_t& applied) {
-    const std::uint64_t e = pin_epoch.load(std::memory_order_acquire);
-    if (e == applied) return;
-    bool pinned = false;
-    unsigned cpu = 0;
-    {
-      std::lock_guard<std::mutex> lk(park_m);
-      if (w < pin_plan.size()) {
-        pinned = true;
-        cpu = pin_plan[w];
-      }
-    }
-    if (pinned)
-      pin_current_thread(cpu);
-    else
-      unpin_current_thread();
-    applied = e;
-    pin_acks.fetch_add(1, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lk(ack_m);  // pairs with applier's wait
-    }
-    ack_cv.notify_all();
   }
 
   void worker_loop(unsigned w) {
     t_inside_pool_worker = true;
-    std::uint64_t applied_epoch = 0;
-    Task task;
-    while (true) {
-      maybe_repin(w, applied_epoch);
-      if (find_task(w, task)) {
-        execute(task);
-        task.batch.reset();
+    std::uint64_t applied = 0;
+    std::unique_lock<std::mutex> lk(m);
+    for (;;) {
+      work_cv.wait(lk, [&] {
+        return stop || !open.empty() || applied != pin_epoch;
+      });
+      if (applied != pin_epoch) {
+        // Pinning on the worker's own thread means what it allocates
+        // afterwards is first-touched on the pinned cpu's node.
+        applied = pin_epoch;
+        if (w < pin_plan.size())
+          pin_current_thread(pin_plan[w]);
+        else
+          unpin_current_thread();
+        if (++pin_acks == threads) done_cv.notify_all();
         continue;
       }
-      std::unique_lock<std::mutex> lk(park_m);
-      park_cv.wait(lk, [this, applied_epoch] {
-        return stop.load(std::memory_order_acquire) ||
-               pending.v.load(std::memory_order_acquire) > 0 ||
-               pin_epoch.load(std::memory_order_acquire) != applied_epoch;
-      });
-      if (stop.load(std::memory_order_acquire) &&
-          pending.v.load(std::memory_order_acquire) == 0)
+      std::size_t i = 0;
+      if (Batch* b = claim(i)) {
+        lk.unlock();
+        execute(*b, i);
+        lk.lock();
+      } else if (stop) {
         return;
+      }
     }
   }
 
   AffinityPolicy apply_affinity(AffinityPolicy requested,
                                 const CpuTopology& topo) {
-    std::vector<unsigned> plan = plan_affinity(
-        topo, static_cast<unsigned>(workers.size()), requested);
+    std::vector<unsigned> plan = plan_affinity(topo, threads, requested);
     const AffinityPolicy effective =
         plan.empty() ? AffinityPolicy::kNone : requested;
-    {
-      std::lock_guard<std::mutex> lk(park_m);
-      pin_plan = std::move(plan);
-      home_node.assign(workers.size(), -1);
-      for (std::size_t w = 0; w < pin_plan.size(); ++w)
-        home_node[w] = topo.node_of(pin_plan[w]);
-      policy = effective;
-      pin_acks.store(0, std::memory_order_relaxed);
-      pin_epoch.fetch_add(1, std::memory_order_release);
-    }
-    park_cv.notify_all();
-    std::unique_lock<std::mutex> lk(ack_m);
-    ack_cv.wait(lk, [this] {
-      return pin_acks.load(std::memory_order_acquire) >= workers.size();
-    });
+    std::unique_lock<std::mutex> lk(m);
+    pin_plan = std::move(plan);
+    policy = effective;
+    pin_acks = 0;
+    ++pin_epoch;
+    work_cv.notify_all();
+    done_cv.wait(lk, [this] { return pin_acks == threads; });
     return effective;
   }
 
   void run(std::size_t count, const std::function<void(std::size_t)>& fn) {
-    if (count == 0) return;
-    if (t_inside_pool_worker || workers.empty()) {
-      // Nested (or poolless) submission: inline serial execution.
+    if (count <= 1 || threads == 0 || t_inside_pool_worker) {
+      // One task, no workers, or a nested submission: inline serial.
       for (std::size_t i = 0; i < count; ++i) fn(i);
       return;
     }
-    auto batch = std::make_shared<Batch>();
-    batch->fn = &fn;
-    batch->remaining.store(count, std::memory_order_relaxed);
-
-    // Count BEFORE enqueueing: a worker finishing an earlier batch may pop
-    // these tasks the instant they hit a deque, and its pending.fetch_sub
-    // must never underflow. During the push window pending can exceed the
-    // number of visible tasks — workers then spin through one empty
-    // find_task pass, which is transient and bounded by the push loop.
-    pending.v.fetch_add(count, std::memory_order_release);
-    const unsigned n = static_cast<unsigned>(queues.size());
-    std::size_t cursor = spray.v.fetch_add(count, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i, ++cursor) {
-      auto& wq = queues[cursor % n];
-      std::lock_guard<std::mutex> lk(wq.m);
-      wq.q.push_back(Task{batch, i});
-    }
+    Batch b{&fn, count, {}, {count}};
     {
-      std::lock_guard<std::mutex> lk(park_m);  // pairs with parked waits
+      std::lock_guard<std::mutex> lk(m);
+      open.push_back(&b);
     }
-    if (count > 1)
-      park_cv.notify_all();
-    else
-      park_cv.notify_one();
+    // The submitter claims indices too, so it needs at most count - 1
+    // helpers.
+    const std::size_t helpers = std::min<std::size_t>(count - 1, threads);
+    for (std::size_t k = 0; k < helpers; ++k) work_cv.notify_one();
 
-    // The submitter is thief #0: execute tasks until none are findable, then
-    // sleep until the last in-flight task signals completion.
-    Task task;
-    while (batch->remaining.load(std::memory_order_acquire) > 0) {
-      if (find_task(0, task)) {
-        execute(task);
-        task.batch.reset();
-        continue;
-      }
-      std::unique_lock<std::mutex> lk(batch->m);
-      batch->done.wait(lk, [&] {
-        return batch->remaining.load(std::memory_order_acquire) == 0;
-      });
-    }
+    const std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
+    if (i < count) execute(b, i);
+    std::unique_lock<std::mutex> lk(m);
+    done_cv.wait(lk, [&b] {
+      return b.remaining.load(std::memory_order_acquire) == 0;
+    });
+    // Still listed when this thread claimed the last index itself.
+    std::erase(open, &b);
   }
 };
 
@@ -277,9 +181,7 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-unsigned ThreadPool::thread_count() const noexcept {
-  return static_cast<unsigned>(impl_->workers.size());
-}
+unsigned ThreadPool::thread_count() const noexcept { return impl_->threads; }
 
 void ThreadPool::run(std::size_t count,
                      const std::function<void(std::size_t)>& task) {
@@ -296,14 +198,8 @@ AffinityPolicy ThreadPool::apply_affinity(AffinityPolicy policy,
 }
 
 AffinityPolicy ThreadPool::affinity() const {
-  std::lock_guard<std::mutex> lk(impl_->park_m);
+  std::lock_guard<std::mutex> lk(impl_->m);
   return impl_->policy;
-}
-
-int ThreadPool::worker_node(unsigned w) const {
-  std::lock_guard<std::mutex> lk(impl_->park_m);
-  if (w >= impl_->home_node.size()) return -1;
-  return impl_->home_node[w];
 }
 
 }  // namespace ftcs::util

@@ -1,21 +1,18 @@
-// Persistent work-stealing thread pool.
+// Persistent thread pool for fixed-size batches.
 //
 // Replaces the spawn-per-batch model that parallel.cpp used: Monte Carlo
 // drivers submit thousands of batches per bench run, and thread creation
 // (~50us each) dominated short batches. One pool now outlives all batches;
 // workers park on a condvar between them, so an idle pool costs nothing.
 //
-// Topology: one deque per worker. A batch's tasks are sprayed round-robin
-// across the deques; each worker pops from the BACK of its own deque (LIFO,
-// cache-warm) and, when empty, steals from the FRONT of a victim's deque —
-// taking HALF the victim's queue (steal-half amortizes contention: a thief
-// that takes one task returns immediately for the next).
-//
-// Blocking semantics: run(n, task) executes task(0..n-1) and returns when
-// all are done. The calling thread participates in execution (it is thief
-// #0), so a pool of K workers serves a batch with K+1 executors and run()
-// from a pool of size 0 still completes. A run() issued from INSIDE a pool
-// worker executes inline serially — nested parallelism is not fanned out,
+// Every caller submits a few equal tasks at once (one chunk per worker, or
+// one drain session each), so a batch is just a shared index: run(n, task)
+// lists the batch, and every executor claims indices with one atomic
+// increment until none is left. The calling thread claims indices too, so
+// run() wakes at most n - 1 parked workers and a one-task batch runs on the
+// caller without waking anyone. run() returns when all n tasks are done. A
+// pool of size 0 runs batches inline, and a run() issued from INSIDE a pool
+// worker executes inline serially: nested parallelism is not fanned out,
 // which keeps the pool deadlock-free by construction.
 //
 // Determinism: run(n, task) promises nothing about which thread executes
@@ -25,8 +22,8 @@
 // Affinity: apply_affinity(policy) plans one cpu per worker over the
 // discovered topology (util/cpu_topology.hpp) and has each worker pin
 // ITSELF between batches — pinning on the worker thread means any memory
-// the worker touches afterwards (lazily built router scratch, deque nodes)
-// is first-touch allocated on the pinned cpu's node. The call returns the
+// the worker touches afterwards (lazily built router scratch) is
+// first-touch allocated on the pinned cpu's node. The call returns the
 // policy actually in effect: it degrades to kNone whenever the plan is
 // unsatisfiable (more workers than physical cores, non-Linux platform), so
 // 1-2 core CI runners transparently run unpinned.
@@ -59,6 +56,7 @@ class ThreadPool {
   /// Runs task(i) for i in [0, count); returns when every task finished.
   /// The caller helps execute. Safe to call concurrently from multiple
   /// external threads; re-entrant calls from pool workers run inline.
+  /// `task` must not throw.
   void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
   /// Pins live workers per `policy` over the host topology (or an explicit
@@ -70,10 +68,6 @@ class ThreadPool {
 
   /// Policy currently in effect (post-degrade).
   [[nodiscard]] AffinityPolicy affinity() const;
-
-  /// Home NUMA node of worker `w` under the current pin plan, or -1 when
-  /// the worker is unpinned / out of range.
-  [[nodiscard]] int worker_node(unsigned w) const;
 
  private:
   struct Impl;

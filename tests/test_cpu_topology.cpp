@@ -1,6 +1,6 @@
 // util/cpu_topology.hpp pins: sysfs discovery on fake trees, affinity plan
 // shapes (spread/compact), the degrade-to-none contract, and the ThreadPool
-// pinning plumbing (home-node recording + auto-degrade + unpin).
+// pinning plumbing (apply + auto-degrade + unpin).
 //
 // All discovery tests run against fake sysfs trees written under the test
 // temp dir — the injectable `sysfs_cpu_root` exists exactly for this — so
@@ -173,23 +173,19 @@ TEST(ThreadPoolAffinity, OversubscribedRequestDegradesToNone) {
   EXPECT_EQ(pool.apply_affinity(AffinityPolicy::kSpread, topo),
             AffinityPolicy::kNone);
   EXPECT_EQ(pool.affinity(), AffinityPolicy::kNone);
-  for (unsigned w = 0; w < pool.thread_count(); ++w)
-    EXPECT_EQ(pool.worker_node(w), -1);
   // Degraded pool still serves work.
   std::atomic<int> hits{0};
   pool.run(64, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 64);
 }
 
-TEST(ThreadPoolAffinity, AppliesPlanAndRecordsHomeNodes) {
+TEST(ThreadPoolAffinity, AppliesPlanAndUnpins) {
   if (!pinning_supported()) GTEST_SKIP() << "no sched_setaffinity here";
   ThreadPool pool(2);
   const auto topo = make_topo(2, 2);  // spread plan: cpu0 (node0), cpu2 (node1)
   EXPECT_EQ(pool.apply_affinity(AffinityPolicy::kSpread, topo),
             AffinityPolicy::kSpread);
   EXPECT_EQ(pool.affinity(), AffinityPolicy::kSpread);
-  EXPECT_EQ(pool.worker_node(0), 0);
-  EXPECT_EQ(pool.worker_node(1), 1);
 
   // The fake topology's cpu ids need not exist on this host, so the pin
   // syscall may fail — the pool must still run correctly either way.
@@ -197,12 +193,10 @@ TEST(ThreadPoolAffinity, AppliesPlanAndRecordsHomeNodes) {
   pool.run(128, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 128);
 
-  // kNone unpins and clears the recorded homes.
+  // kNone unpins.
   EXPECT_EQ(pool.apply_affinity(AffinityPolicy::kNone, topo),
             AffinityPolicy::kNone);
   EXPECT_EQ(pool.affinity(), AffinityPolicy::kNone);
-  EXPECT_EQ(pool.worker_node(0), -1);
-  EXPECT_EQ(pool.worker_node(1), -1);
   pool.run(16, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 144);
 }

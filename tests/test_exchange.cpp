@@ -362,6 +362,26 @@ TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
   EXPECT_EQ(ex.stats().completed, 64u);
 }
 
+// One session never fans out: its callbacks fire on the thread that drains,
+// as Exchange::CompletionFn promises.
+TEST(Exchange, SingleSessionDrainFiresCallbacksOnTheDrainingThread) {
+  const auto net = networks::build_cantor({5, 0});
+  Exchange ex(net, concurrent_cfg(1));
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  std::vector<std::thread::id> fired_on;  // no lock: one thread must write
+  for (std::uint32_t i = 0; i < 32; ++i)
+    ex.submit({i % n, (i * 7 + 3) % n}, [&](const Outcome&) {
+      fired_on.push_back(std::this_thread::get_id());
+    });
+  std::thread::id drainer;
+  std::thread([&] {
+    drainer = std::this_thread::get_id();
+    EXPECT_EQ(ex.drain(), 32u);
+  }).join();
+  ASSERT_EQ(fired_on.size(), 32u);
+  for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
+}
+
 // Churn stress (the TSan job runs this file): each thread drives its own
 // session through the facade, deliberately misusing handles as it goes —
 // stale double-hangups, null handles, handles from a different Exchange.

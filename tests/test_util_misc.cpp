@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/atomic_bitset.hpp"
+#include "util/cpu_topology.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -116,6 +117,55 @@ TEST(ThreadPool, ZeroWorkersDegradesToInline) {
   std::size_t sum = 0;  // non-atomic on purpose: must run on this thread
   pool.run(10, [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum, 45u);
+}
+
+TEST(ThreadPool, SingleTaskRunsOnTheCaller) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  pool.run(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, AffinityChangesRaceBatches) {
+  // Re-pinning wakes every worker and waits for its ack while batches keep
+  // claiming indices; neither side may lose a wake-up or an index.
+  ThreadPool pool(3);
+  CpuTopology topo;  // one node, four cores: kCompact plans cpus 0..2
+  for (unsigned id = 0; id < 4; ++id)
+    topo.cpus.push_back({id, static_cast<int>(id), 0, false});
+  topo.core_count = 4;
+  topo.from_sysfs = true;
+  std::atomic<bool> batches_done{false};
+  std::size_t applies = 0;
+  std::thread applier([&] {
+    do {
+      pool.apply_affinity(AffinityPolicy::kCompact, topo);
+      pool.apply_affinity(AffinityPolicy::kNone, topo);
+      ++applies;
+    } while (!batches_done.load());
+  });
+  std::atomic<std::size_t> total{0};
+  for (int batch = 0; batch < 500; ++batch)
+    pool.run(4, [&](std::size_t) { total.fetch_add(1); });
+  batches_done.store(true);
+  applier.join();
+  EXPECT_EQ(total.load(), 2000u);
+  EXPECT_GT(applies, 0u);
+  EXPECT_EQ(pool.affinity(), AffinityPolicy::kNone);
+}
+
+TEST(ThreadPool, ConstructRunDestroyRepeatedly) {
+  // Shutdown right after batches close, and batches whose last index lands
+  // on a worker just before the pool goes away.
+  std::size_t total = 0;
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(3);
+    std::atomic<std::size_t> hits{0};
+    for (const std::size_t count : {2u, 3u, 7u})
+      pool.run(count, [&](std::size_t) { hits.fetch_add(1); });
+    total += hits.load();
+  }
+  EXPECT_EQ(total, 200u * 12u);
 }
 
 TEST(AtomicBitset, TrySetClaimsEachBitExactlyOnce) {
