@@ -119,31 +119,13 @@ void BM_ExchangeCall(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeCall)->Arg(1)->Arg(2)->Arg(3);
 
-// The §6 network under live switch failures: N-hat (sim profile, nu = 4)
-// held at half load on the greedy router, with a seeded share of its
-// switches down before the run: open-failed (fail_edge) or stuck-on
-// (contract_edge). Each iteration hangs up one random call and routes one
-// random idle pair. Arg: 0 no failures; 1 1e-3 of the switches, 75% open
-// and 25% stuck-on; 2 the same mix at 1e-2; 3 1e-2, stuck-on only. The
-// counters are the search's vertices stamped per connect and the connects
-// refused for want of an idle path. A developer probe with no gate:
-//   ./build/bench_routing --benchmark_filter=BM_ConnectFtMixedFaults
-void BM_ConnectFtMixedFaults(benchmark::State& state) {
-  static constexpr fault::FaultModel kMixes[] = {
-      {0.0, 0.0}, {0.75e-3, 0.25e-3}, {0.75e-2, 0.25e-2}, {0.0, 1e-2}};
-  const auto arg = static_cast<std::size_t>(state.range(0));
-  const auto& ft = shared_ft(4);
-  core::GreedyRouter router(ft.net);
-  for (const fault::Failure& f : fault::sample_failures(
-           kMixes[arg], ft.net.g.edge_count(), util::derive_seed(22, arg))) {
-    if (f.state == fault::SwitchState::kClosedFail)
-      router.contract_edge(f.edge);
-    else
-      router.fail_edge(f.edge);
-  }
-
+/// Holds `router` (n inputs, n outputs) at half load and times one random
+/// hangup plus one random connect per iteration, seeded by `seed`. The
+/// counters are the search's vertices stamped per connect and the connects
+/// refused for want of an idle path.
+void serve_half_load(benchmark::State& state, core::GreedyRouter& router,
+                     std::uint32_t n, std::uint64_t seed) {
   // Idle terminals, and the live calls with theirs.
-  const auto n = static_cast<std::uint32_t>(ft.n());
   std::vector<std::uint32_t> idle_in(n), idle_out(n);
   std::iota(idle_in.begin(), idle_in.end(), 0u);
   std::iota(idle_out.begin(), idle_out.end(), 0u);
@@ -152,7 +134,7 @@ void BM_ConnectFtMixedFaults(benchmark::State& state) {
     std::uint32_t in, out;
   };
   std::vector<Live> live;
-  util::Xoshiro256 rng(util::derive_seed(23, arg));
+  util::Xoshiro256 rng(seed);
   const auto take = [&rng](std::vector<std::uint32_t>& pool) {
     const auto i = rng.below(pool.size());
     const std::uint32_t t = pool[i];
@@ -191,7 +173,44 @@ void BM_ConnectFtMixedFaults(benchmark::State& state) {
                                   static_cast<double>(st.connect_calls);
   state.counters["no_path"] = static_cast<double>(st.rejected_no_path);
 }
+
+// The §6 network under live switch failures: N-hat (sim profile, nu = 4)
+// held at half load on the greedy router (serve_half_load), with a seeded
+// share of its switches down before the run: open-failed (fail_edge) or
+// stuck-on (contract_edge). Arg: 0 no failures; 1 1e-3 of the switches, 75%
+// open and 25% stuck-on; 2 the same mix at 1e-2; 3 1e-2, stuck-on only. A
+// developer probe with no gate:
+//   ./build/bench_routing --benchmark_filter=BM_ConnectFtMixedFaults
+void BM_ConnectFtMixedFaults(benchmark::State& state) {
+  static constexpr fault::FaultModel kMixes[] = {
+      {0.0, 0.0}, {0.75e-3, 0.25e-3}, {0.75e-2, 0.25e-2}, {0.0, 1e-2}};
+  const auto arg = static_cast<std::size_t>(state.range(0));
+  const auto& ft = shared_ft(4);
+  core::GreedyRouter router(ft.net);
+  for (const fault::Failure& f : fault::sample_failures(
+           kMixes[arg], ft.net.g.edge_count(), util::derive_seed(22, arg))) {
+    if (f.state == fault::SwitchState::kClosedFail)
+      router.contract_edge(f.edge);
+    else
+      router.fail_edge(f.edge);
+  }
+  serve_half_load(state, router, static_cast<std::uint32_t>(ft.n()),
+                  util::derive_seed(23, arg));
+}
 BENCHMARK(BM_ConnectFtMixedFaults)->DenseRange(0, 3);
+
+// The search's child order on Cantor: cantor-k9 (512 x 512, beyond L2)
+// held fault-free at half load (serve_half_load). Calls spread over the
+// nine planes by output (ReachIndex::first_hop); visits_per_call counts the
+// backtracking that spreading saves. A developer probe with no gate:
+//   ./build/bench_routing --benchmark_filter=BM_ConnectCantorHalfLoad
+void BM_ConnectCantorHalfLoad(benchmark::State& state) {
+  static const graph::Network net = networks::build_cantor({9, 0});
+  core::GreedyRouter router(net);
+  serve_half_load(state, router, static_cast<std::uint32_t>(net.inputs.size()),
+                  util::derive_seed(25, 0));
+}
+BENCHMARK(BM_ConnectCantorHalfLoad);
 
 void BM_Theorem2Trial(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));

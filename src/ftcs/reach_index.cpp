@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace ftcs::core {
 namespace {
@@ -137,11 +138,13 @@ ReachIndex::ReachIndex(const graph::Network& net) {
 
   set_of_.assign(v_count, 0);
   if (order.size() != v_count) {
-    // A directed cycle: fall back to the full set everywhere (set id 0).
+    // A directed cycle: fall back to the full set everywhere (set id 0),
+    // and no planes (every search starts at slot 0).
     exact_ = false;
     sets_.assign(words_, 0);
     for (std::size_t i = 0; i < outs; ++i)
       sets_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    plane_begin_.assign(net.inputs.size() + 1, 0);
     return;
   }
 
@@ -154,14 +157,59 @@ ReachIndex::ReachIndex(const graph::Network& net) {
     std::uint32_t& own = set_of_[net.outputs[i]];
     own = table.unite(own, single, empty);
   }
+  // Planes ride the same loop as a union-find over `pending` (all zero once
+  // Kahn is done): terminals hold kTerminal and are never united; any other
+  // vertex is still a singleton when the loop reaches it (only it and its
+  // parents, which come later, link it), so it needs no find of its own: it
+  // hangs directly under its first child's root, and the other children's
+  // roots join that one.
+  constexpr std::uint32_t kTerminal = ~std::uint32_t{0};
+  std::vector<std::uint32_t>& up = pending;
+  const auto find = [&up](std::uint32_t x) {
+    while (up[x] != x) x = up[x] = up[up[x]];  // path halving
+    return x;
+  };
+  for (const graph::VertexId t : net.inputs) up[t] = kTerminal;
+  for (const graph::VertexId t : net.outputs) up[t] = kTerminal;
   // Children precede parents in `order`, so each fold reads final sets.
   for (const graph::VertexId v : order) {
     std::uint32_t acc = set_of_[v];
-    for (const graph::VertexId c : g.out_targets(v))
+    const bool inner = up[v] != kTerminal;
+    std::uint32_t root = v;  // v until it joins a child's class
+    for (const graph::VertexId c : g.out_targets(v)) {
       acc = table.unite(acc, set_of_[c], empty);
+      if (!inner || up[c] == kTerminal) continue;
+      const std::uint32_t r = find(c);
+      if (root == v)
+        root = r;
+      else if (r != root)
+        up[r] = root;
+    }
+    if (inner) up[v] = root;
     set_of_[v] = acc;
   }
   sets_.shrink_to_fit();
+
+  // Each input's planes: the first slot into each distinct class of its
+  // children, in incidence order. A terminal child is a plane of its own
+  // (its id is no other class's root).
+  plane_begin_.assign(net.inputs.size() + 1, 0);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> firsts;  // (class, slot)
+  for (std::size_t i = 0; i < net.inputs.size(); ++i) {
+    const auto tgts = g.out_targets(net.inputs[i]);
+    firsts.clear();
+    for (std::uint32_t slot = 0; slot < tgts.size(); ++slot)
+      firsts.emplace_back(
+          up[tgts[slot]] == kTerminal ? tgts[slot] : find(tgts[slot]), slot);
+    std::sort(firsts.begin(), firsts.end());
+    const std::size_t b = plane_slot_.size();
+    for (std::size_t j = 0; j < firsts.size(); ++j)
+      if (j == 0 || firsts[j].first != firsts[j - 1].first)
+        plane_slot_.push_back(firsts[j].second);
+    std::sort(plane_slot_.begin() + static_cast<std::ptrdiff_t>(b),
+              plane_slot_.end());
+    plane_begin_[i + 1] = static_cast<std::uint32_t>(plane_slot_.size());
+  }
   // Sets are distinct by content, so at most one holds every output.
   full_set_ = static_cast<std::uint32_t>(set_count());
   for (std::size_t id = 0; id < set_count(); ++id) {

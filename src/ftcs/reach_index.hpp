@@ -21,10 +21,25 @@
 // every result by content. A graph with a directed cycle gets the exact-
 // nothing fallback: one full set for every vertex, so the filter never
 // prunes and the search stays exact.
+//
+// Planes: the connected components of the network with its terminals
+// removed, ignoring edge direction (Cantor's Beneš copies; the whole middle
+// of the §6 network). The search starts each call's first hop in a plane
+// chosen by the output, so calls spread over the planes instead of all
+// entering the first and backtracking when it is congested deeper down
+// (§4: any idle path will do). For input `in`, P(in) lists the distinct
+// planes of its children in incidence order; the table keeps, per input,
+// the slot of the first child in each, and first_hop(in, out) is the slot
+// for P(in)[out mod |P(in)|]. A terminal child is a plane of its own. A
+// cantor-k input enters k planes, one per child; an 𝒩̂ input's children all
+// lie in one plane, so its searches keep slot 0. The split is a union-find folded
+// into the reverse-topological loop above, on the Kahn counters' storage;
+// the fallback lists no planes, so every search starts at slot 0.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -71,6 +86,23 @@ class ReachIndex {
     return set_of_[v] == full_set_;
   }
 
+  /// The slot among input `in`'s out-edges where the search's first hop
+  /// starts for output `out`: the first child in plane P(in)[out mod p]
+  /// (0 when p = 0: no out-edge, or the cyclic fallback).
+  [[nodiscard]] std::uint32_t first_hop(std::uint32_t in,
+                                        std::uint32_t out) const noexcept {
+    const std::uint32_t b = plane_begin_[in];
+    const std::uint32_t p = plane_begin_[in + 1] - b;
+    return p == 0 ? 0 : plane_slot_[b + out % p];
+  }
+  /// The slot of input `in`'s first child in each of its planes P(in), in
+  /// incidence order (ascending); its size is the input's plane count p.
+  [[nodiscard]] std::span<const std::uint32_t> plane_slots(
+      std::uint32_t in) const noexcept {
+    return {plane_slot_.data() + plane_begin_[in],
+            plane_slot_.data() + plane_begin_[in + 1]};
+  }
+
   /// False iff the network has a directed cycle (every set is then full).
   [[nodiscard]] bool exact() const noexcept { return exact_; }
   /// Sets in the table (distinct by content).
@@ -85,6 +117,9 @@ class ReachIndex {
   std::uint32_t full_set_ = 0;         // the all-outputs set (set_count()
                                        // when no set holds every output)
   bool exact_ = true;
+  // Input i's planes: plane_slot_[plane_begin_[i] .. plane_begin_[i + 1]).
+  std::vector<std::uint32_t> plane_begin_;
+  std::vector<std::uint32_t> plane_slot_;
 };
 
 }  // namespace ftcs::core

@@ -250,8 +250,9 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
   for (unsigned attempt = 0;; ++attempt) {
     // 2. Search; 3. claim (the store's step).
     if (detail::find_idle_path(r.net_->g, r.reach_.probe(out), src, dst,
-                               scratch_, stats_.vertices_visited, is_busy,
-                               edge_blocked, edge_contracted, reaches_weld,
+                               r.reach_.first_hop(in, out), scratch_,
+                               stats_.vertices_visited, is_busy, edge_blocked,
+                               edge_contracted, reaches_weld,
                                contraction) == graph::kNoVertex)
       return reject(stats_.rejected_no_path);
     length = r.claim(*this, dst, overlay || contraction);

@@ -5,7 +5,8 @@
 // ONE router body, core::Router<Store>, serves a network's calls from one
 // or from N sessions. The router owns the network's busy state (plus a
 // static blocked mask for faulty vertices) and every session's call table.
-// A connect settles the first idle path a depth-first search finds; on a
+// A connect settles the first idle path a depth-first search finds, its
+// first hop started in a plane chosen by the output (ftcs/search.hpp); on a
 // strictly nonblocking (surviving) network this never fails for a request
 // between idle terminals. The path is shortest wherever every input->output
 // path has the same length (Cantor, crossbar, the §6 FT network), not in
@@ -34,7 +35,9 @@
 //      successor array would corrupt both chains) → rejected_no_path.
 //   2. SEARCH — the reach-guided depth-first search (ftcs/search.hpp) on
 //      the session's private scratch, guided by the router's one ReachIndex
-//      (read-only, rebuilt by grow()). On the shared store it reads the
+//      (read-only, rebuilt by grow()): its cones filter the children, and
+//      its plane table picks the slot the first hop starts at
+//      (ReachIndex::first_hop(in, out)). On the shared store it reads the
 //      busy and overlay bits with RELAXED loads: a dirty snapshot,
 //      deliberately unvalidated. No idle path → rejected_no_path.
 //   3. CLAIM (the store's step). Shared store: the path's vertices are

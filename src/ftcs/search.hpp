@@ -3,7 +3,8 @@
 // §4: "because the contained network is strictly nonblocking, routing can
 // be performed by a greedy application of a standard path-finding
 // algorithm" — any idle path will do, so the router takes the first one a
-// depth-first search finds. core::Router (ftcs/router.hpp) calls it from
+// depth-first search finds, with its first hop started in a plane chosen by
+// the output (below). core::Router (ftcs/router.hpp) calls it from
 // one site for both of its busy stores, so a one-session shared router is
 // path-for-path identical to the solo router by construction (same
 // expansion order, same tie-breaks). The busy test is a template
@@ -16,12 +17,22 @@
 //
 // The walk: an explicit stack of (vertex, cursor) frames starting at src.
 // The top frame advances its cursor over the vertex's out-edges to the
-// first usable child — switch not blocked, child idle, not yet stamped this
+// next usable child — switch not blocked, child idle, not yet stamped this
 // search — stamps it, records parent_f, and pushes it; a frame whose cursor
 // runs out is popped (backtrack). The first arrival at dst ends the search,
 // so the path is the stack itself and parent_f walks it back from dst. A
 // vertex is stamped once per search, so the work is bounded by the vertices
 // and edges of the idle part of the network.
+//
+// Child order: every frame scans its out-edges in incidence order, except
+// the source frame, which starts at slot `first` and runs cyclically over
+// all of src's out-edges. The router passes ReachIndex::first_hop(in, out):
+// the first child in the plane P(in)[out mod p] (ftcs/reach_index.hpp), so
+// calls to different outputs enter different planes (Cantor's Beneš copies)
+// instead of all entering the first and backtracking when it is congested
+// nearer the output. The start depends only on (in, out), so one request
+// sequence still gives one sequence of paths; on the §6 network every
+// input's children lie in one plane, `first` is 0 and the order is plain.
 //
 // Guidance: core::ReachIndex (ftcs/reach_index.hpp) knows, for every vertex,
 // the outputs it can reach in the healthy network. With no live weld the
@@ -47,7 +58,9 @@
 // count per vertex (core::Router::weld_reach), read only for out-of-cone
 // vertices. Each frame tries the in-cone children first, then the
 // out-of-cone children that reach a weld head, then the reverse hops over
-// contracted in-edges (the cursor runs through the three ranges in turn).
+// contracted in-edges (the cursor runs through the three ranges in turn;
+// the source frame rotates both child passes by `first`, never the reverse
+// hops).
 // Sound: a vertex that reaches dst over forward hops and reverse weld hops
 // either reaches it forward (in cone) or first reaches some weld head
 // forward. Reverse hops need no filter, since a weld's tail always reaches
@@ -101,9 +114,10 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
           class EdgeContractedFn, class ReachesWeldFn>
 [[nodiscard]] graph::VertexId find_idle_path_impl(
     const graph::CsrGraph& g, const ReachIndex::Probe in_cone,
-    graph::VertexId src, graph::VertexId dst, SearchScratch& s,
-    std::uint64_t& visited, BusyFn&& is_busy, EdgeBlockedFn&& edge_blocked,
-    EdgeContractedFn&& edge_contracted, ReachesWeldFn&& reaches_weld) {
+    graph::VertexId src, graph::VertexId dst, std::uint32_t first,
+    SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
+    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
+    ReachesWeldFn&& reaches_weld) {
   if (++s.epoch == 0) {  // epoch wrap: one bulk clear per 2^32 searches
     std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
     s.epoch = 1;
@@ -125,10 +139,17 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
     const auto eids = g.out_edges(f.v);
     const auto tgts = g.out_targets(f.v);
     const auto deg = static_cast<std::uint32_t>(eids.size());
+    // Child pass position -> incidence slot: rotated by `first` in the
+    // source frame (the stack's bottom), plain everywhere else.
+    const std::uint32_t rot = top == 1 ? first : 0;
+    const auto slot = [rot, deg](std::uint32_t c) {
+      const std::uint32_t i = c + rot;
+      return i < deg ? i : i - deg;
+    };
     graph::VertexId next = graph::kNoVertex;
     if constexpr (!kContraction) {
       while (f.cursor < deg) {
-        const std::uint32_t i = f.cursor++;
+        const std::uint32_t i = slot(f.cursor++);
         const graph::VertexId v = tgts[i];
         if (in_cone(v) && usable(v) && !edge_blocked(eids[i])) {
           next = v;
@@ -141,7 +162,7 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
       // reverse hops over contracted in-edges.
       while (f.cursor < 2 * deg) {
         const std::uint32_t c = f.cursor++;
-        const std::uint32_t i = c < deg ? c : c - deg;
+        const std::uint32_t i = slot(c < deg ? c : c - deg);
         const graph::VertexId v = tgts[i];
         if ((c < deg ? in_cone(v) : !in_cone(v) && reaches_weld(v)) &&
             usable(v) && !edge_blocked(eids[i])) {
@@ -181,7 +202,10 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
 }
 
 /// Finds an idle src->dst path, where dst is the output `in_cone` probes
-/// (ReachIndex::probe). Returns dst (parent_f in `s` walks the path back to
+/// (ReachIndex::probe). The first hop is tried from src's out-edge slot
+/// `first` (< src's out-degree, or 0) cyclically on; the router passes
+/// ReachIndex::first_hop(in, out), and 0 gives the plain incidence order.
+/// Returns dst (parent_f in `s` walks the path back to
 /// src) or graph::kNoVertex if no idle path exists. `is_busy(v)` and
 /// `edge_blocked(e)` gate expansion; `edge_contracted(e)` marks stuck-on
 /// switches that also conduct against their direction, and
@@ -194,18 +218,19 @@ template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn,
           class ReachesWeldFn>
 [[nodiscard]] graph::VertexId find_idle_path(
     const graph::CsrGraph& g, const ReachIndex::Probe in_cone,
-    graph::VertexId src, graph::VertexId dst, SearchScratch& s,
-    std::uint64_t& visited, BusyFn&& is_busy, EdgeBlockedFn&& edge_blocked,
-    EdgeContractedFn&& edge_contracted, ReachesWeldFn&& reaches_weld,
-    bool contraction_live) {
+    graph::VertexId src, graph::VertexId dst, std::uint32_t first,
+    SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
+    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
+    ReachesWeldFn&& reaches_weld, bool contraction_live) {
   if (contraction_live)
     return find_idle_path_impl<true>(
-        g, in_cone, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
+        g, in_cone, src, dst, first, s, visited,
+        static_cast<BusyFn&&>(is_busy),
         static_cast<EdgeBlockedFn&&>(edge_blocked),
         static_cast<EdgeContractedFn&&>(edge_contracted),
         static_cast<ReachesWeldFn&&>(reaches_weld));
   return find_idle_path_impl<false>(
-      g, in_cone, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
+      g, in_cone, src, dst, first, s, visited, static_cast<BusyFn&&>(is_busy),
       static_cast<EdgeBlockedFn&&>(edge_blocked),
       static_cast<EdgeContractedFn&&>(edge_contracted),
       static_cast<ReachesWeldFn&&>(reaches_weld));

@@ -197,7 +197,8 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
 
   util::Xoshiro256 rng(util::derive_seed(555, 1));
   for (int trial = 0; trial < 2000; ++trial) {
-    const graph::VertexId src = net.inputs[rng.below(n)];
+    const auto in = static_cast<std::uint32_t>(rng.below(n));
+    const graph::VertexId src = net.inputs[in];
     const auto out = static_cast<std::uint32_t>(rng.below(n));
     const graph::VertexId dst = net.outputs[out];
     ++search_id;
@@ -215,8 +216,9 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
     const auto no_edge = [](graph::EdgeId) { return false; };
     const auto no_weld = [](graph::VertexId) { return false; };
     const graph::VertexId end = core::detail::find_idle_path(
-        g, reach.probe(out), src, dst, scratch, visited, flaky_busy, no_edge,
-        no_edge, no_weld, /*contraction_live=*/false);
+        g, reach.probe(out), src, dst, reach.first_hop(in, out), scratch,
+        visited, flaky_busy, no_edge, no_edge, no_weld,
+        /*contraction_live=*/false);
     if (end == graph::kNoVertex) continue;
     ASSERT_EQ(end, dst);
     ++found;

@@ -95,6 +95,8 @@ TEST(ReachIndex, CyclicNetFallsBackToNoPruning) {
 
   const core::ReachIndex reach(net);
   EXPECT_FALSE(reach.exact());
+  EXPECT_TRUE(reach.plane_slots(0).empty());
+  EXPECT_EQ(reach.first_hop(0, 1), 0u);
   for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v) {
     EXPECT_TRUE(reach.reaches_all(v)) << v;
     for (std::uint32_t o = 0; o < net.outputs.size(); ++o)

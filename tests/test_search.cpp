@@ -24,6 +24,11 @@
 //  - the §4 oracle: on fault-free strictly nonblocking networks (cantor
 //    k5-k7, the §6 FT network at nu = 1 and 2, crossbar) no call between
 //    idle terminals is ever refused, and every path has the uniform length;
+//  - planes: the reach index's per-input plane table matches a graph::Dsu
+//    split; on idle cantor-k5 every call enters plane P(in)[out mod p]; on
+//    the FT network (one plane per input) every path equals the search's
+//    in plain child order; a router grown k5 -> k6 enters the grown
+//    network's six planes and refuses no idle pair;
 //  - a fan-out net that forces the search to backtrack, healthy, degraded
 //    and welded.
 // Every test routes through AuditedRouter (router_stores.hpp), so the
@@ -42,6 +47,7 @@
 #include "ftcs/router.hpp"
 #include "ftcs/search.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/dsu.hpp"
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
 #include "util/prng.hpp"
@@ -255,14 +261,15 @@ TYPED_TEST(RouterStores, CantorChurnPathsAreValidUniformAndMatchPlainBfs) {
   run_reference_trace(router, net, 401, 6000);
 }
 
-/// The §4 oracle as a churn: on a fault-free strictly nonblocking network a
-/// call between idle terminals must always connect, over a path of the
-/// network's uniform length.
-template <class Store>
-void run_oracle_churn(const graph::Network& net, std::uint64_t seed,
-                      std::size_t ops) {
-  AuditedRouter<Store> router(net);
-  const std::size_t length = idle_path_length(net);
+/// The §4 oracle as a churn on `router` over `net`: on a fault-free
+/// strictly nonblocking network a call between idle terminals must always
+/// connect, and with `uniform` over a path of the network's one
+/// input->output length.
+template <class Router>
+void run_oracle_churn(Router& router, const graph::Network& net,
+                      std::uint64_t seed, std::size_t ops,
+                      bool uniform = true) {
+  const std::size_t length = uniform ? idle_path_length(net) : 0;
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(seed);
   std::vector<std::uint32_t> active;
@@ -284,7 +291,9 @@ void run_oracle_churn(const graph::Network& net, std::uint64_t seed,
         ASSERT_NE(call, kNone) << net.name << ": no path between idle "
                                << "terminals (" << in << "," << out
                                << ") at op " << op;
-        ASSERT_EQ(router.path_length(call), length) << net.name;
+        if (uniform) {
+          ASSERT_EQ(router.path_length(call), length) << net.name;
+        }
         active.push_back(call);
         ++routed;
       }
@@ -298,20 +307,27 @@ void run_oracle_churn(const graph::Network& net, std::uint64_t seed,
 }
 
 TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeCantor) {
-  for (const std::uint32_t k : {5u, 6u, 7u})
-    run_oracle_churn<TypeParam>(networks::build_cantor({k, 0}), 100 + k, 4000);
+  for (const std::uint32_t k : {5u, 6u, 7u}) {
+    const auto net = networks::build_cantor({k, 0});
+    AuditedRouter<TypeParam> router(net);
+    run_oracle_churn(router, net, 100 + k, 4000);
+  }
 }
 
 TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeFtNetwork) {
-  for (const std::uint32_t nu : {1u, 2u})
-    run_oracle_churn<TypeParam>(
+  for (const std::uint32_t nu : {1u, 2u}) {
+    const auto net =
         core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
-            .net,
-        200 + nu, 2000);
+            .net;
+    AuditedRouter<TypeParam> router(net);
+    run_oracle_churn(router, net, 200 + nu, 2000);
+  }
 }
 
 TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnCrossbar) {
-  run_oracle_churn<TypeParam>(networks::build_crossbar(32), 300, 4000);
+  const auto net = networks::build_crossbar(32);
+  AuditedRouter<TypeParam> router(net);
+  run_oracle_churn(router, net, 300, 4000);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +440,8 @@ class WeldStorm {
     std::uint64_t visits = 0;
     const auto& r = router_;
     const graph::VertexId end = core::detail::find_idle_path(
-        net_->g, reach_.probe(out), src, dst, scratch, visits,
+        net_->g, reach_.probe(out), src, dst, reach_.first_hop(in, out),
+        scratch, visits,
         [&r](graph::VertexId v) { return r.is_busy(v); },
         [&r](graph::EdgeId e) { return !r.edge_usable(e); },
         [&r](graph::EdgeId e) { return r.edge_contracted(e); }, reaches_weld,
@@ -524,6 +541,176 @@ TYPED_TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleAcrossGrow) {
 }
 
 // ---------------------------------------------------------------------------
+// Planes. The search starts each call's first hop in plane P(in)[out mod p]
+// (ftcs/reach_index.hpp). The oracle splits the network with graph::Dsu:
+// every switch between two non-terminal vertices unites its endpoints, and
+// a terminal is a class of its own.
+// ---------------------------------------------------------------------------
+
+/// The plane class of every vertex (a terminal's is its own id).
+std::vector<std::uint32_t> plane_classes(const graph::Network& net) {
+  const graph::CsrGraph& g = net.g;
+  std::vector<std::uint8_t> terminal(g.vertex_count(), 0);
+  for (const graph::VertexId t : net.inputs) terminal[t] = 1;
+  for (const graph::VertexId t : net.outputs) terminal[t] = 1;
+  graph::Dsu dsu(g.vertex_count());
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto& ed = g.edge(e);
+    if (!terminal[ed.from] && !terminal[ed.to]) dsu.unite(ed.from, ed.to);
+  }
+  std::vector<std::uint32_t> cls(g.vertex_count());
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
+    cls[v] = terminal[v] ? v : dsu.find(v);
+  return cls;
+}
+
+/// P(in): the distinct classes of input `in`'s children in incidence
+/// order, each with the slot of its first child there.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> input_planes(
+    const graph::Network& net, const std::vector<std::uint32_t>& cls,
+    std::uint32_t in) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> planes;
+  const auto tgts = net.g.out_targets(net.inputs[in]);
+  for (std::uint32_t slot = 0; slot < tgts.size(); ++slot) {
+    const std::uint32_t c = cls[tgts[slot]];
+    if (std::none_of(planes.begin(), planes.end(),
+                     [c](const auto& p) { return p.first == c; }))
+      planes.emplace_back(c, slot);
+  }
+  return planes;
+}
+
+/// The index's plane table against the oracle: every input of `net` enters
+/// `planes` planes, and its slots are P(in)'s first slots.
+void expect_plane_table(const graph::Network& net, std::size_t planes) {
+  const core::ReachIndex reach(net);
+  const auto cls = plane_classes(net);
+  for (std::uint32_t in = 0; in < net.inputs.size(); ++in) {
+    std::vector<std::uint32_t> want;
+    for (const auto& [c, slot] : input_planes(net, cls, in))
+      want.push_back(slot);
+    ASSERT_EQ(want.size(), planes) << net.name << " input " << in;
+    const auto got = reach.plane_slots(in);
+    ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+        << net.name << " input " << in;
+  }
+}
+
+/// On the idle `router` over `net`, every call (in, out) settles a path
+/// whose first hop lies in plane P(in)[out mod p].
+template <class Router>
+void expect_calls_enter_their_plane(Router& router, const graph::Network& net) {
+  const auto cls = plane_classes(net);
+  for (std::uint32_t in = 0; in < net.inputs.size(); ++in) {
+    const auto planes = input_planes(net, cls, in);
+    for (std::uint32_t out = 0; out < net.outputs.size(); ++out) {
+      const auto call = router.connect(in, out);
+      ASSERT_NE(call, kNone) << "idle (" << in << "," << out << ") refused";
+      const auto path = router.path_of(call);
+      ASSERT_EQ(cls[path[1]], planes[out % planes.size()].first)
+          << "(" << in << "," << out << ") entered the wrong plane";
+      router.disconnect(call);
+    }
+  }
+}
+
+TEST(Planes, TableMatchesTheDsuSplit) {
+  for (const std::uint32_t k : {5u, 6u, 7u})
+    expect_plane_table(networks::build_cantor({k, 0}), k);
+  const auto base = networks::build_cantor({5, 0});
+  expect_plane_table(networks::grow_cantor(base, {5, 0}).net, 6);
+  for (const std::uint32_t nu : {1u, 2u})
+    expect_plane_table(
+        core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
+            .net,
+        1);
+  // Every crossbar child is an output: a plane of its own.
+  expect_plane_table(networks::build_crossbar(32), 32);
+}
+
+TYPED_TEST(RouterStores, IdleCantorCallsEnterThePlaneTheirOutputPicks) {
+  const auto net = networks::build_cantor({5, 0});
+  AuditedRouter<TypeParam> router(net);
+  expect_calls_enter_their_plane(router, net);
+}
+
+/// A seeded churn on `net` in which every router path must equal the
+/// search's with rotation 0 (the plain incidence order) on the same busy
+/// state: the §6 network's inputs enter one plane each, so its paths are
+/// the plain order's.
+template <class Store>
+void expect_plain_order_churn(const graph::Network& net, std::uint64_t seed,
+                              std::size_t ops) {
+  AuditedRouter<Store> router(net);
+  const core::ReachIndex reach(net);
+  core::detail::SearchScratch scratch;
+  scratch.init(net.g.vertex_count());
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint32_t> active;
+  std::size_t compared = 0;
+  for (std::size_t op = 0; op < ops; ++op) {
+    if (!active.empty() && rng.below(3) == 0) {
+      const auto idx = rng.below(active.size());
+      router.disconnect(active[idx]);
+      active[idx] = active.back();
+      active.pop_back();
+      continue;
+    }
+    const auto in = static_cast<std::uint32_t>(rng.below(n));
+    const auto out = static_cast<std::uint32_t>(rng.below(n));
+    const graph::VertexId src = net.inputs[in], dst = net.outputs[out];
+    if (!router.input_idle(in) || !router.output_idle(out) ||
+        router.is_busy(src) || router.is_busy(dst)) {
+      ASSERT_EQ(router.connect(in, out), kNone);
+      continue;
+    }
+    std::uint64_t visits = 0;
+    const auto no_edge = [](graph::EdgeId) { return false; };
+    const graph::VertexId end = core::detail::find_idle_path(
+        net.g, reach.probe(out), src, dst, 0, scratch, visits,
+        [&router](graph::VertexId v) { return router.is_busy(v); }, no_edge,
+        no_edge, [](graph::VertexId) { return false; }, false);
+    std::vector<graph::VertexId> plain;
+    if (end != graph::kNoVertex)
+      for (graph::VertexId v = dst; v != graph::kNoVertex;
+           v = scratch.parent_f[v])
+        plain.push_back(v);
+    std::reverse(plain.begin(), plain.end());
+    const auto call = router.connect(in, out);
+    ASSERT_EQ(call != kNone, !plain.empty()) << "(" << in << "," << out << ")";
+    if (call == kNone) continue;
+    ASSERT_EQ(router.path_of(call), plain) << "(" << in << "," << out << ")";
+    active.push_back(call);
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+TYPED_TEST(RouterStores, FtNetworkPathsKeepThePlainChildOrder) {
+  for (const std::uint32_t nu : {1u, 2u}) {
+    const auto net =
+        core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
+            .net;
+    expect_plain_order_churn<TypeParam>(net, 500 + nu, 2000);
+  }
+}
+
+TYPED_TEST(RouterStores, GrownCantorSpreadsOverSixPlanesAndRefusesNoIdlePair) {
+  // grow() rebuilds the plane table with the reach index: the grown
+  // router's calls enter the grown network's planes. Its legacy shortcut
+  // switches give paths of several lengths, so the §4 churn checks
+  // verdicts only.
+  const auto base = networks::build_cantor({5, 0});
+  AuditedRouter<TypeParam> router(base);
+  const auto grown = networks::grow_cantor(base, {5, 0});
+  router.grow(grown.net, grown.vmap);
+  expect_plane_table(grown.net, 6);
+  expect_calls_enter_their_plane(router, grown.net);
+  run_oracle_churn(router, grown.net, 601, 4000, /*uniform=*/false);
+}
+
+// ---------------------------------------------------------------------------
 // Backtracking. The layered nets rarely send the reach-guided search into a
 // dead end; this fan-out net does so deterministically once the mids' exits
 // fail, so the search must pop back to the hub again and again.
@@ -573,6 +760,8 @@ Star build_star(std::size_t mids, bool with_back) {
 TYPED_TEST(RouterStores, FanOutNetBacktracks) {
   const auto star = build_star(256, false);
   constexpr std::size_t kDead = 200;
+  // One child, one plane: the first hop starts at slot 0.
+  ASSERT_EQ(core::ReachIndex(star.net).plane_slots(0).size(), 1u);
   AuditedRouter<TypeParam> router(star.net);
   const auto c = connect_checked(router, star.net, 0, 0);
   ASSERT_NE(c, kNone);
