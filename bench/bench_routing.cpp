@@ -212,6 +212,60 @@ void BM_ConnectCantorHalfLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectCantorHalfLoad);
 
+// The drain's choice between routing a window on the draining thread and
+// fanning it out to the pool: a concurrent-backend exchange on cantor-k
+// (Arg 0) with S sessions (Arg 1) serves windows of W requests (Arg 2),
+// W distinct inputs to W distinct outputs, through submit + drain_all, and
+// hangs each window's calls up before the next. items_per_second counts
+// requests; fanout_frac is the share of epochs handed to the pool. A
+// developer probe with no gate:
+//   ./build/bench_routing --benchmark_filter=BM_DrainWindow
+void BM_DrainWindow(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const auto window = static_cast<std::size_t>(state.range(2));
+  const graph::Network net = networks::build_cantor({k, 0});
+  svc::ExchangeConfig cfg;
+  cfg.backend = svc::Backend::kConcurrent;
+  cfg.sessions = static_cast<unsigned>(state.range(1));
+  svc::Exchange ex(net, std::move(cfg));
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  std::vector<std::uint32_t> ins(n), outs(n);
+  std::iota(ins.begin(), ins.end(), 0u);
+  std::iota(outs.begin(), outs.end(), 0u);
+  util::Xoshiro256 rng(util::derive_seed(26, k));
+  // Callbacks fill their serving session's list only.
+  std::vector<std::vector<svc::CallId>> live(ex.sessions());
+  const svc::Exchange::CompletionFn done = [&live](const svc::Outcome& o) {
+    if (o.connected()) live[o.session].push_back(o.id);
+  };
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < window; ++i) {
+      std::swap(ins[i], ins[i + rng.below(n - i)]);
+      std::swap(outs[i], outs[i + rng.below(n - i)]);
+      ex.submit({ins[i], outs[i]}, done);
+    }
+    benchmark::DoNotOptimize(ex.drain_all());
+    for (auto& calls : live) {
+      for (const svc::CallId id : calls) ex.hangup(id);
+      calls.clear();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(window));
+  const svc::ExchangeStats st = ex.stats();
+  state.counters["fanout_frac"] =
+      st.epochs == 0 ? 0.0
+                     : static_cast<double>(st.fanout_epochs) /
+                           static_cast<double>(st.epochs);
+}
+BENCHMARK(BM_DrainWindow)
+    ->Args({6, 2, 32})
+    ->Args({7, 4, 64})
+    ->Args({9, 2, 64})
+    ->Args({9, 4, 128})
+    ->Args({9, 4, 256})
+    ->UseRealTime();
+
 void BM_Theorem2Trial(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));
   std::uint64_t seed = 0;

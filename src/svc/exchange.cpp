@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "util/thread_pool.hpp"
 
@@ -280,9 +281,9 @@ std::size_t Exchange::drain() {
   // INPUT terminal's range, so one session's claim CASes land in its own
   // slice of the terminal bitsets (its own cache domain once the pool is
   // pinned). The grouping sort is stable, so FIFO order within a session
-  // is preserved. Either way each pool task owns exactly one session —
-  // the per-session handle shards stay single-threaded and callbacks for
-  // a request fire from the task that routed it.
+  // is preserved. Either way a chunk is one session's, and one thread
+  // routes it — the per-session handle shards stay single-threaded and
+  // callbacks for a request fire on the thread that routed it.
   std::vector<std::uint32_t> order(m);
   std::vector<std::size_t> start(s_count + 1, 0);
   if (home_sessions_ && s_count > 1) {
@@ -313,10 +314,43 @@ std::size_t Exchange::drain() {
       if (batch[i].done) batch[i].done(outs[i]);
     }
   };
-  util::ThreadPool::global().run(s_count, [&route_chunk](std::size_t s) {
-    route_chunk(static_cast<unsigned>(s));
-  });
-  const auto t1 = std::chrono::steady_clock::now();
+  // One session, a pool without workers and a drain nested in a pool task
+  // route inline, unmeasured. Otherwise drain_fans_out() picks from the
+  // measured costs: an inline epoch routes the chunks in session order on
+  // this thread, a fan-out epoch hands them to the pool and times the
+  // chunks this thread runs.
+  using Clock = std::chrono::steady_clock;
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const bool measured = s_count > 1 && pool.can_fan_out();
+  const auto parallel = static_cast<unsigned>(std::min<std::size_t>(
+      {s_count, pool.thread_count() + std::size_t{1}, m}));
+  const bool fanned = measured && drain_cost_.fans_out(m, parallel);
+  const auto t0 = measured ? Clock::now() : Clock::time_point{};
+  Clock::duration own{};
+  std::size_t own_routed = 0;
+  if (fanned) {
+    const auto drainer = std::this_thread::get_id();
+    pool.run(s_count, [&](std::size_t s) {
+      if (std::this_thread::get_id() != drainer) {
+        route_chunk(static_cast<unsigned>(s));
+        return;
+      }
+      const auto c0 = Clock::now();
+      route_chunk(static_cast<unsigned>(s));
+      own += Clock::now() - c0;
+      own_routed += start[s + 1] - start[s];
+    });
+  } else {
+    for (unsigned s = 0; s < s_count; ++s) route_chunk(s);
+  }
+  const auto t1 = Clock::now();
+  const auto ns = [](Clock::duration d) {
+    return static_cast<double>(std::chrono::nanoseconds(d).count());
+  };
+  if (fanned)
+    drain_cost_.fanout_epoch(ns(t1 - t0), m, parallel, ns(own), own_routed);
+  else if (measured)
+    drain_cost_.inline_epoch(ns(t1 - t0), m);
 
   {
     std::lock_guard<std::mutex> lk(front_mu_);
@@ -329,6 +363,7 @@ std::size_t Exchange::drain() {
           std::chrono::duration<double>(t1 - batch[i].submitted_at).count());
     }
     stats_.completed += m;
+    stats_.fanout_epochs += fanned ? 1 : 0;
   }
   return m;
 }

@@ -16,15 +16,17 @@
 //     event-driven plane (the traffic simulation lives here).
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
 //     admission epoch — the AdmissionPolicy picks a window, the highest-
-//     priority window of queued requests is routed across ALL engine
-//     sessions in parallel on util::ThreadPool::global(), and completions
-//     are delivered through the callback (on the pool threads) or a
-//     pollable Ticket. Requests beyond the window stay queued (Deferred,
-//     counted per epoch and surfaced in Outcome::deferrals); submissions
-//     beyond the policy's queue cap bounce immediately (Refused).
-//     Each session routes its chunk of the window one request at a time,
-//     in window order, through the same Engine::connect as call() — see
-//     src/svc/README.md ("Batched drain").
+//     priority window of queued requests is split into one chunk per
+//     engine session, and completions are delivered through the callback
+//     (on the thread that routed the chunk) or a pollable Ticket. The
+//     chunks run on the draining thread in session order, or in parallel
+//     on util::ThreadPool::global() when the measured routing work pays
+//     for the pool's handoff (drain_fans_out). Requests beyond the window
+//     stay queued (Deferred, counted per epoch and surfaced in
+//     Outcome::deferrals); submissions beyond the policy's queue cap bounce
+//     immediately (Refused). Each session routes its chunk of the window
+//     one request at a time, in window order, through the same
+//     Engine::connect as call() — see src/svc/README.md ("Batched drain").
 //
 // Threading rules (full contract in svc/README.md):
 //   - submit() and poll() are thread-safe from any thread.
@@ -36,6 +38,7 @@
 //   - stats() aggregates are exact at quiescence, like the engines'.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -73,6 +76,7 @@ struct ExchangeStats {
   std::uint64_t deferred = 0;         // request-epochs spent past the window
   std::uint64_t refused = 0;          // submissions bounced at the queue cap
   std::uint64_t epochs = 0;           // drain() epochs run
+  std::uint64_t fanout_epochs = 0;    // epochs handed to the pool
   std::uint64_t queue_high_water = 0; // max queue depth observed
   std::uint64_t hangups = 0;          // successful hangups (both planes)
   std::uint64_t handle_errors = 0;    // misuse detected: stale/foreign/double
@@ -109,6 +113,7 @@ struct ExchangeStats {
         {&ExchangeStats::refused, "calls_refused_total",
          to_string(RejectReason::kRefused)},
         {&ExchangeStats::epochs, "epochs_total"},
+        {&ExchangeStats::fanout_epochs, "fanout_epochs_total"},
         {&ExchangeStats::queue_high_water, "queue_high_water", nullptr,
          util::StatKind::kMax},
         {&ExchangeStats::hangups, "hangups_total"},
@@ -143,6 +148,63 @@ static_assert(sizeof(ExchangeStats) ==
                   ExchangeStats::fields().size() * sizeof(std::uint64_t) +
                       sizeof(core::RouterStats) + sizeof(ops::ClassBook),
               "every ExchangeStats counter is a fields() row");
+
+/// drain()'s choice per multi-session epoch: route the window on the
+/// draining thread, or fan its session chunks out to the pool. Fanning out
+/// takes (1 - 1/parallel) of the window's routing work off the draining
+/// thread and costs the pool's wake-up and park, so it pays iff
+/// route_ns * window * (1 - 1/parallel) > handoff_ns. A handoff never
+/// measured (0) fans out, so that it gets measured.
+[[nodiscard]] constexpr bool drain_fans_out(double route_ns,
+                                            std::size_t window,
+                                            unsigned parallel,
+                                            double handoff_ns) noexcept {
+  if (handoff_ns <= 0.0) return true;
+  return route_ns * static_cast<double>(window) *
+             (1.0 - 1.0 / static_cast<double>(parallel)) >
+         handoff_ns;
+}
+
+/// The measured costs drain_fans_out() reads, as EWMAs. route_ns is timed
+/// on the draining thread: the whole window of an inline epoch, its own
+/// chunks of a fan-out epoch. handoff_ns is what a fan-out epoch's wall
+/// time adds to the window's routing spread over its parallel chunks: the
+/// pool's wake-up and park, plus whatever its helpers route slower. The
+/// rule reads the handoff aged by every inline epoch since the last
+/// fan-out, so an exchange that stays inline re-probes the pool once the
+/// aged handoff falls below its window's gain: after
+/// ln(handoff / gain) / ln(64/63) inline epochs, ~44 at twice the gain.
+struct DrainCost {
+  static constexpr double kHandoffAging = 63.0 / 64.0;
+  double route_ns = 0.0;         // per routed request
+  double handoff_ns = 0.0;       // per fan-out epoch; 0 = not measured
+  double aged_handoff_ns = 0.0;  // handoff_ns, aged per inline epoch since
+
+  [[nodiscard]] bool fans_out(std::size_t window,
+                              unsigned parallel) const noexcept {
+    return drain_fans_out(route_ns, window, parallel, aged_handoff_ns);
+  }
+  void inline_epoch(double wall_ns, std::size_t window) noexcept {
+    route_ns = ewma(route_ns, wall_ns / static_cast<double>(window));
+    aged_handoff_ns *= kHandoffAging;
+  }
+  /// A fan-out epoch of `window` requests over `parallel` chunks took
+  /// `wall_ns`; the draining thread routed `own_routed` of them in `own_ns`.
+  void fanout_epoch(double wall_ns, std::size_t window, unsigned parallel,
+                    double own_ns, std::size_t own_routed) noexcept {
+    if (own_routed > 0)
+      route_ns = ewma(route_ns, own_ns / static_cast<double>(own_routed));
+    const double spread = route_ns * static_cast<double>(window) /
+                          static_cast<double>(parallel);
+    handoff_ns = aged_handoff_ns =
+        ewma(handoff_ns, std::max(wall_ns - spread, 1.0));
+  }
+
+ private:
+  static double ewma(double avg, double sample) noexcept {
+    return avg == 0.0 ? sample : avg + (sample - avg) / 8.0;
+  }
+};
 
 /// What one fault-plane operation did: which calls died (typed kFaulted
 /// outcomes echoing the original request's tag, with the now-dead handle)
@@ -232,12 +294,12 @@ struct ExchangeConfig {
   /// Batched-plane policy; null = UnboundedAdmission.
   std::unique_ptr<AdmissionPolicy> admission;
   /// Worker-pinning policy applied to util::ThreadPool::global() at
-  /// construction (the pool that drain() routes on). kNone leaves the pool
-  /// untouched; kSpread/kCompact pin its workers (see util/cpu_topology.hpp)
-  /// and auto-degrade back to kNone when the host cannot honor the plan
-  /// (fewer physical cores than pool workers — the CI case). NOTE: the
-  /// global pool is process-wide state; the last Exchange to set a non-None
-  /// policy wins.
+  /// construction (the pool drain()'s fan-out epochs route on). kNone
+  /// leaves the pool untouched; kSpread/kCompact pin its workers (see
+  /// util/cpu_topology.hpp) and auto-degrade back to kNone when the host
+  /// cannot honor the plan (fewer physical cores than pool workers — the
+  /// CI case). NOTE: the global pool is process-wide state; the last
+  /// Exchange to set a non-None policy wins.
   util::AffinityPolicy affinity = util::AffinityPolicy::kNone;
   /// Batched plane: partition each drain() window by the request's INPUT
   /// terminal (session s owns inputs [n*s/S, n*(s+1)/S)) instead of by
@@ -279,8 +341,9 @@ class Exchange {
   [[nodiscard]] std::vector<graph::VertexId> path_of(CallId id);
 
   // ------------------------------------------------------------- batched
-  /// Completion hook for the batched plane; runs on a pool thread during
-  /// drain() (or on the draining thread when sessions() == 1).
+  /// Completion hook for the batched plane; runs during drain() on the
+  /// thread that routes the request's session chunk: the draining thread,
+  /// or a pool thread in an epoch that fans out.
   using CompletionFn = std::function<void(const Outcome&)>;
   /// Enqueues a request; the Outcome becomes available via poll(ticket)
   /// after the epoch that serves it. Thread-safe. If the admission queue is
@@ -292,8 +355,9 @@ class Exchange {
   Ticket submit(const CallRequest& req, CompletionFn done);
   /// Runs one admission epoch: admits up to the policy window (highest
   /// priority first, FIFO among equals), routes the batch across all
-  /// sessions on util::ThreadPool::global(), delivers completions. Returns
-  /// the number of requests admitted.
+  /// sessions (inline, or fanned out to util::ThreadPool::global() when
+  /// drain_fans_out says it pays), delivers completions. Returns the number
+  /// of requests admitted.
   std::size_t drain();
   /// Drains until the queue is empty. Stops early (returning the total
   /// admitted) if the policy ever yields a zero window on a non-empty
@@ -493,6 +557,8 @@ class Exchange {
   util::AffinityPolicy affinity_ = util::AffinityPolicy::kNone;
   std::uint32_t id_;  // process-unique, tagged into every CallId
   std::vector<Session> sessions_;
+  // What the fan-out rule has measured (drain()'s threading domain).
+  DrainCost drain_cost_;
 
   // Batched front-end state, guarded by front_mu_ (never held while
   // routing).

@@ -183,6 +183,10 @@ ThreadPool& ThreadPool::global() {
 
 unsigned ThreadPool::thread_count() const noexcept { return impl_->threads; }
 
+bool ThreadPool::can_fan_out() const noexcept {
+  return impl_->threads > 0 && !t_inside_pool_worker;
+}
+
 void ThreadPool::run(std::size_t count,
                      const std::function<void(std::size_t)>& task) {
   impl_->run(count, task);

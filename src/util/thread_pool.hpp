@@ -53,6 +53,10 @@ class ThreadPool {
 
   [[nodiscard]] unsigned thread_count() const noexcept;
 
+  /// True iff a run() issued from this thread can hand tasks to workers:
+  /// the pool has some, and this thread is not one of them.
+  [[nodiscard]] bool can_fan_out() const noexcept;
+
   /// Runs task(i) for i in [0, count); returns when every task finished.
   /// The caller helps execute. Safe to call concurrently from multiple
   /// external threads; re-entrant calls from pool workers run inline.

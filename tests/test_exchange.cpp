@@ -380,6 +380,87 @@ TEST(Exchange, SingleSessionDrainFiresCallbacksOnTheDrainingThread) {
   }).join();
   ASSERT_EQ(fired_on.size(), 32u);
   for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
+  EXPECT_EQ(ex.stats().epochs, 1u);
+  EXPECT_EQ(ex.stats().fanout_epochs, 0u);
+}
+
+// drain()'s fan-out rule: fanning out saves (1 - 1/parallel) of the
+// window's routing work and costs one pool handoff.
+TEST(DrainFanout, InlineBelowBreakEvenFansOutAbove) {
+  // 100 ns per request over 2 chunks: a 32-request window saves 1600 ns.
+  EXPECT_FALSE(drain_fans_out(100.0, 32, 2, 1700.0));
+  EXPECT_TRUE(drain_fans_out(100.0, 32, 2, 1500.0));
+  // Four chunks save 2400 ns of the same window; one chunk saves nothing.
+  EXPECT_TRUE(drain_fans_out(100.0, 32, 4, 1700.0));
+  EXPECT_FALSE(drain_fans_out(100.0, 32, 1, 1.0));
+  // A heavier window pays for the same handoff.
+  EXPECT_FALSE(drain_fans_out(100.0, 32, 2, 10000.0));
+  EXPECT_TRUE(drain_fans_out(100.0, 256, 2, 10000.0));
+}
+
+TEST(DrainFanout, FirstMultiSessionEpochFansOutAndMeasures) {
+  DrainCost cost;
+  EXPECT_TRUE(cost.fans_out(32, 2));  // handoff not measured yet
+  EXPECT_TRUE(cost.fans_out(1, 1));
+  // 32 requests over 2 chunks: 1600 ns of routing each, 17600 ns of wall.
+  cost.fanout_epoch(/*wall_ns=*/17600.0, /*window=*/32, /*parallel=*/2,
+                    /*own_ns=*/1600.0, /*own_routed=*/16);
+  EXPECT_DOUBLE_EQ(cost.route_ns, 100.0);
+  EXPECT_DOUBLE_EQ(cost.handoff_ns, 16000.0);
+  EXPECT_FALSE(cost.fans_out(32, 2));
+  EXPECT_TRUE(cost.fans_out(512, 4));
+
+  // Through an Exchange: the first multi-session drain fans out.
+  const auto net = networks::build_cantor({5, 0});
+  Exchange ex(net, concurrent_cfg(2));
+  for (std::uint32_t i = 0; i < 8; ++i) ex.submit({i, i});
+  EXPECT_EQ(ex.drain(), 8u);
+  EXPECT_EQ(ex.stats().fanout_epochs, 1u);
+}
+
+TEST(DrainFanout, InlineEpochsAgeTheHandoffUntilThePoolIsProbedAgain) {
+  DrainCost cost;
+  cost.fanout_epoch(17600.0, 32, 2, 1600.0, 16);  // 100 ns, handoff 16 us
+  // A 32-request window over 2 chunks saves 1600 ns, a tenth of the
+  // handoff: it re-probes once 16000 * (63/64)^k < 1600, at k = 147.
+  int inline_epochs = 0;
+  while (!cost.fans_out(32, 2)) {
+    cost.inline_epoch(/*wall_ns=*/3200.0, /*window=*/32);
+    ASSERT_LE(++inline_epochs, 147);
+  }
+  EXPECT_EQ(inline_epochs, 147);
+  // The probe's measurement restarts the aging from the EWMA, not from the
+  // aged value, so the next probe is as far away again.
+  cost.fanout_epoch(17600.0, 32, 2, 1600.0, 16);
+  EXPECT_DOUBLE_EQ(cost.handoff_ns, 16000.0);
+  EXPECT_DOUBLE_EQ(cost.aged_handoff_ns, 16000.0);
+  EXPECT_FALSE(cost.fans_out(32, 2));
+}
+
+// A one-request window has one chunk to route, so after the first epoch's
+// probe a multi-session exchange routes it inline: its callbacks fire on
+// the draining thread.
+TEST(Exchange, OneRequestDrainsRouteInlineAfterTheFirstProbe) {
+  const auto net = networks::build_cantor({5, 0});
+  Exchange ex(net, concurrent_cfg(4));
+  std::vector<std::thread::id> fired_on;  // drain() returns after each write
+  const auto record = [&fired_on](const Outcome& o) {
+    EXPECT_TRUE(o.connected());
+    fired_on.push_back(std::this_thread::get_id());
+  };
+  std::thread::id drainer;
+  std::thread([&] {
+    drainer = std::this_thread::get_id();
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      ex.submit({i, i}, record);
+      EXPECT_EQ(ex.drain(), 1u);
+    }
+  }).join();
+  EXPECT_EQ(ex.stats().epochs, 16u);
+  EXPECT_EQ(ex.stats().fanout_epochs, 1u);
+  ASSERT_EQ(fired_on.size(), 16u);
+  for (std::size_t i = 1; i < fired_on.size(); ++i)
+    EXPECT_EQ(fired_on[i], drainer);
 }
 
 // Churn stress (the TSan job runs this file): each thread drives its own
@@ -512,6 +593,8 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   EXPECT_GT(st.router.rejected_terminal, 0u);  // windows did repeat terminals
   EXPECT_EQ(st.router.accepted, hangups + live.size());
   EXPECT_EQ(st.hangups, hangups);
+  EXPECT_EQ(st.epochs, kWindows);
+  EXPECT_GT(st.fanout_epochs, 0u);  // the pool's chunk hand-off raced too
   for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);

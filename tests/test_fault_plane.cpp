@@ -892,6 +892,7 @@ TEST(TrafficFaults, BatchedMultiSessionPlaneSurvivesTheSameStorm) {
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
   EXPECT_EQ(report.service.handle_errors, 0u);
+  EXPECT_GT(report.service.fanout_epochs, 0u);
 }
 
 TEST(TrafficFaults, BatchedPlaneMatchesImmediateBooksWithoutFaults) {
@@ -1267,6 +1268,10 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
   // session's search and its claim's re-validation: through an Exchange the
   // re-validation never fails.
   EXPECT_EQ(st.router.overlay_conflicts, 0u);
+  // Each victim re-admission drains all 4 sessions, and an exchange's first
+  // multi-session drain hands its chunks to the pool: a run that killed a
+  // call raced the pool's hand-off too.
+  EXPECT_EQ(st.fanout_epochs > 0, st.epochs > 0);
 }
 
 }  // namespace

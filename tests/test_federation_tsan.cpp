@@ -167,6 +167,8 @@ TEST(FederationChurnTsan, SubmittersRaceTrunkFaultsThroughCommandQueue) {
   std::uint64_t down = 0;
   for (const TrunkGauge& g : fed.trunk_gauges()) down += g.capacity - g.usable;
   EXPECT_EQ(st.trunks.faults - st.trunks.repairs, down);
+  // The 2-session members' drains handed chunks to the pool too.
+  EXPECT_GT(st.members.fanout_epochs, 0u);
 }
 
 }  // namespace

@@ -142,6 +142,10 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
   EXPECT_EQ(st.router.accepted, st.hangups + st.calls_killed_by_fault);
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
+  // Each victim re-admission drains all 4 sessions, and an exchange's first
+  // multi-session drain hands its chunks to the pool: a run that killed a
+  // call raced the pool's hand-off too.
+  EXPECT_EQ(st.fanout_epochs > 0, st.epochs > 0);
 }
 
 }  // namespace
