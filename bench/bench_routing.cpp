@@ -49,6 +49,7 @@
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
 #include "svc/admission.hpp"
+#include "svc/engine.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
@@ -121,7 +122,7 @@ BENCHMARK(BM_ExchangeCall)->Arg(1)->Arg(2)->Arg(3);
 
 /// Holds `router` (n inputs, n outputs) at half load and times one random
 /// hangup plus one random connect per iteration, seeded by `seed`. The
-/// counters are the search's vertices stamped per connect and the connects
+/// counters are the search's vertices visited per connect and the connects
 /// refused for want of an idle path.
 void serve_half_load(benchmark::State& state, core::GreedyRouter& router,
                      std::uint32_t n, std::uint64_t seed) {
@@ -211,6 +212,99 @@ void BM_ConnectCantorHalfLoad(benchmark::State& state) {
                   util::derive_seed(25, 0));
 }
 BENCHMARK(BM_ConnectCantorHalfLoad);
+
+// The service facade's cost over a bare engine: search-k9's traffic shape
+// (cantor-k, Arg 0, held at half its terminals: each step hangs up a random
+// live call with probability live/n, else dials an idle input to an idle
+// output) served by a default svc::Exchange through call/hangup and by a
+// bare svc::make_engine(net, {}) through connect/disconnect. Both serve the
+// same seeded stream, step by step, the order alternating per step, so
+// both hold the same calls on the same paths. exchange_ns and engine_ns are
+// each side's mean ns per dial, verdict_mismatches must read 0. A
+// developer probe with no gate:
+//   ./build/bench_routing --benchmark_filter=BM_ExchangeFacade
+void BM_ExchangeFacade(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const graph::Network net = networks::build_cantor({k, 0});
+  svc::Exchange ex(net, {});
+  const std::unique_ptr<svc::Engine> eng = svc::make_engine(net, {});
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  // Idle terminals, and the live calls with the handles of both sides.
+  std::vector<std::uint32_t> idle_in(n), idle_out(n);
+  std::iota(idle_in.begin(), idle_in.end(), 0u);
+  std::iota(idle_out.begin(), idle_out.end(), 0u);
+  struct Live {
+    svc::CallId id;
+    svc::Engine::RawCall raw;
+    std::uint32_t in, out;
+  };
+  std::vector<Live> live;
+  util::Xoshiro256 rng(util::derive_seed(27, k));
+  const auto take = [&rng](std::vector<std::uint32_t>& pool) {
+    const auto i = rng.below(pool.size());
+    const std::uint32_t t = pool[i];
+    pool[i] = pool.back();
+    pool.pop_back();
+    return t;
+  };
+  using Clock = std::chrono::steady_clock;
+  Clock::duration ex_time{}, eng_time{};
+  std::uint64_t dials = 0, mismatches = 0;
+  bool exchange_first = true;
+  const auto step = [&] {
+    exchange_first = !exchange_first;
+    if (!live.empty() && rng.below(n) < live.size()) {
+      const auto i = rng.below(live.size());
+      if (exchange_first) ex.hangup(live[i].id);
+      eng->disconnect(0, live[i].raw);
+      if (!exchange_first) ex.hangup(live[i].id);
+      idle_in.push_back(live[i].in);
+      idle_out.push_back(live[i].out);
+      live[i] = live.back();
+      live.pop_back();
+      return;
+    }
+    const std::uint32_t in = take(idle_in), out = take(idle_out);
+    svc::Outcome o;
+    svc::Engine::Connect c;
+    const auto exchange = [&] {
+      const auto t0 = Clock::now();
+      o = ex.call({in, out, 0, in});
+      ex_time += Clock::now() - t0;
+    };
+    if (exchange_first) exchange();
+    const auto t0 = Clock::now();
+    c = eng->connect(0, in, out);
+    eng_time += Clock::now() - t0;
+    if (!exchange_first) exchange();
+    ++dials;
+    if (o.connected() != (c.reject == svc::RejectReason::kNone) ||
+        o.path_length != c.path_length)
+      ++mismatches;
+    if (o.connected() && c.reject == svc::RejectReason::kNone) {
+      live.push_back({o.id, c.call, in, out});
+      return;
+    }
+    if (o.connected()) ex.hangup(o.id);
+    if (c.reject == svc::RejectReason::kNone) eng->disconnect(0, c.call);
+    idle_in.push_back(in);
+    idle_out.push_back(out);
+  };
+  for (std::uint32_t i = 0; i < 4 * n; ++i) step();  // warm up to half load
+  ex_time = eng_time = {};
+  dials = 0;
+  for (auto _ : state) step();
+  const auto per_dial = [dials](Clock::duration d) {
+    return dials == 0 ? 0.0
+                      : static_cast<double>(
+                            std::chrono::nanoseconds(d).count()) /
+                            static_cast<double>(dials);
+  };
+  state.counters["exchange_ns"] = per_dial(ex_time);
+  state.counters["engine_ns"] = per_dial(eng_time);
+  state.counters["verdict_mismatches"] = static_cast<double>(mismatches);
+}
+BENCHMARK(BM_ExchangeFacade)->Arg(7)->Arg(9);
 
 // The drain's choice between routing a window on the draining thread and
 // fanning it out to the pool: a concurrent-backend exchange on cantor-k

@@ -59,6 +59,10 @@ class ReachIndex {
     [[nodiscard]] bool operator()(graph::VertexId v) const noexcept {
       return (column_[std::size_t{set_of_[v]} * words_] & mask_) != 0;
     }
+    /// Starts loading v's set id, the first read of operator()(v).
+    void prefetch(graph::VertexId v) const noexcept {
+      __builtin_prefetch(set_of_ + v);
+    }
 
    private:
     friend class ReachIndex;

@@ -18,56 +18,11 @@ util::Bitset mask_bits(const std::vector<std::uint8_t>& bytes, std::size_t n) {
 
 }  // namespace
 
-// ------------------------------------------------------ the stores' claims
-
-template <>
-std::uint32_t Router<SoloStore>::claim(Session& s, graph::VertexId dst, bool) {
-  // Sole owner: the search's verdict is final. Thread the path dst..src
-  // (parent_f) through the successor array and mark it busy.
-  std::uint32_t length = 0;
-  graph::VertexId next = graph::kNoVertex;
-  for (graph::VertexId v = dst; v != graph::kNoVertex;
-       v = s.scratch_.parent_f[v]) {
-    path_next_[v] = next;
-    busy_.set(v);
-    next = v;
-    ++length;
-  }
-  return length;
-}
-
-template <>
-std::uint32_t Router<SharedStore>::claim(Session& s, graph::VertexId dst,
-                                         bool revalidate) {
-  std::vector<graph::VertexId>& path = s.path_buf_;
-  std::vector<graph::VertexId>& order = s.claim_buf_;
-  path.clear();
-  for (graph::VertexId v = dst; v != graph::kNoVertex;
-       v = s.scratch_.parent_f[v])
-    path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  order.assign(path.begin(), path.end());
-  std::sort(order.begin(), order.end());
-  std::size_t claimed = 0;
-  while (claimed < order.size() && busy_.try_set(order[claimed])) ++claimed;
-  const bool owned = claimed == order.size();
-  if (owned && (!revalidate || path_carried(path))) {
-    // Every vertex is ours, so the successor writes are exclusive; the
-    // release/acquire pairing on each busy bit publishes them.
-    for (std::size_t i = 0; i < path.size(); ++i)
-      path_next_[path[i]] =
-          i + 1 < path.size() ? path[i + 1] : graph::kNoVertex;
-    return static_cast<std::uint32_t>(path.size());
-  }
-  ++(owned ? s.stats_.overlay_conflicts : s.stats_.claim_conflicts);
-  while (claimed > 0) busy_.reset(order[--claimed]);
-  return 0;
-}
-
 // ------------------------------------------------------- liveness overlay
 
 template <class Store>
-bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
+template <class At>
+bool Router<Store>::hops_carried(std::size_t n, At at) const {
   const auto bit = [](const Bits& bits, graph::EdgeId e) {
     if constexpr (Store::kShared)
       return bits.test(e, std::memory_order_acquire);
@@ -79,8 +34,8 @@ bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
            !bit(dead_edges_, e);
   };
   const auto& g = net_->g;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const graph::VertexId u = path[i], v = path[i + 1];
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const graph::VertexId u = at(i), v = at(i + 1);
     bool carried = false;
     const auto eids = g.out_edges(u);
     const auto tgts = g.out_targets(u);
@@ -94,6 +49,54 @@ bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
     if (!carried) return false;
   }
   return true;
+}
+
+template <class Store>
+bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
+  return hops_carried(path.size(), [path](std::size_t i) { return path[i]; });
+}
+
+// ------------------------------------------------------ the stores' claims
+//
+// Both read the path where the search left it: the session scratch's stack,
+// src first and dst last.
+
+template <>
+std::uint32_t Router<SoloStore>::claim(Session& s, bool) {
+  // Sole owner: the search's verdict is final. Thread the path through the
+  // successor array and mark it busy.
+  const auto path = s.scratch_.path();
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const graph::VertexId v = path[i].v;
+    path_next_[v] = i + 1 < path.size() ? path[i + 1].v : graph::kNoVertex;
+    busy_.set(v);
+  }
+  return static_cast<std::uint32_t>(path.size());
+}
+
+template <>
+std::uint32_t Router<SharedStore>::claim(Session& s, bool revalidate) {
+  const auto path = s.scratch_.path();
+  std::vector<graph::VertexId>& order = s.claim_buf_;
+  order.clear();
+  for (const detail::SearchScratch::Frame& f : path) order.push_back(f.v);
+  std::sort(order.begin(), order.end());
+  std::size_t claimed = 0;
+  while (claimed < order.size() && busy_.try_set(order[claimed])) ++claimed;
+  const bool owned = claimed == order.size();
+  if (owned && (!revalidate ||
+                hops_carried(path.size(),
+                             [path](std::size_t i) { return path[i].v; }))) {
+    // Every vertex is ours, so the successor writes are exclusive; the
+    // release/acquire pairing on each busy bit publishes them.
+    for (std::size_t i = 0; i < path.size(); ++i)
+      path_next_[path[i].v] =
+          i + 1 < path.size() ? path[i + 1].v : graph::kNoVertex;
+    return static_cast<std::uint32_t>(path.size());
+  }
+  ++(owned ? s.stats_.overlay_conflicts : s.stats_.claim_conflicts);
+  while (claimed > 0) busy_.reset(order[--claimed]);
+  return 0;
 }
 
 // ------------------------------------------------------------ construction
@@ -131,10 +134,7 @@ void Router<Store>::Session::prepare() {
   const graph::Network& net = *r_->net_;
   const std::size_t v_count = net.g.vertex_count();
   scratch_.init(v_count);
-  if constexpr (Store::kShared) {
-    path_buf_.reserve(v_count);
-    claim_buf_.reserve(v_count);
-  }
+  if constexpr (Store::kShared) claim_buf_.reserve(v_count);
   // Each active call holds one input and one output, and one session may
   // carry every call: reserving that bound keeps connect()/disconnect()
   // allocation-free.
@@ -255,7 +255,7 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
                                edge_contracted, reaches_weld,
                                contraction) == graph::kNoVertex)
       return reject(stats_.rejected_no_path);
-    length = r.claim(*this, dst, overlay || contraction);
+    length = r.claim(*this, overlay || contraction);
     if (length != 0) break;
     // 4. Conflict: the claim released its prefix; retry within the budget.
     if (attempt + 1 >= kMaxClaimRetries)

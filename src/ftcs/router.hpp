@@ -15,7 +15,7 @@
 // The two stores supply the only things that differ:
 //   - SoloStore (GreedyRouter): one session. Busy and overlay state are
 //     plain util::Bitsets, terminal slots are bytes, and the CLAIM is the
-//     settle itself: walk the search's parent chain from dst, set each busy
+//     settle itself: walk the search's stack (the path), set each busy
 //     bit and successor. No path buffer, no sort, no CAS, no re-validation.
 //     Session scratch is built at construction.
 //   - SharedStore (ConcurrentRouter): N sessions route concurrently over
@@ -123,9 +123,10 @@
 // Hot-path design: connect() performs NO heap allocation once its
 // session's scratch exists (construction for the solo store, the first
 // connect for the shared store).
-//   - visited state is epoch-stamped (one bulk clear per 2^32 calls) with a
-//     parent array for path recovery, and the search stack is preallocated
-//     at vertex_count frames;
+//   - visited state is one bit per vertex, zeroed word by word by the
+//     search that set it; the search stack (vertex_count frames, allocated
+//     untouched) is the found path, which the claim reads in place; each
+//     frame prefetches its children's reach-set ids and CSR offset rows;
 //   - busy / overlay vertex and edge state live in packed bitsets, 64
 //     vertices per cache word;
 //   - settled paths are threaded through a per-vertex successor array
@@ -168,7 +169,7 @@ struct RouterStats {
   std::uint64_t rejected_terminal = 0; // busy/blocked endpoint, no search run
   std::uint64_t rejected_no_path = 0;  // search exhausted without reaching dst
   std::uint64_t disconnects = 0;
-  std::uint64_t vertices_visited = 0;  // vertices stamped across all searches
+  std::uint64_t vertices_visited = 0;  // vertices marked across all searches
   std::uint64_t path_vertices = 0;     // total length of settled paths
   // Shared-store counters (always 0 on the solo store):
   std::uint64_t claim_conflicts = 0;      // CAS lost a vertex to another session
@@ -333,9 +334,8 @@ class Router {
     Router* r_;
     std::uint32_t index_;  // this session's number, for out_holder_
     detail::SearchScratch scratch_;
-    // Shared store's claim: the settled path src..dst, and the same
-    // vertices in ascending id order.
-    std::vector<graph::VertexId> path_buf_, claim_buf_;
+    // Shared store's claim: the path's vertices in ascending id order.
+    std::vector<graph::VertexId> claim_buf_;
     std::vector<Call> calls_;
     std::vector<CallId> free_slots_;
     std::size_t active_ = 0;
@@ -457,9 +457,13 @@ class Router {
   void init(unsigned sessions, const std::vector<std::uint8_t>& blocked,
             const std::vector<std::uint8_t>& blocked_edges);
   /// Step 3 and the successor-array half of step 5 for the path the
-  /// session's search just found: the store's claim. Returns the path
-  /// length, or 0 when the claim was lost (shared store only).
-  std::uint32_t claim(Session& s, graph::VertexId dst, bool revalidate);
+  /// session's search just found (its scratch's stack): the store's claim.
+  /// Returns the path length, or 0 when the claim was lost (shared store
+  /// only).
+  std::uint32_t claim(Session& s, bool revalidate);
+  /// path_carried() over the `n` vertices at(0) .. at(n - 1).
+  template <class At>
+  [[nodiscard]] bool hops_carried(std::size_t n, At at) const;
   /// Sizes the weld-ancestor counts and the walk's flags at the network's
   /// vertex count, all zero.
   void clear_weld_counts();
@@ -504,11 +508,9 @@ class Router {
 // The stores' claim steps (router.cpp), declared ahead of the explicit
 // instantiations that use them.
 template <>
-std::uint32_t Router<SoloStore>::claim(Session& s, graph::VertexId dst,
-                                       bool revalidate);
+std::uint32_t Router<SoloStore>::claim(Session& s, bool revalidate);
 template <>
-std::uint32_t Router<SharedStore>::claim(Session& s, graph::VertexId dst,
-                                         bool revalidate);
+std::uint32_t Router<SharedStore>::claim(Session& s, bool revalidate);
 extern template class Router<SoloStore>;
 extern template class Router<SharedStore>;
 

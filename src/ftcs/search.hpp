@@ -17,12 +17,26 @@
 //
 // The walk: an explicit stack of (vertex, cursor) frames starting at src.
 // The top frame advances its cursor over the vertex's out-edges to the
-// next usable child — switch not blocked, child idle, not yet stamped this
-// search — stamps it, records parent_f, and pushes it; a frame whose cursor
-// runs out is popped (backtrack). The first arrival at dst ends the search,
-// so the path is the stack itself and parent_f walks it back from dst. A
-// vertex is stamped once per search, so the work is bounded by the vertices
-// and edges of the idle part of the network.
+// next usable child — switch not blocked, child idle, not yet visited this
+// search — marks it visited and pushes it; a frame whose cursor runs out is
+// popped (backtrack). The first arrival at dst pushes dst and ends the
+// search, so the stack IS the path: SearchScratch::path() is stack[0,
+// depth), src first and dst last, and the routers' claims read it there. A
+// vertex is visited once per search, so the work is bounded by the
+// vertices and edges of the idle part of the network.
+//
+// Visited state: one bit per vertex, all zero between searches. A search
+// lists every vertex it marks and zeroes their bitset words before it
+// returns, whatever the verdict, so a session's resident scratch is the
+// V-bit set plus the stack and list entries its searches touch (both are
+// allocated without being written: untouched pages cost nothing).
+//
+// Prefetch: a frame's first entry issues prefetches for each child's
+// reach-set id (ReachIndex::Probe::prefetch) and CSR offset row
+// (CsrGraph::prefetch_out), so on a network beyond the cache the cone tests
+// of the later children and the next frame's adjacency load overlap with
+// the current test instead of waiting on one another. Prefetches change no
+// result, only when the lines arrive.
 //
 // Child order: every frame scans its out-edges in incidence order, except
 // the source frame, which starts at slot `first` and runs cyclically over
@@ -40,7 +54,7 @@
 // vertices, dead vertices and open faults only remove paths, so the static
 // index is a sound filter and verdicts stay exact. On the staged §6
 // networks this keeps the walk inside the output's cone, and the search
-// stamps little more than the path it returns.
+// visits little more than the path it returns.
 //
 // The returned path is AN idle path, not necessarily a shortest one: it is
 // shortest wherever every input->output path has the same length (Cantor,
@@ -65,22 +79,24 @@
 // either reaches it forward (in cone) or first reaches some weld head
 // forward. Reverse hops need no filter, since a weld's tail always reaches
 // its head. Only vertices that cannot reach dst at all are skipped, and
-// nothing reachable from them can reach dst, so the search stamps the same
+// nothing reachable from them can reach dst, so the search visits the same
 // dst-reaching vertices in the same order and returns the same path as
 // with `reaches_weld` always true; only the visits fall. Reachability —
 // the property the offline contraction equivalence pins — is exact. The
 // machinery is a COMPILE-TIME branch (`kContraction`): the dispatcher
 // instantiates the contraction-free variant until a stuck-on event exists.
 //
-// Dirty snapshots: every parent_f entry is written on the single stamp of
-// its vertex, to the frame below it on the stack, so the chain from dst is
-// always a real src..dst path even when relaxed busy reads disagree between
-// probes of one vertex.
+// Dirty snapshots: every frame is pushed as a usable child of the frame
+// below it and every vertex is pushed at most once per search, so the stack
+// is always a real chain of distinct src..dst vertices (weld reverse hops
+// included) even when relaxed busy reads disagree between probes of one
+// vertex.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "ftcs/reach_index.hpp"
 #include "graph/csr.hpp"
@@ -89,22 +105,25 @@
 namespace ftcs::core::detail {
 
 /// Per-searcher scratch, sized once with init(); no allocation afterwards.
-/// Epoch-stamped visited array: one bulk clear per 2^32 searches.
 struct SearchScratch {
   struct Frame {
     graph::VertexId v;
     std::uint32_t cursor;  // next incidence slot to try
   };
-  std::vector<std::uint32_t> epoch_f;    // visited stamps
-  std::vector<graph::VertexId> parent_f;  // toward the input
-  std::vector<Frame> stack;              // the current partial path
-  std::uint32_t epoch = 0;
+  std::unique_ptr<std::uint64_t[]> seen;  // visited bits; zero between searches
+  std::unique_ptr<graph::VertexId[]> marked;  // vertices the search marked
+  std::unique_ptr<Frame[]> stack;  // the partial path; the path once found
+  std::uint32_t depth = 0;  // frames of the last search's path (0: none)
 
   void init(std::size_t v_count) {
-    epoch_f.assign(v_count, 0);
-    parent_f.assign(v_count, graph::kNoVertex);
-    stack.resize(v_count);
-    epoch = 0;
+    seen = std::make_unique<std::uint64_t[]>((v_count + 63) / 64);
+    marked = std::make_unique_for_overwrite<graph::VertexId[]>(v_count);
+    stack = std::make_unique_for_overwrite<Frame[]>(v_count);
+    depth = 0;
+  }
+  /// The last search's path, src first and dst last (empty if none).
+  [[nodiscard]] std::span<const Frame> path() const noexcept {
+    return {stack.get(), depth};
   }
 };
 
@@ -118,27 +137,37 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
     SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
     EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
     ReachesWeldFn&& reaches_weld) {
-  if (++s.epoch == 0) {  // epoch wrap: one bulk clear per 2^32 searches
-    std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
-    s.epoch = 1;
-  }
-  const std::uint32_t epoch = s.epoch;
-  s.epoch_f[src] = epoch;
-  s.parent_f[src] = graph::kNoVertex;
-  if (src == dst) return dst;
-
-  const auto usable = [&](graph::VertexId v) {
-    return s.epoch_f[v] != epoch && !is_busy(v);
+  std::uint64_t* const seen = s.seen.get();
+  graph::VertexId* const list = s.marked.get();
+  SearchScratch::Frame* const stack = s.stack.get();
+  const auto bit = [](graph::VertexId v) {
+    return std::uint64_t{1} << (v & 63);
   };
-  std::uint64_t stamped = 0;
-  graph::VertexId found = graph::kNoVertex;
+  std::size_t marked = 0;
+  const auto mark = [&](graph::VertexId v) {
+    seen[v >> 6] |= bit(v);
+    list[marked++] = v;
+  };
+  const auto usable = [&](graph::VertexId v) {
+    return (seen[v >> 6] & bit(v)) == 0 && !is_busy(v);
+  };
   std::size_t top = 0;
-  s.stack[top++] = {src, 0};
+  stack[top++] = {src, 0};
+  if (src == dst) {
+    s.depth = 1;
+    return dst;
+  }
+  mark(src);
   while (top > 0) {
-    SearchScratch::Frame& f = s.stack[top - 1];
+    SearchScratch::Frame& f = stack[top - 1];
     const auto eids = g.out_edges(f.v);
     const auto tgts = g.out_targets(f.v);
     const auto deg = static_cast<std::uint32_t>(eids.size());
+    if (f.cursor == 0)
+      for (const graph::VertexId v : tgts) {
+        in_cone.prefetch(v);
+        g.prefetch_out(v);
+      }
     // Child pass position -> incidence slot: rotated by `first` in the
     // source frame (the stack's bottom), plain everywhere else.
     const std::uint32_t rot = top == 1 ? first : 0;
@@ -188,32 +217,30 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
       --top;  // every child tried: backtrack
       continue;
     }
-    s.epoch_f[next] = epoch;
-    s.parent_f[next] = f.v;
-    ++stamped;
-    if (next == dst) {
-      found = dst;
-      break;
-    }
-    s.stack[top++] = {next, 0};
+    mark(next);
+    stack[top++] = {next, 0};
+    if (next == dst) break;  // the stack is the path
   }
-  visited += stamped;
-  return found;
+  visited += marked - 1;
+  for (std::size_t i = 0; i < marked; ++i) seen[list[i] >> 6] = 0;
+  s.depth = static_cast<std::uint32_t>(top);
+  return top == 0 ? graph::kNoVertex : dst;
 }
 
 /// Finds an idle src->dst path, where dst is the output `in_cone` probes
 /// (ReachIndex::probe). The first hop is tried from src's out-edge slot
 /// `first` (< src's out-degree, or 0) cyclically on; the router passes
 /// ReachIndex::first_hop(in, out), and 0 gives the plain incidence order.
-/// Returns dst (parent_f in `s` walks the path back to
-/// src) or graph::kNoVertex if no idle path exists. `is_busy(v)` and
+/// Returns dst (`s.path()` is the path src..dst) or graph::kNoVertex if no
+/// idle path exists (`s.path()` is empty). `is_busy(v)` and
 /// `edge_blocked(e)` gate expansion; `edge_contracted(e)` marks stuck-on
 /// switches that also conduct against their direction, and
 /// `reaches_weld(v)` admits out-of-cone children while they do (true iff v
 /// reaches a live weld's head forward; always true reproduces the unpruned
 /// walk, path for path). `contraction_live` selects the instantiation:
-/// false runs the contraction-free hot path. `visited` accumulates stamped
-/// vertices for RouterStats. Allocation-free.
+/// false runs the contraction-free hot path. `visited` accumulates the
+/// vertices the search marked besides src, for RouterStats.
+/// Allocation-free; leaves every visited bit of `s` zero.
 template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn,
           class ReachesWeldFn>
 [[nodiscard]] graph::VertexId find_idle_path(

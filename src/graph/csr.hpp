@@ -58,6 +58,12 @@ class CsrGraph {
             in_sources_.data() + in_offsets_[v + 1]};
   }
 
+  /// Starts loading v's out-offset row, the first read of out_edges(v) and
+  /// out_targets(v); a hint with no effect on any result.
+  void prefetch_out(VertexId v) const noexcept {
+    __builtin_prefetch(out_offsets_.data() + v);
+  }
+
   /// O(1) degree/span queries straight off the offset arrays.
   [[nodiscard]] std::size_t out_degree(VertexId v) const noexcept {
     return out_offsets_[v + 1] - out_offsets_[v];

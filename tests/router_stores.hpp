@@ -44,6 +44,23 @@ TYPED_TEST_SUITE(RouterStores, StoreTypes, StoreNames);
 /// Both stores' kNoCall value.
 inline constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
+/// The path of the last search on `s` (its stack), src first; empty if the
+/// search found none.
+inline std::vector<graph::VertexId> stack_path(
+    const core::detail::SearchScratch& s) {
+  std::vector<graph::VertexId> path;
+  for (const auto& f : s.path()) path.push_back(f.v);
+  return path;
+}
+
+/// True iff no visited bit of `s` (sized for `v_count` vertices) is set, as
+/// every search must leave it.
+inline bool visited_clear(const core::detail::SearchScratch& s,
+                          std::size_t v_count) {
+  return std::all_of(s.seen.get(), s.seen.get() + (v_count + 63) / 64,
+                     [](std::uint64_t w) { return w == 0; });
+}
+
 /// A plain one-session router over `net` on `Store` (for tests that must
 /// not pay for the audit); masks as in core::Router.
 template <class Store>

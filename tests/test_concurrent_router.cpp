@@ -13,6 +13,7 @@
 //    trace must produce identical decisions, call ids, paths, and counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -170,14 +171,15 @@ TEST(ConcurrentRouter, StatsMergeWithOperatorPlusEquals) {
 
 // Regression: under the shared store's DIRTY busy snapshot a vertex
 // can probe busy once and idle later in the same search (another worker
-// released it in between). The search must never chain a path through a
-// parent left over from an EARLIER search — that would settle broken or
-// cyclic "paths" (a SEGV in Session::connect). Simulated deterministically with an adversarial busy
+// released it in between). The search must still return a real chain —
+// a broken or cyclic "path" would corrupt the successor array (a SEGV in
+// Session::connect). Simulated deterministically with an adversarial busy
 // view: a random quarter of the vertices reads busy on its first probe of
 // a search and idle afterwards, so the depth-first search meets them again
-// from other parents after backtracking. Every returned path must recover
-// a real src..dst chain of edges.
-TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
+// from other frames after backtracking. Every returned path (the search's
+// stack, which the claims read) must start at src, end at dst, cross only
+// edges and repeat no vertex, and no search may leave a visited bit set.
+TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenPaths) {
   const auto net = networks::build_cantor({5, 0});
   const auto& g = net.g;
   const core::ReachIndex reach(net);
@@ -187,7 +189,7 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
   std::vector<std::uint32_t> probe_epoch(g.vertex_count(), 0);
   std::uint32_t search_id = 0;
   std::uint64_t visited = 0;
-  std::size_t found = 0;
+  std::size_t found = 0, none = 0;
 
   const auto has_edge = [&g](graph::VertexId from, graph::VertexId to) {
     for (const graph::VertexId t : g.out_targets(from))
@@ -219,24 +221,31 @@ TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
         g, reach.probe(out), src, dst, reach.first_hop(in, out), scratch,
         visited, flaky_busy, no_edge, no_edge, no_weld,
         /*contraction_live=*/false);
-    if (end == graph::kNoVertex) continue;
+    ASSERT_TRUE(test::visited_clear(scratch, g.vertex_count()))
+        << "visited bits survived";
+    const auto path = test::stack_path(scratch);
+    if (end == graph::kNoVertex) {
+      ASSERT_TRUE(path.empty());
+      ++none;
+      continue;
+    }
     ASSERT_EQ(end, dst);
     ++found;
 
-    // Recover the path exactly as the shared claim does, bounded: a sound
-    // chain reaches src within vertex_count hops and every hop is a real
-    // edge of the graph.
-    graph::VertexId v = dst;
-    for (std::size_t hops = 0; v != src; ++hops) {
-      ASSERT_LE(hops, g.vertex_count()) << "cyclic parent chain";
-      const graph::VertexId p = scratch.parent_f[v];
-      ASSERT_NE(p, graph::kNoVertex) << "parent chain broke before src";
-      ASSERT_TRUE(has_edge(p, v)) << "parent chain hop is not an edge";
-      v = p;
-    }
-    EXPECT_EQ(scratch.parent_f[src], graph::kNoVertex);
+    ASSERT_GE(path.size(), 2u);
+    ASSERT_EQ(path.front(), src);
+    ASSERT_EQ(path.back(), dst);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+      ASSERT_TRUE(has_edge(path[i], path[i + 1]))
+          << "path hop " << path[i] << " -> " << path[i + 1]
+          << " is not an edge";
+    auto sorted = path;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+        << "path repeats a vertex";
   }
   EXPECT_GT(found, 0u);
+  EXPECT_GT(none, 0u);
 }
 
 }  // namespace

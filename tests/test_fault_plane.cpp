@@ -30,6 +30,7 @@
 #include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
+#include "certain_kill.hpp"
 #include "router_stores.hpp"
 
 namespace ftcs {
@@ -1222,6 +1223,12 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
     });
   }
   threads.emplace_back([&] {
+    {
+      // Before the storm: a kill that is certain, so every run re-admits a
+      // victim (certain_kill.hpp).
+      std::unique_lock<std::shared_mutex> lk(plane);
+      test::kill_a_call(ex, strays);
+    }
     for (const auto& ev : schedule.events()) {
       if (done.load(std::memory_order_acquire)) break;
       std::unique_lock<std::shared_mutex> lk(plane);
@@ -1262,6 +1269,7 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
   const svc::ExchangeStats st = ex.stats();
   EXPECT_EQ(st.router.accepted, st.hangups + st.calls_killed_by_fault);
   EXPECT_GT(st.faults_injected, 0u);
+  EXPECT_GT(st.calls_killed_by_fault, 0u);
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
   // Fault events own every session, so the overlay never changes between a
@@ -1269,8 +1277,9 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
   // re-validation never fails.
   EXPECT_EQ(st.router.overlay_conflicts, 0u);
   // Each victim re-admission drains all 4 sessions, and an exchange's first
-  // multi-session drain hands its chunks to the pool: a run that killed a
-  // call raced the pool's hand-off too.
+  // multi-session drain hands its chunks to the pool: with a kill certain,
+  // every run raced the pool's hand-off too.
+  EXPECT_GT(st.epochs, 0u);
   EXPECT_EQ(st.fanout_epochs > 0, st.epochs > 0);
 }
 

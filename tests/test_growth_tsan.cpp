@@ -19,6 +19,7 @@
 #include "networks/cantor.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
+#include "certain_kill.hpp"
 
 namespace ftcs {
 namespace {
@@ -82,6 +83,12 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
   }
 
   threads.emplace_back([&] {
+    {
+      // Before the storm: a kill that is certain, so every run re-admits a
+      // victim (certain_kill.hpp).
+      std::unique_lock<std::shared_mutex> lk(plane);
+      test::kill_a_call(ex, strays);
+    }
     const auto& events = schedule.events();
     const std::size_t grow_at = events.size() / 2;
     bool grown = false;
@@ -140,11 +147,13 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
   EXPECT_EQ(st.growths, 1u);
   EXPECT_EQ(st.calls_killed_by_growth, 0u);
   EXPECT_EQ(st.router.accepted, st.hangups + st.calls_killed_by_fault);
+  EXPECT_GT(st.calls_killed_by_fault, 0u);
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
   // Each victim re-admission drains all 4 sessions, and an exchange's first
-  // multi-session drain hands its chunks to the pool: a run that killed a
-  // call raced the pool's hand-off too.
+  // multi-session drain hands its chunks to the pool: with a kill certain,
+  // every run raced the pool's hand-off too.
+  EXPECT_GT(st.epochs, 0u);
   EXPECT_EQ(st.fanout_epochs > 0, st.epochs > 0);
 }
 

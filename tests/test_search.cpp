@@ -446,12 +446,10 @@ class WeldStorm {
         [&r](graph::EdgeId e) { return !r.edge_usable(e); },
         [&r](graph::EdgeId e) { return r.edge_contracted(e); }, reaches_weld,
         !welded_.empty());
-    std::vector<graph::VertexId> path;
-    if (end != graph::kNoVertex)
-      for (graph::VertexId v = dst; v != graph::kNoVertex;
-           v = scratch.parent_f[v])
-        path.push_back(v);
-    std::reverse(path.begin(), path.end());
+    EXPECT_TRUE(visited_clear(scratch, net_->g.vertex_count()))
+        << "visited bits survived";
+    std::vector<graph::VertexId> path = stack_path(scratch);
+    EXPECT_EQ(end != graph::kNoVertex, !path.empty());
     return {std::move(path), visits};
   }
 
@@ -501,7 +499,7 @@ class WeldStorm {
 };
 
 /// The storm's pruning must have bitten: welded connects ran, and the
-/// pruned searches stamped strictly fewer vertices than the oracle's.
+/// pruned searches visited strictly fewer vertices than the oracle's.
 template <class Store>
 void expect_pruned(const WeldStorm<Store>& storm) {
   EXPECT_GT(storm.welded_connects, 0u);
@@ -671,12 +669,10 @@ void expect_plain_order_churn(const graph::Network& net, std::uint64_t seed,
         net.g, reach.probe(out), src, dst, 0, scratch, visits,
         [&router](graph::VertexId v) { return router.is_busy(v); }, no_edge,
         no_edge, [](graph::VertexId) { return false; }, false);
-    std::vector<graph::VertexId> plain;
-    if (end != graph::kNoVertex)
-      for (graph::VertexId v = dst; v != graph::kNoVertex;
-           v = scratch.parent_f[v])
-        plain.push_back(v);
-    std::reverse(plain.begin(), plain.end());
+    ASSERT_TRUE(visited_clear(scratch, net.g.vertex_count()))
+        << "visited bits survived";
+    const std::vector<graph::VertexId> plain = stack_path(scratch);
+    ASSERT_EQ(end != graph::kNoVertex, !plain.empty());
     const auto call = router.connect(in, out);
     ASSERT_EQ(call != kNone, !plain.empty()) << "(" << in << "," << out << ")";
     if (call == kNone) continue;
