@@ -26,6 +26,7 @@
 #include <barrier>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -51,6 +52,7 @@
 #include "svc/admission.hpp"
 #include "svc/engine.hpp"
 #include "svc/exchange.hpp"
+#include "svc/federation.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -359,6 +361,76 @@ BENCHMARK(BM_DrainWindow)
     ->Args({9, 4, 128})
     ->Args({9, 4, 256})
     ->UseRealTime();
+
+// The federation's batched plane: 4 x cantor-k7 members, 384 subscribers,
+// members on the solo store (Arg 0 = 1) or the shared store with that many
+// sessions. Each iteration is one epoch: hang up the calls older than 4
+// epochs, offer up to 64 requests from idle inputs to random outputs
+// through submit, and serve them with drain_all. 4000 epochs per run.
+// ns_per_request times drain_all only; carried and trunk_rejects count the
+// whole run. A developer probe with no gate:
+//   ./build/bench_routing --benchmark_filter=BM_FederationDrain
+void BM_FederationDrain(benchmark::State& state) {
+  const graph::Network net = networks::build_cantor({7, 0});
+  svc::FederationConfig cfg;
+  cfg.sessions = static_cast<unsigned>(state.range(0));
+  cfg.backend =
+      cfg.sessions > 1 ? svc::Backend::kConcurrent : svc::Backend::kGreedy;
+  svc::Federation fed(net, 4, cfg);
+  const auto n = static_cast<std::uint32_t>(fed.input_count());
+  std::vector<std::uint32_t> idle(n);
+  std::iota(idle.begin(), idle.end(), 0u);
+  struct Held {
+    svc::FedCallId id;
+    std::uint32_t input;
+  };
+  std::deque<std::vector<Held>> by_age;  // the calls of each recent epoch
+  std::uint64_t carried = 0, requests = 0;
+  // Completions fire on the draining thread (this one).
+  const svc::Federation::FedCompletionFn done = [&](const svc::FedOutcome& o) {
+    const auto input = static_cast<std::uint32_t>(o.tag);
+    if (o.connected()) {
+      by_age.back().push_back({o.id, input});
+      ++carried;
+    } else {
+      idle.push_back(input);
+    }
+  };
+  util::Xoshiro256 rng(util::derive_seed(28, cfg.sessions));
+  using Clock = std::chrono::steady_clock;
+  Clock::duration drain_time{};
+  for (auto _ : state) {
+    if (by_age.size() == 4) {
+      for (const Held& h : by_age.front()) {
+        fed.hangup(h.id);
+        idle.push_back(h.input);
+      }
+      by_age.pop_front();
+    }
+    by_age.emplace_back();
+    const std::size_t offered = std::min<std::size_t>(64, idle.size());
+    for (std::size_t i = 0; i < offered; ++i) {
+      const auto k = rng.below(idle.size());
+      const std::uint32_t in = idle[k];
+      idle[k] = idle.back();
+      idle.pop_back();
+      fed.submit({in, static_cast<std::uint32_t>(rng.below(n)), 0, in}, done);
+    }
+    requests += offered;
+    const auto t0 = Clock::now();
+    benchmark::DoNotOptimize(fed.drain_all());
+    drain_time += Clock::now() - t0;
+  }
+  state.counters["ns_per_request"] =
+      requests == 0 ? 0.0
+                    : static_cast<double>(
+                          std::chrono::nanoseconds(drain_time).count()) /
+                          static_cast<double>(requests);
+  state.counters["carried"] = static_cast<double>(carried);
+  state.counters["trunk_rejects"] =
+      static_cast<double>(fed.stats().trunk_rejects);
+}
+BENCHMARK(BM_FederationDrain)->Arg(1)->Arg(2)->Iterations(4000);
 
 void BM_Theorem2Trial(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));

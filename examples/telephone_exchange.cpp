@@ -111,23 +111,17 @@ ftcs::core::TrafficReport run_day(const ftcs::graph::Network& net,
 /// The serving loop: owns every member session (the drain contract), so it
 /// is the one thread that runs admission epochs, applies operator commands
 /// (ControlPlane::pump between epochs), and hangs up expiring calls.
-/// Connected handles arrive via callback — intra-shard callbacks fire on
-/// member pool threads, inter-shard ones on this thread — so the landing
-/// vector is mutex-protected and drained here each epoch.
+/// Connected handles arrive via callback, which the federation fires on
+/// this thread during drain(), so they land in `held` directly.
 void serve_loop(ftcs::svc::Federation& fed, ftcs::ops::ControlPlane& control,
                 std::atomic<bool>& stop) {
   namespace svc = ftcs::svc;
   const auto n = static_cast<std::uint32_t>(fed.input_count());
   ftcs::util::Xoshiro256 rng(0xDA3E0);
-  std::mutex mu;
-  std::vector<svc::FedCallId> connected;
-  const auto on_done = [&](const svc::FedOutcome& o) {
-    if (o.connected()) {
-      const std::lock_guard<std::mutex> lk(mu);
-      connected.push_back(o.id);
-    }
-  };
   std::vector<svc::FedCallId> held;
+  const auto on_done = [&held](const svc::FedOutcome& o) {
+    if (o.connected()) held.push_back(o.id);
+  };
   while (!stop.load(std::memory_order_acquire)) {
     control.pump();  // operator commands land at the epoch boundary
     for (int a = 0; a < 4; ++a) {
@@ -138,11 +132,6 @@ void serve_loop(ftcs::svc::Federation& fed, ftcs::ops::ControlPlane& control,
       fed.submit(req, on_done);
     }
     fed.drain();
-    {
-      const std::lock_guard<std::mutex> lk(mu);
-      held.insert(held.end(), connected.begin(), connected.end());
-      connected.clear();
-    }
     std::size_t drop = held.size() / 4;  // ~1/4 of held calls hang up/epoch
     while (drop-- > 0 && !held.empty()) {
       const auto idx = rng() % held.size();
@@ -154,10 +143,6 @@ void serve_loop(ftcs::svc::Federation& fed, ftcs::ops::ControlPlane& control,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   control.pump();  // any commands posted while we noticed `stop`
-  {
-    const std::lock_guard<std::mutex> lk(mu);
-    held.insert(held.end(), connected.begin(), connected.end());
-  }
   for (const auto id : held) fed.hangup(id);
 }
 
@@ -329,8 +314,11 @@ int run_daemon(unsigned sessions) {
   server.join();
   fed.drain_all();
   const svc::FederationStats st = fed.stats();
+  // submitted counts requests: intra + inter, less the fault plane's
+  // end-to-end re-admissions, which call() books as inter calls.
   std::cout << "daemon done: " << st.members.submitted << " submitted ("
-            << st.intra_calls << " intra, " << st.inter_calls << " inter), "
+            << st.intra_calls << " intra, " << st.inter_calls << " inter, "
+            << st.reroute_succeeded + st.reroute_failed << " re-admitted), "
             << st.members.admitted << " admitted, " << st.members.hangups
             << " hangups, " << st.trunks.claims << " trunk claims, "
             << st.members.calls_killed_by_fault +

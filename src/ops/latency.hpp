@@ -141,4 +141,21 @@ static_assert(sizeof(ClassStats) ==
 
 using ClassBook = std::array<ClassStats, kQosClasses>;
 
+/// Books one request's verdict under its service class: a served call's
+/// setup latency, and an SLA violation when that exceeds the class's
+/// deadline (0 = the class carries no SLA); anything else is a rejection.
+inline void record_class(ClassBook& book, std::uint8_t priority, bool served,
+                         double setup_seconds,
+                         const std::array<double, kQosClasses>& deadlines = {}) {
+  ClassStats& c = book[qos_class(priority)];
+  if (!served) {
+    ++c.rejected;
+    return;
+  }
+  ++c.served;
+  c.setup.record(setup_seconds);
+  const double deadline = deadlines[qos_class(priority)];
+  if (deadline > 0.0 && setup_seconds > deadline) ++c.sla_violations;
+}
+
 }  // namespace ftcs::ops

@@ -89,19 +89,6 @@ Outcome Exchange::route_one(const CallRequest& req, unsigned session,
   return o;
 }
 
-void Exchange::record_class(ops::ClassBook& book, std::uint8_t priority,
-                            const Outcome& o, double setup_seconds) const {
-  ops::ClassStats& c = book[ops::qos_class(priority)];
-  if (o.connected()) {
-    ++c.served;
-    c.setup.record(setup_seconds);
-    const double deadline = class_deadlines_[ops::qos_class(priority)];
-    if (deadline > 0.0 && setup_seconds > deadline) ++c.sla_violations;
-  } else {
-    ++c.rejected;
-  }
-}
-
 Outcome Exchange::call(const CallRequest& req, unsigned session) {
   if (session >= engine_->sessions()) {
     // Counted with the handle misuses: without this, a caller fanning out
@@ -120,7 +107,8 @@ Outcome Exchange::call(const CallRequest& req, unsigned session) {
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  record_class(sessions_[session].classes, req.priority, o, secs);
+  ops::record_class(sessions_[session].classes, req.priority, o.connected(),
+                    secs, class_deadlines_);
   return o;
 }
 
@@ -358,9 +346,10 @@ std::size_t Exchange::drain() {
       if (!batch[i].done) completed_.emplace(batch[i].ticket, outs[i]);
       // Setup latency = submit -> epoch settle: every outcome of this epoch
       // shares the settle stamp (one clock read), the queue wait dominates.
-      record_class(
-          stats_.classes, batch[i].req.priority, outs[i],
-          std::chrono::duration<double>(t1 - batch[i].submitted_at).count());
+      ops::record_class(
+          stats_.classes, batch[i].req.priority, outs[i].connected(),
+          std::chrono::duration<double>(t1 - batch[i].submitted_at).count(),
+          class_deadlines_);
     }
     stats_.completed += m;
     stats_.fanout_epochs += fanned ? 1 : 0;
@@ -454,42 +443,20 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
 }
 
 void Exchange::reroute_victims(FaultImpact& impact) {
-  // Immediate re-admission of the victims through the batched plane. Their
-  // terminals are free again (the kill released them); whether a detour
-  // exists is the engine's verdict. Anything already queued rides along.
-  // Every victim RESOLVES within this call: if the policy refuses to drain
-  // (zero window), the leftover victim submissions are cancelled and
-  // reported kRefused — nothing fires after this frame returns. The
-  // completion buffer is shared-owned anyway, as defense in depth.
+  // Immediate re-admission: each victim's original request routes again on
+  // the victim's own session, in kill order. Their terminals are free again
+  // (the kill released them); whether a detour exists is the engine's
+  // verdict. The admission queue is not touched. Every request is copied
+  // before any routes, because a reroute may take a later victim's slot.
   if (impact.killed.empty()) return;
-  auto reroutes = std::make_shared<std::vector<Outcome>>(impact.killed.size());
-  std::vector<Ticket> tickets;
-  tickets.reserve(impact.killed.size());
-  for (std::size_t i = 0; i < impact.killed.size(); ++i) {
-    const CallRequest& req =
-        sessions_[impact.killed[i].session].slots[impact.killed[i].id.slot_]
-            .req;
-    (*reroutes)[i].reject = RejectReason::kRefused;
-    (*reroutes)[i].tag = req.tag;
-    tickets.push_back(
-        submit(req, [reroutes, i](const Outcome& o) { (*reroutes)[i] = o; }));
-  }
-  drain_all();
-  {
-    // Cancel victims a zero-window policy left queued (their sentinel
-    // outcome above stays kRefused).
-    std::lock_guard<std::mutex> lk(front_mu_);
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (std::find(tickets.begin(), tickets.end(), it->ticket) !=
-          tickets.end())
-        it = queue_.erase(it);
-      else
-        ++it;
-    }
-  }
-  impact.reroutes = *reroutes;
-  for (const Outcome& o : impact.reroutes) {
-    if (o.connected())
+  std::vector<CallRequest> reqs;
+  reqs.reserve(impact.killed.size());
+  for (const Outcome& dead : impact.killed)
+    reqs.push_back(sessions_[dead.session].slots[dead.id.slot_].req);
+  impact.reroutes.reserve(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    impact.reroutes.push_back(route_one(reqs[i], impact.killed[i].session, 0));
+    if (impact.reroutes.back().connected())
       ++impact.reroute_succeeded;
     else
       ++impact.reroute_failed;

@@ -208,8 +208,8 @@ struct DrainCost {
 
 /// What one fault-plane operation did: which calls died (typed kFaulted
 /// outcomes echoing the original request's tag, with the now-dead handle)
-/// and how their immediate re-admission through the batched plane went
-/// (reroutes[i] is the new outcome for killed[i]).
+/// and how their immediate re-admission went (reroutes[i] is the new
+/// outcome for killed[i], routed on killed[i]'s session).
 struct FaultImpact {
   fault::FaultEvent event;
   std::vector<Outcome> killed;    // reject == kFaulted; id is the dead handle
@@ -381,9 +381,10 @@ class Exchange {
   //     vertex death (a NON-TERMINAL vertex dies with its first OPEN-failed
   //     incident switch; terminals stay serviceable through their surviving
   //     switches), tears down every active call whose path lost a component
-  //     (typed kFaulted outcomes), then immediately re-admits the victims'
-  //     original requests through the batched plane (anything already
-  //     queued rides along in those epochs).
+  //     (typed kFaulted outcomes), then immediately routes each victim's
+  //     original request again on the victim's own session, in kill order.
+  //     The admission queue is untouched: a queued backlog waits for the
+  //     next drain(), and no fault event runs an admission epoch.
   //   - kStuckOn (closed): the switch welds conducting — the engines route
   //     across it in both directions (runtime contraction). NO call dies
   //     (a path over the weld is still carried) and NO vertex dies (§6 death is about unusable switches; this
@@ -537,15 +538,13 @@ class Exchange {
   /// fault-claim `newly_dead` (a subset of the endpoints) afterwards.
   void reap_victims(FaultImpact& impact, const graph::Edge& edge,
                     const std::vector<graph::VertexId>& newly_dead);
-  /// Re-admits impact.killed through the batched plane; fills
-  /// impact.reroutes (index-aligned) and the reroute counters.
+  /// Routes each of impact.killed's requests again on its own session, in
+  /// kill order; fills impact.reroutes (index-aligned) and the reroute
+  /// counters. Never touches the admission queue.
   void reroute_victims(FaultImpact& impact);
   /// Pops the admitted window (priority-ordered) off the queue. Caller
   /// holds front_mu_.
   std::vector<Pending> take_window(std::size_t window);
-  /// Books one outcome into `book` under the request's service class.
-  void record_class(ops::ClassBook& book, std::uint8_t priority,
-                    const Outcome& o, double setup_seconds) const;
 
   std::unique_ptr<graph::Network> owned_net_;  // set only for the owning ctor
   const graph::Network* net_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -151,7 +153,6 @@ FedOutcome Federation::wrap_intra(std::uint32_t shard, const Outcome& o) const {
   f.reject = o.reject;
   f.shard_in = f.shard_out = shard;
   f.path_length = o.path_length;
-  f.deferrals = o.deferrals;
   f.tag = o.tag;
   if (o.id.valid()) {  // live handle, or the dead handle of a fault victim
     f.id.kind_ = 1;
@@ -253,152 +254,54 @@ Ticket Federation::submit(const CallRequest& req) {
 Ticket Federation::submit(const CallRequest& req, FedCompletionFn done) {
   std::lock_guard<std::mutex> lk(front_mu_);
   const Ticket t = next_ticket_++;
-  queue_.push_back(FedPending{req, t, std::move(done)});
+  queue_.push_back(FedPending{req, t, std::move(done),
+                              std::chrono::steady_clock::now()});
+  ExchangeStats& book = stats_.members;
+  ++book.submitted;
+  book.queue_high_water =
+      std::max<std::uint64_t>(book.queue_high_water, queue_.size());
   return t;
-}
-
-void Federation::deliver(FedPending&& p, const FedOutcome& o) {
-  if (p.done) {
-    p.done(o);
-    return;
-  }
-  std::lock_guard<std::mutex> lk(front_mu_);
-  completed_.emplace(p.ticket, o);
 }
 
 std::size_t Federation::drain() {
   std::vector<FedPending> window;
   {
     std::lock_guard<std::mutex> lk(front_mu_);
-    window.reserve(queue_.size());
-    while (!queue_.empty()) {
-      window.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
+    if (queue_.empty()) return 0;
+    window.assign(std::make_move_iterator(queue_.begin()),
+                  std::make_move_iterator(queue_.end()));
+    queue_.clear();
+    ++stats_.members.epochs;
+    stats_.members.admitted += window.size();
   }
-  if (window.empty()) return 0;
-
-  // Stage every request: trunk claims happen HERE, on the drain thread (it
-  // owns the trunk books), then the half-calls ride each member's own
-  // batched admission plane. Records are shared-owned because member
-  // completion callbacks run on pool threads during the member drains; the
-  // ingress/egress fields carry a kRefused sentinel so a half a member
-  // policy never served reads as refused, not as connected (members are
-  // expected to run policies that eventually serve — the default does).
-  std::vector<std::shared_ptr<EpochRec>> recs;
-  recs.reserve(window.size());
-  std::vector<std::uint8_t> touched(members_.size(), 0);
-  const std::size_t total = input_count();
-  for (auto& p : window) {
-    auto rec = std::make_shared<EpochRec>();
-    EpochRec& r = *rec;
-    r.pending = std::move(p);
-    const CallRequest& req = r.pending.req;
-    if (req.input >= total || req.output >= total) {
-      ++stats_.handle_errors;
-      FedOutcome o;
-      o.tag = req.tag;
-      o.reject = RejectReason::kBadSession;
-      r.resolved = true;
-      deliver(std::move(r.pending), o);
-      continue;
-    }
-    r.sa = shard_of(req.input);
-    r.sb = shard_of(req.output);
-    r.la = local_of(req.input);
-    r.lb = local_of(req.output);
-    if (r.sa == r.sb) {
-      // Intra fast path: the member callback wraps and delivers directly
-      // (on a pool thread, like Exchange's own completion contract).
-      ++stats_.intra_calls;
-      touched[r.sa] = 1;
-      members_[r.sa]->submit(
-          {r.la, r.lb, req.priority, req.tag}, [this, rec](const Outcome& o) {
-            deliver(std::move(rec->pending), wrap_intra(rec->sa, o));
-          });
-      recs.push_back(std::move(rec));
-      continue;
-    }
-    ++stats_.inter_calls;
-    r.inter = true;
-    const auto claimed = claim_trunk(r.sa, r.sb);
-    if (!claimed) {
-      ++stats_.trunk_rejects;
-      FedOutcome o;
-      o.tag = req.tag;
-      o.reject = RejectReason::kTrunkBusy;
-      o.stage = FedStage::kTrunk;
-      o.shard_in = r.sa;
-      o.shard_out = r.sb;
-      r.resolved = true;
-      deliver(std::move(r.pending), o);
-      continue;
-    }
-    r.group = claimed->first;
-    r.line = claimed->second;
-    r.ingress.reject = RejectReason::kRefused;  // sentinels (see above)
-    r.egress.reject = RejectReason::kRefused;
-    const TrunkLine& line = groups_[r.group].line(r.line);
-    touched[r.sa] = 1;
-    touched[r.sb] = 1;
-    members_[r.sa]->submit({r.la, line.egress_port, req.priority, req.tag},
-                           [rec](const Outcome& o) { rec->ingress = o; });
-    members_[r.sb]->submit({line.ingress_port, r.lb, req.priority, req.tag},
-                           [rec](const Outcome& o) { rec->egress = o; });
-    recs.push_back(std::move(rec));
+  // Each request is served by call() in FIFO order, and its callback fires
+  // on this thread before the next request routes: a batched request gets
+  // the verdict, the trunk line and the abort path of the immediate plane.
+  // Its setup latency runs from submit to delivery.
+  ops::ClassBook classes{};
+  std::vector<std::pair<Ticket, FedOutcome>> polled;
+  for (FedPending& p : window) {
+    const FedOutcome o = call(p.req);
+    ops::record_class(classes, p.req.priority, o.connected(),
+                      std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - p.submitted_at)
+                          .count());
+    if (p.done)
+      p.done(o);
+    else
+      polled.emplace_back(p.ticket, o);
   }
-
-  // One member admission epoch each, in sequence: the members share
-  // util::ThreadPool::global(), so nesting their drains would contend for
-  // the same workers; each member still parallelizes across its own
-  // sessions internally.
-  for (std::size_t m = 0; m < members_.size(); ++m)
-    if (touched[m]) members_[m]->drain_all();
-
-  // Reconcile inter verdicts (drain thread; the member drains' joins order
-  // every callback write before these reads). A one-sided epoch is a
-  // two-phase abort: hang up the surviving half, release the trunk.
-  for (auto& rec : recs) {
-    EpochRec& r = *rec;
-    if (!r.inter || r.resolved) continue;
-    FedOutcome o;
-    o.tag = r.pending.req.tag;
-    o.shard_in = r.sa;
-    o.shard_out = r.sb;
-    if (r.ingress.connected() && r.egress.connected()) {
-      stats_.half_calls_routed += 2;
-      o.id = commit_inter(r.pending.req, r.sa, r.sb, r.group, r.line,
-                          r.ingress.id, r.egress.id);
-      o.trunk_group = r.group;
-      o.path_length = r.ingress.path_length + r.egress.path_length;
-      o.deferrals = std::max(r.ingress.deferrals, r.egress.deferrals);
-      ++stats_.inter_connected;
-    } else if (r.ingress.connected()) {
-      ++stats_.half_calls_routed;
-      members_[r.sa]->hangup(r.ingress.id);
-      groups_[r.group].release(r.line);
-      ++stats_.egress_aborts;
-      o.reject = r.egress.reject;
-      o.stage = FedStage::kEgress;
-    } else {
-      if (r.egress.connected()) {
-        ++stats_.half_calls_routed;
-        members_[r.sb]->hangup(r.egress.id);
-      }
-      groups_[r.group].release(r.line);
-      ++stats_.ingress_aborts;
-      o.reject = r.ingress.reject;
-      o.stage = FedStage::kIngress;
-    }
-    deliver(std::move(r.pending), o);
-  }
+  std::lock_guard<std::mutex> lk(front_mu_);
+  completed_.insert(polled.begin(), polled.end());
+  for (std::size_t c = 0; c < ops::kQosClasses; ++c)
+    stats_.members.classes[c] += classes[c];
+  stats_.members.completed += window.size();
   return window.size();
 }
 
 std::size_t Federation::drain_all() {
-  // drain() takes the WHOLE queue (the federation front-end has no window
-  // policy of its own — members apply theirs to the half-calls), so this
-  // terminates as soon as no new submissions arrive.
+  // drain() takes the WHOLE queue (the federation front end has no window),
+  // so this terminates as soon as no new submissions arrive.
   std::size_t total = 0;
   for (;;) {
     const std::size_t n = drain();
@@ -423,24 +326,16 @@ std::size_t Federation::pending() const {
 
 FedOutcome Federation::readmit(const CallRequest& req, std::uint64_t& succeeded,
                                std::uint64_t& failed) {
-  // End-to-end re-admission through the batched plane; anything already
-  // queued rides along in the same epochs (the Exchange reroute discipline).
-  struct Box {
-    FedOutcome o;
-  };
-  auto box = std::make_shared<Box>();
-  box->o.reject = RejectReason::kRefused;  // sentinel, as in reroute_victims
-  box->o.tag = req.tag;
-  submit(req, [box](const FedOutcome& o) { box->o = o; });
-  drain_all();
-  if (box->o.connected()) {
+  // End-to-end re-admission on the immediate plane; the queue is untouched.
+  const FedOutcome o = call(req);
+  if (o.connected()) {
     ++succeeded;
     ++stats_.reroute_succeeded;
   } else {
     ++failed;
     ++stats_.reroute_failed;
   }
-  return box->o;
+  return o;
 }
 
 TrunkFaultImpact Federation::fail_trunk(std::uint32_t group,
@@ -608,7 +503,11 @@ std::size_t Federation::busy_vertices() const {
 }
 
 FederationStats Federation::stats() const {
-  FederationStats s = stats_;
+  FederationStats s;
+  {
+    std::lock_guard<std::mutex> lk(front_mu_);
+    s = stats_;
+  }
   for (const auto& m : members_) s.members += m->stats();
   for (const TrunkGroup& g : groups_) s.trunks += g.stats();
   return s;
@@ -617,6 +516,7 @@ FederationStats Federation::stats() const {
 void Federation::reset_stats() {
   for (const auto& m : members_) m->reset_stats();
   for (TrunkGroup& g : groups_) g.reset_stats();
+  std::lock_guard<std::mutex> lk(front_mu_);
   stats_ = {};
 }
 

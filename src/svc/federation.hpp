@@ -32,36 +32,38 @@
 //     reverse: egress hangup, ingress hangup, trunk release.
 //
 // Both planes exist, mirroring Exchange: call()/hangup() immediate, and a
-// batched submit()/drain() plane that stages trunk claims on the drain
-// thread and routes all half-calls through each member's OWN batched
-// admission plane (one member drain_all per epoch, members in sequence —
-// member-internal session parallelism still applies), then reconciles:
-// an epoch that connected only one half of a call hangs the survivor up
-// and releases the trunk before the outcome is delivered.
+// batched submit()/drain() plane whose drain takes the whole queue and
+// serves each request through call(), in FIFO order. There is ONE setup
+// path: the federation never uses a member's submit()/drain(), and books
+// its batched front end (submitted/admitted/completed/epochs, queue high
+// water, per-class served/rejected and submit -> delivery latency) into
+// the members' ExchangeStats rows itself.
 //
 // Fault planes compose:
 //   - a TRUNK fault is an edge fault of the federation graph: fail_trunk()
 //     removes the line from the pool, tears down both half-calls of any
 //     riding call (typed kFaulted, the retained federation handle gets the
 //     informative kFaulted ack), releases the line, and re-admits the
-//     original end-to-end request through the batched plane (drain_all) —
-//     the same kill -> re-admit discipline as Exchange::inject.
+//     original end-to-end request through call() — the same kill ->
+//     re-admit discipline as Exchange::inject. No queued request moves.
 //   - a MEMBER fault goes through Federation::inject/repair, which forwards
 //     to the member and then reconciles half-call victims: a half the
 //     member rerouted in place is ADOPTED (the trunk line, and therefore
 //     the half's far terminal, was still reserved, so the reroute lands on
 //     the same ports and the inter-call survives); a half the member could
 //     not carry tears down its mate and the trunk, and the whole call is
-//     re-admitted end-to-end.
+//     re-admitted end-to-end through call().
 //
 // Threading contract (the Exchange rules, lifted one level): submit() and
 // poll() are thread-safe; call()/hangup()/drain()/drain_all() and every
 // fault operation run from one thread at a time, which transitively owns
 // every member session (Federation touches multiple members per call, so
-// immediate-plane serialization is global, not per-session).
+// immediate-plane serialization is global, not per-session). Completion
+// callbacks fire on the draining thread.
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -90,7 +92,8 @@ enum class FedStage : std::uint8_t { kNone = 0, kTrunk, kIngress, kEgress };
   return "unknown";
 }
 
-/// Federation-level counter block: the merged member ExchangeStats plus the
+/// Federation-level counter block: the merged member ExchangeStats (with
+/// the federation's own batched front-end rows booked on top) plus the
 /// trunk books and the two-phase setup/teardown tallies. Mergeable and
 /// delta-able like ExchangeStats, so metrics scrapes stay exact. Every
 /// counter is a row of fields().
@@ -196,7 +199,6 @@ struct FedOutcome {
   std::uint32_t shard_in = 0, shard_out = 0;
   std::uint32_t trunk_group = kNoTrunkGroup;  // claimed group, when committed
   std::uint32_t path_length = 0;  // vertices; inter: both halves summed
-  std::uint32_t deferrals = 0;    // admission epochs spent queued (batched)
   std::uint64_t tag = 0;          // CallRequest::tag, echoed
   [[nodiscard]] constexpr bool connected() const noexcept {
     return reject == RejectReason::kNone;
@@ -313,11 +315,13 @@ class Federation {
   /// Enqueues a request; thread-safe. Outcomes become pollable after the
   /// drain() epoch that serves them.
   Ticket submit(const CallRequest& req);
+  /// Callback flavour: `done` fires on the draining thread.
   Ticket submit(const CallRequest& req, FedCompletionFn done);
-  /// Runs one federation admission epoch: stages every queued request
-  /// (trunk claims happen here, on the drain thread), drains every member's
-  /// batched plane, reconciles half-call verdicts (two-phase abort on a
-  /// one-sided epoch), and delivers outcomes. Returns requests admitted.
+  /// Runs one federation admission epoch: takes every queued request and
+  /// serves each through call() in FIFO order (the same trunk claim,
+  /// half-calls and abort path), firing its callback before the next one
+  /// routes; pollable outcomes land at the epoch's end. Returns requests
+  /// admitted.
   std::size_t drain();
   /// Drains until the federation queue is empty.
   std::size_t drain_all();
@@ -327,7 +331,7 @@ class Federation {
   // --------------------------------------------------------- fault plane
   /// Edge fault of the federation graph: fails line `line` of `group`,
   /// tears down the riding call (typed kFaulted, both halves) and re-admits
-  /// it end-to-end through the batched plane.
+  /// it end-to-end through call(). The batched queue is untouched.
   TrunkFaultImpact fail_trunk(std::uint32_t group, std::uint32_t line);
   /// Restores a failed line to the claimable pool.
   TrunkFaultImpact repair_trunk(std::uint32_t group, std::uint32_t line);
@@ -380,15 +384,7 @@ class Federation {
     CallRequest req;
     Ticket ticket = 0;
     FedCompletionFn done;
-  };
-  /// Per-epoch staging record for one queued request.
-  struct EpochRec {
-    FedPending pending;
-    bool inter = false;
-    bool resolved = false;  // verdict already delivered at staging time
-    std::uint32_t sa = 0, sb = 0, la = 0, lb = 0;
-    std::uint32_t group = 0, line = 0;
-    Outcome ingress{}, egress{};  // written by member completion callbacks
+    std::chrono::steady_clock::time_point submitted_at{};
   };
 
   /// Claims a line of the group from `from` toward `to`. Returns
@@ -406,16 +402,14 @@ class Federation {
   RejectReason check_inter_handle(FedCallId id) const;
   /// Wraps a member outcome as an intra-shard federation outcome.
   FedOutcome wrap_intra(std::uint32_t shard, const Outcome& o) const;
-  /// Re-admits `req` end-to-end through the batched plane; returns the
-  /// re-admission outcome and books the reroute counters into `succeeded` /
-  /// `failed`.
+  /// Re-admits `req` end-to-end through call(); returns the re-admission
+  /// outcome and books the reroute counters into `succeeded` / `failed`.
   FedOutcome readmit(const CallRequest& req, std::uint64_t& succeeded,
                      std::uint64_t& failed);
   /// Shared half-call reconciliation behind inject()/repair().
   void reconcile_member_impact(unsigned shard, FedFaultImpact& out);
   /// half_owner_ entry for member `shard`'s handle `half` (grown on demand).
   std::uint32_t& half_owner(std::uint32_t shard, CallId half);
-  void deliver(FedPending&& p, const FedOutcome& o);
 
   const graph::Network* net_;
   std::uint32_t subs_ = 0;
@@ -446,9 +440,10 @@ class Federation {
   std::unordered_map<Ticket, FedOutcome> completed_;
   Ticket next_ticket_ = 1;
 
-  // Front-end counters (drain-contract thread only). stats_.members and
-  // stats_.trunks stay 0 here: stats() merges them from the members and
-  // the groups.
+  // Front-end counters. stats_.members holds only the batched front end's
+  // rows (submitted/admitted/completed/epochs/queue_high_water and the
+  // class book), guarded by front_mu_; the other rows follow the drain
+  // contract. stats() merges the members and the groups on top.
   FederationStats stats_;
 };
 

@@ -1,7 +1,9 @@
 // A fault event that is certain to kill a call, for the multi-session
 // storm tests: a seeded storm may hit no held call at all, and then the
-// victim re-admission (a drain of every session, whose first multi-session
-// epoch hands its chunks to the pool) goes unexercised in that run.
+// victim re-admission (a reroute on the victim's own session) goes
+// unexercised in that run. The pool's hand-off under a fault storm is
+// covered by TrafficFaults.BatchedMultiSessionPlaneSurvivesTheSameStorm
+// (tests/test_fault_plane.cpp, ctest label tsan).
 #pragma once
 
 #include <gtest/gtest.h>

@@ -621,6 +621,120 @@ TEST(FederationBatched, TrunkExhaustionBouncesTypedWithinEpoch) {
   EXPECT_EQ(fed.busy_vertices(), 0u);
 }
 
+TEST(FederationBatched, FrontEndBooksCountRequests) {
+  const auto net = networks::build_cantor({4, 0});
+  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
+    Federation fed(net, 3, fed_cfg(backend));
+    util::Xoshiro256 rng(util::derive_seed(28, backend == Backend::kGreedy));
+    const auto n = static_cast<std::uint32_t>(fed.input_count());
+    std::uint64_t requests = 0, epochs = 0, served = 0;
+    std::vector<FedCallId> held;
+    const auto on_done = [&](const FedOutcome& o) {
+      if (!o.connected()) return;
+      ++served;
+      held.push_back(o.id);
+    };
+    for (int round = 0; round < 12; ++round) {
+      const auto burst = static_cast<std::uint32_t>(rng.below(9));
+      for (std::uint32_t i = 0; i < burst; ++i) {
+        CallRequest req;
+        req.input = static_cast<std::uint32_t>(rng.below(n));
+        req.output = static_cast<std::uint32_t>(rng.below(n));
+        req.priority = static_cast<std::uint8_t>(rng.below(4));
+        req.tag = requests++;
+        fed.submit(req, on_done);
+      }
+      const std::size_t drained = fed.drain();
+      EXPECT_EQ(drained, burst);
+      if (drained > 0) ++epochs;
+      EXPECT_EQ(fed.drain(), 0u);  // an empty drain is not an epoch
+      if (round % 3 == 2) {
+        for (const FedCallId id : held)
+          EXPECT_EQ(fed.hangup(id), RejectReason::kNone);
+        held.clear();
+      }
+    }
+    ASSERT_GT(epochs, 0u);
+    const FederationStats st = fed.stats();
+    EXPECT_EQ(st.members.submitted, requests);
+    EXPECT_EQ(st.members.admitted, requests);
+    EXPECT_EQ(st.members.completed, requests);
+    EXPECT_EQ(st.members.epochs, epochs);
+    EXPECT_EQ(st.intra_calls + st.inter_calls, requests);
+    EXPECT_GE(st.members.queue_high_water, 1u);
+    EXPECT_LE(st.members.queue_high_water, 8u);
+    std::uint64_t booked_served = 0, booked = 0;
+    for (const ops::ClassStats& c : st.members.classes) {
+      booked_served += c.served;
+      booked += c.served + c.rejected;
+      EXPECT_EQ(c.setup.count(), c.served);
+    }
+    EXPECT_EQ(booked, requests);
+    EXPECT_EQ(booked_served, served);
+    for (const FedCallId id : held)
+      EXPECT_EQ(fed.hangup(id), RejectReason::kNone);
+    EXPECT_EQ(fed.busy_vertices(), 0u);
+    fed.reset_stats();
+    EXPECT_EQ(fed.stats().members.submitted, 0u);
+  }
+}
+
+// Trunk faults and member faults re-admit their victims through call(): a
+// queued backlog is left as it was, and the next drain serves all of it.
+TEST(FederationBatched, BacklogSurvivesTrunkAndMemberFaults) {
+  const auto net = networks::build_cantor({5, 0});
+  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
+    Federation fed(net, 2, fed_cfg(backend));
+    const FedOutcome inter =
+        fed.call({fed.global_of(0, 1), fed.global_of(1, 1), 0, 41});
+    ASSERT_TRUE(inter.connected());
+    const FedOutcome intra =
+        fed.call({fed.global_of(0, 2), fed.global_of(0, 3), 0, 42});
+    ASSERT_TRUE(intra.connected());
+    constexpr std::uint32_t kBacklog = 10;
+    for (std::uint32_t i = 0; i < kBacklog; ++i)
+      fed.submit({fed.global_of(0, 8 + i), fed.global_of(i % 2, 8 + i), 0, i});
+    const FederationStats before = fed.stats();
+
+    // A trunk fault under the inter call.
+    const TrunkGroup& tg = fed.trunk_group(inter.trunk_group);
+    std::uint32_t line = tg.capacity();
+    for (std::uint32_t l = 0; l < tg.capacity(); ++l)
+      if (tg.line_busy(l)) line = l;
+    ASSERT_LT(line, tg.capacity());
+    const TrunkFaultImpact trunk = fed.fail_trunk(inter.trunk_group, line);
+    ASSERT_EQ(trunk.killed.size(), 1u);
+    ASSERT_TRUE(trunk.reroutes[0].connected());
+    EXPECT_EQ(trunk.reroutes[0].tag, 41u);
+    EXPECT_EQ(fed.pending(), kBacklog);
+
+    // Member 0's switches in turn until one kills a call (the intra call or
+    // the re-admitted inter call's ingress half).
+    bool hit = false;
+    for (graph::EdgeId e = 0; e < net.g.edge_count() && !hit; ++e) {
+      fault::FaultEvent ev;
+      ev.edge = e;
+      const FedFaultImpact imp = fed.inject(0, ev);
+      hit = imp.member.calls_killed() > 0;
+      ev.kind = fault::FaultEvent::Kind::kRepair;
+      fed.repair(0, ev);
+    }
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(fed.pending(), kBacklog);
+
+    const FederationStats after = fed.stats();
+    EXPECT_EQ(after.members.submitted, before.members.submitted);
+    EXPECT_EQ(after.members.admitted, before.members.admitted);
+    EXPECT_EQ(after.members.epochs, before.members.epochs);
+    EXPECT_EQ(after.members.submitted, kBacklog);
+    EXPECT_EQ(after.members.admitted, 0u);
+
+    EXPECT_EQ(fed.drain_all(), kBacklog);
+    EXPECT_EQ(fed.stats().members.epochs, 1u);
+    EXPECT_EQ(fed.stats().members.completed, kBacklog);
+  }
+}
+
 // The merge algebra of FederationStats is walked row by row in
 // test_ops_plane.cpp (StatsTable.*); this checks the delta a scrape takes
 // against a LIVE federation.

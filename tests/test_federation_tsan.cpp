@@ -167,8 +167,16 @@ TEST(FederationChurnTsan, SubmittersRaceTrunkFaultsThroughCommandQueue) {
   std::uint64_t down = 0;
   for (const TrunkGauge& g : fed.trunk_gauges()) down += g.capacity - g.usable;
   EXPECT_EQ(st.trunks.faults - st.trunks.repairs, down);
-  // The 2-session members' drains handed chunks to the pool too.
-  EXPECT_GT(st.members.fanout_epochs, 0u);
+  // The front end books requests, not half-calls: every submission was
+  // admitted and completed exactly once, and the trunk-fault re-admissions
+  // never entered the queue.
+  EXPECT_EQ(st.members.submitted, kTotal);
+  EXPECT_EQ(st.members.admitted, kTotal);
+  EXPECT_EQ(st.members.completed, kTotal);
+  std::uint64_t booked = 0;
+  for (const ops::ClassStats& c : st.members.classes)
+    booked += c.served + c.rejected;
+  EXPECT_EQ(booked, kTotal);
 }
 
 }  // namespace

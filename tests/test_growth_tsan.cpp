@@ -150,11 +150,11 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
   EXPECT_GT(st.calls_killed_by_fault, 0u);
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
-  // Each victim re-admission drains all 4 sessions, and an exchange's first
-  // multi-session drain hands its chunks to the pool: with a kill certain,
-  // every run raced the pool's hand-off too.
-  EXPECT_GT(st.epochs, 0u);
-  EXPECT_EQ(st.fanout_epochs > 0, st.epochs > 0);
+  // Victims reroute on their own sessions: no fault event touches the
+  // admission queue. The pool's hand-off under a fault storm is covered by
+  // TrafficFaults.BatchedMultiSessionPlaneSurvivesTheSameStorm.
+  EXPECT_EQ(st.epochs, 0u);
+  EXPECT_EQ(st.submitted, 0u);
 }
 
 }  // namespace
