@@ -85,7 +85,6 @@ FedMeasure fed_churn(const graph::Network& member_net, unsigned shards,
                      std::uint32_t subscribers, double inter_fraction,
                      std::size_t ops) {
   svc::FederationConfig cfg;
-  cfg.backend = svc::Backend::kGreedy;
   cfg.subscribers = subscribers;
   cfg.topology = topology;
   svc::Federation fed(member_net, shards, cfg);

@@ -49,7 +49,6 @@
 #include "ftcs/verify.hpp"
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
-#include "svc/admission.hpp"
 #include "svc/engine.hpp"
 #include "svc/exchange.hpp"
 #include "svc/federation.hpp"
@@ -362,21 +361,17 @@ BENCHMARK(BM_DrainWindow)
     ->Args({9, 4, 256})
     ->UseRealTime();
 
-// The federation's batched plane: 4 x cantor-k7 members, 384 subscribers,
-// members on the solo store (Arg 0 = 1) or the shared store with that many
-// sessions. Each iteration is one epoch: hang up the calls older than 4
-// epochs, offer up to 64 requests from idle inputs to random outputs
-// through submit, and serve them with drain_all. 4000 epochs per run.
+// The federation's batched plane: 4 x cantor-k7 members (one session on
+// the solo store each, as every federation member is), 384 subscribers.
+// Each iteration is one epoch: hang up the calls older than 4 epochs,
+// offer up to 64 requests from idle inputs to random outputs through
+// submit, and serve them with drain_all. 4000 epochs per run.
 // ns_per_request times drain_all only; carried and trunk_rejects count the
 // whole run. A developer probe with no gate:
 //   ./build/bench_routing --benchmark_filter=BM_FederationDrain
 void BM_FederationDrain(benchmark::State& state) {
   const graph::Network net = networks::build_cantor({7, 0});
-  svc::FederationConfig cfg;
-  cfg.sessions = static_cast<unsigned>(state.range(0));
-  cfg.backend =
-      cfg.sessions > 1 ? svc::Backend::kConcurrent : svc::Backend::kGreedy;
-  svc::Federation fed(net, 4, cfg);
+  svc::Federation fed(net, 4);
   const auto n = static_cast<std::uint32_t>(fed.input_count());
   std::vector<std::uint32_t> idle(n);
   std::iota(idle.begin(), idle.end(), 0u);
@@ -396,7 +391,7 @@ void BM_FederationDrain(benchmark::State& state) {
       idle.push_back(input);
     }
   };
-  util::Xoshiro256 rng(util::derive_seed(28, cfg.sessions));
+  util::Xoshiro256 rng(util::derive_seed(28, 1));
   using Clock = std::chrono::steady_clock;
   Clock::duration drain_time{};
   for (auto _ : state) {
@@ -430,7 +425,7 @@ void BM_FederationDrain(benchmark::State& state) {
   state.counters["trunk_rejects"] =
       static_cast<double>(fed.stats().trunk_rejects);
 }
-BENCHMARK(BM_FederationDrain)->Arg(1)->Arg(2)->Iterations(4000);
+BENCHMARK(BM_FederationDrain)->Iterations(4000);
 
 void BM_Theorem2Trial(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));
@@ -969,20 +964,16 @@ std::vector<DegradedPoint> degraded_series(const graph::Network& net,
 }
 
 // ---------------------------------------------------------------------------
-// --policy=overlay admission A/B: the SAME bursty fault storm served twice
-// through the batched plane — once behind a static FixedWindowAdmission,
-// once behind the overlay-aware decorator over the same window. One drain()
-// per tick (not drain_all): the overlay policy's whole mechanism is leaving
-// the surplus queued while the topology is degraded, so the series must let
-// a backlog exist. Repairs lag failures (mean repair = a third of the run),
-// the tail sweep-repairs whatever the schedule left down, and both runs
-// then drain their backlog to empty — every submitted request gets routed
-// or rejected under BOTH policies, so the reject books are comparable.
-// "Hard" rejects = no-path + refused: the requests the exchange burned into
-// dead topology (or bounced), versus deferring them to post-repair epochs.
+// --policy: a bursty fault storm served through the batched plane behind a
+// fixed admission window. One drain() per tick (not drain_all), so a
+// backlog may build while the storm is on. Repairs lag failures (mean
+// repair = a third of the run), the tail sweep-repairs whatever the
+// schedule left down, and the run then drains its backlog to empty, so
+// every submitted request gets routed or rejected. "Hard" rejects =
+// no-path + refused: the requests the exchange burned into dead topology
+// (or bounced).
 
 struct PolicyPoint {
-  const char* policy = "static";
   std::size_t connects = 0;
   double seconds = 0.0;
   core::RouterStats stats;
@@ -1002,23 +993,20 @@ struct PolicyPoint {
 };
 
 PolicyPoint policy_churn(const graph::Network& net, unsigned sessions,
-                         bool overlay, double eps, std::size_t ticks,
+                         double eps, std::size_t ticks,
                          std::size_t arrivals_per_tick, std::size_t window) {
   svc::ExchangeConfig cfg;
   cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = sessions;
-  if (overlay)
-    cfg.admission = std::make_unique<svc::OverlayAdaptiveAdmission>(window);
-  else
-    cfg.admission = std::make_unique<svc::FixedWindowAdmission>(window);
-  svc::Exchange exchange(net, std::move(cfg));
+  cfg.window = window;
+  svc::Exchange exchange(net, cfg);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  util::Xoshiro256 rng(util::derive_seed(91, overlay ? 1 : 0));
+  util::Xoshiro256 rng(util::derive_seed(91, 0));
 
   // Bursty storm: hazards run for the whole horizon but crews take a third
   // of the run per fix, so damage accumulates mid-run and clears late.
-  // Open failures only — the A/B is about admission into DEAD topology, and
-  // stuck-on welds never block a search.
+  // Open failures only — the series is about admission into DEAD topology,
+  // and stuck-on welds never block a search.
   const auto schedule = fault::FaultSchedule::from_model(
       fault::FaultModel{eps, 0.0}, net.g.edge_count(),
       /*horizon=*/static_cast<double>(ticks),
@@ -1062,8 +1050,8 @@ PolicyPoint policy_churn(const graph::Network& net, unsigned sessions,
     hangup_third();
   }
   // The crews finish: sweep-repair every switch (repairing a healthy one is
-  // a no-op), then serve the deferred backlog to empty. The storm's damage
-  // is gone, so whatever a policy queued instead of burning now routes.
+  // a no-op), then serve the deferred backlog to empty on the healed
+  // network.
   for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e)
     exchange.repair({static_cast<double>(ticks) + 1.0, e,
                      fault::FaultEvent::Kind::kRepair});
@@ -1077,7 +1065,6 @@ PolicyPoint policy_churn(const graph::Network& net, unsigned sessions,
 
   const svc::ExchangeStats st = exchange.stats();
   PolicyPoint p;
-  p.policy = overlay ? "overlay" : "static";
   p.connects = static_cast<std::size_t>(st.admitted);
   p.seconds = dt;
   p.stats = st.router;
@@ -1114,7 +1101,7 @@ std::string reject_key(svc::RejectReason reason, std::uint64_t count) {
 
 int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_series,
                    std::size_t max_batch, double max_faults,
-                   std::size_t repeats, bool policy_overlay) {
+                   std::size_t repeats, bool policy_series) {
   std::vector<ChurnMeasure> rows;
   rows.push_back(median_of(repeats, [&] {
     return churn_workload("cantor-k5", networks::build_cantor({5, 0}),
@@ -1298,56 +1285,38 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
     out << "  ]},\n";
   }
 
-  // Admission-policy A/B: the bursty storm served behind the static window
-  // and behind the overlay-aware decorator. The acceptance metric is
-  // hard_rejects (no-path + refused): the overlay point defers work while
-  // switches are down and routes it post-repair instead of burning it.
-  // The network is deliberately diversity-poor — a crossbar has exactly one
-  // switch per terminal pair, so a dead switch IS a no-path for its pair
-  // until the crew arrives; on the paper's FT networks the storm would have
-  // to sever a terminal entirely before static admission burns a request.
-  if (policy_overlay && max_threads >= 1) {
+  // Admission under a fault storm (--policy): the bursty storm served behind
+  // a fixed window, keyed "static" so check_bench.py matches it against the
+  // committed baseline. The network is deliberately diversity-poor — a
+  // crossbar has exactly one switch per terminal pair, so a dead switch IS
+  // a no-path for its pair until the crew arrives.
+  if (policy_series && max_threads >= 1) {
     const auto net = networks::build_crossbar(32);
     const double eps = max_faults > 0 ? max_faults : 1e-3;
     const std::size_t ticks = 240, arrivals = 16, window = 64;
-    std::vector<PolicyPoint> pts;
-    for (const bool overlay : {false, true})
-      pts.push_back(median_of(repeats, [&] {
-        return policy_churn(net, max_threads, overlay, eps, ticks, arrivals,
-                            window);
-      }));
-    const auto& st = pts[0];
-    const auto& ov = pts[1];
+    const PolicyPoint p = median_of(repeats, [&] {
+      return policy_churn(net, max_threads, eps, ticks, arrivals, window);
+    });
     out << "  \"admission_policy\": {\"network\": \"crossbar-32\", \"sessions\": "
         << max_threads << ", \"eps\": " << eps << ", \"window\": " << window
         << ", \"ticks\": " << ticks << ", \"arrivals_per_tick\": " << arrivals
         << ", \"points\": [\n";
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      const auto& p = pts[i];
-      out << "    {\"policy\": \"" << p.policy << "\", \"connects\": "
-          << p.connects << ", \"calls_per_sec\": "
-          << static_cast<std::uint64_t>(p.calls_per_sec())
-          << ", \"visits_per_connect\": " << p.visits_per_connect()
-          << ", \"hard_rejects\": " << p.hard_rejects() << ", "
-          << reject_key(svc::RejectReason::kNoPath, p.stats.rejected_no_path)
-          << ", \"refused\": " << p.refused << ", \"deferred\": " << p.deferred
-          << ", \"epochs\": " << p.epochs << ", \"faults_injected\": "
-          << p.injected << ", \"stuck_injected\": " << p.stuck
-          << ", \"calls_killed_by_fault\": " << p.killed << "}"
-          << (i + 1 < pts.size() ? "," : "") << "\n";
-      std::cout << "admission policy crossbar-32 " << p.policy << ": "
-                << p.hard_rejects() << " hard rejects ("
-                << p.stats.rejected_no_path << " no-path, " << p.refused
-                << " refused), " << p.deferred << " deferrals, "
-                << static_cast<std::uint64_t>(p.calls_per_sec())
-                << " calls/sec\n";
-    }
-    out << "  ], \"overlay_hard_reject_ratio\": "
-        << (st.hard_rejects() > 0
-                ? static_cast<double>(ov.hard_rejects()) /
-                      static_cast<double>(st.hard_rejects())
-                : 1.0)
-        << "},\n";
+    out << "    {\"policy\": \"static\", \"connects\": " << p.connects
+        << ", \"calls_per_sec\": "
+        << static_cast<std::uint64_t>(p.calls_per_sec())
+        << ", \"visits_per_connect\": " << p.visits_per_connect()
+        << ", \"hard_rejects\": " << p.hard_rejects() << ", "
+        << reject_key(svc::RejectReason::kNoPath, p.stats.rejected_no_path)
+        << ", \"refused\": " << p.refused << ", \"deferred\": " << p.deferred
+        << ", \"epochs\": " << p.epochs << ", \"faults_injected\": "
+        << p.injected << ", \"stuck_injected\": " << p.stuck
+        << ", \"calls_killed_by_fault\": " << p.killed << "}\n";
+    out << "  ]},\n";
+    std::cout << "admission policy crossbar-32 static: " << p.hard_rejects()
+              << " hard rejects (" << p.stats.rejected_no_path << " no-path, "
+              << p.refused << " refused), " << p.deferred << " deferrals, "
+              << static_cast<std::uint64_t>(p.calls_per_sec())
+              << " calls/sec\n";
   }
 
   // Affinity A/B: the batched churn with the drain pool pinned under
@@ -1455,7 +1424,7 @@ int main(int argc, char** argv) {
   std::size_t max_batch = 0;  // 0 = no batched-admission series
   double max_faults = 0.0;    // 0 = no degraded-mode series
   std::size_t repeats = 1;    // --repeat=K: median-of-K per recorded point
-  bool policy_overlay = false;  // --policy=overlay: admission A/B series
+  bool policy_series = false;  // --policy: admission under a fault storm
   bool grow_series = false;     // --grow: hitless-growth series
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1476,20 +1445,20 @@ int main(int argc, char** argv) {
       const long v = std::strtol(arg.c_str() + 9, nullptr, 10);
       if (v >= 1) repeats = static_cast<std::size_t>(v);
     }
-    if (arg == "--policy=overlay") policy_overlay = true;
+    if (arg == "--policy") policy_series = true;
     if (arg == "--grow") grow_series = true;
   }
   // --threads / --batch / --faults / --policy / --grow without --json still
   // record to the default path.
-  if ((max_threads > 0 || max_batch > 0 || max_faults > 0 || policy_overlay ||
+  if ((max_threads > 0 || max_batch > 0 || max_faults > 0 || policy_series ||
        grow_series) &&
       json_path.empty())
     json_path = "BENCH_routing.json";
-  if ((max_batch > 0 || max_faults > 0 || policy_overlay) && max_threads == 0)
+  if ((max_batch > 0 || max_faults > 0 || policy_series) && max_threads == 0)
     max_threads = 8;
   if (!json_path.empty())
     return run_json_smoke(json_path, max_threads, grow_series, max_batch,
-                          max_faults, repeats, policy_overlay);
+                          max_faults, repeats, policy_series);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   print_success_table();

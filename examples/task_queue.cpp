@@ -25,7 +25,6 @@
 #include "graph/maxflow.hpp"
 #include "networks/butterfly.hpp"
 #include "networks/superconcentrator.hpp"
-#include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
@@ -72,7 +71,7 @@ RoundResult run_round(const graph::Network& net, std::size_t r,
   cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 2;
   if (faulty) cfg.blocked = *faulty;
-  cfg.admission = std::make_unique<svc::FixedWindowAdmission>(8);
+  cfg.window = 8;
   svc::Exchange exchange(net, std::move(cfg));
   std::vector<svc::Ticket> tickets;
   tickets.reserve(r);

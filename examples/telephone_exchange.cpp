@@ -25,7 +25,7 @@
 // Exchange::grow remaps the live calls through the old->new id map under
 // a sub-millisecond quiesce — calls_killed_by_growth stays 0 by design).
 //
-//   $ ./telephone_exchange --daemon [sessions]
+//   $ ./telephone_exchange --daemon
 //
 // Daemon mode: a two-shard FEDERATION of FT exchanges runs live — a serving
 // thread pumps mixed intra-/inter-shard call churn through the batched plane
@@ -211,21 +211,18 @@ void print_ack(const ftcs::ops::Ack& a) {
   std::cout.flush();
 }
 
-int run_daemon(unsigned sessions) {
+int run_daemon() {
   using namespace ftcs;
   const auto ft = core::build_ft_network(core::FtParams::sim(2, 8, 6, 1, 5));
-  svc::FederationConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
-  cfg.sessions = sessions;
-  svc::Federation fed(ft.net, 2, cfg);
+  svc::Federation fed(ft.net, 2);
   ops::ControlPlane control(fed, "telephone-exchange");
   const auto edges = fed.member(0).network().g.edge_count();
   const auto groups = fed.trunk_group_count();
 
   std::cout << "telephone exchange daemon: " << fed.shards() << " shards x "
             << edges << " switches, " << groups << " trunk groups, "
-            << fed.input_count() << " subscriber lines, " << sessions
-            << " sessions; commands on stdin (quit to stop)\n";
+            << fed.input_count()
+            << " subscriber lines; commands on stdin (quit to stop)\n";
   std::cout.flush();
 
   std::atomic<bool> stop{false};
@@ -484,10 +481,7 @@ int run_daemon_solo(unsigned sessions) {
 
 int main(int argc, char** argv) {
   using namespace ftcs;
-  if (argc > 1 && std::string(argv[1]) == "--daemon") {
-    const int s = argc > 2 ? std::atoi(argv[2]) : 4;
-    return run_daemon(s > 0 ? static_cast<unsigned>(s) : 4u);
-  }
+  if (argc > 1 && std::string(argv[1]) == "--daemon") return run_daemon();
   if (argc > 1 && std::string(argv[1]) == "--daemon-solo") {
     const int s = argc > 2 ? std::atoi(argv[2]) : 4;
     return run_daemon_solo(s > 0 ? static_cast<unsigned>(s) : 4u);

@@ -30,8 +30,8 @@ Exchange::Exchange(const graph::Network* net,
       engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions,
                                                std::move(cfg.blocked),
                                                std::move(cfg.blocked_edges)})),
-      admission_(cfg.admission ? std::move(cfg.admission)
-                               : std::make_unique<UnboundedAdmission>()),
+      window_(cfg.window),
+      max_queue_(cfg.max_queue),
       home_sessions_(cfg.home_sessions),
       qos_immediate_(cfg.qos_immediate),
       class_deadlines_(cfg.class_deadlines),
@@ -168,8 +168,7 @@ Ticket Exchange::submit_impl(const CallRequest& req, CompletionFn done) {
     std::lock_guard<std::mutex> lk(front_mu_);
     ticket = next_ticket_++;
     ++stats_.submitted;
-    const std::size_t cap = admission_->max_queue_depth();
-    if (cap > 0 && queue_.size() >= cap) {
+    if (max_queue_ > 0 && queue_.size() >= max_queue_) {
       refused = true;
       ++stats_.refused;
       ++stats_.completed;
@@ -246,12 +245,7 @@ std::size_t Exchange::drain() {
   {
     std::lock_guard<std::mutex> lk(front_mu_);
     if (queue_.empty()) return 0;
-    // failed_switch_count_ lives in drain()'s threading domain (inject()
-    // and repair() share its contract), so the plain read is safe.
-    const std::size_t window =
-        admission_->epoch_window({queue_.size(), failed_switch_count_});
-    if (window == 0) return 0;
-    batch = take_window(window);
+    batch = take_window(window_ ? window_ : queue_.size());
     ++stats_.epochs;
     stats_.admitted += batch.size();
     // Everyone still queued waits (at least) one more epoch: Deferred.
@@ -359,11 +353,8 @@ std::size_t Exchange::drain() {
 
 std::size_t Exchange::drain_all() {
   std::size_t total = 0;
-  for (;;) {
-    const std::size_t n = drain();
-    if (n == 0) return total;  // queue empty, or a zero-window policy
-    total += n;
-  }
+  while (const std::size_t n = drain()) total += n;
+  return total;
 }
 
 std::optional<Outcome> Exchange::poll(Ticket ticket) {

@@ -15,15 +15,15 @@
 //     returns the Outcome; hangup(id) releases. This is the low-latency,
 //     event-driven plane (the traffic simulation lives here).
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
-//     admission epoch — the AdmissionPolicy picks a window, the highest-
-//     priority window of queued requests is split into one chunk per
-//     engine session, and completions are delivered through the callback
-//     (on the thread that routed the chunk) or a pollable Ticket. The
-//     chunks run on the draining thread in session order, or in parallel
-//     on util::ThreadPool::global() when the measured routing work pays
-//     for the pool's handoff (drain_fans_out). Requests beyond the window
-//     stay queued (Deferred, counted per epoch and surfaced in
-//     Outcome::deferrals); submissions beyond the policy's queue cap bounce
+//     admission epoch — the highest-priority ExchangeConfig::window of
+//     queued requests (the whole queue when the window is 0) is split into
+//     one chunk per engine session, and completions are delivered through
+//     the callback (on the thread that routed the chunk) or a pollable
+//     Ticket. The chunks run on the draining thread in session order, or
+//     in parallel on util::ThreadPool::global() when the measured routing
+//     work pays for the pool's handoff (drain_fans_out). Requests beyond
+//     the window stay queued (Deferred, counted per epoch and surfaced in
+//     Outcome::deferrals); submissions at ExchangeConfig::max_queue bounce
 //     immediately (Refused). Each session routes its chunk of the window
 //     one request at a time, in window order, through the same
 //     Engine::connect as call() — see src/svc/README.md ("Batched drain").
@@ -55,7 +55,6 @@
 #include "fault/schedule.hpp"
 #include "fault/weld_components.hpp"
 #include "ops/latency.hpp"
-#include "svc/admission.hpp"
 #include "svc/call.hpp"
 #include "svc/engine.hpp"
 #include "util/bitset.hpp"
@@ -291,8 +290,12 @@ struct ExchangeConfig {
   /// Static fault masks, owned by the Exchange (as in the routers).
   std::vector<std::uint8_t> blocked;
   std::vector<std::uint8_t> blocked_edges;
-  /// Batched-plane policy; null = UnboundedAdmission.
-  std::unique_ptr<AdmissionPolicy> admission;
+  /// Batched plane: drain() admits at most this many queued requests per
+  /// epoch; 0 admits the whole queue.
+  std::size_t window = 0;
+  /// Batched plane: a submit() that finds this many requests queued is
+  /// Refused (RejectReason::kRefused); 0 means no cap.
+  std::size_t max_queue = 0;
   /// Worker-pinning policy applied to util::ThreadPool::global() at
   /// construction (the pool drain()'s fan-out epochs route on). kNone
   /// leaves the pool untouched; kSpread/kCompact pin its workers (see
@@ -353,15 +356,16 @@ class Exchange {
   /// Callback flavour: `done` is invoked with the Outcome instead of
   /// storing it for poll().
   Ticket submit(const CallRequest& req, CompletionFn done);
-  /// Runs one admission epoch: admits up to the policy window (highest
-  /// priority first, FIFO among equals), routes the batch across all
-  /// sessions (inline, or fanned out to util::ThreadPool::global() when
+  /// Runs one admission epoch: admits up to ExchangeConfig::window queued
+  /// requests, or all of them when the window is 0 (highest priority
+  /// first, FIFO among equals), routes the batch across all sessions
+  /// (inline, or fanned out to util::ThreadPool::global() when
   /// drain_fans_out says it pays), delivers completions. Returns the number
-  /// of requests admitted.
+  /// of requests admitted: 0 iff the queue was empty.
   std::size_t drain();
-  /// Drains until the queue is empty. Stops early (returning the total
-  /// admitted) if the policy ever yields a zero window on a non-empty
-  /// queue, so a misconfigured policy cannot spin forever.
+  /// Runs epochs until one admits nothing, i.e. until the queue is empty
+  /// (requests submitted meanwhile are served too). Returns the total
+  /// admitted.
   std::size_t drain_all();
   /// Takes the completed Outcome for `ticket` (once); nullopt if the
   /// request is still queued, was delivered via callback, or was already
@@ -549,7 +553,8 @@ class Exchange {
   std::unique_ptr<graph::Network> owned_net_;  // set only for the owning ctor
   const graph::Network* net_;
   std::unique_ptr<Engine> engine_;
-  std::unique_ptr<AdmissionPolicy> admission_;
+  std::size_t window_ = 0;     // ExchangeConfig::window
+  std::size_t max_queue_ = 0;  // ExchangeConfig::max_queue
   bool home_sessions_ = false;
   bool qos_immediate_ = false;
   std::array<double, ops::kQosClasses> class_deadlines_{};

@@ -28,12 +28,8 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
   const std::uint32_t pool = cap - subs_;  // trunk ports per member, per side
 
   members_.reserve(shards);
-  for (unsigned s = 0; s < shards; ++s) {
-    ExchangeConfig ec;
-    ec.backend = cfg.backend;
-    ec.sessions = cfg.sessions;
-    members_.push_back(std::make_unique<Exchange>(member_net, std::move(ec)));
-  }
+  for (unsigned s = 0; s < shards; ++s)
+    members_.push_back(std::make_unique<Exchange>(member_net));
   half_owner_.resize(shards);
   out_peers_.resize(shards);
   if (shards < 2 || pool == 0) return;
@@ -384,10 +380,8 @@ TrunkFaultImpact Federation::repair_trunk(std::uint32_t group,
 
 std::uint32_t& Federation::half_owner(std::uint32_t shard, CallId half) {
   std::vector<std::uint32_t>& owners = half_owner_[shard];
-  const std::size_t key =
-      std::size_t{half.slot()} * members_[shard]->sessions() + half.session();
-  if (key >= owners.size()) owners.resize(key + 1, kNoOwner);
-  return owners[key];
+  if (half.slot() >= owners.size()) owners.resize(half.slot() + 1, kNoOwner);
+  return owners[half.slot()];
 }
 
 void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {

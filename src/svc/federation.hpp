@@ -239,10 +239,11 @@ struct FedFaultImpact {
   std::uint64_t reroute_failed = 0;
 };
 
+/// Members are always default exchanges: one session on the solo store.
+/// The federation's threading contract serializes every member (one thread
+/// drives calls, drains and faults), and call() routes each half on session
+/// 0, so more sessions or the shared store would only add atomics.
 struct FederationConfig {
-  /// Member engine selection, forwarded to every member's ExchangeConfig.
-  Backend backend = Backend::kGreedy;
-  unsigned sessions = 1;
   /// Subscriber terminals per member: locals [0, subscribers) of both the
   /// input and output lists; the remaining ports are the trunk pool. 0 =
   /// every port is a subscriber for a 1-shard federation, else 3/4 of the
@@ -428,9 +429,9 @@ class Federation {
 
   std::vector<InterSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// half_owner_[m][slot * sessions + session] = the inter slot one of whose
-  /// halves is member m's call at that handle slot, or kNoOwner: the member
-  /// fault plane's victims map to their inter calls without a search.
+  /// half_owner_[m][slot] = the inter slot one of whose halves is member
+  /// m's call at that handle slot, or kNoOwner: the member fault plane's
+  /// victims map to their inter calls without a search.
   std::vector<std::vector<std::uint32_t>> half_owner_;
   std::size_t live_inter_ = 0;
 

@@ -14,7 +14,6 @@
 #include "networks/cantor.hpp"
 #include "networks/clos.hpp"
 #include "networks/crossbar.hpp"
-#include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/cpu_topology.hpp"
 #include "util/prng.hpp"
@@ -245,8 +244,8 @@ TEST(Exchange, BatchedUnboundedMatchesImmediate) {
 TEST(Exchange, FixedWindowDefersBeyondTheWindow) {
   const auto net = networks::build_crossbar(16);
   ExchangeConfig cfg;
-  cfg.admission = std::make_unique<FixedWindowAdmission>(4);
-  Exchange ex(net, std::move(cfg));
+  cfg.window = 4;
+  Exchange ex(net, cfg);
   std::vector<Ticket> tickets;
   for (std::uint32_t i = 0; i < 10; ++i)
     tickets.push_back(ex.submit({i, i}));
@@ -271,8 +270,9 @@ TEST(Exchange, OverloadRefusesAtTheQueueCap) {
   ExchangeConfig cfg;
   cfg.backend = Backend::kConcurrent;
   cfg.sessions = 2;
-  cfg.admission = std::make_unique<FixedWindowAdmission>(2, /*max_queue=*/4);
-  Exchange ex(net, std::move(cfg));
+  cfg.window = 2;
+  cfg.max_queue = 4;
+  Exchange ex(net, cfg);
   std::vector<Ticket> tickets;
   for (std::uint32_t i = 0; i < 7; ++i)
     tickets.push_back(ex.submit({i, i, 0, /*tag=*/i}));
@@ -305,8 +305,8 @@ TEST(Exchange, OverloadRefusesAtTheQueueCap) {
 TEST(Exchange, PriorityClassesAdmittedFirst) {
   const auto net = networks::build_crossbar(16);
   ExchangeConfig cfg;
-  cfg.admission = std::make_unique<FixedWindowAdmission>(2);
-  Exchange ex(net, std::move(cfg));
+  cfg.window = 2;
+  Exchange ex(net, cfg);
   const Ticket t0 = ex.submit({0, 0, /*priority=*/0});
   const Ticket t1 = ex.submit({1, 1, /*priority=*/5});
   const Ticket t2 = ex.submit({2, 2, /*priority=*/1});
@@ -320,17 +320,6 @@ TEST(Exchange, PriorityClassesAdmittedFirst) {
   EXPECT_EQ(ex.drain(), 2u);
   ASSERT_TRUE(ex.poll(t2).has_value());
   ASSERT_TRUE(ex.poll(t0).has_value());
-}
-
-TEST(Exchange, ZeroWindowPolicyDoesNotSpin) {
-  const auto net = networks::build_crossbar(4);
-  ExchangeConfig cfg;
-  cfg.admission = std::make_unique<FixedWindowAdmission>(0);
-  Exchange ex(net, std::move(cfg));
-  ex.submit({0, 0});
-  EXPECT_EQ(ex.drain(), 0u);
-  EXPECT_EQ(ex.drain_all(), 0u);  // gives up instead of spinning
-  EXPECT_EQ(ex.pending(), 1u);
 }
 
 TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {

@@ -27,7 +27,6 @@
 #include "ftcs/traffic.hpp"
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
-#include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
 #include "certain_kill.hpp"
@@ -816,17 +815,15 @@ graph::EdgeId first_hop(svc::Exchange& ex, svc::CallId id) {
   return edge_between(ex.network().g, path[0], path[1]);
 }
 
-// Victims never pass through the admission window: a policy that admits
-// nothing still gets its victim rerouted inside inject(), and the queue
-// stays empty.
-TEST(ExchangeFaultPlane, ZeroWindowPolicyStillReroutesVictimsAtOnce) {
+// Victims never pass through the admission queue: inject() reroutes its
+// victim before it returns, and no request is submitted and no epoch runs.
+TEST(ExchangeFaultPlane, VictimReroutesInsideInjectWithoutAnEpoch) {
   const auto net = networks::build_cantor({4, 0});
   for (const svc::Backend backend :
        {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
     svc::ExchangeConfig cfg;
     cfg.backend = backend;
-    cfg.admission = std::make_unique<svc::FixedWindowAdmission>(0);
-    svc::Exchange ex(net, std::move(cfg));
+    svc::Exchange ex(net, cfg);
     const svc::Outcome o = ex.call({0, 1, 0, /*tag=*/5});
     ASSERT_TRUE(o.connected());
     fault::FaultEvent ev;
@@ -855,8 +852,8 @@ TEST(ExchangeFaultPlane, BacklogSurvivesAVictimProducingInject) {
     svc::ExchangeConfig cfg;
     cfg.backend = backend;
     cfg.sessions = 2;
-    cfg.admission = std::make_unique<svc::FixedWindowAdmission>(4);
-    svc::Exchange ex(net, std::move(cfg));
+    cfg.window = 4;
+    svc::Exchange ex(net, cfg);
     const svc::Outcome o = ex.call({0, 1, 0, /*tag=*/77});
     ASSERT_TRUE(o.connected());
     constexpr std::uint32_t kBacklog = 29;

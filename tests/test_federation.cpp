@@ -1,8 +1,8 @@
 // svc::Federation — shard map, intra fast path, two-phase inter-shard setup
 // with reverse-order abort, trunk-line claims, the composed fault planes
 // (trunk edge faults, member faults with half-call reconciliation), the
-// batched plane, and exact book balance after abort/fault storms on both
-// engines.
+// batched plane, and exact book balance after abort/fault storms on two
+// random streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,13 +20,8 @@
 namespace ftcs::svc {
 namespace {
 
-FederationConfig fed_cfg(Backend backend, std::uint32_t subscribers = 0) {
-  FederationConfig cfg;
-  cfg.backend = backend;
-  cfg.sessions = backend == Backend::kConcurrent ? 2 : 1;
-  cfg.subscribers = subscribers;
-  return cfg;
-}
+/// The two random streams each seeded test runs on.
+constexpr std::uint64_t kStreams[] = {1, 0};
 
 /// Sums claimed lines across every trunk group.
 std::size_t total_occupancy(const Federation& fed) {
@@ -39,7 +34,7 @@ std::size_t total_occupancy(const Federation& fed) {
 TEST(FederationShardMap, PortDealingBalancesMeshQuotas) {
   const auto net = networks::build_cantor({4, 0});  // 16 ports per member
   const unsigned kShards = 4;
-  Federation fed(net, kShards, fed_cfg(Backend::kGreedy));
+  Federation fed(net, kShards);
   // Default split: 3/4 subscribers, remainder trunk ports.
   EXPECT_EQ(fed.subscribers_per_member(), 12u);
   EXPECT_EQ(fed.input_count(), 48u);
@@ -89,7 +84,7 @@ TEST(FederationShardMap, PortDealingBalancesMeshQuotas) {
 
 TEST(FederationShardMap, RingTopologyTrunksOnlyNeighbours) {
   const auto net = networks::build_cantor({4, 0});
-  FederationConfig cfg = fed_cfg(Backend::kGreedy);
+  FederationConfig cfg;
   cfg.topology = FederationConfig::Topology::kRing;
   Federation fed(net, 6, cfg);
   for (unsigned a = 0; a < 6; ++a) {
@@ -110,7 +105,7 @@ TEST(FederationShardMap, RingTopologyTrunksOnlyNeighbours) {
 
 TEST(FederationCalls, IntraFastPathNeverTouchesFederationState) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   const FedOutcome o = fed.call({0, 1, 0, 42});
   ASSERT_TRUE(o.connected());
   EXPECT_TRUE(o.id.valid());
@@ -133,7 +128,7 @@ TEST(FederationCalls, IntraFastPathNeverTouchesFederationState) {
 
 TEST(FederationCalls, InterCallLifecycleClaimsAndReleasesInOrder) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   const std::uint32_t in = fed.global_of(0, 3), out = fed.global_of(1, 5);
   const FedOutcome o = fed.call({in, out, 0, 7});
   ASSERT_TRUE(o.connected());
@@ -169,8 +164,8 @@ TEST(FederationCalls, InterCallLifecycleClaimsAndReleasesInOrder) {
 
 TEST(FederationCalls, HandleSafetyNullForeignAndBadTerminal) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed_a(net, 2, fed_cfg(Backend::kGreedy));
-  Federation fed_b(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed_a(net, 2);
+  Federation fed_b(net, 2);
   EXPECT_EQ(fed_a.hangup(FedCallId{}), RejectReason::kStaleHandle);
   const FedOutcome o = fed_b.call(
       {fed_b.global_of(0, 0), fed_b.global_of(1, 0), 0, 0});
@@ -185,10 +180,10 @@ TEST(FederationCalls, HandleSafetyNullForeignAndBadTerminal) {
 }
 
 /// Drives typed per-stage aborts: each failure point must release every
-/// prior claim (trunk line, ingress half), on both engines.
-void run_two_phase_abort_paths(Backend backend) {
+/// prior claim (trunk line, ingress half).
+TEST(FederationTwoPhase, AbortPathsReleaseEverything) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(backend));
+  Federation fed(net, 2);
   const std::uint32_t subs = fed.subscribers_per_member();
 
   // INGRESS abort: caller's input is already busy -> member typed reject,
@@ -237,20 +232,13 @@ void run_two_phase_abort_paths(Backend backend) {
   EXPECT_EQ(fed.busy_vertices(), 0u);
 }
 
-TEST(FederationTwoPhase, AbortPathsReleaseEverythingGreedy) {
-  run_two_phase_abort_paths(Backend::kGreedy);
-}
-TEST(FederationTwoPhase, AbortPathsReleaseEverythingConcurrent) {
-  run_two_phase_abort_paths(Backend::kConcurrent);
-}
-
 /// A storm of forced failures at every setup stage; afterwards every book
 /// balances to exactly zero (busy popcount, trunk occupancy, slot books).
-void run_abort_storm(Backend backend) {
+void run_abort_storm(std::uint64_t stream) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 4, fed_cfg(backend));
+  Federation fed(net, 4);
   const std::uint32_t subs = fed.subscribers_per_member();
-  util::Xoshiro256 rng(util::derive_seed(92, backend == Backend::kGreedy));
+  util::Xoshiro256 rng(util::derive_seed(92, stream));
   std::vector<FedCallId> held;
   for (int round = 0; round < 2000; ++round) {
     const auto in = static_cast<std::uint32_t>(rng.below(fed.input_count()));
@@ -298,11 +286,11 @@ void run_abort_storm(Backend backend) {
   }
 }
 
-TEST(FederationTwoPhase, AbortStormBooksBalanceGreedy) {
-  run_abort_storm(Backend::kGreedy);
-}
-TEST(FederationTwoPhase, AbortStormBooksBalanceConcurrent) {
-  run_abort_storm(Backend::kConcurrent);
+TEST(FederationTwoPhase, AbortStormBooksBalance) {
+  for (const std::uint64_t stream : kStreams) {
+    SCOPED_TRACE(stream);
+    run_abort_storm(stream);
+  }
 }
 
 TEST(TrunkGroupUnit, RotatingClaimFaultAndRepair) {
@@ -345,7 +333,7 @@ TEST(TrunkGroupUnit, RotatingClaimFaultAndRepair) {
 
 TEST(FederationFaults, TrunkFaultTearsDownTypedAndReadmits) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   const FedOutcome o = fed.call(
       {fed.global_of(0, 1), fed.global_of(1, 1), 0, 31});
   ASSERT_TRUE(o.connected());
@@ -394,10 +382,10 @@ TEST(FederationFaults, TrunkFaultTearsDownTypedAndReadmits) {
 
 /// Trunk-fault storm: every killed inter call gets a typed teardown of both
 /// halves and a re-admission; books balance exactly afterwards.
-void run_trunk_fault_storm(Backend backend) {
+void run_trunk_fault_storm(std::uint64_t stream) {
   const auto net = networks::build_cantor({5, 0});  // 32 ports per member
-  Federation fed(net, 4, fed_cfg(backend));
-  util::Xoshiro256 rng(util::derive_seed(1992, backend == Backend::kGreedy));
+  Federation fed(net, 4);
+  util::Xoshiro256 rng(util::derive_seed(1992, stream));
   // Bring up a population of inter calls, tracked by tag.
   std::map<std::uint64_t, FedCallId> live;
   std::uint64_t tag = 0;
@@ -460,16 +448,16 @@ void run_trunk_fault_storm(Backend backend) {
   EXPECT_EQ(st.handle_errors, 0u);
 }
 
-TEST(FederationFaults, TrunkFaultStormBooksBalanceGreedy) {
-  run_trunk_fault_storm(Backend::kGreedy);
-}
-TEST(FederationFaults, TrunkFaultStormBooksBalanceConcurrent) {
-  run_trunk_fault_storm(Backend::kConcurrent);
+TEST(FederationFaults, TrunkFaultStormBooksBalance) {
+  for (const std::uint64_t stream : kStreams) {
+    SCOPED_TRACE(stream);
+    run_trunk_fault_storm(stream);
+  }
 }
 
 TEST(FederationFaults, MemberFaultAdoptsReroutedHalf) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   const FedOutcome o = fed.call(
       {fed.global_of(0, 2), fed.global_of(1, 2), 0, 77});
   ASSERT_TRUE(o.connected());
@@ -504,7 +492,7 @@ TEST(FederationFaults, MemberFaultAdoptsReroutedHalf) {
 
 TEST(FederationFaults, MemberFaultTearsDownMateWhenHalfUncarried) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   const FedOutcome o = fed.call(
       {fed.global_of(0, 2), fed.global_of(1, 2), 0, 55});
   ASSERT_TRUE(o.connected());
@@ -543,7 +531,7 @@ TEST(FederationFaults, MemberFaultTearsDownMateWhenHalfUncarried) {
 
 TEST(FederationBatched, MixedTrafficDrainsAndPolls) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   std::vector<Ticket> tickets;
   // Mixed window: intra shard 0, intra shard 1, inter both directions.
   tickets.push_back(fed.submit({fed.global_of(0, 0), fed.global_of(0, 1), 0, 0}));
@@ -587,7 +575,7 @@ TEST(FederationBatched, MixedTrafficDrainsAndPolls) {
 
 TEST(FederationBatched, TrunkExhaustionBouncesTypedWithinEpoch) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   const auto group_01 = fed.group_between(0, 1);
   ASSERT_TRUE(group_01.has_value());
   const std::uint32_t lines_01 = fed.trunk_group(*group_01).capacity();
@@ -623,9 +611,10 @@ TEST(FederationBatched, TrunkExhaustionBouncesTypedWithinEpoch) {
 
 TEST(FederationBatched, FrontEndBooksCountRequests) {
   const auto net = networks::build_cantor({4, 0});
-  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
-    Federation fed(net, 3, fed_cfg(backend));
-    util::Xoshiro256 rng(util::derive_seed(28, backend == Backend::kGreedy));
+  for (const std::uint64_t stream : kStreams) {
+    SCOPED_TRACE(stream);
+    Federation fed(net, 3);
+    util::Xoshiro256 rng(util::derive_seed(28, stream));
     const auto n = static_cast<std::uint32_t>(fed.input_count());
     std::uint64_t requests = 0, epochs = 0, served = 0;
     std::vector<FedCallId> held;
@@ -683,56 +672,54 @@ TEST(FederationBatched, FrontEndBooksCountRequests) {
 // queued backlog is left as it was, and the next drain serves all of it.
 TEST(FederationBatched, BacklogSurvivesTrunkAndMemberFaults) {
   const auto net = networks::build_cantor({5, 0});
-  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
-    Federation fed(net, 2, fed_cfg(backend));
-    const FedOutcome inter =
-        fed.call({fed.global_of(0, 1), fed.global_of(1, 1), 0, 41});
-    ASSERT_TRUE(inter.connected());
-    const FedOutcome intra =
-        fed.call({fed.global_of(0, 2), fed.global_of(0, 3), 0, 42});
-    ASSERT_TRUE(intra.connected());
-    constexpr std::uint32_t kBacklog = 10;
-    for (std::uint32_t i = 0; i < kBacklog; ++i)
-      fed.submit({fed.global_of(0, 8 + i), fed.global_of(i % 2, 8 + i), 0, i});
-    const FederationStats before = fed.stats();
+  Federation fed(net, 2);
+  const FedOutcome inter =
+      fed.call({fed.global_of(0, 1), fed.global_of(1, 1), 0, 41});
+  ASSERT_TRUE(inter.connected());
+  const FedOutcome intra =
+      fed.call({fed.global_of(0, 2), fed.global_of(0, 3), 0, 42});
+  ASSERT_TRUE(intra.connected());
+  constexpr std::uint32_t kBacklog = 10;
+  for (std::uint32_t i = 0; i < kBacklog; ++i)
+    fed.submit({fed.global_of(0, 8 + i), fed.global_of(i % 2, 8 + i), 0, i});
+  const FederationStats before = fed.stats();
 
-    // A trunk fault under the inter call.
-    const TrunkGroup& tg = fed.trunk_group(inter.trunk_group);
-    std::uint32_t line = tg.capacity();
-    for (std::uint32_t l = 0; l < tg.capacity(); ++l)
-      if (tg.line_busy(l)) line = l;
-    ASSERT_LT(line, tg.capacity());
-    const TrunkFaultImpact trunk = fed.fail_trunk(inter.trunk_group, line);
-    ASSERT_EQ(trunk.killed.size(), 1u);
-    ASSERT_TRUE(trunk.reroutes[0].connected());
-    EXPECT_EQ(trunk.reroutes[0].tag, 41u);
-    EXPECT_EQ(fed.pending(), kBacklog);
+  // A trunk fault under the inter call.
+  const TrunkGroup& tg = fed.trunk_group(inter.trunk_group);
+  std::uint32_t line = tg.capacity();
+  for (std::uint32_t l = 0; l < tg.capacity(); ++l)
+    if (tg.line_busy(l)) line = l;
+  ASSERT_LT(line, tg.capacity());
+  const TrunkFaultImpact trunk = fed.fail_trunk(inter.trunk_group, line);
+  ASSERT_EQ(trunk.killed.size(), 1u);
+  ASSERT_TRUE(trunk.reroutes[0].connected());
+  EXPECT_EQ(trunk.reroutes[0].tag, 41u);
+  EXPECT_EQ(fed.pending(), kBacklog);
 
-    // Member 0's switches in turn until one kills a call (the intra call or
-    // the re-admitted inter call's ingress half).
-    bool hit = false;
-    for (graph::EdgeId e = 0; e < net.g.edge_count() && !hit; ++e) {
-      fault::FaultEvent ev;
-      ev.edge = e;
-      const FedFaultImpact imp = fed.inject(0, ev);
-      hit = imp.member.calls_killed() > 0;
-      ev.kind = fault::FaultEvent::Kind::kRepair;
-      fed.repair(0, ev);
-    }
-    ASSERT_TRUE(hit);
-    EXPECT_EQ(fed.pending(), kBacklog);
-
-    const FederationStats after = fed.stats();
-    EXPECT_EQ(after.members.submitted, before.members.submitted);
-    EXPECT_EQ(after.members.admitted, before.members.admitted);
-    EXPECT_EQ(after.members.epochs, before.members.epochs);
-    EXPECT_EQ(after.members.submitted, kBacklog);
-    EXPECT_EQ(after.members.admitted, 0u);
-
-    EXPECT_EQ(fed.drain_all(), kBacklog);
-    EXPECT_EQ(fed.stats().members.epochs, 1u);
-    EXPECT_EQ(fed.stats().members.completed, kBacklog);
+  // Member 0's switches in turn until one kills a call (the intra call or
+  // the re-admitted inter call's ingress half).
+  bool hit = false;
+  for (graph::EdgeId e = 0; e < net.g.edge_count() && !hit; ++e) {
+    fault::FaultEvent ev;
+    ev.edge = e;
+    const FedFaultImpact imp = fed.inject(0, ev);
+    hit = imp.member.calls_killed() > 0;
+    ev.kind = fault::FaultEvent::Kind::kRepair;
+    fed.repair(0, ev);
   }
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(fed.pending(), kBacklog);
+
+  const FederationStats after = fed.stats();
+  EXPECT_EQ(after.members.submitted, before.members.submitted);
+  EXPECT_EQ(after.members.admitted, before.members.admitted);
+  EXPECT_EQ(after.members.epochs, before.members.epochs);
+  EXPECT_EQ(after.members.submitted, kBacklog);
+  EXPECT_EQ(after.members.admitted, 0u);
+
+  EXPECT_EQ(fed.drain_all(), kBacklog);
+  EXPECT_EQ(fed.stats().members.epochs, 1u);
+  EXPECT_EQ(fed.stats().members.completed, kBacklog);
 }
 
 // The merge algebra of FederationStats is walked row by row in
@@ -742,7 +729,7 @@ TEST(FederationStatsMerge, LiveDeltaCarriesTrunkAndHalfCallActivity) {
   // A scrape-style before/after difference carries exactly the interval's
   // trunk/half-call activity.
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2);
   const FederationStats before = fed.stats();
   const FedOutcome o = fed.call(
       {fed.global_of(0, 0), fed.global_of(1, 0), 0, 0});

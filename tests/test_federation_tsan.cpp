@@ -23,10 +23,7 @@ namespace {
 
 TEST(FederationChurnTsan, SubmittersRaceTrunkFaultsThroughCommandQueue) {
   const auto net = networks::build_cantor({4, 0});
-  FederationConfig cfg;
-  cfg.backend = Backend::kConcurrent;
-  cfg.sessions = 2;
-  Federation fed(net, 3, cfg);
+  Federation fed(net, 3);
   ops::ControlPlane cp(fed);
 
   constexpr int kProducers = 2;

@@ -21,9 +21,9 @@ Series keyed so runs with different sweeps still match up:
                                      keyed by the REQUESTED policy, so
                                      baselines from hosts that degraded to
                                      "none" still line up)
-  - the admission-policy A/B        (admission_policy.points[].policy —
-                                     static vs overlay-aware under the
-                                     bursty fault storm)
+  - the admission-policy series     (admission_policy.points[].policy —
+                                     the static window under the bursty
+                                     fault storm)
   - the hitless-growth series       (growth.points[].phase — churn rate
                                      before/during/after doubling the
                                      exchange live; `during` also carries
