@@ -201,18 +201,23 @@ void BM_ConnectFtMixedFaults(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectFtMixedFaults)->DenseRange(0, 3);
 
-// The search's child order on Cantor: cantor-k9 (512 x 512, beyond L2)
-// held fault-free at half load (serve_half_load). Calls spread over the
-// nine planes by output (ReachIndex::first_hop); visits_per_call counts the
-// backtracking that spreading saves. A developer probe with no gate:
+// The search's child order on Cantor: cantor-k (Arg k; k9 is 512 x 512,
+// beyond L2) held fault-free at half load (serve_half_load). Calls spread
+// over the k planes by output (ReachIndex::first_hop); visits_per_call
+// counts the backtracking that spreading saves. k8 is the outlier: with 8
+// planes it visits several times its 19-vertex paths (k7 and k9 stay near
+// their path length), likely because first_hop's `out mod p` correlates
+// with the Benes output bits when p is a power of two. A developer probe
+// with no gate:
 //   ./build/bench_routing --benchmark_filter=BM_ConnectCantorHalfLoad
 void BM_ConnectCantorHalfLoad(benchmark::State& state) {
-  static const graph::Network net = networks::build_cantor({9, 0});
+  const graph::Network net =
+      networks::build_cantor({static_cast<std::uint32_t>(state.range(0)), 0});
   core::GreedyRouter router(net);
   serve_half_load(state, router, static_cast<std::uint32_t>(net.inputs.size()),
                   util::derive_seed(25, 0));
 }
-BENCHMARK(BM_ConnectCantorHalfLoad);
+BENCHMARK(BM_ConnectCantorHalfLoad)->Arg(8)->Arg(9);
 
 // The service facade's cost over a bare engine: search-k9's traffic shape
 // (cantor-k, Arg 0, held at half its terminals: each step hangs up a random

@@ -14,8 +14,10 @@
 // of traffic during which switches fail and crews repair them WHILE CALLS
 // ARE LIVE (the runtime fault plane: Exchange::inject/repair driven by a
 // fault::FaultSchedule). Calls crossing a dying switch are torn down with
-// the typed killed_by_fault outcome and immediately re-admitted through
-// the batched plane; the episode reports killed vs rerouted vs dropped.
+// the typed killed_by_fault outcome and routed again inside inject(), each
+// on its own session and never through the admission queue
+// (Exchange::reroute_victims); the episode reports killed vs rerouted vs
+// dropped.
 // With `sessions` > 1 the episode serves traffic through the batched
 // multi-session admission plane instead of the single immediate session.
 //
@@ -527,10 +529,10 @@ int main(int argc, char** argv) {
   // up. The symmetric model makes the storm MIXED: half the failures are
   // OPEN (the liveness overlay routes new calls around them; calls on a
   // dying component are killed with the typed killed_by_fault outcome and
-  // immediately re-admitted through the batched plane) and half are
-  // STUCK-ON (the contact welds conducting: live calls keep their paths,
-  // the hop becomes a free forced ride — runtime contraction — and the
-  // crew's repair can sever a call that crossed the weld backwards).
+  // routed again inside inject(), never through the admission queue) and
+  // half are STUCK-ON (the contact welds conducting: live calls keep their
+  // paths, the hop becomes a free forced ride — runtime contraction — and
+  // the crew's repair can sever a call that crossed the weld backwards).
   const int outage_year = years / 2;
   const double worn_eps =
       (1.0 - std::pow(1.0 - lambda, outage_year)) / 2;  // cumulative wear

@@ -63,14 +63,9 @@ bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
 
 template <>
 std::uint32_t Router<SoloStore>::claim(Session& s, bool) {
-  // Sole owner: the search's verdict is final. Thread the path through the
-  // successor array and mark it busy.
+  // Sole owner: the search's verdict is final. Mark the path busy.
   const auto path = s.scratch_.path();
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const graph::VertexId v = path[i].v;
-    path_next_[v] = i + 1 < path.size() ? path[i + 1].v : graph::kNoVertex;
-    busy_.set(v);
-  }
+  for (const detail::SearchScratch::Frame& f : path) busy_.set(f.v);
   return static_cast<std::uint32_t>(path.size());
 }
 
@@ -86,14 +81,8 @@ std::uint32_t Router<SharedStore>::claim(Session& s, bool revalidate) {
   const bool owned = claimed == order.size();
   if (owned && (!revalidate ||
                 hops_carried(path.size(),
-                             [path](std::size_t i) { return path[i].v; }))) {
-    // Every vertex is ours, so the successor writes are exclusive; the
-    // release/acquire pairing on each busy bit publishes them.
-    for (std::size_t i = 0; i < path.size(); ++i)
-      path_next_[path[i].v] =
-          i + 1 < path.size() ? path[i + 1].v : graph::kNoVertex;
+                             [path](std::size_t i) { return path[i].v; })))
     return static_cast<std::uint32_t>(path.size());
-  }
   ++(owned ? s.stats_.overlay_conflicts : s.stats_.claim_conflicts);
   while (claimed > 0) busy_.reset(order[--claimed]);
   return 0;
@@ -119,8 +108,6 @@ void Router<Store>::init(unsigned sessions,
   fault_claimed_.resize(v_count);
   in_busy_ = typename Store::Slots(net_->inputs.size());
   out_busy_ = typename Store::Slots(net_->outputs.size());
-  out_holder_.resize(net_->outputs.size());
-  path_next_.assign(v_count, graph::kNoVertex);
   sessions_.reserve(sessions);
   for (unsigned s = 0; s < sessions; ++s)
     sessions_.push_back(Session(*this, s));
@@ -137,11 +124,58 @@ void Router<Store>::Session::prepare() {
   if constexpr (Store::kShared) claim_buf_.reserve(v_count);
   // Each active call holds one input and one output, and one session may
   // carry every call: reserving that bound keeps connect()/disconnect()
-  // allocation-free.
+  // allocation-free. The live paths of one session are vertex-disjoint, so
+  // their records fit in V words plus two header words per call.
   const std::size_t max_calls =
       std::min(net.inputs.size(), net.outputs.size()) + 1;
   calls_.reserve(max_calls);
   free_slots_.reserve(max_calls);
+  records_.resize(v_count + 2 * max_calls);
+}
+
+template <class Store>
+std::uint32_t Router<Store>::Session::write_record(CallId id) {
+  const auto path = scratch_.path();
+  const auto length = static_cast<std::uint32_t>(path.size());
+  // Free slots are handed out newest first, so the slot's last record is
+  // usually still in cache: reuse it when the path fits.
+  std::uint32_t at = calls_[id].at;
+  if (at == Call::kNoRecord || records_[at - 1] < length) {
+    if (records_.size() - top_ < 2 + std::size_t{length}) compact();
+    records_[top_] = id;
+    records_[top_ + 1] = length;
+    at = top_ + 2;
+    top_ = at + length;
+  }
+  for (std::uint32_t i = 0; i < length; ++i) records_[at + i] = path[i].v;
+  return at;
+}
+
+template <class Store>
+void Router<Store>::Session::compact(std::span<const graph::VertexId> vmap) {
+  std::uint32_t to = 0;
+  for (std::uint32_t at = 0; at < top_;) {
+    const CallId id = records_[at];
+    const std::uint32_t capacity = records_[at + 1];
+    Call& c = calls_[id];
+    if (c.at == at + 2 && c.length == 0) {
+      c.at = Call::kNoRecord;  // a free slot's record: dropped
+    } else if (c.at == at + 2) {
+      // Live: moved down (to <= at, so a forward copy is safe) and trimmed
+      // to its path, which keeps the store's bound.
+      const std::uint32_t* path = records_.data() + c.at;
+      std::uint32_t* dst = records_.data() + to;
+      if (to != at) std::copy(path, path + c.length, dst + 2);
+      dst[0] = id;
+      dst[1] = c.length;
+      if (!vmap.empty())
+        for (std::uint32_t i = 2; i < 2 + c.length; ++i) dst[i] = vmap[dst[i]];
+      c.at = to + 2;
+      to += 2 + c.length;
+    }
+    at += 2 + capacity;
+  }
+  top_ = to;
 }
 
 template <class Store>
@@ -169,14 +203,6 @@ void Router<Store>::grow(const graph::Network& net,
   contracted_edges_ = image(contracted_edges_, e_count, false);
   in_busy_ = image(in_busy_, net.inputs.size(), false);
   out_busy_ = image(out_busy_, net.outputs.size(), false);
-  out_holder_.resize(net.outputs.size());  // output indices are prefix-stable
-  output_of_.clear();                      // rebuilt by the next call_at()
-
-  // Successor array and call heads: the active paths' exact image.
-  std::vector<graph::VertexId> next(v_count, graph::kNoVertex);
-  for (std::size_t v = 0; v < path_next_.size(); ++v)
-    if (path_next_[v] != graph::kNoVertex) next[vmap[v]] = vmap[path_next_[v]];
-  path_next_ = std::move(next);
   reach_ = ReachIndex(net);
   net_ = &net;
   // New switches can add ancestors to any weld head: recount from scratch.
@@ -185,12 +211,15 @@ void Router<Store>::grow(const graph::Network& net,
     for (graph::EdgeId e = 0; e < e_count; ++e)
       if (contracted_edges_.test(e)) count_weld(net.g.edge(e).to, 1);
   }
+  // Path records: the live paths' exact image, packed at the front of each
+  // store (which prepare() enlarges to the grown bound). The owner map, if
+  // built, is rebuilt from them.
   for (Session& s : sessions_) {
-    for (typename Session::Call& c : s.calls_)
-      if (c.head != graph::kNoVertex) c.head = vmap[c.head];
+    s.compact(vmap);
     s.ready_ = false;
     if constexpr (!Store::kShared) s.prepare();
   }
+  if (!owner_.empty()) build_owner_map();
 }
 
 // ------------------------------------------------------- connect/disconnect
@@ -276,8 +305,8 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
     id = static_cast<CallId>(calls_.size());
     calls_.emplace_back();  // within the capacity prepare() reserved
   }
-  calls_[id] = {in, out, src, length};
-  r.out_holder_[out] = {index_, id};
+  calls_[id] = {in, out, write_record(id), length};
+  if (!r.owner_.empty()) r.own_path(*this, id);
   return id;
 }
 
@@ -286,42 +315,16 @@ void Router<Store>::Session::disconnect(CallId call) {
   Router& r = *r_;
   Call& c = calls_[call];
   ++stats_.disconnects;
-  // Read each successor BEFORE releasing its vertex: on the shared store
-  // reset(v) publishes path_next_[v] to the next claimer, after which v is
-  // no longer ours. Path vertices are never statically blocked (the search
-  // cannot enter them), so freeing is a plain bit reset.
-  for (graph::VertexId v = c.head; v != graph::kNoVertex;) {
-    const graph::VertexId nxt = r.path_next_[v];
-    r.path_next_[v] = graph::kNoVertex;
-    r.busy_.reset(v);
-    v = nxt;
-  }
+  // Path vertices are never statically blocked (the search cannot enter
+  // them), so freeing is a plain bit reset. The record stays with the slot
+  // for its next call (or until a compaction drops it).
+  for (const graph::VertexId v : path(call)) r.busy_.reset(v);
   busy_count_ -= c.length;
   r.out_busy_.reset(c.out);
   r.in_busy_.reset(c.in);
-  c.head = graph::kNoVertex;
   c.length = 0;
   --active_;
   free_slots_.push_back(call);
-}
-
-template <class Store>
-std::vector<graph::VertexId> Router<Store>::Session::path_of(
-    CallId call) const {
-  std::vector<graph::VertexId> path;
-  path_of(call, path);
-  return path;
-}
-
-template <class Store>
-void Router<Store>::Session::path_of(CallId call,
-                                     std::vector<graph::VertexId>& path) const {
-  const Call& c = calls_[call];
-  path.clear();
-  path.reserve(c.length);
-  for (graph::VertexId v = c.head; v != graph::kNoVertex;
-       v = r_->path_next_[v])
-    path.push_back(v);
 }
 
 template <class Store>
@@ -329,7 +332,7 @@ auto Router<Store>::Session::active_call_ids() const -> std::vector<CallId> {
   std::vector<CallId> ids;
   ids.reserve(active_);
   for (CallId id = 0; id < calls_.size(); ++id)
-    if (calls_[id].head != graph::kNoVertex) ids.push_back(id);
+    if (calls_[id].length != 0) ids.push_back(id);
   return ids;
 }
 
@@ -421,19 +424,32 @@ void Router<Store>::revive_vertex(graph::VertexId v) {
 }
 
 template <class Store>
+void Router<Store>::own_path(const Session& s, CallId id) {
+  const std::uint32_t owner = id * session_count() + s.index_;
+  for (const graph::VertexId v : s.path(id)) owner_[v] = owner;
+}
+
+template <class Store>
+void Router<Store>::build_owner_map() {
+  owner_.assign(net_->g.vertex_count(), kNoCall);
+  for (const Session& s : sessions_)
+    for (const CallId id : s.active_call_ids()) own_path(s, id);
+}
+
+template <class Store>
 CallRef Router<Store>::call_at(graph::VertexId v) {
-  if (output_of_.empty()) {
-    output_of_.assign(net_->g.vertex_count(), kNoCall);
-    for (std::uint32_t o = 0; o < net_->outputs.size(); ++o)
-      output_of_[net_->outputs[o]] = o;
-  }
-  // Every path ends at its output, and at quiescence a held output slot
-  // means a settled call whose path ends there. An idle vertex is its own
-  // walk's end: no output, or an output nobody holds.
-  while (path_next_[v] != graph::kNoVertex) v = path_next_[v];
-  const std::uint32_t o = output_of_[v];
-  if (o == kNoCall || !out_busy_.test(o)) return {};
-  return out_holder_[o];
+  if (owner_.empty()) build_owner_map();
+  // A hangup leaves its entries behind, and its slot may since carry a
+  // call on another path: the entry counts only while the named call's
+  // record still holds v.
+  const std::uint32_t owner = owner_[v];
+  if (owner == kNoCall) return {};
+  const CallRef ref{owner % session_count(), owner / session_count()};
+  const Session& s = sessions_[ref.session];
+  if (s.calls_[ref.call].length == 0) return {};
+  const auto path = s.path(ref.call);
+  if (std::find(path.begin(), path.end(), v) == path.end()) return {};
+  return ref;
 }
 
 // ------------------------------------------------------ quiescent aggregates

@@ -15,8 +15,8 @@
 // The two stores supply the only things that differ:
 //   - SoloStore (GreedyRouter): one session. Busy and overlay state are
 //     plain util::Bitsets, terminal slots are bytes, and the CLAIM is the
-//     settle itself: walk the search's stack (the path), set each busy
-//     bit and successor. No path buffer, no sort, no CAS, no re-validation.
+//     settle itself: walk the search's stack (the path) and set each busy
+//     bit. No claim buffer, no sort, no CAS, no re-validation.
 //     Session scratch is built at construction.
 //   - SharedStore (ConcurrentRouter): N sessions route concurrently over
 //     the same network. Busy and overlay state are util::AtomicBitsets,
@@ -31,8 +31,9 @@
 //      slot, then the output slot, is taken (try_set). Failure →
 //      rejected_terminal (slots released in reverse order on any reject).
 //      A terminal vertex occupied as an intermediate hop of another call
-//      cannot anchor a new path (a vertex carries at most one call, so the
-//      successor array would corrupt both chains) → rejected_no_path.
+//      cannot anchor a new path (a vertex carries at most one call: two
+//      calls would share its busy bit, and the first hangup would free it
+//      under the second) → rejected_no_path.
 //   2. SEARCH — the reach-guided depth-first search (ftcs/search.hpp) on
 //      the session's private scratch, guided by the router's one ReachIndex
 //      (read-only, rebuilt by grow()): its cones filter the children, and
@@ -53,18 +54,26 @@
 //      newest first, and re-runs step 2 against the fresher state
 //      (search_retries). After kMaxClaimRetries attempts the call is
 //      rejected (rejected_contention): bounded work per call, no livelock.
-//   5. SETTLE — the path is threaded through the per-vertex successor
-//      array and recorded in the session's call table.
+//   5. SETTLE — the path (the search's stack, src first) is copied into
+//      one record in the session's record store, the call table names the
+//      record, and, once the owner map exists, each path vertex's entry
+//      names the call (see call_at). disconnect() reads the record back and
+//      resets its busy bits: no per-vertex store besides the bits.
 //
 // Memory-ordering contract (shared store; see util/atomic_bitset.hpp):
+//   - path records and call tables are SESSION-PRIVATE: written by the
+//     session's settle and read by its disconnect/path(), all on the one
+//     thread that owns the session, so they need no ordering of their own.
 //   - busy_.try_set is acq_rel: a successful claim of v synchronizes-with
 //     the busy_.reset(v) (release) of v's previous owner, so the owner's
-//     writes to path_next_[v] are visible before anyone re-claims v. All
+//     write to owner_[v] is visible before anyone re-claims v. All
 //     bitset-word writes are RMWs, so intervening claims of OTHER bits in
 //     the same word do not break the release sequence.
-//   - path_next_[v] is plain (non-atomic) data OWNED by whoever holds busy
-//     bit v: written only between a successful try_set(v) and the matching
-//     reset(v). disconnect() reads the successor BEFORE releasing the bit.
+//   - owner_[v] is plain (non-atomic) data OWNED by whoever holds busy bit
+//     v: written only between a successful try_set(v) and the matching
+//     reset(v), and read only at quiescence (call_at). disconnect() leaves
+//     the entry as it is; call_at() validates it against the named call's
+//     record instead.
 //   - search reads are relaxed; every positive routing decision is
 //     re-validated by the claim CAS (and the overlay re-check), so stale
 //     reads cost retries, not correctness.
@@ -129,11 +138,21 @@
 //     frame prefetches its children's reach-set ids and CSR offset rows;
 //   - busy / overlay vertex and edge state live in packed bitsets, 64
 //     vertices per cache word;
-//   - settled paths are threaded through a per-vertex successor array
-//     (path_next_): a vertex carries at most one call, so one VertexId per
-//     vertex stores every active path with zero per-call storage. The
-//     settle's one extra store records the call as its output's holder, so
-//     call_at(v) finds v's call by walking to the path's output.
+//   - each session keeps its calls' paths as [call id, capacity,
+//     vertices...] records in one bump arena of V + 2 x (max calls) words:
+//     a settle writes one record (a single copy of the path) and a hangup
+//     reads it back, one or two cache lines, with no pointer chase. A freed
+//     slot keeps its record, and free slots are reused newest first, so a
+//     settle usually rewrites a record still in cache; only a path longer
+//     than the slot's record is appended. A full arena compacts its live
+//     records in address order, trimmed to their paths; then the new path
+//     always fits, because a session's live paths and the new one are
+//     vertex-disjoint, so together they hold at most V vertices. Weld
+//     reverse hops make paths longer than the stage count, so no fixed
+//     stride per call would do;
+//   - the vertex -> call owner map behind call_at() (4-byte entries, a
+//     packed session and slot) exists only once the fault plane has asked:
+//     a router that never faults neither builds nor writes it.
 //
 // One search, one claim per store: a 1-session shared router is
 // path-for-path identical to the solo router (with no contention its claim
@@ -297,11 +316,18 @@ class Router {
     /// Releases a call made through THIS session. Allocation-free.
     void disconnect(CallId call);
 
-    /// Vertices of a call's path, input first (cold path: materializes
-    /// from the successor array).
-    [[nodiscard]] std::vector<graph::VertexId> path_of(CallId call) const;
-    /// The same, overwriting `path` (no allocation once it has the room).
-    void path_of(CallId call, std::vector<graph::VertexId>& path) const;
+    /// Vertices of a call's path, input first: a view of the call's record,
+    /// valid until this session's next connect (which may compact the
+    /// record store) or grow().
+    [[nodiscard]] std::span<const graph::VertexId> path(CallId call) const {
+      const Call& c = calls_[call];
+      return {records_.data() + c.at, c.length};
+    }
+    /// The same, copied (cold path).
+    [[nodiscard]] std::vector<graph::VertexId> path_of(CallId call) const {
+      const auto p = path(call);
+      return {p.begin(), p.end()};
+    }
     /// Path length in vertices, O(1).
     [[nodiscard]] std::size_t path_length(CallId call) const {
       return calls_[call].length;
@@ -320,20 +346,38 @@ class Router {
    private:
     friend class Router;
     struct Call {
+      static constexpr std::uint32_t kNoRecord = static_cast<std::uint32_t>(-1);
       std::uint32_t in = 0, out = 0;
-      graph::VertexId head = graph::kNoVertex;  // kNoVertex = slot free
-      std::uint32_t length = 0;                 // vertices on the path
+      // The path's first vertex in records_; a free slot keeps its last
+      // record for reuse, or kNoRecord.
+      std::uint32_t at = kNoRecord;
+      std::uint32_t length = 0;  // vertices on the path; 0 = slot free
     };
 
     Session(Router& r, std::uint32_t index) : r_(&r), index_(index) {}
-    /// Builds the scratch (search arrays, call table reserves) at the
-    /// current network size, once: the first-touch point for every page
-    /// the hot path walks.
+    /// Builds the scratch (search arrays, record store, call table
+    /// reserves) at the current network size, once: the first-touch point
+    /// for every page the hot path walks. Live records are kept.
     void prepare();
+    /// Writes the path the search just found as call `id`'s record: into
+    /// the slot's last record when it is long enough, else appended
+    /// (compacting first when the store is full). Returns where the
+    /// vertices start.
+    std::uint32_t write_record(CallId id);
+    /// Moves the live records to the front of the store, in address order,
+    /// each trimmed to its path, and drops every other record; maps every
+    /// vertex through `vmap` when it is non-empty (grow()).
+    void compact(std::span<const graph::VertexId> vmap = {});
 
     Router* r_;
-    std::uint32_t index_;  // this session's number, for out_holder_
+    std::uint32_t index_;  // this session's number, for the owner map
     detail::SearchScratch scratch_;
+    // Record store: [call id, capacity, vertices...] per record, bump
+    // allocated from top_. A record belongs to its slot while the slot
+    // points at it (a slot that outgrew a record left it behind), and is
+    // live while that slot is.
+    std::vector<std::uint32_t> records_;
+    std::uint32_t top_ = 0;
     // Shared store's claim: the path's vertices in ascending id order.
     std::vector<graph::VertexId> claim_buf_;
     std::vector<Call> calls_;
@@ -369,7 +413,7 @@ class Router {
   /// old vertex id to its grown id (the graph::GrownNetwork contract:
   /// injective, edge ids stable, terminal indices prefix-stable). All
   /// vertex-indexed state — busy/blocked masks, the overlay registries, the
-  /// successor array, call heads — is remapped through vmap; edge-indexed
+  /// path records, the owner map — is remapped through vmap; edge-indexed
   /// state extends at its stable ids; terminal slots extend with idle tail
   /// entries. Call slot tables are never reordered, so existing handles
   /// stay valid. Session scratch is rebuilt at the grown size where the
@@ -402,10 +446,11 @@ class Router {
   /// claimed it. QUIESCENT ONLY.
   void revive_vertex(graph::VertexId v);
   /// The call whose path holds `v` (a vertex carries at most one), or
-  /// call == kNoCall. Walks the successor array to the path's output and
-  /// reads its holder: O(path length). The first query builds the
-  /// vertex -> output table, so a router never asked allocates nothing for
-  /// it. QUIESCENT ONLY.
+  /// call == kNoCall. Reads v's owner-map entry and confirms that the
+  /// named call is live and its record holds v: O(path length). The first
+  /// query builds the map from the live records; from then on every settle
+  /// writes its path's entries, so a router never asked allocates and
+  /// writes nothing for it. QUIESCENT ONLY.
   [[nodiscard]] CallRef call_at(graph::VertexId v);
 
   [[nodiscard]] bool vertex_dead(graph::VertexId v) const {
@@ -456,8 +501,8 @@ class Router {
  private:
   void init(unsigned sessions, const std::vector<std::uint8_t>& blocked,
             const std::vector<std::uint8_t>& blocked_edges);
-  /// Step 3 and the successor-array half of step 5 for the path the
-  /// session's search just found (its scratch's stack): the store's claim.
+  /// Step 3 for the path the session's search just found (its scratch's
+  /// stack): the store's claim.
   /// Returns the path length, or 0 when the claim was lost (shared store
   /// only).
   std::uint32_t claim(Session& s, bool revalidate);
@@ -471,6 +516,12 @@ class Router {
   /// that reaches it in the static graph, skipping the vertices that reach
   /// every output: one backward walk over in-edges.
   void count_weld(graph::VertexId head, int delta);
+  /// Points owner_[v] at call `id` of session `s` for every vertex of the
+  /// call's path.
+  void own_path(const Session& s, CallId id);
+  /// Sizes the owner map at the network's vertex count and fills it from
+  /// every session's live records.
+  void build_owner_map();
 
   using Bits = typename Store::Bits;
   const graph::Network* net_;
@@ -487,14 +538,11 @@ class Router {
   util::Bitset fault_claimed_;  // dead vertices whose busy bit WE set (vs
                                 // vertices that were statically blocked)
   typename Store::Slots in_busy_, out_busy_;  // terminal slots
-  // out_holder_[o]: the call settled to output o, valid while out_busy_[o]
-  // is held (written by the session holding the slot). output_of_[v]: the
-  // output index of vertex v, or kNoCall; built by the first call_at().
-  std::vector<CallRef> out_holder_;
-  std::vector<std::uint32_t> output_of_;
-  // Successor array threading every active path; on the shared store entry
-  // v is owned by the holder of busy bit v.
-  std::vector<graph::VertexId> path_next_;
+  // Owner map: owner_[v] = slot x session_count() + session of the last
+  // call settled through v, or kNoCall; stale once that call hangs up
+  // (call_at() checks). Empty until the first call_at(); on the shared
+  // store entry v is owned by the holder of busy bit v.
+  std::vector<std::uint32_t> owner_;
   ReachIndex reach_;  // search guide, read-only and shared by every session
   // Weld-ancestor counts (weld_reach()), and the walk's visited flags and
   // queue; all empty until the first contract_edge. The shared store writes

@@ -52,9 +52,9 @@ class RouterEngine final : public Engine {
     router_.session(session).disconnect(call);
   }
 
-  void path_of(unsigned session, RawCall call,
-               std::vector<graph::VertexId>& path) override {
-    router_.session(session).path_of(call, path);
+  [[nodiscard]] std::span<const graph::VertexId> path_of(
+      unsigned session, RawCall call) const override {
+    return router_.session(session).path(call);
   }
 
   [[nodiscard]] core::RouterStats stats() const override {

@@ -50,10 +50,10 @@ class Engine {
   virtual Connect connect(unsigned session, std::uint32_t in,
                           std::uint32_t out) = 0;
   virtual void disconnect(unsigned session, RawCall call) = 0;
-  /// Overwrites `path` with the call's vertices, input first; a caller that
-  /// keeps one buffer pays no allocation per path.
-  virtual void path_of(unsigned session, RawCall call,
-                       std::vector<graph::VertexId>& path) = 0;
+  /// The call's vertices, input first: a view of the router's record,
+  /// valid until `session`'s next connect (or grow()).
+  [[nodiscard]] virtual std::span<const graph::VertexId> path_of(
+      unsigned session, RawCall call) const = 0;
 
   // Quiescent aggregates (exact when no connects/disconnects are in flight).
   [[nodiscard]] virtual core::RouterStats stats() const = 0;

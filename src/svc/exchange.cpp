@@ -144,11 +144,10 @@ RejectReason Exchange::hangup(CallId id) {
   return RejectReason::kNone;
 }
 
-std::vector<graph::VertexId> Exchange::path_of(CallId id) {
+std::vector<graph::VertexId> Exchange::path_of(CallId id) const {
   if (check_handle(id) != RejectReason::kNone) return {};
-  std::vector<graph::VertexId> path;
-  engine_->path_of(id.session_, id.slot_, path);
-  return path;
+  const auto path = engine_->path_of(id.session_, id.slot_);
+  return {path.begin(), path.end()};
 }
 
 // ------------------------------------------------------------ batched plane
@@ -384,7 +383,7 @@ void Exchange::ensure_fault_state() {
   welds_.emplace(*net_);
 }
 
-bool Exchange::path_alive(const std::vector<graph::VertexId>& path,
+bool Exchange::path_alive(std::span<const graph::VertexId> path,
                           const std::vector<graph::VertexId>& newly_dead)
     const {
   for (const graph::VertexId v : path)
@@ -412,12 +411,12 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
     const std::uint32_t slot_idx = c.call;
     if (slot_idx == Engine::kNoRawCall) continue;
     Slot& slot = sessions_[s].slots[slot_idx];
-    engine_->path_of(s, slot_idx, victim_path_);
-    if (path_alive(victim_path_, newly_dead)) continue;
+    const auto path = engine_->path_of(s, slot_idx);
+    if (path_alive(path, newly_dead)) continue;
     Outcome dead;
     dead.reject = RejectReason::kFaulted;
     dead.session = s;
-    dead.path_length = static_cast<std::uint32_t>(victim_path_.size());
+    dead.path_length = static_cast<std::uint32_t>(path.size());
     dead.tag = slot.req.tag;
     // The (now stale) handle is echoed so owners can reconcile their maps.
     dead.id.exchange_ = id_;

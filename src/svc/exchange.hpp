@@ -48,6 +48,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -341,7 +342,7 @@ class Exchange {
   RejectReason hangup(CallId id);
   /// Vertices of a live call's path (input first); empty for a non-live
   /// handle.
-  [[nodiscard]] std::vector<graph::VertexId> path_of(CallId id);
+  [[nodiscard]] std::vector<graph::VertexId> path_of(CallId id) const;
 
   // ------------------------------------------------------------- batched
   /// Completion hook for the batched plane; runs during drain() on the
@@ -533,7 +534,7 @@ class Exchange {
   void ensure_fault_state();
   /// True iff `path` avoids `newly_dead` and the engine still carries
   /// every hop. A live path never crosses a vertex that was already dead.
-  [[nodiscard]] bool path_alive(const std::vector<graph::VertexId>& path,
+  [[nodiscard]] bool path_alive(std::span<const graph::VertexId> path,
                                 const std::vector<graph::VertexId>& newly_dead)
       const;
   /// Tears down the calls through `edge`'s endpoints whose paths are no
@@ -584,7 +585,6 @@ class Exchange {
   util::Bitset stuck_switches_;   // closed (stuck-on) failures
   std::vector<std::uint32_t> vertex_fault_degree_;
   std::vector<std::uint8_t> is_terminal_;
-  std::vector<graph::VertexId> victim_path_;  // reap_victims' path buffer
   std::size_t failed_switch_count_ = 0;  // down switches, either mode
   std::size_t stuck_switch_count_ = 0;
   // Live Lemma 7 tracking (same single-owner contract; sized with the rest

@@ -107,30 +107,47 @@ std::vector<std::uint32_t> recount_weld_reach(const core::Router<Store>& r,
   return count;
 }
 
+/// True iff a switch of `g` joins u to v: forward, or backward (the
+/// reverse hop of a weld; whether the overlay still carries it is the
+/// fault plane's question, Router::path_carried).
+inline bool joined(const graph::CsrGraph& g, graph::VertexId u,
+                   graph::VertexId v) {
+  const auto fwd = g.out_targets(u);
+  const auto bwd = g.in_sources(u);
+  return std::find(fwd.begin(), fwd.end(), v) != fwd.end() ||
+         std::find(bwd.begin(), bwd.end(), v) != bwd.end();
+}
+
 /// Structural audit of `r` over `net` (`blocked` = the static vertex mask
 /// the router was built with, if any):
 ///  - busy bits are exactly the union of every live path's vertices, the
 ///    dead vertices and the blocked vertices, and no vertex lies on two
 ///    live paths;
-///  - each live path runs from an input terminal to an output terminal,
-///    and neither terminal reads idle;
+///  - each live path (its record) runs from an input terminal to an output
+///    terminal, neither terminal reads idle, and every pair of consecutive
+///    vertices is joined by a switch (joined());
 ///  - busy_vertices() is the sum of path_length(), and active_calls() the
 ///    number of live calls;
-///  - every weld-ancestor count (weld_reach()) equals recount_weld_reach().
+///  - every weld-ancestor count (weld_reach()) equals recount_weld_reach();
+///  - with `owner_map` (the router's call_at() has been asked, so its owner
+///    map exists), call_at(v) names v's live call for every vertex of every
+///    live path, and no call for every other vertex.
 template <class Store>
-void audit(const core::Router<Store>& r, const graph::Network& net,
-           const std::vector<std::uint8_t>& blocked = {}) {
+void audit(core::Router<Store>& r, const graph::Network& net,
+           const std::vector<std::uint8_t>& blocked = {},
+           bool owner_map = false) {
   const auto terminal = [](const std::vector<graph::VertexId>& list,
                            graph::VertexId v) {
     return static_cast<std::uint32_t>(
         std::find(list.begin(), list.end(), v) - list.begin());
   };
   std::vector<std::uint8_t> expect(net.g.vertex_count(), 0);
+  std::vector<core::CallRef> holder(net.g.vertex_count());
   std::size_t lengths = 0, calls = 0;
   for (unsigned s = 0; s < r.session_count(); ++s) {
     const auto& session = r.session(s);
     for (const auto id : session.active_call_ids()) {
-      const auto path = session.path_of(id);
+      const auto path = session.path(id);
       ASSERT_FALSE(path.empty());
       ASSERT_EQ(path.size(), session.path_length(id));
       const std::uint32_t in = terminal(net.inputs, path.front());
@@ -139,9 +156,14 @@ void audit(const core::Router<Store>& r, const graph::Network& net,
       ASSERT_LT(out, net.outputs.size()) << "call " << id << " ends off-output";
       EXPECT_FALSE(r.input_idle(in)) << "live call on an idle input " << in;
       EXPECT_FALSE(r.output_idle(out)) << "live call on an idle output " << out;
+      for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        ASSERT_TRUE(joined(net.g, path[i], path[i + 1]))
+            << "call " << id << " hops " << path[i] << " -> " << path[i + 1]
+            << " with no switch between them";
       for (const graph::VertexId v : path) {
         EXPECT_EQ(expect[v], 0) << "vertex " << v << " on two live paths";
         expect[v] = 1;
+        holder[v] = {s, id};
       }
       lengths += session.path_length(id);
       ++calls;
@@ -156,10 +178,19 @@ void audit(const core::Router<Store>& r, const graph::Network& net,
   const auto welds = recount_weld_reach(r, net);
   for (graph::VertexId v = 0; v < welds.size(); ++v)
     ASSERT_EQ(r.weld_reach(v), welds[v]) << "weld-ancestor count of " << v;
+  if (!owner_map) return;
+  for (graph::VertexId v = 0; v < holder.size(); ++v) {
+    const core::CallRef at = r.call_at(v);
+    ASSERT_EQ(at.call, holder[v].call) << "call_at(" << v << ")";
+    if (at.call != kNone) {
+      ASSERT_EQ(at.session, holder[v].session) << "call_at(" << v << ")";
+    }
+  }
 }
 
 /// A one-session router on `Store` that runs audit() after every connect,
-/// disconnect, overlay flip and grow(): the typed suite's router.
+/// disconnect, overlay flip and grow(): the typed suite's router. Once the
+/// test has asked call_at(), the audit checks the owner map too.
 template <class Store>
 class AuditedRouter : public core::Router<Store> {
   using Base = core::Router<Store>;
@@ -187,6 +218,12 @@ class AuditedRouter : public core::Router<Store> {
   void uncontract_edge(graph::EdgeId e) { Base::uncontract_edge(e); check(); }
   void kill_vertex(graph::VertexId v) { Base::kill_vertex(v); check(); }
   void revive_vertex(graph::VertexId v) { Base::revive_vertex(v); check(); }
+  core::CallRef call_at(graph::VertexId v) {
+    const core::CallRef at = Base::call_at(v);
+    owner_map_ = true;
+    check();
+    return at;
+  }
   /// Grows onto `net` (which must outlive the router); the static vertex
   /// mask follows vmap.
   void grow(const graph::Network& net, std::span<const graph::VertexId> vmap) {
@@ -202,10 +239,11 @@ class AuditedRouter : public core::Router<Store> {
   }
 
  private:
-  void check() const { audit<Store>(*this, *net_, blocked_); }
+  void check() { audit<Store>(*this, *net_, blocked_, owner_map_); }
 
   const graph::Network* net_;
   Bytes blocked_;
+  bool owner_map_ = false;
 };
 
 }  // namespace ftcs::test

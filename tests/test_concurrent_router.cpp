@@ -5,9 +5,12 @@
 //  - Churn stress: 8 threads connect/disconnect randomly over one shared
 //    cantor network, then the structural audit (router_stores.hpp) checks
 //    the claim invariants at quiescence — no vertex on two paths, busy bits
-//    exactly the live paths, busy_vertices() the sum of path lengths — and
-//    every disconnect releases its claims down to an all-idle network. Run
-//    under TSan in CI, this is also the data-race proof of the claim path.
+//    exactly the live paths, busy_vertices() the sum of path lengths, and
+//    call_at() naming each vertex's call — and every disconnect releases
+//    its claims down to an all-idle network. The owner map is built before
+//    the threads start, so every settle writes its entries concurrently.
+//    Run under TSan in CI, this is also the data-race proof of the claim
+//    path.
 //  - 1-session equivalence: both stores run one search (ftcs/search.hpp)
 //    and an uncontended claim always succeeds first try, so a fixed request
 //    trace must produce identical decisions, call ids, paths, and counters.
@@ -34,6 +37,7 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   constexpr std::size_t kOpsPerThread = 4000;
   core::ConcurrentRouter router(net, kThreads);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  ASSERT_EQ(router.call_at(net.inputs[0]).call, kNone);  // builds the map
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -64,7 +68,7 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   // transfers only through the busy-bit CAS, so a double-claim would mean
   // the claim protocol leaked a vertex; a busy bit no live path explains
   // would mean a conflicting claim's back-off leaked it.
-  audit(router, net);
+  audit(router, net, {}, true);
   std::size_t total_active = 0;
   for (unsigned t = 0; t < kThreads; ++t)
     total_active += router.session(t).active_call_ids().size();
@@ -83,8 +87,10 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   }
   EXPECT_EQ(router.active_calls(), 0u);
   EXPECT_EQ(router.busy_vertices(), 0u);
-  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
+  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v) {
     EXPECT_FALSE(router.is_busy(v));
+    EXPECT_EQ(router.call_at(v).call, kNone) << "stale owner of " << v;
+  }
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_TRUE(router.input_idle(i));
     EXPECT_TRUE(router.output_idle(i));

@@ -6,9 +6,14 @@
 //    lengths where every input->output path has the same length);
 //  - connect()/disconnect() perform no heap allocation once the session's
 //    scratch exists, on both stores (the typed RouterStores suite),
-//    verified by a counting global operator new.
+//    verified by a counting global operator new; also under welds, whose
+//    reverse hops make paths longer than the stage count;
+//  - the path records: a churn long enough to compact each session's
+//    record store many times keeps every live call's path equal to the
+//    path it settled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -242,8 +247,8 @@ TEST(RouterStatsBlock, CountsAddUp) {
 TEST(RouterDeterminism, RejectsTerminalBusyAsIntermediateHop) {
   // 0 -> 1 -> 2 and 1 -> 3, with vertex 1 both an input and an interior hop.
   // Once call (0,0) settles 0-1-2, input 1 is busy as an intermediate; a
-  // second call from it must be rejected — the per-vertex successor array
-  // stores at most one call per vertex, so admitting it would corrupt both.
+  // second call from it must be rejected — a vertex carries at most one
+  // call, so admitting it would let either hangup free the other's vertex.
   graph::NetworkBuilder nb;
   nb.g.add_vertices(4);
   nb.g.add_edge(0, 1);
@@ -298,6 +303,117 @@ TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocation) {
   }
   EXPECT_EQ(g_alloc_count.load(), allocs_before)
       << "connect()/disconnect() allocated on the hot path";
+}
+
+// Welds let the search cross a stuck-on switch backwards, so a path can be
+// longer than the stage count, with no bound below V: the record store
+// must take any such path without allocating, compaction included.
+TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocationUnderWelds) {
+  const auto net = networks::build_cantor({5, 0});
+  const auto stages = static_cast<std::size_t>(
+      *std::max_element(net.stage.begin(), net.stage.end()) + 1);
+  const auto r = make_router<TypeParam>(net);
+  auto& router = *r;
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  util::Xoshiro256 rng(7);
+  // The storm: one switch in twelve stuck on, welded before the warmup
+  // (the first weld sizes the router's weld-ancestor counts).
+  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e)
+    if (rng.below(12) == 0) router.contract_edge(e);
+  std::vector<std::uint32_t> active;
+  active.reserve(n);
+  const auto churn = [&](std::size_t ops) {
+    std::size_t longest = 0;
+    for (std::size_t op = 0; op < ops; ++op) {
+      if (!active.empty() && rng.below(3) == 0) {
+        const auto idx = rng.below(active.size());
+        router.disconnect(active[idx]);
+        active[idx] = active.back();
+        active.pop_back();
+      } else {
+        const auto c = router.connect(static_cast<std::uint32_t>(rng.below(n)),
+                                      static_cast<std::uint32_t>(rng.below(n)));
+        if (c == kNone) continue;
+        active.push_back(c);
+        longest = std::max(longest, router.path_length(c));
+      }
+    }
+    return longest;
+  };
+  churn(200);  // warmup: builds the shared store's scratch
+  const std::uint64_t allocs_before = g_alloc_count.load();
+  const std::size_t longest = churn(4000);
+  EXPECT_EQ(g_alloc_count.load(), allocs_before)
+      << "connect()/disconnect() allocated under welds";
+  EXPECT_GT(longest, stages) << "no path crossed a weld backwards";
+}
+
+// A call reuses its slot's last record when the path fits, so on a network
+// whose paths all have one length the record store never fills. Here each
+// of kLanes lanes is input -> c_1 -> ... -> c_kChain with an exit switch
+// c_j -> output at every step, tried before the step on. Failing the
+// first k - 1 exits of a lane before a connect makes its path k + 2
+// vertices long, so lengths vary from call to call, settles keep
+// appending, and the store (V + 2 x (max calls) = 226 words) compacts every
+// dozen or so appends. A compaction moves live records, so it shows as a
+// live call whose path() view changed address; its vertices must not.
+TYPED_TEST(RouterStores, PathRecordsSurviveCompaction) {
+  constexpr std::uint32_t kLanes = 8, kChain = 24;
+  graph::NetworkBuilder nb;
+  std::vector<std::vector<graph::EdgeId>> exits(kLanes);
+  for (std::uint32_t l = 0; l < kLanes; ++l) {
+    const graph::VertexId in = nb.g.add_vertex(), out = nb.g.add_vertex();
+    nb.inputs.push_back(in);
+    nb.outputs.push_back(out);
+    graph::VertexId prev = in;
+    for (std::uint32_t j = 0; j < kChain; ++j) {
+      const graph::VertexId c = nb.g.add_vertex();
+      nb.g.add_edge(prev, c);
+      exits[l].push_back(nb.g.add_edge(c, out));
+      prev = c;
+    }
+  }
+  const auto net = nb.finalize();
+  AuditedRouter<TypeParam> router(net);
+  auto& plain = static_cast<core::Router<TypeParam>&>(router);  // unaudited
+  (void)router.call_at(0);  // the audit checks the owner map from here on
+  util::Xoshiro256 rng(2024);
+  struct Live {
+    std::uint32_t call = kNone;
+    std::vector<graph::VertexId> path;  // as settled
+    const graph::VertexId* at = nullptr;  // where the record was last seen
+  };
+  std::vector<Live> live(kLanes);
+  std::size_t moves = 0;
+  for (std::size_t op = 0; op < 3000; ++op) {
+    const auto l = static_cast<std::uint32_t>(rng.below(kLanes));
+    if (live[l].call != kNone) {
+      router.disconnect(live[l].call);
+      live[l].call = kNone;
+    } else {
+      const auto k = static_cast<std::uint32_t>(rng.below(kChain)) + 1;
+      for (std::uint32_t j = 0; j < kChain; ++j)
+        if (j + 1 < k)
+          plain.fail_edge(exits[l][j]);
+        else
+          plain.repair_edge(exits[l][j]);
+      const std::uint32_t c = router.connect(l, l);
+      ASSERT_NE(c, kNone);
+      ASSERT_EQ(router.path_length(c), k + 2);
+      live[l] = {c, router.path_of(c), router.session(0).path(c).data()};
+    }
+    bool moved = false;
+    for (Live& x : live) {
+      if (x.call == kNone) continue;
+      const auto p = router.session(0).path(x.call);
+      ASSERT_TRUE(std::equal(p.begin(), p.end(), x.path.begin(), x.path.end()))
+          << "call " << x.call << " changed path at op " << op;
+      moved |= p.data() != x.at;
+      x.at = p.data();
+    }
+    moves += moved;
+  }
+  EXPECT_GE(moves, 20u) << "the record store compacted too rarely to test";
 }
 
 }  // namespace

@@ -1119,7 +1119,8 @@ TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
 // against its direction — judged exactly when no flip overlapped the
 // connect (it must then have been live), allowed otherwise. Exercises the
 // contraction branches of the shared search and the claim-phase
-// re-validation under TSan.
+// re-validation under TSan; the owner map is built before the workers
+// start, so their settles also write it while the flips land.
 TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kWorkers = 4;
@@ -1148,6 +1149,8 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
     }
   }
   ASSERT_FALSE(doomed.empty());
+  ASSERT_EQ(router.call_at(net.inputs[0]).call,
+            core::ConcurrentRouter::kNoCall);  // builds the owner map
   std::vector<std::uint8_t> is_welded(net.g.edge_count(), 0);
   std::vector<std::uint8_t> is_transient(net.g.edge_count(), 0);
   for (const auto e : welded) is_welded[e] = 1;
@@ -1235,6 +1238,8 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
   for (const auto e : doomed) EXPECT_TRUE(router.edge_failed(e));
   for (const auto e : welded) EXPECT_TRUE(router.edge_contracted(e));
   for (const auto e : transient) EXPECT_FALSE(router.edge_contracted(e));
+  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
+    EXPECT_EQ(router.call_at(v).call, core::ConcurrentRouter::kNoCall);
 }
 
 // The acceptance-criteria churn: N concurrent sessions serve calls while a

@@ -11,9 +11,11 @@
 // every event the killed handles and their order must equal the oracle's.
 //
 // RouterStores.CallAtNamesTheCallThroughEveryVertex pins the router query
-// itself on both stores.
+// itself on both stores, and RouterStores.CallAtIgnoresEntriesOfAReusedSlot
+// its check of an entry a hangup left behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -64,6 +66,31 @@ TYPED_TEST(RouterStores, CallAtNamesTheCallThroughEveryVertex) {
   ASSERT_NE(c, kNone);
   calls.push_back(c);
   expect_holders(calls);
+}
+
+// A hangup leaves its owner-map entries behind. Once its slot carries a
+// call on another path, the old entries name a live call whose record no
+// longer holds them: call_at() must answer no call there.
+TYPED_TEST(RouterStores, CallAtIgnoresEntriesOfAReusedSlot) {
+  const auto net = networks::build_cantor({4, 0});
+  AuditedRouter<TypeParam> r(net);
+  const std::uint32_t a = r.connect(0, 5);
+  ASSERT_NE(a, kNone);
+  const auto old_path = r.path_of(a);
+  ASSERT_EQ(r.call_at(old_path[1]).call, a);  // builds the owner map
+  r.disconnect(a);
+  const std::uint32_t b = r.connect(3, 12);
+  ASSERT_EQ(b, a) << "the new call should reuse the freed slot";
+  const auto new_path = r.path_of(b);
+  std::size_t stale = 0;
+  for (const graph::VertexId v : old_path) {
+    const bool reused =
+        std::find(new_path.begin(), new_path.end(), v) != new_path.end();
+    EXPECT_EQ(r.call_at(v).call, reused ? b : kNone) << "vertex " << v;
+    stale += !reused;
+  }
+  EXPECT_GT(stale, 0u);
+  for (const graph::VertexId v : new_path) EXPECT_EQ(r.call_at(v).call, b);
 }
 
 // ------------------------------------------------------------- the oracle
