@@ -106,6 +106,9 @@ TEST(FederationShardMap, RingTopologyTrunksOnlyNeighbours) {
 TEST(FederationCalls, IntraFastPathNeverTouchesFederationState) {
   const auto net = networks::build_cantor({4, 0});
   Federation fed(net, 2);
+  // Shard 0's twin: a raw exchange over the same network serves every
+  // intra call of shard 0 too, in step.
+  Exchange raw(net, {});
   const FedOutcome o = fed.call({0, 1, 0, 42});
   ASSERT_TRUE(o.connected());
   EXPECT_TRUE(o.id.valid());
@@ -124,6 +127,69 @@ TEST(FederationCalls, IntraFastPathNeverTouchesFederationState) {
   EXPECT_EQ(st.inter_calls, 0u);
   EXPECT_EQ(st.trunks.claims, 0u);
   EXPECT_EQ(st.members.hangups, 1u);
+  const Outcome r = raw.call({0, 1, 0, 42});
+  ASSERT_TRUE(r.connected());
+  EXPECT_EQ(r.path_length, o.path_length);
+  EXPECT_EQ(raw.hangup(r.id), RejectReason::kNone);
+
+  // A seeded intra-only churn on shard 0, busy terminals included: the
+  // federation gives the raw twin's verdict and path length call by call,
+  // and its member 0 does the raw twin's search work.
+  const std::uint32_t subs = fed.subscribers_per_member();
+  util::Xoshiro256 rng(util::derive_seed(71, 0));
+  struct Held {
+    FedCallId fed;
+    CallId raw;
+  };
+  std::vector<Held> held;
+  std::uint64_t dials = 0;
+  for (std::uint64_t op = 0; op < 3000; ++op) {
+    if (!held.empty() && rng.below(4) == 0) {
+      const auto i = rng.below(held.size());
+      ASSERT_EQ(fed.hangup(held[i].fed), RejectReason::kNone);
+      ASSERT_EQ(raw.hangup(held[i].raw), RejectReason::kNone);
+      held[i] = held.back();
+      held.pop_back();
+      continue;
+    }
+    const auto in = static_cast<std::uint32_t>(rng.below(subs));
+    const auto out = static_cast<std::uint32_t>(rng.below(subs));
+    const FedOutcome f =
+        fed.call({fed.global_of(0, in), fed.global_of(0, out), 0, op});
+    const Outcome x = raw.call({in, out, 0, op});
+    ++dials;
+    ASSERT_EQ(f.reject, x.reject) << "op " << op;
+    ASSERT_EQ(f.path_length, x.path_length) << "op " << op;
+    EXPECT_FALSE(f.id.inter());
+    EXPECT_EQ(f.shard_out, 0u);
+    EXPECT_EQ(f.trunk_group, FedOutcome::kNoTrunkGroup);
+    if (f.connected()) held.push_back({f.id, x.id});
+  }
+  EXPECT_GT(held.size(), 0u);
+  EXPECT_EQ(fed.active_inter_calls(), 0u);
+  EXPECT_EQ(total_occupancy(fed), 0u);
+  for (const Held& h : held) {
+    EXPECT_EQ(fed.hangup(h.fed), RejectReason::kNone);
+    EXPECT_EQ(raw.hangup(h.raw), RejectReason::kNone);
+  }
+  EXPECT_EQ(fed.busy_vertices(), 0u);
+  const core::RouterStats fr = fed.member(0).stats().router;
+  const core::RouterStats xr = raw.stats().router;
+  EXPECT_EQ(fr.connect_calls, xr.connect_calls);
+  EXPECT_EQ(fr.accepted, xr.accepted);
+  EXPECT_EQ(fr.rejected_terminal, xr.rejected_terminal);
+  EXPECT_EQ(fr.vertices_visited, xr.vertices_visited);
+  EXPECT_EQ(fr.path_vertices, xr.path_vertices);
+  EXPECT_GT(xr.rejected_terminal, 0u);
+  // Nothing federation-wide moved, and member 1 did no work.
+  const FederationStats end = fed.stats();
+  EXPECT_EQ(end.intra_calls, 1u + dials);
+  EXPECT_EQ(end.inter_calls, 0u);
+  EXPECT_EQ(end.half_calls_routed, 0u);
+  EXPECT_EQ(end.trunks.claims, 0u);
+  EXPECT_EQ(end.handle_errors, 0u);
+  EXPECT_EQ(fed.member(1).stats().router.connect_calls, 0u);
+  EXPECT_EQ(fed.member(1).stats().hangups, 0u);
 }
 
 TEST(FederationCalls, InterCallLifecycleClaimsAndReleasesInOrder) {

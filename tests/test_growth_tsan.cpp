@@ -46,6 +46,12 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
 
   std::shared_mutex plane;  // sessions shared; faults and growth exclusive
   std::atomic<bool> done{false};
+  // Sessions start only once the certain kill and the first storm event
+  // have landed: sessions that start first can hold every one of the 16
+  // terminals before the certain kill places its call, and the shared lock
+  // prefers readers, so they can finish their whole churn before the
+  // mutator ever gets the plane.
+  std::atomic<bool> injecting{false};
   std::vector<svc::Outcome> strays;  // mutator-owned rerouted survivors
 
   std::vector<std::thread> threads;
@@ -55,6 +61,8 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
     threads.emplace_back([&, s] {
       util::Xoshiro256 rng(util::derive_seed(617, s));
       std::vector<svc::Outcome> mine;
+      while (!injecting.load(std::memory_order_acquire))
+        std::this_thread::yield();
       for (int op = 0; op < 2000; ++op) {
         std::shared_lock<std::shared_mutex> lk(plane);
         // The terminal space doubles mid-run: re-read it every op, under
@@ -107,6 +115,7 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
       for (const auto& re : impact.reroutes)
         if (re.connected()) strays.push_back(re);
       lk.unlock();
+      injecting.store(true, std::memory_order_release);
       std::this_thread::yield();
     }
     // Sessions may outlast a short storm; land the doubling regardless.

@@ -30,13 +30,20 @@
 //    in plain child order; a router grown k5 -> k6 enters the grown
 //    network's six planes and refuses no idle pair;
 //  - a fan-out net that forces the search to backtrack, healthy, degraded
-//    and welded.
-// Every test routes through AuditedRouter (router_stores.hpp), so the
-// structural audit runs after every operation.
+//    and welded;
+//  - a search-work ratchet: a seeded half-load churn on cantor k4-k9 and
+//    two grown Cantor networks visits no more vertices than a table of the
+//    current search's exact totals, so search work may only fall.
+// Every test but the ratchet routes through AuditedRouter
+// (router_stores.hpp), so the structural audit runs after every operation;
+// the ratchet serves cantor-k9 at speed on a plain GreedyRouter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iostream>
+#include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -795,6 +802,93 @@ TYPED_TEST(RouterStores, FanOutNetWeldedReverseHopAfterEveryMidDies) {
   expect_valid_path(router, star.net.g, router.path_of(c));
   router.disconnect(c);
   EXPECT_EQ(router.busy_vertices(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Search work. A seeded churn at half load on the solo store: fill half the
+// terminals, then each step hangs up a random live call and dials a random
+// idle input to a random idle output, so every dial runs a search. Each row
+// of the table is the exact number of vertices the current search visits
+// over the steps. The test fails if a network's total rises above its row:
+// a change that lowers a total lowers the row with it, and search work may
+// only fall.
+// ---------------------------------------------------------------------------
+
+struct SearchWorkRow {
+  std::uint32_t k;       // cantor-k, or the base order of a grown network
+  bool grown;            // cantor-k doubled once by networks::grow_cantor
+  std::uint64_t visits;  // the current total: the ceiling
+};
+
+// The k4, k8 and grown k7 -> k8 rows carry the plane-key defect: with a
+// power-of-two plane count p, first_hop's `out mod p` correlates with the
+// Benes output bits, so calls pile onto few planes and the search
+// backtracks. Per call, k8 visits 153.7 vertices for a 19-vertex path and
+// grown k7 -> k8 137.3 for 18.3, against k9's 23.1 for 21; k4 visits 14.4
+// for 11. A fix of the key lowers these rows most.
+constexpr SearchWorkRow kSearchWork[] = {
+    {4, false, 144229},  {5, false, 122384},  {6, false, 174906},
+    {7, false, 171369},  {8, false, 1536738}, {9, false, 230961},
+    {5, true, 168544},   {7, true, 1372809},
+};
+
+TEST(SearchWork, HalfLoadChurnVisitsNoMoreThanTheRatchet) {
+  constexpr std::size_t kSteps = 10000;
+  for (const SearchWorkRow& row : kSearchWork) {
+    const graph::Network base = networks::build_cantor({row.k, 0});
+    core::GreedyRouter router(base);
+    graph::GrownNetwork grown;
+    if (row.grown) {
+      grown = networks::grow_cantor(base, {row.k, 0});
+      router.grow(grown.net, grown.vmap);
+    }
+    const graph::Network& net = row.grown ? grown.net : base;
+    const std::string label =
+        row.grown ? base.name + " grown to " + net.name : net.name;
+    const auto n = static_cast<std::uint32_t>(net.inputs.size());
+    std::vector<std::uint32_t> idle_in(n), idle_out(n);
+    std::iota(idle_in.begin(), idle_in.end(), 0u);
+    std::iota(idle_out.begin(), idle_out.end(), 0u);
+    struct Live {
+      std::uint32_t call, in, out;
+    };
+    std::vector<Live> live;
+    util::Xoshiro256 rng(util::derive_seed(31, row.k));
+    const auto take = [&rng](std::vector<std::uint32_t>& pool) {
+      const auto i = rng.below(pool.size());
+      const std::uint32_t t = pool[i];
+      pool[i] = pool.back();
+      pool.pop_back();
+      return t;
+    };
+    const auto dial = [&] {
+      const std::uint32_t in = take(idle_in), out = take(idle_out);
+      const auto call = router.connect(in, out);
+      ASSERT_NE(call, kNone) << label << ": idle (" << in << "," << out
+                             << ") refused";
+      live.push_back({call, in, out});
+    };
+    for (std::uint32_t i = 0; i < n / 2; ++i) ASSERT_NO_FATAL_FAILURE(dial());
+    router.reset_stats();
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      const auto i = rng.below(live.size());
+      router.disconnect(live[i].call);
+      idle_in.push_back(live[i].in);
+      idle_out.push_back(live[i].out);
+      live[i] = live.back();
+      live.pop_back();
+      ASSERT_NO_FATAL_FAILURE(dial());
+    }
+    const core::RouterStats st = router.stats();
+    ASSERT_EQ(st.accepted, kSteps);
+    const auto per_call = [&](std::uint64_t total) {
+      return static_cast<double>(total) / static_cast<double>(kSteps);
+    };
+    std::cout << label << ": " << st.vertices_visited << " visits, "
+              << per_call(st.vertices_visited) << " per call for "
+              << per_call(st.path_vertices) << " path vertices\n";
+    EXPECT_LE(st.vertices_visited, row.visits) << label;
+  }
 }
 
 }  // namespace
