@@ -438,7 +438,7 @@ BENCHMARK(BM_FederationDrain)->Iterations(4000);
 void BM_GrowthQuiesce(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const graph::Network base = networks::build_cantor({k, 0});
-  const graph::GrownNetwork grown = networks::grow_cantor(base, {k, 0});
+  const graph::Network grown = networks::grow_cantor(base, {k, 0});
   const auto n = static_cast<std::uint32_t>(base.inputs.size());
   std::vector<std::uint32_t> ins(n), outs(n);
   double quiesce_s = 0.0;
@@ -454,7 +454,7 @@ void BM_GrowthQuiesce(benchmark::State& state) {
       benchmark::DoNotOptimize(ex.call({ins[i], outs[i]}));
     }
     const std::size_t live = ex.active_calls();
-    const svc::GrowthReport rep = ex.grow({grown});
+    const svc::GrowthReport rep = ex.grow(grown);
     if (!rep.applied) {
       state.SkipWithError(rep.error.c_str());
       break;

@@ -24,8 +24,8 @@
 // After the outage, a GROWTH EPISODE: a fully loaded 32-line Cantor
 // exchange is doubled to 64 lines while every call is up
 // (networks::grow_cantor builds the append-only superset topology;
-// Exchange::grow remaps the live calls through the old->new id map under
-// a sub-millisecond quiesce — calls_killed_by_growth stays 0 by design).
+// Exchange::grow carries the live calls across, ids unchanged, under a
+// sub-millisecond quiesce — calls_killed_by_growth stays 0 by design).
 //
 //   $ ./telephone_exchange --daemon
 //
@@ -367,7 +367,7 @@ void solo_serve_loop(ftcs::svc::Exchange& ex, ftcs::ops::ControlPlane& control,
     std::size_t drop = held.size() / 4;
     while (drop-- > 0 && !held.empty()) {
       const auto idx = rng() % held.size();
-      ex.hangup(held[idx]);  // handles survive growth: remapped, not stale
+      ex.hangup(held[idx]);  // handles survive growth unchanged, not stale
       held[idx] = held.back();
       held.pop_back();
     }
@@ -589,10 +589,10 @@ int main(int argc, char** argv) {
   // Demand outgrew the office: double a fully loaded Cantor exchange from
   // 32 to 64 subscriber lines with every line on a call. grow_cantor wraps
   // each Beneš plane into a Beneš(k+1) and appends one fresh plane —
-  // append-only, so every pre-growth switch id survives — and
-  // Exchange::grow remaps the 32 live paths through the old->new vertex
-  // map under a brief quiesce. No call drops: calls_killed_by_growth is
-  // exported precisely so that invariant is observable.
+  // append-only, so every pre-growth vertex and switch id survives — and
+  // Exchange::grow carries the 32 live paths across unchanged under a
+  // brief quiesce. No call drops: calls_killed_by_growth is exported
+  // precisely so that invariant is observable.
   const auto cantor = networks::build_cantor({5, 0});  // "cantor-32-m5"
   svc::Exchange growing(cantor);
   std::vector<svc::CallId> up;
@@ -603,18 +603,15 @@ int main(int argc, char** argv) {
         {i, static_cast<std::uint32_t>((13 * i + 5) % 32), 0, i + 1});
     if (o.connected()) up.push_back(o.id);
   }
-  svc::GrowthPlan plan;
-  plan.grown = networks::grow_cantor(growing.network(), {5, 0});
-  const svc::TopologyOutcome gout =
-      growing.apply(svc::TopologyEvent::make_grow(plan));
-  const svc::GrowthReport& grown = *gout.growth;
+  const svc::GrowthReport grown =
+      growing.grow(networks::grow_cantor(growing.network(), {5, 0}));
   // The new lines are in service the instant grow returns.
   std::size_t new_line_calls = 0;
   for (std::uint32_t i = 32; i < 64; ++i)
     if (growing.call({i, static_cast<std::uint32_t>(95 - i), 0, 1000 + i})
             .connected())
       ++new_line_calls;
-  for (const auto id : up) growing.hangup(id);  // remapped handles, not stale
+  for (const auto id : up) growing.hangup(id);  // carried handles, not stale
   const std::size_t still_up = growing.active_calls();
   std::cout << "\n== growth episode: doubling a saturated Cantor exchange ==\n"
             << "  " << cantor.name << " -> " << growing.network().name

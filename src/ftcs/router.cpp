@@ -152,7 +152,7 @@ std::uint32_t Router<Store>::Session::write_record(CallId id) {
 }
 
 template <class Store>
-void Router<Store>::Session::compact(std::span<const graph::VertexId> vmap) {
+void Router<Store>::Session::compact() {
   std::uint32_t to = 0;
   for (std::uint32_t at = 0; at < top_;) {
     const CallId id = records_[at];
@@ -168,8 +168,6 @@ void Router<Store>::Session::compact(std::span<const graph::VertexId> vmap) {
       if (to != at) std::copy(path, path + c.length, dst + 2);
       dst[0] = id;
       dst[1] = c.length;
-      if (!vmap.empty())
-        for (std::uint32_t i = 2; i < 2 + c.length; ++i) dst[i] = vmap[dst[i]];
       c.at = to + 2;
       to += 2 + c.length;
     }
@@ -179,30 +177,28 @@ void Router<Store>::Session::compact(std::span<const graph::VertexId> vmap) {
 }
 
 template <class Store>
-void Router<Store>::grow(const graph::Network& net,
-                         std::span<const graph::VertexId> vmap) {
-  // Every bitset is rebuilt at its grown size (an AtomicBitset cannot
-  // resize in place): vertex-indexed state as its exact image under vmap,
-  // edge-indexed state and terminal slots at their stable ids (appended
-  // ids start clear: idle, alive, healthy). Exact under quiescence.
-  const auto image = [&vmap](const auto& bits, std::size_t n, bool remap) {
+void Router<Store>::grow(const graph::Network& net) {
+  // Growth only appends, so every id keeps its meaning: each bitset is
+  // copied at the same indices into one of the grown size (an AtomicBitset
+  // cannot resize in place), and appended ids start clear: idle, alive,
+  // healthy. Exact under quiescence.
+  const auto extend = [](const auto& bits, std::size_t n) {
     std::remove_cvref_t<decltype(bits)> grown(n);
     for (std::size_t i = 0; i < bits.size(); ++i)
-      if (bits.test(i)) grown.set(remap ? vmap[i] : i);
+      if (bits.test(i)) grown.set(i);
     return grown;
   };
   const std::size_t v_count = net.g.vertex_count();
   const std::size_t e_count = net.g.edge_count();
-  blocked_ = image(blocked_, v_count, true);
-  busy_ = image(busy_, v_count, true);
-  dead_ = image(dead_, v_count, true);
-  fault_claimed_ = image(fault_claimed_, v_count, true);
-  if (!static_edges_.empty())
-    static_edges_ = image(static_edges_, e_count, false);
-  dead_edges_ = image(dead_edges_, e_count, false);
-  contracted_edges_ = image(contracted_edges_, e_count, false);
-  in_busy_ = image(in_busy_, net.inputs.size(), false);
-  out_busy_ = image(out_busy_, net.outputs.size(), false);
+  blocked_ = extend(blocked_, v_count);
+  busy_ = extend(busy_, v_count);
+  dead_ = extend(dead_, v_count);
+  fault_claimed_ = extend(fault_claimed_, v_count);
+  if (!static_edges_.empty()) static_edges_ = extend(static_edges_, e_count);
+  dead_edges_ = extend(dead_edges_, e_count);
+  contracted_edges_ = extend(contracted_edges_, e_count);
+  in_busy_ = extend(in_busy_, net.inputs.size());
+  out_busy_ = extend(out_busy_, net.outputs.size());
   reach_ = ReachIndex(net);
   net_ = &net;
   // New switches can add ancestors to any weld head: recount from scratch.
@@ -211,15 +207,14 @@ void Router<Store>::grow(const graph::Network& net,
     for (graph::EdgeId e = 0; e < e_count; ++e)
       if (contracted_edges_.test(e)) count_weld(net.g.edge(e).to, 1);
   }
-  // Path records: the live paths' exact image, packed at the front of each
-  // store (which prepare() enlarges to the grown bound). The owner map, if
-  // built, is rebuilt from them.
+  // The path records stay where they are; prepare() enlarges each store
+  // and the session scratch to the grown bound. No new vertex carries a
+  // call yet, so the owner map only extends.
   for (Session& s : sessions_) {
-    s.compact(vmap);
     s.ready_ = false;
     if constexpr (!Store::kShared) s.prepare();
   }
-  if (!owner_.empty()) build_owner_map();
+  if (!owner_.empty()) owner_.resize(v_count, kNoCall);
 }
 
 // ------------------------------------------------------- connect/disconnect

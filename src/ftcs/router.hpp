@@ -365,9 +365,8 @@ class Router {
     /// vertices start.
     std::uint32_t write_record(CallId id);
     /// Moves the live records to the front of the store, in address order,
-    /// each trimmed to its path, and drops every other record; maps every
-    /// vertex through `vmap` when it is non-empty (grow()).
-    void compact(std::span<const graph::VertexId> vmap = {});
+    /// each trimmed to its path, and drops every other record.
+    void compact();
 
     Router* r_;
     std::uint32_t index_;  // this session's number, for the owner map
@@ -409,17 +408,16 @@ class Router {
   }
 
   /// Hitless growth: rebinds the router to the grown network `net`,
-  /// carrying every live call on every session across. `vmap` maps each
-  /// old vertex id to its grown id (the graph::GrownNetwork contract:
-  /// injective, edge ids stable, terminal indices prefix-stable). All
-  /// vertex-indexed state — busy/blocked masks, the overlay registries, the
-  /// path records, the owner map — is remapped through vmap; edge-indexed
-  /// state extends at its stable ids; terminal slots extend with idle tail
-  /// entries. Call slot tables are never reordered, so existing handles
-  /// stay valid. Session scratch is rebuilt at the grown size where the
-  /// store first touches it (here, or on the session's next connect).
-  /// QUIESCENT ONLY. The new network must outlive the router.
-  void grow(const graph::Network& net, std::span<const graph::VertexId> vmap);
+  /// carrying every live call on every session across. `net` must extend
+  /// the current network append-only (graph::NetworkDelta): old vertex ids,
+  /// edge ids and terminal indices keep their meaning. Vertex-, edge- and
+  /// terminal-indexed state extends at the same ids with idle, healthy
+  /// tail entries; path records and call slot tables are untouched, so
+  /// every live path and handle stays valid as it is. Session scratch and
+  /// record stores are rebuilt at the grown size where the store first
+  /// touches them (here, or on the session's next connect). QUIESCENT
+  /// ONLY. The new network must outlive the router.
+  void grow(const graph::Network& net);
 
   // ---------------------------------------------------- liveness overlay
   // See the header comment for the racing and quiescence contract.

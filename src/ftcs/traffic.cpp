@@ -37,10 +37,6 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
       departures;
   // tag -> live handle; absent once the call departed or died unrerouted.
   std::unordered_map<std::uint64_t, svc::CallId> live;
-  // Batched-plane lag: a call can be killed (and maybe rerouted) by a fault
-  // event before its original drain outcome was settled; the superseding
-  // outcome waits here keyed by tag until the stale one surfaces.
-  std::unordered_map<std::uint64_t, svc::Outcome> superseded;
   std::uint64_t next_tag = 1;
 
   // Batched plane: completions land in per-session buckets (drain() runs
@@ -57,33 +53,19 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
     for (auto& bucket : buckets) {
       for (const svc::Outcome& o : bucket) {
         if (!o.connected()) continue;
-        const auto sup = superseded.find(o.tag);
-        if (sup != superseded.end()) {
-          // This outcome's handle already died in a fault event; track the
-          // superseding reroute (if it carried) under the same tag.
-          if (sup->second.connected()) {
-            live.emplace(o.tag, sup->second.id);
-            departures.push(
-                {now + rng.exponential(1.0 / p.mean_holding), o.tag});
-          }
-          superseded.erase(sup);
-          continue;
-        }
         live.emplace(o.tag, o.id);
         departures.push({now + rng.exponential(1.0 / p.mean_holding), o.tag});
       }
       bucket.clear();
     }
   };
+  // Every epoch settles its buckets before it returns, so a victim this run
+  // admitted is always in `live`; a victim that is not predates the run.
   const auto settle_impact = [&](const svc::FaultImpact& impact) {
     for (std::size_t i = 0; i < impact.killed.size(); ++i) {
-      const std::uint64_t tag = impact.killed[i].tag;
+      const auto it = live.find(impact.killed[i].tag);
+      if (it == live.end()) continue;
       const svc::Outcome& re = impact.reroutes[i];
-      const auto it = live.find(tag);
-      if (it == live.end()) {
-        superseded[tag] = re;  // original outcome not settled yet (see above)
-        continue;
-      }
       if (re.connected())
         it->second = re.id;  // same tag, same departure time, new path
       else
@@ -101,7 +83,6 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
   double now = 0.0;
   double next_arrival = rng.exponential(p.arrival_rate);
   double next_epoch = batched ? p.epoch_interval : kNever;
-  bool epoch_stuck = false;  // a zero-window policy refused to drain
   double active_integral = 0.0;
   double last_event = 0.0;
   const std::size_t base_active = exchange.active_calls();
@@ -122,29 +103,19 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
                               fault_events[fault_idx].time < p.sim_time
                           ? fault_events[fault_idx].time
                           : kNever;
-    const bool backlog =
-        batched &&
-        (ta != kNever || (exchange.pending() > 0 && !epoch_stuck));
+    const bool backlog = batched && (ta != kNever || exchange.pending() > 0);
     const double te = backlog ? next_epoch : kNever;
     const double t = std::min(std::min(ta, td), std::min(tf, te));
     if (t == kNever) break;
 
     if (t == tf) {
-      // Fault event. Settle any outcomes a previous mid-interval drain left
-      // in the buckets first, so the live map is current when the impact
-      // lands; inject()'s own drain_all may refill them (victim reroutes
-      // ride with whatever was queued), so settle again after.
+      // Fault event. inject()/repair() route each victim's reroute
+      // directly and drain nothing, so no carried outcome waits in the
+      // buckets.
       now = t;
       advance(now);
-      settle_buckets(now);
-      // Through the unified topology-mutation seam (the same dispatch the
-      // ops command feed uses), so the replay path is the one CI exercises.
-      const svc::TopologyOutcome out = exchange.apply(
-          svc::TopologyEvent::make_fault(fault_events[fault_idx]));
-      const svc::FaultImpact& impact = out.fault;
+      settle_impact(exchange.apply(fault_events[fault_idx]));
       ++fault_idx;
-      settle_impact(impact);
-      settle_buckets(now);
     } else if (t == td && t <= ta) {  // departures win ties against arrivals
       const auto dep = departures.top();
       departures.pop();
@@ -195,8 +166,7 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
       next_epoch += p.epoch_interval;
       if (next_epoch <= now) next_epoch = now + p.epoch_interval;
       advance(now);
-      const std::size_t served = exchange.drain_all();
-      epoch_stuck = served == 0 && exchange.pending() > 0;
+      exchange.drain_all();
       settle_buckets(now);
     }
   }

@@ -18,19 +18,11 @@
 namespace ftcs::graph {
 
 class GraphBuilder;
-class CsrDelta;
 
 class CsrGraph {
  public:
   CsrGraph() = default;
   explicit CsrGraph(const GraphBuilder& b);
-  /// Merge finalize for hitless growth: rebuilds the CSR arrays with the
-  /// delta's appended vertices and edges folded in, in one O(V + E + Δ)
-  /// pass. Base vertex ids and edge ids are preserved verbatim; every base
-  /// vertex's incidence list keeps its original order as a PREFIX, with the
-  /// appended edges following in ascending edge-id order — exactly the
-  /// layout a GraphBuilder replay of base-then-delta insertions produces.
-  CsrGraph(const CsrGraph& base, const CsrDelta& delta);
 
   [[nodiscard]] std::size_t vertex_count() const noexcept { return vertex_count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }

@@ -8,11 +8,14 @@ Network NetworkBuilder::finalize() const {
   return Network{g.finalize(), inputs, outputs, stage, name};
 }
 
-GrownNetwork NetworkDelta::finalize_grown() const {
-  const std::size_t old_v = base_->g.vertex_count();
+NetworkDelta::NetworkDelta(const Network& base)
+    : base_(&base), g_(base.g.vertex_count()), name_(base.name) {
+  g_.reserve(base.g.edge_count());
+  for (EdgeId e = 0; e < base.g.edge_count(); ++e)
+    g_.add_edge(base.g.edge(e).from, base.g.edge(e).to);
+}
 
-  CsrGraph merged(base_->g, delta_);
-
+Network NetworkDelta::finalize_grown() const {
   std::vector<VertexId> inputs = base_->inputs;
   inputs.insert(inputs.end(), new_inputs_.begin(), new_inputs_.end());
   std::vector<VertexId> outputs = base_->outputs;
@@ -23,16 +26,11 @@ GrownNetwork NetworkDelta::finalize_grown() const {
     stage = *restage_;
   } else if (!base_->stage.empty() || !new_stage_.empty()) {
     stage = base_->stage;
-    stage.resize(old_v, -1);
+    stage.resize(base_->g.vertex_count(), -1);
     stage.insert(stage.end(), new_stage_.begin(), new_stage_.end());
   }
-
-  GrownNetwork out;
-  out.net = Network{std::move(merged), std::move(inputs), std::move(outputs),
-                    std::move(stage), name_};
-  out.vmap.resize(old_v);
-  for (VertexId v = 0; v < old_v; ++v) out.vmap[v] = v;
-  return out;
+  return Network{g_.finalize(), std::move(inputs), std::move(outputs),
+                 std::move(stage), name_};
 }
 
 bool Network::is_input(VertexId v) const {

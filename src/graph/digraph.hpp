@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "graph/delta.hpp"
 #include "graph/types.hpp"
 
 namespace ftcs::graph {
@@ -101,71 +100,52 @@ struct NetworkBuilder {
   [[nodiscard]] Network finalize() const;
 };
 
-/// Result of growing a finalized network: the merged network plus the
-/// old→new vertex-id map the live-call remap threads every piece of
-/// vertex-indexed engine state through. Contracts (what the routers'
-/// grow() verbs and svc::Exchange::grow validate):
-///   - vmap.size() == old vertex count; vmap is injective into the grown
-///     id space (finalize_grown() builds the identity);
-///   - edge ids are stable: grown edge e < old edge count connects exactly
-///     {vmap[old from], vmap[old to]};
-///   - terminal indices are prefix-stable: grown inputs[i] ==
-///     vmap[old inputs[i]] for every old i (outputs likewise) — external
-///     terminal ids survive the re-id.
-struct GrownNetwork {
-  Network net;
-  std::vector<VertexId> vmap;  ///< vmap[old id] = grown id
-};
-
-/// Re-opens a finalized Network for append-only growth — the network-level
-/// wrapper over graph::CsrDelta that also tracks new terminals and stage
-/// labels. All ids are the BASE network's ids;
-/// new vertices continue densely after them. finalize_grown() merges in one
-/// O(V + E + Δ) pass and never touches the base.
+/// Re-opens a finalized Network for append-only growth: a GraphBuilder
+/// seeded with the base's vertex count and its edges in id order, plus the
+/// new terminals and stage labels. All ids are the BASE network's ids; new
+/// vertices and edges continue densely after them. finalize_grown() packs
+/// the result and never touches the base. Growth only appends, so the grown
+/// network keeps every base id:
+///   - vertex ids: base vertex v is grown vertex v;
+///   - edge ids: grown edge e < base edge count joins the same two vertices;
+///   - terminal indices: grown inputs[i] == base inputs[i] for every base i
+///     (outputs likewise), with new terminals appended after them;
+///   - incidence order: each base vertex's lists keep their base order as a
+///     prefix (GraphBuilder's counting sort is stable by edge id).
 class NetworkDelta {
  public:
   /// The base must outlive the delta and stay unchanged (it is immutable).
-  explicit NetworkDelta(const Network& base)
-      : base_(&base), delta_(base.g), name_(base.name) {}
+  explicit NetworkDelta(const Network& base);
 
   /// Appends one vertex with construction stage `stage` (-1 = unstaged).
   VertexId add_vertex(std::int32_t stage = -1) {
     new_stage_.push_back(stage);
-    return delta_.add_vertex();
+    return g_.add_vertex();
   }
   /// Appends `count` vertices at one stage, returns the id of the first.
   VertexId add_vertices(std::size_t count, std::int32_t stage = -1) {
     new_stage_.insert(new_stage_.end(), count, stage);
-    return delta_.add_vertices(count);
+    return g_.add_vertices(count);
   }
   /// Appends one switch; endpoints may be base or delta vertices.
-  EdgeId add_edge(VertexId from, VertexId to) {
-    return delta_.add_edge(from, to);
-  }
+  EdgeId add_edge(VertexId from, VertexId to) { return g_.add_edge(from, to); }
   /// Registers a new terminal: appended AFTER the base terminals, so every
   /// pre-growth terminal index keeps its meaning.
   void add_input(VertexId v) { new_inputs_.push_back(v); }
   void add_output(VertexId v) { new_outputs_.push_back(v); }
-  /// Replaces the merged stage vector wholesale (size must be the grown
+  /// Replaces the grown stage vector wholesale (size must be the grown
   /// vertex count). Growth may legitimately restage OLD vertices — wrapping
   /// a plane inserts stages before and after it — and stage labels are
   /// diagnostic metadata, not part of the id-stability contract.
   void restage(std::vector<std::int32_t> stages) { restage_ = std::move(stages); }
   void rename(std::string name) { name_ = std::move(name); }
 
-  [[nodiscard]] const CsrDelta& delta() const noexcept { return delta_; }
-  [[nodiscard]] const Network& base() const noexcept { return *base_; }
-  [[nodiscard]] std::size_t vertex_count() const noexcept {
-    return delta_.vertex_count();
-  }
-
-  /// Merges base + delta into a GrownNetwork. Old ids keep their values
-  /// (vmap is the identity), which upholds the GrownNetwork contracts above.
-  [[nodiscard]] GrownNetwork finalize_grown() const;
+  /// Packs base + delta into the grown Network (see the class comment).
+  [[nodiscard]] Network finalize_grown() const;
 
  private:
   const Network* base_;
-  CsrDelta delta_;
+  GraphBuilder g_;
   std::vector<VertexId> new_inputs_, new_outputs_;
   std::vector<std::int32_t> new_stage_;
   std::optional<std::vector<std::int32_t>> restage_;

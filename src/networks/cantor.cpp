@@ -51,8 +51,8 @@ graph::Network build_cantor(const CantorParams& params) {
   return net.finalize();
 }
 
-graph::GrownNetwork grow_cantor(const graph::Network& base,
-                                const CantorParams& base_params) {
+graph::Network grow_cantor(const graph::Network& base,
+                           const CantorParams& base_params) {
   const std::uint32_t k = base_params.k;
   if (k == 0 || k > 15)
     throw std::invalid_argument("grow_cantor: need 1 <= k <= 15");

@@ -38,14 +38,15 @@ struct CantorParams {
 /// as shortcuts), so strict nonblockingness is preserved: appended switches
 /// only add paths.
 ///
-/// Old terminal indices keep their meaning (new terminals append after
-/// them) and every pre-growth edge id survives — the GrownNetwork contract
-/// the engines' live-call remap requires. Throws std::invalid_argument if
-/// `base` is not structurally the canonical build_cantor(base_params)
-/// network (in particular: a network that was already grown, whose extra
-/// shortcut switches fail the edge-count check — re-growing a grown
-/// exchange is ROADMAP follow-up, not silent corruption).
-[[nodiscard]] graph::GrownNetwork grow_cantor(const graph::Network& base,
-                                              const CantorParams& base_params);
+/// Append-only (graph::NetworkDelta): every pre-growth vertex id, edge id
+/// and terminal index keeps its meaning and new terminals append after the
+/// old ones, so live calls ride across Exchange::grow unchanged. Throws
+/// std::invalid_argument if `base` is not structurally the canonical
+/// build_cantor(base_params) network (in particular: a network that was
+/// already grown, whose extra shortcut switches fail the edge-count check —
+/// re-growing a grown exchange is ROADMAP follow-up, not silent
+/// corruption).
+[[nodiscard]] graph::Network grow_cantor(const graph::Network& base,
+                                         const CantorParams& base_params);
 
 }  // namespace ftcs::networks

@@ -14,7 +14,7 @@ namespace {
 /// name ("cantor-<n>-m<m>") carries the parameters; anything else —
 /// including an exchange already grown past its canonical shape — is
 /// declined (grow_cantor itself re-validates structurally and throws).
-std::optional<svc::GrowthPlan> plan_cantor_doubling(const svc::Exchange& ex) {
+std::optional<graph::Network> plan_cantor_doubling(const svc::Exchange& ex) {
   unsigned n = 0, m = 0;
   if (std::sscanf(ex.network().name.c_str(), "cantor-%u-m%u", &n, &m) != 2)
     return std::nullopt;
@@ -23,9 +23,7 @@ std::optional<svc::GrowthPlan> plan_cantor_doubling(const svc::Exchange& ex) {
   params.k = 0;
   for (unsigned t = n; t > 1; t >>= 1) ++params.k;
   params.copies = m;
-  svc::GrowthPlan plan;
-  plan.grown = networks::grow_cantor(ex.network(), params);
-  return plan;
+  return networks::grow_cantor(ex.network(), params);
 }
 
 }  // namespace
@@ -97,29 +95,26 @@ Ack ControlPlane::execute(const Command& cmd) {
             "individually through per-exchange control planes";
         break;
       }
-      std::optional<svc::GrowthPlan> plan;
+      std::optional<graph::Network> grown;
       try {
-        plan = planner_ ? planner_(*ex_, cmd.arg) : plan_cantor_doubling(*ex_);
+        grown =
+            planner_ ? planner_(*ex_, cmd.arg) : plan_cantor_doubling(*ex_);
       } catch (const std::invalid_argument& e) {
         a.status = AckStatus::kUnsupported;
         a.text = std::string("growth planning failed: ") + e.what();
         break;
       }
-      if (!plan) {
+      if (!grown) {
         a.status = AckStatus::kUnsupported;
         a.text = "no growth plan for topology '" + ex_->network().name +
                  "' (the default planner doubles canonical Cantor exchanges; "
                  "set_growth_planner for anything else)";
         break;
       }
-      // Through the unified topology-mutation seam — the same dispatch the
-      // fault replay and the traffic harness use.
-      svc::TopologyOutcome out =
-          ex_->apply(svc::TopologyEvent::make_grow(*plan));
-      a.growth = std::move(out.growth);
-      if (!a.growth || !a.growth->applied) {
+      a.growth = ex_->grow(std::move(*grown));
+      if (!a.growth->applied) {
         a.status = AckStatus::kUnsupported;
-        a.text = a.growth ? a.growth->error : "growth produced no report";
+        a.text = a.growth->error;
         break;
       }
       char buf[256];

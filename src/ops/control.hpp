@@ -20,13 +20,14 @@
 
 namespace ftcs::ops {
 
-/// Produces the GrowthPlan a kGrow command applies: given the live exchange
-/// and the command's arg (planner hint; 0 = planner default), return the
-/// plan, or nullopt when no growth is possible for this topology. May throw
-/// std::invalid_argument with a reason — the plane turns either into a
-/// typed kUnsupported ack. Runs on the pumping thread under the drain
-/// contract, right before Exchange::grow applies the plan.
-using GrowthPlanner = std::function<std::optional<svc::GrowthPlan>(
+/// Produces the grown network a kGrow command applies: given the live
+/// exchange and the command's arg (planner hint; 0 = planner default),
+/// return an append-only extension of ex.network(), or nullopt when no
+/// growth is possible for this topology. May throw std::invalid_argument
+/// with a reason — the plane turns either into a typed kUnsupported ack, as
+/// it does a network Exchange::grow rejects. Runs on the pumping thread
+/// under the drain contract, right before Exchange::grow applies it.
+using GrowthPlanner = std::function<std::optional<graph::Network>(
     const svc::Exchange&, std::uint64_t arg)>;
 
 class ControlPlane {

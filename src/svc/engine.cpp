@@ -90,10 +90,7 @@ class RouterEngine final : public Engine {
     return router_.path_carried(path);
   }
 
-  void grow(const graph::Network& net,
-            std::span<const graph::VertexId> vmap) override {
-    router_.grow(net, vmap);
-  }
+  void grow(const graph::Network& net) override { router_.grow(net); }
 
  private:
   core::Router<Store> router_;

@@ -85,13 +85,12 @@ class Engine {
   [[nodiscard]] virtual bool path_carried(
       std::span<const graph::VertexId> path) const = 0;
 
-  /// Hitless growth: rebinds the backend to the grown network, remapping
-  /// every live call and all vertex/edge-indexed state through `vmap` (see
-  /// core::Router::grow — raw call ids survive). QUIESCENT ONLY:
-  /// the caller holds every session, as for drain()/kill_vertex. The new
-  /// network must outlive the engine.
-  virtual void grow(const graph::Network& net,
-                    std::span<const graph::VertexId> vmap) = 0;
+  /// Hitless growth: rebinds the backend to `net`, an append-only
+  /// extension of its network (core::Router::grow: every live call, path
+  /// and raw call id survives as it is). QUIESCENT ONLY: the caller holds
+  /// every session, as for drain()/kill_vertex. The new network must
+  /// outlive the engine.
+  virtual void grow(const graph::Network& net) = 0;
 };
 
 /// Backend construction knobs, gathered in one options struct so new knobs

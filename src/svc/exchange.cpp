@@ -567,68 +567,56 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
 
 // ------------------------------------------------------------------- growth
 
-GrowthReport Exchange::grow(GrowthPlan plan) {
+GrowthReport Exchange::grow(graph::Network grown) {
   GrowthReport rep;
   const auto t0 = std::chrono::steady_clock::now();
   const graph::Network& old_net = *net_;
-  const graph::Network& next = plan.grown.net;
-  const std::vector<graph::VertexId>& vmap = plan.grown.vmap;
   const std::size_t old_v = old_net.g.vertex_count();
   const std::size_t old_e = old_net.g.edge_count();
-  const std::size_t new_v = next.g.vertex_count();
-  const std::size_t new_e = next.g.edge_count();
+  const std::size_t new_v = grown.g.vertex_count();
+  const std::size_t new_e = grown.g.edge_count();
 
   const auto fail = [&rep](const char* why) -> GrowthReport {
     rep.applied = false;
     rep.error = why;
     return rep;
   };
-  // Validate the whole plan BEFORE touching any state: a rejected plan
+  // Validate the whole network BEFORE touching any state: a rejected one
   // leaves the exchange serving the old topology untouched.
-  if (vmap.size() != old_v)
-    return fail("growth plan rejected: vmap does not cover the old vertices");
   if (new_v < old_v || new_e < old_e)
     return fail("growth plan rejected: grown network is smaller than the base");
-  util::Bitset seen(new_v);
-  for (const graph::VertexId nv : vmap) {
-    if (nv >= new_v)
-      return fail("growth plan rejected: vmap image out of range");
-    if (seen.test(nv))
-      return fail("growth plan rejected: vmap is not injective");
-    seen.set(nv);
-  }
   for (graph::EdgeId e = 0; e < old_e; ++e) {
     const auto& oe = old_net.g.edge(e);
-    const auto& ne = next.g.edge(e);
-    if (ne.from != vmap[oe.from] || ne.to != vmap[oe.to])
+    const auto& ne = grown.g.edge(e);
+    if (ne.from != oe.from || ne.to != oe.to)
       return fail("growth plan rejected: switch ids are not stable");
   }
-  if (next.inputs.size() < old_net.inputs.size() ||
-      next.outputs.size() < old_net.outputs.size())
+  if (grown.inputs.size() < old_net.inputs.size() ||
+      grown.outputs.size() < old_net.outputs.size())
     return fail("growth plan rejected: terminal lists shrank");
-  for (std::size_t i = 0; i < old_net.inputs.size(); ++i)
-    if (next.inputs[i] != vmap[old_net.inputs[i]])
-      return fail("growth plan rejected: input terminals not prefix-stable");
-  for (std::size_t i = 0; i < old_net.outputs.size(); ++i)
-    if (next.outputs[i] != vmap[old_net.outputs[i]])
-      return fail("growth plan rejected: output terminals not prefix-stable");
+  if (!std::equal(old_net.inputs.begin(), old_net.inputs.end(),
+                  grown.inputs.begin()))
+    return fail("growth plan rejected: input terminals not prefix-stable");
+  if (!std::equal(old_net.outputs.begin(), old_net.outputs.end(),
+                  grown.outputs.begin()))
+    return fail("growth plan rejected: output terminals not prefix-stable");
 
   rep.vertices_added = new_v - old_v;
   rep.switches_added = new_e - old_e;
-  rep.inputs_added = next.inputs.size() - old_net.inputs.size();
-  rep.outputs_added = next.outputs.size() - old_net.outputs.size();
+  rep.inputs_added = grown.inputs.size() - old_net.inputs.size();
+  rep.outputs_added = grown.outputs.size() - old_net.outputs.size();
   rep.calls_remapped = engine_->active_calls();
 
-  // Commit. The old network must stay alive until the engine has remapped
-  // off it, so the grown one moves into a fresh slot first and the owning
+  // Commit. The old network must stay alive until the engine has moved off
+  // it, so the grown one moves into a fresh slot first and the owning
   // pointer is swapped last.
-  auto grown = std::make_unique<graph::Network>(std::move(plan.grown.net));
-  engine_->grow(*grown, vmap);
+  auto next = std::make_unique<graph::Network>(std::move(grown));
+  engine_->grow(*next);
 
   if (!failed_switches_.empty()) {
-    // Fault bookkeeping follows the merge. Switch ids are stable, so the
-    // edge bitsets only extend; vertex fault state maps through vmap and
-    // the terminal flags are recomputed over the grown terminal lists.
+    // Fault bookkeeping keeps its ids: the switch bitsets and the vertex
+    // fault degrees extend with healthy tail entries, and the terminal
+    // flags are recomputed over the grown terminal lists.
     util::Bitset failed2(new_e), stuck2(new_e);
     for (graph::EdgeId e = 0; e < old_e; ++e) {
       if (failed_switches_.test(e)) failed2.set(e);
@@ -636,32 +624,21 @@ GrowthReport Exchange::grow(GrowthPlan plan) {
     }
     failed_switches_ = std::move(failed2);
     stuck_switches_ = std::move(stuck2);
-    std::vector<std::uint32_t> deg(new_v, 0);
-    for (std::size_t v = 0; v < old_v; ++v)
-      deg[vmap[v]] = vertex_fault_degree_[v];
-    vertex_fault_degree_ = std::move(deg);
+    vertex_fault_degree_.resize(new_v, 0);
     is_terminal_.assign(new_v, 0);
-    for (const graph::VertexId v : grown->inputs) is_terminal_[v] = 1;
-    for (const graph::VertexId v : grown->outputs) is_terminal_[v] = 1;
+    for (const graph::VertexId v : next->inputs) is_terminal_[v] = 1;
+    for (const graph::VertexId v : next->outputs) is_terminal_[v] = 1;
     // The weld tracker is rebuilt over the grown graph and the welds
-    // replayed: the welded switch set (stable ids) and the old terminals
-    // both carry over, so the Lemma 7 short state is preserved — the
-    // replay's transition returns are discarded, they were already counted
-    // when the welds first landed.
-    welds_.emplace(*grown);
+    // replayed: the welded switch set and the old terminals both carry
+    // over, so the Lemma 7 short state is preserved — the replay's
+    // transition returns are discarded, they were already counted when the
+    // welds first landed.
+    welds_.emplace(*next);
     for (graph::EdgeId e = 0; e < old_e; ++e)
       if (stuck_switches_.test(e)) (void)welds_->add_weld(e);
-    // The last alarm is history, but its terminals should name the vertices
-    // as they are NOW known.
-    if (last_alarm_) {
-      if (last_alarm_->a != graph::kNoVertex && last_alarm_->a < old_v)
-        last_alarm_->a = vmap[last_alarm_->a];
-      if (last_alarm_->b != graph::kNoVertex && last_alarm_->b < old_v)
-        last_alarm_->b = vmap[last_alarm_->b];
-    }
   }
 
-  owned_net_ = std::move(grown);
+  owned_net_ = std::move(next);
   net_ = owned_net_.get();
   ++stats_.growths;
   stats_.calls_remapped_by_growth += rep.calls_remapped;
@@ -670,22 +647,6 @@ GrowthReport Exchange::grow(GrowthPlan plan) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return rep;
-}
-
-TopologyOutcome Exchange::apply(const TopologyEvent& ev) {
-  TopologyOutcome out;
-  if (ev.kind == TopologyEvent::Kind::kGrow) {
-    if (ev.grow == nullptr) {
-      GrowthReport rep;
-      rep.error = "growth plan rejected: kGrow event carried no plan";
-      out.growth = std::move(rep);
-    } else {
-      out.growth = grow(std::move(*ev.grow));
-    }
-  } else {
-    out.fault = apply(ev.fault);
-  }
-  return out;
 }
 
 // ------------------------------------------------------------ introspection

@@ -225,18 +225,11 @@ struct FaultImpact {
   }
 };
 
-/// A hitless capacity-growth request: the grown network plus the old->new
-/// vertex id map, as produced by graph::NetworkDelta::finalize_grown (or
-/// networks::grow_cantor). Exchange::grow consumes the plan (moves the
-/// network in and owns it from then on).
-struct GrowthPlan {
-  graph::GrownNetwork grown;
-};
-
-/// What one grow() did. `applied == false` means the plan failed validation
-/// (error says why) and NO state was touched — the exchange keeps serving on
-/// the old topology. calls_killed is exported so the hitless invariant is
-/// observable; grow() never tears a call down, so it is always zero.
+/// What one grow() did. `applied == false` means the grown network failed
+/// validation (error says why) and NO state was touched — the exchange
+/// keeps serving on the old topology. calls_killed is exported so the
+/// hitless invariant is observable; grow() never tears a call down, so it
+/// is always zero.
 struct GrowthReport {
   bool applied = false;
   std::string error;  // set iff !applied
@@ -244,43 +237,9 @@ struct GrowthReport {
   std::size_t switches_added = 0;  // edges (the paper's switches)
   std::size_t inputs_added = 0;
   std::size_t outputs_added = 0;
-  std::uint64_t calls_remapped = 0;  // live calls carried across the merge
+  std::uint64_t calls_remapped = 0;  // live calls carried across the growth
   std::uint64_t calls_killed = 0;    // always 0: growth is hitless
   double quiesce_seconds = 0.0;      // wall time the sessions were held
-};
-
-/// One typed topology mutation: a fault-plane event (inject/repair/stuck,
-/// discriminated by fault.kind as in Exchange::apply(FaultEvent)) or a
-/// capacity growth. This is the single seam the ops command queue,
-/// FaultSchedule replay and simulate_traffic feed mutations through.
-/// Growth plans are carried by pointer because applying one consumes it
-/// (the network moves into the Exchange); the plan must outlive the
-/// apply(TopologyEvent) call.
-struct TopologyEvent {
-  enum class Kind : std::uint8_t { kFault, kGrow };
-  Kind kind = Kind::kFault;
-  fault::FaultEvent fault{};   // meaningful iff kind == kFault
-  GrowthPlan* grow = nullptr;  // meaningful iff kind == kGrow; consumed
-  [[nodiscard]] static TopologyEvent make_fault(
-      const fault::FaultEvent& ev) noexcept {
-    TopologyEvent e;
-    e.kind = Kind::kFault;
-    e.fault = ev;
-    return e;
-  }
-  [[nodiscard]] static TopologyEvent make_grow(GrowthPlan& plan) noexcept {
-    TopologyEvent e;
-    e.kind = Kind::kGrow;
-    e.grow = &plan;
-    return e;
-  }
-};
-
-/// The outcome of one TopologyEvent: exactly one member is meaningful,
-/// matching the event's kind.
-struct TopologyOutcome {
-  FaultImpact fault;                   // kind == kFault
-  std::optional<GrowthReport> growth;  // kind == kGrow
 };
 
 struct ExchangeConfig {
@@ -432,28 +391,24 @@ class Exchange {
   }
 
   // -------------------------------------------------------------- growth
-  /// Hitless capacity growth: swaps the exchange onto plan.grown.net,
-  /// carrying every live call (immediate- and batched-plane handles stay
-  /// valid; paths are remapped through plan.grown.vmap), the fault overlay
-  /// (failed/stuck switches keep their stable edge ids; vertex fault state
-  /// and the weld tracker follow the vmap) and all counters. Queued batch
-  /// requests simply route on the grown topology at the next drain().
+  /// Hitless capacity growth: swaps the exchange onto `grown`, an
+  /// append-only extension of network() (graph::NetworkDelta,
+  /// networks::grow_cantor), carrying every live call (immediate- and
+  /// batched-plane handles and paths stay exactly as they are), the fault
+  /// overlay (failed/stuck switches, dead vertices and the weld tracker keep
+  /// their ids) and all counters. Queued batch requests simply route on the
+  /// grown topology at the next drain().
   ///
   /// Threading contract is drain()'s: one thread at a time, never
   /// overlapping immediate calls — the grow temporarily owns every session
   /// (that window is the quiesce; its wall time is reported).
   ///
-  /// The plan is validated first (vmap a bijection of old ids into the new
-  /// space, edge ids stable, terminal lists prefix-stable). A plan that
-  /// fails validation is rejected with applied == false and an error
+  /// The network is validated first: not smaller, every old switch id
+  /// joins the same two vertices, terminal lists prefix-stable. A network
+  /// that fails validation is rejected with applied == false and an error
   /// message; the exchange is untouched. grow() never kills a call:
   /// GrowthReport::calls_killed is always 0.
-  GrowthReport grow(GrowthPlan plan);
-
-  /// Unified topology-mutation dispatch: routes kFault events through
-  /// inject()/repair() (per fault.kind) and kGrow events through grow(),
-  /// consuming the plan. Same threading contract as both.
-  TopologyOutcome apply(const TopologyEvent& ev);
+  GrowthReport grow(graph::Network grown);
 
   // ------------------------------------------------------- introspection
   [[nodiscard]] unsigned sessions() const noexcept {

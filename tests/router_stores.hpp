@@ -225,16 +225,11 @@ class AuditedRouter : public core::Router<Store> {
     return at;
   }
   /// Grows onto `net` (which must outlive the router); the static vertex
-  /// mask follows vmap.
-  void grow(const graph::Network& net, std::span<const graph::VertexId> vmap) {
-    Base::grow(net, vmap);
+  /// mask extends with unblocked new vertices.
+  void grow(const graph::Network& net) {
+    Base::grow(net);
     net_ = &net;
-    if (!blocked_.empty()) {
-      Bytes grown(net.g.vertex_count(), 0);
-      for (std::size_t v = 0; v < blocked_.size(); ++v)
-        if (blocked_[v]) grown[vmap[v]] = 1;
-      blocked_ = std::move(grown);
-    }
+    if (!blocked_.empty()) blocked_.resize(net.g.vertex_count(), 0);
     check();
   }
 

@@ -1,16 +1,18 @@
-// Hitless capacity growth: the GrownNetwork contract (NetworkDelta /
-// finalize_grown merge invariants), grow_cantor's doubled topology,
-// Exchange::grow's live-call remap on both engines (identity and permuted
-// vmaps), overlay/fault-bookkeeping survival, the TopologyEvent
-// dispatch seam, the ops::ControlPlane kGrow ack, the batched drain plane
-// serving the new terminals the epoch after the merge, and a report of the
-// mean settled path length on a grown network against the shortest one.
+// Hitless capacity growth: the append-only contract (NetworkDelta /
+// finalize_grown invariants), grow_cantor's doubled topology, live calls
+// carried across Exchange::grow on both engines with their paths
+// unchanged, the grow gate rejecting each kind of non-append-only network
+// untouched (directly and through the ops::ControlPlane kGrow ack),
+// overlay/fault-bookkeeping survival, the batched drain plane serving the
+// new terminals the epoch after the growth, and a report of the mean
+// settled path length on a grown network against the shortest one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,33 +39,26 @@ graph::EdgeId edge_between(const graph::CsrGraph& g, graph::VertexId u,
   return static_cast<graph::EdgeId>(g.edge_count());
 }
 
-svc::GrowthPlan doubling_plan(const svc::Exchange& ex,
-                              const networks::CantorParams& base_params) {
-  svc::GrowthPlan plan;
-  plan.grown = networks::grow_cantor(ex.network(), base_params);
-  return plan;
+/// The exchange's network doubled by grow_cantor.
+graph::Network doubled(const svc::Exchange& ex,
+                       const networks::CantorParams& base_params) {
+  return networks::grow_cantor(ex.network(), base_params);
 }
 
-/// The same grown network with every vertex id reversed (v -> V-1-v) and
-/// vmap composed to match: a GrownNetwork whose vmap is NOT the identity,
-/// so the engines' live-call remap runs through a real permutation.
-/// Re-inserting the edges in id order keeps edge ids and incidence order.
-graph::GrownNetwork reversed_ids(const graph::GrownNetwork& g) {
-  const auto n = static_cast<graph::VertexId>(g.net.g.vertex_count());
-  const auto rev = [n](graph::VertexId v) { return n - 1 - v; };
+/// `net` copied into a NetworkBuilder, edge for edge in id order, with
+/// switch `rewired` (none by default) ending at `to` instead.
+graph::NetworkBuilder rebuilt(const graph::Network& net,
+                              graph::EdgeId rewired = graph::EdgeId(-1),
+                              graph::VertexId to = 0) {
   graph::NetworkBuilder nb;
-  nb.g.add_vertices(n);
-  for (graph::EdgeId e = 0; e < g.net.g.edge_count(); ++e)
-    nb.g.add_edge(rev(g.net.g.edge(e).from), rev(g.net.g.edge(e).to));
-  for (const auto v : g.net.inputs) nb.inputs.push_back(rev(v));
-  for (const auto v : g.net.outputs) nb.outputs.push_back(rev(v));
-  nb.stage.resize(g.net.stage.size());
-  for (graph::VertexId v = 0; v < g.net.stage.size(); ++v)
-    nb.stage[rev(v)] = g.net.stage[v];
-  nb.name = g.net.name;
-  graph::GrownNetwork out{nb.finalize(), {}};
-  for (const auto v : g.vmap) out.vmap.push_back(rev(v));
-  return out;
+  nb.g.add_vertices(net.g.vertex_count());
+  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e)
+    nb.g.add_edge(net.g.edge(e).from, e == rewired ? to : net.g.edge(e).to);
+  nb.inputs = net.inputs;
+  nb.outputs = net.outputs;
+  nb.stage = net.stage;
+  nb.name = net.name;
+  return nb;
 }
 
 // ------------------------------------------------------- merge unit layer
@@ -83,48 +78,49 @@ TEST(NetworkDelta, MergeKeepsBasePrefixAndAppendsInEdgeIdOrder) {
   d.add_input(a);
   d.add_output(b);
   d.rename("grown-unit");
-  const graph::GrownNetwork g = d.finalize_grown();
+  const graph::Network grown = d.finalize_grown();
 
-  // Identity vmap over old ids; new vertices continue densely.
-  ASSERT_EQ(g.vmap.size(), old_v);
-  for (graph::VertexId v = 0; v < old_v; ++v) EXPECT_EQ(g.vmap[v], v);
-  EXPECT_EQ(g.net.g.vertex_count(), old_v + 2);
-  EXPECT_EQ(g.net.g.edge_count(), old_e + 4);
-  EXPECT_EQ(g.net.name, "grown-unit");
+  // New vertices continue densely after the old ids.
+  EXPECT_EQ(grown.g.vertex_count(), old_v + 2);
+  EXPECT_EQ(grown.g.edge_count(), old_e + 4);
+  EXPECT_EQ(grown.name, "grown-unit");
 
   // Edge ids are stable for the base and sequential for the delta.
   EXPECT_EQ(e0, old_e + 0);
   EXPECT_EQ(e3, old_e + 3);
   for (graph::EdgeId e = 0; e < old_e; ++e) {
-    EXPECT_EQ(g.net.g.edge(e).from, base.g.edge(e).from);
-    EXPECT_EQ(g.net.g.edge(e).to, base.g.edge(e).to);
+    EXPECT_EQ(grown.g.edge(e).from, base.g.edge(e).from);
+    EXPECT_EQ(grown.g.edge(e).to, base.g.edge(e).to);
   }
-  EXPECT_EQ(g.net.g.edge(e1).from, a);
-  EXPECT_EQ(g.net.g.edge(e1).to, b);
-  EXPECT_EQ(g.net.g.edge(e2).to, base.outputs[0]);
+  EXPECT_EQ(grown.g.edge(e1).from, a);
+  EXPECT_EQ(grown.g.edge(e1).to, b);
+  EXPECT_EQ(grown.g.edge(e2).to, base.outputs[0]);
 
-  // Every base vertex's incidence list keeps its original order as a
+  // Every base vertex's incidence lists keep their original order as a
   // prefix; appended edges follow in ascending edge-id order.
-  for (graph::VertexId v = 0; v < old_v; ++v) {
-    const auto now = g.net.g.out_edges(v);
-    const auto was = base.g.out_edges(v);
+  const auto expect_prefix = [](std::span<const graph::EdgeId> now,
+                                std::span<const graph::EdgeId> was) {
     ASSERT_GE(now.size(), was.size());
     for (std::size_t i = 0; i < was.size(); ++i) EXPECT_EQ(now[i], was[i]);
     for (std::size_t i = was.size(); i + 1 < now.size(); ++i)
       EXPECT_LT(now[i], now[i + 1]);
+  };
+  for (graph::VertexId v = 0; v < old_v; ++v) {
+    expect_prefix(grown.g.out_edges(v), base.g.out_edges(v));
+    expect_prefix(grown.g.in_edges(v), base.g.in_edges(v));
   }
-  const auto in0 = g.net.g.out_edges(base.inputs[0]);
+  const auto in0 = grown.g.out_edges(base.inputs[0]);
   ASSERT_GE(in0.size(), 2u);
   EXPECT_EQ(in0[in0.size() - 2], e0);
   EXPECT_EQ(in0[in0.size() - 1], e3);
 
   // Terminal lists are prefix-stable with the new terminals appended.
-  ASSERT_EQ(g.net.inputs.size(), base.inputs.size() + 1);
-  ASSERT_EQ(g.net.outputs.size(), base.outputs.size() + 1);
+  ASSERT_EQ(grown.inputs.size(), base.inputs.size() + 1);
+  ASSERT_EQ(grown.outputs.size(), base.outputs.size() + 1);
   for (std::size_t i = 0; i < base.inputs.size(); ++i)
-    EXPECT_EQ(g.net.inputs[i], base.inputs[i]);
-  EXPECT_EQ(g.net.inputs.back(), a);
-  EXPECT_EQ(g.net.outputs.back(), b);
+    EXPECT_EQ(grown.inputs[i], base.inputs[i]);
+  EXPECT_EQ(grown.inputs.back(), a);
+  EXPECT_EQ(grown.outputs.back(), b);
 }
 
 // --------------------------------------------------- growth equivalence
@@ -140,7 +136,7 @@ TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
     svc::ExchangeConfig cfg_g, cfg_f;
     cfg_g.backend = cfg_f.backend = backend;
     svc::Exchange grown_ex(base, std::move(cfg_g));
-    ASSERT_TRUE(grown_ex.grow(doubling_plan(grown_ex, {3, 0})).applied);
+    ASSERT_TRUE(grown_ex.grow(doubled(grown_ex, {3, 0})).applied);
     svc::Exchange fresh_ex(fresh, std::move(cfg_f));
     ASSERT_EQ(grown_ex.input_count(), fresh_ex.input_count());
 
@@ -171,55 +167,44 @@ TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
 
 // ------------------------------------------------------ live-call remap
 
-TEST(ExchangeGrowth, LiveCallsSurviveWithVmapImagePaths) {
-  for (const bool permuted : {false, true}) {
-    for (const auto backend :
-         {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
-      const auto base = networks::build_cantor({3, 0});
-      svc::ExchangeConfig cfg;
-      cfg.backend = backend;
-      svc::Exchange ex(base, std::move(cfg));
-      const auto n = static_cast<std::uint32_t>(ex.input_count());
+TEST(ExchangeGrowth, LiveCallsSurviveWithUnchangedPaths) {
+  for (const auto backend :
+       {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+    const auto base = networks::build_cantor({3, 0});
+    svc::ExchangeConfig cfg;
+    cfg.backend = backend;
+    svc::Exchange ex(base, std::move(cfg));
+    const auto n = static_cast<std::uint32_t>(ex.input_count());
 
-      std::vector<std::pair<svc::CallId, std::vector<graph::VertexId>>> pre;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const svc::Outcome o =
-            ex.call({i, static_cast<std::uint32_t>((3 * i + 1) % n), 0, i + 1});
-        ASSERT_TRUE(o.connected());
-        pre.emplace_back(o.id, ex.path_of(o.id));
-      }
-
-      graph::GrownNetwork grown = networks::grow_cantor(ex.network(), {3, 0});
-      if (permuted) grown = reversed_ids(grown);
-      const std::vector<graph::VertexId> vmap = grown.vmap;
-      svc::GrowthPlan plan;
-      plan.grown = std::move(grown);
-      const svc::GrowthReport rep = ex.grow(std::move(plan));
-      ASSERT_TRUE(rep.applied) << rep.error;
-      EXPECT_EQ(rep.calls_remapped, pre.size());
-      EXPECT_EQ(rep.calls_killed, 0u);
-      EXPECT_EQ(rep.inputs_added, n);
-      EXPECT_GT(rep.switches_added, 0u);
-      EXPECT_GE(rep.quiesce_seconds, 0.0);
-
-      // Every live path is the EXACT vmap image of its pre-growth path.
-      for (const auto& [id, old_path] : pre) {
-        const auto now = ex.path_of(id);
-        ASSERT_EQ(now.size(), old_path.size());
-        for (std::size_t i = 0; i < now.size(); ++i)
-          EXPECT_EQ(now[i], vmap[old_path[i]]);
-      }
-      const svc::ExchangeStats st = ex.stats();
-      EXPECT_EQ(st.growths, 1u);
-      EXPECT_EQ(st.calls_remapped_by_growth, pre.size());
-      EXPECT_EQ(st.calls_killed_by_growth, 0u);
-
-      // Handles stay first-class: hangup drains to all-idle.
-      for (const auto& [id, unused] : pre)
-        EXPECT_EQ(ex.hangup(id), svc::RejectReason::kNone);
-      EXPECT_EQ(ex.active_calls(), 0u);
-      EXPECT_EQ(ex.busy_vertices(), 0u);
+    std::vector<std::pair<svc::CallId, std::vector<graph::VertexId>>> pre;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const svc::Outcome o =
+          ex.call({i, static_cast<std::uint32_t>((3 * i + 1) % n), 0, i + 1});
+      ASSERT_TRUE(o.connected());
+      pre.emplace_back(o.id, ex.path_of(o.id));
     }
+
+    const svc::GrowthReport rep = ex.grow(doubled(ex, {3, 0}));
+    ASSERT_TRUE(rep.applied) << rep.error;
+    EXPECT_EQ(rep.calls_remapped, pre.size());
+    EXPECT_EQ(rep.calls_killed, 0u);
+    EXPECT_EQ(rep.inputs_added, n);
+    EXPECT_GT(rep.switches_added, 0u);
+    EXPECT_GE(rep.quiesce_seconds, 0.0);
+
+    // Growth only appends, so every live path is exactly its pre-growth
+    // path.
+    for (const auto& [id, old_path] : pre) EXPECT_EQ(ex.path_of(id), old_path);
+    const svc::ExchangeStats st = ex.stats();
+    EXPECT_EQ(st.growths, 1u);
+    EXPECT_EQ(st.calls_remapped_by_growth, pre.size());
+    EXPECT_EQ(st.calls_killed_by_growth, 0u);
+
+    // Handles stay first-class: hangup drains to all-idle.
+    for (const auto& [id, unused] : pre)
+      EXPECT_EQ(ex.hangup(id), svc::RejectReason::kNone);
+    EXPECT_EQ(ex.active_calls(), 0u);
+    EXPECT_EQ(ex.busy_vertices(), 0u);
   }
 }
 
@@ -227,15 +212,112 @@ TEST(ExchangeGrowth, RejectsAPlanForTheWrongBase) {
   const auto base = networks::build_cantor({3, 0});
   const auto other = networks::build_cantor({2, 0});
   svc::Exchange ex(base);
-  svc::GrowthPlan plan;
-  plan.grown = networks::grow_cantor(other, {2, 0});
-  const svc::GrowthReport rep = ex.grow(std::move(plan));
+  const svc::GrowthReport rep = ex.grow(networks::grow_cantor(other, {2, 0}));
   EXPECT_FALSE(rep.applied);
   EXPECT_NE(rep.error.find("growth plan rejected"), std::string::npos);
   EXPECT_EQ(ex.stats().growths, 0u);
   // The exchange still works.
   const svc::Outcome o = ex.call({0, 1, 0, 1});
   EXPECT_TRUE(o.connected());
+}
+
+// ------------------------------------------------------------ grow gate
+
+/// Serves four live calls on cantor-k3, offers `bad` to grow(), and checks
+/// it is rejected with an error naming `why` while the exchange is left
+/// untouched: no growth counted, the same network, calls and busy
+/// vertices, and it still routes and hangs up.
+void expect_rejected_untouched(const graph::Network& bad, const char* why) {
+  const auto base = networks::build_cantor({3, 0});
+  svc::Exchange ex(base);
+  std::vector<svc::CallId> held;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const svc::Outcome o = ex.call({i, 7 - i, 0, i + 1});
+    ASSERT_TRUE(o.connected());
+    held.push_back(o.id);
+  }
+  const std::size_t active = ex.active_calls();
+  const std::size_t busy = ex.busy_vertices();
+
+  const svc::GrowthReport rep = ex.grow(bad);
+  EXPECT_FALSE(rep.applied);
+  EXPECT_NE(rep.error.find("growth plan rejected"), std::string::npos);
+  EXPECT_NE(rep.error.find(why), std::string::npos) << rep.error;
+  EXPECT_EQ(ex.stats().growths, 0u);
+  EXPECT_EQ(&ex.network(), &base);
+  EXPECT_EQ(ex.active_calls(), active);
+  EXPECT_EQ(ex.busy_vertices(), busy);
+
+  const svc::Outcome o = ex.call({4, 0, 0, 9});
+  ASSERT_TRUE(o.connected());
+  held.push_back(o.id);
+  for (const auto id : held) EXPECT_EQ(ex.hangup(id), svc::RejectReason::kNone);
+  EXPECT_EQ(ex.busy_vertices(), 0u);
+}
+
+/// cantor-k3 doubled, as a builder the gate tests break one way each.
+graph::NetworkBuilder doubled_k3(graph::EdgeId rewired = graph::EdgeId(-1),
+                                 graph::VertexId to = 0) {
+  return rebuilt(
+      networks::grow_cantor(networks::build_cantor({3, 0}), {3, 0}), rewired,
+      to);
+}
+
+TEST(GrowGate, RejectsASmallerNetwork) {
+  expect_rejected_untouched(networks::build_cantor({2, 0}),
+                            "smaller than the base");
+}
+
+TEST(GrowGate, RejectsARewiredOldSwitch) {
+  const auto base = networks::build_cantor({3, 0});
+  // Switch 0 keeps its tail but ends one vertex further on.
+  expect_rejected_untouched(
+      doubled_k3(0, base.g.edge(0).to + 1).finalize(),
+      "switch ids are not stable");
+}
+
+TEST(GrowGate, RejectsAMovedOldTerminal) {
+  graph::NetworkBuilder in_moved = doubled_k3();
+  std::swap(in_moved.inputs[0], in_moved.inputs[1]);
+  expect_rejected_untouched(in_moved.finalize(),
+                            "input terminals not prefix-stable");
+  graph::NetworkBuilder out_moved = doubled_k3();
+  out_moved.outputs[2] = out_moved.outputs.back();
+  expect_rejected_untouched(out_moved.finalize(),
+                            "output terminals not prefix-stable");
+}
+
+TEST(GrowGate, RejectsAShrunkTerminalList) {
+  graph::NetworkBuilder shrunk = doubled_k3();
+  shrunk.outputs.resize(7);
+  expect_rejected_untouched(shrunk.finalize(), "terminal lists shrank");
+}
+
+// A custom planner's network passes the same gate: the kGrow ack is a
+// typed kUnsupported carrying the rejected report, and nothing grew.
+TEST(GrowGate, ControlPlaneAcksARejectedPlannerNetworkUnsupported) {
+  const auto base = networks::build_cantor({3, 0});
+  svc::Exchange ex(base);
+  ops::ControlPlane plane(ex);
+  plane.set_growth_planner([](const svc::Exchange&, std::uint64_t) {
+    graph::NetworkBuilder shrunk = doubled_k3();
+    shrunk.inputs.resize(3);
+    return std::optional<graph::Network>(shrunk.finalize());
+  });
+  ops::Command cmd;
+  cmd.kind = ops::CommandKind::kGrow;
+  const auto t = plane.queue().post(cmd);
+  EXPECT_EQ(plane.pump(), 1u);
+  const std::optional<ops::Ack> ack = plane.queue().try_ack(t);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, ops::AckStatus::kUnsupported);
+  ASSERT_TRUE(ack->growth.has_value());
+  EXPECT_FALSE(ack->growth->applied);
+  EXPECT_NE(ack->text.find("terminal lists shrank"), std::string::npos)
+      << ack->text;
+  EXPECT_EQ(ex.stats().growths, 0u);
+  EXPECT_EQ(&ex.network(), &base);
+  EXPECT_TRUE(ex.call({0, 0, 0, 1}).connected());
 }
 
 // --------------------------------------------- overlays across the merge
@@ -272,7 +354,7 @@ TEST(ExchangeGrowth, MixedOverlaysSurviveAndMatchAFreshExchange) {
     held.push_back(o.id);
   }
 
-  ASSERT_TRUE(ex.grow(doubling_plan(ex, {3, 0})).applied);
+  ASSERT_TRUE(ex.grow(doubled(ex, {3, 0})).applied);
   EXPECT_EQ(ex.failed_switch_count(), failed_before);
   EXPECT_EQ(ex.stuck_switch_count(), stuck_before);
   EXPECT_EQ(ex.shorted(), shorted_before);
@@ -304,38 +386,6 @@ TEST(ExchangeGrowth, MixedOverlaysSurviveAndMatchAFreshExchange) {
   for (const auto id : held) EXPECT_EQ(ex.hangup(id), svc::RejectReason::kNone);
   for (const auto id : fresh_held) fresh.hangup(id);
   EXPECT_EQ(ex.busy_vertices(), 0u);
-}
-
-// ----------------------------------------------- TopologyEvent dispatch
-
-TEST(TopologyEvent, OneSeamDispatchesFaultsAndGrowth) {
-  const auto base = networks::build_cantor({3, 0});
-  svc::Exchange ex(base);
-
-  // kFault through the seam == the direct overload.
-  const svc::Outcome probe = ex.call({0, 1, 0, 5});
-  ASSERT_TRUE(probe.connected());
-  const auto path = ex.path_of(probe.id);
-  const graph::EdgeId e = edge_between(ex.network().g, path[0], path[1]);
-  const fault::FaultEvent ev{0.0, e, fault::FaultEvent::Kind::kFail};
-  const svc::TopologyOutcome fo = ex.apply(svc::TopologyEvent::make_fault(ev));
-  EXPECT_FALSE(fo.growth.has_value());
-  EXPECT_EQ(fo.fault.calls_killed(), 1u);
-  ex.apply({0.0, e, fault::FaultEvent::Kind::kRepair});
-
-  // kGrow through the seam consumes the plan and returns the report.
-  svc::GrowthPlan plan = doubling_plan(ex, {3, 0});
-  const svc::TopologyOutcome go = ex.apply(svc::TopologyEvent::make_grow(plan));
-  ASSERT_TRUE(go.growth.has_value());
-  EXPECT_TRUE(go.growth->applied);
-  EXPECT_EQ(ex.network().name, "cantor-16-m4");
-
-  // A kGrow event with no plan is a typed rejection, not a crash.
-  svc::TopologyEvent empty;
-  empty.kind = svc::TopologyEvent::Kind::kGrow;
-  const svc::TopologyOutcome bad = ex.apply(empty);
-  ASSERT_TRUE(bad.growth.has_value());
-  EXPECT_FALSE(bad.growth->applied);
 }
 
 // --------------------------------------------------- ops plane kGrow ack
@@ -421,7 +471,7 @@ TEST(ExchangeGrowth, BatchedDrainServesNewTerminalsTheEpochAfterTheMerge) {
   done.clear();
 
   // The merge lands at the epoch boundary (the drain contract's quiesce).
-  ASSERT_TRUE(ex.grow(doubling_plan(ex, {3, 0})).applied);
+  ASSERT_TRUE(ex.grow(doubled(ex, {3, 0})).applied);
 
   // Epoch 2: every NEW terminal pair routes on the grown topology.
   const auto n2 = static_cast<std::uint32_t>(ex.input_count());
@@ -449,7 +499,7 @@ TEST(ExchangeGrowth, StaleAndFaultedHandlesStayTypedAcrossGrowth) {
   svc::Exchange ex(base);
 
   // A call killed by a fault BEFORE growth keeps its typed kFaulted ack
-  // after the merge (fault ack memory is remapped, not dropped).
+  // after the growth (fault ack memory is kept, not dropped).
   const svc::Outcome doomed = ex.call({0, 1, 0, 1});
   ASSERT_TRUE(doomed.connected());
   const auto path = ex.path_of(doomed.id);
@@ -462,7 +512,7 @@ TEST(ExchangeGrowth, StaleAndFaultedHandlesStayTypedAcrossGrowth) {
   ASSERT_TRUE(finished.connected());
   EXPECT_EQ(ex.hangup(finished.id), svc::RejectReason::kNone);
 
-  ASSERT_TRUE(ex.grow(doubling_plan(ex, {3, 0})).applied);
+  ASSERT_TRUE(ex.grow(doubled(ex, {3, 0})).applied);
 
   const svc::RejectReason dead_ack = ex.hangup(doomed.id);
   EXPECT_TRUE(dead_ack == svc::RejectReason::kFaulted ||
@@ -486,7 +536,7 @@ TEST(GrowthPathLength, GrownCantorMeanPathLengthReport) {
     svc::ExchangeConfig cfg;
     cfg.backend = backend;
     svc::Exchange ex(base, std::move(cfg));
-    ASSERT_TRUE(ex.grow(doubling_plan(ex, {5, 0})).applied);
+    ASSERT_TRUE(ex.grow(doubled(ex, {5, 0})).applied);
     const graph::Network& net = ex.network();
     const auto n = static_cast<std::uint32_t>(ex.input_count());
     std::size_t settled = 0, shortest = 0;

@@ -39,10 +39,9 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
       /*horizon=*/400.0, /*mean_repair=*/15.0, /*seed=*/43);
   ASSERT_GT(schedule.fail_count(), 5u);
 
-  // The doubling plan is built from the quiescent base before any thread
-  // starts; the mutator consumes it mid-storm.
-  svc::GrowthPlan plan;
-  plan.grown = networks::grow_cantor(ex.network(), {4, 0});
+  // The doubled network is built from the quiescent base before any
+  // thread starts; the mutator moves it in mid-storm.
+  graph::Network doubled = networks::grow_cantor(ex.network(), {4, 0});
 
   std::shared_mutex plane;  // sessions shared; faults and growth exclusive
   std::atomic<bool> done{false};
@@ -104,11 +103,9 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
       if (done.load(std::memory_order_acquire)) break;
       std::unique_lock<std::shared_mutex> lk(plane);
       if (i == grow_at) {
-        const svc::TopologyOutcome out =
-            ex.apply(svc::TopologyEvent::make_grow(plan));
-        ASSERT_TRUE(out.growth.has_value());
-        EXPECT_TRUE(out.growth->applied) << out.growth->error;
-        EXPECT_EQ(out.growth->calls_killed, 0u);
+        const svc::GrowthReport rep = ex.grow(std::move(doubled));
+        EXPECT_TRUE(rep.applied) << rep.error;
+        EXPECT_EQ(rep.calls_killed, 0u);
         grown = true;
       }
       const svc::FaultImpact impact = ex.apply(events[i]);
@@ -121,10 +118,8 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
     // Sessions may outlast a short storm; land the doubling regardless.
     if (!grown) {
       std::unique_lock<std::shared_mutex> lk(plane);
-      const svc::TopologyOutcome out =
-          ex.apply(svc::TopologyEvent::make_grow(plan));
-      ASSERT_TRUE(out.growth.has_value());
-      EXPECT_TRUE(out.growth->applied) << out.growth->error;
+      const svc::GrowthReport rep = ex.grow(std::move(doubled));
+      EXPECT_TRUE(rep.applied) << rep.error;
     }
   });
 

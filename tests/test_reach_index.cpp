@@ -60,7 +60,7 @@ TEST(ReachIndex, MatchesReverseBfsOnCantor) {
 
 TEST(ReachIndex, MatchesReverseBfsOnGrownCantor) {
   const auto base = networks::build_cantor({5, 0});
-  expect_matches_reverse_bfs(networks::grow_cantor(base, {5, 0}).net);
+  expect_matches_reverse_bfs(networks::grow_cantor(base, {5, 0}));
 }
 
 TEST(ReachIndex, MatchesReverseBfsOnSuperconcentratorAndCrossbar) {

@@ -362,9 +362,9 @@ class WeldStorm {
   }
 
   /// Grows the router onto `grown` (which must outlive it) and follows.
-  void grow(const graph::GrownNetwork& grown) {
-    router_.grow(grown.net, grown.vmap);
-    rebind(grown.net);
+  void grow(const graph::Network& grown) {
+    router_.grow(grown);
+    rebind(grown);
   }
 
   void run(std::size_t ops) {
@@ -623,7 +623,7 @@ TEST(Planes, TableMatchesTheDsuSplit) {
   for (const std::uint32_t k : {5u, 6u, 7u})
     expect_plane_table(networks::build_cantor({k, 0}), k);
   const auto base = networks::build_cantor({5, 0});
-  expect_plane_table(networks::grow_cantor(base, {5, 0}).net, 6);
+  expect_plane_table(networks::grow_cantor(base, {5, 0}), 6);
   for (const std::uint32_t nu : {1u, 2u})
     expect_plane_table(
         core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
@@ -707,10 +707,10 @@ TYPED_TEST(RouterStores, GrownCantorSpreadsOverSixPlanesAndRefusesNoIdlePair) {
   const auto base = networks::build_cantor({5, 0});
   AuditedRouter<TypeParam> router(base);
   const auto grown = networks::grow_cantor(base, {5, 0});
-  router.grow(grown.net, grown.vmap);
-  expect_plane_table(grown.net, 6);
-  expect_calls_enter_their_plane(router, grown.net);
-  run_oracle_churn(router, grown.net, 601, 4000, /*uniform=*/false);
+  router.grow(grown);
+  expect_plane_table(grown, 6);
+  expect_calls_enter_their_plane(router, grown);
+  run_oracle_churn(router, grown, 601, 4000, /*uniform=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -837,12 +837,12 @@ TEST(SearchWork, HalfLoadChurnVisitsNoMoreThanTheRatchet) {
   for (const SearchWorkRow& row : kSearchWork) {
     const graph::Network base = networks::build_cantor({row.k, 0});
     core::GreedyRouter router(base);
-    graph::GrownNetwork grown;
+    graph::Network grown;
     if (row.grown) {
       grown = networks::grow_cantor(base, {row.k, 0});
-      router.grow(grown.net, grown.vmap);
+      router.grow(grown);
     }
-    const graph::Network& net = row.grown ? grown.net : base;
+    const graph::Network& net = row.grown ? grown : base;
     const std::string label =
         row.grown ? base.name + " grown to " + net.name : net.name;
     const auto n = static_cast<std::uint32_t>(net.inputs.size());

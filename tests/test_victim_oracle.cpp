@@ -139,14 +139,9 @@ class Storm {
 
   /// Grows the exchange by one Cantor doubling mid-storm.
   void grow(const networks::CantorParams& base) {
-    svc::GrowthPlan plan;
-    plan.grown = networks::grow_cantor(ex_.network(), base);
-    const std::vector<graph::VertexId> vmap = plan.grown.vmap;
-    const svc::GrowthReport rep = ex_.grow(std::move(plan));
+    const svc::GrowthReport rep =
+        ex_.grow(networks::grow_cantor(ex_.network(), base));
     ASSERT_TRUE(rep.applied) << rep.error;
-    std::vector<std::uint32_t> deg(ex_.network().g.vertex_count(), 0);
-    for (std::size_t v = 0; v < vmap.size(); ++v) deg[vmap[v]] = open_deg_[v];
-    open_deg_ = std::move(deg);
     resize_model();
   }
 
