@@ -429,7 +429,7 @@ BENCHMARK(BM_FederationDrain)->Iterations(4000);
 // next order (networks::grow_cantor + Exchange::grow). A grown exchange
 // cannot grow again, so each iteration builds, fills and grows a fresh
 // one; only the merge counts as time (manual time = the report's
-// quiesce_seconds). quiesce_us is the mean pause, calls_remapped the live
+// quiesce_seconds). quiesce_us is the mean pause, calls_carried the live
 // calls carried per growth, and calls_killed the live calls lost over all
 // growths, measured as active_calls() before minus after the merge. The
 // hitless contract makes calls_killed 0; the probe reports an error
@@ -442,7 +442,7 @@ void BM_GrowthQuiesce(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(base.inputs.size());
   std::vector<std::uint32_t> ins(n), outs(n);
   double quiesce_s = 0.0;
-  std::uint64_t remapped = 0, killed = 0;
+  std::uint64_t carried = 0, killed = 0;
   for (auto _ : state) {
     svc::Exchange ex(base, {});
     std::iota(ins.begin(), ins.end(), 0u);
@@ -461,7 +461,7 @@ void BM_GrowthQuiesce(benchmark::State& state) {
     }
     state.SetIterationTime(rep.quiesce_seconds);
     quiesce_s += rep.quiesce_seconds;
-    remapped += rep.calls_remapped;
+    carried += rep.calls_carried;
     killed += live - ex.active_calls();
   }
   const auto per_growth = [&state](double total) {
@@ -470,8 +470,7 @@ void BM_GrowthQuiesce(benchmark::State& state) {
                : total / static_cast<double>(state.iterations());
   };
   state.counters["quiesce_us"] = per_growth(quiesce_s * 1e6);
-  state.counters["calls_remapped"] =
-      per_growth(static_cast<double>(remapped));
+  state.counters["calls_carried"] = per_growth(static_cast<double>(carried));
   state.counters["calls_killed"] = static_cast<double>(killed);
   if (killed != 0) state.SkipWithError("growth killed live calls");
 }

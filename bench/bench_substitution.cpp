@@ -108,9 +108,11 @@ int main() {
         std::iota(outs.begin(), outs.end(), 0u);
         util::shuffle(ins, prng);
         util::shuffle(outs, prng);
-        core::GreedyRouter router(host.network(),
-                                  inst.faulty_non_terminal_mask(),
-                                  inst.failed_edge_mask());
+        core::GreedyRouter router(host.network());
+        const auto faulty = inst.faulty_non_terminal_mask();
+        for (graph::VertexId v = 0; v < faulty.size(); ++v)
+          if (faulty[v]) router.kill_vertex(v);
+        for (const fault::Failure& f : inst.failures()) router.fail_edge(f.edge);
         for (int i = 0; i < 4 && ok; ++i)
           ok = router.connect(ins[i], outs[i]) != core::GreedyRouter::kNoCall;
       }

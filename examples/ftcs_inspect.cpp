@@ -123,14 +123,13 @@ int main(int argc, char** argv) {
   std::cout << "min terminal chain: " << dom.min_length << " switches ("
             << dom.chain_count << " chains)\n";
 
-  std::vector<std::uint8_t> blocked, blocked_edges;
+  std::vector<std::uint8_t> blocked;
   if (eps > 0) {
     fault::FaultInstance inst(net, fault::FaultModel::symmetric(eps), seed);
     std::cout << "faults @ eps=" << eps << ": " << inst.open_count()
               << " open, " << inst.closed_count() << " closed; shorted="
               << (inst.terminals_shorted() ? "YES" : "no") << "\n";
     blocked = inst.faulty_non_terminal_mask();
-    blocked_edges = inst.failed_edge_mask();
   }
 
   if (churn_ops > 0) {

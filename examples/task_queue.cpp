@@ -41,9 +41,11 @@ struct RoundResult {
 // One scheduling round: r idle processors (inputs), r pending task slots
 // (outputs). The maxflow check asks whether ANY disjoint matching exists;
 // the exchange then serves the scheduler's specific pairing as one batch.
+// With `faults`, both see the instance's damage: the maxflow avoids its
+// faulty vertices, and the exchange has every failed switch injected.
 RoundResult run_round(const graph::Network& net, std::size_t r,
                       util::Xoshiro256& rng,
-                      const std::vector<std::uint8_t>* faulty) {
+                      const fault::FaultInstance* faults) {
   const std::size_t n_in = net.inputs.size(), n_out = net.outputs.size();
   std::vector<std::uint32_t> in_idx(n_in), out_idx(n_out);
   std::iota(in_idx.begin(), in_idx.end(), 0u);
@@ -62,7 +64,8 @@ RoundResult run_round(const graph::Network& net, std::size_t r,
     outs.push_back(net.outputs[out_idx[i]]);
   }
   const std::size_t flow =
-      faulty ? graph::max_vertex_disjoint_paths(net.g, ins, outs, *faulty)
+      faults ? graph::max_vertex_disjoint_paths(
+                   net.g, ins, outs, faults->faulty_non_terminal_mask())
              : graph::max_vertex_disjoint_paths(net.g, ins, outs);
   result.matching_ok = flow == r;
 
@@ -70,9 +73,11 @@ RoundResult run_round(const graph::Network& net, std::size_t r,
   svc::ExchangeConfig cfg;
   cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 2;
-  if (faulty) cfg.blocked = *faulty;
   cfg.window = 8;
   svc::Exchange exchange(net, std::move(cfg));
+  if (faults)
+    for (const fault::Failure& f : faults->failures())
+      exchange.inject({0.0, f.edge, fault::FaultEvent::Kind::kFail});
   std::vector<svc::Ticket> tickets;
   tickets.reserve(r);
   for (std::size_t i = 0; i < r; ++i)
@@ -110,13 +115,12 @@ int main(int argc, char** argv) {
   for (const auto* entry : {&sc, &bf}) {
     for (double eps : {0.0, 0.002}) {
       fault::FaultInstance inst(*entry, fault::FaultModel::symmetric(eps), 9);
-      const auto faulty = inst.faulty_non_terminal_mask();
       for (std::size_t r : {4u, 16u, 32u}) {
         int ok = 0;
         std::size_t carried = 0;
         for (int round = 0; round < rounds; ++round) {
           const auto res =
-              run_round(*entry, r, rng, eps > 0 ? &faulty : nullptr);
+              run_round(*entry, r, rng, eps > 0 ? &inst : nullptr);
           if (res.matching_ok) ++ok;
           carried += res.carried;
         }

@@ -42,7 +42,8 @@
 //   tfault G L | trepair G L       fail/restore line L of trunk group G
 //                                  (an edge fault in the federation graph)
 //   grow N                         hitless growth (federated plane: typed
-//                                  unsupported until ROADMAP item 2c)
+//                                  unsupported; members grow through
+//                                  per-exchange control planes)
 //   query                          health gauges + headline counters
 //   snapshot prom|json             metrics scrape, fenced by marker lines
 //                                  (tools/check_metrics.py validates them)
@@ -54,10 +55,10 @@
 //   $ ./telephone_exchange --daemon-solo [sessions]
 //
 // Solo daemon: one Cantor exchange ("cantor-32-m5") instead of the
-// federation, same stdin console (the trunk verbs ack kUnsupported). Here
-// `grow` is LIVE: the default planner doubles the exchange to 64 lines
-// mid-churn and the ack reports switches added, calls remapped, calls
-// killed (always 0) and the quiesce wall time.
+// federation, same stdin console (the trunk verbs ack unsupported, and a
+// fault verb's shard must be 0). Here `grow` is LIVE: the default planner
+// doubles the exchange to 64 lines mid-churn and the ack reports switches
+// added, calls carried, calls killed (always 0) and the quiesce wall time.
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -90,16 +91,21 @@ struct Office {
   const ftcs::graph::Network* net;
 };
 
-// One day of service: the office is a svc::Exchange owning the year's
-// cumulative fault mask; the traffic simulation serves calls through it.
+// Applies a sampled wear state to a fresh exchange: every failed switch,
+// either mode, is injected as an open failure (§6 discard semantics).
+void inject_wear(ftcs::svc::Exchange& exchange,
+                 const ftcs::fault::FaultInstance& inst) {
+  for (const ftcs::fault::Failure& f : inst.failures())
+    exchange.inject({0.0, f.edge, ftcs::fault::FaultEvent::Kind::kFail});
+}
+
+// One day of service: the office is a svc::Exchange carrying the year's
+// cumulative faults; the traffic simulation serves calls through it.
 ftcs::core::TrafficReport run_day(const ftcs::graph::Network& net,
                                   const ftcs::fault::FaultModel& wear,
                                   std::uint64_t seed) {
-  ftcs::fault::FaultInstance inst(net, wear, seed);
-  ftcs::svc::ExchangeConfig cfg;
-  cfg.blocked = inst.faulty_non_terminal_mask();
-  cfg.blocked_edges = inst.failed_edge_mask();
-  ftcs::svc::Exchange exchange(net, std::move(cfg));
+  ftcs::svc::Exchange exchange(net);
+  inject_wear(exchange, ftcs::fault::FaultInstance(net, wear, seed));
   ftcs::core::TrafficParams p;
   p.arrival_rate = 4.0;   // calls per minute across the exchange
   p.mean_holding = 3.0;   // minutes
@@ -180,8 +186,8 @@ void print_ack(const ftcs::ops::Ack& a) {
     case ops::CommandKind::kGrow:
       if (a.growth && a.growth->applied)
         line << " switches+=" << a.growth->switches_added << " lines+="
-             << a.growth->inputs_added << " remapped="
-             << a.growth->calls_remapped << " killed="
+             << a.growth->inputs_added << " carried="
+             << a.growth->calls_carried << " killed="
              << a.growth->calls_killed << " quiesce_ms="
              << a.growth->quiesce_seconds * 1e3;
       break;
@@ -213,23 +219,29 @@ void print_ack(const ftcs::ops::Ack& a) {
   std::cout.flush();
 }
 
-int run_daemon() {
+/// What the operator console validates a command against before posting it.
+struct ConsoleBounds {
+  /// Switch ids below this are valid; each applied grow raises it.
+  std::uint64_t switches = 0;
+  /// The fault verbs' optional shard argument must be below this.
+  std::uint64_t shards = 1;
+  /// Line count of each trunk group. Empty on a plane without trunks, whose
+  /// trunk verbs the control plane acks unsupported.
+  std::vector<std::uint32_t> trunk_lines;
+};
+
+/// The operator console of both daemons. Starts `serve(stop)` on a serving
+/// thread, then reads one command per stdin line until `quit` or EOF, posts
+/// each through `control`'s queue and prints its ack; snapshots print
+/// between marker lines for tools/check_metrics.py. Stops and joins the
+/// serving thread before returning.
+template <class Serve>
+void run_console(ftcs::ops::ControlPlane& control, ConsoleBounds bounds,
+                 Serve serve) {
   using namespace ftcs;
-  const auto ft = core::build_ft_network(core::FtParams::sim(2, 8, 6, 1, 5));
-  svc::Federation fed(ft.net, 2);
-  ops::ControlPlane control(fed, "telephone-exchange");
-  const auto edges = fed.member(0).network().g.edge_count();
-  const auto groups = fed.trunk_group_count();
-
-  std::cout << "telephone exchange daemon: " << fed.shards() << " shards x "
-            << edges << " switches, " << groups << " trunk groups, "
-            << fed.input_count()
-            << " subscriber lines; commands on stdin (quit to stop)\n";
-  std::cout.flush();
-
   std::atomic<bool> stop{false};
-  std::thread server([&] { serve_loop(fed, control, stop); });
-
+  std::thread server([&] { serve(stop); });
+  const auto groups = bounds.trunk_lines.size();
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream in(line);
@@ -239,11 +251,11 @@ int run_daemon() {
     if (verb == "quit") break;
     ops::Command cmd;
     if (verb == "inject" || verb == "weld" || verb == "repair") {
-      std::uint64_t edge = edges;
+      std::uint64_t edge = bounds.switches;
       in >> edge;
-      if (edge >= edges) {
-        std::cout << "error: " << verb << " needs a switch id < " << edges
-                  << "\n";
+      if (edge >= bounds.switches) {
+        std::cout << "error: " << verb << " needs a switch id < "
+                  << bounds.switches << "\n";
         continue;
       }
       cmd.kind = verb == "repair" ? ops::CommandKind::kRepair
@@ -253,8 +265,8 @@ int run_daemon() {
                    : verb == "inject" ? fault::FaultEvent::Kind::kFail
                                       : fault::FaultEvent::Kind::kRepair};
       in >> cmd.arg;  // optional target shard, default 0
-      if (cmd.arg >= fed.shards()) {
-        std::cout << "error: " << verb << " shard must be < " << fed.shards()
+      if (cmd.arg >= bounds.shards) {
+        std::cout << "error: " << verb << " shard must be < " << bounds.shards
                   << "\n";
         continue;
       }
@@ -265,9 +277,8 @@ int run_daemon() {
                                   : ops::CommandKind::kTrunkRepair;
       cmd.arg = groups;
       in >> cmd.arg >> cmd.arg2;
-      if (cmd.arg >= groups ||
-          cmd.arg2 >= fed.trunk_group(
-                          static_cast<std::uint32_t>(cmd.arg)).capacity()) {
+      if (groups > 0 && (cmd.arg >= groups ||
+                         cmd.arg2 >= bounds.trunk_lines[cmd.arg])) {
         std::cout << "error: " << verb << " needs GROUP < " << groups
                   << " and LINE < that group's capacity\n";
         continue;
@@ -293,6 +304,9 @@ int run_daemon() {
       continue;
     }
     const ops::Ack ack = control.queue().wait(control.queue().post(cmd));
+    if (ack.kind == ops::CommandKind::kGrow && ack.growth &&
+        ack.growth->applied)
+      bounds.switches += ack.growth->switches_added;  // new ids now valid
     if (ack.kind == ops::CommandKind::kSnapshot) {
       const bool is_json =
           static_cast<ops::SnapshotFormat>(cmd.arg) == ops::SnapshotFormat::kJson;
@@ -311,6 +325,28 @@ int run_daemon() {
   }
   stop.store(true, std::memory_order_release);
   server.join();
+}
+
+int run_daemon() {
+  using namespace ftcs;
+  const auto ft = core::build_ft_network(core::FtParams::sim(2, 8, 6, 1, 5));
+  svc::Federation fed(ft.net, 2);
+  ops::ControlPlane control(fed, "telephone-exchange");
+  ConsoleBounds bounds;
+  bounds.switches = fed.member(0).network().g.edge_count();
+  bounds.shards = fed.shards();
+  for (std::uint32_t g = 0; g < fed.trunk_group_count(); ++g)
+    bounds.trunk_lines.push_back(fed.trunk_group(g).capacity());
+
+  std::cout << "telephone exchange daemon: " << fed.shards() << " shards x "
+            << bounds.switches << " switches, " << bounds.trunk_lines.size()
+            << " trunk groups, " << fed.input_count()
+            << " subscriber lines; commands on stdin (quit to stop)\n";
+  std::cout.flush();
+
+  run_console(control, std::move(bounds), [&](std::atomic<bool>& stop) {
+    serve_loop(fed, control, stop);
+  });
   fed.drain_all();
   const svc::FederationStats st = fed.stats();
   // submitted counts requests: intra + inter, less the fault plane's
@@ -391,89 +427,26 @@ int run_daemon_solo(unsigned sessions) {
   cfg.sessions = sessions;
   svc::Exchange ex(cantor, std::move(cfg));
   ops::ControlPlane control(ex, "telephone-exchange-solo");
-  // REPL-side bound for switch-id validation. The serving thread owns the
-  // live network, so the console tracks the edge count through grow acks
-  // instead of peeking at ex.network().
-  std::uint64_t edges = cantor.g.edge_count();
+  // The serving thread owns the live network, so the console tracks the
+  // switch-id bound through grow acks instead of peeking at ex.network().
+  ConsoleBounds bounds;
+  bounds.switches = cantor.g.edge_count();
 
   std::cout << "telephone exchange daemon (solo): " << cantor.name << ", "
-            << edges << " switches, " << cantor.inputs.size()
+            << bounds.switches << " switches, " << cantor.inputs.size()
             << " subscriber lines, " << sessions
             << " sessions; commands on stdin (quit to stop; 'grow' doubles "
                "the exchange live)\n";
   std::cout.flush();
 
-  std::atomic<bool> stop{false};
-  std::thread server([&] { solo_serve_loop(ex, control, stop); });
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string verb;
-    in >> verb;
-    if (verb.empty()) continue;
-    if (verb == "quit") break;
-    ops::Command cmd;
-    if (verb == "inject" || verb == "weld" || verb == "repair") {
-      std::uint64_t edge = edges;
-      in >> edge;
-      if (edge >= edges) {
-        std::cout << "error: " << verb << " needs a switch id < " << edges
-                  << "\n";
-        continue;
-      }
-      cmd.kind = verb == "repair" ? ops::CommandKind::kRepair
-                                  : ops::CommandKind::kInject;
-      cmd.event = {0.0, static_cast<graph::EdgeId>(edge),
-                   verb == "weld"     ? fault::FaultEvent::Kind::kStuckOn
-                   : verb == "inject" ? fault::FaultEvent::Kind::kFail
-                                      : fault::FaultEvent::Kind::kRepair};
-    } else if (verb == "grow") {
-      cmd.kind = ops::CommandKind::kGrow;
-      in >> cmd.arg;
-    } else if (verb == "query") {
-      cmd.kind = ops::CommandKind::kQuery;
-    } else if (verb == "snapshot") {
-      std::string fmt;
-      in >> fmt;
-      cmd.kind = ops::CommandKind::kSnapshot;
-      cmd.arg = static_cast<std::uint64_t>(fmt == "json"
-                                               ? ops::SnapshotFormat::kJson
-                                               : ops::SnapshotFormat::kPrometheus);
-    } else if (verb == "quiesce") {
-      cmd.kind = ops::CommandKind::kQuiesce;
-    } else {
-      std::cout << "error: unknown command '" << verb
-                << "' (inject|weld|repair|grow|query|snapshot|quiesce|quit)\n";
-      continue;
-    }
-    const ops::Ack ack = control.queue().wait(control.queue().post(cmd));
-    if (ack.kind == ops::CommandKind::kGrow && ack.growth &&
-        ack.growth->applied)
-      edges += ack.growth->switches_added;  // new switch ids are now valid
-    if (ack.kind == ops::CommandKind::kSnapshot) {
-      const bool is_json =
-          static_cast<ops::SnapshotFormat>(cmd.arg) == ops::SnapshotFormat::kJson;
-      std::cout << (is_json ? "=== metrics json begin ==="
-                            : "=== metrics prometheus begin ===")
-                << "\n"
-                << ack.text
-                << (ack.text.empty() || ack.text.back() == '\n' ? "" : "\n")
-                << (is_json ? "=== metrics json end ==="
-                            : "=== metrics prometheus end ===")
-                << "\n";
-      std::cout.flush();
-    } else {
-      print_ack(ack);
-    }
-  }
-  stop.store(true, std::memory_order_release);
-  server.join();
+  run_console(control, std::move(bounds), [&](std::atomic<bool>& stop) {
+    solo_serve_loop(ex, control, stop);
+  });
   ex.drain_all();
   const svc::ExchangeStats st = ex.stats();
   std::cout << "daemon done: " << st.submitted << " submitted, " << st.admitted
             << " admitted, " << st.hangups << " hangups, " << st.growths
-            << " growths (" << st.calls_remapped_by_growth << " calls remapped, "
+            << " growths (" << st.calls_carried_by_growth << " calls carried, "
             << st.calls_killed_by_growth << " killed), "
             << st.calls_killed_by_fault << " killed by faults\n";
   return 0;
@@ -539,13 +512,12 @@ int main(int argc, char** argv) {
   fault::FaultInstance worn(ft.net, fault::FaultModel::symmetric(worn_eps),
                             9000 + outage_year);
   svc::ExchangeConfig cfg;
-  cfg.blocked = worn.faulty_non_terminal_mask();
-  cfg.blocked_edges = worn.failed_edge_mask();
   if (sessions > 1) {
     cfg.backend = svc::Backend::kConcurrent;
     cfg.sessions = sessions;
   }
   svc::Exchange exchange(ft.net, std::move(cfg));
+  inject_wear(exchange, worn);
   // ~0.05 failures per switch over the day (a couple hundred outages on
   // this exchange), two-hour mean repair: a violent but survivable storm.
   const double storm_rate_per_minute = 0.05 / 1440.0;
@@ -619,7 +591,7 @@ int main(int argc, char** argv) {
             << "  switches added:            " << grown.switches_added
             << " (+" << grown.inputs_added << " in / +" << grown.outputs_added
             << " out lines)\n"
-            << "  live calls remapped:       " << grown.calls_remapped
+            << "  live calls carried:        " << grown.calls_carried
             << ", killed by growth: " << growing.stats().calls_killed_by_growth
             << " (hitless by design)\n"
             << "  quiesce window:            " << grown.quiesce_seconds * 1e3

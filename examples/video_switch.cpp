@@ -34,15 +34,14 @@ struct Tally {
 };
 
 // One aged facility instance: route a random camera to a random monitor
-// through an Exchange that owns the instance's fault mask.
+// through an Exchange with the instance's failures injected.
 void probe(const graph::Network& net, const fault::FaultModel& model,
            std::uint64_t fault_seed, std::uint64_t route_seed, Tally& tally) {
   fault::FaultInstance inst(net, model, fault_seed);
   if (inst.terminals_shorted()) ++tally.crosstalk;
-  svc::ExchangeConfig cfg;
-  cfg.blocked = inst.faulty_non_terminal_mask();
-  cfg.blocked_edges = inst.failed_edge_mask();
-  svc::Exchange exchange(net, std::move(cfg));
+  svc::Exchange exchange(net);
+  for (const fault::Failure& f : inst.failures())
+    exchange.inject({0.0, f.edge, fault::FaultEvent::Kind::kFail});
   util::Xoshiro256 rng(route_seed);
   const auto cam = static_cast<std::uint32_t>(rng.below(16));
   const auto mon = static_cast<std::uint32_t>(rng.below(16));

@@ -50,9 +50,10 @@ class FaultInstance {
 
   /// The §6 faulty notion restricted to OPEN failures: 1 where an
   /// open-failed switch is incident (a stuck-on switch still conducts, so
-  /// it never marks its endpoints). This is the discard set shared by
-  /// repair_by_contraction and the kContractStuck liveness overlay; with
-  /// `spare_terminals`, terminal vertices are never marked.
+  /// it never marks its endpoints). This is the discard set of
+  /// repair_by_contraction, and the vertices a router kills to route the
+  /// same instance live; with `spare_terminals`, terminal vertices are
+  /// never marked.
   [[nodiscard]] std::vector<std::uint8_t> open_faulty_mask(
       bool spare_terminals) const;
 

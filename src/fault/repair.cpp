@@ -52,8 +52,8 @@ ContractionResult repair_by_contraction(const FaultInstance& instance,
   const graph::Network& net = instance.network();
   const std::size_t v_count = net.g.vertex_count();
 
-  // 1. Open failures discard — the same shared §6 open-discard mask the
-  // kContractStuck overlay uses, so live and offline cannot drift.
+  // 1. Open failures discard — the shared §6 open-discard mask a live
+  // router kills to route the same instance, so the two cannot drift.
   const std::vector<std::uint8_t> dead =
       instance.open_faulty_mask(spare_terminals);
 

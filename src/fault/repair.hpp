@@ -55,15 +55,16 @@ struct ContractionResult {
 };
 
 /// The mixed-mode offline rebuild: vertices incident to an OPEN-failed
-/// switch are discarded (terminals spared iff `spare_terminals` — the same
-/// mask overlay_from_instance uses under kContractStuck), then every
-/// closed-failed switch between survivors is contracted (endpoints merged
-/// via union-find, both directions — a welded contact conducts either way),
-/// and the normal-state switches are re-laid between the resulting
-/// electrical nodes (switches internal to one node are dropped). Routing on
-/// the FULL network under the kContractStuck liveness overlay reaches
-/// exactly the terminal pairs this network reaches — the live-contraction
-/// equivalence the fault-plane tests pin.
+/// switch are discarded (terminals spared iff `spare_terminals`: the
+/// instance's open_faulty_mask), then every closed-failed switch between
+/// survivors is contracted (endpoints merged via union-find, both
+/// directions — a welded contact conducts either way), and the
+/// normal-state switches are re-laid between the resulting electrical
+/// nodes (switches internal to one node are dropped). Routing on the FULL
+/// network with that mask killed, the open failures failed and the closed
+/// ones contracted (the router's liveness overlay) reaches exactly the
+/// terminal pairs this network reaches — the live-contraction equivalence
+/// the fault-plane tests pin.
 [[nodiscard]] ContractionResult repair_by_contraction(
     const FaultInstance& instance, bool spare_terminals = false);
 

@@ -25,7 +25,9 @@ namespace {
 // "given any set of vertex-disjoint paths", sampled).
 bool busy_probe(const FtNetwork& ft, const std::vector<std::uint8_t>& faulty,
                 std::size_t count, std::uint64_t seed) {
-  GreedyRouter router(ft.net, faulty);
+  GreedyRouter router(ft.net);
+  for (graph::VertexId v = 0; v < faulty.size(); ++v)
+    if (faulty[v]) router.kill_vertex(v);
   util::Xoshiro256 rng(seed);
   for (std::size_t c = 0; c < count; ++c) {
     const auto in = static_cast<std::uint32_t>(rng.below(ft.net.inputs.size()));
@@ -97,7 +99,10 @@ bool baseline_survival_trial(const graph::Network& net,
   util::shuffle(ins, rng);
   util::shuffle(outs, rng);
 
-  GreedyRouter router(net, faulty, instance.failed_edge_mask());
+  GreedyRouter router(net);
+  for (graph::VertexId v = 0; v < faulty.size(); ++v)
+    if (faulty[v]) router.kill_vertex(v);
+  for (const fault::Failure& f : instance.failures()) router.fail_edge(f.edge);
   for (std::size_t i = 0; i < pairs; ++i) {
     if (router.connect(ins[i], outs[i]) == GreedyRouter::kNoCall) return false;
   }

@@ -5,18 +5,6 @@
 #include <type_traits>
 
 namespace ftcs::core {
-namespace {
-
-/// A byte mask as a bitset of exactly `n` bits (any nonzero byte sets the
-/// bit; bytes past `n` are ignored).
-util::Bitset mask_bits(const std::vector<std::uint8_t>& bytes, std::size_t n) {
-  util::Bitset bits(n);
-  for (std::size_t i = 0; i < std::min(n, bytes.size()); ++i)
-    if (bytes[i]) bits.set(i);
-  return bits;
-}
-
-}  // namespace
 
 // ------------------------------------------------------- liveness overlay
 
@@ -29,10 +17,7 @@ bool Router<Store>::hops_carried(std::size_t n, At at) const {
     else
       return bits.test(e);
   };
-  const auto usable = [&](graph::EdgeId e) {
-    return (static_edges_.empty() || !static_edges_.test(e)) &&
-           !bit(dead_edges_, e);
-  };
+  const auto usable = [&](graph::EdgeId e) { return !bit(dead_edges_, e); };
   const auto& g = net_->g;
   for (std::size_t i = 0; i + 1 < n; ++i) {
     const graph::VertexId u = at(i), v = at(i + 1);
@@ -91,21 +76,14 @@ std::uint32_t Router<SharedStore>::claim(Session& s, bool revalidate) {
 // ------------------------------------------------------------ construction
 
 template <class Store>
-void Router<Store>::init(unsigned sessions,
-                         const std::vector<std::uint8_t>& blocked,
-                         const std::vector<std::uint8_t>& blocked_edges) {
+void Router<Store>::init(unsigned sessions) {
   const std::size_t v_count = net_->g.vertex_count();
   const std::size_t e_count = net_->g.edge_count();
   sessions = std::max(sessions, 1u);
-  blocked_ = mask_bits(blocked, v_count);
   busy_.resize(v_count);
-  for (std::size_t v = 0; v < v_count; ++v)
-    if (blocked_.test(v)) busy_.set(v);  // blocked bits are never released
-  if (!blocked_edges.empty()) static_edges_ = mask_bits(blocked_edges, e_count);
   dead_edges_.resize(e_count);
   contracted_edges_.resize(e_count);
   dead_.resize(v_count);
-  fault_claimed_.resize(v_count);
   in_busy_ = typename Store::Slots(net_->inputs.size());
   out_busy_ = typename Store::Slots(net_->outputs.size());
   sessions_.reserve(sessions);
@@ -190,11 +168,8 @@ void Router<Store>::grow(const graph::Network& net) {
   };
   const std::size_t v_count = net.g.vertex_count();
   const std::size_t e_count = net.g.edge_count();
-  blocked_ = extend(blocked_, v_count);
   busy_ = extend(busy_, v_count);
   dead_ = extend(dead_, v_count);
-  fault_claimed_ = extend(fault_claimed_, v_count);
-  if (!static_edges_.empty()) static_edges_ = extend(static_edges_, e_count);
   dead_edges_ = extend(dead_edges_, e_count);
   contracted_edges_ = extend(contracted_edges_, e_count);
   in_busy_ = extend(in_busy_, net.inputs.size());
@@ -229,7 +204,7 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
   const graph::VertexId dst = r.net_->outputs[out];
 
   // 1. Terminal acquire: input slot, then output slot.
-  if (r.blocked_.test(src) || r.blocked_.test(dst) || !r.in_busy_.try_set(in)) {
+  if (r.dead_.test(src) || r.dead_.test(dst) || !r.in_busy_.try_set(in)) {
     ++stats_.rejected_terminal;
     return kNoCall;
   }
@@ -252,13 +227,11 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
 
   // The overlay gates, one load each: with no outstanding fault or weld the
   // search runs the overlay-free, weld-free hot path.
-  const bool statics = !r.static_edges_.empty();
   const bool overlay = r.failed_ > 0;
   const bool contraction = r.welded_ > 0;
   const auto is_busy = [&r](graph::VertexId v) { return r.busy_.test(v); };
-  const auto edge_blocked = [&r, statics, overlay](graph::EdgeId e) {
-    return (statics && r.static_edges_.test(e)) ||
-           (overlay && r.dead_edges_.test(e));
+  const auto edge_blocked = [&r, overlay](graph::EdgeId e) {
+    return overlay && r.dead_edges_.test(e);
   };
   const auto edge_contracted = [&r](graph::EdgeId e) {
     return r.contracted_edges_.test(e);
@@ -310,9 +283,9 @@ void Router<Store>::Session::disconnect(CallId call) {
   Router& r = *r_;
   Call& c = calls_[call];
   ++stats_.disconnects;
-  // Path vertices are never statically blocked (the search cannot enter
-  // them), so freeing is a plain bit reset. The record stays with the slot
-  // for its next call (or until a compaction drops it).
+  // Path vertices are never dead (the search cannot enter them), so
+  // freeing is a plain bit reset. The record stays with the slot for its
+  // next call (or until a compaction drops it).
   for (const graph::VertexId v : path(call)) r.busy_.reset(v);
   busy_count_ -= c.length;
   r.out_busy_.reset(c.out);
@@ -343,14 +316,13 @@ void Router<Store>::fail_edge(graph::EdgeId e) {
 template <class Store>
 void Router<Store>::repair_edge(graph::EdgeId e) {
   if (!dead_edges_.test(e)) return;
-  dead_edges_.reset(e);  // bit before gate; static_edges_ stays as it is
+  dead_edges_.reset(e);  // bit before gate
   --failed_;
 }
 
 template <class Store>
 void Router<Store>::contract_edge(graph::EdgeId e) {
-  // The blocked mask wins: the search never crosses a blocked switch,
-  // welded or not.
+  // A failed switch wins: the search never crosses it, welded or not.
   if (contracted_edges_.test(e)) return;
   if (weld_reach_.empty()) clear_weld_counts();
   count_weld(net_->g.edge(e).to, 1);  // counts before gate
@@ -400,22 +372,17 @@ void Router<Store>::count_weld(graph::VertexId head, int delta) {
 
 template <class Store>
 void Router<Store>::kill_vertex(graph::VertexId v) {
+  // No live call holds v (precondition), so its busy bit is free to take.
   if (dead_.test(v)) return;
   dead_.set(v);
-  // If the busy bit is already set the vertex is statically blocked (an
-  // active call is excluded by precondition), and the claim is not ours to
-  // release on revive.
-  if (busy_.try_set(v)) fault_claimed_.set(v);
+  busy_.set(v);
 }
 
 template <class Store>
 void Router<Store>::revive_vertex(graph::VertexId v) {
   if (!dead_.test(v)) return;
   dead_.reset(v);
-  if (fault_claimed_.test(v)) {
-    fault_claimed_.reset(v);
-    busy_.reset(v);
-  }
+  busy_.reset(v);
 }
 
 template <class Store>

@@ -3,8 +3,8 @@
 // greedy application of a standard path-finding algorithm").
 //
 // ONE router body, core::Router<Store>, serves a network's calls from one
-// or from N sessions. The router owns the network's busy state (plus a
-// static blocked mask for faulty vertices) and every session's call table.
+// or from N sessions. The router owns the network's busy state, its one
+// fault state (the liveness overlay below) and every session's call table.
 // A connect settles the first idle path a depth-first search finds, its
 // first hop started in a plane chosen by the output (ftcs/search.hpp); on a
 // strictly nonblocking (surviving) network this never fails for a request
@@ -27,7 +27,7 @@
 //     a pinned thread pool its pages first-touch onto that thread's node.
 //
 // Protocol per connect(in, out), one body for both stores:
-//   1. TERMINAL ACQUIRE — a blocked terminal is rejected; then the input
+//   1. TERMINAL ACQUIRE — a dead terminal is rejected; then the input
 //      slot, then the output slot, is taken (try_set). Failure →
 //      rejected_terminal (slots released in reverse order on any reject).
 //      A terminal vertex occupied as an intermediate hop of another call
@@ -78,10 +78,12 @@
 //     re-validated by the claim CAS (and the overlay re-check), so stale
 //     reads cost retries, not correctness.
 //
-// Liveness overlay (runtime fault plane). Semantics follow §6: the fault
-// unit is the switch (edge); a vertex dies when the fault plane decides its
-// incident switches make it unusable. A dead vertex holds its own busy bit,
-// so searches and claims avoid it with no extra state. A failed switch is a
+// Liveness overlay: the router's only fault state, whether the faults come
+// from a sampled fault::FaultInstance applied once or from the runtime
+// fault plane. Semantics follow §6: the fault unit is the switch (edge); a
+// vertex dies when the caller decides its incident switches make it
+// unusable. A dead vertex holds its own busy bit, so searches and claims
+// avoid it with no extra state. A failed switch is a
 // dead_edges_ bit, a stuck-on (closed, §2) switch a contracted_edges_ bit:
 // a weld conducts in BOTH directions (the runtime analogue of contraction;
 // the CSR graph is never mutated), and occupancy still applies to the
@@ -120,8 +122,8 @@
 //     kill_vertex/revive_vertex/call_at/grow are QUIESCENT ONLY: no connect
 //     or disconnect in flight on any session, victims torn down first — the
 //     same contract as Exchange::drain().
-//   - A statically blocked switch or vertex is never released by a repair
-//     or revive, and the blocked mask beats a weld.
+//   - A failed switch beats a weld: a switch both failed and contracted
+//     carries nothing.
 //
 // Sessions: a Session is single-threaded — one thread at a time may use
 // session(s), and a call is disconnected through the session that connected
@@ -185,7 +187,7 @@ namespace ftcs::core {
 struct RouterStats {
   std::uint64_t connect_calls = 0;     // connect() invocations
   std::uint64_t accepted = 0;          // calls that settled a path
-  std::uint64_t rejected_terminal = 0; // busy/blocked endpoint, no search run
+  std::uint64_t rejected_terminal = 0; // busy/dead endpoint, no search run
   std::uint64_t rejected_no_path = 0;  // search exhausted without reaching dst
   std::uint64_t disconnects = 0;
   std::uint64_t vertices_visited = 0;  // vertices marked across all searches
@@ -279,25 +281,21 @@ class Router {
   /// pathological case without ever rejecting a realistic workload.
   static constexpr unsigned kMaxClaimRetries = 16;
 
-  /// One-session router. `blocked` marks statically unusable vertices
-  /// (e.g. faulty); may be empty. `blocked_edges` likewise for switches.
+  /// One-session router over a healthy network; faults are applied
+  /// through the liveness overlay (kill_vertex, fail_edge, contract_edge).
   /// The network must outlive the router. All scratch is allocated here.
-  explicit Router(const graph::Network& net,
-                  const std::vector<std::uint8_t>& blocked = {},
-                  const std::vector<std::uint8_t>& blocked_edges = {})
+  explicit Router(const graph::Network& net)
     requires(!Store::kShared)
       : net_(&net), reach_(net) {
-    init(1, blocked, blocked_edges);
+    init(1);
   }
-  /// `sessions` fixes the session count (0 means 1); masks as above. Only
-  /// the shared state is allocated here: each session builds its scratch on
-  /// its first connect.
-  Router(const graph::Network& net, unsigned sessions,
-         const std::vector<std::uint8_t>& blocked = {},
-         const std::vector<std::uint8_t>& blocked_edges = {})
+  /// `sessions` fixes the session count (0 means 1). Only the shared state
+  /// is allocated here: each session builds its scratch on its first
+  /// connect.
+  Router(const graph::Network& net, unsigned sessions)
     requires(Store::kShared)
       : net_(&net), reach_(net) {
-    init(sessions, blocked, blocked_edges);
+    init(sessions);
   }
 
   // Pinned: every Session holds a back-pointer to its router.
@@ -310,7 +308,7 @@ class Router {
   class alignas(util::kCacheLineBytes) Session {
    public:
     /// Steps 1-5 of the header comment. Returns kNoCall on a busy or
-    /// blocked terminal, no idle path, or claim-retry exhaustion (the stats
+    /// dead terminal, no idle path, or claim-retry exhaustion (the stats
     /// counters say which). Allocation-free once the scratch exists.
     CallId connect(std::uint32_t in, std::uint32_t out);
     /// Releases a call made through THIS session. Allocation-free.
@@ -424,24 +422,23 @@ class Router {
 
   /// Marks switch `e` failed: no later path may use it. Idempotent.
   void fail_edge(graph::EdgeId e);
-  /// Clears a runtime switch failure (a statically blocked switch stays
-  /// blocked). Idempotent.
+  /// Clears a switch failure. Idempotent.
   void repair_edge(graph::EdgeId e);
   /// Marks switch `e` STUCK ON (closed failure): the search may cross it in
   /// both directions, and out-of-cone children that reach its head stay in
-  /// the search (one walk over the head's static ancestors). A failed or
-  /// statically blocked switch cannot be contracted into service.
-  /// Idempotent.
+  /// the search (one walk over the head's static ancestors). A failed
+  /// switch cannot be contracted into service. Idempotent.
   void contract_edge(graph::EdgeId e);
   /// Clears a stuck-on state (and walks the head's ancestors back down).
   /// Calls that crossed the weld AGAINST the edge direction are now severed
   /// — the fault plane reaps them. Idempotent.
   void uncontract_edge(graph::EdgeId e);
-  /// Marks `v` dead and claims its busy bit (unless already held by the
-  /// static blocked mask). QUIESCENT ONLY, no active call through v.
+  /// Marks `v` dead and takes its busy bit. A dead terminal reads busy and
+  /// is refused at admission (rejected_terminal). QUIESCENT ONLY, no
+  /// active call through v. Idempotent.
   void kill_vertex(graph::VertexId v);
-  /// Revives a dead vertex, releasing the busy bit iff the fault plane
-  /// claimed it. QUIESCENT ONLY.
+  /// Revives a dead vertex and releases its busy bit. QUIESCENT ONLY.
+  /// Idempotent.
   void revive_vertex(graph::VertexId v);
   /// The call whose path holds `v` (a vertex carries at most one), or
   /// call == kNoCall. Reads v's owner-map entry and confirms that the
@@ -460,6 +457,13 @@ class Router {
   [[nodiscard]] bool edge_contracted(graph::EdgeId e) const {
     return contracted_edges_.test(e);
   }
+  /// Switches currently failed / contracted: the overlay gates.
+  [[nodiscard]] std::size_t failed_edge_count() const noexcept {
+    return failed_;
+  }
+  [[nodiscard]] std::size_t contracted_edge_count() const noexcept {
+    return welded_;
+  }
   /// Live welds whose head `v` reaches forward in the static graph, `v`
   /// included (the search's weld filter). 0 when `v` reaches every output
   /// (the search never asks) and on a router that never welded.
@@ -467,10 +471,9 @@ class Router {
   [[nodiscard]] std::uint32_t weld_reach(graph::VertexId v) const {
     return weld_reach_.empty() ? 0 : weld_reach_[v];
   }
-  /// Usable = neither statically blocked nor runtime-failed.
+  /// Usable = not failed (a weld's direction is path_carried's question).
   [[nodiscard]] bool edge_usable(graph::EdgeId e) const {
-    return (static_edges_.empty() || !static_edges_.test(e)) &&
-           !dead_edges_.test(e);
+    return !dead_edges_.test(e);
   }
   /// The hop rule: true iff every hop of `path` is carried by a usable
   /// forward switch or by a usable weld crossed against its direction.
@@ -478,11 +481,12 @@ class Router {
   /// re-validation (step 3) and the fault plane's victim check both ask it.
   [[nodiscard]] bool path_carried(std::span<const graph::VertexId> path) const;
 
+  /// Idle = no call holds the terminal and it is not dead.
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
-    return !in_busy_.test(in) && !blocked_.test(net_->inputs[in]);
+    return !in_busy_.test(in) && !dead_.test(net_->inputs[in]);
   }
   [[nodiscard]] bool output_idle(std::uint32_t out) const {
-    return !out_busy_.test(out) && !blocked_.test(net_->outputs[out]);
+    return !out_busy_.test(out) && !dead_.test(net_->outputs[out]);
   }
   [[nodiscard]] bool is_busy(graph::VertexId v) const { return busy_.test(v); }
   /// Busy mask as bytes (cold path: expands the packed bitset).
@@ -497,8 +501,7 @@ class Router {
   [[nodiscard]] std::size_t busy_vertices() const;  // sum of path lengths
 
  private:
-  void init(unsigned sessions, const std::vector<std::uint8_t>& blocked,
-            const std::vector<std::uint8_t>& blocked_edges);
+  void init(unsigned sessions);
   /// Step 3 for the path the session's search just found (its scratch's
   /// stack): the store's claim.
   /// Returns the path length, or 0 when the claim was lost (shared store
@@ -523,18 +526,13 @@ class Router {
 
   using Bits = typename Store::Bits;
   const graph::Network* net_;
-  util::Bitset blocked_;       // static vertex faults (read-only)
-  util::Bitset static_edges_;  // static switch faults (read-only; empty
-                               // when there are none)
-  Bits busy_;                  // blocked | dead | on an active path
-  Bits dead_edges_;            // runtime switch failures
-  Bits contracted_edges_;      // stuck-on switches: two-way hops
-  // Outstanding runtime failures and welds: the overlay gates (see the
-  // header comment for their order against the bits).
+  Bits busy_;              // dead | on an active path
+  Bits dead_edges_;        // failed switches
+  Bits contracted_edges_;  // stuck-on switches: two-way hops
+  // Outstanding failures and welds: the overlay gates (see the header
+  // comment for their order against the bits).
   typename Store::Count failed_{0}, welded_{0};
-  util::Bitset dead_;           // vertices killed by the fault plane
-  util::Bitset fault_claimed_;  // dead vertices whose busy bit WE set (vs
-                                // vertices that were statically blocked)
+  util::Bitset dead_;  // killed vertices (changed only at quiescence)
   typename Store::Slots in_busy_, out_busy_;  // terminal slots
   // Owner map: owner_[v] = slot x session_count() + session of the last
   // call settled through v, or kNoCall; stale once that call hangs up

@@ -11,9 +11,8 @@
 // parameter: the solo store plugs in a plain util::Bitset read, the shared
 // store a relaxed AtomicBitset read (optimistic dirty snapshot, re-validated
 // later by CAS claiming). The edge_blocked test likewise carries the
-// router's liveness overlay (runtime switch failures) alongside any static
-// fault mask, so the search routes around open-failed switches with no
-// state of its own.
+// router's liveness overlay (its failed switches), so the search routes
+// around open-failed switches with no state of its own.
 //
 // The walk: an explicit stack of (vertex, cursor) frames starting at src.
 // The top frame advances its cursor over the vertex's out-edges to the

@@ -117,7 +117,7 @@ struct Ack {
   std::vector<svc::TrunkGauge> trunks;
   std::size_t half_calls = 0;
   // kGrow: the applied (or rejected) growth — switches/ports added, calls
-  // remapped, calls killed (always 0), quiesce wall time.
+  // carried, calls killed (always 0), quiesce wall time.
   std::optional<svc::GrowthReport> growth;
   // kSnapshot (serialized metrics) and kGrow (human-readable summary or
   // rejection reason):

@@ -91,8 +91,8 @@ Ack ControlPlane::execute(const Command& cmd) {
       if (fed_) {
         a.status = AckStatus::kUnsupported;
         a.text =
-            "federated growth is ROADMAP item 2c; grow the members "
-            "individually through per-exchange control planes";
+            "federated growth is unsupported; members grow through their "
+            "own per-exchange control planes";
         break;
       }
       std::optional<graph::Network> grown;
@@ -120,10 +120,10 @@ Ack ControlPlane::execute(const Command& cmd) {
       char buf[256];
       std::snprintf(buf, sizeof buf,
                     "grew to %s: +%zu switches, +%zu/+%zu ports, %" PRIu64
-                    " calls remapped, %" PRIu64 " killed, quiesce %.3f ms",
+                    " calls carried, %" PRIu64 " killed, quiesce %.3f ms",
                     ex_->network().name.c_str(), a.growth->switches_added,
                     a.growth->inputs_added, a.growth->outputs_added,
-                    a.growth->calls_remapped, a.growth->calls_killed,
+                    a.growth->calls_carried, a.growth->calls_killed,
                     a.growth->quiesce_seconds * 1e3);
       a.text = buf;
       break;

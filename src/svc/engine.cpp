@@ -82,6 +82,18 @@ class RouterEngine final : public Engine {
   }
   void kill_vertex(graph::VertexId v) override { router_.kill_vertex(v); }
   void revive_vertex(graph::VertexId v) override { router_.revive_vertex(v); }
+  [[nodiscard]] bool edge_failed(graph::EdgeId e) const override {
+    return router_.edge_failed(e);
+  }
+  [[nodiscard]] bool edge_contracted(graph::EdgeId e) const override {
+    return router_.edge_contracted(e);
+  }
+  [[nodiscard]] std::size_t failed_edge_count() const override {
+    return router_.failed_edge_count();
+  }
+  [[nodiscard]] std::size_t contracted_edge_count() const override {
+    return router_.contracted_edge_count();
+  }
   [[nodiscard]] core::CallRef call_at(graph::VertexId v) override {
     return router_.call_at(v);
   }
@@ -101,10 +113,8 @@ class RouterEngine final : public Engine {
 std::unique_ptr<Engine> make_engine(const graph::Network& net,
                                     EngineOptions opts) {
   if (opts.backend == Backend::kGreedy)
-    return std::make_unique<RouterEngine<core::SoloStore>>(
-        net, opts.blocked, opts.blocked_edges);
-  return std::make_unique<RouterEngine<core::SharedStore>>(
-      net, opts.sessions, opts.blocked, opts.blocked_edges);
+    return std::make_unique<RouterEngine<core::SoloStore>>(net);
+  return std::make_unique<RouterEngine<core::SharedStore>>(net, opts.sessions);
 }
 
 }  // namespace ftcs::svc

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "ftcs/router.hpp"
 #include "graph/digraph.hpp"
@@ -76,6 +75,11 @@ class Engine {
   virtual void uncontract_edge(graph::EdgeId e) = 0;
   virtual void kill_vertex(graph::VertexId v) = 0;
   virtual void revive_vertex(graph::VertexId v) = 0;
+  /// The overlay's switch state, read back: the fault plane keeps no copy.
+  [[nodiscard]] virtual bool edge_failed(graph::EdgeId e) const = 0;
+  [[nodiscard]] virtual bool edge_contracted(graph::EdgeId e) const = 0;
+  [[nodiscard]] virtual std::size_t failed_edge_count() const = 0;
+  [[nodiscard]] virtual std::size_t contracted_edge_count() const = 0;
   /// The call whose path holds vertex `v`, as {session, raw}; raw ==
   /// kNoRawCall when `v` carries none (core::Router::call_at). QUIESCENT
   /// ONLY, like kill_vertex: the fault plane's candidate lookup.
@@ -95,14 +99,11 @@ class Engine {
 
 /// Backend construction knobs, gathered in one options struct so new knobs
 /// compose without a positional overload. Defaults build a one-session
-/// greedy backend with no static faults.
+/// greedy backend over a healthy network.
 struct EngineOptions {
   Backend backend = Backend::kGreedy;
   /// Session count; clamped to 1 for the greedy backend, and 0 means 1.
   unsigned sessions = 1;
-  /// Static fault masks, consumed by the backend (as in core::Router).
-  std::vector<std::uint8_t> blocked;
-  std::vector<std::uint8_t> blocked_edges;
 };
 
 /// Builds the backend over `net` (which must outlive the engine).

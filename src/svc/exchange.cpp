@@ -27,9 +27,7 @@ Exchange::Exchange(const graph::Network* net,
                    std::unique_ptr<graph::Network> owned, ExchangeConfig cfg)
     : owned_net_(std::move(owned)),
       net_(owned_net_ ? owned_net_.get() : net),
-      engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions,
-                                               std::move(cfg.blocked),
-                                               std::move(cfg.blocked_edges)})),
+      engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions})),
       window_(cfg.window),
       max_queue_(cfg.max_queue),
       home_sessions_(cfg.home_sessions),
@@ -373,9 +371,7 @@ std::size_t Exchange::pending() const {
 // -------------------------------------------------------------- fault plane
 
 void Exchange::ensure_fault_state() {
-  if (!failed_switches_.empty()) return;
-  failed_switches_.resize(net_->g.edge_count());
-  stuck_switches_.resize(net_->g.edge_count());
+  if (welds_) return;
   vertex_fault_degree_.assign(net_->g.vertex_count(), 0);
   is_terminal_.assign(net_->g.vertex_count(), 0);
   for (const graph::VertexId v : net_->inputs) is_terminal_[v] = 1;
@@ -459,7 +455,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   FaultImpact impact;
   impact.event = ev;
   ensure_fault_state();
-  if (failed_switches_.test(ev.edge) || stuck_switches_.test(ev.edge))
+  if (engine_->edge_failed(ev.edge) || engine_->edge_contracted(ev.edge))
     return impact;  // already down (in either failure mode)
 
   if (ev.kind == fault::FaultEvent::Kind::kStuckOn) {
@@ -469,9 +465,6 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
     // Only the feasibility bookkeeping moves: the switch is down until
     // repaired, and the engines route across it in both directions
     // (runtime contraction).
-    stuck_switches_.set(ev.edge);
-    ++failed_switch_count_;
-    ++stuck_switch_count_;
     ++stats_.faults_stuck;
     engine_->contract_edge(ev.edge);
     if (welds_->add_weld(ev.edge)) {
@@ -491,8 +484,6 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
     return impact;
   }
 
-  failed_switches_.set(ev.edge);
-  ++failed_switch_count_;
   ++stats_.faults_injected;
   engine_->fail_edge(ev.edge);
 
@@ -519,7 +510,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
   impact.event = ev;
   ensure_fault_state();
 
-  if (stuck_switches_.test(ev.edge)) {
+  if (engine_->edge_contracted(ev.edge)) {
     // Un-welding a stuck-on contact: the switch is a normal switching
     // element again. A call that crossed it ALONG its direction keeps its
     // path (the hop is carried by the now-normal switch); a call that
@@ -527,9 +518,6 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
     // lost its conductor and is torn down + re-admitted exactly like an
     // open-failure victim. No vertex state moves (stuck-on never killed
     // any).
-    stuck_switches_.reset(ev.edge);
-    --failed_switch_count_;
-    --stuck_switch_count_;
     ++stats_.faults_repaired;
     engine_->uncontract_edge(ev.edge);
     if (welds_->remove_weld(ev.edge)) {
@@ -550,9 +538,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
     return impact;
   }
 
-  if (!failed_switches_.test(ev.edge)) return impact;  // not down
-  failed_switches_.reset(ev.edge);
-  --failed_switch_count_;
+  if (!engine_->edge_failed(ev.edge)) return impact;  // not down
   ++stats_.faults_repaired;
   const auto& edge = net_->g.edge(ev.edge);
   for (const graph::VertexId v : {edge.from, edge.to}) {
@@ -605,7 +591,7 @@ GrowthReport Exchange::grow(graph::Network grown) {
   rep.switches_added = new_e - old_e;
   rep.inputs_added = grown.inputs.size() - old_net.inputs.size();
   rep.outputs_added = grown.outputs.size() - old_net.outputs.size();
-  rep.calls_remapped = engine_->active_calls();
+  rep.calls_carried = engine_->active_calls();
 
   // Commit. The old network must stay alive until the engine has moved off
   // it, so the grown one moves into a fresh slot first and the owning
@@ -613,17 +599,11 @@ GrowthReport Exchange::grow(graph::Network grown) {
   auto next = std::make_unique<graph::Network>(std::move(grown));
   engine_->grow(*next);
 
-  if (!failed_switches_.empty()) {
-    // Fault bookkeeping keeps its ids: the switch bitsets and the vertex
-    // fault degrees extend with healthy tail entries, and the terminal
-    // flags are recomputed over the grown terminal lists.
-    util::Bitset failed2(new_e), stuck2(new_e);
-    for (graph::EdgeId e = 0; e < old_e; ++e) {
-      if (failed_switches_.test(e)) failed2.set(e);
-      if (stuck_switches_.test(e)) stuck2.set(e);
-    }
-    failed_switches_ = std::move(failed2);
-    stuck_switches_ = std::move(stuck2);
+  if (welds_) {
+    // Fault bookkeeping keeps its ids (the engine extended the switch and
+    // vertex overlay itself): the vertex fault degrees extend with healthy
+    // tail entries, and the terminal flags are recomputed over the grown
+    // terminal lists.
     vertex_fault_degree_.resize(new_v, 0);
     is_terminal_.assign(new_v, 0);
     for (const graph::VertexId v : next->inputs) is_terminal_[v] = 1;
@@ -635,13 +615,13 @@ GrowthReport Exchange::grow(graph::Network grown) {
     // welds first landed.
     welds_.emplace(*next);
     for (graph::EdgeId e = 0; e < old_e; ++e)
-      if (stuck_switches_.test(e)) (void)welds_->add_weld(e);
+      if (engine_->edge_contracted(e)) (void)welds_->add_weld(e);
   }
 
   owned_net_ = std::move(next);
   net_ = owned_net_.get();
   ++stats_.growths;
-  stats_.calls_remapped_by_growth += rep.calls_remapped;
+  stats_.calls_carried_by_growth += rep.calls_carried;
   rep.applied = true;
   rep.quiesce_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -3,7 +3,7 @@
 //
 // The paper's networks are telephone exchanges (Clos [Cl]): an exchange
 // serves calls, it does not expose raw connect(in, out) pokes at a router.
-// Exchange is that service facade. It owns the fault mask (and optionally
+// Exchange is that service facade. It owns the fault plane (and optionally
 // the network), serves typed CallRequests through a pluggable Engine
 // backend (one core::Router session on the solo store, or N sessions on the
 // shared store, selected at construction), and hands back generation-tagged CallId handles whose
@@ -58,7 +58,6 @@
 #include "ops/latency.hpp"
 #include "svc/call.hpp"
 #include "svc/engine.hpp"
-#include "util/bitset.hpp"
 #include "util/cpu_topology.hpp"
 #include "util/stat_fields.hpp"
 
@@ -93,7 +92,7 @@ struct ExchangeStats {
   std::uint64_t shorts_cleared = 0;  // shorted -> healthy again
   // Hitless-growth counters (grow()):
   std::uint64_t growths = 0;                   // growth plans applied
-  std::uint64_t calls_remapped_by_growth = 0;  // live calls carried across
+  std::uint64_t calls_carried_by_growth = 0;   // live calls carried across
   std::uint64_t calls_killed_by_growth = 0;    // always 0 by design: growth
                                                // is hitless (exported so the
                                                // invariant is observable)
@@ -127,8 +126,7 @@ struct ExchangeStats {
         {&ExchangeStats::shorts_raised, "shorts_raised_total"},
         {&ExchangeStats::shorts_cleared, "shorts_cleared_total"},
         {&ExchangeStats::growths, "growths_total"},
-        {&ExchangeStats::calls_remapped_by_growth,
-         "growth_calls_remapped_total"},
+        {&ExchangeStats::calls_carried_by_growth, "growth_calls_carried_total"},
         {&ExchangeStats::calls_killed_by_growth, "growth_calls_killed_total"},
     });
   }
@@ -237,7 +235,7 @@ struct GrowthReport {
   std::size_t switches_added = 0;  // edges (the paper's switches)
   std::size_t inputs_added = 0;
   std::size_t outputs_added = 0;
-  std::uint64_t calls_remapped = 0;  // live calls carried across the growth
+  std::uint64_t calls_carried = 0;   // live calls carried across the growth
   std::uint64_t calls_killed = 0;    // always 0: growth is hitless
   double quiesce_seconds = 0.0;      // wall time the sessions were held
 };
@@ -247,9 +245,6 @@ struct ExchangeConfig {
   /// Engine sessions (concurrent backend parallelism; clamped to 1 for the
   /// greedy backend).
   unsigned sessions = 1;
-  /// Static fault masks, owned by the Exchange (as in the routers).
-  std::vector<std::uint8_t> blocked;
-  std::vector<std::uint8_t> blocked_edges;
   /// Batched plane: drain() admits at most this many queued requests per
   /// epoch; 0 admits the whole queue.
   std::size_t window = 0;
@@ -368,14 +363,14 @@ class Exchange {
     return ev.kind == fault::FaultEvent::Kind::kRepair ? repair(ev)
                                                        : inject(ev);
   }
-  /// Switches currently down (open-failed or stuck-on; static masks
-  /// excluded).
-  [[nodiscard]] std::size_t failed_switch_count() const noexcept {
-    return failed_switch_count_;
+  /// Switches currently down, open-failed or stuck-on (the engine's
+  /// overlay, which every inject/repair updates).
+  [[nodiscard]] std::size_t failed_switch_count() const {
+    return engine_->failed_edge_count() + engine_->contracted_edge_count();
   }
   /// The stuck-on subset of failed_switch_count().
-  [[nodiscard]] std::size_t stuck_switch_count() const noexcept {
-    return stuck_switch_count_;
+  [[nodiscard]] std::size_t stuck_switch_count() const {
+    return engine_->contracted_edge_count();
   }
   /// Live Lemma 7 state: true while the current weld chain contracts two
   /// distinct terminals into one electrical node. Equivalent to
@@ -532,19 +527,16 @@ class Exchange {
   // handle_errors stay 0 here: stats() fills them in from the engine, the
   // sessions and handle_errors_.
   ExchangeStats stats_;
-  // Fault-plane bookkeeping (same single-owner contract as the sessions;
-  // sized lazily by the first event). A vertex is §6-faulty while any
-  // incident switch is OPEN-failed — vertex_fault_degree_ counts those
-  // (stuck-on switches conduct, so they never contribute).
-  util::Bitset failed_switches_;  // open failures
-  util::Bitset stuck_switches_;   // closed (stuck-on) failures
+  // Fault-plane policy (same single-owner contract as the sessions; sized
+  // lazily by the first event). The switch state itself lives in the
+  // engine's overlay. A vertex is §6-faulty while any incident switch is
+  // OPEN-failed — vertex_fault_degree_ counts those (stuck-on switches
+  // conduct, so they never contribute).
   std::vector<std::uint32_t> vertex_fault_degree_;
   std::vector<std::uint8_t> is_terminal_;
-  std::size_t failed_switch_count_ = 0;  // down switches, either mode
-  std::size_t stuck_switch_count_ = 0;
-  // Live Lemma 7 tracking (same single-owner contract; sized with the rest
-  // of the fault bookkeeping). last_alarm_ is state, not a counter: it
-  // survives reset_stats().
+  // Live Lemma 7 tracking (same single-owner contract; welds_ is emplaced
+  // with the rest of the fault bookkeeping and marks it as sized).
+  // last_alarm_ is state, not a counter: it survives reset_stats().
   std::optional<fault::WeldComponents> welds_;
   std::optional<fault::ShortAlarm> last_alarm_;
   std::uint64_t alarm_seq_ = 0;

@@ -62,16 +62,13 @@ inline bool visited_clear(const core::detail::SearchScratch& s,
 }
 
 /// A plain one-session router over `net` on `Store` (for tests that must
-/// not pay for the audit); masks as in core::Router.
+/// not pay for the audit).
 template <class Store>
-std::unique_ptr<core::Router<Store>> make_router(
-    const graph::Network& net, const std::vector<std::uint8_t>& blocked = {},
-    const std::vector<std::uint8_t>& blocked_edges = {}) {
+std::unique_ptr<core::Router<Store>> make_router(const graph::Network& net) {
   if constexpr (Store::kShared)
-    return std::make_unique<core::Router<Store>>(net, 1u, blocked,
-                                                 blocked_edges);
+    return std::make_unique<core::Router<Store>>(net, 1u);
   else
-    return std::make_unique<core::Router<Store>>(net, blocked, blocked_edges);
+    return std::make_unique<core::Router<Store>>(net);
 }
 
 /// Weld-ancestor counts recounted from scratch: entry v is the number of
@@ -118,11 +115,9 @@ inline bool joined(const graph::CsrGraph& g, graph::VertexId u,
          std::find(bwd.begin(), bwd.end(), v) != bwd.end();
 }
 
-/// Structural audit of `r` over `net` (`blocked` = the static vertex mask
-/// the router was built with, if any):
-///  - busy bits are exactly the union of every live path's vertices, the
-///    dead vertices and the blocked vertices, and no vertex lies on two
-///    live paths;
+/// Structural audit of `r` over `net`:
+///  - busy bits are exactly the union of every live path's vertices and
+///    the dead vertices, and no vertex lies on two live paths;
 ///  - each live path (its record) runs from an input terminal to an output
 ///    terminal, neither terminal reads idle, and every pair of consecutive
 ///    vertices is joined by a switch (joined());
@@ -134,7 +129,6 @@ inline bool joined(const graph::CsrGraph& g, graph::VertexId u,
 ///    live path, and no call for every other vertex.
 template <class Store>
 void audit(core::Router<Store>& r, const graph::Network& net,
-           const std::vector<std::uint8_t>& blocked = {},
            bool owner_map = false) {
   const auto terminal = [](const std::vector<graph::VertexId>& list,
                            graph::VertexId v) {
@@ -170,7 +164,7 @@ void audit(core::Router<Store>& r, const graph::Network& net,
     }
   }
   for (graph::VertexId v = 0; v < expect.size(); ++v) {
-    if (r.vertex_dead(v) || (v < blocked.size() && blocked[v])) expect[v] = 1;
+    if (r.vertex_dead(v)) expect[v] = 1;
     ASSERT_EQ(r.is_busy(v), expect[v] != 0) << "busy bit of vertex " << v;
   }
   EXPECT_EQ(r.busy_vertices(), lengths);
@@ -194,17 +188,14 @@ void audit(core::Router<Store>& r, const graph::Network& net,
 template <class Store>
 class AuditedRouter : public core::Router<Store> {
   using Base = core::Router<Store>;
-  using Bytes = std::vector<std::uint8_t>;
 
  public:
-  explicit AuditedRouter(const graph::Network& net, const Bytes& blocked = {},
-                         const Bytes& blocked_edges = {})
+  explicit AuditedRouter(const graph::Network& net)
     requires(!Store::kShared)
-      : Base(net, blocked, blocked_edges), net_(&net), blocked_(blocked) {}
-  explicit AuditedRouter(const graph::Network& net, const Bytes& blocked = {},
-                         const Bytes& blocked_edges = {})
+      : Base(net), net_(&net) {}
+  explicit AuditedRouter(const graph::Network& net)
     requires(Store::kShared)
-      : Base(net, 1u, blocked, blocked_edges), net_(&net), blocked_(blocked) {}
+      : Base(net, 1u), net_(&net) {}
 
   std::uint32_t connect(std::uint32_t in, std::uint32_t out) {
     const std::uint32_t call = Base::connect(in, out);
@@ -224,20 +215,17 @@ class AuditedRouter : public core::Router<Store> {
     check();
     return at;
   }
-  /// Grows onto `net` (which must outlive the router); the static vertex
-  /// mask extends with unblocked new vertices.
+  /// Grows onto `net` (which must outlive the router).
   void grow(const graph::Network& net) {
     Base::grow(net);
     net_ = &net;
-    if (!blocked_.empty()) blocked_.resize(net.g.vertex_count(), 0);
     check();
   }
 
  private:
-  void check() { audit<Store>(*this, *net_, blocked_, owner_map_); }
+  void check() { audit<Store>(*this, *net_, owner_map_); }
 
   const graph::Network* net_;
-  Bytes blocked_;
   bool owner_map_ = false;
 };
 

@@ -68,7 +68,7 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   // transfers only through the busy-bit CAS, so a double-claim would mean
   // the claim protocol leaked a vertex; a busy bit no live path explains
   // would mean a conflicting claim's back-off leaked it.
-  audit(router, net, {}, true);
+  audit(router, net, true);
   std::size_t total_active = 0;
   for (unsigned t = 0; t < kThreads; ++t)
     total_active += router.session(t).active_call_ids().size();

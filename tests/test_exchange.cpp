@@ -59,15 +59,13 @@ TEST(Exchange, ImmediateCallLifecycle) {
 
 TEST(Exchange, TypedRejectionsOnBothBackends) {
   const auto net = networks::build_crossbar(3);
-  // Edge (input 0 -> output 0) of the crossbar is edge id 0; blocking it
+  // Edge (input 0 -> output 0) of the crossbar is edge id 0; failing it
   // leaves the terminals idle but removes the only path between them.
-  std::vector<std::uint8_t> blocked_edges(net.g.edge_count(), 0);
-  blocked_edges[0] = 1;
   for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
     ExchangeConfig cfg;
     cfg.backend = backend;
-    cfg.blocked_edges = blocked_edges;
     Exchange ex(net, std::move(cfg));
+    ex.inject({0.0, 0, fault::FaultEvent::Kind::kFail});
     // No idle path despite idle terminals.
     const Outcome no_path = ex.call({0, 0});
     EXPECT_EQ(no_path.reject, RejectReason::kNoPath);

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "fault/fault_instance.hpp"
-#include "fault/overlay.hpp"
 #include "fault/repair.hpp"
 #include "fault/schedule.hpp"
 #include "ftcs/ft_network.hpp"
@@ -152,21 +151,6 @@ TYPED_TEST(RouterStores, FailAndRepairEdge) {
   router.repair_edge(e00);
   EXPECT_FALSE(router.edge_failed(e00));
   EXPECT_NE(router.connect(0, 0), kNone);
-}
-
-TYPED_TEST(RouterStores, RepairNeverReleasesStaticBlockedEdges) {
-  const auto net = networks::build_crossbar(3);
-  const auto e00 = edge_between(net.g, net.inputs[0], net.outputs[0]);
-  std::vector<std::uint8_t> blocked_edges(net.g.edge_count(), 0);
-  blocked_edges[e00] = 1;
-  AuditedRouter<TypeParam> router(net, {}, blocked_edges);
-  EXPECT_EQ(router.connect(0, 0), kNone);
-  // A runtime fail + repair cycle over the statically blocked switch must
-  // not resurrect it.
-  router.fail_edge(e00);
-  router.repair_edge(e00);
-  EXPECT_FALSE(router.edge_usable(e00));
-  EXPECT_EQ(router.connect(0, 0), kNone);
 }
 
 TYPED_TEST(RouterStores, KillAndReviveVertex) {
@@ -347,24 +331,29 @@ TYPED_TEST(RouterStores, StuckAndOpenSiblingsOnOneHop) {
 
 // ------------------------------ overlay == offline discard / contraction
 
-/// Routing on the FULL network under a liveness overlay, applied through
-/// the runtime primitives, reaches exactly the terminal pairs `reference`
-/// (the offline rebuilt network) reaches. `in_map`/`out_map` carry terminal
-/// indices into the rebuild (-1: discarded).
+/// Routing on the FULL network with `inst` applied through the runtime
+/// primitives reaches exactly the terminal pairs `reference` (the offline
+/// rebuilt network) reaches. The router kills the vertices of `dead` and
+/// fails every failed switch of `inst`, except that with `contract_stuck`
+/// the closed failures are contracted (welds) instead. `in_map`/`out_map`
+/// carry terminal indices into the rebuild (-1: discarded).
 template <class Store>
 void expect_overlay_matches_rebuild(const graph::Network& net,
-                                    const fault::LivenessOverlay& overlay,
+                                    const fault::FaultInstance& inst,
+                                    const std::vector<std::uint8_t>& dead,
+                                    bool contract_stuck,
                                     const graph::Network& reference,
                                     const std::vector<std::uint32_t>& in_map,
                                     const std::vector<std::uint32_t>& out_map,
                                     const std::string& what) {
   AuditedRouter<Store> router(net);
   for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
-    if (overlay.dead_vertices[v]) router.kill_vertex(v);
-  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e) {
-    if (overlay.dead_edges[e]) router.fail_edge(e);
-    if (!overlay.contracted_edges.empty() && overlay.contracted_edges[e])
-      router.contract_edge(e);
+    if (dead[v]) router.kill_vertex(v);
+  for (const fault::Failure& f : inst.failures()) {
+    if (contract_stuck && f.state == fault::SwitchState::kClosedFail)
+      router.contract_edge(f.edge);
+    else
+      router.fail_edge(f.edge);
   }
 
   core::GreedyRouter rebuilt(reference);
@@ -387,15 +376,14 @@ void expect_overlay_matches_rebuild(const graph::Network& net,
   }
 }
 
-// Overlay built from a sampled FaultInstance == repair_by_discard's rebuilt
-// network. Overlay semantics: spare_terminals = false, i.e. the §6 faulty
-// mask verbatim.
+// A sampled FaultInstance applied live == repair_by_discard's rebuilt
+// network: every failed switch fails, either mode, and the router kills
+// the instance's §6 faulty mask verbatim (terminals included).
 template <class Store>
 void expect_overlay_matches_discard(const graph::Network& net, double eps,
                                     std::uint64_t seed) {
   const fault::FaultInstance inst(net, fault::FaultModel::symmetric(eps),
                                   seed);
-  const auto overlay = fault::overlay_from_instance(inst, false);
   const auto repaired = fault::repair_by_discard(inst);
   // Terminal-index mapping into the rebuilt network.
   const auto index_map = [&](const std::vector<graph::VertexId>& old_list,
@@ -411,7 +399,8 @@ void expect_overlay_matches_discard(const graph::Network& net, double eps,
     return map;
   };
   expect_overlay_matches_rebuild<Store>(
-      net, overlay, repaired.net, index_map(net.inputs, repaired.net.inputs),
+      net, inst, inst.faulty_vertices(), false, repaired.net,
+      index_map(net.inputs, repaired.net.inputs),
       index_map(net.outputs, repaired.net.outputs),
       "discard eps " + std::to_string(eps) + " seed " + std::to_string(seed));
 }
@@ -428,18 +417,17 @@ TYPED_TEST(RouterStores, OverlayMatchesRepairByDiscard) {
                                             31);
 }
 
-// The live-contraction pin, mirroring the discard equivalence above: under
-// the kContractStuck overlay (open failures kill, stuck-on switches become
-// welds via the runtime contract_edge primitive) the router reaches exactly
-// the terminal pairs the OFFLINE contracted-and-rebuilt network
-// (repair_by_contraction) reaches.
+// The live-contraction pin, mirroring the discard equivalence above: with
+// open failures failed (their endpoints killed by the instance's
+// open_faulty_mask) and stuck-on switches welded via the runtime
+// contract_edge primitive, the router reaches exactly the terminal pairs
+// the OFFLINE contracted-and-rebuilt network (repair_by_contraction)
+// reaches.
 template <class Store>
 void expect_contraction_matches_offline(const graph::Network& net,
                                         const fault::FaultModel& model,
                                         std::uint64_t seed) {
   const fault::FaultInstance inst(net, model, seed);
-  const auto overlay = fault::overlay_from_instance(
-      inst, false, fault::OverlayMode::kContractStuck);
   const auto rebuilt = fault::repair_by_contraction(inst, false);
   // Rebuilt terminal lists keep the original order, skipping discarded
   // terminals (merged terminals share a vertex but keep distinct indices).
@@ -454,7 +442,7 @@ void expect_contraction_matches_offline(const graph::Network& net,
     return map;
   };
   expect_overlay_matches_rebuild<Store>(
-      net, overlay, rebuilt.net,
+      net, inst, inst.open_faulty_mask(false), true, rebuilt.net,
       index_map(net.inputs, rebuilt.net.inputs.size()),
       index_map(net.outputs, rebuilt.net.outputs.size()),
       "contraction on " + net.name + " seed " + std::to_string(seed));

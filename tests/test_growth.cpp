@@ -186,7 +186,7 @@ TEST(ExchangeGrowth, LiveCallsSurviveWithUnchangedPaths) {
 
     const svc::GrowthReport rep = ex.grow(doubled(ex, {3, 0}));
     ASSERT_TRUE(rep.applied) << rep.error;
-    EXPECT_EQ(rep.calls_remapped, pre.size());
+    EXPECT_EQ(rep.calls_carried, pre.size());
     EXPECT_EQ(rep.calls_killed, 0u);
     EXPECT_EQ(rep.inputs_added, n);
     EXPECT_GT(rep.switches_added, 0u);
@@ -197,7 +197,7 @@ TEST(ExchangeGrowth, LiveCallsSurviveWithUnchangedPaths) {
     for (const auto& [id, old_path] : pre) EXPECT_EQ(ex.path_of(id), old_path);
     const svc::ExchangeStats st = ex.stats();
     EXPECT_EQ(st.growths, 1u);
-    EXPECT_EQ(st.calls_remapped_by_growth, pre.size());
+    EXPECT_EQ(st.calls_carried_by_growth, pre.size());
     EXPECT_EQ(st.calls_killed_by_growth, 0u);
 
     // Handles stay first-class: hangup drains to all-idle.
@@ -413,7 +413,7 @@ TEST(ControlPlaneGrowth, KGrowAcksRealEffectsAndDeclinesARegrow) {
   ASSERT_TRUE(ack->growth.has_value());
   EXPECT_TRUE(ack->growth->applied);
   EXPECT_GT(ack->growth->switches_added, 0u);
-  EXPECT_EQ(ack->growth->calls_remapped, held.size());
+  EXPECT_EQ(ack->growth->calls_carried, held.size());
   EXPECT_EQ(ack->growth->calls_killed, 0u);
   EXPECT_NE(ack->text.find("grew to cantor-16-m4"), std::string::npos)
       << ack->text;

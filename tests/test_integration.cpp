@@ -3,7 +3,9 @@
 // surviving network.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "fault/fault_instance.hpp"
 #include "fault/repair.hpp"
@@ -14,7 +16,9 @@
 #include "ftcs/traffic.hpp"
 #include "ftcs/verify.hpp"
 #include "graph/algorithms.hpp"
+#include "networks/cantor.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ftcs::core {
 namespace {
@@ -66,10 +70,9 @@ TEST(Integration, TrafficOnDamagedFtNetwork) {
   fault::FaultInstance instance(ft.net, fault::FaultModel::symmetric(1e-3), 5);
   ASSERT_TRUE(theorem2_trial(ft, fault::FaultModel::symmetric(1e-3), 5).success());
 
-  svc::ExchangeConfig cfg;
-  cfg.blocked = instance.faulty_non_terminal_mask();
-  cfg.blocked_edges = instance.failed_edge_mask();
-  svc::Exchange exchange(ft.net, std::move(cfg));
+  svc::Exchange exchange(ft.net);
+  for (const fault::Failure& f : instance.failures())
+    exchange.inject({0.0, f.edge, fault::FaultEvent::Kind::kFail});
   TrafficParams p;
   p.arrival_rate = 1.0;
   p.mean_holding = 2.0;
@@ -82,6 +85,81 @@ TEST(Integration, TrafficOnDamagedFtNetwork) {
   EXPECT_EQ(report.blocked, 0u);
   EXPECT_EQ(report.blocked, report.service.router.rejected_no_path +
                                 report.service.router.rejected_contention);
+}
+
+// Runs `fn` on a worker of the global pool, where Exchange::drain never
+// fans out: a multi-session window then routes its chunks in session order,
+// so the batched plane's counts repeat exactly.
+template <class Fn>
+void on_pool_worker(Fn fn) {
+  util::ThreadPool& pool = util::ThreadPool::global();
+  if (!pool.can_fan_out()) {
+    fn();
+    return;
+  }
+  std::atomic<bool> claimed{false}, done{false};
+  pool.run(2, [&](std::size_t) {
+    if (!pool.can_fan_out()) {  // a worker: the first one runs fn
+      if (!claimed.exchange(true)) {
+        fn();
+        done.store(true, std::memory_order_release);
+      }
+      return;
+    }
+    while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+}
+
+struct SampledRow {
+  const char* what;
+  const graph::Network* net;
+  double eps;
+  unsigned sessions;      // > 1: the shared store's batched plane
+  double epoch_interval;  // 0: the immediate plane
+  std::size_t offered, carried, blocked;
+  std::uint64_t visits;
+};
+
+// A sampled fault instance (fault seed 1) applied to a fresh exchange as
+// one open-failure inject per failed switch, then seeded traffic. The
+// injects kill exactly the instance's faulty_non_terminal_mask() and fail
+// its failed_edge_mask() (§6 discard), and the books are pinned exactly,
+// blocking rows included.
+TEST(Integration, SampledFaultsServeExactBooks) {
+  const auto ft = build_ft_network(FtParams::sim(2, 8, 6, 1, 8));
+  const auto k6 = networks::build_cantor({6, 0});
+  const SampledRow rows[] = {
+      {"ft-nu2 solo", &ft.net, 1e-3, 1, 0.0, 3649, 3649, 0, 29291},
+      {"cantor-k6 solo", &k6, 3e-2, 1, 0.0, 6406, 6086, 320, 307479},
+      {"cantor-k6 batched x2", &k6, 3e-2, 2, 0.5, 6311, 5457, 854, 278800},
+  };
+  for (const SampledRow& row : rows) {
+    const fault::FaultInstance inst(*row.net,
+                                    fault::FaultModel::symmetric(row.eps), 1);
+    svc::ExchangeConfig cfg;
+    if (row.sessions > 1) {
+      cfg.backend = svc::Backend::kConcurrent;
+      cfg.sessions = row.sessions;
+    }
+    svc::Exchange ex(*row.net, std::move(cfg));
+    for (const fault::Failure& f : inst.failures())
+      ex.inject({0.0, f.edge, fault::FaultEvent::Kind::kFail});
+    EXPECT_EQ(ex.failed_switch_count(), inst.failures().size()) << row.what;
+    TrafficParams p;
+    p.arrival_rate = 8.0;
+    p.mean_holding = 3.0;
+    p.sim_time = 800.0;
+    p.seed = 101;
+    p.epoch_interval = row.epoch_interval;
+    TrafficReport r;
+    on_pool_worker([&] { r = simulate_traffic(ex, p); });
+    EXPECT_EQ(r.offered, row.offered) << row.what;
+    EXPECT_EQ(r.carried, row.carried) << row.what;
+    EXPECT_EQ(r.blocked, row.blocked) << row.what;
+    EXPECT_EQ(r.service.router.vertices_visited, row.visits) << row.what;
+    // The run's books are a delta: the setup injects are not in them.
+    EXPECT_EQ(r.faults_injected, 0u) << row.what;
+  }
 }
 
 TEST(Integration, ChurnOnDamagedFtNetworkNeverBlocks) {

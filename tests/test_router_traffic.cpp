@@ -43,29 +43,51 @@ TYPED_TEST(RouterStores, RejectsBusyTerminals) {
   EXPECT_EQ(router.stats().rejected_terminal, 2u);
 }
 
-// Statically blocked vertices are never routed through or claimed: a
-// blocked input reads busy and is refused at admission, and with every
-// non-terminal blocked no path exists and nothing is left claimed.
+// Killed vertices are never routed through or claimed: a killed input
+// reads busy and is refused at admission, and with every non-terminal
+// killed no path exists and nothing is left claimed.
 TYPED_TEST(RouterStores, BlockedVerticesNeverUsed) {
   {
     const auto net = networks::build_crossbar(3);
-    std::vector<std::uint8_t> blocked(net.g.vertex_count(), 0);
-    blocked[net.inputs[1]] = 1;
-    AuditedRouter<TypeParam> router(net, blocked);
+    AuditedRouter<TypeParam> router(net);
+    router.kill_vertex(net.inputs[1]);
     EXPECT_FALSE(router.input_idle(1));
     EXPECT_EQ(router.connect(1, 0), kNone);
     EXPECT_NE(router.connect(0, 0), kNone);
   }
   const auto net = networks::build_cantor({4, 0});
-  std::vector<std::uint8_t> blocked(net.g.vertex_count(), 1);
-  for (const auto v : net.inputs) blocked[v] = 0;
-  for (const auto v : net.outputs) blocked[v] = 0;
-  AuditedRouter<TypeParam> router(net, blocked);
+  AuditedRouter<TypeParam> router(net);
+  std::vector<std::uint8_t> terminal(net.g.vertex_count(), 0);
+  for (const auto v : net.inputs) terminal[v] = 1;
+  for (const auto v : net.outputs) terminal[v] = 1;
+  for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
+    if (!terminal[v]) router.kill_vertex(v);
   EXPECT_EQ(router.connect(0, 1), kNone);
   EXPECT_EQ(router.stats().rejected_no_path, 1u);
   EXPECT_EQ(router.busy_vertices(), 0u);
   EXPECT_TRUE(router.input_idle(0));
   EXPECT_TRUE(router.output_idle(1));
+}
+
+// A killed terminal is refused at admission, before any search, exactly
+// as a busy one is; reviving it puts it back in service.
+TYPED_TEST(RouterStores, KilledInputIsRefusedAsTerminal) {
+  const auto net = networks::build_crossbar(3);
+  AuditedRouter<TypeParam> router(net);
+  router.kill_vertex(net.inputs[0]);
+  EXPECT_FALSE(router.input_idle(0));
+  EXPECT_EQ(router.connect(0, 1), kNone);
+  EXPECT_EQ(router.stats().rejected_terminal, 1u);
+  EXPECT_EQ(router.stats().rejected_no_path, 0u);
+  EXPECT_EQ(router.stats().vertices_visited, 0u);
+  router.kill_vertex(net.outputs[2]);
+  EXPECT_FALSE(router.output_idle(2));
+  EXPECT_EQ(router.connect(1, 2), kNone);
+  EXPECT_EQ(router.stats().rejected_terminal, 2u);
+  EXPECT_TRUE(router.input_idle(1));  // the refusal released the input slot
+  router.revive_vertex(net.inputs[0]);
+  EXPECT_TRUE(router.input_idle(0));
+  EXPECT_NE(router.connect(0, 1), kNone);
 }
 
 TYPED_TEST(RouterStores, SlotReuseAfterDisconnect) {

@@ -67,11 +67,11 @@ REQUIRED_FAMILIES = [
     "ftcs_setup_latency_seconds",
     "ftcs_setup_latency_p50_seconds",
     "ftcs_setup_latency_p99_seconds",
-    # Hitless-growth families: growths applied, live calls remapped through
-    # the old->new id map, and calls killed by growth (0 by design — the
+    # Hitless-growth families: growths applied, live calls carried across
+    # (their ids unchanged), and calls killed by growth (0 by design — the
     # counter exists so the invariant is observable on every scrape).
     "ftcs_growths_total",
-    "ftcs_growth_calls_remapped_total",
+    "ftcs_growth_calls_carried_total",
     "ftcs_growth_calls_killed_total",
 ]
 
