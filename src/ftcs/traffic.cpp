@@ -173,14 +173,18 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
   advance(std::max(now, p.sim_time));
 
   // One set of books: every call counter is the exchange's delta over the
-  // run. (blocked covers every post-admission rejection — no-path,
-  // contention, the never-expected terminal races, and victims the fault
-  // plane could not reroute; a killed-then-rerouted call counts as carried
-  // twice, once per settled path, matching the switching work done.)
+  // run. A batched request whose terminal an earlier request of its epoch
+  // claimed first met a busy terminal, not a blocked network: it counts in
+  // terminal_busy, not offered. blocked covers the rest of the rejections
+  // — no-path, contention, and victims the fault plane could not reroute;
+  // a killed-then-rerouted call counts as carried twice, once per settled
+  // path, matching the switching work done.
   svc::ExchangeStats service = exchange.stats();
   service -= before;
   report.service = service;
-  report.offered = service.router.connect_calls;
+  report.terminal_busy += service.router.rejected_terminal;
+  report.offered =
+      service.router.connect_calls - service.router.rejected_terminal;
   report.carried = service.router.accepted;
   report.blocked = report.offered - report.carried;
   report.faults_injected = service.faults_injected;

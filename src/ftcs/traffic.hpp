@@ -56,9 +56,10 @@ struct TrafficParams {
 
 struct TrafficReport {
   // Derived from `service` (the exchange's counter delta for this run):
-  std::size_t offered = 0;  // arrivals with an idle terminal pair
+  std::size_t offered = 0;  // routings that found both terminals idle
   std::size_t carried = 0;  // successfully routed
-  std::size_t blocked = 0;  // no idle path despite idle terminals
+  std::size_t blocked = 0;  // offered - carried: no path, contention, or a
+                            // fault victim that could not be rerouted
   // Fault-plane outcome of the run (also derived from `service`):
   std::size_t faults_injected = 0;   // open switch failures applied
   std::size_t stuck_injected = 0;    // stuck-on (closed) failures applied
@@ -66,8 +67,10 @@ struct TrafficReport {
   std::size_t killed_by_fault = 0;   // live calls torn down by a fault
   std::size_t reroute_succeeded = 0; // victims reconnected on a detour
   std::size_t reroute_failed = 0;    // victims the degraded topology dropped
-  // Simulator-side bookkeeping (never reaches the exchange):
-  std::size_t terminal_busy = 0;  // arrivals dropped: no idle terminal pair
+  // Simulator-side bookkeeping:
+  std::size_t terminal_busy = 0;  // arrivals that met a busy terminal: no
+                                  // idle pair at arrival, or (batched) one
+                                  // claimed before the request routed
   double mean_active = 0.0;       // time-averaged calls in progress
   double mean_path_length = 0.0;  // vertices per carried call
   /// Exchange counter delta over the run — the authoritative books the

@@ -32,11 +32,9 @@ void ControlPlane::fill_gauges(Ack& a) const {
   if (fed_) {
     a.active_calls = fed_->active_calls();
     a.pending = fed_->pending();
-    for (unsigned m = 0; m < fed_->shards(); ++m) {
-      a.failed_switches += fed_->member(m).failed_switch_count();
-      a.stuck_switches += fed_->member(m).stuck_switch_count();
-      a.shorted = a.shorted || fed_->member(m).shorted();
-    }
+    a.failed_switches = fed_->failed_switch_count();
+    a.stuck_switches = fed_->stuck_switch_count();
+    a.shorted = fed_->shorted();
     a.trunks = fed_->trunk_gauges();
     a.half_calls = fed_->active_inter_calls();
     return;

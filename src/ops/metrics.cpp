@@ -104,11 +104,9 @@ MetricsRegistry::Sample MetricsRegistry::sample(const svc::Federation& fed) {
   last_ = s.total;
   s.active_calls = fed.active_calls();
   s.pending = fed.pending();
-  for (unsigned m = 0; m < fed.shards(); ++m) {
-    s.failed_switches += fed.member(m).failed_switch_count();
-    s.stuck_switches += fed.member(m).stuck_switch_count();
-    s.shorted = s.shorted || fed.member(m).shorted();
-  }
+  s.failed_switches = fed.failed_switch_count();
+  s.stuck_switches = fed.stuck_switch_count();
+  s.shorted = fed.shorted();
   s.shards = fed.shards();
   s.half_calls = fed.active_inter_calls();
   s.trunks = fed.trunk_gauges();

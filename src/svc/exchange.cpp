@@ -17,16 +17,7 @@ std::atomic<std::uint32_t> next_exchange_id{1};
 }  // namespace
 
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
-    : Exchange(&net, nullptr, std::move(cfg)) {}
-
-Exchange::Exchange(graph::Network&& net, ExchangeConfig cfg)
-    : Exchange(nullptr, std::make_unique<graph::Network>(std::move(net)),
-               std::move(cfg)) {}
-
-Exchange::Exchange(const graph::Network* net,
-                   std::unique_ptr<graph::Network> owned, ExchangeConfig cfg)
-    : owned_net_(std::move(owned)),
-      net_(owned_net_ ? owned_net_.get() : net),
+    : net_(&net),
       engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions})),
       window_(cfg.window),
       max_queue_(cfg.max_queue),

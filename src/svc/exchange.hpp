@@ -280,8 +280,8 @@ class Exchange {
   /// Serves calls on `net`, which must outlive the Exchange (the usual
   /// router contract — networks are shared, immutable CSR structures).
   explicit Exchange(const graph::Network& net, ExchangeConfig cfg = {});
-  /// Owning variant: the Exchange takes the network with it.
-  explicit Exchange(graph::Network&& net, ExchangeConfig cfg = {});
+  /// A temporary network would dangle.
+  explicit Exchange(graph::Network&& net, ExchangeConfig cfg = {}) = delete;
 
   Exchange(const Exchange&) = delete;
   Exchange& operator=(const Exchange&) = delete;
@@ -470,9 +470,6 @@ class Exchange {
     std::chrono::steady_clock::time_point submitted_at{};
   };
 
-  Exchange(const graph::Network* net, std::unique_ptr<graph::Network> owned,
-           ExchangeConfig cfg);
-
   CallId issue_handle(unsigned session, Engine::RawCall raw,
                       const CallRequest& req);
   /// Validates a handle: kNone if it is live here, else the typed error.
@@ -501,7 +498,7 @@ class Exchange {
   /// holds front_mu_.
   std::vector<Pending> take_window(std::size_t window);
 
-  std::unique_ptr<graph::Network> owned_net_;  // set only for the owning ctor
+  std::unique_ptr<graph::Network> owned_net_;  // set only by grow()
   const graph::Network* net_;
   std::unique_ptr<Engine> engine_;
   std::size_t window_ = 0;     // ExchangeConfig::window

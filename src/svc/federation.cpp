@@ -16,66 +16,41 @@ std::uint32_t next_federation_id() {
 }
 }  // namespace
 
-Federation::Federation(const graph::Network& member_net, unsigned shards,
-                       FederationConfig cfg)
+Federation::Federation(const graph::Network& member_net, unsigned shards)
     : net_(&member_net), id_(next_federation_id()) {
   if (shards == 0) shards = 1;
   const auto cap = static_cast<std::uint32_t>(
       std::min(member_net.inputs.size(), member_net.outputs.size()));
-  std::uint32_t subs = cfg.subscribers;
-  if (subs == 0) subs = shards == 1 ? cap : cap - cap / 4;
-  subs_ = std::min(subs, cap);
+  subs_ = shards == 1 ? cap : cap - cap / 4;
   const std::uint32_t pool = cap - subs_;  // trunk ports per member, per side
 
   members_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s)
     members_.push_back(std::make_unique<Exchange>(member_net));
   half_owner_.resize(shards);
-  out_peers_.resize(shards);
-  if (shards < 2 || pool == 0) return;
 
-  // Out-peer lists in ROTATED order (member a's list starts at a+1): each
+  // One group per ordered pair, member a's in ROTATED peer order (a+1,
+  // a+2, ...), which is the numbering group_between() computes. Each
   // member's remainder lines land on its immediate successors, and the
   // rotation spreads those extras so every member also RECEIVES exactly
   // `pool` ingress lines — both port cursors stay in range by construction.
-  std::vector<std::vector<std::uint32_t>> peers(shards);
-  for (std::uint32_t a = 0; a < shards; ++a) {
-    if (cfg.topology == FederationConfig::Topology::kFullMesh || shards <= 3) {
-      // A ring of <= 3 members IS the full mesh.
-      for (std::uint32_t d = 1; d < shards; ++d)
-        peers[a].push_back((a + d) % shards);
-    } else {
-      peers[a].push_back((a + 1) % shards);
-      peers[a].push_back((a + shards - 1) % shards);
-    }
-  }
+  // With fewer lines than peers the farthest peers get zero-line groups,
+  // whose every claim is refused (kTrunkBusy).
+  const std::uint32_t peers = shards - 1;
   std::vector<std::uint32_t> egress_cursor(shards, subs_);
   std::vector<std::uint32_t> ingress_cursor(shards, subs_);
   for (std::uint32_t a = 0; a < shards; ++a) {
-    const auto degree = static_cast<std::uint32_t>(peers[a].size());
-    for (std::uint32_t j = 0; j < degree; ++j) {
-      const std::uint32_t b = peers[a][j];
-      const std::uint32_t quota = pool / degree + (j < pool % degree ? 1 : 0);
-      if (quota == 0) continue;
-      std::vector<TrunkLine> lines;
-      lines.reserve(quota);
-      for (std::uint32_t t = 0; t < quota; ++t)
-        lines.push_back({egress_cursor[a]++, ingress_cursor[b]++});
-      const auto gid = static_cast<std::uint32_t>(groups_.size());
-      groups_.emplace_back(gid, a, b, std::move(lines));
+    for (std::uint32_t j = 0; j < peers; ++j) {
+      const std::uint32_t b = (a + 1 + j) % shards;
+      const std::uint32_t quota = pool / peers + (j < pool % peers ? 1 : 0);
+      std::vector<TrunkLine> lines(quota);
+      for (TrunkLine& ln : lines)
+        ln = {egress_cursor[a]++, ingress_cursor[b]++};
+      groups_.emplace_back(static_cast<std::uint32_t>(groups_.size()), a, b,
+                           std::move(lines));
       line_owner_.emplace_back(quota, kNoOwner);
-      out_peers_[a].push_back({b, gid});
     }
   }
-}
-
-std::optional<std::pair<std::uint32_t, std::uint32_t>> Federation::claim_trunk(
-    std::uint32_t from, std::uint32_t to) {
-  const auto group = group_between(from, to);
-  if (!group) return std::nullopt;  // topology has no direct trunks
-  const auto line = groups_[*group].claim();
-  if (!line) return std::nullopt;
-  return std::make_pair(*group, *line);
 }
 
 FedCallId Federation::commit_inter(const CallRequest& req, std::uint32_t sa,
@@ -182,14 +157,15 @@ FedOutcome Federation::call(const CallRequest& req) {
   }
   // Two-phase inter-shard setup: trunk, ingress half, egress half.
   ++stats_.inter_calls;
-  const auto claimed = claim_trunk(sa, sb);
+  const std::uint32_t g = group_between(sa, sb);
+  const auto claimed = groups_[g].claim();
   if (!claimed) {
     ++stats_.trunk_rejects;
     out.reject = RejectReason::kTrunkBusy;
     out.stage = FedStage::kTrunk;
     return out;
   }
-  const auto [g, l] = *claimed;
+  const std::uint32_t l = *claimed;
   const TrunkLine& line = groups_[g].line(l);
   const Outcome ingress = members_[sa]->call(
       {local_of(req.input), line.egress_port, req.priority, req.tag});
@@ -466,14 +442,6 @@ FedFaultImpact Federation::repair(unsigned shard, const fault::FaultEvent& ev) {
   return out;
 }
 
-std::optional<std::uint32_t> Federation::group_between(
-    std::uint32_t from, std::uint32_t to) const {
-  if (from >= out_peers_.size()) return std::nullopt;
-  for (const Peer& p : out_peers_[from])
-    if (p.to == to) return p.group;
-  return std::nullopt;
-}
-
 std::vector<TrunkGauge> Federation::trunk_gauges() const {
   std::vector<TrunkGauge> v;
   v.reserve(groups_.size());
@@ -494,6 +462,23 @@ std::size_t Federation::busy_vertices() const {
   std::size_t n = 0;
   for (const auto& m : members_) n += m->busy_vertices();
   return n;
+}
+
+std::size_t Federation::failed_switch_count() const {
+  std::size_t n = 0;
+  for (const auto& m : members_) n += m->failed_switch_count();
+  return n;
+}
+
+std::size_t Federation::stuck_switch_count() const {
+  std::size_t n = 0;
+  for (const auto& m : members_) n += m->stuck_switch_count();
+  return n;
+}
+
+bool Federation::shorted() const {
+  return std::any_of(members_.begin(), members_.end(),
+                     [](const auto& m) { return m->shorted(); });
 }
 
 FederationStats Federation::stats() const {

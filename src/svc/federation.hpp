@@ -7,7 +7,10 @@
 // recursion — terminals are sharded across member exchanges (the same
 // contiguous-range map as ExchangeConfig::home_sessions uses for sessions:
 // global terminal g lives on shard g / S at local index g % S), and a call
-// either stays inside one member or crosses a trunk:
+// either stays inside one member or crosses a trunk. The trunks form one
+// shape, the full mesh: every ordered pair of members has its own trunk
+// group, dealt from the ports above S (3/4 of the ports are subscribers
+// once there are two or more members), and group_between() computes its id.
 //
 //   - INTRA-SHARD (the hot path): shard(in) == shard(out). The request is
 //     delegated verbatim to the home member — two integer divisions and a
@@ -19,8 +22,8 @@
 //   - INTER-SHARD: a TWO-PHASE setup of two half-calls plus a trunk claim,
 //     in a fixed order with reverse-order release on any failure:
 //       1. claim a trunk line of the group toward the callee's shard
-//          (rotating first-free line scan); no free line ->
-//          RejectReason::kTrunkBusy, stage kTrunk.
+//          (rotating first-free line scan); no free line (or a zero-line
+//          group) -> RejectReason::kTrunkBusy, stage kTrunk.
 //       2. route the INGRESS half in the caller's member: local input ->
 //          the line's egress port. Failure releases the line (stage
 //          kIngress, the member's own typed reject).
@@ -239,33 +242,19 @@ struct FedFaultImpact {
   std::uint64_t reroute_failed = 0;
 };
 
-/// Members are always default exchanges: one session on the solo store.
-/// The federation's threading contract serializes every member (one thread
-/// drives calls, drains and faults), and call() routes each half on session
-/// 0, so more sessions or the shared store would only add atomics.
-struct FederationConfig {
-  /// Subscriber terminals per member: locals [0, subscribers) of both the
-  /// input and output lists; the remaining ports are the trunk pool. 0 =
-  /// every port is a subscriber for a 1-shard federation, else 3/4 of the
-  /// ports (the classic line/trunk concentration split).
-  std::uint32_t subscribers = 0;
-  /// Trunk graph shape: full mesh (every ordered shard pair gets a direct
-  /// group — small federations) or a bidirectional ring (each member trunks
-  /// only to its neighbours — the metro topology that scales to thousands
-  /// of shards without N^2 groups; offered traffic must match).
-  enum class Topology : std::uint8_t { kFullMesh, kRing };
-  Topology topology = Topology::kFullMesh;
-};
-
 class Federation {
  public:
   /// Builds `shards` member exchanges over the SHARED member network (one
   /// immutable CSR serves every member — each member owns only its busy
   /// state) and deals the trunk ports into one group per ordered pair of
-  /// trunked peers, per the config topology.
-  /// `member_net` must outlive the federation.
-  Federation(const graph::Network& member_net, unsigned shards,
-             FederationConfig cfg = {});
+  /// distinct shards (the full mesh). A 1-shard federation makes every
+  /// port a subscriber; otherwise 3/4 of the ports are subscribers and the
+  /// rest the trunk pool (the classic line/trunk concentration split).
+  /// Members are default exchanges, one session on the solo store: the
+  /// threading contract serializes every member and call() routes each
+  /// half on session 0, so more sessions or the shared store would only
+  /// add atomics. `member_net` must outlive the federation.
+  Federation(const graph::Network& member_net, unsigned shards);
 
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
@@ -347,10 +336,14 @@ class Federation {
   [[nodiscard]] const TrunkGroup& trunk_group(std::uint32_t g) const {
     return groups_[g];
   }
-  /// The group serving the ordered pair (from, to); nullopt when the
-  /// topology has no direct trunks between them.
-  [[nodiscard]] std::optional<std::uint32_t> group_between(
-      std::uint32_t from, std::uint32_t to) const;
+  /// The group serving the ordered pair (from, to), for distinct shards
+  /// below shards(): member `from`'s groups are numbered in rotated peer
+  /// order from + 1, from + 2, ... (mod shards()).
+  [[nodiscard]] std::uint32_t group_between(std::uint32_t from,
+                                            std::uint32_t to) const noexcept {
+    const auto s = static_cast<std::uint32_t>(members_.size());
+    return from * (s - 1) + (to + s - from) % s - 1;
+  }
   /// Operator-facing per-group book (ops control plane / metrics).
   [[nodiscard]] std::vector<TrunkGauge> trunk_gauges() const;
   /// Live calls across every member (half-calls count once per member).
@@ -361,6 +354,12 @@ class Federation {
   }
   /// Sum of the members' busy-vertex books (zero at federation quiescence).
   [[nodiscard]] std::size_t busy_vertices() const;
+  /// Failed switches summed over the members (Exchange::failed_switch_count).
+  [[nodiscard]] std::size_t failed_switch_count() const;
+  /// The stuck-on subset of failed_switch_count(), summed over the members.
+  [[nodiscard]] std::size_t stuck_switch_count() const;
+  /// True while any member's terminals are shorted (Exchange::shorted).
+  [[nodiscard]] bool shorted() const;
   [[nodiscard]] bool input_idle(std::uint32_t global) const {
     return members_[shard_of(global)]->input_idle(local_of(global));
   }
@@ -388,10 +387,6 @@ class Federation {
     std::chrono::steady_clock::time_point submitted_at{};
   };
 
-  /// Claims a line of the group from `from` toward `to`. Returns
-  /// {group, line} or nullopt.
-  std::optional<std::pair<std::uint32_t, std::uint32_t>> claim_trunk(
-      std::uint32_t from, std::uint32_t to);
   /// The committed-call bookkeeping shared by both planes.
   FedCallId commit_inter(const CallRequest& req, std::uint32_t sa,
                          std::uint32_t sb, std::uint32_t group,
@@ -417,12 +412,6 @@ class Federation {
   std::uint32_t id_;  // process-unique, tagged into every FedCallId
   std::vector<std::unique_ptr<Exchange>> members_;
   std::vector<TrunkGroup> groups_;
-  /// out_peers_[a] = {(b, group id a->b)}, in topology order.
-  struct Peer {
-    std::uint32_t to = 0;
-    std::uint32_t group = 0;
-  };
-  std::vector<std::vector<Peer>> out_peers_;
   /// line_owner_[g][l] = inter slot riding the line, or kNoOwner.
   std::vector<std::vector<std::uint32_t>> line_owner_;
   static constexpr std::uint32_t kNoOwner = static_cast<std::uint32_t>(-1);

@@ -1009,6 +1009,7 @@ TEST(TrafficFaults, BatchedPlaneMatchesImmediateBooksWithoutFaults) {
   const auto report = simulate_traffic(ex, p);
   EXPECT_GT(report.offered, 300u);
   EXPECT_EQ(report.carried + report.blocked, report.offered);
+  EXPECT_EQ(report.blocked, 0u);  // §4: a fault-free Cantor never blocks
   EXPECT_EQ(report.service.router.accepted, report.service.hangups);
   EXPECT_EQ(report.killed_by_fault, 0u);
   EXPECT_EQ(ex.active_calls(), 0u);

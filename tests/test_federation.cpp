@@ -31,76 +31,83 @@ std::size_t total_occupancy(const Federation& fed) {
   return n;
 }
 
-TEST(FederationShardMap, PortDealingBalancesMeshQuotas) {
-  const auto net = networks::build_cantor({4, 0});  // 16 ports per member
-  const unsigned kShards = 4;
-  Federation fed(net, kShards);
-  // Default split: 3/4 subscribers, remainder trunk ports.
-  EXPECT_EQ(fed.subscribers_per_member(), 12u);
-  EXPECT_EQ(fed.input_count(), 48u);
-  // Shard map round-trips.
-  for (std::uint32_t g = 0; g < fed.input_count(); ++g) {
-    EXPECT_EQ(fed.global_of(fed.shard_of(g), fed.local_of(g)), g);
-    EXPECT_LT(fed.shard_of(g), kShards);
-    EXPECT_LT(fed.local_of(g), fed.subscribers_per_member());
-  }
-  // Every member sends AND receives exactly `pool` = 4 lines; every trunk
-  // port is used exactly once per member per direction.
-  std::vector<std::size_t> egress_lines(kShards, 0), ingress_lines(kShards, 0);
-  std::vector<std::set<std::uint32_t>> egress_ports(kShards),
-      ingress_ports(kShards);
-  for (std::uint32_t g = 0; g < fed.trunk_group_count(); ++g) {
-    const TrunkGroup& tg = fed.trunk_group(g);
-    EXPECT_NE(tg.from(), tg.to());
-    EXPECT_GT(tg.capacity(), 0u);
-    EXPECT_EQ(tg.usable(), tg.capacity());
-    for (std::uint32_t l = 0; l < tg.capacity(); ++l) {
-      const TrunkLine& ln = tg.line(l);
-      EXPECT_GE(ln.egress_port, fed.subscribers_per_member());
-      EXPECT_LT(ln.egress_port, 16u);
-      EXPECT_GE(ln.ingress_port, fed.subscribers_per_member());
-      EXPECT_LT(ln.ingress_port, 16u);
-      EXPECT_TRUE(egress_ports[tg.from()].insert(ln.egress_port).second)
-          << "egress port reused within member " << tg.from();
-      EXPECT_TRUE(ingress_ports[tg.to()].insert(ln.ingress_port).second)
-          << "ingress port reused within member " << tg.to();
-      ++egress_lines[tg.from()];
-      ++ingress_lines[tg.to()];
-    }
-  }
-  for (unsigned m = 0; m < kShards; ++m) {
-    EXPECT_EQ(egress_lines[m], 4u) << "member " << m;
-    EXPECT_EQ(ingress_lines[m], 4u) << "member " << m;
-  }
-  // Mesh: every ordered pair has at least one direct group.
-  for (unsigned a = 0; a < kShards; ++a) {
-    for (unsigned b = 0; b < kShards; ++b) {
-      if (a != b) {
-        EXPECT_TRUE(fed.group_between(a, b).has_value());
+TEST(FederationShardMap, EveryOrderedPairHasOneGroup) {
+  for (const std::uint32_t k : {3u, 4u}) {
+    const auto net = networks::build_cantor({k, 0});
+    const auto ports = static_cast<std::uint32_t>(net.inputs.size());
+    for (unsigned shards = 2; shards <= 8; ++shards) {
+      SCOPED_TRACE(testing::Message() << "k" << k << " x " << shards);
+      Federation fed(net, shards);
+      // Default split: 3/4 subscribers, the remaining ports trunk lines.
+      const std::uint32_t subs = fed.subscribers_per_member();
+      const std::uint32_t pool = ports - subs;
+      const std::uint32_t peers = shards - 1;
+      EXPECT_EQ(subs, ports - ports / 4);
+      EXPECT_EQ(fed.input_count(), std::size_t{subs} * shards);
+      for (std::uint32_t g = 0; g < fed.input_count(); ++g) {
+        EXPECT_EQ(fed.global_of(fed.shard_of(g), fed.local_of(g)), g);
+        EXPECT_LT(fed.shard_of(g), shards);
+        EXPECT_LT(fed.local_of(g), subs);
+      }
+      ASSERT_EQ(fed.trunk_group_count(), std::size_t{shards} * peers);
+      std::set<std::uint32_t> ids;
+      for (unsigned a = 0; a < shards; ++a) {
+        for (unsigned b = 0; b < shards; ++b) {
+          if (a == b) continue;
+          const std::uint32_t g = fed.group_between(a, b);
+          ASSERT_LT(g, fed.trunk_group_count());
+          EXPECT_TRUE(ids.insert(g).second) << a << " -> " << b;
+          const TrunkGroup& tg = fed.trunk_group(g);
+          EXPECT_EQ(tg.id(), g);
+          EXPECT_EQ(tg.from(), a);
+          EXPECT_EQ(tg.to(), b);
+          // Rotated dealing: the remainder lines go to a's nearest peers.
+          const std::uint32_t j = (b + shards - a) % shards - 1;
+          EXPECT_EQ(tg.capacity(), pool / peers + (j < pool % peers ? 1 : 0));
+          EXPECT_EQ(tg.usable(), tg.capacity());
+        }
+      }
+      // Every member sends and receives exactly `pool` lines, each trunk
+      // port once per direction.
+      std::vector<std::uint32_t> sent(shards, 0), received(shards, 0);
+      std::vector<std::set<std::uint32_t>> egress(shards), ingress(shards);
+      for (std::uint32_t g = 0; g < fed.trunk_group_count(); ++g) {
+        const TrunkGroup& tg = fed.trunk_group(g);
+        for (std::uint32_t l = 0; l < tg.capacity(); ++l) {
+          const TrunkLine& ln = tg.line(l);
+          EXPECT_GE(ln.egress_port, subs);
+          EXPECT_LT(ln.egress_port, ports);
+          EXPECT_GE(ln.ingress_port, subs);
+          EXPECT_LT(ln.ingress_port, ports);
+          EXPECT_TRUE(egress[tg.from()].insert(ln.egress_port).second);
+          EXPECT_TRUE(ingress[tg.to()].insert(ln.ingress_port).second);
+          ++sent[tg.from()];
+          ++received[tg.to()];
+        }
+      }
+      for (unsigned m = 0; m < shards; ++m) {
+        EXPECT_EQ(sent[m], pool) << "member " << m;
+        EXPECT_EQ(received[m], pool) << "member " << m;
       }
     }
   }
-}
-
-TEST(FederationShardMap, RingTopologyTrunksOnlyNeighbours) {
-  const auto net = networks::build_cantor({4, 0});
-  FederationConfig cfg;
-  cfg.topology = FederationConfig::Topology::kRing;
-  Federation fed(net, 6, cfg);
-  for (unsigned a = 0; a < 6; ++a) {
-    for (unsigned b = 0; b < 6; ++b) {
-      if (a == b) continue;
-      const bool neighbour = b == (a + 1) % 6 || b == (a + 5) % 6;
-      EXPECT_EQ(fed.group_between(a, b).has_value(), neighbour)
-          << a << " -> " << b;
-    }
-  }
-  // Non-adjacent inter-shard call: no direct trunks -> typed kTrunkBusy at
-  // the trunk stage (hierarchical multi-hop routing is future work).
-  const FedOutcome o = fed.call(
-      {fed.global_of(0, 0), fed.global_of(3, 0), 0, 5});
+  // cantor-k3 has 2 trunk lines per member for 3 peers: one pair out of
+  // shard 0 has a zero-line group, and a call over it is refused at the
+  // trunk stage with nothing left behind.
+  const auto net = networks::build_cantor({3, 0});
+  Federation fed(net, 4);
+  std::optional<std::uint32_t> dark;
+  for (std::uint32_t b = 1; b < 4; ++b)
+    if (fed.trunk_group(fed.group_between(0, b)).capacity() == 0) dark = b;
+  ASSERT_TRUE(dark.has_value());
+  const FedOutcome o =
+      fed.call({fed.global_of(0, 0), fed.global_of(*dark, 0), 0, 5});
   EXPECT_EQ(o.reject, RejectReason::kTrunkBusy);
   EXPECT_EQ(o.stage, FedStage::kTrunk);
+  EXPECT_EQ(fed.stats().trunk_rejects, 1u);
+  EXPECT_EQ(total_occupancy(fed), 0u);
+  EXPECT_EQ(fed.active_inter_calls(), 0u);
+  EXPECT_EQ(fed.busy_vertices(), 0u);
 }
 
 TEST(FederationCalls, IntraFastPathNeverTouchesFederationState) {
@@ -642,9 +649,8 @@ TEST(FederationBatched, MixedTrafficDrainsAndPolls) {
 TEST(FederationBatched, TrunkExhaustionBouncesTypedWithinEpoch) {
   const auto net = networks::build_cantor({4, 0});
   Federation fed(net, 2);
-  const auto group_01 = fed.group_between(0, 1);
-  ASSERT_TRUE(group_01.has_value());
-  const std::uint32_t lines_01 = fed.trunk_group(*group_01).capacity();
+  const std::uint32_t lines_01 =
+      fed.trunk_group(fed.group_between(0, 1)).capacity();
   ASSERT_GT(lines_01, 0u);
   // Submit more 0->1 inter calls than there are trunk lines.
   const std::uint32_t want = lines_01 + 3;

@@ -131,7 +131,7 @@ TEST(Integration, SampledFaultsServeExactBooks) {
   const SampledRow rows[] = {
       {"ft-nu2 solo", &ft.net, 1e-3, 1, 0.0, 3649, 3649, 0, 29291},
       {"cantor-k6 solo", &k6, 3e-2, 1, 0.0, 6406, 6086, 320, 307479},
-      {"cantor-k6 batched x2", &k6, 3e-2, 2, 0.5, 6311, 5457, 854, 278800},
+      {"cantor-k6 batched x2", &k6, 3e-2, 2, 0.5, 5751, 5457, 294, 278800},
   };
   for (const SampledRow& row : rows) {
     const fault::FaultInstance inst(*row.net,

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "graph/matching.hpp"
 #include "graph/maxflow.hpp"
 
 namespace ftcs::graph {
@@ -119,50 +118,6 @@ TEST(MengerPaths, SourceEqualsTargetSingleton) {
   const auto paths = vertex_disjoint_paths(g.finalize(), s, t);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].size(), 1u);
-}
-
-TEST(HopcroftKarp, PerfectMatching) {
-  BipartiteMatcher m(3, 3);
-  for (std::uint32_t l = 0; l < 3; ++l)
-    for (std::uint32_t r = 0; r < 3; ++r) m.add_edge(l, r);
-  EXPECT_EQ(m.solve(), 3u);
-  std::vector<int> used(3, 0);
-  for (std::uint32_t l = 0; l < 3; ++l) {
-    const auto r = m.match_of_left(l);
-    ASSERT_LT(r, 3u);
-    EXPECT_EQ(used[r], 0);
-    used[r] = 1;
-    EXPECT_EQ(m.match_of_right(r), l);
-  }
-}
-
-TEST(HopcroftKarp, DeficientSide) {
-  // Two lefts both only like right 0.
-  BipartiteMatcher m(2, 2);
-  m.add_edge(0, 0);
-  m.add_edge(1, 0);
-  EXPECT_EQ(m.solve(), 1u);
-}
-
-TEST(HopcroftKarp, AugmentingPathNeeded) {
-  // l0-{r0}, l1-{r0,r1}: greedy could match l1-r0 and strand l0.
-  BipartiteMatcher m(2, 2);
-  m.add_edge(1, 0);
-  m.add_edge(1, 1);
-  m.add_edge(0, 0);
-  EXPECT_EQ(m.solve(), 2u);
-}
-
-TEST(HopcroftKarp, EmptyGraph) {
-  BipartiteMatcher m(3, 3);
-  EXPECT_EQ(m.solve(), 0u);
-}
-
-TEST(HopcroftKarp, SolveIdempotent) {
-  BipartiteMatcher m(2, 2);
-  m.add_edge(0, 1);
-  EXPECT_EQ(m.solve(), 1u);
-  EXPECT_EQ(m.solve(), 1u);
 }
 
 }  // namespace

@@ -112,11 +112,10 @@ TYPED_TEST(RouterStores, FullLoadOnCrossbar) {
 /// deltas — one set of books (the double-bookkeeping fix).
 void expect_report_agrees_with_stats(const TrafficReport& report) {
   const core::RouterStats& r = report.service.router;
-  EXPECT_EQ(report.offered, r.connect_calls);
+  EXPECT_EQ(report.offered, r.connect_calls - r.rejected_terminal);
   EXPECT_EQ(report.carried, r.accepted);
   EXPECT_EQ(report.carried + report.blocked, report.offered);
-  EXPECT_EQ(report.blocked,
-            r.rejected_no_path + r.rejected_contention + r.rejected_terminal);
+  EXPECT_EQ(report.blocked, r.rejected_no_path + r.rejected_contention);
   // The simulator pre-checks terminal idleness, so nothing should ever be
   // rejected at a terminal by the engine on the single-session plane.
   EXPECT_EQ(r.rejected_terminal, 0u);
