@@ -49,8 +49,9 @@
 //                                  (tools/check_metrics.py validates them)
 //   quiesce                        drain the admission queue to empty
 //   quit                           stop serving and exit
-// Acks print as `ack <command> ...` lines; the session transcript is the
-// CI artifact.
+// Acks print as `ack <command> ...` lines; a shard, switch id, trunk group
+// or line out of range acks `invalid` and names the bound. The session
+// transcript is the CI artifact.
 //
 //   $ ./telephone_exchange --daemon-solo [sessions]
 //
@@ -59,11 +60,13 @@
 // fault verb's shard must be 0). Here `grow` is LIVE: the default planner
 // doubles the exchange to 64 lines mid-churn and the ack reports switches
 // added, calls carried, calls killed (always 0) and the quiesce wall time.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -162,6 +165,7 @@ void print_ack(const ftcs::ops::Ack& a) {
     case ops::AckStatus::kOk: break;
     case ops::AckStatus::kNoop: line << " noop"; break;
     case ops::AckStatus::kUnsupported: line << " unsupported"; break;
+    case ops::AckStatus::kInvalid: line << " invalid"; break;
   }
   switch (a.kind) {
     case ops::CommandKind::kInject:
@@ -214,34 +218,22 @@ void print_ack(const ftcs::ops::Ack& a) {
                 << " occupancy=" << g.occupancy << "/" << g.usable << "/"
                 << g.capacity << " claims=" << g.claims
                 << " rejects=" << g.rejects << "\n";
-  if (a.kind == ops::CommandKind::kGrow && !a.text.empty())
-    std::cout << "  " << a.text << "\n";
+  if (!a.text.empty()) std::cout << "  " << a.text << "\n";
   std::cout.flush();
 }
-
-/// What the operator console validates a command against before posting it.
-struct ConsoleBounds {
-  /// Switch ids below this are valid; each applied grow raises it.
-  std::uint64_t switches = 0;
-  /// The fault verbs' optional shard argument must be below this.
-  std::uint64_t shards = 1;
-  /// Line count of each trunk group. Empty on a plane without trunks, whose
-  /// trunk verbs the control plane acks unsupported.
-  std::vector<std::uint32_t> trunk_lines;
-};
 
 /// The operator console of both daemons. Starts `serve(stop)` on a serving
 /// thread, then reads one command per stdin line until `quit` or EOF, posts
 /// each through `control`'s queue and prints its ack; snapshots print
-/// between marker lines for tools/check_metrics.py. Stops and joins the
-/// serving thread before returning.
+/// between marker lines for tools/check_metrics.py. The control plane
+/// checks every coordinate (shard, switch id, trunk group and line) and
+/// acks an out-of-range one `invalid`. Stops and joins the serving thread
+/// before returning.
 template <class Serve>
-void run_console(ftcs::ops::ControlPlane& control, ConsoleBounds bounds,
-                 Serve serve) {
+void run_console(ftcs::ops::ControlPlane& control, Serve serve) {
   using namespace ftcs;
   std::atomic<bool> stop{false};
   std::thread server([&] { serve(stop); });
-  const auto groups = bounds.trunk_lines.size();
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream in(line);
@@ -251,38 +243,26 @@ void run_console(ftcs::ops::ControlPlane& control, ConsoleBounds bounds,
     if (verb == "quit") break;
     ops::Command cmd;
     if (verb == "inject" || verb == "weld" || verb == "repair") {
-      std::uint64_t edge = bounds.switches;
-      in >> edge;
-      if (edge >= bounds.switches) {
-        std::cout << "error: " << verb << " needs a switch id < "
-                  << bounds.switches << "\n";
-        continue;
-      }
+      // A missing, malformed or oversized switch id narrows to kNoEdge,
+      // which no network reaches: it never wraps into range.
+      std::uint64_t edge = 0;
+      if (!(in >> edge)) edge = graph::kNoEdge;
       cmd.kind = verb == "repair" ? ops::CommandKind::kRepair
                                   : ops::CommandKind::kInject;
-      cmd.event = {0.0, static_cast<graph::EdgeId>(edge),
+      cmd.event = {0.0,
+                   static_cast<graph::EdgeId>(
+                       std::min<std::uint64_t>(edge, graph::kNoEdge)),
                    verb == "weld"     ? fault::FaultEvent::Kind::kStuckOn
                    : verb == "inject" ? fault::FaultEvent::Kind::kFail
                                       : fault::FaultEvent::Kind::kRepair};
       in >> cmd.arg;  // optional target shard, default 0
-      if (cmd.arg >= bounds.shards) {
-        std::cout << "error: " << verb << " shard must be < " << bounds.shards
-                  << "\n";
-        continue;
-      }
     } else if (verb == "trunks") {
       cmd.kind = ops::CommandKind::kTrunks;
     } else if (verb == "tfault" || verb == "trepair") {
       cmd.kind = verb == "tfault" ? ops::CommandKind::kTrunkFault
                                   : ops::CommandKind::kTrunkRepair;
-      cmd.arg = groups;
-      in >> cmd.arg >> cmd.arg2;
-      if (groups > 0 && (cmd.arg >= groups ||
-                         cmd.arg2 >= bounds.trunk_lines[cmd.arg])) {
-        std::cout << "error: " << verb << " needs GROUP < " << groups
-                  << " and LINE < that group's capacity\n";
-        continue;
-      }
+      if (!(in >> cmd.arg >> cmd.arg2))  // both coordinates are required
+        cmd.arg = std::numeric_limits<std::uint64_t>::max();
     } else if (verb == "grow") {
       cmd.kind = ops::CommandKind::kGrow;
       in >> cmd.arg;
@@ -304,9 +284,6 @@ void run_console(ftcs::ops::ControlPlane& control, ConsoleBounds bounds,
       continue;
     }
     const ops::Ack ack = control.queue().wait(control.queue().post(cmd));
-    if (ack.kind == ops::CommandKind::kGrow && ack.growth &&
-        ack.growth->applied)
-      bounds.switches += ack.growth->switches_added;  // new ids now valid
     if (ack.kind == ops::CommandKind::kSnapshot) {
       const bool is_json =
           static_cast<ops::SnapshotFormat>(cmd.arg) == ops::SnapshotFormat::kJson;
@@ -332,19 +309,15 @@ int run_daemon() {
   const auto ft = core::build_ft_network(core::FtParams::sim(2, 8, 6, 1, 5));
   svc::Federation fed(ft.net, 2);
   ops::ControlPlane control(fed, "telephone-exchange");
-  ConsoleBounds bounds;
-  bounds.switches = fed.member(0).network().g.edge_count();
-  bounds.shards = fed.shards();
-  for (std::uint32_t g = 0; g < fed.trunk_group_count(); ++g)
-    bounds.trunk_lines.push_back(fed.trunk_group(g).capacity());
 
   std::cout << "telephone exchange daemon: " << fed.shards() << " shards x "
-            << bounds.switches << " switches, " << bounds.trunk_lines.size()
-            << " trunk groups, " << fed.input_count()
+            << fed.member(0).network().g.edge_count() << " switches, "
+            << fed.trunk_group_count() << " trunk groups, "
+            << fed.input_count()
             << " subscriber lines; commands on stdin (quit to stop)\n";
   std::cout.flush();
 
-  run_console(control, std::move(bounds), [&](std::atomic<bool>& stop) {
+  run_console(control, [&](std::atomic<bool>& stop) {
     serve_loop(fed, control, stop);
   });
   fed.drain_all();
@@ -427,19 +400,15 @@ int run_daemon_solo(unsigned sessions) {
   cfg.sessions = sessions;
   svc::Exchange ex(cantor, std::move(cfg));
   ops::ControlPlane control(ex, "telephone-exchange-solo");
-  // The serving thread owns the live network, so the console tracks the
-  // switch-id bound through grow acks instead of peeking at ex.network().
-  ConsoleBounds bounds;
-  bounds.switches = cantor.g.edge_count();
 
   std::cout << "telephone exchange daemon (solo): " << cantor.name << ", "
-            << bounds.switches << " switches, " << cantor.inputs.size()
+            << cantor.g.edge_count() << " switches, " << cantor.inputs.size()
             << " subscriber lines, " << sessions
             << " sessions; commands on stdin (quit to stop; 'grow' doubles "
                "the exchange live)\n";
   std::cout.flush();
 
-  run_console(control, std::move(bounds), [&](std::atomic<bool>& stop) {
+  run_console(control, [&](std::atomic<bool>& stop) {
     solo_serve_loop(ex, control, stop);
   });
   ex.drain_all();

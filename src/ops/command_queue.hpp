@@ -67,8 +67,9 @@ struct Command {
   fault::FaultEvent event{};
   /// kGrow: planner hint (0 = planner default, i.e. double the exchange).
   /// kSnapshot: SnapshotFormat.
-  /// kTrunkFault/kTrunkRepair: trunk group id. kInject/kRepair on a
-  /// federated plane: target shard (0 on a single exchange).
+  /// kTrunkFault/kTrunkRepair: trunk group id. kInject/kRepair: target
+  /// shard (a single exchange is shard 0). The plane acks kInvalid to a
+  /// shard, switch id, group or line out of range.
   std::uint64_t arg = 0;
   /// kTrunkFault/kTrunkRepair: line index within group `arg`.
   std::uint64_t arg2 = 0;
@@ -79,6 +80,8 @@ enum class AckStatus : std::uint8_t {
   kNoop,         // idempotent fault op found the switch already in state
   kUnsupported,  // the plane cannot run this verb here (trunk verbs on a
                  // single exchange, growth without a plan, federated growth)
+  kInvalid,      // a coordinate is out of range (shard, switch id, trunk
+                 // group or line); `text` names the bound, nothing ran
 };
 
 /// One typed ack per command, delivered at the epoch boundary that executed
@@ -119,8 +122,8 @@ struct Ack {
   // kGrow: the applied (or rejected) growth — switches/ports added, calls
   // carried, calls killed (always 0), quiesce wall time.
   std::optional<svc::GrowthReport> growth;
-  // kSnapshot (serialized metrics) and kGrow (human-readable summary or
-  // rejection reason):
+  // kSnapshot (serialized metrics), kGrow (human-readable summary or
+  // rejection reason) and kInvalid / kUnsupported acks (why):
   std::string text;
 };
 

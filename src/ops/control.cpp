@@ -26,6 +26,17 @@ std::optional<graph::Network> plan_cantor_doubling(const svc::Exchange& ex) {
   return networks::grow_cantor(ex.network(), params);
 }
 
+/// Marks `a` kInvalid with the bound a coordinate broke.
+void reject_coordinate(Ack& a, const char* what, std::uint64_t value,
+                       std::uint64_t bound) {
+  a.status = AckStatus::kInvalid;
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "%s %" PRIu64 " out of range (must be < %" PRIu64 ")", what,
+                value, bound);
+  a.text = buf;
+}
+
 }  // namespace
 
 void ControlPlane::fill_gauges(Ack& a) const {
@@ -52,13 +63,22 @@ Ack ControlPlane::execute(const Command& cmd) {
   switch (cmd.kind) {
     case CommandKind::kInject:
     case CommandKind::kRepair: {
+      // Command::arg names the target shard; a single exchange is shard 0.
+      const unsigned shards = fed_ ? fed_->shards() : 1;
+      if (cmd.arg >= shards) {
+        reject_coordinate(a, "shard", cmd.arg, shards);
+        break;
+      }
+      const auto shard = static_cast<unsigned>(cmd.arg);
+      svc::Exchange& m = fed_ ? fed_->member(shard) : *ex_;
+      const std::size_t switches = m.network().g.edge_count();
+      if (cmd.event.edge >= switches) {
+        reject_coordinate(a, "switch", cmd.event.edge, switches);
+        break;
+      }
       if (fed_) {
-        // Federated fault op: Command::arg names the target shard, and the
-        // ack counts the federation's calls (see Ack): a half the member
-        // rerouted in place was never lost.
-        const unsigned shard =
-            cmd.arg < fed_->shards() ? static_cast<unsigned>(cmd.arg) : 0;
-        svc::Exchange& m = fed_->member(shard);
+        // Federated fault op: the ack counts the federation's calls (see
+        // Ack): a half the member rerouted in place was never lost.
         const std::size_t down_before = m.failed_switch_count();
         const svc::FedFaultImpact impact =
             cmd.kind == CommandKind::kInject ? fed_->inject(shard, cmd.event)
@@ -71,11 +91,11 @@ Ack ControlPlane::execute(const Command& cmd) {
         a.alarm = impact.member.alarm;
         break;
       }
-      const std::size_t down_before = ex_->failed_switch_count();
+      const std::size_t down_before = m.failed_switch_count();
       svc::FaultImpact impact = cmd.kind == CommandKind::kInject
-                                    ? ex_->inject(cmd.event)
-                                    : ex_->repair(cmd.event);
-      if (ex_->failed_switch_count() == down_before)
+                                    ? m.inject(cmd.event)
+                                    : m.repair(cmd.event);
+      if (m.failed_switch_count() == down_before)
         a.status = AckStatus::kNoop;  // idempotent: already in that state
       a.calls_killed = impact.calls_killed();
       a.reroute_succeeded = impact.reroute_succeeded;
@@ -163,7 +183,17 @@ Ack ControlPlane::execute(const Command& cmd) {
         a.text = "trunk commands need a federated control plane";
         break;
       }
+      if (cmd.arg >= fed_->trunk_group_count()) {
+        reject_coordinate(a, "trunk group", cmd.arg,
+                          fed_->trunk_group_count());
+        break;
+      }
       const auto group = static_cast<std::uint32_t>(cmd.arg);
+      const std::uint32_t lines = fed_->trunk_group(group).capacity();
+      if (cmd.arg2 >= lines) {
+        reject_coordinate(a, "trunk line", cmd.arg2, lines);
+        break;
+      }
       const auto line = static_cast<std::uint32_t>(cmd.arg2);
       const svc::TrunkFaultImpact imp = cmd.kind == CommandKind::kTrunkFault
                                             ? fed_->fail_trunk(group, line)

@@ -19,13 +19,11 @@ std::atomic<std::uint32_t> next_exchange_id{1};
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
     : net_(&net),
       engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions})),
-      window_(cfg.window),
-      max_queue_(cfg.max_queue),
       home_sessions_(cfg.home_sessions),
       qos_immediate_(cfg.qos_immediate),
-      class_deadlines_(cfg.class_deadlines),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
-      sessions_(engine_->sessions()) {
+      sessions_(engine_->sessions()),
+      front_(cfg.window, cfg.max_queue, cfg.class_deadlines) {
   // Pin the drain pool up front: every worker has re-pinned by the time
   // apply_affinity returns, so the first drain's lazily built session
   // scratch already first-touches on the pinned cpus. apply_affinity
@@ -97,7 +95,7 @@ Outcome Exchange::call(const CallRequest& req, unsigned session) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   ops::record_class(sessions_[session].classes, req.priority, o.connected(),
-                    secs, class_deadlines_);
+                    secs, front_.class_deadlines());
   return o;
 }
 
@@ -141,107 +139,10 @@ std::vector<graph::VertexId> Exchange::path_of(CallId id) const {
 
 // ------------------------------------------------------------ batched plane
 
-Ticket Exchange::submit(const CallRequest& req) {
-  return submit_impl(req, CompletionFn{});
-}
-
-Ticket Exchange::submit(const CallRequest& req, CompletionFn done) {
-  return submit_impl(req, std::move(done));
-}
-
-Ticket Exchange::submit_impl(const CallRequest& req, CompletionFn done) {
-  Ticket ticket;
-  bool refused = false;
-  {
-    std::lock_guard<std::mutex> lk(front_mu_);
-    ticket = next_ticket_++;
-    ++stats_.submitted;
-    if (max_queue_ > 0 && queue_.size() >= max_queue_) {
-      refused = true;
-      ++stats_.refused;
-      ++stats_.completed;
-      ++stats_.classes[ops::qos_class(req.priority)].rejected;
-      if (!done) {
-        Outcome o;
-        o.reject = RejectReason::kRefused;
-        o.tag = req.tag;
-        completed_.emplace(ticket, o);
-      }
-    } else {
-      queue_.push_back(Pending{req, ticket, std::move(done), 0,
-                               std::chrono::steady_clock::now()});
-      stats_.queue_high_water =
-          std::max<std::uint64_t>(stats_.queue_high_water, queue_.size());
-    }
-  }
-  if (refused && done) {
-    // Refusal callback fires on the submitting thread — there is no epoch
-    // to defer it to.
-    Outcome o;
-    o.reject = RejectReason::kRefused;
-    o.tag = req.tag;
-    done(o);
-  }
-  return ticket;
-}
-
-std::vector<Exchange::Pending> Exchange::take_window(std::size_t window) {
-  std::vector<Pending> out;
-  out.reserve(std::min(window, queue_.size()));
-  if (window >= queue_.size()) {
-    for (auto& p : queue_) out.push_back(std::move(p));
-    queue_.clear();
-    return out;
-  }
-  // Fast path: one service class queued -> plain FIFO.
-  bool uniform = true;
-  for (const auto& p : queue_)
-    if (p.req.priority != queue_.front().req.priority) {
-      uniform = false;
-      break;
-    }
-  if (uniform) {
-    for (std::size_t i = 0; i < window; ++i) {
-      out.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    return out;
-  }
-  // Mixed classes: admit the highest priorities, stable (FIFO) among
-  // equals; the admitted batch keeps arrival order.
-  std::vector<std::size_t> idx(queue_.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::stable_sort(idx.begin(), idx.end(), [this](std::size_t a, std::size_t b) {
-    return queue_[a].req.priority > queue_[b].req.priority;
-  });
-  idx.resize(window);
-  std::sort(idx.begin(), idx.end());
-  std::vector<char> taken(queue_.size(), 0);
-  for (const std::size_t i : idx) {
-    out.push_back(std::move(queue_[i]));
-    taken[i] = 1;
-  }
-  std::deque<Pending> rest;
-  for (std::size_t i = 0; i < taken.size(); ++i)
-    if (!taken[i]) rest.push_back(std::move(queue_[i]));
-  queue_ = std::move(rest);
-  return out;
-}
-
 std::size_t Exchange::drain() {
-  std::vector<Pending> batch;
-  {
-    std::lock_guard<std::mutex> lk(front_mu_);
-    if (queue_.empty()) return 0;
-    batch = take_window(window_ ? window_ : queue_.size());
-    ++stats_.epochs;
-    stats_.admitted += batch.size();
-    // Everyone still queued waits (at least) one more epoch: Deferred.
-    stats_.deferred += queue_.size();
-    for (auto& p : queue_) ++p.deferrals;
-  }
-
+  const std::vector<FrontEnd<Outcome>::Pending> batch = front_.open_epoch();
   const std::size_t m = batch.size();
+  if (m == 0) return 0;
   const unsigned s_count = engine_->sessions();
   std::vector<Outcome> outs(m);
   // Partition the window across sessions: session s routes the batch
@@ -322,20 +223,8 @@ std::size_t Exchange::drain() {
   else if (measured)
     drain_cost_.inline_epoch(ns(t1 - t0), m);
 
-  {
-    std::lock_guard<std::mutex> lk(front_mu_);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!batch[i].done) completed_.emplace(batch[i].ticket, outs[i]);
-      // Setup latency = submit -> epoch settle: every outcome of this epoch
-      // shares the settle stamp (one clock read), the queue wait dominates.
-      ops::record_class(
-          stats_.classes, batch[i].req.priority, outs[i].connected(),
-          std::chrono::duration<double>(t1 - batch[i].submitted_at).count(),
-          class_deadlines_);
-    }
-    stats_.completed += m;
-    stats_.fanout_epochs += fanned ? 1 : 0;
-  }
+  front_.close_epoch(batch, outs, t1);
+  front_.plane_rows().fanout_epochs += fanned ? 1 : 0;
   return m;
 }
 
@@ -343,20 +232,6 @@ std::size_t Exchange::drain_all() {
   std::size_t total = 0;
   while (const std::size_t n = drain()) total += n;
   return total;
-}
-
-std::optional<Outcome> Exchange::poll(Ticket ticket) {
-  std::lock_guard<std::mutex> lk(front_mu_);
-  const auto it = completed_.find(ticket);
-  if (it == completed_.end()) return std::nullopt;
-  Outcome o = it->second;
-  completed_.erase(it);
-  return o;
-}
-
-std::size_t Exchange::pending() const {
-  std::lock_guard<std::mutex> lk(front_mu_);
-  return queue_.size();
 }
 
 // -------------------------------------------------------------- fault plane
@@ -415,7 +290,7 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
     slot.live = false;
     slot.retired_by_fault = true;
     ++slot.gen;
-    ++stats_.calls_killed_by_fault;
+    ++front_.plane_rows().calls_killed_by_fault;
   }
 }
 
@@ -438,8 +313,8 @@ void Exchange::reroute_victims(FaultImpact& impact) {
     else
       ++impact.reroute_failed;
   }
-  stats_.reroute_succeeded += impact.reroute_succeeded;
-  stats_.reroute_failed += impact.reroute_failed;
+  front_.plane_rows().reroute_succeeded += impact.reroute_succeeded;
+  front_.plane_rows().reroute_failed += impact.reroute_failed;
 }
 
 FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
@@ -456,7 +331,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
     // Only the feasibility bookkeeping moves: the switch is down until
     // repaired, and the engines route across it in both directions
     // (runtime contraction).
-    ++stats_.faults_stuck;
+    ++front_.plane_rows().faults_stuck;
     engine_->contract_edge(ev.edge);
     if (welds_->add_weld(ev.edge)) {
       // This weld bridged two terminals into one electrical node: the
@@ -468,14 +343,14 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
       al.trigger = ev.edge;
       al.raised = true;
       al.seq = ++alarm_seq_;
-      ++stats_.shorts_raised;
+      ++front_.plane_rows().shorts_raised;
       last_alarm_ = al;
       impact.alarm = al;
     }
     return impact;
   }
 
-  ++stats_.faults_injected;
+  ++front_.plane_rows().faults_injected;
   engine_->fail_edge(ev.edge);
 
   // §6 vertex death: a non-terminal vertex is faulty while ANY incident
@@ -509,7 +384,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
     // lost its conductor and is torn down + re-admitted exactly like an
     // open-failure victim. No vertex state moves (stuck-on never killed
     // any).
-    ++stats_.faults_repaired;
+    ++front_.plane_rows().faults_repaired;
     engine_->uncontract_edge(ev.edge);
     if (welds_->remove_weld(ev.edge)) {
       // The clearing repair: the last terminal bridge dissolved. Echo the
@@ -520,7 +395,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
       al.trigger = ev.edge;
       al.raised = false;
       al.seq = ++alarm_seq_;
-      ++stats_.shorts_cleared;
+      ++front_.plane_rows().shorts_cleared;
       last_alarm_ = al;
       impact.alarm = al;
     }
@@ -530,7 +405,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
   }
 
   if (!engine_->edge_failed(ev.edge)) return impact;  // not down
-  ++stats_.faults_repaired;
+  ++front_.plane_rows().faults_repaired;
   const auto& edge = net_->g.edge(ev.edge);
   for (const graph::VertexId v : {edge.from, edge.to}) {
     if (!is_terminal_[v] && vertex_fault_degree_[v] > 0 &&
@@ -611,8 +486,8 @@ GrowthReport Exchange::grow(graph::Network grown) {
 
   owned_net_ = std::move(next);
   net_ = owned_net_.get();
-  ++stats_.growths;
-  stats_.calls_carried_by_growth += rep.calls_carried;
+  ++front_.plane_rows().growths;
+  front_.plane_rows().calls_carried_by_growth += rep.calls_carried;
   rep.applied = true;
   rep.quiesce_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -623,11 +498,7 @@ GrowthReport Exchange::grow(graph::Network grown) {
 // ------------------------------------------------------------ introspection
 
 ExchangeStats Exchange::stats() const {
-  ExchangeStats st;
-  {
-    std::lock_guard<std::mutex> lk(front_mu_);
-    st = stats_;
-  }
+  ExchangeStats st = front_.books();
   st.router = engine_->stats();
   for (const Session& s : sessions_) {
     st.hangups += s.hangups;
@@ -640,8 +511,7 @@ ExchangeStats Exchange::stats() const {
 
 void Exchange::reset_stats() {
   engine_->reset_stats();
-  std::lock_guard<std::mutex> lk(front_mu_);
-  stats_ = {};
+  front_.reset_books();
   for (Session& s : sessions_) {
     s.hangups = 0;
     s.classes = {};

@@ -24,9 +24,10 @@
 //     work pays for the pool's handoff (drain_fans_out). Requests beyond
 //     the window stay queued (Deferred, counted per epoch and surfaced in
 //     Outcome::deferrals); submissions at ExchangeConfig::max_queue bounce
-//     immediately (Refused). Each session routes its chunk of the window
-//     one request at a time, in window order, through the same
-//     Engine::connect as call() — see src/svc/README.md ("Batched drain").
+//     immediately (Refused); that queue is svc::FrontEnd's. Each session
+//     routes its chunk of the window one request at a time, in window
+//     order, through the same Engine::connect as call() — see
+//     src/svc/README.md ("Batched drain").
 //
 // Threading rules (full contract in svc/README.md):
 //   - submit() and poll() are thread-safe from any thread.
@@ -41,16 +42,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fault/schedule.hpp"
@@ -58,94 +55,10 @@
 #include "ops/latency.hpp"
 #include "svc/call.hpp"
 #include "svc/engine.hpp"
+#include "svc/front_end.hpp"
 #include "util/cpu_topology.hpp"
-#include "util/stat_fields.hpp"
 
 namespace ftcs::svc {
-
-/// Mergeable service-level counter block: the engines' RouterStats plus the
-/// admission front-end's queue/defer/epoch counters. operator+= aggregates
-/// across exchanges (bench summaries); operator-= takes before/after deltas
-/// (traffic reports). Every counter is a row of fields().
-struct ExchangeStats {
-  core::RouterStats router;           // merged engine counters
-  std::uint64_t submitted = 0;        // batch-plane requests enqueued
-  std::uint64_t admitted = 0;         // requests admitted into some epoch
-  std::uint64_t completed = 0;        // batch outcomes delivered
-  std::uint64_t deferred = 0;         // request-epochs spent past the window
-  std::uint64_t refused = 0;          // submissions bounced at the queue cap
-  std::uint64_t epochs = 0;           // drain() epochs run
-  std::uint64_t fanout_epochs = 0;    // epochs handed to the pool
-  std::uint64_t queue_high_water = 0; // max queue depth observed
-  std::uint64_t hangups = 0;          // successful hangups (both planes)
-  std::uint64_t handle_errors = 0;    // misuse detected: stale/foreign/double
-                                      // hangups and bad-session calls
-  // Fault-plane counters (inject()/repair()):
-  std::uint64_t faults_injected = 0;       // open switch failures applied
-  std::uint64_t faults_stuck = 0;          // stuck-on (closed) failures applied
-  std::uint64_t faults_repaired = 0;       // switch repairs applied (either)
-  std::uint64_t calls_killed_by_fault = 0; // live calls torn down by inject()
-  std::uint64_t reroute_succeeded = 0;     // victims re-admitted and carried
-  std::uint64_t reroute_failed = 0;        // victims whose re-admission failed
-  // Lemma 7 transitions observed by the live weld tracker:
-  std::uint64_t shorts_raised = 0;   // healthy -> terminals shorted
-  std::uint64_t shorts_cleared = 0;  // shorted -> healthy again
-  // Hitless-growth counters (grow()):
-  std::uint64_t growths = 0;                   // growth plans applied
-  std::uint64_t calls_carried_by_growth = 0;   // live calls carried across
-  std::uint64_t calls_killed_by_growth = 0;    // always 0 by design: growth
-                                               // is hitless (exported so the
-                                               // invariant is observable)
-  // Per-class QoS books: setup-latency histogram + served/rejected/SLA
-  // tallies per service class. Batched-plane calls are always booked;
-  // immediate-plane calls opt in via ExchangeConfig::qos_immediate.
-  ops::ClassBook classes{};
-
-  /// The field table (util/stat_fields.hpp). `router` and `classes` are
-  /// blocks of their own and merge through their own operators.
-  static constexpr auto fields() noexcept {
-    return std::to_array<util::StatField<ExchangeStats>>({
-        {&ExchangeStats::submitted, "calls_submitted_total"},
-        {&ExchangeStats::admitted, "calls_admitted_total"},
-        {&ExchangeStats::completed, "calls_completed_total"},
-        {&ExchangeStats::deferred, "calls_deferred_total"},
-        {&ExchangeStats::refused, "calls_refused_total",
-         to_string(RejectReason::kRefused)},
-        {&ExchangeStats::epochs, "epochs_total"},
-        {&ExchangeStats::fanout_epochs, "fanout_epochs_total"},
-        {&ExchangeStats::queue_high_water, "queue_high_water", nullptr,
-         util::StatKind::kMax},
-        {&ExchangeStats::hangups, "hangups_total"},
-        {&ExchangeStats::handle_errors, "handle_errors_total"},
-        {&ExchangeStats::faults_injected, "faults_injected_total"},
-        {&ExchangeStats::faults_stuck, "faults_stuck_total"},
-        {&ExchangeStats::faults_repaired, "faults_repaired_total"},
-        {&ExchangeStats::calls_killed_by_fault, "calls_killed_by_fault_total"},
-        {&ExchangeStats::reroute_succeeded, "reroute_succeeded_total"},
-        {&ExchangeStats::reroute_failed, "reroute_failed_total"},
-        {&ExchangeStats::shorts_raised, "shorts_raised_total"},
-        {&ExchangeStats::shorts_cleared, "shorts_cleared_total"},
-        {&ExchangeStats::growths, "growths_total"},
-        {&ExchangeStats::calls_carried_by_growth, "growth_calls_carried_total"},
-        {&ExchangeStats::calls_killed_by_growth, "growth_calls_killed_total"},
-    });
-  }
-  ExchangeStats& operator+=(const ExchangeStats& o) noexcept {
-    router += o.router;
-    for (std::size_t c = 0; c < ops::kQosClasses; ++c) classes[c] += o.classes[c];
-    return util::merge_fields(*this, o);
-  }
-  /// Delta of monotone counters (queue_high_water is kept, not subtracted).
-  ExchangeStats& operator-=(const ExchangeStats& o) noexcept {
-    router -= o.router;
-    for (std::size_t c = 0; c < ops::kQosClasses; ++c) classes[c] -= o.classes[c];
-    return util::subtract_fields(*this, o);
-  }
-};
-static_assert(sizeof(ExchangeStats) ==
-                  ExchangeStats::fields().size() * sizeof(std::uint64_t) +
-                      sizeof(core::RouterStats) + sizeof(ops::ClassBook),
-              "every ExchangeStats counter is a fields() row");
 
 /// drain()'s choice per multi-session epoch: route the window on the
 /// draining thread, or fan its session chunks out to the pool. Fanning out
@@ -302,15 +215,17 @@ class Exchange {
   /// Completion hook for the batched plane; runs during drain() on the
   /// thread that routes the request's session chunk: the draining thread,
   /// or a pool thread in an epoch that fans out.
-  using CompletionFn = std::function<void(const Outcome&)>;
+  using CompletionFn = FrontEnd<Outcome>::CompletionFn;
   /// Enqueues a request; the Outcome becomes available via poll(ticket)
   /// after the epoch that serves it. Thread-safe. If the admission queue is
   /// at its cap the request is Refused: its Outcome (reject == kRefused) is
   /// immediately pollable.
-  Ticket submit(const CallRequest& req);
+  Ticket submit(const CallRequest& req) { return front_.submit(req, {}); }
   /// Callback flavour: `done` is invoked with the Outcome instead of
   /// storing it for poll().
-  Ticket submit(const CallRequest& req, CompletionFn done);
+  Ticket submit(const CallRequest& req, CompletionFn done) {
+    return front_.submit(req, std::move(done));
+  }
   /// Runs one admission epoch: admits up to ExchangeConfig::window queued
   /// requests, or all of them when the window is 0 (highest priority
   /// first, FIFO among equals), routes the batch across all sessions
@@ -325,9 +240,11 @@ class Exchange {
   /// Takes the completed Outcome for `ticket` (once); nullopt if the
   /// request is still queued, was delivered via callback, or was already
   /// polled. Thread-safe.
-  [[nodiscard]] std::optional<Outcome> poll(Ticket ticket);
+  [[nodiscard]] std::optional<Outcome> poll(Ticket ticket) {
+    return front_.poll(ticket);
+  }
   /// Requests waiting in the admission queue. Thread-safe.
-  [[nodiscard]] std::size_t pending() const;
+  [[nodiscard]] std::size_t pending() const { return front_.pending(); }
 
   // --------------------------------------------------------- fault plane
   // Runtime fault injection on the live topology (§4/§6: the network keeps
@@ -460,15 +377,6 @@ class Exchange {
     // single-threaded by the session contract, merged by stats().
     ops::ClassBook classes{};
   };
-  struct Pending {
-    CallRequest req;
-    Ticket ticket = 0;
-    CompletionFn done;  // may be empty -> pollable
-    std::uint32_t deferrals = 0;
-    // Submit timestamp: batched setup latency is submit -> epoch
-    // completion, so the SLA sees queue wait plus routing.
-    std::chrono::steady_clock::time_point submitted_at{};
-  };
 
   CallId issue_handle(unsigned session, Engine::RawCall raw,
                       const CallRequest& req);
@@ -476,7 +384,6 @@ class Exchange {
   RejectReason check_handle(CallId id) const;
   Outcome route_one(const CallRequest& req, unsigned session,
                     std::uint32_t deferrals);
-  Ticket submit_impl(const CallRequest& req, CompletionFn done);
   /// Sizes the fault-plane bookkeeping on the first event (off hot paths).
   void ensure_fault_state();
   /// True iff `path` avoids `newly_dead` and the engine still carries
@@ -494,36 +401,22 @@ class Exchange {
   /// kill order; fills impact.reroutes (index-aligned) and the reroute
   /// counters. Never touches the admission queue.
   void reroute_victims(FaultImpact& impact);
-  /// Pops the admitted window (priority-ordered) off the queue. Caller
-  /// holds front_mu_.
-  std::vector<Pending> take_window(std::size_t window);
 
   std::unique_ptr<graph::Network> owned_net_;  // set only by grow()
   const graph::Network* net_;
   std::unique_ptr<Engine> engine_;
-  std::size_t window_ = 0;     // ExchangeConfig::window
-  std::size_t max_queue_ = 0;  // ExchangeConfig::max_queue
   bool home_sessions_ = false;
   bool qos_immediate_ = false;
-  std::array<double, ops::kQosClasses> class_deadlines_{};
   util::AffinityPolicy affinity_ = util::AffinityPolicy::kNone;
   std::uint32_t id_;  // process-unique, tagged into every CallId
   std::vector<Session> sessions_;
   // What the fan-out rule has measured (drain()'s threading domain).
   DrainCost drain_cost_;
 
-  // Batched front-end state, guarded by front_mu_ (never held while
-  // routing).
-  mutable std::mutex front_mu_;
-  std::deque<Pending> queue_;
-  std::unordered_map<Ticket, Outcome> completed_;
-  Ticket next_ticket_ = 1;
-  // The exchange's own counters. The front-end rows and the batched-plane
-  // class book (stats_.classes) are guarded by front_mu_; the fault-plane
-  // and growth rows follow the drain contract. stats_.router, hangups and
-  // handle_errors stay 0 here: stats() fills them in from the engine, the
-  // sessions and handle_errors_.
-  ExchangeStats stats_;
+  // The batched queue, the class deadlines and the exchange's one
+  // ExchangeStats block; drain(), the fault plane and grow() book their
+  // rows through plane_rows() under the drain contract.
+  FrontEnd<Outcome> front_;
   // Fault-plane policy (same single-owner contract as the sessions; sized
   // lazily by the first event). The switch state itself lives in the
   // engine's overlay. A vertex is §6-faulty while any incident switch is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -219,95 +218,56 @@ RejectReason Federation::hangup(FedCallId id) {
   return RejectReason::kNone;
 }
 
-Ticket Federation::submit(const CallRequest& req) {
-  return submit(req, FedCompletionFn{});
-}
-
-Ticket Federation::submit(const CallRequest& req, FedCompletionFn done) {
-  std::lock_guard<std::mutex> lk(front_mu_);
-  const Ticket t = next_ticket_++;
-  queue_.push_back(FedPending{req, t, std::move(done),
-                              std::chrono::steady_clock::now()});
-  ExchangeStats& book = stats_.members;
-  ++book.submitted;
-  book.queue_high_water =
-      std::max<std::uint64_t>(book.queue_high_water, queue_.size());
-  return t;
-}
-
 std::size_t Federation::drain() {
-  std::vector<FedPending> window;
-  {
-    std::lock_guard<std::mutex> lk(front_mu_);
-    if (queue_.empty()) return 0;
-    window.assign(std::make_move_iterator(queue_.begin()),
-                  std::make_move_iterator(queue_.end()));
-    queue_.clear();
-    ++stats_.members.epochs;
-    stats_.members.admitted += window.size();
-  }
+  const std::vector<FrontEnd<FedOutcome>::Pending> batch = front_.open_epoch();
+  if (batch.empty()) return 0;
   // Each request is served by call() in FIFO order, and its callback fires
   // on this thread before the next request routes: a batched request gets
   // the verdict, the trunk line and the abort path of the immediate plane.
-  // Its setup latency runs from submit to delivery.
-  ops::ClassBook classes{};
-  std::vector<std::pair<Ticket, FedOutcome>> polled;
-  for (FedPending& p : window) {
-    const FedOutcome o = call(p.req);
-    ops::record_class(classes, p.req.priority, o.connected(),
-                      std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - p.submitted_at)
-                          .count());
-    if (p.done)
-      p.done(o);
-    else
-      polled.emplace_back(p.ticket, o);
+  std::vector<FedOutcome> outs;
+  outs.reserve(batch.size());
+  for (const auto& p : batch) {
+    outs.push_back(call(p.req));
+    if (p.done) p.done(outs.back());
   }
-  std::lock_guard<std::mutex> lk(front_mu_);
-  completed_.insert(polled.begin(), polled.end());
-  for (std::size_t c = 0; c < ops::kQosClasses; ++c)
-    stats_.members.classes[c] += classes[c];
-  stats_.members.completed += window.size();
-  return window.size();
+  front_.close_epoch(batch, outs, std::chrono::steady_clock::now());
+  return batch.size();
 }
 
 std::size_t Federation::drain_all() {
   // drain() takes the WHOLE queue (the federation front end has no window),
   // so this terminates as soon as no new submissions arrive.
   std::size_t total = 0;
-  for (;;) {
-    const std::size_t n = drain();
-    if (n == 0) return total;
-    total += n;
-  }
+  while (const std::size_t n = drain()) total += n;
+  return total;
 }
 
-std::optional<FedOutcome> Federation::poll(Ticket ticket) {
-  std::lock_guard<std::mutex> lk(front_mu_);
-  const auto it = completed_.find(ticket);
-  if (it == completed_.end()) return std::nullopt;
-  FedOutcome o = it->second;
-  completed_.erase(it);
-  return o;
-}
-
-std::size_t Federation::pending() const {
-  std::lock_guard<std::mutex> lk(front_mu_);
-  return queue_.size();
-}
-
-FedOutcome Federation::readmit(const CallRequest& req, std::uint64_t& succeeded,
-                               std::uint64_t& failed) {
+template <class Impact>
+void Federation::kill_inter(std::uint32_t idx, Impact& impact) {
+  const InterSlot& s = slots_[idx];
+  FedOutcome dead;  // echoes the owner's handle: its generation still matches
+  dead.id.kind_ = 2;
+  dead.id.federation_ = id_;
+  dead.id.shard_ = s.sa;
+  dead.id.slot_ = idx;
+  dead.id.gen_ = s.gen;
+  dead.reject = RejectReason::kFaulted;
+  dead.shard_in = s.sa;
+  dead.shard_out = s.sb;
+  dead.trunk_group = s.group;
+  dead.tag = s.req.tag;
+  const CallRequest orig = s.req;
+  teardown_inter(idx, /*by_fault=*/true);
+  impact.killed.push_back(dead);
   // End-to-end re-admission on the immediate plane; the queue is untouched.
-  const FedOutcome o = call(req);
-  if (o.connected()) {
-    ++succeeded;
+  impact.reroutes.push_back(call(orig));
+  if (impact.reroutes.back().connected()) {
+    ++impact.reroute_succeeded;
     ++stats_.reroute_succeeded;
   } else {
-    ++failed;
+    ++impact.reroute_failed;
     ++stats_.reroute_failed;
   }
-  return o;
 }
 
 TrunkFaultImpact Federation::fail_trunk(std::uint32_t group,
@@ -319,27 +279,8 @@ TrunkFaultImpact Federation::fail_trunk(std::uint32_t group,
   imp.applied = !groups_[group].line_faulted(line);
   imp.was_busy = groups_[group].fault(line);  // idempotent on a failed line
   if (!imp.was_busy) return imp;
-  const std::uint32_t idx = line_owner_[group][line];
-  InterSlot& s = slots_[idx];
-  // Typed kFaulted death of the riding call, with the owner's retained
-  // federation handle (generation still matches at this point).
-  FedOutcome dead;
-  dead.id.kind_ = 2;
-  dead.id.federation_ = id_;
-  dead.id.shard_ = s.sa;
-  dead.id.slot_ = idx;
-  dead.id.gen_ = s.gen;
-  dead.reject = RejectReason::kFaulted;
-  dead.shard_in = s.sa;
-  dead.shard_out = s.sb;
-  dead.trunk_group = group;
-  dead.tag = s.req.tag;
-  const CallRequest orig = s.req;
-  teardown_inter(idx, /*by_fault=*/true);
   ++stats_.calls_killed_by_trunk_fault;
-  imp.killed.push_back(dead);
-  imp.reroutes.push_back(
-      readmit(orig, imp.reroute_succeeded, imp.reroute_failed));
+  kill_inter(line_owner_[group][line], imp);
   return imp;
 }
 
@@ -403,26 +344,10 @@ void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
   }
   // Halves the member could not carry: tear down the mate and the trunk,
   // then re-admit the original end-to-end request.
-  for (std::uint32_t idx : torn) {
-    InterSlot& s = slots_[idx];
-    FedOutcome dead;
-    dead.id.kind_ = 2;
-    dead.id.federation_ = id_;
-    dead.id.shard_ = s.sa;
-    dead.id.slot_ = idx;
-    dead.id.gen_ = s.gen;
-    dead.reject = RejectReason::kFaulted;
-    dead.shard_in = s.sa;
-    dead.shard_out = s.sb;
-    dead.trunk_group = s.group;
-    dead.tag = s.req.tag;
-    const CallRequest orig = s.req;
-    teardown_inter(idx, /*by_fault=*/true);
+  for (const std::uint32_t idx : torn) {
     ++out.mates_torn_down;
     ++stats_.mates_torn_down;
-    out.killed.push_back(dead);
-    out.reroutes.push_back(
-        readmit(orig, out.reroute_succeeded, out.reroute_failed));
+    kill_inter(idx, out);
   }
 }
 
@@ -482,11 +407,8 @@ bool Federation::shorted() const {
 }
 
 FederationStats Federation::stats() const {
-  FederationStats s;
-  {
-    std::lock_guard<std::mutex> lk(front_mu_);
-    s = stats_;
-  }
+  FederationStats s = stats_;
+  s.members = front_.books();
   for (const auto& m : members_) s.members += m->stats();
   for (const TrunkGroup& g : groups_) s.trunks += g.stats();
   return s;
@@ -495,7 +417,7 @@ FederationStats Federation::stats() const {
 void Federation::reset_stats() {
   for (const auto& m : members_) m->reset_stats();
   for (TrunkGroup& g : groups_) g.reset_stats();
-  std::lock_guard<std::mutex> lk(front_mu_);
+  front_.reset_books();
   stats_ = {};
 }
 

@@ -37,10 +37,10 @@
 // Both planes exist, mirroring Exchange: call()/hangup() immediate, and a
 // batched submit()/drain() plane whose drain takes the whole queue and
 // serves each request through call(), in FIFO order. There is ONE setup
-// path: the federation never uses a member's submit()/drain(), and books
-// its batched front end (submitted/admitted/completed/epochs, queue high
-// water, per-class served/rejected and submit -> delivery latency) into
-// the members' ExchangeStats rows itself.
+// path: the federation never uses a member's submit()/drain(). Its front
+// end is the Exchange's, svc::FrontEnd, with no window, cap or deadlines;
+// its rows (setup latency is submit -> epoch settle) land in
+// FederationStats::members.
 //
 // Fault planes compose:
 //   - a TRUNK fault is an edge fault of the federation graph: fail_trunk()
@@ -66,14 +66,10 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "svc/exchange.hpp"
@@ -96,7 +92,7 @@ enum class FedStage : std::uint8_t { kNone = 0, kTrunk, kIngress, kEgress };
 }
 
 /// Federation-level counter block: the merged member ExchangeStats (with
-/// the federation's own batched front-end rows booked on top) plus the
+/// the federation's own front-end rows, FrontEnd::books(), on top) plus the
 /// trunk books and the two-phase setup/teardown tallies. Mergeable and
 /// delta-able like ExchangeStats, so metrics scrapes stay exact. Every
 /// counter is a row of fields().
@@ -301,22 +297,26 @@ class Federation {
   RejectReason hangup(FedCallId id);
 
   // ------------------------------------------------------------- batched
-  using FedCompletionFn = std::function<void(const FedOutcome&)>;
+  using FedCompletionFn = FrontEnd<FedOutcome>::CompletionFn;
   /// Enqueues a request; thread-safe. Outcomes become pollable after the
   /// drain() epoch that serves them.
-  Ticket submit(const CallRequest& req);
+  Ticket submit(const CallRequest& req) { return front_.submit(req, {}); }
   /// Callback flavour: `done` fires on the draining thread.
-  Ticket submit(const CallRequest& req, FedCompletionFn done);
+  Ticket submit(const CallRequest& req, FedCompletionFn done) {
+    return front_.submit(req, std::move(done));
+  }
   /// Runs one federation admission epoch: takes every queued request and
   /// serves each through call() in FIFO order (the same trunk claim,
   /// half-calls and abort path), firing its callback before the next one
-  /// routes; pollable outcomes land at the epoch's end. Returns requests
-  /// admitted.
+  /// routes; pollable outcomes land at the epoch's end, which is also where
+  /// setup latency stops. Returns requests admitted.
   std::size_t drain();
   /// Drains until the federation queue is empty.
   std::size_t drain_all();
-  [[nodiscard]] std::optional<FedOutcome> poll(Ticket ticket);
-  [[nodiscard]] std::size_t pending() const;
+  [[nodiscard]] std::optional<FedOutcome> poll(Ticket ticket) {
+    return front_.poll(ticket);
+  }
+  [[nodiscard]] std::size_t pending() const { return front_.pending(); }
 
   // --------------------------------------------------------- fault plane
   /// Edge fault of the federation graph: fails line `line` of `group`,
@@ -380,12 +380,6 @@ class Federation {
     CallId ingress{}, egress{};
     CallRequest req;  // original GLOBAL request, for fault re-admission
   };
-  struct FedPending {
-    CallRequest req;
-    Ticket ticket = 0;
-    FedCompletionFn done;
-    std::chrono::steady_clock::time_point submitted_at{};
-  };
 
   /// The committed-call bookkeeping shared by both planes.
   FedCallId commit_inter(const CallRequest& req, std::uint32_t sa,
@@ -398,10 +392,11 @@ class Federation {
   RejectReason check_inter_handle(FedCallId id) const;
   /// Wraps a member outcome as an intra-shard federation outcome.
   FedOutcome wrap_intra(std::uint32_t shard, const Outcome& o) const;
-  /// Re-admits `req` end-to-end through call(); returns the re-admission
-  /// outcome and books the reroute counters into `succeeded` / `failed`.
-  FedOutcome readmit(const CallRequest& req, std::uint64_t& succeeded,
-                     std::uint64_t& failed);
+  /// The one fault kill path: tears live inter slot `slot` down, books its
+  /// kFaulted outcome and its end-to-end re-admission through call() into
+  /// `impact` (a TrunkFaultImpact or FedFaultImpact).
+  template <class Impact>
+  void kill_inter(std::uint32_t slot, Impact& impact);
   /// Shared half-call reconciliation behind inject()/repair().
   void reconcile_member_impact(unsigned shard, FedFaultImpact& out);
   /// half_owner_ entry for member `shard`'s handle `half` (grown on demand).
@@ -424,16 +419,10 @@ class Federation {
   std::vector<std::vector<std::uint32_t>> half_owner_;
   std::size_t live_inter_ = 0;
 
-  // Batched front-end (guarded by front_mu_, never held while routing).
-  mutable std::mutex front_mu_;
-  std::deque<FedPending> queue_;
-  std::unordered_map<Ticket, FedOutcome> completed_;
-  Ticket next_ticket_ = 1;
+  FrontEnd<FedOutcome> front_{0, 0, {}};  // whole-queue epochs, no cap
 
-  // Front-end counters. stats_.members holds only the batched front end's
-  // rows (submitted/admitted/completed/epochs/queue_high_water and the
-  // class book), guarded by front_mu_; the other rows follow the drain
-  // contract. stats() merges the members and the groups on top.
+  // Rows under the drain contract; stats() fills `members` from front_
+  // and the members.
   FederationStats stats_;
 };
 

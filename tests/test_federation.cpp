@@ -740,6 +740,109 @@ TEST(FederationBatched, FrontEndBooksCountRequests) {
   }
 }
 
+// The two batched planes share one front end: a 1-shard federation (every
+// port a subscriber, so every call is intra) and a default Exchange over
+// the same network, driven by one seeded stream of mixed-priority submits
+// (callbacks and pollable tickets), drains and hangups, return the same
+// verdict per ticket and keep the same front-end rows.
+TEST(FederationBatched, FrontEndBooksMatchTheExchange) {
+  const auto net = networks::build_cantor({4, 0});
+  for (const std::uint64_t stream : kStreams) {
+    SCOPED_TRACE(stream);
+    Federation fed(net, 1);
+    Exchange ex(net);
+    ASSERT_EQ(fed.input_count(), ex.input_count());
+    util::Xoshiro256 rng(util::derive_seed(35, stream));
+    const auto n = static_cast<std::uint32_t>(ex.input_count());
+    std::vector<Outcome> ex_done;
+    std::vector<FedOutcome> fed_done;
+    std::vector<std::pair<CallId, FedCallId>> held;
+    std::vector<Ticket> polled;  // pollable tickets not yet answered
+    std::uint64_t tag = 0;
+    for (int round = 0; round < 40; ++round) {
+      const auto burst = static_cast<std::uint32_t>(rng.below(10));
+      for (std::uint32_t i = 0; i < burst; ++i) {
+        CallRequest req;
+        req.input = static_cast<std::uint32_t>(rng.below(n));
+        req.output = static_cast<std::uint32_t>(rng.below(n));
+        req.priority = static_cast<std::uint8_t>(rng.below(5));
+        req.tag = tag++;
+        if (rng.below(2) == 0) {
+          const Ticket t = ex.submit(req);
+          EXPECT_EQ(fed.submit(req), t);
+          polled.push_back(t);
+        } else {
+          const Ticket t = ex.submit(
+              req, [&ex_done](const Outcome& o) { ex_done.push_back(o); });
+          EXPECT_EQ(fed.submit(req, [&fed_done](const FedOutcome& o) {
+                      fed_done.push_back(o);
+                    }),
+                    t);
+        }
+      }
+      EXPECT_EQ(ex.pending(), fed.pending());
+      if (rng.below(3) != 0) {  // some rounds leave the queue for the next
+        EXPECT_EQ(ex.drain(), fed.drain());
+      }
+      std::vector<Ticket> queued;
+      for (const Ticket t : polled) {
+        const std::optional<Outcome> a = ex.poll(t);
+        const std::optional<FedOutcome> b = fed.poll(t);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (!a) {
+          queued.push_back(t);
+          continue;
+        }
+        EXPECT_EQ(a->reject, b->reject);
+        EXPECT_EQ(a->tag, b->tag);
+        if (a->connected()) held.emplace_back(a->id, b->id);
+      }
+      polled = std::move(queued);
+      ASSERT_EQ(ex_done.size(), fed_done.size());
+      for (std::size_t i = 0; i < ex_done.size(); ++i) {
+        EXPECT_EQ(ex_done[i].reject, fed_done[i].reject);
+        EXPECT_EQ(ex_done[i].tag, fed_done[i].tag);
+        if (ex_done[i].connected())
+          held.emplace_back(ex_done[i].id, fed_done[i].id);
+      }
+      ex_done.clear();
+      fed_done.clear();
+      for (std::size_t drop = held.size() / 3; drop > 0; --drop) {
+        const auto idx = static_cast<std::size_t>(rng.below(held.size()));
+        EXPECT_EQ(ex.hangup(held[idx].first), RejectReason::kNone);
+        EXPECT_EQ(fed.hangup(held[idx].second), RejectReason::kNone);
+        held[idx] = held.back();
+        held.pop_back();
+      }
+    }
+    EXPECT_EQ(ex.drain_all(), fed.drain_all());
+    for (const Ticket t : polled) {
+      const std::optional<Outcome> a = ex.poll(t);
+      const std::optional<FedOutcome> b = fed.poll(t);
+      ASSERT_TRUE(a.has_value() && b.has_value());
+      EXPECT_EQ(a->reject, b->reject);
+      EXPECT_EQ(a->tag, b->tag);
+    }
+    const ExchangeStats a = ex.stats();
+    const ExchangeStats b = fed.stats().members;
+    EXPECT_EQ(a.submitted, tag);
+    EXPECT_GT(a.epochs, 0u);
+    EXPECT_EQ(a.submitted, b.submitted);
+    EXPECT_EQ(a.admitted, b.admitted);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.deferred, b.deferred);
+    EXPECT_EQ(a.refused, b.refused);
+    EXPECT_EQ(a.epochs, b.epochs);
+    EXPECT_EQ(a.queue_high_water, b.queue_high_water);
+    for (std::size_t c = 0; c < ops::kQosClasses; ++c) {
+      SCOPED_TRACE(c);
+      EXPECT_EQ(a.classes[c].served, b.classes[c].served);
+      EXPECT_EQ(a.classes[c].rejected, b.classes[c].rejected);
+      EXPECT_EQ(a.classes[c].setup.count(), b.classes[c].setup.count());
+    }
+  }
+}
+
 // Trunk faults and member faults re-admit their victims through call(): a
 // queued backlog is left as it was, and the next drain serves all of it.
 TEST(FederationBatched, BacklogSurvivesTrunkAndMemberFaults) {

@@ -25,6 +25,7 @@
 #include "ops/latency.hpp"
 #include "ops/metrics.hpp"
 #include "svc/exchange.hpp"
+#include "svc/federation.hpp"
 #include "util/prng.hpp"
 
 namespace ftcs {
@@ -755,6 +756,92 @@ TEST(StatsTable, ResetStatsZeroesEveryRowAndKeepsLiveState) {
     EXPECT_EQ(tg.usable(), usable);
     EXPECT_EQ(fed.member(1).failed_switch_count(), failed);
     EXPECT_EQ(fed.member(1).shorted(), shorted);
+  }
+}
+
+// The plane checks every operator coordinate before it touches anything: a
+// shard, switch id, trunk group or line out of range acks kInvalid with the
+// bound in its text, and no member, trunk or book moves. A solo plane is
+// one shard.
+TEST(ControlPlane, OutOfRangeCoordinatesAckInvalidAndTouchNothing) {
+  const auto values = [](const auto& stats) {
+    std::vector<std::uint64_t> v;
+    for (const FlatRow& r : flatten(stats)) v.push_back(r.value);
+    return v;
+  };
+  const auto net = networks::build_cantor({4, 0});
+  const auto switches = static_cast<graph::EdgeId>(net.g.edge_count());
+  const auto expect_invalid = [](const ops::Ack& a, const std::string& text) {
+    EXPECT_EQ(a.status, ops::AckStatus::kInvalid) << a.text;
+    EXPECT_EQ(a.text, text);
+    EXPECT_EQ(a.calls_killed, 0u);
+  };
+  {
+    svc::Federation fed(net, 2);
+    ASSERT_TRUE(
+        fed.call({fed.global_of(0, 0), fed.global_of(1, 0), 0, 1}).connected());
+    ops::ControlPlane control(fed, "f");
+    auto& q = control.queue();
+    const auto before = values(fed.stats());
+    const std::uint32_t groups = fed.trunk_group_count();
+    const std::uint32_t lines = fed.trunk_group(0).capacity();
+    // Shard 2 of 2 used to land on member 0.
+    const auto t_shard = q.post(
+        {ops::CommandKind::kInject, {0.0, 5, FaultEvent::Kind::kFail}, 2});
+    const auto t_switch = q.post(
+        {ops::CommandKind::kInject, {0.0, switches, FaultEvent::Kind::kFail},
+         1});
+    const auto t_repair = q.post({ops::CommandKind::kRepair,
+                                  {0.0, graph::kNoEdge,
+                                   FaultEvent::Kind::kRepair},
+                                  0});
+    const auto t_group = q.post({ops::CommandKind::kTrunkFault, {}, groups, 0});
+    const auto t_line = q.post({ops::CommandKind::kTrunkRepair, {}, 0, lines});
+    EXPECT_EQ(control.pump(), 5u);
+    expect_invalid(q.wait(t_shard), "shard 2 out of range (must be < 2)");
+    expect_invalid(q.wait(t_switch),
+                   "switch " + std::to_string(switches) +
+                       " out of range (must be < " + std::to_string(switches) +
+                       ")");
+    expect_invalid(q.wait(t_repair),
+                   "switch " + std::to_string(graph::kNoEdge) +
+                       " out of range (must be < " + std::to_string(switches) +
+                       ")");
+    expect_invalid(q.wait(t_group),
+                   "trunk group " + std::to_string(groups) +
+                       " out of range (must be < " + std::to_string(groups) +
+                       ")");
+    expect_invalid(q.wait(t_line),
+                   "trunk line " + std::to_string(lines) +
+                       " out of range (must be < " + std::to_string(lines) +
+                       ")");
+    for (unsigned s = 0; s < fed.shards(); ++s)
+      EXPECT_EQ(fed.member(s).failed_switch_count(), 0u) << "member " << s;
+    for (std::uint32_t g = 0; g < groups; ++g)
+      EXPECT_EQ(fed.trunk_group(g).usable(), fed.trunk_group(g).capacity());
+    EXPECT_EQ(fed.active_inter_calls(), 1u);
+    EXPECT_EQ(values(fed.stats()), before);
+  }
+  {
+    svc::Exchange ex(net);
+    ASSERT_TRUE(ex.call({0, 1, 0, 1}).connected());
+    ops::ControlPlane control(ex, "s");
+    auto& q = control.queue();
+    const auto before = values(ex.stats());
+    const auto t_switch = q.post(
+        {ops::CommandKind::kInject, {0.0, switches, FaultEvent::Kind::kFail},
+         0});
+    const auto t_shard = q.post(
+        {ops::CommandKind::kInject, {0.0, 5, FaultEvent::Kind::kStuckOn}, 1});
+    EXPECT_EQ(control.pump(), 2u);
+    expect_invalid(q.wait(t_switch),
+                   "switch " + std::to_string(switches) +
+                       " out of range (must be < " + std::to_string(switches) +
+                       ")");
+    expect_invalid(q.wait(t_shard), "shard 1 out of range (must be < 1)");
+    EXPECT_EQ(ex.failed_switch_count(), 0u);
+    EXPECT_EQ(ex.active_calls(), 1u);
+    EXPECT_EQ(values(ex.stats()), before);
   }
 }
 

@@ -27,6 +27,13 @@ Across the two formats (both blocks present):
   - the `delta` keys equal the `total` keys, in the top-level sections and
     in the `federation` section alike
 
+Front-end balance (the JSON snapshot's `total` against its `gauges`):
+  - calls_submitted_total == calls_admitted_total + calls_refused_total
+    + pending: every submitted request was admitted, refused, or is queued
+  - calls_completed_total == calls_admitted_total + calls_refused_total:
+    every admitted or refused request was delivered (snapshots are taken at
+    epoch boundaries)
+
 Fault acks (every `ack inject|repair|trunk_fault|trunk_repair` line of the
 transcript):
   - killed == rerouted + dropped: each call a fault event killed was
@@ -242,6 +249,32 @@ def check_json(text: str) -> list[str]:
     return errors
 
 
+def check_balance(text: str) -> list[str]:
+    """Checks the JSON snapshot's front-end books balance."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return []  # check_json reports it
+    total = doc.get("total", {})
+    keys = ("calls_submitted_total", "calls_admitted_total",
+            "calls_refused_total", "calls_completed_total")
+    missing = [k for k in keys if k not in total]
+    if missing or "pending" not in doc.get("gauges", {}):
+        return [f"JSON snapshot lacks the front-end books: "
+                f"{missing or ['gauges.pending']}"]
+    submitted, admitted, refused, completed = (total[k] for k in keys)
+    pending = doc["gauges"]["pending"]
+    errors: list[str] = []
+    if submitted != admitted + refused + pending:
+        errors.append(f"front end: calls_submitted_total={submitted} != "
+                      f"admitted={admitted} + refused={refused} + "
+                      f"pending={pending}")
+    if completed != admitted + refused:
+        errors.append(f"front end: calls_completed_total={completed} != "
+                      f"admitted={admitted} + refused={refused}")
+    return errors
+
+
 def check_cross(prom: str, text: str) -> list[str]:
     """Checks that the JSON counter sections and the Prometheus block export
     the same counters (the library generates both from one field table)."""
@@ -376,6 +409,22 @@ def self_test() -> int:
     assert any("'stuck_switches'" in e
                for e in check_json(json.dumps(no_stuck)))
 
+    # Front-end balance: a snapshot whose books add up passes; one that
+    # lost an admitted request (completed short of admitted + refused, and
+    # submitted short of its queue) fails both rules.
+    books = {"gauges": {"pending": 2},
+             "total": {"calls_submitted_total": 10,
+                       "calls_admitted_total": 7,
+                       "calls_refused_total": 1,
+                       "calls_completed_total": 8}}
+    assert check_balance(json.dumps(books)) == [], \
+        check_balance(json.dumps(books))
+    lost = json.loads(json.dumps(books))
+    lost["total"]["calls_admitted_total"] = 8
+    errs = check_balance(json.dumps(lost))
+    assert any("calls_submitted_total=10" in e for e in errs), errs
+    assert any("calls_completed_total=8" in e for e in errs), errs
+
     # Cross-format: JSON counter keys must name Prometheus families (or
     # reject reasons), and every delta section mirrors its total.
     counters = {"calls_submitted_total": 1, "rejects_rejected_no_path": 3}
@@ -460,6 +509,7 @@ def main() -> int:
     js = extract_block(text, JSON_BEGIN, JSON_END)
     if js is not None:
         errors += check_json(js)
+        errors += check_balance(js)
         errors += check_cross(prom, js)
     elif args.require_json:
         errors.append("no JSON snapshot block found in the session log")
