@@ -246,8 +246,7 @@ void Exchange::ensure_fault_state() {
 }
 
 bool Exchange::path_alive(std::span<const graph::VertexId> path,
-                          const std::vector<graph::VertexId>& newly_dead)
-    const {
+                          std::span<const graph::VertexId> newly_dead) const {
   for (const graph::VertexId v : path)
     if (std::find(newly_dead.begin(), newly_dead.end(), v) != newly_dead.end())
       return false;
@@ -255,7 +254,7 @@ bool Exchange::path_alive(std::span<const graph::VertexId> path,
 }
 
 void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
-                            const std::vector<graph::VertexId>& newly_dead) {
+                            std::span<const graph::VertexId> newly_dead) {
   // A switch event can only break a hop between the switch's endpoints,
   // and only they can die with it. A vertex carries at most one call, so
   // the candidates are the (at most two) calls through the endpoints; each
@@ -358,12 +357,14 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   // alive — their surviving switches keep serving (the failed one is
   // edge-dead).
   const auto& edge = net_->g.edge(ev.edge);
-  std::vector<graph::VertexId> newly_dead;
+  std::array<graph::VertexId, 2> dead{};  // at most the two endpoints
+  std::size_t dead_count = 0;
   for (const graph::VertexId v : {edge.from, edge.to}) {
     if (!is_terminal_[v] && ++vertex_fault_degree_[v] == 1)
-      newly_dead.push_back(v);
+      dead[dead_count++] = v;
     if (edge.from == edge.to) break;  // self-loop: one endpoint, one count
   }
+  const std::span<const graph::VertexId> newly_dead(dead.data(), dead_count);
 
   reap_victims(impact, edge, newly_dead);
   for (const graph::VertexId v : newly_dead) engine_->kill_vertex(v);

@@ -389,14 +389,14 @@ class Exchange {
   /// True iff `path` avoids `newly_dead` and the engine still carries
   /// every hop. A live path never crosses a vertex that was already dead.
   [[nodiscard]] bool path_alive(std::span<const graph::VertexId> path,
-                                const std::vector<graph::VertexId>& newly_dead)
+                                std::span<const graph::VertexId> newly_dead)
       const;
   /// Tears down the calls through `edge`'s endpoints whose paths are no
   /// longer alive (typed kFaulted outcomes into `impact.killed`, in
   /// (session, slot) order); busy state is released so the caller may
   /// fault-claim `newly_dead` (a subset of the endpoints) afterwards.
   void reap_victims(FaultImpact& impact, const graph::Edge& edge,
-                    const std::vector<graph::VertexId>& newly_dead);
+                    std::span<const graph::VertexId> newly_dead);
   /// Routes each of impact.killed's requests again on its own session, in
   /// kill order; fills impact.reroutes (index-aligned) and the reroute
   /// counters. Never touches the admission queue.

@@ -144,47 +144,56 @@ FedOutcome Federation::call(const CallRequest& req) {
     return out;
   }
   const std::uint32_t sa = shard_of(req.input), sb = shard_of(req.output);
+  const std::uint32_t caller = local_of(req.input);
+  const std::uint32_t callee = local_of(req.output);
   out.shard_in = sa;
   out.shard_out = sb;
   if (sa == sb) {
     // Intra-shard fast path: delegate verbatim; no federation state moves.
     ++stats_.intra_calls;
     return wrap_intra(
-        sa, members_[sa]->call(
-                {local_of(req.input), local_of(req.output), req.priority,
-                 req.tag}));
+        sa, members_[sa]->call({caller, callee, req.priority, req.tag}));
   }
-  // Two-phase inter-shard setup: trunk, ingress half, egress half.
+  // Inter-shard setup: terminals, trunk, ingress half, egress half. The
+  // terminal checks apply the member router's own idle rule (members are
+  // one-session solo exchanges and this thread owns them), so a busy caller
+  // or callee gets the verdict its half would get, kTerminalBusy, before
+  // any trunk claim or half-call.
   ++stats_.inter_calls;
+  // Every refusal books exactly one stage row.
+  const auto refuse = [&out](std::uint64_t& row, RejectReason reject,
+                             FedStage stage) {
+    ++row;
+    out.reject = reject;
+    out.stage = stage;
+    return out;
+  };
+  if (!members_[sa]->input_idle(caller))
+    return refuse(stats_.ingress_aborts, RejectReason::kTerminalBusy,
+                  FedStage::kIngress);
+  if (!members_[sb]->output_idle(callee))
+    return refuse(stats_.egress_aborts, RejectReason::kTerminalBusy,
+                  FedStage::kEgress);
   const std::uint32_t g = group_between(sa, sb);
   const auto claimed = groups_[g].claim();
-  if (!claimed) {
-    ++stats_.trunk_rejects;
-    out.reject = RejectReason::kTrunkBusy;
-    out.stage = FedStage::kTrunk;
-    return out;
-  }
+  if (!claimed)
+    return refuse(stats_.trunk_rejects, RejectReason::kTrunkBusy,
+                  FedStage::kTrunk);
   const std::uint32_t l = *claimed;
   const TrunkLine& line = groups_[g].line(l);
   const Outcome ingress = members_[sa]->call(
-      {local_of(req.input), line.egress_port, req.priority, req.tag});
+      {caller, line.egress_port, req.priority, req.tag});
   if (!ingress.connected()) {
     groups_[g].release(l);
-    ++stats_.ingress_aborts;
-    out.reject = ingress.reject;
-    out.stage = FedStage::kIngress;
-    return out;
+    return refuse(stats_.ingress_aborts, ingress.reject, FedStage::kIngress);
   }
   ++stats_.half_calls_routed;
   const Outcome egress = members_[sb]->call(
-      {line.ingress_port, local_of(req.output), req.priority, req.tag});
+      {line.ingress_port, callee, req.priority, req.tag});
   if (!egress.connected()) {
     members_[sa]->hangup(ingress.id);
     groups_[g].release(l);
-    ++stats_.egress_aborts;
-    out.reject = egress.reject;
-    out.stage = FedStage::kEgress;
-    return out;
+    return refuse(stats_.egress_aborts, egress.reject, FedStage::kEgress);
   }
   ++stats_.half_calls_routed;
   out.id = commit_inter(req, sa, sb, g, l, ingress.id, egress.id);

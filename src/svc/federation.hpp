@@ -21,6 +21,10 @@
 //
 //   - INTER-SHARD: a TWO-PHASE setup of two half-calls plus a trunk claim,
 //     in a fixed order with reverse-order release on any failure:
+//       0. check both terminals with the members' own idle rule: a busy
+//          caller -> kTerminalBusy, stage kIngress; a busy callee ->
+//          kTerminalBusy, stage kEgress. Nothing is claimed or routed, and
+//          no member sees the request.
 //       1. claim a trunk line of the group toward the callee's shard
 //          (rotating first-free line scan); no free line (or a zero-line
 //          group) -> RejectReason::kTrunkBusy, stage kTrunk.
@@ -101,13 +105,15 @@ struct FederationStats {
   TrunkGroupStats trunks;  // merged across every trunk group
   // Federation front-end books:
   std::uint64_t intra_calls = 0;      // requests served on the intra fast path
+  // Every inter-shard setup ends exactly one way: inter_calls ==
+  // inter_connected + trunk_rejects + ingress_aborts + egress_aborts.
   std::uint64_t inter_calls = 0;      // inter-shard setups attempted
   std::uint64_t inter_connected = 0;  // trunk + both halves committed
   std::uint64_t trunk_rejects = 0;    // setups bounced kTrunkBusy
-  std::uint64_t ingress_aborts = 0;   // setups that released the trunk after
-                                      // the ingress half failed
-  std::uint64_t egress_aborts = 0;    // setups that tore down ingress + trunk
-                                      // after the egress half failed
+  std::uint64_t ingress_aborts = 0;   // setups refused at the ingress stage
+                                      // (busy caller, or the half failed)
+  std::uint64_t egress_aborts = 0;    // setups refused at the egress stage
+                                      // (busy callee, or the half failed)
   std::uint64_t half_calls_routed = 0;  // member half-calls that connected
   std::uint64_t inter_hangups = 0;      // committed inter calls torn down
   // Composed fault plane:

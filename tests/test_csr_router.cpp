@@ -7,7 +7,9 @@
 //  - connect()/disconnect() perform no heap allocation once the session's
 //    scratch exists, on both stores (the typed RouterStores suite),
 //    verified by a counting global operator new; also under welds, whose
-//    reverse hops make paths longer than the stage count;
+//    reverse hops make paths longer than the stage count; and an
+//    Exchange's open-switch inject that kills no call allocates nothing
+//    once its fault books exist;
 //  - the path records: a churn long enough to compact each session's
 //    record store many times keeps every live call's path equal to the
 //    path it settled.
@@ -24,6 +26,7 @@
 #include "graph/digraph.hpp"
 #include "networks/cantor.hpp"
 #include "networks/superconcentrator.hpp"
+#include "svc/exchange.hpp"
 #include "util/prng.hpp"
 #include "router_stores.hpp"
 
@@ -346,6 +349,56 @@ TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocationUnderWelds) {
   EXPECT_EQ(g_alloc_count.load(), allocs_before)
       << "connect()/disconnect() allocated under welds";
   EXPECT_GT(longest, stages) << "no path crossed a weld backwards";
+}
+
+// The fault plane's open-switch path: an inject's newly dead endpoints
+// live on the stack, so once the first inject has sized the fault books,
+// an open fault that kills no call allocates nothing. One counted inject
+// hits the live call's input terminal (a terminal never dies), so the
+// victim check judges that call and finds its path alive; the others miss
+// every call.
+TEST(ExchangeFaultPlane, OpenInjectThatKillsNoCallPerformsNoHeapAllocation) {
+  const auto net = networks::build_cantor({5, 0});
+  svc::Exchange ex(net);
+  const svc::Outcome held = ex.call({0, 1, 0, 0});
+  ASSERT_TRUE(held.connected());
+  const std::vector<graph::VertexId> path = ex.path_of(held.id);
+  ASSERT_GE(path.size(), 2u);
+  const auto on_path = [&](graph::VertexId v) {
+    return std::find(path.begin(), path.end(), v) != path.end();
+  };
+  const auto open = [](graph::EdgeId e) {
+    fault::FaultEvent ev;
+    ev.edge = e;
+    ev.kind = fault::FaultEvent::Kind::kFail;
+    return ev;
+  };
+  // Switches off the call's path, and one from its input terminal to a
+  // vertex off the path.
+  std::vector<graph::EdgeId> misses;
+  graph::EdgeId from_terminal = net.g.edge_count();
+  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e) {
+    const graph::Edge& edge = net.g.edge(e);
+    if (!on_path(edge.from) && !on_path(edge.to)) {
+      if (misses.size() < 4) misses.push_back(e);
+    } else if (edge.from == path.front() && !on_path(edge.to)) {
+      from_terminal = e;
+    }
+  }
+  ASSERT_EQ(misses.size(), 4u);
+  ASSERT_LT(from_terminal, net.g.edge_count());
+
+  ASSERT_TRUE(ex.inject(open(misses[0])).killed.empty());  // warmup
+  const std::uint64_t allocs_before = g_alloc_count.load();
+  std::size_t killed = 0;
+  killed += ex.inject(open(from_terminal)).calls_killed();
+  for (std::size_t i = 1; i < misses.size(); ++i)
+    killed += ex.inject(open(misses[i])).calls_killed();
+  const std::uint64_t allocs = g_alloc_count.load() - allocs_before;
+  EXPECT_EQ(killed, 0u);
+  EXPECT_EQ(allocs, 0u) << "an open inject that killed no call allocated";
+  EXPECT_EQ(ex.failed_switch_count(), misses.size() + 1);
+  EXPECT_EQ(ex.hangup(held.id), svc::RejectReason::kNone);
 }
 
 // A call reuses its slot's last record when the path fits, so on a network

@@ -1,5 +1,6 @@
 // svc::Federation — shard map, intra fast path, two-phase inter-shard setup
-// with reverse-order abort, trunk-line claims, the composed fault planes
+// with busy terminals refused before the trunk stage and reverse-order
+// abort after it, trunk-line claims, the composed fault planes
 // (trunk edge faults, member faults with half-call reconciliation), the
 // batched plane, and exact book balance after abort/fault storms on two
 // random streams.
@@ -252,15 +253,16 @@ TEST(FederationCalls, HandleSafetyNullForeignAndBadTerminal) {
   EXPECT_EQ(bad.reject, RejectReason::kBadSession);
 }
 
-/// Drives typed per-stage aborts: each failure point must release every
-/// prior claim (trunk line, ingress half).
+/// Drives typed per-stage refusals: a busy terminal is refused before the
+/// trunk stage and a full trunk group before either half, so no stage
+/// leaves a claim (trunk line, ingress half) behind.
 TEST(FederationTwoPhase, AbortPathsReleaseEverything) {
   const auto net = networks::build_cantor({4, 0});
   Federation fed(net, 2);
   const std::uint32_t subs = fed.subscribers_per_member();
 
-  // INGRESS abort: caller's input is already busy -> member typed reject,
-  // stage kIngress, the just-claimed trunk line released.
+  // INGRESS refusal: the caller's input is already busy -> kTerminalBusy
+  // at stage kIngress, before any trunk line is claimed.
   const FedOutcome hold_in = fed.call({0, 1, 0, 0});
   ASSERT_TRUE(hold_in.connected());
   const FedOutcome a = fed.call({0, fed.global_of(1, 0), 0, 1});
@@ -270,8 +272,8 @@ TEST(FederationTwoPhase, AbortPathsReleaseEverything) {
   EXPECT_EQ(fed.stats().ingress_aborts, 1u);
   EXPECT_EQ(fed.hangup(hold_in.id), RejectReason::kNone);
 
-  // EGRESS abort: callee's output busy -> ingress half torn down again,
-  // trunk released, stage kEgress.
+  // EGRESS refusal: the callee's output is busy -> kTerminalBusy at stage
+  // kEgress, before the trunk claim and the ingress half.
   const FedOutcome hold_out = fed.call(
       {fed.global_of(1, 2), fed.global_of(1, 3), 0, 0});
   ASSERT_TRUE(hold_out.connected());
@@ -279,7 +281,7 @@ TEST(FederationTwoPhase, AbortPathsReleaseEverything) {
   const FedOutcome b = fed.call({fed.global_of(0, 4), fed.global_of(1, 3), 0, 2});
   EXPECT_EQ(b.reject, RejectReason::kTerminalBusy);
   EXPECT_EQ(b.stage, FedStage::kEgress);
-  EXPECT_EQ(fed.member(0).active_calls(), m0_before);  // ingress rolled back
+  EXPECT_EQ(fed.member(0).active_calls(), m0_before);  // no ingress half
   EXPECT_EQ(total_occupancy(fed), 0u);
   EXPECT_EQ(fed.stats().egress_aborts, 1u);
   EXPECT_EQ(fed.hangup(hold_out.id), RejectReason::kNone);
@@ -303,6 +305,87 @@ TEST(FederationTwoPhase, AbortPathsReleaseEverything) {
   for (const FedCallId id : held) EXPECT_EQ(fed.hangup(id), RejectReason::kNone);
   EXPECT_EQ(total_occupancy(fed), 0u);
   EXPECT_EQ(fed.busy_vertices(), 0u);
+}
+
+/// The books a busy-terminal refusal must leave alone: it reaches no member
+/// and claims no trunk line.
+struct SetupWork {
+  std::uint64_t claims, half_calls, m0_connects, m1_connects, m0_terminal,
+      m1_terminal;
+  std::size_t occupancy;
+  explicit SetupWork(const Federation& fed)
+      : claims(fed.stats().trunks.claims),
+        half_calls(fed.stats().half_calls_routed),
+        m0_connects(fed.member(0).stats().router.connect_calls),
+        m1_connects(fed.member(1).stats().router.connect_calls),
+        m0_terminal(fed.member(0).stats().router.rejected_terminal),
+        m1_terminal(fed.member(1).stats().router.rejected_terminal),
+        occupancy(total_occupancy(fed)) {}
+  bool operator==(const SetupWork&) const = default;
+};
+
+TEST(FederationTwoPhase, BusyTerminalIsRefusedBeforeTheTrunkStage) {
+  const auto net = networks::build_cantor({4, 0});
+  Federation fed(net, 2);
+  // Caller g(0,0) and callee g(1,3) are busy on intra calls.
+  const FedOutcome hold_in =
+      fed.call({fed.global_of(0, 0), fed.global_of(0, 1), 0, 0});
+  const FedOutcome hold_out =
+      fed.call({fed.global_of(1, 2), fed.global_of(1, 3), 0, 0});
+  ASSERT_TRUE(hold_in.connected());
+  ASSERT_TRUE(hold_out.connected());
+
+  const SetupWork before(fed);
+  const FedOutcome caller_busy =
+      fed.call({fed.global_of(0, 0), fed.global_of(1, 0), 0, 1});
+  EXPECT_EQ(caller_busy.reject, RejectReason::kTerminalBusy);
+  EXPECT_EQ(caller_busy.stage, FedStage::kIngress);
+  EXPECT_TRUE(SetupWork(fed) == before) << "busy caller did setup work";
+  const FedOutcome callee_busy =
+      fed.call({fed.global_of(0, 4), fed.global_of(1, 3), 0, 2});
+  EXPECT_EQ(callee_busy.reject, RejectReason::kTerminalBusy);
+  EXPECT_EQ(callee_busy.stage, FedStage::kEgress);
+  EXPECT_TRUE(SetupWork(fed) == before) << "busy callee did setup work";
+  EXPECT_EQ(fed.stats().ingress_aborts, 1u);
+  EXPECT_EQ(fed.stats().egress_aborts, 1u);
+
+  // Exhaust the 0 -> 1 group with idle terminals.
+  const std::uint32_t g = fed.group_between(0, 1);
+  std::vector<FedCallId> held;
+  std::uint32_t i = 0;
+  for (; fed.trunk_group(g).occupancy() < fed.trunk_group(g).capacity(); ++i) {
+    const FedOutcome o =
+        fed.call({fed.global_of(0, 5 + i), fed.global_of(1, 4 + i), 0, 3});
+    ASSERT_TRUE(o.connected()) << "line " << i;
+    held.push_back(o.id);
+  }
+  // Behind the full group a busy terminal still reads kTerminalBusy at its
+  // own stage; only a setup between idle terminals meets the trunk stage.
+  const std::uint32_t idle_in = fed.global_of(0, 5 + i);
+  const std::uint32_t idle_out = fed.global_of(1, 4 + i);
+  const SetupWork full(fed);
+  const FedOutcome busy_out = fed.call({idle_in, fed.global_of(1, 3), 0, 4});
+  EXPECT_EQ(busy_out.reject, RejectReason::kTerminalBusy);
+  EXPECT_EQ(busy_out.stage, FedStage::kEgress);
+  const FedOutcome busy_in = fed.call({fed.global_of(0, 0), idle_out, 0, 5});
+  EXPECT_EQ(busy_in.reject, RejectReason::kTerminalBusy);
+  EXPECT_EQ(busy_in.stage, FedStage::kIngress);
+  EXPECT_TRUE(SetupWork(fed) == full);
+  const FedOutcome trunk = fed.call({idle_in, idle_out, 0, 6});
+  EXPECT_EQ(trunk.reject, RejectReason::kTrunkBusy);
+  EXPECT_EQ(trunk.stage, FedStage::kTrunk);
+
+  for (const FedCallId id : held) EXPECT_EQ(fed.hangup(id), RejectReason::kNone);
+  EXPECT_EQ(fed.hangup(hold_in.id), RejectReason::kNone);
+  EXPECT_EQ(fed.hangup(hold_out.id), RejectReason::kNone);
+  EXPECT_EQ(fed.busy_vertices(), 0u);
+  EXPECT_EQ(total_occupancy(fed), 0u);
+  const FederationStats st = fed.stats();
+  EXPECT_EQ(st.ingress_aborts, 2u);
+  EXPECT_EQ(st.egress_aborts, 2u);
+  EXPECT_EQ(st.trunk_rejects, 1u);
+  EXPECT_EQ(st.inter_calls, st.inter_connected + st.trunk_rejects +
+                                st.ingress_aborts + st.egress_aborts);
 }
 
 /// A storm of forced failures at every setup stage; afterwards every book
@@ -350,9 +433,12 @@ void run_abort_storm(std::uint64_t stream) {
   EXPECT_EQ(total_occupancy(fed), 0u);
   const FederationStats st = fed.stats();
   EXPECT_EQ(st.trunks.claims, st.trunks.releases);
-  // Every accepted member half/intra call got exactly one hangup — the
-  // two-phase aborts included (the rolled-back ingress halves).
+  // Every accepted member half/intra call got exactly one hangup — an
+  // ingress half rolled back by a failed egress half included.
   EXPECT_EQ(st.members.router.accepted, st.members.hangups);
+  // Every inter setup ended exactly one way.
+  EXPECT_EQ(st.inter_calls, st.inter_connected + st.trunk_rejects +
+                                st.ingress_aborts + st.egress_aborts);
   for (std::uint32_t g = 0; g < subs; ++g) {
     EXPECT_TRUE(fed.input_idle(g));
     EXPECT_TRUE(fed.output_idle(g));
@@ -519,6 +605,9 @@ void run_trunk_fault_storm(std::uint64_t stream) {
   EXPECT_EQ(st.trunks.claims, st.trunks.releases);
   EXPECT_EQ(st.trunks.faults, fed.trunk_group_count());
   EXPECT_EQ(st.handle_errors, 0u);
+  // Every inter setup, the re-admissions included, ended exactly one way.
+  EXPECT_EQ(st.inter_calls, st.inter_connected + st.trunk_rejects +
+                                st.ingress_aborts + st.egress_aborts);
 }
 
 TEST(FederationFaults, TrunkFaultStormBooksBalance) {

@@ -34,6 +34,11 @@ Front-end balance (the JSON snapshot's `total` against its `gauges`):
     every admitted or refused request was delivered (snapshots are taken at
     epoch boundaries)
 
+Federation setup balance (the federated snapshot's `federation.total`):
+  - inter_calls_total == inter_connected_total + trunk_setup_rejects_total
+    + ingress_aborts_total + egress_aborts_total: every inter-shard setup
+    ended exactly one way (a --solo snapshot has no federation section)
+
 Fault acks (every `ack inject|repair|trunk_fault|trunk_repair` line of the
 transcript):
   - killed == rerouted + dropped: each call a fault event killed was
@@ -275,6 +280,36 @@ def check_balance(text: str) -> list[str]:
     return errors
 
 
+FED_SETUP_ENDS = ("inter_connected_total", "trunk_setup_rejects_total",
+                  "ingress_aborts_total", "egress_aborts_total")
+
+
+def check_fed_balance(text: str, federated: bool = True) -> list[str]:
+    """Checks that every inter-shard setup of a federated snapshot ended
+    exactly one way: connected, or refused at one stage. A federated
+    session's snapshot must carry the federation section."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return []  # check_json reports it
+    fed = doc.get("federation")
+    if not isinstance(fed, dict):
+        # A solo exchange has no setup stages.
+        return ["JSON snapshot has no federation section"] if federated \
+            else []
+    total = fed.get("total", {})
+    keys = ("inter_calls_total",) + FED_SETUP_ENDS
+    missing = [k for k in keys if k not in total]
+    if missing:
+        return [f"JSON federation.total lacks the setup books: {missing}"]
+    ends = sum(total[k] for k in FED_SETUP_ENDS)
+    if total["inter_calls_total"] != ends:
+        return [f"federation: inter_calls_total={total['inter_calls_total']}"
+                f" != " + " + ".join(f"{k}={total[k]}"
+                                     for k in FED_SETUP_ENDS)]
+    return []
+
+
 def check_cross(prom: str, text: str) -> list[str]:
     """Checks that the JSON counter sections and the Prometheus block export
     the same counters (the library generates both from one field table)."""
@@ -425,6 +460,27 @@ def self_test() -> int:
     assert any("calls_submitted_total=10" in e for e in errs), errs
     assert any("calls_completed_total=8" in e for e in errs), errs
 
+    # Federation setup balance: a snapshot whose inter setups each ended
+    # one way passes; one that lost a refusal fails; a solo snapshot (no
+    # federation section) passes only as --solo.
+    fed_books = {"federation": {"total": {
+        "inter_calls_total": 9, "inter_connected_total": 5,
+        "trunk_setup_rejects_total": 1, "ingress_aborts_total": 1,
+        "egress_aborts_total": 2}}}
+    assert check_fed_balance(json.dumps(fed_books)) == [], \
+        check_fed_balance(json.dumps(fed_books))
+    lost_refusal = json.loads(json.dumps(fed_books))
+    lost_refusal["federation"]["total"]["egress_aborts_total"] = 1
+    errs = check_fed_balance(json.dumps(lost_refusal))
+    assert any("inter_calls_total=9" in e for e in errs), errs
+    no_books = json.loads(json.dumps(fed_books))
+    del no_books["federation"]["total"]["ingress_aborts_total"]
+    assert any("lacks the setup books" in e
+               for e in check_fed_balance(json.dumps(no_books)))
+    assert check_fed_balance(json.dumps(books), federated=False) == []
+    assert any("no federation section" in e
+               for e in check_fed_balance(json.dumps(books)))
+
     # Cross-format: JSON counter keys must name Prometheus families (or
     # reject reasons), and every delta section mirrors its total.
     counters = {"calls_submitted_total": 1, "rejects_rejected_no_path": 3}
@@ -510,6 +566,7 @@ def main() -> int:
     if js is not None:
         errors += check_json(js)
         errors += check_balance(js)
+        errors += check_fed_balance(js, federated=not args.solo)
         errors += check_cross(prom, js)
     elif args.require_json:
         errors.append("no JSON snapshot block found in the session log")
