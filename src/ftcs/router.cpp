@@ -1,7 +1,6 @@
 #include "ftcs/router.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <type_traits>
 
 namespace ftcs::core {
@@ -9,36 +8,23 @@ namespace ftcs::core {
 // ------------------------------------------------------- liveness overlay
 
 template <class Store>
-template <class At>
-bool Router<Store>::hops_carried(std::size_t n, At at) const {
-  const auto bit = [](const Bits& bits, graph::EdgeId e) {
-    if constexpr (Store::kShared)
-      return bits.test(e, std::memory_order_acquire);
-    else
-      return bits.test(e);
-  };
-  const auto usable = [&](graph::EdgeId e) { return !bit(dead_edges_, e); };
+bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
   const auto& g = net_->g;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const graph::VertexId u = at(i), v = at(i + 1);
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const graph::VertexId u = path[i], v = path[i + 1];
     bool carried = false;
     const auto eids = g.out_edges(u);
     const auto tgts = g.out_targets(u);
     for (std::size_t k = 0; k < eids.size() && !carried; ++k)
-      carried = tgts[k] == v && usable(eids[k]);
+      carried = tgts[k] == v && !dead_edges_.test(eids[k]);
     const auto reids = g.in_edges(u);
     const auto rsrcs = g.in_sources(u);
     for (std::size_t k = 0; k < reids.size() && !carried; ++k)
-      carried = rsrcs[k] == v && usable(reids[k]) &&
-                bit(contracted_edges_, reids[k]);
+      carried = rsrcs[k] == v && !dead_edges_.test(reids[k]) &&
+                contracted_edges_.test(reids[k]);
     if (!carried) return false;
   }
   return true;
-}
-
-template <class Store>
-bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
-  return hops_carried(path.size(), [path](std::size_t i) { return path[i]; });
 }
 
 // ------------------------------------------------------ the stores' claims
@@ -47,7 +33,7 @@ bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
 // src first and dst last.
 
 template <>
-std::uint32_t Router<SoloStore>::claim(Session& s, bool) {
+std::uint32_t Router<SoloStore>::claim(Session& s) {
   // Sole owner: the search's verdict is final. Mark the path busy.
   const auto path = s.scratch_.path();
   for (const detail::SearchScratch::Frame& f : path) busy_.set(f.v);
@@ -55,7 +41,7 @@ std::uint32_t Router<SoloStore>::claim(Session& s, bool) {
 }
 
 template <>
-std::uint32_t Router<SharedStore>::claim(Session& s, bool revalidate) {
+std::uint32_t Router<SharedStore>::claim(Session& s) {
   const auto path = s.scratch_.path();
   std::vector<graph::VertexId>& order = s.claim_buf_;
   order.clear();
@@ -63,12 +49,8 @@ std::uint32_t Router<SharedStore>::claim(Session& s, bool revalidate) {
   std::sort(order.begin(), order.end());
   std::size_t claimed = 0;
   while (claimed < order.size() && busy_.try_set(order[claimed])) ++claimed;
-  const bool owned = claimed == order.size();
-  if (owned && (!revalidate ||
-                hops_carried(path.size(),
-                             [path](std::size_t i) { return path[i].v; })))
-    return static_cast<std::uint32_t>(path.size());
-  ++(owned ? s.stats_.overlay_conflicts : s.stats_.claim_conflicts);
+  if (claimed == order.size()) return static_cast<std::uint32_t>(path.size());
+  ++s.stats_.claim_conflicts;
   while (claimed > 0) busy_.reset(order[--claimed]);
   return 0;
 }
@@ -237,11 +219,7 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
     return r.contracted_edges_.test(e);
   };
   const auto reaches_weld = [&r](graph::VertexId v) {
-    if constexpr (Store::kShared)
-      return std::atomic_ref(r.weld_reach_[v]).load(
-                 std::memory_order_relaxed) != 0;
-    else
-      return r.weld_reach_[v] != 0;
+    return r.weld_reach_[v] != 0;
   };
   std::uint32_t length = 0;
   for (unsigned attempt = 0;; ++attempt) {
@@ -252,7 +230,7 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
                                edge_contracted, reaches_weld,
                                contraction) == graph::kNoVertex)
       return reject(stats_.rejected_no_path);
-    length = r.claim(*this, overlay || contraction);
+    length = r.claim(*this);
     if (length != 0) break;
     // 4. Conflict: the claim released its prefix; retry within the budget.
     if (attempt + 1 >= kMaxClaimRetries)
@@ -308,34 +286,31 @@ auto Router<Store>::Session::active_call_ids() const -> std::vector<CallId> {
 
 template <class Store>
 void Router<Store>::fail_edge(graph::EdgeId e) {
-  if (dead_edges_.test(e)) return;
-  ++failed_;  // gate before bit
-  (void)dead_edges_.try_set(e);
+  if (dead_edges_.try_set(e)) ++failed_;
 }
 
 template <class Store>
 void Router<Store>::repair_edge(graph::EdgeId e) {
   if (!dead_edges_.test(e)) return;
-  dead_edges_.reset(e);  // bit before gate
+  dead_edges_.reset(e);
   --failed_;
 }
 
 template <class Store>
 void Router<Store>::contract_edge(graph::EdgeId e) {
   // A failed switch wins: the search never crosses it, welded or not.
-  if (contracted_edges_.test(e)) return;
+  if (!contracted_edges_.try_set(e)) return;
   if (weld_reach_.empty()) clear_weld_counts();
-  count_weld(net_->g.edge(e).to, 1);  // counts before gate
-  ++welded_;                          // gate before bit
-  (void)contracted_edges_.try_set(e);
+  count_weld(net_->g.edge(e).to, 1);
+  ++welded_;
 }
 
 template <class Store>
 void Router<Store>::uncontract_edge(graph::EdgeId e) {
   if (!contracted_edges_.test(e)) return;
-  contracted_edges_.reset(e);  // bit before gate
+  contracted_edges_.reset(e);
   --welded_;
-  count_weld(net_->g.edge(e).to, -1);  // gate before counts
+  count_weld(net_->g.edge(e).to, -1);
 }
 
 template <class Store>
@@ -355,12 +330,7 @@ void Router<Store>::count_weld(graph::VertexId head, int delta) {
   walk_seen_[head] = 1;
   for (std::size_t i = 0; i < walk_queue_.size(); ++i) {
     const graph::VertexId v = walk_queue_[i];
-    if constexpr (Store::kShared)
-      std::atomic_ref(weld_reach_[v])
-          .fetch_add(static_cast<std::uint32_t>(delta),
-                     std::memory_order_relaxed);
-    else
-      weld_reach_[v] += static_cast<std::uint32_t>(delta);
+    weld_reach_[v] += static_cast<std::uint32_t>(delta);
     for (const graph::VertexId u : g.in_sources(v))
       if (!walk_seen_[u] && !reach_.reaches_all(u)) {
         walk_seen_[u] = 1;

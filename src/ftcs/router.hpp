@@ -13,18 +13,19 @@
 // general.
 //
 // The two stores supply the only things that differ:
-//   - SoloStore (GreedyRouter): one session. Busy and overlay state are
-//     plain util::Bitsets, terminal slots are bytes, and the CLAIM is the
-//     settle itself: walk the search's stack (the path) and set each busy
-//     bit. No claim buffer, no sort, no CAS, no re-validation.
-//     Session scratch is built at construction.
+//   - SoloStore (GreedyRouter): one session. Busy state is a plain
+//     util::Bitset, terminal slots are bytes, and the CLAIM is the settle
+//     itself: walk the search's stack (the path) and set each busy bit. No
+//     claim buffer, no sort, no CAS. Session scratch is built at
+//     construction.
 //   - SharedStore (ConcurrentRouter): N sessions route concurrently over
-//     the same network. Busy and overlay state are util::AtomicBitsets,
-//     terminal slots are cache-line padded (they are the claim locks every
-//     session CASes on admission), and the CLAIM is canonical CAS with
-//     overlay re-validation (below). Session scratch is built lazily by the
-//     session's FIRST connect, on the thread that owns the session, so with
-//     a pinned thread pool its pages first-touch onto that thread's node.
+//     the same network. Busy state is a util::AtomicBitset, terminal slots
+//     are cache-line padded (they are the claim locks every session CASes
+//     on admission), and the CLAIM is canonical CAS (below). Session
+//     scratch is built lazily by the session's FIRST connect, on the thread
+//     that owns the session, so with a pinned thread pool its pages
+//     first-touch onto that thread's node.
+// The liveness overlay (below) is plain state on both stores.
 //
 // Protocol per connect(in, out), one body for both stores:
 //   1. TERMINAL ACQUIRE — a dead terminal is rejected; then the input
@@ -39,28 +40,27 @@
 //      (read-only, rebuilt by grow()): its cones filter the children, and
 //      its plane table picks the slot the first hop starts at
 //      (ReachIndex::first_hop(in, out)). On the shared store it reads the
-//      busy and overlay bits with RELAXED loads: a dirty snapshot,
-//      deliberately unvalidated. No idle path → rejected_no_path.
+//      busy bits with RELAXED loads: a dirty snapshot, deliberately
+//      unvalidated. The overlay it reads is stable for the whole connect.
+//      No idle path → rejected_no_path.
 //   3. CLAIM (the store's step). Shared store: the path's vertices are
 //      claimed with word-level CAS (AtomicBitset::try_set, acq_rel) in
 //      CANONICAL order (ascending vertex id), so two overlapping claims
 //      collide at their smallest shared vertex and the loser has claimed
-//      as little as possible. With every vertex owned, and while any
-//      runtime fault or weld is outstanding, every hop is RE-VALIDATED
-//      against the overlay with acquire loads: carried by a usable forward
-//      switch, or by a welded one in either direction.
-//   4. CONFLICT (shared store only) — a lost CAS (claim_conflicts) or a
-//      failed re-validation (overlay_conflicts) releases the claim prefix,
-//      newest first, and re-runs step 2 against the fresher state
-//      (search_retries). After kMaxClaimRetries attempts the call is
-//      rejected (rejected_contention): bounded work per call, no livelock.
+//      as little as possible.
+//   4. CONFLICT (shared store only) — a lost CAS (claim_conflicts)
+//      releases the claim prefix, newest first, and re-runs step 2 against
+//      the fresher state (search_retries). After kMaxClaimRetries attempts
+//      the call is rejected (rejected_contention): bounded work per call,
+//      no livelock.
 //   5. SETTLE — the path (the search's stack, src first) is copied into
 //      one record in the session's record store, the call table names the
 //      record, and, once the owner map exists, each path vertex's entry
 //      names the call (see call_at). disconnect() reads the record back and
 //      resets its busy bits: no per-vertex store besides the bits.
 //
-// Memory-ordering contract (shared store; see util/atomic_bitset.hpp):
+// Memory-ordering contract (shared store; see util/atomic_bitset.hpp). It
+// covers only busy bits, terminal slots and owner-map entries:
 //   - path records and call tables are SESSION-PRIVATE: written by the
 //     session's settle and read by its disconnect/path(), all on the one
 //     thread that owns the session, so they need no ordering of their own.
@@ -74,9 +74,9 @@
 //     reset(v), and read only at quiescence (call_at). disconnect() leaves
 //     the entry as it is; call_at() validates it against the named call's
 //     record instead.
-//   - search reads are relaxed; every positive routing decision is
-//     re-validated by the claim CAS (and the overlay re-check), so stale
-//     reads cost retries, not correctness.
+//   - search reads of busy bits are relaxed; every positive routing
+//     decision is re-checked by the claim CAS, so stale reads cost
+//     retries, not correctness.
 //
 // Liveness overlay: the router's only fault state, whether the faults come
 // from a sampled fault::FaultInstance applied once or from the runtime
@@ -89,39 +89,29 @@
 // the CSR graph is never mutated), and occupancy still applies to the
 // hop's endpoints (the merged electrical node carries at most one call).
 // Both masks are GATED by counts of OUTSTANDING faults and welds, read once
-// per connect: with none, the search skips the overlay reads, runs the
-// weld-free body and the claim skips re-validation, so a fault that is
-// failed and repaired again costs nothing afterwards. A count is raised
-// BEFORE its bit is set and lowered AFTER its bit is cleared, so a connect
-// that starts after a flip completes reads a nonzero gate.
+// per connect: with none, the search skips the overlay reads and runs the
+// weld-free body, so a fault that is failed and repaired again costs
+// nothing afterwards.
 //   - Weld-ancestor counts keep the search pruning under welds:
 //     weld_reach(v) is the number of live welds whose head (the edge's
 //     `to`, where the reverse hop starts) v reaches forward in the static
 //     graph, and the weld body admits an out-of-cone child only while its
 //     count is nonzero (ftcs/search.hpp). contract_edge walks the head's
-//     static ancestors and raises their counts BEFORE raising the gate;
-//     uncontract_edge lowers them AFTER lowering it, so a connect racing a
-//     flip reads at worst a stale positive, which only over-approximates.
-//     A vertex that reaches every output is in every cone, so its count is
-//     never read and never kept; its ancestors reach every output too, so
-//     the walk stops there and covers only the output side of the head's
-//     ancestors. The counts and the walk's scratch are sized by the first
-//     contract_edge (a router that never welds allocates none) and
+//     static ancestors and raises their counts; uncontract_edge lowers
+//     them. A vertex that reaches every output is in every cone, so its
+//     count is never read and never kept; its ancestors reach every output
+//     too, so the walk stops there and covers only the output side of the
+//     head's ancestors. The counts and the walk's scratch are sized by the
+//     first contract_edge (a router that never welds allocates none) and
 //     recounted by grow().
-//   - fail/repair/contract/uncontract_edge may race in-flight connects on
-//     the shared store. The guarantee is the usual happens-before one: a
-//     connect that starts after fail_edge(e) completes (ordering set up by
-//     the caller — a flag, a mutex, the Exchange's session ownership) can
-//     never settle a path through e. A connect already past validation when
-//     the flip lands keeps its path; a weld's repair likewise severs calls
-//     that crossed it against its direction. Reconciling those stragglers
-//     is the fault plane's job: svc::Exchange flips a switch only while
-//     holding every session, then asks call_at() for the calls through the
-//     switch's two endpoints and tears down those path_carried() rejects.
-//   - The overlay mutators are serialized with one another, and
-//     kill_vertex/revive_vertex/call_at/grow are QUIESCENT ONLY: no connect
-//     or disconnect in flight on any session, victims torn down first — the
-//     same contract as Exchange::drain().
+//   - fail_edge, repair_edge, contract_edge, uncontract_edge, kill_vertex,
+//     revive_vertex, call_at and grow are QUIESCENT ONLY: no connect or
+//     disconnect in flight on any session, and, for kill_vertex, victims
+//     torn down first — the same contract as Exchange::drain(). svc::Exchange
+//     holds every session while it flips a switch, then asks call_at() for
+//     the calls through the switch's two endpoints and tears down those
+//     path_carried() rejects (a weld's repair severs calls that crossed it
+//     against its direction).
 //   - A failed switch beats a weld: a switch both failed and contracted
 //     carries nothing.
 //
@@ -164,7 +154,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -196,9 +185,6 @@ struct RouterStats {
   std::uint64_t claim_conflicts = 0;      // CAS lost a vertex to another session
   std::uint64_t search_retries = 0;       // searches re-run after a conflict
   std::uint64_t rejected_contention = 0;  // gave up after the retry budget
-  std::uint64_t overlay_conflicts = 0;    // settled path crossed a switch that
-                                          // failed during the search (released
-                                          // and re-searched, like a claim loss)
   // RETIRED, always 0 and outside the table (never merged or exported): the
   // multi-source wave search and the bottom-up BFS sweep they counted are
   // gone. Kept because the exchange benchmark still reads them.
@@ -218,7 +204,6 @@ struct RouterStats {
         {&RouterStats::claim_conflicts, "router_claim_conflicts_total"},
         {&RouterStats::search_retries, "router_search_retries_total"},
         {&RouterStats::rejected_contention, nullptr, "rejected_contention"},
-        {&RouterStats::overlay_conflicts, "router_overlay_conflicts_total"},
     });
   }
   RouterStats& operator+=(const RouterStats& o) noexcept {
@@ -236,7 +221,6 @@ static_assert(sizeof(RouterStats) ==
 struct SoloStore {
   static constexpr bool kShared = false;
   using Bits = util::Bitset;
-  using Count = std::size_t;
   /// Terminal slots as bytes: admission is one plain load and store.
   struct Slots {
     std::vector<std::uint8_t> held;
@@ -251,11 +235,11 @@ struct SoloStore {
   };
 };
 
-/// N concurrent sessions over atomic state (see the header comment).
+/// N concurrent sessions over atomic busy bits and terminal slots (see the
+/// header comment).
 struct SharedStore {
   static constexpr bool kShared = true;
   using Bits = util::AtomicBitset;
-  using Count = std::atomic<std::size_t>;
   /// Terminal slots, one word per cache line: with dense words, 64
   /// unrelated admission CASes would false-share one line.
   struct Slots : util::AtomicBitset {
@@ -418,20 +402,21 @@ class Router {
   void grow(const graph::Network& net);
 
   // ---------------------------------------------------- liveness overlay
-  // See the header comment for the racing and quiescence contract.
+  // Every mutator here and call_at() is QUIESCENT ONLY (header comment).
 
-  /// Marks switch `e` failed: no later path may use it. Idempotent.
+  /// Marks switch `e` failed: no later path may use it. QUIESCENT ONLY.
+  /// Idempotent.
   void fail_edge(graph::EdgeId e);
-  /// Clears a switch failure. Idempotent.
+  /// Clears a switch failure. QUIESCENT ONLY. Idempotent.
   void repair_edge(graph::EdgeId e);
   /// Marks switch `e` STUCK ON (closed failure): the search may cross it in
   /// both directions, and out-of-cone children that reach its head stay in
   /// the search (one walk over the head's static ancestors). A failed
-  /// switch cannot be contracted into service. Idempotent.
+  /// switch cannot be contracted into service. QUIESCENT ONLY. Idempotent.
   void contract_edge(graph::EdgeId e);
   /// Clears a stuck-on state (and walks the head's ancestors back down).
   /// Calls that crossed the weld AGAINST the edge direction are now severed
-  /// — the fault plane reaps them. Idempotent.
+  /// — the fault plane reaps them. QUIESCENT ONLY. Idempotent.
   void uncontract_edge(graph::EdgeId e);
   /// Marks `v` dead and takes its busy bit. A dead terminal reads busy and
   /// is refused at admission (rejected_terminal). QUIESCENT ONLY, no
@@ -471,14 +456,9 @@ class Router {
   [[nodiscard]] std::uint32_t weld_reach(graph::VertexId v) const {
     return weld_reach_.empty() ? 0 : weld_reach_[v];
   }
-  /// Usable = not failed (a weld's direction is path_carried's question).
-  [[nodiscard]] bool edge_usable(graph::EdgeId e) const {
-    return !dead_edges_.test(e);
-  }
-  /// The hop rule: true iff every hop of `path` is carried by a usable
-  /// forward switch or by a usable weld crossed against its direction.
-  /// The shared store reads the overlay with acquire loads — the claim's
-  /// re-validation (step 3) and the fault plane's victim check both ask it.
+  /// The hop rule: true iff every hop of `path` is carried by a forward
+  /// switch that has not failed, or by a weld that has not failed crossed
+  /// against its direction. The fault plane's victim check asks it.
   [[nodiscard]] bool path_carried(std::span<const graph::VertexId> path) const;
 
   /// Idle = no call holds the terminal and it is not dead.
@@ -506,10 +486,7 @@ class Router {
   /// stack): the store's claim.
   /// Returns the path length, or 0 when the claim was lost (shared store
   /// only).
-  std::uint32_t claim(Session& s, bool revalidate);
-  /// path_carried() over the `n` vertices at(0) .. at(n - 1).
-  template <class At>
-  [[nodiscard]] bool hops_carried(std::size_t n, At at) const;
+  std::uint32_t claim(Session& s);
   /// Sizes the weld-ancestor counts and the walk's flags at the network's
   /// vertex count, all zero.
   void clear_weld_counts();
@@ -524,15 +501,13 @@ class Router {
   /// every session's live records.
   void build_owner_map();
 
-  using Bits = typename Store::Bits;
   const graph::Network* net_;
-  Bits busy_;              // dead | on an active path
-  Bits dead_edges_;        // failed switches
-  Bits contracted_edges_;  // stuck-on switches: two-way hops
-  // Outstanding failures and welds: the overlay gates (see the header
-  // comment for their order against the bits).
-  typename Store::Count failed_{0}, welded_{0};
-  util::Bitset dead_;  // killed vertices (changed only at quiescence)
+  typename Store::Bits busy_;  // dead | on an active path
+  // The liveness overlay, changed only at quiescence.
+  util::Bitset dead_edges_;        // failed switches
+  util::Bitset contracted_edges_;  // stuck-on switches: two-way hops
+  std::size_t failed_ = 0, welded_ = 0;  // outstanding: the overlay gates
+  util::Bitset dead_;                    // killed vertices
   typename Store::Slots in_busy_, out_busy_;  // terminal slots
   // Owner map: owner_[v] = slot x session_count() + session of the last
   // call settled through v, or kNoCall; stale once that call hangs up
@@ -541,8 +516,7 @@ class Router {
   std::vector<std::uint32_t> owner_;
   ReachIndex reach_;  // search guide, read-only and shared by every session
   // Weld-ancestor counts (weld_reach()), and the walk's visited flags and
-  // queue; all empty until the first contract_edge. The shared store writes
-  // and searches read the counts through relaxed std::atomic_ref.
+  // queue; all empty until the first contract_edge.
   std::vector<std::uint32_t> weld_reach_;
   std::vector<std::uint8_t> walk_seen_;
   std::vector<graph::VertexId> walk_queue_;
@@ -552,15 +526,15 @@ class Router {
 // The stores' claim steps (router.cpp), declared ahead of the explicit
 // instantiations that use them.
 template <>
-std::uint32_t Router<SoloStore>::claim(Session& s, bool revalidate);
+std::uint32_t Router<SoloStore>::claim(Session& s);
 template <>
-std::uint32_t Router<SharedStore>::claim(Session& s, bool revalidate);
+std::uint32_t Router<SharedStore>::claim(Session& s);
 extern template class Router<SoloStore>;
 extern template class Router<SharedStore>;
 
 /// The one-session router (plain bitsets, no claim protocol).
 using GreedyRouter = Router<SoloStore>;
-/// N sessions over shared atomic state with CAS-claimed paths.
+/// N sessions over shared atomic busy bits with CAS-claimed paths.
 using ConcurrentRouter = Router<SharedStore>;
 
 }  // namespace ftcs::core

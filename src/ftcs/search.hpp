@@ -9,10 +9,12 @@
 // path-for-path identical to the solo router by construction (same
 // expansion order, same tie-breaks). The busy test is a template
 // parameter: the solo store plugs in a plain util::Bitset read, the shared
-// store a relaxed AtomicBitset read (optimistic dirty snapshot, re-validated
-// later by CAS claiming). The edge_blocked test likewise carries the
-// router's liveness overlay (its failed switches), so the search routes
-// around open-failed switches with no state of its own.
+// store a relaxed AtomicBitset read. Only the busy reads are a dirty
+// snapshot, and the router's CAS claim re-checks the path they found. The
+// edge_blocked test carries the router's liveness overlay (its failed
+// switches), which is stable for the whole search (the router flips it only
+// at quiescence), so the search routes around open-failed switches with no
+// state of its own.
 //
 // The walk: an explicit stack of (vertex, cursor) frames starting at src.
 // The top frame advances its cursor over the vertex's out-edges to the

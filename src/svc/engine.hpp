@@ -64,9 +64,9 @@ class Engine {
   [[nodiscard]] virtual bool output_idle(std::uint32_t out) const = 0;
 
   // Liveness overlay (runtime fault plane) — forwarded to the router's
-  // overlay primitives; see ftcs/router.hpp for the mutation contracts
-  // (Exchange::inject/repair uphold them by holding every session, like
-  // drain()).
+  // overlay primitives. Every mutator is QUIESCENT ONLY (ftcs/router.hpp):
+  // no call may be in flight on any session. Exchange::inject/repair uphold
+  // that by holding every session, like drain().
   virtual void fail_edge(graph::EdgeId e) = 0;
   virtual void repair_edge(graph::EdgeId e) = 0;
   /// Stuck-on (closed failure): the switch becomes a weld conducting both

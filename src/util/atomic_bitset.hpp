@@ -3,14 +3,14 @@
 // The concurrent counterpart of util::Bitset, used for busy/claim state
 // shared between router workers. The central primitive is try_set(): an
 // atomic test-and-set that doubles as a per-bit lock acquisition, so a bit
-// can guard ownership of adjacent non-atomic data (the routing successor
-// arrays). Memory-ordering contract:
+// can guard ownership of adjacent non-atomic data (the router's owner-map
+// entries). Memory-ordering contract:
 //   - try_set(i) uses acq_rel: a successful claim ACQUIRES everything the
 //     previous owner published before releasing bit i;
 //   - reset(i) uses release: it PUBLISHES every write made while the bit
 //     was held to the next claimer of the same bit;
-//   - test(i) defaults to relaxed: cheap dirty reads for optimistic search
-//     passes that are re-validated by a later try_set().
+//   - test(i) is relaxed: a cheap dirty read for optimistic search passes
+//     whose positive verdicts a later try_set() re-checks.
 // Sized at construction; resize() is NOT thread-safe (call before sharing).
 //
 // Layout: dense by default (64 flags per 8-byte word, the right shape for
@@ -56,9 +56,8 @@ class AtomicBitset {
   [[nodiscard]] std::size_t size() const noexcept { return bits_; }
   [[nodiscard]] bool empty() const noexcept { return bits_ == 0; }
 
-  [[nodiscard]] bool test(std::size_t i, std::memory_order order =
-                                             std::memory_order_relaxed) const noexcept {
-    return (words_[slot(i)].load(order) >> (i & 63)) & 1u;
+  [[nodiscard]] bool test(std::size_t i) const noexcept {
+    return (words_[slot(i)].load(std::memory_order_relaxed) >> (i & 63)) & 1u;
   }
 
   /// Atomic test-and-set. Returns true iff the bit was clear (the caller now

@@ -124,6 +124,9 @@ inline bool joined(const graph::CsrGraph& g, graph::VertexId u,
 ///  - busy_vertices() is the sum of path_length(), and active_calls() the
 ///    number of live calls;
 ///  - every weld-ancestor count (weld_reach()) equals recount_weld_reach();
+///  - the overlay gates count their bits: failed_edge_count() is the
+///    number of switches reading edge_failed(), and contracted_edge_count()
+///    the number reading edge_contracted();
 ///  - with `owner_map` (the router's call_at() has been asked, so its owner
 ///    map exists), call_at(v) names v's live call for every vertex of every
 ///    live path, and no call for every other vertex.
@@ -172,6 +175,13 @@ void audit(core::Router<Store>& r, const graph::Network& net,
   const auto welds = recount_weld_reach(r, net);
   for (graph::VertexId v = 0; v < welds.size(); ++v)
     ASSERT_EQ(r.weld_reach(v), welds[v]) << "weld-ancestor count of " << v;
+  std::size_t failed = 0, contracted = 0;
+  for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e) {
+    failed += r.edge_failed(e) ? 1 : 0;
+    contracted += r.edge_contracted(e) ? 1 : 0;
+  }
+  EXPECT_EQ(r.failed_edge_count(), failed);
+  EXPECT_EQ(r.contracted_edge_count(), contracted);
   if (!owner_map) return;
   for (graph::VertexId v = 0; v < holder.size(); ++v) {
     const core::CallRef at = r.call_at(v);

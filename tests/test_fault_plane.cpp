@@ -143,7 +143,6 @@ TYPED_TEST(RouterStores, FailAndRepairEdge) {
   router.disconnect(0);
   router.fail_edge(e00);
   EXPECT_TRUE(router.edge_failed(e00));
-  EXPECT_FALSE(router.edge_usable(e00));
   EXPECT_EQ(router.connect(0, 0), kNone);
   const auto detour = router.connect(0, 1);  // other switches unaffected
   ASSERT_NE(detour, kNone);
@@ -175,7 +174,6 @@ TYPED_TEST(RouterStores, FailRepairAndKillReviveOnALine) {
   const auto e1 = edge_between(net.g, 1, 2);  // a -> m
   router.fail_edge(e1);
   EXPECT_TRUE(router.edge_failed(e1));
-  EXPECT_FALSE(router.edge_usable(e1));
   EXPECT_EQ(router.connect(0, 0), kNone);
   router.repair_edge(e1);
   const auto call = router.connect(0, 0);
@@ -230,7 +228,6 @@ TYPED_TEST(RouterStores, RepairedOverlaySearchesLikeANeverFaultedRouter) {
   EXPECT_EQ(b.accepted, a.accepted);
   EXPECT_EQ(c.vertices_visited, a.vertices_visited);
   EXPECT_EQ(c.accepted, a.accepted);
-  EXPECT_EQ(b.overlay_conflicts + c.overlay_conflicts, 0u);
 }
 
 // ---------------------------------------- stuck-on (contracted) switches
@@ -318,7 +315,6 @@ TYPED_TEST(RouterStores, StuckAndOpenSiblingsOnOneHop) {
   EXPECT_TRUE(connect_ok());
   // The weld must not have masked A's open failure...
   EXPECT_TRUE(router.edge_failed(1));
-  EXPECT_FALSE(router.edge_usable(1));
   // ...so repairing ONLY the weld leaves the hop dead (A is still open).
   router.uncontract_edge(2);
   router.fail_edge(2);  // B now fails open too
@@ -1017,100 +1013,16 @@ TEST(TrafficFaults, BatchedPlaneMatchesImmediateBooksWithoutFaults) {
 
 // --------------------------------------------------- concurrency stress
 
-// Router-level happens-before guarantee: once a thread has observed (with
-// acquire) that a set of switches failed, no connect it runs afterwards may
-// settle a path that NEEDS a failed switch. Claim-phase re-validation is
-// what closes the search's dirty-read window. TSan-run.
-TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
-  const auto net = networks::build_cantor({5, 0});
-  constexpr unsigned kWorkers = 4;
-  core::ConcurrentRouter router(net, kWorkers);
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
-
-  // The doomed set: every switch leaving the first TWO layers' vertices on
-  // paths of a probe call — enough density that racing searches keep
-  // crossing it.
-  std::vector<graph::EdgeId> doomed;
-  {
-    core::GreedyRouter probe(net);
-    for (std::uint32_t i = 0; i + 1 < n; i += 2) {
-      const auto c = probe.connect(i, i + 1);
-      if (c == core::GreedyRouter::kNoCall) continue;
-      const auto path = probe.path_of(c);
-      if (path.size() >= 2) doomed.push_back(edge_between(net.g, path[0], path[1]));
-      probe.disconnect(c);
-    }
-  }
-  ASSERT_FALSE(doomed.empty());
-
-  std::atomic<bool> flipped{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kWorkers + 1);
-  for (unsigned t = 0; t < kWorkers; ++t) {
-    threads.emplace_back([&, t] {
-      auto& w = router.session(t);
-      util::Xoshiro256 rng(util::derive_seed(311, t));
-      std::vector<core::ConcurrentRouter::CallId> mine;
-      for (int op = 0; op < 3000; ++op) {
-        const bool after_flip = flipped.load(std::memory_order_acquire);
-        if (!mine.empty() && (rng() & 3u) == 0) {
-          const auto idx = rng() % mine.size();
-          w.disconnect(mine[idx]);
-          mine[idx] = mine.back();
-          mine.pop_back();
-        } else {
-          const auto in = static_cast<std::uint32_t>(rng() % n);
-          const auto out = static_cast<std::uint32_t>(rng() % n);
-          const auto call = w.connect(in, out);
-          if (call == core::ConcurrentRouter::kNoCall) continue;
-          if (after_flip) {
-            // Every hop must still be routable on a LIVE switch.
-            const auto path = w.path_of(call);
-            for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-              bool hop_alive = false;
-              const auto eids = net.g.out_edges(path[i]);
-              const auto tgts = net.g.out_targets(path[i]);
-              for (std::size_t k = 0; k < eids.size(); ++k)
-                if (tgts[k] == path[i + 1] && router.edge_usable(eids[k]))
-                  hop_alive = true;
-              EXPECT_TRUE(hop_alive)
-                  << "worker " << t << " settled through a dead switch";
-            }
-          }
-          mine.push_back(call);
-        }
-      }
-      for (const auto c : mine) w.disconnect(c);
-    });
-  }
-  threads.emplace_back([&] {
-    // Let the churn get going, then fail the doomed set while searches are
-    // mid-flight; never repaired, so the assertion above is stable.
-    for (int spin = 0; spin < 1000; ++spin) std::this_thread::yield();
-    for (const auto e : doomed) router.fail_edge(e);
-    flipped.store(true, std::memory_order_release);
-  });
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(router.active_calls(), 0u);
-  EXPECT_EQ(router.busy_vertices(), 0u);
-  for (const auto e : doomed) EXPECT_TRUE(router.edge_failed(e));
-}
-
-// Mixed-mode router-level race: while 4 workers churn, a flipper thread
-// open-fails one switch set and WELDS another (stuck-on) for good, then
-// unwelds and re-welds a third set round after round, so the weld-ancestor
-// counts' increments AND decrements race the searches' relaxed reads. A
-// sequence counter brackets every flip (odd while one is in progress).
-// Every connect that starts after the first flip completed must settle a
-// path carried hop by hop: by a non-failed forward switch, by a permanent
-// weld crossed against its direction, or by a transient weld crossed
-// against its direction — judged exactly when no flip overlapped the
-// connect (it must then have been live), allowed otherwise. Exercises the
-// contraction branches of the shared search and the claim-phase
-// re-validation under TSan; the owner map is built before the workers
-// start, so their settles also write it while the flips land.
-TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
+// Router-level flips under the quiescent contract: 4 sessions churn under
+// a shared lock while a flipper, holding the lock exclusively, open-fails
+// one switch set and WELDS another (stuck-on) for good, then unwelds and
+// re-welds a third, output-side set round after round, so the weld-ancestor
+// counts rise and fall between the searches. No flip overlaps a connect,
+// so every connect must settle a path the overlay carries as it stands:
+// path_carried() is asked inside the same shared lock. The owner map is
+// built before the workers start, so their settles also write it. Runs the
+// contraction branches of the shared search and the CAS claim under TSan.
+TEST(ConcurrentOverlay, ExclusiveFlipsBetweenConnectsKeepEveryPathCarried) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kWorkers = 4;
   constexpr unsigned kRounds = 16;  // transient unweld/re-weld pairs
@@ -1140,16 +1052,15 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
   ASSERT_FALSE(doomed.empty());
   ASSERT_EQ(router.call_at(net.inputs[0]).call,
             core::ConcurrentRouter::kNoCall);  // builds the owner map
-  std::vector<std::uint8_t> is_welded(net.g.edge_count(), 0);
-  std::vector<std::uint8_t> is_transient(net.g.edge_count(), 0);
-  for (const auto e : welded) is_welded[e] = 1;
-  for (const auto e : transient) is_transient[e] = 1;
 
-  // seq = 2k: k flips done; odd: flip k + 1 in progress. Flip 1 fails the
-  // doomed set and welds both weld sets; after flip k >= 1 the transient
-  // set is welded iff k is odd.
-  std::atomic<unsigned> seq{0};
-  std::atomic<bool> flips_done{false};
+  std::shared_mutex plane;  // sessions shared, flips exclusive
+  // The shared lock prefers readers, so a flip announces itself and the
+  // workers, which yield before every op, hold off until it has landed.
+  // Between flips the flipper waits for 64 more worker ops, so every flip
+  // lands mid-churn. The workers churn for at least 3000 ops each and until
+  // every flip has landed.
+  std::atomic<bool> pending{false}, flips_done{false};
+  std::atomic<unsigned> ops{0};
   std::vector<std::thread> threads;
   threads.reserve(kWorkers + 1);
   for (unsigned t = 0; t < kWorkers; ++t) {
@@ -1157,9 +1068,12 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
       auto& w = router.session(t);
       util::Xoshiro256 rng(util::derive_seed(977, t));
       std::vector<core::ConcurrentRouter::CallId> mine;
-      // Churn until every flip has landed, and for at least 3000 ops.
       for (int op = 0;
            op < 3000 || !flips_done.load(std::memory_order_acquire); ++op) {
+        do std::this_thread::yield();
+        while (pending.load(std::memory_order_acquire));
+        std::shared_lock<std::shared_mutex> lk(plane);
+        ops.fetch_add(1, std::memory_order_relaxed);
         if (!mine.empty() && (rng() & 3u) == 0) {
           const auto idx = rng() % mine.size();
           w.disconnect(mine[idx]);
@@ -1169,45 +1083,28 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
         }
         const auto in = static_cast<std::uint32_t>(rng() % n);
         const auto out = static_cast<std::uint32_t>(rng() % n);
-        const unsigned before = seq.load(std::memory_order_acquire);
         const auto call = w.connect(in, out);
-        const unsigned after = seq.load(std::memory_order_acquire);
         if (call == core::ConcurrentRouter::kNoCall) continue;
         mine.push_back(call);
-        if (before < 2) continue;  // flip 1 had not completed
-        const bool exact = before == after && before % 2 == 0;
-        const bool transient_ok = !exact || (before / 2) % 2 == 1;
-        const auto path = w.path_of(call);
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          bool hop_alive = false;
-          const auto eids = net.g.out_edges(path[i]);
-          const auto tgts = net.g.out_targets(path[i]);
-          for (std::size_t k = 0; k < eids.size(); ++k)
-            if (tgts[k] == path[i + 1] && router.edge_usable(eids[k]))
-              hop_alive = true;
-          const auto reids = net.g.in_edges(path[i]);
-          const auto rsrcs = net.g.in_sources(path[i]);
-          for (std::size_t k = 0; k < reids.size() && !hop_alive; ++k)
-            if (rsrcs[k] == path[i + 1] &&
-                (is_welded[reids[k]] ||
-                 (is_transient[reids[k]] && transient_ok)))
-              hop_alive = true;
-          EXPECT_TRUE(hop_alive)
-              << "worker " << t << " settled an uncarried hop at seq "
-              << before << ".." << after;
-        }
+        EXPECT_TRUE(router.path_carried(w.path(call)))
+            << "worker " << t << " settled a path the overlay does not carry";
       }
+      std::shared_lock<std::shared_mutex> lk(plane);
       for (const auto c : mine) w.disconnect(c);
     });
   }
   threads.emplace_back([&] {
     const auto flip = [&](auto&& body) {
-      seq.fetch_add(1, std::memory_order_acq_rel);
-      body();
-      seq.fetch_add(1, std::memory_order_release);
-      for (int spin = 0; spin < 200; ++spin) std::this_thread::yield();
+      const unsigned from = ops.load(std::memory_order_relaxed);
+      while (ops.load(std::memory_order_relaxed) < from + 64)
+        std::this_thread::yield();
+      pending.store(true, std::memory_order_release);
+      {
+        std::unique_lock<std::shared_mutex> lk(plane);
+        body();
+      }
+      pending.store(false, std::memory_order_release);
     };
-    for (int spin = 0; spin < 1000; ++spin) std::this_thread::yield();
     flip([&] {
       for (const auto e : doomed) router.fail_edge(e);
       for (const auto e : welded) router.contract_edge(e);
@@ -1376,10 +1273,6 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
   EXPECT_GT(st.calls_killed_by_fault, 0u);
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
-  // Fault events own every session, so the overlay never changes between a
-  // session's search and its claim's re-validation: through an Exchange the
-  // re-validation never fails.
-  EXPECT_EQ(st.router.overlay_conflicts, 0u);
   // Victims reroute on their own sessions: no fault event touches the
   // admission queue. The pool's hand-off under a fault storm is covered by
   // TrafficFaults.BatchedMultiSessionPlaneSurvivesTheSameStorm.

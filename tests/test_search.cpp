@@ -74,12 +74,12 @@ bool hop_ok(const Router& r, const graph::CsrGraph& g, graph::VertexId u,
     const auto eids = g.out_edges(u);
     const auto tgts = g.out_targets(u);
     for (std::size_t i = 0; i < eids.size(); ++i)
-      if (tgts[i] == v && r.edge_usable(eids[i])) return true;
+      if (tgts[i] == v && !r.edge_failed(eids[i])) return true;
   }
   const auto eids = g.out_edges(v);
   const auto tgts = g.out_targets(v);
   for (std::size_t i = 0; i < eids.size(); ++i)
-    if (tgts[i] == u && r.edge_usable(eids[i]) && r.edge_contracted(eids[i]))
+    if (tgts[i] == u && !r.edge_failed(eids[i]) && r.edge_contracted(eids[i]))
       return true;
   return false;
 }
@@ -107,7 +107,7 @@ std::uint32_t connect_checked(Router& router, const graph::Network& net,
     busy[v] = router.is_busy(v) ? 1 : 0;
   std::vector<std::uint8_t> unusable(g.edge_count());
   for (graph::EdgeId e = 0; e < g.edge_count(); ++e)
-    unusable[e] = router.edge_usable(e) ? 0 : 1;
+    unusable[e] = router.edge_failed(e) ? 1 : 0;
 
   const std::uint32_t call = router.connect(in, out);
   if (!idle) {
@@ -450,7 +450,7 @@ class WeldStorm {
         net_->g, reach_.probe(out), src, dst, reach_.first_hop(in, out),
         scratch, visits,
         [&r](graph::VertexId v) { return r.is_busy(v); },
-        [&r](graph::EdgeId e) { return !r.edge_usable(e); },
+        [&r](graph::EdgeId e) { return r.edge_failed(e); },
         [&r](graph::EdgeId e) { return r.edge_contracted(e); }, reaches_weld,
         !welded_.empty());
     EXPECT_TRUE(visited_clear(scratch, net_->g.vertex_count()))
