@@ -303,13 +303,14 @@ void BM_ExchangeFacade(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeFacade)->Arg(7)->Arg(9);
 
-// The drain's choice between routing a window on the draining thread and
-// fanning it out to the pool: a concurrent-backend exchange on cantor-k
-// (Arg 0) with S sessions (Arg 1) serves windows of W requests (Arg 2),
-// W distinct inputs to W distinct outputs, through submit + drain_all, and
-// hangs each window's calls up before the next. items_per_second counts
-// requests; fanout_frac is the share of epochs handed to the pool. A
-// developer probe with no gate:
+// The drain's choice between committing a window on the draining thread
+// alone and first searching its session chunks on the pool: a
+// concurrent-backend exchange on cantor-k (Arg 0) with S sessions (Arg 1)
+// serves windows of W requests (Arg 2), W distinct inputs to W distinct
+// outputs, through submit + drain_all, and hangs each window's calls up
+// before the next. items_per_second counts requests; fanout_frac is the
+// share of epochs whose search phase ran on the pool. A developer probe
+// with no gate:
 //   ./build/bench_routing --benchmark_filter=BM_DrainWindow
 void BM_DrainWindow(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));

@@ -27,32 +27,24 @@ bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
   return true;
 }
 
-// ------------------------------------------------------ the stores' claims
-//
-// Both read the path where the search left it: the session scratch's stack,
-// src first and dst last.
+// ------------------------------------------------- the shared store's claim
 
-template <>
-std::uint32_t Router<SoloStore>::claim(Session& s) {
-  // Sole owner: the search's verdict is final. Mark the path busy.
-  const auto path = s.scratch_.path();
-  for (const detail::SearchScratch::Frame& f : path) busy_.set(f.v);
-  return static_cast<std::uint32_t>(path.size());
-}
-
-template <>
-std::uint32_t Router<SharedStore>::claim(Session& s) {
-  const auto path = s.scratch_.path();
+template <class Store>
+bool Router<Store>::claim(Session& s)
+  requires(Store::kShared)
+{
+  // The path where the search left it, src first and dst last.
   std::vector<graph::VertexId>& order = s.claim_buf_;
   order.clear();
-  for (const detail::SearchScratch::Frame& f : path) order.push_back(f.v);
+  for (const detail::SearchScratch::Frame& f : s.scratch_.path())
+    order.push_back(f.v);
   std::sort(order.begin(), order.end());
   std::size_t claimed = 0;
   while (claimed < order.size() && busy_.try_set(order[claimed])) ++claimed;
-  if (claimed == order.size()) return static_cast<std::uint32_t>(path.size());
+  if (claimed == order.size()) return true;
   ++s.stats_.claim_conflicts;
   while (claimed > 0) busy_.reset(order[--claimed]);
-  return 0;
+  return false;
 }
 
 // ------------------------------------------------------------ construction
@@ -93,9 +85,17 @@ void Router<Store>::Session::prepare() {
   records_.resize(v_count + 2 * max_calls);
 }
 
+namespace {
+graph::VertexId vertex_of(graph::VertexId v) { return v; }
+graph::VertexId vertex_of(const detail::SearchScratch::Frame& f) {
+  return f.v;
+}
+}  // namespace
+
 template <class Store>
-std::uint32_t Router<Store>::Session::write_record(CallId id) {
-  const auto path = scratch_.path();
+template <class Path>
+std::uint32_t Router<Store>::Session::write_record(CallId id,
+                                                   const Path& path) {
   const auto length = static_cast<std::uint32_t>(path.size());
   // Free slots are handed out newest first, so the slot's last record is
   // usually still in cache: reuse it when the path fits.
@@ -107,7 +107,8 @@ std::uint32_t Router<Store>::Session::write_record(CallId id) {
     at = top_ + 2;
     top_ = at + length;
   }
-  for (std::uint32_t i = 0; i < length; ++i) records_[at + i] = path[i].v;
+  for (std::uint32_t i = 0; i < length; ++i)
+    records_[at + i] = vertex_of(path[i]);
   return at;
 }
 
@@ -177,40 +178,11 @@ void Router<Store>::grow(const graph::Network& net) {
 // ------------------------------------------------------- connect/disconnect
 
 template <class Store>
-auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
-    -> CallId {
-  Router& r = *r_;
-  if constexpr (Store::kShared) prepare();
-  ++stats_.connect_calls;
-  const graph::VertexId src = r.net_->inputs[in];
-  const graph::VertexId dst = r.net_->outputs[out];
-
-  // 1. Terminal acquire: input slot, then output slot.
-  if (r.dead_.test(src) || r.dead_.test(dst) || !r.in_busy_.try_set(in)) {
-    ++stats_.rejected_terminal;
-    return kNoCall;
-  }
-  if (!r.out_busy_.try_set(out)) {
-    r.in_busy_.reset(in);
-    ++stats_.rejected_terminal;
-    return kNoCall;
-  }
-  const auto reject = [&](std::uint64_t& reason) {
-    r.out_busy_.reset(out);
-    r.in_busy_.reset(in);
-    ++reason;
-    return kNoCall;
-  };
-  // An endpoint busy as another call's hop cannot anchor a path. On the
-  // shared store this read is a snapshot: a stale positive costs one
-  // rejected request, never a corrupted chain.
-  if (r.busy_.test(src) || r.busy_.test(dst))
-    return reject(stats_.rejected_no_path);
-
+bool Router<Store>::Session::find(std::uint32_t in, std::uint32_t out) {
+  const Router& r = *r_;
   // The overlay gates, one load each: with no outstanding fault or weld the
   // search runs the overlay-free, weld-free hot path.
   const bool overlay = r.failed_ > 0;
-  const bool contraction = r.welded_ > 0;
   const auto is_busy = [&r](graph::VertexId v) { return r.busy_.test(v); };
   const auto edge_blocked = [&r, overlay](graph::EdgeId e) {
     return overlay && r.dead_edges_.test(e);
@@ -221,24 +193,19 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
   const auto reaches_weld = [&r](graph::VertexId v) {
     return r.weld_reach_[v] != 0;
   };
-  std::uint32_t length = 0;
-  for (unsigned attempt = 0;; ++attempt) {
-    // 2. Search; 3. claim (the store's step).
-    if (detail::find_idle_path(r.net_->g, r.reach_.probe(out), src, dst,
-                               r.reach_.first_hop(in, out), scratch_,
-                               stats_.vertices_visited, is_busy, edge_blocked,
-                               edge_contracted, reaches_weld,
-                               contraction) == graph::kNoVertex)
-      return reject(stats_.rejected_no_path);
-    length = r.claim(*this);
-    if (length != 0) break;
-    // 4. Conflict: the claim released its prefix; retry within the budget.
-    if (attempt + 1 >= kMaxClaimRetries)
-      return reject(stats_.rejected_contention);
-    ++stats_.search_retries;
-  }
+  return detail::find_idle_path(r.net_->g, r.reach_.probe(out),
+                                r.net_->inputs[in], r.net_->outputs[out],
+                                r.reach_.first_hop(in, out), scratch_,
+                                stats_.vertices_visited, is_busy, edge_blocked,
+                                edge_contracted, reaches_weld,
+                                r.welded_ > 0) != graph::kNoVertex;
+}
 
-  // 5. Settle into the session's call table.
+template <class Store>
+template <class Path>
+auto Router<Store>::Session::record(std::uint32_t in, std::uint32_t out,
+                                    const Path& path) -> CallId {
+  const auto length = static_cast<std::uint32_t>(path.size());
   busy_count_ += length;
   ++active_;
   ++stats_.accepted;
@@ -251,9 +218,111 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
     id = static_cast<CallId>(calls_.size());
     calls_.emplace_back();  // within the capacity prepare() reserved
   }
-  calls_[id] = {in, out, write_record(id), length};
-  if (!r.owner_.empty()) r.own_path(*this, id);
+  calls_[id] = {in, out, write_record(id, path), length};
+  if (!r_->owner_.empty()) r_->own_path(*this, id);
   return id;
+}
+
+template <class Store>
+auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
+    -> CallId {
+  // One session has no other writer to race.
+  if constexpr (!Store::kShared) {
+    return settle(in, out);
+  } else {
+    Router& r = *r_;
+    prepare();
+    ++stats_.connect_calls;
+    const graph::VertexId src = r.net_->inputs[in];
+    const graph::VertexId dst = r.net_->outputs[out];
+
+    // 1. Terminal acquire: input slot, then output slot.
+    if (r.dead_.test(src) || r.dead_.test(dst) || !r.in_busy_.try_set(in)) {
+      ++stats_.rejected_terminal;
+      return kNoCall;
+    }
+    if (!r.out_busy_.try_set(out)) {
+      r.in_busy_.reset(in);
+      ++stats_.rejected_terminal;
+      return kNoCall;
+    }
+    const auto reject = [&](std::uint64_t& reason) {
+      r.out_busy_.reset(out);
+      r.in_busy_.reset(in);
+      ++reason;
+      return kNoCall;
+    };
+    // An endpoint busy as another call's hop cannot anchor a path. This
+    // read is a snapshot: a stale positive costs one rejected request,
+    // never a corrupted chain.
+    if (r.busy_.test(src) || r.busy_.test(dst))
+      return reject(stats_.rejected_no_path);
+    for (unsigned attempt = 0;; ++attempt) {
+      // 2. Search; 3. claim.
+      if (!find(in, out)) return reject(stats_.rejected_no_path);
+      if (r.claim(*this)) break;
+      // 4. Conflict: the claim released its prefix; retry within the budget.
+      if (attempt + 1 >= kMaxClaimRetries)
+        return reject(stats_.rejected_contention);
+      ++stats_.search_retries;
+    }
+    // 5. Settle into the session's call table.
+    return record(in, out, scratch_.path());
+  }
+}
+
+template <class Store>
+auto Router<Store>::Session::settle(std::uint32_t in, std::uint32_t out,
+                                    std::span<const graph::VertexId> speculated,
+                                    bool* reused) -> CallId {
+  Router& r = *r_;
+  if constexpr (Store::kShared) prepare();
+  ++stats_.connect_calls;
+  const graph::VertexId src = r.net_->inputs[in];
+  const graph::VertexId dst = r.net_->outputs[out];
+  if (r.dead_.test(src) || r.dead_.test(dst) || r.in_busy_.test(in) ||
+      r.out_busy_.test(out)) {
+    ++stats_.rejected_terminal;
+    return kNoCall;
+  }
+  // An endpoint busy as another call's hop cannot anchor a path.
+  if (r.busy_.test(src) || r.busy_.test(dst)) {
+    ++stats_.rejected_no_path;
+    return kNoCall;
+  }
+  const auto take = [&](const auto& path) {
+    r.in_busy_.set(in);
+    r.out_busy_.set(out);
+    for (const auto& v : path) r.busy_.set(vertex_of(v));
+    return record(in, out, path);
+  };
+  if (!speculated.empty() &&
+      std::none_of(speculated.begin(), speculated.end(),
+                   [&r](graph::VertexId v) { return r.busy_.test(v); })) {
+    if (reused) *reused = true;
+    return take(speculated);
+  }
+  if (!find(in, out)) {
+    ++stats_.rejected_no_path;
+    return kNoCall;
+  }
+  return take(scratch_.path());
+}
+
+template <class Store>
+std::uint32_t Router<Store>::Session::search(std::uint32_t in,
+                                             std::uint32_t out,
+                                             std::vector<graph::VertexId>& path) {
+  const Router& r = *r_;
+  if constexpr (Store::kShared) prepare();
+  // A dead terminal holds its busy bit.
+  if (r.in_busy_.test(in) || r.out_busy_.test(out) ||
+      r.busy_.test(r.net_->inputs[in]) || r.busy_.test(r.net_->outputs[out]) ||
+      !find(in, out))
+    return 0;
+  for (const detail::SearchScratch::Frame& f : scratch_.path())
+    path.push_back(f.v);
+  return scratch_.depth;
 }
 
 template <class Store>

@@ -14,69 +14,97 @@
 //
 // The two stores supply the only things that differ:
 //   - SoloStore (GreedyRouter): one session. Busy state is a plain
-//     util::Bitset, terminal slots are bytes, and the CLAIM is the settle
-//     itself: walk the search's stack (the path) and set each busy bit. No
-//     claim buffer, no sort, no CAS. Session scratch is built at
-//     construction.
-//   - SharedStore (ConcurrentRouter): N sessions route concurrently over
-//     the same network. Busy state is a util::AtomicBitset, terminal slots
-//     are cache-line padded (they are the claim locks every session CASes
-//     on admission), and the CLAIM is canonical CAS (below). Session
-//     scratch is built lazily by the session's FIRST connect, on the thread
-//     that owns the session, so with a pinned thread pool its pages
-//     first-touch onto that thread's node.
+//     util::Bitset, terminal slots are bytes, and connect() IS settle()
+//     (below): with one session there is never another writer. Session
+//     scratch is built at construction.
+//   - SharedStore (ConcurrentRouter): N sessions over the same network.
+//     Busy state is a util::AtomicBitset and terminal slots are cache-line
+//     padded. Its connect() keeps a CAS claim (below) for the one case that
+//     needs it: immediate-plane sessions connecting concurrently. Session
+//     scratch is built lazily by the session's first search, on the thread
+//     that runs it, so with a pinned thread pool its pages first-touch onto
+//     that thread's node.
 // The liveness overlay (below) is plain state on both stores.
 //
-// Protocol per connect(in, out), one body for both stores:
+// Three entries route a request:
+//   - settle(in, out[, speculated]) — QUIESCENT ONLY on the shared store
+//     (the caller owns every session: a batched drain, a fault event's
+//     victim reroutes). Terminal check, search, then plain relaxed writes:
+//     each terminal slot and path busy bit is a load and a store, with no
+//     sort, no CAS and no claim buffer. Given a `speculated` path that an
+//     earlier search() of the same request found, it re-tests that path's
+//     busy bits and settles it as it is when all are still idle, searching
+//     again only when one is not.
+//   - search(in, out, path) — READ-ONLY: checks the terminals and searches
+//     against the current busy state, appending the path found to the
+//     caller's buffer. It writes only the session's scratch and stats, so
+//     distinct sessions may search concurrently while nothing settles (a
+//     drain's fan-out phase).
+//   - connect(in, out) — the immediate plane. Solo store: settle(). Shared
+//     store, protocol per connect:
 //   1. TERMINAL ACQUIRE — a dead terminal is rejected; then the input
 //      slot, then the output slot, is taken (try_set). Failure →
 //      rejected_terminal (slots released in reverse order on any reject).
 //      A terminal vertex occupied as an intermediate hop of another call
 //      cannot anchor a new path (a vertex carries at most one call: two
 //      calls would share its busy bit, and the first hangup would free it
-//      under the second) → rejected_no_path.
+//      under the second) → rejected_no_path. settle() and search() apply
+//      the same two tests, with plain reads.
 //   2. SEARCH — the reach-guided depth-first search (ftcs/search.hpp) on
 //      the session's private scratch, guided by the router's one ReachIndex
 //      (read-only, rebuilt by grow()): its cones filter the children, and
 //      its plane table picks the slot the first hop starts at
-//      (ReachIndex::first_hop(in, out)). On the shared store it reads the
-//      busy bits with RELAXED loads: a dirty snapshot, deliberately
-//      unvalidated. The overlay it reads is stable for the whole connect.
-//      No idle path → rejected_no_path.
-//   3. CLAIM (the store's step). Shared store: the path's vertices are
-//      claimed with word-level CAS (AtomicBitset::try_set, acq_rel) in
-//      CANONICAL order (ascending vertex id), so two overlapping claims
-//      collide at their smallest shared vertex and the loser has claimed
-//      as little as possible.
-//   4. CONFLICT (shared store only) — a lost CAS (claim_conflicts)
-//      releases the claim prefix, newest first, and re-runs step 2 against
-//      the fresher state (search_retries). After kMaxClaimRetries attempts
-//      the call is rejected (rejected_contention): bounded work per call,
-//      no livelock.
-//   5. SETTLE — the path (the search's stack, src first) is copied into
-//      one record in the session's record store, the call table names the
+//      (ReachIndex::first_hop(in, out)). It reads the busy bits with
+//      RELAXED loads: a dirty snapshot, deliberately unvalidated. The
+//      overlay it reads is stable for the whole connect. No idle path →
+//      rejected_no_path.
+//   3. CLAIM — the path's vertices are claimed with word-level CAS
+//      (AtomicBitset::try_set, acq_rel) in CANONICAL order (ascending
+//      vertex id), so two overlapping claims collide at their smallest
+//      shared vertex and the loser has claimed as little as possible.
+//   4. CONFLICT — a lost CAS (claim_conflicts) releases the claim prefix,
+//      newest first, and re-runs step 2 against the fresher state
+//      (search_retries). After kMaxClaimRetries attempts the call is
+//      rejected (rejected_contention): bounded work per call, no livelock.
+//   5. SETTLE (every entry that routes) — the path is copied into one
+//      record in the session's record store, the call table names the
 //      record, and, once the owner map exists, each path vertex's entry
 //      names the call (see call_at). disconnect() reads the record back and
 //      resets its busy bits: no per-vertex store besides the bits.
 //
+// Speculation (search() now, settle() later in the same epoch) is exact
+// while speculation_exact() holds: no live weld and an acyclic network.
+// Within an epoch the busy set only grows (nothing hangs up and no fault
+// flips), the reach filter is static and the first hop depends only on
+// (in, out). On a DAG no vertex on the search's stack is reachable from the
+// current one, so a vertex fails only when it cannot reach dst over idle
+// vertices, and the search returns the first idle path in its fixed child
+// order. "Cannot reach" only spreads as the busy set grows, so a path found
+// against an earlier state that is still idle is the path a search now
+// would return. A weld's reverse hops make the search graph cyclic, and so
+// does a cyclic network; then a drain routes its window with settle() alone.
+//
 // Memory-ordering contract (shared store; see util/atomic_bitset.hpp). It
-// covers only busy bits, terminal slots and owner-map entries:
+// covers only busy bits, terminal slots and owner-map entries, and only the
+// concurrent connect()s of the immediate plane; settle() writes them
+// plainly because its caller excludes every other session:
 //   - path records and call tables are SESSION-PRIVATE: written by the
 //     session's settle and read by its disconnect/path(), all on the one
 //     thread that owns the session, so they need no ordering of their own.
 //   - busy_.try_set is acq_rel: a successful claim of v synchronizes-with
 //     the busy_.reset(v) (release) of v's previous owner, so the owner's
 //     write to owner_[v] is visible before anyone re-claims v. All
-//     bitset-word writes are RMWs, so intervening claims of OTHER bits in
-//     the same word do not break the release sequence.
+//     bitset-word writes of concurrent sessions are RMWs, so intervening
+//     claims of OTHER bits in the same word do not break the release
+//     sequence.
 //   - owner_[v] is plain (non-atomic) data OWNED by whoever holds busy bit
-//     v: written only between a successful try_set(v) and the matching
-//     reset(v), and read only at quiescence (call_at). disconnect() leaves
-//     the entry as it is; call_at() validates it against the named call's
-//     record instead.
+//     v: written only between taking bit v and the matching reset(v), and
+//     read only at quiescence (call_at). disconnect() leaves the entry as
+//     it is; call_at() validates it against the named call's record
+//     instead.
 //   - search reads of busy bits are relaxed; every positive routing
-//     decision is re-checked by the claim CAS, so stale reads cost
-//     retries, not correctness.
+//     decision is re-checked by the claim CAS (connect) or by the owning
+//     settle, so stale reads cost retries, not correctness.
 //
 // Liveness overlay: the router's only fault state, whether the faults come
 // from a sampled fault::FaultInstance applied once or from the runtime
@@ -105,9 +133,10 @@
 //     first contract_edge (a router that never welds allocates none) and
 //     recounted by grow().
 //   - fail_edge, repair_edge, contract_edge, uncontract_edge, kill_vertex,
-//     revive_vertex, call_at and grow are QUIESCENT ONLY: no connect or
-//     disconnect in flight on any session, and, for kill_vertex, victims
-//     torn down first — the same contract as Exchange::drain(). svc::Exchange
+//     revive_vertex, call_at and grow (and, on the shared store, settle)
+//     are QUIESCENT ONLY: no connect, search or disconnect in flight on any
+//     other session, and, for kill_vertex, victims torn down first — the
+//     same contract as Exchange::drain(). svc::Exchange
 //     holds every session while it flips a switch, then asks call_at() for
 //     the calls through the switch's two endpoints and tears down those
 //     path_carried() rejects (a weld's repair severs calls that crossed it
@@ -117,13 +146,15 @@
 //
 // Sessions: a Session is single-threaded — one thread at a time may use
 // session(s), and a call is disconnected through the session that connected
-// it. Distinct sessions of the shared store may run concurrently. The
-// aggregates stats(), active_calls() and busy_vertices() are exact only at
-// quiescence; they are for reporting, not for the hot path.
+// it. Distinct sessions of the shared store may connect() or search()
+// concurrently; a settle() excludes every other session. The aggregates
+// stats(), active_calls() and busy_vertices() are exact only at quiescence;
+// they are for reporting, not for the hot path.
 //
-// Hot-path design: connect() performs NO heap allocation once its
-// session's scratch exists (construction for the solo store, the first
-// connect for the shared store).
+// Hot-path design: connect(), settle() and search() perform NO heap
+// allocation once their session's scratch exists (construction for the
+// solo store, the first search for the shared store) and, for search(),
+// once the caller's path buffer has the room.
 //   - visited state is one bit per vertex, zeroed word by word by the
 //     search that set it; the search stack (vertex_count frames, allocated
 //     untouched) is the found path, which the claim reads in place; each
@@ -146,11 +177,12 @@
 //     packed session and slot) exists only once the fault plane has asked:
 //     a router that never faults neither builds nor writes it.
 //
-// One search, one claim per store: a 1-session shared router is
-// path-for-path identical to the solo router (with no contention its claim
-// always succeeds first try). The Exchange's batched plane routes its
-// windows through the same connect(), one request at a time in window
-// order.
+// One search for every entry: a 1-session shared router is path-for-path
+// identical to the solo router (with no contention its claim always
+// succeeds first try), and settle() routes as the solo store's connect()
+// does. The Exchange's batched plane commits its windows through settle(),
+// one request at a time in window order, after an optional parallel
+// search() phase (svc/README.md, "Batched drain").
 #pragma once
 
 #include <array>
@@ -181,7 +213,8 @@ struct RouterStats {
   std::uint64_t disconnects = 0;
   std::uint64_t vertices_visited = 0;  // vertices marked across all searches
   std::uint64_t path_vertices = 0;     // total length of settled paths
-  // Shared-store counters (always 0 on the solo store):
+  // Shared-store connect() counters (always 0 on the solo store and for
+  // settle()):
   std::uint64_t claim_conflicts = 0;      // CAS lost a vertex to another session
   std::uint64_t search_retries = 0;       // searches re-run after a conflict
   std::uint64_t rejected_contention = 0;  // gave up after the retry budget
@@ -227,9 +260,6 @@ struct SoloStore {
     explicit Slots(std::size_t n = 0) : held(n, 0) {}
     [[nodiscard]] std::size_t size() const noexcept { return held.size(); }
     [[nodiscard]] bool test(std::size_t i) const noexcept { return held[i]; }
-    [[nodiscard]] bool try_set(std::size_t i) noexcept {
-      return !std::exchange(held[i], std::uint8_t{1});
-    }
     void set(std::size_t i) noexcept { held[i] = 1; }
     void reset(std::size_t i) noexcept { held[i] = 0; }
   };
@@ -275,7 +305,7 @@ class Router {
   }
   /// `sessions` fixes the session count (0 means 1). Only the shared state
   /// is allocated here: each session builds its scratch on its first
-  /// connect.
+  /// connect, settle or search.
   Router(const graph::Network& net, unsigned sessions)
     requires(Store::kShared)
       : net_(&net), reach_(net) {
@@ -291,10 +321,31 @@ class Router {
   /// never false-shares with its neighbours.
   class alignas(util::kCacheLineBytes) Session {
    public:
-    /// Steps 1-5 of the header comment. Returns kNoCall on a busy or
-    /// dead terminal, no idle path, or claim-retry exhaustion (the stats
-    /// counters say which). Allocation-free once the scratch exists.
+    /// The immediate plane (header comment): settle() on the solo store,
+    /// steps 1-5 on the shared one. Returns kNoCall on a busy or dead
+    /// terminal, no idle path, or claim-retry exhaustion (the stats counters
+    /// say which). Allocation-free once the scratch exists.
     CallId connect(std::uint32_t in, std::uint32_t out);
+    /// Routes in->out with plain writes: terminal check, search, settle.
+    /// QUIESCENT ONLY on the shared store: no other session may connect,
+    /// search or disconnect meanwhile. A non-empty `speculated` is the path
+    /// this session's search() found for the same request against an
+    /// earlier state of the same epoch; it is settled as it is when all its
+    /// vertices are still idle (and `*reused` set to true), and the search
+    /// runs again otherwise. Returns kNoCall on a busy or dead terminal or no
+    /// idle path. Allocation-free once the scratch exists.
+    CallId settle(std::uint32_t in, std::uint32_t out,
+                  std::span<const graph::VertexId> speculated = {},
+                  bool* reused = nullptr);
+    /// Read-only search for in->out against the current busy state, as the
+    /// request would route now: appends the path found (input first) to
+    /// `path` and returns its length, or returns 0 when a terminal is busy
+    /// or dead or no idle path exists. Writes only this session's scratch
+    /// and stats (vertices_visited), so sessions may search concurrently
+    /// while nothing settles. Allocation-free once the scratch exists and
+    /// `path` has the room.
+    std::uint32_t search(std::uint32_t in, std::uint32_t out,
+                         std::vector<graph::VertexId>& path);
     /// Releases a call made through THIS session. Allocation-free.
     void disconnect(CallId call);
 
@@ -341,11 +392,18 @@ class Router {
     /// reserves) at the current network size, once: the first-touch point
     /// for every page the hot path walks. Live records are kept.
     void prepare();
-    /// Writes the path the search just found as call `id`'s record: into
-    /// the slot's last record when it is long enough, else appended
-    /// (compacting first when the store is full). Returns where the
-    /// vertices start.
-    std::uint32_t write_record(CallId id);
+    /// Step 2 for in->out on this session's scratch: true iff it found an
+    /// idle path (then scratch_.path()).
+    bool find(std::uint32_t in, std::uint32_t out);
+    /// Step 5 for `path` (search frames or vertex ids), whose vertices and
+    /// terminal slots the caller has taken: the call's slot and record.
+    template <class Path>
+    CallId record(std::uint32_t in, std::uint32_t out, const Path& path);
+    /// Writes `path` as call `id`'s record: into the slot's last record
+    /// when it is long enough, else appended (compacting first when the
+    /// store is full). Returns where the vertices start.
+    template <class Path>
+    std::uint32_t write_record(CallId id, const Path& path);
     /// Moves the live records to the front of the store, in address order,
     /// each trimmed to its path, and drops every other record.
     void compact();
@@ -456,6 +514,12 @@ class Router {
   [[nodiscard]] std::uint32_t weld_reach(graph::VertexId v) const {
     return weld_reach_.empty() ? 0 : weld_reach_[v];
   }
+  /// True iff a search against an earlier busy state of the same epoch
+  /// finds the path a search now would, whenever that path is still idle:
+  /// no live weld and an acyclic network (header comment, "Speculation").
+  [[nodiscard]] bool speculation_exact() const noexcept {
+    return welded_ == 0 && reach_.exact();
+  }
   /// The hop rule: true iff every hop of `path` is carried by a forward
   /// switch that has not failed, or by a weld that has not failed crossed
   /// against its direction. The fault plane's victim check asks it.
@@ -482,11 +546,10 @@ class Router {
 
  private:
   void init(unsigned sessions);
-  /// Step 3 for the path the session's search just found (its scratch's
-  /// stack): the store's claim.
-  /// Returns the path length, or 0 when the claim was lost (shared store
-  /// only).
-  std::uint32_t claim(Session& s);
+  /// Step 3 of the shared store's connect() for the path the session's
+  /// search just found (its scratch's stack): true iff every CAS won.
+  bool claim(Session& s)
+    requires(Store::kShared);
   /// Sizes the weld-ancestor counts and the walk's flags at the network's
   /// vertex count, all zero.
   void clear_weld_counts();
@@ -523,18 +586,13 @@ class Router {
   std::vector<Session> sessions_;
 };
 
-// The stores' claim steps (router.cpp), declared ahead of the explicit
-// instantiations that use them.
-template <>
-std::uint32_t Router<SoloStore>::claim(Session& s);
-template <>
-std::uint32_t Router<SharedStore>::claim(Session& s);
 extern template class Router<SoloStore>;
 extern template class Router<SharedStore>;
 
 /// The one-session router (plain bitsets, no claim protocol).
 using GreedyRouter = Router<SoloStore>;
-/// N sessions over shared atomic busy bits with CAS-claimed paths.
+/// N sessions over shared atomic busy bits: CAS-claimed connects, owned
+/// settles.
 using ConcurrentRouter = Router<SharedStore>;
 
 }  // namespace ftcs::core

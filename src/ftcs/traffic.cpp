@@ -39,27 +39,24 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
   std::unordered_map<std::uint64_t, svc::CallId> live;
   std::uint64_t next_tag = 1;
 
-  // Batched plane: completions land in per-session buckets (drain() runs
-  // one pool task per session, so each bucket has a single writer; refusals
-  // fire on this thread before the call returns).
-  const unsigned session_count = exchange.sessions();
-  std::vector<std::vector<svc::Outcome>> buckets(session_count);
-  const auto on_done = [&buckets](const svc::Outcome& o) {
-    buckets[o.session].push_back(o);
+  // Batched plane: completions land in one bucket, in commit order (drain()
+  // fires every callback on this thread, as do refusals before submit
+  // returns).
+  std::vector<svc::Outcome> bucket;
+  const auto on_done = [&bucket](const svc::Outcome& o) {
+    bucket.push_back(o);
   };
-  // Schedules departures for drained outcomes. Session order, then routing
-  // order within a session: deterministic given the engine's outcomes.
-  const auto settle_buckets = [&](double now) {
-    for (auto& bucket : buckets) {
-      for (const svc::Outcome& o : bucket) {
-        if (!o.connected()) continue;
-        live.emplace(o.tag, o.id);
-        departures.push({now + rng.exponential(1.0 / p.mean_holding), o.tag});
-      }
-      bucket.clear();
+  // Schedules departures for drained outcomes in commit order: deterministic
+  // given the engine's outcomes.
+  const auto settle_bucket = [&](double now) {
+    for (const svc::Outcome& o : bucket) {
+      if (!o.connected()) continue;
+      live.emplace(o.tag, o.id);
+      departures.push({now + rng.exponential(1.0 / p.mean_holding), o.tag});
     }
+    bucket.clear();
   };
-  // Every epoch settles its buckets before it returns, so a victim this run
+  // Every epoch settles its bucket before it returns, so a victim this run
   // admitted is always in `live`; a victim that is not predates the run.
   const auto settle_impact = [&](const svc::FaultImpact& impact) {
     for (std::size_t i = 0; i < impact.killed.size(); ++i) {
@@ -111,7 +108,7 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
     if (t == tf) {
       // Fault event. inject()/repair() route each victim's reroute
       // directly and drain nothing, so no carried outcome waits in the
-      // buckets.
+      // bucket.
       now = t;
       advance(now);
       settle_impact(exchange.apply(fault_events[fault_idx]));
@@ -167,7 +164,7 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
       if (next_epoch <= now) next_epoch = now + p.epoch_interval;
       advance(now);
       exchange.drain_all();
-      settle_buckets(now);
+      settle_bucket(now);
     }
   }
   advance(std::max(now, p.sim_time));

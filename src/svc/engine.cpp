@@ -48,6 +48,30 @@ class RouterEngine final : public Engine {
             static_cast<std::uint32_t>(s.path_length(call))};
   }
 
+  Connect settle(unsigned session, std::uint32_t in, std::uint32_t out,
+                 std::span<const graph::VertexId> speculated) override {
+    auto& s = router_.session(session);
+    const RejectSnapshot before(s.stats());
+    Connect c;
+    const auto call = s.settle(in, out, speculated, &c.speculation_hit);
+    if (call == core::Router<Store>::kNoCall) {
+      c.reject = before.classify(s.stats());
+      return c;
+    }
+    c.call = call;
+    c.path_length = static_cast<std::uint32_t>(s.path_length(call));
+    return c;
+  }
+
+  std::uint32_t search(unsigned session, std::uint32_t in, std::uint32_t out,
+                       std::vector<graph::VertexId>& path) override {
+    return router_.session(session).search(in, out, path);
+  }
+
+  [[nodiscard]] bool speculation_exact() const override {
+    return router_.speculation_exact();
+  }
+
   void disconnect(unsigned session, RawCall call) override {
     router_.session(session).disconnect(call);
   }

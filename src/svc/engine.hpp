@@ -4,9 +4,10 @@
 // Engine is the narrow seam the Exchange serves calls through: a virtual
 // base over one templated adapter, instantiated for the router's two busy
 // stores and selected at construction by Backend. An Engine speaks
-// sessions: connect/disconnect on session s must be externally serialized
-// per session, distinct sessions may run concurrently (the greedy backend
-// has exactly one session). Rejections come back as the shared
+// sessions: connect/search/disconnect on session s must be externally
+// serialized per session, distinct sessions may run concurrently (the
+// greedy backend has exactly one session). settle() is the owner's entry:
+// its caller holds every session, as for the fault plane's mutators. Rejections come back as the shared
 // svc::RejectReason — the adapter classifies them from the router's
 // RouterStats counters, so there is exactly one source of truth for what a
 // rejection was.
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "ftcs/router.hpp"
 #include "graph/digraph.hpp"
@@ -24,7 +26,7 @@ namespace ftcs::svc {
 
 enum class Backend : std::uint8_t {
   kGreedy,      // one session on the solo store (fastest for one thread)
-  kConcurrent,  // N sessions on the shared store, CAS-claimed paths
+  kConcurrent,  // N sessions on the shared store: CAS-claimed connects
 };
 
 class Engine {
@@ -39,6 +41,7 @@ class Engine {
     RawCall call = kNoRawCall;
     RejectReason reject = RejectReason::kNone;
     std::uint32_t path_length = 0;
+    bool speculation_hit = false;  // settle() kept its speculated path
   };
 
   virtual ~Engine() = default;
@@ -48,6 +51,24 @@ class Engine {
   /// or kContention.
   virtual Connect connect(unsigned session, std::uint32_t in,
                           std::uint32_t out) = 0;
+  /// QUIESCENT ONLY (the caller holds every session): routes in->out on
+  /// `session` with plain writes (core::Router's settle), settling
+  /// `speculated`, a path search() found for the same request earlier in
+  /// the epoch, when all its vertices are still idle. reject is kNone,
+  /// kTerminalBusy or kNoPath.
+  virtual Connect settle(unsigned session, std::uint32_t in,
+                         std::uint32_t out,
+                         std::span<const graph::VertexId> speculated) = 0;
+  /// Read-only search for in->out on `session` against the current busy
+  /// state (core::Router's search): appends the path to `path` and returns
+  /// its length; 0 when a terminal is busy or no idle path exists.
+  virtual std::uint32_t search(unsigned session, std::uint32_t in,
+                               std::uint32_t out,
+                               std::vector<graph::VertexId>& path) = 0;
+  /// True iff a path search() found earlier in an epoch, still idle, is
+  /// the one settle() would find now (core::Router::speculation_exact: no
+  /// live weld, an acyclic network).
+  [[nodiscard]] virtual bool speculation_exact() const = 0;
   virtual void disconnect(unsigned session, RawCall call) = 0;
   /// The call's vertices, input first: a view of the router's record,
   /// valid until `session`'s next connect (or grow()).

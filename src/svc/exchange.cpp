@@ -14,6 +14,11 @@ namespace {
 // handle presented to the wrong Exchange is detected (kForeignHandle)
 // instead of silently indexing someone else's call table.
 std::atomic<std::uint32_t> next_exchange_id{1};
+
+using Clock = std::chrono::steady_clock;
+double ns(Clock::duration d) {
+  return static_cast<double>(std::chrono::nanoseconds(d).count());
+}
 }  // namespace
 
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
@@ -30,6 +35,7 @@ Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
   // reports the post-degrade policy (kNone on hosts that cannot honor it).
   if (cfg.affinity != util::AffinityPolicy::kNone)
     affinity_ = util::ThreadPool::global().apply_affinity(cfg.affinity);
+  epoch_.paths.resize(engine_->sessions());
 }
 
 // ------------------------------------------------------------------ handles
@@ -62,13 +68,13 @@ RejectReason Exchange::check_handle(CallId id) const {
 
 // ---------------------------------------------------------- immediate plane
 
-Outcome Exchange::route_one(const CallRequest& req, unsigned session,
-                            std::uint32_t deferrals) {
+Outcome Exchange::outcome_of(const CallRequest& req, unsigned session,
+                             std::uint32_t deferrals,
+                             const Engine::Connect& c) {
   Outcome o;
   o.tag = req.tag;
   o.session = session;
   o.deferrals = deferrals;
-  const Engine::Connect c = engine_->connect(session, req.input, req.output);
   o.reject = c.reject;
   o.path_length = c.path_length;
   if (c.reject == RejectReason::kNone)
@@ -88,9 +94,13 @@ Outcome Exchange::call(const CallRequest& req, unsigned session) {
     o.reject = RejectReason::kBadSession;
     return o;
   }
-  if (!qos_immediate_) return route_one(req, session, 0);
+  const auto route = [&] {
+    return outcome_of(req, session, 0,
+                      engine_->connect(session, req.input, req.output));
+  };
+  if (!qos_immediate_) return route();
   const auto t0 = std::chrono::steady_clock::now();
-  const Outcome o = route_one(req, session, 0);
+  const Outcome o = route();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -140,23 +150,20 @@ std::vector<graph::VertexId> Exchange::path_of(CallId id) const {
 // ------------------------------------------------------------ batched plane
 
 std::size_t Exchange::drain() {
-  const std::vector<FrontEnd<Outcome>::Pending> batch = front_.open_epoch();
-  const std::size_t m = batch.size();
+  Epoch& e = epoch_;
+  front_.open_epoch(e.batch);
+  const std::size_t m = e.batch.size();
   if (m == 0) return 0;
   const unsigned s_count = engine_->sessions();
-  std::vector<Outcome> outs(m);
-  // Partition the window across sessions: session s routes the batch
-  // indices in order[start[s], start[s+1]). Default is the deterministic
-  // contiguous split by arrival index ([m*s/S, m*(s+1)/S)); with
-  // home_sessions each request instead goes to the session owning its
-  // INPUT terminal's range, so one session's claim CASes land in its own
-  // slice of the terminal bitsets (its own cache domain once the pool is
-  // pinned). The grouping sort is stable, so FIFO order within a session
-  // is preserved. Either way a chunk is one session's, and one thread
-  // routes it — the per-session handle shards stay single-threaded and
-  // callbacks for a request fire on the thread that routed it.
-  std::vector<std::uint32_t> order(m);
-  std::vector<std::size_t> start(s_count + 1, 0);
+  e.outs.resize(m);
+  // Partition the window across sessions: session s commits the batch
+  // indices in order[start[s], start[s+1]), and the draining thread
+  // commits them in that order. Default is the contiguous split by arrival
+  // index ([m*s/S, m*(s+1)/S)); with home_sessions each request instead
+  // goes to the session owning its INPUT terminal's range. The grouping
+  // sort is stable, so FIFO order within a session is preserved.
+  e.order.resize(m);
+  e.start.assign(s_count + 1, 0);
   if (home_sessions_ && s_count > 1) {
     const std::size_t n_in = net_->inputs.size();
     const auto home = [&](std::uint32_t input) {
@@ -164,68 +171,95 @@ std::size_t Exchange::drain() {
       return static_cast<unsigned>(
           std::min<std::size_t>(s, s_count - 1));  // clamp bad inputs
     };
-    for (std::size_t i = 0; i < m; ++i) ++start[home(batch[i].req.input) + 1];
-    for (unsigned s = 0; s < s_count; ++s) start[s + 1] += start[s];
-    std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
     for (std::size_t i = 0; i < m; ++i)
-      order[cursor[home(batch[i].req.input)]++] =
+      ++e.start[home(e.batch[i].req.input) + 1];
+    for (unsigned s = 0; s < s_count; ++s) e.start[s + 1] += e.start[s];
+    e.cursor.assign(e.start.begin(), e.start.end() - 1);
+    for (std::size_t i = 0; i < m; ++i)
+      e.order[e.cursor[home(e.batch[i].req.input)]++] =
           static_cast<std::uint32_t>(i);
   } else {
-    std::iota(order.begin(), order.end(), 0u);
-    for (unsigned s = 0; s <= s_count; ++s) start[s] = m * s / s_count;
+    std::iota(e.order.begin(), e.order.end(), 0u);
+    for (unsigned s = 0; s <= s_count; ++s) e.start[s] = m * s / s_count;
   }
-  // Each session routes its chunk one request at a time in window order,
-  // through the immediate plane's path: the verdicts are those of
-  // sequential routing, and each callback fires right after its own request
-  // routes.
-  const auto route_chunk = [&](unsigned s) {
-    for (std::size_t k = start[s]; k < start[s + 1]; ++k) {
-      const std::size_t i = order[k];
-      outs[i] = route_one(batch[i].req, s, batch[i].deferrals);
-      if (batch[i].done) batch[i].done(outs[i]);
-    }
-  };
   // One session, a pool without workers and a drain nested in a pool task
-  // route inline, unmeasured. Otherwise drain_fans_out() picks from the
-  // measured costs: an inline epoch routes the chunks in session order on
-  // this thread, a fan-out epoch hands them to the pool and times the
-  // chunks this thread runs.
-  using Clock = std::chrono::steady_clock;
+  // commit inline, unmeasured. Otherwise drain_fans_out() picks from the
+  // measured costs, unless speculation would not be exact (a live weld, a
+  // cyclic network): then the epoch commits inline too. A fan-out epoch
+  // first hands the chunks' searches to the pool and times the ones this
+  // thread runs.
   util::ThreadPool& pool = util::ThreadPool::global();
   const bool measured = s_count > 1 && pool.can_fan_out();
   const auto parallel = static_cast<unsigned>(std::min<std::size_t>(
       {s_count, pool.thread_count() + std::size_t{1}, m}));
-  const bool fanned = measured && drain_cost_.fans_out(m, parallel);
+  const bool fanned = measured && engine_->speculation_exact() &&
+                      drain_cost_.fans_out(m, parallel);
   const auto t0 = measured ? Clock::now() : Clock::time_point{};
-  Clock::duration own{};
-  std::size_t own_routed = 0;
   if (fanned) {
-    const auto drainer = std::this_thread::get_id();
-    pool.run(s_count, [&](std::size_t s) {
-      if (std::this_thread::get_id() != drainer) {
-        route_chunk(static_cast<unsigned>(s));
-        return;
-      }
-      const auto c0 = Clock::now();
-      route_chunk(static_cast<unsigned>(s));
-      own += Clock::now() - c0;
-      own_routed += start[s + 1] - start[s];
-    });
-  } else {
-    for (unsigned s = 0; s < s_count; ++s) route_chunk(s);
+    e.spec_at.resize(m);
+    e.spec_len.resize(m);
+    e.drainer = std::this_thread::get_id();
+    e.own_ns = 0.0;
+    e.own_searched = 0;
+    pool.run(s_count,
+             [this](std::size_t s) { search_chunk(static_cast<unsigned>(s)); });
   }
-  const auto t1 = Clock::now();
-  const auto ns = [](Clock::duration d) {
-    return static_cast<double>(std::chrono::nanoseconds(d).count());
-  };
+  const auto t1 = fanned ? Clock::now() : t0;
+  commit_window(fanned);
+  const auto t2 = Clock::now();
   if (fanned)
-    drain_cost_.fanout_epoch(ns(t1 - t0), m, parallel, ns(own), own_routed);
+    drain_cost_.fanout_epoch(ns(t2 - t0), m, parallel, e.own_ns,
+                             e.own_searched, ns(t2 - t1));
   else if (measured)
-    drain_cost_.inline_epoch(ns(t1 - t0), m);
+    drain_cost_.inline_epoch(ns(t2 - t0), m);
 
-  front_.close_epoch(batch, outs, t1);
+  front_.close_epoch(e.batch, e.outs, t2);
   front_.plane_rows().fanout_epochs += fanned ? 1 : 0;
+  e.batch.clear();  // the callbacks' captures end with their epoch
   return m;
+}
+
+void Exchange::search_chunk(unsigned s) {
+  // Read-only against the epoch's starting state: every session searches
+  // while nothing settles. Each chunk appends to its own session's buffer.
+  Epoch& e = epoch_;
+  const bool own = std::this_thread::get_id() == e.drainer;
+  const auto c0 = own ? Clock::now() : Clock::time_point{};
+  std::vector<graph::VertexId>& paths = e.paths[s];
+  paths.clear();
+  for (std::size_t k = e.start[s]; k < e.start[s + 1]; ++k) {
+    const CallRequest& req = e.batch[e.order[k]].req;
+    e.spec_at[k] = static_cast<std::uint32_t>(paths.size());
+    e.spec_len[k] = engine_->search(s, req.input, req.output, paths);
+  }
+  if (own) {
+    e.own_ns += ns(Clock::now() - c0);
+    e.own_searched += e.start[s + 1] - e.start[s];
+  }
+}
+
+void Exchange::commit_window(bool speculated) {
+  // One request at a time in window order, each callback right after its
+  // own request commits: the verdicts and paths of sequential routing.
+  Epoch& e = epoch_;
+  std::uint64_t offered = 0, hits = 0;
+  for (unsigned s = 0; s + 1 < e.start.size(); ++s)
+    for (std::size_t k = e.start[s]; k < e.start[s + 1]; ++k) {
+      const std::size_t i = e.order[k];
+      const FrontEnd<Outcome>::Pending& p = e.batch[i];
+      std::span<const graph::VertexId> path;
+      if (speculated && e.spec_len[k] > 0) {
+        path = {e.paths[s].data() + e.spec_at[k], e.spec_len[k]};
+        ++offered;
+      }
+      const Engine::Connect c =
+          engine_->settle(s, p.req.input, p.req.output, path);
+      hits += c.speculation_hit ? 1 : 0;
+      e.outs[i] = outcome_of(p.req, s, p.deferrals, c);
+      if (p.done) p.done(e.outs[i]);
+    }
+  front_.plane_rows().speculated += offered;
+  front_.plane_rows().speculation_hits += hits;
 }
 
 std::size_t Exchange::drain_all() {
@@ -295,7 +329,8 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
 
 void Exchange::reroute_victims(FaultImpact& impact) {
   // Immediate re-admission: each victim's original request routes again on
-  // the victim's own session, in kill order. Their terminals are free again
+  // the victim's own session, in kill order, through the owner's settle
+  // (the event holds every session). Their terminals are free again
   // (the kill released them); whether a detour exists is the engine's
   // verdict. The admission queue is not touched. Every request is copied
   // before any routes, because a reroute may take a later victim's slot.
@@ -306,7 +341,10 @@ void Exchange::reroute_victims(FaultImpact& impact) {
     reqs.push_back(sessions_[dead.session].slots[dead.id.slot_].req);
   impact.reroutes.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    impact.reroutes.push_back(route_one(reqs[i], impact.killed[i].session, 0));
+    const unsigned s = impact.killed[i].session;
+    impact.reroutes.push_back(outcome_of(
+        reqs[i], s, 0,
+        engine_->settle(s, reqs[i].input, reqs[i].output, {})));
     if (impact.reroutes.back().connected())
       ++impact.reroute_succeeded;
     else

@@ -17,16 +17,18 @@
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
 //     admission epoch — the highest-priority ExchangeConfig::window of
 //     queued requests (the whole queue when the window is 0) is split into
-//     one chunk per engine session, and completions are delivered through
-//     the callback (on the thread that routed the chunk) or a pollable
-//     Ticket. The chunks run on the draining thread in session order, or
-//     in parallel on util::ThreadPool::global() when the measured routing
-//     work pays for the pool's handoff (drain_fans_out). Requests beyond
-//     the window stay queued (Deferred, counted per epoch and surfaced in
+//     one chunk per engine session, and the draining thread commits the
+//     window in that order, one request at a time, through Engine::settle
+//     (plain writes: it owns every session). When the measured search work
+//     pays for the pool's handoff (drain_fans_out), a search phase runs
+//     first on util::ThreadPool::global(): each session's chunk is searched
+//     read-only against the epoch's starting state, and the commit settles
+//     a speculative path as found when it is still idle. Completions are
+//     delivered through the callback (always on the draining thread, right
+//     after the request commits) or a pollable Ticket. Requests beyond the
+//     window stay queued (Deferred, counted per epoch and surfaced in
 //     Outcome::deferrals); submissions at ExchangeConfig::max_queue bounce
-//     immediately (Refused); that queue is svc::FrontEnd's. Each session
-//     routes its chunk of the window one request at a time, in window
-//     order, through the same Engine::connect as call() — see
+//     immediately (Refused); that queue is svc::FrontEnd's. See
 //     src/svc/README.md ("Batched drain").
 //
 // Threading rules (full contract in svc/README.md):
@@ -35,7 +37,8 @@
 //     session; distinct sessions may run concurrently. A handle must be
 //     hung up by the thread currently driving its session (CallId::session).
 //   - drain() runs from one thread at a time and must not overlap immediate
-//     calls (it temporarily owns every session).
+//     calls: it owns every session and writes busy state without CAS, so an
+//     overlapping call corrupts it.
 //   - stats() aggregates are exact at quiescence, like the engines'.
 #pragma once
 
@@ -47,6 +50,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,11 +64,12 @@
 
 namespace ftcs::svc {
 
-/// drain()'s choice per multi-session epoch: route the window on the
-/// draining thread, or fan its session chunks out to the pool. Fanning out
-/// takes (1 - 1/parallel) of the window's routing work off the draining
-/// thread and costs the pool's wake-up and park, so it pays iff
-/// route_ns * window * (1 - 1/parallel) > handoff_ns. A handoff never
+/// drain()'s choice per multi-session epoch: commit the window on the
+/// draining thread alone, or run a search phase on the pool first. The
+/// search phase takes (1 - 1/parallel) of the window's search work off the
+/// draining thread and costs the pool's wake-up and park, so it pays iff
+/// route_ns * window * (1 - 1/parallel) > handoff_ns, with handoff_ns
+/// including the commit's serial share (DrainCost). A handoff never
 /// measured (0) fans out, so that it gets measured.
 [[nodiscard]] constexpr bool drain_fans_out(double route_ns,
                                             std::size_t window,
@@ -76,15 +81,18 @@ namespace ftcs::svc {
          handoff_ns;
 }
 
-/// The measured costs drain_fans_out() reads, as EWMAs. route_ns is timed
-/// on the draining thread: the whole window of an inline epoch, its own
-/// chunks of a fan-out epoch. handoff_ns is what a fan-out epoch's wall
-/// time adds to the window's routing spread over its parallel chunks: the
-/// pool's wake-up and park, plus whatever its helpers route slower. The
-/// rule reads the handoff aged by every inline epoch since the last
-/// fan-out, so an exchange that stays inline re-probes the pool once the
-/// aged handoff falls below its window's gain: after
-/// ln(handoff / gain) / ln(64/63) inline epochs, ~44 at twice the gain.
+/// The measured costs drain_fans_out() reads, as EWMAs. route_ns is the
+/// cost per request timed on the draining thread: the whole window of an
+/// inline epoch; in a fan-out epoch, its own chunks' searches per request
+/// plus the commit phase per request. handoff_ns is what a fan-out epoch's
+/// wall time adds to route_ns * window / parallel: the pool's wake-up and
+/// park, whatever its helpers search slower, and the commit's serial share
+/// ((1 - 1/parallel) of it), so the rule fans out iff the search it spreads
+/// saves more than the pool costs. The rule reads the handoff aged by every
+/// inline epoch since the last fan-out, so an exchange that stays inline
+/// re-probes the pool once the aged handoff falls below its window's gain:
+/// after ln(handoff / gain) / ln(64/63) inline epochs, ~44 at twice the
+/// gain.
 struct DrainCost {
   static constexpr double kHandoffAging = 63.0 / 64.0;
   double route_ns = 0.0;         // per routed request
@@ -100,11 +108,14 @@ struct DrainCost {
     aged_handoff_ns *= kHandoffAging;
   }
   /// A fan-out epoch of `window` requests over `parallel` chunks took
-  /// `wall_ns`; the draining thread routed `own_routed` of them in `own_ns`.
+  /// `wall_ns`; the draining thread searched `own_searched` of them in
+  /// `own_ns`, then committed the window in `commit_ns`.
   void fanout_epoch(double wall_ns, std::size_t window, unsigned parallel,
-                    double own_ns, std::size_t own_routed) noexcept {
-    if (own_routed > 0)
-      route_ns = ewma(route_ns, own_ns / static_cast<double>(own_routed));
+                    double own_ns, std::size_t own_searched,
+                    double commit_ns) noexcept {
+    if (own_searched > 0)
+      route_ns = ewma(route_ns, own_ns / static_cast<double>(own_searched) +
+                                    commit_ns / static_cast<double>(window));
     const double spread = route_ns * static_cast<double>(window) /
                           static_cast<double>(parallel);
     handoff_ns = aged_handoff_ns =
@@ -165,7 +176,7 @@ struct ExchangeConfig {
   /// Refused (RejectReason::kRefused); 0 means no cap.
   std::size_t max_queue = 0;
   /// Worker-pinning policy applied to util::ThreadPool::global() at
-  /// construction (the pool drain()'s fan-out epochs route on). kNone
+  /// construction (the pool drain()'s fan-out epochs search on). kNone
   /// leaves the pool untouched; kSpread/kCompact pin its workers (see
   /// util/cpu_topology.hpp) and auto-degrade back to kNone when the host
   /// cannot honor the plan (fewer physical cores than pool workers — the
@@ -174,9 +185,11 @@ struct ExchangeConfig {
   util::AffinityPolicy affinity = util::AffinityPolicy::kNone;
   /// Batched plane: partition each drain() window by the request's INPUT
   /// terminal (session s owns inputs [n*s/S, n*(s+1)/S)) instead of by
-  /// arrival index. A session's terminal-slot CAS traffic then stays inside
-  /// its own word range of the claim bitsets — with a pinned pool, inside
-  /// its own cache domain. Off preserves the arrival-order partition.
+  /// arrival index, so a fan-out epoch's search chunk starts from one
+  /// input range. Its first reason, keeping the drain's claim CASes inside
+  /// one session's words, is gone: the drain commits without CAS. Kept
+  /// until a NUMA box measures it. Off preserves the arrival-order
+  /// partition.
   bool home_sessions = false;
   /// Per-class SLA deadlines in seconds (0 = that class carries no SLA). A
   /// served call whose setup latency exceeds its class deadline counts into
@@ -213,8 +226,10 @@ class Exchange {
 
   // ------------------------------------------------------------- batched
   /// Completion hook for the batched plane; runs during drain() on the
-  /// thread that routes the request's session chunk: the draining thread,
-  /// or a pool thread in an epoch that fans out.
+  /// draining thread, right after its request commits, in commit order.
+  /// It must not call drain(). A hangup of this exchange's call from a
+  /// callback is safe, but may change the paths (never the soundness) of
+  /// the epoch's later speculative commits.
   using CompletionFn = FrontEnd<Outcome>::CompletionFn;
   /// Enqueues a request; the Outcome becomes available via poll(ticket)
   /// after the epoch that serves it. Thread-safe. If the admission queue is
@@ -228,10 +243,11 @@ class Exchange {
   }
   /// Runs one admission epoch: admits up to ExchangeConfig::window queued
   /// requests, or all of them when the window is 0 (highest priority
-  /// first, FIFO among equals), routes the batch across all sessions
-  /// (inline, or fanned out to util::ThreadPool::global() when
-  /// drain_fans_out says it pays), delivers completions. Returns the number
-  /// of requests admitted: 0 iff the queue was empty.
+  /// first, FIFO among equals), commits the batch across all sessions in
+  /// window order on this thread (after a search phase on
+  /// util::ThreadPool::global() when drain_fans_out says it pays and no
+  /// weld is live), delivers completions. Returns the number of requests
+  /// admitted: 0 iff the queue was empty.
   std::size_t drain();
   /// Runs epochs until one admits nothing, i.e. until the queue is empty
   /// (requests submitted meanwhile are served too). Returns the total
@@ -382,8 +398,16 @@ class Exchange {
                       const CallRequest& req);
   /// Validates a handle: kNone if it is live here, else the typed error.
   RejectReason check_handle(CallId id) const;
-  Outcome route_one(const CallRequest& req, unsigned session,
-                    std::uint32_t deferrals);
+  /// The Outcome of `req` routed on `session` as `c` says, with its
+  /// handle issued when `c` connected.
+  Outcome outcome_of(const CallRequest& req, unsigned session,
+                     std::uint32_t deferrals, const Engine::Connect& c);
+  /// Fan-out epochs' search phase for session `s`'s chunk (a pool task).
+  void search_chunk(unsigned s);
+  /// Commits the epoch's window in order on this thread and fires the
+  /// callbacks; with `speculated`, each request first offers the path its
+  /// search phase found.
+  void commit_window(bool speculated);
   /// Sizes the fault-plane bookkeeping on the first event (off hot paths).
   void ensure_fault_state();
   /// True iff `path` avoids `newly_dead` and the engine still carries
@@ -412,6 +436,24 @@ class Exchange {
   std::vector<Session> sessions_;
   // What the fan-out rule has measured (drain()'s threading domain).
   DrainCost drain_cost_;
+  /// drain()'s epoch state, kept across epochs: an epoch whose window is no
+  /// larger than an earlier one's allocates nothing.
+  struct Epoch {
+    std::vector<FrontEnd<Outcome>::Pending> batch;
+    std::vector<Outcome> outs;  // outs[i] answers batch[i]
+    // Session s commits batch[order[k]] for k in [start[s], start[s + 1]).
+    std::vector<std::uint32_t> order;
+    std::vector<std::size_t> start, cursor;
+    // Fan-out epochs: the path the search phase found for batch[order[k]]
+    // is paths[s][spec_at[k] .. spec_at[k] + spec_len[k]) (0: none).
+    std::vector<std::vector<graph::VertexId>> paths;  // per session
+    std::vector<std::uint32_t> spec_at, spec_len;
+    // The draining thread's share of the search phase, for DrainCost.
+    std::thread::id drainer;
+    double own_ns = 0.0;
+    std::size_t own_searched = 0;
+  };
+  Epoch epoch_;
 
   // The batched queue, the class deadlines and the exchange's one
   // ExchangeStats block; drain(), the fault plane and grow() book their

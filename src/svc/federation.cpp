@@ -228,19 +228,21 @@ RejectReason Federation::hangup(FedCallId id) {
 }
 
 std::size_t Federation::drain() {
-  const std::vector<FrontEnd<FedOutcome>::Pending> batch = front_.open_epoch();
-  if (batch.empty()) return 0;
+  std::vector<FrontEnd<FedOutcome>::Pending>& batch = batch_;
+  front_.open_epoch(batch);
+  const std::size_t m = batch.size();
+  if (m == 0) return 0;
   // Each request is served by call() in FIFO order, and its callback fires
   // on this thread before the next request routes: a batched request gets
   // the verdict, the trunk line and the abort path of the immediate plane.
-  std::vector<FedOutcome> outs;
-  outs.reserve(batch.size());
+  outs_.clear();
   for (const auto& p : batch) {
-    outs.push_back(call(p.req));
-    if (p.done) p.done(outs.back());
+    outs_.push_back(call(p.req));
+    if (p.done) p.done(outs_.back());
   }
-  front_.close_epoch(batch, outs, std::chrono::steady_clock::now());
-  return batch.size();
+  front_.close_epoch(batch, outs_, std::chrono::steady_clock::now());
+  batch.clear();  // the callbacks' captures end with their epoch
+  return m;
 }
 
 std::size_t Federation::drain_all() {

@@ -426,6 +426,9 @@ class Federation {
   std::size_t live_inter_ = 0;
 
   FrontEnd<FedOutcome> front_{0, 0, {}};  // whole-queue epochs, no cap
+  // drain()'s epoch buffers, kept so that steady epochs allocate nothing.
+  std::vector<FrontEnd<FedOutcome>::Pending> batch_;
+  std::vector<FedOutcome> outs_;
 
   // Rows under the drain contract; stats() fills `members` from front_
   // and the members.

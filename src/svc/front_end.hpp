@@ -2,8 +2,9 @@
 // Exchange (over Outcome) and Federation (over FedOutcome): the queue,
 // ticket issue, refusal at the cap, the priority-ordered window, the
 // take-once poll map and the front-end ExchangeStats rows. The plane keeps
-// only its routing step: a drain is open_epoch() (one lock), routing and
-// callbacks with no lock held, then close_epoch() (one lock). submit(),
+// only its routing step: a drain is open_epoch() (one lock, into the
+// plane's batch buffer), routing and callbacks with no lock held, then
+// close_epoch() (one lock). submit(),
 // poll(), pending() and books() are thread-safe; one thread at a time runs
 // an epoch. Setup latency is submit -> epoch settle on both planes.
 #pragma once
@@ -39,7 +40,10 @@ struct ExchangeStats {
   std::uint64_t deferred = 0;         // request-epochs spent past the window
   std::uint64_t refused = 0;          // submissions bounced at the queue cap
   std::uint64_t epochs = 0;           // drain() epochs run
-  std::uint64_t fanout_epochs = 0;    // epochs handed to the pool
+  std::uint64_t fanout_epochs = 0;    // epochs whose search ran on the pool
+  std::uint64_t speculated = 0;       // fan-out requests whose search found
+                                      // a path against the epoch's start
+  std::uint64_t speculation_hits = 0; // of those, paths committed as found
   std::uint64_t queue_high_water = 0; // max queue depth observed
   std::uint64_t hangups = 0;          // successful hangups (both planes)
   std::uint64_t handle_errors = 0;    // misuse detected: stale/foreign/double
@@ -77,6 +81,8 @@ struct ExchangeStats {
          to_string(RejectReason::kRefused)},
         {&ExchangeStats::epochs, "epochs_total"},
         {&ExchangeStats::fanout_epochs, "fanout_epochs_total"},
+        {&ExchangeStats::speculated, "speculated_total"},
+        {&ExchangeStats::speculation_hits, "speculation_hits_total"},
         {&ExchangeStats::queue_high_water, "queue_high_water", nullptr,
          util::StatKind::kMax},
         {&ExchangeStats::hangups, "hangups_total"},
@@ -162,19 +168,21 @@ class FrontEnd {
     return ticket;
   }
 
-  /// Opens an epoch: takes up to `window` queued requests (highest priority
-  /// first, FIFO among equals; the batch keeps arrival order), books the
-  /// epoch, and counts every request left queued as deferred once. Empty
-  /// iff the queue was empty, in which case no epoch is booked.
-  std::vector<Pending> open_epoch() {
+  /// Opens an epoch: replaces `batch` with up to `window` queued requests
+  /// (highest priority first, FIFO among equals; the batch keeps arrival
+  /// order), books the epoch, and counts every request left queued as
+  /// deferred once. `batch` is left empty iff the queue was, in which case
+  /// no epoch is booked. A caller that keeps `batch` across epochs
+  /// allocates nothing for a window no larger than an earlier one.
+  void open_epoch(std::vector<Pending>& batch) {
+    batch.clear();
     std::lock_guard<std::mutex> lk(mu_);
-    if (queue_.empty()) return {};
-    std::vector<Pending> batch = take_window(window_ ? window_ : queue_.size());
+    if (queue_.empty()) return;
+    take_window(window_ ? window_ : queue_.size(), batch);
     ++books_.epochs;
     books_.admitted += batch.size();
     books_.deferred += queue_.size();
     for (auto& p : queue_) ++p.deferrals;
-    return batch;
   }
 
   /// Closes the epoch open_epoch() returned `batch` for: outs[i] answers
@@ -222,7 +230,7 @@ class FrontEnd {
     books_ = {};
   }
   /// The rows of the block the plane books itself (an Exchange's
-  /// fanout_epochs, fault and growth rows), under its drain contract and
+  /// fanout_epochs, speculation, fault and growth rows), under its drain contract and
   /// without the lock: no front-end code touches them.
   [[nodiscard]] ExchangeStats& plane_rows() noexcept { return books_; }
   [[nodiscard]] const std::array<double, ops::kQosClasses>& class_deadlines()
@@ -238,21 +246,19 @@ class FrontEnd {
     return o;
   }
 
-  /// Pops the admitted window off the queue: the `window` highest
-  /// priorities, FIFO among equals; both parts keep arrival order. Caller
-  /// holds mu_.
-  std::vector<Pending> take_window(std::size_t window) {
-    std::vector<Pending> out;
-    out.reserve(std::min(window, queue_.size()));
+  /// Moves the admitted window off the queue into the empty `out`: the
+  /// `window` highest priorities, FIFO among equals; both parts keep
+  /// arrival order. Caller holds mu_.
+  void take_window(std::size_t window, std::vector<Pending>& out) {
     if (window >= queue_.size()) {
       for (auto& p : queue_) out.push_back(std::move(p));
       queue_.clear();
-      return out;
+      return;
     }
     // `cut` is the lowest admitted priority: every request above it is
     // admitted, and the earliest `at_cut` requests at it fill the window.
-    std::vector<std::uint8_t> pri;
-    pri.reserve(queue_.size());
+    std::vector<std::uint8_t>& pri = priorities_;
+    pri.clear();
     for (const auto& p : queue_) pri.push_back(p.req.priority);
     const auto nth = pri.begin() + static_cast<std::ptrdiff_t>(window - 1);
     std::nth_element(pri.begin(), nth, pri.end(), std::greater<>());
@@ -271,7 +277,6 @@ class FrontEnd {
     }
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
                  queue_.begin() + static_cast<std::ptrdiff_t>(i));
-    return out;
   }
 
   const std::size_t window_;
@@ -279,6 +284,7 @@ class FrontEnd {
   const std::array<double, ops::kQosClasses> class_deadlines_;
   mutable std::mutex mu_;  // guards everything below
   std::deque<Pending> queue_;
+  std::vector<std::uint8_t> priorities_;  // take_window's scratch
   std::unordered_map<Ticket, Out> completed_;
   Ticket next_ticket_ = 1;
   ExchangeStats books_;

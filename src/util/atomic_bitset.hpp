@@ -10,7 +10,11 @@
 //   - reset(i) uses release: it PUBLISHES every write made while the bit
 //     was held to the next claimer of the same bit;
 //   - test(i) is relaxed: a cheap dirty read for optimistic search passes
-//     whose positive verdicts a later try_set() re-checks.
+//     whose positive verdicts a later try_set() re-checks;
+//   - set(i) is a relaxed load and store, no RMW: only for a caller that is
+//     the word's only writer (initialization, or a router settling while it
+//     owns every session). Ordering against later CAS users comes from
+//     whatever hands the state over (a join, a lock).
 // Sized at construction; resize() is NOT thread-safe (call before sharing).
 //
 // Layout: dense by default (64 flags per 8-byte word, the right shape for
@@ -70,10 +74,12 @@ class AtomicBitset {
     return (prev & mask) == 0;
   }
 
-  /// Unconditional set (relaxed) — for single-threaded initialization only.
+  /// Unconditional set with a relaxed load and store (no RMW): for the
+  /// word's only writer (see the header comment).
   void set(std::size_t i) noexcept {
-    words_[slot(i)].fetch_or(std::uint64_t{1} << (i & 63),
-                             std::memory_order_relaxed);
+    std::atomic<std::uint64_t>& w = words_[slot(i)];
+    w.store(w.load(std::memory_order_relaxed) | (std::uint64_t{1} << (i & 63)),
+            std::memory_order_relaxed);
   }
 
   /// Clears the bit, publishing the owner's writes (release).

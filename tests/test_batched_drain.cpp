@@ -1,23 +1,30 @@
-// The Exchange's batched drain: each session routes its chunk of an
-// admitted window one request at a time, in window order, through the same
-// single-pair connect as the immediate plane (call()). These pins hold that
-// books contract on both engine backends:
+// The Exchange's batched drain: the draining thread commits an admitted
+// window one request at a time, in window order, with the same single-pair
+// search as the immediate plane (call()), after an optional parallel
+// search phase. These pins hold that books contract on both engine
+// backends:
 //
 //  - a drained window delivers the same Outcomes as the same requests
 //    routed one by one through call() in window order, with 1 and 2
 //    sessions;
 //  - two requests for one terminal in one window get window-order verdicts:
 //    the first connects, the second finds the slot busy;
-//  - within a session, completion callbacks fire in window order.
+//  - within a session, completion callbacks fire in window order;
+//  - a fan-out epoch commits what sequential routing would: a 4-session
+//    shared exchange gives every request the verdict and path of a
+//    1-session solo one, fault-free and under open failures, with the same
+//    books (this file carries the `tsan` ctest label).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "fault/schedule.hpp"
 #include "networks/cantor.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ftcs::svc {
 namespace {
@@ -176,6 +183,124 @@ TEST(Exchange, CompletionCallbacksFireInWindowOrderPerSession) {
             << "session " << s << " position " << k;
     }
     EXPECT_EQ(total, kRequests);
+  }
+}
+
+/// Every counter row of both blocks that does not count search work or the
+/// fan-out itself must match.
+void expect_same_books(const ExchangeStats& a, const ExchangeStats& b) {
+  for (const auto& f : core::RouterStats::fields()) {
+    if (f.member != &core::RouterStats::vertices_visited) {
+      EXPECT_EQ(a.router.*f.member, b.router.*f.member) << f.name;
+    }
+  }
+  for (const auto& f : ExchangeStats::fields()) {
+    if (f.member != &ExchangeStats::fanout_epochs &&
+        f.member != &ExchangeStats::speculated &&
+        f.member != &ExchangeStats::speculation_hits) {
+      EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
+    }
+  }
+  for (std::size_t c = 0; c < a.classes.size(); ++c) {
+    EXPECT_EQ(a.classes[c].served, b.classes[c].served) << "class " << c;
+    EXPECT_EQ(a.classes[c].rejected, b.classes[c].rejected) << "class " << c;
+  }
+}
+
+// The speculation contract: a fan-out epoch searches each session's chunk
+// read-only against the epoch's starting state, then the draining thread
+// commits the window in order, settling a speculative path as found only
+// while it is still idle. On a weld-free DAG that is exactly sequential
+// routing. A 4-session shared exchange and a 1-session solo one get one
+// seeded stream in segments: both start fresh (so the shared exchange's
+// first drain always fans out), take the same immediate calls to half load,
+// then drain the same windows (random terminals, duplicates and busy ones
+// included) with the same hangups between them. Every request must get the
+// same verdict and path on both, and the books must match row for row,
+// except the rows that count search work or the fan-out itself.
+TEST(BatchedDrainDeterminism, FanOutEpochsCommitWhatOneSoloSessionRoutes) {
+  const auto net = networks::build_cantor({7, 0});
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  constexpr int kSegments = 16, kWindows = 8, kOpenFailures = 40;
+  constexpr std::uint32_t kWindow = 48;
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "under open failures" : "fault-free");
+    util::Xoshiro256 rng(faulted ? 3803 : 3802);
+    ExchangeStats shared_books, solo_books;
+    for (int seg = 0; seg < kSegments; ++seg) {
+      Exchange shared(net, concurrent_cfg(4));
+      Exchange solo(net);
+      for (int f = 0; faulted && f < kOpenFailures; ++f) {
+        fault::FaultEvent ev;
+        ev.edge = static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
+        ev.kind = fault::FaultEvent::Kind::kFail;
+        ASSERT_EQ(shared.apply(ev).calls_killed(), 0u);
+        ASSERT_EQ(solo.apply(ev).calls_killed(), 0u);
+      }
+      std::vector<std::pair<CallId, CallId>> live;
+      std::size_t mismatches = 0;
+      const auto compare = [&](const Outcome& a, const Outcome& b) {
+        const bool same =
+            a.reject == b.reject && a.tag == b.tag &&
+            (!a.connected() || shared.path_of(a.id) == solo.path_of(b.id));
+        EXPECT_TRUE(same) << "segment " << seg << " tag " << a.tag << ": "
+                          << to_string(a.reject) << " vs "
+                          << to_string(b.reject);
+        mismatches += same ? 0 : 1;
+        if (a.connected() && b.connected()) live.emplace_back(a.id, b.id);
+      };
+      const auto request = [&](std::uint64_t tag) {
+        return CallRequest{static_cast<std::uint32_t>(rng.below(n)),
+                           static_cast<std::uint32_t>(rng.below(n)), 0, tag};
+      };
+      for (std::uint32_t i = 0; i < n / 2; ++i) {
+        const CallRequest req = request(i);
+        compare(shared.call(req, i % shared.sessions()), solo.call(req));
+      }
+      for (int w = 0; w < kWindows && mismatches == 0; ++w) {
+        for (std::size_t c = 0; c < live.size();) {
+          if (rng.below(3) != 0) {
+            ++c;
+            continue;
+          }
+          EXPECT_EQ(shared.hangup(live[c].first), RejectReason::kNone);
+          EXPECT_EQ(solo.hangup(live[c].second), RejectReason::kNone);
+          live[c] = live.back();
+          live.pop_back();
+        }
+        std::vector<Outcome> a(kWindow), b(kWindow);
+        for (std::uint32_t i = 0; i < kWindow; ++i) {
+          const CallRequest req = request(i);
+          shared.submit(req, [&a, i](const Outcome& o) { a[i] = o; });
+          solo.submit(req, [&b, i](const Outcome& o) { b[i] = o; });
+        }
+        ASSERT_EQ(shared.drain_all(), kWindow);
+        ASSERT_EQ(solo.drain_all(), kWindow);
+        for (std::uint32_t i = 0; i < kWindow; ++i) compare(a[i], b[i]);
+      }
+      ASSERT_EQ(mismatches, 0u) << "segment " << seg;
+      EXPECT_EQ(shared.active_calls(), solo.active_calls());
+      EXPECT_EQ(shared.busy_vertices(), solo.busy_vertices());
+      shared_books += shared.stats();
+      solo_books += solo.stats();
+    }
+    expect_same_books(shared_books, solo_books);
+    EXPECT_GT(shared_books.router.accepted, 0u);
+    EXPECT_EQ(shared_books.router.claim_conflicts, 0u);
+    if (faulted) {
+      EXPECT_GT(shared_books.faults_injected, 0u);
+    }
+    // The exported speculation rows: a commit settles a speculative path
+    // as found only when the search phase found one.
+    EXPECT_EQ(solo_books.fanout_epochs, 0u);
+    EXPECT_EQ(solo_books.speculated, 0u);
+    EXPECT_LE(shared_books.speculation_hits, shared_books.speculated);
+    if (util::ThreadPool::global().can_fan_out()) {
+      // Each segment's first drain fans out: its handoff is unmeasured.
+      EXPECT_GE(shared_books.fanout_epochs,
+                static_cast<std::uint64_t>(kSegments));
+      EXPECT_GT(shared_books.speculation_hits, 0u);
+    }
   }
 }
 

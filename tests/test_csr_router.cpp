@@ -9,7 +9,8 @@
 //    verified by a counting global operator new; also under welds, whose
 //    reverse hops make paths longer than the stage count; and an
 //    Exchange's open-switch inject that kills no call allocates nothing
-//    once its fault books exist;
+//    once its fault books exist, and neither does a steady-state
+//    multi-session drain() (fan-out and inline epochs alike);
 //  - the path records: a churn long enough to compact each session's
 //    record store many times keeps every live call's path equal to the
 //    path it settled.
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iostream>
 #include <new>
 #include <vector>
 
@@ -399,6 +401,58 @@ TEST(ExchangeFaultPlane, OpenInjectThatKillsNoCallPerformsNoHeapAllocation) {
   EXPECT_EQ(allocs, 0u) << "an open inject that killed no call allocated";
   EXPECT_EQ(ex.failed_switch_count(), misses.size() + 1);
   EXPECT_EQ(ex.hangup(held.id), svc::RejectReason::kNone);
+}
+
+// drain()'s epoch buffers (the batch, outcomes, partition and the search
+// phase's path buffers) live across epochs, so once a window of some size
+// has been drained, a later window no larger allocates nothing, whether its
+// epoch fans out or commits inline. The exchange runs 4 sessions on
+// cantor-k7; each epoch first hangs up every call, then submits a window of
+// distinct terminals with a callback (a pollable outcome would book a map
+// node). Only drain() is counted. An exchange's first measured epoch fans
+// out, and the warm-up's largest window comes first.
+TEST(ExchangeDrain, SteadyStateMultiSessionDrainPerformsNoHeapAllocation) {
+  const auto net = networks::build_cantor({7, 0});
+  svc::ExchangeConfig cfg;
+  cfg.backend = svc::Backend::kConcurrent;
+  cfg.sessions = 4;
+  svc::Exchange ex(net, std::move(cfg));
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  std::vector<svc::CallId> live;
+  live.reserve(n);
+  const svc::Exchange::CompletionFn done = [&live](const svc::Outcome& o) {
+    if (o.connected()) live.push_back(o.id);
+  };
+  std::vector<std::uint32_t> ins(n), outs(n);
+  for (std::uint32_t i = 0; i < n; ++i) ins[i] = outs[i] = i;
+  util::Xoshiro256 rng(3838);
+  constexpr std::uint32_t kMaxWindow = 96;
+  const auto epoch = [&](std::uint32_t window) {
+    for (const svc::CallId id : live) ex.hangup(id);
+    live.clear();
+    for (std::uint32_t i = 0; i < window; ++i) {
+      std::swap(ins[i], ins[i + rng.below(n - i)]);
+      std::swap(outs[i], outs[i + rng.below(n - i)]);
+      ex.submit({ins[i], outs[i]}, done);
+    }
+    const std::uint64_t before = g_alloc_count.load();
+    EXPECT_EQ(ex.drain(), window);
+    return g_alloc_count.load() - before;
+  };
+  for (int i = 0; i < 8; ++i) epoch(kMaxWindow);  // warm-up
+  const std::uint64_t fanned_before = ex.stats().fanout_epochs;
+  EXPECT_GT(fanned_before, 0u);
+  // Which later epochs fan out is the measured rule's call: count at least
+  // 400 epochs, and up to 4000 until 4 of them have fanned out.
+  std::uint64_t allocs = 0;
+  int epochs = 0;
+  const auto fanned = [&] { return ex.stats().fanout_epochs - fanned_before; };
+  for (; epochs < 4000 && (epochs < 400 || fanned() < 4); ++epochs)
+    allocs += epoch(1 + static_cast<std::uint32_t>(rng.below(kMaxWindow)));
+  EXPECT_EQ(allocs, 0u) << "a steady-state drain allocated";
+  EXPECT_EQ(ex.stats().router.claim_conflicts, 0u);
+  std::cout << "[          ] fan-out epochs in the counted run: " << fanned()
+            << " of " << epochs << "\n";
 }
 
 // A call reuses its slot's last record when the path fits, so on a network

@@ -343,7 +343,7 @@ TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
       EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
     }
   }
-  EXPECT_TRUE(multi_session);  // the batch really fanned out
+  EXPECT_TRUE(multi_session);  // the window split across sessions
   EXPECT_GT(connected, 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
   EXPECT_EQ(ex.stats().completed, 64u);
@@ -389,9 +389,12 @@ TEST(DrainFanout, FirstMultiSessionEpochFansOutAndMeasures) {
   DrainCost cost;
   EXPECT_TRUE(cost.fans_out(32, 2));  // handoff not measured yet
   EXPECT_TRUE(cost.fans_out(1, 1));
-  // 32 requests over 2 chunks: 1600 ns of routing each, 17600 ns of wall.
+  // 32 requests over 2 chunks: the draining thread searches its 16 at
+  // 80 ns and commits all 32 at 20 ns, so 100 ns of routing per request;
+  // 17600 ns of wall.
   cost.fanout_epoch(/*wall_ns=*/17600.0, /*window=*/32, /*parallel=*/2,
-                    /*own_ns=*/1600.0, /*own_routed=*/16);
+                    /*own_ns=*/1280.0, /*own_searched=*/16,
+                    /*commit_ns=*/640.0);
   EXPECT_DOUBLE_EQ(cost.route_ns, 100.0);
   EXPECT_DOUBLE_EQ(cost.handoff_ns, 16000.0);
   EXPECT_FALSE(cost.fans_out(32, 2));
@@ -407,7 +410,7 @@ TEST(DrainFanout, FirstMultiSessionEpochFansOutAndMeasures) {
 
 TEST(DrainFanout, InlineEpochsAgeTheHandoffUntilThePoolIsProbedAgain) {
   DrainCost cost;
-  cost.fanout_epoch(17600.0, 32, 2, 1600.0, 16);  // 100 ns, handoff 16 us
+  cost.fanout_epoch(17600.0, 32, 2, 1280.0, 16, 640.0);  // 100 ns, 16 us
   // A 32-request window over 2 chunks saves 1600 ns, a tenth of the
   // handoff: it re-probes once 16000 * (63/64)^k < 1600, at k = 147.
   int inline_epochs = 0;
@@ -418,15 +421,15 @@ TEST(DrainFanout, InlineEpochsAgeTheHandoffUntilThePoolIsProbedAgain) {
   EXPECT_EQ(inline_epochs, 147);
   // The probe's measurement restarts the aging from the EWMA, not from the
   // aged value, so the next probe is as far away again.
-  cost.fanout_epoch(17600.0, 32, 2, 1600.0, 16);
+  cost.fanout_epoch(17600.0, 32, 2, 1280.0, 16, 640.0);
   EXPECT_DOUBLE_EQ(cost.handoff_ns, 16000.0);
   EXPECT_DOUBLE_EQ(cost.aged_handoff_ns, 16000.0);
   EXPECT_FALSE(cost.fans_out(32, 2));
 }
 
-// A one-request window has one chunk to route, so after the first epoch's
-// probe a multi-session exchange routes it inline: its callbacks fire on
-// the draining thread.
+// A one-request window has one chunk to search, so after the first
+// epoch's probe a multi-session exchange commits it inline. Every callback,
+// the probe's included, fires on the draining thread.
 TEST(Exchange, OneRequestDrainsRouteInlineAfterTheFirstProbe) {
   const auto net = networks::build_cantor({5, 0});
   Exchange ex(net, concurrent_cfg(4));
@@ -446,8 +449,7 @@ TEST(Exchange, OneRequestDrainsRouteInlineAfterTheFirstProbe) {
   EXPECT_EQ(ex.stats().epochs, 16u);
   EXPECT_EQ(ex.stats().fanout_epochs, 1u);
   ASSERT_EQ(fired_on.size(), 16u);
-  for (std::size_t i = 1; i < fired_on.size(); ++i)
-    EXPECT_EQ(fired_on[i], drainer);
+  for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
 }
 
 // Churn stress (the TSan job runs this file): each thread drives its own
@@ -523,10 +525,10 @@ TEST(Exchange, ConcurrentChurnWithHandleMisuseStaysSound) {
 }
 
 // Multi-session drain churn (the TSan job runs this file): four sessions
-// route 200 windows of 64 requests with repeated terminals, so each chunk
-// races its mates' claims on the shared busy state; hangups run between
-// windows. At quiescence the books balance and a full hangup leaves the
-// network idle.
+// take 200 windows of 64 requests with repeated terminals, so fan-out
+// epochs' speculative paths collide and the commit re-searches the losers;
+// hangups run between windows. At quiescence the books balance and a full
+// hangup leaves the network idle.
 TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kSessions = 4;
@@ -536,8 +538,8 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(2718);
 
-  // Completions land in the serving session's list; each list is written
-  // only by the task that owns that session during a drain.
+  // Completions land in the serving session's list, on the draining
+  // thread.
   std::vector<std::vector<Outcome>> served(kSessions);
   std::vector<Outcome> live;
   std::uint64_t hangups = 0;
@@ -581,7 +583,9 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   EXPECT_EQ(st.router.accepted, hangups + live.size());
   EXPECT_EQ(st.hangups, hangups);
   EXPECT_EQ(st.epochs, kWindows);
-  EXPECT_GT(st.fanout_epochs, 0u);  // the pool's chunk hand-off raced too
+  EXPECT_GT(st.fanout_epochs, 0u);  // the pool's search phase raced too
+  EXPECT_LE(st.speculation_hits, st.speculated);
+  EXPECT_EQ(st.router.claim_conflicts, 0u);  // the drain claims without CAS
   for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);

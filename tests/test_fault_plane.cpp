@@ -28,6 +28,7 @@
 #include "networks/crossbar.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 #include "certain_kill.hpp"
 #include "router_stores.hpp"
 
@@ -108,6 +109,33 @@ graph::Network build_reversed_line() {
   nb.inputs = {in};
   nb.outputs = {out};
   nb.name = "reversed-line";
+  return nb.finalize();
+}
+
+/// Two lanes. Lane 0 joins in0 to out0 by a short forward arm
+/// in0 -> x -> out0 (tried first) and a long arm in0 -> a, b -> a, b -> out0
+/// whose middle switch points AWAY from the output, so only a weld on it
+/// can carry a..b. Lane 1 is a plain in1 -> z -> out1.
+graph::Network build_weld_lane_net() {
+  graph::NetworkBuilder nb;
+  const auto in0 = nb.g.add_vertex();   // 0
+  const auto x = nb.g.add_vertex();     // 1
+  const auto a = nb.g.add_vertex();     // 2
+  const auto b = nb.g.add_vertex();     // 3
+  const auto out0 = nb.g.add_vertex();  // 4
+  const auto in1 = nb.g.add_vertex();   // 5
+  const auto z = nb.g.add_vertex();     // 6
+  const auto out1 = nb.g.add_vertex();  // 7
+  nb.g.add_edge(in0, x);    // edge 0: short arm
+  nb.g.add_edge(x, out0);   // edge 1
+  nb.g.add_edge(in0, a);    // edge 2: long arm
+  nb.g.add_edge(b, a);      // edge 3: reversed, the only a..b conductor
+  nb.g.add_edge(b, out0);   // edge 4
+  nb.g.add_edge(in1, z);    // edge 5: lane 1
+  nb.g.add_edge(z, out1);   // edge 6
+  nb.inputs = {in0, in1};
+  nb.outputs = {out0, out1};
+  nb.name = "weld-lanes";
   return nb.finalize();
 }
 
@@ -790,6 +818,77 @@ TEST(ExchangeFaultPlane, RepairOfAWeldSeversReverseCrossersOnly) {
     EXPECT_EQ(ex2.hangup(o2.id), svc::RejectReason::kNone);
     EXPECT_EQ(ex2.stats().calls_killed_by_fault, 0u);
   }
+}
+
+// A weld-carried settle on a multi-session drain. The short arm's open
+// failure and the long arm's weld leave the weld, crossed against its
+// direction, as the only idle path for in0 -> out0. A live weld makes the
+// search graph cyclic, so the 2-session epoch commits inline (no search
+// phase): fanout_epochs stays 0, although an exchange's first measured
+// epoch always fans out. The settled path is the long arm, which the hop
+// rule carries. Repairing the short arm kills nothing; repairing the weld
+// then reaps the call as kFaulted and reroutes it over the short arm. With
+// the weld gone, the next drain fans out.
+TEST(ExchangeFaultPlane, MultiSessionDrainSettlesAReverseWeldHopInline) {
+  const auto net = build_weld_lane_net();
+  svc::ExchangeConfig cfg;
+  cfg.backend = svc::Backend::kConcurrent;
+  cfg.sessions = 2;
+  svc::Exchange ex(net, std::move(cfg));
+  const auto event = [](graph::EdgeId e, fault::FaultEvent::Kind kind) {
+    fault::FaultEvent ev;
+    ev.edge = e;
+    ev.kind = kind;
+    return ev;
+  };
+  using Kind = fault::FaultEvent::Kind;
+  ASSERT_EQ(ex.apply(event(1, Kind::kFail)).calls_killed(), 0u);
+  ASSERT_EQ(ex.apply(event(3, Kind::kStuckOn)).calls_killed(), 0u);
+  const svc::Ticket t0 = ex.submit({0, 0, 0, /*tag=*/40});
+  const svc::Ticket t1 = ex.submit({1, 1, 0, /*tag=*/41});
+  ASSERT_EQ(ex.drain(), 2u);
+  EXPECT_EQ(ex.stats().epochs, 1u);
+  EXPECT_EQ(ex.stats().fanout_epochs, 0u) << "a live weld fanned out";
+  const auto o0 = ex.poll(t0);
+  const auto o1 = ex.poll(t1);
+  ASSERT_TRUE(o0 && o0->connected());
+  ASSERT_TRUE(o1 && o1->connected());
+  EXPECT_EQ(o0->session, 0u);
+  EXPECT_EQ(o1->session, 1u);
+  const std::vector<graph::VertexId> long_arm{0, 2, 3, 4};
+  const std::vector<graph::VertexId> path = ex.path_of(o0->id);
+  EXPECT_EQ(path, long_arm);
+  // The hop rule on the same overlay carries it; without the weld it would
+  // not.
+  core::GreedyRouter mirror(net);
+  mirror.fail_edge(1);
+  EXPECT_FALSE(mirror.path_carried(path));
+  mirror.contract_edge(3);
+  EXPECT_TRUE(mirror.path_carried(path));
+
+  ASSERT_EQ(ex.apply(event(1, Kind::kRepair)).calls_killed(), 0u);
+  const svc::FaultImpact impact = ex.apply(event(3, Kind::kRepair));
+  ASSERT_EQ(impact.calls_killed(), 1u);
+  EXPECT_EQ(impact.killed[0].reject, svc::RejectReason::kFaulted);
+  EXPECT_EQ(impact.killed[0].tag, 40u);
+  EXPECT_EQ(impact.killed[0].session, 0u);
+  ASSERT_EQ(impact.reroutes.size(), 1u);
+  ASSERT_TRUE(impact.reroutes[0].connected());
+  EXPECT_EQ(impact.reroute_succeeded, 1u);
+  const std::vector<graph::VertexId> short_arm{0, 1, 4};
+  EXPECT_EQ(ex.path_of(impact.reroutes[0].id), short_arm);
+  EXPECT_EQ(ex.hangup(o0->id), svc::RejectReason::kFaulted);
+  EXPECT_EQ(ex.hangup(impact.reroutes[0].id), svc::RejectReason::kNone);
+  EXPECT_EQ(ex.hangup(o1->id), svc::RejectReason::kNone);
+  EXPECT_EQ(ex.busy_vertices(), 0u);
+
+  ex.submit({0, 0});
+  ex.submit({1, 1});
+  ASSERT_EQ(ex.drain(), 2u);
+  if (util::ThreadPool::global().can_fan_out()) {
+    EXPECT_EQ(ex.stats().fanout_epochs, 1u) << "weld-free epoch stayed inline";
+  }
+  EXPECT_EQ(ex.active_calls(), 2u);
 }
 
 /// The first switch on a live call's path.
