@@ -11,7 +11,7 @@
 // Every other BM_* function is a developer probe of one layer, with no
 // timing gate: the search's work (BM_ConnectFtMixedFaults,
 // BM_ConnectCantorHalfLoad), the service facade (BM_ExchangeCall,
-// BM_ExchangeFacade), the drain's inline/fan-out rule (BM_DrainWindow), the
+// BM_ExchangeFacade), the batched drain's cost (BM_DrainWindow), the
 // federation's batched plane (BM_FederationDrain) and hitless growth's pause
 // (BM_GrowthQuiesce). The exchange's end-to-end benchmark is perfbench/
 // (BENCHMARK.json); the search's work is gated by the deterministic
@@ -303,13 +303,11 @@ void BM_ExchangeFacade(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeFacade)->Arg(7)->Arg(9);
 
-// The drain's choice between committing a window on the draining thread
-// alone and first searching its session chunks on the pool: a
+// The batched drain's cost per request on the shared store: a
 // concurrent-backend exchange on cantor-k (Arg 0) with S sessions (Arg 1)
 // serves windows of W requests (Arg 2), W distinct inputs to W distinct
 // outputs, through submit + drain_all, and hangs each window's calls up
-// before the next. items_per_second counts requests; fanout_frac is the
-// share of epochs whose search phase ran on the pool. A developer probe
+// before the next. items_per_second counts requests. A developer probe
 // with no gate:
 //   ./build/bench_routing --benchmark_filter=BM_DrainWindow
 void BM_DrainWindow(benchmark::State& state) {
@@ -344,11 +342,6 @@ void BM_DrainWindow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(window));
-  const svc::ExchangeStats st = ex.stats();
-  state.counters["fanout_frac"] =
-      st.epochs == 0 ? 0.0
-                     : static_cast<double>(st.fanout_epochs) /
-                           static_cast<double>(st.epochs);
 }
 BENCHMARK(BM_DrainWindow)
     ->Args({6, 2, 32})

@@ -85,17 +85,9 @@ void Router<Store>::Session::prepare() {
   records_.resize(v_count + 2 * max_calls);
 }
 
-namespace {
-graph::VertexId vertex_of(graph::VertexId v) { return v; }
-graph::VertexId vertex_of(const detail::SearchScratch::Frame& f) {
-  return f.v;
-}
-}  // namespace
-
 template <class Store>
-template <class Path>
-std::uint32_t Router<Store>::Session::write_record(CallId id,
-                                                   const Path& path) {
+std::uint32_t Router<Store>::Session::write_record(CallId id) {
+  const auto path = scratch_.path();
   const auto length = static_cast<std::uint32_t>(path.size());
   // Free slots are handed out newest first, so the slot's last record is
   // usually still in cache: reuse it when the path fits.
@@ -107,8 +99,7 @@ std::uint32_t Router<Store>::Session::write_record(CallId id,
     at = top_ + 2;
     top_ = at + length;
   }
-  for (std::uint32_t i = 0; i < length; ++i)
-    records_[at + i] = vertex_of(path[i]);
+  for (std::uint32_t i = 0; i < length; ++i) records_[at + i] = path[i].v;
   return at;
 }
 
@@ -202,10 +193,9 @@ bool Router<Store>::Session::find(std::uint32_t in, std::uint32_t out) {
 }
 
 template <class Store>
-template <class Path>
-auto Router<Store>::Session::record(std::uint32_t in, std::uint32_t out,
-                                    const Path& path) -> CallId {
-  const auto length = static_cast<std::uint32_t>(path.size());
+auto Router<Store>::Session::record(std::uint32_t in, std::uint32_t out)
+    -> CallId {
+  const auto length = static_cast<std::uint32_t>(scratch_.path().size());
   busy_count_ += length;
   ++active_;
   ++stats_.accepted;
@@ -218,7 +208,7 @@ auto Router<Store>::Session::record(std::uint32_t in, std::uint32_t out,
     id = static_cast<CallId>(calls_.size());
     calls_.emplace_back();  // within the capacity prepare() reserved
   }
-  calls_[id] = {in, out, write_record(id, path), length};
+  calls_[id] = {in, out, write_record(id), length};
   if (!r_->owner_.empty()) r_->own_path(*this, id);
   return id;
 }
@@ -267,14 +257,13 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
       ++stats_.search_retries;
     }
     // 5. Settle into the session's call table.
-    return record(in, out, scratch_.path());
+    return record(in, out);
   }
 }
 
 template <class Store>
-auto Router<Store>::Session::settle(std::uint32_t in, std::uint32_t out,
-                                    std::span<const graph::VertexId> speculated,
-                                    bool* reused) -> CallId {
+auto Router<Store>::Session::settle(std::uint32_t in, std::uint32_t out)
+    -> CallId {
   Router& r = *r_;
   if constexpr (Store::kShared) prepare();
   ++stats_.connect_calls;
@@ -286,43 +275,15 @@ auto Router<Store>::Session::settle(std::uint32_t in, std::uint32_t out,
     return kNoCall;
   }
   // An endpoint busy as another call's hop cannot anchor a path.
-  if (r.busy_.test(src) || r.busy_.test(dst)) {
+  if (r.busy_.test(src) || r.busy_.test(dst) || !find(in, out)) {
     ++stats_.rejected_no_path;
     return kNoCall;
   }
-  const auto take = [&](const auto& path) {
-    r.in_busy_.set(in);
-    r.out_busy_.set(out);
-    for (const auto& v : path) r.busy_.set(vertex_of(v));
-    return record(in, out, path);
-  };
-  if (!speculated.empty() &&
-      std::none_of(speculated.begin(), speculated.end(),
-                   [&r](graph::VertexId v) { return r.busy_.test(v); })) {
-    if (reused) *reused = true;
-    return take(speculated);
-  }
-  if (!find(in, out)) {
-    ++stats_.rejected_no_path;
-    return kNoCall;
-  }
-  return take(scratch_.path());
-}
-
-template <class Store>
-std::uint32_t Router<Store>::Session::search(std::uint32_t in,
-                                             std::uint32_t out,
-                                             std::vector<graph::VertexId>& path) {
-  const Router& r = *r_;
-  if constexpr (Store::kShared) prepare();
-  // A dead terminal holds its busy bit.
-  if (r.in_busy_.test(in) || r.out_busy_.test(out) ||
-      r.busy_.test(r.net_->inputs[in]) || r.busy_.test(r.net_->outputs[out]) ||
-      !find(in, out))
-    return 0;
+  r.in_busy_.set(in);
+  r.out_busy_.set(out);
   for (const detail::SearchScratch::Frame& f : scratch_.path())
-    path.push_back(f.v);
-  return scratch_.depth;
+    r.busy_.set(f.v);
+  return record(in, out);
 }
 
 template <class Store>

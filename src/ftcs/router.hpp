@@ -26,30 +26,23 @@
 //     that thread's node.
 // The liveness overlay (below) is plain state on both stores.
 //
-// Three entries route a request:
-//   - settle(in, out[, speculated]) — QUIESCENT ONLY on the shared store
-//     (the caller owns every session: a batched drain, a fault event's
-//     victim reroutes). Terminal check, search, then plain relaxed writes:
-//     each terminal slot and path busy bit is a load and a store, with no
-//     sort, no CAS and no claim buffer. Given a `speculated` path that an
-//     earlier search() of the same request found, it re-tests that path's
-//     busy bits and settles it as it is when all are still idle, searching
-//     again only when one is not.
-//   - search(in, out, path) — READ-ONLY: checks the terminals and searches
-//     against the current busy state, appending the path found to the
-//     caller's buffer. It writes only the session's scratch and stats, so
-//     distinct sessions may search concurrently while nothing settles (a
-//     drain's fan-out phase).
+// Two entries route a request:
+//   - settle(in, out) — QUIESCENT ONLY on the shared store (the caller owns
+//     every session: a batched drain, a fault event's victim reroutes).
+//     Terminal check, search, then plain relaxed writes: each terminal
+//     slot and path busy bit is a load and a store, with no sort, no CAS
+//     and no claim buffer.
 //   - connect(in, out) — the immediate plane. Solo store: settle(). Shared
-//     store, protocol per connect:
+//     store, protocol per connect (the CAS claim serves only concurrent
+//     immediate-plane sessions):
 //   1. TERMINAL ACQUIRE — a dead terminal is rejected; then the input
 //      slot, then the output slot, is taken (try_set). Failure →
 //      rejected_terminal (slots released in reverse order on any reject).
 //      A terminal vertex occupied as an intermediate hop of another call
 //      cannot anchor a new path (a vertex carries at most one call: two
 //      calls would share its busy bit, and the first hangup would free it
-//      under the second) → rejected_no_path. settle() and search() apply
-//      the same two tests, with plain reads.
+//      under the second) → rejected_no_path. settle() applies the same
+//      two tests, with plain reads.
 //   2. SEARCH — the reach-guided depth-first search (ftcs/search.hpp) on
 //      the session's private scratch, guided by the router's one ReachIndex
 //      (read-only, rebuilt by grow()): its cones filter the children, and
@@ -71,18 +64,6 @@
 //      record, and, once the owner map exists, each path vertex's entry
 //      names the call (see call_at). disconnect() reads the record back and
 //      resets its busy bits: no per-vertex store besides the bits.
-//
-// Speculation (search() now, settle() later in the same epoch) is exact
-// while speculation_exact() holds: no live weld and an acyclic network.
-// Within an epoch the busy set only grows (nothing hangs up and no fault
-// flips), the reach filter is static and the first hop depends only on
-// (in, out). On a DAG no vertex on the search's stack is reachable from the
-// current one, so a vertex fails only when it cannot reach dst over idle
-// vertices, and the search returns the first idle path in its fixed child
-// order. "Cannot reach" only spreads as the busy set grows, so a path found
-// against an earlier state that is still idle is the path a search now
-// would return. A weld's reverse hops make the search graph cyclic, and so
-// does a cyclic network; then a drain routes its window with settle() alone.
 //
 // Memory-ordering contract (shared store; see util/atomic_bitset.hpp). It
 // covers only busy bits, terminal slots and owner-map entries, and only the
@@ -134,7 +115,7 @@
 //     recounted by grow().
 //   - fail_edge, repair_edge, contract_edge, uncontract_edge, kill_vertex,
 //     revive_vertex, call_at and grow (and, on the shared store, settle)
-//     are QUIESCENT ONLY: no connect, search or disconnect in flight on any
+//     are QUIESCENT ONLY: no connect or disconnect in flight on any
 //     other session, and, for kill_vertex, victims torn down first — the
 //     same contract as Exchange::drain(). svc::Exchange
 //     holds every session while it flips a switch, then asks call_at() for
@@ -146,15 +127,14 @@
 //
 // Sessions: a Session is single-threaded — one thread at a time may use
 // session(s), and a call is disconnected through the session that connected
-// it. Distinct sessions of the shared store may connect() or search()
-// concurrently; a settle() excludes every other session. The aggregates
+// it. Distinct sessions of the shared store may connect() concurrently; a
+// settle() excludes every other session. The aggregates
 // stats(), active_calls() and busy_vertices() are exact only at quiescence;
 // they are for reporting, not for the hot path.
 //
-// Hot-path design: connect(), settle() and search() perform NO heap
-// allocation once their session's scratch exists (construction for the
-// solo store, the first search for the shared store) and, for search(),
-// once the caller's path buffer has the room.
+// Hot-path design: connect() and settle() perform NO heap allocation once
+// their session's scratch exists (construction for the solo store, the
+// first search for the shared store).
 //   - visited state is one bit per vertex, zeroed word by word by the
 //     search that set it; the search stack (vertex_count frames, allocated
 //     untouched) is the found path, which the claim reads in place; each
@@ -181,8 +161,7 @@
 // identical to the solo router (with no contention its claim always
 // succeeds first try), and settle() routes as the solo store's connect()
 // does. The Exchange's batched plane commits its windows through settle(),
-// one request at a time in window order, after an optional parallel
-// search() phase (svc/README.md, "Batched drain").
+// one request at a time in window order (svc/README.md, "Batched drain").
 #pragma once
 
 #include <array>
@@ -305,7 +284,7 @@ class Router {
   }
   /// `sessions` fixes the session count (0 means 1). Only the shared state
   /// is allocated here: each session builds its scratch on its first
-  /// connect, settle or search.
+  /// connect or settle.
   Router(const graph::Network& net, unsigned sessions)
     requires(Store::kShared)
       : net_(&net), reach_(net) {
@@ -327,25 +306,10 @@ class Router {
     /// say which). Allocation-free once the scratch exists.
     CallId connect(std::uint32_t in, std::uint32_t out);
     /// Routes in->out with plain writes: terminal check, search, settle.
-    /// QUIESCENT ONLY on the shared store: no other session may connect,
-    /// search or disconnect meanwhile. A non-empty `speculated` is the path
-    /// this session's search() found for the same request against an
-    /// earlier state of the same epoch; it is settled as it is when all its
-    /// vertices are still idle (and `*reused` set to true), and the search
-    /// runs again otherwise. Returns kNoCall on a busy or dead terminal or no
-    /// idle path. Allocation-free once the scratch exists.
-    CallId settle(std::uint32_t in, std::uint32_t out,
-                  std::span<const graph::VertexId> speculated = {},
-                  bool* reused = nullptr);
-    /// Read-only search for in->out against the current busy state, as the
-    /// request would route now: appends the path found (input first) to
-    /// `path` and returns its length, or returns 0 when a terminal is busy
-    /// or dead or no idle path exists. Writes only this session's scratch
-    /// and stats (vertices_visited), so sessions may search concurrently
-    /// while nothing settles. Allocation-free once the scratch exists and
-    /// `path` has the room.
-    std::uint32_t search(std::uint32_t in, std::uint32_t out,
-                         std::vector<graph::VertexId>& path);
+    /// QUIESCENT ONLY on the shared store: no other session may connect or
+    /// disconnect meanwhile. Returns kNoCall on a busy or dead terminal or
+    /// no idle path. Allocation-free once the scratch exists.
+    CallId settle(std::uint32_t in, std::uint32_t out);
     /// Releases a call made through THIS session. Allocation-free.
     void disconnect(CallId call);
 
@@ -395,15 +359,13 @@ class Router {
     /// Step 2 for in->out on this session's scratch: true iff it found an
     /// idle path (then scratch_.path()).
     bool find(std::uint32_t in, std::uint32_t out);
-    /// Step 5 for `path` (search frames or vertex ids), whose vertices and
-    /// terminal slots the caller has taken: the call's slot and record.
-    template <class Path>
-    CallId record(std::uint32_t in, std::uint32_t out, const Path& path);
-    /// Writes `path` as call `id`'s record: into the slot's last record
-    /// when it is long enough, else appended (compacting first when the
-    /// store is full). Returns where the vertices start.
-    template <class Path>
-    std::uint32_t write_record(CallId id, const Path& path);
+    /// Step 5 for the path the search left in the scratch, whose vertices
+    /// and terminal slots the caller has taken: the call's slot and record.
+    CallId record(std::uint32_t in, std::uint32_t out);
+    /// Writes the scratch's path as call `id`'s record: into the slot's
+    /// last record when it is long enough, else appended (compacting first
+    /// when the store is full). Returns where the vertices start.
+    std::uint32_t write_record(CallId id);
     /// Moves the live records to the front of the store, in address order,
     /// each trimmed to its path, and drops every other record.
     void compact();
@@ -513,12 +475,6 @@ class Router {
   /// QUIESCENT ONLY.
   [[nodiscard]] std::uint32_t weld_reach(graph::VertexId v) const {
     return weld_reach_.empty() ? 0 : weld_reach_[v];
-  }
-  /// True iff a search against an earlier busy state of the same epoch
-  /// finds the path a search now would, whenever that path is still idle:
-  /// no live weld and an acyclic network (header comment, "Speculation").
-  [[nodiscard]] bool speculation_exact() const noexcept {
-    return welded_ == 0 && reach_.exact();
   }
   /// The hop rule: true iff every hop of `path` is carried by a forward
   /// switch that has not failed, or by a weld that has not failed crossed

@@ -11,8 +11,8 @@
 // parameter: the solo store plugs in a plain util::Bitset read, the shared
 // store a relaxed AtomicBitset read. Only the busy reads can be a dirty
 // snapshot (concurrent immediate-plane connects), and the router's CAS
-// claim re-checks the path they found; a drain's read-only search phase
-// reads a stable state, and its commit re-tests the path. The
+// claim re-checks the path they found; a settle reads a state that no
+// other session writes. The
 // edge_blocked test carries the router's liveness overlay (its failed
 // switches), which is stable for the whole search (the router flips it only
 // at quiescence), so the search routes around open-failed switches with no

@@ -48,28 +48,15 @@ class RouterEngine final : public Engine {
             static_cast<std::uint32_t>(s.path_length(call))};
   }
 
-  Connect settle(unsigned session, std::uint32_t in, std::uint32_t out,
-                 std::span<const graph::VertexId> speculated) override {
+  Connect settle(unsigned session, std::uint32_t in,
+                 std::uint32_t out) override {
     auto& s = router_.session(session);
     const RejectSnapshot before(s.stats());
-    Connect c;
-    const auto call = s.settle(in, out, speculated, &c.speculation_hit);
-    if (call == core::Router<Store>::kNoCall) {
-      c.reject = before.classify(s.stats());
-      return c;
-    }
-    c.call = call;
-    c.path_length = static_cast<std::uint32_t>(s.path_length(call));
-    return c;
-  }
-
-  std::uint32_t search(unsigned session, std::uint32_t in, std::uint32_t out,
-                       std::vector<graph::VertexId>& path) override {
-    return router_.session(session).search(in, out, path);
-  }
-
-  [[nodiscard]] bool speculation_exact() const override {
-    return router_.speculation_exact();
+    const auto call = s.settle(in, out);
+    if (call == core::Router<Store>::kNoCall)
+      return {kNoRawCall, before.classify(s.stats()), 0};
+    return {call, RejectReason::kNone,
+            static_cast<std::uint32_t>(s.path_length(call))};
   }
 
   void disconnect(unsigned session, RawCall call) override {

@@ -4,10 +4,11 @@
 // Engine is the narrow seam the Exchange serves calls through: a virtual
 // base over one templated adapter, instantiated for the router's two busy
 // stores and selected at construction by Backend. An Engine speaks
-// sessions: connect/search/disconnect on session s must be externally
-// serialized per session, distinct sessions may run concurrently (the
-// greedy backend has exactly one session). settle() is the owner's entry:
-// its caller holds every session, as for the fault plane's mutators. Rejections come back as the shared
+// sessions: connect/disconnect on session s must be externally serialized
+// per session, distinct sessions may run concurrently (the greedy backend
+// has exactly one session). settle() is the owner's entry: its caller
+// holds every session, as for the fault plane's mutators. Rejections come
+// back as the shared
 // svc::RejectReason — the adapter classifies them from the router's
 // RouterStats counters, so there is exactly one source of truth for what a
 // rejection was.
@@ -16,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "ftcs/router.hpp"
 #include "graph/digraph.hpp"
@@ -41,7 +41,6 @@ class Engine {
     RawCall call = kNoRawCall;
     RejectReason reject = RejectReason::kNone;
     std::uint32_t path_length = 0;
-    bool speculation_hit = false;  // settle() kept its speculated path
   };
 
   virtual ~Engine() = default;
@@ -52,23 +51,10 @@ class Engine {
   virtual Connect connect(unsigned session, std::uint32_t in,
                           std::uint32_t out) = 0;
   /// QUIESCENT ONLY (the caller holds every session): routes in->out on
-  /// `session` with plain writes (core::Router's settle), settling
-  /// `speculated`, a path search() found for the same request earlier in
-  /// the epoch, when all its vertices are still idle. reject is kNone,
+  /// `session` with plain writes (core::Router's settle). reject is kNone,
   /// kTerminalBusy or kNoPath.
   virtual Connect settle(unsigned session, std::uint32_t in,
-                         std::uint32_t out,
-                         std::span<const graph::VertexId> speculated) = 0;
-  /// Read-only search for in->out on `session` against the current busy
-  /// state (core::Router's search): appends the path to `path` and returns
-  /// its length; 0 when a terminal is busy or no idle path exists.
-  virtual std::uint32_t search(unsigned session, std::uint32_t in,
-                               std::uint32_t out,
-                               std::vector<graph::VertexId>& path) = 0;
-  /// True iff a path search() found earlier in an epoch, still idle, is
-  /// the one settle() would find now (core::Router::speculation_exact: no
-  /// live weld, an acyclic network).
-  [[nodiscard]] virtual bool speculation_exact() const = 0;
+                         std::uint32_t out) = 0;
   virtual void disconnect(unsigned session, RawCall call) = 0;
   /// The call's vertices, input first: a view of the router's record,
   /// valid until `session`'s next connect (or grow()).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
-#include <thread>
 
 #include "util/thread_pool.hpp"
 
@@ -14,28 +12,19 @@ namespace {
 // handle presented to the wrong Exchange is detected (kForeignHandle)
 // instead of silently indexing someone else's call table.
 std::atomic<std::uint32_t> next_exchange_id{1};
-
-using Clock = std::chrono::steady_clock;
-double ns(Clock::duration d) {
-  return static_cast<double>(std::chrono::nanoseconds(d).count());
-}
 }  // namespace
 
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
     : net_(&net),
       engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions})),
-      home_sessions_(cfg.home_sessions),
       qos_immediate_(cfg.qos_immediate),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
       sessions_(engine_->sessions()),
       front_(cfg.window, cfg.max_queue, cfg.class_deadlines) {
-  // Pin the drain pool up front: every worker has re-pinned by the time
-  // apply_affinity returns, so the first drain's lazily built session
-  // scratch already first-touches on the pinned cpus. apply_affinity
+  // Every worker has re-pinned by the time apply_affinity returns, which
   // reports the post-degrade policy (kNone on hosts that cannot honor it).
   if (cfg.affinity != util::AffinityPolicy::kNone)
     affinity_ = util::ThreadPool::global().apply_affinity(cfg.affinity);
-  epoch_.paths.resize(engine_->sessions());
 }
 
 // ------------------------------------------------------------------ handles
@@ -150,116 +139,25 @@ std::vector<graph::VertexId> Exchange::path_of(CallId id) const {
 // ------------------------------------------------------------ batched plane
 
 std::size_t Exchange::drain() {
-  Epoch& e = epoch_;
-  front_.open_epoch(e.batch);
-  const std::size_t m = e.batch.size();
+  front_.open_epoch(batch_);
+  const std::size_t m = batch_.size();
   if (m == 0) return 0;
   const unsigned s_count = engine_->sessions();
-  e.outs.resize(m);
-  // Partition the window across sessions: session s commits the batch
-  // indices in order[start[s], start[s+1]), and the draining thread
-  // commits them in that order. Default is the contiguous split by arrival
-  // index ([m*s/S, m*(s+1)/S)); with home_sessions each request instead
-  // goes to the session owning its INPUT terminal's range. The grouping
-  // sort is stable, so FIFO order within a session is preserved.
-  e.order.resize(m);
-  e.start.assign(s_count + 1, 0);
-  if (home_sessions_ && s_count > 1) {
-    const std::size_t n_in = net_->inputs.size();
-    const auto home = [&](std::uint32_t input) {
-      const std::size_t s = static_cast<std::size_t>(input) * s_count / n_in;
-      return static_cast<unsigned>(
-          std::min<std::size_t>(s, s_count - 1));  // clamp bad inputs
-    };
-    for (std::size_t i = 0; i < m; ++i)
-      ++e.start[home(e.batch[i].req.input) + 1];
-    for (unsigned s = 0; s < s_count; ++s) e.start[s + 1] += e.start[s];
-    e.cursor.assign(e.start.begin(), e.start.end() - 1);
-    for (std::size_t i = 0; i < m; ++i)
-      e.order[e.cursor[home(e.batch[i].req.input)]++] =
-          static_cast<std::uint32_t>(i);
-  } else {
-    std::iota(e.order.begin(), e.order.end(), 0u);
-    for (unsigned s = 0; s <= s_count; ++s) e.start[s] = m * s / s_count;
-  }
-  // One session, a pool without workers and a drain nested in a pool task
-  // commit inline, unmeasured. Otherwise drain_fans_out() picks from the
-  // measured costs, unless speculation would not be exact (a live weld, a
-  // cyclic network): then the epoch commits inline too. A fan-out epoch
-  // first hands the chunks' searches to the pool and times the ones this
-  // thread runs.
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const bool measured = s_count > 1 && pool.can_fan_out();
-  const auto parallel = static_cast<unsigned>(std::min<std::size_t>(
-      {s_count, pool.thread_count() + std::size_t{1}, m}));
-  const bool fanned = measured && engine_->speculation_exact() &&
-                      drain_cost_.fans_out(m, parallel);
-  const auto t0 = measured ? Clock::now() : Clock::time_point{};
-  if (fanned) {
-    e.spec_at.resize(m);
-    e.spec_len.resize(m);
-    e.drainer = std::this_thread::get_id();
-    e.own_ns = 0.0;
-    e.own_searched = 0;
-    pool.run(s_count,
-             [this](std::size_t s) { search_chunk(static_cast<unsigned>(s)); });
-  }
-  const auto t1 = fanned ? Clock::now() : t0;
-  commit_window(fanned);
-  const auto t2 = Clock::now();
-  if (fanned)
-    drain_cost_.fanout_epoch(ns(t2 - t0), m, parallel, e.own_ns,
-                             e.own_searched, ns(t2 - t1));
-  else if (measured)
-    drain_cost_.inline_epoch(ns(t2 - t0), m);
-
-  front_.close_epoch(e.batch, e.outs, t2);
-  front_.plane_rows().fanout_epochs += fanned ? 1 : 0;
-  e.batch.clear();  // the callbacks' captures end with their epoch
-  return m;
-}
-
-void Exchange::search_chunk(unsigned s) {
-  // Read-only against the epoch's starting state: every session searches
-  // while nothing settles. Each chunk appends to its own session's buffer.
-  Epoch& e = epoch_;
-  const bool own = std::this_thread::get_id() == e.drainer;
-  const auto c0 = own ? Clock::now() : Clock::time_point{};
-  std::vector<graph::VertexId>& paths = e.paths[s];
-  paths.clear();
-  for (std::size_t k = e.start[s]; k < e.start[s + 1]; ++k) {
-    const CallRequest& req = e.batch[e.order[k]].req;
-    e.spec_at[k] = static_cast<std::uint32_t>(paths.size());
-    e.spec_len[k] = engine_->search(s, req.input, req.output, paths);
-  }
-  if (own) {
-    e.own_ns += ns(Clock::now() - c0);
-    e.own_searched += e.start[s + 1] - e.start[s];
-  }
-}
-
-void Exchange::commit_window(bool speculated) {
-  // One request at a time in window order, each callback right after its
-  // own request commits: the verdicts and paths of sequential routing.
-  Epoch& e = epoch_;
-  std::uint64_t offered = 0, hits = 0;
-  for (unsigned s = 0; s + 1 < e.start.size(); ++s)
-    for (std::size_t k = e.start[s]; k < e.start[s + 1]; ++k) {
-      const std::size_t i = e.order[k];
-      const FrontEnd<Outcome>::Pending& p = e.batch[i];
-      std::span<const graph::VertexId> path;
-      if (speculated && e.spec_len[k] > 0) {
-        path = {e.paths[s].data() + e.spec_at[k], e.spec_len[k]};
-        ++offered;
-      }
-      const Engine::Connect c =
-          engine_->settle(s, p.req.input, p.req.output, path);
-      hits += c.speculation_hit ? 1 : 0;
-      e.outs[i] = outcome_of(p.req, s, p.deferrals, c);
-      if (p.done) p.done(e.outs[i]);
+  outs_.resize(m);
+  // Session s takes the window's contiguous chunk [m*s/S, m*(s+1)/S) by
+  // arrival index. The draining thread owns every session, so it commits
+  // the window in order, one request at a time, each callback right after
+  // its own request: the verdicts and paths of sequential routing.
+  for (unsigned s = 0; s < s_count; ++s)
+    for (std::size_t i = m * s / s_count; i < m * (s + 1) / s_count; ++i) {
+      const FrontEnd<Outcome>::Pending& p = batch_[i];
+      outs_[i] = outcome_of(p.req, s, p.deferrals,
+                            engine_->settle(s, p.req.input, p.req.output));
+      if (p.done) p.done(outs_[i]);
     }
-  front_.plane_rows().speculated += offered;
-  front_.plane_rows().speculation_hits += hits;
+  front_.close_epoch(batch_, outs_, std::chrono::steady_clock::now());
+  batch_.clear();  // the callbacks' captures end with their epoch
+  return m;
 }
 
 std::size_t Exchange::drain_all() {
@@ -344,7 +242,7 @@ void Exchange::reroute_victims(FaultImpact& impact) {
     const unsigned s = impact.killed[i].session;
     impact.reroutes.push_back(outcome_of(
         reqs[i], s, 0,
-        engine_->settle(s, reqs[i].input, reqs[i].output, {})));
+        engine_->settle(s, reqs[i].input, reqs[i].output)));
     if (impact.reroutes.back().connected())
       ++impact.reroute_succeeded;
     else

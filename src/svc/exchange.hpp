@@ -16,20 +16,16 @@
 //     event-driven plane (the traffic simulation lives here).
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
 //     admission epoch — the highest-priority ExchangeConfig::window of
-//     queued requests (the whole queue when the window is 0) is split into
-//     one chunk per engine session, and the draining thread commits the
-//     window in that order, one request at a time, through Engine::settle
-//     (plain writes: it owns every session). When the measured search work
-//     pays for the pool's handoff (drain_fans_out), a search phase runs
-//     first on util::ThreadPool::global(): each session's chunk is searched
-//     read-only against the epoch's starting state, and the commit settles
-//     a speculative path as found when it is still idle. Completions are
-//     delivered through the callback (always on the draining thread, right
-//     after the request commits) or a pollable Ticket. Requests beyond the
-//     window stay queued (Deferred, counted per epoch and surfaced in
-//     Outcome::deferrals); submissions at ExchangeConfig::max_queue bounce
-//     immediately (Refused); that queue is svc::FrontEnd's. See
-//     src/svc/README.md ("Batched drain").
+//     queued requests (the whole queue when the window is 0) is split by
+//     arrival index into one contiguous chunk per engine session, and the
+//     draining thread commits the window in order, one request at a time,
+//     through Engine::settle (plain writes: it owns every session).
+//     Completions are delivered through the callback (on the draining
+//     thread, right after the request commits) or a pollable Ticket.
+//     Requests beyond the window stay queued (Deferred, counted per epoch
+//     and surfaced in Outcome::deferrals); submissions at
+//     ExchangeConfig::max_queue bounce immediately (Refused); that queue is
+//     svc::FrontEnd's. See src/svc/README.md ("Batched drain").
 //
 // Threading rules (full contract in svc/README.md):
 //   - submit() and poll() are thread-safe from any thread.
@@ -42,7 +38,6 @@
 //   - stats() aggregates are exact at quiescence, like the engines'.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -50,7 +45,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,70 +57,6 @@
 #include "util/cpu_topology.hpp"
 
 namespace ftcs::svc {
-
-/// drain()'s choice per multi-session epoch: commit the window on the
-/// draining thread alone, or run a search phase on the pool first. The
-/// search phase takes (1 - 1/parallel) of the window's search work off the
-/// draining thread and costs the pool's wake-up and park, so it pays iff
-/// route_ns * window * (1 - 1/parallel) > handoff_ns, with handoff_ns
-/// including the commit's serial share (DrainCost). A handoff never
-/// measured (0) fans out, so that it gets measured.
-[[nodiscard]] constexpr bool drain_fans_out(double route_ns,
-                                            std::size_t window,
-                                            unsigned parallel,
-                                            double handoff_ns) noexcept {
-  if (handoff_ns <= 0.0) return true;
-  return route_ns * static_cast<double>(window) *
-             (1.0 - 1.0 / static_cast<double>(parallel)) >
-         handoff_ns;
-}
-
-/// The measured costs drain_fans_out() reads, as EWMAs. route_ns is the
-/// cost per request timed on the draining thread: the whole window of an
-/// inline epoch; in a fan-out epoch, its own chunks' searches per request
-/// plus the commit phase per request. handoff_ns is what a fan-out epoch's
-/// wall time adds to route_ns * window / parallel: the pool's wake-up and
-/// park, whatever its helpers search slower, and the commit's serial share
-/// ((1 - 1/parallel) of it), so the rule fans out iff the search it spreads
-/// saves more than the pool costs. The rule reads the handoff aged by every
-/// inline epoch since the last fan-out, so an exchange that stays inline
-/// re-probes the pool once the aged handoff falls below its window's gain:
-/// after ln(handoff / gain) / ln(64/63) inline epochs, ~44 at twice the
-/// gain.
-struct DrainCost {
-  static constexpr double kHandoffAging = 63.0 / 64.0;
-  double route_ns = 0.0;         // per routed request
-  double handoff_ns = 0.0;       // per fan-out epoch; 0 = not measured
-  double aged_handoff_ns = 0.0;  // handoff_ns, aged per inline epoch since
-
-  [[nodiscard]] bool fans_out(std::size_t window,
-                              unsigned parallel) const noexcept {
-    return drain_fans_out(route_ns, window, parallel, aged_handoff_ns);
-  }
-  void inline_epoch(double wall_ns, std::size_t window) noexcept {
-    route_ns = ewma(route_ns, wall_ns / static_cast<double>(window));
-    aged_handoff_ns *= kHandoffAging;
-  }
-  /// A fan-out epoch of `window` requests over `parallel` chunks took
-  /// `wall_ns`; the draining thread searched `own_searched` of them in
-  /// `own_ns`, then committed the window in `commit_ns`.
-  void fanout_epoch(double wall_ns, std::size_t window, unsigned parallel,
-                    double own_ns, std::size_t own_searched,
-                    double commit_ns) noexcept {
-    if (own_searched > 0)
-      route_ns = ewma(route_ns, own_ns / static_cast<double>(own_searched) +
-                                    commit_ns / static_cast<double>(window));
-    const double spread = route_ns * static_cast<double>(window) /
-                          static_cast<double>(parallel);
-    handoff_ns = aged_handoff_ns =
-        ewma(handoff_ns, std::max(wall_ns - spread, 1.0));
-  }
-
- private:
-  static double ewma(double avg, double sample) noexcept {
-    return avg == 0.0 ? sample : avg + (sample - avg) / 8.0;
-  }
-};
 
 /// What one fault-plane operation did: which calls died (typed kFaulted
 /// outcomes echoing the original request's tag, with the now-dead handle)
@@ -176,21 +106,13 @@ struct ExchangeConfig {
   /// Refused (RejectReason::kRefused); 0 means no cap.
   std::size_t max_queue = 0;
   /// Worker-pinning policy applied to util::ThreadPool::global() at
-  /// construction (the pool drain()'s fan-out epochs search on). kNone
-  /// leaves the pool untouched; kSpread/kCompact pin its workers (see
-  /// util/cpu_topology.hpp) and auto-degrade back to kNone when the host
-  /// cannot honor the plan (fewer physical cores than pool workers — the
-  /// CI case). NOTE: the global pool is process-wide state; the last
-  /// Exchange to set a non-None policy wins.
+  /// construction (the process-wide pool of util::parallel_chunks; no
+  /// Exchange plane runs on it). kNone leaves the pool untouched;
+  /// kSpread/kCompact pin its workers (see util/cpu_topology.hpp) and
+  /// auto-degrade back to kNone when the host cannot honor the plan (fewer
+  /// physical cores than pool workers — the CI case). NOTE: the global pool
+  /// is process-wide state; the last Exchange to set a non-None policy wins.
   util::AffinityPolicy affinity = util::AffinityPolicy::kNone;
-  /// Batched plane: partition each drain() window by the request's INPUT
-  /// terminal (session s owns inputs [n*s/S, n*(s+1)/S)) instead of by
-  /// arrival index, so a fan-out epoch's search chunk starts from one
-  /// input range. Its first reason, keeping the drain's claim CASes inside
-  /// one session's words, is gone: the drain commits without CAS. Kept
-  /// until a NUMA box measures it. Off preserves the arrival-order
-  /// partition.
-  bool home_sessions = false;
   /// Per-class SLA deadlines in seconds (0 = that class carries no SLA). A
   /// served call whose setup latency exceeds its class deadline counts into
   /// ClassStats::sla_violations. Deadlines index by ops::qos_class().
@@ -227,9 +149,10 @@ class Exchange {
   // ------------------------------------------------------------- batched
   /// Completion hook for the batched plane; runs during drain() on the
   /// draining thread, right after its request commits, in commit order.
-  /// It must not call drain(). A hangup of this exchange's call from a
-  /// callback is safe, but may change the paths (never the soundness) of
-  /// the epoch's later speculative commits.
+  /// It must not call drain(), inject(), repair(), apply() or grow(): each
+  /// owns every session, as the running drain does. A hangup of this
+  /// exchange's call from a callback is safe; later requests of the epoch
+  /// route against the busy state it leaves.
   using CompletionFn = FrontEnd<Outcome>::CompletionFn;
   /// Enqueues a request; the Outcome becomes available via poll(ticket)
   /// after the epoch that serves it. Thread-safe. If the admission queue is
@@ -244,10 +167,8 @@ class Exchange {
   /// Runs one admission epoch: admits up to ExchangeConfig::window queued
   /// requests, or all of them when the window is 0 (highest priority
   /// first, FIFO among equals), commits the batch across all sessions in
-  /// window order on this thread (after a search phase on
-  /// util::ThreadPool::global() when drain_fans_out says it pays and no
-  /// weld is live), delivers completions. Returns the number of requests
-  /// admitted: 0 iff the queue was empty.
+  /// window order on this thread, delivers completions. Returns the number
+  /// of requests admitted: 0 iff the queue was empty.
   std::size_t drain();
   /// Runs epochs until one admits nothing, i.e. until the queue is empty
   /// (requests submitted meanwhile are served too). Returns the total
@@ -402,12 +323,6 @@ class Exchange {
   /// handle issued when `c` connected.
   Outcome outcome_of(const CallRequest& req, unsigned session,
                      std::uint32_t deferrals, const Engine::Connect& c);
-  /// Fan-out epochs' search phase for session `s`'s chunk (a pool task).
-  void search_chunk(unsigned s);
-  /// Commits the epoch's window in order on this thread and fires the
-  /// callbacks; with `speculated`, each request first offers the path its
-  /// search phase found.
-  void commit_window(bool speculated);
   /// Sizes the fault-plane bookkeeping on the first event (off hot paths).
   void ensure_fault_state();
   /// True iff `path` avoids `newly_dead` and the engine still carries
@@ -429,31 +344,14 @@ class Exchange {
   std::unique_ptr<graph::Network> owned_net_;  // set only by grow()
   const graph::Network* net_;
   std::unique_ptr<Engine> engine_;
-  bool home_sessions_ = false;
   bool qos_immediate_ = false;
   util::AffinityPolicy affinity_ = util::AffinityPolicy::kNone;
   std::uint32_t id_;  // process-unique, tagged into every CallId
   std::vector<Session> sessions_;
-  // What the fan-out rule has measured (drain()'s threading domain).
-  DrainCost drain_cost_;
-  /// drain()'s epoch state, kept across epochs: an epoch whose window is no
-  /// larger than an earlier one's allocates nothing.
-  struct Epoch {
-    std::vector<FrontEnd<Outcome>::Pending> batch;
-    std::vector<Outcome> outs;  // outs[i] answers batch[i]
-    // Session s commits batch[order[k]] for k in [start[s], start[s + 1]).
-    std::vector<std::uint32_t> order;
-    std::vector<std::size_t> start, cursor;
-    // Fan-out epochs: the path the search phase found for batch[order[k]]
-    // is paths[s][spec_at[k] .. spec_at[k] + spec_len[k]) (0: none).
-    std::vector<std::vector<graph::VertexId>> paths;  // per session
-    std::vector<std::uint32_t> spec_at, spec_len;
-    // The draining thread's share of the search phase, for DrainCost.
-    std::thread::id drainer;
-    double own_ns = 0.0;
-    std::size_t own_searched = 0;
-  };
-  Epoch epoch_;
+  // drain()'s epoch buffers, kept across epochs: an epoch whose window is
+  // no larger than an earlier one's allocates nothing.
+  std::vector<FrontEnd<Outcome>::Pending> batch_;
+  std::vector<Outcome> outs_;  // outs_[i] answers batch_[i]
 
   // The batched queue, the class deadlines and the exchange's one
   // ExchangeStats block; drain(), the fault plane and grow() book their

@@ -4,13 +4,13 @@
 // The paper's recursive construction legalizes this layer: a network of
 // strictly-nonblocking exchanges, joined by dedicated links, is itself a
 // switching network. Federation is the service-level expression of that
-// recursion — terminals are sharded across member exchanges (the same
-// contiguous-range map as ExchangeConfig::home_sessions uses for sessions:
-// global terminal g lives on shard g / S at local index g % S), and a call
-// either stays inside one member or crosses a trunk. The trunks form one
-// shape, the full mesh: every ordered pair of members has its own trunk
-// group, dealt from the ports above S (3/4 of the ports are subscribers
-// once there are two or more members), and group_between() computes its id.
+// recursion — terminals are sharded across member exchanges in contiguous
+// ranges (global terminal g lives on shard g / S at local index g % S), and
+// a call either stays inside one member or crosses a trunk. The trunks
+// form one shape, the full mesh: every ordered pair of members has its own
+// trunk group, dealt from the ports above S (3/4 of the ports are
+// subscribers once there are two or more members), and group_between()
+// computes its id.
 //
 //   - INTRA-SHARD (the hot path): shard(in) == shard(out). The request is
 //     delegated verbatim to the home member — two integer divisions and a

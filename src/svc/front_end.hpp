@@ -40,10 +40,6 @@ struct ExchangeStats {
   std::uint64_t deferred = 0;         // request-epochs spent past the window
   std::uint64_t refused = 0;          // submissions bounced at the queue cap
   std::uint64_t epochs = 0;           // drain() epochs run
-  std::uint64_t fanout_epochs = 0;    // epochs whose search ran on the pool
-  std::uint64_t speculated = 0;       // fan-out requests whose search found
-                                      // a path against the epoch's start
-  std::uint64_t speculation_hits = 0; // of those, paths committed as found
   std::uint64_t queue_high_water = 0; // max queue depth observed
   std::uint64_t hangups = 0;          // successful hangups (both planes)
   std::uint64_t handle_errors = 0;    // misuse detected: stale/foreign/double
@@ -80,9 +76,6 @@ struct ExchangeStats {
         {&ExchangeStats::refused, "calls_refused_total",
          to_string(RejectReason::kRefused)},
         {&ExchangeStats::epochs, "epochs_total"},
-        {&ExchangeStats::fanout_epochs, "fanout_epochs_total"},
-        {&ExchangeStats::speculated, "speculated_total"},
-        {&ExchangeStats::speculation_hits, "speculation_hits_total"},
         {&ExchangeStats::queue_high_water, "queue_high_water", nullptr,
          util::StatKind::kMax},
         {&ExchangeStats::hangups, "hangups_total"},
@@ -229,9 +222,9 @@ class FrontEnd {
     std::lock_guard<std::mutex> lk(mu_);
     books_ = {};
   }
-  /// The rows of the block the plane books itself (an Exchange's
-  /// fanout_epochs, speculation, fault and growth rows), under its drain contract and
-  /// without the lock: no front-end code touches them.
+  /// The rows of the block the plane books itself (an Exchange's fault and
+  /// growth rows), under its drain contract and without the lock: no
+  /// front-end code touches them.
   [[nodiscard]] ExchangeStats& plane_rows() noexcept { return books_; }
   [[nodiscard]] const std::array<double, ops::kQosClasses>& class_deadlines()
       const noexcept {
@@ -257,13 +250,13 @@ class FrontEnd {
     }
     // `cut` is the lowest admitted priority: every request above it is
     // admitted, and the earliest `at_cut` requests at it fill the window.
-    std::vector<std::uint8_t>& pri = priorities_;
-    pri.clear();
-    for (const auto& p : queue_) pri.push_back(p.req.priority);
-    const auto nth = pri.begin() + static_cast<std::ptrdiff_t>(window - 1);
-    std::nth_element(pri.begin(), nth, pri.end(), std::greater<>());
-    const std::uint8_t cut = *nth;
-    auto at_cut = std::count(pri.begin(), nth + 1, cut);
+    // One count per priority value finds both, with no scratch buffer.
+    std::array<std::size_t, 256> count{};
+    for (const auto& p : queue_) ++count[p.req.priority];
+    int cut = 256;
+    std::size_t above = 0;
+    while (above + count[--cut] < window) above += count[cut];
+    auto at_cut = static_cast<std::ptrdiff_t>(window - above);
     // Admitted requests leave in arrival order; the rest close up behind.
     std::size_t kept = 0, i = 0;
     for (; out.size() < window; ++i) {
@@ -284,7 +277,6 @@ class FrontEnd {
   const std::array<double, ops::kQosClasses> class_deadlines_;
   mutable std::mutex mu_;  // guards everything below
   std::deque<Pending> queue_;
-  std::vector<std::uint8_t> priorities_;  // take_window's scratch
   std::unordered_map<Ticket, Out> completed_;
   Ticket next_ticket_ = 1;
   ExchangeStats books_;

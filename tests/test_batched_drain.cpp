@@ -1,8 +1,7 @@
 // The Exchange's batched drain: the draining thread commits an admitted
 // window one request at a time, in window order, with the same single-pair
-// search as the immediate plane (call()), after an optional parallel
-// search phase. These pins hold that books contract on both engine
-// backends:
+// search as the immediate plane (call()). These pins hold that books
+// contract on both engine backends:
 //
 //  - a drained window delivers the same Outcomes as the same requests
 //    routed one by one through call() in window order, with 1 and 2
@@ -10,10 +9,10 @@
 //  - two requests for one terminal in one window get window-order verdicts:
 //    the first connects, the second finds the slot busy;
 //  - within a session, completion callbacks fire in window order;
-//  - a fan-out epoch commits what sequential routing would: a 4-session
-//    shared exchange gives every request the verdict and path of a
-//    1-session solo one, fault-free and under open failures, with the same
-//    books (this file carries the `tsan` ctest label).
+//  - a multi-session drain commits what sequential routing would: a
+//    4-session shared exchange gives every request the verdict and path of
+//    a 1-session solo one, fault-free and under open failures, with the
+//    same books (this file carries the `tsan` ctest label).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +23,6 @@
 #include "networks/cantor.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftcs::svc {
 namespace {
@@ -186,39 +184,27 @@ TEST(Exchange, CompletionCallbacksFireInWindowOrderPerSession) {
   }
 }
 
-/// Every counter row of both blocks that does not count search work or the
-/// fan-out itself must match.
+/// Every counter row of both blocks must match.
 void expect_same_books(const ExchangeStats& a, const ExchangeStats& b) {
-  for (const auto& f : core::RouterStats::fields()) {
-    if (f.member != &core::RouterStats::vertices_visited) {
-      EXPECT_EQ(a.router.*f.member, b.router.*f.member) << f.name;
-    }
-  }
-  for (const auto& f : ExchangeStats::fields()) {
-    if (f.member != &ExchangeStats::fanout_epochs &&
-        f.member != &ExchangeStats::speculated &&
-        f.member != &ExchangeStats::speculation_hits) {
-      EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
-    }
-  }
+  for (const auto& f : core::RouterStats::fields())
+    EXPECT_EQ(a.router.*f.member, b.router.*f.member) << f.name;
+  for (const auto& f : ExchangeStats::fields())
+    EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
   for (std::size_t c = 0; c < a.classes.size(); ++c) {
     EXPECT_EQ(a.classes[c].served, b.classes[c].served) << "class " << c;
     EXPECT_EQ(a.classes[c].rejected, b.classes[c].rejected) << "class " << c;
   }
 }
 
-// The speculation contract: a fan-out epoch searches each session's chunk
-// read-only against the epoch's starting state, then the draining thread
-// commits the window in order, settling a speculative path as found only
-// while it is still idle. On a weld-free DAG that is exactly sequential
-// routing. A 4-session shared exchange and a 1-session solo one get one
-// seeded stream in segments: both start fresh (so the shared exchange's
-// first drain always fans out), take the same immediate calls to half load,
+// The draining thread commits a multi-session window in order with the
+// solo store's claim rules, which is exactly sequential routing. A
+// 4-session shared exchange and a 1-session solo one get one seeded stream
+// in segments: both start fresh (so each segment builds the shared
+// sessions' scratch again), take the same immediate calls to half load,
 // then drain the same windows (random terminals, duplicates and busy ones
 // included) with the same hangups between them. Every request must get the
-// same verdict and path on both, and the books must match row for row,
-// except the rows that count search work or the fan-out itself.
-TEST(BatchedDrainDeterminism, FanOutEpochsCommitWhatOneSoloSessionRoutes) {
+// same verdict and path on both, and the books must match row for row.
+TEST(BatchedDrainDeterminism, MultiSessionDrainCommitsWhatOneSoloSessionRoutes) {
   const auto net = networks::build_cantor({7, 0});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   constexpr int kSegments = 16, kWindows = 8, kOpenFailures = 40;
@@ -289,17 +275,6 @@ TEST(BatchedDrainDeterminism, FanOutEpochsCommitWhatOneSoloSessionRoutes) {
     EXPECT_EQ(shared_books.router.claim_conflicts, 0u);
     if (faulted) {
       EXPECT_GT(shared_books.faults_injected, 0u);
-    }
-    // The exported speculation rows: a commit settles a speculative path
-    // as found only when the search phase found one.
-    EXPECT_EQ(solo_books.fanout_epochs, 0u);
-    EXPECT_EQ(solo_books.speculated, 0u);
-    EXPECT_LE(shared_books.speculation_hits, shared_books.speculated);
-    if (util::ThreadPool::global().can_fan_out()) {
-      // Each segment's first drain fans out: its handoff is unmeasured.
-      EXPECT_GE(shared_books.fanout_epochs,
-                static_cast<std::uint64_t>(kSegments));
-      EXPECT_GT(shared_books.speculation_hits, 0u);
     }
   }
 }

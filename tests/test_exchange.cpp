@@ -309,14 +309,21 @@ TEST(Exchange, PriorityClassesAdmittedFirst) {
   const Ticket t1 = ex.submit({1, 1, /*priority=*/5});
   const Ticket t2 = ex.submit({2, 2, /*priority=*/1});
   const Ticket t3 = ex.submit({3, 3, /*priority=*/5});
+  const Ticket t4 = ex.submit({4, 4, /*priority=*/5});
   EXPECT_EQ(ex.drain(), 2u);
-  // The two priority-5 requests went first (stable FIFO among equals).
+  // The first two priority-5 requests went first (stable FIFO among
+  // equals).
   EXPECT_TRUE(ex.poll(t1).has_value());
   EXPECT_TRUE(ex.poll(t3).has_value());
   EXPECT_FALSE(ex.poll(t0).has_value());
   EXPECT_FALSE(ex.poll(t2).has_value());
+  EXPECT_FALSE(ex.poll(t4).has_value());
+  // Then the deferred priority-5 request and the priority-1 one.
   EXPECT_EQ(ex.drain(), 2u);
-  ASSERT_TRUE(ex.poll(t2).has_value());
+  EXPECT_TRUE(ex.poll(t4).has_value());
+  EXPECT_TRUE(ex.poll(t2).has_value());
+  EXPECT_FALSE(ex.poll(t0).has_value());
+  EXPECT_EQ(ex.drain(), 1u);
   ASSERT_TRUE(ex.poll(t0).has_value());
 }
 
@@ -349,107 +356,33 @@ TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
   EXPECT_EQ(ex.stats().completed, 64u);
 }
 
-// One session never fans out: its callbacks fire on the thread that drains,
-// as Exchange::CompletionFn promises.
-TEST(Exchange, SingleSessionDrainFiresCallbacksOnTheDrainingThread) {
+// Every callback fires on the thread that drains, as
+// Exchange::CompletionFn promises, whatever the session count: the draining
+// thread commits the whole window.
+TEST(Exchange, DrainFiresCallbacksOnTheDrainingThread) {
   const auto net = networks::build_cantor({5, 0});
-  Exchange ex(net, concurrent_cfg(1));
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  std::vector<std::thread::id> fired_on;  // no lock: one thread must write
-  for (std::uint32_t i = 0; i < 32; ++i)
-    ex.submit({i % n, (i * 7 + 3) % n}, [&](const Outcome&) {
-      fired_on.push_back(std::this_thread::get_id());
-    });
-  std::thread::id drainer;
-  std::thread([&] {
-    drainer = std::this_thread::get_id();
-    EXPECT_EQ(ex.drain(), 32u);
-  }).join();
-  ASSERT_EQ(fired_on.size(), 32u);
-  for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
-  EXPECT_EQ(ex.stats().epochs, 1u);
-  EXPECT_EQ(ex.stats().fanout_epochs, 0u);
-}
-
-// drain()'s fan-out rule: fanning out saves (1 - 1/parallel) of the
-// window's routing work and costs one pool handoff.
-TEST(DrainFanout, InlineBelowBreakEvenFansOutAbove) {
-  // 100 ns per request over 2 chunks: a 32-request window saves 1600 ns.
-  EXPECT_FALSE(drain_fans_out(100.0, 32, 2, 1700.0));
-  EXPECT_TRUE(drain_fans_out(100.0, 32, 2, 1500.0));
-  // Four chunks save 2400 ns of the same window; one chunk saves nothing.
-  EXPECT_TRUE(drain_fans_out(100.0, 32, 4, 1700.0));
-  EXPECT_FALSE(drain_fans_out(100.0, 32, 1, 1.0));
-  // A heavier window pays for the same handoff.
-  EXPECT_FALSE(drain_fans_out(100.0, 32, 2, 10000.0));
-  EXPECT_TRUE(drain_fans_out(100.0, 256, 2, 10000.0));
-}
-
-TEST(DrainFanout, FirstMultiSessionEpochFansOutAndMeasures) {
-  DrainCost cost;
-  EXPECT_TRUE(cost.fans_out(32, 2));  // handoff not measured yet
-  EXPECT_TRUE(cost.fans_out(1, 1));
-  // 32 requests over 2 chunks: the draining thread searches its 16 at
-  // 80 ns and commits all 32 at 20 ns, so 100 ns of routing per request;
-  // 17600 ns of wall.
-  cost.fanout_epoch(/*wall_ns=*/17600.0, /*window=*/32, /*parallel=*/2,
-                    /*own_ns=*/1280.0, /*own_searched=*/16,
-                    /*commit_ns=*/640.0);
-  EXPECT_DOUBLE_EQ(cost.route_ns, 100.0);
-  EXPECT_DOUBLE_EQ(cost.handoff_ns, 16000.0);
-  EXPECT_FALSE(cost.fans_out(32, 2));
-  EXPECT_TRUE(cost.fans_out(512, 4));
-
-  // Through an Exchange: the first multi-session drain fans out.
-  const auto net = networks::build_cantor({5, 0});
-  Exchange ex(net, concurrent_cfg(2));
-  for (std::uint32_t i = 0; i < 8; ++i) ex.submit({i, i});
-  EXPECT_EQ(ex.drain(), 8u);
-  EXPECT_EQ(ex.stats().fanout_epochs, 1u);
-}
-
-TEST(DrainFanout, InlineEpochsAgeTheHandoffUntilThePoolIsProbedAgain) {
-  DrainCost cost;
-  cost.fanout_epoch(17600.0, 32, 2, 1280.0, 16, 640.0);  // 100 ns, 16 us
-  // A 32-request window over 2 chunks saves 1600 ns, a tenth of the
-  // handoff: it re-probes once 16000 * (63/64)^k < 1600, at k = 147.
-  int inline_epochs = 0;
-  while (!cost.fans_out(32, 2)) {
-    cost.inline_epoch(/*wall_ns=*/3200.0, /*window=*/32);
-    ASSERT_LE(++inline_epochs, 147);
+  for (const unsigned sessions : {1u, 4u}) {
+    Exchange ex(net, concurrent_cfg(sessions));
+    const auto n = static_cast<std::uint32_t>(net.inputs.size());
+    std::vector<std::thread::id> fired_on;  // no lock: one thread must write
+    std::vector<unsigned> served_by;
+    for (std::uint32_t i = 0; i < 32; ++i)
+      ex.submit({i % n, (i * 7 + 3) % n}, [&](const Outcome& o) {
+        fired_on.push_back(std::this_thread::get_id());
+        served_by.push_back(o.session);
+      });
+    std::thread::id drainer;
+    std::thread([&] {
+      drainer = std::this_thread::get_id();
+      EXPECT_EQ(ex.drain(), 32u);
+    }).join();
+    ASSERT_EQ(fired_on.size(), 32u);
+    for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
+    // In commit order: session by session, each session's chunk in turn.
+    EXPECT_TRUE(std::is_sorted(served_by.begin(), served_by.end()));
+    EXPECT_EQ(served_by.back(), sessions - 1);
+    EXPECT_EQ(ex.stats().epochs, 1u);
   }
-  EXPECT_EQ(inline_epochs, 147);
-  // The probe's measurement restarts the aging from the EWMA, not from the
-  // aged value, so the next probe is as far away again.
-  cost.fanout_epoch(17600.0, 32, 2, 1280.0, 16, 640.0);
-  EXPECT_DOUBLE_EQ(cost.handoff_ns, 16000.0);
-  EXPECT_DOUBLE_EQ(cost.aged_handoff_ns, 16000.0);
-  EXPECT_FALSE(cost.fans_out(32, 2));
-}
-
-// A one-request window has one chunk to search, so after the first
-// epoch's probe a multi-session exchange commits it inline. Every callback,
-// the probe's included, fires on the draining thread.
-TEST(Exchange, OneRequestDrainsRouteInlineAfterTheFirstProbe) {
-  const auto net = networks::build_cantor({5, 0});
-  Exchange ex(net, concurrent_cfg(4));
-  std::vector<std::thread::id> fired_on;  // drain() returns after each write
-  const auto record = [&fired_on](const Outcome& o) {
-    EXPECT_TRUE(o.connected());
-    fired_on.push_back(std::this_thread::get_id());
-  };
-  std::thread::id drainer;
-  std::thread([&] {
-    drainer = std::this_thread::get_id();
-    for (std::uint32_t i = 0; i < 16; ++i) {
-      ex.submit({i, i}, record);
-      EXPECT_EQ(ex.drain(), 1u);
-    }
-  }).join();
-  EXPECT_EQ(ex.stats().epochs, 16u);
-  EXPECT_EQ(ex.stats().fanout_epochs, 1u);
-  ASSERT_EQ(fired_on.size(), 16u);
-  for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
 }
 
 // Churn stress (the TSan job runs this file): each thread drives its own
@@ -525,10 +458,10 @@ TEST(Exchange, ConcurrentChurnWithHandleMisuseStaysSound) {
 }
 
 // Multi-session drain churn (the TSan job runs this file): four sessions
-// take 200 windows of 64 requests with repeated terminals, so fan-out
-// epochs' speculative paths collide and the commit re-searches the losers;
-// hangups run between windows. At quiescence the books balance and a full
-// hangup leaves the network idle.
+// take 200 windows of 64 requests with repeated terminals, so later
+// requests of a window find their terminals taken; hangups run between
+// windows. At quiescence the books balance and a full hangup leaves the
+// network idle.
 TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kSessions = 4;
@@ -583,40 +516,37 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   EXPECT_EQ(st.router.accepted, hangups + live.size());
   EXPECT_EQ(st.hangups, hangups);
   EXPECT_EQ(st.epochs, kWindows);
-  EXPECT_GT(st.fanout_epochs, 0u);  // the pool's search phase raced too
-  EXPECT_LE(st.speculation_hits, st.speculated);
   EXPECT_EQ(st.router.claim_conflicts, 0u);  // the drain claims without CAS
   for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
 }
 
-TEST(Exchange, HomedDrainRoutesByInputRange) {
+// drain() splits each window by arrival index: session s serves the
+// contiguous chunk [m*s/S, m*(s+1)/S) of an m-request window.
+TEST(Exchange, DrainSplitsTheWindowByArrivalIndex) {
   const auto net = networks::build_cantor({4, 0});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   constexpr unsigned kSessions = 4;
 
-  ExchangeConfig cfg = concurrent_cfg(kSessions);
-  cfg.home_sessions = true;
-  Exchange ex(net, std::move(cfg));
+  Exchange ex(net, concurrent_cfg(kSessions));
   ASSERT_EQ(ex.sessions(), kSessions);
 
-  std::vector<std::pair<std::uint32_t, Ticket>> tickets;
+  // Inputs in reverse, so that the split cannot follow the input range.
+  std::vector<Ticket> tickets;
   for (std::uint32_t i = 0; i < n; ++i) {
     CallRequest req;
-    req.input = i;
+    req.input = n - 1 - i;
     req.output = i;
-    tickets.emplace_back(i, ex.submit(req));
+    tickets.push_back(ex.submit(req));
   }
-  ASSERT_GT(ex.drain_all(), 0u);
-  for (const auto& [input, ticket] : tickets) {
-    const auto o = ex.poll(ticket);
+  ASSERT_EQ(ex.drain(), n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto o = ex.poll(tickets[i]);
     ASSERT_TRUE(o.has_value());
-    // Every outcome — served or rejected — is produced by the session that
-    // owns the request's input-terminal range.
-    const auto home = std::min<std::uint32_t>(
-        input * kSessions / n, kSessions - 1);
-    EXPECT_EQ(o->session, home) << "input " << input;
+    // Every outcome, served or rejected, names the session whose chunk
+    // holds the request's arrival index.
+    EXPECT_EQ(o->session, i * kSessions / n) << "arrival " << i;
   }
 }
 
@@ -638,7 +568,7 @@ TEST(Exchange, ExchangeAffinityMatchesPlanOutcome) {
   EXPECT_EQ(ex.affinity(), expected);
   EXPECT_EQ(util::ThreadPool::global().affinity(), expected);
 
-  // The pool still drains correctly under the applied policy.
+  // The exchange still drains under the applied policy.
   CallRequest req;
   (void)ex.submit(req);
   EXPECT_EQ(ex.drain_all(), 1u);
