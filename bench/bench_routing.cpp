@@ -12,8 +12,9 @@
 // timing gate: the search's work (BM_ConnectFtMixedFaults,
 // BM_ConnectCantorHalfLoad), the service facade (BM_ExchangeCall,
 // BM_ExchangeFacade), the batched drain's cost (BM_DrainWindow), the
-// federation's batched plane (BM_FederationDrain) and hitless growth's pause
-// (BM_GrowthQuiesce). The exchange's end-to-end benchmark is perfbench/
+// federation's batched plane (BM_FederationDrain), hitless growth's pause
+// (BM_GrowthQuiesce) and the live fault schedule's set-up cost
+// (BM_FaultSchedule). The exchange's end-to-end benchmark is perfbench/
 // (BENCHMARK.json); the search's work is gated by the deterministic
 // SearchWork ratchet in tests/test_search.cpp.
 //
@@ -35,6 +36,7 @@
 
 #include "fault/fault_instance.hpp"
 #include "fault/fault_model.hpp"
+#include "fault/schedule.hpp"
 #include "ftcs/monte_carlo.hpp"
 #include "ftcs/router.hpp"
 #include "ftcs/verify.hpp"
@@ -469,6 +471,36 @@ void BM_GrowthQuiesce(benchmark::State& state) {
   if (killed != 0) state.SkipWithError("growth killed live calls");
 }
 BENCHMARK(BM_GrowthQuiesce)->DenseRange(5, 8)->UseManualTime();
+
+// Building one live fault schedule at storm-fed's member shape: the
+// 26,880 switches of cantor-k7, 2e-4 failures per switch per epoch, mean
+// repair 8 epochs, a quarter of failures stuck-on, over a 3,939-epoch
+// horizon (a 20 s run). Each iteration generates a fresh seed's stream and
+// sorts it by time. events is the mean stream length (~42k),
+// ns_per_event the time per event. A developer probe with no gate:
+//   ./build/bench_routing --benchmark_filter=BM_FaultSchedule
+void BM_FaultSchedule(benchmark::State& state) {
+  fault::FaultSchedule::Params params{2e-4, 8.0, 3939.0, 0.25, 1};
+  std::uint64_t events = 0;
+  using Clock = std::chrono::steady_clock;
+  Clock::duration time{};
+  for (auto _ : state) {
+    params.seed = util::derive_seed(39, params.seed);
+    const auto t0 = Clock::now();
+    const fault::FaultSchedule fs(26'880, params);
+    time += Clock::now() - t0;
+    benchmark::DoNotOptimize(fs.events().data());
+    events += fs.events().size();
+  }
+  const auto per = [](double total, std::uint64_t n) {
+    return n == 0 ? 0.0 : total / static_cast<double>(n);
+  };
+  state.counters["events"] =
+      per(static_cast<double>(events), state.iterations());
+  state.counters["ns_per_event"] = per(
+      static_cast<double>(std::chrono::nanoseconds(time).count()), events);
+}
+BENCHMARK(BM_FaultSchedule);
 
 void BM_Theorem2Trial(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));

@@ -1,5 +1,7 @@
 #include "fault/fault_model.hpp"
 
+#include <algorithm>
+
 namespace ftcs::fault {
 
 void sample_failures_into(const FaultModel& model, std::size_t edge_count,
@@ -19,7 +21,8 @@ void sample_failures_into(const FaultModel& model, std::size_t edge_count,
                               ? SwitchState::kClosedFail
                               : SwitchState::kOpenFail;
     out.push_back({static_cast<std::uint32_t>(index), s});
-    index += 1 + rng.geometric(p);
+    // Capped so a saturated gap (geometric's 2^64 - 1) cannot wrap.
+    index += 1 + std::min<std::uint64_t>(rng.geometric(p), edge_count);
   }
 }
 

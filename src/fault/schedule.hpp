@@ -14,6 +14,13 @@
 // edge set — a schedule costs O(#affected switches), not O(#switches), so
 // the paper's eps = 1e-6 on million-switch networks stays cheap — and are
 // merged into one stream sorted by time, deterministic given the seed.
+//
+// Cost: generation is O(events), and so is the sort: a stable distribution
+// sort over one equal-width time bucket per event, with an insertion sort
+// inside each bucket; a bucket holding more than a few dozen events falls
+// back to std::stable_sort, so the worst case stays O(n log n). The stream
+// is ordered by (time, edge); one switch's events that tie exactly in time
+// (a zero-length repair) keep their renewal order, failure before repair.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +65,11 @@ class FaultSchedule {
 
   FaultSchedule() = default;
   /// Generates the stream for `edge_count` switches. Deterministic given
-  /// `params.seed`; independent of evaluation order.
+  /// `params.seed`; independent of evaluation order. Throws
+  /// std::invalid_argument for a failure_rate that is negative, NaN or
+  /// infinite; a horizon that is negative or NaN, or infinite while
+  /// switches are repaired (the stream would never end); a NaN or infinite
+  /// mean_repair; and a stuck_fraction outside [0, 1].
   FaultSchedule(std::size_t edge_count, const Params& params);
 
   /// Convenience: interprets `model.total()` as the per-unit-time hazard —

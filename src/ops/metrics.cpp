@@ -1,5 +1,6 @@
 #include "ops/metrics.hpp"
 
+#include <array>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -11,11 +12,35 @@ namespace {
 
 void appendf(std::string& out, const char* fmt, ...) {
   char buf[256];
-  va_list ap;
+  va_list ap, again;
   va_start(ap, fmt);
+  va_copy(again, ap);
   const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
   va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+  const auto len = static_cast<std::size_t>(n > 0 ? n : 0);
+  if (len < sizeof buf) {
+    out.append(buf, len);
+  } else {
+    // Longer than the stack buffer (a long instance name): format straight
+    // into the string, whose terminator slot takes vsnprintf's NUL.
+    const std::size_t at = out.size();
+    out.resize(at + len);
+    std::vsnprintf(out.data() + at, len + 1, fmt, again);
+  }
+  va_end(again);
+}
+
+/// The histogram's `le` labels, formatted once: the bucket bounds are
+/// constants, and %.9g-formatting 40 of them per class on every scrape
+/// would be about half of a scrape's text-building time.
+const std::array<std::string, LatencyHistogram::kBuckets>& bucket_labels() {
+  static const auto labels = [] {
+    std::array<std::string, LatencyHistogram::kBuckets> out;
+    for (std::size_t b = 0; b < out.size(); ++b)
+      appendf(out[b], "%.9g", LatencyHistogram::bucket_upper_seconds(b));
+    return out;
+  }();
+  return labels;
 }
 
 /// One field-table row with its sampled values; both formats iterate
@@ -184,6 +209,7 @@ std::string MetricsRegistry::prometheus(const Sample& s) const {
   }
 
   appendf(out, "# TYPE ftcs_setup_latency_seconds histogram\n");
+  const auto& le = bucket_labels();
   for (std::size_t c = 0; c < kQosClasses; ++c) {
     const LatencyHistogram& h = s.total.classes[c].setup;
     std::uint64_t cum = 0;
@@ -191,8 +217,8 @@ std::string MetricsRegistry::prometheus(const Sample& s) const {
       cum += h.bucket(b);
       appendf(out,
               "ftcs_setup_latency_seconds_bucket{exchange=\"%s\",class=\"%zu\","
-              "le=\"%.9g\"} %" PRIu64 "\n",
-              inst, c, LatencyHistogram::bucket_upper_seconds(b), cum);
+              "le=\"%s\"} %" PRIu64 "\n",
+              inst, c, le[b].c_str(), cum);
     }
     appendf(out,
             "ftcs_setup_latency_seconds_bucket{exchange=\"%s\",class=\"%zu\","

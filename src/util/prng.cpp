@@ -1,6 +1,7 @@
 #include "util/prng.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace ftcs::util {
 
@@ -30,7 +31,11 @@ std::uint64_t Xoshiro256::geometric(double p) noexcept {
   if (p >= 1.0) return 0;
   if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
   const double u = uniform();
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
+  const double k = std::floor(std::log1p(-u) / std::log1p(-p));
+  // Below p ~ 1e-19 the gap can pass 2^64, where the cast is undefined (on
+  // x86 it wraps to 0, so every trial would succeed): saturate instead.
+  return k < 0x1p64 ? static_cast<std::uint64_t>(k)
+                    : std::numeric_limits<std::uint64_t>::max();
 }
 
 }  // namespace ftcs::util

@@ -79,6 +79,7 @@ class Xoshiro256 {
   double exponential(double rate) noexcept;
 
   /// Geometric: number of failures before first success, success prob p.
+  /// Saturates at 2^64 - 1 (always for p <= 0).
   std::uint64_t geometric(double p) noexcept;
 
  private:

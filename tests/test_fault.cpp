@@ -58,6 +58,13 @@ TEST(Sampling, ZeroRateEmpty) {
   EXPECT_TRUE(sample_failures(FaultModel::none(), 1000, 1).empty());
 }
 
+// A failure probability so small that the skip gap passes 2^64 fails no
+// switch (the gap once wrapped to 0 and failed every one).
+TEST(Sampling, VanishingRateFailsNoSwitch) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    EXPECT_TRUE(sample_failures({1e-300, 0.0}, 1000, seed).empty()) << seed;
+}
+
 TEST(Sampling, DenseStatesAgreeWithSparse) {
   const auto m = FaultModel::symmetric(0.05);
   const auto sparse = sample_failures(m, 2000, 11);

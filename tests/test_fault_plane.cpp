@@ -9,13 +9,18 @@
 // file carries the `tsan` ctest label the sanitizer CI jobs select by.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_instance.hpp"
@@ -594,6 +599,165 @@ TEST(FaultSchedule, MixedModeCarriesTheModelSplit) {
       {0.0, 2e-3}, 4000, 500.0, 20.0, 123);
   EXPECT_EQ(closed_only.stuck_count(), closed_only.fail_count());
   EXPECT_GT(closed_only.stuck_count(), 0u);
+}
+
+/// The generator as first written, with std::stable_sort on (time, edge):
+/// the reference the linear-time sort must reproduce bit for bit.
+struct ReferenceSchedule {
+  std::vector<fault::FaultEvent> events;
+  std::size_t fails = 0, stuck = 0;
+};
+
+ReferenceSchedule reference_schedule(std::size_t edge_count,
+                                     const fault::FaultSchedule::Params& p) {
+  using Kind = fault::FaultEvent::Kind;
+  ReferenceSchedule r;
+  if (p.failure_rate == 0.0 || p.horizon == 0.0 || edge_count == 0) return r;
+  const double p_hit = -std::expm1(-p.failure_rate * p.horizon);
+  util::Xoshiro256 skip_rng(p.seed);
+  for (std::uint64_t e = skip_rng.geometric(p_hit); e < edge_count;
+       e += 1 + skip_rng.geometric(p_hit)) {
+    util::Xoshiro256 rng(util::derive_seed(p.seed, e));
+    double t = -std::log1p(-rng.uniform() * p_hit) / p.failure_rate;
+    const auto edge = static_cast<graph::EdgeId>(e);
+    while (t < p.horizon) {
+      const bool stuck =
+          p.stuck_fraction > 0.0 && rng.uniform() < p.stuck_fraction;
+      r.events.push_back({t, edge, stuck ? Kind::kStuckOn : Kind::kFail});
+      if (p.mean_repair <= 0.0) break;
+      t += rng.exponential(1.0 / p.mean_repair);
+      if (t >= p.horizon) break;
+      r.events.push_back({t, edge, Kind::kRepair});
+      t += rng.exponential(p.failure_rate);
+    }
+  }
+  std::stable_sort(r.events.begin(), r.events.end(),
+                   [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.edge < b.edge;
+                   });
+  for (const fault::FaultEvent& ev : r.events) {
+    r.fails += fault::is_failure(ev.kind) ? 1 : 0;
+    r.stuck += ev.kind == Kind::kStuckOn ? 1 : 0;
+  }
+  return r;
+}
+
+void expect_matches_reference(std::size_t edge_count,
+                              const fault::FaultSchedule::Params& p) {
+  SCOPED_TRACE(::testing::Message()
+               << edge_count << " switches, rate " << p.failure_rate
+               << ", repair " << p.mean_repair << ", horizon " << p.horizon
+               << ", stuck " << p.stuck_fraction << ", seed " << p.seed);
+  const fault::FaultSchedule fs(edge_count, p);
+  const ReferenceSchedule ref = reference_schedule(edge_count, p);
+  ASSERT_EQ(fs.events().size(), ref.events.size());
+  for (std::size_t i = 0; i < ref.events.size(); ++i) {
+    const fault::FaultEvent& a = fs.events()[i];
+    const fault::FaultEvent& b = ref.events[i];
+    ASSERT_TRUE(a.time == b.time && a.edge == b.edge && a.kind == b.kind)
+        << "event " << i << ": (" << a.time << ", " << a.edge << ", "
+        << static_cast<int>(a.kind) << ") vs (" << b.time << ", " << b.edge
+        << ", " << static_cast<int>(b.kind) << ")";
+  }
+  EXPECT_EQ(fs.fail_count(), ref.fails);
+  EXPECT_EQ(fs.stuck_count(), ref.stuck);
+  EXPECT_EQ(fs.repair_count(), ref.events.size() - ref.fails);
+}
+
+TEST(FaultSchedule, LinearSortMatchesTheStableSortReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // storm-fed's member shape (cantor-k7's switches) and its trunk shape.
+  for (const double stuck : {0.0, 0.25, 1.0})
+    expect_matches_reference(26'880, {2e-4, 8.0, 3939.0, stuck, 11});
+  expect_matches_reference(128, {5e-2, 8.0, 3939.0, 0.0, 12});
+  // Exact fail/repair ties: each repair lands on its failure's time.
+  expect_matches_reference(4000, {2e-3, 1e-300, 500.0, 0.25, 13});
+  // Permanent faults with rate x horizon >> 1: every switch fails once,
+  // crowded near time 0.
+  expect_matches_reference(200'000, {1.0, 0.0, 1e5, 0.25, 14});
+  // Fast failures and long repairs: the first failures crowd the first
+  // buckets (thousands per bucket), so the crowded-bucket fallback sorts.
+  expect_matches_reference(10'000, {1.0, 1e4, 1e5, 0.25, 15});
+  // Permanent faults over an unbounded horizon; times too small for a
+  // finite bucket scale; a single event.
+  expect_matches_reference(1000, {1e-3, 0.0, inf, 0.0, 16});
+  expect_matches_reference(1000, {1e308, 0.0, 1.0, 0.5, 17});
+  expect_matches_reference(1, {1.0, 0.0, 10.0, 0.0, 18});
+  // The empty cases: no switches, no rate, no horizon, no switch hit.
+  const std::pair<std::size_t, fault::FaultSchedule::Params> empties[] = {
+      {0, {2e-4, 8.0, 3939.0, 0.25, 19}},
+      {50, {0.0, 8.0, 3939.0, 0.25, 19}},
+      {50, {2e-4, 8.0, 0.0, 0.25, 19}},
+      {50, {1e-12, 8.0, 1.0, 0.25, 19}}};
+  for (const auto& [edges, p] : empties) {
+    expect_matches_reference(edges, p);
+    EXPECT_TRUE(fault::FaultSchedule(edges, p).empty());
+  }
+  // A rate so small that the skip gap passes 2^64 hits no switch (the
+  // gap once wrapped to 0 and failed every one).
+  EXPECT_TRUE(fault::FaultSchedule(1000, {1e-300, 8.0, 1.0, 0.25, 20}).empty());
+}
+
+/// Params with one field replaced; the rest a valid repairing schedule.
+fault::FaultSchedule::Params with(double fault::FaultSchedule::Params::*field,
+                                  double value) {
+  fault::FaultSchedule::Params p{2e-3, 20.0, 500.0, 0.25, 1};
+  p.*field = value;
+  return p;
+}
+
+TEST(FaultSchedule, RejectsANanFailureRate) {
+  using P = fault::FaultSchedule::Params;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(fault::FaultSchedule(100, with(&P::failure_rate, nan)),
+               std::invalid_argument);
+  EXPECT_THROW(fault::FaultSchedule(100, with(&P::failure_rate, -1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(fault::FaultSchedule(
+                   100, with(&P::failure_rate,
+                             std::numeric_limits<double>::infinity())),
+               std::invalid_argument);
+}
+
+TEST(FaultSchedule, RejectsAnInfiniteHorizonWithRepairs) {
+  using P = fault::FaultSchedule::Params;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(fault::FaultSchedule(100, with(&P::horizon, inf)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      fault::FaultSchedule(
+          100, with(&P::horizon, std::numeric_limits<double>::quiet_NaN())),
+      std::invalid_argument);
+  // Permanent faults end by themselves: every switch fails once.
+  P permanent = with(&P::horizon, inf);
+  permanent.mean_repair = 0.0;
+  const fault::FaultSchedule all(100, permanent);
+  EXPECT_EQ(all.fail_count(), 100u);
+  EXPECT_EQ(all.repair_count(), 0u);
+}
+
+TEST(FaultSchedule, RejectsANanMeanRepair) {
+  using P = fault::FaultSchedule::Params;
+  EXPECT_THROW(
+      fault::FaultSchedule(
+          100, with(&P::mean_repair, std::numeric_limits<double>::quiet_NaN())),
+      std::invalid_argument);
+  EXPECT_THROW(
+      fault::FaultSchedule(
+          100, with(&P::mean_repair, std::numeric_limits<double>::infinity())),
+      std::invalid_argument);
+}
+
+TEST(FaultSchedule, RejectsAStuckFractionOutsideTheUnitInterval) {
+  using P = fault::FaultSchedule::Params;
+  for (const double bad :
+       {-0.25, 1.5, std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(fault::FaultSchedule(100, with(&P::stuck_fraction, bad)),
+                 std::invalid_argument)
+        << bad;
+  EXPECT_NO_THROW(fault::FaultSchedule(100, with(&P::stuck_fraction, 0.0)));
+  EXPECT_NO_THROW(fault::FaultSchedule(100, with(&P::stuck_fraction, 1.0)));
 }
 
 // ------------------------------------------------- exchange fault plane

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -315,6 +316,40 @@ TEST(MetricsRegistry, DeltasBetweenScrapesAndBothFormats) {
   EXPECT_NE(js.find("\"scrape_seq\":2"), std::string::npos);
 }
 
+// A line longer than the formatter's stack buffer is written whole: the
+// scrape of a 300-character instance reads, line for line, as the scrape
+// of a one-character instance with the name swapped in.
+TEST(MetricsRegistry, LongInstanceNameKeepsEveryLineWhole) {
+  const auto net = networks::build_cantor({4, 0});
+  svc::Exchange ex(net);
+  ASSERT_TRUE(ex.call({0, 1}).connected());
+  const std::string name(300, 'x');
+  ops::MetricsRegistry long_reg(name), short_reg("t");
+  const std::string prom = long_reg.scrape_prometheus(ex);
+  const auto s = short_reg.sample(ex);
+
+  std::string expected = short_reg.prometheus(s);
+  for (std::size_t at = 0;
+       (at = expected.find("exchange=\"t\"", at)) != std::string::npos;
+       at += 10 + name.size())
+    expected.replace(at + 10, 1, name);
+  EXPECT_EQ(prom, expected);
+  std::size_t lines = 0;
+  for (std::size_t at = 0; at < prom.size(); ++lines) {
+    const std::size_t eol = prom.find('\n', at);
+    ASSERT_NE(eol, std::string::npos) << "unterminated last line";
+    const std::string line = prom.substr(at, eol - at);
+    if (line.rfind("# TYPE ftcs_", 0) != 0) {
+      EXPECT_NE(line.find("{exchange=\"" + name + "\""), std::string::npos)
+          << line.substr(0, 80);
+    }
+    at = eol + 1;
+  }
+  EXPECT_GT(lines, 200u);
+  EXPECT_NE(long_reg.json(s).find("\"instance\":\"" + name + "\""),
+            std::string::npos);
+}
+
 // ------------------------------------------------------------ field tables
 //
 // Every counter of the five stats blocks is a row of its block's fields()
@@ -612,6 +647,30 @@ TEST(StatsTable, ClassRowsReachBothFormatsPerClass) {
         ",\"sla_violations\":" + std::to_string(cs.sla_violations) +
         ",\"count\":";
     EXPECT_EQ(count_of(js, entry), 1u) << entry;
+  }
+}
+
+// The histogram's bucket bounds are formatted once, with the format each
+// scrape used to print them with: every `le` reads %.9g of the bound.
+TEST(MetricsRegistry, HistogramBucketLinesPrintEachBoundAsPercentNineG) {
+  ops::MetricsRegistry reg("h");
+  ops::MetricsRegistry::Sample s;
+  for (std::size_t c = 0; c < ops::kQosClasses; ++c)
+    s.total.classes[c].setup.record(1e-6 * static_cast<double>(c + 1));
+  const std::string prom = reg.prometheus(s);
+  for (std::size_t c = 0; c < ops::kQosClasses; ++c) {
+    std::uint64_t cum = 0;
+    for (std::size_t b = 0; b < ops::LatencyHistogram::kBuckets; ++b) {
+      cum += s.total.classes[c].setup.bucket(b);
+      char le[64];
+      std::snprintf(le, sizeof le, "%.9g",
+                    ops::LatencyHistogram::bucket_upper_seconds(b));
+      const std::string line =
+          "\nftcs_setup_latency_seconds_bucket{exchange=\"h\",class=\"" +
+          std::to_string(c) + "\",le=\"" + le + "\"} " +
+          std::to_string(cum) + "\n";
+      EXPECT_EQ(count_of(prom, line), 1u) << line;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -108,6 +109,9 @@ TEST(Prng, GeometricMeanMatchesP) {
 TEST(Prng, GeometricEdgeCases) {
   Xoshiro256 rng(10);
   EXPECT_EQ(rng.geometric(1.0), 0u);
+  // Gaps past 2^64 saturate rather than hit an out-of-range cast.
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(rng.geometric(1e-300), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Prng, ShuffleIsPermutation) {
