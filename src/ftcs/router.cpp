@@ -63,13 +63,11 @@ void Router<Store>::init(unsigned sessions) {
   sessions_.reserve(sessions);
   for (unsigned s = 0; s < sessions; ++s)
     sessions_.push_back(Session(*this, s));
-  if constexpr (!Store::kShared) sessions_[0].prepare();
+  for (Session& s : sessions_) s.prepare();
 }
 
 template <class Store>
 void Router<Store>::Session::prepare() {
-  if (ready_) return;
-  ready_ = true;
   const graph::Network& net = *r_->net_;
   const std::size_t v_count = net.g.vertex_count();
   scratch_.init(v_count);
@@ -159,10 +157,7 @@ void Router<Store>::grow(const graph::Network& net) {
   // The path records stay where they are; prepare() enlarges each store
   // and the session scratch to the grown bound. No new vertex carries a
   // call yet, so the owner map only extends.
-  for (Session& s : sessions_) {
-    s.ready_ = false;
-    if constexpr (!Store::kShared) s.prepare();
-  }
+  for (Session& s : sessions_) s.prepare();
   if (!owner_.empty()) owner_.resize(v_count, kNoCall);
 }
 
@@ -221,7 +216,6 @@ auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
     return settle(in, out);
   } else {
     Router& r = *r_;
-    prepare();
     ++stats_.connect_calls;
     const graph::VertexId src = r.net_->inputs[in];
     const graph::VertexId dst = r.net_->outputs[out];
@@ -265,7 +259,6 @@ template <class Store>
 auto Router<Store>::Session::settle(std::uint32_t in, std::uint32_t out)
     -> CallId {
   Router& r = *r_;
-  if constexpr (Store::kShared) prepare();
   ++stats_.connect_calls;
   const graph::VertexId src = r.net_->inputs[in];
   const graph::VertexId dst = r.net_->outputs[out];

@@ -15,16 +15,13 @@
 // The two stores supply the only things that differ:
 //   - SoloStore (GreedyRouter): one session. Busy state is a plain
 //     util::Bitset, terminal slots are bytes, and connect() IS settle()
-//     (below): with one session there is never another writer. Session
-//     scratch is built at construction.
+//     (below): with one session there is never another writer.
 //   - SharedStore (ConcurrentRouter): N sessions over the same network.
 //     Busy state is a util::AtomicBitset and terminal slots are cache-line
 //     padded. Its connect() keeps a CAS claim (below) for the one case that
-//     needs it: immediate-plane sessions connecting concurrently. Session
-//     scratch is built lazily by the session's first search, on the thread
-//     that runs it, so with a pinned thread pool its pages first-touch onto
-//     that thread's node.
-// The liveness overlay (below) is plain state on both stores.
+//     needs it: immediate-plane sessions connecting concurrently.
+// On both stores every session's scratch is built at construction and
+// again by grow(). The liveness overlay (below) is plain state on both.
 //
 // Two entries route a request:
 //   - settle(in, out) — QUIESCENT ONLY on the shared store (the caller owns
@@ -132,9 +129,7 @@
 // stats(), active_calls() and busy_vertices() are exact only at quiescence;
 // they are for reporting, not for the hot path.
 //
-// Hot-path design: connect() and settle() perform NO heap allocation once
-// their session's scratch exists (construction for the solo store, the
-// first search for the shared store).
+// Hot-path design: connect() and settle() perform NO heap allocation.
 //   - visited state is one bit per vertex, zeroed word by word by the
 //     search that set it; the search stack (vertex_count frames, allocated
 //     untouched) is the found path, which the claim reads in place; each
@@ -175,7 +170,6 @@
 #include "graph/digraph.hpp"
 #include "util/atomic_bitset.hpp"
 #include "util/bitset.hpp"
-#include "util/cpu_topology.hpp"
 #include "util/stat_fields.hpp"
 
 namespace ftcs::core {
@@ -282,9 +276,8 @@ class Router {
       : net_(&net), reach_(net) {
     init(1);
   }
-  /// `sessions` fixes the session count (0 means 1). Only the shared state
-  /// is allocated here: each session builds its scratch on its first
-  /// connect or settle.
+  /// `sessions` fixes the session count (0 means 1). All scratch, every
+  /// session's included, is allocated here.
   Router(const graph::Network& net, unsigned sessions)
     requires(Store::kShared)
       : net_(&net), reach_(net) {
@@ -303,12 +296,12 @@ class Router {
     /// The immediate plane (header comment): settle() on the solo store,
     /// steps 1-5 on the shared one. Returns kNoCall on a busy or dead
     /// terminal, no idle path, or claim-retry exhaustion (the stats counters
-    /// say which). Allocation-free once the scratch exists.
+    /// say which). Allocation-free.
     CallId connect(std::uint32_t in, std::uint32_t out);
     /// Routes in->out with plain writes: terminal check, search, settle.
     /// QUIESCENT ONLY on the shared store: no other session may connect or
     /// disconnect meanwhile. Returns kNoCall on a busy or dead terminal or
-    /// no idle path. Allocation-free once the scratch exists.
+    /// no idle path. Allocation-free.
     CallId settle(std::uint32_t in, std::uint32_t out);
     /// Releases a call made through THIS session. Allocation-free.
     void disconnect(CallId call);
@@ -353,8 +346,8 @@ class Router {
 
     Session(Router& r, std::uint32_t index) : r_(&r), index_(index) {}
     /// Builds the scratch (search arrays, record store, call table
-    /// reserves) at the current network size, once: the first-touch point
-    /// for every page the hot path walks. Live records are kept.
+    /// reserves) at the current network size; the router's construction
+    /// and grow() call it. Live records are kept.
     void prepare();
     /// Step 2 for in->out on this session's scratch: true iff it found an
     /// idle path (then scratch_.path()).
@@ -385,7 +378,6 @@ class Router {
     std::vector<CallId> free_slots_;
     std::size_t active_ = 0;
     std::size_t busy_count_ = 0;
-    bool ready_ = false;
     RouterStats stats_;
   };
 
@@ -415,9 +407,8 @@ class Router {
   /// edge ids and terminal indices keep their meaning. Vertex-, edge- and
   /// terminal-indexed state extends at the same ids with idle, healthy
   /// tail entries; path records and call slot tables are untouched, so
-  /// every live path and handle stays valid as it is. Session scratch and
-  /// record stores are rebuilt at the grown size where the store first
-  /// touches them (here, or on the session's next connect). QUIESCENT
+  /// every live path and handle stays valid as it is. Every session's
+  /// scratch and record store is rebuilt here at the grown size. QUIESCENT
   /// ONLY. The new network must outlive the router.
   void grow(const graph::Network& net);
 

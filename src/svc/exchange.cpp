@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "util/thread_pool.hpp"
-
 namespace ftcs::svc {
 
 namespace {
@@ -20,12 +18,7 @@ Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
       qos_immediate_(cfg.qos_immediate),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
       sessions_(engine_->sessions()),
-      front_(cfg.window, cfg.max_queue, cfg.class_deadlines) {
-  // Every worker has re-pinned by the time apply_affinity returns, which
-  // reports the post-degrade policy (kNone on hosts that cannot honor it).
-  if (cfg.affinity != util::AffinityPolicy::kNone)
-    affinity_ = util::ThreadPool::global().apply_affinity(cfg.affinity);
-}
+      front_(cfg.window, cfg.max_queue, cfg.class_deadlines) {}
 
 // ------------------------------------------------------------------ handles
 

@@ -54,7 +54,6 @@
 #include "svc/call.hpp"
 #include "svc/engine.hpp"
 #include "svc/front_end.hpp"
-#include "util/cpu_topology.hpp"
 
 namespace ftcs::svc {
 
@@ -105,14 +104,6 @@ struct ExchangeConfig {
   /// Batched plane: a submit() that finds this many requests queued is
   /// Refused (RejectReason::kRefused); 0 means no cap.
   std::size_t max_queue = 0;
-  /// Worker-pinning policy applied to util::ThreadPool::global() at
-  /// construction (the process-wide pool of util::parallel_chunks; no
-  /// Exchange plane runs on it). kNone leaves the pool untouched;
-  /// kSpread/kCompact pin its workers (see util/cpu_topology.hpp) and
-  /// auto-degrade back to kNone when the host cannot honor the plan (fewer
-  /// physical cores than pool workers — the CI case). NOTE: the global pool
-  /// is process-wide state; the last Exchange to set a non-None policy wins.
-  util::AffinityPolicy affinity = util::AffinityPolicy::kNone;
   /// Per-class SLA deadlines in seconds (0 = that class carries no SLA). A
   /// served call whose setup latency exceeds its class deadline counts into
   /// ClassStats::sla_violations. Deadlines index by ops::qos_class().
@@ -263,11 +254,6 @@ class Exchange {
   [[nodiscard]] unsigned sessions() const noexcept {
     return engine_->sessions();
   }
-  /// Pinning policy in effect on the global pool after construction (post
-  /// auto-degrade); kNone when the config did not request pinning.
-  [[nodiscard]] util::AffinityPolicy affinity() const noexcept {
-    return affinity_;
-  }
   [[nodiscard]] const graph::Network& network() const noexcept { return *net_; }
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
     return engine_->input_idle(in);
@@ -345,7 +331,6 @@ class Exchange {
   const graph::Network* net_;
   std::unique_ptr<Engine> engine_;
   bool qos_immediate_ = false;
-  util::AffinityPolicy affinity_ = util::AffinityPolicy::kNone;
   std::uint32_t id_;  // process-unique, tagged into every CallId
   std::vector<Session> sessions_;
   // drain()'s epoch buffers, kept across epochs: an epoch whose window is

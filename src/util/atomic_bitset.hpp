@@ -34,6 +34,12 @@
 
 namespace ftcs::util {
 
+/// Alignment for hot concurrent state. 64 bytes covers x86 and most arm64;
+/// we deliberately do not use std::hardware_destructive_interference_size
+/// because its value may differ between TUs compiled with different tuning
+/// flags, changing struct layout across the ABI.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
 class AtomicBitset {
  public:
   /// Word placement: kDense packs words back to back; kCacheLine gives each
@@ -50,6 +56,7 @@ class AtomicBitset {
     bits_ = bits;
     word_count_ = (bits + 63) / 64;
     // 64-byte line / 8-byte word = stride of 8 words in padded mode.
+    static_assert(kCacheLineBytes == sizeof(std::uint64_t) << 3);
     stride_shift_ = pad == Padding::kCacheLine ? 3u : 0u;
     const std::size_t slots = word_count_ << stride_shift_;
     words_ = std::make_unique<std::atomic<std::uint64_t>[]>(slots);

@@ -2,17 +2,31 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "util/thread_pool.hpp"
 
 namespace ftcs::util {
 
+namespace {
+// Largest FTCS_THREADS value worker_count() accepts.
+constexpr unsigned kMaxFtcsThreads = 256;
+}  // namespace
+
 unsigned worker_count() noexcept {
   if (const char* env = std::getenv("FTCS_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(v);
+    // The whole value must be one decimal count: "4x", "-1", " 4" and an
+    // overflowing run of digits all fall through to the hardware count.
+    const std::string_view s(env);
+    unsigned v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec == std::errc{} && end == s.data() + s.size() && v >= 1 &&
+        v <= kMaxFtcsThreads)
+      return v;
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : hc;

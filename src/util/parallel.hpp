@@ -14,8 +14,8 @@
 
 namespace ftcs::util {
 
-/// Number of worker threads to use (respects FTCS_THREADS env var,
-/// otherwise hardware_concurrency, at least 1).
+/// Number of worker threads to use: FTCS_THREADS when it is a whole
+/// decimal integer in [1, 256], otherwise hardware_concurrency (at least 1).
 [[nodiscard]] unsigned worker_count() noexcept;
 
 /// Run body(i) for i in [begin, end) across worker threads.

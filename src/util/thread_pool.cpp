@@ -35,26 +35,16 @@ struct ThreadPool::Impl {
   const unsigned threads;
   std::mutex m;
   std::condition_variable work_cv;  // parked workers
-  std::condition_variable done_cv;  // submitters and appliers
+  std::condition_variable done_cv;  // submitters
   std::vector<Batch*> open;  // batches with indices left to claim, oldest first
   bool stop = false;
-
-  // Affinity plan, guarded by m. A pin_epoch bump publishes a new plan; each
-  // worker pins itself at the top of its loop and acks, and the applier
-  // blocks until every worker has acked the current epoch — so when
-  // apply_affinity() returns, all workers run on their planned cpus and
-  // later allocations first-touch there.
-  std::vector<unsigned> pin_plan;  // cpu per worker; empty = unpinned
-  AffinityPolicy policy{AffinityPolicy::kNone};
-  std::uint64_t pin_epoch = 0;
-  unsigned pin_acks = 0;
 
   std::vector<std::thread> workers;  // last: the members above outlive them
 
   explicit Impl(unsigned n) : threads(n) {
     workers.reserve(threads);
     for (unsigned w = 0; w < threads; ++w)
-      workers.emplace_back([this, w] { worker_loop(w); });
+      workers.emplace_back([this] { worker_loop(); });
   }
 
   ~Impl() {
@@ -99,25 +89,11 @@ struct ThreadPool::Impl {
     }
   }
 
-  void worker_loop(unsigned w) {
+  void worker_loop() {
     t_inside_pool_worker = true;
-    std::uint64_t applied = 0;
     std::unique_lock<std::mutex> lk(m);
     for (;;) {
-      work_cv.wait(lk, [&] {
-        return stop || !open.empty() || applied != pin_epoch;
-      });
-      if (applied != pin_epoch) {
-        // Pinning on the worker's own thread means what it allocates
-        // afterwards is first-touched on the pinned cpu's node.
-        applied = pin_epoch;
-        if (w < pin_plan.size())
-          pin_current_thread(pin_plan[w]);
-        else
-          unpin_current_thread();
-        if (++pin_acks == threads) done_cv.notify_all();
-        continue;
-      }
+      work_cv.wait(lk, [this] { return stop || !open.empty(); });
       std::size_t i = 0;
       if (Batch* b = claim(i)) {
         lk.unlock();
@@ -127,21 +103,6 @@ struct ThreadPool::Impl {
         return;
       }
     }
-  }
-
-  AffinityPolicy apply_affinity(AffinityPolicy requested,
-                                const CpuTopology& topo) {
-    std::vector<unsigned> plan = plan_affinity(topo, threads, requested);
-    const AffinityPolicy effective =
-        plan.empty() ? AffinityPolicy::kNone : requested;
-    std::unique_lock<std::mutex> lk(m);
-    pin_plan = std::move(plan);
-    policy = effective;
-    pin_acks = 0;
-    ++pin_epoch;
-    work_cv.notify_all();
-    done_cv.wait(lk, [this] { return pin_acks == threads; });
-    return effective;
   }
 
   void run(std::size_t count, const std::function<void(std::size_t)>& fn) {
@@ -183,27 +144,9 @@ ThreadPool& ThreadPool::global() {
 
 unsigned ThreadPool::thread_count() const noexcept { return impl_->threads; }
 
-bool ThreadPool::can_fan_out() const noexcept {
-  return impl_->threads > 0 && !t_inside_pool_worker;
-}
-
 void ThreadPool::run(std::size_t count,
                      const std::function<void(std::size_t)>& task) {
   impl_->run(count, task);
-}
-
-AffinityPolicy ThreadPool::apply_affinity(AffinityPolicy policy) {
-  return apply_affinity(policy, CpuTopology::discover());
-}
-
-AffinityPolicy ThreadPool::apply_affinity(AffinityPolicy policy,
-                                          const CpuTopology& topo) {
-  return impl_->apply_affinity(policy, topo);
-}
-
-AffinityPolicy ThreadPool::affinity() const {
-  std::lock_guard<std::mutex> lk(impl_->m);
-  return impl_->policy;
 }
 
 }  // namespace ftcs::util

@@ -4,10 +4,11 @@
 //    and verdict equivalence against graph::shortest_path, the reference
 //    implementation the pre-CSR router was built on (with exact path
 //    lengths where every input->output path has the same length);
-//  - connect()/disconnect() perform no heap allocation once the session's
-//    scratch exists, on both stores (the typed RouterStores suite),
-//    verified by a counting global operator new; also under welds, whose
-//    reverse hops make paths longer than the stage count; and an
+//  - connect()/disconnect() perform no heap allocation on both stores (the
+//    typed RouterStores suite), verified by a counting global operator new:
+//    from the first connect after construction or grow() on, on every
+//    session; also under welds, whose reverse hops make paths longer than
+//    the stage count; and an
 //    Exchange's open-switch inject that kills no call allocates nothing
 //    once its fault books exist, and neither does a steady-state
 //    multi-session drain();
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -273,9 +275,7 @@ TEST(RouterDeterminism, RejectsTerminalBusyAsIntermediateHop) {
   EXPECT_EQ(router.path_of(c2), (std::vector<graph::VertexId>{1, 3}));
 }
 
-// Pinned on both stores: the solo store from construction on, the shared
-// store once the session's first connect (in the warmup) has built its
-// scratch on the owning thread.
+// A long churn after a warmup that touches every slot-bookkeeping path.
 TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocation) {
   const auto net = networks::build_cantor({5, 0});
   const auto r = make_router<TypeParam>(net);
@@ -344,12 +344,61 @@ TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocationUnderWelds) {
     }
     return longest;
   };
-  churn(200);  // warmup: builds the shared store's scratch
+  churn(200);  // warmup
   const std::uint64_t allocs_before = g_alloc_count.load();
   const std::size_t longest = churn(4000);
   EXPECT_EQ(g_alloc_count.load(), allocs_before)
       << "connect()/disconnect() allocated under welds";
   EXPECT_GT(longest, stages) << "no path crossed a weld backwards";
+}
+
+// The router's construction and grow() build every session's scratch, so
+// the very first connects and settles allocate nothing: on a fresh router
+// (both sessions of a 2-session shared one), and on terminals and vertices
+// that only the grown network has, with calls carried across the growth.
+TYPED_TEST(RouterStores,
+           FirstConnectsAfterConstructionAndGrowthAllocateNothing) {
+  using Router = core::Router<TypeParam>;
+  const auto net = networks::build_cantor({5, 0});
+  // cantor-k5 doubled: a cantor-k6-sized network.
+  const auto grown = networks::grow_cantor(net, {5, 0});
+  std::unique_ptr<Router> r;
+  if constexpr (TypeParam::kShared)
+    r = std::make_unique<Router>(net, 2u);
+  else
+    r = std::make_unique<Router>(net);
+  const unsigned sessions = r->session_count();
+  // Request i goes to session i % sessions, through connect() and settle()
+  // in turn on each session. Returns the allocations the requests made.
+  const auto first_requests = [&](std::uint32_t n, std::uint32_t first_in) {
+    const std::uint64_t before = g_alloc_count.load();
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      auto& s = r->session(i % sessions);
+      const std::uint32_t in = (first_in + i) % n;
+      const std::uint32_t out = (in * 5 + 2) % n;
+      if ((i / sessions) % 2 == 0)
+        (void)s.connect(in, out);
+      else
+        (void)s.settle(in, out);
+    }
+    return g_alloc_count.load() - before;
+  };
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  EXPECT_EQ(first_requests(n, 0), 0u) << "first requests after construction";
+  for (unsigned s = 0; s < sessions; ++s)
+    EXPECT_GT(r->session(s).active_calls(), 0u) << "session " << s;
+
+  r->grow(grown);
+  std::vector<std::size_t> carried;
+  for (unsigned s = 0; s < sessions; ++s)
+    carried.push_back(r->session(s).active_calls());
+  const auto n2 = static_cast<std::uint32_t>(grown.inputs.size());
+  ASSERT_EQ(n2, 2 * n);
+  // Inputs n.. exist only in the grown network.
+  EXPECT_EQ(first_requests(n2, n), 0u) << "first requests after grow()";
+  for (unsigned s = 0; s < sessions; ++s)
+    EXPECT_GT(r->session(s).active_calls(), carried[s]) << "session " << s;
+  audit<TypeParam>(*r, grown);
 }
 
 // The fault plane's open-switch path: an inject's newly dead endpoints

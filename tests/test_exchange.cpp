@@ -1,7 +1,7 @@
 // svc::Exchange — the session-oriented call service facade: typed
 // rejections, generation-tagged handle safety, engine equivalence through
 // the facade, batched admission (defer/refuse), async completion, and the
-// locality knobs (homed drain sessions, drain-pool affinity).
+// drain's split of each window into per-session chunks by arrival index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +15,7 @@
 #include "networks/clos.hpp"
 #include "networks/crossbar.hpp"
 #include "svc/exchange.hpp"
-#include "util/cpu_topology.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftcs::svc {
 namespace {
@@ -548,35 +546,6 @@ TEST(Exchange, DrainSplitsTheWindowByArrivalIndex) {
     // holds the request's arrival index.
     EXPECT_EQ(o->session, i * kSessions / n) << "arrival " << i;
   }
-}
-
-TEST(Exchange, ExchangeAffinityMatchesPlanOutcome) {
-  const auto net = networks::build_cantor({3, 0});
-  ExchangeConfig cfg = concurrent_cfg(2);
-  cfg.affinity = util::AffinityPolicy::kSpread;
-  Exchange ex(net, std::move(cfg));
-
-  // The Exchange must report exactly what plan_affinity decided for this
-  // host's real topology — degrade to kNone on small boxes, kSpread where
-  // the plan fits.
-  const auto topo = util::CpuTopology::discover();
-  const auto plan =
-      util::plan_affinity(topo, util::ThreadPool::global().thread_count(),
-                          util::AffinityPolicy::kSpread);
-  const auto expected = plan.empty() ? util::AffinityPolicy::kNone
-                                     : util::AffinityPolicy::kSpread;
-  EXPECT_EQ(ex.affinity(), expected);
-  EXPECT_EQ(util::ThreadPool::global().affinity(), expected);
-
-  // The exchange still drains under the applied policy.
-  CallRequest req;
-  (void)ex.submit(req);
-  EXPECT_EQ(ex.drain_all(), 1u);
-
-  // Restore the process-wide pool for the rest of the test binary.
-  util::ThreadPool::global().apply_affinity(util::AffinityPolicy::kNone);
-  EXPECT_EQ(util::ThreadPool::global().affinity(),
-            util::AffinityPolicy::kNone);
 }
 
 }  // namespace

@@ -3,9 +3,7 @@
 // surviving network.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
-#include <thread>
 
 #include "fault/fault_instance.hpp"
 #include "fault/repair.hpp"
@@ -18,7 +16,6 @@
 #include "graph/algorithms.hpp"
 #include "networks/cantor.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftcs::core {
 namespace {
@@ -87,29 +84,6 @@ TEST(Integration, TrafficOnDamagedFtNetwork) {
                                 report.service.router.rejected_contention);
 }
 
-// Runs `fn` on a worker of the global pool, where Exchange::drain never
-// fans out: a multi-session window then routes its chunks in session order,
-// so the batched plane's counts repeat exactly.
-template <class Fn>
-void on_pool_worker(Fn fn) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  if (!pool.can_fan_out()) {
-    fn();
-    return;
-  }
-  std::atomic<bool> claimed{false}, done{false};
-  pool.run(2, [&](std::size_t) {
-    if (!pool.can_fan_out()) {  // a worker: the first one runs fn
-      if (!claimed.exchange(true)) {
-        fn();
-        done.store(true, std::memory_order_release);
-      }
-      return;
-    }
-    while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-}
-
 struct SampledRow {
   const char* what;
   const graph::Network* net;
@@ -151,8 +125,7 @@ TEST(Integration, SampledFaultsServeExactBooks) {
     p.sim_time = 800.0;
     p.seed = 101;
     p.epoch_interval = row.epoch_interval;
-    TrafficReport r;
-    on_pool_worker([&] { r = simulate_traffic(ex, p); });
+    const TrafficReport r = simulate_traffic(ex, p);
     EXPECT_EQ(r.offered, row.offered) << row.what;
     EXPECT_EQ(r.carried, row.carried) << row.what;
     EXPECT_EQ(r.blocked, row.blocked) << row.what;

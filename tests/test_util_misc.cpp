@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/atomic_bitset.hpp"
-#include "util/cpu_topology.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -52,6 +55,31 @@ TEST(Parallel, EmptyRangeIsNoop) {
 }
 
 TEST(Parallel, WorkerCountPositive) { EXPECT_GE(worker_count(), 1u); }
+
+// FTCS_THREADS counts only as a whole decimal integer in [1, 256]; anything
+// else falls back to the hardware count. Only worker_count() is asked, so
+// no tested value ever sizes a pool.
+TEST(Parallel, WorkerCountRejectsMalformedOrHugeFtcsThreads) {
+  std::optional<std::string> saved;
+  if (const char* env = std::getenv("FTCS_THREADS")) saved = env;
+  ASSERT_EQ(unsetenv("FTCS_THREADS"), 0);
+  const unsigned fallback = worker_count();
+  EXPECT_GE(fallback, 1u);
+  for (const auto& [value, expected] :
+       {std::pair<const char*, unsigned>{"1", 1}, {"17", 17}, {"256", 256}}) {
+    ASSERT_EQ(setenv("FTCS_THREADS", value, 1), 0);
+    EXPECT_EQ(worker_count(), expected) << "FTCS_THREADS=\"" << value << '"';
+  }
+  for (const char* value : {"", "0", "-1", "+4", " 4", "4 ", "4x", "x4", "1.5",
+                            "0x10", "257", "4294967297", "99999999999"}) {
+    ASSERT_EQ(setenv("FTCS_THREADS", value, 1), 0);
+    EXPECT_EQ(worker_count(), fallback) << "FTCS_THREADS=\"" << value << '"';
+  }
+  if (saved)
+    ASSERT_EQ(setenv("FTCS_THREADS", saved->c_str(), 1), 0);
+  else
+    ASSERT_EQ(unsetenv("FTCS_THREADS"), 0);
+}
 
 TEST(Parallel, ChunkPartitionIsPureFunctionOfTotalAndThreads) {
   // The bit-identical contract of the parallel_* helpers: chunk boundaries
@@ -124,34 +152,6 @@ TEST(ThreadPool, SingleTaskRunsOnTheCaller) {
   std::thread::id ran_on;
   pool.run(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
   EXPECT_EQ(ran_on, std::this_thread::get_id());
-}
-
-TEST(ThreadPool, AffinityChangesRaceBatches) {
-  // Re-pinning wakes every worker and waits for its ack while batches keep
-  // claiming indices; neither side may lose a wake-up or an index.
-  ThreadPool pool(3);
-  CpuTopology topo;  // one node, four cores: kCompact plans cpus 0..2
-  for (unsigned id = 0; id < 4; ++id)
-    topo.cpus.push_back({id, static_cast<int>(id), 0, false});
-  topo.core_count = 4;
-  topo.from_sysfs = true;
-  std::atomic<bool> batches_done{false};
-  std::size_t applies = 0;
-  std::thread applier([&] {
-    do {
-      pool.apply_affinity(AffinityPolicy::kCompact, topo);
-      pool.apply_affinity(AffinityPolicy::kNone, topo);
-      ++applies;
-    } while (!batches_done.load());
-  });
-  std::atomic<std::size_t> total{0};
-  for (int batch = 0; batch < 500; ++batch)
-    pool.run(4, [&](std::size_t) { total.fetch_add(1); });
-  batches_done.store(true);
-  applier.join();
-  EXPECT_EQ(total.load(), 2000u);
-  EXPECT_GT(applies, 0u);
-  EXPECT_EQ(pool.affinity(), AffinityPolicy::kNone);
 }
 
 TEST(ThreadPool, ConstructRunDestroyRepeatedly) {
