@@ -87,12 +87,12 @@ BENCHMARK(BM_RepairByDiscard)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_GreedyConnect(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));
-  core::GreedyRouter router(ft.net);
+  core::Router router(ft.net);
   const auto n = static_cast<std::uint32_t>(ft.n());
   std::uint32_t i = 0;
   for (auto _ : state) {
     const auto call = router.connect(i % n, (i * 7 + 3) % n);
-    if (call != core::GreedyRouter::kNoCall) router.disconnect(call);
+    if (call != core::Router::kNoCall) router.disconnect(call);
     ++i;
   }
 }
@@ -117,14 +117,14 @@ BENCHMARK(BM_ExchangeCall)->Arg(1)->Arg(2)->Arg(3);
 /// hangup plus one random connect per iteration, seeded by `seed`. The
 /// counters are the search's vertices visited per connect and the connects
 /// refused for want of an idle path.
-void serve_half_load(benchmark::State& state, core::GreedyRouter& router,
+void serve_half_load(benchmark::State& state, core::Router& router,
                      std::uint32_t n, std::uint64_t seed) {
   // Idle terminals, and the live calls with theirs.
   std::vector<std::uint32_t> idle_in(n), idle_out(n);
   std::iota(idle_in.begin(), idle_in.end(), 0u);
   std::iota(idle_out.begin(), idle_out.end(), 0u);
   struct Live {
-    core::GreedyRouter::CallId call;
+    core::Router::CallId call;
     std::uint32_t in, out;
   };
   std::vector<Live> live;
@@ -139,7 +139,7 @@ void serve_half_load(benchmark::State& state, core::GreedyRouter& router,
   const auto dial = [&] {
     const std::uint32_t in = take(idle_in), out = take(idle_out);
     const auto call = router.connect(in, out);
-    if (call == core::GreedyRouter::kNoCall) {
+    if (call == core::Router::kNoCall) {
       idle_in.push_back(in);
       idle_out.push_back(out);
     } else {
@@ -180,7 +180,7 @@ void BM_ConnectFtMixedFaults(benchmark::State& state) {
       {0.0, 0.0}, {0.75e-3, 0.25e-3}, {0.75e-2, 0.25e-2}, {0.0, 1e-2}};
   const auto arg = static_cast<std::size_t>(state.range(0));
   const auto& ft = shared_ft(4);
-  core::GreedyRouter router(ft.net);
+  core::Router router(ft.net);
   for (const fault::Failure& f : fault::sample_failures(
            kMixes[arg], ft.net.g.edge_count(), util::derive_seed(22, arg))) {
     if (f.state == fault::SwitchState::kClosedFail)
@@ -206,7 +206,7 @@ BENCHMARK(BM_ConnectFtMixedFaults)->DenseRange(0, 3);
 void BM_ConnectCantorHalfLoad(benchmark::State& state) {
   const graph::Network net =
       networks::build_cantor({static_cast<std::uint32_t>(state.range(0)), 0});
-  core::GreedyRouter router(net);
+  core::Router router(net);
   serve_half_load(state, router, static_cast<std::uint32_t>(net.inputs.size()),
                   util::derive_seed(25, 0));
 }
@@ -305,19 +305,17 @@ void BM_ExchangeFacade(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeFacade)->Arg(7)->Arg(9);
 
-// The batched drain's cost per request on the shared store: a
-// concurrent-backend exchange on cantor-k (Arg 0) with S sessions (Arg 1)
-// serves windows of W requests (Arg 2), W distinct inputs to W distinct
-// outputs, through submit + drain_all, and hangs each window's calls up
-// before the next. items_per_second counts requests. A developer probe
-// with no gate:
+// The batched drain's cost per request: an exchange on cantor-k (Arg 0)
+// with S sessions (Arg 1) serves windows of W requests (Arg 2), W distinct
+// inputs to W distinct outputs, through submit + drain_all, and hangs each
+// window's calls up before the next. items_per_second counts requests. A
+// developer probe with no gate:
 //   ./build/bench_routing --benchmark_filter=BM_DrainWindow
 void BM_DrainWindow(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto window = static_cast<std::size_t>(state.range(2));
   const graph::Network net = networks::build_cantor({k, 0});
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = static_cast<unsigned>(state.range(1));
   svc::Exchange ex(net, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
@@ -353,8 +351,8 @@ BENCHMARK(BM_DrainWindow)
     ->Args({9, 4, 256})
     ->UseRealTime();
 
-// The federation's batched plane: 4 x cantor-k7 members (one session on
-// the solo store each, as every federation member is), 384 subscribers.
+// The federation's batched plane: 4 x cantor-k7 members (one session each,
+// as every federation member is), 384 subscribers.
 // Each iteration is one epoch: hang up the calls older than 4 epochs,
 // offer up to 64 requests from idle inputs to random outputs through
 // submit, and serve them with drain_all. 4000 epochs per run.
@@ -419,7 +417,7 @@ void BM_FederationDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_FederationDrain)->Iterations(4000);
 
-// Hitless growth's pause: a default exchange (one session, solo store) on
+// Hitless growth's pause: a default exchange (one session) on
 // cantor-k (Arg k) held at half load, n/2 calls from distinct idle inputs
 // to distinct idle outputs on a seeded stream, then doubled live to the
 // next order (networks::grow_cantor + Exchange::grow). A grown exchange

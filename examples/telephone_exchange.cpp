@@ -119,9 +119,9 @@ ftcs::core::TrafficReport run_day(const ftcs::graph::Network& net,
 
 // ------------------------------------------------------------- daemon mode
 
-/// The serving loop: owns every member session (the drain contract), so it
-/// is the one thread that runs admission epochs, applies operator commands
-/// (ControlPlane::pump between epochs), and hangs up expiring calls.
+/// The serving loop: the one thread that serializes the federation, so it
+/// runs admission epochs, applies operator commands (ControlPlane::pump
+/// between epochs), and hangs up expiring calls.
 /// Connected handles arrive via callback, which the federation fires on
 /// this thread during drain(), so they land in `held` directly.
 void serve_loop(ftcs::svc::Federation& fed, ftcs::ops::ControlPlane& control,
@@ -338,7 +338,7 @@ int run_daemon() {
 
 // -------------------------------------------------------- solo daemon mode
 
-/// Single-exchange serving loop, same drain contract as the federated one.
+/// Single-exchange serving loop, serialized like the federated one.
 /// The subscriber-line count is re-read every epoch: a kGrow command pumped
 /// at the boundary doubles it, and the very next epoch's churn dials the
 /// new lines.
@@ -396,7 +396,6 @@ int run_daemon_solo(unsigned sessions) {
   // the exchange owns its (grown) network internally.
   const auto cantor = networks::build_cantor({5, 0});  // "cantor-32-m5"
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = sessions;
   svc::Exchange ex(cantor, std::move(cfg));
   ops::ControlPlane control(ex, "telephone-exchange-solo");
@@ -481,10 +480,7 @@ int main(int argc, char** argv) {
   fault::FaultInstance worn(ft.net, fault::FaultModel::symmetric(worn_eps),
                             9000 + outage_year);
   svc::ExchangeConfig cfg;
-  if (sessions > 1) {
-    cfg.backend = svc::Backend::kConcurrent;
-    cfg.sessions = sessions;
-  }
+  cfg.sessions = sessions;
   svc::Exchange exchange(ft.net, std::move(cfg));
   inject_wear(exchange, worn);
   // ~0.05 failures per switch over the day (a couple hundred outages on

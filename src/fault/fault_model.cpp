@@ -1,6 +1,7 @@
 #include "fault/fault_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ftcs::fault {
 
@@ -15,14 +16,15 @@ void sample_failures_into(const FaultModel& model, std::size_t edge_count,
   // Geometric(p) gap; conditioned on failure, it is closed with probability
   // eps_closed / p.
   const double closed_given_fail = model.eps_closed / p;
-  std::uint64_t index = rng.geometric(p);
+  const double log_q = std::log1p(-p);
+  std::uint64_t index = rng.geometric(p, log_q);
   while (index < edge_count) {
     const SwitchState s = rng.bernoulli(closed_given_fail)
                               ? SwitchState::kClosedFail
                               : SwitchState::kOpenFail;
     out.push_back({static_cast<std::uint32_t>(index), s});
     // Capped so a saturated gap (geometric's 2^64 - 1) cannot wrap.
-    index += 1 + std::min<std::uint64_t>(rng.geometric(p), edge_count);
+    index += 1 + std::min<std::uint64_t>(rng.geometric(p, log_q), edge_count);
   }
 }
 

@@ -100,8 +100,10 @@ FaultSchedule::FaultSchedule(std::size_t edge_count, const Params& params) {
   util::Xoshiro256 skip_rng(params.seed);
   double t_max = 0.0;
   // The gap is capped so a saturated one (geometric's 2^64 - 1) cannot wrap.
+  const double log_q = std::log1p(-p_hit);
   const auto gap = [&] {
-    return std::min<std::uint64_t>(skip_rng.geometric(p_hit), edge_count);
+    return std::min<std::uint64_t>(skip_rng.geometric(p_hit, log_q),
+                                   edge_count);
   };
   for (std::uint64_t e = gap(); e < edge_count; e += 1 + gap()) {
     // Per-edge substream: the edge's timeline does not depend on how many

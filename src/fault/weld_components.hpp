@@ -20,8 +20,8 @@
 // nothing (exactly FaultInstance::contraction(), which unites kClosedFail
 // edges only). The equivalence is pinned by tests/test_short_alarm.cpp.
 //
-// Threading: same single-owner contract as the Exchange fault plane — one
-// thread at a time, the one that owns every session.
+// Threading: the Exchange fault plane's — one thread at a time, the one
+// that serializes the exchange.
 #pragma once
 
 #include <cstdint>

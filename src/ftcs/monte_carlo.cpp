@@ -25,7 +25,7 @@ namespace {
 // "given any set of vertex-disjoint paths", sampled).
 bool busy_probe(const FtNetwork& ft, const std::vector<std::uint8_t>& faulty,
                 std::size_t count, std::uint64_t seed) {
-  GreedyRouter router(ft.net);
+  Router router(ft.net);
   for (graph::VertexId v = 0; v < faulty.size(); ++v)
     if (faulty[v]) router.kill_vertex(v);
   util::Xoshiro256 rng(seed);
@@ -99,12 +99,12 @@ bool baseline_survival_trial(const graph::Network& net,
   util::shuffle(ins, rng);
   util::shuffle(outs, rng);
 
-  GreedyRouter router(net);
+  Router router(net);
   for (graph::VertexId v = 0; v < faulty.size(); ++v)
     if (faulty[v]) router.kill_vertex(v);
   for (const fault::Failure& f : instance.failures()) router.fail_edge(f.edge);
   for (std::size_t i = 0; i < pairs; ++i) {
-    if (router.connect(ins[i], outs[i]) == GreedyRouter::kNoCall) return false;
+    if (router.connect(ins[i], outs[i]) == Router::kNoCall) return false;
   }
   return true;
 }

@@ -1,14 +1,12 @@
 #include "ftcs/router.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 namespace ftcs::core {
 
 // ------------------------------------------------------- liveness overlay
 
-template <class Store>
-bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
+bool Router::path_carried(std::span<const graph::VertexId> path) const {
   const auto& g = net_->g;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const graph::VertexId u = path[i], v = path[i + 1];
@@ -27,51 +25,29 @@ bool Router<Store>::path_carried(std::span<const graph::VertexId> path) const {
   return true;
 }
 
-// ------------------------------------------------- the shared store's claim
-
-template <class Store>
-bool Router<Store>::claim(Session& s)
-  requires(Store::kShared)
-{
-  // The path where the search left it, src first and dst last.
-  std::vector<graph::VertexId>& order = s.claim_buf_;
-  order.clear();
-  for (const detail::SearchScratch::Frame& f : s.scratch_.path())
-    order.push_back(f.v);
-  std::sort(order.begin(), order.end());
-  std::size_t claimed = 0;
-  while (claimed < order.size() && busy_.try_set(order[claimed])) ++claimed;
-  if (claimed == order.size()) return true;
-  ++s.stats_.claim_conflicts;
-  while (claimed > 0) busy_.reset(order[--claimed]);
-  return false;
-}
-
 // ------------------------------------------------------------ construction
 
-template <class Store>
-void Router<Store>::init(unsigned sessions) {
-  const std::size_t v_count = net_->g.vertex_count();
-  const std::size_t e_count = net_->g.edge_count();
+Router::Router(const graph::Network& net, unsigned sessions)
+    : net_(&net), reach_(net) {
+  const std::size_t v_count = net.g.vertex_count();
+  const std::size_t e_count = net.g.edge_count();
   sessions = std::max(sessions, 1u);
   busy_.resize(v_count);
   dead_edges_.resize(e_count);
   contracted_edges_.resize(e_count);
   dead_.resize(v_count);
-  in_busy_ = typename Store::Slots(net_->inputs.size());
-  out_busy_ = typename Store::Slots(net_->outputs.size());
+  in_busy_.assign(net.inputs.size(), 0);
+  out_busy_.assign(net.outputs.size(), 0);
   sessions_.reserve(sessions);
   for (unsigned s = 0; s < sessions; ++s)
     sessions_.push_back(Session(*this, s));
+  scratch_.init(v_count);
   for (Session& s : sessions_) s.prepare();
 }
 
-template <class Store>
-void Router<Store>::Session::prepare() {
+void Router::Session::prepare() {
   const graph::Network& net = *r_->net_;
   const std::size_t v_count = net.g.vertex_count();
-  scratch_.init(v_count);
-  if constexpr (Store::kShared) claim_buf_.reserve(v_count);
   // Each active call holds one input and one output, and one session may
   // carry every call: reserving that bound keeps connect()/disconnect()
   // allocation-free. The live paths of one session are vertex-disjoint, so
@@ -83,9 +59,8 @@ void Router<Store>::Session::prepare() {
   records_.resize(v_count + 2 * max_calls);
 }
 
-template <class Store>
-std::uint32_t Router<Store>::Session::write_record(CallId id) {
-  const auto path = scratch_.path();
+std::uint32_t Router::Session::write_record(CallId id) {
+  const auto path = r_->scratch_.path();
   const auto length = static_cast<std::uint32_t>(path.size());
   // Free slots are handed out newest first, so the slot's last record is
   // usually still in cache: reuse it when the path fits.
@@ -101,8 +76,7 @@ std::uint32_t Router<Store>::Session::write_record(CallId id) {
   return at;
 }
 
-template <class Store>
-void Router<Store>::Session::compact() {
+void Router::Session::compact() {
   std::uint32_t to = 0;
   for (std::uint32_t at = 0; at < top_;) {
     const CallId id = records_[at];
@@ -126,14 +100,12 @@ void Router<Store>::Session::compact() {
   top_ = to;
 }
 
-template <class Store>
-void Router<Store>::grow(const graph::Network& net) {
+void Router::grow(const graph::Network& net) {
   // Growth only appends, so every id keeps its meaning: each bitset is
-  // copied at the same indices into one of the grown size (an AtomicBitset
-  // cannot resize in place), and appended ids start clear: idle, alive,
-  // healthy. Exact under quiescence.
-  const auto extend = [](const auto& bits, std::size_t n) {
-    std::remove_cvref_t<decltype(bits)> grown(n);
+  // copied at the same indices into one of the grown size, and appended
+  // ids start clear: idle, alive, healthy.
+  const auto extend = [](const util::Bitset& bits, std::size_t n) {
+    util::Bitset grown(n);
     for (std::size_t i = 0; i < bits.size(); ++i)
       if (bits.test(i)) grown.set(i);
     return grown;
@@ -144,8 +116,8 @@ void Router<Store>::grow(const graph::Network& net) {
   dead_ = extend(dead_, v_count);
   dead_edges_ = extend(dead_edges_, e_count);
   contracted_edges_ = extend(contracted_edges_, e_count);
-  in_busy_ = extend(in_busy_, net.inputs.size());
-  out_busy_ = extend(out_busy_, net.outputs.size());
+  in_busy_.resize(net.inputs.size(), 0);
+  out_busy_.resize(net.outputs.size(), 0);
   reach_ = ReachIndex(net);
   net_ = &net;
   // New switches can add ancestors to any weld head: recount from scratch.
@@ -155,16 +127,16 @@ void Router<Store>::grow(const graph::Network& net) {
       if (contracted_edges_.test(e)) count_weld(net.g.edge(e).to, 1);
   }
   // The path records stay where they are; prepare() enlarges each store
-  // and the session scratch to the grown bound. No new vertex carries a
-  // call yet, so the owner map only extends.
+  // to the grown bound. No new vertex carries a call yet, so the owner map
+  // only extends.
+  scratch_.init(v_count);
   for (Session& s : sessions_) s.prepare();
   if (!owner_.empty()) owner_.resize(v_count, kNoCall);
 }
 
 // ------------------------------------------------------- connect/disconnect
 
-template <class Store>
-bool Router<Store>::Session::find(std::uint32_t in, std::uint32_t out) {
+bool Router::Session::find(std::uint32_t in, std::uint32_t out) {
   const Router& r = *r_;
   // The overlay gates, one load each: with no outstanding fault or weld the
   // search runs the overlay-free, weld-free hot path.
@@ -181,16 +153,15 @@ bool Router<Store>::Session::find(std::uint32_t in, std::uint32_t out) {
   };
   return detail::find_idle_path(r.net_->g, r.reach_.probe(out),
                                 r.net_->inputs[in], r.net_->outputs[out],
-                                r.reach_.first_hop(in, out), scratch_,
+                                r.reach_.first_hop(in, out), r_->scratch_,
                                 stats_.vertices_visited, is_busy, edge_blocked,
                                 edge_contracted, reaches_weld,
                                 r.welded_ > 0) != graph::kNoVertex;
 }
 
-template <class Store>
-auto Router<Store>::Session::record(std::uint32_t in, std::uint32_t out)
+auto Router::Session::record(std::uint32_t in, std::uint32_t out)
     -> CallId {
-  const auto length = static_cast<std::uint32_t>(scratch_.path().size());
+  const auto length = static_cast<std::uint32_t>(r_->scratch_.path().size());
   busy_count_ += length;
   ++active_;
   ++stats_.accepted;
@@ -208,62 +179,14 @@ auto Router<Store>::Session::record(std::uint32_t in, std::uint32_t out)
   return id;
 }
 
-template <class Store>
-auto Router<Store>::Session::connect(std::uint32_t in, std::uint32_t out)
-    -> CallId {
-  // One session has no other writer to race.
-  if constexpr (!Store::kShared) {
-    return settle(in, out);
-  } else {
-    Router& r = *r_;
-    ++stats_.connect_calls;
-    const graph::VertexId src = r.net_->inputs[in];
-    const graph::VertexId dst = r.net_->outputs[out];
-
-    // 1. Terminal acquire: input slot, then output slot.
-    if (r.dead_.test(src) || r.dead_.test(dst) || !r.in_busy_.try_set(in)) {
-      ++stats_.rejected_terminal;
-      return kNoCall;
-    }
-    if (!r.out_busy_.try_set(out)) {
-      r.in_busy_.reset(in);
-      ++stats_.rejected_terminal;
-      return kNoCall;
-    }
-    const auto reject = [&](std::uint64_t& reason) {
-      r.out_busy_.reset(out);
-      r.in_busy_.reset(in);
-      ++reason;
-      return kNoCall;
-    };
-    // An endpoint busy as another call's hop cannot anchor a path. This
-    // read is a snapshot: a stale positive costs one rejected request,
-    // never a corrupted chain.
-    if (r.busy_.test(src) || r.busy_.test(dst))
-      return reject(stats_.rejected_no_path);
-    for (unsigned attempt = 0;; ++attempt) {
-      // 2. Search; 3. claim.
-      if (!find(in, out)) return reject(stats_.rejected_no_path);
-      if (r.claim(*this)) break;
-      // 4. Conflict: the claim released its prefix; retry within the budget.
-      if (attempt + 1 >= kMaxClaimRetries)
-        return reject(stats_.rejected_contention);
-      ++stats_.search_retries;
-    }
-    // 5. Settle into the session's call table.
-    return record(in, out);
-  }
-}
-
-template <class Store>
-auto Router<Store>::Session::settle(std::uint32_t in, std::uint32_t out)
+auto Router::Session::connect(std::uint32_t in, std::uint32_t out)
     -> CallId {
   Router& r = *r_;
   ++stats_.connect_calls;
   const graph::VertexId src = r.net_->inputs[in];
   const graph::VertexId dst = r.net_->outputs[out];
-  if (r.dead_.test(src) || r.dead_.test(dst) || r.in_busy_.test(in) ||
-      r.out_busy_.test(out)) {
+  if (r.dead_.test(src) || r.dead_.test(dst) || r.in_busy_[in] ||
+      r.out_busy_[out]) {
     ++stats_.rejected_terminal;
     return kNoCall;
   }
@@ -272,15 +195,14 @@ auto Router<Store>::Session::settle(std::uint32_t in, std::uint32_t out)
     ++stats_.rejected_no_path;
     return kNoCall;
   }
-  r.in_busy_.set(in);
-  r.out_busy_.set(out);
-  for (const detail::SearchScratch::Frame& f : scratch_.path())
+  r.in_busy_[in] = 1;
+  r.out_busy_[out] = 1;
+  for (const detail::SearchScratch::Frame& f : r.scratch_.path())
     r.busy_.set(f.v);
   return record(in, out);
 }
 
-template <class Store>
-void Router<Store>::Session::disconnect(CallId call) {
+void Router::Session::disconnect(CallId call) {
   Router& r = *r_;
   Call& c = calls_[call];
   ++stats_.disconnects;
@@ -289,15 +211,14 @@ void Router<Store>::Session::disconnect(CallId call) {
   // next call (or until a compaction drops it).
   for (const graph::VertexId v : path(call)) r.busy_.reset(v);
   busy_count_ -= c.length;
-  r.out_busy_.reset(c.out);
-  r.in_busy_.reset(c.in);
+  r.out_busy_[c.out] = 0;
+  r.in_busy_[c.in] = 0;
   c.length = 0;
   --active_;
   free_slots_.push_back(call);
 }
 
-template <class Store>
-auto Router<Store>::Session::active_call_ids() const -> std::vector<CallId> {
+auto Router::Session::active_call_ids() const -> std::vector<CallId> {
   std::vector<CallId> ids;
   ids.reserve(active_);
   for (CallId id = 0; id < calls_.size(); ++id)
@@ -307,20 +228,17 @@ auto Router<Store>::Session::active_call_ids() const -> std::vector<CallId> {
 
 // --------------------------------------------------------- liveness overlay
 
-template <class Store>
-void Router<Store>::fail_edge(graph::EdgeId e) {
+void Router::fail_edge(graph::EdgeId e) {
   if (dead_edges_.try_set(e)) ++failed_;
 }
 
-template <class Store>
-void Router<Store>::repair_edge(graph::EdgeId e) {
+void Router::repair_edge(graph::EdgeId e) {
   if (!dead_edges_.test(e)) return;
   dead_edges_.reset(e);
   --failed_;
 }
 
-template <class Store>
-void Router<Store>::contract_edge(graph::EdgeId e) {
+void Router::contract_edge(graph::EdgeId e) {
   // A failed switch wins: the search never crosses it, welded or not.
   if (!contracted_edges_.try_set(e)) return;
   if (weld_reach_.empty()) clear_weld_counts();
@@ -328,22 +246,19 @@ void Router<Store>::contract_edge(graph::EdgeId e) {
   ++welded_;
 }
 
-template <class Store>
-void Router<Store>::uncontract_edge(graph::EdgeId e) {
+void Router::uncontract_edge(graph::EdgeId e) {
   if (!contracted_edges_.test(e)) return;
   contracted_edges_.reset(e);
   --welded_;
   count_weld(net_->g.edge(e).to, -1);
 }
 
-template <class Store>
-void Router<Store>::clear_weld_counts() {
+void Router::clear_weld_counts() {
   weld_reach_.assign(net_->g.vertex_count(), 0);
   walk_seen_.assign(net_->g.vertex_count(), 0);
 }
 
-template <class Store>
-void Router<Store>::count_weld(graph::VertexId head, int delta) {
+void Router::count_weld(graph::VertexId head, int delta) {
   // A vertex that reaches every output is in every cone, so the search
   // never reads its count; its ancestors reach every output too, so the
   // walk stops there.
@@ -363,36 +278,31 @@ void Router<Store>::count_weld(graph::VertexId head, int delta) {
   for (const graph::VertexId v : walk_queue_) walk_seen_[v] = 0;
 }
 
-template <class Store>
-void Router<Store>::kill_vertex(graph::VertexId v) {
+void Router::kill_vertex(graph::VertexId v) {
   // No live call holds v (precondition), so its busy bit is free to take.
   if (dead_.test(v)) return;
   dead_.set(v);
   busy_.set(v);
 }
 
-template <class Store>
-void Router<Store>::revive_vertex(graph::VertexId v) {
+void Router::revive_vertex(graph::VertexId v) {
   if (!dead_.test(v)) return;
   dead_.reset(v);
   busy_.reset(v);
 }
 
-template <class Store>
-void Router<Store>::own_path(const Session& s, CallId id) {
+void Router::own_path(const Session& s, CallId id) {
   const std::uint32_t owner = id * session_count() + s.index_;
   for (const graph::VertexId v : s.path(id)) owner_[v] = owner;
 }
 
-template <class Store>
-void Router<Store>::build_owner_map() {
+void Router::build_owner_map() {
   owner_.assign(net_->g.vertex_count(), kNoCall);
   for (const Session& s : sessions_)
     for (const CallId id : s.active_call_ids()) own_path(s, id);
 }
 
-template <class Store>
-CallRef Router<Store>::call_at(graph::VertexId v) {
+CallRef Router::call_at(graph::VertexId v) {
   if (owner_.empty()) build_owner_map();
   // A hangup leaves its entries behind, and its slot may since carry a
   // call on another path: the entry counts only while the named call's
@@ -407,35 +317,28 @@ CallRef Router<Store>::call_at(graph::VertexId v) {
   return ref;
 }
 
-// ------------------------------------------------------ quiescent aggregates
+// -------------------------------------------------------------- aggregates
 
-template <class Store>
-RouterStats Router<Store>::stats() const {
+RouterStats Router::stats() const {
   RouterStats total;
   for (const Session& s : sessions_) total += s.stats();
   return total;
 }
 
-template <class Store>
-void Router<Store>::reset_stats() noexcept {
+void Router::reset_stats() noexcept {
   for (Session& s : sessions_) s.reset_stats();
 }
 
-template <class Store>
-std::size_t Router<Store>::active_calls() const {
+std::size_t Router::active_calls() const {
   std::size_t total = 0;
   for (const Session& s : sessions_) total += s.active_calls();
   return total;
 }
 
-template <class Store>
-std::size_t Router<Store>::busy_vertices() const {
+std::size_t Router::busy_vertices() const {
   std::size_t total = 0;
   for (const Session& s : sessions_) total += s.busy_vertices();
   return total;
 }
-
-template class Router<SoloStore>;
-template class Router<SharedStore>;
 
 }  // namespace ftcs::core

@@ -2,9 +2,16 @@
 // contained network is strictly nonblocking, routing can be performed by a
 // greedy application of a standard path-finding algorithm").
 //
-// ONE router body, core::Router<Store>, serves a network's calls from one
-// or from N sessions. The router owns the network's busy state, its one
-// fault state (the liveness overlay below) and every session's call table.
+// ONE router, core::Router, serves a network's calls from one or from N
+// sessions. The router owns the network's busy state (plain util::Bitset
+// busy bits, byte terminal slots), its one fault state (the liveness
+// overlay below), its one search scratch and every session's call table.
+// Sessions are SHARDS of that state, not threads: each keeps its own call
+// table, path-record arena and stats block, so a batched drain can hand a
+// window's chunks to distinct sessions and a call is named by (session,
+// slot). Every entry is serialized: one thread at a time drives the router
+// (svc::Exchange holds that contract for its callers).
+//
 // A connect settles the first idle path a depth-first search finds, its
 // first hop started in a plane chosen by the output (ftcs/search.hpp); on a
 // strictly nonblocking (surviving) network this never fails for a request
@@ -12,84 +19,30 @@
 // path has the same length (Cantor, crossbar, the §6 FT network), not in
 // general.
 //
-// The two stores supply the only things that differ:
-//   - SoloStore (GreedyRouter): one session. Busy state is a plain
-//     util::Bitset, terminal slots are bytes, and connect() IS settle()
-//     (below): with one session there is never another writer.
-//   - SharedStore (ConcurrentRouter): N sessions over the same network.
-//     Busy state is a util::AtomicBitset and terminal slots are cache-line
-//     padded. Its connect() keeps a CAS claim (below) for the one case that
-//     needs it: immediate-plane sessions connecting concurrently.
-// On both stores every session's scratch is built at construction and
-// again by grow(). The liveness overlay (below) is plain state on both.
-//
-// Two entries route a request:
-//   - settle(in, out) — QUIESCENT ONLY on the shared store (the caller owns
-//     every session: a batched drain, a fault event's victim reroutes).
-//     Terminal check, search, then plain relaxed writes: each terminal
-//     slot and path busy bit is a load and a store, with no sort, no CAS
-//     and no claim buffer.
-//   - connect(in, out) — the immediate plane. Solo store: settle(). Shared
-//     store, protocol per connect (the CAS claim serves only concurrent
-//     immediate-plane sessions):
-//   1. TERMINAL ACQUIRE — a dead terminal is rejected; then the input
-//      slot, then the output slot, is taken (try_set). Failure →
-//      rejected_terminal (slots released in reverse order on any reject).
-//      A terminal vertex occupied as an intermediate hop of another call
-//      cannot anchor a new path (a vertex carries at most one call: two
-//      calls would share its busy bit, and the first hangup would free it
-//      under the second) → rejected_no_path. settle() applies the same
-//      two tests, with plain reads.
+// connect(in, out) on a session:
+//   1. TERMINAL CHECK — a dead or busy terminal is rejected
+//      (rejected_terminal). A terminal vertex occupied as an intermediate
+//      hop of another call cannot anchor a new path (a vertex carries at
+//      most one call: two calls would share its busy bit, and the first
+//      hangup would free it under the second) → rejected_no_path.
 //   2. SEARCH — the reach-guided depth-first search (ftcs/search.hpp) on
-//      the session's private scratch, guided by the router's one ReachIndex
-//      (read-only, rebuilt by grow()): its cones filter the children, and
-//      its plane table picks the slot the first hop starts at
-//      (ReachIndex::first_hop(in, out)). It reads the busy bits with
-//      RELAXED loads: a dirty snapshot, deliberately unvalidated. The
-//      overlay it reads is stable for the whole connect. No idle path →
-//      rejected_no_path.
-//   3. CLAIM — the path's vertices are claimed with word-level CAS
-//      (AtomicBitset::try_set, acq_rel) in CANONICAL order (ascending
-//      vertex id), so two overlapping claims collide at their smallest
-//      shared vertex and the loser has claimed as little as possible.
-//   4. CONFLICT — a lost CAS (claim_conflicts) releases the claim prefix,
-//      newest first, and re-runs step 2 against the fresher state
-//      (search_retries). After kMaxClaimRetries attempts the call is
-//      rejected (rejected_contention): bounded work per call, no livelock.
-//   5. SETTLE (every entry that routes) — the path is copied into one
-//      record in the session's record store, the call table names the
-//      record, and, once the owner map exists, each path vertex's entry
-//      names the call (see call_at). disconnect() reads the record back and
-//      resets its busy bits: no per-vertex store besides the bits.
-//
-// Memory-ordering contract (shared store; see util/atomic_bitset.hpp). It
-// covers only busy bits, terminal slots and owner-map entries, and only the
-// concurrent connect()s of the immediate plane; settle() writes them
-// plainly because its caller excludes every other session:
-//   - path records and call tables are SESSION-PRIVATE: written by the
-//     session's settle and read by its disconnect/path(), all on the one
-//     thread that owns the session, so they need no ordering of their own.
-//   - busy_.try_set is acq_rel: a successful claim of v synchronizes-with
-//     the busy_.reset(v) (release) of v's previous owner, so the owner's
-//     write to owner_[v] is visible before anyone re-claims v. All
-//     bitset-word writes of concurrent sessions are RMWs, so intervening
-//     claims of OTHER bits in the same word do not break the release
-//     sequence.
-//   - owner_[v] is plain (non-atomic) data OWNED by whoever holds busy bit
-//     v: written only between taking bit v and the matching reset(v), and
-//     read only at quiescence (call_at). disconnect() leaves the entry as
-//     it is; call_at() validates it against the named call's record
-//     instead.
-//   - search reads of busy bits are relaxed; every positive routing
-//     decision is re-checked by the claim CAS (connect) or by the owning
-//     settle, so stale reads cost retries, not correctness.
+//      the router's scratch, guided by the router's one ReachIndex
+//      (rebuilt by grow()): its cones filter the children, and its plane
+//      table picks the slot the first hop starts at
+//      (ReachIndex::first_hop(in, out)). No idle path → rejected_no_path.
+//   3. SETTLE — the terminal slots and the path's busy bits are set, the
+//      path is copied into one record in the session's record store, the
+//      call table names the record, and, once the owner map exists, each
+//      path vertex's entry names the call (see call_at). disconnect() reads
+//      the record back and resets its busy bits: no per-vertex store
+//      besides the bits.
 //
 // Liveness overlay: the router's only fault state, whether the faults come
 // from a sampled fault::FaultInstance applied once or from the runtime
 // fault plane. Semantics follow §6: the fault unit is the switch (edge); a
 // vertex dies when the caller decides its incident switches make it
-// unusable. A dead vertex holds its own busy bit, so searches and claims
-// avoid it with no extra state. A failed switch is a
+// unusable. A dead vertex holds its own busy bit, so searches avoid it
+// with no extra state. A failed switch is a
 // dead_edges_ bit, a stuck-on (closed, §2) switch a contracted_edges_ bit:
 // a weld conducts in BOTH directions (the runtime analogue of contraction;
 // the CSR graph is never mutated), and occupancy still applies to the
@@ -110,29 +63,22 @@
 //     head's ancestors. The counts and the walk's scratch are sized by the
 //     first contract_edge (a router that never welds allocates none) and
 //     recounted by grow().
-//   - fail_edge, repair_edge, contract_edge, uncontract_edge, kill_vertex,
-//     revive_vertex, call_at and grow (and, on the shared store, settle)
-//     are QUIESCENT ONLY: no connect or disconnect in flight on any
-//     other session, and, for kill_vertex, victims torn down first — the
-//     same contract as Exchange::drain(). svc::Exchange
-//     holds every session while it flips a switch, then asks call_at() for
-//     the calls through the switch's two endpoints and tears down those
+//   - kill_vertex needs the calls through the vertex torn down first.
+//     svc::Exchange flips a switch, then asks call_at() for the calls
+//     through the switch's two endpoints and tears down those
 //     path_carried() rejects (a weld's repair severs calls that crossed it
 //     against its direction).
 //   - A failed switch beats a weld: a switch both failed and contracted
 //     carries nothing.
 //
-// Sessions: a Session is single-threaded — one thread at a time may use
-// session(s), and a call is disconnected through the session that connected
-// it. Distinct sessions of the shared store may connect() concurrently; a
-// settle() excludes every other session. The aggregates
-// stats(), active_calls() and busy_vertices() are exact only at quiescence;
-// they are for reporting, not for the hot path.
+// Sessions: a call is disconnected through the session that connected it.
+// The aggregates stats(), active_calls() and busy_vertices() sum the
+// sessions; they are for reporting, not for the hot path.
 //
-// Hot-path design: connect() and settle() perform NO heap allocation.
+// Hot-path design: connect() performs NO heap allocation.
 //   - visited state is one bit per vertex, zeroed word by word by the
 //     search that set it; the search stack (vertex_count frames, allocated
-//     untouched) is the found path, which the claim reads in place; each
+//     untouched) is the found path, which the settle reads in place; each
 //     frame prefetches its children's reach-set ids and CSR offset rows;
 //   - busy / overlay vertex and edge state live in packed bitsets, 64
 //     vertices per cache word;
@@ -152,11 +98,11 @@
 //     packed session and slot) exists only once the fault plane has asked:
 //     a router that never faults neither builds nor writes it.
 //
-// One search for every entry: a 1-session shared router is path-for-path
-// identical to the solo router (with no contention its claim always
-// succeeds first try), and settle() routes as the solo store's connect()
-// does. The Exchange's batched plane commits its windows through settle(),
-// one request at a time in window order (svc/README.md, "Batched drain").
+// The session count changes no verdict and no path: every session runs the
+// one search on the one busy state, so N sessions route a request sequence
+// as one session does. The Exchange's batched plane commits its windows
+// through connect(), one request at a time in window order (svc/README.md,
+// "Batched drain").
 #pragma once
 
 #include <array>
@@ -168,7 +114,6 @@
 #include "ftcs/reach_index.hpp"
 #include "ftcs/search.hpp"
 #include "graph/digraph.hpp"
-#include "util/atomic_bitset.hpp"
 #include "util/bitset.hpp"
 #include "util/stat_fields.hpp"
 
@@ -186,14 +131,11 @@ struct RouterStats {
   std::uint64_t disconnects = 0;
   std::uint64_t vertices_visited = 0;  // vertices marked across all searches
   std::uint64_t path_vertices = 0;     // total length of settled paths
-  // Shared-store connect() counters (always 0 on the solo store and for
-  // settle()):
-  std::uint64_t claim_conflicts = 0;      // CAS lost a vertex to another session
-  std::uint64_t search_retries = 0;       // searches re-run after a conflict
-  std::uint64_t rejected_contention = 0;  // gave up after the retry budget
   // RETIRED, always 0 and outside the table (never merged or exported): the
   // multi-source wave search and the bottom-up BFS sweep they counted are
-  // gone. Kept because the exchange benchmark still reads them.
+  // gone, and so is the CAS claim whose lost races claim_conflicts counted.
+  // Kept because the exchange benchmark still reads them.
+  std::uint64_t claim_conflicts = 0;
   std::uint64_t wave_epochs = 0;
   std::uint64_t bottom_up_levels = 0;
 
@@ -207,9 +149,6 @@ struct RouterStats {
         {&RouterStats::disconnects, "router_disconnects_total"},
         {&RouterStats::vertices_visited, "router_vertices_visited_total"},
         {&RouterStats::path_vertices, "router_path_vertices_total"},
-        {&RouterStats::claim_conflicts, "router_claim_conflicts_total"},
-        {&RouterStats::search_retries, "router_search_retries_total"},
-        {&RouterStats::rejected_contention, nullptr, "rejected_contention"},
     });
   }
   RouterStats& operator+=(const RouterStats& o) noexcept {
@@ -220,35 +159,8 @@ struct RouterStats {
   }
 };
 static_assert(sizeof(RouterStats) ==
-                  (RouterStats::fields().size() + 2) * sizeof(std::uint64_t),
-              "every RouterStats counter is a fields() row (2 retired)");
-
-/// One session over plain state (see the header comment).
-struct SoloStore {
-  static constexpr bool kShared = false;
-  using Bits = util::Bitset;
-  /// Terminal slots as bytes: admission is one plain load and store.
-  struct Slots {
-    std::vector<std::uint8_t> held;
-    explicit Slots(std::size_t n = 0) : held(n, 0) {}
-    [[nodiscard]] std::size_t size() const noexcept { return held.size(); }
-    [[nodiscard]] bool test(std::size_t i) const noexcept { return held[i]; }
-    void set(std::size_t i) noexcept { held[i] = 1; }
-    void reset(std::size_t i) noexcept { held[i] = 0; }
-  };
-};
-
-/// N concurrent sessions over atomic busy bits and terminal slots (see the
-/// header comment).
-struct SharedStore {
-  static constexpr bool kShared = true;
-  using Bits = util::AtomicBitset;
-  /// Terminal slots, one word per cache line: with dense words, 64
-  /// unrelated admission CASes would false-share one line.
-  struct Slots : util::AtomicBitset {
-    explicit Slots(std::size_t n = 0) : AtomicBitset(n, Padding::kCacheLine) {}
-  };
-};
+                  (RouterStats::fields().size() + 3) * sizeof(std::uint64_t),
+              "every RouterStats counter is a fields() row (3 retired)");
 
 /// A session's call, as call_at() names it; call == kNoCall means none.
 struct CallRef {
@@ -256,53 +168,34 @@ struct CallRef {
   std::uint32_t call = static_cast<std::uint32_t>(-1);
 };
 
-template <class Store>
 class Router {
  public:
   /// Per-session call handle; valid until disconnect.
   using CallId = std::uint32_t;
   static constexpr CallId kNoCall = static_cast<CallId>(-1);
-  /// Failed claim attempts per call before rejecting with
-  /// rejected_contention. Conflicts need two calls' paths to overlap in the
-  /// same instant, so even 2 retries are rarely consumed; 16 bounds the
-  /// pathological case without ever rejecting a realistic workload.
-  static constexpr unsigned kMaxClaimRetries = 16;
 
-  /// One-session router over a healthy network; faults are applied
-  /// through the liveness overlay (kill_vertex, fail_edge, contract_edge).
-  /// The network must outlive the router. All scratch is allocated here.
-  explicit Router(const graph::Network& net)
-    requires(!Store::kShared)
-      : net_(&net), reach_(net) {
-    init(1);
-  }
-  /// `sessions` fixes the session count (0 means 1). All scratch, every
-  /// session's included, is allocated here.
-  Router(const graph::Network& net, unsigned sessions)
-    requires(Store::kShared)
-      : net_(&net), reach_(net) {
-    init(sessions);
-  }
+  /// Router over a healthy network with `sessions` session shards (0 means
+  /// 1); faults are applied through the liveness overlay (kill_vertex,
+  /// fail_edge, contract_edge). The network must outlive the router. All
+  /// scratch, every session's included, is allocated here.
+  explicit Router(const graph::Network& net, unsigned sessions = 1);
 
   // Pinned: every Session holds a back-pointer to its router.
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// One routing session; use from ONE thread at a time. Cache-line
-  /// aligned so one session's hot state (stats counters, call table heads)
-  /// never false-shares with its neighbours.
-  class alignas(util::kCacheLineBytes) Session {
+  /// One routing session: a shard of call table, record store and stats
+  /// over the router's one busy state. Cache-line aligned: its 192 bytes
+  /// span three lines, not four, and the aligned allocation keeps a torn
+  /// down and rebuilt cantor-k9 exchange from re-faulting its freed heap
+  /// (without it perfbench's search-k9 set-up reads ~40% slower, all of it
+  /// page faults in the network rebuild).
+  class alignas(64) Session {
    public:
-    /// The immediate plane (header comment): settle() on the solo store,
-    /// steps 1-5 on the shared one. Returns kNoCall on a busy or dead
-    /// terminal, no idle path, or claim-retry exhaustion (the stats counters
-    /// say which). Allocation-free.
+    /// Routes in->out (header comment: terminal check, search, settle).
+    /// Returns kNoCall on a busy or dead terminal or no idle path (the
+    /// stats counters say which). Allocation-free.
     CallId connect(std::uint32_t in, std::uint32_t out);
-    /// Routes in->out with plain writes: terminal check, search, settle.
-    /// QUIESCENT ONLY on the shared store: no other session may connect or
-    /// disconnect meanwhile. Returns kNoCall on a busy or dead terminal or
-    /// no idle path. Allocation-free.
-    CallId settle(std::uint32_t in, std::uint32_t out);
     /// Releases a call made through THIS session. Allocation-free.
     void disconnect(CallId call);
 
@@ -345,15 +238,15 @@ class Router {
     };
 
     Session(Router& r, std::uint32_t index) : r_(&r), index_(index) {}
-    /// Builds the scratch (search arrays, record store, call table
-    /// reserves) at the current network size; the router's construction
-    /// and grow() call it. Live records are kept.
+    /// Builds the record store and the call table reserves at the current
+    /// network size; the router's construction and grow() call it. Live
+    /// records are kept.
     void prepare();
-    /// Step 2 for in->out on this session's scratch: true iff it found an
-    /// idle path (then scratch_.path()).
+    /// Step 2 for in->out on the router's scratch: true iff it found an
+    /// idle path (then the scratch's path()).
     bool find(std::uint32_t in, std::uint32_t out);
-    /// Step 5 for the path the search left in the scratch, whose vertices
-    /// and terminal slots the caller has taken: the call's slot and record.
+    /// Step 3 for the path the search left in the scratch, whose vertices
+    /// and terminal slots connect() has taken: the call's slot and record.
     CallId record(std::uint32_t in, std::uint32_t out);
     /// Writes the scratch's path as call `id`'s record: into the slot's
     /// last record when it is long enough, else appended (compacting first
@@ -365,15 +258,12 @@ class Router {
 
     Router* r_;
     std::uint32_t index_;  // this session's number, for the owner map
-    detail::SearchScratch scratch_;
     // Record store: [call id, capacity, vertices...] per record, bump
     // allocated from top_. A record belongs to its slot while the slot
     // points at it (a slot that outgrew a record left it behind), and is
     // live while that slot is.
     std::vector<std::uint32_t> records_;
     std::uint32_t top_ = 0;
-    // Shared store's claim: the path's vertices in ascending id order.
-    std::vector<graph::VertexId> claim_buf_;
     std::vector<Call> calls_;
     std::vector<CallId> free_slots_;
     std::size_t active_ = 0;
@@ -407,41 +297,38 @@ class Router {
   /// edge ids and terminal indices keep their meaning. Vertex-, edge- and
   /// terminal-indexed state extends at the same ids with idle, healthy
   /// tail entries; path records and call slot tables are untouched, so
-  /// every live path and handle stays valid as it is. Every session's
-  /// scratch and record store is rebuilt here at the grown size. QUIESCENT
-  /// ONLY. The new network must outlive the router.
+  /// every live path and handle stays valid as it is. The search scratch
+  /// and every session's record store are rebuilt here at the grown size.
+  /// The new network must outlive the router.
   void grow(const graph::Network& net);
 
   // ---------------------------------------------------- liveness overlay
-  // Every mutator here and call_at() is QUIESCENT ONLY (header comment).
 
-  /// Marks switch `e` failed: no later path may use it. QUIESCENT ONLY.
-  /// Idempotent.
+  /// Marks switch `e` failed: no later path may use it. Idempotent.
   void fail_edge(graph::EdgeId e);
-  /// Clears a switch failure. QUIESCENT ONLY. Idempotent.
+  /// Clears a switch failure. Idempotent.
   void repair_edge(graph::EdgeId e);
   /// Marks switch `e` STUCK ON (closed failure): the search may cross it in
   /// both directions, and out-of-cone children that reach its head stay in
   /// the search (one walk over the head's static ancestors). A failed
-  /// switch cannot be contracted into service. QUIESCENT ONLY. Idempotent.
+  /// switch cannot be contracted into service. Idempotent.
   void contract_edge(graph::EdgeId e);
   /// Clears a stuck-on state (and walks the head's ancestors back down).
   /// Calls that crossed the weld AGAINST the edge direction are now severed
-  /// — the fault plane reaps them. QUIESCENT ONLY. Idempotent.
+  /// — the fault plane reaps them. Idempotent.
   void uncontract_edge(graph::EdgeId e);
   /// Marks `v` dead and takes its busy bit. A dead terminal reads busy and
-  /// is refused at admission (rejected_terminal). QUIESCENT ONLY, no
-  /// active call through v. Idempotent.
+  /// is refused at admission (rejected_terminal). No active call may run
+  /// through v. Idempotent.
   void kill_vertex(graph::VertexId v);
-  /// Revives a dead vertex and releases its busy bit. QUIESCENT ONLY.
-  /// Idempotent.
+  /// Revives a dead vertex and releases its busy bit. Idempotent.
   void revive_vertex(graph::VertexId v);
   /// The call whose path holds `v` (a vertex carries at most one), or
   /// call == kNoCall. Reads v's owner-map entry and confirms that the
   /// named call is live and its record holds v: O(path length). The first
   /// query builds the map from the live records; from then on every settle
   /// writes its path's entries, so a router never asked allocates and
-  /// writes nothing for it. QUIESCENT ONLY.
+  /// writes nothing for it.
   [[nodiscard]] CallRef call_at(graph::VertexId v);
 
   [[nodiscard]] bool vertex_dead(graph::VertexId v) const {
@@ -463,7 +350,6 @@ class Router {
   /// Live welds whose head `v` reaches forward in the static graph, `v`
   /// included (the search's weld filter). 0 when `v` reaches every output
   /// (the search never asks) and on a router that never welded.
-  /// QUIESCENT ONLY.
   [[nodiscard]] std::uint32_t weld_reach(graph::VertexId v) const {
     return weld_reach_.empty() ? 0 : weld_reach_[v];
   }
@@ -474,10 +360,10 @@ class Router {
 
   /// Idle = no call holds the terminal and it is not dead.
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
-    return !in_busy_.test(in) && !dead_.test(net_->inputs[in]);
+    return !in_busy_[in] && !dead_.test(net_->inputs[in]);
   }
   [[nodiscard]] bool output_idle(std::uint32_t out) const {
-    return !out_busy_.test(out) && !dead_.test(net_->outputs[out]);
+    return !out_busy_[out] && !dead_.test(net_->outputs[out]);
   }
   [[nodiscard]] bool is_busy(graph::VertexId v) const { return busy_.test(v); }
   /// Busy mask as bytes (cold path: expands the packed bitset).
@@ -485,18 +371,13 @@ class Router {
     return busy_.to_bytes();
   }
 
-  // Quiescent aggregates over all sessions.
+  // Aggregates over all sessions.
   [[nodiscard]] RouterStats stats() const;          // merged via operator+=
   void reset_stats() noexcept;
   [[nodiscard]] std::size_t active_calls() const;   // sum of sessions
   [[nodiscard]] std::size_t busy_vertices() const;  // sum of path lengths
 
  private:
-  void init(unsigned sessions);
-  /// Step 3 of the shared store's connect() for the path the session's
-  /// search just found (its scratch's stack): true iff every CAS won.
-  bool claim(Session& s)
-    requires(Store::kShared);
   /// Sizes the weld-ancestor counts and the walk's flags at the network's
   /// vertex count, all zero.
   void clear_weld_counts();
@@ -512,17 +393,16 @@ class Router {
   void build_owner_map();
 
   const graph::Network* net_;
-  typename Store::Bits busy_;  // dead | on an active path
-  // The liveness overlay, changed only at quiescence.
+  util::Bitset busy_;  // dead | on an active path
+  // The liveness overlay.
   util::Bitset dead_edges_;        // failed switches
   util::Bitset contracted_edges_;  // stuck-on switches: two-way hops
   std::size_t failed_ = 0, welded_ = 0;  // outstanding: the overlay gates
   util::Bitset dead_;                    // killed vertices
-  typename Store::Slots in_busy_, out_busy_;  // terminal slots
+  std::vector<std::uint8_t> in_busy_, out_busy_;  // terminal slots, bytes
   // Owner map: owner_[v] = slot x session_count() + session of the last
   // call settled through v, or kNoCall; stale once that call hangs up
-  // (call_at() checks). Empty until the first call_at(); on the shared
-  // store entry v is owned by the holder of busy bit v.
+  // (call_at() checks). Empty until the first call_at().
   std::vector<std::uint32_t> owner_;
   ReachIndex reach_;  // search guide, read-only and shared by every session
   // Weld-ancestor counts (weld_reach()), and the walk's visited flags and
@@ -531,15 +411,7 @@ class Router {
   std::vector<std::uint8_t> walk_seen_;
   std::vector<graph::VertexId> walk_queue_;
   std::vector<Session> sessions_;
+  detail::SearchScratch scratch_;  // the one search's, shared by every session
 };
-
-extern template class Router<SoloStore>;
-extern template class Router<SharedStore>;
-
-/// The one-session router (plain bitsets, no claim protocol).
-using GreedyRouter = Router<SoloStore>;
-/// N sessions over shared atomic busy bits: CAS-claimed connects, owned
-/// settles.
-using ConcurrentRouter = Router<SharedStore>;
 
 }  // namespace ftcs::core

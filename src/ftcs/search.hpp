@@ -4,19 +4,13 @@
 // be performed by a greedy application of a standard path-finding
 // algorithm" — any idle path will do, so the router takes the first one a
 // depth-first search finds, with its first hop started in a plane chosen by
-// the output (below). core::Router (ftcs/router.hpp) calls it from
-// one site for both of its busy stores, so a one-session shared router is
-// path-for-path identical to the solo router by construction (same
-// expansion order, same tie-breaks). The busy test is a template
-// parameter: the solo store plugs in a plain util::Bitset read, the shared
-// store a relaxed AtomicBitset read. Only the busy reads can be a dirty
-// snapshot (concurrent immediate-plane connects), and the router's CAS
-// claim re-checks the path they found; a settle reads a state that no
-// other session writes. The
-// edge_blocked test carries the router's liveness overlay (its failed
-// switches), which is stable for the whole search (the router flips it only
-// at quiescence), so the search routes around open-failed switches with no
-// state of its own.
+// the output (below). core::Router (ftcs/router.hpp) calls it from one
+// site for every session, so one request sequence gives one sequence of
+// paths however its calls are spread over sessions. The edge_blocked test
+// carries the router's liveness overlay (its failed switches), which is
+// stable for the whole search (the router flips it only between connects),
+// so the search routes around open-failed switches with no state of its
+// own.
 //
 // The walk: an explicit stack of (vertex, cursor) frames starting at src.
 // The top frame advances its cursor over the vertex's out-edges to the
@@ -24,13 +18,13 @@
 // search — marks it visited and pushes it; a frame whose cursor runs out is
 // popped (backtrack). The first arrival at dst pushes dst and ends the
 // search, so the stack IS the path: SearchScratch::path() is stack[0,
-// depth), src first and dst last, and the routers' claims read it there. A
+// depth), src first and dst last, and the router's settle reads it there. A
 // vertex is visited once per search, so the work is bounded by the
 // vertices and edges of the idle part of the network.
 //
 // Visited state: one bit per vertex, all zero between searches. A search
 // lists every vertex it marks and zeroes their bitset words before it
-// returns, whatever the verdict, so a session's resident scratch is the
+// returns, whatever the verdict, so the router's resident scratch is the
 // V-bit set plus the stack and list entries its searches touch (both are
 // allocated without being written: untouched pages cost nothing).
 //
@@ -88,12 +82,7 @@
 // the property the offline contraction equivalence pins — is exact. The
 // machinery is a COMPILE-TIME branch (`kContraction`): the dispatcher
 // instantiates the contraction-free variant until a stuck-on event exists.
-//
-// Dirty snapshots: every frame is pushed as a usable child of the frame
-// below it and every vertex is pushed at most once per search, so the stack
-// is always a real chain of distinct src..dst vertices (weld reverse hops
-// included) even when relaxed busy reads disagree between probes of one
-// vertex.
+
 #pragma once
 
 #include <cstddef>

@@ -173,7 +173,7 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
   // run. A batched request whose terminal an earlier request of its epoch
   // claimed first met a busy terminal, not a blocked network: it counts in
   // terminal_busy, not offered. blocked covers the rest of the rejections
-  // — no-path, contention, and victims the fault plane could not reroute;
+  // — no-path, and victims the fault plane could not reroute;
   // a killed-then-rerouted call counts as carried twice, once per settled
   // path, matching the switching work done.
   svc::ExchangeStats service = exchange.stats();

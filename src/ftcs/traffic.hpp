@@ -7,9 +7,8 @@
 // strictly nonblocking surviving network this never happens; on damaged or
 // blocking networks it measures the grade of service).
 //
-// The simulation drives a svc::Exchange (the service facade over either
-// routing engine), so one simulator serves both the single-threaded greedy
-// backend and the sharded concurrent backend. The report's call counters
+// The simulation drives a svc::Exchange (the service facade over the
+// router), of one session or many. The report's call counters
 // are DERIVED from the exchange's counter deltas (svc::ExchangeStats) —
 // there is one set of books, kept by the engine; the traffic tests assert
 // the derivation's invariants.
@@ -58,8 +57,8 @@ struct TrafficReport {
   // Derived from `service` (the exchange's counter delta for this run):
   std::size_t offered = 0;  // routings that found both terminals idle
   std::size_t carried = 0;  // successfully routed
-  std::size_t blocked = 0;  // offered - carried: no path, contention, or a
-                            // fault victim that could not be rerouted
+  std::size_t blocked = 0;  // offered - carried: no path, or a fault
+                            // victim that could not be rerouted
   // Fault-plane outcome of the run (also derived from `service`):
   std::size_t faults_injected = 0;   // open switch failures applied
   std::size_t stuck_injected = 0;    // stuck-on (closed) failures applied
@@ -83,7 +82,7 @@ struct TrafficReport {
 };
 
 /// Runs the simulation on an exchange (which carries the network + fault
-/// mask + engine backend). Plane selection and fault schedule per
+/// mask + sessions). Plane selection and fault schedule per
 /// TrafficParams above.
 [[nodiscard]] TrafficReport simulate_traffic(svc::Exchange& exchange,
                                              const TrafficParams& params);

@@ -1,10 +1,10 @@
 // Thread-safe MPSC operator command feed with typed acks.
 //
 // The fault plane and the batched drain share one threading contract: one
-// thread at a time, owning every session. An operator (a REPL, a CI script,
+// thread at a time serializes the exchange. An operator (a REPL, a CI script,
 // a soak harness) lives on some OTHER thread. CommandQueue is the bridge:
 // any number of producers post() typed commands from anywhere; the single
-// consumer — whoever currently holds the drain contract — take_all()s them
+// consumer — the thread that serializes the Exchange — take_all()s them
 // at an epoch boundary, executes them against the Exchange (see
 // ops/control.hpp), and deliver()s a typed Ack per command. Producers
 // observe results by ticket: try_ack() polls, wait() blocks on the condvar.
@@ -145,7 +145,7 @@ class CommandQueue {
   /// Commands currently queued (not yet taken by the consumer).
   [[nodiscard]] std::size_t depth() const;
 
-  /// Consumer side (the thread holding the drain contract): take every
+  /// Consumer side (the thread that serializes the Exchange): take every
   /// queued command, in post order.
   [[nodiscard]] std::vector<Posted> take_all();
   /// Consumer side: publish `ticket`'s ack and wake waiters.

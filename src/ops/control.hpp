@@ -1,12 +1,12 @@
 // ops::ControlPlane — executes the operator command feed against a live
-// Exchange, at epoch boundaries, under drain()'s threading contract.
+// Exchange, at epoch boundaries, on the thread that serializes it.
 //
 // Ownership model: the ControlPlane owns the CommandQueue and a
 // MetricsRegistry; the Exchange is borrowed and must outlive it. Producers
-// grab queue() and post from any thread; the serving thread — the one that
-// currently owns every session (the same one calling drain()/inject()) —
-// calls pump() between epochs. pump() take_all()s, executes each command in
-// post order, and delivers the typed acks. Nothing here adds locks around
+// grab queue() and post from any thread; the serving thread — the one
+// calling drain()/inject() — calls pump() between epochs. pump()
+// take_all()s, executes each command in post order, and delivers the typed
+// acks. Nothing here adds locks around
 // the Exchange: the contract is positional (WHO calls pump), exactly like
 // the fault plane's, and the TSan churn test pins it.
 #pragma once
@@ -26,7 +26,7 @@ namespace ftcs::ops {
 /// growth is possible for this topology. May throw std::invalid_argument
 /// with a reason — the plane turns either into a typed kUnsupported ack, as
 /// it does a network Exchange::grow rejects. Runs on the pumping thread
-/// under the drain contract, right before Exchange::grow applies it.
+/// on the serving thread, right before Exchange::grow applies it.
 using GrowthPlanner = std::function<std::optional<graph::Network>(
     const svc::Exchange&, std::uint64_t arg)>;
 
@@ -55,8 +55,8 @@ class ControlPlane {
   }
 
   /// Drains and executes every queued command; returns how many ran.
-  /// MUST be called under the drain contract (one thread, owns every
-  /// session, no concurrent immediate calls).
+  /// MUST be called on the thread that serializes the exchange (no other
+  /// call, hangup, drain or fault event running).
   std::size_t pump();
 
  private:

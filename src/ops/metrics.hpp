@@ -7,8 +7,9 @@
 // per-interval activity without keeping its own books. Totals are emitted
 // alongside (Prometheus counters ARE totals; the deltas ride as a labeled
 // gauge family for scrapers that want them pre-computed). The caller must
-// hold the drain contract when sampling a live exchange — stats() is exact
-// at quiescence, and the ops control plane scrapes at epoch boundaries.
+// be the thread that serializes a live exchange when sampling it — stats()
+// is exact between serialized entries, and the ops control plane scrapes
+// at epoch boundaries.
 #pragma once
 
 #include <cstdint>

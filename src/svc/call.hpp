@@ -19,13 +19,15 @@ namespace ftcs::svc {
 class Exchange;
 
 /// Why a call (or a hangup) was not served. kNone means success. One enum
-/// across both engine backends AND the admission front-end, so every report
+/// across the engine AND the admission front-end, so every report
 /// uses the same spelling (to_string below).
 enum class RejectReason : std::uint8_t {
   kNone = 0,         // served
   kTerminalBusy,     // input or output slot busy/faulty; no search was run
   kNoPath,           // search exhausted without finding an idle path
-  kContention,       // concurrent engine gave up after its claim-retry budget
+  kContention,       // RETIRED, never produced: the claim-retry budget it
+                     // named is gone. Kept because the exchange benchmark
+                     // still names it.
   kRefused,          // admission control bounced the request (queue overload)
   kStaleHandle,      // handle's generation expired (hung up, or never issued)
   kForeignHandle,    // handle was issued by a different Exchange
@@ -35,6 +37,7 @@ enum class RejectReason : std::uint8_t {
                      // receives — informative, not a handle misuse
   kTrunkBusy,        // federation: no usable trunk line toward the callee's
                      // exchange (every group toward it is full or faulted)
+  kBadTerminal,      // input or output index out of range for this network
 };
 
 /// Canonical spelling, used verbatim in tables and JSON keys. The switch
@@ -52,6 +55,7 @@ enum class RejectReason : std::uint8_t {
     case RejectReason::kBadSession: return "bad_session";
     case RejectReason::kFaulted: return "killed_by_fault";
     case RejectReason::kTrunkBusy: return "rejected_trunk";
+    case RejectReason::kBadTerminal: return "bad_terminal";
   }
   return "unknown";  // unreachable for in-range values; keeps -Wreturn-type quiet
 }
@@ -65,6 +69,7 @@ inline constexpr RejectReason kAllRejectReasons[] = {
     RejectReason::kRefused,       RejectReason::kStaleHandle,
     RejectReason::kForeignHandle, RejectReason::kBadSession,
     RejectReason::kFaulted,       RejectReason::kTrunkBusy,
+    RejectReason::kBadTerminal,
 };
 inline constexpr std::size_t kRejectReasonCount =
     sizeof(kAllRejectReasons) / sizeof(kAllRejectReasons[0]);

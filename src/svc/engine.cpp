@@ -1,37 +1,13 @@
 #include "svc/engine.hpp"
 
-#include <utility>
-
 namespace ftcs::svc {
 namespace {
 
-/// Which rejection counter a failed connect() bumped. The router already
-/// classifies every rejection exactly once in its RouterStats block, so
-/// diffing the counters around the call is the authoritative answer — no
-/// second bookkeeping that could drift from the engine's. Only the two
-/// discriminating counters are snapshotted (this sits on the connect hot
-/// path).
-struct RejectSnapshot {
-  std::uint64_t terminal, contention;
-  explicit RejectSnapshot(const core::RouterStats& s) noexcept
-      : terminal(s.rejected_terminal), contention(s.rejected_contention) {}
-  [[nodiscard]] RejectReason classify(const core::RouterStats& after)
-      const noexcept {
-    if (after.rejected_terminal > terminal) return RejectReason::kTerminalBusy;
-    if (after.rejected_contention > contention) return RejectReason::kContention;
-    return RejectReason::kNoPath;
-  }
-};
-
-/// The one adapter: the Engine seam over a core::Router on either store.
-/// Backend::kGreedy picks the solo store, Backend::kConcurrent the shared
-/// one; everything else is the router's.
-template <class Store>
+/// The one adapter: the Engine seam over a core::Router.
 class RouterEngine final : public Engine {
  public:
-  template <class... Args>
-  explicit RouterEngine(const graph::Network& net, Args&&... args)
-      : router_(net, std::forward<Args>(args)...) {}
+  RouterEngine(const graph::Network& net, unsigned sessions)
+      : router_(net, sessions) {}
 
   [[nodiscard]] unsigned sessions() const noexcept override {
     return router_.session_count();
@@ -40,21 +16,17 @@ class RouterEngine final : public Engine {
   Connect connect(unsigned session, std::uint32_t in,
                   std::uint32_t out) override {
     auto& s = router_.session(session);
-    const RejectSnapshot before(s.stats());
+    // The router classifies every rejection exactly once in its
+    // RouterStats block, so the terminal counter read around the call is
+    // the authoritative answer: no second bookkeeping to drift.
+    const std::uint64_t terminal = s.stats().rejected_terminal;
     const auto call = s.connect(in, out);
-    if (call == core::Router<Store>::kNoCall)
-      return {kNoRawCall, before.classify(s.stats()), 0};
-    return {call, RejectReason::kNone,
-            static_cast<std::uint32_t>(s.path_length(call))};
-  }
-
-  Connect settle(unsigned session, std::uint32_t in,
-                 std::uint32_t out) override {
-    auto& s = router_.session(session);
-    const RejectSnapshot before(s.stats());
-    const auto call = s.settle(in, out);
-    if (call == core::Router<Store>::kNoCall)
-      return {kNoRawCall, before.classify(s.stats()), 0};
+    if (call == core::Router::kNoCall)
+      return {kNoRawCall,
+              s.stats().rejected_terminal > terminal
+                  ? RejectReason::kTerminalBusy
+                  : RejectReason::kNoPath,
+              0};
     return {call, RejectReason::kNone,
             static_cast<std::uint32_t>(s.path_length(call))};
   }
@@ -116,16 +88,14 @@ class RouterEngine final : public Engine {
   void grow(const graph::Network& net) override { router_.grow(net); }
 
  private:
-  core::Router<Store> router_;
+  core::Router router_;
 };
 
 }  // namespace
 
 std::unique_ptr<Engine> make_engine(const graph::Network& net,
                                     EngineOptions opts) {
-  if (opts.backend == Backend::kGreedy)
-    return std::make_unique<RouterEngine<core::SoloStore>>(net);
-  return std::make_unique<RouterEngine<core::SharedStore>>(net, opts.sessions);
+  return std::make_unique<RouterEngine>(net, opts.sessions);
 }
 
 }  // namespace ftcs::svc

@@ -1,14 +1,10 @@
-// Pluggable routing backend behind the Exchange facade.
+// Routing backend behind the Exchange facade.
 //
-// The low-level router, core::Router<Store> (ftcs/router.hpp), stays public;
+// The low-level router, core::Router (ftcs/router.hpp), stays public;
 // Engine is the narrow seam the Exchange serves calls through: a virtual
-// base over one templated adapter, instantiated for the router's two busy
-// stores and selected at construction by Backend. An Engine speaks
-// sessions: connect/disconnect on session s must be externally serialized
-// per session, distinct sessions may run concurrently (the greedy backend
-// has exactly one session). settle() is the owner's entry: its caller
-// holds every session, as for the fault plane's mutators. Rejections come
-// back as the shared
+// base over one adapter. An Engine speaks sessions, the router's shards
+// (per-session call tables over one busy state); every entry is serialized,
+// one thread at a time. Rejections come back as the shared
 // svc::RejectReason — the adapter classifies them from the router's
 // RouterStats counters, so there is exactly one source of truth for what a
 // rejection was.
@@ -23,11 +19,6 @@
 #include "svc/call.hpp"
 
 namespace ftcs::svc {
-
-enum class Backend : std::uint8_t {
-  kGreedy,      // one session on the solo store (fastest for one thread)
-  kConcurrent,  // N sessions on the shared store: CAS-claimed connects
-};
 
 class Engine {
  public:
@@ -46,22 +37,17 @@ class Engine {
   virtual ~Engine() = default;
 
   [[nodiscard]] virtual unsigned sessions() const noexcept = 0;
-  /// Routes in->out on `session`. reject is kNone, kTerminalBusy, kNoPath
-  /// or kContention.
+  /// Routes in->out on `session`. reject is kNone, kTerminalBusy or
+  /// kNoPath.
   virtual Connect connect(unsigned session, std::uint32_t in,
                           std::uint32_t out) = 0;
-  /// QUIESCENT ONLY (the caller holds every session): routes in->out on
-  /// `session` with plain writes (core::Router's settle). reject is kNone,
-  /// kTerminalBusy or kNoPath.
-  virtual Connect settle(unsigned session, std::uint32_t in,
-                         std::uint32_t out) = 0;
   virtual void disconnect(unsigned session, RawCall call) = 0;
   /// The call's vertices, input first: a view of the router's record,
   /// valid until `session`'s next connect (or grow()).
   [[nodiscard]] virtual std::span<const graph::VertexId> path_of(
       unsigned session, RawCall call) const = 0;
 
-  // Quiescent aggregates (exact when no connects/disconnects are in flight).
+  // Aggregates over every session.
   [[nodiscard]] virtual core::RouterStats stats() const = 0;
   virtual void reset_stats() = 0;
   [[nodiscard]] virtual std::size_t active_calls() const = 0;
@@ -71,9 +57,7 @@ class Engine {
   [[nodiscard]] virtual bool output_idle(std::uint32_t out) const = 0;
 
   // Liveness overlay (runtime fault plane) — forwarded to the router's
-  // overlay primitives. Every mutator is QUIESCENT ONLY (ftcs/router.hpp):
-  // no call may be in flight on any session. Exchange::inject/repair uphold
-  // that by holding every session, like drain().
+  // overlay primitives.
   virtual void fail_edge(graph::EdgeId e) = 0;
   virtual void repair_edge(graph::EdgeId e) = 0;
   /// Stuck-on (closed failure): the switch becomes a weld conducting both
@@ -88,8 +72,8 @@ class Engine {
   [[nodiscard]] virtual std::size_t failed_edge_count() const = 0;
   [[nodiscard]] virtual std::size_t contracted_edge_count() const = 0;
   /// The call whose path holds vertex `v`, as {session, raw}; raw ==
-  /// kNoRawCall when `v` carries none (core::Router::call_at). QUIESCENT
-  /// ONLY, like kill_vertex: the fault plane's candidate lookup.
+  /// kNoRawCall when `v` carries none (core::Router::call_at): the fault
+  /// plane's candidate lookup.
   [[nodiscard]] virtual core::CallRef call_at(graph::VertexId v) = 0;
   /// True iff the overlay still carries every hop of `path` (the router's
   /// one hop rule, core::Router::path_carried).
@@ -98,18 +82,15 @@ class Engine {
 
   /// Hitless growth: rebinds the backend to `net`, an append-only
   /// extension of its network (core::Router::grow: every live call, path
-  /// and raw call id survives as it is). QUIESCENT ONLY: the caller holds
-  /// every session, as for drain()/kill_vertex. The new network must
-  /// outlive the engine.
+  /// and raw call id survives as it is). The new network must outlive the
+  /// engine.
   virtual void grow(const graph::Network& net) = 0;
 };
 
-/// Backend construction knobs, gathered in one options struct so new knobs
-/// compose without a positional overload. Defaults build a one-session
-/// greedy backend over a healthy network.
+/// Engine construction knobs. Defaults build a one-session engine over a
+/// healthy network.
 struct EngineOptions {
-  Backend backend = Backend::kGreedy;
-  /// Session count; clamped to 1 for the greedy backend, and 0 means 1.
+  /// Session count (router shards); 0 means 1.
   unsigned sessions = 1;
 };
 

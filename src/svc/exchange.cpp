@@ -14,11 +14,13 @@ std::atomic<std::uint32_t> next_exchange_id{1};
 
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
     : net_(&net),
-      engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions})),
+      engine_(make_engine(*net_, EngineOptions{cfg.sessions})),
       qos_immediate_(cfg.qos_immediate),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
       sessions_(engine_->sessions()),
-      front_(cfg.window, cfg.max_queue, cfg.class_deadlines) {}
+      front_(cfg.window, cfg.max_queue, cfg.class_deadlines),
+      input_count_(static_cast<std::uint32_t>(net.inputs.size())),
+      output_count_(static_cast<std::uint32_t>(net.outputs.size())) {}
 
 // ------------------------------------------------------------------ handles
 
@@ -65,15 +67,20 @@ Outcome Exchange::outcome_of(const CallRequest& req, unsigned session,
 }
 
 Outcome Exchange::call(const CallRequest& req, unsigned session) {
-  if (session >= engine_->sessions()) {
+  const RejectReason misuse =
+      session >= engine_->sessions() ? RejectReason::kBadSession
+      : req.input >= input_count() || req.output >= output_count()
+          ? RejectReason::kBadTerminal
+          : RejectReason::kNone;
+  if (misuse != RejectReason::kNone) {
     // Counted with the handle misuses: without this, a caller fanning out
-    // over more sessions than the engine has would see its traffic vanish
-    // from every stats()-derived report.
+    // over more sessions (or terminals) than the exchange has would see its
+    // traffic vanish from every stats()-derived report.
     handle_errors_.fetch_add(1, std::memory_order_relaxed);
     Outcome o;
     o.tag = req.tag;
     o.session = session;
-    o.reject = RejectReason::kBadSession;
+    o.reject = misuse;
     return o;
   }
   const auto route = [&] {
@@ -131,6 +138,12 @@ std::vector<graph::VertexId> Exchange::path_of(CallId id) const {
 
 // ------------------------------------------------------------ batched plane
 
+Ticket Exchange::bounce_bad_terminal(const CallRequest& req,
+                                     CompletionFn done) {
+  handle_errors_.fetch_add(1, std::memory_order_relaxed);
+  return front_.bounce(req, RejectReason::kBadTerminal, std::move(done));
+}
+
 std::size_t Exchange::drain() {
   front_.open_epoch(batch_);
   const std::size_t m = batch_.size();
@@ -138,14 +151,14 @@ std::size_t Exchange::drain() {
   const unsigned s_count = engine_->sessions();
   outs_.resize(m);
   // Session s takes the window's contiguous chunk [m*s/S, m*(s+1)/S) by
-  // arrival index. The draining thread owns every session, so it commits
-  // the window in order, one request at a time, each callback right after
-  // its own request: the verdicts and paths of sequential routing.
+  // arrival index. The draining thread commits the window in order, one
+  // request at a time, each callback right after its own request: the
+  // verdicts and paths of sequential routing.
   for (unsigned s = 0; s < s_count; ++s)
     for (std::size_t i = m * s / s_count; i < m * (s + 1) / s_count; ++i) {
       const FrontEnd<Outcome>::Pending& p = batch_[i];
       outs_[i] = outcome_of(p.req, s, p.deferrals,
-                            engine_->settle(s, p.req.input, p.req.output));
+                            engine_->connect(s, p.req.input, p.req.output));
       if (p.done) p.done(outs_[i]);
     }
   front_.close_epoch(batch_, outs_, std::chrono::steady_clock::now());
@@ -220,8 +233,7 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
 
 void Exchange::reroute_victims(FaultImpact& impact) {
   // Immediate re-admission: each victim's original request routes again on
-  // the victim's own session, in kill order, through the owner's settle
-  // (the event holds every session). Their terminals are free again
+  // the victim's own session, in kill order. Their terminals are free again
   // (the kill released them); whether a detour exists is the engine's
   // verdict. The admission queue is not touched. Every request is copied
   // before any routes, because a reroute may take a later victim's slot.
@@ -235,7 +247,7 @@ void Exchange::reroute_victims(FaultImpact& impact) {
     const unsigned s = impact.killed[i].session;
     impact.reroutes.push_back(outcome_of(
         reqs[i], s, 0,
-        engine_->settle(s, reqs[i].input, reqs[i].output)));
+        engine_->connect(s, reqs[i].input, reqs[i].output)));
     if (impact.reroutes.back().connected())
       ++impact.reroute_succeeded;
     else
@@ -416,6 +428,10 @@ GrowthReport Exchange::grow(graph::Network grown) {
 
   owned_net_ = std::move(next);
   net_ = owned_net_.get();
+  input_count_.store(static_cast<std::uint32_t>(net_->inputs.size()),
+                     std::memory_order_relaxed);
+  output_count_.store(static_cast<std::uint32_t>(net_->outputs.size()),
+                      std::memory_order_relaxed);
   ++front_.plane_rows().growths;
   front_.plane_rows().calls_carried_by_growth += rep.calls_carried;
   rep.applied = true;

@@ -1,14 +1,13 @@
-// ftcs::svc::Exchange — session-oriented call service over the router's
-// two backends.
+// ftcs::svc::Exchange — session-oriented call service over the router.
 //
 // The paper's networks are telephone exchanges (Clos [Cl]): an exchange
 // serves calls, it does not expose raw connect(in, out) pokes at a router.
 // Exchange is that service facade. It owns the fault plane (and optionally
-// the network), serves typed CallRequests through a pluggable Engine
-// backend (one core::Router session on the solo store, or N sessions on the
-// shared store, selected at construction), and hands back generation-tagged CallId handles whose
-// misuse — stale handle, double hangup, handle from another Exchange — is a
-// typed error, never corrupted busy state.
+// the network), serves typed CallRequests through an Engine backend (one
+// core::Router with ExchangeConfig::sessions session shards), and hands back
+// generation-tagged CallId handles whose misuse — stale handle, double
+// hangup, handle from another Exchange, a terminal that does not exist — is
+// a typed error, never corrupted busy state.
 //
 // Two service planes:
 //   - IMMEDIATE: call(req, session) routes now on one engine session and
@@ -19,7 +18,7 @@
 //     queued requests (the whole queue when the window is 0) is split by
 //     arrival index into one contiguous chunk per engine session, and the
 //     draining thread commits the window in order, one request at a time,
-//     through Engine::settle (plain writes: it owns every session).
+//     through Engine::connect.
 //     Completions are delivered through the callback (on the draining
 //     thread, right after the request commits) or a pollable Ticket.
 //     Requests beyond the window stay queued (Deferred, counted per epoch
@@ -28,14 +27,12 @@
 //     svc::FrontEnd's. See src/svc/README.md ("Batched drain").
 //
 // Threading rules (full contract in svc/README.md):
-//   - submit() and poll() are thread-safe from any thread.
-//   - call()/hangup() on session s must be externally serialized per
-//     session; distinct sessions may run concurrently. A handle must be
-//     hung up by the thread currently driving its session (CallId::session).
-//   - drain() runs from one thread at a time and must not overlap immediate
-//     calls: it owns every session and writes busy state without CAS, so an
-//     overlapping call corrupts it.
-//   - stats() aggregates are exact at quiescence, like the engines'.
+//   - submit(), poll(), pending(), input_count() and output_count() are
+//     thread-safe from any thread.
+//   - call(), hangup(), path_of(), drain(), inject(), repair(), apply() and
+//     grow() are SERIALIZED: one thread at a time runs any of them. Two
+//     threads calling call() at once, on any sessions, is misuse.
+//   - stats() is exact when no serialized entry is running.
 #pragma once
 
 #include <array>
@@ -93,10 +90,15 @@ struct GrowthReport {
   double quiesce_seconds = 0.0;      // wall time the sessions were held
 };
 
+/// RETIRED: read by nothing (ExchangeConfig::sessions alone sets the
+/// session count). Kept because the exchange benchmark still names it.
+enum class Backend : std::uint8_t { kGreedy, kConcurrent };
+
 struct ExchangeConfig {
+  /// RETIRED, read by nothing (see Backend).
   Backend backend = Backend::kGreedy;
-  /// Engine sessions (concurrent backend parallelism; clamped to 1 for the
-  /// greedy backend).
+  /// Engine sessions: router shards, each with its own call table; a drain
+  /// splits its window across them. 0 means 1.
   unsigned sessions = 1;
   /// Batched plane: drain() admits at most this many queued requests per
   /// epoch; 0 admits the whole queue.
@@ -127,7 +129,9 @@ class Exchange {
 
   // ----------------------------------------------------------- immediate
   /// Routes the request now on `session` and returns the Outcome
-  /// (Outcome::id is live iff connected()).
+  /// (Outcome::id is live iff connected()). A session index or terminal out
+  /// of range is answered kBadSession or kBadTerminal and counted into
+  /// ExchangeStats::handle_errors.
   Outcome call(const CallRequest& req, unsigned session = 0);
   /// Releases a call. Returns kNone on success; kStaleHandle /
   /// kForeignHandle / kBadSession on a handle that is not currently live
@@ -140,8 +144,8 @@ class Exchange {
   // ------------------------------------------------------------- batched
   /// Completion hook for the batched plane; runs during drain() on the
   /// draining thread, right after its request commits, in commit order.
-  /// It must not call drain(), inject(), repair(), apply() or grow(): each
-  /// owns every session, as the running drain does. A hangup of this
+  /// It must not call drain(), inject(), repair(), apply() or grow(): the
+  /// drain running it is itself a serialized entry. A hangup of this
   /// exchange's call from a callback is safe; later requests of the epoch
   /// route against the busy state it leaves.
   using CompletionFn = FrontEnd<Outcome>::CompletionFn;
@@ -149,10 +153,14 @@ class Exchange {
   /// after the epoch that serves it. Thread-safe. If the admission queue is
   /// at its cap the request is Refused: its Outcome (reject == kRefused) is
   /// immediately pollable.
-  Ticket submit(const CallRequest& req) { return front_.submit(req, {}); }
+  Ticket submit(const CallRequest& req) { return submit(req, {}); }
   /// Callback flavour: `done` is invoked with the Outcome instead of
-  /// storing it for poll().
+  /// storing it for poll(). A request naming a terminal that does not exist
+  /// is bounced like a refusal, with kBadTerminal, and counted into
+  /// ExchangeStats::handle_errors (not into the front-end books).
   Ticket submit(const CallRequest& req, CompletionFn done) {
+    if (req.input >= input_count() || req.output >= output_count())
+      return bounce_bad_terminal(req, std::move(done));
     return front_.submit(req, std::move(done));
   }
   /// Runs one admission epoch: admits up to ExchangeConfig::window queued
@@ -176,9 +184,8 @@ class Exchange {
 
   // --------------------------------------------------------- fault plane
   // Runtime fault injection on the live topology (§4/§6: the network keeps
-  // switching calls in the presence of faulty switches). Threading contract
-  // is drain()'s: one thread at a time, never overlapping immediate calls —
-  // a fault event temporarily owns every session.
+  // switching calls in the presence of faulty switches). Serialized, like
+  // every routing entry.
   //
   // inject() dispatches on the failure MODE (ev.kind):
   //   - kFail (open): fails the switch in the liveness overlay, derives §6
@@ -239,9 +246,8 @@ class Exchange {
   /// their ids) and all counters. Queued batch requests simply route on the
   /// grown topology at the next drain().
   ///
-  /// Threading contract is drain()'s: one thread at a time, never
-  /// overlapping immediate calls — the grow temporarily owns every session
-  /// (that window is the quiesce; its wall time is reported).
+  /// Serialized, like every routing entry: the grow's wall time is the
+  /// quiesce it reports.
   ///
   /// The network is validated first: not smaller, every old switch id
   /// joins the same two vertices, terminal lists prefix-stable. A network
@@ -261,11 +267,12 @@ class Exchange {
   [[nodiscard]] bool output_idle(std::uint32_t out) const {
     return engine_->output_idle(out);
   }
+  /// Terminal counts. Thread-safe: grow() only raises them.
   [[nodiscard]] std::size_t input_count() const noexcept {
-    return net_->inputs.size();
+    return input_count_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t output_count() const noexcept {
-    return net_->outputs.size();
+    return output_count_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t active_calls() const {
     return engine_->active_calls();
@@ -273,14 +280,14 @@ class Exchange {
   [[nodiscard]] std::size_t busy_vertices() const {
     return engine_->busy_vertices();
   }
-  /// Engine + front-end counters, merged. Exact at quiescence.
+  /// Engine + front-end counters, merged. Exact when no serialized entry
+  /// is running.
   [[nodiscard]] ExchangeStats stats() const;
   void reset_stats();
 
  private:
-  /// One handle-table shard per engine session: single-threaded by the
-  /// session contract, so handle issue/retire is lock-free. A handle's slot
-  /// IS its engine call's raw id: the engine hands each raw id to one live
+  /// One handle-table shard per engine session. A handle's slot IS its
+  /// engine call's raw id: the engine hands each raw id to one live
   /// call at a time, and the fault plane maps Engine::call_at's answer to
   /// its slot without a search.
   struct Slot {
@@ -296,13 +303,15 @@ class Exchange {
   struct Session {
     std::vector<Slot> slots;  // indexed by raw call id
     std::uint64_t hangups = 0;
-    // Immediate-plane QoS book (filled only with cfg.qos_immediate);
-    // single-threaded by the session contract, merged by stats().
+    // Immediate-plane QoS book (filled only with cfg.qos_immediate),
+    // merged by stats().
     ops::ClassBook classes{};
   };
 
   CallId issue_handle(unsigned session, Engine::RawCall raw,
                       const CallRequest& req);
+  /// submit()'s answer to a request naming a terminal that does not exist.
+  Ticket bounce_bad_terminal(const CallRequest& req, CompletionFn done);
   /// Validates a handle: kNone if it is live here, else the typed error.
   RejectReason check_handle(CallId id) const;
   /// The Outcome of `req` routed on `session` as `c` says, with its
@@ -340,27 +349,25 @@ class Exchange {
 
   // The batched queue, the class deadlines and the exchange's one
   // ExchangeStats block; drain(), the fault plane and grow() book their
-  // rows through plane_rows() under the drain contract.
+  // rows through plane_rows() on the serializing thread.
   FrontEnd<Outcome> front_;
-  // Fault-plane policy (same single-owner contract as the sessions; sized
-  // lazily by the first event). The switch state itself lives in the
-  // engine's overlay. A vertex is §6-faulty while any incident switch is
-  // OPEN-failed — vertex_fault_degree_ counts those (stuck-on switches
-  // conduct, so they never contribute).
+  // Fault-plane policy (sized lazily by the first event). The switch state
+  // itself lives in the engine's overlay. A vertex is §6-faulty while any
+  // incident switch is OPEN-failed — vertex_fault_degree_ counts those
+  // (stuck-on switches conduct, so they never contribute).
   std::vector<std::uint32_t> vertex_fault_degree_;
   std::vector<std::uint8_t> is_terminal_;
-  // Live Lemma 7 tracking (same single-owner contract; welds_ is emplaced
-  // with the rest of the fault bookkeeping and marks it as sized).
+  // Live Lemma 7 tracking (welds_ is emplaced with the rest of the fault
+  // bookkeeping and marks it as sized).
   // last_alarm_ is state, not a counter: it survives reset_stats().
   std::optional<fault::WeldComponents> welds_;
   std::optional<fault::ShortAlarm> last_alarm_;
   std::uint64_t alarm_seq_ = 0;
-  // Null-handle and foreign-handle checks touch only immutable fields
-  // (id_, sessions_.size()), so THOSE misuses are detected safely from any
-  // thread and the counter is atomic. Stale-handle detection reads the
-  // session's slot table and therefore follows the per-session threading
-  // rule, like hangup() itself (see svc/README.md).
+  // Atomic because submit() books its bounces from any thread.
   std::atomic<std::uint64_t> handle_errors_{0};
+  // The network's terminal counts, readable from any thread (submit()'s
+  // range check); grow() raises them.
+  std::atomic<std::uint32_t> input_count_, output_count_;
 };
 
 }  // namespace ftcs::svc

@@ -139,7 +139,7 @@ FedOutcome Federation::call(const CallRequest& req) {
   const std::size_t total = input_count();
   if (req.input >= total || req.output >= total) {
     // A global terminal outside the shard map has no home member.
-    out.reject = RejectReason::kBadSession;
+    out.reject = RejectReason::kBadTerminal;
     ++stats_.handle_errors;
     return out;
   }

@@ -252,10 +252,8 @@ class Federation {
   /// distinct shards (the full mesh). A 1-shard federation makes every
   /// port a subscriber; otherwise 3/4 of the ports are subscribers and the
   /// rest the trunk pool (the classic line/trunk concentration split).
-  /// Members are default exchanges, one session on the solo store: the
-  /// threading contract serializes every member and call() routes each
-  /// half on session 0, so more sessions or the shared store would only
-  /// add atomics. `member_net` must outlive the federation.
+  /// Members are default exchanges, one session each: call() routes each
+  /// half on session 0. `member_net` must outlive the federation.
   Federation(const graph::Network& member_net, unsigned shards);
 
   Federation(const Federation&) = delete;
@@ -430,7 +428,7 @@ class Federation {
   std::vector<FrontEnd<FedOutcome>::Pending> batch_;
   std::vector<FedOutcome> outs_;
 
-  // Rows under the drain contract; stats() fills `members` from front_
+  // Rows booked on the serializing thread; stats() fills `members` from front_
   // and the members.
   FederationStats stats_;
 };

@@ -148,7 +148,8 @@ class FrontEnd {
         ++books_.refused;
         ++books_.completed;
         ++books_.classes[ops::qos_class(req.priority)].rejected;
-        if (!done) completed_.emplace(ticket, refusal(req));
+        if (!done)
+          completed_.emplace(ticket, bounced(req, RejectReason::kRefused));
       } else {
         queue_.push_back(Pending{req, ticket, std::move(done), 0,
                                  std::chrono::steady_clock::now()});
@@ -157,7 +158,21 @@ class FrontEnd {
       }
     }
     // There is no epoch to defer a refusal to.
-    if (refused && done) done(refusal(req));
+    if (refused && done) done(bounced(req, RejectReason::kRefused));
+    return ticket;
+  }
+
+  /// Completes `req` at once with `why`, outside the queue and the books
+  /// (the plane books the misuse itself): `done` runs now, on this thread,
+  /// or else the outcome is pollable at once.
+  Ticket bounce(const CallRequest& req, RejectReason why, CompletionFn done) {
+    Ticket ticket = 0;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ticket = next_ticket_++;
+      if (!done) completed_.emplace(ticket, bounced(req, why));
+    }
+    if (done) done(bounced(req, why));
     return ticket;
   }
 
@@ -223,7 +238,7 @@ class FrontEnd {
     books_ = {};
   }
   /// The rows of the block the plane books itself (an Exchange's fault and
-  /// growth rows), under its drain contract and without the lock: no
+  /// growth rows), on the serializing thread and without the lock: no
   /// front-end code touches them.
   [[nodiscard]] ExchangeStats& plane_rows() noexcept { return books_; }
   [[nodiscard]] const std::array<double, ops::kQosClasses>& class_deadlines()
@@ -232,9 +247,9 @@ class FrontEnd {
   }
 
  private:
-  static Out refusal(const CallRequest& req) {
+  static Out bounced(const CallRequest& req, RejectReason why) {
     Out o;
-    o.reject = RejectReason::kRefused;
+    o.reject = why;
     o.tag = req.tag;
     return o;
   }

@@ -33,8 +33,7 @@ class Bitset {
     words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
   void assign(std::size_t i, bool value) noexcept { value ? set(i) : reset(i); }
-  /// Test-and-set (AtomicBitset::try_set's single-owner twin): true iff
-  /// the bit was clear.
+  /// Test-and-set: true iff the bit was clear.
   [[nodiscard]] bool try_set(std::size_t i) noexcept {
     if (test(i)) return false;
     set(i);

@@ -5,6 +5,7 @@
 // are reproducible and independent of thread count or evaluation order.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -80,7 +81,12 @@ class Xoshiro256 {
 
   /// Geometric: number of failures before first success, success prob p.
   /// Saturates at 2^64 - 1 (always for p <= 0).
-  std::uint64_t geometric(double p) noexcept;
+  std::uint64_t geometric(double p) noexcept {
+    return geometric(p, std::log1p(-p));
+  }
+  /// The same draw with `log_q` = std::log1p(-p) precomputed, for a skip
+  /// loop that draws many gaps at one p: bit-identical to geometric(p).
+  std::uint64_t geometric(double p, double log_q) noexcept;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -19,8 +19,8 @@ namespace ftcs::test {
 
 /// Places a call of its own on `ex`, then fails and repairs the first
 /// switch on its path, so the fault plane kills at least that call and
-/// re-admits it. The caller must own every session (hold the fault plane
-/// exclusively) and no switch may be down. Rerouted survivors are appended
+/// re-admits it. Runs on the thread that serializes the exchange, with no
+/// switch down. Rerouted survivors are appended
 /// to `strays` for the caller to hang up.
 inline void kill_a_call(svc::Exchange& ex, std::vector<svc::Outcome>& strays) {
   const graph::CsrGraph& g = ex.network().g;

@@ -1,25 +1,15 @@
-// The typed router suite's shared machinery. Every TYPED_TEST of the
-// `RouterStores` suite runs once per busy store of core::Router:
-// `RouterStores/Solo.*` on the one-session store (GreedyRouter) and
-// `RouterStores/Shared.*` on a one-session router over the shared atomic
-// store (ConcurrentRouter), so each router feature is written and tested
-// once. Path-for-path agreement of the two stores is pinned separately
-// (ConcurrentRouter.OneWorkerEquivalentToGreedyRouter, the Exchange trace
-// identity, Traffic.BothBackendsProduceIdenticalReports).
-//
-// audit() is the structural safety net: the typed tests route through
-// AuditedRouter, which runs it after every operation. It reads only the
-// router's public accessors.
+// The router suite's shared machinery. The `RouterStores` tests route
+// through AuditedRouter, which runs audit() — the structural safety net —
+// after every operation. audit() reads only the router's public accessors,
+// so it checks a router of any session count (the N-session interleavings
+// in test_concurrent_router.cpp call it directly).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "ftcs/reach_index.hpp"
@@ -28,20 +18,7 @@
 
 namespace ftcs::test {
 
-using StoreTypes = ::testing::Types<core::SoloStore, core::SharedStore>;
-
-struct StoreNames {
-  template <class Store>
-  static std::string GetName(int) {
-    return Store::kShared ? "Shared" : "Solo";
-  }
-};
-
-template <class Store>
-class RouterStores : public ::testing::Test {};
-TYPED_TEST_SUITE(RouterStores, StoreTypes, StoreNames);
-
-/// Both stores' kNoCall value.
+/// The router's kNoCall value.
 inline constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
 /// The path of the last search on `s` (its stack), src first; empty if the
@@ -61,22 +38,11 @@ inline bool visited_clear(const core::detail::SearchScratch& s,
                      [](std::uint64_t w) { return w == 0; });
 }
 
-/// A plain one-session router over `net` on `Store` (for tests that must
-/// not pay for the audit).
-template <class Store>
-std::unique_ptr<core::Router<Store>> make_router(const graph::Network& net) {
-  if constexpr (Store::kShared)
-    return std::make_unique<core::Router<Store>>(net, 1u);
-  else
-    return std::make_unique<core::Router<Store>>(net);
-}
-
 /// Weld-ancestor counts recounted from scratch: entry v is the number of
 /// contracted switches of `r` whose head (`edge.to`) v reaches forward in
 /// the static graph of `net` (v itself included), or 0 if v reaches every
 /// output (such a vertex is in every cone, and the router keeps no count).
-template <class Store>
-std::vector<std::uint32_t> recount_weld_reach(const core::Router<Store>& r,
+inline std::vector<std::uint32_t> recount_weld_reach(const core::Router& r,
                                               const graph::Network& net) {
   const graph::CsrGraph& g = net.g;
   std::vector<std::uint32_t> count(g.vertex_count(), 0);
@@ -130,9 +96,8 @@ inline bool joined(const graph::CsrGraph& g, graph::VertexId u,
 ///  - with `owner_map` (the router's call_at() has been asked, so its owner
 ///    map exists), call_at(v) names v's live call for every vertex of every
 ///    live path, and no call for every other vertex.
-template <class Store>
-void audit(core::Router<Store>& r, const graph::Network& net,
-           bool owner_map = false) {
+inline void audit(core::Router& r, const graph::Network& net,
+                  bool owner_map = false) {
   const auto terminal = [](const std::vector<graph::VertexId>& list,
                            graph::VertexId v) {
     return static_cast<std::uint32_t>(
@@ -192,20 +157,14 @@ void audit(core::Router<Store>& r, const graph::Network& net,
   }
 }
 
-/// A one-session router on `Store` that runs audit() after every connect,
-/// disconnect, overlay flip and grow(): the typed suite's router. Once the
-/// test has asked call_at(), the audit checks the owner map too.
-template <class Store>
-class AuditedRouter : public core::Router<Store> {
-  using Base = core::Router<Store>;
+/// A one-session router that runs audit() after every connect,
+/// disconnect, overlay flip and grow(): the suite's router. Once the test
+/// has asked call_at(), the audit checks the owner map too.
+class AuditedRouter : public core::Router {
+  using Base = core::Router;
 
  public:
-  explicit AuditedRouter(const graph::Network& net)
-    requires(!Store::kShared)
-      : Base(net), net_(&net) {}
-  explicit AuditedRouter(const graph::Network& net)
-    requires(Store::kShared)
-      : Base(net, 1u), net_(&net) {}
+  explicit AuditedRouter(const graph::Network& net) : Base(net), net_(&net) {}
 
   std::uint32_t connect(std::uint32_t in, std::uint32_t out) {
     const std::uint32_t call = Base::connect(in, out);
@@ -233,7 +192,7 @@ class AuditedRouter : public core::Router<Store> {
   }
 
  private:
-  void check() { audit<Store>(*this, *net_, owner_map_); }
+  void check() { audit(*this, *net_, owner_map_); }
 
   const graph::Network* net_;
   bool owner_map_ = false;

@@ -1,7 +1,7 @@
 // The Exchange's batched drain: the draining thread commits an admitted
 // window one request at a time, in window order, with the same single-pair
 // search as the immediate plane (call()). These pins hold that books
-// contract on both engine backends:
+// contract whatever the session count:
 //
 //  - a drained window delivers the same Outcomes as the same requests
 //    routed one by one through call() in window order, with 1 and 2
@@ -10,9 +10,9 @@
 //    the first connects, the second finds the slot busy;
 //  - within a session, completion callbacks fire in window order;
 //  - a multi-session drain commits what sequential routing would: a
-//    4-session shared exchange gives every request the verdict and path of
-//    a 1-session solo one, fault-free and under open failures, with the
-//    same books (this file carries the `tsan` ctest label).
+//    4-session exchange gives every request the verdict and path of a
+//    1-session one, fault-free and under open failures, with the same
+//    books (this file carries the `tsan` ctest label).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,9 +27,8 @@
 namespace ftcs::svc {
 namespace {
 
-ExchangeConfig concurrent_cfg(unsigned sessions) {
+ExchangeConfig sessions_cfg(unsigned sessions) {
   ExchangeConfig cfg;
-  cfg.backend = Backend::kConcurrent;
   cfg.sessions = sessions;
   return cfg;
 }
@@ -43,74 +42,69 @@ ExchangeConfig concurrent_cfg(unsigned sessions) {
 TEST(Exchange, BatchedDrainMatchesImmediateCalls) {
   const auto net = networks::build_cantor({4, 0});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
-    for (const unsigned sessions : {1u, 2u}) {
-      ExchangeConfig ca;
-      ca.backend = backend;
-      ca.sessions = sessions;
-      ExchangeConfig cb;
-      cb.backend = backend;
-      Exchange a(net, std::move(ca));
-      Exchange b(net, std::move(cb));
-      const unsigned split = a.sessions();
+  for (const unsigned sessions : {1u, 2u}) {
+    ExchangeConfig ca;
+    ca.sessions = sessions;
+    Exchange a(net, std::move(ca));
+    Exchange b(net);
+    const unsigned split = a.sessions();
 
-      // Identical request trace. Unbounded admission drains the whole queue
-      // as one window, and an admitted window keeps arrival order, so the
-      // reference is b.call() in submit order. Mixed priorities exercise
-      // the admission path without changing that order.
-      util::Xoshiro256 rng(4242);
-      std::vector<Ticket> ta;
-      std::vector<Outcome> ob;
-      constexpr std::size_t kRequests = 96;
-      const std::uint32_t span = n / split;
-      for (std::size_t i = 0; i < kRequests; ++i) {
-        const auto half = static_cast<std::uint32_t>(i * split / kRequests);
-        CallRequest req;
-        req.input = half * span + static_cast<std::uint32_t>(rng.below(span));
-        req.output = half * span + static_cast<std::uint32_t>(rng.below(span));
-        req.priority = static_cast<std::uint8_t>(rng.below(3));
-        req.tag = i;
-        ta.push_back(a.submit(req));
-        ob.push_back(b.call(req));
-      }
-      a.drain_all();
-
-      std::size_t connected = 0;
-      std::vector<CallId> live_a, live_b;
-      for (std::size_t i = 0; i < kRequests; ++i) {
-        const auto oa = a.poll(ta[i]);
-        ASSERT_TRUE(oa.has_value());
-        EXPECT_EQ(oa->reject, ob[i].reject)
-            << "drain/immediate outcome divergence for request " << i
-            << " (sessions " << split << ")";
-        EXPECT_EQ(oa->session, i * split / kRequests);
-        EXPECT_EQ(oa->deferrals, 0u);
-        EXPECT_EQ(oa->tag, i);
-        EXPECT_EQ(ob[i].tag, i);
-        if (oa->connected()) {
-          EXPECT_GT(oa->path_length, 0u);
-          live_a.push_back(oa->id);
-          ++connected;
-        }
-        if (ob[i].connected()) live_b.push_back(ob[i].id);
-      }
-      ASSERT_GT(connected, 0u);
-      EXPECT_EQ(live_a.size(), live_b.size());
-      EXPECT_EQ(a.active_calls(), b.active_calls());
-
-      const auto sa = a.stats();
-      const auto sb = b.stats();
-      EXPECT_EQ(sa.admitted, kRequests);
-      EXPECT_EQ(sa.completed, kRequests);
-      EXPECT_EQ(sa.router.accepted, sb.router.accepted);
-      EXPECT_EQ(sa.router.rejected_terminal, sb.router.rejected_terminal);
-      EXPECT_EQ(sa.router.rejected_no_path, sb.router.rejected_no_path);
-
-      for (const auto id : live_a) EXPECT_EQ(a.hangup(id), RejectReason::kNone);
-      for (const auto id : live_b) EXPECT_EQ(b.hangup(id), RejectReason::kNone);
-      EXPECT_EQ(a.busy_vertices(), 0u);
-      EXPECT_EQ(b.busy_vertices(), 0u);
+    // Identical request trace. Unbounded admission drains the whole queue
+    // as one window, and an admitted window keeps arrival order, so the
+    // reference is b.call() in submit order. Mixed priorities exercise
+    // the admission path without changing that order.
+    util::Xoshiro256 rng(4242);
+    std::vector<Ticket> ta;
+    std::vector<Outcome> ob;
+    constexpr std::size_t kRequests = 96;
+    const std::uint32_t span = n / split;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const auto half = static_cast<std::uint32_t>(i * split / kRequests);
+      CallRequest req;
+      req.input = half * span + static_cast<std::uint32_t>(rng.below(span));
+      req.output = half * span + static_cast<std::uint32_t>(rng.below(span));
+      req.priority = static_cast<std::uint8_t>(rng.below(3));
+      req.tag = i;
+      ta.push_back(a.submit(req));
+      ob.push_back(b.call(req));
     }
+    a.drain_all();
+
+    std::size_t connected = 0;
+    std::vector<CallId> live_a, live_b;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const auto oa = a.poll(ta[i]);
+      ASSERT_TRUE(oa.has_value());
+      EXPECT_EQ(oa->reject, ob[i].reject)
+          << "drain/immediate outcome divergence for request " << i
+          << " (sessions " << split << ")";
+      EXPECT_EQ(oa->session, i * split / kRequests);
+      EXPECT_EQ(oa->deferrals, 0u);
+      EXPECT_EQ(oa->tag, i);
+      EXPECT_EQ(ob[i].tag, i);
+      if (oa->connected()) {
+        EXPECT_GT(oa->path_length, 0u);
+        live_a.push_back(oa->id);
+        ++connected;
+      }
+      if (ob[i].connected()) live_b.push_back(ob[i].id);
+    }
+    ASSERT_GT(connected, 0u);
+    EXPECT_EQ(live_a.size(), live_b.size());
+    EXPECT_EQ(a.active_calls(), b.active_calls());
+
+    const auto sa = a.stats();
+    const auto sb = b.stats();
+    EXPECT_EQ(sa.admitted, kRequests);
+    EXPECT_EQ(sa.completed, kRequests);
+    EXPECT_EQ(sa.router.accepted, sb.router.accepted);
+    EXPECT_EQ(sa.router.rejected_terminal, sb.router.rejected_terminal);
+    EXPECT_EQ(sa.router.rejected_no_path, sb.router.rejected_no_path);
+
+    for (const auto id : live_a) EXPECT_EQ(a.hangup(id), RejectReason::kNone);
+    for (const auto id : live_b) EXPECT_EQ(b.hangup(id), RejectReason::kNone);
+    EXPECT_EQ(a.busy_vertices(), 0u);
+    EXPECT_EQ(b.busy_vertices(), 0u);
   }
 }
 
@@ -119,9 +113,9 @@ TEST(Exchange, BatchedDrainMatchesImmediateCalls) {
 // slot does not hold the other, so a later mate may take it.
 TEST(Exchange, DuplicateTerminalsInOneWindowGetWindowOrderVerdicts) {
   const auto net = networks::build_cantor({3, 0});
-  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
+  for (const unsigned sessions : {1u, 2u}) {
     ExchangeConfig cfg;
-    cfg.backend = backend;
+    cfg.sessions = sessions;
     Exchange ex(net, std::move(cfg));
     const Outcome held = ex.call({5, 5});  // output 5 busy before the window
     ASSERT_TRUE(held.connected());
@@ -159,7 +153,7 @@ TEST(Exchange, CompletionCallbacksFireInWindowOrderPerSession) {
   const auto net = networks::build_cantor({5, 0});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   for (const unsigned sessions : {1u, 4u}) {
-    Exchange ex(net, concurrent_cfg(sessions));
+    Exchange ex(net, sessions_cfg(sessions));
     std::vector<std::vector<std::uint64_t>> fired(sessions);
     constexpr std::uint32_t kRequests = 64;
     for (std::uint32_t i = 0; i < kRequests; ++i) {
@@ -196,11 +190,11 @@ void expect_same_books(const ExchangeStats& a, const ExchangeStats& b) {
   }
 }
 
-// The draining thread commits a multi-session window in order with the
-// solo store's claim rules, which is exactly sequential routing. A
-// 4-session shared exchange and a 1-session solo one get one seeded stream
-// in segments: both start fresh (so each segment builds the shared
-// sessions' scratch again), take the same immediate calls to half load,
+// The draining thread commits a multi-session window in order, one
+// request at a time, which is exactly sequential routing. A 4-session
+// exchange and a 1-session one get one seeded stream in segments: both
+// start fresh (so each segment builds the sessions' record stores again),
+// take the same immediate calls to half load,
 // then drain the same windows (random terminals, duplicates and busy ones
 // included) with the same hangups between them. Every request must get the
 // same verdict and path on both, and the books must match row for row.
@@ -212,15 +206,15 @@ TEST(BatchedDrainDeterminism, MultiSessionDrainCommitsWhatOneSoloSessionRoutes) 
   for (const bool faulted : {false, true}) {
     SCOPED_TRACE(faulted ? "under open failures" : "fault-free");
     util::Xoshiro256 rng(faulted ? 3803 : 3802);
-    ExchangeStats shared_books, solo_books;
+    ExchangeStats multi_books, solo_books;
     for (int seg = 0; seg < kSegments; ++seg) {
-      Exchange shared(net, concurrent_cfg(4));
+      Exchange multi(net, sessions_cfg(4));
       Exchange solo(net);
       for (int f = 0; faulted && f < kOpenFailures; ++f) {
         fault::FaultEvent ev;
         ev.edge = static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
         ev.kind = fault::FaultEvent::Kind::kFail;
-        ASSERT_EQ(shared.apply(ev).calls_killed(), 0u);
+        ASSERT_EQ(multi.apply(ev).calls_killed(), 0u);
         ASSERT_EQ(solo.apply(ev).calls_killed(), 0u);
       }
       std::vector<std::pair<CallId, CallId>> live;
@@ -228,7 +222,7 @@ TEST(BatchedDrainDeterminism, MultiSessionDrainCommitsWhatOneSoloSessionRoutes) 
       const auto compare = [&](const Outcome& a, const Outcome& b) {
         const bool same =
             a.reject == b.reject && a.tag == b.tag &&
-            (!a.connected() || shared.path_of(a.id) == solo.path_of(b.id));
+            (!a.connected() || multi.path_of(a.id) == solo.path_of(b.id));
         EXPECT_TRUE(same) << "segment " << seg << " tag " << a.tag << ": "
                           << to_string(a.reject) << " vs "
                           << to_string(b.reject);
@@ -241,7 +235,7 @@ TEST(BatchedDrainDeterminism, MultiSessionDrainCommitsWhatOneSoloSessionRoutes) 
       };
       for (std::uint32_t i = 0; i < n / 2; ++i) {
         const CallRequest req = request(i);
-        compare(shared.call(req, i % shared.sessions()), solo.call(req));
+        compare(multi.call(req, i % multi.sessions()), solo.call(req));
       }
       for (int w = 0; w < kWindows && mismatches == 0; ++w) {
         for (std::size_t c = 0; c < live.size();) {
@@ -249,7 +243,7 @@ TEST(BatchedDrainDeterminism, MultiSessionDrainCommitsWhatOneSoloSessionRoutes) 
             ++c;
             continue;
           }
-          EXPECT_EQ(shared.hangup(live[c].first), RejectReason::kNone);
+          EXPECT_EQ(multi.hangup(live[c].first), RejectReason::kNone);
           EXPECT_EQ(solo.hangup(live[c].second), RejectReason::kNone);
           live[c] = live.back();
           live.pop_back();
@@ -257,24 +251,23 @@ TEST(BatchedDrainDeterminism, MultiSessionDrainCommitsWhatOneSoloSessionRoutes) 
         std::vector<Outcome> a(kWindow), b(kWindow);
         for (std::uint32_t i = 0; i < kWindow; ++i) {
           const CallRequest req = request(i);
-          shared.submit(req, [&a, i](const Outcome& o) { a[i] = o; });
+          multi.submit(req, [&a, i](const Outcome& o) { a[i] = o; });
           solo.submit(req, [&b, i](const Outcome& o) { b[i] = o; });
         }
-        ASSERT_EQ(shared.drain_all(), kWindow);
+        ASSERT_EQ(multi.drain_all(), kWindow);
         ASSERT_EQ(solo.drain_all(), kWindow);
         for (std::uint32_t i = 0; i < kWindow; ++i) compare(a[i], b[i]);
       }
       ASSERT_EQ(mismatches, 0u) << "segment " << seg;
-      EXPECT_EQ(shared.active_calls(), solo.active_calls());
-      EXPECT_EQ(shared.busy_vertices(), solo.busy_vertices());
-      shared_books += shared.stats();
+      EXPECT_EQ(multi.active_calls(), solo.active_calls());
+      EXPECT_EQ(multi.busy_vertices(), solo.busy_vertices());
+      multi_books += multi.stats();
       solo_books += solo.stats();
     }
-    expect_same_books(shared_books, solo_books);
-    EXPECT_GT(shared_books.router.accepted, 0u);
-    EXPECT_EQ(shared_books.router.claim_conflicts, 0u);
+    expect_same_books(multi_books, solo_books);
+    EXPECT_GT(multi_books.router.accepted, 0u);
     if (faulted) {
-      EXPECT_GT(shared_books.faults_injected, 0u);
+      EXPECT_GT(multi_books.faults_injected, 0u);
     }
   }
 }

@@ -1,29 +1,34 @@
-// The shared store's claim protocol (core::Router<SharedStore>, alias
-// ConcurrentRouter) under real contention, and exact equivalence with the
-// solo store when contention is impossible.
+// The router's session shards: N sessions over one busy state route as
+// one session does, keep the structural invariants, and serve N submitter
+// threads racing one draining thread.
 //
-//  - Churn stress: 8 threads connect/disconnect randomly over one shared
-//    cantor network, then the structural audit (router_stores.hpp) checks
-//    the claim invariants at quiescence — no vertex on two paths, busy bits
-//    exactly the live paths, busy_vertices() the sum of path lengths, and
-//    call_at() naming each vertex's call — and every disconnect releases
-//    its claims down to an all-idle network. The owner map is built before
-//    the threads start, so every settle writes its entries concurrently.
-//    Run under TSan in CI, this is also the data-race proof of the claim
-//    path.
-//  - 1-session equivalence: both stores run one search (ftcs/search.hpp)
-//    and an uncontended claim always succeeds first try, so a fixed request
-//    trace must produce identical decisions, call ids, paths, and counters.
+//  - Drain race: 8 submitter threads submit() random requests to an
+//    8-session exchange on fault-free cantor-k5 while the draining thread
+//    commits them and hangs calls up (racing_submitters.hpp). Each
+//    completion checks its path on the draining thread: a chain of
+//    switches from an input to an output over vertices no other live call
+//    holds, and §4's guarantee — no kNoPath between idle terminals. At the
+//    end the books balance and a full hangup leaves the network idle.
+//  - Seeded interleaving: 8 sessions of one router churn in a seeded
+//    order; the structural audit (router_stores.hpp) then checks every
+//    invariant at once — no vertex on two paths, busy bits exactly the live
+//    paths, busy_vertices() the sum of path lengths, call_at() naming each
+//    vertex's call — and every disconnect releases its path down to an
+//    all-idle network. The owner map is built first, so every connect also
+//    writes it.
+//  - N vs 1: a fixed request trace spread over 4 sessions gives the
+//    verdicts, paths and counters of one session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "ftcs/router.hpp"
 #include "networks/cantor.hpp"
+#include "svc/exchange.hpp"
 #include "util/prng.hpp"
+#include "racing_submitters.hpp"
 #include "router_stores.hpp"
 
 namespace ftcs {
@@ -31,58 +36,126 @@ namespace {
 
 using namespace test;
 
-TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
+TEST(ShardedRouter, SubmittersRacingOneDrainKeepEveryPathAndTheBooks) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kThreads = 8;
-  constexpr std::size_t kOpsPerThread = 4000;
-  core::ConcurrentRouter router(net, kThreads);
+  svc::ExchangeConfig cfg;
+  cfg.sessions = kThreads;
+  svc::Exchange ex(net, std::move(cfg));
+
+  std::vector<svc::CallId> held;
+  std::vector<std::uint8_t> on_path(net.g.vertex_count(), 0);
+  std::size_t held_vertices = 0;
+  std::uint64_t terminal_busy = 0;
+  util::Xoshiro256 rng(util::derive_seed(777, 99));
+  const auto release = [&](std::size_t idx) {
+    for (const graph::VertexId v : ex.path_of(held[idx])) on_path[v] = 0;
+    held_vertices -= ex.path_of(held[idx]).size();
+    EXPECT_EQ(ex.hangup(held[idx]), svc::RejectReason::kNone);
+    held[idx] = held.back();
+    held.pop_back();
+  };
+  race_submitters(
+      ex, {kThreads, 2000, 777},
+      [&](const svc::Outcome& o) {
+        if (!o.connected()) {
+          // §4: on a strictly nonblocking network the greedy search never
+          // fails between idle terminals.
+          EXPECT_EQ(o.reject, svc::RejectReason::kTerminalBusy)
+              << to_string(o.reject);
+          ++terminal_busy;
+          return;
+        }
+        const auto path = ex.path_of(o.id);
+        ASSERT_EQ(path.size(), o.path_length);
+        ASSERT_GE(path.size(), 2u);
+        EXPECT_NE(std::find(net.inputs.begin(), net.inputs.end(),
+                            path.front()),
+                  net.inputs.end());
+        EXPECT_NE(std::find(net.outputs.begin(), net.outputs.end(),
+                            path.back()),
+                  net.outputs.end());
+        for (std::size_t i = 0; i + 1 < path.size(); ++i)
+          EXPECT_TRUE(joined(net.g, path[i], path[i + 1]));
+        for (const graph::VertexId v : path) {
+          EXPECT_EQ(on_path[v], 0) << "vertex " << v << " on two live paths";
+          on_path[v] = 1;
+        }
+        held_vertices += path.size();
+        held.push_back(o.id);
+      },
+      [&](std::size_t) {
+        for (std::size_t k = 0; k < held.size();)
+          if (rng.below(4) == 0)
+            release(k);
+          else
+            ++k;
+      });
+
+  EXPECT_EQ(ex.active_calls(), held.size());
+  EXPECT_EQ(ex.busy_vertices(), held_vertices);
+  const svc::ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.router.connect_calls, st.router.accepted +
+                                         st.router.rejected_terminal +
+                                         st.router.rejected_no_path);
+  EXPECT_EQ(st.router.rejected_no_path, 0u);
+  EXPECT_EQ(st.router.rejected_terminal, terminal_busy);
+  EXPECT_EQ(st.router.accepted - st.router.disconnects, held.size());
+  EXPECT_EQ(st.submitted, kThreads * 2000u);
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(st.handle_errors, 0u);
+
+  while (!held.empty()) release(held.size() - 1);
+  EXPECT_EQ(ex.active_calls(), 0u);
+  EXPECT_EQ(ex.busy_vertices(), 0u);
+  for (std::uint32_t i = 0; i < net.inputs.size(); ++i) {
+    EXPECT_TRUE(ex.input_idle(i));
+    EXPECT_TRUE(ex.output_idle(i));
+  }
+}
+
+TEST(ShardedRouter, SeededInterleavingOfEightSessionsKeepsTheAudit) {
+  const auto net = networks::build_cantor({5, 0});
+  constexpr unsigned kSessions = 8;
+  core::Router router(net, kSessions);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   ASSERT_EQ(router.call_at(net.inputs[0]).call, kNone);  // builds the map
 
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto& session = router.session(t);
-      util::Xoshiro256 rng(util::derive_seed(777, t));
-      std::vector<core::ConcurrentRouter::CallId> active;
-      active.reserve(n);
-      for (std::size_t op = 0; op < kOpsPerThread; ++op) {
-        if (!active.empty() && rng.below(4) == 0) {
-          const auto idx = rng.below(active.size());
-          session.disconnect(active[idx]);
-          active[idx] = active.back();
-          active.pop_back();
-        } else {
-          const auto in = static_cast<std::uint32_t>(rng.below(n));
-          const auto out = static_cast<std::uint32_t>(rng.below(n));
-          const auto call = session.connect(in, out);
-          if (call != core::ConcurrentRouter::kNoCall) active.push_back(call);
-        }
-      }
-    });
+  util::Xoshiro256 rng(777);
+  std::vector<std::vector<core::Router::CallId>> active(kSessions);
+  for (std::size_t op = 0; op < kSessions * 4000; ++op) {
+    const auto s = static_cast<unsigned>(rng.below(kSessions));
+    auto& session = router.session(s);
+    auto& mine = active[s];
+    if (!mine.empty() && rng.below(4) == 0) {
+      const auto idx = rng.below(mine.size());
+      session.disconnect(mine[idx]);
+      mine[idx] = mine.back();
+      mine.pop_back();
+    } else {
+      const auto in = static_cast<std::uint32_t>(rng.below(n));
+      const auto out = static_cast<std::uint32_t>(rng.below(n));
+      const auto call = session.connect(in, out);
+      if (call != core::Router::kNoCall) mine.push_back(call);
+    }
   }
-  for (auto& th : threads) th.join();
 
-  // Quiescent invariants. No vertex may lie on two active paths: ownership
-  // transfers only through the busy-bit CAS, so a double-claim would mean
-  // the claim protocol leaked a vertex; a busy bit no live path explains
-  // would mean a conflicting claim's back-off leaked it.
+  // No vertex may lie on two active paths, and no busy bit may outlive
+  // the path that took it.
   audit(router, net, true);
   std::size_t total_active = 0;
-  for (unsigned t = 0; t < kThreads; ++t)
-    total_active += router.session(t).active_call_ids().size();
+  for (unsigned s = 0; s < kSessions; ++s)
+    total_active += router.session(s).active_call_ids().size();
 
   // Counter bookkeeping across all sessions.
   const auto stats = router.stats();
   EXPECT_EQ(stats.connect_calls, stats.accepted + stats.rejected_terminal +
-                                     stats.rejected_no_path +
-                                     stats.rejected_contention);
+                                     stats.rejected_no_path);
   EXPECT_EQ(stats.accepted - stats.disconnects, total_active);
 
-  // Every disconnect must release its claims: drain to an all-idle network.
-  for (unsigned t = 0; t < kThreads; ++t) {
-    auto& session = router.session(t);
+  // Every disconnect must release its path: drain to an all-idle network.
+  for (unsigned s = 0; s < kSessions; ++s) {
+    auto& session = router.session(s);
     for (const auto id : session.active_call_ids()) session.disconnect(id);
   }
   EXPECT_EQ(router.active_calls(), 0u);
@@ -97,95 +170,90 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   }
 }
 
-// Fixed request trace applied to both stores; every observable must match.
-TEST(ConcurrentRouter, OneWorkerEquivalentToGreedyRouter) {
+// A fixed request trace, on one session and spread over four; every
+// observable but the per-session slot ids must match.
+TEST(ShardedRouter, FourSessionsRouteAsOneSession) {
   const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  auto& session = concurrent.session(0);
+  constexpr unsigned kSessions = 4;
+  core::Router one(net);
+  core::Router four(net, kSessions);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   util::Xoshiro256 rng(2024);
-  std::vector<core::GreedyRouter::CallId> active_g;
-  std::vector<core::ConcurrentRouter::CallId> active_c;
+  struct Held {
+    core::Router::CallId one, four;
+    unsigned session;
+  };
+  std::vector<Held> active;
   std::size_t accepted = 0;
   for (std::size_t op = 0; op < 800; ++op) {
-    if (!active_g.empty() && rng.below(4) == 0) {
-      const auto idx = rng.below(active_g.size());
-      greedy.disconnect(active_g[idx]);
-      session.disconnect(active_c[idx]);
-      active_g[idx] = active_g.back();
-      active_g.pop_back();
-      active_c[idx] = active_c.back();
-      active_c.pop_back();
+    if (!active.empty() && rng.below(4) == 0) {
+      const auto idx = rng.below(active.size());
+      one.disconnect(active[idx].one);
+      four.session(active[idx].session).disconnect(active[idx].four);
+      active[idx] = active.back();
+      active.pop_back();
       continue;
     }
     const auto in = static_cast<std::uint32_t>(rng.below(n));
     const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto cg = greedy.connect(in, out);
-    const auto cc = session.connect(in, out);
-    ASSERT_EQ(cg == core::GreedyRouter::kNoCall,
-              cc == core::ConcurrentRouter::kNoCall)
+    const auto s = static_cast<unsigned>(rng.below(kSessions));
+    const auto c1 = one.connect(in, out);
+    const auto c4 = four.session(s).connect(in, out);
+    ASSERT_EQ(c1 == core::Router::kNoCall, c4 == core::Router::kNoCall)
         << "accept/reject divergence at op " << op;
-    if (cg == core::GreedyRouter::kNoCall) continue;
-    ASSERT_EQ(cg, cc) << "slot allocation divergence at op " << op;
-    EXPECT_EQ(greedy.path_of(cg), session.path_of(cc));
-    active_g.push_back(cg);
-    active_c.push_back(cc);
+    if (c1 == core::Router::kNoCall) continue;
+    EXPECT_EQ(one.path_of(c1), four.session(s).path_of(c4));
+    active.push_back({c1, c4, s});
     ++accepted;
   }
   ASSERT_GT(accepted, 0u);
 
-  const auto& sg = greedy.stats();
-  const auto sc = concurrent.stats();
-  EXPECT_EQ(sg.connect_calls, sc.connect_calls);
-  EXPECT_EQ(sg.accepted, sc.accepted);
-  EXPECT_EQ(sg.rejected_terminal, sc.rejected_terminal);
-  EXPECT_EQ(sg.rejected_no_path, sc.rejected_no_path);
-  EXPECT_EQ(sg.disconnects, sc.disconnects);
-  EXPECT_EQ(sg.vertices_visited, sc.vertices_visited);
-  EXPECT_EQ(sg.path_vertices, sc.path_vertices);
-  EXPECT_EQ(sc.claim_conflicts, 0u);      // impossible with one worker
-  EXPECT_EQ(sc.search_retries, 0u);
-  EXPECT_EQ(sc.rejected_contention, 0u);
-  EXPECT_EQ(greedy.busy_vertices(), concurrent.busy_vertices());
-  EXPECT_EQ(greedy.active_calls(), concurrent.active_calls());
+  const auto& s1 = one.stats();
+  const auto s4 = four.stats();
+  EXPECT_EQ(s1.connect_calls, s4.connect_calls);
+  EXPECT_EQ(s1.accepted, s4.accepted);
+  EXPECT_EQ(s1.rejected_terminal, s4.rejected_terminal);
+  EXPECT_EQ(s1.rejected_no_path, s4.rejected_no_path);
+  EXPECT_EQ(s1.disconnects, s4.disconnects);
+  EXPECT_EQ(s1.vertices_visited, s4.vertices_visited);
+  EXPECT_EQ(s1.path_vertices, s4.path_vertices);
+  EXPECT_EQ(one.busy_vertices(), four.busy_vertices());
+  EXPECT_EQ(one.active_calls(), four.active_calls());
 }
 
-TEST(ConcurrentRouter, StatsMergeWithOperatorPlusEquals) {
+TEST(RouterStats, MergeWithOperatorPlusEquals) {
   core::RouterStats a;
   a.connect_calls = 10;
   a.accepted = 7;
-  a.claim_conflicts = 2;
+  a.rejected_terminal = 2;
   a.path_vertices = 70;
   core::RouterStats b;
   b.connect_calls = 5;
   b.accepted = 3;
-  b.search_retries = 1;
-  b.rejected_contention = 1;
+  b.disconnects = 1;
+  b.rejected_no_path = 1;
   b.path_vertices = 30;
   core::RouterStats sum;
   sum += a;
   sum += b;
   EXPECT_EQ(sum.connect_calls, 15u);
   EXPECT_EQ(sum.accepted, 10u);
-  EXPECT_EQ(sum.claim_conflicts, 2u);
-  EXPECT_EQ(sum.search_retries, 1u);
-  EXPECT_EQ(sum.rejected_contention, 1u);
+  EXPECT_EQ(sum.rejected_terminal, 2u);
+  EXPECT_EQ(sum.disconnects, 1u);
+  EXPECT_EQ(sum.rejected_no_path, 1u);
   EXPECT_EQ(sum.path_vertices, 100u);
 }
 
-// Regression: under the shared store's DIRTY busy snapshot a vertex
-// can probe busy once and idle later in the same search (another worker
-// released it in between). The search must still return a real chain —
-// a broken or cyclic "path" would corrupt the successor array (a SEGV in
-// Session::connect). Simulated deterministically with an adversarial busy
-// view: a random quarter of the vertices reads busy on its first probe of
-// a search and idle afterwards, so the depth-first search meets them again
-// from other frames after backtracking. Every returned path (the search's
-// stack, which the claims read) must start at src, end at dst, cross only
+// The search's stack is a real chain whatever its busy predicate answers:
+// every frame is pushed as a usable child of the frame below it and every
+// vertex at most once per search. Pinned with an adversarial busy view: a
+// random quarter of the vertices reads busy on its first probe of a search
+// and idle afterwards, so the depth-first search meets them again from
+// other frames after backtracking. Every returned path (the search's
+// stack, which the settle reads) must start at src, end at dst, cross only
 // edges and repeat no vertex, and no search may leave a visited bit set.
-TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenPaths) {
+TEST(SearchChain, InconsistentBusyViewNeverYieldsBrokenPaths) {
   const auto net = networks::build_cantor({5, 0});
   const auto& g = net.g;
   const core::ReachIndex reach(net);

@@ -4,11 +4,10 @@
 //    and verdict equivalence against graph::shortest_path, the reference
 //    implementation the pre-CSR router was built on (with exact path
 //    lengths where every input->output path has the same length);
-//  - connect()/disconnect() perform no heap allocation on both stores (the
-//    typed RouterStores suite), verified by a counting global operator new:
-//    from the first connect after construction or grow() on, on every
-//    session; also under welds, whose reverse hops make paths longer than
-//    the stage count; and an
+//  - connect()/disconnect() perform no heap allocation, verified by a
+//    counting global operator new: from the first connect after
+//    construction or grow() on, on every session; also under welds, whose
+//    reverse hops make paths longer than the stage count; and an
 //    Exchange's open-switch inject that kills no call allocates nothing
 //    once its fault books exist, and neither does a steady-state
 //    multi-session drain();
@@ -153,10 +152,10 @@ std::vector<std::vector<graph::VertexId>> churn_paths(
     const graph::Network& net, std::uint64_t seed, std::size_t ops,
     Check check) {
   const bool check_verdicts = check != Check::kNone;
-  core::GreedyRouter router(net);
+  core::Router router(net);
   util::Xoshiro256 rng(seed);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  std::vector<core::GreedyRouter::CallId> active;
+  std::vector<core::Router::CallId> active;
   std::vector<std::vector<graph::VertexId>> paths;
   for (std::size_t op = 0; op < ops; ++op) {
     if (!active.empty() && rng.below(4) == 0) {
@@ -171,7 +170,7 @@ std::vector<std::vector<graph::VertexId>> churn_paths(
     std::vector<std::uint8_t> busy_before;
     if (check_verdicts) busy_before = router.busy_mask();
     const auto call = router.connect(in, out);
-    if (call == core::GreedyRouter::kNoCall) {
+    if (call == core::Router::kNoCall) {
       if (check_verdicts && router.input_idle(in) && router.output_idle(out)) {
         // The reference search must agree that no idle path exists.
         std::vector<std::uint8_t> target(net.g.vertex_count(), 0);
@@ -233,10 +232,10 @@ TEST(RouterDeterminism, SettlesIdlePathsWithReferenceBfsVerdicts) {
 
 TEST(RouterStatsBlock, CountsAddUp) {
   const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter router(net);
+  core::Router router(net);
   const auto c1 = router.connect(0, 1);
-  ASSERT_NE(c1, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(router.connect(0, 2), core::GreedyRouter::kNoCall);  // input busy
+  ASSERT_NE(c1, core::Router::kNoCall);
+  EXPECT_EQ(router.connect(0, 2), core::Router::kNoCall);  // input busy
   router.disconnect(c1);
   const auto& s = router.stats();
   EXPECT_EQ(s.connect_calls, 2u);
@@ -263,23 +262,22 @@ TEST(RouterDeterminism, RejectsTerminalBusyAsIntermediateHop) {
   nb.inputs = {0, 1};
   nb.outputs = {2, 3};
   const auto net = nb.finalize();
-  core::GreedyRouter router(net);
+  core::Router router(net);
   const auto c1 = router.connect(0, 0);
-  ASSERT_NE(c1, core::GreedyRouter::kNoCall);
+  ASSERT_NE(c1, core::Router::kNoCall);
   EXPECT_EQ(router.path_of(c1), (std::vector<graph::VertexId>{0, 1, 2}));
-  EXPECT_EQ(router.connect(1, 1), core::GreedyRouter::kNoCall);
+  EXPECT_EQ(router.connect(1, 1), core::Router::kNoCall);
   router.disconnect(c1);
   EXPECT_EQ(router.busy_vertices(), 0u);
   const auto c2 = router.connect(1, 1);
-  ASSERT_NE(c2, core::GreedyRouter::kNoCall);
+  ASSERT_NE(c2, core::Router::kNoCall);
   EXPECT_EQ(router.path_of(c2), (std::vector<graph::VertexId>{1, 3}));
 }
 
 // A long churn after a warmup that touches every slot-bookkeeping path.
-TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocation) {
+TEST(RouterStores, ConnectPerformsNoHeapAllocation) {
   const auto net = networks::build_cantor({5, 0});
-  const auto r = make_router<TypeParam>(net);
-  auto& router = *r;
+  core::Router router(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(42);
   std::vector<std::uint32_t> active;
@@ -312,12 +310,11 @@ TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocation) {
 // Welds let the search cross a stuck-on switch backwards, so a path can be
 // longer than the stage count, with no bound below V: the record store
 // must take any such path without allocating, compaction included.
-TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocationUnderWelds) {
+TEST(RouterStores, ConnectPerformsNoHeapAllocationUnderWelds) {
   const auto net = networks::build_cantor({5, 0});
   const auto stages = static_cast<std::size_t>(
       *std::max_element(net.stage.begin(), net.stage.end()) + 1);
-  const auto r = make_router<TypeParam>(net);
-  auto& router = *r;
+  core::Router router(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(7);
   // The storm: one switch in twelve stuck on, welded before the warmup
@@ -352,53 +349,45 @@ TYPED_TEST(RouterStores, ConnectPerformsNoHeapAllocationUnderWelds) {
   EXPECT_GT(longest, stages) << "no path crossed a weld backwards";
 }
 
-// The router's construction and grow() build every session's scratch, so
-// the very first connects and settles allocate nothing: on a fresh router
-// (both sessions of a 2-session shared one), and on terminals and vertices
+// The router's construction and grow() build the search scratch and every
+// session's record store, so the very first connects allocate nothing: on
+// a fresh router of 1 and of 2 sessions, and on terminals and vertices
 // that only the grown network has, with calls carried across the growth.
-TYPED_TEST(RouterStores,
-           FirstConnectsAfterConstructionAndGrowthAllocateNothing) {
-  using Router = core::Router<TypeParam>;
+TEST(RouterStores, FirstConnectsAfterConstructionAndGrowthAllocateNothing) {
   const auto net = networks::build_cantor({5, 0});
   // cantor-k5 doubled: a cantor-k6-sized network.
   const auto grown = networks::grow_cantor(net, {5, 0});
-  std::unique_ptr<Router> r;
-  if constexpr (TypeParam::kShared)
-    r = std::make_unique<Router>(net, 2u);
-  else
-    r = std::make_unique<Router>(net);
-  const unsigned sessions = r->session_count();
-  // Request i goes to session i % sessions, through connect() and settle()
-  // in turn on each session. Returns the allocations the requests made.
-  const auto first_requests = [&](std::uint32_t n, std::uint32_t first_in) {
-    const std::uint64_t before = g_alloc_count.load();
-    for (std::uint32_t i = 0; i < 16; ++i) {
-      auto& s = r->session(i % sessions);
-      const std::uint32_t in = (first_in + i) % n;
-      const std::uint32_t out = (in * 5 + 2) % n;
-      if ((i / sessions) % 2 == 0)
-        (void)s.connect(in, out);
-      else
-        (void)s.settle(in, out);
-    }
-    return g_alloc_count.load() - before;
-  };
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  EXPECT_EQ(first_requests(n, 0), 0u) << "first requests after construction";
-  for (unsigned s = 0; s < sessions; ++s)
-    EXPECT_GT(r->session(s).active_calls(), 0u) << "session " << s;
+  for (const unsigned sessions : {1u, 2u}) {
+    SCOPED_TRACE(sessions);
+    core::Router r(net, sessions);
+    ASSERT_EQ(r.session_count(), sessions);
+    // Request i goes to session i % sessions. Returns the allocations the
+    // requests made.
+    const auto first_requests = [&](std::uint32_t n, std::uint32_t first_in) {
+      const std::uint64_t before = g_alloc_count.load();
+      for (std::uint32_t i = 0; i < 16; ++i) {
+        const std::uint32_t in = (first_in + i) % n;
+        (void)r.session(i % sessions).connect(in, (in * 5 + 2) % n);
+      }
+      return g_alloc_count.load() - before;
+    };
+    const auto n = static_cast<std::uint32_t>(net.inputs.size());
+    EXPECT_EQ(first_requests(n, 0), 0u) << "first requests after construction";
+    for (unsigned s = 0; s < sessions; ++s)
+      EXPECT_GT(r.session(s).active_calls(), 0u) << "session " << s;
 
-  r->grow(grown);
-  std::vector<std::size_t> carried;
-  for (unsigned s = 0; s < sessions; ++s)
-    carried.push_back(r->session(s).active_calls());
-  const auto n2 = static_cast<std::uint32_t>(grown.inputs.size());
-  ASSERT_EQ(n2, 2 * n);
-  // Inputs n.. exist only in the grown network.
-  EXPECT_EQ(first_requests(n2, n), 0u) << "first requests after grow()";
-  for (unsigned s = 0; s < sessions; ++s)
-    EXPECT_GT(r->session(s).active_calls(), carried[s]) << "session " << s;
-  audit<TypeParam>(*r, grown);
+    r.grow(grown);
+    std::vector<std::size_t> carried;
+    for (unsigned s = 0; s < sessions; ++s)
+      carried.push_back(r.session(s).active_calls());
+    const auto n2 = static_cast<std::uint32_t>(grown.inputs.size());
+    ASSERT_EQ(n2, 2 * n);
+    // Inputs n.. exist only in the grown network.
+    EXPECT_EQ(first_requests(n2, n), 0u) << "first requests after grow()";
+    for (unsigned s = 0; s < sessions; ++s)
+      EXPECT_GT(r.session(s).active_calls(), carried[s]) << "session " << s;
+    audit(r, grown);
+  }
 }
 
 // The fault plane's open-switch path: an inject's newly dead endpoints
@@ -460,7 +449,6 @@ TEST(ExchangeFaultPlane, OpenInjectThatKillsNoCallPerformsNoHeapAllocation) {
 TEST(ExchangeDrain, SteadyStateMultiSessionDrainPerformsNoHeapAllocation) {
   const auto net = networks::build_cantor({7, 0});
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 4;
   svc::Exchange ex(net, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
@@ -490,7 +478,6 @@ TEST(ExchangeDrain, SteadyStateMultiSessionDrainPerformsNoHeapAllocation) {
   for (int i = 0; i < 400; ++i)
     allocs += epoch(1 + static_cast<std::uint32_t>(rng.below(kMaxWindow)));
   EXPECT_EQ(allocs, 0u) << "a steady-state drain allocated";
-  EXPECT_EQ(ex.stats().router.claim_conflicts, 0u);
 }
 
 // A call reuses its slot's last record when the path fits, so on a network
@@ -502,7 +489,7 @@ TEST(ExchangeDrain, SteadyStateMultiSessionDrainPerformsNoHeapAllocation) {
 // appending, and the store (V + 2 x (max calls) = 226 words) compacts every
 // dozen or so appends. A compaction moves live records, so it shows as a
 // live call whose path() view changed address; its vertices must not.
-TYPED_TEST(RouterStores, PathRecordsSurviveCompaction) {
+TEST(RouterStores, PathRecordsSurviveCompaction) {
   constexpr std::uint32_t kLanes = 8, kChain = 24;
   graph::NetworkBuilder nb;
   std::vector<std::vector<graph::EdgeId>> exits(kLanes);
@@ -519,8 +506,8 @@ TYPED_TEST(RouterStores, PathRecordsSurviveCompaction) {
     }
   }
   const auto net = nb.finalize();
-  AuditedRouter<TypeParam> router(net);
-  auto& plain = static_cast<core::Router<TypeParam>&>(router);  // unaudited
+  AuditedRouter router(net);
+  auto& plain = static_cast<core::Router&>(router);  // unaudited
   (void)router.call_at(0);  // the audit checks the owner map from here on
   util::Xoshiro256 rng(2024);
   struct Live {

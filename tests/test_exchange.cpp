@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -16,13 +17,13 @@
 #include "networks/crossbar.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
+#include "racing_submitters.hpp"
 
 namespace ftcs::svc {
 namespace {
 
-ExchangeConfig concurrent_cfg(unsigned sessions) {
+ExchangeConfig sessions_cfg(unsigned sessions) {
   ExchangeConfig cfg;
-  cfg.backend = Backend::kConcurrent;
   cfg.sessions = sessions;
   return cfg;
 }
@@ -55,13 +56,13 @@ TEST(Exchange, ImmediateCallLifecycle) {
   EXPECT_EQ(st.handle_errors, 0u);
 }
 
-TEST(Exchange, TypedRejectionsOnBothBackends) {
+TEST(Exchange, TypedRejectionsOnOneAndTwoSessions) {
   const auto net = networks::build_crossbar(3);
   // Edge (input 0 -> output 0) of the crossbar is edge id 0; failing it
   // leaves the terminals idle but removes the only path between them.
-  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
+  for (const unsigned sessions : {1u, 2u}) {
     ExchangeConfig cfg;
-    cfg.backend = backend;
+    cfg.sessions = sessions;
     Exchange ex(net, std::move(cfg));
     ex.inject({0.0, 0, fault::FaultEvent::Kind::kFail});
     // No idle path despite idle terminals.
@@ -147,54 +148,85 @@ TEST(Exchange, BadSessionIsTypedError) {
   EXPECT_EQ(ex.stats().handle_errors, 1u);
 }
 
-// Exchange over a 1-worker ConcurrentRouter must be trace-identical to
-// Exchange over GreedyRouter on a fixed request trace — outcomes, paths,
-// and the full ExchangeStats block.
+// A terminal index outside the network is a typed error, never an
+// out-of-bounds read: call() answers kBadTerminal, submit() bounces the
+// request at once the way it delivers a refusal (pollable, or through its
+// callback on the submitting thread), and each counts into handle_errors,
+// not into the front-end books or the router's.
+TEST(Exchange, OutOfRangeTerminalsAreTypedErrors) {
+  const auto net = networks::build_cantor({3, 0});
+  Exchange ex(net, {});
+  const Outcome in = ex.call({100'000, 0, 0, 3});
+  EXPECT_EQ(in.reject, RejectReason::kBadTerminal);
+  EXPECT_EQ(in.tag, 3u);
+  EXPECT_FALSE(in.id.valid());
+  EXPECT_EQ(ex.call({0, 100'000}).reject, RejectReason::kBadTerminal);
+  const std::optional<Outcome> polled = ex.poll(ex.submit({100'000, 0, 0, 4}));
+  ASSERT_TRUE(polled.has_value());
+  EXPECT_EQ(polled->reject, RejectReason::kBadTerminal);
+  EXPECT_EQ(polled->tag, 4u);
+  Outcome cb;
+  ex.submit({0, 100'000, 0, 5}, [&cb](const Outcome& o) { cb = o; });
+  EXPECT_EQ(cb.reject, RejectReason::kBadTerminal);
+  EXPECT_EQ(cb.tag, 5u);
+  EXPECT_EQ(ex.pending(), 0u);
+  EXPECT_EQ(ex.drain(), 0u);
+  EXPECT_STREQ(to_string(RejectReason::kBadTerminal), "bad_terminal");
+  const ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.handle_errors, 4u);
+  EXPECT_EQ(st.submitted, 0u);
+  EXPECT_EQ(st.completed, 0u);
+  EXPECT_EQ(st.router.connect_calls, 0u);
+  EXPECT_EQ(ex.active_calls(), 0u);
+}
+
+// A 4-session Exchange whose calls spread over its sessions must be
+// trace-identical to a 1-session one on a fixed request trace — outcomes,
+// paths, and the full ExchangeStats block.
 TEST(Exchange, EngineEquivalenceThroughFacade) {
   const auto net = networks::build_cantor({5, 0});
-  Exchange greedy(net, {});
-  Exchange concurrent(net, concurrent_cfg(1));
+  Exchange one(net, {});
+  Exchange four(net, sessions_cfg(4));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   util::Xoshiro256 rng(util::derive_seed(31, 7));
-  std::vector<CallId> live_g, live_c;
+  std::vector<CallId> live_1, live_4;
   for (int op = 0; op < 4000; ++op) {
-    if (!live_g.empty() && (rng() & 3u) == 0) {
-      const auto idx = rng() % live_g.size();
-      EXPECT_EQ(greedy.hangup(live_g[idx]), RejectReason::kNone);
-      EXPECT_EQ(concurrent.hangup(live_c[idx]), RejectReason::kNone);
-      live_g[idx] = live_g.back();
-      live_g.pop_back();
-      live_c[idx] = live_c.back();
-      live_c.pop_back();
+    if (!live_1.empty() && (rng() & 3u) == 0) {
+      const auto idx = rng() % live_1.size();
+      EXPECT_EQ(one.hangup(live_1[idx]), RejectReason::kNone);
+      EXPECT_EQ(four.hangup(live_4[idx]), RejectReason::kNone);
+      live_1[idx] = live_1.back();
+      live_1.pop_back();
+      live_4[idx] = live_4.back();
+      live_4.pop_back();
     } else {
       const auto in = static_cast<std::uint32_t>(rng() % n);
       const auto out = static_cast<std::uint32_t>(rng() % n);
-      const Outcome og = greedy.call({in, out});
-      const Outcome oc = concurrent.call({in, out});
-      ASSERT_EQ(og.reject, oc.reject) << "op " << op;
-      ASSERT_EQ(og.path_length, oc.path_length) << "op " << op;
-      if (og.connected()) {
-        EXPECT_EQ(greedy.path_of(og.id), concurrent.path_of(oc.id));
-        live_g.push_back(og.id);
-        live_c.push_back(oc.id);
+      const Outcome o1 = one.call({in, out});
+      const Outcome o4 = four.call({in, out}, op % 4);
+      ASSERT_EQ(o1.reject, o4.reject) << "op " << op;
+      ASSERT_EQ(o1.path_length, o4.path_length) << "op " << op;
+      if (o1.connected()) {
+        EXPECT_EQ(one.path_of(o1.id), four.path_of(o4.id));
+        live_1.push_back(o1.id);
+        live_4.push_back(o4.id);
       }
     }
   }
-  const ExchangeStats a = greedy.stats();
-  const ExchangeStats b = concurrent.stats();
+  const ExchangeStats a = one.stats();
+  const ExchangeStats b = four.stats();
   EXPECT_EQ(a.router.connect_calls, b.router.connect_calls);
   EXPECT_EQ(a.router.accepted, b.router.accepted);
   EXPECT_EQ(a.router.rejected_terminal, b.router.rejected_terminal);
   EXPECT_EQ(a.router.rejected_no_path, b.router.rejected_no_path);
-  EXPECT_EQ(a.router.rejected_contention, b.router.rejected_contention);
   EXPECT_EQ(a.router.vertices_visited, b.router.vertices_visited);
   EXPECT_EQ(a.router.path_vertices, b.router.path_vertices);
   EXPECT_EQ(a.router.disconnects, b.router.disconnects);
   EXPECT_EQ(a.hangups, b.hangups);
   EXPECT_EQ(a.handle_errors, 0u);
   EXPECT_EQ(b.handle_errors, 0u);
-  EXPECT_EQ(greedy.busy_vertices(), concurrent.busy_vertices());
+  EXPECT_EQ(one.busy_vertices(), four.busy_vertices());
 }
 
 // Batched plane: the same trace submitted through batched admission
@@ -264,7 +296,6 @@ TEST(Exchange, FixedWindowDefersBeyondTheWindow) {
 TEST(Exchange, OverloadRefusesAtTheQueueCap) {
   const auto net = networks::build_crossbar(16);
   ExchangeConfig cfg;
-  cfg.backend = Backend::kConcurrent;
   cfg.sessions = 2;
   cfg.window = 2;
   cfg.max_queue = 4;
@@ -327,7 +358,7 @@ TEST(Exchange, PriorityClassesAdmittedFirst) {
 
 TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
   const auto net = networks::build_cantor({5, 0});
-  Exchange ex(net, concurrent_cfg(4));
+  Exchange ex(net, sessions_cfg(4));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   std::mutex mu;
   std::vector<Outcome> done;
@@ -360,7 +391,7 @@ TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
 TEST(Exchange, DrainFiresCallbacksOnTheDrainingThread) {
   const auto net = networks::build_cantor({5, 0});
   for (const unsigned sessions : {1u, 4u}) {
-    Exchange ex(net, concurrent_cfg(sessions));
+    Exchange ex(net, sessions_cfg(sessions));
     const auto n = static_cast<std::uint32_t>(net.inputs.size());
     std::vector<std::thread::id> fired_on;  // no lock: one thread must write
     std::vector<unsigned> served_by;
@@ -383,32 +414,42 @@ TEST(Exchange, DrainFiresCallbacksOnTheDrainingThread) {
   }
 }
 
-// Churn stress (the TSan job runs this file): each thread drives its own
-// session through the facade, deliberately misusing handles as it goes —
-// stale double-hangups, null handles, handles from a different Exchange.
-// Every misuse must come back as a typed error and busy state must balance
-// exactly at the end.
-TEST(Exchange, ConcurrentChurnWithHandleMisuseStaysSound) {
+// Submitters racing the serving thread (racing_submitters.hpp; the TSan
+// job runs this file), with misuse on both sides: every 64th request of a
+// submitter is followed by one for a terminal that does not exist, which
+// bounces at once as kBadTerminal; the serving thread hangs calls up and,
+// as it goes, presents stale double hangups, null handles and handles from
+// a different Exchange. Every misuse must come back as a typed error
+// counted once, and busy state must balance exactly at the end.
+TEST(Exchange, SubmittersRacingADrainWithHandleMisuseStaySound) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kSessions = 4;
-  Exchange ex(net, concurrent_cfg(kSessions));
+  constexpr std::uint64_t kPerSubmitter = 2000;
+  Exchange ex(net, sessions_cfg(kSessions));
   Exchange other(net, {});
   const Outcome foreign = other.call({0, 0});
   ASSERT_TRUE(foreign.connected());
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
-  std::atomic<std::uint64_t> expected_errors{0};
-  std::vector<std::vector<Outcome>> live(kSessions);
-  std::vector<std::thread> threads;
-  threads.reserve(kSessions);
-  for (unsigned s = 0; s < kSessions; ++s) {
-    threads.emplace_back([&, s] {
-      util::Xoshiro256 rng(util::derive_seed(97, s));
-      auto& mine = live[s];
-      CallId retired{};  // a handle this thread already hung up
-      std::uint64_t errors = 0;
-      for (int op = 0; op < 2000; ++op) {
-        const auto kind = rng() & 15u;
+  std::atomic<std::uint64_t> bounced{0};
+  test::Race race{kSessions, kPerSubmitter, 97};
+  race.after_submit = [&](unsigned, std::uint64_t i) {
+    if (i % 64 != 0) return;
+    const auto bad = static_cast<std::uint32_t>(ex.input_count() + i);
+    const std::optional<Outcome> o = ex.poll(ex.submit({bad, 0, 0, i}));
+    EXPECT_TRUE(o && o->reject == RejectReason::kBadTerminal && o->tag == i);
+    bounced.fetch_add(1, std::memory_order_relaxed);
+  };
+  std::vector<Outcome> live;
+  CallId retired{};  // a handle the serving thread already hung up
+  std::uint64_t errors = 0, hangups = 0;
+  util::Xoshiro256 rng(util::derive_seed(97, 99));
+  test::race_submitters(
+      ex, race,
+      [&](const Outcome& o) {
+        if (o.connected()) live.push_back(o);
+      },
+      [&](std::size_t) {
+        const auto kind = rng() & 7u;
         if (kind == 0 && retired.valid()) {
           // Double hangup of an already-retired handle.
           if (ex.hangup(retired) == RejectReason::kStaleHandle) ++errors;
@@ -416,40 +457,35 @@ TEST(Exchange, ConcurrentChurnWithHandleMisuseStaysSound) {
           if (ex.hangup(CallId{}) == RejectReason::kStaleHandle) ++errors;
         } else if (kind == 2) {
           if (ex.hangup(foreign.id) == RejectReason::kForeignHandle) ++errors;
-        } else if (kind < 6 && !mine.empty()) {
-          const auto idx = rng() % mine.size();
-          EXPECT_EQ(ex.hangup(mine[idx].id), RejectReason::kNone);
-          retired = mine[idx].id;
-          mine[idx] = mine.back();
-          mine.pop_back();
-        } else {
-          const auto in = static_cast<std::uint32_t>(rng() % n);
-          const auto out = static_cast<std::uint32_t>(rng() % n);
-          const Outcome o = ex.call({in, out}, s);
-          if (o.connected()) mine.push_back(o);
         }
-      }
-      expected_errors.fetch_add(errors, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
+        for (std::size_t k = 0; k < live.size();) {
+          if (rng.below(4) != 0) {
+            ++k;
+            continue;
+          }
+          EXPECT_EQ(ex.hangup(live[k].id), RejectReason::kNone);
+          retired = live[k].id;
+          ++hangups;
+          live[k] = live.back();
+          live.pop_back();
+        }
+      });
 
-  // Quiescent invariants: the facade's books balance and misuse never
-  // leaked into busy state.
-  std::size_t live_calls = 0, live_path_vertices = 0;
-  for (const auto& session_calls : live) {
-    live_calls += session_calls.size();
-    for (const Outcome& o : session_calls) live_path_vertices += o.path_length;
-  }
-  EXPECT_EQ(ex.active_calls(), live_calls);
+  // The facade's books balance and misuse never leaked into busy state.
+  std::size_t live_path_vertices = 0;
+  for (const Outcome& o : live) live_path_vertices += o.path_length;
+  EXPECT_EQ(ex.active_calls(), live.size());
   EXPECT_EQ(ex.busy_vertices(), live_path_vertices);
   const ExchangeStats st = ex.stats();
-  EXPECT_EQ(st.handle_errors, expected_errors.load());
-  EXPECT_EQ(st.router.accepted, st.hangups + live_calls);
-  // Full drain releases everything.
-  for (const auto& session_calls : live)
-    for (const Outcome& o : session_calls)
-      EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
+  EXPECT_GT(bounced.load(), 0u);
+  EXPECT_EQ(st.handle_errors, errors + bounced.load());
+  EXPECT_EQ(st.router.accepted, st.hangups + live.size());
+  EXPECT_EQ(st.hangups, hangups);
+  // A bounce is a misuse, not a submission: the front end never saw it.
+  EXPECT_EQ(st.submitted, kSessions * kPerSubmitter);
+  EXPECT_EQ(st.completed, st.submitted);
+  // Full hangup releases everything.
+  for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
   EXPECT_EQ(other.hangup(foreign.id), RejectReason::kNone);
@@ -465,7 +501,7 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   constexpr unsigned kSessions = 4;
   constexpr std::size_t kWindows = 200;
   constexpr std::size_t kWindow = 64;
-  Exchange ex(net, concurrent_cfg(kSessions));
+  Exchange ex(net, sessions_cfg(kSessions));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(2718);
 
@@ -507,14 +543,13 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   const ExchangeStats st = ex.stats();
   EXPECT_EQ(st.completed, kWindows * kWindow);
   EXPECT_EQ(st.router.connect_calls, kWindows * kWindow);
-  EXPECT_EQ(st.router.connect_calls,
-            st.router.accepted + st.router.rejected_terminal +
-                st.router.rejected_no_path + st.router.rejected_contention);
+  EXPECT_EQ(st.router.connect_calls, st.router.accepted +
+                                         st.router.rejected_terminal +
+                                         st.router.rejected_no_path);
   EXPECT_GT(st.router.rejected_terminal, 0u);  // windows did repeat terminals
   EXPECT_EQ(st.router.accepted, hangups + live.size());
   EXPECT_EQ(st.hangups, hangups);
   EXPECT_EQ(st.epochs, kWindows);
-  EXPECT_EQ(st.router.claim_conflicts, 0u);  // the drain claims without CAS
   for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
@@ -527,7 +562,7 @@ TEST(Exchange, DrainSplitsTheWindowByArrivalIndex) {
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   constexpr unsigned kSessions = 4;
 
-  Exchange ex(net, concurrent_cfg(kSessions));
+  Exchange ex(net, sessions_cfg(kSessions));
   ASSERT_EQ(ex.sessions(), kSessions);
 
   // Inputs in reverse, so that the split cannot follow the input range.

@@ -250,7 +250,7 @@ TEST(FederationCalls, HandleSafetyNullForeignAndBadTerminal) {
   // Out-of-range global terminal: no home member in the shard map.
   const FedOutcome bad = fed_a.call(
       {static_cast<std::uint32_t>(fed_a.input_count()), 0, 0, 0});
-  EXPECT_EQ(bad.reject, RejectReason::kBadSession);
+  EXPECT_EQ(bad.reject, RejectReason::kBadTerminal);
 }
 
 /// Drives typed per-stage refusals: a busy terminal is refused before the
@@ -731,7 +731,7 @@ TEST(FederationBatched, MixedTrafficDrainsAndPolls) {
              });
   EXPECT_EQ(fed.drain_all(), 1u);
   EXPECT_EQ(cb_calls, 1);
-  EXPECT_EQ(cb_out.reject, RejectReason::kBadSession);
+  EXPECT_EQ(cb_out.reject, RejectReason::kBadTerminal);
   EXPECT_EQ(cb_out.tag, 9u);
 }
 

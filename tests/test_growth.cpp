@@ -1,6 +1,6 @@
 // Hitless capacity growth: the append-only contract (NetworkDelta /
 // finalize_grown invariants), grow_cantor's doubled topology, live calls
-// carried across Exchange::grow on both engines with their paths
+// carried across Exchange::grow on 1 and 2 sessions with their paths
 // unchanged, the grow gate rejecting each kind of non-append-only network
 // untouched (directly and through the ops::ControlPlane kGrow ack),
 // overlay/fault-bookkeeping survival, the batched drain plane serving the
@@ -126,15 +126,15 @@ TEST(NetworkDelta, MergeKeepsBasePrefixAndAppendsInEdgeIdOrder) {
 // --------------------------------------------------- growth equivalence
 
 // The grown network serves exactly the terminal pairs a from-scratch
-// double-size Cantor serves: every pair, on an idle exchange, on both
-// engines — plus a full simultaneous permutation (the strictly-nonblocking
+// double-size Cantor serves: every pair, on an idle exchange, on 1 and 2
+// sessions — plus a full simultaneous permutation (the strictly-nonblocking
 // load the appended planes must carry).
 TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
-  for (const auto backend : {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+  for (const unsigned sessions : {1u, 2u}) {
     const auto base = networks::build_cantor({3, 0});
     const auto fresh = networks::build_cantor({4, 0});
     svc::ExchangeConfig cfg_g, cfg_f;
-    cfg_g.backend = cfg_f.backend = backend;
+    cfg_g.sessions = cfg_f.sessions = sessions;
     svc::Exchange grown_ex(base, std::move(cfg_g));
     ASSERT_TRUE(grown_ex.grow(doubled(grown_ex, {3, 0})).applied);
     svc::Exchange fresh_ex(fresh, std::move(cfg_f));
@@ -168,11 +168,10 @@ TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
 // ------------------------------------------------------ live-call remap
 
 TEST(ExchangeGrowth, LiveCallsSurviveWithUnchangedPaths) {
-  for (const auto backend :
-       {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+  for (const unsigned sessions : {1u, 2u}) {
     const auto base = networks::build_cantor({3, 0});
     svc::ExchangeConfig cfg;
-    cfg.backend = backend;
+    cfg.sessions = sessions;
     svc::Exchange ex(base, std::move(cfg));
     const auto n = static_cast<std::uint32_t>(ex.input_count());
 
@@ -447,7 +446,6 @@ TEST(ControlPlaneGrowth, KGrowAcksRealEffectsAndDeclinesARegrow) {
 TEST(ExchangeGrowth, BatchedDrainServesNewTerminalsTheEpochAfterTheMerge) {
   const auto base = networks::build_cantor({3, 0});
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 2;
   svc::Exchange ex(base, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(ex.input_count());
@@ -470,7 +468,7 @@ TEST(ExchangeGrowth, BatchedDrainServesNewTerminalsTheEpochAfterTheMerge) {
   EXPECT_EQ(held.size(), n);
   done.clear();
 
-  // The merge lands at the epoch boundary (the drain contract's quiesce).
+  // The merge lands at the epoch boundary (the grow's quiesce).
   ASSERT_TRUE(ex.grow(doubled(ex, {3, 0})).applied);
 
   // Epoch 2: every NEW terminal pair routes on the grown topology.
@@ -526,46 +524,41 @@ TEST(ExchangeGrowth, StaleAndFaultedHandlesStayTypedAcrossGrowth) {
 
 // The grown Cantor keeps the base's direct input->plane switches as
 // shortcuts, so its input->output paths no longer share one length, and
-// the routers' depth-first search (which settles AN idle path) can take a
+// the router's depth-first search (which settles AN idle path) can take a
 // longer one than the shortest. Every pair is routed on the idle grown
 // network; the mean settled length is reported next to the mean shortest
 // length and bounded loosely, so a search that starts to wander shows up.
 TEST(GrowthPathLength, GrownCantorMeanPathLengthReport) {
-  for (const auto backend : {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
-    const auto base = networks::build_cantor({5, 0});
-    svc::ExchangeConfig cfg;
-    cfg.backend = backend;
-    svc::Exchange ex(base, std::move(cfg));
-    ASSERT_TRUE(ex.grow(doubled(ex, {5, 0})).applied);
-    const graph::Network& net = ex.network();
-    const auto n = static_cast<std::uint32_t>(ex.input_count());
-    std::size_t settled = 0, shortest = 0;
-    for (std::uint32_t in = 0; in < n; ++in)
-      for (std::uint32_t out = 0; out < n; ++out) {
-        const svc::Outcome o = ex.call({in, out, 0, 1});
-        ASSERT_TRUE(o.connected()) << in << "->" << out;
-        const std::size_t len = ex.path_of(o.id).size();
-        ASSERT_EQ(ex.hangup(o.id), svc::RejectReason::kNone);
-        const graph::VertexId src[] = {net.inputs[in]};
-        std::vector<std::uint8_t> target(net.g.vertex_count(), 0);
-        target[net.outputs[out]] = 1;
-        const auto ref = graph::shortest_path(net.g, src, target);
-        ASSERT_TRUE(ref.has_value());
-        EXPECT_GE(len, ref->size());
-        settled += len;
-        shortest += ref->size();
-      }
-    const double pairs = static_cast<double>(n) * n;
-    const double mean = static_cast<double>(settled) / pairs;
-    const double mean_shortest = static_cast<double>(shortest) / pairs;
-    std::printf("grown cantor-k6 (%s): mean path %.3f vertices, shortest %.3f "
-                "(+%.2f%%)\n",
-                backend == svc::Backend::kGreedy ? "greedy" : "concurrent",
-                mean, mean_shortest, (mean / mean_shortest - 1.0) * 100.0);
-    RecordProperty("mean_path_vertices", std::to_string(mean));
-    RecordProperty("mean_shortest_path_vertices", std::to_string(mean_shortest));
-    EXPECT_LT(mean, 1.10 * mean_shortest);
-  }
+  const auto base = networks::build_cantor({5, 0});
+  svc::Exchange ex(base);
+  ASSERT_TRUE(ex.grow(doubled(ex, {5, 0})).applied);
+  const graph::Network& net = ex.network();
+  const auto n = static_cast<std::uint32_t>(ex.input_count());
+  std::size_t settled = 0, shortest = 0;
+  for (std::uint32_t in = 0; in < n; ++in)
+    for (std::uint32_t out = 0; out < n; ++out) {
+      const svc::Outcome o = ex.call({in, out, 0, 1});
+      ASSERT_TRUE(o.connected()) << in << "->" << out;
+      const std::size_t len = ex.path_of(o.id).size();
+      ASSERT_EQ(ex.hangup(o.id), svc::RejectReason::kNone);
+      const graph::VertexId src[] = {net.inputs[in]};
+      std::vector<std::uint8_t> target(net.g.vertex_count(), 0);
+      target[net.outputs[out]] = 1;
+      const auto ref = graph::shortest_path(net.g, src, target);
+      ASSERT_TRUE(ref.has_value());
+      EXPECT_GE(len, ref->size());
+      settled += len;
+      shortest += ref->size();
+    }
+  const double pairs = static_cast<double>(n) * n;
+  const double mean = static_cast<double>(settled) / pairs;
+  const double mean_shortest = static_cast<double>(shortest) / pairs;
+  std::printf("grown cantor-k6: mean path %.3f vertices, shortest %.3f "
+              "(+%.2f%%)\n",
+              mean, mean_shortest, (mean / mean_shortest - 1.0) * 100.0);
+  RecordProperty("mean_path_vertices", std::to_string(mean));
+  RecordProperty("mean_shortest_path_vertices", std::to_string(mean_shortest));
+  EXPECT_LT(mean, 1.10 * mean_shortest);
 }
 
 }  // namespace

@@ -80,15 +80,14 @@ TEST(Integration, TrafficOnDamagedFtNetwork) {
   // Majority access held, so the surviving network is strictly nonblocking
   // and greedy routing must never block.
   EXPECT_EQ(report.blocked, 0u);
-  EXPECT_EQ(report.blocked, report.service.router.rejected_no_path +
-                                report.service.router.rejected_contention);
+  EXPECT_EQ(report.blocked, report.service.router.rejected_no_path);
 }
 
 struct SampledRow {
   const char* what;
   const graph::Network* net;
   double eps;
-  unsigned sessions;      // > 1: the shared store's batched plane
+  unsigned sessions;      // > 1: the batched plane over that many sessions
   double epoch_interval;  // 0: the immediate plane
   std::size_t offered, carried, blocked;
   std::uint64_t visits;
@@ -111,10 +110,7 @@ TEST(Integration, SampledFaultsServeExactBooks) {
     const fault::FaultInstance inst(*row.net,
                                     fault::FaultModel::symmetric(row.eps), 1);
     svc::ExchangeConfig cfg;
-    if (row.sessions > 1) {
-      cfg.backend = svc::Backend::kConcurrent;
-      cfg.sessions = row.sessions;
-    }
+    cfg.sessions = row.sessions;
     svc::Exchange ex(*row.net, std::move(cfg));
     for (const fault::Failure& f : inst.failures())
       ex.inject({0.0, f.edge, fault::FaultEvent::Kind::kFail});

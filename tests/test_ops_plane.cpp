@@ -28,6 +28,7 @@
 #include "svc/exchange.hpp"
 #include "svc/federation.hpp"
 #include "util/prng.hpp"
+#include "racing_submitters.hpp"
 
 namespace ftcs {
 namespace {
@@ -680,7 +681,7 @@ TEST(MetricsRegistry, FederatedSampleExportsRouterHighWaterAndFederationRows) {
   s.federated = true;
   s.total.router.disconnects = 51;
   s.total.router.path_vertices = 52;
-  s.total.router.search_retries = 53;
+  s.total.router.vertices_visited = 53;
   s.total.queue_high_water = 61;
   s.delta.queue_high_water = 61;
   s.fed_total.reroute_succeeded = 41;
@@ -695,7 +696,7 @@ TEST(MetricsRegistry, FederatedSampleExportsRouterHighWaterAndFederationRows) {
   const std::pair<const char*, std::uint64_t> exchange_rows[] = {
       {"router_disconnects_total", 51},
       {"router_path_vertices_total", 52},
-      {"router_search_retries_total", 53},
+      {"router_vertices_visited_total", 53},
       {"queue_high_water", 61},
       {"reroute_succeeded_total", 71},
   };
@@ -904,78 +905,34 @@ TEST(ControlPlane, OutOfRangeCoordinatesAckInvalidAndTouchNothing) {
   }
 }
 
-// Acceptance criteria: 4 sessions of churn while a separate operator thread
-// pumps inject/repair/query/snapshot commands through ops::CommandQueue —
-// no races, acks match effects, busy state balances after the final drain.
-// The pump runs on its own thread holding the plane exclusively (the drain
-// contract); churn threads ALSO post queries mid-flight, exercising the
-// multi-producer side of the queue. TSan-run.
-TEST(OpsControlPlane, OperatorCommandsRaceChurningSessionsSafely) {
+// Acceptance criteria: 4 submitter threads race the serving thread
+// (racing_submitters.hpp) while a separate operator thread posts
+// inject/repair/query/snapshot commands through ops::CommandQueue — no
+// races, acks match effects, busy state balances after the final hangups.
+// The serving thread drains, pumps the command queue and hangs calls up:
+// it is the one thread running the exchange's serialized entries. The
+// submitters ALSO post queries mid-flight and wait for their acks,
+// exercising the multi-producer side of the queue. TSan-run.
+TEST(OpsControlPlane, OperatorCommandsRaceSubmittersSafely) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kSessions = 4;
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = kSessions;
-  cfg.qos_immediate = true;
   cfg.class_deadlines = {0.0, 0.0, 0.0, 1e-9};
   svc::Exchange ex(net, std::move(cfg));
   ops::ControlPlane control(ex, "churn");
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   const auto schedule = fault::FaultSchedule::from_model(
       fault::FaultModel::symmetric(4e-4), net.g.edge_count(),
       /*horizon=*/250.0, /*mean_repair=*/15.0, /*seed=*/97);
   ASSERT_GT(schedule.fail_count(), 10u);
 
-  std::shared_mutex plane;  // sessions shared, the pump exclusive
-  std::atomic<int> posters{static_cast<int>(kSessions) + 1};
-  std::vector<std::vector<svc::CallId>> leftover(kSessions);
+  std::atomic<bool> operator_done{false};
   std::vector<svc::Outcome> strays;  // connected reroutes (operator-owned)
-
-  std::vector<std::thread> threads;
-  threads.reserve(kSessions + 2);
-  for (unsigned s = 0; s < kSessions; ++s) {
-    threads.emplace_back([&, s] {
-      util::Xoshiro256 rng(util::derive_seed(811, s));
-      std::vector<svc::Outcome> mine;
-      for (int op = 0; op < 2000; ++op) {
-        {
-          std::shared_lock<std::shared_mutex> lk(plane);
-          if (!mine.empty() && (rng() & 3u) == 0) {
-            const auto idx = rng() % mine.size();
-            const svc::RejectReason r = ex.hangup(mine[idx].id);
-            EXPECT_TRUE(r == svc::RejectReason::kNone ||
-                        r == svc::RejectReason::kFaulted ||
-                        r == svc::RejectReason::kStaleHandle)
-                << to_string(r);
-            mine[idx] = mine.back();
-            mine.pop_back();
-          } else {
-            const auto in = static_cast<std::uint32_t>(rng() % n);
-            const auto out = static_cast<std::uint32_t>(rng() % n);
-            const auto pri = static_cast<std::uint8_t>(rng() & 3u);
-            const svc::Outcome o = ex.call({in, out, pri, 0}, s);
-            if (o.connected()) mine.push_back(o);
-          }
-        }
-        // Multi-producer side: churn threads query the control plane too.
-        // Posted and awaited OUTSIDE the plane lock — a waiter holding even
-        // the shared lock would deadlock the exclusive pump.
-        if (op % 500 == 499) {
-          const auto t =
-              control.queue().post({ops::CommandKind::kQuery, {}, 0});
-          const auto ack = control.queue().wait(t);
-          EXPECT_EQ(ack.kind, ops::CommandKind::kQuery);
-        }
-      }
-      for (const auto& o : mine) leftover[s].push_back(o.id);
-      posters.fetch_sub(1, std::memory_order_release);
-    });
-  }
 
   // The operator: drives the storm through the command feed, checks every
   // ack against the effect it reports.
-  threads.emplace_back([&] {
+  std::thread oper([&] {
     std::uint64_t last_accepted = 0;
     int i = 0;
     for (const auto& ev : schedule.events()) {
@@ -1009,41 +966,56 @@ TEST(OpsControlPlane, OperatorCommandsRaceChurningSessionsSafely) {
         EXPECT_EQ(snap.text.front(), '{');
       }
     }
-    posters.fetch_sub(1, std::memory_order_release);
+    operator_done.store(true, std::memory_order_release);
   });
 
-  // The pump: the one thread executing commands, under the drain contract.
-  threads.emplace_back([&] {
-    for (;;) {
-      const bool last_round = posters.load(std::memory_order_acquire) == 0;
-      {
-        std::unique_lock<std::shared_mutex> lk(plane);
-        control.pump();
+  test::Race race{kSessions, 2000, 811};
+  // Multi-producer side: submitters query the control plane too, and wait
+  // for the serving thread to pump the ack.
+  race.after_submit = [&](unsigned, std::uint64_t i) {
+    if (i % 500 != 499) return;
+    const auto ack = control.queue().wait(
+        control.queue().post({ops::CommandKind::kQuery, {}, 0}));
+    EXPECT_EQ(ack.kind, ops::CommandKind::kQuery);
+  };
+  std::vector<svc::CallId> held;
+  util::Xoshiro256 rng(util::derive_seed(811, 99));
+  const auto serve = [&](std::size_t) {
+    control.pump();
+    for (std::size_t k = 0; k < held.size();) {
+      if (rng.below(4) != 0) {
+        ++k;
+        continue;
       }
-      if (last_round && control.queue().depth() == 0) break;
-      std::this_thread::yield();
+      const svc::RejectReason r = ex.hangup(held[k]);
+      EXPECT_TRUE(test::storm_hangup_ack(r)) << to_string(r);
+      held[k] = held.back();
+      held.pop_back();
     }
-  });
+  };
+  test::race_submitters(
+      ex, race,
+      [&](const svc::Outcome& o) {
+        if (o.connected()) held.push_back(o.id);
+      },
+      serve);
+  // The operator may outlast the submitters: keep serving its commands.
+  while (!operator_done.load(std::memory_order_acquire)) {
+    serve(ex.drain());
+    std::this_thread::yield();
+  }
+  oper.join();
 
-  for (auto& th : threads) th.join();
-
-  // Quiescent wind-down: this thread owns everything now.
+  // Wind-down: the operator has stopped, so this thread reads its strays.
   control.queue().post({ops::CommandKind::kQuiesce, {}, 0});
   control.pump();
-  for (const auto& session_calls : leftover)
-    for (const auto id : session_calls) {
-      const svc::RejectReason r = ex.hangup(id);
-      EXPECT_TRUE(r == svc::RejectReason::kNone ||
-                  r == svc::RejectReason::kFaulted ||
-                  r == svc::RejectReason::kStaleHandle)
-          << to_string(r);
-    }
+  for (const auto id : held) {
+    const svc::RejectReason r = ex.hangup(id);
+    EXPECT_TRUE(test::storm_hangup_ack(r)) << to_string(r);
+  }
   for (const auto& o : strays) {
     const svc::RejectReason r = ex.hangup(o.id);
-    EXPECT_TRUE(r == svc::RejectReason::kNone ||
-                r == svc::RejectReason::kFaulted ||
-                r == svc::RejectReason::kStaleHandle)
-        << to_string(r);
+    EXPECT_TRUE(test::storm_hangup_ack(r)) << to_string(r);
   }
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
@@ -1052,7 +1024,7 @@ TEST(OpsControlPlane, OperatorCommandsRaceChurningSessionsSafely) {
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
   EXPECT_GT(st.faults_injected, 0u);
-  // The QoS books saw the churn (immediate plane, opt-in above).
+  // The QoS books saw the churn (the batched plane always books them).
   std::uint64_t served = 0;
   for (const auto& c : st.classes) served += c.served;
   EXPECT_GT(served, 0u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -112,6 +113,15 @@ TEST(Prng, GeometricEdgeCases) {
   // Gaps past 2^64 saturate rather than hit an out-of-range cast.
   for (int i = 0; i < 100; ++i)
     EXPECT_EQ(rng.geometric(1e-300), std::numeric_limits<std::uint64_t>::max());
+  // The precomputed-log entry draws what geometric(p) draws: two copies of
+  // one seeded stream, one per entry, stay in step draw for draw.
+  for (const double p : {1e-300, 1e-6, 0.3, 1.0 - 1e-12}) {
+    Xoshiro256 a(11), b(11);
+    const double log_q = std::log1p(-p);
+    for (int i = 0; i < 1000; ++i)
+      ASSERT_EQ(a.geometric(p), b.geometric(p, log_q))
+          << "p " << p << " draw " << i;
+  }
 }
 
 TEST(Prng, ShuffleIsPermutation) {

@@ -103,18 +103,13 @@ TEST(ReachIndex, CyclicNetFallsBackToNoPruning) {
       EXPECT_TRUE(reach.reaches(v, o)) << v << " " << o;
   }
 
-  // The search stays exact without the filter, on both stores.
+  // The search stays exact without the filter.
   const std::vector<graph::VertexId> path{in, a, b, out};
-  core::GreedyRouter g(net);
-  EXPECT_EQ(g.connect(0, 1), core::GreedyRouter::kNoCall);
+  core::Router g(net);
+  EXPECT_EQ(g.connect(0, 1), core::Router::kNoCall);
   const auto gc = g.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
+  ASSERT_NE(gc, core::Router::kNoCall);
   EXPECT_EQ(g.path_of(gc), path);
-  core::ConcurrentRouter c(net, 1);
-  EXPECT_EQ(c.session(0).connect(0, 1), core::ConcurrentRouter::kNoCall);
-  const auto cc = c.session(0).connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(c.session(0).path_of(cc), path);
 }
 
 }  // namespace

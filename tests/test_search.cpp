@@ -4,8 +4,8 @@
 // idle path (the paper's §4 greedy routing needs no more), which is a
 // shortest one wherever every input->output path has the same length.
 //
-//  - churn traces on cantor (one input->output length), on both stores
-//    (the typed RouterStores suite, tests/router_stores.hpp), healthy and
+//  - churn traces on cantor (one input->output length) (the RouterStores
+//    suite, tests/router_stores.hpp), healthy and
 //    degraded (failed switches): every connect's verdict and path length
 //    match graph::shortest_path, a plain BFS over the router's busy and
 //    failed-switch state captured just before the connect;
@@ -36,7 +36,7 @@
 //    current search's exact totals, so search work may only fall.
 // Every test but the ratchet routes through AuditedRouter
 // (router_stores.hpp), so the structural audit runs after every operation;
-// the ratchet serves cantor-k9 at speed on a plain GreedyRouter.
+// the ratchet serves cantor-k9 at speed on a plain Router.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -239,32 +239,32 @@ std::vector<graph::EdgeId> every_nth_edge(const graph::Network& net,
   return out;
 }
 
-TYPED_TEST(RouterStores, ChurnMatchesPlainBfs) {
+TEST(RouterStores, ChurnMatchesPlainBfs) {
   const auto net = networks::build_cantor({4, 0});
-  AuditedRouter<TypeParam> router(net);
+  AuditedRouter router(net);
   run_reference_trace(router, net, 2024, 800);
 }
 
-TYPED_TEST(RouterStores, DegradedOverlayChurnMatchesPlainBfs) {
+TEST(RouterStores, DegradedOverlayChurnMatchesPlainBfs) {
   // A deterministic spread of failed switches; contraction stays off, so
   // costs stay unit and plain BFS around the failures is exact.
   const auto net = networks::build_cantor({4, 0});
-  AuditedRouter<TypeParam> router(net);
+  AuditedRouter router(net);
   for (const auto e : every_nth_edge(net, 3, 17)) router.fail_edge(e);
   run_reference_trace(router, net, 4711, 800);
 }
 
-TYPED_TEST(RouterStores, WeldedCantorVerdictsMatchOfflineContraction) {
+TEST(RouterStores, WeldedCantorVerdictsMatchOfflineContraction) {
   const auto net = networks::build_cantor({4, 0});
-  AuditedRouter<TypeParam> router(net);
+  AuditedRouter router(net);
   run_welded_trace(router, net, every_nth_edge(net, 5, 29), 99, 400);
 }
 
 // The search may settle any of several equally long paths, so the pin is
 // on what any correct search must deliver.
-TYPED_TEST(RouterStores, CantorChurnPathsAreValidUniformAndMatchPlainBfs) {
+TEST(RouterStores, CantorChurnPathsAreValidUniformAndMatchPlainBfs) {
   const auto net = networks::build_cantor({6, 0});
-  AuditedRouter<TypeParam> router(net);
+  AuditedRouter router(net);
   run_reference_trace(router, net, 401, 6000);
 }
 
@@ -313,27 +313,27 @@ void run_oracle_churn(Router& router, const graph::Network& net,
   EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeCantor) {
+TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeCantor) {
   for (const std::uint32_t k : {5u, 6u, 7u}) {
     const auto net = networks::build_cantor({k, 0});
-    AuditedRouter<TypeParam> router(net);
+    AuditedRouter router(net);
     run_oracle_churn(router, net, 100 + k, 4000);
   }
 }
 
-TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeFtNetwork) {
+TEST(RouterStores, NoIdleTerminalRefusedOnFaultFreeFtNetwork) {
   for (const std::uint32_t nu : {1u, 2u}) {
     const auto net =
         core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
             .net;
-    AuditedRouter<TypeParam> router(net);
+    AuditedRouter router(net);
     run_oracle_churn(router, net, 200 + nu, 2000);
   }
 }
 
-TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnCrossbar) {
+TEST(RouterStores, NoIdleTerminalRefusedOnCrossbar) {
   const auto net = networks::build_crossbar(32);
-  AuditedRouter<TypeParam> router(net);
+  AuditedRouter router(net);
   run_oracle_churn(router, net, 300, 4000);
 }
 
@@ -350,12 +350,11 @@ TYPED_TEST(RouterStores, NoIdleTerminalRefusedOnCrossbar) {
 /// once with the router's weld filter (weld_reach() > 0), once with the
 /// oracle filter (always true) — then connects: the router must settle the
 /// pruned search's path in its visits, and the two searches must agree.
-template <class Store>
 class WeldStorm {
  public:
   /// Outstanding open failures and welds hover around `per_open` and
   /// `per_weld` switches in 1000.
-  WeldStorm(AuditedRouter<Store>& router, const graph::Network& net,
+  WeldStorm(AuditedRouter& router, const graph::Network& net,
             std::uint64_t seed, std::size_t per_open, std::size_t per_weld)
       : router_(router), rng_(seed), per_open_(per_open), per_weld_(per_weld) {
     rebind(net);
@@ -495,7 +494,7 @@ class WeldStorm {
     active_.push_back(call);
   }
 
-  AuditedRouter<Store>& router_;
+  AuditedRouter& router_;
   const graph::Network* net_ = nullptr;
   core::ReachIndex reach_;
   core::detail::SearchScratch pruned_, oracle_;
@@ -507,35 +506,34 @@ class WeldStorm {
 
 /// The storm's pruning must have bitten: welded connects ran, and the
 /// pruned searches visited strictly fewer vertices than the oracle's.
-template <class Store>
-void expect_pruned(const WeldStorm<Store>& storm) {
+void expect_pruned(const WeldStorm& storm) {
   EXPECT_GT(storm.welded_connects, 0u);
   EXPECT_LT(storm.pruned_total, storm.oracle_total);
 }
 
-TYPED_TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleOnCantor) {
+TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleOnCantor) {
   const auto net = networks::build_cantor({5, 0});
-  AuditedRouter<TypeParam> router(net);
-  WeldStorm<TypeParam> storm(router, net, 2201, 10, 1);
+  AuditedRouter router(net);
+  WeldStorm storm(router, net, 2201, 10, 1);
   storm.run(3000);
   expect_pruned(storm);
 }
 
-TYPED_TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleOnFtNetwork) {
+TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleOnFtNetwork) {
   const auto ft =
       core::build_ft_network(core::FtParams::sim(2, 8, 6, 1, 1002));
-  AuditedRouter<TypeParam> router(ft.net);
-  WeldStorm<TypeParam> storm(router, ft.net, 2202, 50, 1);
+  AuditedRouter router(ft.net);
+  WeldStorm storm(router, ft.net, 2202, 50, 1);
   storm.run(1500);
   expect_pruned(storm);
 }
 
-TYPED_TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleAcrossGrow) {
+TEST(RouterStores, WeldPruningMatchesTheUnprunedOracleAcrossGrow) {
   // Welds stay outstanding across the merge: the grown network adds
   // ancestors to their heads, which the router must recount.
   const auto net = networks::build_cantor({4, 0});
-  AuditedRouter<TypeParam> router(net);
-  WeldStorm<TypeParam> storm(router, net, 2203, 10, 1);
+  AuditedRouter router(net);
+  WeldStorm storm(router, net, 2203, 10, 1);
   storm.run(1500);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   ASSERT_GT(storm.outstanding_welds(), 0u);
@@ -633,9 +631,9 @@ TEST(Planes, TableMatchesTheDsuSplit) {
   expect_plane_table(networks::build_crossbar(32), 32);
 }
 
-TYPED_TEST(RouterStores, IdleCantorCallsEnterThePlaneTheirOutputPicks) {
+TEST(RouterStores, IdleCantorCallsEnterThePlaneTheirOutputPicks) {
   const auto net = networks::build_cantor({5, 0});
-  AuditedRouter<TypeParam> router(net);
+  AuditedRouter router(net);
   expect_calls_enter_their_plane(router, net);
 }
 
@@ -643,10 +641,9 @@ TYPED_TEST(RouterStores, IdleCantorCallsEnterThePlaneTheirOutputPicks) {
 /// search's with rotation 0 (the plain incidence order) on the same busy
 /// state: the §6 network's inputs enter one plane each, so its paths are
 /// the plain order's.
-template <class Store>
 void expect_plain_order_churn(const graph::Network& net, std::uint64_t seed,
                               std::size_t ops) {
-  AuditedRouter<Store> router(net);
+  AuditedRouter router(net);
   const core::ReachIndex reach(net);
   core::detail::SearchScratch scratch;
   scratch.init(net.g.vertex_count());
@@ -690,22 +687,22 @@ void expect_plain_order_churn(const graph::Network& net, std::uint64_t seed,
   EXPECT_GT(compared, 0u);
 }
 
-TYPED_TEST(RouterStores, FtNetworkPathsKeepThePlainChildOrder) {
+TEST(RouterStores, FtNetworkPathsKeepThePlainChildOrder) {
   for (const std::uint32_t nu : {1u, 2u}) {
     const auto net =
         core::build_ft_network(core::FtParams::sim(nu, 8, 6, 1, 1000 + nu))
             .net;
-    expect_plain_order_churn<TypeParam>(net, 500 + nu, 2000);
+    expect_plain_order_churn(net, 500 + nu, 2000);
   }
 }
 
-TYPED_TEST(RouterStores, GrownCantorSpreadsOverSixPlanesAndRefusesNoIdlePair) {
+TEST(RouterStores, GrownCantorSpreadsOverSixPlanesAndRefusesNoIdlePair) {
   // grow() rebuilds the plane table with the reach index: the grown
   // router's calls enter the grown network's planes. Its legacy shortcut
   // switches give paths of several lengths, so the §4 churn checks
   // verdicts only.
   const auto base = networks::build_cantor({5, 0});
-  AuditedRouter<TypeParam> router(base);
+  AuditedRouter router(base);
   const auto grown = networks::grow_cantor(base, {5, 0});
   router.grow(grown);
   expect_plane_table(grown, 6);
@@ -760,12 +757,12 @@ Star build_star(std::size_t mids, bool with_back) {
 /// A healthy connect takes the first mid and stamps nothing else; with the
 /// first `dead` mids' exits failed, the search stamps and abandons each of
 /// them before it settles through mid[dead]. Both checked against plain BFS.
-TYPED_TEST(RouterStores, FanOutNetBacktracks) {
+TEST(RouterStores, FanOutNetBacktracks) {
   const auto star = build_star(256, false);
   constexpr std::size_t kDead = 200;
   // One child, one plane: the first hop starts at slot 0.
   ASSERT_EQ(core::ReachIndex(star.net).plane_slots(0).size(), 1u);
-  AuditedRouter<TypeParam> router(star.net);
+  AuditedRouter router(star.net);
   const auto c = connect_checked(router, star.net, 0, 0);
   ASSERT_NE(c, kNone);
   EXPECT_EQ(router.path_of(c), (std::vector<graph::VertexId>{
@@ -786,12 +783,12 @@ TYPED_TEST(RouterStores, FanOutNetBacktracks) {
   EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TYPED_TEST(RouterStores, FanOutNetWeldedReverseHopAfterEveryMidDies) {
+TEST(RouterStores, FanOutNetWeldedReverseHopAfterEveryMidDies) {
   // Every mid's exit fails and back->hub is welded shut: the search must
   // exhaust the hub's children, then leave it backwards over the weld:
   // in, hub, back, join, out.
   const auto star = build_star(256, true);
-  AuditedRouter<TypeParam> router(star.net);
+  AuditedRouter router(star.net);
   for (const auto e : star.mid_exit) router.fail_edge(e);
   router.contract_edge(star.back_to_hub);
   const auto c = router.connect(0, 0);
@@ -805,7 +802,7 @@ TYPED_TEST(RouterStores, FanOutNetWeldedReverseHopAfterEveryMidDies) {
 }
 
 // ---------------------------------------------------------------------------
-// Search work. A seeded churn at half load on the solo store: fill half the
+// Search work. A seeded churn at half load on one session: fill half the
 // terminals, then each step hangs up a random live call and dials a random
 // idle input to a random idle output, so every dial runs a search. Each row
 // of the table is the exact number of vertices the current search visits
@@ -836,7 +833,7 @@ TEST(SearchWork, HalfLoadChurnVisitsNoMoreThanTheRatchet) {
   constexpr std::size_t kSteps = 10000;
   for (const SearchWorkRow& row : kSearchWork) {
     const graph::Network base = networks::build_cantor({row.k, 0});
-    core::GreedyRouter router(base);
+    core::Router router(base);
     graph::Network grown;
     if (row.grown) {
       grown = networks::grow_cantor(base, {row.k, 0});

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/atomic_bitset.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -166,35 +165,6 @@ TEST(ThreadPool, ConstructRunDestroyRepeatedly) {
     total += hits.load();
   }
   EXPECT_EQ(total, 200u * 12u);
-}
-
-TEST(AtomicBitset, TrySetClaimsEachBitExactlyOnce) {
-  AtomicBitset bits(200);
-  EXPECT_TRUE(bits.try_set(67));
-  EXPECT_FALSE(bits.try_set(67));  // second claim of the same bit loses
-  EXPECT_TRUE(bits.test(67));
-  EXPECT_TRUE(bits.try_set(68));  // neighbor in the same word unaffected
-  bits.reset(67);
-  EXPECT_FALSE(bits.test(67));
-  EXPECT_TRUE(bits.try_set(67));  // released bits are claimable again
-  EXPECT_EQ(bits.count(), 2u);
-}
-
-TEST(AtomicBitset, ConcurrentClaimsHaveUniqueWinners) {
-  constexpr std::size_t kBits = 128;
-  constexpr unsigned kThreads = 4;
-  AtomicBitset bits(kBits);
-  std::vector<std::atomic<int>> winners(kBits);
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t)
-    threads.emplace_back([&] {
-      for (std::size_t i = 0; i < kBits; ++i)
-        if (bits.try_set(i)) winners[i].fetch_add(1);
-    });
-  for (auto& th : threads) th.join();
-  for (std::size_t i = 0; i < kBits; ++i)
-    EXPECT_EQ(winners[i].load(), 1) << "bit " << i << " had multiple winners";
-  EXPECT_EQ(bits.count(), kBits);
 }
 
 TEST(Table, PrintsAlignedColumns) {

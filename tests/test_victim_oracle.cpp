@@ -6,12 +6,12 @@
 // handle, its path, and the hop rule re-derived from the test's own model
 // of the overlay. Seeded random storms (open faults, stuck-on welds, weld
 // repairs crossed against their direction, faults on terminal-incident
-// switches, a mid-storm grow()) on Cantor and §6 FT networks run on the
-// solo store, a one-session shared store and four shared sessions; after
-// every event the killed handles and their order must equal the oracle's.
+// switches, a mid-storm grow()) on Cantor and §6 FT networks run on one
+// session and on four; after every event the killed handles and their
+// order must equal the oracle's.
 //
 // RouterStores.CallAtNamesTheCallThroughEveryVertex pins the router query
-// itself on both stores, and RouterStores.CallAtIgnoresEntriesOfAReusedSlot
+// itself, and RouterStores.CallAtIgnoresEntriesOfAReusedSlot
 // its check of an entry a hangup left behind.
 #include <gtest/gtest.h>
 
@@ -33,9 +33,9 @@ namespace {
 
 // ------------------------------------------------------- the router query
 
-TYPED_TEST(RouterStores, CallAtNamesTheCallThroughEveryVertex) {
+TEST(RouterStores, CallAtNamesTheCallThroughEveryVertex) {
   const auto net = networks::build_cantor({4, 0});
-  auto r = make_router<TypeParam>(net);
+  auto r = std::make_unique<core::Router>(net);
   const auto expect_holders = [&](const std::vector<std::uint32_t>& calls) {
     std::vector<std::uint32_t> holder(net.g.vertex_count(), kNone);
     for (const std::uint32_t c : calls)
@@ -71,9 +71,9 @@ TYPED_TEST(RouterStores, CallAtNamesTheCallThroughEveryVertex) {
 // A hangup leaves its owner-map entries behind. Once its slot carries a
 // call on another path, the old entries name a live call whose record no
 // longer holds them: call_at() must answer no call there.
-TYPED_TEST(RouterStores, CallAtIgnoresEntriesOfAReusedSlot) {
+TEST(RouterStores, CallAtIgnoresEntriesOfAReusedSlot) {
   const auto net = networks::build_cantor({4, 0});
-  AuditedRouter<TypeParam> r(net);
+  AuditedRouter r(net);
   const std::uint32_t a = r.connect(0, 5);
   ASSERT_NE(a, kNone);
   const auto old_path = r.path_of(a);
@@ -95,20 +95,15 @@ TYPED_TEST(RouterStores, CallAtIgnoresEntriesOfAReusedSlot) {
 
 // ------------------------------------------------------------- the oracle
 
-template <svc::Backend B, unsigned S>
+template <unsigned S>
 struct Config {
-  static constexpr svc::Backend kBackend = B;
   static constexpr unsigned kSessions = S;
 };
-using Solo = Config<svc::Backend::kGreedy, 1>;
-using Shared = Config<svc::Backend::kConcurrent, 1>;
-using Shared4 = Config<svc::Backend::kConcurrent, 4>;
 
 struct ConfigNames {
   template <class C>
   static std::string GetName(int) {
-    if (C::kBackend == svc::Backend::kGreedy) return "Solo";
-    return C::kSessions == 1 ? "Shared" : "Shared4";
+    return "Sessions" + std::to_string(C::kSessions);
   }
 };
 
@@ -324,7 +319,6 @@ class VictimOracle : public ::testing::Test {
  protected:
   static svc::ExchangeConfig config() {
     svc::ExchangeConfig cfg;
-    cfg.backend = C::kBackend;
     cfg.sessions = C::kSessions;
     return cfg;
   }
@@ -336,7 +330,7 @@ class VictimOracle : public ::testing::Test {
     EXPECT_GT(cov.head_side_kills, 0u);
   }
 };
-using Configs = ::testing::Types<Solo, Shared, Shared4>;
+using Configs = ::testing::Types<Config<1>, Config<4>>;
 TYPED_TEST_SUITE(VictimOracle, Configs, ConfigNames);
 
 TYPED_TEST(VictimOracle, SeededStormsKillExactlyTheFullScansVictims) {
