@@ -29,7 +29,6 @@
 #include <deque>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -42,7 +41,6 @@
 #include "ftcs/verify.hpp"
 #include "graph/digraph.hpp"
 #include "networks/cantor.hpp"
-#include "svc/engine.hpp"
 #include "svc/exchange.hpp"
 #include "svc/federation.hpp"
 #include "util/prng.hpp"
@@ -212,13 +210,13 @@ void BM_ConnectCantorHalfLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectCantorHalfLoad)->Arg(8)->Arg(9);
 
-// The service facade's cost over a bare engine: search-k9's traffic shape
-// (cantor-k, Arg 0, held at half its terminals: each step hangs up a random
-// live call with probability live/n, else dials an idle input to an idle
-// output) served by a default svc::Exchange through call/hangup and by a
-// bare svc::make_engine(net, {}) through connect/disconnect. Both serve the
+// The service facade's cost over the bare router: search-k9's traffic
+// shape (cantor-k, Arg 0, held at half its terminals: each step hangs up a
+// random live call with probability live/n, else dials an idle input to an
+// idle output) served by a default svc::Exchange through call/hangup and by
+// a bare core::Router through session 0's connect/disconnect. Both serve the
 // same seeded stream, step by step, the order alternating per step, so
-// both hold the same calls on the same paths. exchange_ns and engine_ns are
+// both hold the same calls on the same paths. exchange_ns and router_ns are
 // each side's mean ns per dial, verdict_mismatches must read 0. A
 // developer probe with no gate:
 //   ./build/bench_routing --benchmark_filter=BM_ExchangeFacade
@@ -226,7 +224,8 @@ void BM_ExchangeFacade(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const graph::Network net = networks::build_cantor({k, 0});
   svc::Exchange ex(net, {});
-  const std::unique_ptr<svc::Engine> eng = svc::make_engine(net, {});
+  core::Router router(net);
+  core::Router::Session& rs = router.session(0);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   // Idle terminals, and the live calls with the handles of both sides.
   std::vector<std::uint32_t> idle_in(n), idle_out(n);
@@ -234,7 +233,7 @@ void BM_ExchangeFacade(benchmark::State& state) {
   std::iota(idle_out.begin(), idle_out.end(), 0u);
   struct Live {
     svc::CallId id;
-    svc::Engine::RawCall raw;
+    core::Router::CallId raw;
     std::uint32_t in, out;
   };
   std::vector<Live> live;
@@ -247,7 +246,7 @@ void BM_ExchangeFacade(benchmark::State& state) {
     return t;
   };
   using Clock = std::chrono::steady_clock;
-  Clock::duration ex_time{}, eng_time{};
+  Clock::duration ex_time{}, router_time{};
   std::uint64_t dials = 0, mismatches = 0;
   bool exchange_first = true;
   const auto step = [&] {
@@ -255,7 +254,7 @@ void BM_ExchangeFacade(benchmark::State& state) {
     if (!live.empty() && rng.below(n) < live.size()) {
       const auto i = rng.below(live.size());
       if (exchange_first) ex.hangup(live[i].id);
-      eng->disconnect(0, live[i].raw);
+      rs.disconnect(live[i].raw);
       if (!exchange_first) ex.hangup(live[i].id);
       idle_in.push_back(live[i].in);
       idle_out.push_back(live[i].out);
@@ -265,7 +264,6 @@ void BM_ExchangeFacade(benchmark::State& state) {
     }
     const std::uint32_t in = take(idle_in), out = take(idle_out);
     svc::Outcome o;
-    svc::Engine::Connect c;
     const auto exchange = [&] {
       const auto t0 = Clock::now();
       o = ex.call({in, out, 0, in});
@@ -273,24 +271,25 @@ void BM_ExchangeFacade(benchmark::State& state) {
     };
     if (exchange_first) exchange();
     const auto t0 = Clock::now();
-    c = eng->connect(0, in, out);
-    eng_time += Clock::now() - t0;
+    const core::Router::CallId c = rs.connect(in, out);
+    router_time += Clock::now() - t0;
     if (!exchange_first) exchange();
     ++dials;
-    if (o.connected() != (c.reject == svc::RejectReason::kNone) ||
-        o.path_length != c.path_length)
+    const bool routed = c != core::Router::kNoCall;
+    if (o.connected() != routed ||
+        (routed && o.path_length != rs.path_length(c)))
       ++mismatches;
-    if (o.connected() && c.reject == svc::RejectReason::kNone) {
-      live.push_back({o.id, c.call, in, out});
+    if (o.connected() && routed) {
+      live.push_back({o.id, c, in, out});
       return;
     }
     if (o.connected()) ex.hangup(o.id);
-    if (c.reject == svc::RejectReason::kNone) eng->disconnect(0, c.call);
+    if (routed) rs.disconnect(c);
     idle_in.push_back(in);
     idle_out.push_back(out);
   };
   for (std::uint32_t i = 0; i < 4 * n; ++i) step();  // warm up to half load
-  ex_time = eng_time = {};
+  ex_time = router_time = {};
   dials = 0;
   for (auto _ : state) step();
   const auto per_dial = [dials](Clock::duration d) {
@@ -300,7 +299,7 @@ void BM_ExchangeFacade(benchmark::State& state) {
                             static_cast<double>(dials);
   };
   state.counters["exchange_ns"] = per_dial(ex_time);
-  state.counters["engine_ns"] = per_dial(eng_time);
+  state.counters["router_ns"] = per_dial(router_time);
   state.counters["verdict_mismatches"] = static_cast<double>(mismatches);
 }
 BENCHMARK(BM_ExchangeFacade)->Arg(7)->Arg(9);

@@ -47,7 +47,7 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
     bucket.push_back(o);
   };
   // Schedules departures for drained outcomes in commit order: deterministic
-  // given the engine's outcomes.
+  // given the router's outcomes.
   const auto settle_bucket = [&](double now) {
     for (const svc::Outcome& o : bucket) {
       if (!o.connected()) continue;
@@ -130,7 +130,7 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
 
       // Uniform random idle terminal pair (rejection sampling, bounded).
       // On the batched plane idleness is a best-effort check: queued
-      // requests may claim the pair first, and the engine's verdict rules.
+      // requests may claim the pair first, and the router's verdict rules.
       std::uint32_t in = 0, out = 0;
       bool found = false;
       for (int attempt = 0; attempt < 64; ++attempt) {

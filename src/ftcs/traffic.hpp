@@ -10,14 +10,14 @@
 // The simulation drives a svc::Exchange (the service facade over the
 // router), of one session or many. The report's call counters
 // are DERIVED from the exchange's counter deltas (svc::ExchangeStats) —
-// there is one set of books, kept by the engine; the traffic tests assert
+// there is one set of books, kept by the router; the traffic tests assert
 // the derivation's invariants.
 //
 // Two service planes, selected by TrafficParams::epoch_interval:
 //   - 0 (default): the immediate plane on session 0, event by event — the
 //     original low-latency simulation, bit-identical to its pre-fault-plane
 //     behaviour when no schedule is attached;
-//   - > 0: the BATCHED plane across ALL engine sessions — arrivals submit()
+//   - > 0: the BATCHED plane across ALL router sessions — arrivals submit()
 //     into the admission queue and every epoch_interval of simulated time a
 //     drain_all() routes the backlog across the sessions, so the simulator
 //     exercises the same multi-session admission path production traffic

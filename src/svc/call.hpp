@@ -18,9 +18,9 @@ namespace ftcs::svc {
 
 class Exchange;
 
-/// Why a call (or a hangup) was not served. kNone means success. One enum
-/// across the engine AND the admission front-end, so every report
-/// uses the same spelling (to_string below).
+/// Why a call (or a hangup, or a fault event) was not served. kNone means
+/// success. One enum across the router's verdicts AND the admission front
+/// end, so every report uses the same spelling (to_string below).
 enum class RejectReason : std::uint8_t {
   kNone = 0,         // served
   kTerminalBusy,     // input or output slot busy/faulty; no search was run
@@ -31,13 +31,15 @@ enum class RejectReason : std::uint8_t {
   kRefused,          // admission control bounced the request (queue overload)
   kStaleHandle,      // handle's generation expired (hung up, or never issued)
   kForeignHandle,    // handle was issued by a different Exchange
-  kBadSession,       // session index out of range for this engine
+  kBadSession,       // session index out of range for this exchange
   kFaulted,          // call was torn down by the fault plane (a component on
                      // its path died); also the ack a hangup of that handle
                      // receives — informative, not a handle misuse
   kTrunkBusy,        // federation: no usable trunk line toward the callee's
                      // exchange (every group toward it is full or faulted)
   kBadTerminal,      // input or output index out of range for this network
+  kBadSwitch,        // fault event: switch id (or federation shard) out of
+                     // range; nothing was touched
 };
 
 /// Canonical spelling, used verbatim in tables and JSON keys. The switch
@@ -56,6 +58,7 @@ enum class RejectReason : std::uint8_t {
     case RejectReason::kFaulted: return "killed_by_fault";
     case RejectReason::kTrunkBusy: return "rejected_trunk";
     case RejectReason::kBadTerminal: return "bad_terminal";
+    case RejectReason::kBadSwitch: return "bad_switch";
   }
   return "unknown";  // unreachable for in-range values; keeps -Wreturn-type quiet
 }
@@ -69,7 +72,7 @@ inline constexpr RejectReason kAllRejectReasons[] = {
     RejectReason::kRefused,       RejectReason::kStaleHandle,
     RejectReason::kForeignHandle, RejectReason::kBadSession,
     RejectReason::kFaulted,       RejectReason::kTrunkBusy,
-    RejectReason::kBadTerminal,
+    RejectReason::kBadTerminal,   RejectReason::kBadSwitch,
 };
 inline constexpr std::size_t kRejectReasonCount =
     sizeof(kAllRejectReasons) / sizeof(kAllRejectReasons[0]);
@@ -107,8 +110,8 @@ class CallId {
   /// True for a handle that was issued for a connected call (it may still
   /// be stale if the call was since hung up).
   [[nodiscard]] constexpr bool valid() const noexcept { return exchange_ != 0; }
-  /// Engine session that carries the call; hangup() must run on the thread
-  /// currently driving that session (see svc/README.md).
+  /// Router session that carries the call: the shard of the exchange's
+  /// core::Router whose call table holds it.
   [[nodiscard]] constexpr std::uint32_t session() const noexcept {
     return session_;
   }
@@ -120,7 +123,7 @@ class CallId {
  private:
   friend class Exchange;
   std::uint32_t exchange_ = 0;  // issuing Exchange's id; 0 = null handle
-  std::uint32_t session_ = 0;   // engine session holding the call
+  std::uint32_t session_ = 0;   // router session holding the call
   std::uint32_t slot_ = 0;      // index into the session's handle table
   std::uint32_t gen_ = 0;       // slot generation at issue time
 };

@@ -14,17 +14,17 @@ std::atomic<std::uint32_t> next_exchange_id{1};
 
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
     : net_(&net),
-      engine_(make_engine(*net_, EngineOptions{cfg.sessions})),
+      router_(std::make_unique<core::Router>(*net_, cfg.sessions)),
       qos_immediate_(cfg.qos_immediate),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
-      sessions_(engine_->sessions()),
+      sessions_(router_->session_count()),
       front_(cfg.window, cfg.max_queue, cfg.class_deadlines),
       input_count_(static_cast<std::uint32_t>(net.inputs.size())),
       output_count_(static_cast<std::uint32_t>(net.outputs.size())) {}
 
 // ------------------------------------------------------------------ handles
 
-CallId Exchange::issue_handle(unsigned session, Engine::RawCall raw,
+CallId Exchange::issue_handle(unsigned session, core::Router::CallId raw,
                               const CallRequest& req) {
   Session& s = sessions_[session];
   if (raw >= s.slots.size()) s.slots.resize(raw + 1);
@@ -53,22 +53,31 @@ RejectReason Exchange::check_handle(CallId id) const {
 // ---------------------------------------------------------- immediate plane
 
 Outcome Exchange::outcome_of(const CallRequest& req, unsigned session,
-                             std::uint32_t deferrals,
-                             const Engine::Connect& c) {
+                             std::uint32_t deferrals) {
+  core::Router::Session& s = router_->session(session);
+  // The router classifies every refusal once, in its RouterStats: a rise in
+  // rejected_terminal across the connect is a terminal verdict, and any
+  // other refusal found no idle path. No second bookkeeping to drift.
+  const std::uint64_t terminal = s.stats().rejected_terminal;
+  const core::Router::CallId call = s.connect(req.input, req.output);
   Outcome o;
   o.tag = req.tag;
   o.session = session;
   o.deferrals = deferrals;
-  o.reject = c.reject;
-  o.path_length = c.path_length;
-  if (c.reject == RejectReason::kNone)
-    o.id = issue_handle(session, c.call, req);
+  if (call == core::Router::kNoCall) {
+    o.reject = s.stats().rejected_terminal > terminal
+                   ? RejectReason::kTerminalBusy
+                   : RejectReason::kNoPath;
+    return o;
+  }
+  o.path_length = static_cast<std::uint32_t>(s.path_length(call));
+  o.id = issue_handle(session, call, req);
   return o;
 }
 
 Outcome Exchange::call(const CallRequest& req, unsigned session) {
   const RejectReason misuse =
-      session >= engine_->sessions() ? RejectReason::kBadSession
+      session >= sessions() ? RejectReason::kBadSession
       : req.input >= input_count() || req.output >= output_count()
           ? RejectReason::kBadTerminal
           : RejectReason::kNone;
@@ -83,13 +92,9 @@ Outcome Exchange::call(const CallRequest& req, unsigned session) {
     o.reject = misuse;
     return o;
   }
-  const auto route = [&] {
-    return outcome_of(req, session, 0,
-                      engine_->connect(session, req.input, req.output));
-  };
-  if (!qos_immediate_) return route();
+  if (!qos_immediate_) return outcome_of(req, session, 0);
   const auto t0 = std::chrono::steady_clock::now();
-  const Outcome o = route();
+  const Outcome o = outcome_of(req, session, 0);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -119,7 +124,7 @@ RejectReason Exchange::hangup(CallId id) {
   }
   Session& s = sessions_[id.session_];
   Slot& slot = s.slots[id.slot_];
-  engine_->disconnect(id.session_, id.slot_);
+  router_->session(id.session_).disconnect(id.slot_);
   // Retire the slot: bumping the generation invalidates every outstanding
   // copy of this handle, so double hangups and stale copies are caught by
   // check_handle() forever after.
@@ -132,7 +137,7 @@ RejectReason Exchange::hangup(CallId id) {
 
 std::vector<graph::VertexId> Exchange::path_of(CallId id) const {
   if (check_handle(id) != RejectReason::kNone) return {};
-  const auto path = engine_->path_of(id.session_, id.slot_);
+  const auto path = router_->session(id.session_).path(id.slot_);
   return {path.begin(), path.end()};
 }
 
@@ -148,7 +153,7 @@ std::size_t Exchange::drain() {
   front_.open_epoch(batch_);
   const std::size_t m = batch_.size();
   if (m == 0) return 0;
-  const unsigned s_count = engine_->sessions();
+  const unsigned s_count = sessions();
   outs_.resize(m);
   // Session s takes the window's contiguous chunk [m*s/S, m*(s+1)/S) by
   // arrival index. The draining thread commits the window in order, one
@@ -157,8 +162,7 @@ std::size_t Exchange::drain() {
   for (unsigned s = 0; s < s_count; ++s)
     for (std::size_t i = m * s / s_count; i < m * (s + 1) / s_count; ++i) {
       const FrontEnd<Outcome>::Pending& p = batch_[i];
-      outs_[i] = outcome_of(p.req, s, p.deferrals,
-                            engine_->connect(s, p.req.input, p.req.output));
+      outs_[i] = outcome_of(p.req, s, p.deferrals);
       if (p.done) p.done(outs_[i]);
     }
   front_.close_epoch(batch_, outs_, std::chrono::steady_clock::now());
@@ -188,7 +192,7 @@ bool Exchange::path_alive(std::span<const graph::VertexId> path,
   for (const graph::VertexId v : path)
     if (std::find(newly_dead.begin(), newly_dead.end(), v) != newly_dead.end())
       return false;
-  return engine_->path_carried(path);
+  return router_->path_carried(path);
 }
 
 void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
@@ -198,8 +202,8 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
   // the candidates are the (at most two) calls through the endpoints; each
   // is judged by the one hop rule, in (session, slot) order. The victims'
   // busy state must be released BEFORE any dead vertices are fault-claimed.
-  std::array<core::CallRef, 2> cand{engine_->call_at(edge.from),
-                                    engine_->call_at(edge.to)};
+  std::array<core::CallRef, 2> cand{router_->call_at(edge.from),
+                                    router_->call_at(edge.to)};
   const auto key = [](const core::CallRef& c) {
     return std::pair(c.session, c.call);
   };
@@ -208,9 +212,9 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
   for (const core::CallRef& c : cand) {
     const std::uint32_t s = c.session;
     const std::uint32_t slot_idx = c.call;
-    if (slot_idx == Engine::kNoRawCall) continue;
+    if (slot_idx == core::Router::kNoCall) continue;
     Slot& slot = sessions_[s].slots[slot_idx];
-    const auto path = engine_->path_of(s, slot_idx);
+    const auto path = router_->session(s).path(slot_idx);
     if (path_alive(path, newly_dead)) continue;
     Outcome dead;
     dead.reject = RejectReason::kFaulted;
@@ -223,7 +227,7 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
     dead.id.slot_ = slot_idx;
     dead.id.gen_ = slot.gen;
     impact.killed.push_back(dead);
-    engine_->disconnect(s, slot_idx);
+    router_->session(s).disconnect(slot_idx);
     slot.live = false;
     slot.retired_by_fault = true;
     ++slot.gen;
@@ -234,7 +238,7 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
 void Exchange::reroute_victims(FaultImpact& impact) {
   // Immediate re-admission: each victim's original request routes again on
   // the victim's own session, in kill order. Their terminals are free again
-  // (the kill released them); whether a detour exists is the engine's
+  // (the kill released them); whether a detour exists is the router's
   // verdict. The admission queue is not touched. Every request is copied
   // before any routes, because a reroute may take a later victim's slot.
   if (impact.killed.empty()) return;
@@ -245,9 +249,7 @@ void Exchange::reroute_victims(FaultImpact& impact) {
   impact.reroutes.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const unsigned s = impact.killed[i].session;
-    impact.reroutes.push_back(outcome_of(
-        reqs[i], s, 0,
-        engine_->connect(s, reqs[i].input, reqs[i].output)));
+    impact.reroutes.push_back(outcome_of(reqs[i], s, 0));
     if (impact.reroutes.back().connected())
       ++impact.reroute_succeeded;
     else
@@ -257,11 +259,19 @@ void Exchange::reroute_victims(FaultImpact& impact) {
   front_.plane_rows().reroute_failed += impact.reroute_failed;
 }
 
+bool Exchange::switch_exists(FaultImpact& impact) {
+  if (impact.event.edge < net_->g.edge_count()) return true;
+  impact.reject = RejectReason::kBadSwitch;
+  handle_errors_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
 FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   FaultImpact impact;
   impact.event = ev;
+  if (!switch_exists(impact)) return impact;
   ensure_fault_state();
-  if (engine_->edge_failed(ev.edge) || engine_->edge_contracted(ev.edge))
+  if (router_->edge_failed(ev.edge) || router_->edge_contracted(ev.edge))
     return impact;  // already down (in either failure mode)
 
   if (ev.kind == fault::FaultEvent::Kind::kStuckOn) {
@@ -269,10 +279,10 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
     // over the switch is still carried by the weld — and no vertex dies
     // (§6 death is about unusable switches; this one conducts, both ways).
     // Only the feasibility bookkeeping moves: the switch is down until
-    // repaired, and the engines route across it in both directions
+    // repaired, and the router routes across it in both directions
     // (runtime contraction).
     ++front_.plane_rows().faults_stuck;
-    engine_->contract_edge(ev.edge);
+    router_->contract_edge(ev.edge);
     if (welds_->add_weld(ev.edge)) {
       // This weld bridged two terminals into one electrical node: the
       // Lemma 7 catastrophe, raised at the triggering inject.
@@ -291,7 +301,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   }
 
   ++front_.plane_rows().faults_injected;
-  engine_->fail_edge(ev.edge);
+  router_->fail_edge(ev.edge);
 
   // §6 vertex death: a non-terminal vertex is faulty while ANY incident
   // switch is OPEN-failed; it dies with the first one. Terminals stay
@@ -308,7 +318,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   const std::span<const graph::VertexId> newly_dead(dead.data(), dead_count);
 
   reap_victims(impact, edge, newly_dead);
-  for (const graph::VertexId v : newly_dead) engine_->kill_vertex(v);
+  for (const graph::VertexId v : newly_dead) router_->kill_vertex(v);
   reroute_victims(impact);
   return impact;
 }
@@ -316,9 +326,10 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
 FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
   FaultImpact impact;
   impact.event = ev;
+  if (!switch_exists(impact)) return impact;
   ensure_fault_state();
 
-  if (engine_->edge_contracted(ev.edge)) {
+  if (router_->edge_contracted(ev.edge)) {
     // Un-welding a stuck-on contact: the switch is a normal switching
     // element again. A call that crossed it ALONG its direction keeps its
     // path (the hop is carried by the now-normal switch); a call that
@@ -327,7 +338,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
     // open-failure victim. No vertex state moves (stuck-on never killed
     // any).
     ++front_.plane_rows().faults_repaired;
-    engine_->uncontract_edge(ev.edge);
+    router_->uncontract_edge(ev.edge);
     if (welds_->remove_weld(ev.edge)) {
       // The clearing repair: the last terminal bridge dissolved. Echo the
       // pair the raise reported so operators can correlate the two.
@@ -346,16 +357,16 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
     return impact;
   }
 
-  if (!engine_->edge_failed(ev.edge)) return impact;  // not down
+  if (!router_->edge_failed(ev.edge)) return impact;  // not down
   ++front_.plane_rows().faults_repaired;
   const auto& edge = net_->g.edge(ev.edge);
   for (const graph::VertexId v : {edge.from, edge.to}) {
     if (!is_terminal_[v] && vertex_fault_degree_[v] > 0 &&
         --vertex_fault_degree_[v] == 0)
-      engine_->revive_vertex(v);
+      router_->revive_vertex(v);
     if (edge.from == edge.to) break;  // self-loop: one decrement
   }
-  engine_->repair_edge(ev.edge);
+  router_->repair_edge(ev.edge);
   return impact;
 }
 
@@ -399,16 +410,16 @@ GrowthReport Exchange::grow(graph::Network grown) {
   rep.switches_added = new_e - old_e;
   rep.inputs_added = grown.inputs.size() - old_net.inputs.size();
   rep.outputs_added = grown.outputs.size() - old_net.outputs.size();
-  rep.calls_carried = engine_->active_calls();
+  rep.calls_carried = router_->active_calls();
 
-  // Commit. The old network must stay alive until the engine has moved off
+  // Commit. The old network must stay alive until the router has moved off
   // it, so the grown one moves into a fresh slot first and the owning
   // pointer is swapped last.
   auto next = std::make_unique<graph::Network>(std::move(grown));
-  engine_->grow(*next);
+  router_->grow(*next);
 
   if (welds_) {
-    // Fault bookkeeping keeps its ids (the engine extended the switch and
+    // Fault bookkeeping keeps its ids (the router extended the switch and
     // vertex overlay itself): the vertex fault degrees extend with healthy
     // tail entries, and the terminal flags are recomputed over the grown
     // terminal lists.
@@ -423,7 +434,7 @@ GrowthReport Exchange::grow(graph::Network grown) {
     // welds first landed.
     welds_.emplace(*next);
     for (graph::EdgeId e = 0; e < old_e; ++e)
-      if (engine_->edge_contracted(e)) (void)welds_->add_weld(e);
+      if (router_->edge_contracted(e)) (void)welds_->add_weld(e);
   }
 
   owned_net_ = std::move(next);
@@ -445,7 +456,7 @@ GrowthReport Exchange::grow(graph::Network grown) {
 
 ExchangeStats Exchange::stats() const {
   ExchangeStats st = front_.books();
-  st.router = engine_->stats();
+  st.router = router_->stats();
   for (const Session& s : sessions_) {
     st.hangups += s.hangups;
     for (std::size_t c = 0; c < ops::kQosClasses; ++c)
@@ -456,7 +467,7 @@ ExchangeStats Exchange::stats() const {
 }
 
 void Exchange::reset_stats() {
-  engine_->reset_stats();
+  router_->reset_stats();
   front_.reset_books();
   for (Session& s : sessions_) {
     s.hangups = 0;

@@ -3,22 +3,22 @@
 // The paper's networks are telephone exchanges (Clos [Cl]): an exchange
 // serves calls, it does not expose raw connect(in, out) pokes at a router.
 // Exchange is that service facade. It owns the fault plane (and optionally
-// the network), serves typed CallRequests through an Engine backend (one
-// core::Router with ExchangeConfig::sessions session shards), and hands back
-// generation-tagged CallId handles whose misuse — stale handle, double
-// hangup, handle from another Exchange, a terminal that does not exist — is
-// a typed error, never corrupted busy state.
+// the network), serves typed CallRequests by calling one core::Router
+// (ftcs/router.hpp, ExchangeConfig::sessions session shards) directly, and
+// hands back generation-tagged CallId handles whose misuse — stale handle,
+// double hangup, handle from another Exchange, a terminal or switch that
+// does not exist — is a typed error, never corrupted busy state.
 //
 // Two service planes:
-//   - IMMEDIATE: call(req, session) routes now on one engine session and
+//   - IMMEDIATE: call(req, session) routes now on one router session and
 //     returns the Outcome; hangup(id) releases. This is the low-latency,
 //     event-driven plane (the traffic simulation lives here).
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
 //     admission epoch — the highest-priority ExchangeConfig::window of
 //     queued requests (the whole queue when the window is 0) is split by
-//     arrival index into one contiguous chunk per engine session, and the
+//     arrival index into one contiguous chunk per router session, and the
 //     draining thread commits the window in order, one request at a time,
-//     through Engine::connect.
+//     through core::Router's connect.
 //     Completions are delivered through the callback (on the draining
 //     thread, right after the request commits) or a pollable Ticket.
 //     Requests beyond the window stay queued (Deferred, counted per epoch
@@ -49,7 +49,7 @@
 #include "fault/weld_components.hpp"
 #include "ops/latency.hpp"
 #include "svc/call.hpp"
-#include "svc/engine.hpp"
+#include "ftcs/router.hpp"
 #include "svc/front_end.hpp"
 
 namespace ftcs::svc {
@@ -60,6 +60,9 @@ namespace ftcs::svc {
 /// outcome for killed[i], routed on killed[i]'s session).
 struct FaultImpact {
   fault::FaultEvent event;
+  /// kBadSwitch iff the event named a switch the network does not have;
+  /// then nothing was touched. kNone otherwise.
+  RejectReason reject = RejectReason::kNone;
   std::vector<Outcome> killed;    // reject == kFaulted; id is the dead handle
   std::vector<Outcome> reroutes;  // index-aligned with killed
   std::uint64_t reroute_succeeded = 0;
@@ -97,7 +100,7 @@ enum class Backend : std::uint8_t { kGreedy, kConcurrent };
 struct ExchangeConfig {
   /// RETIRED, read by nothing (see Backend).
   Backend backend = Backend::kGreedy;
-  /// Engine sessions: router shards, each with its own call table; a drain
+  /// Router sessions (shards), each with its own call table; a drain
   /// splits its window across them. 0 means 1.
   unsigned sessions = 1;
   /// Batched plane: drain() admits at most this many queued requests per
@@ -196,18 +199,21 @@ class Exchange {
   //     original request again on the victim's own session, in kill order.
   //     The admission queue is untouched: a queued backlog waits for the
   //     next drain(), and no fault event runs an admission epoch.
-  //   - kStuckOn (closed): the switch welds conducting — the engines route
+  //   - kStuckOn (closed): the switch welds conducting — the router routes
   //     across it in both directions (runtime contraction). NO call dies
-  //     (a path over the weld is still carried) and NO vertex dies (§6 death is about unusable switches; this
-  //     one conducts). Only the feasibility bookkeeping moves: the switch
-  //     counts as down until repaired.
+  //     (a path over the weld is still carried) and NO vertex dies (§6
+  //     death is about unusable switches; this one conducts). Only the
+  //     feasibility bookkeeping moves: the switch counts as down until
+  //     repaired.
   // repair() reverses either failure. Repairing an OPEN switch revives a
   // vertex when its last open-failed incident switch heals and kills
   // nothing. Repairing a STUCK-ON switch un-welds the contact: calls that
   // crossed it AGAINST its direction (the weld conducts both ways; a normal
   // switch does not) lose their conductor and are torn down + re-admitted
   // exactly like open-failure victims. All operations are idempotent per
-  // switch state and count into ExchangeStats.
+  // switch state and count into ExchangeStats. An event naming a switch the
+  // network does not have is answered FaultImpact::reject == kBadSwitch,
+  // counted into ExchangeStats::handle_errors, and touches nothing else.
   FaultImpact inject(const fault::FaultEvent& ev);
   FaultImpact repair(const fault::FaultEvent& ev);
   /// Dispatches on ev.kind — the one-liner consumers of a FaultSchedule use.
@@ -215,14 +221,14 @@ class Exchange {
     return ev.kind == fault::FaultEvent::Kind::kRepair ? repair(ev)
                                                        : inject(ev);
   }
-  /// Switches currently down, open-failed or stuck-on (the engine's
+  /// Switches currently down, open-failed or stuck-on (the router's
   /// overlay, which every inject/repair updates).
   [[nodiscard]] std::size_t failed_switch_count() const {
-    return engine_->failed_edge_count() + engine_->contracted_edge_count();
+    return router_->failed_edge_count() + router_->contracted_edge_count();
   }
   /// The stuck-on subset of failed_switch_count().
   [[nodiscard]] std::size_t stuck_switch_count() const {
-    return engine_->contracted_edge_count();
+    return router_->contracted_edge_count();
   }
   /// Live Lemma 7 state: true while the current weld chain contracts two
   /// distinct terminals into one electrical node. Equivalent to
@@ -258,14 +264,14 @@ class Exchange {
 
   // ------------------------------------------------------- introspection
   [[nodiscard]] unsigned sessions() const noexcept {
-    return engine_->sessions();
+    return router_->session_count();
   }
   [[nodiscard]] const graph::Network& network() const noexcept { return *net_; }
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
-    return engine_->input_idle(in);
+    return router_->input_idle(in);
   }
   [[nodiscard]] bool output_idle(std::uint32_t out) const {
-    return engine_->output_idle(out);
+    return router_->output_idle(out);
   }
   /// Terminal counts. Thread-safe: grow() only raises them.
   [[nodiscard]] std::size_t input_count() const noexcept {
@@ -275,21 +281,21 @@ class Exchange {
     return output_count_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t active_calls() const {
-    return engine_->active_calls();
+    return router_->active_calls();
   }
   [[nodiscard]] std::size_t busy_vertices() const {
-    return engine_->busy_vertices();
+    return router_->busy_vertices();
   }
-  /// Engine + front-end counters, merged. Exact when no serialized entry
+  /// Router + front-end counters, merged. Exact when no serialized entry
   /// is running.
   [[nodiscard]] ExchangeStats stats() const;
   void reset_stats();
 
  private:
-  /// One handle-table shard per engine session. A handle's slot IS its
-  /// engine call's raw id: the engine hands each raw id to one live
-  /// call at a time, and the fault plane maps Engine::call_at's answer to
-  /// its slot without a search.
+  /// One handle-table shard per router session. A handle's slot IS its
+  /// router call id: the session hands each id to one live call at a
+  /// time, and the fault plane maps core::Router::call_at's answer to its
+  /// slot without a search.
   struct Slot {
     std::uint32_t gen = 1;  // bumped on retire; a handle is live iff its
                             // gen matches AND live is set
@@ -308,19 +314,23 @@ class Exchange {
     ops::ClassBook classes{};
   };
 
-  CallId issue_handle(unsigned session, Engine::RawCall raw,
+  CallId issue_handle(unsigned session, core::Router::CallId raw,
                       const CallRequest& req);
   /// submit()'s answer to a request naming a terminal that does not exist.
   Ticket bounce_bad_terminal(const CallRequest& req, CompletionFn done);
   /// Validates a handle: kNone if it is live here, else the typed error.
   RejectReason check_handle(CallId id) const;
-  /// The Outcome of `req` routed on `session` as `c` says, with its
-  /// handle issued when `c` connected.
+  /// Routes `req` on `session` and returns its Outcome, with its handle
+  /// issued when it connected: the one place a router refusal is
+  /// classified.
   Outcome outcome_of(const CallRequest& req, unsigned session,
-                     std::uint32_t deferrals, const Engine::Connect& c);
+                     std::uint32_t deferrals);
+  /// True iff `impact.event` names a switch of the network; otherwise
+  /// answers it kBadSwitch and books the misuse.
+  bool switch_exists(FaultImpact& impact);
   /// Sizes the fault-plane bookkeeping on the first event (off hot paths).
   void ensure_fault_state();
-  /// True iff `path` avoids `newly_dead` and the engine still carries
+  /// True iff `path` avoids `newly_dead` and the router still carries
   /// every hop. A live path never crosses a vertex that was already dead.
   [[nodiscard]] bool path_alive(std::span<const graph::VertexId> path,
                                 std::span<const graph::VertexId> newly_dead)
@@ -338,7 +348,10 @@ class Exchange {
 
   std::unique_ptr<graph::Network> owned_net_;  // set only by grow()
   const graph::Network* net_;
-  std::unique_ptr<Engine> engine_;
+  // On the heap, not by value: a router inside the Exchange shifts the heap
+  // layout of a freed and rebuilt cantor-k9 exchange enough to read +46%
+  // search-k9 setup_s in perfbench.
+  std::unique_ptr<core::Router> router_;
   bool qos_immediate_ = false;
   std::uint32_t id_;  // process-unique, tagged into every CallId
   std::vector<Session> sessions_;
@@ -352,7 +365,7 @@ class Exchange {
   // rows through plane_rows() on the serializing thread.
   FrontEnd<Outcome> front_;
   // Fault-plane policy (sized lazily by the first event). The switch state
-  // itself lives in the engine's overlay. A vertex is §6-faulty while any
+  // itself lives in the router's overlay. A vertex is §6-faulty while any
   // incident switch is OPEN-failed — vertex_fault_degree_ counts those
   // (stuck-on switches conduct, so they never contribute).
   std::vector<std::uint32_t> vertex_fault_degree_;

@@ -362,8 +362,18 @@ void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
   }
 }
 
+bool Federation::shard_exists(unsigned shard, const fault::FaultEvent& ev,
+                              FedFaultImpact& out) {
+  if (shard < shards()) return true;
+  out.member.event = ev;
+  out.member.reject = RejectReason::kBadSwitch;
+  ++stats_.handle_errors;
+  return false;
+}
+
 FedFaultImpact Federation::inject(unsigned shard, const fault::FaultEvent& ev) {
   FedFaultImpact out;
+  if (!shard_exists(shard, ev, out)) return out;
   out.member = members_[shard]->inject(ev);
   reconcile_member_impact(shard, out);
   return out;
@@ -373,6 +383,7 @@ FedFaultImpact Federation::repair(unsigned shard, const fault::FaultEvent& ev) {
   // A repair can kill too: un-welding a stuck-on switch tears down calls
   // that crossed it against its direction. Same reconciliation.
   FedFaultImpact out;
+  if (!shard_exists(shard, ev, out)) return out;
   out.member = members_[shard]->repair(ev);
   reconcile_member_impact(shard, out);
   return out;

@@ -125,7 +125,8 @@ struct FederationStats {
   std::uint64_t reroute_succeeded = 0;  // end-to-end re-admissions carried
   std::uint64_t reroute_failed = 0;
   std::uint64_t handle_errors = 0;  // federation-level misuse (null/foreign/
-                                    // stale federation handles)
+                                    // stale federation handles, bad global
+                                    // terminals, fault events on no shard)
 
   /// The field table (util/stat_fields.hpp). `members` and `trunks` merge
   /// through their own operators. The fed_ names keep the reroute and
@@ -329,7 +330,9 @@ class Federation {
   TrunkFaultImpact fail_trunk(std::uint32_t group, std::uint32_t line);
   /// Restores a failed line to the claimable pool.
   TrunkFaultImpact repair_trunk(std::uint32_t group, std::uint32_t line);
-  /// Member fault, federation-reconciled (see file comment).
+  /// Member fault, federation-reconciled (see file comment). A shard the
+  /// federation does not have is answered member.reject == kBadSwitch,
+  /// counted into FederationStats::handle_errors, and touches nothing else.
   FedFaultImpact inject(unsigned shard, const fault::FaultEvent& ev);
   FedFaultImpact repair(unsigned shard, const fault::FaultEvent& ev);
 
@@ -401,6 +404,10 @@ class Federation {
   /// `impact` (a TrunkFaultImpact or FedFaultImpact).
   template <class Impact>
   void kill_inter(std::uint32_t slot, Impact& impact);
+  /// True iff `shard` names a member; otherwise answers `out` kBadSwitch
+  /// for `ev` and books the misuse.
+  bool shard_exists(unsigned shard, const fault::FaultEvent& ev,
+                    FedFaultImpact& out);
   /// Shared half-call reconciliation behind inject()/repair().
   void reconcile_member_impact(unsigned shard, FedFaultImpact& out);
   /// half_owner_ entry for member `shard`'s handle `half` (grown on demand).

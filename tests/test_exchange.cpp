@@ -1,7 +1,9 @@
-// svc::Exchange — the session-oriented call service facade: typed
-// rejections, generation-tagged handle safety, engine equivalence through
-// the facade, batched admission (defer/refuse), async completion, and the
-// drain's split of each window into per-session chunks by arrival index.
+// svc::Exchange — the session-oriented call service facade over one
+// core::Router: typed rejections (bad terminals and bad switches
+// included), generation-tagged handle safety, session-count equivalence
+// through the facade, batched admission (defer/refuse), async completion,
+// and the drain's split of each window into per-session chunks by arrival
+// index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,6 +182,52 @@ TEST(Exchange, OutOfRangeTerminalsAreTypedErrors) {
   EXPECT_EQ(ex.active_calls(), 0u);
 }
 
+// A fault event naming a switch the network does not have is a typed
+// error: kBadSwitch, booked into handle_errors, and nothing else moves. No
+// call dies, no switch goes down, and every other stats() row reads as
+// before. Both ids, edge_count() and far beyond it, for each event kind.
+TEST(Exchange, OutOfRangeSwitchesAreTypedErrors) {
+  using Kind = fault::FaultEvent::Kind;
+  const auto net = networks::build_cantor({3, 0});
+  Exchange ex(net, {});
+  const Outcome live = ex.call({0, 1, 0, 7});
+  ASSERT_TRUE(live.connected());
+  const ExchangeStats before = ex.stats();
+  const auto edges = static_cast<graph::EdgeId>(net.g.edge_count());
+  std::uint64_t events = 0;
+  for (const graph::EdgeId e : {edges, graph::EdgeId{50'000'000}})
+    for (const Kind kind : {Kind::kFail, Kind::kStuckOn, Kind::kRepair}) {
+      const FaultImpact imp = ex.apply({0.0, e, kind});
+      EXPECT_EQ(imp.reject, RejectReason::kBadSwitch);
+      EXPECT_EQ(imp.event.edge, e);
+      EXPECT_EQ(imp.calls_killed(), 0u);
+      EXPECT_TRUE(imp.reroutes.empty());
+      EXPECT_FALSE(imp.alarm.has_value());
+      EXPECT_EQ(ex.stats().handle_errors, before.handle_errors + ++events);
+    }
+  EXPECT_STREQ(to_string(RejectReason::kBadSwitch), "bad_switch");
+  EXPECT_EQ(ex.failed_switch_count(), 0u);
+  EXPECT_FALSE(ex.shorted());
+  EXPECT_EQ(ex.active_calls(), 1u);
+  EXPECT_EQ(ex.path_of(live.id).size(), live.path_length);
+  const ExchangeStats after = ex.stats();
+  for (const auto& f : ExchangeStats::fields()) {
+    if (f.member != &ExchangeStats::handle_errors) {
+      EXPECT_EQ(after.*f.member, before.*f.member) << f.name;
+    }
+  }
+  const auto router_rows = core::RouterStats::fields();
+  for (std::size_t i = 0; i < router_rows.size(); ++i)
+    EXPECT_EQ(after.router.*router_rows[i].member,
+              before.router.*router_rows[i].member)
+        << "router row " << i;
+  // The last switch is in range.
+  EXPECT_EQ(ex.inject({0.0, edges - 1, Kind::kFail}).reject,
+            RejectReason::kNone);
+  EXPECT_EQ(ex.failed_switch_count(), 1u);
+  EXPECT_EQ(ex.stats().handle_errors, before.handle_errors + events);
+}
+
 // A 4-session Exchange whose calls spread over its sessions must be
 // trace-identical to a 1-session one on a fixed request trace — outcomes,
 // paths, and the full ExchangeStats block.
@@ -230,7 +278,7 @@ TEST(Exchange, EngineEquivalenceThroughFacade) {
 }
 
 // Batched plane: the same trace submitted through batched admission
-// (unbounded window, 1 session) produces the same engine books as the
+// (unbounded window, 1 session) produces the same router books as the
 // immediate plane.
 TEST(Exchange, BatchedUnboundedMatchesImmediate) {
   const auto net = networks::build_clos({2, 3, 4});

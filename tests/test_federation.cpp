@@ -253,6 +253,42 @@ TEST(FederationCalls, HandleSafetyNullForeignAndBadTerminal) {
   EXPECT_EQ(bad.reject, RejectReason::kBadTerminal);
 }
 
+// A member fault aimed at a shard the federation does not have is a typed
+// error, booked into the federation's handle_errors; no member moves.
+TEST(FederationFaults, MemberEventOnNoShardIsATypedError) {
+  const auto net = networks::build_cantor({4, 0});
+  Federation fed(net, 2);
+  ASSERT_TRUE(fed.call({fed.global_of(0, 2), fed.global_of(1, 2), 0, 9})
+                  .connected());
+  const FederationStats before = fed.stats();
+  fault::FaultEvent ev;
+  ev.edge = 0;
+  const FedFaultImpact inj = fed.inject(fed.shards(), ev);
+  EXPECT_EQ(inj.member.reject, RejectReason::kBadSwitch);
+  EXPECT_EQ(inj.member.event.edge, 0u);
+  ev.kind = fault::FaultEvent::Kind::kRepair;
+  const FedFaultImpact rep = fed.repair(fed.shards(), ev);
+  EXPECT_EQ(rep.member.reject, RejectReason::kBadSwitch);
+  for (const FedFaultImpact* imp : {&inj, &rep}) {
+    EXPECT_TRUE(imp->member.killed.empty());
+    EXPECT_TRUE(imp->killed.empty());
+    EXPECT_EQ(imp->halves_hit, 0u);
+  }
+  const FederationStats after = fed.stats();
+  EXPECT_EQ(after.handle_errors, before.handle_errors + 2);
+  EXPECT_EQ(after.members.handle_errors, before.members.handle_errors);
+  EXPECT_EQ(after.members.faults_injected, 0u);
+  EXPECT_EQ(after.members.faults_repaired, 0u);
+  EXPECT_EQ(fed.member(0).failed_switch_count(), 0u);
+  EXPECT_EQ(fed.member(1).failed_switch_count(), 0u);
+  EXPECT_EQ(fed.active_inter_calls(), 1u);
+  // A bad switch on a real shard is the member's own typed error.
+  ev.edge = static_cast<graph::EdgeId>(net.g.edge_count());
+  EXPECT_EQ(fed.inject(1, ev).member.reject, RejectReason::kBadSwitch);
+  EXPECT_EQ(fed.stats().members.handle_errors,
+            before.members.handle_errors + 1);
+}
+
 /// Drives typed per-stage refusals: a busy terminal is refused before the
 /// trunk stage and a full trunk group before either half, so no stage
 /// leaves a claim (trunk line, ingress half) behind.

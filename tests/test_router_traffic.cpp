@@ -117,7 +117,7 @@ void expect_report_agrees_with_stats(const TrafficReport& report) {
   EXPECT_EQ(report.carried + report.blocked, report.offered);
   EXPECT_EQ(report.blocked, r.rejected_no_path);
   // The simulator pre-checks terminal idleness, so nothing should ever be
-  // rejected at a terminal by the engine on the single-session plane.
+  // rejected at a terminal by the router on the single-session plane.
   EXPECT_EQ(r.rejected_terminal, 0u);
   // Every carried call is hung up by the end of the run.
   EXPECT_EQ(report.service.hangups, report.carried);

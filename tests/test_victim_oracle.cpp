@@ -1,8 +1,8 @@
 // The fault plane's victim lookup against the full scan it replaced.
 //
 // Exchange::inject/repair find an event's victims by index: the calls
-// through the switch's two endpoints (Engine::call_at), judged by the one
-// hop rule. The oracle here is the old sweep, kept test-side: every live
+// through the switch's two endpoints (core::Router::call_at), judged by the
+// one hop rule. The oracle here is the old sweep, kept test-side: every live
 // handle, its path, and the hop rule re-derived from the test's own model
 // of the overlay. Seeded random storms (open faults, stuck-on welds, weld
 // repairs crossed against their direction, faults on terminal-incident
