@@ -214,7 +214,7 @@ BENCHMARK(BM_ConnectCantorHalfLoad)->Arg(8)->Arg(9);
 // shape (cantor-k, Arg 0, held at half its terminals: each step hangs up a
 // random live call with probability live/n, else dials an idle input to an
 // idle output) served by a default svc::Exchange through call/hangup and by
-// a bare core::Router through session 0's connect/disconnect. Both serve the
+// a bare core::Router through its own connect/disconnect. Both serve the
 // same seeded stream, step by step, the order alternating per step, so
 // both hold the same calls on the same paths. exchange_ns and router_ns are
 // each side's mean ns per dial, verdict_mismatches must read 0. A
@@ -225,7 +225,6 @@ void BM_ExchangeFacade(benchmark::State& state) {
   const graph::Network net = networks::build_cantor({k, 0});
   svc::Exchange ex(net, {});
   core::Router router(net);
-  core::Router::Session& rs = router.session(0);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   // Idle terminals, and the live calls with the handles of both sides.
   std::vector<std::uint32_t> idle_in(n), idle_out(n);
@@ -254,7 +253,7 @@ void BM_ExchangeFacade(benchmark::State& state) {
     if (!live.empty() && rng.below(n) < live.size()) {
       const auto i = rng.below(live.size());
       if (exchange_first) ex.hangup(live[i].id);
-      rs.disconnect(live[i].raw);
+      router.disconnect(live[i].raw);
       if (!exchange_first) ex.hangup(live[i].id);
       idle_in.push_back(live[i].in);
       idle_out.push_back(live[i].out);
@@ -271,20 +270,20 @@ void BM_ExchangeFacade(benchmark::State& state) {
     };
     if (exchange_first) exchange();
     const auto t0 = Clock::now();
-    const core::Router::CallId c = rs.connect(in, out);
+    const core::Router::CallId c = router.connect(in, out);
     router_time += Clock::now() - t0;
     if (!exchange_first) exchange();
     ++dials;
     const bool routed = c != core::Router::kNoCall;
     if (o.connected() != routed ||
-        (routed && o.path_length != rs.path_length(c)))
+        (routed && o.path_length != router.path_length(c)))
       ++mismatches;
     if (o.connected() && routed) {
       live.push_back({o.id, c, in, out});
       return;
     }
     if (o.connected()) ex.hangup(o.id);
-    if (routed) rs.disconnect(c);
+    if (routed) router.disconnect(c);
     idle_in.push_back(in);
     idle_out.push_back(out);
   };
@@ -305,27 +304,24 @@ void BM_ExchangeFacade(benchmark::State& state) {
 BENCHMARK(BM_ExchangeFacade)->Arg(7)->Arg(9);
 
 // The batched drain's cost per request: an exchange on cantor-k (Arg 0)
-// with S sessions (Arg 1) serves windows of W requests (Arg 2), W distinct
-// inputs to W distinct outputs, through submit + drain_all, and hangs each
-// window's calls up before the next. items_per_second counts requests. A
+// serves windows of W requests (Arg 1), W distinct inputs to W distinct
+// outputs, through submit + drain_all, and hangs each window's calls up
+// before the next. items_per_second counts requests. A
 // developer probe with no gate:
 //   ./build/bench_routing --benchmark_filter=BM_DrainWindow
 void BM_DrainWindow(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
-  const auto window = static_cast<std::size_t>(state.range(2));
+  const auto window = static_cast<std::size_t>(state.range(1));
   const graph::Network net = networks::build_cantor({k, 0});
-  svc::ExchangeConfig cfg;
-  cfg.sessions = static_cast<unsigned>(state.range(1));
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net, {});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   std::vector<std::uint32_t> ins(n), outs(n);
   std::iota(ins.begin(), ins.end(), 0u);
   std::iota(outs.begin(), outs.end(), 0u);
   util::Xoshiro256 rng(util::derive_seed(26, k));
-  // Callbacks fill their serving session's list only.
-  std::vector<std::vector<svc::CallId>> live(ex.sessions());
+  std::vector<svc::CallId> live;
   const svc::Exchange::CompletionFn done = [&live](const svc::Outcome& o) {
-    if (o.connected()) live[o.session].push_back(o.id);
+    if (o.connected()) live.push_back(o.id);
   };
   for (auto _ : state) {
     for (std::size_t i = 0; i < window; ++i) {
@@ -334,24 +330,21 @@ void BM_DrainWindow(benchmark::State& state) {
       ex.submit({ins[i], outs[i]}, done);
     }
     benchmark::DoNotOptimize(ex.drain_all());
-    for (auto& calls : live) {
-      for (const svc::CallId id : calls) ex.hangup(id);
-      calls.clear();
-    }
+    for (const svc::CallId id : live) ex.hangup(id);
+    live.clear();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(window));
 }
 BENCHMARK(BM_DrainWindow)
-    ->Args({6, 2, 32})
-    ->Args({7, 4, 64})
-    ->Args({9, 2, 64})
-    ->Args({9, 4, 128})
-    ->Args({9, 4, 256})
+    ->Args({6, 32})
+    ->Args({7, 64})
+    ->Args({9, 64})
+    ->Args({9, 128})
+    ->Args({9, 256})
     ->UseRealTime();
 
-// The federation's batched plane: 4 x cantor-k7 members (one session each,
-// as every federation member is), 384 subscribers.
+// The federation's batched plane: 4 x cantor-k7 members, 384 subscribers.
 // Each iteration is one epoch: hang up the calls older than 4 epochs,
 // offer up to 64 requests from idle inputs to random outputs through
 // submit, and serve them with drain_all. 4000 epochs per run.
@@ -416,7 +409,7 @@ void BM_FederationDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_FederationDrain)->Iterations(4000);
 
-// Hitless growth's pause: a default exchange (one session) on
+// Hitless growth's pause: a default exchange on
 // cantor-k (Arg k) held at half load, n/2 calls from distinct idle inputs
 // to distinct idle outputs on a seeded stream, then doubled live to the
 // next order (networks::grow_cantor + Exchange::grow). A grown exchange

@@ -12,9 +12,8 @@
 // counting rounds where the full matching exists, with and without faults.
 //
 // Each round is also SERVED, not just verified: the scheduler's chosen
-// processor->task pairing is submitted as a batch to a two-session
-// svc::Exchange and drained in admission epochs ("svc
-// carried" column). Matching existence is a maxflow fact about SOME
+// processor->task pairing is submitted as a batch to an svc::Exchange and
+// drained in admission epochs ("svc carried" column). Matching existence is a maxflow fact about SOME
 // pairing; the exchange must realize ONE SPECIFIC pairing greedily, so its
 // carried fraction lower-bounds the matching column.
 #include <cstdlib>
@@ -71,7 +70,6 @@ RoundResult run_round(const graph::Network& net, std::size_t r,
 
   // Serve the pairing: batch-submit, drain in admission epochs of 8.
   svc::ExchangeConfig cfg;
-  cfg.sessions = 2;
   cfg.window = 8;
   svc::Exchange exchange(net, std::move(cfg));
   if (faults)

@@ -1,7 +1,7 @@
 // Telephone exchange: the Clos [Cl] motivation — circuit-switched voice
 // traffic on an exchange whose switches age and fail.
 //
-//   $ ./telephone_exchange [years] [sessions]
+//   $ ./telephone_exchange [years] [batched]
 //
 // Scenario: a 16-line exchange built three ways — a strict-sense Clos, a
 // Beneš, and the paper's fault-tolerant 𝒩̂ — operated for `years` of
@@ -14,12 +14,11 @@
 // of traffic during which switches fail and crews repair them WHILE CALLS
 // ARE LIVE (the runtime fault plane: Exchange::inject/repair driven by a
 // fault::FaultSchedule). Calls crossing a dying switch are torn down with
-// the typed killed_by_fault outcome and routed again inside inject(), each
-// on its own session and never through the admission queue
-// (Exchange::reroute_victims); the episode reports killed vs rerouted vs
-// dropped.
-// With `sessions` > 1 the episode serves traffic through the batched
-// multi-session admission plane instead of the single immediate session.
+// the typed killed_by_fault outcome and routed again inside inject(), never
+// through the admission queue (Exchange::reroute_victims); the episode
+// reports killed vs rerouted vs dropped.
+// With the word `batched` the episode serves traffic through the batched
+// admission plane instead of the immediate plane.
 //
 // After the outage, a GROWTH EPISODE: a fully loaded 32-line Cantor
 // exchange is doubled to 64 lines while every call is up
@@ -50,10 +49,10 @@
 //   quiesce                        drain the admission queue to empty
 //   quit                           stop serving and exit
 // Acks print as `ack <command> ...` lines; a shard, switch id, trunk group
-// or line out of range acks `invalid` and names the bound. The session
+// or line out of range acks `invalid` and names the bound. The console
 // transcript is the CI artifact.
 //
-//   $ ./telephone_exchange --daemon-solo [sessions]
+//   $ ./telephone_exchange --daemon-solo
 //
 // Solo daemon: one Cantor exchange ("cantor-32-m5") instead of the
 // federation, same stdin console (the trunk verbs ack unsupported, and a
@@ -390,21 +389,18 @@ void solo_serve_loop(ftcs::svc::Exchange& ex, ftcs::ops::ControlPlane& control,
   for (const auto id : held) ex.hangup(id);
 }
 
-int run_daemon_solo(unsigned sessions) {
+int run_daemon_solo() {
   using namespace ftcs;
   // Kept alive for the Exchange's borrowed pre-growth phase; after a grow
   // the exchange owns its (grown) network internally.
   const auto cantor = networks::build_cantor({5, 0});  // "cantor-32-m5"
-  svc::ExchangeConfig cfg;
-  cfg.sessions = sessions;
-  svc::Exchange ex(cantor, std::move(cfg));
+  svc::Exchange ex(cantor);
   ops::ControlPlane control(ex, "telephone-exchange-solo");
 
   std::cout << "telephone exchange daemon (solo): " << cantor.name << ", "
             << cantor.g.edge_count() << " switches, " << cantor.inputs.size()
-            << " subscriber lines, " << sessions
-            << " sessions; commands on stdin (quit to stop; 'grow' doubles "
-               "the exchange live)\n";
+            << " subscriber lines; commands on stdin (quit to stop; 'grow' "
+               "doubles the exchange live)\n";
   std::cout.flush();
 
   run_console(control, [&](std::atomic<bool>& stop) {
@@ -426,12 +422,18 @@ int main(int argc, char** argv) {
   using namespace ftcs;
   if (argc > 1 && std::string(argv[1]) == "--daemon") return run_daemon();
   if (argc > 1 && std::string(argv[1]) == "--daemon-solo") {
-    const int s = argc > 2 ? std::atoi(argv[2]) : 4;
-    return run_daemon_solo(s > 0 ? static_cast<unsigned>(s) : 4u);
+    if (argc > 2) {
+      std::cerr << "usage: telephone_exchange --daemon-solo\n";
+      return 2;
+    }
+    return run_daemon_solo();
+  }
+  if (argc > 3 || (argc > 2 && std::string(argv[2]) != "batched")) {
+    std::cerr << "usage: telephone_exchange [years] [batched]\n";
+    return 2;
   }
   const int years = argc > 1 ? std::atoi(argv[1]) : 12;
-  const int sessions_arg = argc > 2 ? std::atoi(argv[2]) : 1;
-  const unsigned sessions = sessions_arg > 0 ? static_cast<unsigned>(sessions_arg) : 1;
+  const bool batched = argc > 2;
   const double lambda = 2e-4;  // per-switch failure probability per year
 
   const auto clos = networks::build_clos(networks::clos_nonblocking_for(16));
@@ -479,9 +481,7 @@ int main(int argc, char** argv) {
       (1.0 - std::pow(1.0 - lambda, outage_year)) / 2;  // cumulative wear
   fault::FaultInstance worn(ft.net, fault::FaultModel::symmetric(worn_eps),
                             9000 + outage_year);
-  svc::ExchangeConfig cfg;
-  cfg.sessions = sessions;
-  svc::Exchange exchange(ft.net, std::move(cfg));
+  svc::Exchange exchange(ft.net);
   inject_wear(exchange, worn);
   // ~0.05 failures per switch over the day (a couple hundred outages on
   // this exchange), two-hour mean repair: a violent but survivable storm.
@@ -496,15 +496,12 @@ int main(int argc, char** argv) {
   storm_day.sim_time = 1440;
   storm_day.seed = 0xBAD0DA1;
   storm_day.faults = &storm;
-  if (sessions > 1) storm_day.epoch_interval = 0.25;  // batched, all sessions
+  if (batched) storm_day.epoch_interval = 0.25;
   const auto report = simulate_traffic(exchange, storm_day);
 
   std::cout << "\n== outage episode: year " << outage_year
             << ", ftcs-nhat, one day of live switch failures ==\n"
-            << (sessions > 1
-                    ? "batched admission plane, " + std::to_string(sessions) +
-                          " sessions\n"
-                    : std::string("immediate plane, 1 session\n"))
+            << (batched ? "batched admission plane\n" : "immediate plane\n")
             << "  open failures injected:    " << report.faults_injected
             << "\n"
             << "  stuck-on welds injected:   " << report.stuck_injected

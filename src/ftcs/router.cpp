@@ -27,68 +27,67 @@ bool Router::path_carried(std::span<const graph::VertexId> path) const {
 
 // ------------------------------------------------------------ construction
 
-Router::Router(const graph::Network& net, unsigned sessions)
-    : net_(&net), reach_(net) {
+Router::Router(const graph::Network& net) : net_(&net), reach_(net) {
   const std::size_t v_count = net.g.vertex_count();
   const std::size_t e_count = net.g.edge_count();
-  sessions = std::max(sessions, 1u);
   busy_.resize(v_count);
   dead_edges_.resize(e_count);
   contracted_edges_.resize(e_count);
   dead_.resize(v_count);
   in_busy_.assign(net.inputs.size(), 0);
   out_busy_.assign(net.outputs.size(), 0);
-  sessions_.reserve(sessions);
-  for (unsigned s = 0; s < sessions; ++s)
-    sessions_.push_back(Session(*this, s));
+  // Allocated here, between the terminal slots and the search scratch: the
+  // heap layout the header's calls_ comment describes depends on it.
+  calls_ = std::make_unique<Calls>();
   scratch_.init(v_count);
-  for (Session& s : sessions_) s.prepare();
+  prepare_calls();
 }
 
-void Router::Session::prepare() {
-  const graph::Network& net = *r_->net_;
-  const std::size_t v_count = net.g.vertex_count();
-  // Each active call holds one input and one output, and one session may
-  // carry every call: reserving that bound keeps connect()/disconnect()
-  // allocation-free. The live paths of one session are vertex-disjoint, so
-  // their records fit in V words plus two header words per call.
+void Router::prepare_calls() {
+  const std::size_t v_count = net_->g.vertex_count();
+  // Each active call holds one input and one output: reserving that bound
+  // keeps connect()/disconnect() allocation-free. The live paths are
+  // vertex-disjoint, so their records fit in V words plus two header words
+  // per call.
   const std::size_t max_calls =
-      std::min(net.inputs.size(), net.outputs.size()) + 1;
-  calls_.reserve(max_calls);
-  free_slots_.reserve(max_calls);
-  records_.resize(v_count + 2 * max_calls);
+      std::min(net_->inputs.size(), net_->outputs.size()) + 1;
+  calls_->table.reserve(max_calls);
+  calls_->free_slots.reserve(max_calls);
+  calls_->records.resize(v_count + 2 * max_calls);
 }
 
-std::uint32_t Router::Session::write_record(CallId id) {
-  const auto path = r_->scratch_.path();
+std::uint32_t Router::write_record(CallId id) {
+  const auto path = scratch_.path();
   const auto length = static_cast<std::uint32_t>(path.size());
   // Free slots are handed out newest first, so the slot's last record is
   // usually still in cache: reuse it when the path fits.
-  std::uint32_t at = calls_[id].at;
-  if (at == Call::kNoRecord || records_[at - 1] < length) {
-    if (records_.size() - top_ < 2 + std::size_t{length}) compact();
-    records_[top_] = id;
-    records_[top_ + 1] = length;
-    at = top_ + 2;
-    top_ = at + length;
+  std::vector<std::uint32_t>& records = calls_->records;
+  std::uint32_t at = calls_->table[id].at;
+  if (at == Call::kNoRecord || records[at - 1] < length) {
+    if (records.size() - calls_->top < 2 + std::size_t{length}) compact();
+    records[calls_->top] = id;
+    records[calls_->top + 1] = length;
+    at = calls_->top + 2;
+    calls_->top = at + length;
   }
-  for (std::uint32_t i = 0; i < length; ++i) records_[at + i] = path[i].v;
+  for (std::uint32_t i = 0; i < length; ++i) records[at + i] = path[i].v;
   return at;
 }
 
-void Router::Session::compact() {
+void Router::compact() {
+  std::vector<std::uint32_t>& records = calls_->records;
   std::uint32_t to = 0;
-  for (std::uint32_t at = 0; at < top_;) {
-    const CallId id = records_[at];
-    const std::uint32_t capacity = records_[at + 1];
-    Call& c = calls_[id];
+  for (std::uint32_t at = 0; at < calls_->top;) {
+    const CallId id = records[at];
+    const std::uint32_t capacity = records[at + 1];
+    Call& c = calls_->table[id];
     if (c.at == at + 2 && c.length == 0) {
       c.at = Call::kNoRecord;  // a free slot's record: dropped
     } else if (c.at == at + 2) {
       // Live: moved down (to <= at, so a forward copy is safe) and trimmed
       // to its path, which keeps the store's bound.
-      const std::uint32_t* path = records_.data() + c.at;
-      std::uint32_t* dst = records_.data() + to;
+      const std::uint32_t* path = records.data() + c.at;
+      std::uint32_t* dst = records.data() + to;
       if (to != at) std::copy(path, path + c.length, dst + 2);
       dst[0] = id;
       dst[1] = c.length;
@@ -97,7 +96,7 @@ void Router::Session::compact() {
     }
     at += 2 + capacity;
   }
-  top_ = to;
+  calls_->top = to;
 }
 
 void Router::grow(const graph::Network& net) {
@@ -126,103 +125,97 @@ void Router::grow(const graph::Network& net) {
     for (graph::EdgeId e = 0; e < e_count; ++e)
       if (contracted_edges_.test(e)) count_weld(net.g.edge(e).to, 1);
   }
-  // The path records stay where they are; prepare() enlarges each store
-  // to the grown bound. No new vertex carries a call yet, so the owner map
-  // only extends.
+  // The path records stay where they are; prepare_calls() enlarges the
+  // store to the grown bound. No new vertex carries a call yet, so the
+  // owner map only extends.
   scratch_.init(v_count);
-  for (Session& s : sessions_) s.prepare();
+  prepare_calls();
   if (!owner_.empty()) owner_.resize(v_count, kNoCall);
 }
 
 // ------------------------------------------------------- connect/disconnect
 
-bool Router::Session::find(std::uint32_t in, std::uint32_t out) {
-  const Router& r = *r_;
+bool Router::find(std::uint32_t in, std::uint32_t out) {
   // The overlay gates, one load each: with no outstanding fault or weld the
   // search runs the overlay-free, weld-free hot path.
-  const bool overlay = r.failed_ > 0;
-  const auto is_busy = [&r](graph::VertexId v) { return r.busy_.test(v); };
-  const auto edge_blocked = [&r, overlay](graph::EdgeId e) {
-    return overlay && r.dead_edges_.test(e);
+  const bool overlay = failed_ > 0;
+  const auto is_busy = [this](graph::VertexId v) { return busy_.test(v); };
+  const auto edge_blocked = [this, overlay](graph::EdgeId e) {
+    return overlay && dead_edges_.test(e);
   };
-  const auto edge_contracted = [&r](graph::EdgeId e) {
-    return r.contracted_edges_.test(e);
+  const auto edge_contracted = [this](graph::EdgeId e) {
+    return contracted_edges_.test(e);
   };
-  const auto reaches_weld = [&r](graph::VertexId v) {
-    return r.weld_reach_[v] != 0;
+  const auto reaches_weld = [this](graph::VertexId v) {
+    return weld_reach_[v] != 0;
   };
-  return detail::find_idle_path(r.net_->g, r.reach_.probe(out),
-                                r.net_->inputs[in], r.net_->outputs[out],
-                                r.reach_.first_hop(in, out), r_->scratch_,
-                                stats_.vertices_visited, is_busy, edge_blocked,
-                                edge_contracted, reaches_weld,
-                                r.welded_ > 0) != graph::kNoVertex;
+  return detail::find_idle_path(
+             net_->g, reach_.probe(out), net_->inputs[in], net_->outputs[out],
+             reach_.first_hop(in, out), scratch_,
+             calls_->stats.vertices_visited, is_busy, edge_blocked,
+             edge_contracted, reaches_weld,
+             welded_ > 0) != graph::kNoVertex;
 }
 
-auto Router::Session::record(std::uint32_t in, std::uint32_t out)
-    -> CallId {
-  const auto length = static_cast<std::uint32_t>(r_->scratch_.path().size());
-  busy_count_ += length;
-  ++active_;
-  ++stats_.accepted;
-  stats_.path_vertices += length;
+auto Router::record(std::uint32_t in, std::uint32_t out) -> CallId {
+  const auto length = static_cast<std::uint32_t>(scratch_.path().size());
+  calls_->busy_count += length;
+  ++calls_->active;
+  ++calls_->stats.accepted;
+  calls_->stats.path_vertices += length;
   CallId id;
-  if (!free_slots_.empty()) {
-    id = free_slots_.back();
-    free_slots_.pop_back();
+  if (!calls_->free_slots.empty()) {
+    id = calls_->free_slots.back();
+    calls_->free_slots.pop_back();
   } else {
-    id = static_cast<CallId>(calls_.size());
-    calls_.emplace_back();  // within the capacity prepare() reserved
+    id = static_cast<CallId>(calls_->table.size());
+    calls_->table.emplace_back();  // within prepare_calls()'s reserve
   }
-  calls_[id] = {in, out, write_record(id), length};
-  if (!r_->owner_.empty()) r_->own_path(*this, id);
+  calls_->table[id] = {in, out, write_record(id), length};
+  if (!owner_.empty()) own_path(id);
   return id;
 }
 
-auto Router::Session::connect(std::uint32_t in, std::uint32_t out)
-    -> CallId {
-  Router& r = *r_;
-  ++stats_.connect_calls;
-  const graph::VertexId src = r.net_->inputs[in];
-  const graph::VertexId dst = r.net_->outputs[out];
-  if (r.dead_.test(src) || r.dead_.test(dst) || r.in_busy_[in] ||
-      r.out_busy_[out]) {
-    ++stats_.rejected_terminal;
+auto Router::connect(std::uint32_t in, std::uint32_t out) -> CallId {
+  ++calls_->stats.connect_calls;
+  const graph::VertexId src = net_->inputs[in];
+  const graph::VertexId dst = net_->outputs[out];
+  if (dead_.test(src) || dead_.test(dst) || in_busy_[in] || out_busy_[out]) {
+    ++calls_->stats.rejected_terminal;
     return kNoCall;
   }
   // An endpoint busy as another call's hop cannot anchor a path.
-  if (r.busy_.test(src) || r.busy_.test(dst) || !find(in, out)) {
-    ++stats_.rejected_no_path;
+  if (busy_.test(src) || busy_.test(dst) || !find(in, out)) {
+    ++calls_->stats.rejected_no_path;
     return kNoCall;
   }
-  r.in_busy_[in] = 1;
-  r.out_busy_[out] = 1;
-  for (const detail::SearchScratch::Frame& f : r.scratch_.path())
-    r.busy_.set(f.v);
+  in_busy_[in] = 1;
+  out_busy_[out] = 1;
+  for (const detail::SearchScratch::Frame& f : scratch_.path())
+    busy_.set(f.v);
   return record(in, out);
 }
 
-void Router::Session::disconnect(CallId call) {
-  Router& r = *r_;
-  Call& c = calls_[call];
-  ++stats_.disconnects;
+void Router::disconnect(CallId call) {
+  Call& c = calls_->table[call];
+  ++calls_->stats.disconnects;
   // Path vertices are never dead (the search cannot enter them), so
   // freeing is a plain bit reset. The record stays with the slot for its
   // next call (or until a compaction drops it).
-  for (const graph::VertexId v : path(call)) r.busy_.reset(v);
-  busy_count_ -= c.length;
-  r.out_busy_[c.out] = 0;
-  r.in_busy_[c.in] = 0;
+  for (const graph::VertexId v : path(call)) busy_.reset(v);
+  calls_->busy_count -= c.length;
+  out_busy_[c.out] = 0;
+  in_busy_[c.in] = 0;
   c.length = 0;
-  --active_;
-  free_slots_.push_back(call);
+  --calls_->active;
+  calls_->free_slots.push_back(call);
 }
 
-auto Router::Session::active_call_ids() const -> std::vector<CallId> {
+auto Router::active_call_ids() const -> std::vector<CallId> {
   std::vector<CallId> ids;
-  ids.reserve(active_);
-  for (CallId id = 0; id < calls_.size(); ++id)
-    if (calls_[id].length != 0) ids.push_back(id);
+  ids.reserve(calls_->active);
+  for (CallId id = 0; id < calls_->table.size(); ++id)
+    if (calls_->table[id].length != 0) ids.push_back(id);
   return ids;
 }
 
@@ -291,54 +284,24 @@ void Router::revive_vertex(graph::VertexId v) {
   busy_.reset(v);
 }
 
-void Router::own_path(const Session& s, CallId id) {
-  const std::uint32_t owner = id * session_count() + s.index_;
-  for (const graph::VertexId v : s.path(id)) owner_[v] = owner;
+void Router::own_path(CallId id) {
+  for (const graph::VertexId v : path(id)) owner_[v] = id;
 }
 
 void Router::build_owner_map() {
   owner_.assign(net_->g.vertex_count(), kNoCall);
-  for (const Session& s : sessions_)
-    for (const CallId id : s.active_call_ids()) own_path(s, id);
+  for (const CallId id : active_call_ids()) own_path(id);
 }
 
-CallRef Router::call_at(graph::VertexId v) {
+auto Router::call_at(graph::VertexId v) -> CallId {
   if (owner_.empty()) build_owner_map();
   // A hangup leaves its entries behind, and its slot may since carry a
   // call on another path: the entry counts only while the named call's
   // record still holds v.
-  const std::uint32_t owner = owner_[v];
-  if (owner == kNoCall) return {};
-  const CallRef ref{owner % session_count(), owner / session_count()};
-  const Session& s = sessions_[ref.session];
-  if (s.calls_[ref.call].length == 0) return {};
-  const auto path = s.path(ref.call);
-  if (std::find(path.begin(), path.end(), v) == path.end()) return {};
-  return ref;
-}
-
-// -------------------------------------------------------------- aggregates
-
-RouterStats Router::stats() const {
-  RouterStats total;
-  for (const Session& s : sessions_) total += s.stats();
-  return total;
-}
-
-void Router::reset_stats() noexcept {
-  for (Session& s : sessions_) s.reset_stats();
-}
-
-std::size_t Router::active_calls() const {
-  std::size_t total = 0;
-  for (const Session& s : sessions_) total += s.active_calls();
-  return total;
-}
-
-std::size_t Router::busy_vertices() const {
-  std::size_t total = 0;
-  for (const Session& s : sessions_) total += s.busy_vertices();
-  return total;
+  const CallId id = owner_[v];
+  if (id == kNoCall || calls_->table[id].length == 0) return kNoCall;
+  const auto p = path(id);
+  return std::find(p.begin(), p.end(), v) == p.end() ? kNoCall : id;
 }
 
 }  // namespace ftcs::core

@@ -2,15 +2,13 @@
 // contained network is strictly nonblocking, routing can be performed by a
 // greedy application of a standard path-finding algorithm").
 //
-// ONE router, core::Router, serves a network's calls from one or from N
-// sessions. The router owns the network's busy state (plain util::Bitset
-// busy bits, byte terminal slots), its one fault state (the liveness
-// overlay below), its one search scratch and every session's call table.
-// Sessions are SHARDS of that state, not threads: each keeps its own call
-// table, path-record arena and stats block, so a batched drain can hand a
-// window's chunks to distinct sessions and a call is named by (session,
-// slot). Every entry is serialized: one thread at a time drives the router
-// (svc::Exchange holds that contract for its callers).
+// ONE router, core::Router, serves a network's calls. The router owns the
+// network's busy state (plain util::Bitset busy bits, byte terminal slots),
+// its one fault state (the liveness overlay below), its one search scratch,
+// and its one call table, path-record arena and stats block: a call is
+// named by its slot in that table. Every entry is serialized: one thread at
+// a time drives the router (svc::Exchange holds that contract for its
+// callers).
 //
 // A connect settles the first idle path a depth-first search finds, its
 // first hop started in a plane chosen by the output (ftcs/search.hpp); on a
@@ -19,7 +17,7 @@
 // path has the same length (Cantor, crossbar, the §6 FT network), not in
 // general.
 //
-// connect(in, out) on a session:
+// connect(in, out):
 //   1. TERMINAL CHECK — a dead or busy terminal is rejected
 //      (rejected_terminal). A terminal vertex occupied as an intermediate
 //      hop of another call cannot anchor a new path (a vertex carries at
@@ -31,11 +29,10 @@
 //      table picks the slot the first hop starts at
 //      (ReachIndex::first_hop(in, out)). No idle path → rejected_no_path.
 //   3. SETTLE — the terminal slots and the path's busy bits are set, the
-//      path is copied into one record in the session's record store, the
-//      call table names the record, and, once the owner map exists, each
-//      path vertex's entry names the call (see call_at). disconnect() reads
-//      the record back and resets its busy bits: no per-vertex store
-//      besides the bits.
+//      path is copied into one record in the record store, the call table
+//      names the record, and, once the owner map exists, each path vertex's
+//      entry names the call (see call_at). disconnect() reads the record
+//      back and resets its busy bits: no per-vertex store besides the bits.
 //
 // Liveness overlay: the router's only fault state, whether the faults come
 // from a sampled fault::FaultInstance applied once or from the runtime
@@ -71,10 +68,6 @@
 //   - A failed switch beats a weld: a switch both failed and contracted
 //     carries nothing.
 //
-// Sessions: a call is disconnected through the session that connected it.
-// The aggregates stats(), active_calls() and busy_vertices() sum the
-// sessions; they are for reporting, not for the hot path.
-//
 // Hot-path design: connect() performs NO heap allocation.
 //   - visited state is one bit per vertex, zeroed word by word by the
 //     search that set it; the search stack (vertex_count frames, allocated
@@ -82,7 +75,7 @@
 //     frame prefetches its children's reach-set ids and CSR offset rows;
 //   - busy / overlay vertex and edge state live in packed bitsets, 64
 //     vertices per cache word;
-//   - each session keeps its calls' paths as [call id, capacity,
+//   - the router keeps its calls' paths as [call id, capacity,
 //     vertices...] records in one bump arena of V + 2 x (max calls) words:
 //     a settle writes one record (a single copy of the path) and a hangup
 //     reads it back, one or two cache lines, with no pointer chase. A freed
@@ -90,23 +83,21 @@
 //     settle usually rewrites a record still in cache; only a path longer
 //     than the slot's record is appended. A full arena compacts its live
 //     records in address order, trimmed to their paths; then the new path
-//     always fits, because a session's live paths and the new one are
+//     always fits, because the live paths and the new one are
 //     vertex-disjoint, so together they hold at most V vertices. Weld
 //     reverse hops make paths longer than the stage count, so no fixed
 //     stride per call would do;
-//   - the vertex -> call owner map behind call_at() (4-byte entries, a
-//     packed session and slot) exists only once the fault plane has asked:
-//     a router that never faults neither builds nor writes it.
+//   - the vertex -> call owner map behind call_at() (4-byte entries, one
+//     call slot each) exists only once the fault plane has asked: a router
+//     that never faults neither builds nor writes it.
 //
-// The session count changes no verdict and no path: every session runs the
-// one search on the one busy state, so N sessions route a request sequence
-// as one session does. The Exchange's batched plane commits its windows
-// through connect(), one request at a time in window order (svc/README.md,
-// "Batched drain").
+// The Exchange's batched plane commits its windows through connect(), one
+// request at a time in window order (svc/README.md, "Batched drain").
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -119,10 +110,11 @@
 
 namespace ftcs::core {
 
-/// Counter block filled by the router sessions; reset with reset_stats().
-/// Mergeable: operator+= aggregates per-session blocks and per-network
-/// blocks (bench_routing) into one summary; operator-= takes before/after
-/// deltas. Every counter is a row of fields() (util/stat_fields.hpp).
+/// Counter block filled by the router; reset with reset_stats().
+/// Mergeable: operator+= aggregates per-exchange blocks (svc::Federation)
+/// and per-network blocks (bench_routing) into one summary; operator-=
+/// takes before/after deltas. Every counter is a row of fields()
+/// (util/stat_fields.hpp).
 struct RouterStats {
   std::uint64_t connect_calls = 0;     // connect() invocations
   std::uint64_t accepted = 0;          // calls that settled a path
@@ -162,144 +154,56 @@ static_assert(sizeof(RouterStats) ==
                   (RouterStats::fields().size() + 3) * sizeof(std::uint64_t),
               "every RouterStats counter is a fields() row (3 retired)");
 
-/// A session's call, as call_at() names it; call == kNoCall means none.
-struct CallRef {
-  std::uint32_t session = 0;
-  std::uint32_t call = static_cast<std::uint32_t>(-1);
-};
-
 class Router {
  public:
-  /// Per-session call handle; valid until disconnect.
+  /// Call handle, the call's slot in the call table; valid until
+  /// disconnect.
   using CallId = std::uint32_t;
   static constexpr CallId kNoCall = static_cast<CallId>(-1);
 
-  /// Router over a healthy network with `sessions` session shards (0 means
-  /// 1); faults are applied through the liveness overlay (kill_vertex,
-  /// fail_edge, contract_edge). The network must outlive the router. All
-  /// scratch, every session's included, is allocated here.
-  explicit Router(const graph::Network& net, unsigned sessions = 1);
+  /// Router over a healthy network; faults are applied through the
+  /// liveness overlay (kill_vertex, fail_edge, contract_edge). The network
+  /// must outlive the router. All scratch is allocated here.
+  explicit Router(const graph::Network& net);
 
-  // Pinned: every Session holds a back-pointer to its router.
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// One routing session: a shard of call table, record store and stats
-  /// over the router's one busy state. Cache-line aligned: its 192 bytes
-  /// span three lines, not four, and the aligned allocation keeps a torn
-  /// down and rebuilt cantor-k9 exchange from re-faulting its freed heap
-  /// (without it perfbench's search-k9 set-up reads ~40% slower, all of it
-  /// page faults in the network rebuild).
-  class alignas(64) Session {
-   public:
-    /// Routes in->out (header comment: terminal check, search, settle).
-    /// Returns kNoCall on a busy or dead terminal or no idle path (the
-    /// stats counters say which). Allocation-free.
-    CallId connect(std::uint32_t in, std::uint32_t out);
-    /// Releases a call made through THIS session. Allocation-free.
-    void disconnect(CallId call);
+  /// Routes in->out (header comment: terminal check, search, settle).
+  /// Returns kNoCall on a busy or dead terminal or no idle path (the
+  /// stats counters say which). Allocation-free.
+  CallId connect(std::uint32_t in, std::uint32_t out);
+  /// Releases a live call. Allocation-free.
+  void disconnect(CallId call);
 
-    /// Vertices of a call's path, input first: a view of the call's record,
-    /// valid until this session's next connect (which may compact the
-    /// record store) or grow().
-    [[nodiscard]] std::span<const graph::VertexId> path(CallId call) const {
-      const Call& c = calls_[call];
-      return {records_.data() + c.at, c.length};
-    }
-    /// The same, copied (cold path).
-    [[nodiscard]] std::vector<graph::VertexId> path_of(CallId call) const {
-      const auto p = path(call);
-      return {p.begin(), p.end()};
-    }
-    /// Path length in vertices, O(1).
-    [[nodiscard]] std::size_t path_length(CallId call) const {
-      return calls_[call].length;
-    }
-    /// Ids of this session's active calls (cold path).
-    [[nodiscard]] std::vector<CallId> active_call_ids() const;
-
-    [[nodiscard]] const RouterStats& stats() const noexcept { return stats_; }
-    void reset_stats() noexcept { stats_ = RouterStats{}; }
-    [[nodiscard]] std::size_t active_calls() const noexcept { return active_; }
-    /// Total vertices held by this session's active calls.
-    [[nodiscard]] std::size_t busy_vertices() const noexcept {
-      return busy_count_;
-    }
-
-   private:
-    friend class Router;
-    struct Call {
-      static constexpr std::uint32_t kNoRecord = static_cast<std::uint32_t>(-1);
-      std::uint32_t in = 0, out = 0;
-      // The path's first vertex in records_; a free slot keeps its last
-      // record for reuse, or kNoRecord.
-      std::uint32_t at = kNoRecord;
-      std::uint32_t length = 0;  // vertices on the path; 0 = slot free
-    };
-
-    Session(Router& r, std::uint32_t index) : r_(&r), index_(index) {}
-    /// Builds the record store and the call table reserves at the current
-    /// network size; the router's construction and grow() call it. Live
-    /// records are kept.
-    void prepare();
-    /// Step 2 for in->out on the router's scratch: true iff it found an
-    /// idle path (then the scratch's path()).
-    bool find(std::uint32_t in, std::uint32_t out);
-    /// Step 3 for the path the search left in the scratch, whose vertices
-    /// and terminal slots connect() has taken: the call's slot and record.
-    CallId record(std::uint32_t in, std::uint32_t out);
-    /// Writes the scratch's path as call `id`'s record: into the slot's
-    /// last record when it is long enough, else appended (compacting first
-    /// when the store is full). Returns where the vertices start.
-    std::uint32_t write_record(CallId id);
-    /// Moves the live records to the front of the store, in address order,
-    /// each trimmed to its path, and drops every other record.
-    void compact();
-
-    Router* r_;
-    std::uint32_t index_;  // this session's number, for the owner map
-    // Record store: [call id, capacity, vertices...] per record, bump
-    // allocated from top_. A record belongs to its slot while the slot
-    // points at it (a slot that outgrew a record left it behind), and is
-    // live while that slot is.
-    std::vector<std::uint32_t> records_;
-    std::uint32_t top_ = 0;
-    std::vector<Call> calls_;
-    std::vector<CallId> free_slots_;
-    std::size_t active_ = 0;
-    std::size_t busy_count_ = 0;
-    RouterStats stats_;
-  };
-
-  [[nodiscard]] Session& session(unsigned s) { return sessions_[s]; }
-  [[nodiscard]] const Session& session(unsigned s) const {
-    return sessions_[s];
+  /// Vertices of a call's path, input first: a view of the call's record,
+  /// valid until the next connect (which may compact the record store) or
+  /// grow().
+  [[nodiscard]] std::span<const graph::VertexId> path(CallId call) const {
+    const Call& c = calls_->table[call];
+    return {calls_->records.data() + c.at, c.length};
   }
-  [[nodiscard]] unsigned session_count() const noexcept {
-    return static_cast<unsigned>(sessions_.size());
-  }
-
-  // Session-0 shorthands: the one-session API.
-  CallId connect(std::uint32_t in, std::uint32_t out) {
-    return sessions_[0].connect(in, out);
-  }
-  void disconnect(CallId call) { sessions_[0].disconnect(call); }
+  /// The same, copied (cold path).
   [[nodiscard]] std::vector<graph::VertexId> path_of(CallId call) const {
-    return sessions_[0].path_of(call);
+    const auto p = path(call);
+    return {p.begin(), p.end()};
   }
+  /// Path length in vertices, O(1).
   [[nodiscard]] std::size_t path_length(CallId call) const {
-    return sessions_[0].path_length(call);
+    return calls_->table[call].length;
   }
+  /// Ids of the active calls (cold path).
+  [[nodiscard]] std::vector<CallId> active_call_ids() const;
 
   /// Hitless growth: rebinds the router to the grown network `net`,
-  /// carrying every live call on every session across. `net` must extend
-  /// the current network append-only (graph::NetworkDelta): old vertex ids,
-  /// edge ids and terminal indices keep their meaning. Vertex-, edge- and
+  /// carrying every live call across. `net` must extend the current
+  /// network append-only (graph::NetworkDelta): old vertex ids, edge ids
+  /// and terminal indices keep their meaning. Vertex-, edge- and
   /// terminal-indexed state extends at the same ids with idle, healthy
-  /// tail entries; path records and call slot tables are untouched, so
+  /// tail entries; path records and the call table are untouched, so
   /// every live path and handle stays valid as it is. The search scratch
-  /// and every session's record store are rebuilt here at the grown size.
-  /// The new network must outlive the router.
+  /// and the record store are rebuilt here at the grown size. The new
+  /// network must outlive the router.
   void grow(const graph::Network& net);
 
   // ---------------------------------------------------- liveness overlay
@@ -324,12 +228,12 @@ class Router {
   /// Revives a dead vertex and releases its busy bit. Idempotent.
   void revive_vertex(graph::VertexId v);
   /// The call whose path holds `v` (a vertex carries at most one), or
-  /// call == kNoCall. Reads v's owner-map entry and confirms that the
+  /// kNoCall. Reads v's owner-map entry and confirms that the
   /// named call is live and its record holds v: O(path length). The first
   /// query builds the map from the live records; from then on every settle
   /// writes its path's entries, so a router never asked allocates and
   /// writes nothing for it.
-  [[nodiscard]] CallRef call_at(graph::VertexId v);
+  [[nodiscard]] CallId call_at(graph::VertexId v);
 
   [[nodiscard]] bool vertex_dead(graph::VertexId v) const {
     return dead_.test(v);
@@ -371,13 +275,45 @@ class Router {
     return busy_.to_bytes();
   }
 
-  // Aggregates over all sessions.
-  [[nodiscard]] RouterStats stats() const;          // merged via operator+=
-  void reset_stats() noexcept;
-  [[nodiscard]] std::size_t active_calls() const;   // sum of sessions
-  [[nodiscard]] std::size_t busy_vertices() const;  // sum of path lengths
+  [[nodiscard]] const RouterStats& stats() const noexcept {
+    return calls_->stats;
+  }
+  void reset_stats() noexcept { calls_->stats = RouterStats{}; }
+  [[nodiscard]] std::size_t active_calls() const noexcept {
+    return calls_->active;
+  }
+  /// Total vertices held by the active calls.
+  [[nodiscard]] std::size_t busy_vertices() const noexcept {
+    return calls_->busy_count;
+  }
 
  private:
+  struct Call {
+    static constexpr std::uint32_t kNoRecord = static_cast<std::uint32_t>(-1);
+    std::uint32_t in = 0, out = 0;
+    // The path's first vertex in the record store; a free slot keeps its
+    // last record for reuse, or kNoRecord.
+    std::uint32_t at = kNoRecord;
+    std::uint32_t length = 0;  // vertices on the path; 0 = slot free
+  };
+
+  /// Builds the record store and the call table reserves at the current
+  /// network size; the construction and grow() call it. Live records are
+  /// kept.
+  void prepare_calls();
+  /// Step 2 for in->out on the scratch: true iff it found an idle path
+  /// (then the scratch's path()).
+  bool find(std::uint32_t in, std::uint32_t out);
+  /// Step 3 for the path the search left in the scratch, whose vertices
+  /// and terminal slots connect() has taken: the call's slot and record.
+  CallId record(std::uint32_t in, std::uint32_t out);
+  /// Writes the scratch's path as call `id`'s record: into the slot's
+  /// last record when it is long enough, else appended (compacting first
+  /// when the store is full). Returns where the vertices start.
+  std::uint32_t write_record(CallId id);
+  /// Moves the live records to the front of the store, in address order,
+  /// each trimmed to its path, and drops every other record.
+  void compact();
   /// Sizes the weld-ancestor counts and the walk's flags at the network's
   /// vertex count, all zero.
   void clear_weld_counts();
@@ -385,11 +321,10 @@ class Router {
   /// that reaches it in the static graph, skipping the vertices that reach
   /// every output: one backward walk over in-edges.
   void count_weld(graph::VertexId head, int delta);
-  /// Points owner_[v] at call `id` of session `s` for every vertex of the
-  /// call's path.
-  void own_path(const Session& s, CallId id);
+  /// Points owner_[v] at call `id` for every vertex of the call's path.
+  void own_path(CallId id);
   /// Sizes the owner map at the network's vertex count and fills it from
-  /// every session's live records.
+  /// the live records.
   void build_owner_map();
 
   const graph::Network* net_;
@@ -400,18 +335,38 @@ class Router {
   std::size_t failed_ = 0, welded_ = 0;  // outstanding: the overlay gates
   util::Bitset dead_;                    // killed vertices
   std::vector<std::uint8_t> in_busy_, out_busy_;  // terminal slots, bytes
-  // Owner map: owner_[v] = slot x session_count() + session of the last
-  // call settled through v, or kNoCall; stale once that call hangs up
-  // (call_at() checks). Empty until the first call_at().
+  // Owner map: owner_[v] = the last call settled through v, or kNoCall;
+  // stale once that call hangs up (call_at() checks). Empty until the
+  // first call_at().
   std::vector<std::uint32_t> owner_;
-  ReachIndex reach_;  // search guide, read-only and shared by every session
+  ReachIndex reach_;  // search guide, read-only between grow()s
   // Weld-ancestor counts (weld_reach()), and the walk's visited flags and
   // queue; all empty until the first contract_edge.
   std::vector<std::uint32_t> weld_reach_;
   std::vector<std::uint8_t> walk_seen_;
   std::vector<graph::VertexId> walk_queue_;
-  std::vector<Session> sessions_;
-  detail::SearchScratch scratch_;  // the one search's, shared by every session
+  detail::SearchScratch scratch_;  // the one search's
+  // The call state: one separately allocated, cache-line aligned block,
+  // allocated by the constructor between the terminal slots and the search
+  // scratch. Held by value (with or without alignas(64) on the Router), it
+  // shifts the heap layout of a torn down and rebuilt cantor-k9 exchange
+  // so that glibc trims the freed heap on every rebuild and the next build
+  // re-faults it: perfbench's search-k9 setup_s read +33% and +38%, all of
+  // it page faults in the network build.
+  struct alignas(64) Calls {
+    // Record store: [call id, capacity, vertices...] per record, bump
+    // allocated from top. A record belongs to its slot while the slot
+    // points at it (a slot that outgrew a record left it behind), and is
+    // live while that slot is.
+    std::vector<std::uint32_t> records;
+    std::uint32_t top = 0;
+    std::vector<Call> table;
+    std::vector<CallId> free_slots;
+    std::size_t active = 0;
+    std::size_t busy_count = 0;
+    RouterStats stats;
+  };
+  std::unique_ptr<Calls> calls_;
 };
 
 }  // namespace ftcs::core

@@ -5,8 +5,8 @@
 // algorithm" — any idle path will do, so the router takes the first one a
 // depth-first search finds, with its first hop started in a plane chosen by
 // the output (below). core::Router (ftcs/router.hpp) calls it from one
-// site for every session, so one request sequence gives one sequence of
-// paths however its calls are spread over sessions. The edge_blocked test
+// site, so one request sequence gives one sequence of paths, on either
+// service plane. The edge_blocked test
 // carries the router's liveness overlay (its failed switches), which is
 // stable for the whole search (the router flips it only between connects),
 // so the search routes around open-failed switches with no state of its

@@ -155,7 +155,7 @@ TrafficReport simulate_traffic(svc::Exchange& exchange,
         departures.push({now + rng.exponential(1.0 / p.mean_holding), tag});
       }
     } else {
-      // Admission epoch: route the backlog across every session. The timer
+      // Admission epoch: route the backlog. The timer
       // freezes while there is no backlog, so on resume an overdue boundary
       // fires at the CURRENT time and re-anchors — simulated time never
       // moves backwards.

@@ -8,20 +8,19 @@
 // blocking networks it measures the grade of service).
 //
 // The simulation drives a svc::Exchange (the service facade over the
-// router), of one session or many. The report's call counters
+// router). The report's call counters
 // are DERIVED from the exchange's counter deltas (svc::ExchangeStats) —
 // there is one set of books, kept by the router; the traffic tests assert
 // the derivation's invariants.
 //
 // Two service planes, selected by TrafficParams::epoch_interval:
-//   - 0 (default): the immediate plane on session 0, event by event — the
-//     original low-latency simulation, bit-identical to its pre-fault-plane
+//   - 0 (default): the immediate plane, event by event — the original
+//     low-latency simulation, bit-identical to its pre-fault-plane
 //     behaviour when no schedule is attached;
-//   - > 0: the BATCHED plane across ALL router sessions — arrivals submit()
-//     into the admission queue and every epoch_interval of simulated time a
-//     drain_all() routes the backlog across the sessions, so the simulator
-//     exercises the same multi-session admission path production traffic
-//     takes.
+//   - > 0: the BATCHED plane — arrivals submit() into the admission queue
+//     and every epoch_interval of simulated time a drain_all() routes the
+//     backlog, so the simulator exercises the same admission path
+//     production traffic takes.
 // Either plane accepts a fault::FaultSchedule: its fail / stuck-on /
 // repair events are applied at their simulated times through
 // Exchange::apply(). Open failures kill calls mid-flight (typed kFaulted)
@@ -44,9 +43,8 @@ struct TrafficParams {
   double mean_holding = 1.0;   // mean call duration
   double sim_time = 1000.0;    // simulated time horizon
   std::uint64_t seed = 1;
-  /// 0: immediate plane on session 0. > 0: batched plane — arrivals queue
-  /// via submit() and drain across all sessions every `epoch_interval` of
-  /// simulated time.
+  /// 0: immediate plane. > 0: batched plane — arrivals queue via submit()
+  /// and drain every `epoch_interval` of simulated time.
   double epoch_interval = 0.0;
   /// Optional runtime fault events (fail/repair switches), applied at their
   /// times while calls are live. Must outlive the simulation call.
@@ -81,8 +79,8 @@ struct TrafficReport {
   }
 };
 
-/// Runs the simulation on an exchange (which carries the network + fault
-/// mask + sessions). Plane selection and fault schedule per
+/// Runs the simulation on an exchange (which carries the network and the
+/// fault mask). Plane selection and fault schedule per
 /// TrafficParams above.
 [[nodiscard]] TrafficReport simulate_traffic(svc::Exchange& exchange,
                                              const TrafficParams& params);

@@ -4,7 +4,7 @@
 // unbounded memory or sorting: LatencyHistogram is 40 power-of-two buckets
 // over nanoseconds (1ns .. ~9min, everything above clips into the last
 // bucket), mergeable exactly like core::RouterStats — operator+= aggregates
-// across sessions/exchanges, operator-= takes before/after deltas for
+// across exchanges, operator-= takes before/after deltas for
 // periodic metrics export. Quantiles are read by walking the cumulative
 // counts and reporting the geometric midpoint of the landing bucket, so a
 // reported p99 is within one 2x bucket of the true order statistic — the

@@ -5,8 +5,8 @@
 // outcome types every consumer speaks — one RejectReason enum with one
 // spelling per failure mode (shared by reports, benches and JSON output),
 // and a generation-tagged CallId that turns stale or foreign handles into
-// detected, typed errors instead of undefined behaviour on the raw routers'
-// reused integer slots.
+// detected, typed errors instead of undefined behaviour on the router's
+// reused integer call slots.
 #pragma once
 
 #include <cstddef>
@@ -31,14 +31,13 @@ enum class RejectReason : std::uint8_t {
   kRefused,          // admission control bounced the request (queue overload)
   kStaleHandle,      // handle's generation expired (hung up, or never issued)
   kForeignHandle,    // handle was issued by a different Exchange
-  kBadSession,       // session index out of range for this exchange
   kFaulted,          // call was torn down by the fault plane (a component on
                      // its path died); also the ack a hangup of that handle
                      // receives — informative, not a handle misuse
   kTrunkBusy,        // federation: no usable trunk line toward the callee's
                      // exchange (every group toward it is full or faulted)
   kBadTerminal,      // input or output index out of range for this network
-  kBadSwitch,        // fault event: switch id (or federation shard) out of
+  kBadSwitch,        // fault event: switch, shard or trunk line out of
                      // range; nothing was touched
 };
 
@@ -54,7 +53,6 @@ enum class RejectReason : std::uint8_t {
     case RejectReason::kRefused: return "refused_overload";
     case RejectReason::kStaleHandle: return "stale_handle";
     case RejectReason::kForeignHandle: return "foreign_handle";
-    case RejectReason::kBadSession: return "bad_session";
     case RejectReason::kFaulted: return "killed_by_fault";
     case RejectReason::kTrunkBusy: return "rejected_trunk";
     case RejectReason::kBadTerminal: return "bad_terminal";
@@ -70,9 +68,9 @@ inline constexpr RejectReason kAllRejectReasons[] = {
     RejectReason::kNone,          RejectReason::kTerminalBusy,
     RejectReason::kNoPath,        RejectReason::kContention,
     RejectReason::kRefused,       RejectReason::kStaleHandle,
-    RejectReason::kForeignHandle, RejectReason::kBadSession,
-    RejectReason::kFaulted,       RejectReason::kTrunkBusy,
-    RejectReason::kBadTerminal,   RejectReason::kBadSwitch,
+    RejectReason::kForeignHandle, RejectReason::kFaulted,
+    RejectReason::kTrunkBusy,     RejectReason::kBadTerminal,
+    RejectReason::kBadSwitch,
 };
 inline constexpr std::size_t kRejectReasonCount =
     sizeof(kAllRejectReasons) / sizeof(kAllRejectReasons[0]);
@@ -110,21 +108,15 @@ class CallId {
   /// True for a handle that was issued for a connected call (it may still
   /// be stale if the call was since hung up).
   [[nodiscard]] constexpr bool valid() const noexcept { return exchange_ != 0; }
-  /// Router session that carries the call: the shard of the exchange's
-  /// core::Router whose call table holds it.
-  [[nodiscard]] constexpr std::uint32_t session() const noexcept {
-    return session_;
-  }
-  /// The call's slot in its session's handle table: unique among the
-  /// session's live calls, reused once the call ends.
+  /// The call's slot in the exchange's handle table (its router call id):
+  /// unique among the live calls, reused once the call ends.
   [[nodiscard]] constexpr std::uint32_t slot() const noexcept { return slot_; }
   friend constexpr bool operator==(CallId, CallId) noexcept = default;
 
  private:
   friend class Exchange;
   std::uint32_t exchange_ = 0;  // issuing Exchange's id; 0 = null handle
-  std::uint32_t session_ = 0;   // router session holding the call
-  std::uint32_t slot_ = 0;      // index into the session's handle table
+  std::uint32_t slot_ = 0;      // index into the handle table
   std::uint32_t gen_ = 0;       // slot generation at issue time
 };
 
@@ -133,7 +125,6 @@ class CallId {
 struct Outcome {
   CallId id{};
   RejectReason reject = RejectReason::kNone;
-  std::uint32_t session = 0;      // session that served (or rejected) it
   std::uint32_t path_length = 0;  // vertices on the settled path; 0 if not
   std::uint32_t deferrals = 0;    // admission epochs spent queued beyond the
                                   // window before being served

@@ -22,17 +22,17 @@ class Engine {
     std::uint32_t path_length = 0;
   };
   explicit Engine(const graph::Network& net) : r_(net) {}
-  Connect connect(unsigned session, std::uint32_t in, std::uint32_t out) {
-    auto& s = r_.session(session);
+  // The session index is RETIRED and ignored: the router has one call table.
+  Connect connect(unsigned, std::uint32_t in, std::uint32_t out) {
     // RETIRED copy of Exchange::outcome_of's classification.
-    const std::uint64_t terminal = s.stats().rejected_terminal;
-    const RawCall c = s.connect(in, out);
+    const std::uint64_t terminal = r_.stats().rejected_terminal;
+    const RawCall c = r_.connect(in, out);
     if (c != kNoRawCall)
-      return {c, RejectReason::kNone, std::uint32_t(s.path_length(c))};
-    return {c, s.stats().rejected_terminal > terminal
+      return {c, RejectReason::kNone, std::uint32_t(r_.path_length(c))};
+    return {c, r_.stats().rejected_terminal > terminal
                    ? RejectReason::kTerminalBusy : RejectReason::kNoPath, 0};
   }
-  void disconnect(unsigned s, RawCall c) { r_.session(s).disconnect(c); }
+  void disconnect(unsigned, RawCall c) { r_.disconnect(c); }
   [[nodiscard]] core::RouterStats stats() const { return r_.stats(); }
  private:
   core::Router r_;

@@ -14,26 +14,23 @@ std::atomic<std::uint32_t> next_exchange_id{1};
 
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
     : net_(&net),
-      router_(std::make_unique<core::Router>(*net_, cfg.sessions)),
+      router_(std::make_unique<core::Router>(*net_)),
       qos_immediate_(cfg.qos_immediate),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
-      sessions_(router_->session_count()),
       front_(cfg.window, cfg.max_queue, cfg.class_deadlines),
       input_count_(static_cast<std::uint32_t>(net.inputs.size())),
       output_count_(static_cast<std::uint32_t>(net.outputs.size())) {}
 
 // ------------------------------------------------------------------ handles
 
-CallId Exchange::issue_handle(unsigned session, core::Router::CallId raw,
+CallId Exchange::issue_handle(core::Router::CallId raw,
                               const CallRequest& req) {
-  Session& s = sessions_[session];
-  if (raw >= s.slots.size()) s.slots.resize(raw + 1);
-  Slot& sl = s.slots[raw];
+  if (raw >= slots_.size()) slots_.resize(raw + 1);
+  Slot& sl = slots_[raw];
   sl.live = true;
   sl.req = req;
   CallId id;
   id.exchange_ = id_;
-  id.session_ = session;
   id.slot_ = raw;
   id.gen_ = sl.gen;
   return id;
@@ -42,64 +39,54 @@ CallId Exchange::issue_handle(unsigned session, core::Router::CallId raw,
 RejectReason Exchange::check_handle(CallId id) const {
   if (id.exchange_ == 0) return RejectReason::kStaleHandle;  // null handle
   if (id.exchange_ != id_) return RejectReason::kForeignHandle;
-  if (id.session_ >= sessions_.size()) return RejectReason::kBadSession;
-  const Session& s = sessions_[id.session_];
-  if (id.slot_ >= s.slots.size()) return RejectReason::kStaleHandle;
-  const Slot& slot = s.slots[id.slot_];
+  if (id.slot_ >= slots_.size()) return RejectReason::kStaleHandle;
+  const Slot& slot = slots_[id.slot_];
   if (!slot.live || slot.gen != id.gen_) return RejectReason::kStaleHandle;
   return RejectReason::kNone;
 }
 
 // ---------------------------------------------------------- immediate plane
 
-Outcome Exchange::outcome_of(const CallRequest& req, unsigned session,
+Outcome Exchange::outcome_of(const CallRequest& req,
                              std::uint32_t deferrals) {
-  core::Router::Session& s = router_->session(session);
   // The router classifies every refusal once, in its RouterStats: a rise in
   // rejected_terminal across the connect is a terminal verdict, and any
   // other refusal found no idle path. No second bookkeeping to drift.
-  const std::uint64_t terminal = s.stats().rejected_terminal;
-  const core::Router::CallId call = s.connect(req.input, req.output);
+  const std::uint64_t terminal = router_->stats().rejected_terminal;
+  const core::Router::CallId call = router_->connect(req.input, req.output);
   Outcome o;
   o.tag = req.tag;
-  o.session = session;
   o.deferrals = deferrals;
   if (call == core::Router::kNoCall) {
-    o.reject = s.stats().rejected_terminal > terminal
+    o.reject = router_->stats().rejected_terminal > terminal
                    ? RejectReason::kTerminalBusy
                    : RejectReason::kNoPath;
     return o;
   }
-  o.path_length = static_cast<std::uint32_t>(s.path_length(call));
-  o.id = issue_handle(session, call, req);
+  o.path_length = static_cast<std::uint32_t>(router_->path_length(call));
+  o.id = issue_handle(call, req);
   return o;
 }
 
-Outcome Exchange::call(const CallRequest& req, unsigned session) {
-  const RejectReason misuse =
-      session >= sessions() ? RejectReason::kBadSession
-      : req.input >= input_count() || req.output >= output_count()
-          ? RejectReason::kBadTerminal
-          : RejectReason::kNone;
-  if (misuse != RejectReason::kNone) {
-    // Counted with the handle misuses: without this, a caller fanning out
-    // over more sessions (or terminals) than the exchange has would see its
-    // traffic vanish from every stats()-derived report.
+Outcome Exchange::call(const CallRequest& req) {
+  if (req.input >= input_count() || req.output >= output_count()) {
+    // Counted with the handle misuses: without this, a caller dialling
+    // terminals the exchange does not have would see its traffic vanish
+    // from every stats()-derived report.
     handle_errors_.fetch_add(1, std::memory_order_relaxed);
     Outcome o;
     o.tag = req.tag;
-    o.session = session;
-    o.reject = misuse;
+    o.reject = RejectReason::kBadTerminal;
     return o;
   }
-  if (!qos_immediate_) return outcome_of(req, session, 0);
+  if (!qos_immediate_) return outcome_of(req, 0);
   const auto t0 = std::chrono::steady_clock::now();
-  const Outcome o = outcome_of(req, session, 0);
+  const Outcome o = outcome_of(req, 0);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  ops::record_class(sessions_[session].classes, req.priority, o.connected(),
-                    secs, front_.class_deadlines());
+  ops::record_class(*classes_, req.priority, o.connected(), secs,
+                    front_.class_deadlines());
   return o;
 }
 
@@ -111,34 +98,29 @@ RejectReason Exchange::hangup(CallId id) {
     // kFaulted ack (one-generation memory: once the slot's next call
     // retires, the handle degrades to the ordinary stale error).
     if (err == RejectReason::kStaleHandle && id.exchange_ == id_ &&
-        id.session_ < sessions_.size()) {
-      const Session& s = sessions_[id.session_];
-      if (id.slot_ < s.slots.size()) {
-        const Slot& slot = s.slots[id.slot_];
-        if (slot.retired_by_fault && id.gen_ + 1 == slot.gen)
-          return RejectReason::kFaulted;
-      }
+        id.slot_ < slots_.size()) {
+      const Slot& slot = slots_[id.slot_];
+      if (slot.retired_by_fault && id.gen_ + 1 == slot.gen)
+        return RejectReason::kFaulted;
     }
     handle_errors_.fetch_add(1, std::memory_order_relaxed);
     return err;
   }
-  Session& s = sessions_[id.session_];
-  Slot& slot = s.slots[id.slot_];
-  router_->session(id.session_).disconnect(id.slot_);
+  Slot& slot = slots_[id.slot_];
+  router_->disconnect(id.slot_);
   // Retire the slot: bumping the generation invalidates every outstanding
   // copy of this handle, so double hangups and stale copies are caught by
   // check_handle() forever after.
   slot.live = false;
   slot.retired_by_fault = false;
   ++slot.gen;
-  ++s.hangups;
+  ++hangups_;
   return RejectReason::kNone;
 }
 
 std::vector<graph::VertexId> Exchange::path_of(CallId id) const {
   if (check_handle(id) != RejectReason::kNone) return {};
-  const auto path = router_->session(id.session_).path(id.slot_);
-  return {path.begin(), path.end()};
+  return router_->path_of(id.slot_);
 }
 
 // ------------------------------------------------------------ batched plane
@@ -153,18 +135,15 @@ std::size_t Exchange::drain() {
   front_.open_epoch(batch_);
   const std::size_t m = batch_.size();
   if (m == 0) return 0;
-  const unsigned s_count = sessions();
   outs_.resize(m);
-  // Session s takes the window's contiguous chunk [m*s/S, m*(s+1)/S) by
-  // arrival index. The draining thread commits the window in order, one
-  // request at a time, each callback right after its own request: the
-  // verdicts and paths of sequential routing.
-  for (unsigned s = 0; s < s_count; ++s)
-    for (std::size_t i = m * s / s_count; i < m * (s + 1) / s_count; ++i) {
-      const FrontEnd<Outcome>::Pending& p = batch_[i];
-      outs_[i] = outcome_of(p.req, s, p.deferrals);
-      if (p.done) p.done(outs_[i]);
-    }
+  // The draining thread commits the window in order, one request at a
+  // time, each callback right after its own request: the verdicts and
+  // paths of sequential routing.
+  for (std::size_t i = 0; i < m; ++i) {
+    const FrontEnd<Outcome>::Pending& p = batch_[i];
+    outs_[i] = outcome_of(p.req, p.deferrals);
+    if (p.done) p.done(outs_[i]);
+  }
   front_.close_epoch(batch_, outs_, std::chrono::steady_clock::now());
   batch_.clear();  // the callbacks' captures end with their epoch
   return m;
@@ -200,34 +179,27 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
   // A switch event can only break a hop between the switch's endpoints,
   // and only they can die with it. A vertex carries at most one call, so
   // the candidates are the (at most two) calls through the endpoints; each
-  // is judged by the one hop rule, in (session, slot) order. The victims'
-  // busy state must be released BEFORE any dead vertices are fault-claimed.
-  std::array<core::CallRef, 2> cand{router_->call_at(edge.from),
-                                    router_->call_at(edge.to)};
-  const auto key = [](const core::CallRef& c) {
-    return std::pair(c.session, c.call);
-  };
-  if (key(cand[1]) < key(cand[0])) std::swap(cand[0], cand[1]);
-  if (key(cand[1]) == key(cand[0])) cand[1] = {};  // one call through both
-  for (const core::CallRef& c : cand) {
-    const std::uint32_t s = c.session;
-    const std::uint32_t slot_idx = c.call;
+  // is judged by the one hop rule, in slot order. The victims' busy state
+  // must be released BEFORE any dead vertices are fault-claimed.
+  std::array<core::Router::CallId, 2> cand{router_->call_at(edge.from),
+                                           router_->call_at(edge.to)};
+  if (cand[1] < cand[0]) std::swap(cand[0], cand[1]);
+  if (cand[1] == cand[0]) cand[1] = core::Router::kNoCall;  // one call
+  for (const core::Router::CallId slot_idx : cand) {
     if (slot_idx == core::Router::kNoCall) continue;
-    Slot& slot = sessions_[s].slots[slot_idx];
-    const auto path = router_->session(s).path(slot_idx);
+    Slot& slot = slots_[slot_idx];
+    const auto path = router_->path(slot_idx);
     if (path_alive(path, newly_dead)) continue;
     Outcome dead;
     dead.reject = RejectReason::kFaulted;
-    dead.session = s;
     dead.path_length = static_cast<std::uint32_t>(path.size());
     dead.tag = slot.req.tag;
     // The (now stale) handle is echoed so owners can reconcile their maps.
     dead.id.exchange_ = id_;
-    dead.id.session_ = s;
     dead.id.slot_ = slot_idx;
     dead.id.gen_ = slot.gen;
     impact.killed.push_back(dead);
-    router_->session(s).disconnect(slot_idx);
+    router_->disconnect(slot_idx);
     slot.live = false;
     slot.retired_by_fault = true;
     ++slot.gen;
@@ -236,8 +208,8 @@ void Exchange::reap_victims(FaultImpact& impact, const graph::Edge& edge,
 }
 
 void Exchange::reroute_victims(FaultImpact& impact) {
-  // Immediate re-admission: each victim's original request routes again on
-  // the victim's own session, in kill order. Their terminals are free again
+  // Immediate re-admission: each victim's original request routes again,
+  // in kill order. Their terminals are free again
   // (the kill released them); whether a detour exists is the router's
   // verdict. The admission queue is not touched. Every request is copied
   // before any routes, because a reroute may take a later victim's slot.
@@ -245,11 +217,10 @@ void Exchange::reroute_victims(FaultImpact& impact) {
   std::vector<CallRequest> reqs;
   reqs.reserve(impact.killed.size());
   for (const Outcome& dead : impact.killed)
-    reqs.push_back(sessions_[dead.session].slots[dead.id.slot_].req);
+    reqs.push_back(slots_[dead.id.slot_].req);
   impact.reroutes.reserve(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const unsigned s = impact.killed[i].session;
-    impact.reroutes.push_back(outcome_of(reqs[i], s, 0));
+  for (const CallRequest& req : reqs) {
+    impact.reroutes.push_back(outcome_of(req, 0));
     if (impact.reroutes.back().connected())
       ++impact.reroute_succeeded;
     else
@@ -457,11 +428,9 @@ GrowthReport Exchange::grow(graph::Network grown) {
 ExchangeStats Exchange::stats() const {
   ExchangeStats st = front_.books();
   st.router = router_->stats();
-  for (const Session& s : sessions_) {
-    st.hangups += s.hangups;
-    for (std::size_t c = 0; c < ops::kQosClasses; ++c)
-      st.classes[c] += s.classes[c];
-  }
+  st.hangups += hangups_;
+  for (std::size_t c = 0; c < ops::kQosClasses; ++c)
+    st.classes[c] += (*classes_)[c];
   st.handle_errors = handle_errors_.load(std::memory_order_relaxed);
   return st;
 }
@@ -469,10 +438,8 @@ ExchangeStats Exchange::stats() const {
 void Exchange::reset_stats() {
   router_->reset_stats();
   front_.reset_books();
-  for (Session& s : sessions_) {
-    s.hangups = 0;
-    s.classes = {};
-  }
+  hangups_ = 0;
+  *classes_ = {};
   handle_errors_.store(0, std::memory_order_relaxed);
   // The weld tracker and last_alarm_ are live state, not counters: the
   // short condition does not vanish because the books were reset.

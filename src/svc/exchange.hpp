@@ -1,23 +1,22 @@
-// ftcs::svc::Exchange — session-oriented call service over the router.
+// ftcs::svc::Exchange — call service over the router.
 //
 // The paper's networks are telephone exchanges (Clos [Cl]): an exchange
 // serves calls, it does not expose raw connect(in, out) pokes at a router.
 // Exchange is that service facade. It owns the fault plane (and optionally
 // the network), serves typed CallRequests by calling one core::Router
-// (ftcs/router.hpp, ExchangeConfig::sessions session shards) directly, and
-// hands back generation-tagged CallId handles whose misuse — stale handle,
-// double hangup, handle from another Exchange, a terminal or switch that
-// does not exist — is a typed error, never corrupted busy state.
+// (ftcs/router.hpp) directly, and hands back generation-tagged CallId
+// handles whose misuse — stale handle, double hangup, handle from another
+// Exchange, a terminal or switch that does not exist — is a typed error,
+// never corrupted busy state.
 //
 // Two service planes:
-//   - IMMEDIATE: call(req, session) routes now on one router session and
-//     returns the Outcome; hangup(id) releases. This is the low-latency,
+//   - IMMEDIATE: call(req) routes now and returns the Outcome; hangup(id)
+//     releases. This is the low-latency,
 //     event-driven plane (the traffic simulation lives here).
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
 //     admission epoch — the highest-priority ExchangeConfig::window of
-//     queued requests (the whole queue when the window is 0) is split by
-//     arrival index into one contiguous chunk per router session, and the
-//     draining thread commits the window in order, one request at a time,
+//     queued requests (the whole queue when the window is 0) is taken, and
+//     the draining thread commits it in order, one request at a time,
 //     through core::Router's connect.
 //     Completions are delivered through the callback (on the draining
 //     thread, right after the request commits) or a pollable Ticket.
@@ -31,7 +30,7 @@
 //     thread-safe from any thread.
 //   - call(), hangup(), path_of(), drain(), inject(), repair(), apply() and
 //     grow() are SERIALIZED: one thread at a time runs any of them. Two
-//     threads calling call() at once, on any sessions, is misuse.
+//     threads calling call() at once is misuse.
 //   - stats() is exact when no serialized entry is running.
 #pragma once
 
@@ -57,7 +56,7 @@ namespace ftcs::svc {
 /// What one fault-plane operation did: which calls died (typed kFaulted
 /// outcomes echoing the original request's tag, with the now-dead handle)
 /// and how their immediate re-admission went (reroutes[i] is the new
-/// outcome for killed[i], routed on killed[i]'s session).
+/// outcome for killed[i]).
 struct FaultImpact {
   fault::FaultEvent event;
   /// kBadSwitch iff the event named a switch the network does not have;
@@ -90,18 +89,18 @@ struct GrowthReport {
   std::size_t outputs_added = 0;
   std::uint64_t calls_carried = 0;   // live calls carried across the growth
   std::uint64_t calls_killed = 0;    // always 0: growth is hitless
-  double quiesce_seconds = 0.0;      // wall time the sessions were held
+  double quiesce_seconds = 0.0;      // wall time the exchange was held
 };
 
-/// RETIRED: read by nothing (ExchangeConfig::sessions alone sets the
-/// session count). Kept because the exchange benchmark still names it.
+/// RETIRED: read by nothing (an exchange has one router and one call
+/// table). Kept because the exchange benchmark still names it.
 enum class Backend : std::uint8_t { kGreedy, kConcurrent };
 
 struct ExchangeConfig {
   /// RETIRED, read by nothing (see Backend).
   Backend backend = Backend::kGreedy;
-  /// Router sessions (shards), each with its own call table; a drain
-  /// splits its window across them. 0 means 1.
+  /// RETIRED, read by nothing: the router keeps one call table. Kept
+  /// because the exchange benchmark still sets it.
   unsigned sessions = 1;
   /// Batched plane: drain() admits at most this many queued requests per
   /// epoch; 0 admits the whole queue.
@@ -131,14 +130,13 @@ class Exchange {
   Exchange& operator=(const Exchange&) = delete;
 
   // ----------------------------------------------------------- immediate
-  /// Routes the request now on `session` and returns the Outcome
-  /// (Outcome::id is live iff connected()). A session index or terminal out
-  /// of range is answered kBadSession or kBadTerminal and counted into
-  /// ExchangeStats::handle_errors.
-  Outcome call(const CallRequest& req, unsigned session = 0);
+  /// Routes the request now and returns the Outcome (Outcome::id is live
+  /// iff connected()). A terminal out of range is answered kBadTerminal and
+  /// counted into ExchangeStats::handle_errors.
+  Outcome call(const CallRequest& req);
   /// Releases a call. Returns kNone on success; kStaleHandle /
-  /// kForeignHandle / kBadSession on a handle that is not currently live
-  /// here — in which case nothing is touched.
+  /// kForeignHandle on a handle that is not currently live here — in which
+  /// case nothing is touched.
   RejectReason hangup(CallId id);
   /// Vertices of a live call's path (input first); empty for a non-live
   /// handle.
@@ -168,8 +166,8 @@ class Exchange {
   }
   /// Runs one admission epoch: admits up to ExchangeConfig::window queued
   /// requests, or all of them when the window is 0 (highest priority
-  /// first, FIFO among equals), commits the batch across all sessions in
-  /// window order on this thread, delivers completions. Returns the number
+  /// first, FIFO among equals), commits the batch in window order on this
+  /// thread, delivers completions. Returns the number
   /// of requests admitted: 0 iff the queue was empty.
   std::size_t drain();
   /// Runs epochs until one admits nothing, i.e. until the queue is empty
@@ -196,7 +194,7 @@ class Exchange {
   //     incident switch; terminals stay serviceable through their surviving
   //     switches), tears down every active call whose path lost a component
   //     (typed kFaulted outcomes), then immediately routes each victim's
-  //     original request again on the victim's own session, in kill order.
+  //     original request again, in kill order.
   //     The admission queue is untouched: a queued backlog waits for the
   //     next drain(), and no fault event runs an admission epoch.
   //   - kStuckOn (closed): the switch welds conducting — the router routes
@@ -263,9 +261,9 @@ class Exchange {
   GrowthReport grow(graph::Network grown);
 
   // ------------------------------------------------------- introspection
-  [[nodiscard]] unsigned sessions() const noexcept {
-    return router_->session_count();
-  }
+  /// RETIRED, always 1: the router keeps one call table. Kept because the
+  /// exchange benchmark still stamps it.
+  [[nodiscard]] unsigned sessions() const noexcept { return 1; }
   [[nodiscard]] const graph::Network& network() const noexcept { return *net_; }
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
     return router_->input_idle(in);
@@ -292,10 +290,10 @@ class Exchange {
   void reset_stats();
 
  private:
-  /// One handle-table shard per router session. A handle's slot IS its
-  /// router call id: the session hands each id to one live call at a
-  /// time, and the fault plane maps core::Router::call_at's answer to its
-  /// slot without a search.
+  /// One handle-table entry per router call slot. A handle's slot IS its
+  /// router call id: the router hands each id to one live call at a time,
+  /// and the fault plane maps core::Router::call_at's answer to its slot
+  /// without a search.
   struct Slot {
     std::uint32_t gen = 1;  // bumped on retire; a handle is live iff its
                             // gen matches AND live is set
@@ -306,25 +304,15 @@ class Exchange {
     bool retired_by_fault = false;
     CallRequest req;  // original request, kept for fault-plane re-admission
   };
-  struct Session {
-    std::vector<Slot> slots;  // indexed by raw call id
-    std::uint64_t hangups = 0;
-    // Immediate-plane QoS book (filled only with cfg.qos_immediate),
-    // merged by stats().
-    ops::ClassBook classes{};
-  };
 
-  CallId issue_handle(unsigned session, core::Router::CallId raw,
-                      const CallRequest& req);
+  CallId issue_handle(core::Router::CallId raw, const CallRequest& req);
   /// submit()'s answer to a request naming a terminal that does not exist.
   Ticket bounce_bad_terminal(const CallRequest& req, CompletionFn done);
   /// Validates a handle: kNone if it is live here, else the typed error.
   RejectReason check_handle(CallId id) const;
-  /// Routes `req` on `session` and returns its Outcome, with its handle
-  /// issued when it connected: the one place a router refusal is
-  /// classified.
-  Outcome outcome_of(const CallRequest& req, unsigned session,
-                     std::uint32_t deferrals);
+  /// Routes `req` and returns its Outcome, with its handle issued when it
+  /// connected: the one place a router refusal is classified.
+  Outcome outcome_of(const CallRequest& req, std::uint32_t deferrals);
   /// True iff `impact.event` names a switch of the network; otherwise
   /// answers it kBadSwitch and books the misuse.
   bool switch_exists(FaultImpact& impact);
@@ -337,13 +325,13 @@ class Exchange {
       const;
   /// Tears down the calls through `edge`'s endpoints whose paths are no
   /// longer alive (typed kFaulted outcomes into `impact.killed`, in
-  /// (session, slot) order); busy state is released so the caller may
+  /// slot order); busy state is released so the caller may
   /// fault-claim `newly_dead` (a subset of the endpoints) afterwards.
   void reap_victims(FaultImpact& impact, const graph::Edge& edge,
                     std::span<const graph::VertexId> newly_dead);
-  /// Routes each of impact.killed's requests again on its own session, in
-  /// kill order; fills impact.reroutes (index-aligned) and the reroute
-  /// counters. Never touches the admission queue.
+  /// Routes each of impact.killed's requests again, in kill order; fills
+  /// impact.reroutes (index-aligned) and the reroute counters. Never
+  /// touches the admission queue.
   void reroute_victims(FaultImpact& impact);
 
   std::unique_ptr<graph::Network> owned_net_;  // set only by grow()
@@ -354,7 +342,15 @@ class Exchange {
   std::unique_ptr<core::Router> router_;
   bool qos_immediate_ = false;
   std::uint32_t id_;  // process-unique, tagged into every CallId
-  std::vector<Session> sessions_;
+  std::vector<Slot> slots_;  // indexed by raw call id
+  std::uint64_t hangups_ = 0;
+  // Immediate-plane QoS book (filled only with cfg.qos_immediate), merged
+  // by stats(). On the heap, not by value, for the heap-layout reason of
+  // router_ (above) and of the router's call block: by value it keeps the
+  // rebuilt exchange's freed heap trimmed, and search-k9 setup_s reads
+  // about +35%.
+  std::unique_ptr<ops::ClassBook> classes_ =
+      std::make_unique<ops::ClassBook>();
   // drain()'s epoch buffers, kept across epochs: an epoch whose window is
   // no larger than an earlier one's allocates nothing.
   std::vector<FrontEnd<Outcome>::Pending> batch_;

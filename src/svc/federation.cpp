@@ -155,8 +155,8 @@ FedOutcome Federation::call(const CallRequest& req) {
         sa, members_[sa]->call({caller, callee, req.priority, req.tag}));
   }
   // Inter-shard setup: terminals, trunk, ingress half, egress half. The
-  // terminal checks apply the member router's own idle rule (members are
-  // one-session solo exchanges and this thread owns them), so a busy caller
+  // terminal checks apply the member router's own idle rule (this thread
+  // owns the member exchanges), so a busy caller
   // or callee gets the verdict its half would get, kTerminalBusy, before
   // any trunk claim or half-call.
   ++stats_.inter_calls;
@@ -286,7 +286,7 @@ TrunkFaultImpact Federation::fail_trunk(std::uint32_t group,
   TrunkFaultImpact imp;
   imp.group = group;
   imp.line = line;
-  if (group >= groups_.size() || line >= groups_[group].capacity()) return imp;
+  if (!line_exists(imp)) return imp;
   imp.applied = !groups_[group].line_faulted(line);
   imp.was_busy = groups_[group].fault(line);  // idempotent on a failed line
   if (!imp.was_busy) return imp;
@@ -300,7 +300,7 @@ TrunkFaultImpact Federation::repair_trunk(std::uint32_t group,
   TrunkFaultImpact imp;
   imp.group = group;
   imp.line = line;
-  if (group >= groups_.size() || line >= groups_[group].capacity()) return imp;
+  if (!line_exists(imp)) return imp;
   imp.applied = groups_[group].line_faulted(line);
   groups_[group].repair(line);  // idempotent on a healthy line
   return imp;
@@ -367,6 +367,14 @@ bool Federation::shard_exists(unsigned shard, const fault::FaultEvent& ev,
   if (shard < shards()) return true;
   out.member.event = ev;
   out.member.reject = RejectReason::kBadSwitch;
+  ++stats_.handle_errors;
+  return false;
+}
+
+bool Federation::line_exists(TrunkFaultImpact& imp) {
+  if (imp.group < groups_.size() && imp.line < groups_[imp.group].capacity())
+    return true;
+  imp.reject = RejectReason::kBadSwitch;
   ++stats_.handle_errors;
   return false;
 }

@@ -64,8 +64,8 @@
 // Threading contract (the Exchange rules, lifted one level): submit() and
 // poll() are thread-safe; call()/hangup()/drain()/drain_all() and every
 // fault operation run from one thread at a time, which transitively owns
-// every member session (Federation touches multiple members per call, so
-// immediate-plane serialization is global, not per-session). Completion
+// every member exchange (Federation touches multiple members per call, so
+// immediate-plane serialization is global, not per-member). Completion
 // callbacks fire on the draining thread.
 #pragma once
 
@@ -126,7 +126,8 @@ struct FederationStats {
   std::uint64_t reroute_failed = 0;
   std::uint64_t handle_errors = 0;  // federation-level misuse (null/foreign/
                                     // stale federation handles, bad global
-                                    // terminals, fault events on no shard)
+                                    // terminals, fault events on no shard
+                                    // or no trunk line)
 
   /// The field table (util/stat_fields.hpp). `members` and `trunks` merge
   /// through their own operators. The fed_ names keep the reroute and
@@ -218,8 +219,11 @@ struct FedOutcome {
 struct TrunkFaultImpact {
   std::uint32_t group = 0;
   std::uint32_t line = 0;
+  /// kBadSwitch iff (group, line) names no trunk line; then nothing was
+  /// touched. kNone otherwise.
+  RejectReason reject = RejectReason::kNone;
   bool applied = false;   // the operation changed line state (false on an
-                          // idempotent repeat or out-of-range coordinates)
+                          // idempotent repeat or a rejected coordinate)
   bool was_busy = false;  // the line carried a call when it failed
   std::vector<FedOutcome> killed;
   std::vector<FedOutcome> reroutes;
@@ -253,8 +257,8 @@ class Federation {
   /// distinct shards (the full mesh). A 1-shard federation makes every
   /// port a subscriber; otherwise 3/4 of the ports are subscribers and the
   /// rest the trunk pool (the classic line/trunk concentration split).
-  /// Members are default exchanges, one session each: call() routes each
-  /// half on session 0. `member_net` must outlive the federation.
+  /// Members are default exchanges: call() routes each half through its
+  /// member's call(). `member_net` must outlive the federation.
   Federation(const graph::Network& member_net, unsigned shards);
 
   Federation(const Federation&) = delete;
@@ -326,7 +330,10 @@ class Federation {
   // --------------------------------------------------------- fault plane
   /// Edge fault of the federation graph: fails line `line` of `group`,
   /// tears down the riding call (typed kFaulted, both halves) and re-admits
-  /// it end-to-end through call(). The batched queue is untouched.
+  /// it end-to-end through call(). The batched queue is untouched. A group
+  /// or line the federation does not have is answered reject ==
+  /// kBadSwitch, counted into FederationStats::handle_errors, and touches
+  /// nothing else (both verbs).
   TrunkFaultImpact fail_trunk(std::uint32_t group, std::uint32_t line);
   /// Restores a failed line to the claimable pool.
   TrunkFaultImpact repair_trunk(std::uint32_t group, std::uint32_t line);
@@ -408,6 +415,9 @@ class Federation {
   /// for `ev` and books the misuse.
   bool shard_exists(unsigned shard, const fault::FaultEvent& ev,
                     FedFaultImpact& out);
+  /// True iff `imp`'s (group, line) names a trunk line; otherwise answers
+  /// it kBadSwitch and books the misuse.
+  bool line_exists(TrunkFaultImpact& imp);
   /// Shared half-call reconciliation behind inject()/repair().
   void reconcile_member_impact(unsigned shard, FedFaultImpact& out);
   /// half_owner_ entry for member `shard`'s handle `half` (grown on demand).

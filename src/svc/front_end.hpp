@@ -33,7 +33,7 @@ namespace ftcs::svc {
 /// across exchanges (bench summaries); operator-= takes before/after deltas
 /// (traffic reports). Every counter is a row of fields().
 struct ExchangeStats {
-  core::RouterStats router;           // the router's counters, all sessions
+  core::RouterStats router;           // the router's counters
   std::uint64_t submitted = 0;        // batch-plane requests enqueued
   std::uint64_t admitted = 0;         // requests admitted into some epoch
   std::uint64_t completed = 0;        // batch outcomes delivered
@@ -43,8 +43,8 @@ struct ExchangeStats {
   std::uint64_t queue_high_water = 0; // max queue depth observed
   std::uint64_t hangups = 0;          // successful hangups (both planes)
   std::uint64_t handle_errors = 0;    // misuse detected: stale/foreign/double
-                                      // hangups, bad-session or bad-terminal
-                                      // calls, bad-switch fault events
+                                      // hangups, bad-terminal calls,
+                                      // bad-switch fault events
   // Fault-plane counters (inject()/repair()):
   std::uint64_t faults_injected = 0;       // open switch failures applied
   std::uint64_t faults_stuck = 0;          // stuck-on (closed) failures applied

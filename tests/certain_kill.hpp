@@ -1,8 +1,7 @@
-// A fault event that is certain to kill a call, for the multi-session
-// storm tests: a seeded storm may hit no held call at all, and then the
-// victim re-admission (a reroute on the victim's own session) goes
-// unexercised in that run. The pool's hand-off under a fault storm is
-// covered by TrafficFaults.BatchedMultiSessionPlaneSurvivesTheSameStorm
+// A fault event that is certain to kill a call, for the racing storm
+// tests: a seeded storm may hit no held call at all, and then the victim
+// re-admission goes unexercised in that run. The batched plane under a
+// fault storm is covered by TrafficFaults.BatchedPlaneSurvivesTheSameStorm
 // (tests/test_fault_plane.cpp, ctest label tsan).
 #pragma once
 
@@ -26,7 +25,7 @@ inline void kill_a_call(svc::Exchange& ex, std::vector<svc::Outcome>& strays) {
   const graph::CsrGraph& g = ex.network().g;
   const auto n = static_cast<std::uint32_t>(ex.input_count());
   for (std::uint32_t in = 0; in < n; ++in) {
-    const svc::Outcome o = ex.call({in, in, 0, 0}, 0);
+    const svc::Outcome o = ex.call({in, in, 0, 0});
     if (!o.connected()) continue;
     const std::vector<graph::VertexId> path = ex.path_of(o.id);
     ASSERT_GE(path.size(), 2u);

@@ -1,8 +1,8 @@
 // The router suite's shared machinery. The `RouterStores` tests route
 // through AuditedRouter, which runs audit() — the structural safety net —
 // after every operation. audit() reads only the router's public accessors,
-// so it checks a router of any session count (the N-session interleavings
-// in test_concurrent_router.cpp call it directly).
+// so tests that drive a plain core::Router (the seeded interleavings in
+// test_concurrent_router.cpp) call it directly.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -104,32 +104,29 @@ inline void audit(core::Router& r, const graph::Network& net,
         std::find(list.begin(), list.end(), v) - list.begin());
   };
   std::vector<std::uint8_t> expect(net.g.vertex_count(), 0);
-  std::vector<core::CallRef> holder(net.g.vertex_count());
+  std::vector<std::uint32_t> holder(net.g.vertex_count(), kNone);
   std::size_t lengths = 0, calls = 0;
-  for (unsigned s = 0; s < r.session_count(); ++s) {
-    const auto& session = r.session(s);
-    for (const auto id : session.active_call_ids()) {
-      const auto path = session.path(id);
-      ASSERT_FALSE(path.empty());
-      ASSERT_EQ(path.size(), session.path_length(id));
-      const std::uint32_t in = terminal(net.inputs, path.front());
-      const std::uint32_t out = terminal(net.outputs, path.back());
-      ASSERT_LT(in, net.inputs.size()) << "call " << id << " starts off-input";
-      ASSERT_LT(out, net.outputs.size()) << "call " << id << " ends off-output";
-      EXPECT_FALSE(r.input_idle(in)) << "live call on an idle input " << in;
-      EXPECT_FALSE(r.output_idle(out)) << "live call on an idle output " << out;
-      for (std::size_t i = 0; i + 1 < path.size(); ++i)
-        ASSERT_TRUE(joined(net.g, path[i], path[i + 1]))
-            << "call " << id << " hops " << path[i] << " -> " << path[i + 1]
-            << " with no switch between them";
-      for (const graph::VertexId v : path) {
-        EXPECT_EQ(expect[v], 0) << "vertex " << v << " on two live paths";
-        expect[v] = 1;
-        holder[v] = {s, id};
-      }
-      lengths += session.path_length(id);
-      ++calls;
+  for (const auto id : r.active_call_ids()) {
+    const auto path = r.path(id);
+    ASSERT_FALSE(path.empty());
+    ASSERT_EQ(path.size(), r.path_length(id));
+    const std::uint32_t in = terminal(net.inputs, path.front());
+    const std::uint32_t out = terminal(net.outputs, path.back());
+    ASSERT_LT(in, net.inputs.size()) << "call " << id << " starts off-input";
+    ASSERT_LT(out, net.outputs.size()) << "call " << id << " ends off-output";
+    EXPECT_FALSE(r.input_idle(in)) << "live call on an idle input " << in;
+    EXPECT_FALSE(r.output_idle(out)) << "live call on an idle output " << out;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+      ASSERT_TRUE(joined(net.g, path[i], path[i + 1]))
+          << "call " << id << " hops " << path[i] << " -> " << path[i + 1]
+          << " with no switch between them";
+    for (const graph::VertexId v : path) {
+      EXPECT_EQ(expect[v], 0) << "vertex " << v << " on two live paths";
+      expect[v] = 1;
+      holder[v] = id;
     }
+    lengths += r.path_length(id);
+    ++calls;
   }
   for (graph::VertexId v = 0; v < expect.size(); ++v) {
     if (r.vertex_dead(v)) expect[v] = 1;
@@ -148,16 +145,11 @@ inline void audit(core::Router& r, const graph::Network& net,
   EXPECT_EQ(r.failed_edge_count(), failed);
   EXPECT_EQ(r.contracted_edge_count(), contracted);
   if (!owner_map) return;
-  for (graph::VertexId v = 0; v < holder.size(); ++v) {
-    const core::CallRef at = r.call_at(v);
-    ASSERT_EQ(at.call, holder[v].call) << "call_at(" << v << ")";
-    if (at.call != kNone) {
-      ASSERT_EQ(at.session, holder[v].session) << "call_at(" << v << ")";
-    }
-  }
+  for (graph::VertexId v = 0; v < holder.size(); ++v)
+    ASSERT_EQ(r.call_at(v), holder[v]) << "call_at(" << v << ")";
 }
 
-/// A one-session router that runs audit() after every connect,
+/// A router that runs audit() after every connect,
 /// disconnect, overlay flip and grow(): the suite's router. Once the test
 /// has asked call_at(), the audit checks the owner map too.
 class AuditedRouter : public core::Router {
@@ -178,8 +170,8 @@ class AuditedRouter : public core::Router {
   void uncontract_edge(graph::EdgeId e) { Base::uncontract_edge(e); check(); }
   void kill_vertex(graph::VertexId v) { Base::kill_vertex(v); check(); }
   void revive_vertex(graph::VertexId v) { Base::revive_vertex(v); check(); }
-  core::CallRef call_at(graph::VertexId v) {
-    const core::CallRef at = Base::call_at(v);
+  std::uint32_t call_at(graph::VertexId v) {
+    const std::uint32_t at = Base::call_at(v);
     owner_map_ = true;
     check();
     return at;

@@ -1,23 +1,20 @@
-// The router's session shards: N sessions over one busy state route as
-// one session does, keep the structural invariants, and serve N submitter
-// threads racing one draining thread.
+// One router under churn: it keeps the structural invariants, and serves N
+// submitter threads racing one draining thread.
 //
 //  - Drain race: 8 submitter threads submit() random requests to an
-//    8-session exchange on fault-free cantor-k5 while the draining thread
+//    exchange on fault-free cantor-k5 while the draining thread
 //    commits them and hangs calls up (racing_submitters.hpp). Each
 //    completion checks its path on the draining thread: a chain of
 //    switches from an input to an output over vertices no other live call
 //    holds, and §4's guarantee — no kNoPath between idle terminals. At the
 //    end the books balance and a full hangup leaves the network idle.
-//  - Seeded interleaving: 8 sessions of one router churn in a seeded
-//    order; the structural audit (router_stores.hpp) then checks every
+//  - Seeded interleaving: one router churns in a seeded order; after every
+//    connect the structural audit (router_stores.hpp) checks every
 //    invariant at once — no vertex on two paths, busy bits exactly the live
 //    paths, busy_vertices() the sum of path lengths, call_at() naming each
 //    vertex's call — and every disconnect releases its path down to an
 //    all-idle network. The owner map is built first, so every connect also
 //    writes it.
-//  - N vs 1: a fixed request trace spread over 4 sessions gives the
-//    verdicts, paths and counters of one session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,12 +33,10 @@ namespace {
 
 using namespace test;
 
-TEST(ShardedRouter, SubmittersRacingOneDrainKeepEveryPathAndTheBooks) {
+TEST(RouterChurn, SubmittersRacingOneDrainKeepEveryPathAndTheBooks) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kThreads = 8;
-  svc::ExchangeConfig cfg;
-  cfg.sessions = kThreads;
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net);
 
   std::vector<svc::CallId> held;
   std::vector<std::uint8_t> on_path(net.g.vertex_count(), 0);
@@ -114,112 +109,50 @@ TEST(ShardedRouter, SubmittersRacingOneDrainKeepEveryPathAndTheBooks) {
   }
 }
 
-TEST(ShardedRouter, SeededInterleavingOfEightSessionsKeepsTheAudit) {
+TEST(RouterChurn, SeededInterleavingKeepsTheAuditAfterEveryConnect) {
   const auto net = networks::build_cantor({5, 0});
-  constexpr unsigned kSessions = 8;
-  core::Router router(net, kSessions);
+  core::Router router(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  ASSERT_EQ(router.call_at(net.inputs[0]).call, kNone);  // builds the map
+  ASSERT_EQ(router.call_at(net.inputs[0]), kNone);  // builds the map
 
   util::Xoshiro256 rng(777);
-  std::vector<std::vector<core::Router::CallId>> active(kSessions);
-  for (std::size_t op = 0; op < kSessions * 4000; ++op) {
-    const auto s = static_cast<unsigned>(rng.below(kSessions));
-    auto& session = router.session(s);
-    auto& mine = active[s];
-    if (!mine.empty() && rng.below(4) == 0) {
-      const auto idx = rng.below(mine.size());
-      session.disconnect(mine[idx]);
-      mine[idx] = mine.back();
-      mine.pop_back();
+  std::vector<core::Router::CallId> active;
+  for (std::size_t op = 0; op < 32000; ++op) {
+    if (!active.empty() && rng.below(4) == 0) {
+      const auto idx = rng.below(active.size());
+      router.disconnect(active[idx]);
+      active[idx] = active.back();
+      active.pop_back();
     } else {
       const auto in = static_cast<std::uint32_t>(rng.below(n));
       const auto out = static_cast<std::uint32_t>(rng.below(n));
-      const auto call = session.connect(in, out);
-      if (call != core::Router::kNoCall) mine.push_back(call);
+      const auto call = router.connect(in, out);
+      if (call != core::Router::kNoCall) active.push_back(call);
+      // No vertex may lie on two active paths, and no busy bit may outlive
+      // the path that took it.
+      ASSERT_NO_FATAL_FAILURE(audit(router, net, true)) << "op " << op;
     }
   }
+  EXPECT_EQ(router.active_call_ids().size(), active.size());
 
-  // No vertex may lie on two active paths, and no busy bit may outlive
-  // the path that took it.
-  audit(router, net, true);
-  std::size_t total_active = 0;
-  for (unsigned s = 0; s < kSessions; ++s)
-    total_active += router.session(s).active_call_ids().size();
-
-  // Counter bookkeeping across all sessions.
-  const auto stats = router.stats();
+  // Counter bookkeeping.
+  const auto& stats = router.stats();
   EXPECT_EQ(stats.connect_calls, stats.accepted + stats.rejected_terminal +
                                      stats.rejected_no_path);
-  EXPECT_EQ(stats.accepted - stats.disconnects, total_active);
+  EXPECT_EQ(stats.accepted - stats.disconnects, active.size());
 
   // Every disconnect must release its path: drain to an all-idle network.
-  for (unsigned s = 0; s < kSessions; ++s) {
-    auto& session = router.session(s);
-    for (const auto id : session.active_call_ids()) session.disconnect(id);
-  }
+  for (const auto id : router.active_call_ids()) router.disconnect(id);
   EXPECT_EQ(router.active_calls(), 0u);
   EXPECT_EQ(router.busy_vertices(), 0u);
   for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v) {
     EXPECT_FALSE(router.is_busy(v));
-    EXPECT_EQ(router.call_at(v).call, kNone) << "stale owner of " << v;
+    EXPECT_EQ(router.call_at(v), kNone) << "stale owner of " << v;
   }
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_TRUE(router.input_idle(i));
     EXPECT_TRUE(router.output_idle(i));
   }
-}
-
-// A fixed request trace, on one session and spread over four; every
-// observable but the per-session slot ids must match.
-TEST(ShardedRouter, FourSessionsRouteAsOneSession) {
-  const auto net = networks::build_cantor({4, 0});
-  constexpr unsigned kSessions = 4;
-  core::Router one(net);
-  core::Router four(net, kSessions);
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
-
-  util::Xoshiro256 rng(2024);
-  struct Held {
-    core::Router::CallId one, four;
-    unsigned session;
-  };
-  std::vector<Held> active;
-  std::size_t accepted = 0;
-  for (std::size_t op = 0; op < 800; ++op) {
-    if (!active.empty() && rng.below(4) == 0) {
-      const auto idx = rng.below(active.size());
-      one.disconnect(active[idx].one);
-      four.session(active[idx].session).disconnect(active[idx].four);
-      active[idx] = active.back();
-      active.pop_back();
-      continue;
-    }
-    const auto in = static_cast<std::uint32_t>(rng.below(n));
-    const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto s = static_cast<unsigned>(rng.below(kSessions));
-    const auto c1 = one.connect(in, out);
-    const auto c4 = four.session(s).connect(in, out);
-    ASSERT_EQ(c1 == core::Router::kNoCall, c4 == core::Router::kNoCall)
-        << "accept/reject divergence at op " << op;
-    if (c1 == core::Router::kNoCall) continue;
-    EXPECT_EQ(one.path_of(c1), four.session(s).path_of(c4));
-    active.push_back({c1, c4, s});
-    ++accepted;
-  }
-  ASSERT_GT(accepted, 0u);
-
-  const auto& s1 = one.stats();
-  const auto s4 = four.stats();
-  EXPECT_EQ(s1.connect_calls, s4.connect_calls);
-  EXPECT_EQ(s1.accepted, s4.accepted);
-  EXPECT_EQ(s1.rejected_terminal, s4.rejected_terminal);
-  EXPECT_EQ(s1.rejected_no_path, s4.rejected_no_path);
-  EXPECT_EQ(s1.disconnects, s4.disconnects);
-  EXPECT_EQ(s1.vertices_visited, s4.vertices_visited);
-  EXPECT_EQ(s1.path_vertices, s4.path_vertices);
-  EXPECT_EQ(one.busy_vertices(), four.busy_vertices());
-  EXPECT_EQ(one.active_calls(), four.active_calls());
 }
 
 TEST(RouterStats, MergeWithOperatorPlusEquals) {

@@ -6,14 +6,12 @@
 //    lengths where every input->output path has the same length);
 //  - connect()/disconnect() perform no heap allocation, verified by a
 //    counting global operator new: from the first connect after
-//    construction or grow() on, on every session; also under welds, whose
-//    reverse hops make paths longer than the stage count; and an
-//    Exchange's open-switch inject that kills no call allocates nothing
-//    once its fault books exist, and neither does a steady-state
-//    multi-session drain();
-//  - the path records: a churn long enough to compact each session's
-//    record store many times keeps every live call's path equal to the
-//    path it settled.
+//    construction or grow() on; also under welds, whose reverse hops make
+//    paths longer than the stage count; and an Exchange's open-switch
+//    inject that kills no call allocates nothing once its fault books
+//    exist, and neither does a steady-state drain();
+//  - the path records: a churn long enough to compact the record store
+//    many times keeps every live call's path equal to the path it settled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -349,45 +347,36 @@ TEST(RouterStores, ConnectPerformsNoHeapAllocationUnderWelds) {
   EXPECT_GT(longest, stages) << "no path crossed a weld backwards";
 }
 
-// The router's construction and grow() build the search scratch and every
-// session's record store, so the very first connects allocate nothing: on
-// a fresh router of 1 and of 2 sessions, and on terminals and vertices
-// that only the grown network has, with calls carried across the growth.
+// The router's construction and grow() build the search scratch and the
+// record store, so the very first connects allocate nothing: on a fresh
+// router, and on terminals and vertices that only the grown network has,
+// with calls carried across the growth.
 TEST(RouterStores, FirstConnectsAfterConstructionAndGrowthAllocateNothing) {
   const auto net = networks::build_cantor({5, 0});
   // cantor-k5 doubled: a cantor-k6-sized network.
   const auto grown = networks::grow_cantor(net, {5, 0});
-  for (const unsigned sessions : {1u, 2u}) {
-    SCOPED_TRACE(sessions);
-    core::Router r(net, sessions);
-    ASSERT_EQ(r.session_count(), sessions);
-    // Request i goes to session i % sessions. Returns the allocations the
-    // requests made.
-    const auto first_requests = [&](std::uint32_t n, std::uint32_t first_in) {
-      const std::uint64_t before = g_alloc_count.load();
-      for (std::uint32_t i = 0; i < 16; ++i) {
-        const std::uint32_t in = (first_in + i) % n;
-        (void)r.session(i % sessions).connect(in, (in * 5 + 2) % n);
-      }
-      return g_alloc_count.load() - before;
-    };
-    const auto n = static_cast<std::uint32_t>(net.inputs.size());
-    EXPECT_EQ(first_requests(n, 0), 0u) << "first requests after construction";
-    for (unsigned s = 0; s < sessions; ++s)
-      EXPECT_GT(r.session(s).active_calls(), 0u) << "session " << s;
+  core::Router r(net);
+  // Returns the allocations the requests made.
+  const auto first_requests = [&](std::uint32_t n, std::uint32_t first_in) {
+    const std::uint64_t before = g_alloc_count.load();
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      const std::uint32_t in = (first_in + i) % n;
+      (void)r.connect(in, (in * 5 + 2) % n);
+    }
+    return g_alloc_count.load() - before;
+  };
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  EXPECT_EQ(first_requests(n, 0), 0u) << "first requests after construction";
+  EXPECT_GT(r.active_calls(), 0u);
 
-    r.grow(grown);
-    std::vector<std::size_t> carried;
-    for (unsigned s = 0; s < sessions; ++s)
-      carried.push_back(r.session(s).active_calls());
-    const auto n2 = static_cast<std::uint32_t>(grown.inputs.size());
-    ASSERT_EQ(n2, 2 * n);
-    // Inputs n.. exist only in the grown network.
-    EXPECT_EQ(first_requests(n2, n), 0u) << "first requests after grow()";
-    for (unsigned s = 0; s < sessions; ++s)
-      EXPECT_GT(r.session(s).active_calls(), carried[s]) << "session " << s;
-    audit(r, grown);
-  }
+  r.grow(grown);
+  const std::size_t carried = r.active_calls();
+  const auto n2 = static_cast<std::uint32_t>(grown.inputs.size());
+  ASSERT_EQ(n2, 2 * n);
+  // Inputs n.. exist only in the grown network.
+  EXPECT_EQ(first_requests(n2, n), 0u) << "first requests after grow()";
+  EXPECT_GT(r.active_calls(), carried);
+  audit(r, grown);
 }
 
 // The fault plane's open-switch path: an inject's newly dead endpoints
@@ -442,15 +431,13 @@ TEST(ExchangeFaultPlane, OpenInjectThatKillsNoCallPerformsNoHeapAllocation) {
 
 // drain()'s epoch buffers (the batch and its outcomes) live across epochs,
 // so once a window of some size has been drained, a later window no larger
-// allocates nothing. The exchange runs 4 sessions on cantor-k7; each epoch
-// first hangs up every call, then submits a window of distinct terminals
-// with a callback (a pollable outcome would book a map node). Only drain()
-// is counted, and the warm-up's largest window comes first.
-TEST(ExchangeDrain, SteadyStateMultiSessionDrainPerformsNoHeapAllocation) {
+// allocates nothing. The exchange runs on cantor-k7; each epoch first hangs
+// up every call, then submits a window of distinct terminals with a
+// callback (a pollable outcome would book a map node). Only drain() is
+// counted, and the warm-up's largest window comes first.
+TEST(ExchangeDrain, SteadyStateDrainPerformsNoHeapAllocation) {
   const auto net = networks::build_cantor({7, 0});
-  svc::ExchangeConfig cfg;
-  cfg.sessions = 4;
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   std::vector<svc::CallId> live;
   live.reserve(n);
@@ -532,12 +519,12 @@ TEST(RouterStores, PathRecordsSurviveCompaction) {
       const std::uint32_t c = router.connect(l, l);
       ASSERT_NE(c, kNone);
       ASSERT_EQ(router.path_length(c), k + 2);
-      live[l] = {c, router.path_of(c), router.session(0).path(c).data()};
+      live[l] = {c, router.path_of(c), router.path(c).data()};
     }
     bool moved = false;
     for (Live& x : live) {
       if (x.call == kNone) continue;
-      const auto p = router.session(0).path(x.call);
+      const auto p = router.path(x.call);
       ASSERT_TRUE(std::equal(p.begin(), p.end(), x.path.begin(), x.path.end()))
           << "call " << x.call << " changed path at op " << op;
       moved |= p.data() != x.at;

@@ -1,19 +1,18 @@
-// svc::Exchange — the session-oriented call service facade over one
-// core::Router: typed rejections (bad terminals and bad switches
-// included), generation-tagged handle safety, session-count equivalence
-// through the facade, batched admission (defer/refuse), async completion,
-// and the drain's split of each window into per-session chunks by arrival
-// index.
+// svc::Exchange — the call service facade over one core::Router: typed
+// rejections (bad terminals and bad switches included), generation-tagged
+// handle safety, equivalence with the bare router through the facade,
+// batched admission (defer/refuse), async completion on the draining
+// thread, and drain churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "ftcs/router.hpp"
 #include "networks/cantor.hpp"
 #include "networks/clos.hpp"
 #include "networks/crossbar.hpp"
@@ -24,23 +23,15 @@
 namespace ftcs::svc {
 namespace {
 
-ExchangeConfig sessions_cfg(unsigned sessions) {
-  ExchangeConfig cfg;
-  cfg.sessions = sessions;
-  return cfg;
-}
-
 TEST(Exchange, ImmediateCallLifecycle) {
   const auto net = networks::build_crossbar(4);
   Exchange ex(net, {});
-  EXPECT_EQ(ex.sessions(), 1u);
   const Outcome o = ex.call({0, 2, 0, 77});
   ASSERT_TRUE(o.connected());
   EXPECT_TRUE(o.id.valid());
   EXPECT_EQ(o.reject, RejectReason::kNone);
   EXPECT_EQ(o.path_length, 2u);
   EXPECT_EQ(o.tag, 77u);
-  EXPECT_EQ(o.session, 0u);
   EXPECT_FALSE(ex.input_idle(0));
   EXPECT_FALSE(ex.output_idle(2));
   EXPECT_EQ(ex.active_calls(), 1u);
@@ -58,34 +49,30 @@ TEST(Exchange, ImmediateCallLifecycle) {
   EXPECT_EQ(st.handle_errors, 0u);
 }
 
-TEST(Exchange, TypedRejectionsOnOneAndTwoSessions) {
+TEST(Exchange, TypedRejections) {
   const auto net = networks::build_crossbar(3);
   // Edge (input 0 -> output 0) of the crossbar is edge id 0; failing it
   // leaves the terminals idle but removes the only path between them.
-  for (const unsigned sessions : {1u, 2u}) {
-    ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    Exchange ex(net, std::move(cfg));
-    ex.inject({0.0, 0, fault::FaultEvent::Kind::kFail});
-    // No idle path despite idle terminals.
-    const Outcome no_path = ex.call({0, 0});
-    EXPECT_EQ(no_path.reject, RejectReason::kNoPath);
-    EXPECT_FALSE(no_path.id.valid());
-    // Busy terminal: no search is run.
-    const Outcome held = ex.call({1, 1});
-    ASSERT_TRUE(held.connected());
-    const Outcome busy_in = ex.call({1, 2});
-    EXPECT_EQ(busy_in.reject, RejectReason::kTerminalBusy);
-    const Outcome busy_out = ex.call({2, 1});
-    EXPECT_EQ(busy_out.reject, RejectReason::kTerminalBusy);
-    // The shared spelling is what reports print.
-    EXPECT_STREQ(to_string(no_path.reject), "rejected_no_path");
-    EXPECT_STREQ(to_string(busy_in.reject), "rejected_terminal");
-    const ExchangeStats st = ex.stats();
-    EXPECT_EQ(st.router.rejected_no_path, 1u);
-    EXPECT_EQ(st.router.rejected_terminal, 2u);
-    EXPECT_EQ(ex.hangup(held.id), RejectReason::kNone);
-  }
+  Exchange ex(net, {});
+  ex.inject({0.0, 0, fault::FaultEvent::Kind::kFail});
+  // No idle path despite idle terminals.
+  const Outcome no_path = ex.call({0, 0});
+  EXPECT_EQ(no_path.reject, RejectReason::kNoPath);
+  EXPECT_FALSE(no_path.id.valid());
+  // Busy terminal: no search is run.
+  const Outcome held = ex.call({1, 1});
+  ASSERT_TRUE(held.connected());
+  const Outcome busy_in = ex.call({1, 2});
+  EXPECT_EQ(busy_in.reject, RejectReason::kTerminalBusy);
+  const Outcome busy_out = ex.call({2, 1});
+  EXPECT_EQ(busy_out.reject, RejectReason::kTerminalBusy);
+  // The shared spelling is what reports print.
+  EXPECT_STREQ(to_string(no_path.reject), "rejected_no_path");
+  EXPECT_STREQ(to_string(busy_in.reject), "rejected_terminal");
+  const ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.router.rejected_no_path, 1u);
+  EXPECT_EQ(st.router.rejected_terminal, 2u);
+  EXPECT_EQ(ex.hangup(held.id), RejectReason::kNone);
 }
 
 TEST(Exchange, StaleAndDoubleHangupAreTypedErrors) {
@@ -137,17 +124,6 @@ TEST(Exchange, ForeignHandleRejected) {
   EXPECT_EQ(a.active_calls(), 1u);  // untouched
   EXPECT_TRUE(b.path_of(oa.id).empty());
   EXPECT_EQ(a.hangup(oa.id), RejectReason::kNone);
-}
-
-TEST(Exchange, BadSessionIsTypedError) {
-  const auto net = networks::build_crossbar(4);
-  Exchange ex(net, {});
-  const Outcome o = ex.call({0, 0}, 5);
-  EXPECT_EQ(o.reject, RejectReason::kBadSession);
-  EXPECT_FALSE(o.id.valid());
-  EXPECT_EQ(ex.active_calls(), 0u);
-  // Misuse is visible in the books, not silently dropped.
-  EXPECT_EQ(ex.stats().handle_errors, 1u);
 }
 
 // A terminal index outside the network is a typed error, never an
@@ -228,57 +204,53 @@ TEST(Exchange, OutOfRangeSwitchesAreTypedErrors) {
   EXPECT_EQ(ex.stats().handle_errors, before.handle_errors + events);
 }
 
-// A 4-session Exchange whose calls spread over its sessions must be
-// trace-identical to a 1-session one on a fixed request trace — outcomes,
-// paths, and the full ExchangeStats block.
+// An Exchange must be trace-identical to a bare core::Router on a fixed
+// request trace — verdicts, paths, call slots and the router's books.
 TEST(Exchange, EngineEquivalenceThroughFacade) {
   const auto net = networks::build_cantor({5, 0});
-  Exchange one(net, {});
-  Exchange four(net, sessions_cfg(4));
+  Exchange ex(net, {});
+  core::Router bare(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   util::Xoshiro256 rng(util::derive_seed(31, 7));
-  std::vector<CallId> live_1, live_4;
+  std::vector<CallId> live_ex;
+  std::vector<core::Router::CallId> live_bare;
   for (int op = 0; op < 4000; ++op) {
-    if (!live_1.empty() && (rng() & 3u) == 0) {
-      const auto idx = rng() % live_1.size();
-      EXPECT_EQ(one.hangup(live_1[idx]), RejectReason::kNone);
-      EXPECT_EQ(four.hangup(live_4[idx]), RejectReason::kNone);
-      live_1[idx] = live_1.back();
-      live_1.pop_back();
-      live_4[idx] = live_4.back();
-      live_4.pop_back();
+    if (!live_ex.empty() && (rng() & 3u) == 0) {
+      const auto idx = rng() % live_ex.size();
+      EXPECT_EQ(ex.hangup(live_ex[idx]), RejectReason::kNone);
+      bare.disconnect(live_bare[idx]);
+      live_ex[idx] = live_ex.back();
+      live_ex.pop_back();
+      live_bare[idx] = live_bare.back();
+      live_bare.pop_back();
     } else {
       const auto in = static_cast<std::uint32_t>(rng() % n);
       const auto out = static_cast<std::uint32_t>(rng() % n);
-      const Outcome o1 = one.call({in, out});
-      const Outcome o4 = four.call({in, out}, op % 4);
-      ASSERT_EQ(o1.reject, o4.reject) << "op " << op;
-      ASSERT_EQ(o1.path_length, o4.path_length) << "op " << op;
-      if (o1.connected()) {
-        EXPECT_EQ(one.path_of(o1.id), four.path_of(o4.id));
-        live_1.push_back(o1.id);
-        live_4.push_back(o4.id);
+      const Outcome o = ex.call({in, out});
+      const core::Router::CallId c = bare.connect(in, out);
+      ASSERT_EQ(o.connected(), c != core::Router::kNoCall) << "op " << op;
+      if (o.connected()) {
+        EXPECT_EQ(o.id.slot(), c);
+        EXPECT_EQ(o.path_length, bare.path_length(c));
+        EXPECT_EQ(ex.path_of(o.id), bare.path_of(c));
+        live_ex.push_back(o.id);
+        live_bare.push_back(c);
       }
     }
   }
-  const ExchangeStats a = one.stats();
-  const ExchangeStats b = four.stats();
-  EXPECT_EQ(a.router.connect_calls, b.router.connect_calls);
-  EXPECT_EQ(a.router.accepted, b.router.accepted);
-  EXPECT_EQ(a.router.rejected_terminal, b.router.rejected_terminal);
-  EXPECT_EQ(a.router.rejected_no_path, b.router.rejected_no_path);
-  EXPECT_EQ(a.router.vertices_visited, b.router.vertices_visited);
-  EXPECT_EQ(a.router.path_vertices, b.router.path_vertices);
-  EXPECT_EQ(a.router.disconnects, b.router.disconnects);
-  EXPECT_EQ(a.hangups, b.hangups);
+  const ExchangeStats a = ex.stats();
+  const core::RouterStats& b = bare.stats();
+  for (const auto& f : core::RouterStats::fields())
+    EXPECT_EQ(a.router.*f.member, b.*f.member) << f.name;
+  EXPECT_EQ(a.hangups, b.disconnects);
   EXPECT_EQ(a.handle_errors, 0u);
-  EXPECT_EQ(b.handle_errors, 0u);
-  EXPECT_EQ(one.busy_vertices(), four.busy_vertices());
+  EXPECT_EQ(ex.busy_vertices(), bare.busy_vertices());
+  EXPECT_EQ(ex.active_calls(), bare.active_calls());
 }
 
 // Batched plane: the same trace submitted through batched admission
-// (unbounded window, 1 session) produces the same router books as the
+// (unbounded window) produces the same router books as the
 // immediate plane.
 TEST(Exchange, BatchedUnboundedMatchesImmediate) {
   const auto net = networks::build_clos({2, 3, 4});
@@ -344,7 +316,6 @@ TEST(Exchange, FixedWindowDefersBeyondTheWindow) {
 TEST(Exchange, OverloadRefusesAtTheQueueCap) {
   const auto net = networks::build_crossbar(16);
   ExchangeConfig cfg;
-  cfg.sessions = 2;
   cfg.window = 2;
   cfg.max_queue = 4;
   Exchange ex(net, cfg);
@@ -404,62 +375,52 @@ TEST(Exchange, PriorityClassesAdmittedFirst) {
   ASSERT_TRUE(ex.poll(t0).has_value());
 }
 
-TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
+TEST(Exchange, AsyncCompletionCallbacks) {
   const auto net = networks::build_cantor({5, 0});
-  Exchange ex(net, sessions_cfg(4));
+  Exchange ex(net, {});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  std::mutex mu;
   std::vector<Outcome> done;
   for (std::uint32_t i = 0; i < 64; ++i) {
-    ex.submit({i % n, (i * 7 + 3) % n, 0, /*tag=*/i}, [&](const Outcome& o) {
-      std::lock_guard<std::mutex> lk(mu);
-      done.push_back(o);
-    });
+    ex.submit({i % n, (i * 7 + 3) % n, 0, /*tag=*/i},
+              [&](const Outcome& o) { done.push_back(o); });
   }
   EXPECT_EQ(ex.drain(), 64u);
   ASSERT_EQ(done.size(), 64u);
   std::size_t connected = 0;
-  bool multi_session = false;
   for (const Outcome& o : done) {
-    if (o.session != done.front().session) multi_session = true;
     if (o.connected()) {
       ++connected;
       EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
     }
   }
-  EXPECT_TRUE(multi_session);  // the window split across sessions
   EXPECT_GT(connected, 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
   EXPECT_EQ(ex.stats().completed, 64u);
 }
 
 // Every callback fires on the thread that drains, as
-// Exchange::CompletionFn promises, whatever the session count: the draining
-// thread commits the whole window.
+// Exchange::CompletionFn promises: the draining thread commits the whole
+// window, in window order.
 TEST(Exchange, DrainFiresCallbacksOnTheDrainingThread) {
   const auto net = networks::build_cantor({5, 0});
-  for (const unsigned sessions : {1u, 4u}) {
-    Exchange ex(net, sessions_cfg(sessions));
-    const auto n = static_cast<std::uint32_t>(net.inputs.size());
-    std::vector<std::thread::id> fired_on;  // no lock: one thread must write
-    std::vector<unsigned> served_by;
-    for (std::uint32_t i = 0; i < 32; ++i)
-      ex.submit({i % n, (i * 7 + 3) % n}, [&](const Outcome& o) {
-        fired_on.push_back(std::this_thread::get_id());
-        served_by.push_back(o.session);
-      });
-    std::thread::id drainer;
-    std::thread([&] {
-      drainer = std::this_thread::get_id();
-      EXPECT_EQ(ex.drain(), 32u);
-    }).join();
-    ASSERT_EQ(fired_on.size(), 32u);
-    for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
-    // In commit order: session by session, each session's chunk in turn.
-    EXPECT_TRUE(std::is_sorted(served_by.begin(), served_by.end()));
-    EXPECT_EQ(served_by.back(), sessions - 1);
-    EXPECT_EQ(ex.stats().epochs, 1u);
-  }
+  Exchange ex(net, {});
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  std::vector<std::thread::id> fired_on;  // no lock: one thread must write
+  std::vector<std::uint64_t> tags;
+  for (std::uint32_t i = 0; i < 32; ++i)
+    ex.submit({i % n, (i * 7 + 3) % n, 0, /*tag=*/i}, [&](const Outcome& o) {
+      fired_on.push_back(std::this_thread::get_id());
+      tags.push_back(o.tag);
+    });
+  std::thread::id drainer;
+  std::thread([&] {
+    drainer = std::this_thread::get_id();
+    EXPECT_EQ(ex.drain(), 32u);
+  }).join();
+  ASSERT_EQ(fired_on.size(), 32u);
+  for (const std::thread::id id : fired_on) EXPECT_EQ(id, drainer);
+  EXPECT_TRUE(std::is_sorted(tags.begin(), tags.end()));  // commit order
+  EXPECT_EQ(ex.stats().epochs, 1u);
 }
 
 // Submitters racing the serving thread (racing_submitters.hpp; the TSan
@@ -471,15 +432,15 @@ TEST(Exchange, DrainFiresCallbacksOnTheDrainingThread) {
 // counted once, and busy state must balance exactly at the end.
 TEST(Exchange, SubmittersRacingADrainWithHandleMisuseStaySound) {
   const auto net = networks::build_cantor({5, 0});
-  constexpr unsigned kSessions = 4;
+  constexpr unsigned kSubmitters = 4;
   constexpr std::uint64_t kPerSubmitter = 2000;
-  Exchange ex(net, sessions_cfg(kSessions));
+  Exchange ex(net, {});
   Exchange other(net, {});
   const Outcome foreign = other.call({0, 0});
   ASSERT_TRUE(foreign.connected());
 
   std::atomic<std::uint64_t> bounced{0};
-  test::Race race{kSessions, kPerSubmitter, 97};
+  test::Race race{kSubmitters, kPerSubmitter, 97};
   race.after_submit = [&](unsigned, std::uint64_t i) {
     if (i % 64 != 0) return;
     const auto bad = static_cast<std::uint32_t>(ex.input_count() + i);
@@ -530,7 +491,7 @@ TEST(Exchange, SubmittersRacingADrainWithHandleMisuseStaySound) {
   EXPECT_EQ(st.router.accepted, st.hangups + live.size());
   EXPECT_EQ(st.hangups, hangups);
   // A bounce is a misuse, not a submission: the front end never saw it.
-  EXPECT_EQ(st.submitted, kSessions * kPerSubmitter);
+  EXPECT_EQ(st.submitted, kSubmitters * kPerSubmitter);
   EXPECT_EQ(st.completed, st.submitted);
   // Full hangup releases everything.
   for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
@@ -539,23 +500,19 @@ TEST(Exchange, SubmittersRacingADrainWithHandleMisuseStaySound) {
   EXPECT_EQ(other.hangup(foreign.id), RejectReason::kNone);
 }
 
-// Multi-session drain churn (the TSan job runs this file): four sessions
-// take 200 windows of 64 requests with repeated terminals, so later
-// requests of a window find their terminals taken; hangups run between
-// windows. At quiescence the books balance and a full hangup leaves the
-// network idle.
-TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
+// Drain churn (the TSan job runs this file): 200 windows of 64 requests
+// with repeated terminals, so later requests of a window find their
+// terminals taken; hangups run between windows. At quiescence the books
+// balance and a full hangup leaves the network idle.
+TEST(Exchange, DrainChurnBalancesBooks) {
   const auto net = networks::build_cantor({5, 0});
-  constexpr unsigned kSessions = 4;
   constexpr std::size_t kWindows = 200;
   constexpr std::size_t kWindow = 64;
-  Exchange ex(net, sessions_cfg(kSessions));
+  Exchange ex(net, {});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(2718);
 
-  // Completions land in the serving session's list, on the draining
-  // thread.
-  std::vector<std::vector<Outcome>> served(kSessions);
+  // Completions land in the live list, on the draining thread.
   std::vector<Outcome> live;
   std::uint64_t hangups = 0;
   for (std::size_t w = 0; w < kWindows; ++w) {
@@ -563,15 +520,11 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
       CallRequest req;
       req.input = static_cast<std::uint32_t>(rng.below(n));
       req.output = static_cast<std::uint32_t>(rng.below(n));
-      ex.submit(req, [&served](const Outcome& o) {
-        if (o.connected()) served[o.session].push_back(o);
+      ex.submit(req, [&live](const Outcome& o) {
+        if (o.connected()) live.push_back(o);
       });
     }
     ASSERT_EQ(ex.drain_all(), kWindow);
-    for (auto& list : served) {
-      live.insert(live.end(), list.begin(), list.end());
-      list.clear();
-    }
     for (std::size_t k = 0; k < live.size();) {
       if (rng.below(2) == 0) {
         ASSERT_EQ(ex.hangup(live[k].id), RejectReason::kNone);
@@ -601,34 +554,6 @@ TEST(Exchange, MultiSessionDrainChurnBalancesBooks) {
   for (const Outcome& o : live) EXPECT_EQ(ex.hangup(o.id), RejectReason::kNone);
   EXPECT_EQ(ex.active_calls(), 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
-}
-
-// drain() splits each window by arrival index: session s serves the
-// contiguous chunk [m*s/S, m*(s+1)/S) of an m-request window.
-TEST(Exchange, DrainSplitsTheWindowByArrivalIndex) {
-  const auto net = networks::build_cantor({4, 0});
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  constexpr unsigned kSessions = 4;
-
-  Exchange ex(net, sessions_cfg(kSessions));
-  ASSERT_EQ(ex.sessions(), kSessions);
-
-  // Inputs in reverse, so that the split cannot follow the input range.
-  std::vector<Ticket> tickets;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    CallRequest req;
-    req.input = n - 1 - i;
-    req.output = i;
-    tickets.push_back(ex.submit(req));
-  }
-  ASSERT_EQ(ex.drain(), n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto o = ex.poll(tickets[i]);
-    ASSERT_TRUE(o.has_value());
-    // Every outcome, served or rejected, names the session whose chunk
-    // holds the request's arrival index.
-    EXPECT_EQ(o->session, i * kSessions / n) << "arrival " << i;
-  }
 }
 
 }  // namespace

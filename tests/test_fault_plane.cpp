@@ -6,7 +6,7 @@
 // mixed-mode FaultSchedule, svc::Exchange inject/repair with call teardown
 // + reroute (including weld repairs severing reverse crossers), fault-aware
 // traffic simulation on both service planes, flips between the connects of
-// several sessions, and the TSan-run storm of submitters racing the serving
+// a seeded churn, and the TSan-run storm of submitters racing the serving
 // thread. (This file carries the `tsan` ctest label the sanitizer CI jobs
 // select by.)
 #include <gtest/gtest.h>
@@ -805,36 +805,32 @@ TEST(ExchangeFaultPlane, InjectKillsAndReroutesOnRichTopology) {
 }
 
 TEST(ExchangeFaultPlane, RerouteFailsWithoutDetourAndRepairRestores) {
-  for (const unsigned sessions : {1u, 2u}) {
-    const auto net = build_line_with_spur();
-    svc::ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    svc::Exchange ex(net, std::move(cfg));
-    const svc::Outcome o = ex.call({0, 0, 0, /*tag=*/7});
-    ASSERT_TRUE(o.connected());
+  const auto net = build_line_with_spur();
+  svc::Exchange ex(net, {});
+  const svc::Outcome o = ex.call({0, 0, 0, /*tag=*/7});
+  ASSERT_TRUE(o.connected());
 
-    fault::FaultEvent ev;
-    ev.edge = edge_between(net.g, 1, 2);  // a -> m: only path dies, m dies
-    const svc::FaultImpact impact = ex.inject(ev);
-    ASSERT_EQ(impact.calls_killed(), 1u);
-    EXPECT_EQ(impact.reroute_failed, 1u);
-    EXPECT_EQ(impact.reroute_succeeded, 0u);
-    EXPECT_FALSE(impact.reroutes[0].connected());
-    EXPECT_EQ(impact.reroutes[0].reject, svc::RejectReason::kNoPath);
-    // Terminals were released by the kill; only the topology is degraded.
-    EXPECT_TRUE(ex.input_idle(0));
-    EXPECT_TRUE(ex.output_idle(0));
-    EXPECT_EQ(ex.active_calls(), 0u);
-    EXPECT_FALSE(ex.call({0, 0}).connected());
+  fault::FaultEvent ev;
+  ev.edge = edge_between(net.g, 1, 2);  // a -> m: only path dies, m dies
+  const svc::FaultImpact impact = ex.inject(ev);
+  ASSERT_EQ(impact.calls_killed(), 1u);
+  EXPECT_EQ(impact.reroute_failed, 1u);
+  EXPECT_EQ(impact.reroute_succeeded, 0u);
+  EXPECT_FALSE(impact.reroutes[0].connected());
+  EXPECT_EQ(impact.reroutes[0].reject, svc::RejectReason::kNoPath);
+  // Terminals were released by the kill; only the topology is degraded.
+  EXPECT_TRUE(ex.input_idle(0));
+  EXPECT_TRUE(ex.output_idle(0));
+  EXPECT_EQ(ex.active_calls(), 0u);
+  EXPECT_FALSE(ex.call({0, 0}).connected());
 
-    const svc::FaultImpact healed = ex.repair(ev);
-    EXPECT_EQ(healed.calls_killed(), 0u);
-    EXPECT_EQ(ex.failed_switch_count(), 0u);
-    const svc::Outcome back = ex.call({0, 0});
-    ASSERT_TRUE(back.connected());
-    EXPECT_EQ(ex.hangup(back.id), svc::RejectReason::kNone);
-    EXPECT_EQ(ex.stats().faults_repaired, 1u);
-  }
+  const svc::FaultImpact healed = ex.repair(ev);
+  EXPECT_EQ(healed.calls_killed(), 0u);
+  EXPECT_EQ(ex.failed_switch_count(), 0u);
+  const svc::Outcome back = ex.call({0, 0});
+  ASSERT_TRUE(back.connected());
+  EXPECT_EQ(ex.hangup(back.id), svc::RejectReason::kNone);
+  EXPECT_EQ(ex.stats().faults_repaired, 1u);
 }
 
 TEST(ExchangeFaultPlane, VertexRevivesOnlyWithLastIncidentRepair) {
@@ -928,70 +924,62 @@ TEST(ExchangeFaultPlane, StuckOnDoesNotKillEndpointVertices) {
 }
 
 TEST(ExchangeFaultPlane, RepairOfAWeldSeversReverseCrossersOnly) {
-  for (const unsigned sessions : {1u, 2u}) {
-    // Reverse crosser: the call exists only because the weld conducts
-    // against its direction; the repair severs it, and the degraded
-    // topology has no detour.
-    const auto net = build_reversed_line();
-    svc::ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    svc::Exchange ex(net, std::move(cfg));
-    fault::FaultEvent weld;
-    weld.edge = 1;  // b -> a, the only a..b conductor
-    weld.kind = fault::FaultEvent::Kind::kStuckOn;
-    ex.apply(weld);
-    const svc::Outcome o = ex.call({0, 0, 0, /*tag=*/9});
-    ASSERT_TRUE(o.connected());
-    EXPECT_EQ(o.path_length, 4u);
+  // Reverse crosser: the call exists only because the weld conducts
+  // against its direction; the repair severs it, and the degraded
+  // topology has no detour.
+  const auto net = build_reversed_line();
+  svc::Exchange ex(net, {});
+  fault::FaultEvent weld;
+  weld.edge = 1;  // b -> a, the only a..b conductor
+  weld.kind = fault::FaultEvent::Kind::kStuckOn;
+  ex.apply(weld);
+  const svc::Outcome o = ex.call({0, 0, 0, /*tag=*/9});
+  ASSERT_TRUE(o.connected());
+  EXPECT_EQ(o.path_length, 4u);
 
-    fault::FaultEvent rep = weld;
-    rep.kind = fault::FaultEvent::Kind::kRepair;
-    const svc::FaultImpact impact = ex.apply(rep);
-    ASSERT_EQ(impact.calls_killed(), 1u);
-    EXPECT_EQ(impact.killed[0].reject, svc::RejectReason::kFaulted);
-    EXPECT_EQ(impact.killed[0].tag, 9u);
-    ASSERT_EQ(impact.reroutes.size(), 1u);
-    EXPECT_FALSE(impact.reroutes[0].connected());
-    EXPECT_EQ(impact.reroute_failed, 1u);
-    // The retained handle gets the typed fault ack, not a misuse.
-    EXPECT_EQ(ex.hangup(o.id), svc::RejectReason::kFaulted);
-    EXPECT_EQ(ex.active_calls(), 0u);
-    EXPECT_EQ(ex.busy_vertices(), 0u);
-    const svc::ExchangeStats st = ex.stats();
-    EXPECT_EQ(st.calls_killed_by_fault, 1u);
-    EXPECT_EQ(st.handle_errors, 0u);
+  fault::FaultEvent rep = weld;
+  rep.kind = fault::FaultEvent::Kind::kRepair;
+  const svc::FaultImpact impact = ex.apply(rep);
+  ASSERT_EQ(impact.calls_killed(), 1u);
+  EXPECT_EQ(impact.killed[0].reject, svc::RejectReason::kFaulted);
+  EXPECT_EQ(impact.killed[0].tag, 9u);
+  ASSERT_EQ(impact.reroutes.size(), 1u);
+  EXPECT_FALSE(impact.reroutes[0].connected());
+  EXPECT_EQ(impact.reroute_failed, 1u);
+  // The retained handle gets the typed fault ack, not a misuse.
+  EXPECT_EQ(ex.hangup(o.id), svc::RejectReason::kFaulted);
+  EXPECT_EQ(ex.active_calls(), 0u);
+  EXPECT_EQ(ex.busy_vertices(), 0u);
+  const svc::ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.calls_killed_by_fault, 1u);
+  EXPECT_EQ(st.handle_errors, 0u);
 
-    // Forward crosser: a call OVER a welded path-edge survives the repair
-    // (the switch keeps conducting in its own direction).
-    const auto line = build_line_with_spur();
-    svc::ExchangeConfig cfg2;
-    cfg2.sessions = sessions;
-    svc::Exchange ex2(line, std::move(cfg2));
-    fault::FaultEvent weld2;
-    weld2.edge = edge_between(line.g, 1, 2);  // a -> m, ON the unique path
-    weld2.kind = fault::FaultEvent::Kind::kStuckOn;
-    ex2.apply(weld2);
-    const svc::Outcome o2 = ex2.call({0, 0, 0, /*tag=*/10});
-    ASSERT_TRUE(o2.connected());
-    fault::FaultEvent rep2 = weld2;
-    rep2.kind = fault::FaultEvent::Kind::kRepair;
-    EXPECT_EQ(ex2.apply(rep2).calls_killed(), 0u);
-    EXPECT_EQ(ex2.hangup(o2.id), svc::RejectReason::kNone);
-    EXPECT_EQ(ex2.stats().calls_killed_by_fault, 0u);
-  }
+  // Forward crosser: a call OVER a welded path-edge survives the repair
+  // (the switch keeps conducting in its own direction).
+  const auto line = build_line_with_spur();
+  svc::Exchange ex2(line, {});
+  fault::FaultEvent weld2;
+  weld2.edge = edge_between(line.g, 1, 2);  // a -> m, ON the unique path
+  weld2.kind = fault::FaultEvent::Kind::kStuckOn;
+  ex2.apply(weld2);
+  const svc::Outcome o2 = ex2.call({0, 0, 0, /*tag=*/10});
+  ASSERT_TRUE(o2.connected());
+  fault::FaultEvent rep2 = weld2;
+  rep2.kind = fault::FaultEvent::Kind::kRepair;
+  EXPECT_EQ(ex2.apply(rep2).calls_killed(), 0u);
+  EXPECT_EQ(ex2.hangup(o2.id), svc::RejectReason::kNone);
+  EXPECT_EQ(ex2.stats().calls_killed_by_fault, 0u);
 }
 
-// A weld-carried settle on a multi-session drain. The short arm's open
-// failure and the long arm's weld leave the weld, crossed against its
-// direction, as the only idle path for in0 -> out0. The 2-session drain
-// settles the long arm, which the hop rule carries. Repairing the short arm
+// A weld-carried settle on a drain. The short arm's open failure and the
+// long arm's weld leave the weld, crossed against its direction, as the
+// only idle path for in0 -> out0. The drain settles the long arm, which the
+// hop rule carries. Repairing the short arm
 // kills nothing; repairing the weld then reaps the call as kFaulted and
 // reroutes it over the short arm.
-TEST(ExchangeFaultPlane, MultiSessionDrainSettlesAReverseWeldHop) {
+TEST(ExchangeFaultPlane, DrainSettlesAReverseWeldHop) {
   const auto net = build_weld_lane_net();
-  svc::ExchangeConfig cfg;
-  cfg.sessions = 2;
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net, {});
   const auto event = [](graph::EdgeId e, fault::FaultEvent::Kind kind) {
     fault::FaultEvent ev;
     ev.edge = e;
@@ -1009,8 +997,6 @@ TEST(ExchangeFaultPlane, MultiSessionDrainSettlesAReverseWeldHop) {
   const auto o1 = ex.poll(t1);
   ASSERT_TRUE(o0 && o0->connected());
   ASSERT_TRUE(o1 && o1->connected());
-  EXPECT_EQ(o0->session, 0u);
-  EXPECT_EQ(o1->session, 1u);
   const std::vector<graph::VertexId> long_arm{0, 2, 3, 4};
   const std::vector<graph::VertexId> path = ex.path_of(o0->id);
   EXPECT_EQ(path, long_arm);
@@ -1027,7 +1013,6 @@ TEST(ExchangeFaultPlane, MultiSessionDrainSettlesAReverseWeldHop) {
   ASSERT_EQ(impact.calls_killed(), 1u);
   EXPECT_EQ(impact.killed[0].reject, svc::RejectReason::kFaulted);
   EXPECT_EQ(impact.killed[0].tag, 40u);
-  EXPECT_EQ(impact.killed[0].session, 0u);
   ASSERT_EQ(impact.reroutes.size(), 1u);
   ASSERT_TRUE(impact.reroutes[0].connected());
   EXPECT_EQ(impact.reroute_succeeded, 1u);
@@ -1050,26 +1035,22 @@ graph::EdgeId first_hop(svc::Exchange& ex, svc::CallId id) {
 // victim before it returns, and no request is submitted and no epoch runs.
 TEST(ExchangeFaultPlane, VictimReroutesInsideInjectWithoutAnEpoch) {
   const auto net = networks::build_cantor({4, 0});
-  for (const unsigned sessions : {1u, 2u}) {
-    svc::ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    svc::Exchange ex(net, cfg);
-    const svc::Outcome o = ex.call({0, 1, 0, /*tag=*/5});
-    ASSERT_TRUE(o.connected());
-    fault::FaultEvent ev;
-    ev.edge = first_hop(ex, o.id);
-    const svc::FaultImpact impact = ex.inject(ev);
-    ASSERT_EQ(impact.calls_killed(), 1u);
-    ASSERT_TRUE(impact.reroutes[0].connected());
-    EXPECT_EQ(impact.reroutes[0].tag, 5u);
-    EXPECT_EQ(impact.reroute_succeeded, 1u);
-    EXPECT_EQ(ex.pending(), 0u);
-    const svc::ExchangeStats st = ex.stats();
-    EXPECT_EQ(st.submitted, 0u);
-    EXPECT_EQ(st.epochs, 0u);
-    EXPECT_EQ(ex.hangup(impact.reroutes[0].id), svc::RejectReason::kNone);
-    EXPECT_EQ(ex.busy_vertices(), 0u);
-  }
+  svc::Exchange ex(net, {});
+  const svc::Outcome o = ex.call({0, 1, 0, /*tag=*/5});
+  ASSERT_TRUE(o.connected());
+  fault::FaultEvent ev;
+  ev.edge = first_hop(ex, o.id);
+  const svc::FaultImpact impact = ex.inject(ev);
+  ASSERT_EQ(impact.calls_killed(), 1u);
+  ASSERT_TRUE(impact.reroutes[0].connected());
+  EXPECT_EQ(impact.reroutes[0].tag, 5u);
+  EXPECT_EQ(impact.reroute_succeeded, 1u);
+  EXPECT_EQ(ex.pending(), 0u);
+  const svc::ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.submitted, 0u);
+  EXPECT_EQ(st.epochs, 0u);
+  EXPECT_EQ(ex.hangup(impact.reroutes[0].id), svc::RejectReason::kNone);
+  EXPECT_EQ(ex.busy_vertices(), 0u);
 }
 
 // A fault event that kills a call leaves a queued backlog as it found it:
@@ -1077,94 +1058,85 @@ TEST(ExchangeFaultPlane, VictimReroutesInsideInjectWithoutAnEpoch) {
 // whole backlog window by window.
 TEST(ExchangeFaultPlane, BacklogSurvivesAVictimProducingInject) {
   const auto net = networks::build_cantor({5, 0});
-  for (const unsigned sessions : {1u, 2u}) {
-    svc::ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    cfg.window = 4;
-    svc::Exchange ex(net, cfg);
-    const svc::Outcome o = ex.call({0, 1, 0, /*tag=*/77});
-    ASSERT_TRUE(o.connected());
-    constexpr std::uint32_t kBacklog = 29;
-    for (std::uint32_t i = 2; i < 2 + kBacklog; ++i) ex.submit({i, i, 0, i});
-    const svc::ExchangeStats before = ex.stats();
-    ASSERT_EQ(ex.pending(), kBacklog);
+  svc::ExchangeConfig cfg;
+  cfg.window = 4;
+  svc::Exchange ex(net, cfg);
+  const svc::Outcome o = ex.call({0, 1, 0, /*tag=*/77});
+  ASSERT_TRUE(o.connected());
+  constexpr std::uint32_t kBacklog = 29;
+  for (std::uint32_t i = 2; i < 2 + kBacklog; ++i) ex.submit({i, i, 0, i});
+  const svc::ExchangeStats before = ex.stats();
+  ASSERT_EQ(ex.pending(), kBacklog);
 
-    fault::FaultEvent ev;
-    ev.edge = first_hop(ex, o.id);
-    const svc::FaultImpact impact = ex.inject(ev);
-    ASSERT_EQ(impact.calls_killed(), 1u);
-    ASSERT_TRUE(impact.reroutes[0].connected());
-    EXPECT_EQ(impact.reroutes[0].tag, 77u);
-    EXPECT_EQ(impact.reroutes[0].session, o.session);
-    const auto path = ex.path_of(impact.reroutes[0].id);
-    ASSERT_GE(path.size(), 2u);
-    EXPECT_EQ(path.front(), net.inputs[0]);
-    EXPECT_EQ(path.back(), net.outputs[1]);
+  fault::FaultEvent ev;
+  ev.edge = first_hop(ex, o.id);
+  const svc::FaultImpact impact = ex.inject(ev);
+  ASSERT_EQ(impact.calls_killed(), 1u);
+  ASSERT_TRUE(impact.reroutes[0].connected());
+  EXPECT_EQ(impact.reroutes[0].tag, 77u);
+  const auto path = ex.path_of(impact.reroutes[0].id);
+  ASSERT_GE(path.size(), 2u);
+  EXPECT_EQ(path.front(), net.inputs[0]);
+  EXPECT_EQ(path.back(), net.outputs[1]);
 
-    EXPECT_EQ(ex.pending(), kBacklog);
-    const svc::ExchangeStats after = ex.stats();
-    EXPECT_EQ(after.submitted, before.submitted);
-    EXPECT_EQ(after.admitted, before.admitted);
-    EXPECT_EQ(after.epochs, before.epochs);
-    EXPECT_EQ(after.admitted, 0u);
-    EXPECT_EQ(after.reroute_succeeded, 1u);
+  EXPECT_EQ(ex.pending(), kBacklog);
+  const svc::ExchangeStats after = ex.stats();
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(after.admitted, before.admitted);
+  EXPECT_EQ(after.epochs, before.epochs);
+  EXPECT_EQ(after.admitted, 0u);
+  EXPECT_EQ(after.reroute_succeeded, 1u);
 
-    EXPECT_EQ(ex.drain_all(), kBacklog);
-    EXPECT_EQ(ex.stats().epochs, (kBacklog + 3) / 4);
-  }
+  EXPECT_EQ(ex.drain_all(), kBacklog);
+  EXPECT_EQ(ex.stats().epochs, (kBacklog + 3) / 4);
 }
 
-// Two victims of one event on one session: the first reroute may take the
+// Two victims of one event: the first reroute may take the
 // second victim's freed slot, so every request is read before any routes.
 // Each reroute must carry its own victim's tag and terminals.
 TEST(ExchangeFaultPlane, TwoVictimsOfOneEventRerouteTheirOwnRequests) {
   const auto net = networks::build_cantor({5, 0});
-  for (const unsigned sessions : {1u, 2u}) {
-    svc::ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    svc::Exchange ex(net, std::move(cfg));
-    const auto n = static_cast<std::uint32_t>(ex.input_count());
-    // Half load on session 0; tag = input, output = input + n/2 rotated.
-    std::map<graph::VertexId, std::uint64_t> holder;  // vertex -> tag
-    for (std::uint32_t in = 0; in < n / 2; ++in) {
-      const svc::Outcome o = ex.call({in, (in * 5 + 3) % n, 0, in});
-      ASSERT_TRUE(o.connected());
-      for (const graph::VertexId v : ex.path_of(o.id)) holder[v] = in;
-    }
-    // A switch between two interior vertices held by different calls: its
-    // open failure kills both endpoints, and with them both calls.
-    std::vector<std::uint8_t> terminal(net.g.vertex_count(), 0);
-    for (const graph::VertexId v : net.inputs) terminal[v] = 1;
-    for (const graph::VertexId v : net.outputs) terminal[v] = 1;
-    graph::EdgeId hit = net.g.edge_count();
-    for (graph::EdgeId e = 0; e < net.g.edge_count() && hit == net.g.edge_count();
-         ++e) {
-      const auto& edge = net.g.edge(e);
-      const auto a = holder.find(edge.from), b = holder.find(edge.to);
-      if (a != holder.end() && b != holder.end() && a->second != b->second &&
-          !terminal[edge.from] && !terminal[edge.to])
-        hit = e;
-    }
-    ASSERT_LT(hit, net.g.edge_count()) << "no switch joins two calls";
-    fault::FaultEvent ev;
-    ev.edge = hit;
-    const svc::FaultImpact impact = ex.inject(ev);
-    ASSERT_EQ(impact.calls_killed(), 2u);
-    ASSERT_EQ(impact.reroutes.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-      const std::uint64_t tag = impact.killed[i].tag;
-      EXPECT_EQ(impact.reroutes[i].tag, tag);
-      ASSERT_TRUE(impact.reroutes[i].connected())
-          << to_string(impact.reroutes[i].reject);
-      EXPECT_EQ(impact.reroutes[i].session, impact.killed[i].session);
-      const auto path = ex.path_of(impact.reroutes[i].id);
-      ASSERT_GE(path.size(), 2u);
-      const auto in = static_cast<std::uint32_t>(tag);
-      EXPECT_EQ(path.front(), net.inputs[in]);
-      EXPECT_EQ(path.back(), net.outputs[(in * 5 + 3) % n]);
-    }
-    EXPECT_EQ(ex.stats().submitted, 0u);
+  svc::Exchange ex(net, {});
+  const auto n = static_cast<std::uint32_t>(ex.input_count());
+  // Half load; tag = input, output = input + n/2 rotated.
+  std::map<graph::VertexId, std::uint64_t> holder;  // vertex -> tag
+  for (std::uint32_t in = 0; in < n / 2; ++in) {
+    const svc::Outcome o = ex.call({in, (in * 5 + 3) % n, 0, in});
+    ASSERT_TRUE(o.connected());
+    for (const graph::VertexId v : ex.path_of(o.id)) holder[v] = in;
   }
+  // A switch between two interior vertices held by different calls: its
+  // open failure kills both endpoints, and with them both calls.
+  std::vector<std::uint8_t> terminal(net.g.vertex_count(), 0);
+  for (const graph::VertexId v : net.inputs) terminal[v] = 1;
+  for (const graph::VertexId v : net.outputs) terminal[v] = 1;
+  graph::EdgeId hit = net.g.edge_count();
+  for (graph::EdgeId e = 0; e < net.g.edge_count() && hit == net.g.edge_count();
+       ++e) {
+    const auto& edge = net.g.edge(e);
+    const auto a = holder.find(edge.from), b = holder.find(edge.to);
+    if (a != holder.end() && b != holder.end() && a->second != b->second &&
+        !terminal[edge.from] && !terminal[edge.to])
+      hit = e;
+  }
+  ASSERT_LT(hit, net.g.edge_count()) << "no switch joins two calls";
+  fault::FaultEvent ev;
+  ev.edge = hit;
+  const svc::FaultImpact impact = ex.inject(ev);
+  ASSERT_EQ(impact.calls_killed(), 2u);
+  ASSERT_EQ(impact.reroutes.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::uint64_t tag = impact.killed[i].tag;
+    EXPECT_EQ(impact.reroutes[i].tag, tag);
+    ASSERT_TRUE(impact.reroutes[i].connected())
+        << to_string(impact.reroutes[i].reject);
+    const auto path = ex.path_of(impact.reroutes[i].id);
+    ASSERT_GE(path.size(), 2u);
+    const auto in = static_cast<std::uint32_t>(tag);
+    EXPECT_EQ(path.front(), net.inputs[in]);
+    EXPECT_EQ(path.back(), net.outputs[(in * 5 + 3) % n]);
+  }
+  EXPECT_EQ(ex.stats().submitted, 0u);
 }
 
 // ----------------------------------------------- traffic with live faults
@@ -1201,20 +1173,18 @@ TEST(TrafficFaults, ImmediatePlaneSurvivesAnOutageStorm) {
   EXPECT_EQ(report.service.handle_errors, 0u);
 }
 
-TEST(TrafficFaults, BatchedMultiSessionPlaneSurvivesTheSameStorm) {
+TEST(TrafficFaults, BatchedPlaneSurvivesTheSameStorm) {
   const auto net = networks::build_cantor({5, 0});
   const auto schedule = fault::FaultSchedule::from_model(
       fault::FaultModel::symmetric(2e-4), net.g.edge_count(),
       /*horizon=*/1500.0, /*mean_repair=*/40.0, /*seed=*/9);
-  svc::ExchangeConfig cfg;
-  cfg.sessions = 4;
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net, {});
   core::TrafficParams p;
   p.arrival_rate = 3.0;
   p.mean_holding = 3.0;
   p.sim_time = 1500.0;
   p.seed = 23;
-  p.epoch_interval = 0.5;  // batched admission plane across all 4 sessions
+  p.epoch_interval = 0.5;  // batched admission plane
   p.faults = &schedule;
   const auto report = simulate_traffic(ex, p);
   EXPECT_GT(report.offered, 1000u);
@@ -1233,9 +1203,7 @@ TEST(TrafficFaults, BatchedMultiSessionPlaneSurvivesTheSameStorm) {
 
 TEST(TrafficFaults, BatchedPlaneMatchesImmediateBooksWithoutFaults) {
   const auto net = networks::build_cantor({4, 0});
-  svc::ExchangeConfig cfg;
-  cfg.sessions = 2;
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net, {});
   core::TrafficParams p;
   p.arrival_rate = 2.0;
   p.mean_holding = 2.0;
@@ -1253,19 +1221,18 @@ TEST(TrafficFaults, BatchedPlaneMatchesImmediateBooksWithoutFaults) {
 
 // --------------------------------------------------- concurrency stress
 
-// Router-level flips between connects: 4 sessions churn in a seeded
-// interleaving while, every 64 ops, a flip open-fails one switch set and
+// Router-level flips between connects: a seeded churn runs while, every
+// 64 ops, a flip open-fails one switch set and
 // WELDS another (stuck-on) for good, then unwelds and re-welds a third,
 // output-side set round after round, so the weld-ancestor counts rise and
 // fall between the searches. Every connect must settle a path the overlay
 // carries as it stands, and after every flip the structural audit holds,
 // owner map included: it is built before the churn starts, so every
 // connect also writes it.
-TEST(ShardedOverlay, FlipsBetweenConnectsKeepEveryPathCarried) {
+TEST(RouterOverlay, FlipsBetweenConnectsKeepEveryPathCarried) {
   const auto net = networks::build_cantor({5, 0});
-  constexpr unsigned kSessions = 4;
   constexpr unsigned kRounds = 16;  // transient unweld/re-weld pairs
-  core::Router router(net, kSessions);
+  core::Router router(net);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   // Disjoint flip sets off a probe's paths: first hops open-fail, second
@@ -1289,7 +1256,7 @@ TEST(ShardedOverlay, FlipsBetweenConnectsKeepEveryPathCarried) {
     }
   }
   ASSERT_FALSE(doomed.empty());
-  ASSERT_EQ(router.call_at(net.inputs[0]).call,
+  ASSERT_EQ(router.call_at(net.inputs[0]),
             core::Router::kNoCall);  // builds the owner map
 
   std::vector<std::function<void()>> flips;
@@ -1311,37 +1278,32 @@ TEST(ShardedOverlay, FlipsBetweenConnectsKeepEveryPathCarried) {
   });
 
   util::Xoshiro256 rng(977);
-  std::vector<std::vector<core::Router::CallId>> active(kSessions);
+  std::vector<core::Router::CallId> active;
   std::size_t flipped = 0, settled = 0;
-  for (std::size_t op = 0; op < kSessions * 3000 || flipped < flips.size();
-       ++op) {
+  for (std::size_t op = 0; op < 12000 || flipped < flips.size(); ++op) {
     if (op % 64 == 63 && flipped < flips.size()) {
       flips[flipped++]();
       audit(router, net, true);
       if (HasFatalFailure()) return;
     }
-    const auto s = static_cast<unsigned>(rng.below(kSessions));
-    auto& w = router.session(s);
-    auto& mine = active[s];
-    if (!mine.empty() && (rng() & 3u) == 0) {
-      const auto idx = rng() % mine.size();
-      w.disconnect(mine[idx]);
-      mine[idx] = mine.back();
-      mine.pop_back();
+    if (!active.empty() && (rng() & 3u) == 0) {
+      const auto idx = rng() % active.size();
+      router.disconnect(active[idx]);
+      active[idx] = active.back();
+      active.pop_back();
       continue;
     }
     const auto in = static_cast<std::uint32_t>(rng() % n);
     const auto out = static_cast<std::uint32_t>(rng() % n);
-    const auto call = w.connect(in, out);
+    const auto call = router.connect(in, out);
     if (call == core::Router::kNoCall) continue;
-    mine.push_back(call);
+    active.push_back(call);
     ++settled;
-    EXPECT_TRUE(router.path_carried(w.path(call)))
-        << "session " << s << " settled a path the overlay does not carry";
+    EXPECT_TRUE(router.path_carried(router.path(call)))
+        << "op " << op << " settled a path the overlay does not carry";
   }
   EXPECT_GT(settled, 0u);
-  for (unsigned s = 0; s < kSessions; ++s)
-    for (const auto c : active[s]) router.session(s).disconnect(c);
+  for (const auto c : active) router.disconnect(c);
 
   EXPECT_EQ(router.active_calls(), 0u);
   EXPECT_EQ(router.busy_vertices(), 0u);
@@ -1349,11 +1311,11 @@ TEST(ShardedOverlay, FlipsBetweenConnectsKeepEveryPathCarried) {
   for (const auto e : welded) EXPECT_TRUE(router.edge_contracted(e));
   for (const auto e : transient) EXPECT_FALSE(router.edge_contracted(e));
   for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
-    EXPECT_EQ(router.call_at(v).call, core::Router::kNoCall);
+    EXPECT_EQ(router.call_at(v), core::Router::kNoCall);
 }
 
 // The acceptance-criteria storm: 4 submitter threads race the serving
-// thread, which drains their requests across 4 sessions, hangs calls up
+// thread, which drains their requests, hangs calls up
 // and, after every epoch that admitted work, applies the next event of a
 // deterministic mixed fault schedule (racing_submitters.hpp). Invariants:
 // every settled path crosses only switches that carry it under the
@@ -1363,11 +1325,9 @@ TEST(ShardedOverlay, FlipsBetweenConnectsKeepEveryPathCarried) {
 // hangups.
 TEST(ExchangeFaultPlane, SubmittersRacingAFaultStormStaySound) {
   const auto net = networks::build_cantor({5, 0});
-  constexpr unsigned kSessions = 4;
+  constexpr unsigned kSubmitters = 4;
   constexpr std::uint64_t kPerSubmitter = 2500;
-  svc::ExchangeConfig cfg;
-  cfg.sessions = kSessions;
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net, {});
 
   const auto schedule = fault::FaultSchedule::from_model(
       fault::FaultModel::symmetric(4e-4), net.g.edge_count(),
@@ -1387,7 +1347,7 @@ TEST(ExchangeFaultPlane, SubmittersRacingAFaultStormStaySound) {
   std::size_t next_event = 0;
   util::Xoshiro256 rng(util::derive_seed(613, 99));
   test::race_submitters(
-      ex, {kSessions, kPerSubmitter, 613},
+      ex, {kSubmitters, kPerSubmitter, 613},
       [&](const svc::Outcome& o) {
         if (!o.connected()) return;
         // No fault event runs between a commit and its callback: the path
@@ -1411,7 +1371,7 @@ TEST(ExchangeFaultPlane, SubmittersRacingAFaultStormStaySound) {
                 hop_alive = true;
           }
           EXPECT_TRUE(hop_alive)
-              << "session " << o.session << " path crosses a dead switch";
+              << "tag " << o.tag << " path crosses a dead switch";
         }
         held.push_back(o.id);
       },
@@ -1456,9 +1416,9 @@ TEST(ExchangeFaultPlane, SubmittersRacingAFaultStormStaySound) {
   EXPECT_GT(st.calls_killed_by_fault, 0u);
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
-  // Victims reroute on their own sessions: no fault event touches the
+  // Victims reroute inside their fault event: no fault event touches the
   // admission queue, so it admits and completes exactly the submissions.
-  EXPECT_EQ(st.submitted, kSessions * kPerSubmitter);
+  EXPECT_EQ(st.submitted, kSubmitters * kPerSubmitter);
   EXPECT_EQ(st.admitted, st.submitted);
   EXPECT_EQ(st.completed, st.submitted);
 }

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "networks/cantor.hpp"
@@ -287,6 +288,59 @@ TEST(FederationFaults, MemberEventOnNoShardIsATypedError) {
   EXPECT_EQ(fed.inject(1, ev).member.reject, RejectReason::kBadSwitch);
   EXPECT_EQ(fed.stats().members.handle_errors,
             before.members.handle_errors + 1);
+}
+
+// A trunk verb naming a group or line the federation does not have is a
+// typed error, kBadSwitch, booked into the federation's handle_errors, and
+// nothing else moves: not the line state, not the live inter call, and no
+// other FederationStats row (member and trunk rows included). An
+// idempotent repeat, by contrast, is a plain applied == false.
+TEST(FederationFaults, TrunkVerbOnNoLineIsATypedError) {
+  const auto net = networks::build_cantor({4, 0});
+  Federation fed(net, 2);
+  ASSERT_TRUE(fed.call({fed.global_of(0, 2), fed.global_of(1, 2), 0, 9})
+                  .connected());
+  const FederationStats before = fed.stats();
+  const auto groups = static_cast<std::uint32_t>(fed.trunk_group_count());
+  const std::uint32_t lines = fed.trunk_group(0).capacity();
+  std::uint64_t events = 0;
+  for (const auto& [group, line] :
+       {std::pair{groups, 0u}, std::pair{0u, lines}}) {
+    for (const bool fail : {true, false}) {
+      const TrunkFaultImpact imp =
+          fail ? fed.fail_trunk(group, line) : fed.repair_trunk(group, line);
+      EXPECT_EQ(imp.reject, RejectReason::kBadSwitch);
+      EXPECT_EQ(imp.group, group);
+      EXPECT_EQ(imp.line, line);
+      EXPECT_FALSE(imp.applied);
+      EXPECT_FALSE(imp.was_busy);
+      EXPECT_EQ(imp.calls_killed(), 0u);
+      EXPECT_TRUE(imp.reroutes.empty());
+      EXPECT_EQ(fed.stats().handle_errors, before.handle_errors + ++events);
+    }
+  }
+  const FederationStats after = fed.stats();
+  for (const auto& f : FederationStats::fields()) {
+    if (f.member != &FederationStats::handle_errors) {
+      EXPECT_EQ(after.*f.member, before.*f.member) << f.name;
+    }
+  }
+  for (const auto& f : ExchangeStats::fields())
+    EXPECT_EQ(after.members.*f.member, before.members.*f.member) << f.name;
+  for (const auto& f : core::RouterStats::fields())
+    EXPECT_EQ(after.members.router.*f.member, before.members.router.*f.member)
+        << f.name;
+  for (const auto& f : TrunkGroupStats::fields())
+    EXPECT_EQ(after.trunks.*f.member, before.trunks.*f.member) << f.name;
+  EXPECT_EQ(fed.active_inter_calls(), 1u);
+  // The last group and line are in range; a repeat is no misuse.
+  EXPECT_EQ(fed.fail_trunk(groups - 1, lines - 1).reject, RejectReason::kNone);
+  const TrunkFaultImpact again = fed.fail_trunk(groups - 1, lines - 1);
+  EXPECT_EQ(again.reject, RejectReason::kNone);
+  EXPECT_FALSE(again.applied);
+  EXPECT_EQ(fed.repair_trunk(groups - 1, lines - 1).reject,
+            RejectReason::kNone);
+  EXPECT_EQ(fed.stats().handle_errors, before.handle_errors + events);
 }
 
 /// Drives typed per-stage refusals: a busy terminal is refused before the

@@ -1,7 +1,6 @@
 // Hitless capacity growth: the append-only contract (NetworkDelta /
 // finalize_grown invariants), grow_cantor's doubled topology, live calls
-// carried across Exchange::grow on 1 and 2 sessions with their paths
-// unchanged, the grow gate rejecting each kind of non-append-only network
+// carried across Exchange::grow with their paths unchanged, the grow gate rejecting each kind of non-append-only network
 // untouched (directly and through the ops::ControlPlane kGrow ack),
 // overlay/fault-bookkeeping survival, the batched drain plane serving the
 // new terminals the epoch after the growth, and a report of the mean
@@ -10,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -126,85 +124,77 @@ TEST(NetworkDelta, MergeKeepsBasePrefixAndAppendsInEdgeIdOrder) {
 // --------------------------------------------------- growth equivalence
 
 // The grown network serves exactly the terminal pairs a from-scratch
-// double-size Cantor serves: every pair, on an idle exchange, on 1 and 2
-// sessions — plus a full simultaneous permutation (the strictly-nonblocking
-// load the appended planes must carry).
+// double-size Cantor serves: every pair, on an idle exchange — plus a full
+// simultaneous permutation (the strictly-nonblocking load the appended
+// planes must carry).
 TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
-  for (const unsigned sessions : {1u, 2u}) {
-    const auto base = networks::build_cantor({3, 0});
-    const auto fresh = networks::build_cantor({4, 0});
-    svc::ExchangeConfig cfg_g, cfg_f;
-    cfg_g.sessions = cfg_f.sessions = sessions;
-    svc::Exchange grown_ex(base, std::move(cfg_g));
-    ASSERT_TRUE(grown_ex.grow(doubled(grown_ex, {3, 0})).applied);
-    svc::Exchange fresh_ex(fresh, std::move(cfg_f));
-    ASSERT_EQ(grown_ex.input_count(), fresh_ex.input_count());
+  const auto base = networks::build_cantor({3, 0});
+  const auto fresh = networks::build_cantor({4, 0});
+  svc::Exchange grown_ex(base);
+  ASSERT_TRUE(grown_ex.grow(doubled(grown_ex, {3, 0})).applied);
+  svc::Exchange fresh_ex(fresh);
+  ASSERT_EQ(grown_ex.input_count(), fresh_ex.input_count());
 
-    const auto n = static_cast<std::uint32_t>(grown_ex.input_count());
-    for (std::uint32_t in = 0; in < n; ++in)
-      for (std::uint32_t out = 0; out < n; ++out) {
-        const svc::Outcome a = grown_ex.call({in, out, 0, 1});
-        const svc::Outcome b = fresh_ex.call({in, out, 0, 1});
-        EXPECT_TRUE(a.connected()) << in << "->" << out;
-        EXPECT_EQ(a.connected(), b.connected());
-        if (a.connected()) grown_ex.hangup(a.id);
-        if (b.connected()) fresh_ex.hangup(b.id);
-      }
-
-    // Full reversal permutation held simultaneously.
-    std::vector<svc::CallId> held;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const svc::Outcome o = grown_ex.call({i, n - 1 - i, 0, i + 1});
-      ASSERT_TRUE(o.connected()) << "pair " << i;
-      held.push_back(o.id);
+  const auto n = static_cast<std::uint32_t>(grown_ex.input_count());
+  for (std::uint32_t in = 0; in < n; ++in)
+    for (std::uint32_t out = 0; out < n; ++out) {
+      const svc::Outcome a = grown_ex.call({in, out, 0, 1});
+      const svc::Outcome b = fresh_ex.call({in, out, 0, 1});
+      EXPECT_TRUE(a.connected()) << in << "->" << out;
+      EXPECT_EQ(a.connected(), b.connected());
+      if (a.connected()) grown_ex.hangup(a.id);
+      if (b.connected()) fresh_ex.hangup(b.id);
     }
-    for (const auto id : held)
-      EXPECT_EQ(grown_ex.hangup(id), svc::RejectReason::kNone);
-    EXPECT_EQ(grown_ex.active_calls(), 0u);
-    EXPECT_EQ(grown_ex.busy_vertices(), 0u);
+
+  // Full reversal permutation held simultaneously.
+  std::vector<svc::CallId> held;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const svc::Outcome o = grown_ex.call({i, n - 1 - i, 0, i + 1});
+    ASSERT_TRUE(o.connected()) << "pair " << i;
+    held.push_back(o.id);
   }
+  for (const auto id : held)
+    EXPECT_EQ(grown_ex.hangup(id), svc::RejectReason::kNone);
+  EXPECT_EQ(grown_ex.active_calls(), 0u);
+  EXPECT_EQ(grown_ex.busy_vertices(), 0u);
 }
 
 // ------------------------------------------------------ live-call remap
 
 TEST(ExchangeGrowth, LiveCallsSurviveWithUnchangedPaths) {
-  for (const unsigned sessions : {1u, 2u}) {
-    const auto base = networks::build_cantor({3, 0});
-    svc::ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    svc::Exchange ex(base, std::move(cfg));
-    const auto n = static_cast<std::uint32_t>(ex.input_count());
+  const auto base = networks::build_cantor({3, 0});
+  svc::Exchange ex(base);
+  const auto n = static_cast<std::uint32_t>(ex.input_count());
 
-    std::vector<std::pair<svc::CallId, std::vector<graph::VertexId>>> pre;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const svc::Outcome o =
-          ex.call({i, static_cast<std::uint32_t>((3 * i + 1) % n), 0, i + 1});
-      ASSERT_TRUE(o.connected());
-      pre.emplace_back(o.id, ex.path_of(o.id));
-    }
-
-    const svc::GrowthReport rep = ex.grow(doubled(ex, {3, 0}));
-    ASSERT_TRUE(rep.applied) << rep.error;
-    EXPECT_EQ(rep.calls_carried, pre.size());
-    EXPECT_EQ(rep.calls_killed, 0u);
-    EXPECT_EQ(rep.inputs_added, n);
-    EXPECT_GT(rep.switches_added, 0u);
-    EXPECT_GE(rep.quiesce_seconds, 0.0);
-
-    // Growth only appends, so every live path is exactly its pre-growth
-    // path.
-    for (const auto& [id, old_path] : pre) EXPECT_EQ(ex.path_of(id), old_path);
-    const svc::ExchangeStats st = ex.stats();
-    EXPECT_EQ(st.growths, 1u);
-    EXPECT_EQ(st.calls_carried_by_growth, pre.size());
-    EXPECT_EQ(st.calls_killed_by_growth, 0u);
-
-    // Handles stay first-class: hangup drains to all-idle.
-    for (const auto& [id, unused] : pre)
-      EXPECT_EQ(ex.hangup(id), svc::RejectReason::kNone);
-    EXPECT_EQ(ex.active_calls(), 0u);
-    EXPECT_EQ(ex.busy_vertices(), 0u);
+  std::vector<std::pair<svc::CallId, std::vector<graph::VertexId>>> pre;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const svc::Outcome o =
+        ex.call({i, static_cast<std::uint32_t>((3 * i + 1) % n), 0, i + 1});
+    ASSERT_TRUE(o.connected());
+    pre.emplace_back(o.id, ex.path_of(o.id));
   }
+
+  const svc::GrowthReport rep = ex.grow(doubled(ex, {3, 0}));
+  ASSERT_TRUE(rep.applied) << rep.error;
+  EXPECT_EQ(rep.calls_carried, pre.size());
+  EXPECT_EQ(rep.calls_killed, 0u);
+  EXPECT_EQ(rep.inputs_added, n);
+  EXPECT_GT(rep.switches_added, 0u);
+  EXPECT_GE(rep.quiesce_seconds, 0.0);
+
+  // Growth only appends, so every live path is exactly its pre-growth
+  // path.
+  for (const auto& [id, old_path] : pre) EXPECT_EQ(ex.path_of(id), old_path);
+  const svc::ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.growths, 1u);
+  EXPECT_EQ(st.calls_carried_by_growth, pre.size());
+  EXPECT_EQ(st.calls_killed_by_growth, 0u);
+
+  // Handles stay first-class: hangup drains to all-idle.
+  for (const auto& [id, unused] : pre)
+    EXPECT_EQ(ex.hangup(id), svc::RejectReason::kNone);
+  EXPECT_EQ(ex.active_calls(), 0u);
+  EXPECT_EQ(ex.busy_vertices(), 0u);
 }
 
 TEST(ExchangeGrowth, RejectsAPlanForTheWrongBase) {
@@ -445,18 +435,12 @@ TEST(ControlPlaneGrowth, KGrowAcksRealEffectsAndDeclinesARegrow) {
 
 TEST(ExchangeGrowth, BatchedDrainServesNewTerminalsTheEpochAfterTheMerge) {
   const auto base = networks::build_cantor({3, 0});
-  svc::ExchangeConfig cfg;
-  cfg.sessions = 2;
-  svc::Exchange ex(base, std::move(cfg));
+  svc::Exchange ex(base);
   const auto n = static_cast<std::uint32_t>(ex.input_count());
 
-  // Both sessions' pool tasks fire callbacks concurrently.
-  std::mutex mu;
+  // Callbacks fire on the draining thread.
   std::vector<svc::Outcome> done;
-  const auto on_done = [&](const svc::Outcome& o) {
-    std::lock_guard<std::mutex> lk(mu);
-    done.push_back(o);
-  };
+  const auto on_done = [&](const svc::Outcome& o) { done.push_back(o); };
 
   // Epoch 1: old terminals through the batched plane.
   for (std::uint32_t i = 0; i < n; ++i)

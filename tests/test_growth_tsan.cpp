@@ -1,6 +1,6 @@
 // Growth racing live traffic, under ThreadSanitizer: four submitter
 // threads race the serving thread (racing_submitters.hpp), which drains
-// their requests across four sessions, hangs calls up, runs a mixed fault
+// their requests, hangs calls up, runs a mixed fault
 // storm and lands ONE hitless doubling in the middle of it. Invariants:
 // submitters dial the doubled terminal space only once the merge has
 // published it (input_count() is thread-safe), every handle settles to a
@@ -23,11 +23,9 @@ namespace {
 
 TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSubmittersStaysSound) {
   const auto net = networks::build_cantor({4, 0});
-  constexpr unsigned kSessions = 4;
+  constexpr unsigned kSubmitters = 4;
   constexpr std::uint64_t kPerSubmitter = 2000;
-  svc::ExchangeConfig cfg;
-  cfg.sessions = kSessions;
-  svc::Exchange ex(net, std::move(cfg));
+  svc::Exchange ex(net);
 
   // The storm names base edge ids only — they stay valid across the merge
   // (edge-id stability is the contract the remap rides on).
@@ -58,7 +56,7 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSubmittersStaysSound) {
   std::size_t next_event = 0;
   util::Xoshiro256 rng(util::derive_seed(617, 99));
   test::race_submitters(
-      ex, {kSessions, kPerSubmitter, 617},
+      ex, {kSubmitters, kPerSubmitter, 617},
       [&](const svc::Outcome& o) {
         if (!o.connected()) return;
         EXPECT_FALSE(ex.path_of(o.id).empty());
@@ -104,10 +102,10 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSubmittersStaysSound) {
   EXPECT_GT(st.calls_killed_by_fault, 0u);
   EXPECT_EQ(st.calls_killed_by_fault,
             st.reroute_succeeded + st.reroute_failed);
-  // Victims reroute on their own sessions: no fault event or growth
+  // Victims reroute inside their fault event: no fault event or growth
   // touches the admission queue, so it admits and completes exactly the
   // submissions.
-  EXPECT_EQ(st.submitted, kSessions * kPerSubmitter);
+  EXPECT_EQ(st.submitted, kSubmitters * kPerSubmitter);
   EXPECT_EQ(st.admitted, st.submitted);
   EXPECT_EQ(st.completed, st.submitted);
 }

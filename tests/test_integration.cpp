@@ -87,8 +87,7 @@ struct SampledRow {
   const char* what;
   const graph::Network* net;
   double eps;
-  unsigned sessions;      // > 1: the batched plane over that many sessions
-  double epoch_interval;  // 0: the immediate plane
+  double epoch_interval;  // 0: the immediate plane, > 0: the batched one
   std::size_t offered, carried, blocked;
   std::uint64_t visits;
 };
@@ -102,16 +101,14 @@ TEST(Integration, SampledFaultsServeExactBooks) {
   const auto ft = build_ft_network(FtParams::sim(2, 8, 6, 1, 8));
   const auto k6 = networks::build_cantor({6, 0});
   const SampledRow rows[] = {
-      {"ft-nu2 solo", &ft.net, 1e-3, 1, 0.0, 3649, 3649, 0, 29291},
-      {"cantor-k6 solo", &k6, 3e-2, 1, 0.0, 6406, 6086, 320, 307479},
-      {"cantor-k6 batched x2", &k6, 3e-2, 2, 0.5, 5751, 5457, 294, 278800},
+      {"ft-nu2 immediate", &ft.net, 1e-3, 0.0, 3649, 3649, 0, 29291},
+      {"cantor-k6 immediate", &k6, 3e-2, 0.0, 6406, 6086, 320, 307479},
+      {"cantor-k6 batched", &k6, 3e-2, 0.5, 5751, 5457, 294, 278800},
   };
   for (const SampledRow& row : rows) {
     const fault::FaultInstance inst(*row.net,
                                     fault::FaultModel::symmetric(row.eps), 1);
-    svc::ExchangeConfig cfg;
-    cfg.sessions = row.sessions;
-    svc::Exchange ex(*row.net, std::move(cfg));
+    svc::Exchange ex(*row.net);
     for (const fault::Failure& f : inst.failures())
       ex.inject({0.0, f.edge, fault::FaultEvent::Kind::kFail});
     EXPECT_EQ(ex.failed_switch_count(), inst.failures().size()) << row.what;

@@ -2,9 +2,9 @@
 // CommandQueue with typed acks, ControlPlane command execution at epoch
 // boundaries, MetricsRegistry export (Prometheus + JSON, totals + deltas),
 // the RejectReason round-trip, and the acceptance-criteria churn — 4
-// sessions serving calls while a separate operator thread pumps
-// inject/repair/query/snapshot commands through the queue. (Carries the
-// `tsan` ctest label.)
+// submitters racing the serving thread while a separate operator thread
+// pumps inject/repair/query/snapshot commands through the queue. (Carries
+// the `tsan` ctest label.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -915,9 +915,8 @@ TEST(ControlPlane, OutOfRangeCoordinatesAckInvalidAndTouchNothing) {
 // exercising the multi-producer side of the queue. TSan-run.
 TEST(OpsControlPlane, OperatorCommandsRaceSubmittersSafely) {
   const auto net = networks::build_cantor({5, 0});
-  constexpr unsigned kSessions = 4;
+  constexpr unsigned kSubmitters = 4;
   svc::ExchangeConfig cfg;
-  cfg.sessions = kSessions;
   cfg.class_deadlines = {0.0, 0.0, 0.0, 1e-9};
   svc::Exchange ex(net, std::move(cfg));
   ops::ControlPlane control(ex, "churn");
@@ -969,7 +968,7 @@ TEST(OpsControlPlane, OperatorCommandsRaceSubmittersSafely) {
     operator_done.store(true, std::memory_order_release);
   });
 
-  test::Race race{kSessions, 2000, 811};
+  test::Race race{kSubmitters, 2000, 811};
   // Multi-producer side: submitters query the control plane too, and wait
   // for the serving thread to pump the ack.
   race.after_submit = [&](unsigned, std::uint64_t i) {

@@ -117,7 +117,7 @@ void expect_report_agrees_with_stats(const TrafficReport& report) {
   EXPECT_EQ(report.carried + report.blocked, report.offered);
   EXPECT_EQ(report.blocked, r.rejected_no_path);
   // The simulator pre-checks terminal idleness, so nothing should ever be
-  // rejected at a terminal by the router on the single-session plane.
+  // rejected at a terminal by the router on the immediate plane.
   EXPECT_EQ(r.rejected_terminal, 0u);
   // Every carried call is hung up by the end of the run.
   EXPECT_EQ(report.service.hangups, report.carried);
@@ -131,46 +131,13 @@ TEST(Traffic, LightLoadNoBlockingOnStrictClos) {
   p.mean_holding = 1.0;
   p.sim_time = 2000;
   p.seed = 3;
-  // The same simulation must hold whatever the session count.
-  for (const unsigned sessions : {1u, 4u}) {
-    svc::ExchangeConfig cfg;
-    cfg.sessions = sessions;
-    svc::Exchange exchange(net, std::move(cfg));
-    const auto report = simulate_traffic(exchange, p);
-    EXPECT_GT(report.offered, 500u);
-    EXPECT_EQ(report.blocked, 0u);  // strictly nonblocking: never blocks
-    EXPECT_EQ(report.carried, report.offered);
-    EXPECT_GT(report.mean_path_length, 0.0);
-    expect_report_agrees_with_stats(report);
-  }
-}
-
-// A drain commits its window in order whatever the session count, so one
-// session and four serve the same batched traffic identically.
-TEST(Traffic, SessionCountsProduceIdenticalReports) {
-  const auto net = networks::build_crossbar(8);
-  TrafficParams p;
-  p.arrival_rate = 2.0;
-  p.mean_holding = 1.0;
-  p.sim_time = 800;
-  p.seed = 9;
-  p.epoch_interval = 0.5;
-  svc::Exchange one(net, {});
-  svc::ExchangeConfig cfg;
-  cfg.sessions = 4;
-  svc::Exchange four(net, std::move(cfg));
-  const auto a = simulate_traffic(one, p);
-  const auto b = simulate_traffic(four, p);
-  EXPECT_GT(a.carried, 0u);
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.carried, b.carried);
-  EXPECT_EQ(a.blocked, b.blocked);
-  EXPECT_EQ(a.terminal_busy, b.terminal_busy);
-  EXPECT_DOUBLE_EQ(a.mean_active, b.mean_active);
-  EXPECT_DOUBLE_EQ(a.mean_path_length, b.mean_path_length);
-  EXPECT_EQ(a.service.router.vertices_visited, b.service.router.vertices_visited);
-  EXPECT_EQ(a.service.router.path_vertices, b.service.router.path_vertices);
-  EXPECT_EQ(a.service.hangups, b.service.hangups);
+  svc::Exchange exchange(net, {});
+  const auto report = simulate_traffic(exchange, p);
+  EXPECT_GT(report.offered, 500u);
+  EXPECT_EQ(report.blocked, 0u);  // strictly nonblocking: never blocks
+  EXPECT_EQ(report.carried, report.offered);
+  EXPECT_GT(report.mean_path_length, 0.0);
+  expect_report_agrees_with_stats(report);
 }
 
 TEST(Traffic, OfferedLoadMatchesLittleLaw) {

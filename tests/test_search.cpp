@@ -93,7 +93,7 @@ void expect_valid_path(const Router& r, const graph::CsrGraph& g,
         << "hop " << path[i] << " -> " << path[i + 1] << " is not an edge";
 }
 
-/// Routes in -> out on `router`'s session 0 and checks the verdict and the
+/// Routes in -> out on `router` and checks the verdict and the
 /// path length against graph::shortest_path over the router's busy vertices
 /// and unusable switches as they were just before the connect. Returns the
 /// call.
@@ -802,7 +802,7 @@ TEST(RouterStores, FanOutNetWeldedReverseHopAfterEveryMidDies) {
 }
 
 // ---------------------------------------------------------------------------
-// Search work. A seeded churn at half load on one session: fill half the
+// Search work. A seeded churn at half load on one router: fill half the
 // terminals, then each step hangs up a random live call and dials a random
 // idle input to a random idle output, so every dial runs a search. Each row
 // of the table is the exact number of vertices the current search visits

@@ -6,9 +6,8 @@
 // handle, its path, and the hop rule re-derived from the test's own model
 // of the overlay. Seeded random storms (open faults, stuck-on welds, weld
 // repairs crossed against their direction, faults on terminal-incident
-// switches, a mid-storm grow()) on Cantor and §6 FT networks run on one
-// session and on four; after every event the killed handles and their
-// order must equal the oracle's.
+// switches, a mid-storm grow()) on Cantor and §6 FT networks; after every
+// event the killed handles and their order must equal the oracle's.
 //
 // RouterStores.CallAtNamesTheCallThroughEveryVertex pins the router query
 // itself, and RouterStores.CallAtIgnoresEntriesOfAReusedSlot
@@ -16,9 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "fault/schedule.hpp"
@@ -40,13 +40,8 @@ TEST(RouterStores, CallAtNamesTheCallThroughEveryVertex) {
     std::vector<std::uint32_t> holder(net.g.vertex_count(), kNone);
     for (const std::uint32_t c : calls)
       for (const graph::VertexId v : r->path_of(c)) holder[v] = c;
-    for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v) {
-      const core::CallRef at = r->call_at(v);
-      EXPECT_EQ(at.call, holder[v]) << "vertex " << v;
-      if (at.call != kNone) {
-        EXPECT_EQ(at.session, 0u);
-      }
-    }
+    for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
+      EXPECT_EQ(r->call_at(v), holder[v]) << "vertex " << v;
   };
   expect_holders({});
   std::vector<std::uint32_t> calls;
@@ -77,7 +72,7 @@ TEST(RouterStores, CallAtIgnoresEntriesOfAReusedSlot) {
   const std::uint32_t a = r.connect(0, 5);
   ASSERT_NE(a, kNone);
   const auto old_path = r.path_of(a);
-  ASSERT_EQ(r.call_at(old_path[1]).call, a);  // builds the owner map
+  ASSERT_EQ(r.call_at(old_path[1]), a);  // builds the owner map
   r.disconnect(a);
   const std::uint32_t b = r.connect(3, 12);
   ASSERT_EQ(b, a) << "the new call should reuse the freed slot";
@@ -86,26 +81,14 @@ TEST(RouterStores, CallAtIgnoresEntriesOfAReusedSlot) {
   for (const graph::VertexId v : old_path) {
     const bool reused =
         std::find(new_path.begin(), new_path.end(), v) != new_path.end();
-    EXPECT_EQ(r.call_at(v).call, reused ? b : kNone) << "vertex " << v;
+    EXPECT_EQ(r.call_at(v), reused ? b : kNone) << "vertex " << v;
     stale += !reused;
   }
   EXPECT_GT(stale, 0u);
-  for (const graph::VertexId v : new_path) EXPECT_EQ(r.call_at(v).call, b);
+  for (const graph::VertexId v : new_path) EXPECT_EQ(r.call_at(v), b);
 }
 
 // ------------------------------------------------------------- the oracle
-
-template <unsigned S>
-struct Config {
-  static constexpr unsigned kSessions = S;
-};
-
-struct ConfigNames {
-  template <class C>
-  static std::string GetName(int) {
-    return "Sessions" + std::to_string(C::kSessions);
-  }
-};
 
 /// What the storms exercised, summed over a suite's runs.
 struct Coverage {
@@ -119,7 +102,6 @@ struct Coverage {
 class Storm {
  public:
   Storm(svc::Exchange& ex, std::uint64_t seed) : ex_(ex), rng_(seed) {
-    live_.resize(ex.sessions());
     resize_model();
   }
 
@@ -149,19 +131,13 @@ class Storm {
     open_deg_.resize(net().g.vertex_count(), 0);
   }
 
-  std::size_t live_count() const {
-    std::size_t n = 0;
-    for (const auto& s : live_) n += s.size();
-    return n;
-  }
+  std::size_t live_count() const { return live_.size(); }
 
   /// A random live handle (the table must be non-empty).
   svc::CallId pick_live() {
-    std::size_t i = rng_.below(live_count());
-    for (const auto& s : live_)
-      for (const auto& [slot, id] : s)
-        if (i-- == 0) return id;
-    return {};
+    return std::next(live_.begin(),
+                     static_cast<std::ptrdiff_t>(rng_.below(live_count())))
+        ->second;
   }
 
   /// Hangs up or places one call, keeping ~3/4 of the terminals busy so
@@ -171,14 +147,13 @@ class Storm {
     if (live_count() > 0 && rng_.below(8 * n) < live_count()) {
       const svc::CallId id = pick_live();
       ASSERT_EQ(ex_.hangup(id), svc::RejectReason::kNone);
-      live_[id.session()].erase(id.slot());
+      live_.erase(id.slot());
       return;
     }
     const auto in = static_cast<std::uint32_t>(rng_.below(n));
     const auto out = static_cast<std::uint32_t>(rng_.below(ex_.output_count()));
-    const auto session = static_cast<unsigned>(rng_.below(ex_.sessions()));
-    const svc::Outcome o = ex_.call({in, out, 0, next_tag_++}, session);
-    if (o.connected()) live_[o.session][o.id.slot()] = o.id;
+    const svc::Outcome o = ex_.call({in, out, 0, next_tag_++});
+    if (o.connected()) live_[o.id.slot()] = o.id;
   }
 
   /// The edge an event hits: a hop of a live call (the welded switch it
@@ -240,8 +215,7 @@ class Storm {
 
     // Paths as they stand, then the model moves to the event's overlay.
     std::vector<std::pair<svc::CallId, std::vector<graph::VertexId>>> paths;
-    for (const auto& s : live_)
-      for (const auto& [slot, id] : s) paths.emplace_back(id, ex_.path_of(id));
+    for (const auto& [slot, id] : live_) paths.emplace_back(id, ex_.path_of(id));
     std::vector<graph::VertexId> newly_dead;
     const auto step_deg = [&](int d) {
       for (const graph::VertexId v : {edge.from, edge.to}) {
@@ -265,8 +239,8 @@ class Storm {
       down_.erase(std::find(down_.begin(), down_.end(), e));
     }
 
-    // The oracle: the full scan over every live handle in (session, slot)
-    // order — a dead vertex or an uncarried hop kills.
+    // The oracle: the full scan over every live handle in slot order — a
+    // dead vertex or an uncarried hop kills.
     std::vector<svc::CallId> expect;
     std::vector<bool> touches_from;
     for (const auto& [id, path] : paths) {
@@ -292,9 +266,9 @@ class Storm {
     ASSERT_EQ(impact.reroutes.size(), impact.killed.size());
     ++events_;
 
-    for (const svc::CallId id : got) live_[id.session()].erase(id.slot());
+    for (const svc::CallId id : got) live_.erase(id.slot());
     for (const svc::Outcome& o : impact.reroutes)
-      if (o.connected()) live_[o.session][o.id.slot()] = o.id;
+      if (o.connected()) live_[o.id.slot()] = o.id;
     ASSERT_EQ(ex_.active_calls(), live_count());
 
     const bool terminal =
@@ -306,7 +280,7 @@ class Storm {
 
   svc::Exchange& ex_;
   util::Xoshiro256 rng_;
-  std::vector<std::map<std::uint32_t, svc::CallId>> live_;  // by session, slot
+  std::map<std::uint32_t, svc::CallId> live_;  // by slot
   std::vector<std::uint8_t> failed_, welded_;  // the overlay, by switch
   std::vector<std::uint32_t> open_deg_;        // open faults per vertex
   std::vector<graph::EdgeId> down_;
@@ -314,26 +288,15 @@ class Storm {
   std::size_t events_ = 0;
 };
 
-template <class C>
-class VictimOracle : public ::testing::Test {
- protected:
-  static svc::ExchangeConfig config() {
-    svc::ExchangeConfig cfg;
-    cfg.sessions = C::kSessions;
-    return cfg;
-  }
-  /// Every storm must have exercised each kind of victim.
-  static void expect_covered(const Coverage& cov) {
-    EXPECT_GT(cov.open_kills, 0u);
-    EXPECT_GT(cov.weld_repair_kills, 0u);
-    EXPECT_GT(cov.terminal_kills, 0u);
-    EXPECT_GT(cov.head_side_kills, 0u);
-  }
-};
-using Configs = ::testing::Types<Config<1>, Config<4>>;
-TYPED_TEST_SUITE(VictimOracle, Configs, ConfigNames);
+/// Every storm must have exercised each kind of victim.
+void expect_covered(const Coverage& cov) {
+  EXPECT_GT(cov.open_kills, 0u);
+  EXPECT_GT(cov.weld_repair_kills, 0u);
+  EXPECT_GT(cov.terminal_kills, 0u);
+  EXPECT_GT(cov.head_side_kills, 0u);
+}
 
-TYPED_TEST(VictimOracle, SeededStormsKillExactlyTheFullScansVictims) {
+TEST(VictimOracle, SeededStormsKillExactlyTheFullScansVictims) {
   // A layered Cantor network and the §6 FT network (terminal stubs,
   // majority-access stages).
   std::vector<graph::Network> nets;
@@ -343,29 +306,29 @@ TYPED_TEST(VictimOracle, SeededStormsKillExactlyTheFullScansVictims) {
   Coverage cov;
   for (const graph::Network& net : nets) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      svc::Exchange ex(net, TestFixture::config());
+      svc::Exchange ex(net);
       Storm storm(ex, seed);
       storm.run(400, cov);
-      if (this->HasFatalFailure()) return;
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  TestFixture::expect_covered(cov);
+  expect_covered(cov);
 }
 
-TYPED_TEST(VictimOracle, StormAcrossAGrowKillsExactlyTheFullScansVictims) {
+TEST(VictimOracle, StormAcrossAGrowKillsExactlyTheFullScansVictims) {
   const auto net = networks::build_cantor({3, 0});
   Coverage cov;
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    svc::Exchange ex(net, TestFixture::config());
+    svc::Exchange ex(net);
     Storm storm(ex, seed);
     storm.run(150, cov);
-    if (this->HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
     storm.grow({3, 0});
-    if (this->HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
     storm.run(300, cov);
-    if (this->HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
   }
-  TestFixture::expect_covered(cov);
+  expect_covered(cov);
 }
 
 }  // namespace
